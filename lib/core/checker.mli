@@ -39,7 +39,8 @@ val is_strong_si : History.t -> bool
 val is_strong_session_si : History.t -> bool
 
 (** [check_weak_si h] verifies that the history is (global) weak SI: every
-    transaction observed a transaction-consistent snapshot. Concretely, each
+    committed transaction observed a transaction-consistent snapshot
+    (aborted updates are not judged, like the {!Watchdog}). Concretely, each
     recorded read must return the value of the key in the primary state
     sequence at the transaction's snapshot timestamp — unless the
     transaction itself wrote the key earlier (read-your-writes; such reads

@@ -7,23 +7,21 @@ type t = {
   (* Per-transaction accumulated updates (newest first), per Algorithm 3.1's
      update lists. *)
   update_lists : (int, Wal.update list) Hashtbl.t;
-  lineage : Lsr_obs.Lineage.t;
-  flight : Lsr_obs.Flight.t;
+  sinks : Lsr_obs.Sinks.t;
   c_polls : Lsr_obs.Obs.counter;
   c_shipped : Lsr_obs.Obs.counter;
   g_in_flight : Lsr_obs.Obs.gauge;
 }
 
-let create ?from ?(ship_aborted = false) ?(obs = Lsr_obs.Obs.null)
-    ?(lineage = Lsr_obs.Lineage.null) ?(flight = Lsr_obs.Flight.null) wal =
+let create ?from ?(ship_aborted = false) ?(sinks = Lsr_obs.Sinks.null) wal =
   let cursor = match from with Some o -> o | None -> Wal.length wal in
+  let obs = sinks.Lsr_obs.Sinks.obs in
   {
     wal;
     cursor;
     ship_aborted;
     update_lists = Hashtbl.create 64;
-    lineage;
-    flight;
+    sinks;
     c_polls = Lsr_obs.Obs.counter obs "propagation.polls";
     c_shipped = Lsr_obs.Obs.counter obs "propagation.records_shipped";
     g_in_flight = Lsr_obs.Obs.gauge obs "propagation.in_flight";
@@ -75,25 +73,14 @@ let poll t =
   let entries, next = Wal.read_from t.wal t.cursor in
   t.cursor <- next;
   let records = List.filter_map (record_of_entry t) entries in
-  if Lsr_obs.Lineage.enabled t.lineage then
+  if Lsr_obs.Sinks.tracing t.sinks then
     List.iter
       (fun record ->
         match record with
         | Txn_record.Start_rec { txn; _ } ->
-          Lsr_obs.Lineage.emit t.lineage ~txn Lsr_obs.Lineage.Batched
+          Lsr_obs.Sinks.stage t.sinks ~txn Lsr_obs.Lineage.Batched
         | Txn_record.Commit_rec { txn; updates; _ } ->
-          Lsr_obs.Lineage.emit t.lineage ~txn
-            (Lsr_obs.Lineage.Shipped { updates = List.length updates })
-        | Txn_record.Abort_rec _ -> ())
-      records;
-  if Lsr_obs.Flight.enabled t.flight then
-    List.iter
-      (fun record ->
-        match record with
-        | Txn_record.Start_rec { txn; _ } ->
-          Lsr_obs.Flight.note_stage t.flight ~txn Lsr_obs.Lineage.Batched
-        | Txn_record.Commit_rec { txn; updates; _ } ->
-          Lsr_obs.Flight.note_stage t.flight ~txn
+          Lsr_obs.Sinks.stage t.sinks ~txn
             (Lsr_obs.Lineage.Shipped { updates = List.length updates })
         | Txn_record.Abort_rec _ -> ())
       records;

@@ -17,20 +17,13 @@ type t
     the whole log (e.g. when attaching a fresh secondary). [ship_aborted]
     (default false) attaches aborted transactions' update lists to their
     abort records — the "simple method" of §3.2 whose wasted secondary work
-    the ablation benchmarks quantify. [obs] receives the counters
+    the ablation benchmarks quantify. [sinks.obs] receives the counters
     [propagation.polls] / [propagation.records_shipped] and the
-    [propagation.in_flight] gauge. [lineage] receives a [Batched] event when
-    a transaction's start record is picked up and a [Shipped] event when its
-    squashed commit record leaves the propagator; [flight] records the same
-    two stages into the bounded black box. *)
+    [propagation.in_flight] gauge; a [Batched] stage is tapped when a
+    transaction's start record is picked up and a [Shipped] stage when its
+    squashed commit record leaves the propagator. *)
 val create :
-  ?from:int ->
-  ?ship_aborted:bool ->
-  ?obs:Lsr_obs.Obs.t ->
-  ?lineage:Lsr_obs.Lineage.t ->
-  ?flight:Lsr_obs.Flight.t ->
-  Wal.t ->
-  t
+  ?from:int -> ?ship_aborted:bool -> ?sinks:Lsr_obs.Sinks.t -> Wal.t -> t
 
 (** [poll t] consumes the log entries appended since the last poll and
     returns the records to broadcast, in order. *)

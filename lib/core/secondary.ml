@@ -29,8 +29,7 @@ type t = {
   mutable seq_dbsec : Timestamp.t;
   on_refresh_commit : Timestamp.t -> unit;
   (* Observability (no-ops unless an enabled registry is supplied). *)
-  lineage : Lsr_obs.Lineage.t;
-  flight : Lsr_obs.Flight.t;
+  sinks : Lsr_obs.Sinks.t;
   c_started : Lsr_obs.Obs.counter;
   c_committed : Lsr_obs.Obs.counter;
   c_aborted : Lsr_obs.Obs.counter;
@@ -45,8 +44,9 @@ type refresher_outcome =
   | Blocked_on_pending
   | Idle
 
-let make ~name ~obs ~lineage ~flight db on_refresh_commit =
+let make ~name ~sinks db on_refresh_commit =
   let module Obs = Lsr_obs.Obs in
+  let obs = sinks.Lsr_obs.Sinks.obs in
   let inst fmt suffix = Printf.sprintf fmt name suffix in
   {
     name;
@@ -57,8 +57,7 @@ let make ~name ~obs ~lineage ~flight db on_refresh_commit =
     applicators = Queue.create ();
     seq_dbsec = Timestamp.zero;
     on_refresh_commit;
-    lineage;
-    flight;
+    sinks;
     c_started = Obs.counter obs (inst "%s.refresh_%s" "started");
     c_committed = Obs.counter obs (inst "%s.refresh_%s" "committed");
     c_aborted = Obs.counter obs (inst "%s.refresh_%s" "aborted");
@@ -66,31 +65,23 @@ let make ~name ~obs ~lineage ~flight db on_refresh_commit =
     g_pending = Obs.gauge obs (inst "%s.%s" "pending_depth");
   }
 
-let create ?(name = "secondary") ?(obs = Lsr_obs.Obs.null)
-    ?(lineage = Lsr_obs.Lineage.null) ?(flight = Lsr_obs.Flight.null)
+let create ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
     ?(on_refresh_commit = fun _ -> ()) () =
-  make ~name ~obs ~lineage ~flight (Mvcc.create ~name ()) on_refresh_commit
+  make ~name ~sinks (Mvcc.create ~name ()) on_refresh_commit
 
-let create_from ?(name = "secondary") ?(obs = Lsr_obs.Obs.null)
-    ?(lineage = Lsr_obs.Lineage.null) ?(flight = Lsr_obs.Flight.null)
+let create_from ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
     ?(on_refresh_commit = fun _ -> ()) backup =
-  make ~name ~obs ~lineage ~flight (Mvcc.restore ~name backup) on_refresh_commit
+  make ~name ~sinks (Mvcc.restore ~name backup) on_refresh_commit
 
 let db t = t.db
 let name t = t.name
 
 let enqueue t record =
   Queue.add record t.update_queue;
-  (if Lsr_obs.Lineage.enabled t.lineage then
+  (if Lsr_obs.Sinks.tracing t.sinks then
      match record with
      | Txn_record.Commit_rec { txn; _ } ->
-       Lsr_obs.Lineage.emit t.lineage ~site:t.name ~txn Lsr_obs.Lineage.Enqueued
-     | Txn_record.Start_rec _ | Txn_record.Abort_rec _ -> ());
-  (if Lsr_obs.Flight.enabled t.flight then
-     match record with
-     | Txn_record.Commit_rec { txn; _ } ->
-       Lsr_obs.Flight.note_stage t.flight ~site:t.name ~txn
-         Lsr_obs.Lineage.Enqueued
+       Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn Lsr_obs.Lineage.Enqueued
      | Txn_record.Start_rec _ | Txn_record.Abort_rec _ -> ());
   Lsr_obs.Obs.set_gauge t.g_update_queue
     (float_of_int (Queue.length t.update_queue))
@@ -108,11 +99,8 @@ let refresher_step t =
         (float_of_int (Queue.length t.update_queue));
       let refresh = Mvcc.begin_txn t.db in
       Hashtbl.replace t.refresh_txns txn refresh;
-      if Lsr_obs.Lineage.enabled t.lineage then
-        Lsr_obs.Lineage.emit t.lineage ~site:t.name ~txn
-          Lsr_obs.Lineage.Refresh_started;
-      if Lsr_obs.Flight.enabled t.flight then
-        Lsr_obs.Flight.note_stage t.flight ~site:t.name ~txn
+      if Lsr_obs.Sinks.tracing t.sinks then
+        Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn
           Lsr_obs.Lineage.Refresh_started;
       Lsr_obs.Obs.incr t.c_started;
       Started txn
@@ -190,11 +178,8 @@ let applicator_step t app =
           in
           Queue.clear t.applicators;
           Queue.transfer keep t.applicators);
-        if Lsr_obs.Lineage.enabled t.lineage then
-          Lsr_obs.Lineage.emit t.lineage ~site:t.name ~txn:app.primary_txn
-            (Lsr_obs.Lineage.Refresh_committed { commit_ts = app.commit_ts });
-        if Lsr_obs.Flight.enabled t.flight then
-          Lsr_obs.Flight.note_stage t.flight ~site:t.name ~txn:app.primary_txn
+        if Lsr_obs.Sinks.tracing t.sinks then
+          Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn:app.primary_txn
             (Lsr_obs.Lineage.Refresh_committed { commit_ts = app.commit_ts });
         Lsr_obs.Obs.incr t.c_committed;
         t.on_refresh_commit app.commit_ts;

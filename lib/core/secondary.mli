@@ -37,18 +37,15 @@ exception Refresh_conflict of { txn : int; key : string }
 (** [create ~name ()] is a fresh secondary with an empty database copy.
     [on_refresh_commit] fires after each refresh transaction commits, with
     the primary commit timestamp just installed (used to wake blocked
-    read-only transactions). [obs] receives per-site counters and queue-depth
-    gauges named [<name>.refresh_started/committed/aborted],
-    [<name>.update_queue_depth] and [<name>.pending_depth]; the default
-    {!Lsr_obs.Obs.null} makes every bump a no-op. [lineage] receives
-    [Enqueued] (commit record entered the update queue), [Refresh_started]
-    and [Refresh_committed] events tagged with this site's [name]; [flight]
-    records the same three stages into the bounded black box. *)
+    read-only transactions). [sinks.obs] receives per-site counters and
+    queue-depth gauges named [<name>.refresh_started/committed/aborted],
+    [<name>.update_queue_depth] and [<name>.pending_depth]; the [Enqueued]
+    (commit record entered the update queue), [Refresh_started] and
+    [Refresh_committed] stages are tapped tagged with this site's [name].
+    The default {!Lsr_obs.Sinks.null} makes all of it a no-op. *)
 val create :
   ?name:string ->
-  ?obs:Lsr_obs.Obs.t ->
-  ?lineage:Lsr_obs.Lineage.t ->
-  ?flight:Lsr_obs.Flight.t ->
+  ?sinks:Lsr_obs.Sinks.t ->
   ?on_refresh_commit:(Timestamp.t -> unit) ->
   unit ->
   t
@@ -59,9 +56,7 @@ val create :
     {!reseed_seq}. *)
 val create_from :
   ?name:string ->
-  ?obs:Lsr_obs.Obs.t ->
-  ?lineage:Lsr_obs.Lineage.t ->
-  ?flight:Lsr_obs.Flight.t ->
+  ?sinks:Lsr_obs.Sinks.t ->
   ?on_refresh_commit:(Timestamp.t -> unit) ->
   string ->
   t

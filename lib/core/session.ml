@@ -95,14 +95,27 @@ let clock_horizon c ~cutoff =
   done;
   if !lo = 0 then Timestamp.zero else c.cl_ts.(!lo - 1)
 
-let clock_time_of c ts =
+(* Position of [ts] in the clock, -1 when absent. *)
+let clock_index c ts =
   let lo = ref 0 and hi = ref c.cl_len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if Timestamp.compare c.cl_ts.(mid) ts < 0 then lo := mid + 1 else hi := mid
   done;
-  if !lo < c.cl_len && Timestamp.equal c.cl_ts.(!lo) ts then Some c.cl_at.(!lo)
-  else None
+  if !lo < c.cl_len && Timestamp.equal c.cl_ts.(!lo) ts then !lo else -1
+
+let clock_time_of c ts =
+  let i = clock_index c ts in
+  if i < 0 then None else Some c.cl_at.(i)
+
+(* The clock is append-only, so the commit ordinal of [snapshot] is its
+   position plus one and every later entry is a commit it misses. *)
+let clock_freshness c ~snapshot ~now =
+  let i = clock_index c snapshot in
+  let missed = c.cl_len - (i + 1) in
+  if missed = 0 then (0., 0)
+  else if i < 0 then (now, missed)
+  else (now -. c.cl_at.(i), missed)
 
 let clock_len c = c.cl_len
 

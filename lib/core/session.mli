@@ -84,6 +84,15 @@ val clock_horizon : clock -> cutoff:float -> Timestamp.t
 (** [clock_time_of c ts] is the recorded commit time of [ts], if any. *)
 val clock_time_of : clock -> Timestamp.t -> float option
 
+(** [clock_freshness c ~snapshot ~now] is [(age, missed)] for a snapshot
+    that reflects primary commits up to [snapshot]: [missed] is the number
+    of commits in [c] after [snapshot] (all of them when [snapshot] is not
+    in [c], e.g. [Timestamp.zero]), and [age] is [now] minus the commit time
+    of [snapshot] — [0.] when nothing is missed, [now] when [snapshot] is
+    not in [c]. *)
+val clock_freshness :
+  clock -> snapshot:Timestamp.t -> now:float -> float * int
+
 val clock_len : clock -> int
 
 type t

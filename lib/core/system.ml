@@ -23,6 +23,8 @@ exception Unsatisfiable_read of {
   pumps : int;
 }
 
+exception Secondary_down of { secondary : int }
+
 let () =
   Printexc.register_printer (function
     | Unsatisfiable_read { secondary; required; available; pumps } ->
@@ -31,20 +33,14 @@ let () =
            "System.Unsatisfiable_read(secondary %d: needs seq %d, has %d \
             after %d pumps)"
            secondary required available pumps)
+    | Secondary_down { secondary } ->
+      Some (Printf.sprintf "System.Secondary_down(secondary %d is down)" secondary)
     | _ -> None)
 
 type t = {
-  primary : Primary.t;
-  propagator : Propagation.t;
+  core : Replica_set.t;
   slots : slot array;
-  sessions : Session.t;
-  clock : Session.clock;
-  wdog : Watchdog.t option;
-  history : History.t;
   schema : (string * string list) list;
-  obs : Lsr_obs.Obs.t;
-  lineage : Lsr_obs.Lineage.t;
-  flight : Lsr_obs.Flight.t;
   c_commits : Lsr_obs.Obs.counter;
   c_aborts : Lsr_obs.Obs.counter;
   c_reads : Lsr_obs.Obs.counter;
@@ -54,71 +50,27 @@ type t = {
 
 type client = { label : string; secondary : int }
 
-(* Each refresh commit both wakes nothing (the embedded system pumps
-   synchronously) and advances the watchdog's retirement horizon for the
-   site, when a watchdog is attached. *)
-let refresh_hook wdog i =
-  match wdog with
-  | None -> None
-  | Some w -> Some (fun ts -> Watchdog.note_refresh w ~site:i ~seq:ts)
-
-let make_slot ~obs ~lineage ~flight ?faults ~wdog i =
-  {
-    site =
-      Secondary.create
-        ~name:(Printf.sprintf "secondary-%d" i)
-        ~obs ~lineage ~flight
-        ?on_refresh_commit:(refresh_hook wdog i) ();
-    crashed = false;
-    clean = true;
-    channel = Option.map (fun f -> f i) faults;
-  }
-
 let create ?(secondaries = 1) ?(schema = []) ?faults
     ?(obs = Lsr_obs.Obs.null) ?(lineage = Lsr_obs.Lineage.null)
     ?(flight = Lsr_obs.Flight.null) ?(watchdog = false) ~guarantee () =
   if secondaries < 1 then invalid_arg "System.create: need at least 1 secondary";
-  let primary = Primary.create () in
-  let clock = Session.clock_create () in
-  let history = History.create () in
-  (* The embedded system has no virtual clock; the history event counter is
-     its time axis, for flight events exactly as for [Max_age] fences. *)
-  Lsr_obs.Flight.set_clock flight (fun () ->
-      float_of_int (History.now history));
-  let wdog =
-    if watchdog then
-      Some
-        (Watchdog.create ~obs ~lineage ~clock ~sites:secondaries
-           ?on_alert:
-             (if Lsr_obs.Flight.enabled flight then
-                Some
-                  (fun (a : Watchdog.alert) ->
-                    let txns =
-                      match a.Watchdog.kind with
-                      | Watchdog.Inversion { earlier; _ } ->
-                        [ a.Watchdog.txn; earlier ]
-                      | _ -> [ a.Watchdog.txn ]
-                    in
-                    Lsr_obs.Flight.trigger flight ~reason:"watchdog"
-                      ~detail:(Format.asprintf "%a" Watchdog.pp_alert a)
-                      ~txns ())
-              else None)
-           ())
-    else None
+  let sinks = { Lsr_obs.Sinks.obs; lineage; flight } in
+  let core =
+    Replica_set.create ~ship_aborted:false ~sinks ~record_history:true
+      ~watchdog ~sites:secondaries guarantee
+  in
+  let make_slot i =
+    {
+      site = Replica_set.secondary core i;
+      crashed = false;
+      clean = true;
+      channel = Option.map (fun f -> f sinks i) faults;
+    }
   in
   {
-    primary;
-    propagator =
-      Propagation.create ~from:0 ~obs ~lineage ~flight (Primary.wal primary);
-    slots = Array.init secondaries (make_slot ~obs ~lineage ~flight ?faults ~wdog);
-    sessions = Session.create guarantee;
-    clock;
-    wdog;
-    history;
+    core;
+    slots = Array.init secondaries make_slot;
     schema;
-    obs;
-    lineage;
-    flight;
     c_commits = Lsr_obs.Obs.counter obs "system.update_commits";
     c_aborts = Lsr_obs.Obs.counter obs "system.update_aborts";
     c_reads = Lsr_obs.Obs.counter obs "system.reads";
@@ -126,9 +78,10 @@ let create ?(secondaries = 1) ?(schema = []) ?faults
     blocked_reads = 0;
   }
 
-let guarantee t = Session.guarantee t.sessions
-let primary t = t.primary
-let primary_db t = Primary.db t.primary
+let sessions t = Replica_set.sessions t.core
+let guarantee t = Session.guarantee (sessions t)
+let primary t = Replica_set.primary t.core
+let primary_db t = Primary.db (primary t)
 let secondaries t = Array.length t.slots
 
 let slot t i =
@@ -138,15 +91,13 @@ let slot t i =
 
 let secondary t i = (slot t i).site
 let secondary_db t i = Secondary.db (slot t i).site
-let sessions t = t.sessions
-let history t = t.history
+let history t = Replica_set.history t.core
 
 (* The embedded system has no virtual time; the history event counter is its
    commit clock's time axis, so [Max_age] fences are measured in "events
    ago". *)
-let commit_clock t = t.clock
-let watchdog t = t.wdog
-let clock_now t = float_of_int (History.now t.history)
+let commit_clock t = Replica_set.clock t.core
+let watchdog t = Replica_set.watchdog t.core
 
 let connect t ?secondary label =
   let secondary =
@@ -174,7 +125,7 @@ let migrate t client secondary =
 (* --- Replication control -------------------------------------------------- *)
 
 let propagate t =
-  let records = Propagation.poll t.propagator in
+  let records = Propagation.poll (Replica_set.propagator t.core) in
   if records <> [] then
     Array.iter
       (fun s ->
@@ -229,167 +180,68 @@ let pump t =
 let blocked_reads t = t.blocked_reads
 
 let compact t =
-  Wal.truncate_before (Primary.wal t.primary) (Propagation.position t.propagator);
+  Wal.truncate_before
+    (Primary.wal (primary t))
+    (Propagation.position (Replica_set.propagator t.core));
   let reclaimed = ref 0 in
   let vacuum_db db =
     reclaimed := !reclaimed + Mvcc.vacuum db ~before:(Mvcc.latest_commit_ts db)
   in
-  vacuum_db (Primary.db t.primary);
+  vacuum_db (primary_db t);
   Array.iter (fun s -> if not s.crashed then vacuum_db (Secondary.db s.site)) t.slots;
   !reclaimed
 
 (* --- Transactions ---------------------------------------------------------- *)
 
 let update t client ?force_abort body =
-  let first_op = History.tick t.history in
-  let wtok =
-    Option.map (fun w -> Watchdog.begin_update w ~session:client.label) t.wdog
-  in
+  let session = client.label in
+  let txn = Replica_set.begin_update t.core ~session in
   let handle_ref = ref None in
-  let wrapped db txn =
-    let h = Handle.make ~schema:t.schema db txn in
+  let wrapped db mvcc_txn =
+    let h = Handle.make ~schema:t.schema db mvcc_txn in
     handle_ref := Some h;
     body h
   in
-  match Primary.execute t.primary ?force_abort wrapped with
-  | Primary.Committed { value; txn; commit_ts; snapshot; writes } ->
+  let outcome = Primary.execute (primary t) ?force_abort wrapped in
+  let reads = match !handle_ref with Some h -> Handle.reads h | None -> [] in
+  Replica_set.finish_update t.core txn ~session ~reads outcome;
+  match outcome with
+  | Primary.Committed { value; _ } ->
     Lsr_obs.Obs.incr t.c_commits;
-    if Lsr_obs.Lineage.enabled t.lineage then
-      Lsr_obs.Lineage.emit t.lineage ~txn
-        (Lsr_obs.Lineage.Primary_commit
-           { commit_ts; updates = List.length writes });
-    Session.note_update_commit t.sessions ~label:client.label ~commit_ts;
-    let finished = History.tick t.history in
-    Session.clock_note t.clock ~commit_ts ~at:(float_of_int finished);
-    let reads =
-      match !handle_ref with Some h -> Handle.reads h | None -> []
-    in
-    let id = History.fresh_id t.history in
-    if Lsr_obs.Flight.enabled t.flight then
-      Lsr_obs.Flight.note_commit t.flight ~txn ~hid:id ~commit_ts
-        ~updates:(List.length writes);
-    (match (t.wdog, wtok) with
-    | Some w, Some tok ->
-      Watchdog.end_update w tok ~id ~now:(float_of_int finished) ~mvcc_txn:txn
-        ~commit:(Some (commit_ts, writes))
-        ~snapshot ~reads
-    | _ -> ());
-    History.add t.history
-      {
-        History.id = id;
-        session = client.label;
-        kind = History.Update;
-        site = "primary";
-        first_op;
-        finished;
-        snapshot;
-        commit_ts = Some commit_ts;
-        reads;
-        writes;
-        fence = None;
-      };
     Ok value
   | Primary.Aborted reason ->
     Lsr_obs.Obs.incr t.c_aborts;
-    let finished = History.tick t.history in
-    let reads =
-      match !handle_ref with Some h -> Handle.reads h | None -> []
-    in
-    let id = History.fresh_id t.history in
-    (match (t.wdog, wtok) with
-    | Some w, Some tok ->
-      (* Aborted transactions pin nothing; the token only releases its
-         horizon pin. *)
-      Watchdog.end_update w tok ~id ~now:(float_of_int finished) ~commit:None
-        ~snapshot:Timestamp.zero ~reads
-    | _ -> ());
-    History.add t.history
-      {
-        History.id = id;
-        session = client.label;
-        kind = History.Update;
-        site = "primary";
-        first_op;
-        finished;
-        snapshot = Timestamp.zero;
-        commit_ts = None;
-        reads;
-        writes = [];
-        fence = None;
-      };
     Error reason
 
-let run_read ?fence t client body =
-  let s = slot t client.secondary in
-  if s.crashed then
-    failwith (Printf.sprintf "secondary %d is down" client.secondary);
+let run_read ?fence t client s body =
   Lsr_obs.Obs.incr t.c_reads;
   let db = Secondary.db s.site in
-  let read_at = clock_now t in
-  let first_op = History.tick t.history in
+  let site = Secondary.name s.site in
+  let session = client.label in
+  let read_at = Replica_set.now t.core in
   let snapshot = Secondary.seq_dbsec s.site in
-  if Lsr_obs.Lineage.enabled t.lineage then
-    Lsr_obs.Lineage.sample_read t.lineage
-      ~site:(Secondary.name s.site) ~snapshot;
-  Session.note_read ?fence t.sessions ~label:client.label ~snapshot;
-  let wtok =
-    Option.map
-      (fun w -> Watchdog.begin_read w ~session:client.label ~snapshot)
-      t.wdog
-  in
-  let txn = Mvcc.begin_txn db in
-  let h = Handle.make ~schema:t.schema db txn in
+  let txn = Replica_set.begin_read ?fence t.core ~session ~site ~snapshot in
+  let mvcc_txn = Mvcc.begin_txn db in
+  let h = Handle.make ~schema:t.schema db mvcc_txn in
   let value = body h in
-  Mvcc.end_read db txn;
-  let finished = History.tick t.history in
-  let id = History.fresh_id t.history in
-  let fence_claim = Option.map (fun claim -> { History.claim; read_at }) fence in
-  if Lsr_obs.Flight.enabled t.flight then begin
-    let fence_seq =
-      match fence with
-      | None -> -1
-      | Some f ->
-        Session.fence_threshold t.sessions ~clock:t.clock ~now:read_at
-          ~label:client.label f
-    in
-    Lsr_obs.Flight.note_read t.flight
-      ~site:(Secondary.name s.site) ~hid:id ~session:client.label ~snapshot
-      ~fence:fence_seq
-  end;
-  (match (t.wdog, wtok) with
-  | Some w, Some tok ->
-    Watchdog.end_read ?fence:fence_claim w tok ~id
-      ~site:(Printf.sprintf "secondary-%d" client.secondary)
-      ~now:(float_of_int finished) ~reads:(Handle.reads h)
-  | _ -> ());
-  History.add t.history
-    {
-      History.id = id;
-      session = client.label;
-      kind = History.Read_only;
-      site = Printf.sprintf "secondary-%d" client.secondary;
-      first_op;
-      finished;
-      snapshot;
-      commit_ts = None;
-      reads = Handle.reads h;
-      writes = [];
-      fence = fence_claim;
-    };
+  Mvcc.end_read db mvcc_txn;
+  let fence_seq =
+    match fence with
+    | None -> -1
+    | Some f ->
+      Session.fence_threshold (sessions t) ~clock:(commit_clock t) ~now:read_at
+        ~label:session f
+  in
+  Replica_set.finish_read ?fence t.core txn ~session ~site ~snapshot ~read_at
+    ~fence_seq ~reads:(Handle.reads h);
   value
 
 (* The seq(DBsec) threshold this read needs. A [Max_age] fence resolves its
    visibility horizon here, once — the Minnal per-statement horizon [B] —
    so retrying the same read keeps the same target. *)
 let required_for ?fence t client =
-  Session.required_seq ?fence ~clock:t.clock ~now:(clock_now t) t.sessions
-    ~label:client.label
-
-let session_condition ?fence t client =
-  let s = slot t client.secondary in
-  Timestamp.compare (required_for ?fence t client)
-    (Secondary.seq_dbsec s.site)
-  <= 0
+  Session.required_seq ?fence ~clock:(commit_clock t)
+    ~now:(Replica_set.now t.core) (sessions t) ~label:client.label
 
 (* Bound on pump rounds in a blocked read. Each pump drives the fault
    channels to quiescence, so commits already in the primary log arrive in
@@ -399,8 +251,7 @@ let max_read_pumps = 4
 
 let read ?fence t client body =
   let s = slot t client.secondary in
-  if s.crashed then
-    failwith (Printf.sprintf "secondary %d is down" client.secondary);
+  if s.crashed then raise (Secondary_down { secondary = client.secondary });
   let required = required_for ?fence t client in
   let satisfied () =
     Timestamp.compare required (Secondary.seq_dbsec s.site) <= 0
@@ -427,14 +278,17 @@ let read ?fence t client body =
              pumps = !pumps;
            })
   end;
-  run_read ?fence t client body
+  run_read ?fence t client s body
 
 let read_nowait ?fence t client body =
   (* A crashed target is "cannot serve this read now" — the [None] case of
-     the contract, not an exception from inside [run_read]. *)
-  if (slot t client.secondary).crashed then None
-  else if session_condition ?fence t client then
-    Some (run_read ?fence t client body)
+     the contract, not an exception. *)
+  let s = slot t client.secondary in
+  if s.crashed then None
+  else if
+    Timestamp.compare (required_for ?fence t client) (Secondary.seq_dbsec s.site)
+    <= 0
+  then Some (run_read ?fence t client s body)
   else None
 
 (* --- Failures -------------------------------------------------------------- *)
@@ -443,8 +297,7 @@ let crash_secondary t i =
   let s = slot t i in
   s.crashed <- true;
   s.clean <- false;
-  if Lsr_obs.Flight.enabled t.flight then
-    Lsr_obs.Flight.note_crash t.flight ~site:(Secondary.name s.site);
+  Replica_set.crashed t.core i;
   (* The site's connection state dies with it: messages in flight to it are
      lost and both endpoints' sequence numbers restart on recovery. *)
   Option.iter (fun ch -> ch.ch_reset ()) s.channel
@@ -461,27 +314,15 @@ let recover_secondary t i =
   ignore (propagate t);
   (* Install a quiesced copy of the primary database (§3.4), shipped in its
      serialized backup form... *)
-  let backup = Mvcc.serialize (Primary.db t.primary) in
-  let fresh =
-    Secondary.create_from
-      ~name:(Printf.sprintf "secondary-%d" i)
-      ~obs:t.obs ~lineage:t.lineage ~flight:t.flight
-      ?on_refresh_commit:(refresh_hook t.wdog i) backup
-  in
+  let backup = Mvcc.serialize (primary_db t) in
+  let fresh = Replica_set.secondary ~backup t.core i in
   (* ... and reinitialize seq(DBsec) from a dummy transaction's view of the
      primary's latest committed state (§4). *)
-  let dummy = Mvcc.begin_txn (Primary.db t.primary) in
-  let seed = Mvcc.latest_commit_ts (Primary.db t.primary) in
-  Mvcc.end_read (Primary.db t.primary) dummy;
+  let dummy = Mvcc.begin_txn (primary_db t) in
+  let seed = Mvcc.latest_commit_ts (primary_db t) in
+  Mvcc.end_read (primary_db t) dummy;
   Secondary.reseed_seq fresh seed;
-  if Lsr_obs.Flight.enabled t.flight then
-    Lsr_obs.Flight.note_recovery t.flight
-      ~site:(Printf.sprintf "secondary-%d" i) ~seq:seed;
-  (* The recovered copy corresponds to primary state [seed]: the watchdog's
-     per-site horizon jumps forward with it. *)
-  (match t.wdog with
-  | Some w -> Watchdog.note_refresh w ~site:i ~seq:seed
-  | None -> ());
+  Replica_set.recovered t.core i ~seq:seed;
   Option.iter (fun ch -> ch.ch_reset ()) s.channel;
   s.site <- fresh;
   s.crashed <- false
@@ -498,7 +339,7 @@ let check t =
       if not s.crashed then
         if s.clean then begin
           match
-            Checker.check_completeness ~primary:(Primary.db t.primary)
+            Checker.check_completeness ~primary:(primary_db t)
               ~secondary:(Secondary.db s.site)
           with
           | Ok () -> ()
@@ -507,7 +348,7 @@ let check t =
         else begin
           (* Recovered site: its history is not a prefix, but once fully
              refreshed its state must match the primary's current state. *)
-          let expected = Mvcc.committed_state (Primary.db t.primary) in
+          let expected = Mvcc.committed_state (primary_db t) in
           let actual = Mvcc.committed_state (Secondary.db s.site) in
           if
             Secondary.update_queue_length s.site = 0
@@ -515,7 +356,7 @@ let check t =
           then add_error "recovered secondary %d diverges from primary" i
         end)
     t.slots;
-  let report = Checker.analyze ~clock:t.clock t.history in
+  let report = Checker.analyze ~clock:(commit_clock t) (history t) in
   List.iter (fun v -> add_error "weak SI violation: %s" v) report.weak_si_violations;
   List.iter (fun v -> add_error "%s" v) report.fence_violations;
   if not (Checker.satisfies (guarantee t) report) then begin

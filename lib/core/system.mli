@@ -12,7 +12,8 @@
     Clients connect to a secondary and submit transactions; read-only
     transactions run at that secondary, update transactions are forwarded to
     the primary (§3). Every finished transaction is recorded in a
-    {!History} for offline checking. *)
+    {!History} for offline checking. The bookkeeping every transaction
+    passes through is the {!Replica_set} core the simulator shares. *)
 
 open Lsr_storage
 
@@ -28,6 +29,10 @@ exception Unsatisfiable_read of {
   available : Timestamp.t;
   pumps : int;
 }
+
+(** Raised by {!read} when the client's secondary has crashed and not yet
+    recovered. *)
+exception Secondary_down of { secondary : int }
 
 (** A client session: a label and the secondary it is connected to. *)
 type client
@@ -52,21 +57,20 @@ type channel = {
     secondary sites (default 1). [schema] maps table names to secondary
     index declarations applied by every transaction handle (see
     {!Lsr_storage.Table}). [faults], when given, is called once per
-    secondary index to attach a fault-injection {!channel} between the
-    propagator and that site; omitted, propagation is the paper's reliable
-    FIFO channel and behaviour is unchanged. [obs], when given an enabled
-    registry, is threaded to the propagator and every secondary and receives
-    the system counters [system.update_commits] / [system.update_aborts] /
-    [system.reads]; the default {!Lsr_obs.Obs.null} costs nothing.
-    [lineage], when given an enabled sink, is threaded the same way: the
-    primary emits a [Primary_commit] event per committed update transaction
-    (trace id = primary MVCC txn id), the propagator and every secondary
-    append the journey stages, and each read-only transaction contributes a
-    freshness sample for its site (see {!Lsr_obs.Lineage}).
+    secondary index with the system's sinks to attach a fault-injection
+    {!channel} between the propagator and that site; omitted, propagation is
+    the paper's reliable FIFO channel and behaviour is unchanged.
 
-    [flight], when given an enabled recorder, is threaded the same way and
-    receives the compact unified event stream (commits carrying both MVCC
-    and history ids, pipeline stages, per-read snapshot claims,
+    [obs], [lineage] and [flight] form the system's {!Lsr_obs.Sinks}, handed
+    to the propagator, every secondary, every fault channel and the
+    watchdog; the disabled defaults cost nothing. [obs] also receives the
+    system counters [system.update_commits] / [system.update_aborts] /
+    [system.reads]. [lineage] receives a [Primary_commit] event per
+    committed update transaction (trace id = primary MVCC txn id), the
+    journey stages of every layer, and a freshness sample per read-only
+    transaction (see {!Lsr_obs.Lineage}). [flight] receives the compact
+    unified event stream (commits carrying both MVCC and history ids,
+    pipeline stages and channel faults, per-read snapshot claims,
     crash/recovery marks); with [watchdog] also on, the first alert
     triggers the recorder's postmortem capture (see {!Lsr_obs.Flight}).
 
@@ -77,7 +81,7 @@ type channel = {
     before, and independently of, the post-hoc {!check}. *)
 val create :
   ?secondaries:int -> ?schema:(string * string list) list ->
-  ?faults:(int -> channel) ->
+  ?faults:(Lsr_obs.Sinks.t -> int -> channel) ->
   ?obs:Lsr_obs.Obs.t ->
   ?lineage:Lsr_obs.Lineage.t ->
   ?flight:Lsr_obs.Flight.t ->
@@ -141,6 +145,7 @@ val update :
     and the fence's. A [Max_age] fence resolves its visibility horizon once,
     when the read is submitted. The fence is recorded in the history so
     {!Checker.check_fences} can audit it after the run.
+    @raise Secondary_down when the client's secondary is crashed.
     @raise Unsatisfiable_read when the threshold is still unreachable after
     a bounded number of pump rounds. *)
 val read : ?fence:Session.fence -> t -> client -> (Handle.t -> 'a) -> 'a
@@ -189,8 +194,8 @@ val compact : t -> int
 (** [crash_secondary t i] drops the site's queues, refresh state and
     database copy — everything §3.4 says is lost — and resets its fault
     channel if one is attached (in-flight messages to a dead site are gone).
-    Reads and writes through clients of a crashed secondary raise until
-    recovery. *)
+    Reads through clients of a crashed secondary raise {!Secondary_down}
+    until recovery. *)
 val crash_secondary : t -> int -> unit
 
 (** [recover_secondary t i] first quiesces propagation (so the backup point

@@ -149,9 +149,10 @@ type t = {
   mutable peak : int;
 }
 
-let create ?(alert_cap = 256) ?on_alert ?(obs = Obs.null)
-    ?(lineage = Lineage.null) ?clock ~sites () =
+let create ?(alert_cap = 256) ?on_alert ?(sinks = Lsr_obs.Sinks.null) ?clock
+    ~sites () =
   if sites < 1 then invalid_arg "Watchdog.create: need at least 1 site";
+  let { Lsr_obs.Sinks.obs; lineage; _ } = sinks in
   {
     alert_cap = max 0 alert_cap;
     on_alert;

@@ -173,61 +173,36 @@ let instruments obs =
 type state = {
   cfg : config;
   eng : Engine.t;
-  primary : Primary.t;
+  (* Primary, propagator, sessions, commit clock, history, watchdog: the
+     clock also answers the staleness and read-freshness metrics. *)
+  rs : Replica_set.t;
   primary_res : Resource.t;
-  propagator : Propagation.t;
   sites : sec_site array;
-  sessions : Session.t;
   metrics : Metrics.t;
   ins : instruments;
-  history : History.t;  (* used only when cfg.record_history *)
-  (* Primary commit timestamp -> virtual commit time, for staleness. *)
-  commit_times : (Timestamp.t, float) Hashtbl.t;
-  (* Primary commit timestamp -> 1-based commit ordinal, plus the running
-     commit count, for the read-freshness metrics (always maintained: the
-     outcome reports freshness whether or not a lineage sink is attached). *)
-  commit_ord : (Timestamp.t, int) Hashtbl.t;
-  mutable commit_count : int;
-  (* Primary commit clock (commit ts -> virtual time): resolves [Max_age]
-     fence horizons and replays them in the checker's fence audit. *)
-  clock : Session.clock;
-  (* Online checker; [None] unless [cfg.watchdog]. [track_reads] caches
-     [record_history || watchdog]: both consumers need the observed values
-     collected on the hot path. *)
-  watchdog : Watchdog.t option;
-  track_reads : bool;
   mutable fenced_reads : int;
   jitter_rng : Rng.t;
   mutable label_counter : int;
 }
 
-let make_site cfg eng wdog fault_rng index =
+let make_site cfg eng rs fault_rng index =
   let queue_cond = Condition.create () in
   let pending_cond = Condition.create () in
   let session_cond = Seqcond.create () in
-  let site_name = Printf.sprintf "secondary-%d" index in
+  (* The refresher wakes fenced/session-blocked readers as it commits: each
+     refresh commit advances the site's threshold queue to the new
+     seq(DBsec) from inside the applicator step, so readers parked on a
+     required seq are released by exactly the commit that satisfies them. *)
   let sec =
-    (* The refresher wakes fenced/session-blocked readers as it commits:
-       each refresh commit advances the site's threshold queue to the new
-       seq(DBsec) from inside the applicator step, so readers parked on a
-       required seq are released by exactly the commit that satisfies
-       them. *)
-    Secondary.create ~name:site_name ~obs:cfg.obs ~lineage:cfg.lineage
-      ~flight:cfg.flight
-      ~on_refresh_commit:(fun ts ->
-        Seqcond.advance session_cond ts;
-        (* The same commit that wakes blocked readers advances the
-           watchdog's retirement horizon for this site. *)
-        match wdog with
-        | Some w -> Watchdog.note_refresh w ~site:index ~seq:ts
-        | None -> ())
-      ()
+    Replica_set.secondary ~on_refresh_commit:(Seqcond.advance session_cond) rs
+      index
   in
+  let site_name = Secondary.name sec in
   let chan =
     Option.map
       (fun fc ->
-        Lsr_faults.Channel.create ~config:fc ~obs:cfg.obs ~lineage:cfg.lineage
-          ~flight:cfg.flight ~name:site_name ~rng:(Rng.split fault_rng) ())
+        Lsr_faults.Channel.create ~config:fc ~sinks:(Replica_set.sinks rs)
+          ~name:site_name ~rng:(Rng.split fault_rng) ())
       cfg.faults
   in
   { index; site_name; sec;
@@ -247,7 +222,7 @@ let propagator_process st () =
   in
   let rec cycle () =
     Process.delay p.Params.propagation_delay;
-    let records = Propagation.poll st.propagator in
+    let records = Propagation.poll (Replica_set.propagator st.rs) in
     if records <> [] then begin
       if Obs.enabled st.cfg.obs then
         Obs.instant st.cfg.obs ~track:"primary/propagator" ~name:"propagate"
@@ -335,7 +310,7 @@ let run_applicator st site app =
       Obs.end_span obs !cur ~now ~args:(span_args ());
       Obs.incr st.ins.c_refresh_commits;
       let staleness =
-        match Hashtbl.find_opt st.commit_times ts with
+        match Session.clock_time_of (Replica_set.clock st.rs) ts with
         | Some committed_at -> now -. committed_at
         | None -> 0.
       in
@@ -393,104 +368,51 @@ let fresh_label st =
 
 let execute_update st rng label spec =
   let p = st.cfg.params in
-  let pdb = Primary.db st.primary in
-  let first_op = History.tick st.history in
-  (* One watchdog token for the whole retry loop: only the committed attempt
-     becomes a transaction, matching the single history record below. *)
-  let wtok =
-    match st.watchdog with
-    | Some w -> Some (Watchdog.begin_update w ~session:label)
-    | None -> None
-  in
+  let primary = Replica_set.primary st.rs in
+  let track_reads = Replica_set.tracking st.rs in
+  (* One token for the whole retry loop: only the committed attempt becomes
+     a transaction. *)
+  let txn = Replica_set.begin_update st.rs ~session:label in
   let rec attempt () =
-    let snapshot = Mvcc.latest_commit_ts pdb in
-    let txn = Mvcc.begin_txn pdb in
+    (* No other process draws from [rng] while this transaction runs, so
+       drawing the abort before the operations gives the same stream as
+       drawing it after them. *)
+    let force_abort = Rng.bernoulli rng ~p:p.Params.abort_prob in
     let reads = ref [] in
-    List.iter
-      (fun op ->
-        Resource.use st.primary_res p.Params.op_service_time;
-        match op with
-        | Txn_gen.Read_op key ->
-          let v = Mvcc.read pdb txn key in
-          if st.track_reads then reads := (key, v) :: !reads
-        | Txn_gen.Write_op (key, value) -> Mvcc.write pdb txn key (Some value))
-      spec.Txn_gen.ops;
-    if Rng.bernoulli rng ~p:p.Params.abort_prob then begin
-      Mvcc.abort pdb txn;
+    let body db mtxn =
+      List.iter
+        (fun op ->
+          Resource.use st.primary_res p.Params.op_service_time;
+          match op with
+          | Txn_gen.Read_op key ->
+            let v = Mvcc.read db mtxn key in
+            if track_reads then reads := (key, v) :: !reads
+          | Txn_gen.Write_op (key, value) -> Mvcc.write db mtxn key (Some value))
+        spec.Txn_gen.ops
+    in
+    match Primary.execute primary ~force_abort body with
+    | Primary.Committed _ as outcome ->
+      (* Nothing yields between the primary commit and here, so the core
+         sees commits in commit-timestamp order. *)
+      Replica_set.finish_update st.rs txn ~session:label
+        ~reads:(List.rev !reads) outcome
+    | Primary.Aborted (Mvcc.Write_conflict _) ->
+      (* A real conflict under the first-committer-wins rule (key skew);
+         restart like any other abort to maintain the offered load. *)
+      Metrics.note_fcw_abort st.metrics ~now:(Engine.now st.eng);
+      Obs.incr st.ins.c_fcw_aborts;
+      attempt ()
+    | Primary.Aborted Mvcc.Forced ->
       Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
       Obs.incr st.ins.c_forced_aborts;
       attempt ()
-    end
-    else begin
-      let writes = Mvcc.pending_writes txn in
-      match Mvcc.commit pdb txn with
-      | Mvcc.Committed commit_ts ->
-        Hashtbl.replace st.commit_times commit_ts (Engine.now st.eng);
-        Session.clock_note st.clock ~commit_ts ~at:(Engine.now st.eng);
-        st.commit_count <- st.commit_count + 1;
-        Hashtbl.replace st.commit_ord commit_ts st.commit_count;
-        if Lsr_obs.Lineage.enabled st.cfg.lineage then
-          Lsr_obs.Lineage.emit st.cfg.lineage ~txn:(Mvcc.txn_id txn)
-            (Lsr_obs.Lineage.Primary_commit
-               { commit_ts; updates = List.length writes });
-        Session.note_update_commit st.sessions ~label ~commit_ts;
-        if st.track_reads then begin
-          (* One id and finish tick shared by the history record and the
-             watchdog, so inversion witnesses are comparable across both.
-             Nothing yields between [Mvcc.commit] above and here, so the
-             watchdog sees commits in commit-timestamp order. *)
-          let id = History.fresh_id st.history in
-          let finished = History.tick st.history in
-          (* The recorder sees the commit before the watchdog judges it, so
-             a triggered capture always contains its own witness. *)
-          if Lsr_obs.Flight.enabled st.cfg.flight then
-            Lsr_obs.Flight.note_commit st.cfg.flight ~txn:(Mvcc.txn_id txn)
-              ~hid:id ~commit_ts ~updates:(List.length writes);
-          (match (st.watchdog, wtok) with
-          | Some w, Some tok ->
-            Watchdog.end_update w tok ~id ~now:(Engine.now st.eng)
-              ~mvcc_txn:(Mvcc.txn_id txn)
-              ~commit:(Some (commit_ts, writes))
-              ~snapshot ~reads:(List.rev !reads)
-          | _ -> ());
-          if st.cfg.record_history then
-            History.add st.history
-              {
-                History.id = id;
-                session = label;
-                kind = History.Update;
-                site = "primary";
-                first_op;
-                finished;
-                snapshot;
-                commit_ts = Some commit_ts;
-                reads = List.rev !reads;
-                writes;
-                fence = None;
-              }
-        end
-        else if Lsr_obs.Flight.enabled st.cfg.flight then
-          (* No history ids without a tracking consumer; the event stream
-             still carries every commit (hid = -1). *)
-          Lsr_obs.Flight.note_commit st.cfg.flight ~txn:(Mvcc.txn_id txn)
-            ~hid:(-1) ~commit_ts ~updates:(List.length writes)
-      | Mvcc.Aborted (Mvcc.Write_conflict _) ->
-        (* A real conflict under the first-committer-wins rule (key skew);
-           restart like any other abort to maintain the offered load. *)
-        Metrics.note_fcw_abort st.metrics ~now:(Engine.now st.eng);
-        Obs.incr st.ins.c_fcw_aborts;
-        attempt ()
-      | Mvcc.Aborted Mvcc.Forced ->
-        Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
-        Obs.incr st.ins.c_forced_aborts;
-        attempt ()
-    end
   in
   attempt ()
 
 let execute_read ?fence st site label spec =
   let p = st.cfg.params in
   let sdb = Secondary.db site.sec in
+  let sessions = Replica_set.sessions st.rs in
   (* An [Exact] or [Max_age] fence resolves its threshold once, at
      submission (the Minnal per-statement horizon B): blocking does not move
      the target. A [Session_seq] fence stays live, like the guarantee's own
@@ -507,16 +429,16 @@ let execute_read ?fence st site label spec =
       st.fenced_reads <- st.fenced_reads + 1;
       (match f with
       | Session.Session_seq ->
-        fun () -> Session.fence_threshold st.sessions ~label Session.Session_seq
+        fun () -> Session.fence_threshold sessions ~label Session.Session_seq
       | Session.Exact _ | Session.Max_age _ ->
         let b =
-          Session.fence_threshold st.sessions ~clock:st.clock ~now:read_at
-            ~label f
+          Session.fence_threshold sessions ~clock:(Replica_set.clock st.rs)
+            ~now:read_at ~label f
         in
         fun () -> b)
   in
   let required () =
-    max (Session.required_seq st.sessions ~label) (fence_b ())
+    max (Session.required_seq sessions ~label) (fence_b ())
   in
   let may_read () =
     Timestamp.compare (required ()) (Secondary.seq_dbsec site.sec) <= 0
@@ -534,86 +456,41 @@ let execute_read ?fence st site label spec =
     Obs.observe st.ins.h_block_wait (now -. wait_start);
     Metrics.note_block st.metrics ~now ~wait:(now -. wait_start)
   end;
-  let first_op = History.tick st.history in
   let snapshot = Secondary.seq_dbsec site.sec in
-  (* Token taken right at the first-operation tick (no yield since): the
-     captured floors equal the post-hoc sweep's floors at [first_op]. *)
-  let wtok =
-    match st.watchdog with
-    | Some w -> Some (Watchdog.begin_read w ~session:label ~snapshot)
-    | None -> None
+  (* Taken with no yield since the wake: the watchdog's captured floors
+     equal the post-hoc sweep's floors at the first operation. *)
+  let txn =
+    Replica_set.begin_read ?fence st.rs ~session:label ~site:site.site_name
+      ~snapshot
   in
   (* Freshness of the snapshot this read is about to use: how old its newest
      reflected primary commit is, and how many commits it misses. Always
-     computed (the outcome reports it); the lineage sink gets the same
-     sample when attached. *)
+     computed (the outcome reports it). *)
   let now = Engine.now st.eng in
-  let reflected =
-    if snapshot <= 0 then 0
-    else Option.value ~default:0 (Hashtbl.find_opt st.commit_ord snapshot)
-  in
-  let missed = st.commit_count - reflected in
-  let age =
-    if missed = 0 then 0.
-    else
-      match Hashtbl.find_opt st.commit_times snapshot with
-      | Some committed_at -> now -. committed_at
-      | None -> now
+  let age, missed =
+    Session.clock_freshness (Replica_set.clock st.rs) ~snapshot ~now
   in
   Metrics.note_read_freshness st.metrics ~now ~age ~missed;
   Obs.observe st.ins.h_read_age age;
   Obs.observe st.ins.h_read_missed (float_of_int missed);
-  if Lsr_obs.Lineage.enabled st.cfg.lineage then
-    Lsr_obs.Lineage.sample_read st.cfg.lineage ~site:site.site_name ~snapshot;
-  Session.note_read ?fence st.sessions ~label ~snapshot;
-  let txn = Mvcc.begin_txn sdb in
+  let track_reads = Replica_set.tracking st.rs in
+  let mtxn = Mvcc.begin_txn sdb in
   let reads = ref [] in
   List.iter
     (fun op ->
       Resource.use site.res p.Params.op_service_time;
       match op with
       | Txn_gen.Read_op key ->
-        let v = Mvcc.read sdb txn key in
-        if st.track_reads then reads := (key, v) :: !reads
+        let v = Mvcc.read sdb mtxn key in
+        if track_reads then reads := (key, v) :: !reads
       | Txn_gen.Write_op _ -> assert false (* read-only by construction *))
     spec.Txn_gen.ops;
-  Mvcc.end_read sdb txn;
+  Mvcc.end_read sdb mtxn;
   (* The seq floor this read was held to (-1 = unfenced), recorded so replay
-     can show the claim the fence audit later judges. Pure state reads. *)
-  let flight_fence () = match fence with None -> -1 | Some _ -> required () in
-  if st.track_reads then begin
-    let id = History.fresh_id st.history in
-    let finished = History.tick st.history in
-    let fence_claim =
-      Option.map (fun claim -> { History.claim; read_at }) fence
-    in
-    if Lsr_obs.Flight.enabled st.cfg.flight then
-      Lsr_obs.Flight.note_read st.cfg.flight ~site:site.site_name ~hid:id
-        ~session:label ~snapshot ~fence:(flight_fence ());
-    (match (st.watchdog, wtok) with
-    | Some w, Some tok ->
-      Watchdog.end_read ?fence:fence_claim w tok ~id ~site:site.site_name
-        ~now:(Engine.now st.eng) ~reads:(List.rev !reads)
-    | _ -> ());
-    if st.cfg.record_history then
-      History.add st.history
-        {
-          History.id = id;
-          session = label;
-          kind = History.Read_only;
-          site = site.site_name;
-          first_op;
-          finished;
-          snapshot;
-          commit_ts = None;
-          reads = List.rev !reads;
-          writes = [];
-          fence = fence_claim;
-        }
-  end
-  else if Lsr_obs.Flight.enabled st.cfg.flight then
-    Lsr_obs.Flight.note_read st.cfg.flight ~site:site.site_name ~hid:(-1)
-      ~session:label ~snapshot ~fence:(flight_fence ())
+     can show the claim the fence audit later judges. *)
+  let fence_seq = match fence with None -> -1 | Some _ -> required () in
+  Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.site_name
+    ~snapshot ~read_at ~fence_seq ~reads:(List.rev !reads)
 
 (* The fence for one read, drawn from the run's fence policy. [All_reads]
    draws nothing from the rng, so a run with [All_reads Session_seq] under
@@ -783,13 +660,12 @@ let monitor_probe st () =
       (n ^ ".depth", float_of_int (Resource.load r));
     ]
   in
+  let pr = Replica_set.primary st.rs in
   let primary =
     resource st.primary_res
     @ [
-        ( "primary.wal",
-          float_of_int (Wal.length (Primary.wal st.primary)) );
-        ( "primary.versions",
-          float_of_int (Mvcc.version_count (Primary.db st.primary)) );
+        ("primary.wal", float_of_int (Wal.length (Primary.wal pr)));
+        ("primary.versions", float_of_int (Mvcc.version_count (Primary.db pr)));
       ]
   in
   let per_site =
@@ -807,7 +683,7 @@ let monitor_probe st () =
           ])
       primary st.sites
   in
-  match st.watchdog with
+  match Replica_set.watchdog st.rs with
   | None -> per_site
   | Some w ->
     per_site
@@ -944,72 +820,29 @@ let config_json cfg =
 let run cfg =
   let p = cfg.params in
   let eng = Engine.create () in
-  (* Lineage events are stamped with virtual time. Binding the clock only
-     reads the engine; it cannot feed back into the run. Each run is a new
-     epoch: commit timestamps and txn ids restart with the simulation, so
-     the sink's freshness bookkeeping must restart too. *)
-  Lsr_obs.Lineage.set_clock cfg.lineage (fun () -> Engine.now eng);
-  Lsr_obs.Lineage.new_epoch cfg.lineage;
-  (* Same contract for the flight recorder: virtual-time stamps, fresh ring
-     and horizons per run, any earlier trigger cleared. *)
-  Lsr_obs.Flight.set_clock cfg.flight (fun () -> Engine.now eng);
-  Lsr_obs.Flight.new_epoch cfg.flight;
-  let primary = Primary.create () in
-  (* Clock and watchdog exist before the sites: each site's refresh-commit
-     hook feeds the watchdog's retirement horizon. *)
-  let clock = Session.clock_create () in
-  (* First alert seen by the trigger hook, kept for the postmortem bundle's
-     journey section (its lineage trace is the implicated txn's journey). *)
-  let first_alert = ref None in
-  let wdog =
-    if cfg.watchdog then
-      Some
-        (Watchdog.create ~obs:cfg.obs ~lineage:cfg.lineage ~clock
-           ?on_alert:
-             (if Lsr_obs.Flight.enabled cfg.flight then
-                Some
-                  (fun a ->
-                    (match !first_alert with
-                    | None -> first_alert := Some a
-                    | Some _ -> ());
-                    if not (Lsr_obs.Flight.triggered cfg.flight) then
-                      let txns =
-                        match a.Watchdog.kind with
-                        | Watchdog.Inversion { earlier; _ } ->
-                          [ a.Watchdog.txn; earlier ]
-                        | _ -> [ a.Watchdog.txn ]
-                      in
-                      Lsr_obs.Flight.trigger cfg.flight ~reason:"watchdog"
-                        ~detail:(Format.asprintf "%a" Watchdog.pp_alert a)
-                        ~txns ())
-              else None)
-           ~sites:p.Params.num_secondaries ())
-    else None
+  (* Lineage and flight events are stamped with virtual time. Binding the
+     clock only reads the engine; it cannot feed back into the run. *)
+  let rs =
+    Replica_set.create
+      ~now:(fun () -> Engine.now eng)
+      ~ship_aborted:cfg.ship_aborted
+      ~sinks:{ Lsr_obs.Sinks.obs = cfg.obs; lineage = cfg.lineage; flight = cfg.flight }
+      ~record_history:cfg.record_history ~watchdog:cfg.watchdog
+      ~sites:p.Params.num_secondaries cfg.guarantee
   in
   let st =
     {
       cfg;
       eng;
-      primary;
+      rs;
       primary_res =
         Resource.create ~name:"primary" eng
           ~discipline:Resource.Processor_sharing;
-      propagator =
-        Propagation.create ~from:0 ~ship_aborted:cfg.ship_aborted ~obs:cfg.obs
-          ~lineage:cfg.lineage ~flight:cfg.flight (Primary.wal primary);
       sites =
         Array.init p.Params.num_secondaries
-          (make_site cfg eng wdog (Rng.create (cfg.seed lxor 0xFA17)));
-      sessions = Session.create cfg.guarantee;
+          (make_site cfg eng rs (Rng.create (cfg.seed lxor 0xFA17)));
       metrics = Metrics.create ~warmup:p.Params.warmup ~cap:p.Params.response_time_cap;
       ins = instruments cfg.obs;
-      history = History.create ();
-      commit_times = Hashtbl.create 4096;
-      commit_ord = Hashtbl.create 4096;
-      commit_count = 0;
-      clock;
-      watchdog = wdog;
-      track_reads = cfg.record_history || cfg.watchdog;
       fenced_reads = 0;
       jitter_rng = Rng.create (cfg.seed lxor 0x5EED);
       label_counter = 0;
@@ -1049,7 +882,9 @@ let run cfg =
     if not cfg.record_history then ([], None)
     else begin
       let errors = ref [] in
-      let report = Checker.analyze ~clock:st.clock st.history in
+      let report =
+        Checker.analyze ~clock:(Replica_set.clock rs) (Replica_set.history rs)
+      in
       List.iter
         (fun v -> errors := ("weak SI violation: " ^ v) :: !errors)
         report.Checker.weak_si_violations;
@@ -1064,7 +899,8 @@ let run cfg =
       Array.iter
         (fun site ->
           match
-            Checker.check_completeness ~primary:(Primary.db st.primary)
+            Checker.check_completeness
+              ~primary:(Primary.db (Replica_set.primary rs))
               ~secondary:(Secondary.db site.sec)
           with
           | Ok () -> ()
@@ -1080,8 +916,9 @@ let run cfg =
   (* The watchdog's verdict joins the same error channel as the post-hoc
      battery, so a violated guarantee fails the run whether or not a history
      was recorded. *)
+  let watchdog = Replica_set.watchdog rs in
   let check_errors =
-    match st.watchdog with
+    match watchdog with
     | Some w when not (Watchdog.satisfies w cfg.guarantee) ->
       check_errors
       @ [
@@ -1119,7 +956,7 @@ let run cfg =
           ~detail:(String.concat "; " check_errors)
           ();
       let journeys =
-        match !first_alert with
+        match Replica_set.first_alert rs with
         | Some a when a.Watchdog.trace <> [] ->
           [
             ( a.Watchdog.txn,
@@ -1177,12 +1014,12 @@ let run cfg =
         channel_stats.Lsr_faults.Channel.max_ooo;
     sim_events = Engine.events_processed eng;
     checker_cpu_s;
-    watchdog_verdict = Option.map Watchdog.verdict st.watchdog;
+    watchdog_verdict = Option.map Watchdog.verdict watchdog;
     watchdog_alerts =
-      (match st.watchdog with Some w -> Watchdog.alerts w | None -> []);
+      (match watchdog with Some w -> Watchdog.alerts w | None -> []);
     watchdog_peak_state =
-      (match st.watchdog with Some w -> Watchdog.peak_state w | None -> 0);
-    watchdog_report = Option.map Watchdog.report_json st.watchdog;
+      (match watchdog with Some w -> Watchdog.peak_state w | None -> 0);
+    watchdog_report = Option.map Watchdog.report_json watchdog;
     flight_report;
     flight_trigger;
     flight_events = Lsr_obs.Flight.events_noted cfg.flight;

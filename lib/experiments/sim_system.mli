@@ -1,8 +1,8 @@
 (** The simulated lazy-master replicated system of §5.
 
-    Wires the {e real} protocol components — {!Lsr_core.Propagation},
-    {!Lsr_core.Secondary}, {!Lsr_core.Session}, each site backed by a live
-    {!Lsr_storage.Mvcc} instance — to virtual time: every site is a shared
+    Drives the {e real} protocol components — the {!Lsr_core.Replica_set}
+    core the embedded system shares, each site backed by a live
+    {!Lsr_storage.Mvcc} instance — from virtual time: every site is a shared
     {!Lsr_sim.Resource} (the paper's round-robin server, modelled as
     processor sharing), clients are processes that think, start sessions and
     submit transactions per {!Lsr_workload.Params}, the propagator is a

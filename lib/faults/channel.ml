@@ -178,14 +178,11 @@ type t = {
   ooo : (int, Txn_record.t) Hashtbl.t;
   mutable s : stats;
   oc : obs_counters;
-  lineage : Lsr_obs.Lineage.t;
-  recorder : Lsr_obs.Flight.t; (* [flight] names the in-flight packet list *)
+  sinks : Lsr_obs.Sinks.t;
   lname : string option; (* site this channel feeds, for lineage events *)
 }
 
-let create ?(config = default) ?(obs = Lsr_obs.Obs.null)
-    ?(lineage = Lsr_obs.Lineage.null) ?(flight = Lsr_obs.Flight.null) ?name
-    ~rng () =
+let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
   validate config;
   {
     cfg = config;
@@ -198,19 +195,14 @@ let create ?(config = default) ?(obs = Lsr_obs.Obs.null)
     next_expected = 0;
     ooo = Hashtbl.create 32;
     s = zero_stats;
-    oc = obs_counters obs;
-    lineage;
-    recorder = flight;
+    oc = obs_counters sinks.Lsr_obs.Sinks.obs;
+    sinks;
     lname = name;
   }
 
-let emit_lineage t record stage =
-  if Lsr_obs.Lineage.enabled t.lineage then
-    Lsr_obs.Lineage.emit t.lineage ?site:t.lname
-      ~txn:(Txn_record.txn record)
-      (stage (Txn_record.kind_name record));
-  if Lsr_obs.Flight.enabled t.recorder then
-    Lsr_obs.Flight.note_stage t.recorder ?site:t.lname
+let emit_stage t record stage =
+  if Lsr_obs.Sinks.tracing t.sinks then
+    Lsr_obs.Sinks.stage t.sinks ?site:t.lname
       ~txn:(Txn_record.txn record)
       (stage (Txn_record.kind_name record))
 
@@ -227,7 +219,7 @@ let idle t =
 let transmit t msg =
   if t.cfg.loss > 0. && Rng.bernoulli t.rng ~p:t.cfg.loss then begin
     t.s <- { t.s with dropped = t.s.dropped + 1 };
-    emit_lineage t msg.record (fun record ->
+    emit_stage t msg.record (fun record ->
         Lsr_obs.Lineage.Channel_dropped { record });
     Lsr_obs.Obs.incr t.oc.oc_dropped
   end
@@ -237,7 +229,7 @@ let transmit t msg =
       let extra = Rng.uniform t.rng ~lo:1 ~hi:(max 1 t.cfg.max_delay) in
       latency := !latency + extra;
       t.s <- { t.s with delayed = t.s.delayed + 1 };
-      emit_lineage t msg.record (fun record ->
+      emit_stage t msg.record (fun record ->
           Lsr_obs.Lineage.Channel_delayed { record; ticks = extra });
       Lsr_obs.Obs.incr t.oc.oc_delayed
     end;
@@ -256,7 +248,7 @@ let transmit t msg =
         { arrive = t.clock + extra; pseq = msg.seq; precord = msg.record }
         :: t.flight;
       t.s <- { t.s with duplicated = t.s.duplicated + 1 };
-      emit_lineage t msg.record (fun record ->
+      emit_stage t msg.record (fun record ->
           Lsr_obs.Lineage.Channel_duplicated { record });
       Lsr_obs.Obs.incr t.oc.oc_duplicated
     end;
@@ -342,7 +334,7 @@ let tick t =
     (fun u ->
       if u.rto_at <= t.clock then begin
         t.s <- { t.s with retransmitted = t.s.retransmitted + 1 };
-        emit_lineage t u.msg.record (fun record ->
+        emit_stage t u.msg.record (fun record ->
             Lsr_obs.Lineage.Channel_retransmitted { record });
         Lsr_obs.Obs.incr t.oc.oc_retransmitted;
         transmit t u.msg;

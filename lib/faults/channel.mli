@@ -73,25 +73,22 @@ val pp_stats : Format.formatter -> stats -> unit
 type t
 
 (** [create ~rng ()] is a fresh channel. Mutates [rng] on every send/tick.
-    [obs], when enabled, receives the same counters live under
+    [sinks.obs], when enabled, receives the same counters live under
     [channel.sent/delivered/dropped/duplicated/delayed/reordered/
     retransmitted/acks_dropped/stale_ignored] plus [channel.in_flight] and
     [channel.ooo_depth] gauges; every channel attached to one registry
-    shares those instruments, so the registry aggregates across sites.
-    [lineage], when enabled, receives a [Channel_dropped] / [Channel_delayed]
-    / [Channel_duplicated] / [Channel_retransmitted] event per injected
-    fault, tagged with [name] (the site this channel feeds) and the affected
-    record's transaction id — so faults show up in that transaction's
-    journey. [flight] records the same fault events into the bounded black
-    box.
+    shares those instruments, so the registry aggregates across sites. A
+    [Channel_dropped] / [Channel_delayed] / [Channel_duplicated] /
+    [Channel_retransmitted] stage is tapped per injected fault, tagged with
+    [name] (the site this channel feeds) and the affected record's
+    transaction id — so faults show up in that transaction's journey and in
+    the flight recorder.
     @raise Invalid_argument on an ill-formed config (probabilities outside
     [0, 1], [loss >= 1.], [ack_loss >= 1.], [rto < 1], [backoff < 1.],
     negative windows). *)
 val create :
   ?config:config ->
-  ?obs:Lsr_obs.Obs.t ->
-  ?lineage:Lsr_obs.Lineage.t ->
-  ?flight:Lsr_obs.Flight.t ->
+  ?sinks:Lsr_obs.Sinks.t ->
   ?name:string ->
   rng:Lsr_sim.Rng.t ->
   unit ->

@@ -4,17 +4,15 @@ module Rng = Lsr_sim.Rng
 type t = {
   config : Channel.config;
   rng : Rng.t;
-  lineage : Lsr_obs.Lineage.t;
   mutable channels : (int * Channel.t) list;
 }
 
-let create ?(config = Channel.default) ?(lineage = Lsr_obs.Lineage.null) ~seed
-    () =
-  { config; rng = Rng.create seed; lineage; channels = [] }
+let create ?(config = Channel.default) ~seed () =
+  { config; rng = Rng.create seed; channels = [] }
 
-let faults t i =
+let faults t sinks i =
   let ch =
-    Channel.create ~config:t.config ~lineage:t.lineage
+    Channel.create ~config:t.config ~sinks
       ~name:(Printf.sprintf "secondary-%d" i)
       ~rng:(Rng.split t.rng) ()
   in

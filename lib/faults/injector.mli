@@ -16,16 +16,14 @@
 
 type t
 
-(** [lineage], when enabled, is threaded to every channel the injector
-    creates; channels are named [secondary-<i>], matching the system's site
-    names, so injected faults land in the right site's journey entries. *)
-val create :
-  ?config:Channel.config -> ?lineage:Lsr_obs.Lineage.t -> seed:int -> unit -> t
+val create : ?config:Channel.config -> seed:int -> unit -> t
 
 (** [faults inj] is the factory to pass as [System.create ~faults]. Each
-    call builds a fresh channel and registers it under the given secondary
-    index. *)
-val faults : t -> int -> Lsr_core.System.channel
+    call builds a fresh channel reporting to the system's sinks and
+    registers it under the given secondary index. Channels are named
+    [secondary-<i>], matching the system's site names, so injected faults
+    land in the right site's journey entries and flight events. *)
+val faults : t -> Lsr_obs.Sinks.t -> int -> Lsr_core.System.channel
 
 (** The channel attached to secondary [i], if [faults] was invoked for it. *)
 val channel : t -> int -> Channel.t option

@@ -59,10 +59,9 @@ val new_epoch : t -> unit
 (** {2 Recording} *)
 
 (** [note_stage t ?site ~txn stage] records one pipeline stage of update
-    transaction [txn] (the primary MVCC id) — the same call shape as
-    {!Lineage.emit}, so the two sinks tap identical sites. A
-    [Primary_commit] noted this way carries no history id; the simulator
-    uses {!note_commit} instead when one exists. *)
+    transaction [txn] (the primary MVCC id); layers reach it through
+    {!Sinks.stage}, together with the lineage sink. A [Primary_commit]
+    noted this way carries no history id. *)
 val note_stage : t -> ?site:string -> txn:int -> Lineage.stage -> unit
 
 (** [note_commit t ~txn ~hid ~commit_ts ~updates] records a primary commit

@@ -126,7 +126,7 @@ let check_weak_si history =
         | remaining -> remaining
       in
       let pending_updates = absorb pending_updates in
-      check_txn t;
+      if committed t then check_txn t;
       sweep pending_updates rest
   in
   sweep updates by_snapshot;

@@ -737,6 +737,51 @@ let test_fence_clock_horizon () =
        false
      with Invalid_argument _ -> true)
 
+(* [Session.clock_freshness] against a list model of the clock: the
+   snapshot's commit ordinal is its 1-based position, every later commit is
+   missed, and an absent snapshot (zero, or a timestamp never committed)
+   misses every commit at age [now]. *)
+let prop_clock_freshness_matches_model =
+  let model commits ~snapshot ~now =
+    let n = List.length commits in
+    let rec find ord = function
+      | [] -> None
+      | (ts, at) :: rest -> if ts = snapshot then Some (ord, at) else find (ord + 1) rest
+    in
+    match find 1 commits with
+    | Some (ord, at) -> if ord = n then (0., 0) else (now -. at, n - ord)
+    | None -> if n = 0 then (0., 0) else (now, n)
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 100) (pair (int_range 1 3) (int_range 0 5)))
+        (pair (int_range 0 3) nat))
+  in
+  QCheck.Test.make ~name:"clock freshness = list model" ~count:300
+    (QCheck.make gen) (fun (steps, (kind, pick)) ->
+      (* Commit timestamps are even, so an odd one is never in the clock. *)
+      let _, rev_commits =
+        List.fold_left
+          (fun ((ts, at), acc) (dts, dat) ->
+            let next = (ts + (2 * dts), at +. float_of_int dat) in
+            (next, next :: acc))
+          ((0, 0.), []) steps
+      in
+      let commits = List.rev rev_commits in
+      let c = Session.clock_create () in
+      List.iter (fun (ts, at) -> Session.clock_note c ~commit_ts:ts ~at) commits;
+      let n = List.length commits in
+      let snapshot =
+        match (kind, rev_commits) with
+        | 0, _ | _, [] -> Timestamp.zero
+        | 1, (last, _) :: _ -> last (* caught up *)
+        | 2, _ -> fst (List.nth commits (pick mod n)) (* lagging *)
+        | _ -> (2 * pick) + 1 (* absent *)
+      in
+      let now = 1000. in
+      Session.clock_freshness c ~snapshot ~now = model commits ~snapshot ~now)
+
 let test_fence_raises_weak_floor () =
   (* A fence is additive to the ambient guarantee: under Weak, required_seq
      is the fence's threshold alone; a Session_seq fence reduces exactly to
@@ -1871,7 +1916,7 @@ let test_system_crash_recovery () =
   | Error _ -> Alcotest.fail "update failed");
   ignore (System.propagate sys);
   (match System.read sys c (fun _ -> ()) with
-  | exception Failure _ -> ()
+  | exception System.Secondary_down { secondary = 0 } -> ()
   | () -> Alcotest.fail "reads at a crashed site must fail");
   System.recover_secondary sys 0;
   check_bool "recovered" false (System.is_crashed sys 0);
@@ -2089,7 +2134,8 @@ let () =
             test_fence_raises_weak_floor;
           Alcotest.test_case "fence max-age threshold" `Quick
             test_fence_max_age_threshold;
-        ] );
+        ]
+        @ qsuite [ prop_clock_freshness_matches_model ] );
       ( "checker",
         [
           Alcotest.test_case "update-then-read inversion" `Quick

@@ -588,7 +588,7 @@ let test_journey_drop_then_retransmit_order () =
     (fun seed ->
       if not !witnessed then begin
         let lineage = Lineage.create () in
-        let inj = Injector.create ~config ~lineage ~seed () in
+        let inj = Injector.create ~config ~seed () in
         let sys =
           System.create ~secondaries:1 ~faults:(Injector.faults inj) ~lineage
             ~guarantee:Session.Strong_session ()

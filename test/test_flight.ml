@@ -277,6 +277,35 @@ let test_deterministic_bundles_and_diff () =
     check_bool "different seeds diverge" true
       (Flight.diff (parse_ok ja) (parse_ok jc) <> None)
 
+(* --- embedded system ------------------------------------------------------------ *)
+
+let test_embedded_channel_faults () =
+  (* The embedded system hands its sinks to the fault-channel factory, so
+     injected channel faults land in its flight recorder. *)
+  let flight = Flight.create () in
+  let inj =
+    Lsr_faults.Injector.create ~config:Lsr_faults.Channel.chaos ~seed:2024 ()
+  in
+  let sys =
+    System.create ~secondaries:2 ~faults:(Lsr_faults.Injector.faults inj)
+      ~flight ~guarantee:Session.Strong_session ()
+  in
+  let c = System.connect sys "c0" in
+  for i = 1 to 20 do
+    match
+      System.update sys c (fun h -> Handle.put h (Printf.sprintf "k%d" i) "v")
+    with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update aborted"
+  done;
+  System.pump sys;
+  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj []) ()) in
+  check_bool "a channel fault is in the window" true
+    (Array.exists
+       (fun e ->
+         match e.Flight.ev with Flight.Chan_fault _ -> true | _ -> false)
+       b.Flight.window)
+
 let () =
   Alcotest.run "lsr_flight"
     [
@@ -298,5 +327,10 @@ let () =
             test_end_of_run_fallback;
           Alcotest.test_case "deterministic bundles + diff" `Quick
             test_deterministic_bundles_and_diff;
+        ] );
+      ( "embedded",
+        [
+          Alcotest.test_case "channel faults recorded" `Quick
+            test_embedded_channel_faults;
         ] );
     ]

@@ -342,6 +342,39 @@ let test_embedded_inversion_alert () =
     (report_pairs report.Checker.inversions_all)
     (alert_pairs Watchdog.All_sessions (Watchdog.alerts w))
 
+let test_embedded_aborted_reads_not_judged () =
+  (* The embedded system records an aborted update at snapshot zero. Its
+     reads of keys that exist by then are not a weak-SI violation: only
+     committed transactions are judged, online and post hoc alike. *)
+  let sys =
+    System.create ~secondaries:1 ~guarantee:Session.Strong_session
+      ~watchdog:true ()
+  in
+  let c = System.connect sys "c" in
+  (match System.update sys c (fun h -> Handle.put h "k" "v0") with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "preload aborted");
+  System.pump sys;
+  (match
+     System.update sys c ~force_abort:true (fun h ->
+         ignore (Handle.get h "k");
+         Handle.put h "k" "v1")
+   with
+  | Error Lsr_storage.Mvcc.Forced -> ()
+  | _ -> Alcotest.fail "forced abort did not abort");
+  System.pump sys;
+  (match System.check sys with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "post-hoc check failed: %s" (String.concat "; " es));
+  let w = Option.get (System.watchdog sys) in
+  let report =
+    Checker.analyze ~clock:(System.commit_clock sys) (System.history sys)
+  in
+  check_int "watchdog and checker agree on read mismatches"
+    (List.length report.Checker.weak_si_violations)
+    (Watchdog.verdict w).Watchdog.read_mismatches;
+  check_int "no read mismatch" 0 (Watchdog.verdict w).Watchdog.read_mismatches
+
 let test_embedded_retirement () =
   (* Refresh commits drive the horizon: once every secondary has applied a
      version and nothing pins it, it folds into the base map. *)
@@ -429,6 +462,8 @@ let () =
         [
           Alcotest.test_case "inversion alert + post-hoc agreement" `Quick
             test_embedded_inversion_alert;
+          Alcotest.test_case "aborted reads not judged" `Quick
+            test_embedded_aborted_reads_not_judged;
           Alcotest.test_case "continuous retirement" `Quick
             test_embedded_retirement;
           Alcotest.test_case "crash and recovery" `Quick test_embedded_recovery;
