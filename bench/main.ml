@@ -409,6 +409,26 @@ let micro_tests () =
            done;
            Engine.run eng))
   in
+  (* A process using an idle processor-sharing resource 100 times: each use
+     is one completion event and one zero-delay wake. *)
+  let sim_wakes =
+    Test.make ~name:"sim/zero-delay-wakes"
+      (Staged.stage (fun () ->
+           let open Lsr_sim in
+           let eng = Engine.create () in
+           let cpu = Resource.create eng ~discipline:Resource.Processor_sharing in
+           Process.spawn eng (fun () ->
+               for _ = 1 to 100 do
+                 Resource.use cpu 1e-6
+               done);
+           Engine.run eng))
+  in
+  let txn_gen =
+    let rng = Lsr_sim.Rng.create 1 in
+    Test.make ~name:"workload/txn-gen"
+      (Staged.stage (fun () ->
+           Lsr_workload.Txn_gen.generate Lsr_workload.Params.default rng))
+  in
   let sim_small_run =
     Test.make ~name:"sim/30s-replicated-system"
       (Staged.stage (fun () ->
@@ -432,7 +452,9 @@ let micro_tests () =
     replication_pipeline;
     checker_bench;
     sim_engine;
+    sim_wakes;
     sim_small_run;
+    txn_gen;
   ]
 
 let run_micro () =

@@ -30,9 +30,10 @@ let execute t ?(force_abort = false) body =
     Aborted Mvcc.Forced
   end
   else begin
-    let writes = Mvcc.pending_writes txn in
     match Mvcc.commit t.db txn with
     | Mvcc.Committed commit_ts ->
+      (* The updates the commit just installed, not computed again. *)
+      let writes = Mvcc.pending_writes txn in
       Committed { value; txn = Mvcc.txn_id txn; commit_ts; snapshot; writes }
     | Mvcc.Aborted reason -> Aborted reason
   end

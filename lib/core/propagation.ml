@@ -41,24 +41,8 @@ let record_of_entry t entry =
       Option.value ~default:[] (Hashtbl.find_opt t.update_lists txn)
     in
     Hashtbl.remove t.update_lists txn;
-    (* Squash to one update per key, last write wins, preserving first-write
-       order: the refresh transaction re-executes these verbatim. *)
-    let seen = Hashtbl.create 8 in
-    let latest = Hashtbl.create 8 in
-    List.iter
-      (fun { Wal.key; value } ->
-        if not (Hashtbl.mem latest key) then Hashtbl.add latest key value)
-      accumulated;
-    let updates =
-      List.filter_map
-        (fun { Wal.key; value = _ } ->
-          if Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some { Wal.key; value = Hashtbl.find latest key }
-          end)
-        (List.rev accumulated)
-    in
+    (* The refresh transaction re-executes these verbatim. *)
+    let updates = Wal.squash (List.rev accumulated) in
     Some (Txn_record.Commit_rec { txn; commit_ts = ts; updates })
   | Wal.Abort { txn } ->
     let wasted =

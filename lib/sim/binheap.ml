@@ -1,17 +1,20 @@
 type 'a t = {
   cmp : 'a -> 'a -> int;
+  (* Fills every slot at or beyond [size], so the heap holds no reference
+     to an element it no longer contains. *)
+  dummy : 'a;
   mutable data : 'a array;
   mutable size : int;
 }
 
-let create ~cmp = { cmp; data = [||]; size = 0 }
+let create ~cmp ~dummy = { cmp; dummy; data = [||]; size = 0 }
 let is_empty h = h.size = 0
 let length h = h.size
 
-let grow h x =
+let grow h =
   let capacity = Array.length h.data in
   if h.size = capacity then begin
-    let fresh = Array.make (max 8 (2 * capacity)) x in
+    let fresh = Array.make (max 8 (2 * capacity)) h.dummy in
     Array.blit h.data 0 fresh 0 h.size;
     h.data <- fresh
   end
@@ -42,7 +45,7 @@ let rec sift_down h i =
   end
 
 let push h x =
-  grow h x;
+  grow h;
   h.data.(h.size) <- x;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
@@ -53,10 +56,9 @@ let pop h =
   if h.size = 0 then invalid_arg "Binheap.pop: empty heap";
   let top = h.data.(0) in
   h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.data.(0) <- h.data.(h.size);
-    sift_down h 0
-  end;
+  h.data.(0) <- h.data.(h.size);
+  h.data.(h.size) <- h.dummy;
+  if h.size > 0 then sift_down h 0;
   top
 
 let clear h =

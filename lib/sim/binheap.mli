@@ -1,14 +1,17 @@
 (** Array-backed binary min-heap, ordered by a user-supplied comparison.
 
-    Used by {!Engine} as the pending-event queue. The heap is a mutable
+    Used by {!Resource} for processor-sharing jobs and by {!Seqcond} for
+    threshold waiters. The heap is a mutable
     structure; all operations are amortized O(log n) except [peek] which is
     O(1). *)
 
 type 'a t
 
-(** [create ~cmp] is an empty heap ordered by [cmp] (a total order; the
-    minimum element according to [cmp] is served first). *)
-val create : cmp:('a -> 'a -> int) -> 'a t
+(** [create ~cmp ~dummy] is an empty heap ordered by [cmp] (a total order;
+    the minimum element according to [cmp] is served first). [dummy] fills
+    unused slots, so a popped element is not kept reachable by the heap; it
+    is never compared or returned. *)
+val create : cmp:('a -> 'a -> int) -> dummy:'a -> 'a t
 
 val is_empty : 'a t -> bool
 val length : 'a t -> int

@@ -2,9 +2,15 @@
     pending events.
 
     The engine replaces the event-scheduling layer of the CSIM package used by
-    the paper. Events scheduled for the same instant fire in scheduling order
-    (FIFO tie-breaking), which keeps simulations deterministic for a fixed
-    random seed. *)
+    the paper. Events fire in (time, seq) order: by time, and events
+    scheduled for the same instant in scheduling order (FIFO tie-breaking),
+    which keeps simulations deterministic for a fixed random seed.
+
+    Events scheduled with [delay = 0.] (process wakes and spawns) skip the
+    binary heap: they wait in a FIFO lane that is already in (time, seq)
+    order, and each step fires the earlier of the lane's head and the
+    heap's top. The lane changes cost, not order: the firing sequence is
+    exactly that of a single heap. *)
 
 type t
 

@@ -61,9 +61,13 @@ let create ?(name = "resource") eng ~discipline =
     name;
     discipline;
     ps_heap =
-      Binheap.create ~cmp:(fun a b ->
+      Binheap.create
+        ~cmp:(fun a b ->
           let c = Float.compare a.vfinish b.vfinish in
-          if c <> 0 then c else Int.compare a.seq b.seq);
+          if c <> 0 then c else Int.compare a.seq b.seq)
+        ~dummy:
+          { vfinish = infinity; seq = -1; ps_amount = 0.; ps_arrived = 0.;
+            ps_waker = ignore };
     vtime = 0.;
     ps_seq = 0;
     last_update = Engine.now eng;

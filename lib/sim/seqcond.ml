@@ -11,7 +11,11 @@ type t = {
   mutable level : int;
 }
 
-let create () = { heap = Binheap.create ~cmp; next_order = 0; level = min_int }
+let dummy = { threshold = max_int; order = -1; waker = ignore }
+
+let create () =
+  { heap = Binheap.create ~cmp ~dummy; next_order = 0; level = min_int }
+
 let level t = t.level
 
 let rec await t ~threshold =

@@ -10,7 +10,12 @@ type txn = {
   (* Buffered writes, newest-first; replayed in reverse for the log and the
      version store so that later writes to the same key win. *)
   mutable writes : Wal.update list;
-  writes_by_key : (string, string option) Hashtbl.t;
+  (* Latest buffered value per key, for read-your-writes. Allocated at the
+     first write: most transactions only read. *)
+  mutable writes_by_key : (string, string option) Hashtbl.t option;
+  (* [effective_updates], kept once computed: the primary asks for the
+     updates a commit installed. Reset by every write. *)
+  mutable effective : Wal.update list option;
   mutable state : txn_state;
 }
 
@@ -22,14 +27,19 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
+(* A key's versions, newest first. Mutable so an install hashes the key
+   once. *)
+type cell = { mutable chain : version list }
+
 type t = {
   name : string;
   clock : Timestamp.source;
-  (* Per-key version chains, newest first. *)
-  store : (string, version list) Hashtbl.t;
+  store : (string, cell) Hashtbl.t;
   (* Committed keys in lexicographic order: prefix and range scans seek in
-     O(log n) instead of folding over the whole store. *)
+     O(log n) instead of folding over the whole store. Built lazily: keys
+     first installed since the last scan wait in [new_keys]. *)
   mutable key_set : Sset.t;
+  mutable new_keys : string list;
   (* Stored versions across all keys, maintained incrementally so the
      monitor can sample it every virtual second at zero marginal cost. *)
   mutable versions : int;
@@ -48,6 +58,7 @@ let create ?(name = "db") () =
     clock = Timestamp.source ();
     store = Hashtbl.create 1024;
     key_set = Sset.empty;
+    new_keys = [];
     versions = 0;
     wal = Wal.create ();
     next_txn_id = 0;
@@ -63,7 +74,14 @@ let make_txn t start_ts =
   let id = t.next_txn_id in
   t.next_txn_id <- id + 1;
   Wal.append t.wal (Wal.Start { txn = id; ts = start_ts });
-  { id; start_ts; writes = []; writes_by_key = Hashtbl.create 8; state = Active }
+  {
+    id;
+    start_ts;
+    writes = [];
+    writes_by_key = None;
+    effective = None;
+    state = Active;
+  }
 
 let begin_txn t = make_txn t (Timestamp.next t.clock)
 
@@ -84,54 +102,71 @@ let require_active txn op =
   | Committed_ | Aborted_ ->
     invalid_arg (Printf.sprintf "Mvcc.%s: transaction %d is not active" op txn.id)
 
-let visible_version versions ~at =
-  let rec find = function
-    | [] -> None
-    | v :: rest -> if Timestamp.compare v.committed_at at <= 0 then Some v else find rest
-  in
-  find versions
+(* The value of the newest version committed at or before [at]; [None] when
+   that version is a delete or there is none. *)
+let rec visible_value chain ~at =
+  match chain with
+  | [] -> None
+  | v :: rest ->
+    if Timestamp.compare v.committed_at at <= 0 then v.value
+    else visible_value rest ~at
 
 let snapshot_read t ~at key =
   match Hashtbl.find_opt t.store key with
   | None -> None
-  | Some versions -> (
-    match visible_version versions ~at with
-    | None -> None
-    | Some v -> v.value)
+  | Some cell -> visible_value cell.chain ~at
 
 let read t txn key =
   require_active txn "read";
-  match Hashtbl.find_opt txn.writes_by_key key with
-  | Some value -> value
+  match txn.writes_by_key with
   | None -> snapshot_read t ~at:txn.start_ts key
+  | Some own -> (
+    match Hashtbl.find_opt own key with
+    | Some value -> value
+    | None -> snapshot_read t ~at:txn.start_ts key)
 
 let write t txn key value =
   require_active txn "write";
   Wal.append t.wal (Wal.Update { txn = txn.id; update = { key; value } });
   txn.writes <- { Wal.key; value } :: txn.writes;
-  Hashtbl.replace txn.writes_by_key key value
+  txn.effective <- None;
+  let own =
+    match txn.writes_by_key with
+    | Some own -> own
+    | None ->
+      let own = Hashtbl.create 8 in
+      txn.writes_by_key <- Some own;
+      own
+  in
+  Hashtbl.replace own key value
 
 let first_committer_conflict t txn =
   (* A committed version newer than our snapshot on any written key means a
      concurrent transaction committed that write first. *)
   let conflicting key =
     match Hashtbl.find_opt t.store key with
-    | None -> false
-    | Some [] -> false
-    | Some (newest :: _) -> Timestamp.compare newest.committed_at txn.start_ts > 0
+    | None | Some { chain = [] } -> false
+    | Some { chain = newest :: _ } ->
+      Timestamp.compare newest.committed_at txn.start_ts > 0
   in
-  Hashtbl.fold
-    (fun key _ acc -> match acc with Some _ -> acc | None -> if conflicting key then Some key else None)
-    txn.writes_by_key None
+  match txn.writes_by_key with
+  | None -> None
+  | Some own ->
+    Hashtbl.fold
+      (fun key _ acc ->
+        match acc with
+        | Some _ -> acc
+        | None -> if conflicting key then Some key else None)
+      own None
 
 let install t ~commit_ts updates =
   let apply { Wal.key; value } =
+    let version = { committed_at = commit_ts; value } in
     (match Hashtbl.find_opt t.store key with
-    | Some versions ->
-      Hashtbl.replace t.store key ({ committed_at = commit_ts; value } :: versions)
+    | Some cell -> cell.chain <- version :: cell.chain
     | None ->
-      Hashtbl.replace t.store key [ { committed_at = commit_ts; value } ];
-      t.key_set <- Sset.add key t.key_set);
+      Hashtbl.add t.store key { chain = [ version ] };
+      t.new_keys <- key :: t.new_keys);
     t.versions <- t.versions + 1
   in
   List.iter apply updates;
@@ -139,19 +174,20 @@ let install t ~commit_ts updates =
   t.commit_count <- t.commit_count + 1;
   t.latest_commit <- commit_ts
 
-(* Squash the newest-first write buffer into one update per key, preserving
-   first-write order between keys and keeping the last value written. *)
+(* One update per key in first-write order, with the last value written. *)
 let effective_updates txn =
-  let ordered = List.rev txn.writes in
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun { Wal.key; value = _ } ->
-      if Hashtbl.mem seen key then None
-      else begin
-        Hashtbl.add seen key ();
-        Some { Wal.key; value = Hashtbl.find txn.writes_by_key key }
-      end)
-    ordered
+  match txn.effective with
+  | Some updates -> updates
+  | None ->
+    let ordered = List.rev txn.writes in
+    let repeats =
+      match txn.writes_by_key with
+      | Some own -> Hashtbl.length own < List.length ordered
+      | None -> false
+    in
+    let updates = if repeats then Wal.squash ordered else ordered in
+    txn.effective <- Some updates;
+    updates
 
 let commit t txn =
   require_active txn "commit";
@@ -174,7 +210,7 @@ let abort t txn =
 
 let end_read _t txn =
   require_active txn "end_read";
-  if Hashtbl.length txn.writes_by_key > 0 then
+  if txn.writes <> [] then
     invalid_arg "Mvcc.end_read: transaction has writes; commit or abort it";
   txn.state <- Committed_
 
@@ -189,10 +225,10 @@ let read_at t ts key = snapshot_read t ~at:ts key
 let state_at t ts =
   let bindings =
     Hashtbl.fold
-      (fun key versions acc ->
-        match visible_version versions ~at:ts with
-        | Some { value = Some v; _ } -> (key, v) :: acc
-        | Some { value = None; _ } | None -> acc)
+      (fun key { chain } acc ->
+        match visible_value chain ~at:ts with
+        | Some v -> (key, v) :: acc
+        | None -> acc)
       t.store []
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) bindings
@@ -211,7 +247,16 @@ let nth_state t i =
 
 let committed_state t = state_at t t.latest_commit
 
-let keys_from t start = Sset.to_seq_from start t.key_set
+(* Fold the keys installed since the last scan into the ordered index. *)
+let sync_keys t =
+  if t.new_keys <> [] then begin
+    t.key_set <- Sset.union t.key_set (Sset.of_list t.new_keys);
+    t.new_keys <- []
+  end
+
+let keys_from t start =
+  sync_keys t;
+  Sset.to_seq_from start t.key_set
 
 let fold_keys t ~prefix ~init ~f =
   (* Keys are sorted, so every key with [prefix] sits in one contiguous run
@@ -248,13 +293,7 @@ let vacuum t ~before =
     in
     walk [] versions
   in
-  let keys = Hashtbl.fold (fun key _ acc -> key :: acc) t.store [] in
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt t.store key with
-      | None -> ()
-      | Some versions -> Hashtbl.replace t.store key (trim versions))
-    keys;
+  Hashtbl.iter (fun _ cell -> cell.chain <- trim cell.chain) t.store;
   t.versions <- t.versions - !reclaimed;
   !reclaimed
 

@@ -113,12 +113,17 @@ val committed_state : t -> (string * string) list
 
 (** [fold_keys t ~prefix ~init ~f] folds over every key ever written with the
     given prefix, in ascending lexicographic order (visibility is up to the
-    caller via [read]). Costs O(log n + k) for k matching keys, not O(n). *)
+    caller via [read]). Costs O(log n + k) for k matching keys, not O(n).
+    The ordered index is built lazily, so installs never pay for it: the
+    first scan after m keys were first installed also pays O(m log n) to
+    fold them in. *)
 val fold_keys : t -> prefix:string -> init:'acc -> f:('acc -> string -> 'acc) -> 'acc
 
 (** [keys_from t start] is the ascending sequence of every key ever written
     that is [>= start]. Backs index range seeks: O(log n) to position, O(1)
-    per element. The sequence is persistent (safe to re-force). *)
+    per element, plus the lazy index's O(m log n) catch-up described at
+    {!fold_keys}. The sequence is a persistent snapshot of the keys present
+    when it was created (safe to re-force). *)
 val keys_from : t -> string -> string Seq.t
 
 (** {2 Maintenance} *)

@@ -60,6 +60,32 @@ let truncate_before t offset =
     t.base <- offset
   end
 
+let has_repeats updates =
+  let keys = Array.of_list (List.map (fun u -> u.key) updates) in
+  Array.sort String.compare keys;
+  let rec adjacent i =
+    i < Array.length keys
+    && (String.equal keys.(i - 1) keys.(i) || adjacent (i + 1))
+  in
+  adjacent 1
+
+let squash updates =
+  if not (has_repeats updates) then updates
+  else begin
+    (* Each key's last value, removed once its first write has been
+       emitted. *)
+    let last = Hashtbl.create 8 in
+    List.iter (fun u -> Hashtbl.replace last u.key u.value) updates;
+    List.filter_map
+      (fun u ->
+        match Hashtbl.find_opt last u.key with
+        | None -> None
+        | Some value ->
+          Hashtbl.remove last u.key;
+          Some { key = u.key; value })
+      updates
+  end
+
 let pp_entry ppf = function
   | Start { txn; ts } -> Format.fprintf ppf "start(T%d)@%a" txn Timestamp.pp ts
   | Update { txn; update = { key; value } } ->

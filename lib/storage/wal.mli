@@ -9,6 +9,12 @@
 (** One logical update: assigning [value] to [key] ([None] deletes). *)
 type update = { key : string; value : string option }
 
+(** [squash updates] keeps one update per key of a transaction's updates,
+    given in write order: keys in first-write order, each with the last
+    value written. When no key repeats it returns [updates] itself, after
+    an O(n log n) check that allocates no table. *)
+val squash : update list -> update list
+
 type entry =
   | Start of { txn : int; ts : Timestamp.t }
   | Update of { txn : int; update : update }

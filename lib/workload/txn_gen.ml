@@ -13,6 +13,25 @@ type spec = {
   ops : op list;
 }
 
+(* [Printf.sprintf "item:%06d" idx], byte for byte, without the format
+   interpreter: at least six digits, zero-padded after any sign. Digits are
+   taken from the negative side so [min_int] needs no special case. *)
+let key_name idx =
+  let rec digits n acc = if n = 0 then acc else digits (n / 10) (acc + 1) in
+  let sign = if idx < 0 then 1 else 0 in
+  let width = max 6 (sign + max 1 (digits idx 0)) in
+  let b = Bytes.make (5 + width) '0' in
+  Bytes.blit_string "item:" 0 b 0 5;
+  if sign = 1 then Bytes.set b 5 '-';
+  let rec fill n i =
+    if n <> 0 then begin
+      Bytes.set b i (Char.unsafe_chr (48 - (n mod 10)));
+      fill (n / 10) (i - 1)
+    end
+  in
+  fill (if idx > 0 then -idx else idx) (4 + width);
+  Bytes.unsafe_to_string b
+
 let key params rng =
   let n = params.Params.key_space in
   let idx =
@@ -20,9 +39,9 @@ let key params rng =
       Rng.zipf rng ~n ~s:params.Params.key_skew - 1
     else Rng.uniform rng ~lo:0 ~hi:(n - 1)
   in
-  Printf.sprintf "item:%06d" idx
+  key_name idx
 
-let fresh_value rng = Printf.sprintf "v%Ld" (Rng.bits64 rng)
+let fresh_value rng = "v" ^ Int64.to_string (Rng.bits64 rng)
 
 let generate params rng =
   let size =

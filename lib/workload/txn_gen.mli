@@ -25,6 +25,10 @@ type spec = {
     transaction misrouted to the primary). *)
 val generate : Params.t -> Rng.t -> spec
 
+(** [key_name i] is the name of key index [i], the same string as
+    [Printf.sprintf "item:%06d" i]. *)
+val key_name : int -> string
+
 val op_count : spec -> int
 val is_update : spec -> bool
 

@@ -106,6 +106,102 @@ let test_sim_deterministic () =
   check_bool "different seed, different run" true
     (a.Sim_system.reads_completed <> c.Sim_system.reads_completed)
 
+(* The smoke-size shapes of the three simulated benchmark workloads
+   (open-weak, closed-session, verified-session), rebuilt from public
+   configuration so the fingerprint below pins their outcomes. *)
+let bench_shape ~clients ~think_time ~propagation ?(size = (5, 15)) ~duration
+    guarantee =
+  let params =
+    {
+      Params.default with
+      Params.num_secondaries = 2;
+      clients_per_secondary = clients;
+      think_time;
+      op_service_time = 1e-6;
+      propagation_delay = propagation;
+      warmup = 0.1;
+      duration;
+      tran_size_min = fst size;
+      tran_size_max = snd size;
+    }
+  in
+  Sim_system.config params guarantee ~seed:20060912
+
+let bench_shapes ~duration =
+  let think = Params.default.Params.think_time in
+  let bench_shape = bench_shape ~duration in
+  [
+    ( "open-weak",
+      {
+        (bench_shape ~clients:20_000 ~think_time:think ~propagation:1.0
+           Session.Weak)
+        with
+        Sim_system.client_mode =
+          Sim_system.Open_loop
+            { clients = 20_000; arrival = Sim_system.Poisson; session_pool = 0 };
+      } );
+    ( "closed-session",
+      bench_shape ~clients:5_000 ~think_time:think ~propagation:1.0
+        Session.Strong_session );
+    ( "verified-session",
+      {
+        (bench_shape ~clients:20_000 ~think_time:think ~propagation:0.5
+           ~size:(2, 6) Session.Strong_session)
+        with
+        Sim_system.client_mode =
+          Sim_system.Open_loop
+            { clients = 20_000; arrival = Sim_system.Poisson; session_pool = 4096 };
+        watchdog = true;
+        flight = Lsr_obs.Flight.create ();
+      } );
+  ]
+
+let fingerprint (o : Sim_system.outcome) =
+  Printf.sprintf "events=%d reads=%d updates=%d refresh=%d rt95=%h age95=%h util=%h"
+    o.Sim_system.sim_events o.Sim_system.reads_completed
+    o.Sim_system.updates_completed o.Sim_system.refresh_commits
+    o.Sim_system.read_rt_p95 o.Sim_system.read_age_p95
+    o.Sim_system.primary_utilization
+
+(* Recorded before the event engine's zero-delay lane, the lazy MVCC key
+   index and Printf-free key generation: a change that only speeds up the
+   simulator must leave every outcome bit-identical. The smoke runs end
+   before the first propagation cycle, so each shape is pinned a second
+   time over 2 virtual seconds, which also covers propagation and refresh. *)
+let expected_fingerprints =
+  [
+    ( "open-weak",
+      "events=62021 reads=1849 updates=421 refresh=0 rt95=0x1.f75104d554p-17 \
+       age95=0x1.eba5eb04dbdfdp-2 util=0x1.6798958d886dap-7" );
+    ( "closed-session",
+      "events=24134 reads=434 updates=98 refresh=0 rt95=0x1.f75104d518p-17 \
+       age95=0x1.ea1f9cbe4011ep-2 util=0x1.48ba83f4dad81p-9" );
+    ( "verified-session",
+      "events=27568 reads=1774 updates=421 refresh=0 rt95=0x1.92a737111p-18 \
+       age95=0x1.eba5cf66bcd03p-2 util=0x1.1dffc5478e0bcp-8" );
+    ( "open-weak@2s",
+      "events=269531 reads=8745 updates=2134 refresh=2278 \
+       rt95=0x1.f75104d554p-17 age95=0x1.e821f55cc3092p-1 \
+       util=0x1.737110e41c436p-7" );
+    ( "closed-session@2s",
+      "events=74751 reads=2167 updates=546 refresh=562 rt95=0x1.f75104d518p-17 \
+       age95=0x1.e975062a408c3p-1 util=0x1.7c2ca1487f86p-9" );
+    ( "verified-session@2s",
+      "events=129379 reads=8677 updates=2134 refresh=3344 \
+       rt95=0x1.92a737114p-18 age95=0x1.e77a44e2466f1p-2 \
+       util=0x1.28b6d86e94f2fp-8" );
+  ]
+
+let test_sim_outcome_pinned () =
+  Alcotest.(check (list (pair string string)))
+    "smoke-size outcomes" expected_fingerprints
+    (List.concat_map
+       (fun (suffix, duration) ->
+         List.map
+           (fun (name, cfg) -> (name ^ suffix, fingerprint (Sim_system.run cfg)))
+           (bench_shapes ~duration))
+       [ ("", 0.5); ("@2s", 2.0) ])
+
 let test_sim_serial_refresh_staler () =
   (* Serial refresh cannot be fresher than concurrent applicators. *)
   let conc = run ~seed:5 Session.Strong_session in
@@ -733,6 +829,8 @@ let () =
           Alcotest.test_case "strong read rt dominates" `Quick
             test_sim_strong_read_rt_dominates;
           Alcotest.test_case "deterministic" `Quick test_sim_deterministic;
+          Alcotest.test_case "bench shapes outcome pinned" `Quick
+            test_sim_outcome_pinned;
           Alcotest.test_case "serial refresh staler" `Slow
             test_sim_serial_refresh_staler;
           Alcotest.test_case "ship_aborted wastes work" `Quick

@@ -11,7 +11,7 @@ let check_bool = Alcotest.(check bool)
 (* --- Binheap ----------------------------------------------------------------- *)
 
 let test_binheap_basic () =
-  let h = Binheap.create ~cmp:Int.compare in
+  let h = Binheap.create ~cmp:Int.compare ~dummy:0 in
   check_bool "empty" true (Binheap.is_empty h);
   List.iter (Binheap.push h) [ 5; 1; 4; 1; 3 ];
   check_int "length" 5 (Binheap.length h);
@@ -21,12 +21,12 @@ let test_binheap_basic () =
   check_bool "empty again" true (Binheap.is_empty h)
 
 let test_binheap_pop_empty () =
-  let h = Binheap.create ~cmp:Int.compare in
+  let h = Binheap.create ~cmp:Int.compare ~dummy:0 in
   Alcotest.check_raises "pop empty" (Invalid_argument "Binheap.pop: empty heap")
     (fun () -> ignore (Binheap.pop h))
 
 let test_binheap_clear () =
-  let h = Binheap.create ~cmp:Int.compare in
+  let h = Binheap.create ~cmp:Int.compare ~dummy:0 in
   List.iter (Binheap.push h) [ 3; 2; 1 ];
   Binheap.clear h;
   check_bool "cleared" true (Binheap.is_empty h);
@@ -37,10 +37,36 @@ let prop_binheap_sorts =
   QCheck.Test.make ~name:"binheap drains in sorted order" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Binheap.create ~cmp:Int.compare in
+      let h = Binheap.create ~cmp:Int.compare ~dummy:0 in
       List.iter (Binheap.push h) xs;
       let drained = List.init (List.length xs) (fun _ -> Binheap.pop h) in
       drained = List.sort Int.compare xs)
+
+(* Popped elements must not stay reachable through the heap's array: its
+   vacated slots would otherwise pin every fired job and the continuation it
+   captures. *)
+let test_binheap_pop_releases () =
+  let h = Binheap.create ~cmp:(fun a b -> Int.compare !a !b) ~dummy:(ref 0) in
+  let weak = Weak.create 4 in
+  let fill () =
+    List.iteri
+      (fun i x ->
+        let r = ref x in
+        Weak.set weak i (Some r);
+        Binheap.push h r)
+      [ 3; 1; 4; 2 ]
+  in
+  fill ();
+  for _ = 1 to 4 do
+    ignore (Sys.opaque_identity (Binheap.pop h))
+  done;
+  Gc.full_major ();
+  for i = 0 to 3 do
+    check_bool (Printf.sprintf "element %d collected" i) false (Weak.check weak i)
+  done;
+  (* The heap itself must outlive the collection for the check to mean
+     anything. *)
+  check_int "heap still in use" 0 (Binheap.length h)
 
 (* --- Engine ------------------------------------------------------------------ *)
 
@@ -173,6 +199,115 @@ let test_engine_fifo_ties_with_cancel_and_until () =
   Engine.run eng;
   Alcotest.(check (list int))
     "survivors fire in scheduling order" [ 0; 2; 4 ] (List.rev !log)
+
+(* The engine against a reference model, a sorted list of (time, seq)
+   pairs. A schedule mixes zero delays (the FIFO lane), positive delays that
+   tie, and tiny delays with [now +. d = now] (heap events at the current
+   instant, competing with the lane). Event [i]'s action schedules
+   [children] and may cancel the event [back] ids before the newest one:
+   its own child, a pending sibling or one already fired. Between [run
+   ~until] chunks the test schedules more events from outside any action. *)
+let delay_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, return 0.);
+        (2, return 1e-18);
+        (3, map (fun k -> float_of_int k *. 0.5) (int_range 1 4));
+      ])
+
+let schedule_arb =
+  let open QCheck.Gen in
+  let behaviour = pair (list_size (int_bound 2) delay_gen) (opt (int_bound 3)) in
+  let chunk = pair (float_bound_inclusive 4.) (list_size (int_bound 3) delay_gen) in
+  QCheck.make
+    (triple
+       (list_size (int_range 1 6) delay_gen)
+       (array_size (int_bound 40) behaviour)
+       (list_size (int_bound 3) chunk))
+
+(* What one [run ?until] chunk left behind: fired ids in order, the clock,
+   pending events, events fired in total. *)
+type engine_view = { order : int list; clock : float; pending : int; fired : int }
+
+let behaviour_of behaviours id =
+  if id < Array.length behaviours then behaviours.(id) else ([], None)
+
+let model_run (initial, behaviours, chunks) =
+  let now = ref 0. and next = ref 0 and pending = ref [] and log = ref [] in
+  let schedule d =
+    pending := (!now +. d, !next) :: !pending;
+    incr next
+  in
+  let rec run ?(until = infinity) () =
+    match List.sort compare !pending with
+    | (time, id) :: rest when time <= until ->
+      pending := rest;
+      now := time;
+      log := id :: !log;
+      let children, back = behaviour_of behaviours id in
+      List.iter schedule children;
+      Option.iter
+        (fun b -> pending := List.filter (fun (_, j) -> j <> !next - 1 - b) !pending)
+        back;
+      run ~until ()
+    | _ -> if until < infinity then now := Float.max !now until
+  in
+  let view () =
+    { order = List.rev !log; clock = !now; pending = List.length !pending;
+      fired = List.length !log }
+  in
+  List.iter schedule initial;
+  let views =
+    List.map
+      (fun (until, outside) ->
+        run ~until ();
+        let v = view () in
+        List.iter schedule outside;
+        v)
+      chunks
+  in
+  run ();
+  views @ [ view () ]
+
+let engine_run (initial, behaviours, chunks) =
+  let eng = Engine.create () and handles = Hashtbl.create 64 in
+  let next = ref 0 and log = ref [] in
+  let rec schedule d =
+    let id = !next in
+    incr next;
+    Hashtbl.replace handles id
+      (Engine.schedule eng ~delay:d (fun () ->
+           log := id :: !log;
+           let children, back = behaviour_of behaviours id in
+           List.iter schedule children;
+           Option.iter
+             (fun b ->
+               Option.iter (Engine.cancel eng) (Hashtbl.find_opt handles (!next - 1 - b)))
+             back))
+  in
+  let view () =
+    { order = List.rev !log; clock = Engine.now eng; pending = Engine.pending eng;
+      fired = Engine.events_processed eng }
+  in
+  List.iter schedule initial;
+  let views =
+    List.map
+      (fun (until, outside) ->
+        Engine.run ~until eng;
+        let v = view () in
+        List.iter schedule outside;
+        v)
+      chunks
+  in
+  Engine.run eng;
+  views @ [ view () ]
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~name:"engine fires in (time, seq) order" ~count:500
+    schedule_arb (fun (initial, behaviours, chunks) ->
+      let chunks = List.sort (fun (a, _) (b, _) -> Float.compare a b) chunks in
+      model_run (initial, behaviours, chunks) = engine_run (initial, behaviours, chunks))
 
 (* --- Process ------------------------------------------------------------------ *)
 
@@ -925,6 +1060,8 @@ let () =
           Alcotest.test_case "push/pop sorted" `Quick test_binheap_basic;
           Alcotest.test_case "pop empty raises" `Quick test_binheap_pop_empty;
           Alcotest.test_case "clear" `Quick test_binheap_clear;
+          Alcotest.test_case "pop releases elements" `Quick
+            test_binheap_pop_releases;
         ]
         @ qsuite [ prop_binheap_sorts ] );
       ( "engine",
@@ -945,7 +1082,8 @@ let () =
             test_engine_fifo_ties_with_cancel_and_until;
           Alcotest.test_case "200k-event heap budget" `Slow
             test_engine_heap_budget;
-        ] );
+        ]
+        @ qsuite [ prop_engine_matches_model ] );
       ( "process",
         [
           Alcotest.test_case "delay" `Quick test_process_delay;

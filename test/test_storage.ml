@@ -270,6 +270,88 @@ let test_last_write_wins_within_txn () =
   let fresh = Mvcc.begin_txn db in
   check_str_opt "last write wins" (Some "second") (Mvcc.read db fresh "x")
 
+let updates = Alcotest.(list (pair string (option string)))
+let as_pairs = List.map (fun { Wal.key; value } -> (key, value))
+
+(* Without a repeated key the buffered writes are the updates, in write
+   order; asking for them mid-transaction must not freeze them. *)
+let test_pending_writes_distinct_keys () =
+  let db = Mvcc.create () in
+  seed db [ ("z", "old") ];
+  let txn = Mvcc.begin_txn db in
+  check_str_opt "no writes yet: snapshot" (Some "old") (Mvcc.read db txn "z");
+  Alcotest.check updates "nothing pending" [] (as_pairs (Mvcc.pending_writes txn));
+  put db txn "b" "1";
+  put db txn "a" "2";
+  Alcotest.check updates "pending so far"
+    [ ("b", Some "1"); ("a", Some "2") ]
+    (as_pairs (Mvcc.pending_writes txn));
+  Mvcc.write db txn "z" None;
+  check_str_opt "own write" (Some "2") (Mvcc.read db txn "a");
+  check_str_opt "own delete" None (Mvcc.read db txn "z");
+  check_str_opt "unwritten key" None (Mvcc.read db txn "c");
+  let expected = [ ("b", Some "1"); ("a", Some "2"); ("z", None) ] in
+  Alcotest.check updates "write order" expected (as_pairs (Mvcc.pending_writes txn));
+  Alcotest.(check (list string)) "written keys" [ "b"; "a"; "z" ]
+    (Mvcc.written_keys txn);
+  ignore (commit_exn db txn);
+  Alcotest.check updates "installed as pending" expected
+    (as_pairs (snd (List.nth (Mvcc.commits_with_updates db) 1)));
+  Alcotest.check updates "pending after commit" expected
+    (as_pairs (Mvcc.pending_writes txn))
+
+(* With repeats: one update per key, first-write position, last value. *)
+let test_pending_writes_repeated_keys () =
+  let db = Mvcc.create () in
+  let txn = Mvcc.begin_txn db in
+  put db txn "a" "1";
+  put db txn "b" "2";
+  Alcotest.check updates "before the repeat"
+    [ ("a", Some "1"); ("b", Some "2") ]
+    (as_pairs (Mvcc.pending_writes txn));
+  put db txn "a" "3";
+  put db txn "c" "4";
+  Mvcc.write db txn "b" None;
+  check_str_opt "latest own value" (Some "3") (Mvcc.read db txn "a");
+  check_str_opt "own delete after write" None (Mvcc.read db txn "b");
+  let expected = [ ("a", Some "3"); ("b", None); ("c", Some "4") ] in
+  Alcotest.check updates "squashed" expected (as_pairs (Mvcc.pending_writes txn));
+  Alcotest.(check (list string)) "written keys" [ "a"; "b"; "c" ]
+    (Mvcc.written_keys txn);
+  ignore (commit_exn db txn);
+  Alcotest.check updates "installed squashed" expected
+    (as_pairs (snd (List.hd (Mvcc.commits_with_updates db))));
+  Alcotest.(check (list (pair string string)))
+    "committed" [ ("a", "3"); ("c", "4") ] (Mvcc.committed_state db)
+
+(* The ordered key index is built lazily from the keys installed since the
+   last scan; scans interleaved with installs must still see every key. *)
+let steps_arb =
+  let open QCheck.Gen in
+  let key = string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 1 3) in
+  QCheck.make (list_size (int_bound 30) (pair (list_size (int_bound 5) key) key))
+
+let prop_key_index_lazy =
+  QCheck.Test.make ~name:"lazy key index agrees with sorted reference" ~count:300
+    steps_arb
+    (fun steps ->
+      let db = Mvcc.create () in
+      let written = ref [] in
+      List.for_all
+        (fun (install, probe) ->
+          if install <> [] then begin
+            seed db (List.map (fun k -> (k, "v")) install);
+            written := install @ !written
+          end;
+          let reference = List.sort_uniq String.compare !written in
+          let from = List.of_seq (Mvcc.keys_from db probe) in
+          let prefixed =
+            List.rev (Mvcc.fold_keys db ~prefix:probe ~init:[] ~f:(fun acc k -> k :: acc))
+          in
+          from = List.filter (fun k -> String.compare k probe >= 0) reference
+          && prefixed = List.filter (String.starts_with ~prefix:probe) reference)
+        steps)
+
 (* --- Mvcc: state reconstruction --------------------------------------------------- *)
 
 let test_state_sequence () =
@@ -1039,6 +1121,10 @@ let () =
             test_end_read_creates_no_state;
           Alcotest.test_case "last write wins in txn" `Quick
             test_last_write_wins_within_txn;
+          Alcotest.test_case "pending writes, distinct keys" `Quick
+            test_pending_writes_distinct_keys;
+          Alcotest.test_case "pending writes, repeated keys" `Quick
+            test_pending_writes_repeated_keys;
         ] );
       ( "mvcc-states",
         [
@@ -1057,6 +1143,7 @@ let () =
               prop_snapshot_stability;
               prop_state_replay;
               prop_nth_state_prefix_monotone;
+              prop_key_index_lazy;
             ] );
       ( "time-travel",
         [

@@ -150,6 +150,20 @@ let prop_generate_wellformed =
       if Txn_gen.is_update spec then Txn_gen.write_count spec >= 1
       else Txn_gen.write_count spec = 0)
 
+(* Key names are the bytes [Printf.sprintf "item:%06d"] gives, for every
+   int: padding boundaries, signs and both extremes, then random ints. *)
+let key_name_matches i = Txn_gen.key_name i = Printf.sprintf "item:%06d" i
+
+let test_key_name_edges () =
+  List.iter
+    (fun i -> check_bool (string_of_int i) true (key_name_matches i))
+    [ 0; 1; 9; 10; 99_999; 100_000; 999_999; 1_000_000; 123_456_789; -1; -9;
+      -10; -9_999; -99_999; -100_000; -1_000_000; max_int; min_int ]
+
+let prop_key_name_printf =
+  QCheck.Test.make ~name:"key_name agrees with Printf" ~count:2000 QCheck.int
+    key_name_matches
+
 let () =
   Alcotest.run "lsr_workload"
     [
@@ -178,5 +192,7 @@ let () =
             test_key_skew_concentrates;
           Alcotest.test_case "deterministic" `Quick test_determinism;
           QCheck_alcotest.to_alcotest prop_generate_wellformed;
+          Alcotest.test_case "key names at the edges" `Quick test_key_name_edges;
+          QCheck_alcotest.to_alcotest prop_key_name_printf;
         ] );
     ]
