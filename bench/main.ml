@@ -176,26 +176,6 @@ let run_smoke ~seed ~obs ~lineage ~monitor ~watchdog ~flight ~on_outcome =
       v.Lsr_core.Watchdog.read_mismatches v.Lsr_core.Watchdog.fence_failures
       o.Sim_system.watchdog_peak_state
 
-(* --- Simulator scaling bench (BENCH_7.json) --------------------------------- *)
-
-(* The per-PR perf trajectory: paired open-loop vs closed-loop runs at equal
-   offered load plus a million-client showcase with the full checker
-   battery. Writes the machine-readable report to --bench-out and validates
-   it against the schema the tier-2 smoke test enforces. *)
-let run_perf ~quick ~seed ~verbose ~bench_out =
-  let progress =
-    if verbose then fun msg -> Printf.eprintf "  [perf] %s\n%!" msg else ignore
-  in
-  let report = Perf_bench.run ~progress ~quick ~seed () in
-  Perf_bench.print report;
-  Perf_bench.write report ~file:bench_out;
-  let text = In_channel.with_open_bin bench_out In_channel.input_all in
-  match Result.bind (Obs_json.parse text) Perf_bench.validate with
-  | Ok () -> Printf.printf "(perf report written to %s)\n%!" bench_out
-  | Error e ->
-    Printf.eprintf "internal error: %s fails its own schema: %s\n%!" bench_out e;
-    exit 2
-
 (* --- Static SI-anomaly analysis -------------------------------------------- *)
 
 (* Summarizes the static analyzer's verdict on every built-in template
@@ -585,15 +565,7 @@ let extra_targets =
   [
     "ablate-contention"; "fig-staleness"; "fig-utilization"; "fig-fence";
     "fig-plan"; "fig-watchdog"; "fig-flight"; "faults"; "smoke"; "analyze";
-    "perf";
   ]
-
-let bench_out_arg =
-  let doc =
-    "Where the $(b,perf) target writes its machine-readable report \
-     (BENCH_10.json schema)."
-  in
-  Arg.(value & opt string "BENCH_10.json" & info [ "bench-out" ] ~docv:"FILE" ~doc)
 
 let targets_arg =
   let doc =
@@ -602,7 +574,8 @@ let targets_arg =
      ablate-delay, micro or all (default). Extension studies (excluded \
      from all): ablate-contention, fig-staleness, fig-utilization, \
      fig-fence, fig-plan, fig-watchdog, fig-flight, faults, smoke, \
-     analyze, perf."
+     analyze. Host-time measurement lives in $(b,lsrbench) \
+     (bench/suite)."
   in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"TARGET" ~doc)
 
@@ -626,7 +599,7 @@ let export what write file =
     exit 2
 
 let main quick seed csv verbose trace metrics lineage_file lag_report timeseries
-    bottleneck watchdog_file flight_file bench_out targets =
+    bottleneck watchdog_file flight_file targets =
   let wanted = List.concat_map expand targets in
   let unknown =
     List.filter
@@ -704,7 +677,6 @@ let main quick seed csv verbose trace metrics lineage_file lag_report timeseries
     if List.mem "smoke" wanted then
       run_smoke ~seed ~obs ~lineage ~monitor ~watchdog ~flight ~on_outcome;
     if List.mem "analyze" wanted then run_analysis ~csv;
-    if List.mem "perf" wanted then run_perf ~quick ~seed ~verbose ~bench_out;
     if List.mem "micro" wanted then run_micro ();
     Option.iter
       (fun file ->
@@ -779,7 +751,6 @@ let cmd =
       ret
         (const main $ quick_arg $ seed_arg $ csv_arg $ verbose_arg $ trace_arg
        $ metrics_arg $ lineage_arg $ lag_report_arg $ timeseries_arg
-       $ bottleneck_arg $ watchdog_arg $ flight_arg $ bench_out_arg
-       $ targets_arg))
+       $ bottleneck_arg $ watchdog_arg $ flight_arg $ targets_arg))
 
 let () = exit (Cmd.eval cmd)

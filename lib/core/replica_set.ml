@@ -37,10 +37,9 @@ let create ?now ~ship_aborted ~sinks ~record_history ~watchdog ~sites
   let now =
     match now with
     | Some f ->
-      (* A new run: commit timestamps and txn ids restart, so the sinks'
+      (* A new run: commit timestamps and txn ids restart, so the recorder's
          commit bookkeeping restarts too. *)
       Lineage.set_clock sinks.Sinks.lineage f;
-      Lineage.new_epoch sinks.lineage;
       Flight.new_epoch sinks.flight;
       f
     | None -> fun () -> float_of_int (History.now history)
@@ -99,6 +98,11 @@ let secondary ?(on_refresh_commit = ignore) ?backup t i =
   let name = site_name i in
   let on_refresh_commit ts =
     on_refresh_commit ts;
+    (if Lineage.enabled t.sinks.lineage then
+       match Session.clock_time_of t.clock ts with
+       | Some committed_at ->
+         Lineage.sample_lag t.sinks.lineage ~site:name (t.now () -. committed_at)
+       | None -> ());
     note_refresh t i ts
   in
   match backup with
@@ -179,8 +183,11 @@ let finish_update t u ~session ~reads (outcome : _ Primary.outcome) =
     end
 
 let begin_read ?fence t ~session ~site ~snapshot =
-  if Lineage.enabled t.sinks.lineage then
-    Lineage.sample_read t.sinks.lineage ~site ~snapshot;
+  if Lineage.enabled t.sinks.lineage then begin
+    let at = t.now () in
+    let age, missed = Session.clock_freshness t.clock ~snapshot ~now:at in
+    Lineage.sample_read t.sinks.lineage ~site ~at ~age ~missed
+  end;
   Session.note_read ?fence t.sessions ~label:session ~snapshot;
   if not t.tracking then untracked
   else

@@ -24,9 +24,10 @@ type t
 
 (** [create ~sinks ~record_history ~watchdog ~sites guarantee] is the core
     of a system with [sites] secondaries. [now] is the simulator's virtual
-    clock: the lineage sink and flight recorder are bound to it and start a
-    new epoch. Without it the time axis is the history event counter, so
-    [Max_age] fences count history events. [record_history] keeps every
+    clock: the lineage sink and flight recorder are bound to it, and the
+    recorder starts a new epoch. Without it the time axis is the history
+    event counter, so [Max_age] fences, lineage freshness samples and
+    refresh lags count history events. [record_history] keeps every
     finished transaction; [watchdog] attaches an online checker whose first
     alert triggers the flight recorder's capture. *)
 val create :
@@ -61,8 +62,9 @@ val first_alert : t -> Watchdog.alert option
 
 (** [secondary t i] is a fresh secondary ["secondary-<i>"] on the core's
     sinks, restored from [backup] when given. Each refresh commit calls
-    [on_refresh_commit], then advances the watchdog's horizon for the
-    site. *)
+    [on_refresh_commit], records the commit's refresh lag on the lineage
+    sink when one is attached, then advances the watchdog's horizon for
+    the site. *)
 val secondary :
   ?on_refresh_commit:(Timestamp.t -> unit) -> ?backup:string -> t -> int ->
   Secondary.t
@@ -89,7 +91,8 @@ val finish_update :
 
 (** A read-only transaction of [session] starts at [site] with [snapshot],
     its seq(DBsec); the session's read floor rises as the guarantee and
-    fence require. *)
+    fence require. With a lineage sink attached, the snapshot's freshness
+    on the commit clock is sampled. *)
 val begin_read :
   ?fence:Session.fence -> t -> session:string -> site:string ->
   snapshot:Timestamp.t -> txn

@@ -213,7 +213,9 @@ let update t client ?force_abort body =
     Lsr_obs.Obs.incr t.c_aborts;
     Error reason
 
-let run_read ?fence t client s body =
+(* [required] is the seq floor the read was held to; the flight recorder
+   notes it as the read's fence claim (-1 when unfenced). *)
+let run_read ?fence t client s ~required body =
   Lsr_obs.Obs.incr t.c_reads;
   let db = Secondary.db s.site in
   let site = Secondary.name s.site in
@@ -225,13 +227,7 @@ let run_read ?fence t client s body =
   let h = Handle.make ~schema:t.schema db mvcc_txn in
   let value = body h in
   Mvcc.end_read db mvcc_txn;
-  let fence_seq =
-    match fence with
-    | None -> -1
-    | Some f ->
-      Session.fence_threshold (sessions t) ~clock:(commit_clock t) ~now:read_at
-        ~label:session f
-  in
+  let fence_seq = match fence with None -> -1 | Some _ -> required in
   Replica_set.finish_read ?fence t.core txn ~session ~site ~snapshot ~read_at
     ~fence_seq ~reads:(Handle.reads h);
   value
@@ -278,18 +274,18 @@ let read ?fence t client body =
              pumps = !pumps;
            })
   end;
-  run_read ?fence t client s body
+  run_read ?fence t client s ~required body
 
 let read_nowait ?fence t client body =
   (* A crashed target is "cannot serve this read now" — the [None] case of
      the contract, not an exception. *)
   let s = slot t client.secondary in
   if s.crashed then None
-  else if
-    Timestamp.compare (required_for ?fence t client) (Secondary.seq_dbsec s.site)
-    <= 0
-  then Some (run_read ?fence t client s body)
-  else None
+  else
+    let required = required_for ?fence t client in
+    if Timestamp.compare required (Secondary.seq_dbsec s.site) <= 0 then
+      Some (run_read ?fence t client s ~required body)
+    else None
 
 (* --- Failures -------------------------------------------------------------- *)
 

@@ -25,10 +25,6 @@ type t = {
   mutable clock : (unit -> float) option;
   mutable events : event list; (* newest first *)
   mutable n_events : int;
-  mutable n_commits : int;
-  commit_ord : (int, int) Hashtbl.t; (* commit_ts -> 1-based commit ordinal *)
-  commit_time : (int, float) Hashtbl.t; (* commit_ts -> primary commit time *)
-  txn_commit_time : (int, float) Hashtbl.t; (* txn -> primary commit time *)
   fresh_by_site : (string, freshness list ref) Hashtbl.t; (* newest first *)
   lags_by_site : (string, float list ref) Hashtbl.t; (* newest first *)
 }
@@ -39,10 +35,6 @@ let make ~live =
     clock = None;
     events = [];
     n_events = 0;
-    n_commits = 0;
-    commit_ord = Hashtbl.create 64;
-    commit_time = Hashtbl.create 64;
-    txn_commit_time = Hashtbl.create 64;
     fresh_by_site = Hashtbl.create 8;
     lags_by_site = Hashtbl.create 8;
   }
@@ -52,78 +44,36 @@ let create () = make ~live:true
 let enabled t = t.live
 let set_clock t f = if t.live then t.clock <- Some f
 
-(* Commit timestamps and txn ids restart with every simulation run sharing
-   this sink, so the freshness bookkeeping must restart too; the recorded
-   events and samples stay. *)
-let new_epoch t =
-  if t.live then begin
-    t.n_commits <- 0;
-    Hashtbl.reset t.commit_ord;
-    Hashtbl.reset t.commit_time;
-    Hashtbl.reset t.txn_commit_time
-  end
-
 (* With no clock bound, events are stamped with their own ordinal: strictly
    increasing, so journeys stay monotone even outside the simulator. *)
 let now t =
   match t.clock with Some f -> f () | None -> float_of_int t.n_events
 
-let samples tbl site =
+let push tbl site x =
   match Hashtbl.find_opt tbl site with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.add tbl site r;
-    r
+  | Some r -> r := x :: !r
+  | None -> Hashtbl.add tbl site (ref [ x ])
 
 let emit t ?site ~txn stage =
   if t.live then begin
-    let time = now t in
-    (match stage with
-    | Primary_commit { commit_ts; _ } ->
-      if not (Hashtbl.mem t.commit_ord commit_ts) then begin
-        t.n_commits <- t.n_commits + 1;
-        Hashtbl.add t.commit_ord commit_ts t.n_commits;
-        Hashtbl.add t.commit_time commit_ts time
-      end;
-      Hashtbl.replace t.txn_commit_time txn time
-    | Refresh_committed _ -> (
-      match (site, Hashtbl.find_opt t.txn_commit_time txn) with
-      | Some s, Some t0 ->
-        let r = samples t.lags_by_site s in
-        r := (time -. t0) :: !r
-      | _ -> ())
-    | _ -> ());
-    t.events <- { seq = t.n_events; time; txn; site; stage } :: t.events;
+    t.events <- { seq = t.n_events; time = now t; txn; site; stage } :: t.events;
     t.n_events <- t.n_events + 1
   end
 
-let sample_read t ~site ~snapshot =
-  if t.live then begin
-    let at = now t in
-    let reflected =
-      if snapshot <= 0 then 0
-      else
-        match Hashtbl.find_opt t.commit_ord snapshot with
-        | Some ord -> ord
-        | None -> 0
-    in
-    let missed = t.n_commits - reflected in
-    let age =
-      if missed = 0 then 0.
-      else
-        match Hashtbl.find_opt t.commit_time snapshot with
-        | Some t0 -> at -. t0
-        | None -> at
-    in
-    let r = samples t.fresh_by_site site in
-    r := { at; age; missed } :: !r
-  end
+let sample_read t ~site ~at ~age ~missed =
+  if t.live then push t.fresh_by_site site { at; age; missed }
+
+let sample_lag t ~site lag = if t.live then push t.lags_by_site site lag
 
 (* --- Accessors ---------------------------------------------------------- *)
 
 let event_count t = t.n_events
-let commit_count t = t.n_commits
+
+let commit_count t =
+  List.fold_left
+    (fun n ev -> match ev.stage with Primary_commit _ -> n + 1 | _ -> n)
+    0 t.events
+
 let events t = List.rev t.events
 
 let txns t =
@@ -238,7 +188,7 @@ let to_json t =
   in
   Json.Obj
     [
-      ("commits", num t.n_commits);
+      ("commits", num (commit_count t));
       ("events", num t.n_events);
       ("txns", Json.Arr (List.map txn_json (txns t)));
       ("sites", Json.Arr (List.map site_json (sites t)));

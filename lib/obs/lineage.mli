@@ -37,14 +37,6 @@ val enabled : t -> bool
     with their own ordinal — still strictly monotone in emission order. *)
 val set_clock : t -> (unit -> float) -> unit
 
-(** [new_epoch t] resets the commit bookkeeping (commit ordinals and times)
-    while keeping every recorded event and sample. One sink may span
-    several simulation runs (a sweep, the fault scenarios); each run is a
-    fresh epoch — primary commit timestamps and MVCC txn ids restart per
-    run, so freshness accounting must too. [Sim_system.run] calls this at
-    start; events and samples keep accumulating across epochs. *)
-val new_epoch : t -> unit
-
 (** {2 Recording} *)
 
 (** One pipeline stage of a transaction's journey. Channel stages identify
@@ -72,13 +64,13 @@ type event = {
   stage : stage;
 }
 
-(** [emit t ~txn stage] appends one event. [Primary_commit] additionally
-    registers the commit for freshness accounting; [Refresh_committed]
-    records the propagation lag (refresh commit time minus primary commit
-    time) for [site]. *)
+(** [emit t ~txn stage] appends one event. *)
 val emit : t -> ?site:string -> txn:int -> stage -> unit
 
-(** One read-only transaction's staleness measurement at a secondary. *)
+(** One read-only transaction's staleness measurement at a secondary. The
+    sink does not compute it: the replica-set core derives it from the
+    primary commit clock ([Session.clock_freshness]), so samples share the
+    time axis of [Max_age] fences. *)
 type freshness = {
   at : float;  (** when the read snapshot was taken *)
   age : float;
@@ -88,16 +80,19 @@ type freshness = {
       (** committed-but-unapplied primary transactions at sample time *)
 }
 
-(** [sample_read t ~site ~snapshot] records a freshness sample for a
-    read-only transaction whose snapshot reflects primary commits up to
-    timestamp [snapshot] (the site's seq(DBsec)). *)
-val sample_read : t -> site:string -> snapshot:int -> unit
+(** [sample_read t ~site ~at ~age ~missed] records one freshness sample
+    for a read-only transaction at [site]. *)
+val sample_read : t -> site:string -> at:float -> age:float -> missed:int -> unit
+
+(** [sample_lag t ~site lag] records one propagation lag at [site]: refresh
+    commit time minus primary commit time, on the commit clock's axis. *)
+val sample_lag : t -> site:string -> float -> unit
 
 (** {2 Accessors} *)
 
 val event_count : t -> int
 
-(** Distinct primary commits registered so far. *)
+(** [Primary_commit] events recorded so far, over every run on the sink. *)
 val commit_count : t -> int
 
 (** All events, in emission order. *)
@@ -115,8 +110,8 @@ val sites : t -> string list
 
 val freshness_samples : t -> site:string -> freshness list
 
-(** Propagation lags (refresh commit − primary commit, seconds of virtual
-    time) observed at [site], in commit order. *)
+(** Propagation lags (refresh commit − primary commit) observed at [site],
+    in refresh-commit order. *)
 val refresh_lags : t -> site:string -> float list
 
 (** {2 Rendering and export} *)

@@ -450,8 +450,7 @@ let test_sim_obs_counters_track_outcome () =
   check_int "fcw aborts agree (uniform keys: none)" o.Sim_system.fcw_aborts
     (count "client.fcw_aborts")
 
-let lineage_run ~seed =
-  let lineage = Lsr_obs.Lineage.create () in
+let lineage_run ?(lineage = Lsr_obs.Lineage.create ()) ~seed () =
   let o =
     Sim_system.run
       {
@@ -466,7 +465,7 @@ let test_sim_lineage_does_not_perturb () =
   (* Attaching a lineage sink must not change the run: same seed with and
      without the sink produces the same outcome and a clean checked
      history either way. *)
-  let traced, lineage = lineage_run ~seed:11 in
+  let traced, lineage = lineage_run ~seed:11 () in
   let blind = run ~record:true Session.Strong_session in
   check_bool "identical outcome with lineage attached" true
     (traced.Sim_system.throughput_fast = blind.Sim_system.throughput_fast
@@ -485,9 +484,9 @@ let test_sim_lineage_does_not_perturb () =
 let test_sim_lineage_exports_deterministic () =
   (* Same seed, fresh sinks: the lineage export and the lag report derived
      from it are byte-identical; a different seed diverges. *)
-  let _, a = lineage_run ~seed:11 in
-  let _, b = lineage_run ~seed:11 in
-  let _, c = lineage_run ~seed:12 in
+  let _, a = lineage_run ~seed:11 () in
+  let _, b = lineage_run ~seed:11 () in
+  let _, c = lineage_run ~seed:12 () in
   Alcotest.(check string)
     "lineage bytes identical" (Lsr_obs.Lineage.json a)
     (Lsr_obs.Lineage.json b);
@@ -498,8 +497,41 @@ let test_sim_lineage_exports_deterministic () =
   check_bool "different seed, different lineage" true
     (Lsr_obs.Lineage.json a <> Lsr_obs.Lineage.json c)
 
+let test_sim_lineage_sink_spans_runs () =
+  (* One sink may span several runs (a sweep, the fault scenarios). Each run
+     measures freshness and lag on its own commit clock, so run 2's samples
+     equal what run 2 records on a fresh sink: nothing leaks from run 1. *)
+  let module L = Lsr_obs.Lineage in
+  let shared = L.create () in
+  ignore (lineage_run ~lineage:shared ~seed:11 ());
+  let sites = L.sites shared in
+  let seen =
+    List.map
+      (fun site ->
+        ( List.length (L.freshness_samples shared ~site),
+          List.length (L.refresh_lags shared ~site) ))
+      sites
+  in
+  ignore (lineage_run ~lineage:shared ~seed:12 ());
+  let _, fresh = lineage_run ~seed:12 () in
+  let drop n l = List.filteri (fun i _ -> i >= n) l in
+  Alcotest.(check (list string)) "same sites" sites (L.sites fresh);
+  List.iter2
+    (fun site (n_fresh, n_lags) ->
+      let run2 = drop n_fresh (L.freshness_samples shared ~site) in
+      check_bool (site ^ ": run 2 sampled reads") true (run2 <> []);
+      check_bool
+        (site ^ ": run 2 freshness equals a fresh sink's")
+        true
+        (run2 = L.freshness_samples fresh ~site);
+      check_bool
+        (site ^ ": run 2 lags equal a fresh sink's")
+        true
+        (drop n_lags (L.refresh_lags shared ~site) = L.refresh_lags fresh ~site))
+    sites seen
+
 let test_lag_report_rows () =
-  let _, lineage = lineage_run ~seed:11 in
+  let _, lineage = lineage_run ~seed:11 () in
   let rows = Lag_report.of_lineage lineage in
   check_int "one row per secondary" 2 (List.length rows);
   check_bool "rows sorted by site" true
@@ -528,11 +560,9 @@ let test_lag_report_empty_site () =
      quantiles for the empty section, "-" cells in the table, and
      null-free JSON. *)
   let lineage = Lsr_obs.Lineage.create () in
-  Lsr_obs.Lineage.sample_read lineage ~site:"readersite" ~snapshot:0;
-  Lsr_obs.Lineage.emit lineage ~txn:1
-    (Lsr_obs.Lineage.Primary_commit { commit_ts = 1; updates = 1 });
-  Lsr_obs.Lineage.emit lineage ~site:"refreshsite" ~txn:1
-    (Lsr_obs.Lineage.Refresh_committed { commit_ts = 1 });
+  Lsr_obs.Lineage.sample_read lineage ~site:"readersite" ~at:0. ~age:0.
+    ~missed:0;
+  Lsr_obs.Lineage.sample_lag lineage ~site:"refreshsite" 1.;
   let rows = Lag_report.of_lineage lineage in
   check_int "two rows" 2 (List.length rows);
   let finite r =
@@ -862,6 +892,8 @@ let () =
             test_sim_lineage_does_not_perturb;
           Alcotest.test_case "lineage exports byte-deterministic" `Quick
             test_sim_lineage_exports_deterministic;
+          Alcotest.test_case "lineage sink spans runs" `Quick
+            test_sim_lineage_sink_spans_runs;
           Alcotest.test_case "lag report rows" `Quick test_lag_report_rows;
           Alcotest.test_case "lag report empty site" `Quick
             test_lag_report_empty_site;

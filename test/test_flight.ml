@@ -306,6 +306,36 @@ let test_embedded_channel_faults () =
          match e.Flight.ev with Flight.Chan_fault _ -> true | _ -> false)
        b.Flight.window)
 
+let test_embedded_read_floor () =
+  (* A read's flight event records the seq floor it was held to: a
+     strong-session read carrying the weaker fence [Exact 1] is held to its
+     session's own seq(c), which is what the bundle must show. *)
+  let flight = Flight.create () in
+  let sys =
+    System.create ~secondaries:1 ~flight ~guarantee:Session.Strong_session ()
+  in
+  let c = System.connect sys "c0" in
+  for i = 1 to 6 do
+    match
+      System.update sys c (fun h -> Handle.put h (Printf.sprintf "k%d" i) "v")
+    with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update aborted"
+  done;
+  let floor = Session.seq (System.sessions sys) "c0" in
+  check_bool "the session floor is above the fence" true (floor > 1);
+  ignore (System.read ~fence:(Session.Exact 1) sys c (fun h -> Handle.get h "k1"));
+  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj []) ()) in
+  let fences =
+    Array.to_list b.Flight.window
+    |> List.filter_map (fun e ->
+           match e.Flight.ev with
+           | Flight.Read { fence; _ } -> Some fence
+           | _ -> None)
+  in
+  Alcotest.(check (list int)) "read event carries the session floor" [ floor ]
+    fences
+
 let () =
   Alcotest.run "lsr_flight"
     [
@@ -332,5 +362,7 @@ let () =
         [
           Alcotest.test_case "channel faults recorded" `Quick
             test_embedded_channel_faults;
+          Alcotest.test_case "read records its seq floor" `Quick
+            test_embedded_read_floor;
         ] );
     ]

@@ -1,9 +1,8 @@
 (* The open-loop aggregated client model (PR 6): statistical equivalence
    against the paper's closed-loop model at matched offered load, arrival-
    process sanity, bitwise determinism, a hundred-thousand-client run with
-   the full checker battery, the BENCH_10.json schema contract, the
-   Session_seq fence / strong-session-SI equivalence (PR 7), and the online
-   watchdog's bounded-memory scale contract (PR 9). *)
+   the full checker battery, the Session_seq fence / strong-session-SI
+   equivalence, and the online watchdog's bounded-memory scale contract. *)
 
 open Lsr_core
 open Lsr_experiments
@@ -194,7 +193,7 @@ let test_determinism () =
   check_bool "different seed, different outcome" true
     (scrub (run 5) <> scrub (run 6))
 
-(* The runtest-sized version of the BENCH_10 watchdog showcase: 100k modeled
+(* The runtest-sized version of the watchdog showcase: 100k modeled
    clients, history recording OFF, the online watchdog alone verifying the
    guarantee — in state bounded by the active visibility window, not the
    run length. *)
@@ -253,9 +252,9 @@ let test_watchdog_bounded_at_scale () =
     | _ -> Alcotest.fail "watchdog report missing retirement fields")
 
 let test_hundred_thousand_clients () =
-  (* A runtest-sized version of the perf-bench showcase: 100k modeled
-     clients across two sites, history recording on, full checker battery
-     at the end. The committed BENCH_10.json covers the 10^6 point. *)
+  (* A runtest-sized showcase: 100k modeled clients across two sites,
+     history recording on, full checker battery at the end. lsrbench's
+     verified-session workload (bench/suite) gates the 10^6 point. *)
   let params =
     {
       Params.default with
@@ -288,160 +287,6 @@ let test_hundred_thousand_clients () =
     true (txns > 10_000);
   check_bool "checker really ran" true (o.Sim_system.checker_cpu_s >= 0.)
 
-(* --- BENCH_10.json schema ----------------------------------------------------- *)
-
-let synthetic_phase label =
-  {
-    Perf_bench.label;
-    cpu_s = 1.5;
-    sim_events = 1000;
-    events_per_s = 666.7;
-    txns = 100;
-    txns_per_s = 66.7;
-    peak_rss_kb = 4096;
-    checker_cpu_s = 0.1;
-    check_errors = 0;
-    watchdog_alerts = 0;
-    watchdog_peak_state = 0;
-    flight_events = 0;
-    flight_bytes = 0;
-  }
-
-let synthetic_report =
-  {
-    Perf_bench.seed = 1;
-    quick = true;
-    sites = 2;
-    pair_clients_per_site = 10;
-    offered_per_site = 1.4;
-    virtual_s = 12.;
-    open_loop = synthetic_phase "open-loop";
-    closed_loop = synthetic_phase "closed-loop";
-    speedup_events_per_s = 1.0;
-    showcase_clients = 20;
-    showcase = synthetic_phase "showcase";
-    showcase_plain = synthetic_phase "showcase-plain";
-    showcase_watchdog = synthetic_phase "showcase-watchdog";
-    watchdog_overhead_frac = 0.05;
-    showcase_flight = synthetic_phase "showcase-flight";
-    recorder_overhead_frac = 0.02;
-  }
-
-let test_bench_schema_roundtrip () =
-  let text = Json.to_string (Perf_bench.to_json synthetic_report) in
-  match Json.parse text with
-  | Error e -> Alcotest.failf "emitted report does not re-parse: %s" e
-  | Ok j -> (
-    match Perf_bench.validate j with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "emitted report fails its own schema: %s" e)
-
-let test_bench_schema_rejects () =
-  let strip field = function
-    | Json.Obj fields -> Json.Obj (List.remove_assoc field fields)
-    | j -> j
-  in
-  let j = Perf_bench.to_json synthetic_report in
-  List.iter
-    (fun field ->
-      match Perf_bench.validate (strip field j) with
-      | Error _ -> ()
-      | Ok () -> Alcotest.failf "schema accepted a report without %S" field)
-    [
-      "bench"; "seed"; "open_loop"; "speedup_events_per_s"; "showcase";
-      "showcase_watchdog"; "watchdog_overhead_frac"; "showcase_flight";
-      "recorder_overhead_frac";
-    ];
-  match Perf_bench.validate (Json.Str "nope") with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "schema accepted a non-object"
-
-let test_committed_bench_report () =
-  (* The committed perf trajectory: full-scale (not quick), the open-loop
-     model well ahead of the closed-loop events/s at equal offered load, the
-     showcase at >= 10^6 modeled clients with a clean checker battery.
-
-     Floor history: BENCH_6/BENCH_7 asserted >= 5x, measured in one process
-     where the closed-loop phase inherited the open-loop phase's heap. Since
-     BENCH_9 each phase runs in its own forked child (best-of-N reps,
-     per-phase RSS) and the isolated closed-loop baseline is genuinely
-     faster, so the honest ratio re-bases to ~3-4x. The floor guards the
-     regression that matters — aggregation collapsing toward parity — not
-     the old measurement artifact. *)
-  (* Under `dune runtest` the cwd is _build/default/test; under a direct
-     `dune exec` it is the project root. *)
-  let file =
-    if Sys.file_exists "../BENCH_10.json" then "../BENCH_10.json"
-    else "BENCH_10.json"
-  in
-  let text = In_channel.with_open_bin file In_channel.input_all in
-  let j =
-    match Json.parse text with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "BENCH_10.json is invalid JSON: %s" e
-  in
-  (match Perf_bench.validate j with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "BENCH_10.json fails the schema: %s" e);
-  let num path =
-    match Json.member path j with
-    | Some (Json.Num f) -> f
-    | _ -> Alcotest.failf "missing numeric field %S" path
-  in
-  (match Json.member "quick" j with
-  | Some (Json.Bool false) -> ()
-  | _ -> Alcotest.fail "committed report must come from a full-scale run");
-  check_bool
-    (Printf.sprintf "speedup %.2f >= 2.5x" (num "speedup_events_per_s"))
-    true
-    (num "speedup_events_per_s" >= 2.5);
-  check_bool "showcase at a million modeled clients" true
-    (num "showcase_clients" >= 1_000_000.);
-  (match Json.member "showcase" j with
-  | Some showcase -> (
-    match Json.member "check_errors" showcase with
-    | Some (Json.Num 0.) -> ()
-    | _ -> Alcotest.fail "showcase checker battery must be clean")
-  | None -> Alcotest.fail "missing showcase phase");
-  (* The watchdog showcase (history recording off): clean online verdict,
-     and peak state bounded by the active visibility window — far below the
-     transaction count the post-hoc checker would have had to record. *)
-  (match Json.member "showcase_watchdog" j with
-  | None -> Alcotest.fail "missing showcase_watchdog phase"
-  | Some wd ->
-    let wd_num name =
-      match Json.member name wd with
-      | Some (Json.Num f) -> f
-      | _ -> Alcotest.failf "missing numeric field showcase_watchdog.%S" name
-    in
-    check_bool "watchdog showcase verdict is clean" true
-      (wd_num "check_errors" = 0.);
-    check_bool "watchdog really tracked state" true
-      (wd_num "watchdog_peak_state" > 0.);
-    check_bool
-      (Printf.sprintf "watchdog peak state %.0f bounded well below %.0f txns"
-         (wd_num "watchdog_peak_state") (wd_num "txns"))
-      true
-      (wd_num "watchdog_peak_state" *. 4. < wd_num "txns"));
-  (* The flight showcase: the recorder absorbed the full event stream of a
-     million-client run into a footprint that is a rounding error next to
-     the phase's own RSS. *)
-  match Json.member "showcase_flight" j with
-  | None -> Alcotest.fail "missing showcase_flight phase"
-  | Some fr ->
-    let fr_num name =
-      match Json.member name fr with
-      | Some (Json.Num f) -> f
-      | _ -> Alcotest.failf "missing numeric field showcase_flight.%S" name
-    in
-    check_bool "flight recorder really saw events" true
-      (fr_num "flight_events" > 1_000_000.);
-    check_bool
-      (Printf.sprintf "flight footprint %.0f bytes stays under 1 MiB"
-         (fr_num "flight_bytes"))
-      true
-      (fr_num "flight_bytes" > 0. && fr_num "flight_bytes" < 1_048_576.)
-
 let () =
   Alcotest.run "lsr_scale"
     [
@@ -460,12 +305,5 @@ let () =
             test_hundred_thousand_clients;
           Alcotest.test_case "100k modeled clients, watchdog only" `Slow
             test_watchdog_bounded_at_scale;
-        ] );
-      ( "bench-schema",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_bench_schema_roundtrip;
-          Alcotest.test_case "rejects bad reports" `Quick test_bench_schema_rejects;
-          Alcotest.test_case "committed BENCH_10.json" `Quick
-            test_committed_bench_report;
         ] );
     ]
