@@ -7,12 +7,8 @@
    for a shape-preserving fast pass. *)
 
 open Lsr_experiments
-module Obs = Lsr_obs.Obs
-module Obs_json = Lsr_obs.Json
-module Lineage = Lsr_obs.Lineage
 
-let opts ~quick ~seed ~verbose ~obs ~lineage ~monitor ~watchdog ~flight
-    ~on_outcome =
+let opts ~quick ~seed ~verbose ~report =
   {
     Figures.quick;
     seed;
@@ -20,12 +16,7 @@ let opts ~quick ~seed ~verbose ~obs ~lineage ~monitor ~watchdog ~flight
       (if verbose then fun msg -> Printf.eprintf "  [run] %s\n%!" msg
        else ignore);
     base_params = None;
-    obs;
-    lineage;
-    monitor;
-    watchdog;
-    flight;
-    on_outcome;
+    report;
   }
 
 let emit ~csv figure =
@@ -71,8 +62,7 @@ let run_ablations opts ~csv ~wanted =
    the performance numbers: the protocol must keep its guarantees (check
    errors = 0) while the retransmission layer pays for the faults in
    staleness and queue depth. *)
-let run_faults ~quick ~seed ~obs ~lineage ~monitor ~watchdog ~flight
-    ~on_outcome =
+let run_faults ~quick ~seed ~report =
   let open Lsr_workload in
   let params =
     {
@@ -97,16 +87,10 @@ let run_faults ~quick ~seed ~obs ~lineage ~monitor ~watchdog ~flight
           {
             (Sim_system.config params Lsr_core.Session.Strong_session ~seed) with
             Sim_system.record_history = true;
-            watchdog;
             faults;
-            obs;
-            lineage;
-            monitor;
-            flight;
           }
         in
-        let o = Sim_system.run cfg in
-        on_outcome ("faults " ^ name) cfg o;
+        let o = Run_report.run report ~tag:("faults " ^ name) cfg in
         [
           name;
           Printf.sprintf "%.2f" o.Sim_system.throughput_fast;
@@ -132,9 +116,10 @@ let run_faults ~quick ~seed ~obs ~lineage ~monitor ~watchdog ~flight
 
 (* A deliberately tiny deterministic run whose only purpose is to exercise
    the whole observability pipeline: every span phase fires, the counters
-   move, and --trace/--metrics produce loadable files in a couple of
-   seconds. Used by the `runtest` smoke rule. *)
-let run_smoke ~seed ~obs ~lineage ~monitor ~watchdog ~flight ~on_outcome =
+   move, and --report/--trace produce their files in a couple of seconds.
+   Used by the `runtest` smoke rule, which pins both the stdout and the
+   report byte for byte. *)
+let run_smoke ~seed ~report =
   let open Lsr_workload in
   let params =
     {
@@ -145,25 +130,17 @@ let run_smoke ~seed ~obs ~lineage ~monitor ~watchdog ~flight ~on_outcome =
       duration = 60.;
     }
   in
-  let cfg =
-    {
-      (Sim_system.config params Lsr_core.Session.Strong_session ~seed) with
-      Sim_system.obs;
-      lineage;
-      monitor;
-      watchdog;
-      flight;
-    }
+  let o =
+    Run_report.run report ~tag:"smoke"
+      (Sim_system.config params Lsr_core.Session.Strong_session ~seed)
   in
-  let o = Sim_system.run cfg in
-  on_outcome "smoke" cfg o;
   Printf.printf
     "smoke: tput=%.2f reads=%d updates=%d refresh_commits=%d events=%d \
      lineage_events=%d\n%!"
     o.Sim_system.throughput_fast o.Sim_system.reads_completed
     o.Sim_system.updates_completed o.Sim_system.refresh_commits
-    (Obs.event_count obs)
-    (Lineage.event_count lineage);
+    (Lsr_obs.Obs.event_count (Run_report.obs report))
+    (Lsr_obs.Lineage.event_count (Run_report.lineage report));
   match o.Sim_system.watchdog_verdict with
   | None -> ()
   | Some v ->
@@ -181,8 +158,7 @@ let run_smoke ~seed ~obs ~lineage ~monitor ~watchdog ~flight ~on_outcome =
 (* Summarizes the static analyzer's verdict on every built-in template
    workload — how many dangerous structures and session flags each one has
    and the weakest guarantee that makes it safe. With --csv DIR the full
-   reports land in DIR/analysis.json (validated by re-parsing, like every
-   other exporter). *)
+   reports land in DIR/analysis.json and the plans in DIR/plans.json. *)
 let run_analysis ~csv =
   let reports =
     List.map
@@ -257,24 +233,15 @@ let run_analysis ~csv =
   match csv with
   | None -> ()
   | Some dir ->
-    Lsr_obs.Fsutil.mkdir_p dir;
     let write_json file json =
       let file = Filename.concat dir file in
-      let text = Obs_json.to_string json in
-      let oc = open_out file in
-      output_string oc text;
-      output_char oc '\n';
-      close_out oc;
-      match Obs_json.parse text with
-      | Ok _ -> Printf.printf "(analysis written to %s)\n%!" file
-      | Error e ->
-        Printf.eprintf "internal error: %s is invalid JSON: %s\n%!" file e;
-        exit 2
+      Lsr_obs.Json.write_file ~file json;
+      Printf.printf "(analysis written to %s)\n%!" file
     in
     write_json "analysis.json"
-      (Obs_json.Arr (List.map Lsr_analysis.Analyzer.to_json reports));
+      (Lsr_obs.Json.Arr (List.map Lsr_analysis.Analyzer.to_json reports));
     write_json "plans.json"
-      (Obs_json.Arr (List.map Lsr_analysis.Plan.to_json plans))
+      (Lsr_obs.Json.Arr (List.map Lsr_analysis.Plan.to_json plans))
 
 (* --- Bechamel microbenchmarks ---------------------------------------------- *)
 
@@ -494,63 +461,17 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let metrics_arg =
+let report_arg =
   let doc =
-    "Write aggregated counters, gauges and histograms as JSON to $(docv)."
+    "Attach every observer to every run (metrics, lineage, a 1 \
+     virtual-second system monitor, the online consistency watchdog and the \
+     flight recorder), print the per-site freshness table and the last \
+     run's bottleneck report, and write the whole run report as JSON to \
+     $(docv): per-run bottleneck, watchdog and flight sections plus the \
+     freshness, lineage, metrics and time-series sections of the \
+     invocation."
   in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let lineage_arg =
-  let doc =
-    "Record per-transaction causal lineage (primary commit, propagation, \
-     channel faults, refresh) across every run and write it as JSON to \
-     $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "lineage" ] ~docv:"FILE" ~doc)
-
-let timeseries_arg =
-  let doc =
-    "Attach the periodic system monitor to every run (1 virtual-second \
-     sampling: per-resource utilization / queue length / depth, refresh \
-     backlogs, WAL length, MVCC version counts) and write the deterministic \
-     time series to $(docv) ($(b,.csv) extension selects CSV, anything \
-     else JSON)."
-  in
-  Arg.(value & opt (some string) None & info [ "timeseries" ] ~docv:"FILE" ~doc)
-
-let bottleneck_arg =
-  let doc =
-    "Collect per-resource queueing telemetry from every run, print the \
-     bottleneck report of the last run and write one report per run as \
-     JSON to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "bottleneck" ] ~docv:"FILE" ~doc)
-
-let watchdog_arg =
-  let doc =
-    "Attach the online consistency watchdog to every run (weak-SI reads, \
-     inversion floors and fence claims checked incrementally, in memory \
-     bounded by the active visibility window) and write one deterministic \
-     report per run as JSON to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "watchdog" ] ~docv:"FILE" ~doc)
-
-let flight_arg =
-  let doc =
-    "Attach the bounded flight recorder to every run (the unified event \
-     stream absorbed into a fixed-capacity ring; a watchdog alert or \
-     checker failure snapshots a postmortem bundle, otherwise the end-of-run \
-     window is kept) and write one bundle per run as JSON to $(docv). \
-     Inspect bundles with $(b,lsrepl replay)."
-  in
-  Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE" ~doc)
-
-let lag_report_arg =
-  let doc =
-    "Print a per-site freshness / propagation-lag table (p50/p95/p99) from \
-     the recorded lineage and write it as JSON to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "lag-report" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 
 let all_targets =
   [
@@ -564,7 +485,7 @@ let all_targets =
 let extra_targets =
   [
     "ablate-contention"; "fig-staleness"; "fig-utilization"; "fig-fence";
-    "fig-plan"; "fig-watchdog"; "fig-flight"; "faults"; "smoke"; "analyze";
+    "fig-plan"; "faults"; "smoke"; "analyze";
   ]
 
 let targets_arg =
@@ -573,9 +494,8 @@ let targets_arg =
      ablations, ablate-propagation, ablate-applicators, ablate-pcsi, \
      ablate-delay, micro or all (default). Extension studies (excluded \
      from all): ablate-contention, fig-staleness, fig-utilization, \
-     fig-fence, fig-plan, fig-watchdog, fig-flight, faults, smoke, \
-     analyze. Host-time measurement lives in $(b,lsrbench) \
-     (bench/suite)."
+     fig-fence, fig-plan, faults, smoke, analyze. Host-time measurement \
+     lives in $(b,lsrbench) (bench/suite)."
   in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"TARGET" ~doc)
 
@@ -587,19 +507,7 @@ let expand target =
     [ "ablate-propagation"; "ablate-applicators"; "ablate-pcsi"; "ablate-delay" ]
   | t -> [ t ]
 
-(* Write and immediately re-parse an exported JSON file: a smoke-level
-   guarantee that what we ship is loadable, at zero dependency cost. *)
-let export what write file =
-  write ~file;
-  match Obs_json.parse (In_channel.with_open_bin file In_channel.input_all) with
-  | Ok _ -> Printf.printf "(%s written to %s)\n%!" what file
-  | Error e ->
-    Printf.eprintf "internal error: %s file %s is invalid JSON: %s\n%!" what
-      file e;
-    exit 2
-
-let main quick seed csv verbose trace metrics lineage_file lag_report timeseries
-    bottleneck watchdog_file flight_file targets =
+let main quick seed csv verbose trace report_file targets =
   let wanted = List.concat_map expand targets in
   let unknown =
     List.filter
@@ -609,50 +517,13 @@ let main quick seed csv verbose trace metrics lineage_file lag_report timeseries
   match unknown with
   | t :: _ -> `Error (false, Printf.sprintf "unknown target %S" t)
   | [] ->
-    let obs =
-      if trace <> None || metrics <> None then Obs.create () else Obs.null
+    let report =
+      match (report_file, trace) with
+      | Some _, _ -> Run_report.create ()
+      | None, Some _ -> Run_report.tracing ()
+      | None, None -> Run_report.null
     in
-    let lineage =
-      if lineage_file <> None || lag_report <> None then Lineage.create ()
-      else Lineage.null
-    in
-    let monitor =
-      if timeseries <> None then Monitor.create ~interval:1.0 ()
-      else Monitor.null
-    in
-    let watchdog = watchdog_file <> None in
-    let flight =
-      if flight_file <> None then Lsr_obs.Flight.create ()
-      else Lsr_obs.Flight.null
-    in
-    let bottleneck_entries = ref [] in
-    let watchdog_entries = ref [] in
-    let flight_entries = ref [] in
-    let on_outcome tag (cfg : Sim_system.config) outcome =
-      if bottleneck <> None then
-        bottleneck_entries :=
-          {
-            Bottleneck.tag;
-            report = Bottleneck.analyze cfg.Sim_system.params outcome;
-          }
-          :: !bottleneck_entries;
-      (match outcome.Sim_system.flight_report with
-      | Some bundle when flight_file <> None ->
-        flight_entries :=
-          Obs_json.Obj [ ("tag", Obs_json.Str tag); ("bundle", bundle) ]
-          :: !flight_entries
-      | Some _ | None -> ());
-      match outcome.Sim_system.watchdog_report with
-      | Some report when watchdog ->
-        watchdog_entries :=
-          Obs_json.Obj [ ("tag", Obs_json.Str tag); ("report", report) ]
-          :: !watchdog_entries
-      | Some _ | None -> ()
-    in
-    let opts =
-      opts ~quick ~seed ~verbose ~obs ~lineage ~monitor ~watchdog ~flight
-        ~on_outcome
-    in
+    let opts = opts ~quick ~seed ~verbose ~report in
     Printf.printf "lazy-replication benchmark harness (%s mode, seed %d)\n%!"
       (if quick then "quick" else "paper-scale")
       seed;
@@ -668,76 +539,22 @@ let main quick seed csv verbose trace metrics lineage_file lag_report timeseries
       emit ~csv (Figures.fig_utilization opts);
     if List.mem "fig-fence" wanted then emit ~csv (Figures.fig_fence opts);
     if List.mem "fig-plan" wanted then emit ~csv (Figures.fig_plan opts);
-    if List.mem "fig-watchdog" wanted then emit ~csv (Figures.fig_watchdog opts);
-    if List.mem "fig-flight" wanted then emit ~csv (Figures.fig_flight opts);
     run_ablations opts ~csv ~wanted;
-    if List.mem "faults" wanted then
-      run_faults ~quick ~seed ~obs ~lineage ~monitor ~watchdog ~flight
-        ~on_outcome;
-    if List.mem "smoke" wanted then
-      run_smoke ~seed ~obs ~lineage ~monitor ~watchdog ~flight ~on_outcome;
+    if List.mem "faults" wanted then run_faults ~quick ~seed ~report;
+    if List.mem "smoke" wanted then run_smoke ~seed ~report;
     if List.mem "analyze" wanted then run_analysis ~csv;
     if List.mem "micro" wanted then run_micro ();
     Option.iter
       (fun file ->
-        let json =
-          Obs_json.sort_keys
-            (Obs_json.Obj [ ("runs", Obs_json.Arr (List.rev !watchdog_entries)) ])
-        in
-        export "watchdog"
-          (fun ~file ->
-            let oc = open_out file in
-            output_string oc (Obs_json.to_string json);
-            output_char oc '\n';
-            close_out oc)
-          file)
-      watchdog_file;
+        Lsr_obs.Obs.write_trace (Run_report.obs report) ~file;
+        Printf.printf "(trace written to %s)\n%!" file)
+      trace;
     Option.iter
       (fun file ->
-        let json =
-          Obs_json.sort_keys
-            (Obs_json.Obj [ ("runs", Obs_json.Arr (List.rev !flight_entries)) ])
-        in
-        export "flight"
-          (fun ~file ->
-            let oc = open_out file in
-            output_string oc (Obs_json.to_string json);
-            output_char oc '\n';
-            close_out oc)
-          file)
-      flight_file;
-    Option.iter (export "trace" (Obs.write_trace obs)) trace;
-    Option.iter (export "metrics" (Obs.write_metrics obs)) metrics;
-    Option.iter (export "lineage" (Lineage.write lineage)) lineage_file;
-    Option.iter
-      (fun file ->
-        let rows = Lag_report.of_lineage lineage in
-        Printf.printf
-          "\n== Per-site freshness / propagation lag (virtual seconds) ==\n\
-           %s\n\
-           %!"
-          (Lag_report.render rows);
-        export "lag report" (Lag_report.write rows) file)
-      lag_report;
-    Option.iter
-      (fun file ->
-        let series = Monitor.series monitor in
-        if Filename.check_suffix file ".csv" then begin
-          Lsr_obs.Timeseries.write_csv series ~file;
-          Printf.printf "(timeseries written to %s)\n%!" file
-        end
-        else export "timeseries" (Lsr_obs.Timeseries.write_json series) file)
-      timeseries;
-    Option.iter
-      (fun file ->
-        let entries = List.rev !bottleneck_entries in
-        (match !bottleneck_entries with
-        | [] -> ()
-        | last :: _ ->
-          Printf.printf "\n== Bottleneck report ==\n%s%!"
-            (Bottleneck.render ~tag:last.Bottleneck.tag last.Bottleneck.report));
-        export "bottleneck" (Bottleneck.write_sweep entries) file)
-      bottleneck;
+        print_string (Run_report.summary report);
+        Lsr_obs.Json.write_file ~file (Run_report.to_json report);
+        Printf.printf "(report written to %s)\n%!" file)
+      report_file;
     `Ok ()
 
 let cmd =
@@ -750,7 +567,6 @@ let cmd =
     Term.(
       ret
         (const main $ quick_arg $ seed_arg $ csv_arg $ verbose_arg $ trace_arg
-       $ metrics_arg $ lineage_arg $ lag_report_arg $ timeseries_arg
-       $ bottleneck_arg $ watchdog_arg $ flight_arg $ targets_arg))
+       $ report_arg $ targets_arg))
 
 let () = exit (Cmd.eval cmd)

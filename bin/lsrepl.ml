@@ -6,7 +6,7 @@
      guarantee, showing inversions or their prevention;
    - `lsrepl bottleneck` runs one simulation with full queueing telemetry and
      prints the bottleneck report (resource ranking, per-class residence-time
-     breakdown), optionally exporting the monitor's time series;
+     breakdown), optionally writing the whole run report;
    - `lsrepl params`    prints the Table 1 parameter set;
    - `lsrepl trace`     runs a small scripted workload and dumps the recorded
      history with the checker's verdict;
@@ -231,10 +231,7 @@ let simulate guarantee seed w serial ship validate watchdog open_loop arrival
     end);
   match (flight_file, o.Sim_system.flight_report) with
   | Some file, Some bundle ->
-    let oc = open_out file in
-    output_string oc (Lsr_obs.Json.to_string bundle);
-    output_char oc '\n';
-    close_out oc;
+    Lsr_obs.Json.write_file ~file bundle;
     Printf.printf "\nflight recorder: %d events seen, %s — bundle written to %s\n"
       o.Sim_system.flight_events
       (match o.Sim_system.flight_trigger with
@@ -343,51 +340,37 @@ let simulate_cmd =
 
 (* --- bottleneck ----------------------------------------------------------------- *)
 
-let bottleneck guarantee seed w json_file timeseries =
+let bottleneck guarantee seed w report_file =
   let params = workload_params w in
-  let monitor =
-    match timeseries with
-    | None -> Monitor.null
-    | Some _ -> Monitor.create ~interval:1.0 ()
+  let report =
+    if report_file = None then Run_report.null else Run_report.create ()
   in
-  let cfg = { (Sim_system.config params guarantee ~seed) with Sim_system.monitor } in
   Printf.printf "simulating %s: %d secondaries x %d clients, %s mix, %.0fs\n\n%!"
     (Session.guarantee_name guarantee)
     w.w_secondaries w.w_clients (workload_mix w) w.w_duration;
-  let o = Sim_system.run cfg in
-  let report = Bottleneck.analyze params o in
-  print_string (Bottleneck.render report);
+  let o =
+    Run_report.run report ~tag:"run" (Sim_system.config params guarantee ~seed)
+  in
+  print_string (Bottleneck.render (Bottleneck.analyze params o));
   Option.iter
     (fun file ->
-      Lsr_obs.Timeseries.write (Monitor.series monitor) ~file;
-      Printf.printf "\ntimeseries written to %s\n" file)
-    timeseries;
-  Option.iter
-    (fun file ->
-      Bottleneck.write_sweep [ { Bottleneck.tag = "run"; report } ] ~file;
+      Lsr_obs.Json.write_file ~file (Run_report.to_json report);
       Printf.printf "\nreport written to %s\n" file)
-    json_file
+    report_file
 
 let bottleneck_cmd =
-  let json_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON.")
-  in
-  let timeseries =
+  let report_file =
     let doc =
-      "Attach the 1 virtual-second system monitor and write its time series \
-       to $(docv) (.csv extension selects CSV, anything else JSON)."
+      "Attach every observer (metrics, lineage, the 1 virtual-second system \
+       monitor, the watchdog and the flight recorder) and write the run \
+       report as JSON to $(docv)."
     in
-    Arg.(value & opt (some string) None & info [ "timeseries" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
   in
   Cmd.v
     (Cmd.info "bottleneck"
        ~doc:"Run one simulation and report where the capacity goes")
-    Term.(
-      const bottleneck $ guarantee_arg $ seed_arg $ workload_term $ json_file
-      $ timeseries)
+    Term.(const bottleneck $ guarantee_arg $ seed_arg $ workload_term $ report_file)
 
 (* --- demo ----------------------------------------------------------------------- *)
 
@@ -585,15 +568,8 @@ let analyze guarantee workload_names json_file allowlist_file plan shards =
       if plan then Lsr_obs.Json.Arr (List.map Lsr_analysis.Plan.to_json plans)
       else Lsr_obs.Json.Arr (List.map Lsr_analysis.Analyzer.to_json reports)
     in
-    let text = Lsr_obs.Json.to_string json in
-    let oc = open_out file in
-    output_string oc text;
-    output_char oc '\n';
-    close_out oc;
-    (* Re-parse what we wrote: the exporter contract used across the repo. *)
-    (match Lsr_obs.Json.parse text with
-    | Ok _ -> Printf.printf "\nreport written to %s\n" file
-    | Error e -> failwith (Printf.sprintf "emitted invalid JSON (%s)" e)));
+    Lsr_obs.Json.write_file ~file json;
+    Printf.printf "\nreport written to %s\n" file);
   match allowlist_file with
   | None -> ()
   | Some file ->

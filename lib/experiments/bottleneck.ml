@@ -186,25 +186,3 @@ let to_json t =
       ("resources", Json.Arr (List.map rank_json t.ranking));
       ("classes", Json.Arr (List.map breakdown_json t.breakdowns));
     ]
-
-type entry = { tag : string; report : t }
-
-let sweep_json entries =
-  Json.Obj
-    [
-      ( "reports",
-        Json.Arr
-          (List.map
-             (fun e ->
-               match to_json e.report with
-               | Json.Obj fields -> Json.Obj (("tag", Json.Str e.tag) :: fields)
-               | j -> j)
-             entries) );
-    ]
-
-let write_sweep entries ~file =
-  Lsr_obs.Fsutil.ensure_parent file;
-  let oc = open_out file in
-  output_string oc (Json.to_string (sweep_json entries));
-  output_string oc "\n";
-  close_out oc

@@ -16,8 +16,8 @@
 
     Deterministic by construction (pure arithmetic over the outcome, sorted
     ranking, canonical {!Lsr_obs.Json.number} floats), so the JSON export
-    is byte-identical across same-seed runs ([bench --bottleneck],
-    [lsrepl bottleneck]). *)
+    is byte-identical across same-seed runs (the run report's per-run
+    [bottleneck] section). *)
 
 type rank = {
   bn_site : string;
@@ -56,14 +56,6 @@ val analyze : Lsr_workload.Params.t -> Sim_system.outcome -> t
     line per class. [?tag] labels the dominant line (sweep points). *)
 val render : ?tag:string -> t -> string
 
+(** [{"dominant": ..., "resources": [...], "classes": [...]}] — the
+    per-run [bottleneck] section of {!Run_report}. *)
 val to_json : t -> Lsr_obs.Json.t
-
-type entry = { tag : string; report : t }
-
-(** [{"reports": [{"tag": ..., "dominant": ..., ...}, ...]}] — one object
-    per sweep point, in the given order. *)
-val sweep_json : entry list -> Lsr_obs.Json.t
-
-(** [write_sweep entries ~file] writes {!sweep_json}, creating missing
-    parent directories. *)
-val write_sweep : entry list -> file:string -> unit

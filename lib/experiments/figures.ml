@@ -26,12 +26,7 @@ type run_opts = {
   seed : int;
   progress : string -> unit;
   base_params : Params.t option;
-  obs : Lsr_obs.Obs.t;
-  lineage : Lsr_obs.Lineage.t;
-  monitor : Monitor.t;
-  watchdog : bool;
-  flight : Lsr_obs.Flight.t;
-  on_outcome : string -> Sim_system.config -> Sim_system.outcome -> unit;
+  report : Run_report.t;
 }
 
 let default_opts =
@@ -40,12 +35,7 @@ let default_opts =
     seed = 20060912;
     progress = ignore;
     base_params = None;
-    obs = Lsr_obs.Obs.null;
-    lineage = Lsr_obs.Lineage.null;
-    monitor = Monitor.null;
-    watchdog = false;
-    flight = Lsr_obs.Flight.null;
-    on_outcome = (fun _ _ _ -> ());
+    report = Run_report.null;
   }
 
 let algorithms = [ Session.Strong_session; Session.Weak; Session.Strong ]
@@ -63,18 +53,13 @@ let replicate opts ~tag (cfg : Sim_system.config) =
   let reps = cfg.Sim_system.params.Params.replications in
   List.init reps (fun i ->
       let seeded =
-        {
-          cfg with
-          Sim_system.seed = opts.seed + (1000 * i) + Hashtbl.hash tag;
-          obs = opts.obs;
-          lineage = opts.lineage;
-          monitor = opts.monitor;
-          watchdog = cfg.Sim_system.watchdog || opts.watchdog;
-          flight = opts.flight;
-        }
+        { cfg with Sim_system.seed = opts.seed + (1000 * i) + Hashtbl.hash tag }
       in
-      let outcome = Sim_system.run seeded in
-      opts.on_outcome (Printf.sprintf "%s rep %d" tag (i + 1)) seeded outcome;
+      let outcome =
+        Run_report.run opts.report
+          ~tag:(Printf.sprintf "%s rep %d" tag (i + 1))
+          seeded
+      in
       opts.progress
         (Printf.sprintf "%s rep %d/%d: %.2f tps" tag (i + 1) reps
            outcome.Sim_system.throughput_fast);
@@ -497,251 +482,6 @@ let fig_plan opts =
            is the price of correctness."
           (List.length fenced) (List.length readers)
           (Session.guarantee_name plan.Lsr_analysis.Plan.uniform);
-      ];
-  }
-
-(* The online watchdog's memory and CPU cost vs run length. Three runs of
-   the exact same trajectory per point (attaching a checker never changes
-   outcomes): an unchecked baseline, the watchdog with history recording
-   off, and history recording with the post-hoc battery. The post-hoc
-   history grows linearly with the run; the watchdog's peak state tracks
-   the active visibility window and flattens out. *)
-let fig_watchdog opts =
-  let base = base_of opts in
-  let xs =
-    if opts.quick then [ 120.; 240.; 480. ]
-    else [ 300.; 600.; 1200.; 2400.; 4800. ]
-  in
-  let params duration =
-    {
-      base with
-      Params.num_secondaries = 2;
-      clients_per_secondary = 5;
-      replications = min base.Params.replications 3;
-      warmup = Float.min base.Params.warmup (duration /. 10.);
-      duration;
-    }
-  in
-  (* Like [replicate], but also times each run ({!Sys.time}; single-threaded
-     process, CPU ~ wall). *)
-  let replicate_timed ~tag (cfg : Sim_system.config) =
-    let reps = cfg.Sim_system.params.Params.replications in
-    List.init reps (fun i ->
-        let seeded =
-          {
-            cfg with
-            Sim_system.seed = opts.seed + (1000 * i) + Hashtbl.hash tag;
-            obs = opts.obs;
-            lineage = opts.lineage;
-            monitor = opts.monitor;
-          }
-        in
-        let t0 = Sys.time () in
-        let outcome = Sim_system.run seeded in
-        let cpu = Sys.time () -. t0 in
-        opts.on_outcome (Printf.sprintf "%s rep %d" tag (i + 1)) seeded outcome;
-        opts.progress
-          (Printf.sprintf "%s rep %d/%d: %.2f cpu s" tag (i + 1) reps cpu);
-        (outcome, cpu))
-  in
-  let results =
-    List.map
-      (fun duration ->
-        let cfg =
-          Sim_system.config (params duration) Session.Strong_session
-            ~seed:opts.seed
-        in
-        let plain =
-          replicate_timed ~tag:(Printf.sprintf "plain d=%g" duration) cfg
-        in
-        let wd =
-          replicate_timed
-            ~tag:(Printf.sprintf "watchdog d=%g" duration)
-            { cfg with Sim_system.watchdog = true }
-        in
-        let hist =
-          replicate_timed
-            ~tag:(Printf.sprintf "history d=%g" duration)
-            { cfg with Sim_system.record_history = true }
-        in
-        (duration, plain, wd, hist))
-      xs
-  in
-  let points metric =
-    List.map
-      (fun (x, plain, wd, hist) ->
-        { x; interval = Confidence.of_samples (metric plain wd hist) })
-      results
-  in
-  let series =
-    [
-      {
-        label = "watchdog peak state (entries, bounded)";
-        points =
-          points (fun _ wd _ ->
-              List.map
-                (fun ((o : Sim_system.outcome), _) ->
-                  float_of_int o.Sim_system.watchdog_peak_state)
-                wd);
-      };
-      {
-        label = "post-hoc history (transactions recorded, linear)";
-        points =
-          points (fun _ _ hist ->
-              List.map
-                (fun ((o : Sim_system.outcome), _) ->
-                  float_of_int
-                    (o.Sim_system.reads_completed
-                    + o.Sim_system.updates_completed))
-                hist);
-      };
-      {
-        label = "watchdog cpu overhead (s vs unchecked)";
-        points =
-          points (fun plain wd _ ->
-              List.map2 (fun (_, cp) (_, cw) -> cw -. cp) plain wd);
-      };
-      {
-        label = "post-hoc checker cpu (s)";
-        points =
-          points (fun _ _ hist ->
-              List.map
-                (fun ((o : Sim_system.outcome), _) ->
-                  o.Sim_system.checker_cpu_s)
-                hist);
-      };
-    ]
-  in
-  {
-    id = "fig-watchdog";
-    title = "Online Watchdog vs Post-Hoc Checker, cost vs run length";
-    xlabel = "virtual run length (s, 2 secondaries x 5 clients)";
-    ylabel = "state entries / transactions / cpu seconds (per series)";
-    series;
-    notes =
-      [
-        "Same seed per point across all three series' runs, so the checked \
-         trajectory is identical: the post-hoc history and checker input \
-         grow linearly with run length while the watchdog's peak state \
-         follows the active visibility window (in-flight transactions plus \
-         versions not yet refreshed everywhere) and its cpu overhead stays \
-         a constant per-transaction tax.";
-      ];
-  }
-
-(* The flight recorder's footprint and CPU cost vs run length, against the
-   post-hoc history it replaces as a debugging artifact. Two runs of the
-   same trajectory per point (an attached recorder never changes outcomes):
-   an unrecorded baseline and one with an enabled recorder. The history a
-   postmortem would otherwise need grows linearly with the run; the ring
-   stays at its capacity. *)
-let fig_flight opts =
-  let base = base_of opts in
-  let xs =
-    if opts.quick then [ 120.; 240.; 480. ]
-    else [ 300.; 600.; 1200.; 2400.; 4800. ]
-  in
-  let params duration =
-    {
-      base with
-      Params.num_secondaries = 2;
-      clients_per_secondary = 5;
-      replications = min base.Params.replications 3;
-      warmup = Float.min base.Params.warmup (duration /. 10.);
-      duration;
-    }
-  in
-  let replicate_timed ~tag (cfg : Sim_system.config) ~flight =
-    let reps = cfg.Sim_system.params.Params.replications in
-    List.init reps (fun i ->
-        let seeded =
-          {
-            cfg with
-            Sim_system.seed = opts.seed + (1000 * i) + Hashtbl.hash tag;
-            obs = opts.obs;
-            lineage = opts.lineage;
-            monitor = opts.monitor;
-            flight =
-              (if flight then Lsr_obs.Flight.create ()
-               else Lsr_obs.Flight.null);
-          }
-        in
-        let t0 = Sys.time () in
-        let outcome = Sim_system.run seeded in
-        let cpu = Sys.time () -. t0 in
-        opts.on_outcome (Printf.sprintf "%s rep %d" tag (i + 1)) seeded outcome;
-        opts.progress
-          (Printf.sprintf "%s rep %d/%d: %.2f cpu s" tag (i + 1) reps cpu);
-        (outcome, cpu))
-  in
-  let results =
-    List.map
-      (fun duration ->
-        let cfg =
-          Sim_system.config (params duration) Session.Strong_session
-            ~seed:opts.seed
-        in
-        let plain =
-          replicate_timed ~flight:false
-            ~tag:(Printf.sprintf "plain d=%g" duration)
-            cfg
-        in
-        let rec_ =
-          replicate_timed ~flight:true
-            ~tag:(Printf.sprintf "flight d=%g" duration)
-            cfg
-        in
-        (duration, plain, rec_))
-      xs
-  in
-  let points metric =
-    List.map
-      (fun (x, plain, rec_) ->
-        { x; interval = Confidence.of_samples (metric plain rec_) })
-      results
-  in
-  let series =
-    [
-      {
-        label = "recorder footprint (bytes, bounded)";
-        points =
-          points (fun _ rec_ ->
-              List.map
-                (fun ((o : Sim_system.outcome), _) ->
-                  float_of_int o.Sim_system.flight_bytes)
-                rec_);
-      };
-      {
-        label = "events absorbed (linear)";
-        points =
-          points (fun _ rec_ ->
-              List.map
-                (fun ((o : Sim_system.outcome), _) ->
-                  float_of_int o.Sim_system.flight_events)
-                rec_);
-      };
-      {
-        label = "recorder cpu overhead (s vs unrecorded)";
-        points =
-          points (fun plain rec_ ->
-              List.map2 (fun (_, cp) (_, cr) -> cr -. cp) plain rec_);
-      };
-    ]
-  in
-  {
-    id = "fig-flight";
-    title = "Flight Recorder, bounded black box vs run length";
-    xlabel = "virtual run length (s, 2 secondaries x 5 clients)";
-    ylabel = "bytes / events / cpu seconds (per series)";
-    series;
-    notes =
-      [
-        "Same seed per point across both series' runs, so the recorded \
-         trajectory is identical: the recorder absorbs the full unified \
-         event stream (commits, pipeline stages, reads) yet its footprint \
-         stays at the ring capacity while the events it has seen grow \
-         linearly — the black box a postmortem needs without a \
-         run-length-sized history.";
       ];
   }
 

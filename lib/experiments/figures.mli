@@ -38,31 +38,9 @@ type run_opts = {
   seed : int;
   progress : string -> unit;
   base_params : Lsr_workload.Params.t option;
-  obs : Lsr_obs.Obs.t;
-      (** attached to every simulation run of the sweep; counters and
-          histograms then aggregate across all runs of the sweep. Default
-          {!Lsr_obs.Obs.null}. *)
-  lineage : Lsr_obs.Lineage.t;
-      (** lineage sink attached to every run of the sweep (journeys and
-          freshness samples accumulate across runs). Default
-          {!Lsr_obs.Lineage.null}. *)
-  monitor : Monitor.t;
-      (** periodic system monitor attached to every run of the sweep; each
-          run bumps the series' run ordinal so the time-series of successive
-          runs stay apart. Default {!Monitor.null}. *)
-  watchdog : bool;
-      (** attach the online {!Lsr_core.Watchdog} to every run of the sweep
-          (per-run reports then reach the caller through [on_outcome]'s
-          outcome). Default [false]. *)
-  flight : Lsr_obs.Flight.t;
-      (** flight recorder attached to every run of the sweep (each run
-          re-arms it via [new_epoch]; per-run bundles reach the caller
-          through [on_outcome]'s outcome). Default {!Lsr_obs.Flight.null}. *)
-  on_outcome : string -> Sim_system.config -> Sim_system.outcome -> unit;
-      (** called once per completed simulation run with a unique tag
-          ("<sweep tag> rep <i>"), the exact config it ran under and its
-          outcome — the hook the bench bottleneck report collects through.
-          Default ignores. *)
+  report : Run_report.t;
+      (** every simulation run of the sweep goes through {!Run_report.run},
+          tagged ["<sweep tag> rep <i>"]. Default {!Run_report.null}. *)
 }
 
 val default_opts : run_opts
@@ -108,25 +86,6 @@ val fig_fence : run_opts -> figure
     fraction fenced, and unfenced — compared on mean read response time vs
     load. *)
 val fig_plan : run_opts -> figure
-
-(** Extension figure (not part of the paper's evaluation, so not in the
-    default `all` target): the online watchdog's cost vs run length against
-    the linear-history post-hoc checker. Per run length, the same seeded
-    trajectory is run three ways — unchecked, watchdog-on with history off,
-    and history-on with the post-hoc battery; series are the watchdog's peak
-    state, the recorded history size, and the CPU cost of each checking
-    mode. The watchdog series stay bounded by the active visibility window
-    while the post-hoc series grow with the run. *)
-val fig_watchdog : run_opts -> figure
-
-(** Extension figure (not part of the paper's evaluation, so not in the
-    default `all` target): the flight recorder's cost vs run length. Per
-    run length, the same seeded trajectory is run unrecorded and with an
-    enabled {!Lsr_obs.Flight} ring; series are the recorder's byte
-    footprint (flat at the ring capacity), the events it absorbed (linear
-    in the run) and its CPU overhead. The black-box evidence behind the
-    committed [recorder_overhead_frac]. *)
-val fig_flight : run_opts -> figure
 
 (** Ablation: commit-time propagation (Algorithm 3.1) vs the "simple method"
     that ships aborted transactions' work, across abort probabilities. *)

@@ -103,11 +103,3 @@ let to_json rows =
       ]
   in
   Json.Obj [ ("sites", Json.Arr (List.map row_json rows)) ]
-
-let json_string rows = Json.to_string (to_json rows)
-
-let write rows ~file =
-  Lsr_obs.Fsutil.ensure_parent file;
-  let oc = open_out file in
-  output_string oc (json_string rows);
-  close_out oc

@@ -13,7 +13,7 @@
 
     Rows come out sorted by site name and all floats use the canonical
     {!Lsr_obs.Json.number} form, so the report is byte-identical across
-    same-seed runs ([bench --lag-report]).
+    same-seed runs (the [freshness] section of {!Run_report}).
 
     A site with no samples in a section (zero reads, or zero refreshes) gets
     explicit zero quantiles for that section — never the quantile of an
@@ -41,9 +41,5 @@ val of_lineage : Lsr_obs.Lineage.t -> row list
 (** Plain-text table ({!Lsr_stats.Table_fmt}). *)
 val render : row list -> string
 
+(** [{"sites": [row, ...]}], one object per row in the given order. *)
 val to_json : row list -> Lsr_obs.Json.t
-val json_string : row list -> string
-
-(** [write rows ~file] writes {!json_string}, creating missing parent
-    directories. *)
-val write : row list -> file:string -> unit

@@ -1,0 +1,54 @@
+(** One run report per harness invocation.
+
+    A report owns the observers of every simulation run it is handed — an
+    enabled {!Lsr_obs.Obs} registry, a {!Lsr_obs.Lineage} sink, a
+    1-virtual-second {!Monitor}, the online watchdog and a
+    {!Lsr_obs.Flight} recorder — and records each run's per-run sections.
+    {!to_json} is the one versioned document:
+
+    {v
+    {"version": 1,
+     "runs": [{"tag", "check_errors", "bottleneck", "watchdog", "flight"}],
+     "freshness", "lineage", "metrics", "timeseries"}
+    v}
+
+    - [runs]: one entry per run, in run order. [bottleneck] is
+      {!Bottleneck.to_json}; [watchdog] is the run's [watchdog_report]
+      and [flight] its postmortem bundle ([flight_report]), each [null]
+      when that observer is off;
+    - [freshness]: {!Lag_report.to_json} of the lineage sink;
+    - [lineage], [metrics], [timeseries]: the sinks' own [to_json], each
+      spanning every run of the report.
+
+    Every section is deterministic for a fixed seed, so the document is
+    byte-stable. Attaching the observers never changes simulation outcomes
+    (the sinks' shared contract). *)
+
+type t
+
+(** Attaches nothing and records nothing: runs go through unobserved. *)
+val null : t
+
+(** A recording report with every observer enabled. *)
+val create : unit -> t
+
+(** Attaches only an enabled {!Lsr_obs.Obs} registry (for a Chrome trace
+    without a report) and records nothing. *)
+val tracing : unit -> t
+
+(** [run t ~tag cfg] runs [cfg] with [t]'s observers attached (the watchdog
+    is kept on when [cfg] already asks for it) and records the run under
+    [tag]. *)
+val run : t -> tag:string -> Sim_system.config -> Sim_system.outcome
+
+(** The registry attached to every run (for {!Lsr_obs.Obs.write_trace}). *)
+val obs : t -> Lsr_obs.Obs.t
+
+val lineage : t -> Lsr_obs.Lineage.t
+
+(** The report document described above. *)
+val to_json : t -> Lsr_obs.Json.t
+
+(** The human summary: the per-site freshness / lag table over every run,
+    then the last run's bottleneck report. *)
+val summary : t -> string

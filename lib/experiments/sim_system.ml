@@ -966,11 +966,7 @@ let run cfg =
         | _ -> []
       in
       let metrics =
-        if Obs.enabled cfg.obs then
-          match Lsr_obs.Json.parse (Obs.metrics_json cfg.obs) with
-          | Ok j -> Some j
-          | Error _ -> None
-        else None
+        if Obs.enabled cfg.obs then Some (Obs.metrics_json cfg.obs) else None
       in
       let bundle =
         Lsr_obs.Flight.bundle_json cfg.flight ~config:(config_json cfg)

@@ -382,12 +382,6 @@ let bundle_json t ~config ?(journeys = []) ?metrics () =
   in
   Json.sort_keys j
 
-let write_bundle t ~config ?journeys ?metrics ~file () =
-  Fsutil.ensure_parent file;
-  let oc = open_out file in
-  output_string oc (Json.to_string (bundle_json t ~config ?journeys ?metrics ()));
-  close_out oc
-
 (* --- Parsing --------------------------------------------------------------- *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e

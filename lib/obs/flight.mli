@@ -152,17 +152,6 @@ val bundle_json :
   unit ->
   Json.t
 
-(** [write_bundle t ~config ~file ()] writes {!bundle_json} to [file],
-    creating missing parent directories. *)
-val write_bundle :
-  t ->
-  config:Json.t ->
-  ?journeys:(int * Json.t) list ->
-  ?metrics:Json.t ->
-  file:string ->
-  unit ->
-  unit
-
 (** {2 Replay} *)
 
 val parse_bundle : Json.t -> (bundle, string) result

@@ -1,8 +1,8 @@
 (** Tiny filesystem helpers shared by the exporters.
 
-    Every export entry point ([Obs.write_metrics], [Obs.write_trace],
-    [Lineage.write]) creates missing parent directories of its output path,
-    so [--metrics out/deep/m.json] works without a prior [mkdir -p]. *)
+    Every file writer ([Json.write_file], [Obs.write_trace]) creates missing
+    parent directories of its output path, so [--report out/deep/r.json]
+    works without a prior [mkdir -p]. *)
 
 (** [mkdir_p dir] creates [dir] and any missing ancestors ([mkdir -p]).
     Existing directories are left untouched. *)

@@ -224,6 +224,12 @@ let to_string j =
   emit buf j;
   Buffer.contents buf
 
+let write_file ~file j =
+  Fsutil.ensure_parent file;
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc (to_string j);
+      output_char oc '\n')
+
 let rec sort_keys = function
   | (Null | Bool _ | Num _ | Str _) as v -> v
   | Arr items -> Arr (List.map sort_keys items)

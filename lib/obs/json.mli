@@ -2,8 +2,7 @@
 
     Emission is Buffer-based and deterministic (callers control field order
     and float formatting); parsing is a small recursive-descent reader used
-    by the smoke targets and tests to validate that emitted trace/metrics
-    files are well-formed. This is not a general-purpose JSON library: no
+    by tests, [lsrepl replay] and the benchmark to read emitted files back. This is not a general-purpose JSON library: no
     streaming, no unicode escapes beyond [\uXXXX] pass-through on input. *)
 
 type t =
@@ -28,9 +27,14 @@ val parse : string -> (t, string) result
 (** [member name j] is the value of field [name] when [j] is an object. *)
 val member : string -> t -> t option
 
-(** [to_string j] re-emits a parsed value (object field order preserved);
-    used only by tests for round-tripping. *)
+(** [to_string j] is the canonical text of [j]: no whitespace, object
+    field order preserved, floats in the {!number} form. Every exporter
+    emits through it. *)
 val to_string : t -> string
+
+(** [write_file ~file j] writes {!to_string} [j] and a trailing newline to
+    [file], creating missing parent directories first. *)
+val write_file : file:string -> t -> unit
 
 (** [sort_keys j] recursively sorts every object's fields by name — the
     canonical form the analyzer and planner exporters emit so their JSON is

@@ -193,11 +193,3 @@ let to_json t =
       ("txns", Json.Arr (List.map txn_json (txns t)));
       ("sites", Json.Arr (List.map site_json (sites t)));
     ]
-
-let json t = Json.to_string (to_json t)
-
-let write t ~file =
-  Fsutil.ensure_parent file;
-  let oc = open_out file in
-  output_string oc (json t);
-  close_out oc

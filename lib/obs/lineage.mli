@@ -134,8 +134,3 @@ val event_json : event -> Json.t
                 "refresh_lags":[..]}]}],
     transactions sorted by id, events in emission order, sites sorted. *)
 val to_json : t -> Json.t
-
-val json : t -> string
-
-(** [write t ~file] writes {!json}, creating missing parent directories. *)
-val write : t -> file:string -> unit

@@ -250,63 +250,52 @@ let event_count t = t.n_events
 (* --- Export ------------------------------------------------------------------ *)
 
 let metrics_json t =
-  let buf = Buffer.create 4096 in
   let names = List.sort String.compare t.names in
   let pick kind =
     List.filter_map
       (fun name ->
-        match Hashtbl.find_opt t.instruments name with
-        | Some i -> ( match kind i with Some x -> Some (name, x) | None -> None)
-        | None -> None)
+        Option.bind (Hashtbl.find_opt t.instruments name) (fun i ->
+            Option.map (fun x -> (name, x)) (kind i)))
       names
   in
-  let field_sep first = if !first then first := false else Buffer.add_char buf ',' in
-  Buffer.add_string buf "{\"counters\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, c) ->
-      field_sep first;
-      Json.escape buf name;
-      Buffer.add_string buf (Printf.sprintf ":%d" c.c_count))
-    (pick (function Counter c -> Some c | _ -> None));
-  Buffer.add_string buf "},\"gauges\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, g) ->
-      field_sep first;
-      Json.escape buf name;
-      Buffer.add_string buf
-        (Printf.sprintf ":{\"last\":%s,\"peak\":%s}" (Json.number g.g_value)
-           (Json.number g.g_peak)))
-    (pick (function Gauge g -> Some g | _ -> None));
-  Buffer.add_string buf "},\"histograms\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, h) ->
-      field_sep first;
-      Json.escape buf name;
-      let mean = if h.h_count = 0 then 0. else h.h_sum /. float_of_int h.h_count in
-      Buffer.add_string buf
-        (Printf.sprintf
-           ":{\"count\":%d,\"sum\":%s,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s,\"buckets\":["
-           h.h_count (Json.number h.h_sum) (Json.number mean)
-           (Json.number (hist_quantile h 0.5))
-           (Json.number (hist_quantile h 0.95))
-           (Json.number (hist_quantile h 0.99)));
-      let first_bucket = ref true in
-      Array.iteri
-        (fun i n ->
-          if n > 0 then begin
-            if !first_bucket then first_bucket := false
-            else Buffer.add_char buf ',';
-            Buffer.add_string buf
-              (Printf.sprintf "[%s,%d]" (Json.number (bucket_bound i)) n)
-          end)
-        h.h_buckets;
-      Buffer.add_string buf "]}")
-    (pick (function Histogram h -> Some h | _ -> None));
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let int n = Json.Num (float_of_int n) in
+  let gauge g =
+    Json.Obj [ ("last", Json.Num g.g_value); ("peak", Json.Num g.g_peak) ]
+  in
+  let histogram h =
+    let mean = if h.h_count = 0 then 0. else h.h_sum /. float_of_int h.h_count in
+    let buckets =
+      List.filter_map
+        (fun i ->
+          let n = h.h_buckets.(i) in
+          if n > 0 then Some (Json.Arr [ Json.Num (bucket_bound i); int n ])
+          else None)
+        (List.init (Array.length h.h_buckets) Fun.id)
+    in
+    Json.Obj
+      [
+        ("count", int h.h_count);
+        ("sum", Json.Num h.h_sum);
+        ("mean", Json.Num mean);
+        ("p50", Json.Num (hist_quantile h 0.5));
+        ("p95", Json.Num (hist_quantile h 0.95));
+        ("p99", Json.Num (hist_quantile h 0.99));
+        ("buckets", Json.Arr buckets);
+      ]
+  in
+  let section kind render =
+    Json.Obj (List.map (fun (name, x) -> (name, render x)) (pick kind))
+  in
+  Json.Obj
+    [
+      ( "counters",
+        section
+          (function Counter c -> Some c | _ -> None)
+          (fun c -> int c.c_count) );
+      ("gauges", section (function Gauge g -> Some g | _ -> None) gauge);
+      ( "histograms",
+        section (function Histogram h -> Some h | _ -> None) histogram );
+    ]
 
 let trace_json t =
   let buf = Buffer.create 65536 in
@@ -376,11 +365,6 @@ let trace_json t =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let write_file ~file contents =
+let write_trace t ~file =
   Fsutil.ensure_parent file;
-  let oc = open_out file in
-  output_string oc contents;
-  close_out oc
-
-let write_metrics t ~file = write_file ~file (metrics_json t)
-let write_trace t ~file = write_file ~file (trace_json t)
+  Out_channel.with_open_bin file (fun oc -> output_string oc (trace_json t))

@@ -101,7 +101,7 @@ val event_count : t -> int
                           "p50":..,"p95":..,"p99":..,
                           "buckets":[[upper_bound, count],..]}}}],
     instruments sorted by name. Quantiles are {!hist_quantile} estimates. *)
-val metrics_json : t -> string
+val metrics_json : t -> Json.t
 
 (** Chrome [trace_event] JSON (the [{"traceEvents":[..]}] envelope):
     metadata events naming each process and thread, then one [ph:"X"]
@@ -109,5 +109,7 @@ val metrics_json : t -> string
     timestamps in microseconds of virtual time. *)
 val trace_json : t -> string
 
-val write_metrics : t -> file:string -> unit
+(** [write_trace t ~file] writes {!trace_json} to [file], creating missing
+    parent directories. The metrics dump has no file writer of its own: it
+    is a section of the run report. *)
 val write_trace : t -> file:string -> unit

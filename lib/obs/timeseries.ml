@@ -28,9 +28,8 @@ let columns t =
   in
   S.elements set
 
-(* Both exporters emit one row per sample, columns sorted by name, floats in
-   the canonical Json.number form: same samples, same bytes. A sample that
-   lacks a column yields null (JSON) / an empty cell (CSV). *)
+(* One row per sample, columns sorted by name: same samples, same bytes. A
+   sample that lacks a column yields null. *)
 
 let to_json t =
   let cols = columns t in
@@ -50,43 +49,3 @@ let to_json t =
         Json.Arr (Json.Str "run" :: Json.Str "time" :: List.map (fun c -> Json.Str c) cols) );
       ("rows", Json.Arr (List.map row (samples t)));
     ]
-
-let json_string t = Json.to_string (to_json t)
-
-let csv t =
-  let cols = columns t in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (String.concat "," ("run" :: "time" :: cols));
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (s : sample) ->
-      Buffer.add_string buf (string_of_int s.run);
-      Buffer.add_char buf ',';
-      Buffer.add_string buf (Json.number s.time);
-      List.iter
-        (fun c ->
-          Buffer.add_char buf ',';
-          match List.assoc_opt c s.values with
-          | Some v -> Buffer.add_string buf (Json.number v)
-          | None -> ())
-        cols;
-      Buffer.add_char buf '\n')
-    (samples t);
-  Buffer.contents buf
-
-let write_file ~file text =
-  Fsutil.ensure_parent file;
-  let oc = open_out file in
-  output_string oc text;
-  close_out oc
-
-let write_json t ~file =
-  write_file ~file (json_string t ^ "\n")
-
-let write_csv t ~file = write_file ~file (csv t)
-
-(* [write] picks the format from the extension: [.csv] gets the CSV form,
-   anything else the JSON form. *)
-let write t ~file =
-  if Filename.check_suffix file ".csv" then write_csv t ~file
-  else write_json t ~file

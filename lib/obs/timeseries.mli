@@ -6,11 +6,11 @@
     whole sweep (replications restart virtual time at 0; the ordinal keeps
     them apart). Columns are the union of value names over all samples,
     exported in sorted order; a sample that lacks a column exports as
-    [null] (JSON) or an empty cell (CSV).
+    [null].
 
-    Both exporters are deterministic — sorted columns, emission-ordered
-    rows, canonical {!Json.number} float formatting — so a fixed seed
-    yields byte-identical files. *)
+    The export is deterministic — sorted columns, emission-ordered rows,
+    canonical {!Json.number} float formatting — so a fixed seed yields
+    byte-identical output. *)
 
 type t
 
@@ -39,15 +39,3 @@ val columns : t -> string list
 
 (** [{"columns": ["run","time",...], "rows": [[run,time,v,...],...]}]. *)
 val to_json : t -> Json.t
-
-val json_string : t -> string
-
-(** Header [run,time,<columns>], one line per sample. *)
-val csv : t -> string
-
-val write_json : t -> file:string -> unit
-val write_csv : t -> file:string -> unit
-
-(** Format by extension: [.csv] writes {!csv}, anything else {!write_json}.
-    Parent directories are created as needed (all three writers). *)
-val write : t -> file:string -> unit

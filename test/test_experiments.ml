@@ -487,15 +487,13 @@ let test_sim_lineage_exports_deterministic () =
   let _, a = lineage_run ~seed:11 () in
   let _, b = lineage_run ~seed:11 () in
   let _, c = lineage_run ~seed:12 () in
-  Alcotest.(check string)
-    "lineage bytes identical" (Lsr_obs.Lineage.json a)
-    (Lsr_obs.Lineage.json b);
-  Alcotest.(check string)
-    "lag report bytes identical"
-    (Lag_report.json_string (Lag_report.of_lineage a))
-    (Lag_report.json_string (Lag_report.of_lineage b));
-  check_bool "different seed, different lineage" true
-    (Lsr_obs.Lineage.json a <> Lsr_obs.Lineage.json c)
+  let lineage l = Lsr_obs.Json.to_string (Lsr_obs.Lineage.to_json l) in
+  let lag l =
+    Lsr_obs.Json.to_string (Lag_report.to_json (Lag_report.of_lineage l))
+  in
+  Alcotest.(check string) "lineage bytes identical" (lineage a) (lineage b);
+  Alcotest.(check string) "lag report bytes identical" (lag a) (lag b);
+  check_bool "different seed, different lineage" true (lineage a <> lineage c)
 
 let test_sim_lineage_sink_spans_runs () =
   (* One sink may span several runs (a sweep, the fault scenarios). Each run
@@ -591,7 +589,7 @@ let test_lag_report_empty_site () =
   let table = Lag_report.render rows in
   check_bool "empty sections render as explicit - cells" true
     (contains table "-");
-  let json = Lag_report.json_string rows in
+  let json = Lsr_obs.Json.to_string (Lag_report.to_json rows) in
   check_bool "json is null-free" true (not (contains json "null"))
 
 let test_sim_freshness_outcome () =
@@ -611,16 +609,15 @@ let test_sim_obs_exports_deterministic () =
   let _, obs_a = obs_run ~seed:11 in
   let _, obs_b = obs_run ~seed:11 in
   let _, obs_c = obs_run ~seed:12 in
-  Alcotest.(check string)
-    "metrics bytes identical"
-    (Lsr_obs.Obs.metrics_json obs_a)
-    (Lsr_obs.Obs.metrics_json obs_b);
+  let metrics obs = Lsr_obs.Json.to_string (Lsr_obs.Obs.metrics_json obs) in
+  Alcotest.(check string) "metrics bytes identical" (metrics obs_a)
+    (metrics obs_b);
   Alcotest.(check string)
     "trace bytes identical"
     (Lsr_obs.Obs.trace_json obs_a)
     (Lsr_obs.Obs.trace_json obs_b);
   check_bool "different seed, different metrics" true
-    (Lsr_obs.Obs.metrics_json obs_a <> Lsr_obs.Obs.metrics_json obs_c)
+    (metrics obs_a <> metrics obs_c)
 
 let monitor_run ~seed =
   let monitor = Monitor.create ~interval:2.0 () in
@@ -663,22 +660,16 @@ let test_sim_monitor_does_not_perturb () =
     (Lsr_obs.Timeseries.samples series)
 
 let test_sim_monitor_timeseries_deterministic () =
-  (* Same seed, fresh monitors: both exports are byte-identical; a
-     different seed diverges. *)
+  (* Same seed, fresh monitors: the export is byte-identical; a different
+     seed diverges. *)
+  let json m =
+    Lsr_obs.Json.to_string (Lsr_obs.Timeseries.to_json (Monitor.series m))
+  in
   let _, a = monitor_run ~seed:11 in
   let _, b = monitor_run ~seed:11 in
   let _, c = monitor_run ~seed:12 in
-  Alcotest.(check string)
-    "timeseries JSON bytes identical"
-    (Lsr_obs.Timeseries.json_string (Monitor.series a))
-    (Lsr_obs.Timeseries.json_string (Monitor.series b));
-  Alcotest.(check string)
-    "timeseries CSV bytes identical"
-    (Lsr_obs.Timeseries.csv (Monitor.series a))
-    (Lsr_obs.Timeseries.csv (Monitor.series b));
-  check_bool "different seed, different samples" true
-    (Lsr_obs.Timeseries.json_string (Monitor.series a)
-    <> Lsr_obs.Timeseries.json_string (Monitor.series c))
+  Alcotest.(check string) "timeseries JSON bytes identical" (json a) (json b);
+  check_bool "different seed, different samples" true (json a <> json c)
 
 let test_monitor_create_validates () =
   Alcotest.check_raises "zero interval"
@@ -751,13 +742,9 @@ let test_bottleneck_report () =
      String.length rendered >= String.length sub
      && String.sub rendered 0 (String.length sub) = sub);
   (* The JSON export round-trips through the parser, like every exporter. *)
-  match
-    Lsr_obs.Json.parse
-      (Lsr_obs.Json.to_string
-         (Bottleneck.sweep_json [ { Bottleneck.tag = "t"; report } ]))
-  with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("bottleneck JSON invalid: " ^ e)
+  let text = Lsr_obs.Json.to_string (Bottleneck.to_json report) in
+  check_bool "bottleneck JSON round-trips" true
+    (Result.map Lsr_obs.Json.to_string (Lsr_obs.Json.parse text) = Ok text)
 
 let tiny_sweep_params =
   {

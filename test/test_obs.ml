@@ -123,7 +123,7 @@ let test_metrics_json_shape () =
   Obs.incr ~by:7 (Obs.counter t "a.count");
   Obs.set_gauge (Obs.gauge t "b.depth") 3.;
   Obs.observe (Obs.histogram t "c.rt") 0.25;
-  let j = parse_ok (Obs.metrics_json t) in
+  let j = parse_ok (Json.to_string (Obs.metrics_json t)) in
   let counters = member_exn "counters" j in
   Alcotest.(check (float 0.)) "counter value" 7.
     (num_exn (member_exn "a.count" counters));
@@ -168,8 +168,8 @@ let test_metrics_json_deterministic () =
     t
   in
   check_string "insertion order irrelevant"
-    (Obs.metrics_json (build ()))
-    (Obs.metrics_json (build_rev ()))
+    (Json.to_string (Obs.metrics_json (build ())))
+    (Json.to_string (Obs.metrics_json (build_rev ())))
 
 let test_trace_json_shape () =
   let t = Obs.create () in
@@ -227,7 +227,7 @@ let test_write_files () =
   Sys.remove dir;
   Sys.mkdir dir 0o700;
   let mf = Filename.concat dir "m.json" and tf = Filename.concat dir "t.json" in
-  Obs.write_metrics t ~file:mf;
+  Json.write_file ~file:mf (Obs.metrics_json t);
   Obs.write_trace t ~file:tf;
   let slurp f = In_channel.with_open_bin f In_channel.input_all in
   check_bool "metrics file parses" true (Result.is_ok (Json.parse (slurp mf)));
@@ -323,7 +323,7 @@ let test_lineage_json_deterministic () =
     Lineage.emit l ~site:"a" ~txn:1 Lineage.Enqueued;
     Lineage.sample_read l ~site:"b" ~at:3. ~age:0. ~missed:0;
     Lineage.sample_read l ~site:"a" ~at:4. ~age:4. ~missed:1;
-    Lineage.json l
+    Json.to_string (Lineage.to_json l)
   in
   let s1 = build () and s2 = build () in
   check_string "same bytes across identical builds" s1 s2;
@@ -337,26 +337,29 @@ let test_lineage_json_deterministic () =
     | _ -> Alcotest.fail "site is not a string")
   | _ -> Alcotest.fail "sites not a non-empty array")
 
+(* An export into a directory that does not exist yet must create it, not
+   fail after the run: both file writers create missing parents. *)
 let test_write_creates_parents () =
   let base = Filename.temp_file "lsr_obs_deep" "" in
   Sys.remove base;
-  let mf = List.fold_left Filename.concat base [ "a"; "b"; "m.json" ] in
-  let t = Obs.create () in
-  Obs.incr (Obs.counter t "c");
-  Obs.write_metrics t ~file:mf;
-  check_bool "metrics parents created" true (Sys.file_exists mf);
-  let lf = List.fold_left Filename.concat base [ "x"; "lineage.json" ] in
+  let jf = List.fold_left Filename.concat base [ "a"; "b"; "r.json" ] in
   let l = Lineage.create () in
   Lineage.emit l ~txn:1 (Lineage.Primary_commit { commit_ts = 1; updates = 1 });
-  Lineage.write l ~file:lf;
-  check_bool "lineage parents created" true (Sys.file_exists lf);
+  let doc = Lineage.to_json l in
+  Json.write_file ~file:jf doc;
   let slurp f = In_channel.with_open_bin f In_channel.input_all in
-  check_bool "lineage file parses" true (Result.is_ok (Json.parse (slurp lf)));
-  Sys.remove mf;
-  Sys.remove lf;
-  Sys.rmdir (Filename.dirname mf);
+  let text = slurp jf in
+  check_string "canonical text plus newline" (Json.to_string doc ^ "\n") text;
+  check_bool "file re-parses to the written document" true
+    (Result.map Json.to_string (Json.parse text) = Ok (Json.to_string doc));
+  let tf = List.fold_left Filename.concat base [ "x"; "t.json" ] in
+  Obs.write_trace (Obs.create ()) ~file:tf;
+  check_bool "trace parents created" true (Sys.file_exists tf);
+  Sys.remove jf;
+  Sys.remove tf;
+  Sys.rmdir (Filename.dirname jf);
   Sys.rmdir (Filename.concat base "a");
-  Sys.rmdir (Filename.dirname lf);
+  Sys.rmdir (Filename.dirname tf);
   Sys.rmdir base
 
 let () =
