@@ -162,12 +162,12 @@ let guarantee_required_seq t ~label =
   match t.guarantee with
   | Weak -> Timestamp.zero
   | Prefix_consistent -> seq t label
-  | Strong_session | Strong -> max (seq t label) (read_floor t label)
+  | Strong_session | Strong -> Timestamp.max (seq t label) (read_floor t label)
 
 let fence_threshold t ?clock ?now ~label fence =
   match fence with
   | Exact ts -> ts
-  | Session_seq -> max (seq t label) (read_floor t label)
+  | Session_seq -> Timestamp.max (seq t label) (read_floor t label)
   | Max_age d -> (
     match (clock, now) with
     | Some c, Some now -> clock_horizon c ~cutoff:(now -. d)
@@ -178,7 +178,7 @@ let required_seq ?fence ?clock ?now t ~label =
   let base = guarantee_required_seq t ~label in
   match fence with
   | None -> base
-  | Some f -> max base (fence_threshold t ?clock ?now ~label f)
+  | Some f -> Timestamp.max base (fence_threshold t ?clock ?now ~label f)
 
 let may_read ?fence ?clock ?now t ~label ~seq_dbsec =
   Timestamp.compare (required_seq ?fence ?clock ?now t ~label) seq_dbsec <= 0

@@ -364,7 +364,7 @@ let refresher_process st site () =
 
 let fresh_label st =
   st.label_counter <- st.label_counter + 1;
-  Printf.sprintf "s%d" st.label_counter
+  "s" ^ string_of_int st.label_counter
 
 let execute_update st rng label spec =
   let p = st.cfg.params in

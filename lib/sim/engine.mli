@@ -6,11 +6,14 @@
     scheduled for the same instant in scheduling order (FIFO tie-breaking),
     which keeps simulations deterministic for a fixed random seed.
 
-    Events scheduled with [delay = 0.] (process wakes and spawns) skip the
-    binary heap: they wait in a FIFO lane that is already in (time, seq)
-    order, and each step fires the earlier of the lane's head and the
-    heap's top. The lane changes cost, not order: the firing sequence is
-    exactly that of a single heap. *)
+    Pending events with a positive delay wait in a 4-ary min-heap whose
+    (time, seq) keys are stored unboxed beside the events, so ordering them
+    reads no event record. Events scheduled with [delay = 0.] (process
+    wakes and spawns) skip the heap: they wait in a FIFO lane that is
+    already in (time, seq) order, and each step fires the earlier of the
+    lane's head and the heap's top. Neither structure changes the order:
+    the firing sequence is exactly that of a single (time, seq) priority
+    queue. *)
 
 type t
 

@@ -21,68 +21,47 @@ type ps_job = {
   ps_waker : unit Process.waker;
 }
 
-type t = {
-  eng : Engine.t;
-  name : string;
-  discipline : discipline;
-  (* Processor sharing: jobs in simultaneous service, ordered by finish
-     virtual time, plus the fluid clock they are measured against. *)
-  ps_heap : ps_job Binheap.t;
+(* The resource's float state: one all-float record, which OCaml stores
+   flat, so updating a field writes the float in place instead of
+   allocating a box. *)
+type clock = {
+  (* Processor sharing: the fluid clock jobs are measured against, and the
+     instant it was last advanced to. *)
   mutable vtime : float;
-  mutable ps_seq : int;
   mutable last_update : float;
-  mutable completion : Engine.handle option;
-  (* Fifo / round-robin: the waiting line and the server state. *)
-  queue : job Queue.t;
-  mutable serving : bool;
   mutable busy : float;
   (* Fifo / round-robin: when the slice in progress started ([nan] when the
      server is idle), so busy time can be pro-rated at any read instant. *)
   mutable slice_start : float;
-  (* Queueing telemetry: per-job tallies recorded at completion, plus the
-     time-weighted integral of the number of jobs present (L). *)
+  (* Queueing telemetry: the time-weighted integral of the number of jobs
+     present (L), and the instant it was last charged to. *)
+  mutable queue_area : float;
+  mutable last_area_update : float;
+}
+
+type t = {
+  eng : Engine.t;
+  name : string;
+  discipline : discipline;
+  clock : clock;
+  (* Processor sharing: jobs in simultaneous service, ordered by finish
+     virtual time, and the completion event pending for the first of them.
+     [on_completion] is that event's action, allocated once. *)
+  ps_heap : ps_job Binheap.t;
+  mutable ps_seq : int;
+  mutable completion : Engine.handle option;
+  on_completion : unit -> unit;
+  (* Fifo / round-robin: the waiting line and the server state. *)
+  queue : job Queue.t;
+  mutable serving : bool;
+  (* Queueing telemetry: per-job tallies recorded at completion. *)
   mutable arrivals : int;
   mutable completions : int;
   wait : Stat.t;  (* sojourn minus service demand, per completed job *)
   service : Stat.t;  (* service demand per completed job *)
-  mutable queue_area : float;  (* integral of jobs-present dt *)
-  mutable last_area_update : float;
 }
 
 let epsilon = 1e-9
-
-let create ?(name = "resource") eng ~discipline =
-  (match discipline with
-  | Round_robin quantum when quantum <= 0. ->
-    invalid_arg "Resource.create: round-robin quantum must be positive"
-  | Fifo | Round_robin _ | Processor_sharing -> ());
-  {
-    eng;
-    name;
-    discipline;
-    ps_heap =
-      Binheap.create
-        ~cmp:(fun a b ->
-          let c = Float.compare a.vfinish b.vfinish in
-          if c <> 0 then c else Int.compare a.seq b.seq)
-        ~dummy:
-          { vfinish = infinity; seq = -1; ps_amount = 0.; ps_arrived = 0.;
-            ps_waker = ignore };
-    vtime = 0.;
-    ps_seq = 0;
-    last_update = Engine.now eng;
-    completion = None;
-    queue = Queue.create ();
-    serving = false;
-    busy = 0.;
-    slice_start = nan;
-    arrivals = 0;
-    completions = 0;
-    wait = Stat.create ();
-    service = Stat.create ();
-    queue_area = 0.;
-    last_area_update = Engine.now eng;
-  }
 
 (* Jobs present right now, before any lazy state advance: queued plus in
    service. Between two events this count is constant, so charging
@@ -96,11 +75,12 @@ let raw_jobs t =
 (* Charge the interval since the last update to the queue-length integral.
    Must run before the job population changes. *)
 let advance_area t =
+  let c = t.clock in
   let now = Engine.now t.eng in
-  let elapsed = now -. t.last_area_update in
+  let elapsed = now -. c.last_area_update in
   if elapsed > 0. then
-    t.queue_area <- t.queue_area +. (float_of_int (raw_jobs t) *. elapsed);
-  t.last_area_update <- now
+    c.queue_area <- c.queue_area +. (float_of_int (raw_jobs t) *. elapsed);
+  c.last_area_update <- now
 
 let note_arrival t =
   advance_area t;
@@ -130,16 +110,17 @@ let note_completion t job =
    instants are identical to the per-job formulation up to float rounding. *)
 
 let ps_advance t =
+  let c = t.clock in
   let now = Engine.now t.eng in
-  let elapsed = now -. t.last_update in
+  let elapsed = now -. c.last_update in
   let n = Binheap.length t.ps_heap in
   if elapsed > 0. && n > 0 then begin
-    t.vtime <- t.vtime +. (elapsed /. float_of_int n);
-    t.busy <- t.busy +. elapsed
+    c.vtime <- c.vtime +. (elapsed /. float_of_int n);
+    c.busy <- c.busy +. elapsed
   end;
-  t.last_update <- now
+  c.last_update <- now
 
-let rec ps_reschedule t =
+let ps_reschedule t =
   (match t.completion with
   | Some h ->
     Engine.cancel t.eng h;
@@ -149,27 +130,30 @@ let rec ps_reschedule t =
   | None -> ()
   | Some next ->
     let n = float_of_int (Binheap.length t.ps_heap) in
-    let delay = max 0. ((next.vfinish -. t.vtime) *. n) in
-    t.completion <- Some (Engine.schedule t.eng ~delay (fun () -> ps_complete t))
+    let delay = (next.vfinish -. t.clock.vtime) *. n in
+    let delay = if 0. >= delay then 0. else delay in
+    t.completion <- Some (Engine.schedule t.eng ~delay t.on_completion)
 
-and ps_complete t =
+let ps_complete t =
   t.completion <- None;
   ps_advance t;
-  (* Pop every job whose demand is met at the advanced virtual time; ties
-     complete in arrival order (heap order includes [seq]). *)
-  let rec drain wakers =
+  (* Pop every job whose demand is met at the advanced virtual time and wake
+     it; ties complete in arrival order (heap order includes [seq]). A waker
+     only schedules the process's resumption, so waking inside the loop
+     fires in the same order as waking after it. *)
+  let rec drain () =
     match Binheap.peek t.ps_heap with
-    | Some j when j.vfinish -. t.vtime <= epsilon ->
+    | Some j when j.vfinish -. t.clock.vtime <= epsilon ->
       (* Telemetry first: the pending interval in the queue-length integral
          must be charged at the population that held during it, i.e. with
          this job still counted. *)
       note_completion_values t ~amount:j.ps_amount ~arrived:j.ps_arrived;
       ignore (Binheap.pop t.ps_heap);
-      drain (j.ps_waker :: wakers)
-    | Some _ | None -> List.rev wakers
+      j.ps_waker ();
+      drain ()
+    | Some _ | None -> ()
   in
-  let wakers = drain [] in
-  List.iter (fun waker -> waker ()) wakers;
+  drain ();
   ps_reschedule t
 
 let ps_use t amount =
@@ -178,7 +162,7 @@ let ps_use t amount =
       ps_advance t;
       let job =
         {
-          vfinish = t.vtime +. amount;
+          vfinish = t.clock.vtime +. amount;
           seq = t.ps_seq;
           ps_amount = amount;
           ps_arrived = Engine.now t.eng;
@@ -195,13 +179,14 @@ let rec fifo_start_next t =
   match Queue.take_opt t.queue with
   | None ->
     t.serving <- false;
-    t.slice_start <- nan
+    t.clock.slice_start <- nan
   | Some job ->
     t.serving <- true;
-    t.slice_start <- Engine.now t.eng;
+    t.clock.slice_start <- Engine.now t.eng;
     ignore
       (Engine.schedule t.eng ~delay:job.remaining (fun () ->
-           t.busy <- t.busy +. (Engine.now t.eng -. t.slice_start);
+           let c = t.clock in
+           c.busy <- c.busy +. (Engine.now t.eng -. c.slice_start);
            note_completion t job;
            job.waker ();
            fifo_start_next t))
@@ -224,14 +209,15 @@ let rec rr_serve_slice t quantum =
   match Queue.take_opt t.queue with
   | None ->
     t.serving <- false;
-    t.slice_start <- nan
+    t.clock.slice_start <- nan
   | Some job ->
     t.serving <- true;
-    t.slice_start <- Engine.now t.eng;
+    t.clock.slice_start <- Engine.now t.eng;
     let slice = min quantum job.remaining in
     ignore
       (Engine.schedule t.eng ~delay:slice (fun () ->
-           t.busy <- t.busy +. (Engine.now t.eng -. t.slice_start);
+           let c = t.clock in
+           c.busy <- c.busy +. (Engine.now t.eng -. c.slice_start);
            job.remaining <- job.remaining -. slice;
            if job.remaining <= epsilon then begin
              note_completion t job;
@@ -247,6 +233,47 @@ let rr_use t quantum amount =
         { remaining = amount; amount; arrived = Engine.now t.eng; waker }
         t.queue;
       if not t.serving then rr_serve_slice t quantum)
+
+let create ?(name = "resource") eng ~discipline =
+  (match discipline with
+  | Round_robin quantum when quantum <= 0. ->
+    invalid_arg "Resource.create: round-robin quantum must be positive"
+  | Fifo | Round_robin _ | Processor_sharing -> ());
+  let now = Engine.now eng in
+  let rec t =
+    {
+      eng;
+      name;
+      discipline;
+      clock =
+        {
+          vtime = 0.;
+          last_update = now;
+          busy = 0.;
+          slice_start = nan;
+          queue_area = 0.;
+          last_area_update = now;
+        };
+      ps_heap =
+        Binheap.create
+          ~cmp:(fun a b ->
+            let c = Float.compare a.vfinish b.vfinish in
+            if c <> 0 then c else Int.compare a.seq b.seq)
+          ~dummy:
+            { vfinish = infinity; seq = -1; ps_amount = 0.; ps_arrived = 0.;
+              ps_waker = ignore };
+      ps_seq = 0;
+      completion = None;
+      on_completion = (fun () -> ps_complete t);
+      queue = Queue.create ();
+      serving = false;
+      arrivals = 0;
+      completions = 0;
+      wait = Stat.create ();
+      service = Stat.create ();
+    }
+  in
+  t
 
 (* --- Common --------------------------------------------------------------- *)
 
@@ -269,11 +296,11 @@ let load t =
        whose completion event has not fired yet (the completion is scheduled
        for exactly this instant), so a sampled queue length never overshoots
        the population that is still genuinely in service. *)
-    let elapsed = Engine.now t.eng -. t.last_update in
+    let elapsed = Engine.now t.eng -. t.clock.last_update in
     let n = Binheap.length t.ps_heap in
     if n = 0 then 0
     else begin
-      let v_now = t.vtime +. (elapsed /. float_of_int n) in
+      let v_now = t.clock.vtime +. (elapsed /. float_of_int n) in
       Binheap.fold t.ps_heap ~init:0 ~f:(fun acc j ->
           if j.vfinish -. v_now > epsilon then acc + 1 else acc)
     end
@@ -284,13 +311,14 @@ let load t =
    completion (Fifo) or slice (RR) event fires, so a mid-run utilization
    sample is never stale. *)
 let busy_time t =
+  let c = t.clock in
   let now = Engine.now t.eng in
   match t.discipline with
   | Processor_sharing ->
-    if Binheap.is_empty t.ps_heap then t.busy
-    else t.busy +. (now -. t.last_update)
+    if Binheap.is_empty t.ps_heap then c.busy
+    else c.busy +. (now -. c.last_update)
   | Fifo | Round_robin _ ->
-    if t.serving then t.busy +. (now -. t.slice_start) else t.busy
+    if t.serving then c.busy +. (now -. c.slice_start) else c.busy
 
 (* --- Telemetry ------------------------------------------------------------- *)
 
@@ -301,9 +329,10 @@ let wait_stat t = t.wait
 let service_stat t = t.service
 
 let queue_area t =
-  let pending = Engine.now t.eng -. t.last_area_update in
-  if pending > 0. then t.queue_area +. (float_of_int (raw_jobs t) *. pending)
-  else t.queue_area
+  let c = t.clock in
+  let pending = Engine.now t.eng -. c.last_area_update in
+  if pending > 0. then c.queue_area +. (float_of_int (raw_jobs t) *. pending)
+  else c.queue_area
 
 let utilization t =
   let now = Engine.now t.eng in

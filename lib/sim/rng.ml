@@ -1,21 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer read and written with
+   [Bytes.get_int64_ne]/[set_int64_ne], which the compiler keeps unboxed: a
+   [mutable state : int64] field would allocate a fresh boxed int64 at every
+   draw. With [mix], [bits64] and [float] inlined into the draws below,
+   [float] allocates only its boxed result and [uniform] nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] bits64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
-let float t =
+let split t = of_state (bits64 t)
+
+let[@inline] float t =
   (* Use the top 53 bits for a uniform double in [0, 1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1. /. 9007199254740992.)

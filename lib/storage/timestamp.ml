@@ -3,6 +3,7 @@ type t = int
 let zero = 0
 let compare = Int.compare
 let equal = Int.equal
+let max = Int.max
 let pp = Format.pp_print_int
 
 type source = { mutable last : t }

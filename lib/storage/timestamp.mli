@@ -11,6 +11,10 @@ type t = int
 val zero : t
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
+(** The later of two timestamps, without polymorphic compare. *)
+val max : t -> t -> t
+
 val pp : Format.formatter -> t -> unit
 
 (** A mutable source of fresh timestamps. *)

@@ -233,36 +233,72 @@ type engine_view = { order : int list; clock : float; pending : int; fired : int
 let behaviour_of behaviours id =
   if id < Array.length behaviours then behaviours.(id) else ([], None)
 
-let model_run (initial, behaviours, chunks) =
+(* The model keeps its pending events as a list sorted by (time, id), each
+   tagged with whether the engine holds it in the heap (a nonzero delay) or
+   in the zero-delay lane. A cancelled event is marked dead and skipped when
+   it reaches the front, so a cancel does not rewrite the list: at depth
+   that is what keeps the model fast. With [~cancel_top] each chunk
+   boundary cancels the earliest live heap-resident event, so a cancelled
+   heap top sits under the lane's head. *)
+let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
   let now = ref 0. and next = ref 0 and pending = ref [] and log = ref [] in
-  let schedule d =
-    pending := (!now +. d, !next) :: !pending;
-    incr next
+  let live = Hashtbl.create 64 and live_count = ref 0 in
+  let rec insert ((time, id, _) as ev) = function
+    | ((time', id', _) as ev') :: rest when time' < time || (time' = time && id' < id)
+      ->
+      ev' :: insert ev rest
+    | rest -> ev :: rest
   in
+  let cancel id =
+    if Hashtbl.mem live id then begin
+      Hashtbl.remove live id;
+      decr live_count
+    end
+  in
+  let add d =
+    Hashtbl.replace live !next ();
+    incr live_count;
+    incr next;
+    (!now +. d, !next - 1, d <> 0.)
+  in
+  let schedule d = pending := insert (add d) !pending in
   let rec run ?(until = infinity) () =
-    match List.sort compare !pending with
-    | (time, id) :: rest when time <= until ->
+    match !pending with
+    | (_, id, _) :: rest when not (Hashtbl.mem live id) ->
       pending := rest;
+      run ~until ()
+    | (time, id, _) :: rest when time <= until ->
+      pending := rest;
+      cancel id;
       now := time;
       log := id :: !log;
       let children, back = behaviour_of behaviours id in
       List.iter schedule children;
-      Option.iter
-        (fun b -> pending := List.filter (fun (_, j) -> j <> !next - 1 - b) !pending)
-        back;
+      Option.iter (fun b -> cancel (!next - 1 - b)) back;
       run ~until ()
     | _ -> if until < infinity then now := Float.max !now until
   in
   let view () =
-    { order = List.rev !log; clock = !now; pending = List.length !pending;
+    { order = List.rev !log; clock = !now; pending = !live_count;
       fired = List.length !log }
   in
-  List.iter schedule initial;
+  (* The initial batch has increasing ids, so a stable sort by time puts it
+     in (time, id) order. *)
+  pending :=
+    List.stable_sort
+      (fun (a, _, _) (b, _, _) -> Float.compare a b)
+      (List.map add initial);
   let views =
     List.map
       (fun (until, outside) ->
         run ~until ();
         let v = view () in
+        (if cancel_top then
+           match
+             List.find_opt (fun (_, id, heap) -> heap && Hashtbl.mem live id) !pending
+           with
+           | Some (_, id, _) -> cancel id
+           | None -> ());
         List.iter schedule outside;
         v)
       chunks
@@ -270,21 +306,28 @@ let model_run (initial, behaviours, chunks) =
   run ();
   views @ [ view () ]
 
-let engine_run (initial, behaviours, chunks) =
+(* The same schedule on the engine. For [~cancel_top] the harness tracks the
+   heap-resident events itself ([heap]: id -> time) and cancels the least
+   (time, id) among them. *)
+let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
   let eng = Engine.create () and handles = Hashtbl.create 64 in
+  let heap = Hashtbl.create 64 in
   let next = ref 0 and log = ref [] in
+  let cancel id =
+    Option.iter (Engine.cancel eng) (Hashtbl.find_opt handles id);
+    Hashtbl.remove heap id
+  in
   let rec schedule d =
     let id = !next in
     incr next;
+    if d <> 0. then Hashtbl.replace heap id (Engine.now eng +. d);
     Hashtbl.replace handles id
       (Engine.schedule eng ~delay:d (fun () ->
+           Hashtbl.remove heap id;
            log := id :: !log;
            let children, back = behaviour_of behaviours id in
            List.iter schedule children;
-           Option.iter
-             (fun b ->
-               Option.iter (Engine.cancel eng) (Hashtbl.find_opt handles (!next - 1 - b)))
-             back))
+           Option.iter (fun b -> cancel (!next - 1 - b)) back))
   in
   let view () =
     { order = List.rev !log; clock = Engine.now eng; pending = Engine.pending eng;
@@ -296,6 +339,13 @@ let engine_run (initial, behaviours, chunks) =
       (fun (until, outside) ->
         Engine.run ~until eng;
         let v = view () in
+        (if cancel_top then
+           let least id time acc =
+             match acc with
+             | Some (id', time') when time' < time || (time' = time && id' < id) -> acc
+             | Some _ | None -> Some (id, time)
+           in
+           Option.iter (fun (id, _) -> cancel id) (Hashtbl.fold least heap None));
         List.iter schedule outside;
         v)
       chunks
@@ -308,6 +358,39 @@ let prop_engine_matches_model =
     schedule_arb (fun (initial, behaviours, chunks) ->
       let chunks = List.sort (fun (a, _) (b, _) -> Float.compare a b) chunks in
       model_run (initial, behaviours, chunks) = engine_run (initial, behaviours, chunks))
+
+(* The same differential at depth: 10^3 to 10^4 pending events fill six
+   to eight levels of the 4-ary heap, where [prop_engine_matches_model]
+   never fills three. Delays come from the same small set, so same-time
+   ties between the lane and the heap are common; a quarter of the events
+   cancel another one, and every chunk boundary cancels the heap top. *)
+let deep_schedule_arb =
+  let open QCheck.Gen in
+  let behaviour =
+    pair
+      (frequency [ (1, return []); (2, map (fun d -> [ d ]) delay_gen) ])
+      (frequency [ (3, return None); (1, map Option.some (int_bound 50)) ])
+  in
+  let gen =
+    int_range 1_000 10_000 >>= fun depth ->
+    triple
+      (list_repeat depth delay_gen)
+      (array_repeat (2 * depth) behaviour)
+      (list_size (int_range 2 5)
+         (pair (float_bound_inclusive 4.) (list_size (int_bound 200) delay_gen)))
+  in
+  QCheck.make
+    ~print:(fun (initial, _, chunks) ->
+      Printf.sprintf "%d initial events, %d chunks" (List.length initial)
+        (List.length chunks))
+    gen
+
+let prop_engine_matches_model_deep =
+  QCheck.Test.make ~name:"engine matches the model at depth" ~count:4
+    deep_schedule_arb (fun (initial, behaviours, chunks) ->
+      let chunks = List.sort (fun (a, _) (b, _) -> Float.compare a b) chunks in
+      model_run ~cancel_top:true (initial, behaviours, chunks)
+      = engine_run ~cancel_top:true (initial, behaviours, chunks))
 
 (* --- Process ------------------------------------------------------------------ *)
 
@@ -874,6 +957,45 @@ let test_rng_deterministic () =
     Alcotest.(check int64) "same seed, same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* The first draws of several streams, recorded with SplitMix64 over a
+   boxed [int64] state: any representation of the state must reproduce
+   them bit for bit. Per seed: [bits64], [float],
+   [uniform ~lo:1 ~hi:1000], [exponential ~mean:2.5], then a [split] child's
+   [bits64] and [float], then the parent's next [bits64]. *)
+let rng_pins =
+  [
+    ( 0, -2152535657050944081L, 0x1.b9e279aa86e58p-2, 27, 0x1.1ae96e49f6eabp+3,
+      5085904676777434204L, 0x1.d105e8c6576d7p-1, 6038094601263162090L );
+    ( 1, -4616330145664149646L, 0x1.7d54b3920bcaap-2, 439, 0x1.ed109089ba508p+2,
+      -1147685784756221562L, 0x1.dcfca502244acp-1, -7456765501708208026L );
+    ( 42, -7450291807549245335L, 0x1.486da5f92b86cp-3, 167, 0x1.f7fc4e32d682ap-4,
+      -6585662623018088301L, 0x1.bcc58e6f66602p-2, 4337243929683858115L );
+    ( 20060912, -8438310450864721064L, 0x1.3d61cfda0fd3dp-1, 531,
+      0x1.9c5d65986c04fp+1, -2980118226102960936L, 0x1.02c5a62cb59b1p-1,
+      5063207154285650703L );
+    ( -7, -6657567321482388864L, 0x1.17e4fe55fbc3cp-3, 855, 0x1.3390534a83d95p+0,
+      8240285101112274550L, 0x1.cf56e2478a426p-1, 5012559561407119599L );
+    ( max_int, 3306431589464170407L, 0x1.5ed32218226f3p-1, 759,
+      0x1.eeb11b7e0b24dp+1, -266440130637300729L, 0x1.d1bce3ae7b207p-1,
+      -8842186889883973147L );
+  ]
+
+let test_rng_pinned_stream () =
+  List.iter
+    (fun (seed, bits, f, u, e, child_bits, child_f, next_bits) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let exact = Alcotest.(check (float 0.)) in
+      let r = Rng.create seed in
+      Alcotest.(check int64) (name "bits64") bits (Rng.bits64 r);
+      exact (name "float") f (Rng.float r);
+      check_int (name "uniform") u (Rng.uniform r ~lo:1 ~hi:1000);
+      exact (name "exponential") e (Rng.exponential r ~mean:2.5);
+      let child = Rng.split r in
+      Alcotest.(check int64) (name "split child bits64") child_bits (Rng.bits64 child);
+      exact (name "split child float") child_f (Rng.float child);
+      Alcotest.(check int64) (name "parent after split") next_bits (Rng.bits64 r))
+    rng_pins
+
 let test_rng_split_independent () =
   let a = Rng.create 42 in
   let b = Rng.split a in
@@ -1083,7 +1205,7 @@ let () =
           Alcotest.test_case "200k-event heap budget" `Slow
             test_engine_heap_budget;
         ]
-        @ qsuite [ prop_engine_matches_model ] );
+        @ qsuite [ prop_engine_matches_model; prop_engine_matches_model_deep ] );
       ( "process",
         [
           Alcotest.test_case "delay" `Quick test_process_delay;
@@ -1157,6 +1279,7 @@ let () =
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "zipf range/skew" `Quick test_rng_zipf_range_and_skew;
           Alcotest.test_case "zipf invalid" `Quick test_rng_zipf_invalid;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
         ] );
       ( "stat",
         [
