@@ -186,7 +186,10 @@ val blocked_reads : t -> int
     primary and at every live secondary are vacuumed down to their latest
     committed version. Returns the number of versions reclaimed. Call it
     after {!pump}: snapshot reconstruction below the current state becomes
-    unavailable, so lagging secondaries must have caught up first. *)
+    unavailable, so lagging secondaries must have caught up first.
+
+    Its vacuum costs each database the keys written more than once since
+    the last compact, not the whole store (see {!Mvcc.vacuum}). *)
 val compact : t -> int
 
 (** {2 Failures (§3.4, §4)} *)

@@ -224,7 +224,7 @@ let unpin t serial =
 
 let min_pin t =
   if t.min_pin_dirty then begin
-    t.min_pin <- Hashtbl.fold (fun _ ts acc -> min ts acc) t.pins max_int;
+    t.min_pin <- Hashtbl.fold (fun _ ts acc -> Int.min ts acc) t.pins max_int;
     t.min_pin_dirty <- false
   end;
   t.min_pin
@@ -315,10 +315,10 @@ let sweep_floors t =
 
 let retire t =
   if not (Queue.is_empty t.unretired) then begin
-    let site_min = Array.fold_left min max_int t.site_seq in
+    let site_min = Array.fold_left Int.min max_int t.site_seq in
     let front_ts, _ = Queue.peek t.unretired in
     if Timestamp.compare front_ts site_min <= 0 then begin
-      let h = min site_min (min_pin t) in
+      let h = Int.min site_min (min_pin t) in
       if Timestamp.compare h t.horizon > 0 then t.horizon <- h;
       while
         match Queue.peek_opt t.unretired with

@@ -438,7 +438,7 @@ let execute_read ?fence st site label spec =
         fun () -> b)
   in
   let required () =
-    max (Session.required_seq sessions ~label) (fence_b ())
+    Timestamp.max (Session.required_seq sessions ~label) (fence_b ())
   in
   let may_read () =
     Timestamp.compare (required ()) (Secondary.seq_dbsec site.sec) <= 0

@@ -43,6 +43,9 @@ type t = {
   (* Stored versions across all keys, maintained incrementally so the
      monitor can sample it every virtual second at zero marginal cost. *)
   mutable versions : int;
+  (* The cells whose chains hold two or more versions, each once: the only
+     ones [vacuum] can trim. *)
+  mutable multi : cell list;
   wal : Wal.t;
   mutable next_txn_id : int;
   (* Commit timestamps with the writes installed, newest first; the basis of
@@ -60,6 +63,7 @@ let create ?(name = "db") () =
     key_set = Sset.empty;
     new_keys = [];
     versions = 0;
+    multi = [];
     wal = Wal.create ();
     next_txn_id = 0;
     commits = [];
@@ -163,7 +167,9 @@ let install t ~commit_ts updates =
   let apply { Wal.key; value } =
     let version = { committed_at = commit_ts; value } in
     (match Hashtbl.find_opt t.store key with
-    | Some cell -> cell.chain <- version :: cell.chain
+    | Some cell ->
+      (match cell.chain with [ _ ] -> t.multi <- cell :: t.multi | _ -> ());
+      cell.chain <- version :: cell.chain
     | None ->
       Hashtbl.add t.store key { chain = [ version ] };
       t.new_keys <- key :: t.new_keys);
@@ -276,26 +282,38 @@ let commits_with_updates t = List.rev t.commits
 
 (* --- Maintenance ----------------------------------------------------------- *)
 
-let vacuum t ~before =
-  let reclaimed = ref 0 in
-  let trim versions =
-    (* Keep every version newer than [before] plus the single version
-       visible at [before] (the first at or below it, chains being newest
-       first). *)
-    let rec walk kept = function
-      | [] -> List.rev kept
-      | v :: rest ->
-        if Timestamp.compare v.committed_at before <= 0 then begin
-          reclaimed := !reclaimed + List.length rest;
-          List.rev (v :: kept)
-        end
-        else walk (v :: kept) rest
-    in
-    walk [] versions
+(* The number of versions older than the one visible at [before]. *)
+let rec reclaimable ~before = function
+  | [] -> 0
+  | v :: rest ->
+    if Timestamp.compare v.committed_at before <= 0 then List.length rest
+    else reclaimable ~before rest
+
+(* The chain cut just below the version visible at [before]. *)
+let keep_visible ~before chain =
+  let rec walk kept = function
+    | [] -> List.rev kept
+    | v :: rest ->
+      if Timestamp.compare v.committed_at before <= 0 then List.rev (v :: kept)
+      else walk (v :: kept) rest
   in
-  Hashtbl.iter (fun _ cell -> cell.chain <- trim cell.chain) t.store;
-  t.versions <- t.versions - !reclaimed;
-  !reclaimed
+  walk [] chain
+
+let vacuum t ~before =
+  (* Keep every version newer than [before] plus the single version visible
+     at [before]. Only multi-version cells can lose anything, and a chain
+     that loses nothing is left as it is. *)
+  let trim reclaimed cell =
+    let n = reclaimable ~before cell.chain in
+    if n > 0 then cell.chain <- keep_visible ~before cell.chain;
+    reclaimed + n
+  in
+  let reclaimed = List.fold_left trim 0 t.multi in
+  if reclaimed > 0 then
+    t.multi <-
+      List.filter (fun cell -> match cell.chain with _ :: _ :: _ -> true | _ -> false) t.multi;
+  t.versions <- t.versions - reclaimed;
+  reclaimed
 
 let version_count t = t.versions
 

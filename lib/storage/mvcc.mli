@@ -133,7 +133,12 @@ val keys_from : t -> string -> string Seq.t
     [<= before] is kept (it is the version visible at [before]), anything
     older is dropped. Reads at timestamps [>= before] are unaffected;
     [state_at]/[read_at] below [before] become unreliable. Returns the
-    number of versions reclaimed. *)
+    number of versions reclaimed.
+
+    Costs O(m + r) for the m keys holding two or more versions and the r
+    versions reclaimed, not O(store): single-version keys are never
+    visited, and a chain that loses nothing is left as it is, so a vacuum
+    with nothing to reclaim allocates nothing. *)
 val vacuum : t -> before:Timestamp.t -> int
 
 (** Number of stored versions across all keys (for reclamation tests). *)

@@ -606,6 +606,105 @@ let test_vacuum_noop_when_single_version () =
   check_int "nothing reclaimed" 0
     (Mvcc.vacuum db ~before:(Mvcc.latest_commit_ts db))
 
+(* A vacuum with nothing to reclaim leaves every chain as it is, so it
+   allocates nothing: its cost is the multi-version chains, not the store. *)
+let test_vacuum_idle_allocates_nothing () =
+  let db = Mvcc.create () in
+  let keys = List.init 10_000 (fun i -> (Printf.sprintf "k%05d" i, "v0")) in
+  seed db keys;
+  let words_across_vacuum () =
+    let before = Mvcc.latest_commit_ts db in
+    let w0 = Gc.minor_words () in
+    let reclaimed = Mvcc.vacuum db ~before in
+    let words = Gc.minor_words () -. w0 in
+    check_int "nothing reclaimed" 0 reclaimed;
+    words
+  in
+  let fresh = words_across_vacuum () in
+  if fresh >= 64. then
+    Alcotest.failf "vacuum of single-version keys allocated %.0f words" fresh;
+  seed db (List.map (fun (k, _) -> (k, "v1")) keys);
+  check_int "full vacuum reclaims" 10_000
+    (Mvcc.vacuum db ~before:(Mvcc.latest_commit_ts db));
+  let again = words_across_vacuum () in
+  if again >= 64. then
+    Alcotest.failf "vacuum after a full vacuum allocated %.0f words" again
+
+type vacuum_step = Commit of (string * string option) list | Vacuum of int
+
+(* The trim rule applied to every chain of a plain key -> versions model
+   (newest first): keep the versions newer than [before] and the one visible
+   at it. Returns the trimmed chain and the number dropped. *)
+let model_trim ~before chain =
+  let rec walk kept = function
+    | [] -> (List.rev kept, 0)
+    | ((ts, _) as v) :: rest ->
+      if ts <= before then (List.rev (v :: kept), List.length rest)
+      else walk (v :: kept) rest
+  in
+  walk [] chain
+
+let rec model_read ~at = function
+  | [] -> None
+  | (ts, value) :: rest -> if ts <= at then value else model_read ~at rest
+
+let prop_vacuum_matches_full_scan =
+  let gen_step =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map
+              (fun ws -> Commit ws)
+              (list_size (int_range 0 4) (pair small_key (opt (string_size (return 2)))))
+          );
+          (1, map (fun r -> Vacuum r) (int_range 0 100));
+        ])
+  in
+  QCheck.Test.make ~name:"vacuum matches the full-scan trim" ~count:300
+    QCheck.(make Gen.(list_size (int_range 1 30) gen_step))
+    (fun steps ->
+      let db = Mvcc.create () in
+      let model = Hashtbl.create 8 in
+      let chain k = Option.value (Hashtbl.find_opt model k) ~default:[] in
+      let floor = ref 0 in
+      let agrees () =
+        let latest = Mvcc.latest_commit_ts db in
+        let reads_agree k =
+          List.for_all
+            (fun at -> Mvcc.read_at db at k = model_read ~at (chain k))
+            (List.init (latest - !floor + 2) (fun i -> !floor + i))
+        in
+        Mvcc.version_count db
+        = Hashtbl.fold (fun _ c acc -> acc + List.length c) model 0
+        && List.for_all reads_agree (List.init 6 (Printf.sprintf "k%d"))
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Commit writes ->
+            let txn = Mvcc.begin_txn db in
+            List.iter (fun (k, v) -> Mvcc.write db txn k v) writes;
+            let ts = commit_exn db txn in
+            let last = Hashtbl.create 4 in
+            List.iter (fun (k, v) -> Hashtbl.replace last k v) writes;
+            Hashtbl.iter (fun k v -> Hashtbl.replace model k ((ts, v) :: chain k)) last;
+            true
+          | Vacuum r ->
+            let before = Mvcc.latest_commit_ts db * r / 100 in
+            floor := Int.max !floor before;
+            let expected =
+              Hashtbl.fold
+                (fun k c acc ->
+                  let kept, dropped = model_trim ~before c in
+                  Hashtbl.replace model k kept;
+                  acc + dropped)
+                (Hashtbl.copy model) 0
+            in
+            Mvcc.vacuum db ~before = expected)
+          && agrees ())
+        steps)
+
 let test_serialize_restore_roundtrip () =
   let db = Mvcc.create () in
   seed db [ ("a", "1"); ("b", "two"); ("c", "3:with;delims") ];
@@ -1161,12 +1260,14 @@ let () =
           Alcotest.test_case "vacuum preserves recent" `Quick
             test_vacuum_preserves_recent_snapshots;
           Alcotest.test_case "vacuum noop" `Quick test_vacuum_noop_when_single_version;
+          Alcotest.test_case "idle vacuum allocates nothing" `Quick
+            test_vacuum_idle_allocates_nothing;
           Alcotest.test_case "serialize/restore roundtrip" `Quick
             test_serialize_restore_roundtrip;
           Alcotest.test_case "serialize empty" `Quick test_serialize_empty;
           Alcotest.test_case "restore garbage" `Quick test_restore_garbage;
         ]
-        @ qsuite [ prop_serialize_roundtrip ] );
+        @ qsuite [ prop_serialize_roundtrip; prop_vacuum_matches_full_scan ] );
       ( "row",
         [
           Alcotest.test_case "roundtrip" `Quick test_row_roundtrip;
