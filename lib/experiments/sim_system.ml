@@ -544,34 +544,41 @@ let run_txn st site rng ~label spec =
     (now -. t0);
   Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
 
+(* A closed-loop client is a process only while a transaction runs; while
+   it thinks it is one pending timer. [spawn_at] starts the body in the
+   event where a process parked in [Process.delay think] would resume, so
+   the firing order and the random draws are those of one looping process. *)
 let client_process st site rng () =
   let p = st.cfg.params in
   let label = ref (fresh_label st) in
   let session_end = ref (Rng.exponential rng ~mean:p.Params.session_time) in
-  let rec loop () =
-    Process.delay (Rng.exponential rng ~mean:p.Params.think_time);
-    let now = Engine.now st.eng in
-    if now > !session_end then begin
-      label := fresh_label st;
-      session_end := now +. Rng.exponential rng ~mean:p.Params.session_time
-    end;
-    let spec = Txn_gen.generate p rng in
-    run_txn st site rng ~label:!label spec;
-    loop ()
+  let rec think () =
+    Process.spawn_at st.eng
+      ~delay:(Rng.exponential rng ~mean:p.Params.think_time)
+      (fun () ->
+        let now = Engine.now st.eng in
+        if now > !session_end then begin
+          label := fresh_label st;
+          session_end := now +. Rng.exponential rng ~mean:p.Params.session_time
+        end;
+        let spec = Txn_gen.generate p rng in
+        run_txn st site rng ~label:!label spec;
+        think ())
   in
-  loop ()
+  think ()
 
 (* --- Open-loop aggregated clients -------------------------------------------
 
    One arrival process per site replaces its [clients] closed-loop
-   coroutines: transactions arrive at the rate the population would offer if
-   it never queued ({!offered_rate}), each arrival runs in a short-lived
-   process, so live continuations scale with transactions in flight, not
-   with the modeled population. Sessions are modeled by a bounded pool of
-   rotating labels: each arrival draws a slot uniformly, and a slot whose
-   session expired gets a fresh label (the session-guarantee machinery sees
-   a subsample of the real population's sessions; the pool is capped so
-   state stays bounded at millions of modeled clients). *)
+   clients' think timers: transactions arrive at the rate the population
+   would offer if it never queued ({!offered_rate}), each arrival runs in a
+   short-lived process, so pending events and live continuations scale with
+   transactions in flight, not with the modeled population. Sessions are
+   modeled by a bounded pool of rotating labels: each arrival draws a slot
+   uniformly, and a slot whose session expired gets a fresh label (the
+   session-guarantee machinery sees a subsample of the real population's
+   sessions; the pool is capped so state stays bounded at millions of
+   modeled clients). *)
 
 type session_slot = { mutable slot_label : string; mutable slot_end : float }
 
@@ -864,7 +871,7 @@ let run cfg =
       (fun site ->
         for _ = 1 to p.Params.clients_per_secondary do
           let rng = Rng.split root in
-          Process.spawn eng (client_process st site rng)
+          ignore (Engine.schedule eng ~delay:0. (client_process st site rng))
         done)
       st.sites
   | Open_loop { clients; arrival; session_pool } ->

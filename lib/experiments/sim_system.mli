@@ -4,10 +4,11 @@
     core the embedded system shares, each site backed by a live
     {!Lsr_storage.Mvcc} instance — from virtual time: every site is a shared
     {!Lsr_sim.Resource} (the paper's round-robin server, modelled as
-    processor sharing), clients are processes that think, start sessions and
-    submit transactions per {!Lsr_workload.Params}, the propagator is a
-    10-second-cycle log sniffer, and each secondary runs one refresher
-    process plus concurrent applicator processes.
+    processor sharing), clients think, start sessions and submit
+    transactions per {!Lsr_workload.Params}, each transaction running as a
+    process, the propagator is a 10-second-cycle log sniffer, and each
+    secondary runs one refresher process plus concurrent applicator
+    processes.
 
     Because the data operations really execute, a run both measures
     performance and (optionally) records a {!Lsr_core.History} that the
@@ -25,8 +26,9 @@ type arrival = Poisson | Mmpp of float
 
 type client_mode =
   | Closed_loop
-      (** the paper's model: one coroutine per client, thinking between
-          transactions ([Params.clients_per_secondary] per site) *)
+      (** the paper's model: [Params.clients_per_secondary] clients per
+          site, each thinking between transactions; one process per
+          transaction; a thinking client is one pending timer event *)
   | Open_loop of { clients : int; arrival : arrival; session_pool : int }
       (** aggregated model for very large populations: one seeded arrival
           process per site generates the stream a population of [clients]

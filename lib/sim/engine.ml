@@ -269,7 +269,7 @@ let run ?until t =
   in
   loop ();
   match until with
-  | Some limit -> t.now <- max t.now limit
+  | Some limit -> t.now <- Float.max t.now limit
   | None -> ()
 
 let pending t = t.live

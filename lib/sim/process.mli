@@ -19,7 +19,12 @@ type 'a waker = 'a -> unit
     Exceptions escaping [f] are re-raised out of the engine's event loop. *)
 val spawn : Engine.t -> (unit -> unit) -> unit
 
-(** [spawn_at engine ~delay f] starts [f] after [delay] seconds. *)
+(** [spawn_at engine ~delay f] starts [f] as a process after [delay]
+    seconds. The body starts in the event that fires at [now + delay]: the
+    event in which a process calling [delay] there instead would resume. So
+    a process that ends with [delay d; f ()] may end with
+    [spawn_at engine ~delay:d f] instead, with the same firing order, clock
+    and event count. *)
 val spawn_at : Engine.t -> delay:float -> (unit -> unit) -> unit
 
 (** [delay seconds] suspends the calling process for [seconds] of virtual

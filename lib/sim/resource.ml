@@ -213,7 +213,7 @@ let rec rr_serve_slice t quantum =
   | Some job ->
     t.serving <- true;
     t.clock.slice_start <- Engine.now t.eng;
-    let slice = min quantum job.remaining in
+    let slice = Float.min quantum job.remaining in
     ignore
       (Engine.schedule t.eng ~delay:slice (fun () ->
            let c = t.clock in

@@ -1,4 +1,4 @@
-(* Pins three small simulator runs by the number of events they fire and a
+(* Pins five small simulator runs by the number of events they fire and a
    digest of their whole outcome. A change meant to keep results identical
    (a faster event queue, a leaner process or resource) must leave this
    output byte for byte as it is: any reordering of same-time events shows
@@ -21,6 +21,17 @@ let params ~clients ~op_service_time =
     propagation_jitter = 0.2;
     warmup = 2.;
     duration = 20.;
+  }
+
+(* Closed-loop churn: sessions short enough that labels roll over, and
+   enough aborts and key skew that the first-committer-wins and forced-abort
+   retry loops run. *)
+let churn =
+  {
+    (params ~clients:200 ~op_service_time:2e-3) with
+    Params.session_time = 3.;
+    abort_prob = 0.05;
+    key_skew = 0.8;
   }
 
 let open_loop ~clients ~session_pool =
@@ -48,6 +59,25 @@ let runs =
         Sim.client_mode = open_loop ~clients:500 ~session_pool:64;
         watchdog = true;
         flight = Lsr_obs.Flight.create ();
+      } );
+    ( "closed churn, migration and fence mix",
+      {
+        (Sim.config churn Session.Strong_session ~seed:14) with
+        Sim.migrate_prob = 0.2;
+        fence =
+          Sim.Fence_mix
+            [
+              (0.5, None);
+              (0.3, Some Session.Session_seq);
+              (0.2, Some (Session.Max_age 0.5));
+            ];
+      } );
+    ( "closed churn, watchdog, flight and history",
+      {
+        (Sim.config churn Session.Strong_session ~seed:15) with
+        Sim.watchdog = true;
+        flight = Lsr_obs.Flight.create ();
+        record_history = true;
       } );
   ]
 

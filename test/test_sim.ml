@@ -413,6 +413,70 @@ let test_process_spawn_at () =
   Engine.run eng;
   check_float "spawn_at start time" 5. !t
 
+(* A process that waits [d] and then runs [body] may instead hand [body] to
+   a fresh process started [d] from now and return: the body starts in the
+   event that would have resumed the parked process, so nothing else can
+   tell the two apart. [switch_trace] runs both forms with other events at
+   the switch instant, scheduled before the switch (by the process) and
+   after it (by an event queued behind the process's wake), and returns the
+   firing log with virtual times and the engine's event count. *)
+let switch_trace ~spawn ~d ~before ~after =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note name = log := (name, Engine.now eng) :: !log in
+  let other name delay =
+    ignore (Engine.schedule eng ~delay (fun () -> note name))
+  in
+  let body () =
+    note "body";
+    other "body-tie" 0.;
+    Process.delay d;
+    note "body-after-delay"
+  in
+  Process.spawn eng (fun () ->
+      Process.delay 1.;
+      List.iteri (fun i delay -> other (Printf.sprintf "before-%d" i) delay) before;
+      if spawn then Process.spawn_at eng ~delay:d body
+      else begin
+        Process.delay d;
+        body ()
+      end);
+  ignore
+    (Engine.schedule eng ~delay:0. (fun () ->
+         ignore
+           (Engine.schedule eng ~delay:1. (fun () ->
+                List.iteri
+                  (fun i delay -> other (Printf.sprintf "after-%d" i) delay)
+                  after))));
+  Engine.run eng;
+  (List.rev !log, Engine.events_processed eng)
+
+let test_process_spawn_at_drop_in () =
+  List.iter
+    (fun d ->
+      let before = [ d; 0.; d; 0.5 ] and after = [ 0.; d; 2.; d ] in
+      let log_delay, events_delay = switch_trace ~spawn:false ~d ~before ~after in
+      let log_spawn, events_spawn = switch_trace ~spawn:true ~d ~before ~after in
+      let name = Printf.sprintf "d = %g" d in
+      Alcotest.(check (list (pair string (float 0.))))
+        (name ^ ": firing order and times") log_delay log_spawn;
+      check_int (name ^ ": events processed") events_delay events_spawn;
+      Alcotest.(check (float 0.))
+        (name ^ ": body starts at now + d") (1. +. d)
+        (List.assoc "body" log_spawn))
+    [ 0.; 0.5; 2. ]
+
+let prop_spawn_at_drop_in =
+  QCheck.Test.make ~name:"spawn_at is a drop-in for delay" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         triple delay_gen
+           (list_size (int_bound 6) delay_gen)
+           (list_size (int_bound 6) delay_gen)))
+    (fun (d, before, after) ->
+      switch_trace ~spawn:false ~d ~before ~after
+      = switch_trace ~spawn:true ~d ~before ~after)
+
 let test_process_suspend_waker () =
   let eng = Engine.create () in
   let waker = ref None in
@@ -1210,12 +1274,15 @@ let () =
         [
           Alcotest.test_case "delay" `Quick test_process_delay;
           Alcotest.test_case "spawn_at" `Quick test_process_spawn_at;
+          Alcotest.test_case "spawn_at is a drop-in for delay" `Quick
+            test_process_spawn_at_drop_in;
           Alcotest.test_case "suspend/waker once" `Quick test_process_suspend_waker;
           Alcotest.test_case "engine() outside" `Quick test_process_engine_outside;
           Alcotest.test_case "spawn within process" `Quick
             test_process_spawn_within_process;
           Alcotest.test_case "pending counter" `Quick test_engine_pending_counter;
-        ] );
+        ]
+        @ qsuite [ prop_spawn_at_drop_in ] );
       ( "condition",
         [
           Alcotest.test_case "await/signal" `Quick test_condition_await_signal;
