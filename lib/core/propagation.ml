@@ -1,4 +1,5 @@
 open Lsr_storage
+module Txns = Hashtbl.Make (Int)
 
 type t = {
   wal : Wal.t;
@@ -6,7 +7,7 @@ type t = {
   ship_aborted : bool;
   (* Per-transaction accumulated updates (newest first), per Algorithm 3.1's
      update lists. *)
-  update_lists : (int, Wal.update list) Hashtbl.t;
+  update_lists : Wal.update list Txns.t;
   sinks : Lsr_obs.Sinks.t;
   c_polls : Lsr_obs.Obs.counter;
   c_shipped : Lsr_obs.Obs.counter;
@@ -20,7 +21,7 @@ let create ?from ?(ship_aborted = false) ?(sinks = Lsr_obs.Sinks.null) wal =
     wal;
     cursor;
     ship_aborted;
-    update_lists = Hashtbl.create 64;
+    update_lists = Txns.create 64;
     sinks;
     c_polls = Lsr_obs.Obs.counter obs "propagation.polls";
     c_shipped = Lsr_obs.Obs.counter obs "propagation.records_shipped";
@@ -30,27 +31,27 @@ let create ?from ?(ship_aborted = false) ?(sinks = Lsr_obs.Sinks.null) wal =
 let record_of_entry t entry =
   match entry with
   | Wal.Start { txn; ts } ->
-    Hashtbl.replace t.update_lists txn [];
+    Txns.replace t.update_lists txn [];
     Some (Txn_record.Start_rec { txn; start_ts = ts })
   | Wal.Update { txn; update } ->
-    let sofar = Option.value ~default:[] (Hashtbl.find_opt t.update_lists txn) in
-    Hashtbl.replace t.update_lists txn (update :: sofar);
+    let sofar = Option.value ~default:[] (Txns.find_opt t.update_lists txn) in
+    Txns.replace t.update_lists txn (update :: sofar);
     None
   | Wal.Commit { txn; ts } ->
     let accumulated =
-      Option.value ~default:[] (Hashtbl.find_opt t.update_lists txn)
+      Option.value ~default:[] (Txns.find_opt t.update_lists txn)
     in
-    Hashtbl.remove t.update_lists txn;
+    Txns.remove t.update_lists txn;
     (* The refresh transaction re-executes these verbatim. *)
     let updates = Wal.squash (List.rev accumulated) in
     Some (Txn_record.Commit_rec { txn; commit_ts = ts; updates })
   | Wal.Abort { txn } ->
     let wasted =
       if t.ship_aborted then
-        List.rev (Option.value ~default:[] (Hashtbl.find_opt t.update_lists txn))
+        List.rev (Option.value ~default:[] (Txns.find_opt t.update_lists txn))
       else []
     in
-    Hashtbl.remove t.update_lists txn;
+    Txns.remove t.update_lists txn;
     Some (Txn_record.Abort_rec { txn; wasted })
 
 let poll t =
@@ -71,8 +72,8 @@ let poll t =
   Lsr_obs.Obs.incr t.c_polls;
   Lsr_obs.Obs.incr t.c_shipped ~by:(List.length records);
   Lsr_obs.Obs.set_gauge t.g_in_flight
-    (float_of_int (Hashtbl.length t.update_lists));
+    (float_of_int (Txns.length t.update_lists));
   records
 
 let position t = t.cursor
-let in_flight t = Hashtbl.length t.update_lists
+let in_flight t = Txns.length t.update_lists

@@ -1,4 +1,5 @@
 open Lsr_storage
+module Txns = Hashtbl.Make (Int)
 
 exception Refresh_conflict of { txn : int; key : string }
 
@@ -21,7 +22,7 @@ type t = {
   pending : Timestamp.t Queue.t;
   (* Primary txn id -> open refresh transaction (started, not yet dispatched
      to an applicator). *)
-  refresh_txns : (int, Mvcc.txn) Hashtbl.t;
+  refresh_txns : Mvcc.txn Txns.t;
   (* Dispatched, not yet committed, in dispatch order. Commits always remove
      the front (pending-queue order is dispatch order), so a queue keeps
      dispatch O(1) where a list append made long refresh backlogs O(n²). *)
@@ -53,7 +54,7 @@ let make ~name ~sinks db on_refresh_commit =
     db;
     update_queue = Queue.create ();
     pending = Queue.create ();
-    refresh_txns = Hashtbl.create 32;
+    refresh_txns = Txns.create 32;
     applicators = Queue.create ();
     seq_dbsec = Timestamp.zero;
     on_refresh_commit;
@@ -98,7 +99,7 @@ let refresher_step t =
       Lsr_obs.Obs.set_gauge t.g_update_queue
         (float_of_int (Queue.length t.update_queue));
       let refresh = Mvcc.begin_txn t.db in
-      Hashtbl.replace t.refresh_txns txn refresh;
+      Txns.replace t.refresh_txns txn refresh;
       if Lsr_obs.Sinks.tracing t.sinks then
         Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn
           Lsr_obs.Lineage.Refresh_started;
@@ -110,7 +111,7 @@ let refresher_step t =
     Lsr_obs.Obs.set_gauge t.g_update_queue
       (float_of_int (Queue.length t.update_queue));
     let refresh =
-      match Hashtbl.find_opt t.refresh_txns txn with
+      match Txns.find_opt t.refresh_txns txn with
       | Some r -> r
       | None ->
         (* Propagation is FIFO and starts precede commits in the log, so a
@@ -119,7 +120,7 @@ let refresher_step t =
           (Printf.sprintf
              "Secondary.refresher_step: commit record for T%d without start" txn)
     in
-    Hashtbl.remove t.refresh_txns txn;
+    Txns.remove t.refresh_txns txn;
     Queue.add commit_ts t.pending;
     Lsr_obs.Obs.set_gauge t.g_pending (float_of_int (Queue.length t.pending));
     let app =
@@ -131,9 +132,9 @@ let refresher_step t =
     ignore (Queue.pop t.update_queue);
     Lsr_obs.Obs.set_gauge t.g_update_queue
       (float_of_int (Queue.length t.update_queue));
-    (match Hashtbl.find_opt t.refresh_txns txn with
+    (match Txns.find_opt t.refresh_txns txn with
     | Some refresh ->
-      Hashtbl.remove t.refresh_txns txn;
+      Txns.remove t.refresh_txns txn;
       Mvcc.abort t.db refresh
     | None -> ());
     Lsr_obs.Obs.incr t.c_aborted;

@@ -119,14 +119,16 @@ let clock_freshness c ~snapshot ~now =
 
 let clock_len c = c.cl_len
 
+module Labels = Hashtbl.Make (String)
+
 type t = {
   guarantee : guarantee;
-  seqs : (string, Timestamp.t) Hashtbl.t;
-  read_floors : (string, Timestamp.t) Hashtbl.t;
+  seqs : Timestamp.t Labels.t;
+  read_floors : Timestamp.t Labels.t;
 }
 
 let create guarantee =
-  { guarantee; seqs = Hashtbl.create 64; read_floors = Hashtbl.create 64 }
+  { guarantee; seqs = Labels.create 64; read_floors = Labels.create 64 }
 
 let guarantee t = t.guarantee
 
@@ -138,13 +140,13 @@ let effective_label t label =
   | Weak | Prefix_consistent | Strong_session -> label
 
 let lookup tbl label =
-  Option.value ~default:Timestamp.zero (Hashtbl.find_opt tbl label)
+  Option.value ~default:Timestamp.zero (Labels.find_opt tbl label)
 
 let seq t label = lookup t.seqs (effective_label t label)
 let read_floor t label = lookup t.read_floors (effective_label t label)
 
 let raise_to tbl label ts =
-  if Timestamp.compare ts (lookup tbl label) > 0 then Hashtbl.replace tbl label ts
+  if Timestamp.compare ts (lookup tbl label) > 0 then Labels.replace tbl label ts
 
 let note_update_commit t ~label ~commit_ts =
   raise_to t.seqs (effective_label t label) commit_ts

@@ -37,19 +37,24 @@ type verdict = {
   alerts_dropped : int;
 }
 
-(* A per-key committed-writer chain: versions in commit-timestamp order, with
-   a live window [lo, hi) over a growable ring-free array. Retirement only
-   ever drops the oldest version, so the window slides forward and the dead
-   prefix is reclaimed by compaction once it dominates the array. *)
+module Keys = Hashtbl.Make (String)
+module Serials = Hashtbl.Make (Int)
+
+(* A per-key record: the folded base value of every retired write, and the
+   committed-writer chain of the live ones, in commit-timestamp order, as a
+   window [lo, hi) over a growable ring-free array. Retirement only ever
+   drops the oldest version, so the window slides forward and the dead
+   prefix is reclaimed by compaction once it dominates the array. A chain
+   that retirement empties gives its arrays back and keeps its base. *)
 type chain = {
+  mutable c_base : string option;
   mutable c_ts : Timestamp.t array;
   mutable c_v : string option array;
   mutable c_lo : int;
   mutable c_hi : int;
 }
 
-let chain_create () =
-  { c_ts = Array.make 4 Timestamp.zero; c_v = Array.make 4 None; c_lo = 0; c_hi = 0 }
+let chain_create () = { c_base = None; c_ts = [||]; c_v = [||]; c_lo = 0; c_hi = 0 }
 
 let chain_len c = c.c_hi - c.c_lo
 
@@ -63,7 +68,7 @@ let chain_append c ts v =
       Array.blit c.c_v c.c_lo c.c_v 0 live
     end
     else begin
-      let cap' = max 8 (2 * cap) in
+      let cap' = max 4 (2 * cap) in
       let ts' = Array.make cap' Timestamp.zero and v' = Array.make cap' None in
       Array.blit c.c_ts c.c_lo ts' 0 live;
       Array.blit c.c_v c.c_lo v' 0 live;
@@ -92,6 +97,8 @@ let chain_drop_head c =
   (* release the value for the GC *)
   c.c_lo <- c.c_lo + 1;
   if c.c_lo = c.c_hi then begin
+    c.c_ts <- [||];
+    c.c_v <- [||];
     c.c_lo <- 0;
     c.c_hi <- 0
   end
@@ -111,10 +118,9 @@ type t = {
   on_alert : (alert -> unit) option;
   clock : Session.clock option;
   lineage : Lineage.t;
-  (* Weak-SI state: primary writes newer than the horizon, per key, plus the
+  (* Weak-SI state, per key: primary writes newer than the horizon plus the
      folded base value of everything retired. *)
-  chains : (string, chain) Hashtbl.t;
-  base : (string, string option) Hashtbl.t;
+  chains : chain Keys.t;
   unretired : (Timestamp.t * Wal.update list) Queue.t;
   mutable last_commit_ts : Timestamp.t;
   mutable live_versions : int;
@@ -129,7 +135,7 @@ type t = {
   mutable floors_swept_at : int;
   (* Retirement horizon inputs: per-site seq(DBsec) and in-flight pins. *)
   site_seq : Timestamp.t array;
-  pins : (int, Timestamp.t) Hashtbl.t;
+  pins : Timestamp.t Serials.t;
   mutable min_pin : Timestamp.t;  (* valid unless [min_pin_dirty] *)
   mutable min_pin_dirty : bool;
   mutable next_serial : int;
@@ -158,8 +164,7 @@ let create ?(alert_cap = 256) ?on_alert ?(sinks = Lsr_obs.Sinks.null) ?clock
     on_alert;
     clock;
     lineage;
-    chains = Hashtbl.create 1024;
-    base = Hashtbl.create 1024;
+    chains = Keys.create 1024;
     unretired = Queue.create ();
     last_commit_ts = Timestamp.zero;
     live_versions = 0;
@@ -170,7 +175,7 @@ let create ?(alert_cap = 256) ?on_alert ?(sinks = Lsr_obs.Sinks.null) ?clock
     fence_floor = Hashtbl.create 64;
     floors_swept_at = 0;
     site_seq = Array.make sites Timestamp.zero;
-    pins = Hashtbl.create 64;
+    pins = Serials.create 64;
     min_pin = max_int;
     min_pin_dirty = false;
     next_serial = 0;
@@ -194,7 +199,7 @@ let state_size t =
   + Hashtbl.length t.session_floor
   + Hashtbl.length t.update_floor
   + Hashtbl.length t.fence_floor
-  + Hashtbl.length t.pins
+  + Serials.length t.pins
 
 let peak_state t = t.peak
 let retired_versions t = t.retired_versions
@@ -211,20 +216,20 @@ let note_state t =
 let pin t ts =
   let serial = t.next_serial in
   t.next_serial <- serial + 1;
-  Hashtbl.replace t.pins serial ts;
+  Serials.replace t.pins serial ts;
   if ts < t.min_pin then t.min_pin <- ts;
   serial
 
 let unpin t serial =
-  match Hashtbl.find_opt t.pins serial with
+  match Serials.find_opt t.pins serial with
   | None -> ()
   | Some ts ->
-    Hashtbl.remove t.pins serial;
+    Serials.remove t.pins serial;
     if ts = t.min_pin then t.min_pin_dirty <- true
 
 let min_pin t =
   if t.min_pin_dirty then begin
-    t.min_pin <- Hashtbl.fold (fun _ ts acc -> Int.min ts acc) t.pins max_int;
+    t.min_pin <- Serials.fold (fun _ ts acc -> Int.min ts acc) t.pins max_int;
     t.min_pin_dirty <- false
   end;
   t.min_pin
@@ -328,11 +333,10 @@ let retire t =
         let ts, writes = Queue.pop t.unretired in
         List.iter
           (fun { Wal.key; value } ->
-            Hashtbl.replace t.base key value;
-            (match Hashtbl.find_opt t.chains key with
+            (match Keys.find_opt t.chains key with
             | Some c when chain_len c > 0 && Timestamp.equal c.c_ts.(c.c_lo) ts ->
-              chain_drop_head c;
-              if chain_len c = 0 then Hashtbl.remove t.chains key
+              c.c_base <- value;
+              chain_drop_head c
             | Some _ | None ->
               (* Commits arrive in timestamp order and retire in the same
                  order, so the popped version is always the chain head. *)
@@ -380,12 +384,11 @@ let begin_update t ~session =
    called with [snapshot >= horizon at the reader's first operation], which
    the token's pin guarantees. *)
 let expected_value t key snapshot =
-  match Hashtbl.find_opt t.chains key with
+  match Keys.find_opt t.chains key with
   | Some c ->
     let pos = chain_partition c snapshot in
-    if pos > c.c_lo then c.c_v.(pos - 1)
-    else Option.join (Hashtbl.find_opt t.base key)
-  | None -> Option.join (Hashtbl.find_opt t.base key)
+    if pos > c.c_lo then c.c_v.(pos - 1) else c.c_base
+  | None -> None
 
 let validate_reads t ~at ~txn ~session ~site ~snapshot ?mvcc_txn ~own_writes
     reads =
@@ -398,7 +401,7 @@ let validate_reads t ~at ~txn ~session ~site ~snapshot ?mvcc_txn ~own_writes
       in
       if not own then begin
         let expected = expected_value t key snapshot in
-        if expected <> observed then
+        if not (Option.equal String.equal expected observed) then
           record_alert t ~at ~txn ~session ~site ~snapshot ?mvcc_txn
             (Read_mismatch { key; observed; expected })
       end)
@@ -495,11 +498,11 @@ let end_update ?mvcc_txn t tok ~id ~now ~commit ~snapshot ~reads =
       List.iter
         (fun { Wal.key; value } ->
           let c =
-            match Hashtbl.find_opt t.chains key with
+            match Keys.find_opt t.chains key with
             | Some c -> c
             | None ->
               let c = chain_create () in
-              Hashtbl.replace t.chains key c;
+              Keys.replace t.chains key c;
               c
           in
           chain_append c commit_ts value;

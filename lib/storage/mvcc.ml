@@ -27,14 +27,38 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
-(* A key's versions, newest first. Mutable so an install hashes the key
-   once. *)
-type cell = { mutable chain : version list }
+(* One key: its newest version inline, the older ones newest first, and the
+   next cell of its hash bucket. A read touches the bucket slot, the cell and
+   the key bytes, and allocates nothing. *)
+type cell = {
+  key : string;
+  hash : int;
+  mutable ts : Timestamp.t;
+  mutable value : string option;
+  mutable older : version list;
+  mutable next : cell;
+}
+
+(* Ends every bucket chain and stands for a missing key: its hash matches no
+   [String.hash], and it reads as absent at every timestamp. *)
+let rec sentinel =
+  {
+    key = "";
+    hash = -1;
+    ts = Timestamp.zero;
+    value = None;
+    older = [];
+    next = sentinel;
+  }
 
 type t = {
   name : string;
   clock : Timestamp.source;
-  store : (string, cell) Hashtbl.t;
+  (* A chained hash table keyed on [String.hash] whose bucket nodes are the
+     cells themselves; it doubles once [size > 2 * buckets], as
+     [Stdlib.Hashtbl] does. *)
+  mutable buckets : cell array;
+  mutable size : int;
   (* Committed keys in lexicographic order: prefix and range scans seek in
      O(log n) instead of folding over the whole store. Built lazily: keys
      first installed since the last scan wait in [new_keys]. *)
@@ -59,7 +83,8 @@ let create ?(name = "db") () =
   {
     name;
     clock = Timestamp.source ();
-    store = Hashtbl.create 1024;
+    buckets = Array.make 1024 sentinel;
+    size = 0;
     key_set = Sset.empty;
     new_keys = [];
     versions = 0;
@@ -73,6 +98,46 @@ let create ?(name = "db") () =
 
 let name t = t.name
 let wal t = t.wal
+
+(* --- Key cells ---------------------------------------------------------------- *)
+
+let rec find_in c h key =
+  if c == sentinel || (c.hash = h && String.equal c.key key) then c
+  else find_in c.next h key
+
+let bucket t h = h land (Array.length t.buckets - 1)
+
+(* The key's cell, or [sentinel] when the key was never installed. *)
+let find t key =
+  let h = String.hash key in
+  find_in t.buckets.(bucket t h) h key
+
+let resize t =
+  let old = t.buckets in
+  let buckets = Array.make (2 * Array.length old) sentinel in
+  let mask = Array.length buckets - 1 in
+  let rec move c =
+    if c != sentinel then begin
+      let next = c.next in
+      let i = c.hash land mask in
+      c.next <- buckets.(i);
+      buckets.(i) <- c;
+      move next
+    end
+  in
+  Array.iter move old;
+  t.buckets <- buckets
+
+(* A new cell for a key not in the store, holding one version. *)
+let add_cell t key ~hash ~ts value =
+  let i = bucket t hash in
+  t.buckets.(i) <- { key; hash; ts; value; older = []; next = t.buckets.(i) };
+  t.size <- t.size + 1;
+  if t.size > 2 * Array.length t.buckets then resize t
+
+let fold_cells f t init =
+  let rec chain c acc = if c == sentinel then acc else chain c.next (f c acc) in
+  Array.fold_left (fun acc c -> chain c acc) init t.buckets
 
 let make_txn t start_ts =
   let id = t.next_txn_id in
@@ -108,17 +173,14 @@ let require_active txn op =
 
 (* The value of the newest version committed at or before [at]; [None] when
    that version is a delete or there is none. *)
-let rec visible_value chain ~at =
-  match chain with
+let rec visible_older older ~at =
+  match older with
   | [] -> None
-  | v :: rest ->
-    if Timestamp.compare v.committed_at at <= 0 then v.value
-    else visible_value rest ~at
+  | v :: rest -> if v.committed_at <= at then v.value else visible_older rest ~at
 
-let snapshot_read t ~at key =
-  match Hashtbl.find_opt t.store key with
-  | None -> None
-  | Some cell -> visible_value cell.chain ~at
+let visible_value c ~at = if c.ts <= at then c.value else visible_older c.older ~at
+
+let snapshot_read t ~at key = visible_value (find t key) ~at
 
 let read t txn key =
   require_active txn "read";
@@ -147,12 +209,7 @@ let write t txn key value =
 let first_committer_conflict t txn =
   (* A committed version newer than our snapshot on any written key means a
      concurrent transaction committed that write first. *)
-  let conflicting key =
-    match Hashtbl.find_opt t.store key with
-    | None | Some { chain = [] } -> false
-    | Some { chain = newest :: _ } ->
-      Timestamp.compare newest.committed_at txn.start_ts > 0
-  in
+  let conflicting key = (find t key).ts > txn.start_ts in
   match txn.writes_by_key with
   | None -> None
   | Some own ->
@@ -165,14 +222,18 @@ let first_committer_conflict t txn =
 
 let install t ~commit_ts updates =
   let apply { Wal.key; value } =
-    let version = { committed_at = commit_ts; value } in
-    (match Hashtbl.find_opt t.store key with
-    | Some cell ->
-      (match cell.chain with [ _ ] -> t.multi <- cell :: t.multi | _ -> ());
-      cell.chain <- version :: cell.chain
-    | None ->
-      Hashtbl.add t.store key { chain = [ version ] };
-      t.new_keys <- key :: t.new_keys);
+    let hash = String.hash key in
+    let c = find_in t.buckets.(bucket t hash) hash key in
+    if c == sentinel then begin
+      add_cell t key ~hash ~ts:commit_ts value;
+      t.new_keys <- key :: t.new_keys
+    end
+    else begin
+      (match c.older with [] -> t.multi <- c :: t.multi | _ :: _ -> ());
+      c.older <- { committed_at = c.ts; value = c.value } :: c.older;
+      c.ts <- commit_ts;
+      c.value <- value
+    end;
     t.versions <- t.versions + 1
   in
   List.iter apply updates;
@@ -230,12 +291,12 @@ let read_at t ts key = snapshot_read t ~at:ts key
 
 let state_at t ts =
   let bindings =
-    Hashtbl.fold
-      (fun key { chain } acc ->
-        match visible_value chain ~at:ts with
-        | Some v -> (key, v) :: acc
+    fold_cells
+      (fun c acc ->
+        match visible_value c ~at:ts with
+        | Some v -> (c.key, v) :: acc
         | None -> acc)
-      t.store []
+      t []
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) bindings
 
@@ -289,29 +350,36 @@ let rec reclaimable ~before = function
     if Timestamp.compare v.committed_at before <= 0 then List.length rest
     else reclaimable ~before rest
 
-(* The chain cut just below the version visible at [before]. *)
-let keep_visible ~before chain =
+(* The older versions cut just below the one visible at [before]. *)
+let keep_visible ~before older =
   let rec walk kept = function
     | [] -> List.rev kept
     | v :: rest ->
       if Timestamp.compare v.committed_at before <= 0 then List.rev (v :: kept)
       else walk (v :: kept) rest
   in
-  walk [] chain
+  walk [] older
 
 let vacuum t ~before =
   (* Keep every version newer than [before] plus the single version visible
      at [before]. Only multi-version cells can lose anything, and a chain
      that loses nothing is left as it is. *)
-  let trim reclaimed cell =
-    let n = reclaimable ~before cell.chain in
-    if n > 0 then cell.chain <- keep_visible ~before cell.chain;
-    reclaimed + n
+  let trim reclaimed c =
+    if Timestamp.compare c.ts before <= 0 then begin
+      let n = List.length c.older in
+      c.older <- [];
+      reclaimed + n
+    end
+    else begin
+      let n = reclaimable ~before c.older in
+      if n > 0 then c.older <- keep_visible ~before c.older;
+      reclaimed + n
+    end
   in
   let reclaimed = List.fold_left trim 0 t.multi in
   if reclaimed > 0 then
     t.multi <-
-      List.filter (fun cell -> match cell.chain with _ :: _ :: _ -> true | _ -> false) t.multi;
+      List.filter (fun c -> match c.older with [] -> false | _ :: _ -> true) t.multi;
   t.versions <- t.versions - reclaimed;
   reclaimed
 

@@ -16,7 +16,15 @@
 
     The engine also exposes snapshot reconstruction ([state_at], [nth_state])
     used by the test suite to check the paper's completeness property
-    (Theorem 3.1, [S^i_p = S^i_s]). *)
+    (Theorem 3.1, [S^i_p = S^i_s]).
+
+    Each key is one cell that is also its hash-bucket node and holds the
+    newest version inline, with older versions in a list behind it. A read
+    at or above a key's newest commit touches the bucket slot, the cell and
+    the key bytes, and a read of a key the transaction did not write
+    allocates nothing ([read], [read_at]). A refresh re-executes every
+    primary update at every secondary, so every per-key operation here is
+    paid once per database. *)
 
 type t
 type txn

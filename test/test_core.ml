@@ -2061,6 +2061,26 @@ let prop_system_pcsi_guarantee =
   prop_system_random_guarantee Session.Prefix_consistent
     "random runs satisfy PCSI"
 
+(* --- Hash layout ------------------------------------------------------------------------ *)
+
+(* [Session], [Secondary], [Propagation] and [Watchdog] key their tables on
+   [Hashtbl.Make (String)] / [Hashtbl.Make (Int)]. Their bucket layout, and
+   so any iteration over them, matches the polymorphic [Hashtbl] the goldens
+   were recorded with only while these hashes agree: a toolchain that
+   changes either fails here, not in a golden. *)
+let test_monomorphic_hashes_match_polymorphic () =
+  let agree what hash_mono to_key n =
+    for i = 0 to n - 1 do
+      let k = to_key i in
+      if hash_mono k <> Hashtbl.hash k then
+        Alcotest.failf "%s: hash of entry %d differs from Hashtbl.hash" what i
+    done
+  in
+  agree "item keys" String.hash (Printf.sprintf "item:%06d") 200_000;
+  agree "session labels" String.hash (fun i -> "s" ^ string_of_int i) 200_000;
+  agree "ints" Int.hash (fun i -> (i * 7919) - 100_000) 200_000;
+  agree "large ints" Int.hash (fun i -> max_int - i) 1_000
+
 (* --- Suite -------------------------------------------------------------------------------- *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -2068,6 +2088,11 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "lsr_core"
     [
+      ( "hash-layout",
+        [
+          Alcotest.test_case "String/Int.hash = Hashtbl.hash" `Quick
+            test_monomorphic_hashes_match_polymorphic;
+        ] );
       ( "propagation",
         [
           Alcotest.test_case "commit carries updates" `Quick

@@ -630,6 +630,20 @@ let test_vacuum_idle_allocates_nothing () =
   if again >= 64. then
     Alcotest.failf "vacuum after a full vacuum allocated %.0f words" again
 
+let test_present_key_reads_allocate_nothing () =
+  let db = Mvcc.create () in
+  let keys = Array.init 10_000 (Printf.sprintf "item:%06d") in
+  seed db (Array.to_list (Array.map (fun k -> (k, "v0")) keys));
+  let at = Mvcc.latest_commit_ts db in
+  let txn = Mvcc.begin_txn db in
+  let w0 = Gc.minor_words () in
+  Array.iter (fun k -> ignore (Mvcc.read_at db at k)) keys;
+  Array.iter (fun k -> ignore (Mvcc.read db txn k)) keys;
+  let words = Gc.minor_words () -. w0 in
+  check_str_opt "reads see the value" (Some "v0") (Mvcc.read db txn keys.(42));
+  if words >= 64. then
+    Alcotest.failf "20k reads of present keys allocated %.0f words" words
+
 type vacuum_step = Commit of (string * string option) list | Vacuum of int
 
 (* The trim rule applied to every chain of a plain key -> versions model
@@ -704,6 +718,131 @@ let prop_vacuum_matches_full_scan =
             Mvcc.vacuum db ~before = expected)
           && agrees ())
         steps)
+
+(* --- The key index against a Map model --------------------------------------- *)
+
+module Smap = Map.Make (String)
+
+(* Two distinct keys with the same [String.hash]: a lookup that trusted the
+   hash alone would confuse them. About 2^15 probes find a pair. *)
+let colliding_keys =
+  let seen = Hashtbl.create 65_536 in
+  let rec probe i =
+    let k = Printf.sprintf "clash:%d" i in
+    match Hashtbl.find_opt seen (String.hash k) with
+    | Some other -> [ other; k ]
+    | None ->
+      Hashtbl.add seen (String.hash k) k;
+      probe (i + 1)
+  in
+  lazy (probe 0)
+
+type index_step =
+  | Txn of (int * string option) list
+  | Aborted_txn of (int * string option) list
+  | Lost_race of int * (int * string option) list
+      (** a concurrent commit writes the key first; ours must then abort *)
+  | Vacuum_at of int
+
+let index_keys = 6_000
+
+(* Keys [0, index_keys) are "item:%06d"; the two colliding keys follow. *)
+let index_key i =
+  if i < index_keys then Printf.sprintf "item:%06d" i
+  else List.nth (Lazy.force colliding_keys) (i - index_keys)
+
+let prop_index_matches_map_model =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [ (30, int_range 0 (index_keys - 1)); (1, int_range index_keys (index_keys + 1)) ]
+  in
+  let value =
+    frequency
+      [ (5, map Option.some (string_size ~gen:printable (int_range 0 3))); (1, return None) ]
+  in
+  let write = pair key value in
+  let few = list_size (int_range 0 8) write in
+  let step =
+    frequency
+      [
+        (6, map (fun ws -> Txn ws) (list_size (int_range 0 600) write));
+        (1, map (fun ws -> Aborted_txn ws) few);
+        (1, map2 (fun k ws -> Lost_race (k, ws)) key few);
+        (2, map (fun r -> Vacuum_at r) (int_range 0 100));
+      ]
+  in
+  (* The store doubles its 1,024 buckets at 2,049 keys and again at 4,097.
+     A bulk load of 2,000-4,000 keys, then batches over 6,000, cross one or
+     both doublings with repeats, deletes, aborts, conflicts and vacuums in
+     between. *)
+  let gen = pair (int_range 2_000 4_000) (list_size (int_range 10 30) step) in
+  QCheck.Test.make ~name:"key index matches a Map model across resizes" ~count:12
+    (QCheck.make gen) (fun (load, steps) ->
+      let db = Mvcc.create () in
+      (* Newest-first (commit ts, value) per key, as [model_trim] expects. *)
+      let model = ref Smap.empty in
+      let chain k = Option.value (Smap.find_opt k !model) ~default:[] in
+      let cut = ref 0 in
+      let commit_writes writes =
+        let txn = Mvcc.begin_txn db in
+        List.iter (fun (i, v) -> Mvcc.write db txn (index_key i) v) writes;
+        let ts = commit_exn db txn in
+        let last =
+          List.fold_left (fun m (i, v) -> Smap.add (index_key i) v m) Smap.empty writes
+        in
+        model := Smap.fold (fun k v m -> Smap.add k ((ts, v) :: chain k) m) last !model
+      in
+      let apply = function
+        | Txn ws -> commit_writes ws
+        | Aborted_txn ws ->
+          let txn = Mvcc.begin_txn db in
+          List.iter (fun (i, v) -> Mvcc.write db txn (index_key i) v) ws;
+          Mvcc.abort db txn
+        | Lost_race (k, ws) ->
+          let late = Mvcc.begin_txn db in
+          commit_writes [ (k, Some "first") ];
+          List.iter
+            (fun (i, v) -> Mvcc.write db late (index_key i) v)
+            ((k, Some "late") :: ws);
+          (match Mvcc.commit db late with
+          | Mvcc.Aborted (Mvcc.Write_conflict _) -> ()
+          | Mvcc.Aborted Mvcc.Forced | Mvcc.Committed _ ->
+            Alcotest.fail "first-committer-wins did not abort the later writer")
+        | Vacuum_at r ->
+          let before = Mvcc.latest_commit_ts db * r / 100 in
+          cut := Int.max !cut before;
+          let expected = ref 0 in
+          model :=
+            Smap.map
+              (fun c ->
+                let kept, dropped = model_trim ~before c in
+                expected := !expected + dropped;
+                kept)
+              !model;
+          check_int "versions reclaimed" !expected (Mvcc.vacuum db ~before)
+      in
+      commit_writes (List.init load (fun i -> (i, Some "v0")));
+      List.iter apply steps;
+      let latest = Mvcc.latest_commit_ts db in
+      let reads_agree k c =
+        let rec from at =
+          at > latest || (Mvcc.read_at db at k = model_read ~at c && from (at + 1))
+        in
+        from !cut
+      in
+      let present =
+        Smap.fold
+          (fun k c acc -> match c with (_, Some v) :: _ -> (k, v) :: acc | _ -> acc)
+          !model []
+        |> List.rev
+      in
+      let absent = List.init 100 (fun i -> Printf.sprintf "absent:%d" i) in
+      Smap.for_all reads_agree !model
+      && List.for_all (fun k -> Mvcc.read_at db latest k = None) absent
+      && Mvcc.version_count db = Smap.fold (fun _ c acc -> acc + List.length c) !model 0
+      && Mvcc.committed_state db = present
+      && Mvcc.committed_state (Mvcc.restore (Mvcc.serialize db)) = present)
 
 let test_serialize_restore_roundtrip () =
   let db = Mvcc.create () in
@@ -1262,12 +1401,19 @@ let () =
           Alcotest.test_case "vacuum noop" `Quick test_vacuum_noop_when_single_version;
           Alcotest.test_case "idle vacuum allocates nothing" `Quick
             test_vacuum_idle_allocates_nothing;
+          Alcotest.test_case "present-key reads allocate nothing" `Quick
+            test_present_key_reads_allocate_nothing;
           Alcotest.test_case "serialize/restore roundtrip" `Quick
             test_serialize_restore_roundtrip;
           Alcotest.test_case "serialize empty" `Quick test_serialize_empty;
           Alcotest.test_case "restore garbage" `Quick test_restore_garbage;
         ]
-        @ qsuite [ prop_serialize_roundtrip; prop_vacuum_matches_full_scan ] );
+        @ qsuite
+            [
+              prop_serialize_roundtrip;
+              prop_vacuum_matches_full_scan;
+              prop_index_matches_map_model;
+            ] );
       ( "row",
         [
           Alcotest.test_case "roundtrip" `Quick test_row_roundtrip;

@@ -437,6 +437,59 @@ let test_embedded_recovery () =
     (Watchdog.satisfies w Session.Strong_session);
   check_bool "recovery advanced the horizon" true (Watchdog.horizon w > 0)
 
+let test_retired_chain_reads_base () =
+  (* A key whose only live version retires keeps its record: reads then
+     expect the folded base value, and a later write starts a new chain
+     above it. A retired delete reads as absent. *)
+  let w = Watchdog.create ~sites:1 () in
+  let next_id = ref 0 in
+  let fresh_id () = incr next_id; !next_id in
+  let commit ts writes =
+    let tok = Watchdog.begin_update w ~session:"writer" in
+    let id = fresh_id () in
+    Watchdog.end_update w tok ~id ~now:(float_of_int id)
+      ~commit:
+        (Some
+           (ts, List.map (fun (key, value) -> { Lsr_storage.Wal.key; value }) writes))
+      ~snapshot:(ts - 1) ~reads:[]
+  in
+  (* The expected value of each key at [snapshot], read back from the
+     mismatch alerts that observing a sentinel value raises. (Reads below
+     the newest commit also raise inversion alerts; they are skipped.) *)
+  let expected ~snapshot keys =
+    let id = fresh_id () in
+    let tok = Watchdog.begin_read w ~session:"reader" ~snapshot in
+    Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
+      ~reads:(List.map (fun k -> (k, Some "<probe>")) keys);
+    List.filter_map
+      (fun (a : Watchdog.alert) ->
+        match a.Watchdog.kind with
+        | Watchdog.Read_mismatch { key; expected; _ } when a.Watchdog.txn = id ->
+          Some (key, expected)
+        | _ -> None)
+      (Watchdog.alerts w)
+    |> List.sort compare
+  in
+  let check_expected msg want got =
+    Alcotest.(check (list (pair string (option string)))) msg want got
+  in
+  commit 1 [ ("x", Some "a"); ("y", Some "b") ];
+  commit 2 [ ("y", None) ];
+  Watchdog.note_refresh w ~site:0 ~seq:2;
+  check_int "every version retired" 0 (Watchdog.live_versions w);
+  check_int "three versions folded into the base" 3 (Watchdog.retired_versions w);
+  check_expected "retired chain reads the base; retired delete is absent"
+    [ ("x", Some "a"); ("y", None) ]
+    (expected ~snapshot:2 [ "x"; "y" ]);
+  commit 3 [ ("x", Some "c") ];
+  check_expected "old snapshot still reads the base" [ ("x", Some "a") ]
+    (expected ~snapshot:2 [ "x" ]);
+  check_expected "new snapshot reads the new chain" [ ("x", Some "c") ]
+    (expected ~snapshot:3 [ "x" ]);
+  Watchdog.note_refresh w ~site:0 ~seq:3;
+  check_expected "the rewrite folds into the base" [ ("x", Some "c"); ("y", None) ]
+    (expected ~snapshot:3 [ "x"; "y" ])
+
 let () =
   Alcotest.run "lsr_watchdog"
     [
@@ -464,6 +517,8 @@ let () =
             test_embedded_inversion_alert;
           Alcotest.test_case "aborted reads not judged" `Quick
             test_embedded_aborted_reads_not_judged;
+          Alcotest.test_case "retired chain reads the base" `Quick
+            test_retired_chain_reads_base;
           Alcotest.test_case "continuous retirement" `Quick
             test_embedded_retirement;
           Alcotest.test_case "crash and recovery" `Quick test_embedded_recovery;
