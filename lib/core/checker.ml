@@ -6,133 +6,232 @@ let pp_inversion ppf { earlier; later } =
   Format.fprintf ppf "%a inverted by %a" History.pp_txn earlier History.pp_txn
     later
 
+(* The definitions quantify over committed transactions only. *)
+let committed (t : History.txn) =
+  t.kind = History.Read_only || Option.is_some t.commit_ts
+
 (* The database state a committed transaction pins:
    - an update transaction pins the state it produced (its commit ts);
-   - a read-only transaction pins the state it observed (its snapshot).
-   Aborted transactions pin nothing (the definitions quantify over committed
-   transactions only). *)
-let effective_state (t : History.txn) =
+   - a read-only transaction pins the state it observed (its snapshot). *)
+let pinned (t : History.txn) =
   match (t.kind, t.commit_ts) with
-  | History.Update, Some ts -> Some ts
-  | History.Update, None -> None
-  | History.Read_only, _ -> Some t.snapshot
+  | History.Update, Some ts -> ts
+  | History.Update, None | History.Read_only, _ -> t.snapshot
 
-let committed (t : History.txn) =
-  match (t.kind, t.commit_ts) with
-  | History.Update, Some _ -> true
-  | History.Update, None -> false
-  | History.Read_only, _ -> true
+(* The committed transactions in completion order: what every sweep sorts. *)
+let committed_txns history =
+  Array.of_list (List.filter committed (History.transactions history))
 
-(* Sweep transactions in wall order: for each transaction [t2], find the
-   maximal state pinned by any committed transaction that finished before
-   [t2]'s first operation (globally, and per session). An inversion exists
-   when [t2]'s snapshot is older than that maximum. O(n log n). *)
+(* A stable sort of a copy, so ties keep completion order. *)
+let sorted_by key txns =
+  let a = Array.copy txns in
+  Array.stable_sort (fun x y -> Int.compare (key x) (key y)) a;
+  a
+
+module Keys = Hashtbl.Make (String)
+
+(* --- Global weak SI --------------------------------------------------------
+
+   Replays the committed writesets in commit-timestamp order and checks each
+   committed transaction's recorded reads, in snapshot order, against the
+   replayed state at its snapshot. A key the transaction wrote itself is
+   skipped (the history does not order its reads against its own writes):
+   each key's slot records the index of the last checked transaction that
+   wrote it. *)
+
+type slot = { mutable value : string option; mutable writer : int }
+
+let weak_si_violations txns =
+  let by_commit = sorted_by pinned txns in
+  let readers = sorted_by (fun (t : History.txn) -> t.snapshot) txns in
+  let state = Keys.create 1024 in
+  let slot key =
+    match Keys.find_opt state key with
+    | Some s -> s
+    | None ->
+      let s = { value = None; writer = -1 } in
+      Keys.replace state key s;
+      s
+  in
+  let violations = ref [] in
+  let applied = ref 0 in
+  Array.iteri
+    (fun i (t : History.txn) ->
+      while
+        !applied < Array.length by_commit
+        && Timestamp.compare (pinned by_commit.(!applied)) t.snapshot <= 0
+      do
+        let u = by_commit.(!applied) in
+        if u.kind = History.Update then
+          List.iter (fun { Wal.key; value } -> (slot key).value <- value) u.writes;
+        incr applied
+      done;
+      List.iter (fun { Wal.key; _ } -> (slot key).writer <- i) t.writes;
+      List.iter
+        (fun (key, observed) ->
+          match Keys.find_opt state key with
+          | Some s when s.writer = i -> ()
+          | found ->
+            let expected = match found with Some s -> s.value | None -> None in
+            if not (Option.equal String.equal expected observed) then
+              violations :=
+                Format.asprintf "%a read %s = %s but state S@%a has %s"
+                  History.pp_txn t key
+                  (match observed with Some v -> v | None -> "<none>")
+                  Timestamp.pp t.snapshot
+                  (match expected with Some v -> v | None -> "<none>")
+                :: !violations)
+        t.reads)
+    readers;
+  List.rev !violations
+
+let check_weak_si history = weak_si_violations (committed_txns history)
+
+(* --- The wall-order sweep ---------------------------------------------------
+
+   Walks the committed transactions by first operation. Before judging
+   [t2] it notes every [t1] that finished before [t2]'s first operation,
+   raising the floors [t1] counts for: the highest state pinned globally,
+   per session, and per session by updates only (PCSI does not order
+   read-only transactions against each other), each witnessed by the first
+   transaction in finish order that pinned it; and the session's fence
+   floor (its updates' commits and its [Session_seq]-fenced reads'
+   snapshots). [t2] is inverted at a level when its snapshot is below that
+   level's floor. A fenced read is audited against its claim; a [Max_age]
+   claim without a clock to audit it is itself a violation (recording
+   fenced histories without the clock is a harness bug). *)
+
+(* The highest state pinned at one level so far, and its witness. *)
+type floor = { mutable ts : Timestamp.t; mutable by : History.txn option }
+type session_floors = { any : floor; updates : floor; mutable fence : Timestamp.t }
+
+type report = {
+  weak_si_violations : string list;
+  inversions_all : inversion list;
+  inversions_in_session : inversion list;
+  inversions_after_update : inversion list;
+  fence_violations : string list;
+}
+
+let floor () = { ts = min_int; by = None }
+
+let raise_floor f ts t =
+  if Timestamp.compare f.ts ts < 0 then begin
+    f.ts <- ts;
+    f.by <- Some t
+  end
+
+let inverted f (t2 : History.txn) acc =
+  match f.by with
+  | Some t1 when Timestamp.compare t2.snapshot f.ts < 0 ->
+    { earlier = t1; later = t2 } :: acc
+  | Some _ | None -> acc
+
+(* Everything but weak SI. [all_updates_only] restricts the global floor
+   to updates, for [inversions ~earlier_updates_only:true] across sessions. *)
+let wall_sweep ?clock ?(all_updates_only = false) txns =
+  let by_start = sorted_by (fun (t : History.txn) -> t.first_op) txns in
+  let by_finish = sorted_by (fun (t : History.txn) -> t.finished) txns in
+  let all = floor () in
+  let sessions = Keys.create 64 in
+  let note (t1 : History.txn) =
+    let s =
+      match Keys.find_opt sessions t1.session with
+      | Some s -> s
+      | None ->
+        let s = { any = floor (); updates = floor (); fence = min_int } in
+        Keys.replace sessions t1.session s;
+        s
+    in
+    let ts = pinned t1 in
+    if not (all_updates_only && t1.kind = History.Read_only) then
+      raise_floor all ts t1;
+    raise_floor s.any ts t1;
+    match (t1.kind, t1.fence) with
+    | History.Update, _ ->
+      raise_floor s.updates ts t1;
+      s.fence <- Timestamp.max s.fence ts
+    | History.Read_only, Some { History.claim = Session.Session_seq; _ } ->
+      s.fence <- Timestamp.max s.fence ts
+    | History.Read_only, _ -> ()
+  in
+  let fences = ref [] in
+  let violation t2 fmt =
+    Format.kasprintf
+      (fun msg ->
+        fences :=
+          Format.asprintf "%a: fence violated: %s" History.pp_txn t2 msg
+          :: !fences)
+      fmt
+  in
+  let audit (t2 : History.txn) session_floor =
+    match (t2.kind, t2.fence) with
+    | History.Update, _ | _, None -> ()
+    | History.Read_only, Some { History.claim; read_at } -> (
+      match claim with
+      | Session.Exact ts ->
+        if Timestamp.compare t2.snapshot ts < 0 then
+          violation t2 "snapshot %a < exact fence %a" Timestamp.pp t2.snapshot
+            Timestamp.pp ts
+      | Session.Session_seq ->
+        if Timestamp.compare t2.snapshot session_floor < 0 then
+          violation t2 "snapshot %a < session fence floor %a" Timestamp.pp
+            t2.snapshot Timestamp.pp session_floor
+      | Session.Max_age d -> (
+        match clock with
+        | None ->
+          violation t2 "Max_age %g claim but no commit clock to audit it" d
+        | Some c ->
+          let horizon = Session.clock_horizon c ~cutoff:(read_at -. d) in
+          if Timestamp.compare t2.snapshot horizon < 0 then
+            violation t2
+              "snapshot %a < visibility horizon %a (age %g at read time %g)"
+              Timestamp.pp t2.snapshot Timestamp.pp horizon d read_at))
+  in
+  let inv_all = ref [] and inv_session = ref [] and inv_session_updates = ref [] in
+  let noted = ref 0 in
+  Array.iter
+    (fun (t2 : History.txn) ->
+      while
+        !noted < Array.length by_finish
+        && by_finish.(!noted).finished < t2.first_op
+      do
+        note by_finish.(!noted);
+        incr noted
+      done;
+      inv_all := inverted all t2 !inv_all;
+      match Keys.find_opt sessions t2.session with
+      | Some s ->
+        inv_session := inverted s.any t2 !inv_session;
+        inv_session_updates := inverted s.updates t2 !inv_session_updates;
+        audit t2 s.fence
+      | None -> audit t2 min_int)
+    by_start;
+  {
+    weak_si_violations = [];
+    inversions_all = List.rev !inv_all;
+    inversions_in_session = List.rev !inv_session;
+    inversions_after_update = List.rev !inv_session_updates;
+    fence_violations = List.rev !fences;
+  }
+
 let inversions ?(same_session_only = false) ?(earlier_updates_only = false)
     history =
-  let txns = History.transactions history in
-  let by_finish =
-    List.sort (fun a b -> Int.compare a.History.finished b.History.finished)
-      (List.filter committed txns)
+  let r =
+    wall_sweep ~all_updates_only:earlier_updates_only (committed_txns history)
   in
-  let by_start =
-    List.sort (fun a b -> Int.compare a.History.first_op b.History.first_op)
-      (List.filter committed txns)
-  in
-  let global_max : (Timestamp.t * History.txn) option ref = ref None in
-  let session_max : (string, Timestamp.t * History.txn) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let note (t : History.txn) =
-    match effective_state t with
-    | None -> ()
-    | Some _ when earlier_updates_only && t.kind = History.Read_only -> ()
-    | Some ts ->
-      (match !global_max with
-      | Some (best, _) when Timestamp.compare best ts >= 0 -> ()
-      | Some _ | None -> global_max := Some (ts, t));
-      (match Hashtbl.find_opt session_max t.session with
-      | Some (best, _) when Timestamp.compare best ts >= 0 -> ()
-      | Some _ | None -> Hashtbl.replace session_max t.session (ts, t))
-  in
-  let rec sweep pending acc = function
-    | [] -> List.rev acc
-    | (t2 : History.txn) :: rest ->
-      let rec absorb = function
-        | (t1 : History.txn) :: more when t1.finished < t2.first_op ->
-          note t1;
-          absorb more
-        | remaining -> remaining
-      in
-      let pending = absorb pending in
-      let best =
-        if same_session_only then Hashtbl.find_opt session_max t2.session
-        else !global_max
-      in
-      let acc =
-        match best with
-        | Some (ts, t1) when Timestamp.compare t2.snapshot ts < 0 ->
-          { earlier = t1; later = t2 } :: acc
-        | Some _ | None -> acc
-      in
-      sweep pending acc rest
-  in
-  sweep by_finish [] by_start
+  match (same_session_only, earlier_updates_only) with
+  | false, _ -> r.inversions_all
+  | true, false -> r.inversions_in_session
+  | true, true -> r.inversions_after_update
 
 let is_strong_si history = inversions history = []
 
 let is_strong_session_si history =
   inversions ~same_session_only:true history = []
 
-let check_weak_si history =
-  let txns = History.transactions history in
-  let updates =
-    List.filter_map
-      (fun (t : History.txn) ->
-        match (t.kind, t.commit_ts) with
-        | History.Update, Some ts -> Some (ts, t.writes)
-        | History.Update, None | History.Read_only, _ -> None)
-      txns
-    |> List.sort (fun (a, _) (b, _) -> Timestamp.compare a b)
-  in
-  let by_snapshot =
-    List.sort (fun a b -> Timestamp.compare a.History.snapshot b.History.snapshot) txns
-  in
-  let state : (string, string option) Hashtbl.t = Hashtbl.create 1024 in
-  let violations = ref [] in
-  let own_writes = Hashtbl.create 16 in
-  let check_txn (t : History.txn) =
-    Hashtbl.reset own_writes;
-    List.iter (fun { Wal.key; _ } -> Hashtbl.replace own_writes key ()) t.writes;
-    List.iter
-      (fun (key, observed) ->
-        if not (Hashtbl.mem own_writes key) then begin
-          let expected = Option.join (Hashtbl.find_opt state key) in
-          if expected <> observed then
-            violations :=
-              Format.asprintf
-                "%a read %s = %s but state S@%a has %s" History.pp_txn t key
-                (match observed with Some v -> v | None -> "<none>")
-                Timestamp.pp t.snapshot
-                (match expected with Some v -> v | None -> "<none>")
-              :: !violations
-        end)
-      t.reads
-  in
-  let rec sweep pending_updates = function
-    | [] -> ()
-    | (t : History.txn) :: rest ->
-      let rec absorb = function
-        | (ts, writes) :: more when Timestamp.compare ts t.snapshot <= 0 ->
-          List.iter (fun { Wal.key; value } -> Hashtbl.replace state key value) writes;
-          absorb more
-        | remaining -> remaining
-      in
-      let pending_updates = absorb pending_updates in
-      if committed t then check_txn t;
-      sweep pending_updates rest
-  in
-  sweep updates by_snapshot;
-  List.rev !violations
+let check_fences ?clock history =
+  (wall_sweep ?clock (committed_txns history)).fence_violations
 
 (* --- Serializability via the multi-version serialization graph -------------
 
@@ -147,7 +246,7 @@ let check_weak_si history =
    of transactions must not overflow the OCaml call stack). *)
 
 let serialization_cycle history =
-  let txns = Array.of_list (List.filter committed (History.transactions history)) in
+  let txns = committed_txns history in
   let n = Array.length txns in
   (* Version chains: for each key, its committed writers sorted by commit
      timestamp, as arrays supporting binary search. *)
@@ -266,6 +365,24 @@ let serialization_cycle history =
 
 let is_serializable history = serialization_cycle history = None
 
+(* --- Completeness ----------------------------------------------------------
+
+   States are compared key by key, never materialized: two states are equal
+   exactly when they hold the same number of visible bindings and every
+   binding of one reads the same value from the other. *)
+
+let visible_count db ~at = Mvcc.fold_visible db ~at ~init:0 ~f:(fun n _ _ -> n + 1)
+
+let same_state expected ~at actual =
+  let actual_at = Mvcc.latest_commit_ts actual in
+  let n = visible_count actual ~at:actual_at in
+  n = visible_count expected ~at
+  && n
+     = Mvcc.fold_visible actual ~at:actual_at ~init:0 ~f:(fun matched key v ->
+           match Mvcc.read_at expected at key with
+           | Some v' when String.equal v v' -> matched + 1
+           | Some _ | None -> matched)
+
 let check_completeness ~primary ~secondary =
   let prim = Mvcc.commits_with_updates primary in
   let sec = Mvcc.commits_with_updates secondary in
@@ -278,139 +395,36 @@ let check_completeness ~primary ~secondary =
     let update_eq (a : Wal.update) (b : Wal.update) =
       String.equal a.key b.key && Option.equal String.equal a.value b.value
     in
-    let rec compare_prefix i prim sec =
+    (* On success, the primary's timestamp of the last state both share. *)
+    let rec compare_prefix i at prim sec =
       match (prim, sec) with
-      | _, [] -> Ok i
+      | _, [] -> Ok at
       | [], _ :: _ -> Error "impossible: secondary longer than primary"
-      | (_, pw) :: prest, (_, sw) :: srest ->
+      | (ts, pw) :: prest, (_, sw) :: srest ->
         if List.length pw = List.length sw && List.for_all2 update_eq pw sw then
-          compare_prefix (i + 1) prest srest
+          compare_prefix (i + 1) ts prest srest
         else
           Error
             (Printf.sprintf
                "state S^%d diverges: refresh installed a different writeset"
                (i + 1))
     in
-    match compare_prefix 0 prim sec with
+    match compare_prefix 0 Timestamp.zero prim sec with
     | Error e -> Error e
-    | Ok _ ->
-      let expected = Mvcc.nth_state primary ns in
-      let actual = Mvcc.committed_state secondary in
-      if expected = actual then Ok ()
+    | Ok at ->
+      if same_state primary ~at secondary then Ok ()
       else
         Error
           (Printf.sprintf
              "final secondary state differs from primary S^%d (%d vs %d keys)"
-             ns (List.length expected) (List.length actual))
+             ns (visible_count primary ~at)
+             (visible_count secondary ~at:(Mvcc.latest_commit_ts secondary)))
   end
 
-(* --- Fence audit -------------------------------------------------------------
-
-   Every committed read that carried a freshness fence must have observed a
-   snapshot actually satisfying it:
-   - [Exact ts]: snapshot >= ts;
-   - [Session_seq]: snapshot >= the session's fence floor at the read's
-     first operation — the max over commit timestamps of the session's
-     earlier committed updates and snapshots of its earlier
-     [Session_seq]-fenced reads (the same wall-order sweep as
-     [inversions], restricted to what the fence promises);
-   - [Max_age d]: snapshot >= the commit-visibility horizon at
-     [read_at - d], replayed from the primary's commit clock. Without a
-     clock a [Max_age] claim is unauditable and reported as a violation —
-     recording fenced histories without the clock is a harness bug. *)
-let check_fences ?clock history =
-  let committed_txns = List.filter committed (History.transactions history) in
-  let by_start =
-    List.sort (fun a b -> Int.compare a.History.first_op b.History.first_op)
-      committed_txns
-  in
-  let by_finish =
-    List.sort (fun a b -> Int.compare a.History.finished b.History.finished)
-      committed_txns
-  in
-  let floors : (string, Timestamp.t) Hashtbl.t = Hashtbl.create 64 in
-  let note (t : History.txn) =
-    let bump ts =
-      match Hashtbl.find_opt floors t.session with
-      | Some best when Timestamp.compare best ts >= 0 -> ()
-      | Some _ | None -> Hashtbl.replace floors t.session ts
-    in
-    (match (t.kind, t.commit_ts) with
-    | History.Update, Some cts -> bump cts
-    | History.Update, None | History.Read_only, _ -> ());
-    match (t.kind, t.fence) with
-    | History.Read_only, Some { History.claim = Session.Session_seq; _ } ->
-      bump t.snapshot
-    | _, _ -> ()
-  in
-  let violations = ref [] in
-  let violation t2 fmt =
-    Format.kasprintf
-      (fun msg ->
-        violations :=
-          Format.asprintf "%a: fence violated: %s" History.pp_txn t2 msg
-          :: !violations)
-      fmt
-  in
-  let check (t2 : History.txn) =
-    match (t2.kind, t2.fence) with
-    | History.Update, _ | _, None -> ()
-    | History.Read_only, Some { History.claim; read_at } -> (
-      match claim with
-      | Session.Exact ts ->
-        if Timestamp.compare t2.snapshot ts < 0 then
-          violation t2 "snapshot %a < exact fence %a" Timestamp.pp t2.snapshot
-            Timestamp.pp ts
-      | Session.Session_seq -> (
-        match Hashtbl.find_opt floors t2.session with
-        | Some floor when Timestamp.compare t2.snapshot floor < 0 ->
-          violation t2 "snapshot %a < session fence floor %a" Timestamp.pp
-            t2.snapshot Timestamp.pp floor
-        | Some _ | None -> ())
-      | Session.Max_age d -> (
-        match clock with
-        | None ->
-          violation t2 "Max_age %g claim but no commit clock to audit it" d
-        | Some c ->
-          let horizon = Session.clock_horizon c ~cutoff:(read_at -. d) in
-          if Timestamp.compare t2.snapshot horizon < 0 then
-            violation t2
-              "snapshot %a < visibility horizon %a (age %g at read time %g)"
-              Timestamp.pp t2.snapshot Timestamp.pp horizon d read_at))
-  in
-  let rec sweep pending = function
-    | [] -> ()
-    | (t2 : History.txn) :: rest ->
-      let rec absorb = function
-        | (t1 : History.txn) :: more when t1.finished < t2.first_op ->
-          note t1;
-          absorb more
-        | remaining -> remaining
-      in
-      let pending = absorb pending in
-      check t2;
-      sweep pending rest
-  in
-  sweep by_finish by_start;
-  List.rev !violations
-
-type report = {
-  weak_si_violations : string list;
-  inversions_all : inversion list;
-  inversions_in_session : inversion list;
-  inversions_after_update : inversion list;
-  fence_violations : string list;
-}
-
 let analyze ?clock history =
-  {
-    weak_si_violations = check_weak_si history;
-    inversions_all = inversions history;
-    inversions_in_session = inversions ~same_session_only:true history;
-    inversions_after_update =
-      inversions ~same_session_only:true ~earlier_updates_only:true history;
-    fence_violations = check_fences ?clock history;
-  }
+  let txns = committed_txns history in
+  let weak_si_violations = weak_si_violations txns in
+  { (wall_sweep ?clock txns) with weak_si_violations }
 
 let satisfies guarantee report =
   report.weak_si_violations = []

@@ -12,10 +12,15 @@
     Every check here is polynomial in the history size — the checker runs
     after each simulation over histories with up to millions of
     transactions, so no routine may enumerate candidate orders or walk a
-    version chain per read. [inversions] and [check_weak_si] are sorted
-    sweeps, O(n log n) in the number of transactions plus O(R) over recorded
-    reads; [serialization_cycle] builds the MVSG black-box style (see below)
-    in O(E + R log V) and detects cycles with one iterative DFS. *)
+    version chain per read. [analyze] sorts the committed transactions once
+    by first operation and once by finish, and one wall-order sweep yields
+    the inversions at every level and the fence audit ([inversions] and
+    [check_fences] are projections of it); [check_weak_si] is one more
+    sorted sweep. All of it is O(n log n) plus O(R) over recorded reads, in
+    O(n + K) extra words for K written keys. [check_completeness] compares
+    states key by key and materializes none. [serialization_cycle] builds
+    the MVSG black-box style (see below) in O(E + R log V) and detects
+    cycles with one iterative DFS. *)
 
 open Lsr_storage
 
@@ -42,10 +47,11 @@ val is_strong_session_si : History.t -> bool
     committed transaction observed a transaction-consistent snapshot
     (aborted updates are not judged, like the {!Watchdog}). Concretely, each
     recorded read must return the value of the key in the primary state
-    sequence at the transaction's snapshot timestamp — unless the
-    transaction itself wrote the key earlier (read-your-writes; such reads
-    are checked against the pending write instead when determinable, else
-    skipped). Returns the list of violations (empty = weak SI holds). *)
+    sequence at the transaction's snapshot timestamp. Reads of a key the
+    transaction itself wrote are skipped: {!History} does not order a
+    transaction's reads against its own writes, so such a read may return
+    either the snapshot's value or the pending write. Returns the list of
+    violations (empty = weak SI holds). *)
 val check_weak_si : History.t -> string list
 
 (** {2 Serializability (§7, Fekete et al)}
@@ -78,8 +84,14 @@ val is_serializable : History.t -> bool
     database instances: the sequence of committed states of [secondary] is a
     prefix of the primary's — same writesets installed in the same order —
     and the final secondary state equals the corresponding primary state
-    [S^i_p]. Returns [Error message] on the first divergence. *)
+    [S^i_p] (see {!same_state}). Returns [Error message] on the first
+    divergence. *)
 val check_completeness : primary:Mvcc.t -> secondary:Mvcc.t -> (unit, string) result
+
+(** [same_state expected ~at actual] — [expected]'s state as of [at] equals
+    [actual]'s latest committed state. Compares key by key with
+    {!Mvcc.fold_visible} and {!Mvcc.read_at}; allocates nothing per key. *)
+val same_state : Mvcc.t -> at:Timestamp.t -> Mvcc.t -> bool
 
 (** [check_fences ?clock h] audits every committed fenced read: its recorded
     snapshot must actually satisfy its {!History.fence_claim}. [Exact] is

@@ -344,11 +344,13 @@ let check t =
         else begin
           (* Recovered site: its history is not a prefix, but once fully
              refreshed its state must match the primary's current state. *)
-          let expected = Mvcc.committed_state (primary_db t) in
-          let actual = Mvcc.committed_state (Secondary.db s.site) in
+          let primary = primary_db t in
           if
             Secondary.update_queue_length s.site = 0
-            && expected <> actual
+            && not
+                 (Checker.same_state primary
+                    ~at:(Mvcc.latest_commit_ts primary)
+                    (Secondary.db s.site))
           then add_error "recovered secondary %d diverges from primary" i
         end)
     t.slots;

@@ -289,28 +289,16 @@ let commit_count t = t.commit_count
 
 let read_at t ts key = snapshot_read t ~at:ts key
 
-let state_at t ts =
-  let bindings =
-    fold_cells
-      (fun c acc ->
-        match visible_value c ~at:ts with
-        | Some v -> (c.key, v) :: acc
-        | None -> acc)
-      t []
-  in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) bindings
+let fold_visible t ~at ~init ~f =
+  fold_cells
+    (fun c acc ->
+      match visible_value c ~at with Some v -> f acc c.key v | None -> acc)
+    t init
 
-let nth_state t i =
-  if i < 0 || i > t.commit_count then
-    invalid_arg
-      (Printf.sprintf "Mvcc.nth_state: %d outside [0, %d]" i t.commit_count);
-  if i = 0 then []
-  else begin
-    (* The i-th commit's timestamp, counting from oldest = 1. *)
-    let commits_oldest_first = List.rev t.commits in
-    let ts, _ = List.nth commits_oldest_first (i - 1) in
-    state_at t ts
-  end
+let state_at t ts =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (fold_visible t ~at:ts ~init:[] ~f:(fun acc key v -> (key, v) :: acc))
 
 let committed_state t = state_at t t.latest_commit
 

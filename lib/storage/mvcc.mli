@@ -14,8 +14,8 @@
     - every update transaction leaves start / update / commit (or abort)
       records in the site's logical {!Wal}.
 
-    The engine also exposes snapshot reconstruction ([state_at], [nth_state])
-    used by the test suite to check the paper's completeness property
+    The engine also exposes snapshot reconstruction ([state_at],
+    [fold_visible]) used to check the paper's completeness property
     (Theorem 3.1, [S^i_p = S^i_s]).
 
     Each key is one cell that is also its hash-bucket node and holds the
@@ -111,13 +111,14 @@ val read_at : t -> Timestamp.t -> string -> string option
     association list (deleted keys omitted). *)
 val state_at : t -> Timestamp.t -> (string * string) list
 
-(** [nth_state t i] is the database state [S^i] produced by the [i]th commit
-    ([S^0] is the initial, empty, state).
-    @raise Invalid_argument when [i] exceeds [commit_count]. *)
-val nth_state : t -> int -> (string * string) list
-
-(** Latest committed state (= [nth_state t (commit_count t)]). *)
+(** Latest committed state (= [state_at t (latest_commit_ts t)]). *)
 val committed_state : t -> (string * string) list
+
+(** [fold_visible t ~at ~init ~f] folds [f] over the bindings visible as of
+    [at] (deleted keys omitted), in no particular order, allocating nothing
+    per binding: with [read_at], states compare key by key. *)
+val fold_visible :
+  t -> at:Timestamp.t -> init:'acc -> f:('acc -> string -> string -> 'acc) -> 'acc
 
 (** [fold_keys t ~prefix ~init ~f] folds over every key ever written with the
     given prefix, in ascending lexicographic order (visibility is up to the

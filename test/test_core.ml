@@ -1136,6 +1136,187 @@ let test_checker_completeness_secondary_ahead () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "secondary ahead of primary not detected"
 
+(* --- Completeness against a materialized oracle ----------------------------------------- *)
+
+(* [check_completeness] as it was when it built both states as sorted
+   lists: the oracle for the key-by-key comparison. *)
+let completeness_oracle ~primary ~secondary =
+  let prim = Mvcc.commits_with_updates primary in
+  let sec = Mvcc.commits_with_updates secondary in
+  let np = List.length prim and ns = List.length sec in
+  if ns > np then
+    Error
+      (Printf.sprintf "secondary installed %d states but primary only has %d" ns np)
+  else
+    let rec diverges i prim sec =
+      match (prim, sec) with
+      | _, [] -> None
+      | [], _ :: _ -> Some "impossible: secondary longer than primary"
+      | (_, pw) :: prest, (_, sw) :: srest ->
+        if pw = sw then diverges (i + 1) prest srest
+        else
+          Some
+            (Printf.sprintf
+               "state S^%d diverges: refresh installed a different writeset" (i + 1))
+    in
+    match diverges 0 prim sec with
+    | Some e -> Error e
+    | None ->
+      let expected =
+        if ns = 0 then [] else Mvcc.state_at primary (fst (List.nth prim (ns - 1)))
+      in
+      let actual = Mvcc.committed_state secondary in
+      if expected = actual then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "final secondary state differs from primary S^%d (%d vs %d keys)" ns
+             (List.length expected) (List.length actual))
+
+type completeness_mutation =
+  | Unchanged
+  | Changed_value
+  | Missing_key
+  | Extra_key
+  | Tombstone  (** a delete on one side where the other side has a value *)
+  | More_commits
+
+(* A primary with a few commits over six keys, optionally vacuumed, and a
+   secondary that re-executes a prefix of its writesets with one mutation.
+   A vacuumed primary no longer reconstructs its older states, which is
+   what drives the final-state comparison to fail with an intact prefix. *)
+let completeness_case_gen =
+  let open QCheck.Gen in
+  let value = oneof [ return None; map (fun v -> Some (string_of_int v)) (int_range 0 3) ] in
+  let write = pair (map (fun k -> String.make 1 "abcdef".[k]) (int_range 0 5)) value in
+  let writeset = list_size (int_range 1 4) write in
+  let mutation =
+    oneofl
+      [ Unchanged; Changed_value; Missing_key; Extra_key; Tombstone; More_commits ]
+  in
+  pair
+    (pair (list_size (int_range 0 6) writeset) (int_range 0 6))
+    (triple mutation (int_range 0 6) (opt (int_range 0 8)))
+
+let build_completeness_case ((commits, prefix), (mutation, at, vacuum)) =
+  let apply db writes =
+    let txn = Mvcc.begin_txn db in
+    List.iter (fun (k, v) -> Mvcc.write db txn k v) writes;
+    ignore (commit_exn db txn)
+  in
+  let primary = Mvcc.create ~name:"primary" () in
+  List.iter (apply primary) commits;
+  let installed = List.map snd (Mvcc.commits_with_updates primary) in
+  let np = List.length installed in
+  let m = min prefix np in
+  let replay = List.filteri (fun i _ -> i < m) installed in
+  let mutate_at f =
+    match replay with
+    | [] -> replay
+    | _ ->
+      let j = at mod List.length replay in
+      List.mapi (fun i ws -> if i = j then f ws else ws) replay
+  in
+  let as_pairs = List.map (fun { Wal.key; value } -> (key, value)) in
+  let replay =
+    match mutation with
+    | Unchanged -> List.map as_pairs replay
+    | Changed_value ->
+      List.map as_pairs
+        (mutate_at (function
+          | { Wal.key; _ } :: rest -> { Wal.key; value = Some "changed" } :: rest
+          | [] -> []))
+    | Missing_key -> List.map as_pairs (mutate_at (function _ :: rest -> rest | [] -> []))
+    | Extra_key ->
+      List.map as_pairs (mutate_at (fun ws -> ws @ [ { Wal.key = "z"; value = Some "x" } ]))
+    | Tombstone ->
+      List.map as_pairs
+        (mutate_at (function
+          | { Wal.key; value = Some _ } :: rest -> { Wal.key; value = None } :: rest
+          | { Wal.key; value = None } :: rest -> { Wal.key; value = Some "t" } :: rest
+          | [] -> []))
+    | More_commits ->
+      List.map as_pairs installed @ [ [ ("z", Some "x") ]; [ ("a", None) ] ]
+  in
+  let secondary = Mvcc.create ~name:"secondary" () in
+  List.iter (fun ws -> if ws <> [] then apply secondary ws) replay;
+  Option.iter
+    (fun i ->
+      match List.nth_opt (Mvcc.commit_history primary) i with
+      | Some before -> ignore (Mvcc.vacuum primary ~before)
+      | None -> ())
+    vacuum;
+  (primary, secondary)
+
+let prop_completeness_matches_oracle =
+  QCheck.Test.make ~name:"completeness = materialized oracle" ~count:500
+    (QCheck.make completeness_case_gen)
+    (fun case ->
+      let primary, secondary = build_completeness_case case in
+      Checker.check_completeness ~primary ~secondary
+      = completeness_oracle ~primary ~secondary
+      && Checker.same_state primary ~at:(Mvcc.latest_commit_ts primary) secondary
+         = (Mvcc.committed_state primary = Mvcc.committed_state secondary))
+
+(* The generator must reach every verdict of the check, else the property
+   proves nothing about it. *)
+let test_completeness_oracle_coverage () =
+  let rand = Random.State.make [| 21 |] in
+  let seen = Hashtbl.create 8 in
+  for _ = 1 to 500 do
+    let primary, secondary =
+      build_completeness_case (QCheck.Gen.generate1 ~rand completeness_case_gen)
+    in
+    let verdict =
+      match Checker.check_completeness ~primary ~secondary with
+      | Ok () -> "ok"
+      | Error e -> List.hd (String.split_on_char ' ' e)
+    in
+    Hashtbl.replace seen verdict ()
+  done;
+  List.iter
+    (fun v -> check_bool ("reached " ^ v) true (Hashtbl.mem seen v))
+    [ "ok"; "secondary"; "state"; "final" ]
+
+(* Comparing states key by key allocates nothing per key: the whole check
+   allocates the same few words for a 5k-key and a 20k-key pair. *)
+let test_completeness_allocation_bound () =
+  let words_allocated keys =
+    let primary = Mvcc.create () and secondary = Mvcc.create () in
+    let commits = 4 in
+    for c = 0 to commits - 1 do
+      List.iter
+        (fun db ->
+          let txn = Mvcc.begin_txn db in
+          for k = c * keys / commits to ((c + 1) * keys / commits) - 1 do
+            Mvcc.write db txn (Printf.sprintf "k%06d" k) (Some (string_of_int c))
+          done;
+          ignore (commit_exn db txn))
+        [ primary; secondary ]
+    done;
+    let check () =
+      match Checker.check_completeness ~primary ~secondary with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e
+    in
+    check ();
+    let allocated () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let before = allocated () in
+    check ();
+    allocated () -. before
+  in
+  let bound = 1_000. in
+  List.iter
+    (fun keys ->
+      let words = words_allocated keys in
+      if words > bound then
+        Alcotest.failf "check_completeness on %d keys allocated %.0f words (bound %.0f)"
+          keys words bound)
+    [ 5_000; 20_000 ]
+
 let test_checker_satisfies () =
   let clean =
     {
@@ -1407,13 +1588,29 @@ let prop_one_sr_serializable =
         specs;
       Checker.is_serializable h)
 
-(* The optimized O(n log n) inversion sweep must agree with a direct O(n^2)
-   transcription of Definitions 2.1/2.2. *)
+(* The single wall-order sweep must agree with direct O(n^2) transcriptions
+   of Definitions 2.1/2.2 at all three strictness levels, witness for
+   witness and in order, and with the separate fence sweep it replaced, on
+   histories with fences, sessions migrating between sites and aborts. *)
 let prop_inversions_match_bruteforce =
+  let fence_gen =
+    QCheck.Gen.(
+      map2
+        (fun choice (ts, age) ->
+          let claim =
+            match choice with
+            | 0 -> Session.Exact ts
+            | 1 -> Session.Session_seq
+            | _ -> Session.Max_age (float_of_int age)
+          in
+          { History.claim; read_at = float_of_int (ts + age) })
+        (int_range 0 2)
+        (pair (int_range 0 12) (int_range 0 6)))
+  in
   let txn_gen =
     QCheck.Gen.(
       map
-        (fun (id, (sess, (kind, (a, (b, snap))))) ->
+        (fun ((id, sess, site), (kind, a, b), (snap, fence)) ->
           let first_op = min a b and finished = max a b in
           let kind = if kind then History.Update else History.Read_only in
           let commit_ts =
@@ -1425,50 +1622,163 @@ let prop_inversions_match_bruteforce =
             History.id;
             session = Printf.sprintf "s%d" sess;
             kind;
-            site = "x";
+            site = Printf.sprintf "site%d" site;
             first_op;
             finished = finished + 1;
             snapshot = snap;
             commit_ts;
             reads = [];
             writes = [];
-            fence = None;
+            fence;
           })
-        (pair (int_range 0 1000)
-           (pair (int_range 0 2)
-              (pair bool (pair (int_range 0 30) (pair (int_range 0 30) (int_range 0 10)))))))
+        (triple
+           (triple (int_range 0 1000) (int_range 0 2) (int_range 0 1))
+           (triple bool (int_range 0 30) (int_range 0 30))
+           (pair (int_range 0 10) (opt ~ratio:0.6 fence_gen))))
   in
-  let bruteforce ~same_session txns =
-    let committed (t : History.txn) =
-      match (t.kind, t.commit_ts) with
-      | History.Update, Some _ -> true
-      | History.Update, None -> false
-      | History.Read_only, _ -> true
-    in
-    let state (t : History.txn) =
-      match t.kind with
-      | History.Update -> Option.get t.commit_ts
-      | History.Read_only -> t.snapshot
-    in
+  let committed (t : History.txn) =
+    match (t.kind, t.commit_ts) with
+    | History.Update, Some _ -> true
+    | History.Update, None -> false
+    | History.Read_only, _ -> true
+  in
+  let state (t : History.txn) =
+    match t.kind with
+    | History.Update -> Option.get t.commit_ts
+    | History.Read_only -> t.snapshot
+  in
+  let by key l = List.stable_sort (fun a b -> Int.compare (key a) (key b)) l in
+  (* For each committed [t2] by first operation: among the committed [t1]
+     that finished before it (same session, updates only, as asked), the
+     first in finish order with the highest state; an inversion when [t2]'s
+     snapshot is older. *)
+  let bruteforce ~same_session ~updates_only txns =
     let committed_txns = List.filter committed txns in
-    List.exists
+    let by_finish = by (fun t -> t.History.finished) committed_txns in
+    List.filter_map
       (fun (t2 : History.txn) ->
-        List.exists
-          (fun (t1 : History.txn) ->
-            t1.History.finished < t2.History.first_op
-            && ((not same_session) || t1.session = t2.session)
-            && t2.snapshot < state t1)
-          committed_txns)
-      committed_txns
+        let floor =
+          List.fold_left
+            (fun best (t1 : History.txn) ->
+              if
+                t1.finished < t2.first_op
+                && ((not same_session) || t1.session = t2.session)
+                && ((not updates_only) || t1.kind = History.Update)
+              then
+                match best with
+                | Some b when state b >= state t1 -> best
+                | Some _ | None -> Some t1
+              else best)
+            None by_finish
+        in
+        match floor with
+        | Some t1 when t2.snapshot < state t1 -> Some (t1, t2)
+        | Some _ | None -> None)
+      (by (fun t -> t.History.first_op) committed_txns)
   in
+  (* The fence audit as a separate sweep, before it was folded into the
+     wall-order sweep: the oracle for [fence_violations]. *)
+  let fences_oracle ?clock txns =
+    let committed_txns = List.filter committed txns in
+    let by_start = by (fun t -> t.History.first_op) committed_txns in
+    let by_finish = by (fun t -> t.History.finished) committed_txns in
+    let floors : (string, Timestamp.t) Hashtbl.t = Hashtbl.create 64 in
+    let note (t : History.txn) =
+      let bump ts =
+        match Hashtbl.find_opt floors t.session with
+        | Some best when Timestamp.compare best ts >= 0 -> ()
+        | Some _ | None -> Hashtbl.replace floors t.session ts
+      in
+      (match (t.kind, t.commit_ts) with
+      | History.Update, Some cts -> bump cts
+      | History.Update, None | History.Read_only, _ -> ());
+      match (t.kind, t.fence) with
+      | History.Read_only, Some { History.claim = Session.Session_seq; _ } ->
+        bump t.snapshot
+      | _, _ -> ()
+    in
+    let violations = ref [] in
+    let violation t2 fmt =
+      Format.kasprintf
+        (fun msg ->
+          violations :=
+            Format.asprintf "%a: fence violated: %s" History.pp_txn t2 msg
+            :: !violations)
+        fmt
+    in
+    let check (t2 : History.txn) =
+      match (t2.kind, t2.fence) with
+      | History.Update, _ | _, None -> ()
+      | History.Read_only, Some { History.claim; read_at } -> (
+        match claim with
+        | Session.Exact ts ->
+          if Timestamp.compare t2.snapshot ts < 0 then
+            violation t2 "snapshot %a < exact fence %a" Timestamp.pp
+              t2.snapshot Timestamp.pp ts
+        | Session.Session_seq -> (
+          match Hashtbl.find_opt floors t2.session with
+          | Some floor when Timestamp.compare t2.snapshot floor < 0 ->
+            violation t2 "snapshot %a < session fence floor %a" Timestamp.pp
+              t2.snapshot Timestamp.pp floor
+          | Some _ | None -> ())
+        | Session.Max_age d -> (
+          match clock with
+          | None ->
+            violation t2 "Max_age %g claim but no commit clock to audit it" d
+          | Some c ->
+            let horizon = Session.clock_horizon c ~cutoff:(read_at -. d) in
+            if Timestamp.compare t2.snapshot horizon < 0 then
+              violation t2
+                "snapshot %a < visibility horizon %a (age %g at read time %g)"
+                Timestamp.pp t2.snapshot Timestamp.pp horizon d read_at))
+    in
+    let rec sweep pending = function
+      | [] -> ()
+      | (t2 : History.txn) :: rest ->
+        let rec absorb = function
+          | (t1 : History.txn) :: more when t1.finished < t2.first_op ->
+            note t1;
+            absorb more
+          | remaining -> remaining
+        in
+        let pending = absorb pending in
+        check t2;
+        sweep pending rest
+    in
+    sweep by_finish by_start;
+    List.rev !violations
+  in
+  let same invs expected =
+    List.length invs = List.length expected
+    && List.for_all2
+         (fun { Checker.earlier; later } (t1, t2) -> earlier == t1 && later == t2)
+         invs expected
+  in
+  let clock = Session.clock_create () in
+  for ts = 1 to 12 do
+    Session.clock_note clock ~commit_ts:ts ~at:(float_of_int ts)
+  done;
   QCheck.Test.make ~name:"inversion sweep = brute force" ~count:300
-    QCheck.(make Gen.(list_size (int_range 0 12) txn_gen))
+    QCheck.(make Gen.(list_size (int_range 0 20) txn_gen))
     (fun txns ->
       let h = History.create () in
       List.iter (History.add h) txns;
-      Checker.inversions h <> [] = bruteforce ~same_session:false txns
-      && Checker.inversions ~same_session_only:true h <> []
-         = bruteforce ~same_session:true txns)
+      let report = Checker.analyze ~clock h in
+      let expect same_session updates_only =
+        bruteforce ~same_session ~updates_only txns
+      in
+      same report.Checker.inversions_all (expect false false)
+      && same report.inversions_in_session (expect true false)
+      && same report.inversions_after_update (expect true true)
+      && same (Checker.inversions h) (expect false false)
+      && same (Checker.inversions ~same_session_only:true h) (expect true false)
+      && same
+           (Checker.inversions ~same_session_only:true ~earlier_updates_only:true h)
+           (expect true true)
+      && same (Checker.inversions ~earlier_updates_only:true h) (expect false true)
+      && report.fence_violations = fences_oracle ~clock txns
+      && Checker.check_fences ~clock h = report.fence_violations
+      && Checker.check_fences h = fences_oracle txns)
 
 (* --- Anomaly detectors --------------------------------------------------------------- *)
 
@@ -2179,12 +2489,16 @@ let () =
             test_checker_completeness_positive_negative;
           Alcotest.test_case "secondary ahead" `Quick
             test_checker_completeness_secondary_ahead;
+          Alcotest.test_case "completeness oracle coverage" `Quick
+            test_completeness_oracle_coverage;
+          Alcotest.test_case "completeness allocation bound" `Quick
+            test_completeness_allocation_bound;
           Alcotest.test_case "satisfies matrix" `Quick test_checker_satisfies;
           Alcotest.test_case "fence audit" `Quick test_checker_fence_audit;
           Alcotest.test_case "fence audit edge cases" `Quick
             test_checker_fence_edge_cases;
         ]
-        @ qsuite [ prop_inversions_match_bruteforce ] );
+        @ qsuite [ prop_inversions_match_bruteforce; prop_completeness_matches_oracle ] );
       ( "serializability",
         [
           Alcotest.test_case "serial history serializable" `Quick

@@ -356,29 +356,28 @@ let prop_key_index_lazy =
 
 let test_state_sequence () =
   let db = Mvcc.create () in
-  Alcotest.(check (list (pair string string))) "S^0 empty" [] (Mvcc.nth_state db 0);
+  let state i =
+    (* S^i: the state as of the i-th commit's timestamp (S^0 is empty). *)
+    Mvcc.state_at db
+      (if i = 0 then Timestamp.zero else List.nth (Mvcc.commit_history db) (i - 1))
+  in
+  Alcotest.(check (list (pair string string))) "S^0 empty" [] (state 0);
   seed db [ ("a", "1") ];
   seed db [ ("b", "2") ];
   seed db [ ("a", "3") ];
   check_int "three commits" 3 (Mvcc.commit_count db);
-  Alcotest.(check (list (pair string string)))
-    "S^1" [ ("a", "1") ] (Mvcc.nth_state db 1);
+  Alcotest.(check (list (pair string string))) "S^0 still empty" [] (state 0);
+  Alcotest.(check (list (pair string string))) "S^1" [ ("a", "1") ] (state 1);
   Alcotest.(check (list (pair string string)))
     "S^2"
     [ ("a", "1"); ("b", "2") ]
-    (Mvcc.nth_state db 2);
+    (state 2);
   Alcotest.(check (list (pair string string)))
     "S^3 = latest"
     [ ("a", "3"); ("b", "2") ]
-    (Mvcc.nth_state db 3);
+    (state 3);
   Alcotest.(check (list (pair string string)))
-    "committed_state" (Mvcc.nth_state db 3) (Mvcc.committed_state db)
-
-let test_nth_state_bounds () =
-  let db = Mvcc.create () in
-  Alcotest.check_raises "beyond last"
-    (Invalid_argument "Mvcc.nth_state: 1 outside [0, 0]") (fun () ->
-      ignore (Mvcc.nth_state db 1))
+    "committed_state" (state 3) (Mvcc.committed_state db)
 
 let test_read_at () =
   let db = Mvcc.create () in
@@ -510,8 +509,8 @@ let prop_state_replay =
       in
       expected = Mvcc.committed_state db)
 
-let prop_nth_state_prefix_monotone =
-  QCheck.Test.make ~name:"nth_state defined for every prefix" ~count:100
+let prop_fold_visible_matches_state_at =
+  QCheck.Test.make ~name:"fold_visible = state_at at every commit" ~count:100
     QCheck.(make Gen.(list_size (int_range 0 6) gen_txn_writes))
     (fun txns ->
       let db = Mvcc.create () in
@@ -521,13 +520,14 @@ let prop_nth_state_prefix_monotone =
           List.iter (fun (k, v) -> Mvcc.write db t k v) writes;
           ignore (Mvcc.commit db t))
         txns;
-      let n = Mvcc.commit_count db in
       List.for_all
-        (fun i ->
-          ignore (Mvcc.nth_state db i);
-          true)
-        (List.init (n + 1) Fun.id)
-      && Mvcc.nth_state db n = Mvcc.committed_state db)
+        (fun at ->
+          let folded =
+            Mvcc.fold_visible db ~at ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
+          in
+          List.sort compare folded = Mvcc.state_at db at)
+        (Timestamp.zero :: Mvcc.commit_history db)
+      && Mvcc.state_at db (Mvcc.latest_commit_ts db) = Mvcc.committed_state db)
 
 (* --- Time travel (weak-SI start-timestamp assignment, §2.1) ----------------------------- *)
 
@@ -1367,7 +1367,6 @@ let () =
       ( "mvcc-states",
         [
           Alcotest.test_case "state sequence S^i" `Quick test_state_sequence;
-          Alcotest.test_case "nth_state bounds" `Quick test_nth_state_bounds;
           Alcotest.test_case "read_at" `Quick test_read_at;
           Alcotest.test_case "commit history ordered" `Quick
             test_commit_history_ordered;
@@ -1380,7 +1379,7 @@ let () =
               prop_fcw_exclusive;
               prop_snapshot_stability;
               prop_state_replay;
-              prop_nth_state_prefix_monotone;
+              prop_fold_visible_matches_state_at;
               prop_key_index_lazy;
             ] );
       ( "time-travel",
