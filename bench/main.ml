@@ -136,11 +136,11 @@ let run_smoke ~seed ~report =
   in
   Printf.printf
     "smoke: tput=%.2f reads=%d updates=%d refresh_commits=%d events=%d \
-     lineage_events=%d\n%!"
+     flight_events=%d\n%!"
     o.Sim_system.throughput_fast o.Sim_system.reads_completed
     o.Sim_system.updates_completed o.Sim_system.refresh_commits
     (Lsr_obs.Obs.event_count (Run_report.obs report))
-    (Lsr_obs.Lineage.event_count (Run_report.lineage report));
+    o.Sim_system.flight_events;
   match o.Sim_system.watchdog_verdict with
   | None -> ()
   | Some v ->
@@ -463,13 +463,12 @@ let trace_arg =
 
 let report_arg =
   let doc =
-    "Attach every observer to every run (metrics, lineage, a 1 \
-     virtual-second system monitor, the online consistency watchdog and the \
-     flight recorder), print the per-site freshness table and the last \
-     run's bottleneck report, and write the whole run report as JSON to \
-     $(docv): per-run bottleneck, watchdog and flight sections plus the \
-     freshness, lineage, metrics and time-series sections of the \
-     invocation."
+    "Attach every observer to every run (metrics, a 1 virtual-second \
+     system monitor, the online consistency watchdog and the flight \
+     recorder), print the per-site freshness table and the last run's \
+     bottleneck report, and write the whole run report as JSON to $(docv): \
+     per-run bottleneck, watchdog and flight sections plus the freshness, \
+     metrics and time-series sections of the invocation."
   in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 

@@ -361,9 +361,9 @@ let bottleneck guarantee seed w report_file =
 let bottleneck_cmd =
   let report_file =
     let doc =
-      "Attach every observer (metrics, lineage, the 1 virtual-second system \
-       monitor, the watchdog and the flight recorder) and write the run \
-       report as JSON to $(docv)."
+      "Attach every observer (metrics, the 1 virtual-second system monitor, \
+       the watchdog and the flight recorder) and write the run report as \
+       JSON to $(docv)."
     in
     Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
   in
@@ -649,8 +649,8 @@ let analyze_cmd =
 (* --- trace ----------------------------------------------------------------------- *)
 
 let trace guarantee seed steps txn_id =
-  let lineage = Lsr_obs.Lineage.create () in
-  let sys = System.create ~secondaries:2 ~guarantee ~lineage () in
+  let flight = Lsr_obs.Flight.create () in
+  let sys = System.create ~secondaries:2 ~guarantee ~flight () in
   let clients = Array.init 3 (fun i -> System.connect sys (Printf.sprintf "c%d" i)) in
   let rng = Lsr_sim.Rng.create seed in
   for _ = 1 to steps do
@@ -666,14 +666,21 @@ let trace guarantee seed steps txn_id =
   done;
   System.pump sys;
   let traced () =
-    match Lsr_obs.Lineage.txns lineage with
+    match Lsr_obs.Flight.txns flight with
     | [] -> "(none this run)"
     | ids -> String.concat ", " (List.map string_of_int ids)
   in
   match txn_id with
   | Some id -> (
-    match Lsr_obs.Lineage.journey lineage ~txn:id with
-    | [] ->
+    match Lsr_obs.Flight.journey flight ~txn:id with
+    | Error (Lsr_obs.Flight.Evicted { dropped }) ->
+      Printf.printf
+        "error: evicted-transaction: the causal journey of transaction %d \
+         has left the flight ring (%d events evicted, capacity %d)\n"
+        id dropped
+        (Lsr_obs.Flight.capacity flight);
+      exit 1
+    | Error Lsr_obs.Flight.Unknown ->
       Printf.printf
         "error: unknown-transaction: no causal journey recorded for \
          transaction %d\n\
@@ -682,10 +689,10 @@ let trace guarantee seed steps txn_id =
          aborted transactions are never traced)\n"
         id (traced ());
       exit 1
-    | events ->
+    | Ok events ->
       Printf.printf "causal journey of update transaction %d:\n" id;
       List.iter
-        (fun ev -> Format.printf "  %a@." Lsr_obs.Lineage.pp_event ev)
+        (fun ev -> Format.printf "  %a@." Lsr_obs.Flight.pp_event ev)
         events)
   | None ->
     print_endline "recorded history (completion order):";
@@ -717,8 +724,9 @@ let trace_cmd =
   let txn_id =
     let doc =
       "Primary transaction id to trace: print that transaction's causal \
-       journey (primary commit, shipping, per-site refresh) instead of the \
-       full history."
+       journey (primary commit, shipping, per-site refresh), read from the \
+       flight recorder's ring, instead of the full history. Exits 1 when \
+       nothing was recorded for the id or its events have left the ring."
     in
     Arg.(value & pos 0 (some int) None & info [] ~docv:"TXN-ID" ~doc)
   in
@@ -800,16 +808,6 @@ let replay bundle_file diff_file seek txn at limit =
         | ids -> String.concat ", " (List.map string_of_int ids));
       print_endline "visibility horizons at capture:";
       List.iter (fun (site, h) -> Printf.printf "  %-16s %d\n" site h) b.horizons;
-      List.iter
-        (fun (id, journey) ->
-          Printf.printf "lineage journey of txn %d:\n" id;
-          match journey with
-          | Lsr_obs.Json.Arr evs ->
-            List.iter
-              (fun ev -> print_endline ("  " ^ Lsr_obs.Json.to_string ev))
-              evs
-          | j -> print_endline ("  " ^ Lsr_obs.Json.to_string j))
-        b.journeys;
       (match witness_events b with
       | [] ->
         print_endline "event window (oldest first):";

@@ -21,7 +21,7 @@ type 'a outcome =
       value : 'a;
       txn : int;
           (** the primary MVCC transaction id — the trace id every
-              propagated record (and lineage event) carries *)
+              propagated record (and flight event) carries *)
       commit_ts : Timestamp.t;
       snapshot : Timestamp.t;
       writes : Wal.update list;  (** the effective writeset installed *)

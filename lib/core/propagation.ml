@@ -63,10 +63,10 @@ let poll t =
       (fun record ->
         match record with
         | Txn_record.Start_rec { txn; _ } ->
-          Lsr_obs.Sinks.stage t.sinks ~txn Lsr_obs.Lineage.Batched
+          Lsr_obs.Sinks.stage t.sinks ~txn Lsr_obs.Flight.Batched
         | Txn_record.Commit_rec { txn; updates; _ } ->
           Lsr_obs.Sinks.stage t.sinks ~txn
-            (Lsr_obs.Lineage.Shipped { updates = List.length updates })
+            (Lsr_obs.Flight.Shipped { updates = List.length updates })
         | Txn_record.Abort_rec _ -> ())
       records;
   Lsr_obs.Obs.incr t.c_polls;

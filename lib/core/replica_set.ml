@@ -1,7 +1,15 @@
 open Lsr_storage
 module Sinks = Lsr_obs.Sinks
-module Lineage = Lsr_obs.Lineage
+module Obs = Lsr_obs.Obs
 module Flight = Lsr_obs.Flight
+
+(* One secondary's freshness instruments, interned together on first use. *)
+type freshness = {
+  read_age : Obs.histogram;
+  read_missed : Obs.histogram;
+  missed_commits : Obs.gauge;
+  refresh_lag : Obs.histogram;
+}
 
 type t = {
   primary : Primary.t;
@@ -14,13 +22,11 @@ type t = {
   tracking : bool;
   sinks : Sinks.t;
   now : unit -> float;
-  first_alert : Watchdog.alert option ref;
+  freshness : (string, freshness) Hashtbl.t;
 }
 
-(* The watchdog's alert hook: keep the first alert for the postmortem
-   bundle's journey section and trigger the recorder's capture once. *)
-let flight_trigger flight first_alert (a : Watchdog.alert) =
-  if Option.is_none !first_alert then first_alert := Some a;
+(* The watchdog's alert hook: trigger the recorder's capture once. *)
+let flight_trigger flight (a : Watchdog.alert) =
   if not (Flight.triggered flight) then
     let txns =
       match a.Watchdog.kind with
@@ -39,15 +45,13 @@ let create ?now ~ship_aborted ~sinks ~record_history ~watchdog ~sites
     | Some f ->
       (* A new run: commit timestamps and txn ids restart, so the recorder's
          commit bookkeeping restarts too. *)
-      Lineage.set_clock sinks.Sinks.lineage f;
-      Flight.new_epoch sinks.flight;
+      Flight.new_epoch sinks.Sinks.flight;
       f
     | None -> fun () -> float_of_int (History.now history)
   in
   Flight.set_clock sinks.flight now;
   let primary = Primary.create () in
   let clock = Session.clock_create () in
-  let first_alert = ref None in
   let watchdog =
     if not watchdog then None
     else
@@ -55,7 +59,7 @@ let create ?now ~ship_aborted ~sinks ~record_history ~watchdog ~sites
         (Watchdog.create ~sinks ~clock ~sites
            ?on_alert:
              (if Flight.enabled sinks.flight then
-                Some (flight_trigger sinks.flight first_alert)
+                Some (flight_trigger sinks.flight)
               else None)
            ())
   in
@@ -71,7 +75,7 @@ let create ?now ~ship_aborted ~sinks ~record_history ~watchdog ~sites
     tracking = record_history || watchdog <> None;
     sinks;
     now;
-    first_alert;
+    freshness = Hashtbl.create 8;
   }
 
 let primary t = t.primary
@@ -83,7 +87,22 @@ let watchdog t = t.watchdog
 let sinks t = t.sinks
 let now t = t.now ()
 let tracking t = t.tracking
-let first_alert t = !(t.first_alert)
+
+let freshness t site =
+  match Hashtbl.find_opt t.freshness site with
+  | Some f -> f
+  | None ->
+    let obs = t.sinks.obs in
+    let f =
+      {
+        read_age = Obs.histogram obs (site ^ ".read_age");
+        read_missed = Obs.histogram obs (site ^ ".read_missed");
+        missed_commits = Obs.gauge obs (site ^ ".missed_commits");
+        refresh_lag = Obs.histogram obs (site ^ ".refresh_lag");
+      }
+    in
+    Hashtbl.add t.freshness site f;
+    f
 
 (* --- Secondaries ------------------------------------------------------------- *)
 
@@ -98,10 +117,10 @@ let secondary ?(on_refresh_commit = ignore) ?backup t i =
   let name = site_name i in
   let on_refresh_commit ts =
     on_refresh_commit ts;
-    (if Lineage.enabled t.sinks.lineage then
+    (if Obs.enabled t.sinks.obs then
        match Session.clock_time_of t.clock ts with
        | Some committed_at ->
-         Lineage.sample_lag t.sinks.lineage ~site:name (t.now () -. committed_at)
+         Obs.observe (freshness t name).refresh_lag (t.now () -. committed_at)
        | None -> ());
     note_refresh t i ts
   in
@@ -130,11 +149,10 @@ let begin_update t ~session =
     tracked t (Option.map (fun w -> Watchdog.begin_update w ~session) t.watchdog)
 
 (* Judge and record a finished update; [commit] is [None] for an abort. *)
-let end_update t u ~id ~finished ~now ~session ?mvcc_txn ~commit ~snapshot
-    ~reads () =
+let end_update t u ~id ~finished ~now ~session ~commit ~snapshot ~reads =
   (match (t.watchdog, u.token) with
   | Some w, Some tok ->
-    Watchdog.end_update ?mvcc_txn w tok ~id ~now ~commit ~snapshot ~reads
+    Watchdog.end_update w tok ~id ~now ~commit ~snapshot ~reads
   | _ -> ());
   if t.record_history then
     History.add t.history
@@ -162,9 +180,6 @@ let finish_update t u ~session ~reads (outcome : _ Primary.outcome) =
   match outcome with
   | Primary.Committed { txn; commit_ts; snapshot; writes; _ } ->
     Session.note_update_commit t.sessions ~label:session ~commit_ts;
-    if Lineage.enabled t.sinks.lineage then
-      Lineage.emit t.sinks.lineage ~txn
-        (Lineage.Primary_commit { commit_ts; updates = List.length writes });
     let id, finished = finish_tick t in
     let now = t.now () in
     Session.clock_note t.clock ~commit_ts ~at:now;
@@ -172,21 +187,25 @@ let finish_update t u ~session ~reads (outcome : _ Primary.outcome) =
       Flight.note_commit t.sinks.flight ~txn ~hid:id ~commit_ts
         ~updates:(List.length writes);
     if t.tracking then
-      end_update t u ~id ~finished ~now ~session ~mvcc_txn:txn
+      end_update t u ~id ~finished ~now ~session
         ~commit:(Some (commit_ts, writes))
-        ~snapshot ~reads ()
+        ~snapshot ~reads
   | Primary.Aborted _ ->
     if t.tracking then begin
       let id, finished = finish_tick t in
       end_update t u ~id ~finished ~now:(t.now ()) ~session ~commit:None
-        ~snapshot:Timestamp.zero ~reads ()
+        ~snapshot:Timestamp.zero ~reads
     end
 
 let begin_read ?fence t ~session ~site ~snapshot =
-  if Lineage.enabled t.sinks.lineage then begin
-    let at = t.now () in
-    let age, missed = Session.clock_freshness t.clock ~snapshot ~now:at in
-    Lineage.sample_read t.sinks.lineage ~site ~at ~age ~missed
+  if Obs.enabled t.sinks.obs then begin
+    let age, missed =
+      Session.clock_freshness t.clock ~snapshot ~now:(t.now ())
+    in
+    let f = freshness t site in
+    Obs.observe f.read_age age;
+    Obs.observe f.read_missed (float_of_int missed);
+    Obs.set_gauge f.missed_commits (float_of_int missed)
   end;
   Session.note_read ?fence t.sessions ~label:session ~snapshot;
   if not t.tracking then untracked

@@ -5,7 +5,8 @@
     {!Lsr_obs.Sinks}. Drivers keep how transactions execute and wait, and
     pass each transaction through the hooks below, which do its bookkeeping
     once: history ticks and ids, [seq(c)] and read floors, the commit clock,
-    lineage, flight events, watchdog tokens and the history record.
+    per-site freshness instruments, flight events, watchdog tokens and the
+    history record.
 
     Ordering rules the hooks encode:
     - a history tick and its watchdog hook happen in one hook call, so no
@@ -15,8 +16,14 @@
     - commits reach the watchdog in commit-timestamp order, provided the
       driver calls {!finish_update} with no yield after the primary commit.
 
-    With no watchdog, history or flight recorder attached, the hooks
-    allocate nothing. *)
+    With no watchdog, history, registry or flight recorder attached, the
+    hooks allocate nothing.
+
+    Freshness goes to an attached {!Lsr_obs.Obs} registry as four
+    instruments per secondary, interned together on the site's first
+    sample: histograms [<site>.read_age], [<site>.read_missed] and
+    [<site>.refresh_lag], and the gauge [<site>.missed_commits], whose peak
+    is the exact maximum of [read_missed] ([Lag_report] reads them). *)
 
 open Lsr_storage
 
@@ -24,10 +31,9 @@ type t
 
 (** [create ~sinks ~record_history ~watchdog ~sites guarantee] is the core
     of a system with [sites] secondaries. [now] is the simulator's virtual
-    clock: the lineage sink and flight recorder are bound to it, and the
-    recorder starts a new epoch. Without it the time axis is the history
-    event counter, so [Max_age] fences, lineage freshness samples and
-    refresh lags count history events. [record_history] keeps every
+    clock: the flight recorder is bound to it and starts a new epoch.
+    Without it the time axis is the history event counter, so [Max_age]
+    fences, freshness samples and refresh lags count history events. [record_history] keeps every
     finished transaction; [watchdog] attaches an online checker whose first
     alert triggers the flight recorder's capture. *)
 val create :
@@ -55,15 +61,12 @@ val now : t -> float
     values their transactions read. *)
 val tracking : t -> bool
 
-(** The first watchdog alert seen while a flight recorder is attached. *)
-val first_alert : t -> Watchdog.alert option
-
 (** {2 Secondaries} *)
 
 (** [secondary t i] is a fresh secondary ["secondary-<i>"] on the core's
     sinks, restored from [backup] when given. Each refresh commit calls
-    [on_refresh_commit], records the commit's refresh lag on the lineage
-    sink when one is attached, then advances the watchdog's horizon for
+    [on_refresh_commit], records the commit's refresh lag in
+    [<site>.refresh_lag] when a registry is attached, then advances the watchdog's horizon for
     the site. *)
 val secondary :
   ?on_refresh_commit:(Timestamp.t -> unit) -> ?backup:string -> t -> int ->
@@ -91,8 +94,8 @@ val finish_update :
 
 (** A read-only transaction of [session] starts at [site] with [snapshot],
     its seq(DBsec); the session's read floor rises as the guarantee and
-    fence require. With a lineage sink attached, the snapshot's freshness
-    on the commit clock is sampled. *)
+    fence require. With a registry attached, the snapshot's freshness on
+    the commit clock is sampled into the site's instruments. *)
 val begin_read :
   ?fence:Session.fence -> t -> session:string -> site:string ->
   snapshot:Timestamp.t -> txn

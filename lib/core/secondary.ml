@@ -82,7 +82,7 @@ let enqueue t record =
   (if Lsr_obs.Sinks.tracing t.sinks then
      match record with
      | Txn_record.Commit_rec { txn; _ } ->
-       Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn Lsr_obs.Lineage.Enqueued
+       Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn Lsr_obs.Flight.Enqueued
      | Txn_record.Start_rec _ | Txn_record.Abort_rec _ -> ());
   Lsr_obs.Obs.set_gauge t.g_update_queue
     (float_of_int (Queue.length t.update_queue))
@@ -102,7 +102,7 @@ let refresher_step t =
       Txns.replace t.refresh_txns txn refresh;
       if Lsr_obs.Sinks.tracing t.sinks then
         Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn
-          Lsr_obs.Lineage.Refresh_started;
+          Lsr_obs.Flight.Refresh_started;
       Lsr_obs.Obs.incr t.c_started;
       Started txn
     end
@@ -181,7 +181,7 @@ let applicator_step t app =
           Queue.transfer keep t.applicators);
         if Lsr_obs.Sinks.tracing t.sinks then
           Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn:app.primary_txn
-            (Lsr_obs.Lineage.Refresh_committed { commit_ts = app.commit_ts });
+            (Lsr_obs.Flight.Refresh_committed { commit_ts = app.commit_ts });
         Lsr_obs.Obs.incr t.c_committed;
         t.on_refresh_commit app.commit_ts;
         Committed app.commit_ts

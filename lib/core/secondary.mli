@@ -64,7 +64,7 @@ val create_from :
 (** The local database copy. *)
 val db : t -> Mvcc.t
 
-(** The site name given at creation (tags this site's lineage events). *)
+(** The site name given at creation (tags this site's flight events). *)
 val name : t -> string
 
 (** [enqueue t record] appends a propagated record to the update queue

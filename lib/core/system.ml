@@ -24,6 +24,7 @@ exception Unsatisfiable_read of {
 }
 
 exception Secondary_down of { secondary : int }
+exception Pump_stalled of { ticks : int }
 
 let () =
   Printexc.register_printer (function
@@ -35,6 +36,10 @@ let () =
            secondary required available pumps)
     | Secondary_down { secondary } ->
       Some (Printf.sprintf "System.Secondary_down(secondary %d is down)" secondary)
+    | Pump_stalled { ticks } ->
+      Some
+        (Printf.sprintf
+           "System.Pump_stalled(fault channels still busy after %d ticks)" ticks)
     | _ -> None)
 
 type t = {
@@ -51,10 +56,10 @@ type t = {
 type client = { label : string; secondary : int }
 
 let create ?(secondaries = 1) ?(schema = []) ?faults
-    ?(obs = Lsr_obs.Obs.null) ?(lineage = Lsr_obs.Lineage.null)
-    ?(flight = Lsr_obs.Flight.null) ?(watchdog = false) ~guarantee () =
+    ?(obs = Lsr_obs.Obs.null) ?(flight = Lsr_obs.Flight.null)
+    ?(watchdog = false) ~guarantee () =
   if secondaries < 1 then invalid_arg "System.create: need at least 1 secondary";
-  let sinks = { Lsr_obs.Sinks.obs; lineage; flight } in
+  let sinks = { Lsr_obs.Sinks.obs; flight } in
   let core =
     Replica_set.create ~ship_aborted:false ~sinks ~record_history:true
       ~watchdog ~sites:secondaries guarantee
@@ -172,8 +177,7 @@ let pump t =
   let ticks = ref 0 in
   while channels_busy t do
     incr ticks;
-    if !ticks > pump_tick_cap then
-      failwith "System.pump: fault channels failed to quiesce";
+    if !ticks > pump_tick_cap then raise (Pump_stalled { ticks = !ticks });
     ignore (refresh_all t)
   done
 

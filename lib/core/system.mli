@@ -34,6 +34,11 @@ exception Unsatisfiable_read of {
     recovered. *)
 exception Secondary_down of { secondary : int }
 
+(** Raised by {!pump} when the attached fault channels are still busy after
+    [ticks] ([pump_tick_cap] + 1) refresh rounds — a loss rate so close to 1
+    that retransmission cannot get through. *)
+exception Pump_stalled of { ticks : int }
+
 (** A client session: a label and the secondary it is connected to. *)
 type client
 
@@ -61,18 +66,17 @@ type channel = {
     {!channel} between the propagator and that site; omitted, propagation is
     the paper's reliable FIFO channel and behaviour is unchanged.
 
-    [obs], [lineage] and [flight] form the system's {!Lsr_obs.Sinks}, handed
-    to the propagator, every secondary, every fault channel and the
-    watchdog; the disabled defaults cost nothing. [obs] also receives the
-    system counters [system.update_commits] / [system.update_aborts] /
-    [system.reads]. [lineage] receives a [Primary_commit] event per
-    committed update transaction (trace id = primary MVCC txn id), the
-    journey stages of every layer, and a freshness sample per read-only
-    transaction (see {!Lsr_obs.Lineage}). [flight] receives the compact
-    unified event stream (commits carrying both MVCC and history ids,
-    pipeline stages and channel faults, per-read snapshot claims,
-    crash/recovery marks); with [watchdog] also on, the first alert
-    triggers the recorder's postmortem capture (see {!Lsr_obs.Flight}).
+    [obs] and [flight] form the system's {!Lsr_obs.Sinks}, handed to the
+    propagator, every secondary, every fault channel and the watchdog; the
+    disabled defaults cost nothing. [obs] also receives the system counters
+    [system.update_commits] / [system.update_aborts] / [system.reads] and
+    the per-site freshness instruments of {!Replica_set}. [flight] receives
+    the compact unified event stream (commits carrying both MVCC and
+    history ids, pipeline stages and channel faults, per-read snapshot
+    claims, crash/recovery marks), from which {!Lsr_obs.Flight.journey}
+    reads one update's causal journey; with [watchdog] also on, the first
+    alert triggers the recorder's postmortem capture (see
+    {!Lsr_obs.Flight}).
 
     [watchdog] attaches an online {!Watchdog}: every transaction is checked
     incrementally as it finishes (weak-SI reads, inversion floors, fence
@@ -83,7 +87,6 @@ val create :
   ?secondaries:int -> ?schema:(string * string list) list ->
   ?faults:(Lsr_obs.Sinks.t -> int -> channel) ->
   ?obs:Lsr_obs.Obs.t ->
-  ?lineage:Lsr_obs.Lineage.t ->
   ?flight:Lsr_obs.Flight.t ->
   ?watchdog:bool ->
   guarantee:Session.guarantee -> unit -> t
@@ -171,10 +174,15 @@ val refresh_one : t -> int -> int
 
 val refresh_all : t -> int
 
+(** Channel ticks one {!pump} may spend waiting for its channels to
+    quiesce. *)
+val pump_tick_cap : int
+
 (** [pump t] = [propagate] then [refresh_all], repeated until every attached
     fault channel is idle: bring every secondary up to date with the
     primary.
-    @raise Failure if a channel fails to quiesce (saturated loss rate). *)
+    @raise Pump_stalled if a channel fails to quiesce within
+    {!pump_tick_cap} ticks (saturated loss rate). *)
 val pump : t -> unit
 
 (** Reads that had to wait for the session condition so far. *)

@@ -19,7 +19,7 @@ type t =
 val txn : t -> int
 
 (** ["start"], ["commit"] or ["abort"] — the record tag alone, used by the
-    fault channel to label lineage events without rendering payloads. *)
+    fault channel to label flight events without rendering payloads. *)
 val kind_name : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -1,6 +1,5 @@
 open Lsr_storage
 module Obs = Lsr_obs.Obs
-module Lineage = Lsr_obs.Lineage
 module Json = Lsr_obs.Json
 
 type level =
@@ -24,7 +23,6 @@ type alert = {
   site : string;
   snapshot : Timestamp.t;
   kind : alert_kind;
-  trace : Lineage.event list;
 }
 
 type verdict = {
@@ -117,7 +115,6 @@ type t = {
   alert_cap : int;
   on_alert : (alert -> unit) option;
   clock : Session.clock option;
-  lineage : Lineage.t;
   (* Weak-SI state, per key: primary writes newer than the horizon plus the
      folded base value of everything retired. *)
   chains : chain Keys.t;
@@ -158,12 +155,11 @@ type t = {
 let create ?(alert_cap = 256) ?on_alert ?(sinks = Lsr_obs.Sinks.null) ?clock
     ~sites () =
   if sites < 1 then invalid_arg "Watchdog.create: need at least 1 site";
-  let { Lsr_obs.Sinks.obs; lineage; _ } = sinks in
+  let obs = sinks.Lsr_obs.Sinks.obs in
   {
     alert_cap = max 0 alert_cap;
     on_alert;
     clock;
-    lineage;
     chains = Keys.create 1024;
     unretired = Queue.create ();
     last_commit_ts = Timestamp.zero;
@@ -236,7 +232,7 @@ let min_pin t =
 
 (* --- Alerts ----------------------------------------------------------------- *)
 
-let record_alert t ~at ~txn ~session ~site ~snapshot ?mvcc_txn kind =
+let record_alert t ~at ~txn ~session ~site ~snapshot kind =
   (match kind with
   | Read_mismatch _ ->
     t.n_read <- t.n_read + 1;
@@ -252,12 +248,7 @@ let record_alert t ~at ~txn ~session ~site ~snapshot ?mvcc_txn kind =
     Obs.incr t.c_alert_fence);
   let retain = t.alert_log_len < t.alert_cap in
   if retain || t.on_alert <> None then begin
-    let trace =
-      match mvcc_txn with
-      | Some id when Lineage.enabled t.lineage -> Lineage.journey t.lineage ~txn:id
-      | Some _ | None -> []
-    in
-    let alert = { at; txn; session; site; snapshot; kind; trace } in
+    let alert = { at; txn; session; site; snapshot; kind } in
     if retain then begin
       t.alert_log <- alert :: t.alert_log;
       t.alert_log_len <- t.alert_log_len + 1
@@ -390,8 +381,7 @@ let expected_value t key snapshot =
     if pos > c.c_lo then c.c_v.(pos - 1) else c.c_base
   | None -> None
 
-let validate_reads t ~at ~txn ~session ~site ~snapshot ?mvcc_txn ~own_writes
-    reads =
+let validate_reads t ~at ~txn ~session ~site ~snapshot ~own_writes reads =
   List.iter
     (fun (key, observed) ->
       let own =
@@ -402,16 +392,16 @@ let validate_reads t ~at ~txn ~session ~site ~snapshot ?mvcc_txn ~own_writes
       if not own then begin
         let expected = expected_value t key snapshot in
         if not (Option.equal String.equal expected observed) then
-          record_alert t ~at ~txn ~session ~site ~snapshot ?mvcc_txn
+          record_alert t ~at ~txn ~session ~site ~snapshot
             (Read_mismatch { key; observed; expected })
       end)
     reads
 
-let check_inversions t tok ~at ~txn ~site ~snapshot ?mvcc_txn () =
+let check_inversions t tok ~at ~txn ~site ~snapshot =
   let check level floor =
     match floor with
     | Some (ts, earlier) when Timestamp.compare snapshot ts < 0 ->
-      record_alert t ~at ~txn ~session:tok.tk_session ~site ~snapshot ?mvcc_txn
+      record_alert t ~at ~txn ~session:tok.tk_session ~site ~snapshot
         (Inversion { level; earlier; floor = ts })
     | Some _ | None -> ()
   in
@@ -460,7 +450,7 @@ let end_read ?fence t tok ~id ~site ~now ~reads =
   let snapshot = tok.tk_snapshot in
   validate_reads t ~at:now ~txn:id ~session:tok.tk_session ~site ~snapshot
     ~own_writes:[] reads;
-  check_inversions t tok ~at:now ~txn:id ~site ~snapshot ();
+  check_inversions t tok ~at:now ~txn:id ~site ~snapshot;
   check_fence t tok ~at:now ~txn:id ~site ~snapshot fence;
   (* The floors this read raises for later transactions: a committed
      read-only transaction pins its snapshot (all levels except the
@@ -474,7 +464,7 @@ let end_read ?fence t tok ~id ~site ~now ~reads =
   | Some _ | None -> ());
   note_state t
 
-let end_update ?mvcc_txn t tok ~id ~now ~commit ~snapshot ~reads =
+let end_update t tok ~id ~now ~commit ~snapshot ~reads =
   unpin t tok.tk_serial;
   match commit with
   | None ->
@@ -486,9 +476,8 @@ let end_update ?mvcc_txn t tok ~id ~now ~commit ~snapshot ~reads =
     if Timestamp.compare commit_ts t.last_commit_ts <= 0 then
       invalid_arg "Watchdog.end_update: commits must arrive in commit order";
     validate_reads t ~at:now ~txn:id ~session:tok.tk_session ~site:"primary"
-      ~snapshot ?mvcc_txn ~own_writes:writes reads;
-    check_inversions t tok ~at:now ~txn:id ~site:"primary" ~snapshot ?mvcc_txn
-      ();
+      ~snapshot ~own_writes:writes reads;
+    check_inversions t tok ~at:now ~txn:id ~site:"primary" ~snapshot;
     bump_global t commit_ts id;
     bump_floor t.session_floor tok.tk_session commit_ts id;
     bump_floor t.update_floor tok.tk_session commit_ts id;
@@ -591,11 +580,6 @@ let alert_json a =
        ("session", Json.Str a.session);
        ("site", Json.Str a.site);
        ("snapshot", Json.Num (float_of_int a.snapshot));
-       ( "trace",
-         Json.Arr
-           (List.map
-              (fun e -> Json.Str (Format.asprintf "%a" Lineage.pp_event e))
-              a.trace) );
      ]
     @ kind_json a.kind)
 

@@ -20,8 +20,8 @@
       are checked the moment the fenced read finishes.
 
     Violations surface immediately as typed {!alert}s (bounded log, per-kind
-    counters, the offending update's {!Lsr_obs.Lineage} trace attached when a
-    sink is recording).
+    counters). An alert carries ids, not journeys: the flight recorder's
+    capture holds each implicated update's pipeline events.
 
     {b Bounded memory.} State below the global minimum secondary visibility
     horizon is retired continuously: once every secondary has refreshed past
@@ -76,9 +76,6 @@ type alert = {
   site : string;
   snapshot : Timestamp.t;
   kind : alert_kind;
-  trace : Lsr_obs.Lineage.event list;
-      (** the offending update's lineage journey so far, when a sink is
-          recording ([[]] for reads and disabled sinks) *)
 }
 
 val pp_alert : Format.formatter -> alert -> unit
@@ -101,8 +98,7 @@ type verdict = {
     clock used to audit [Max_age] claims — as in {!Checker.check_fences}, a
     [Max_age] claim without a clock is itself a violation. [sinks.obs]
     receives [watchdog.alerts.*] counters and a [watchdog.state_size]
-    gauge; [sinks.lineage], when recording, supplies the journey attached
-    to update alerts. [on_alert] fires synchronously on {e every} alert —
+    gauge. [on_alert] fires synchronously on {e every} alert —
     including ones the bounded log drops past [alert_cap] — with the same
     alert value the log retains; it is the flight recorder's trigger hook,
     and like any observer it must not feed back into the run. *)
@@ -150,18 +146,15 @@ val end_read :
   reads:(string * string option) list ->
   unit
 
-(** [end_update t token ~id ~now ~commit ~snapshot ~reads ?mvcc_txn] — the
+(** [end_update t token ~id ~now ~commit ~snapshot ~reads] — the
     update transaction finished. [commit = Some (commit_ts, writes)]:
     validate reads (own-written keys excluded), check the captured floors,
     raise all floors to [commit_ts], and append the writes to the per-key
     version chains (commits must arrive in commit-timestamp order).
     [commit = None]: the transaction aborted — it pins nothing, nothing is
     checked (matching the checker, which quantifies over committed
-    transactions), the token only releases its horizon pin. [mvcc_txn] is
-    the primary MVCC transaction id, used to attach the lineage journey to
-    any alert. *)
+    transactions), the token only releases its horizon pin. *)
 val end_update :
-  ?mvcc_txn:int ->
   t ->
   token ->
   id:int ->

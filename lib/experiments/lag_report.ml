@@ -1,5 +1,5 @@
 open Lsr_stats
-module Lineage = Lsr_obs.Lineage
+module Obs = Lsr_obs.Obs
 module Json = Lsr_obs.Json
 
 type row = {
@@ -16,44 +16,35 @@ type row = {
   lag_p99 : float;
 }
 
-let row_of_site lineage site =
-  let fresh = Lineage.freshness_samples lineage ~site in
-  let lags = Lineage.refresh_lags lineage ~site in
-  let age_hist = Histogram.create () in
-  let lag_hist = Histogram.create () in
-  let missed_sum = ref 0 in
-  let missed_max = ref 0 in
-  List.iter
-    (fun f ->
-      Histogram.record age_hist f.Lineage.age;
-      missed_sum := !missed_sum + f.Lineage.missed;
-      if f.Lineage.missed > !missed_max then missed_max := f.Lineage.missed)
-    fresh;
-  List.iter (Histogram.record lag_hist) lags;
-  let reads = List.length fresh in
-  let refreshes = List.length lags in
-  (* A site with no samples gets explicit zero quantiles, never a quantile of
-     an empty histogram: the row must stay finite on its own (the table
-     renders "-" for the empty sections, and the JSON must stay null-free
-     without relying on downstream clamping). *)
-  let quantile hist n q = if n = 0 then 0. else q hist in
+let suffix = ".refresh_lag"
+
+(* [Obs.hist_quantile] is 0 on an empty histogram, so a site with no samples
+   in a section gets explicit zero quantiles there. *)
+let row_of_site obs site =
+  let age = Obs.histogram obs (site ^ ".read_age") in
+  let missed = Obs.histogram obs (site ^ ".read_missed") in
+  let lag = Obs.histogram obs (site ^ suffix) in
+  let reads = Obs.hist_count age in
   {
     site;
     reads;
-    age_p50 = quantile age_hist reads Histogram.median;
-    age_p95 = quantile age_hist reads Histogram.p95;
-    age_p99 = quantile age_hist reads Histogram.p99;
+    age_p50 = Obs.hist_quantile age 0.5;
+    age_p95 = Obs.hist_quantile age 0.95;
+    age_p99 = Obs.hist_quantile age 0.99;
     missed_mean =
-      (if reads = 0 then 0. else float_of_int !missed_sum /. float_of_int reads);
-    missed_max = !missed_max;
-    refreshes;
-    lag_p50 = quantile lag_hist refreshes Histogram.median;
-    lag_p95 = quantile lag_hist refreshes Histogram.p95;
-    lag_p99 = quantile lag_hist refreshes Histogram.p99;
+      (if reads = 0 then 0. else Obs.hist_sum missed /. float_of_int reads);
+    missed_max =
+      int_of_float (Obs.gauge_peak (Obs.gauge obs (site ^ ".missed_commits")));
+    refreshes = Obs.hist_count lag;
+    lag_p50 = Obs.hist_quantile lag 0.5;
+    lag_p95 = Obs.hist_quantile lag 0.95;
+    lag_p99 = Obs.hist_quantile lag 0.99;
   }
 
-let of_lineage lineage =
-  List.map (row_of_site lineage) (Lineage.sites lineage)
+let of_obs obs =
+  Obs.names obs
+  |> List.filter (String.ends_with ~suffix)
+  |> List.map (fun name -> row_of_site obs (Filename.chop_suffix name suffix))
 
 let header =
   [

@@ -1,25 +1,21 @@
-(** Per-site freshness / propagation-lag report over a recorded
-    {!Lsr_obs.Lineage} sink.
+(** Per-site freshness / propagation-lag report over the per-site
+    instruments [Replica_set] keeps in an {!Lsr_obs.Obs} registry: per
+    site, the snapshot age of each read-only transaction (virtual-time age
+    of the newest primary commit its snapshot reflected; 0 when caught up),
+    the committed-but-unapplied primary transactions it missed, and each
+    refresh's lag behind its primary commit.
 
-    One row per site, reducing the sink's raw samples through
-    {!Lsr_stats.Histogram} (exact nearest-rank quantiles):
-    - {e age}: snapshot age of each read-only transaction (virtual-time age
-      of the newest primary commit its snapshot reflected; 0 when caught
-      up) — p50/p95/p99;
-    - {e missed}: committed-but-unapplied primary transactions per read —
-      mean and max;
-    - {e lag}: refresh commit time minus primary commit time per refreshed
-      transaction — p50/p95/p99.
-
-    Rows come out sorted by site name and all floats use the canonical
-    {!Lsr_obs.Json.number} form, so the report is byte-identical across
-    same-seed runs (the [freshness] section of {!Run_report}).
+    Counts, the missed mean and the missed max are exact; age and lag
+    quantiles are {!Lsr_obs.Obs.hist_quantile} estimates, within one base-2
+    bucket width of the exact nearest-rank value. Rows come out sorted by
+    site name and floats use the canonical {!Lsr_obs.Json.number} form, so
+    the report is byte-identical across same-seed runs (the [freshness]
+    section of {!Run_report}). A registry spanning several runs reports
+    their union.
 
     A site with no samples in a section (zero reads, or zero refreshes) gets
-    explicit zero quantiles for that section — never the quantile of an
-    empty histogram — and the table renders "-" for those cells. The JSON is
-    null-free by construction: every numeric field is clamped finite before
-    serialization. *)
+    zero quantiles there, and the table renders "-" for those cells. The
+    JSON is null-free: every numeric field is clamped finite. *)
 
 type row = {
   site : string;
@@ -35,8 +31,9 @@ type row = {
   lag_p99 : float;
 }
 
-(** One row per {!Lsr_obs.Lineage.sites} entry, in that (sorted) order. *)
-val of_lineage : Lsr_obs.Lineage.t -> row list
+(** One row per site with a [<site>.refresh_lag] instrument in the
+    registry (every site [Replica_set] sampled), sorted by site name. *)
+val of_obs : Lsr_obs.Obs.t -> row list
 
 (** Plain-text table ({!Lsr_stats.Table_fmt}). *)
 val render : row list -> string

@@ -7,7 +7,7 @@
     (update and pending queues), primary WAL length and per-site MVCC
     version counts.
 
-    Same contract as the other sinks ({!Lsr_obs.Obs}, {!Lsr_obs.Lineage}):
+    Same contract as the other sinks ({!Lsr_obs.Obs}, {!Lsr_obs.Flight}):
     {!null} costs nothing, and attaching an enabled monitor never changes
     simulation outcomes — the sampling process only reads state, draws no
     randomness and wakes no other process, so every other event fires at

@@ -1,5 +1,4 @@
 module Obs = Lsr_obs.Obs
-module Lineage = Lsr_obs.Lineage
 module Flight = Lsr_obs.Flight
 module Json = Lsr_obs.Json
 
@@ -14,7 +13,6 @@ type run = {
 type t = {
   recording : bool;
   obs : Obs.t;
-  lineage : Lineage.t;
   monitor : Monitor.t;
   flight : Flight.t;
   mutable runs : run list; (* newest first *)
@@ -24,7 +22,6 @@ let null =
   {
     recording = false;
     obs = Obs.null;
-    lineage = Lineage.null;
     monitor = Monitor.null;
     flight = Flight.null;
     runs = [];
@@ -34,7 +31,6 @@ let create () =
   {
     recording = true;
     obs = Obs.create ();
-    lineage = Lineage.create ();
     monitor = Monitor.create ~interval:1.0 ();
     flight = Flight.create ();
     runs = [];
@@ -47,7 +43,6 @@ let run t ~tag (cfg : Sim_system.config) =
     {
       cfg with
       Sim_system.obs = t.obs;
-      lineage = t.lineage;
       monitor = t.monitor;
       flight = t.flight;
       watchdog = cfg.Sim_system.watchdog || t.recording;
@@ -67,7 +62,6 @@ let run t ~tag (cfg : Sim_system.config) =
   o
 
 let obs t = t.obs
-let lineage t = t.lineage
 
 let to_json t =
   let opt = Option.value ~default:Json.Null in
@@ -83,10 +77,9 @@ let to_json t =
   in
   Json.Obj
     [
-      ("version", Json.Num 1.);
+      ("version", Json.Num 2.);
       ("runs", Json.Arr (List.rev_map run_json t.runs));
-      ("freshness", Lag_report.to_json (Lag_report.of_lineage t.lineage));
-      ("lineage", Lineage.to_json t.lineage);
+      ("freshness", Lag_report.to_json (Lag_report.of_obs t.obs));
       ("metrics", Obs.metrics_json t.obs);
       ("timeseries", Lsr_obs.Timeseries.to_json (Monitor.series t.monitor));
     ]
@@ -95,7 +88,7 @@ let summary t =
   let lag =
     Printf.sprintf
       "\n== Per-site freshness / propagation lag (virtual seconds) ==\n%s\n"
-      (Lag_report.render (Lag_report.of_lineage t.lineage))
+      (Lag_report.render (Lag_report.of_obs t.obs))
   in
   match t.runs with
   | [] -> lag

@@ -1,24 +1,28 @@
 (** One run report per harness invocation.
 
     A report owns the observers of every simulation run it is handed — an
-    enabled {!Lsr_obs.Obs} registry, a {!Lsr_obs.Lineage} sink, a
-    1-virtual-second {!Monitor}, the online watchdog and a
-    {!Lsr_obs.Flight} recorder — and records each run's per-run sections.
+    enabled {!Lsr_obs.Obs} registry, a 1-virtual-second {!Monitor}, the
+    online watchdog and a {!Lsr_obs.Flight} recorder — and records each
+    run's per-run sections.
     {!to_json} is the one versioned document:
 
     {v
-    {"version": 1,
+    {"version": 2,
      "runs": [{"tag", "check_errors", "bottleneck", "watchdog", "flight"}],
-     "freshness", "lineage", "metrics", "timeseries"}
+     "freshness", "metrics", "timeseries"}
     v}
 
     - [runs]: one entry per run, in run order. [bottleneck] is
       {!Bottleneck.to_json}; [watchdog] is the run's [watchdog_report]
       and [flight] its postmortem bundle ([flight_report]), each [null]
       when that observer is off;
-    - [freshness]: {!Lag_report.to_json} of the lineage sink;
-    - [lineage], [metrics], [timeseries]: the sinks' own [to_json], each
-      spanning every run of the report.
+    - [freshness]: {!Lag_report.to_json} of the registry's per-site
+      freshness instruments;
+    - [metrics], [timeseries]: the sinks' own [to_json].
+
+    [freshness], [metrics] and [timeseries] span every run. No section grows
+    per committed transaction: journeys live only in each run's bounded
+    [flight] window.
 
     Every section is deterministic for a fixed seed, so the document is
     byte-stable. Attaching the observers never changes simulation outcomes
@@ -44,7 +48,6 @@ val run : t -> tag:string -> Sim_system.config -> Sim_system.outcome
 (** The registry attached to every run (for {!Lsr_obs.Obs.write_trace}). *)
 val obs : t -> Lsr_obs.Obs.t
 
-val lineage : t -> Lsr_obs.Lineage.t
 
 (** The report document described above. *)
 val to_json : t -> Lsr_obs.Json.t

@@ -29,7 +29,6 @@ type config = {
   faults : Lsr_faults.Channel.config option;
   fault_tick : float;
   obs : Obs.t;
-  lineage : Lsr_obs.Lineage.t;
   flight : Lsr_obs.Flight.t;
   monitor : Monitor.t;
 }
@@ -49,7 +48,6 @@ let config params guarantee ~seed =
     faults = None;
     fault_tick = 1.0;
     obs = Obs.null;
-    lineage = Lsr_obs.Lineage.null;
     flight = Lsr_obs.Flight.null;
     monitor = Monitor.null;
   }
@@ -827,13 +825,14 @@ let config_json cfg =
 let run cfg =
   let p = cfg.params in
   let eng = Engine.create () in
-  (* Lineage and flight events are stamped with virtual time. Binding the
-     clock only reads the engine; it cannot feed back into the run. *)
+  (* Flight events and freshness samples are stamped with virtual time.
+     Binding the clock only reads the engine; it cannot feed back into the
+     run. *)
   let rs =
     Replica_set.create
       ~now:(fun () -> Engine.now eng)
       ~ship_aborted:cfg.ship_aborted
-      ~sinks:{ Lsr_obs.Sinks.obs = cfg.obs; lineage = cfg.lineage; flight = cfg.flight }
+      ~sinks:{ Lsr_obs.Sinks.obs = cfg.obs; flight = cfg.flight }
       ~record_history:cfg.record_history ~watchdog:cfg.watchdog
       ~sites:p.Params.num_secondaries cfg.guarantee
   in
@@ -962,22 +961,12 @@ let run cfg =
         Lsr_obs.Flight.trigger cfg.flight ~reason:"checker"
           ~detail:(String.concat "; " check_errors)
           ();
-      let journeys =
-        match Replica_set.first_alert rs with
-        | Some a when a.Watchdog.trace <> [] ->
-          [
-            ( a.Watchdog.txn,
-              Lsr_obs.Json.Arr
-                (List.map Lsr_obs.Lineage.event_json a.Watchdog.trace) );
-          ]
-        | _ -> []
-      in
       let metrics =
         if Obs.enabled cfg.obs then Some (Obs.metrics_json cfg.obs) else None
       in
       let bundle =
         Lsr_obs.Flight.bundle_json cfg.flight ~config:(config_json cfg)
-          ~journeys ?metrics ()
+          ?metrics ()
       in
       (Some bundle, Lsr_obs.Flight.trigger_reason cfg.flight)
     end

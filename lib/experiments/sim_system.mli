@@ -115,13 +115,6 @@ type config = {
           {!Lsr_obs.Obs.null} records nothing and costs nothing; attaching
           an enabled registry never changes simulation outcomes (all
           timestamps are virtual, no instrument feeds back into the run) *)
-  lineage : Lsr_obs.Lineage.t;
-      (** causal lineage sink: one virtual-time-stamped event per pipeline
-          stage of every committed update transaction (primary commit,
-          propagation, fault-channel misbehaviour, per-site refresh) plus a
-          freshness sample per read-only transaction. Same rules as [obs]:
-          the default {!Lsr_obs.Lineage.null} costs nothing and an enabled
-          sink never changes outcomes. *)
   flight : Lsr_obs.Flight.t;
       (** flight recorder: a bounded in-memory black box over the unified
           event stream — primary commits (carrying both MVCC txn and history
@@ -131,7 +124,7 @@ type config = {
           watchdog alert (with [watchdog]) triggers its postmortem capture
           mid-run; a failed checker battery (with [record_history]) triggers
           it at the end; otherwise the bundle holds the end-of-run window.
-          The bundle lands in [flight_report]. Same rules as [obs]/[lineage]:
+          The bundle lands in [flight_report]. Same rules as [obs]:
           {!Lsr_obs.Flight.null} (the default) costs nothing, and an enabled
           recorder never changes outcomes (O(capacity) memory, virtual-time
           stamps, no feedback). *)
@@ -255,7 +248,7 @@ type outcome = {
   flight_report : Lsr_obs.Json.t option;
       (** the flight recorder's postmortem bundle ({!Lsr_obs.Flight.bundle_json}:
           trigger, event window, per-site visibility horizons, implicated
-          journeys, full config and seed), keys sorted, byte-stable for a
+          ids, full config and seed), keys sorted, byte-stable for a
           fixed seed; [None] when no recorder was attached *)
   flight_trigger : string option;
       (** what tripped the capture — ["watchdog"] (first online alert) or

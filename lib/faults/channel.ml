@@ -179,7 +179,7 @@ type t = {
   mutable s : stats;
   oc : obs_counters;
   sinks : Lsr_obs.Sinks.t;
-  lname : string option; (* site this channel feeds, for lineage events *)
+  lname : string option; (* site this channel feeds, for flight events *)
 }
 
 let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
@@ -220,7 +220,7 @@ let transmit t msg =
   if t.cfg.loss > 0. && Rng.bernoulli t.rng ~p:t.cfg.loss then begin
     t.s <- { t.s with dropped = t.s.dropped + 1 };
     emit_stage t msg.record (fun record ->
-        Lsr_obs.Lineage.Channel_dropped { record });
+        Lsr_obs.Flight.Channel_dropped { record });
     Lsr_obs.Obs.incr t.oc.oc_dropped
   end
   else begin
@@ -230,7 +230,7 @@ let transmit t msg =
       latency := !latency + extra;
       t.s <- { t.s with delayed = t.s.delayed + 1 };
       emit_stage t msg.record (fun record ->
-          Lsr_obs.Lineage.Channel_delayed { record; ticks = extra });
+          Lsr_obs.Flight.Channel_delayed { record; ticks = extra });
       Lsr_obs.Obs.incr t.oc.oc_delayed
     end;
     if t.cfg.reorder > 0. && Rng.bernoulli t.rng ~p:t.cfg.reorder then begin
@@ -249,7 +249,7 @@ let transmit t msg =
         :: t.flight;
       t.s <- { t.s with duplicated = t.s.duplicated + 1 };
       emit_stage t msg.record (fun record ->
-          Lsr_obs.Lineage.Channel_duplicated { record });
+          Lsr_obs.Flight.Channel_duplicated { record });
       Lsr_obs.Obs.incr t.oc.oc_duplicated
     end;
     let depth = List.length t.flight in
@@ -335,7 +335,7 @@ let tick t =
       if u.rto_at <= t.clock then begin
         t.s <- { t.s with retransmitted = t.s.retransmitted + 1 };
         emit_stage t u.msg.record (fun record ->
-            Lsr_obs.Lineage.Channel_retransmitted { record });
+            Lsr_obs.Flight.Channel_retransmitted { record });
         Lsr_obs.Obs.incr t.oc.oc_retransmitted;
         transmit t u.msg;
         u.cur_rto <-

@@ -17,6 +17,17 @@ let c_read = 10
 let c_crash = 11
 let c_recovery = 12
 
+type stage =
+  | Batched
+  | Shipped of { updates : int }
+  | Channel_dropped of { record : string }
+  | Channel_duplicated of { record : string }
+  | Channel_delayed of { record : string; ticks : int }
+  | Channel_retransmitted of { record : string }
+  | Enqueued
+  | Refresh_started
+  | Refresh_committed of { commit_ts : int }
+
 type event = { seq : int; time : float; site : string option; ev : ev }
 
 and ev =
@@ -55,6 +66,7 @@ type t = {
   e_b : int array;
   e_sess : string array;
   mutable total : int; (* events ever noted; write head = total mod cap *)
+  mutable hi_txn : int; (* highest MVCC id noted this epoch *)
   mutable names : string array;
   mutable n_names : int;
   name_ids : (string, int) Hashtbl.t;
@@ -79,6 +91,7 @@ let make ~live cap =
     e_b = Array.make cap (-1);
     e_sess = Array.make cap "";
     total = 0;
+    hi_txn = -1;
     names = Array.make 8 "";
     n_names = 0;
     name_ids = Hashtbl.create 16;
@@ -97,6 +110,7 @@ let set_clock t f = if t.live then t.clock <- Some f
 let new_epoch t =
   if t.live then begin
     t.total <- 0;
+    t.hi_txn <- -1;
     Hashtbl.reset t.horizons;
     t.primary_ts <- 0;
     t.commits <- 0;
@@ -130,6 +144,7 @@ let push t ~site ~code ~txn ~hid ~a ~b ~sess =
   t.e_a.(i) <- a;
   t.e_b.(i) <- b;
   t.e_sess.(i) <- sess;
+  if txn > t.hi_txn then t.hi_txn <- txn;
   t.total <- t.total + 1
 
 let site_id t = function None -> -1 | Some s -> intern t s
@@ -141,26 +156,24 @@ let note_commit t ~txn ~hid ~commit_ts ~updates =
     push t ~site:(-1) ~code:c_commit ~txn ~hid ~a:commit_ts ~b:updates ~sess:""
   end
 
-let note_stage t ?site ~txn (stage : Lineage.stage) =
+let note_stage t ?site ~txn (stage : stage) =
   if t.live then begin
     let sid = site_id t site in
     let push = push t ~site:sid ~txn ~hid:(-1) ~sess:"" in
     match stage with
-    | Lineage.Primary_commit { commit_ts; updates } ->
-      note_commit t ~txn ~hid:(-1) ~commit_ts ~updates
-    | Lineage.Batched -> push ~code:c_batched ~a:(-1) ~b:(-1)
-    | Lineage.Shipped { updates } -> push ~code:c_shipped ~a:(-1) ~b:updates
-    | Lineage.Channel_dropped { record } ->
+    | Batched -> push ~code:c_batched ~a:(-1) ~b:(-1)
+    | Shipped { updates } -> push ~code:c_shipped ~a:(-1) ~b:updates
+    | Channel_dropped { record } ->
       push ~code:c_dropped ~a:(intern t record) ~b:(-1)
-    | Lineage.Channel_duplicated { record } ->
+    | Channel_duplicated { record } ->
       push ~code:c_duplicated ~a:(intern t record) ~b:(-1)
-    | Lineage.Channel_delayed { record; ticks } ->
+    | Channel_delayed { record; ticks } ->
       push ~code:c_delayed ~a:(intern t record) ~b:ticks
-    | Lineage.Channel_retransmitted { record } ->
+    | Channel_retransmitted { record } ->
       push ~code:c_retransmitted ~a:(intern t record) ~b:(-1)
-    | Lineage.Enqueued -> push ~code:c_enqueued ~a:(-1) ~b:(-1)
-    | Lineage.Refresh_started -> push ~code:c_refresh_start ~a:(-1) ~b:(-1)
-    | Lineage.Refresh_committed { commit_ts } ->
+    | Enqueued -> push ~code:c_enqueued ~a:(-1) ~b:(-1)
+    | Refresh_started -> push ~code:c_refresh_start ~a:(-1) ~b:(-1)
+    | Refresh_committed { commit_ts } ->
       (if sid >= 0 then
          match Hashtbl.find_opt t.horizons sid with
          | Some h when h >= commit_ts -> ()
@@ -253,21 +266,29 @@ let live_horizons t =
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) hs
 
-let capture t ~reason ~detail ~txns =
+(* The retained slots that [keep] accepts, decoded oldest first, with the
+   count of events evicted before the ring's window. *)
+let window ?(keep = fun _ -> true) t =
   let retained = min t.total t.cap in
   let dropped = t.total - retained in
-  let events =
-    Array.init retained (fun k ->
-        let i = (dropped + k) mod t.cap in
-        let time, ev, site = decode_slot t i in
-        { seq = dropped + k; time; site; ev })
-  in
+  let events = ref [] in
+  for k = retained - 1 downto 0 do
+    let i = (dropped + k) mod t.cap in
+    if keep i then begin
+      let time, ev, site = decode_slot t i in
+      events := { seq = dropped + k; time; site; ev } :: !events
+    end
+  done;
+  (!events, dropped)
+
+let capture t ~reason ~detail ~txns =
+  let events, dropped = window t in
   {
     s_reason = reason;
     s_detail = detail;
     s_at = now t;
     s_txns = txns;
-    s_events = events;
+    s_events = Array.of_list events;
     s_dropped = dropped;
     s_commits = t.commits;
     s_horizons = live_horizons t;
@@ -279,6 +300,26 @@ let trigger t ?(detail = "") ?(txns = []) ~reason () =
 
 let triggered t = t.snap <> None
 let trigger_reason t = Option.map (fun s -> s.s_reason) t.snap
+
+(* --- Live journeys --------------------------------------------------------- *)
+
+type journey_error = Evicted of { dropped : int } | Unknown
+
+(* Slots of reads, crashes and recoveries carry txn -1. *)
+let journey t ~txn =
+  if txn < 0 then Error Unknown
+  else
+    match window t ~keep:(fun i -> t.e_txn.(i) = txn) with
+    | (_ :: _ as j), _ -> Ok j
+    | [], dropped when dropped > 0 && txn <= t.hi_txn ->
+      Error (Evicted { dropped })
+    | [], _ -> Error Unknown
+
+let txns t =
+  let retained = min t.total t.cap in
+  List.init retained (fun k -> t.e_txn.((t.total - retained + k) mod t.cap))
+  |> List.filter (fun id -> id >= 0)
+  |> List.sort_uniq Int.compare
 
 (* --- Bundle JSON ----------------------------------------------------------- *)
 
@@ -293,7 +334,6 @@ type bundle = {
   commits : int;
   horizons : (string * int) list;
   config : Json.t;
-  journeys : (int * Json.t) list;
   metrics : Json.t option;
 }
 
@@ -353,7 +393,7 @@ let snap_for_export t =
   | Some s -> s
   | None -> capture t ~reason:"end-of-run" ~detail:"" ~txns:[]
 
-let bundle_json t ~config ?(journeys = []) ?metrics () =
+let bundle_json t ~config ?metrics () =
   let s = snap_for_export t in
   let j =
     Json.Obj
@@ -372,11 +412,6 @@ let bundle_json t ~config ?(journeys = []) ?metrics () =
         ( "window",
           Json.Arr (Array.to_list (Array.map event_json s.s_events)) );
         ("config", config);
-        ( "journeys",
-          Json.Arr
-            (List.map
-               (fun (id, j) -> Json.Obj [ ("txn", num id); ("journey", j) ])
-               journeys) );
         ("metrics", match metrics with Some m -> m | None -> Json.Null);
       ]
   in
@@ -501,18 +536,6 @@ let parse_bundle j =
     let config =
       Option.value ~default:Json.Null (Json.member "config" j)
     in
-    let* journeys =
-      match Json.member "journeys" j with
-      | Some (Json.Arr l) ->
-        collect
-          (fun entry ->
-            let* id = jint "txn" entry in
-            match Json.member "journey" entry with
-            | Some jn -> Ok (id, jn)
-            | None -> Error "bundle: journey entry missing events")
-          l
-      | _ -> Ok []
-    in
     let metrics =
       match Json.member "metrics" j with
       | None | Some Json.Null -> None
@@ -530,7 +553,6 @@ let parse_bundle j =
         commits;
         horizons;
         config;
-        journeys;
         metrics;
       }
 

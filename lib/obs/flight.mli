@@ -1,6 +1,7 @@
 (** The flight recorder: a bounded in-memory black box over the unified
-    replication event stream, postmortem bundles, and the replay/diff
-    engine behind [lsrepl replay].
+    replication event stream — the one per-transaction recorder, read back
+    by {!journey} — postmortem bundles, and the replay/diff engine behind
+    [lsrepl replay].
 
     A {!t} is a fixed-capacity ring buffer over a compact encoding (parallel
     scalar arrays, site and record names interned) of the same event
@@ -17,7 +18,7 @@
     First trigger wins: later triggers do not overwrite the captured
     window. {!bundle_json} then assembles the postmortem bundle: the
     window, the implicated transactions, horizons, the reproducing
-    config+seed, optional Lineage journeys and a metrics snapshot.
+    config+seed and a metrics snapshot.
 
     The module obeys the observability design rules (docs/OBSERVABILITY.md,
     docs/FLIGHT.md): explicit plumbing ({!null} default, constructors take
@@ -58,14 +59,29 @@ val new_epoch : t -> unit
 
 (** {2 Recording} *)
 
+(** One pipeline stage of an update transaction after its primary commit.
+    Channel stages identify the affected record by its rendered kind
+    ([record]) because a network message may carry any [Txn_record];
+    [ticks] is the injected extra delay in channel ticks. *)
+type stage =
+  | Batched  (** the propagator opened a batch for this transaction *)
+  | Shipped of { updates : int }
+      (** the squashed commit record left the propagator *)
+  | Channel_dropped of { record : string }
+  | Channel_duplicated of { record : string }
+  | Channel_delayed of { record : string; ticks : int }
+  | Channel_retransmitted of { record : string }
+  | Enqueued  (** commit record entered a secondary's refresh queue *)
+  | Refresh_started
+  | Refresh_committed of { commit_ts : int }
+
 (** [note_stage t ?site ~txn stage] records one pipeline stage of update
-    transaction [txn] (the primary MVCC id); layers reach it through
-    {!Sinks.stage}, together with the lineage sink. A [Primary_commit]
-    noted this way carries no history id. *)
-val note_stage : t -> ?site:string -> txn:int -> Lineage.stage -> unit
+    transaction [txn] (the primary MVCC id) at [site] ([None] = the
+    primary); layers reach it through {!Sinks.stage}. *)
+val note_stage : t -> ?site:string -> txn:int -> stage -> unit
 
 (** [note_commit t ~txn ~hid ~commit_ts ~updates] records a primary commit
-    carrying both ids: [txn] the MVCC id (the Lineage trace id) and [hid]
+    carrying both ids: [txn] the MVCC id (the journey key) and [hid]
     the history id ([-1] when no history/watchdog is attached) — the id
     checker and watchdog witnesses anchor on. *)
 val note_commit : t -> txn:int -> hid:int -> commit_ts:int -> updates:int -> unit
@@ -100,7 +116,7 @@ val trigger : t -> ?detail:string -> ?txns:int list -> reason:string -> unit -> 
 val triggered : t -> bool
 val trigger_reason : t -> string option
 
-(** {2 Bundles} *)
+(** {2 Events} *)
 
 (** One decoded flight event. [site = None] is the primary. *)
 type event = { seq : int; time : float; site : string option; ev : ev }
@@ -119,6 +135,27 @@ and ev =
   | Crash
   | Recovery of { seq : int }
 
+(** {2 Live journeys} *)
+
+(** Why {!journey} found no event. *)
+type journey_error =
+  | Evicted of { dropped : int }
+      (** the ring has dropped [dropped] events and [txn] is no newer than
+          the newest MVCC id it noted: its events, if any, are gone *)
+  | Unknown  (** nothing was ever recorded for [txn] this epoch *)
+
+(** [journey t ~txn] is update transaction [txn]'s retained events (keyed
+    by MVCC id), oldest first: its primary commit, propagation, channel
+    faults and per-site refresh, in causal order with non-decreasing
+    [time]. Decodes the live ring, so it costs O(capacity). A journey whose
+    oldest events were evicted comes back as its retained suffix. *)
+val journey : t -> txn:int -> (event list, journey_error) result
+
+(** MVCC ids with at least one retained event, ascending. *)
+val txns : t -> int list
+
+(** {2 Bundles} *)
+
 (** A parsed postmortem bundle. *)
 type bundle = {
   version : int;
@@ -134,23 +171,14 @@ type bundle = {
           maps to the latest primary commit ts, each secondary to its
           seq(DBsec); sorted by site name *)
   config : Json.t;  (** the reproducing config+seed, verbatim *)
-  journeys : (int * Json.t) list;
-      (** Lineage journeys of implicated txns, keyed by history id *)
   metrics : Json.t option;
 }
 
 (** [bundle_json t ~config ()] assembles the canonical (sorted-keys)
     postmortem bundle from the captured trigger — or, if nothing triggered,
-    from the live ring under reason ["end-of-run"]. [journeys] attaches
-    Lineage journeys keyed by implicated id; [metrics] embeds a metrics
-    snapshot. Deterministic: same seed, same bytes. *)
-val bundle_json :
-  t ->
-  config:Json.t ->
-  ?journeys:(int * Json.t) list ->
-  ?metrics:Json.t ->
-  unit ->
-  Json.t
+    from the live ring under reason ["end-of-run"]. [metrics] embeds a
+    metrics snapshot. Deterministic: same seed, same bytes. *)
+val bundle_json : t -> config:Json.t -> ?metrics:Json.t -> unit -> Json.t
 
 (** {2 Replay} *)
 

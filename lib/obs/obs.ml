@@ -249,8 +249,10 @@ let event_count t = t.n_events
 
 (* --- Export ------------------------------------------------------------------ *)
 
+let names t = List.sort String.compare t.names
+
 let metrics_json t =
-  let names = List.sort String.compare t.names in
+  let names = names t in
   let pick kind =
     List.filter_map
       (fun name ->

@@ -68,6 +68,9 @@ val hist_sum : histogram -> float
     @raise Invalid_argument unless [0 <= q <= 1]. *)
 val hist_quantile : histogram -> float -> float
 
+(** Every interned instrument name, sorted ([[]] for {!null}). *)
+val names : t -> string list
+
 (** {2 Spans (virtual-time tracing)}
 
     Timestamps come from the caller (simulator virtual seconds), never from

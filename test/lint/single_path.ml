@@ -1,8 +1,8 @@
 (* Single-path lint: every transaction's bookkeeping goes through
    [Lsr_core.Replica_set], and every pipeline stage through
    [Lsr_obs.Sinks.stage]. Fails when any other library module records into
-   the history, drives watchdog tokens, or notes commits, reads or stages
-   in the flight recorder or the lineage sink directly.
+   the history, drives watchdog tokens, or notes commits, reads, stages,
+   crashes or recoveries in the flight recorder directly.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -11,7 +11,8 @@ let allowed = [ "replica_set.ml"; "sinks.ml" ]
 
 let forbidden =
   [ "History.add"; "Watchdog.begin_"; "Watchdog.end_"; "Flight.note_commit";
-    "Flight.note_read"; "Flight.note_stage"; "Lineage.emit" ]
+    "Flight.note_read"; "Flight.note_stage"; "Flight.note_crash";
+    "Flight.note_recovery" ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines
    kept so line numbers survive. *)
@@ -71,7 +72,7 @@ let is_ident_char = function
   | _ -> false
 
 (* Occurrences of [pat] in [line] as a qualified name: not preceded by an
-   identifier character (so [Lsr_obs.Lineage.emit] matches, [MyHistory.add]
+   identifier character (so [Lsr_obs.Flight.note_read] matches, [MyHistory.add]
    does not), and, unless [pat] ends in [_], not followed by one. *)
 let mentions line pat =
   let n = String.length line and m = String.length pat in

@@ -450,24 +450,28 @@ let test_sim_obs_counters_track_outcome () =
   check_int "fcw aborts agree (uniform keys: none)" o.Sim_system.fcw_aborts
     (count "client.fcw_aborts")
 
-let lineage_run ?(lineage = Lsr_obs.Lineage.create ()) ~seed () =
+(* A run with the per-transaction recorder and the freshness registry
+   attached. *)
+let recorded_run ?(obs = Lsr_obs.Obs.create ())
+    ?(flight = Lsr_obs.Flight.create ()) ~seed () =
   let o =
     Sim_system.run
       {
         (Sim_system.config tiny_params Session.Strong_session ~seed) with
         Sim_system.record_history = true;
-        lineage;
+        obs;
+        flight;
       }
   in
-  (o, lineage)
+  (o, obs, flight)
 
-let test_sim_lineage_does_not_perturb () =
-  (* Attaching a lineage sink must not change the run: same seed with and
-     without the sink produces the same outcome and a clean checked
-     history either way. *)
-  let traced, lineage = lineage_run ~seed:11 () in
+let test_sim_recorder_does_not_perturb () =
+  (* Attaching the recorder and registry must not change the run: same
+     seed with and without them produces the same outcome and a clean
+     checked history either way. *)
+  let traced, obs, flight = recorded_run ~seed:11 () in
   let blind = run ~record:true Session.Strong_session in
-  check_bool "identical outcome with lineage attached" true
+  check_bool "identical outcome with the recorder attached" true
     (traced.Sim_system.throughput_fast = blind.Sim_system.throughput_fast
     && traced.Sim_system.reads_completed = blind.Sim_system.reads_completed
     && traced.Sim_system.updates_completed = blind.Sim_system.updates_completed
@@ -476,61 +480,152 @@ let test_sim_lineage_does_not_perturb () =
     && traced.Sim_system.read_age_p95 = blind.Sim_system.read_age_p95
     && traced.Sim_system.read_missed_mean = blind.Sim_system.read_missed_mean
     && traced.Sim_system.check_errors = blind.Sim_system.check_errors);
-  check_bool "lineage recorded events" true
-    (Lsr_obs.Lineage.event_count lineage > 0);
-  check_bool "lineage saw primary commits" true
-    (Lsr_obs.Lineage.commit_count lineage > 0)
+  check_bool "recorder noted events" true
+    (Lsr_obs.Flight.events_noted flight > 0);
+  check_bool "recorder saw primary commits" true
+    (List.exists
+       (fun txn ->
+         match Lsr_obs.Flight.journey flight ~txn with
+         | Ok ({ Lsr_obs.Flight.ev = Lsr_obs.Flight.Commit _; _ } :: _) -> true
+         | _ -> false)
+       (Lsr_obs.Flight.txns flight));
+  check_bool "registry saw freshness samples" true
+    (List.exists
+       (fun r -> r.Lag_report.reads > 0)
+       (Lag_report.of_obs obs))
 
-let test_sim_lineage_exports_deterministic () =
-  (* Same seed, fresh sinks: the lineage export and the lag report derived
-     from it are byte-identical; a different seed diverges. *)
-  let _, a = lineage_run ~seed:11 () in
-  let _, b = lineage_run ~seed:11 () in
-  let _, c = lineage_run ~seed:12 () in
-  let lineage l = Lsr_obs.Json.to_string (Lsr_obs.Lineage.to_json l) in
-  let lag l =
-    Lsr_obs.Json.to_string (Lag_report.to_json (Lag_report.of_lineage l))
+let test_sim_recorder_exports_deterministic () =
+  (* Same seed, fresh observers: the recorder's bundle and the lag report
+     are byte-identical; a different seed diverges. *)
+  let _, oa, fa = recorded_run ~seed:11 () in
+  let _, ob, fb = recorded_run ~seed:11 () in
+  let _, oc, fc = recorded_run ~seed:12 () in
+  let bundle f =
+    Lsr_obs.Json.to_string
+      (Lsr_obs.Flight.bundle_json f ~config:(Lsr_obs.Json.Obj []) ())
   in
-  Alcotest.(check string) "lineage bytes identical" (lineage a) (lineage b);
-  Alcotest.(check string) "lag report bytes identical" (lag a) (lag b);
-  check_bool "different seed, different lineage" true (lineage a <> lineage c)
+  let lag obs =
+    Lsr_obs.Json.to_string (Lag_report.to_json (Lag_report.of_obs obs))
+  in
+  Alcotest.(check string) "bundle bytes identical" (bundle fa) (bundle fb);
+  Alcotest.(check string) "lag report bytes identical" (lag oa) (lag ob);
+  check_bool "different seed, different bundle" true (bundle fa <> bundle fc);
+  check_bool "different seed, different lag report" true (lag oa <> lag oc)
 
-let test_sim_lineage_sink_spans_runs () =
-  (* One sink may span several runs (a sweep, the fault scenarios). Each run
-     measures freshness and lag on its own commit clock, so run 2's samples
-     equal what run 2 records on a fresh sink: nothing leaks from run 1. *)
-  let module L = Lsr_obs.Lineage in
-  let shared = L.create () in
-  ignore (lineage_run ~lineage:shared ~seed:11 ());
-  let sites = L.sites shared in
-  let seen =
-    List.map
-      (fun site ->
-        ( List.length (L.freshness_samples shared ~site),
-          List.length (L.refresh_lags shared ~site) ))
-      sites
+(* Per-site freshness histograms as bucket counts, from the metrics dump. *)
+let site_buckets obs =
+  let module J = Lsr_obs.Json in
+  let hists =
+    match J.member "histograms" (Lsr_obs.Obs.metrics_json obs) with
+    | Some (J.Obj hs) -> hs
+    | _ -> Alcotest.fail "metrics dump has no histograms"
   in
-  ignore (lineage_run ~lineage:shared ~seed:12 ());
-  let _, fresh = lineage_run ~seed:12 () in
-  let drop n l = List.filteri (fun i _ -> i >= n) l in
-  Alcotest.(check (list string)) "same sites" sites (L.sites fresh);
-  List.iter2
-    (fun site (n_fresh, n_lags) ->
-      let run2 = drop n_fresh (L.freshness_samples shared ~site) in
-      check_bool (site ^ ": run 2 sampled reads") true (run2 <> []);
+  List.filter_map
+    (fun (name, h) ->
+      if String.starts_with ~prefix:"secondary-" name then
+        match J.member "buckets" h with
+        | Some (J.Arr bs) ->
+          Some
+            ( name,
+              List.map
+                (function
+                  | J.Arr [ J.Num ub; J.Num n ] -> (ub, int_of_float n)
+                  | _ -> Alcotest.fail "malformed bucket")
+                bs )
+        | _ -> Alcotest.fail "histogram without buckets"
+      else None)
+    hists
+
+let test_sim_recorder_sink_spans_runs () =
+  (* One registry and one recorder may span several runs (a sweep, the
+     fault scenarios). Each run measures freshness and lag on its own
+     commit clock, so run 2's per-site histograms equal what run 2 records
+     in a fresh registry, and the recorder holds run 2 only: nothing leaks
+     from run 1. *)
+  let obs = Lsr_obs.Obs.create () and flight = Lsr_obs.Flight.create () in
+  ignore (recorded_run ~obs ~flight ~seed:11 ());
+  let run1 = site_buckets obs in
+  ignore (recorded_run ~obs ~flight ~seed:12 ());
+  let _, fresh_obs, fresh_flight = recorded_run ~seed:12 () in
+  let fresh = site_buckets fresh_obs in
+  Alcotest.(check (list string))
+    "same per-site instruments" (List.map fst run1) (List.map fst fresh);
+  List.iter
+    (fun (name, total) ->
+      let before = Option.value ~default:[] (List.assoc_opt name run1) in
+      let run2 =
+        List.filter_map
+          (fun (ub, n) ->
+            let n = n - Option.value ~default:0 (List.assoc_opt ub before) in
+            if n = 0 then None else Some (ub, n))
+          total
+      in
+      check_bool (name ^ ": run 2 sampled") true (run2 <> []);
       check_bool
-        (site ^ ": run 2 freshness equals a fresh sink's")
+        (name ^ ": run 2 equals a fresh registry's")
         true
-        (run2 = L.freshness_samples fresh ~site);
-      check_bool
-        (site ^ ": run 2 lags equal a fresh sink's")
-        true
-        (drop n_lags (L.refresh_lags shared ~site) = L.refresh_lags fresh ~site))
-    sites seen
+        (run2 = List.assoc name fresh))
+    (site_buckets obs);
+  let bundle f =
+    Lsr_obs.Json.to_string
+      (Lsr_obs.Flight.bundle_json f ~config:(Lsr_obs.Json.Obj []) ())
+  in
+  Alcotest.(check string)
+    "the recorder holds run 2 only" (bundle fresh_flight) (bundle flight)
+
+(* Walk a report: every journey ([{"txn","events"}]) holds at most one
+   primary commit, and no event window holds two commits of one MVCC id. *)
+let rec spliced_commits (j : Lsr_obs.Json.t) =
+  let module J = Lsr_obs.Json in
+  let is_commit e =
+    J.member "stage" e = Some (J.Str "primary-commit")
+    || J.member "kind" e = Some (J.Str "commit")
+  in
+  match j with
+  | J.Obj kv ->
+    let here =
+      match (J.member "txn" j, J.member "events" j) with
+      | Some (J.Num id), Some (J.Arr evs)
+        when List.length (List.filter is_commit evs) > 1 ->
+        [ int_of_float id ]
+      | _ -> []
+    in
+    here @ List.concat_map (fun (_, v) -> spliced_commits v) kv
+  | J.Arr l ->
+    let ids =
+      List.filter_map
+        (fun e ->
+          match J.member "txn" e with
+          | Some (J.Num id) when is_commit e -> Some (int_of_float id)
+          | _ -> None)
+        l
+    in
+    let dups =
+      List.filter
+        (fun id -> List.length (List.filter (( = ) id) ids) > 1)
+        (List.sort_uniq compare ids)
+    in
+    dups @ List.concat_map spliced_commits l
+  | _ -> []
+
+let test_report_never_splices_runs () =
+  (* MVCC ids restart every run. A report spanning two runs must keep each
+     run's transactions apart: no per-transaction section may merge two
+     runs' commits under one id. *)
+  let report = Run_report.create () in
+  List.iter
+    (fun seed ->
+      ignore
+        (Run_report.run report ~tag:(string_of_int seed)
+           (Sim_system.config tiny_params Session.Strong_session ~seed)))
+    [ 11; 12 ];
+  Alcotest.(check (list int))
+    "no MVCC id carries two primary commits" []
+    (spliced_commits (Run_report.to_json report))
 
 let test_lag_report_rows () =
-  let _, lineage = lineage_run ~seed:11 () in
-  let rows = Lag_report.of_lineage lineage in
+  let _, obs, _ = recorded_run ~seed:11 () in
+  let rows = Lag_report.of_obs obs in
   check_int "one row per secondary" 2 (List.length rows);
   check_bool "rows sorted by site" true
     (List.map (fun r -> r.Lag_report.site) rows
@@ -557,11 +652,22 @@ let test_lag_report_empty_site () =
      refreshed (zero reads) must still produce finite rows: explicit zero
      quantiles for the empty section, "-" cells in the table, and
      null-free JSON. *)
-  let lineage = Lsr_obs.Lineage.create () in
-  Lsr_obs.Lineage.sample_read lineage ~site:"readersite" ~at:0. ~age:0.
-    ~missed:0;
-  Lsr_obs.Lineage.sample_lag lineage ~site:"refreshsite" 1.;
-  let rows = Lag_report.of_lineage lineage in
+  let module Obs = Lsr_obs.Obs in
+  let obs = Obs.create () in
+  let instrument site =
+    (* The four instruments Replica_set interns together per site. *)
+    ( Obs.histogram obs (site ^ ".read_age"),
+      Obs.histogram obs (site ^ ".read_missed"),
+      Obs.gauge obs (site ^ ".missed_commits"),
+      Obs.histogram obs (site ^ ".refresh_lag") )
+  in
+  let age, missed, peak, _ = instrument "readersite" in
+  Obs.observe age 0.;
+  Obs.observe missed 0.;
+  Obs.set_gauge peak 0.;
+  let _, _, _, lag = instrument "refreshsite" in
+  Obs.observe lag 1.;
+  let rows = Lag_report.of_obs obs in
   check_int "two rows" 2 (List.length rows);
   let finite r =
     List.for_all Float.is_finite
@@ -594,7 +700,7 @@ let test_lag_report_empty_site () =
 
 let test_sim_freshness_outcome () =
   (* The always-on freshness reduction lands in the outcome even without a
-     lineage sink attached. *)
+     registry attached. *)
   let o = run Session.Weak in
   check_bool "read age quantiles ordered" true
     (0. <= o.Sim_system.read_age_p50
@@ -876,11 +982,13 @@ let () =
           Alcotest.test_case "exports byte-deterministic" `Quick
             test_sim_obs_exports_deterministic;
           Alcotest.test_case "lineage does not perturb" `Quick
-            test_sim_lineage_does_not_perturb;
+            test_sim_recorder_does_not_perturb;
           Alcotest.test_case "lineage exports byte-deterministic" `Quick
-            test_sim_lineage_exports_deterministic;
+            test_sim_recorder_exports_deterministic;
           Alcotest.test_case "lineage sink spans runs" `Quick
-            test_sim_lineage_sink_spans_runs;
+            test_sim_recorder_sink_spans_runs;
+          Alcotest.test_case "report never splices runs" `Quick
+            test_report_never_splices_runs;
           Alcotest.test_case "lag report rows" `Quick test_lag_report_rows;
           Alcotest.test_case "lag report empty site" `Quick
             test_lag_report_empty_site;

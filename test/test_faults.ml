@@ -215,6 +215,35 @@ let test_system_pump_under_chaos () =
       = Mvcc.committed_state (System.primary_db sys))
   done
 
+(* A channel that loses all but one transmission in a billion (loss stays
+   below 1, so the channel accepts it) cannot quiesce: pump gives up after
+   its tick cap with a typed error. *)
+let test_system_pump_stalls_typed () =
+  let config =
+    {
+      Channel.reliable with
+      Channel.loss = 1. -. 1e-9;
+      ack_loss = 1. -. 1e-9;
+      rto = 1;
+      max_rto = 1;
+    }
+  in
+  let inj = Injector.create ~config ~seed:5 () in
+  let sys =
+    System.create ~secondaries:1 ~faults:(Injector.faults inj)
+      ~guarantee:Session.Strong_session ()
+  in
+  let c = System.connect sys "writer" in
+  (match System.update sys c (fun h -> Handle.put h "k" "v") with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "unexpected abort");
+  match System.pump sys with
+  | () -> Alcotest.fail "pump quiesced a channel that loses everything"
+  | exception (System.Pump_stalled { ticks } as e) ->
+    check_int "gave up one tick past the cap" (System.pump_tick_cap + 1) ticks;
+    check_bool "registered printer" true
+      (String.starts_with ~prefix:"System.Pump_stalled(" (Printexc.to_string e))
+
 (* Regression: a strong-session read through a lossy channel must keep
    pumping (bounded retry) until the copy catches up, instead of failing
    after one round. Chaos drops and reorders aggressively, so a single
@@ -513,69 +542,79 @@ let test_randomized_protocol () =
   check_bool "reordering occurred across trials" true
     (!total.Channel.reordered > 0)
 
-(* --- Lineage journeys under faults ------------------------------------------- *)
+(* --- Journeys under faults ------------------------------------------------- *)
 
-(* Edge cases of the causal journey tracing (docs/TRACING.md) that only the
-   fault layer can provoke: aborted transactions, drop-then-retransmit
-   ordering inside one journey, and journeys cut short by a crash whose
-   state arrives via the §3.4 backup instead of refresh. *)
+(* Edge cases of the causal journeys the flight ring holds (docs/TRACING.md)
+   that only the fault layer can provoke: aborted transactions,
+   drop-then-retransmit ordering inside one journey, and journeys cut short
+   by a crash whose state arrives via the §3.4 backup instead of refresh. *)
 
-module Lineage = Lsr_obs.Lineage
+module Flight = Lsr_obs.Flight
+
+let journey flight txn =
+  match Flight.journey flight ~txn with
+  | Ok j -> j
+  | Error _ -> Alcotest.failf "no journey for txn %d" txn
 
 let refresh_sites journey =
   List.filter_map
-    (fun (e : Lineage.event) ->
-      match e.Lineage.stage with
-      | Lineage.Refresh_committed _ -> e.Lineage.site
-      | _ -> None)
+    (fun (e : Flight.event) ->
+      match e.Flight.ev with Flight.Refresh_commit _ -> e.Flight.site | _ -> None)
     journey
+
+let is_commit (e : Flight.event) =
+  match e.Flight.ev with Flight.Commit _ -> true | _ -> false
 
 let payload_stages journey =
   (* The stages that carry replicated work, as opposed to batch/refresh
      bookkeeping a start record alone can provoke. *)
   List.filter
-    (fun (e : Lineage.event) ->
-      match e.Lineage.stage with
-      | Lineage.Primary_commit _ | Lineage.Shipped _
-      | Lineage.Refresh_committed _ -> true
+    (fun (e : Flight.event) ->
+      match e.Flight.ev with
+      | Flight.Commit _ | Flight.Shipped _ | Flight.Refresh_commit _ -> true
       | _ -> false)
     journey
+
+let commit_count flight =
+  List.length
+    (List.filter
+       (fun txn -> List.exists is_commit (journey flight txn))
+       (Flight.txns flight))
 
 let test_journey_aborted_txn_invisible () =
   (* Algorithm 3.1 never ships aborted work: an aborted attempt may leave
      bookkeeping stages (its start record opens a batch and a refresh txn),
      but no commit, no shipped payload, no refresh commit — and it never
      counts as a registered commit. *)
-  let lineage = Lineage.create () in
+  let flight = Flight.create () in
   let sys =
-    System.create ~secondaries:1 ~lineage ~guarantee:Session.Strong_session ()
+    System.create ~secondaries:1 ~flight ~guarantee:Session.Strong_session ()
   in
   let c = System.connect sys "c0" in
   (match System.update sys c ~force_abort:true (fun h -> Handle.put h "k" "v") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "forced abort committed");
   System.pump sys;
-  check_int "no commit registered" 0 (Lineage.commit_count lineage);
+  check_int "no commit registered" 0 (commit_count flight);
   List.iter
     (fun txn ->
       check_bool "aborted journey carries no payload stage" true
-        (payload_stages (Lineage.journey lineage ~txn) = []))
-    (Lineage.txns lineage);
+        (payload_stages (journey flight txn) = []))
+    (Flight.txns flight);
   (match System.update sys c (fun h -> Handle.put h "k" "v1") with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "follow-up commit failed");
   System.pump sys;
-  check_int "the committed successor registers" 1
-    (Lineage.commit_count lineage);
+  check_int "the committed successor registers" 1 (commit_count flight);
   let committed =
     List.filter
-      (fun txn -> payload_stages (Lineage.journey lineage ~txn) <> [])
-      (Lineage.txns lineage)
+      (fun txn -> payload_stages (journey flight txn) <> [])
+      (Flight.txns flight)
   in
   match committed with
   | [ id ] ->
     check_bool "the committed successor still gets a full journey" true
-      (refresh_sites (Lineage.journey lineage ~txn:id) = [ "secondary-0" ])
+      (refresh_sites (journey flight id) = [ "secondary-0" ])
   | l -> Alcotest.failf "expected one committed txn, got %d" (List.length l)
 
 let test_journey_drop_then_retransmit_order () =
@@ -587,10 +626,10 @@ let test_journey_drop_then_retransmit_order () =
   List.iter
     (fun seed ->
       if not !witnessed then begin
-        let lineage = Lineage.create () in
+        let flight = Flight.create () in
         let inj = Injector.create ~config ~seed () in
         let sys =
-          System.create ~secondaries:1 ~faults:(Injector.faults inj) ~lineage
+          System.create ~secondaries:1 ~faults:(Injector.faults inj) ~flight
             ~guarantee:Session.Strong_session ()
         in
         let c = System.connect sys "c0" in
@@ -602,26 +641,24 @@ let test_journey_drop_then_retransmit_order () =
           ignore (System.refresh_all sys)
         done;
         System.pump sys;
+        check_bool "the ring kept every event" true
+          (Flight.events_noted flight <= Flight.capacity flight);
         List.iter
           (fun txn ->
-            let j = Lineage.journey lineage ~txn in
+            let j = journey flight txn in
             let indices p =
               List.mapi (fun i e -> (i, e)) j
-              |> List.filter_map (fun (i, (e : Lineage.event)) ->
-                     if p e.Lineage.stage then Some i else None)
+              |> List.filter_map (fun (i, (e : Flight.event)) ->
+                     if p e.Flight.ev then Some i else None)
             in
-            let drops =
-              indices (function Lineage.Channel_dropped _ -> true | _ -> false)
+            let fault name = function
+              | Flight.Chan_fault { fault; _ } -> fault = name
+              | _ -> false
             in
-            let retrans =
-              indices (function
-                | Lineage.Channel_retransmitted _ -> true
-                | _ -> false)
-            in
+            let drops = indices (fault "dropped") in
+            let retrans = indices (fault "retransmitted") in
             let commits =
-              indices (function
-                | Lineage.Refresh_committed _ -> true
-                | _ -> false)
+              indices (function Flight.Refresh_commit _ -> true | _ -> false)
             in
             match (drops, retrans) with
             | d :: _, _ :: _ -> (
@@ -638,7 +675,7 @@ let test_journey_drop_then_retransmit_order () =
                   | last :: _ -> last > r
                   | [] -> false))
             | _ -> ())
-          (Lineage.txns lineage)
+          (Flight.txns flight)
       end)
     [ 0xD20; 0xD21; 0xD22 ];
   check_bool "a dropped-then-retransmitted journey was provoked" true
@@ -648,9 +685,9 @@ let test_journey_spans_crash_recovery () =
   (* Commits that reach a site through the §3.4 recovery backup must NOT
      grow fabricated refresh events there; commits after recovery resume
      full journeys at every site. *)
-  let lineage = Lineage.create () in
+  let flight = Flight.create () in
   let sys =
-    System.create ~secondaries:2 ~lineage ~guarantee:Session.Strong_session ()
+    System.create ~secondaries:2 ~flight ~guarantee:Session.Strong_session ()
   in
   let c = System.connect sys "c0" in
   let commit k v =
@@ -672,18 +709,12 @@ let test_journey_spans_crash_recovery () =
      only the three real commits matter here. *)
   let committed =
     List.filter
-      (fun txn ->
-        List.exists
-          (fun (e : Lineage.event) ->
-            match e.Lineage.stage with
-            | Lineage.Primary_commit _ -> true
-            | _ -> false)
-          (Lineage.journey lineage ~txn))
-      (Lineage.txns lineage)
+      (fun txn -> List.exists is_commit (journey flight txn))
+      (Flight.txns flight)
   in
   match committed with
   | [ t1; t2; t3 ] ->
-    let sites t = List.sort_uniq compare (refresh_sites (Lineage.journey lineage ~txn:t)) in
+    let sites t = List.sort_uniq compare (refresh_sites (journey flight t)) in
     check_bool "pre-crash commit refreshed only at the surviving site" true
       (sites t1 = [ "secondary-1" ]);
     check_bool "mid-crash commit arrived at site 0 via backup, not refresh"
@@ -719,6 +750,8 @@ let () =
         [
           Alcotest.test_case "pump under chaos" `Quick
             test_system_pump_under_chaos;
+          Alcotest.test_case "pump stalls with a typed error" `Quick
+            test_system_pump_stalls_typed;
           Alcotest.test_case "blocked read under chaos" `Quick
             test_system_blocked_read_under_chaos;
           Alcotest.test_case "crash mid-refresh recovers" `Quick

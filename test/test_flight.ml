@@ -76,15 +76,15 @@ let test_bundle_json_roundtrip () =
   Flight.set_clock f (fun () -> !clock);
   clock := 1.;
   Flight.note_commit f ~txn:1 ~hid:10 ~commit_ts:1 ~updates:2;
-  Flight.note_stage f ~txn:1 Lsr_obs.Lineage.Batched;
-  Flight.note_stage f ~txn:1 (Lsr_obs.Lineage.Shipped { updates = 2 });
+  Flight.note_stage f ~txn:1 Flight.Batched;
+  Flight.note_stage f ~txn:1 (Flight.Shipped { updates = 2 });
   clock := 2.;
   Flight.note_stage f ~site:"sec-0" ~txn:1
-    (Lsr_obs.Lineage.Channel_delayed { record = "commit"; ticks = 3 });
-  Flight.note_stage f ~site:"sec-0" ~txn:1 Lsr_obs.Lineage.Enqueued;
-  Flight.note_stage f ~site:"sec-0" ~txn:1 Lsr_obs.Lineage.Refresh_started;
+    (Flight.Channel_delayed { record = "commit"; ticks = 3 });
+  Flight.note_stage f ~site:"sec-0" ~txn:1 Flight.Enqueued;
+  Flight.note_stage f ~site:"sec-0" ~txn:1 Flight.Refresh_started;
   Flight.note_stage f ~site:"sec-0" ~txn:1
-    (Lsr_obs.Lineage.Refresh_committed { commit_ts = 1 });
+    (Flight.Refresh_committed { commit_ts = 1 });
   clock := 3.;
   Flight.note_read f ~site:"sec-0" ~hid:11 ~session:"c0" ~snapshot:1 ~fence:1;
   Flight.note_crash f ~site:"sec-0";
@@ -104,6 +104,42 @@ let test_bundle_json_roundtrip () =
   check_int "every event kind survived the ring encoding" 10
     (Array.length a.Flight.window);
   check_bool "no divergence against itself" true (Flight.diff a b = None)
+
+let test_journey_evicted_vs_unknown () =
+  (* Ten updates of three events each through a 16-slot ring: the oldest
+     journeys leave it. A journey query tells those apart from ids that
+     were never recorded, and returns retained journeys whole. *)
+  let f = Flight.create ~capacity:16 () in
+  let unknown txn = Flight.journey f ~txn = Error Flight.Unknown in
+  check_bool "nothing recorded yet" true (unknown 0);
+  for txn = 0 to 9 do
+    Flight.note_commit f ~txn ~hid:(-1) ~commit_ts:(2 * txn) ~updates:1;
+    Flight.note_stage f ~txn Flight.Batched;
+    Flight.note_stage f ~site:"sec-0" ~txn
+      (Flight.Refresh_committed { commit_ts = 2 * txn })
+  done;
+  check_bool "the oldest journey was evicted" true
+    (Flight.journey f ~txn:0 = Error (Flight.Evicted { dropped = 14 }));
+  check_bool "an id never recorded is unknown" true (unknown 999);
+  check_bool "a negative id is unknown" true (unknown (-1));
+  (match Flight.journey f ~txn:9 with
+  | Ok [ c; b; r ] ->
+    check_bool "retained journey in causal order" true
+      (match (c.Flight.ev, b.Flight.ev, r.Flight.ev) with
+      | Flight.Commit _, Flight.Batched _, Flight.Refresh_commit _ -> true
+      | _ -> false)
+  | Ok j -> Alcotest.failf "journey of txn 9 has %d events" (List.length j)
+  | Error _ -> Alcotest.fail "txn 9 is still in the ring");
+  (match Flight.journey f ~txn:4 with
+  | Ok j -> check_int "a half-evicted journey is its retained suffix" 1
+              (List.length j)
+  | Error _ -> Alcotest.fail "txn 4's refresh commit is still in the ring");
+  check_bool "txns lists the retained ids" true
+    (Flight.txns f = [ 4; 5; 6; 7; 8; 9 ]);
+  Flight.new_epoch f;
+  check_bool "a new epoch forgets the old ids" true (unknown 0);
+  check_bool "the null recorder knows nothing" true
+    (Flight.journey Flight.null ~txn:0 = Error Flight.Unknown)
 
 (* --- simulator-level contracts ----------------------------------------------- *)
 
@@ -234,8 +270,7 @@ let test_postmortem_end_to_end () =
     (List.mem (List.sort compare b.Flight.implicated) pairs);
   check_bool "the witness interleaving is non-empty" true
     (Flight.witness_events b <> []);
-  (* The alert fired with lineage off, so no journeys ride along; the
-     reproducing config does. *)
+  (* The bundle carries the reproducing config. *)
   check_bool "bundle embeds the seed" true
     (Json.member "seed" b.Flight.config = Some (Json.Num 7.));
   check_bool "window events precede the trigger instant" true
@@ -344,6 +379,8 @@ let () =
           Alcotest.test_case "null is inert" `Quick test_null_inert;
           Alcotest.test_case "overwrite + first trigger wins" `Quick
             test_ring_overwrites_and_first_trigger_wins;
+          Alcotest.test_case "journey evicted vs unknown" `Quick
+            test_journey_evicted_vs_unknown;
           Alcotest.test_case "bundle json roundtrip" `Quick
             test_bundle_json_roundtrip;
         ] );

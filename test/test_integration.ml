@@ -365,64 +365,65 @@ let test_sql_soak_with_crash () =
     (Mvcc.committed_state (System.primary_db sys))
     (Mvcc.committed_state (System.secondary_db sys 1))
 
-(* --- Lineage tracing across the embedded system -------------------------------- *)
+(* --- Journeys across the embedded system ---------------------------------------- *)
 
-let test_lineage_journey_complete () =
+let test_journey_complete () =
   (* Every update transaction's causal journey through the embedded system
      must be complete — primary commit, shipping, then enqueue / refresh /
      commit on every secondary — with monotone timestamps. *)
-  let module Lineage = Lsr_obs.Lineage in
+  let module Flight = Lsr_obs.Flight in
   let secondaries = 2 in
-  let lineage = Lineage.create () in
+  let flight = Flight.create () in
+  let obs = Lsr_obs.Obs.create () in
   let sys =
-    System.create ~secondaries ~guarantee:Session.Strong_session ~lineage ()
+    System.create ~secondaries ~guarantee:Session.Strong_session ~obs ~flight
+      ()
   in
   let c = System.connect sys "writer" in
   for i = 1 to 3 do
     update_exn sys c (fun h -> Handle.put h (Printf.sprintf "k%d" i) "v")
   done;
   System.pump sys;
-  let txns = Lineage.txns lineage in
+  let txns = Flight.txns flight in
   check_int "one journey per update" 3 (List.length txns);
   List.iter
     (fun txn ->
-      let j = Lineage.journey lineage ~txn in
-      let count name =
-        List.length
-          (List.filter
-             (fun ev -> Lineage.stage_name ev.Lineage.stage = name)
-             j)
+      let j =
+        match Flight.journey flight ~txn with
+        | Ok j -> j
+        | Error _ -> Alcotest.failf "no journey for txn %d" txn
       in
-      check_int "one primary commit" 1 (count "primary-commit");
-      check_bool "shipped once" true (count "shipped" >= 1);
-      check_int "enqueued on every secondary" secondaries (count "enqueued");
+      let count p = List.length (List.filter (fun e -> p e.Flight.ev) j) in
+      check_int "one primary commit" 1
+        (count (function Flight.Commit _ -> true | _ -> false));
+      check_bool "shipped once" true
+        (count (function Flight.Shipped _ -> true | _ -> false) >= 1);
+      check_int "enqueued on every secondary" secondaries
+        (count (function Flight.Enqueued _ -> true | _ -> false));
       check_int "refresh started on every secondary" secondaries
-        (count "refresh-started");
+        (count (function Flight.Refresh_start _ -> true | _ -> false));
       check_int "refresh committed on every secondary" secondaries
-        (count "refresh-committed");
+        (count (function Flight.Refresh_commit _ -> true | _ -> false));
       (* Causal order: the journey starts at the primary and its timestamps
          never go backwards. *)
       (match j with
-      | first :: _ ->
-        Alcotest.(check string)
-          "journey starts with the primary commit" "primary-commit"
-          (Lineage.stage_name first.Lineage.stage)
-      | [] -> Alcotest.fail "empty journey");
+      | { Flight.ev = Flight.Commit _; site = None; _ } :: _ -> ()
+      | _ -> Alcotest.fail "journey does not start with the primary commit");
       let rec mono = function
-        | a :: (b :: _ as rest) ->
-          a.Lineage.time <= b.Lineage.time && mono rest
+        | a :: (b :: _ as rest) -> a.Flight.time <= b.Flight.time && mono rest
         | [ _ ] | [] -> true
       in
       check_bool "monotone timestamps" true (mono j))
     txns;
-  (* Per-site refresh lags were derived from the journeys. *)
+  (* Every refresh commit left a lag sample in its site's histogram. *)
+  let rows = Lsr_experiments.Lag_report.of_obs obs in
+  check_int "one freshness row per secondary" secondaries (List.length rows);
   List.iter
-    (fun site ->
+    (fun r ->
       check_int
-        ("refresh lags at " ^ site)
-        3
-        (List.length (Lineage.refresh_lags lineage ~site)))
-    (Lineage.sites lineage)
+        ("refresh lags at " ^ r.Lsr_experiments.Lag_report.site)
+        3 r.Lsr_experiments.Lag_report.refreshes)
+    rows
 
 let () =
   Alcotest.run "integration"
@@ -467,6 +468,6 @@ let () =
       ( "lineage",
         [
           Alcotest.test_case "journeys complete and monotone" `Quick
-            test_lineage_journey_complete;
+            test_journey_complete;
         ] );
     ]

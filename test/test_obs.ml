@@ -277,65 +277,74 @@ let test_hist_quantile_edges () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Lineage ----------------------------------------------------------------- *)
+(* --- Per-transaction journeys (the flight ring) ------------------------------ *)
 
-let test_lineage_null_inert () =
-  let l = Lineage.null in
-  Lineage.emit l ~txn:1 (Lineage.Primary_commit { commit_ts = 5; updates = 1 });
-  Lineage.sample_read l ~site:"s" ~at:1. ~age:1. ~missed:1;
-  Lineage.sample_lag l ~site:"s" 1.;
-  check_bool "not enabled" false (Lineage.enabled l);
-  check_int "no events" 0 (Lineage.event_count l);
-  check_int "no commits" 0 (Lineage.commit_count l);
-  check_bool "no sites" true (Lineage.sites l = [])
+let sinks flight = { Sinks.obs = Obs.null; flight }
 
-let test_lineage_journey () =
-  let l = Lineage.create () in
-  Lineage.emit l ~txn:7 (Lineage.Primary_commit { commit_ts = 3; updates = 2 });
-  Lineage.emit l ~txn:8 (Lineage.Primary_commit { commit_ts = 4; updates = 1 });
-  Lineage.emit l ~txn:7 Lineage.Batched;
-  Lineage.emit l ~txn:7 (Lineage.Shipped { updates = 2 });
-  Lineage.emit l ~site:"sec-0" ~txn:7 Lineage.Enqueued;
-  Lineage.emit l ~site:"sec-0" ~txn:7 Lineage.Refresh_started;
-  Lineage.emit l ~site:"sec-0" ~txn:7
-    (Lineage.Refresh_committed { commit_ts = 3 });
-  let j = Lineage.journey l ~txn:7 in
+let test_journey_null_inert () =
+  let s = Sinks.null in
+  Sinks.stage s ~txn:1 Flight.Batched;
+  Flight.note_commit s.Sinks.flight ~txn:1 ~hid:1 ~commit_ts:5 ~updates:1;
+  check_bool "not tracing" false (Sinks.tracing s);
+  check_int "no events" 0 (Flight.events_noted s.Sinks.flight);
+  check_bool "no journey" true
+    (Flight.journey s.Sinks.flight ~txn:1 = Error Flight.Unknown);
+  check_bool "no txns" true (Flight.txns s.Sinks.flight = []);
+  check_bool "no instruments" true (Obs.names s.Sinks.obs = [])
+
+let test_journey () =
+  let f = Flight.create () in
+  let s = sinks f in
+  check_bool "tracing" true (Sinks.tracing s);
+  Flight.note_commit f ~txn:7 ~hid:(-1) ~commit_ts:3 ~updates:2;
+  Flight.note_commit f ~txn:8 ~hid:(-1) ~commit_ts:4 ~updates:1;
+  Sinks.stage s ~txn:7 Flight.Batched;
+  Sinks.stage s ~txn:7 (Flight.Shipped { updates = 2 });
+  Sinks.stage s ~site:"sec-0" ~txn:7 Flight.Enqueued;
+  Sinks.stage s ~site:"sec-0" ~txn:7 Flight.Refresh_started;
+  Sinks.stage s ~site:"sec-0" ~txn:7
+    (Flight.Refresh_committed { commit_ts = 3 });
+  let j =
+    match Flight.journey f ~txn:7 with
+    | Ok j -> j
+    | Error _ -> Alcotest.fail "txn 7 has no journey"
+  in
   check_int "journey length" 6 (List.length j);
   (* The default (ordinal) clock stamps strictly increasing times. *)
   let rec mono = function
-    | a :: (b :: _ as rest) -> a.Lineage.time < b.Lineage.time && mono rest
+    | a :: (b :: _ as rest) -> a.Flight.time < b.Flight.time && mono rest
     | [ _ ] | [] -> true
   in
   check_bool "monotone times" true (mono j);
-  check_bool "txns sorted" true (Lineage.txns l = [ 7; 8 ]);
-  check_int "journeys don't mix" 1 (List.length (Lineage.journey l ~txn:8));
-  check_int "commits counted from primary-commit events" 2
-    (Lineage.commit_count l);
-  (* Lags come from the commit clock, never from the journey's stamps. *)
-  check_bool "stages alone record no lag" true
-    (Lineage.refresh_lags l ~site:"sec-0" = [])
+  check_bool "starts at the primary commit" true
+    (match j with
+    | { Flight.ev = Flight.Commit { commit_ts = 3; updates = 2; _ }; site = None; _ }
+      :: _ -> true
+    | _ -> false);
+  check_bool "txns sorted" true (Flight.txns f = [ 7; 8 ]);
+  check_bool "journeys don't mix" true
+    (Result.map List.length (Flight.journey f ~txn:8) = Ok 1)
 
-let test_lineage_json_deterministic () =
+let test_journey_json_deterministic () =
   let build () =
-    let l = Lineage.create () in
-    Lineage.emit l ~txn:1 (Lineage.Primary_commit { commit_ts = 2; updates = 1 });
-    Lineage.emit l ~site:"b" ~txn:1 Lineage.Enqueued;
-    Lineage.emit l ~site:"a" ~txn:1 Lineage.Enqueued;
-    Lineage.sample_read l ~site:"b" ~at:3. ~age:0. ~missed:0;
-    Lineage.sample_read l ~site:"a" ~at:4. ~age:4. ~missed:1;
-    Json.to_string (Lineage.to_json l)
+    let f = Flight.create () in
+    let s = sinks f in
+    Flight.note_commit f ~txn:1 ~hid:(-1) ~commit_ts:2 ~updates:1;
+    Sinks.stage s ~site:"b" ~txn:1 Flight.Enqueued;
+    Sinks.stage s ~site:"a" ~txn:1 Flight.Enqueued;
+    Sinks.stage s ~site:"b" ~txn:1 (Flight.Refresh_committed { commit_ts = 2 });
+    Sinks.stage s ~site:"a" ~txn:1 (Flight.Refresh_committed { commit_ts = 2 });
+    Json.to_string (Flight.bundle_json f ~config:(Json.Obj []) ())
   in
   let s1 = build () and s2 = build () in
   check_string "same bytes across identical builds" s1 s2;
   let j = parse_ok s1 in
   Alcotest.(check (float 0.)) "commits" 1. (num_exn (member_exn "commits" j));
-  (match member_exn "sites" j with
-  | Json.Arr (first :: _) ->
+  (match member_exn "horizons" j with
+  | Json.Obj ((first, _) :: _) ->
     (* Sites are sorted by name for deterministic output. *)
-    (match member_exn "site" first with
-    | Json.Str s -> check_string "sites sorted" "a" s
-    | _ -> Alcotest.fail "site is not a string")
-  | _ -> Alcotest.fail "sites not a non-empty array")
+    check_string "sites sorted" "a" first
+  | _ -> Alcotest.fail "horizons not a non-empty object")
 
 (* An export into a directory that does not exist yet must create it, not
    fail after the run: both file writers create missing parents. *)
@@ -343,9 +352,9 @@ let test_write_creates_parents () =
   let base = Filename.temp_file "lsr_obs_deep" "" in
   Sys.remove base;
   let jf = List.fold_left Filename.concat base [ "a"; "b"; "r.json" ] in
-  let l = Lineage.create () in
-  Lineage.emit l ~txn:1 (Lineage.Primary_commit { commit_ts = 1; updates = 1 });
-  let doc = Lineage.to_json l in
+  let f = Flight.create () in
+  Flight.note_commit f ~txn:1 ~hid:(-1) ~commit_ts:1 ~updates:1;
+  let doc = Flight.bundle_json f ~config:(Json.Obj []) () in
   Json.write_file ~file:jf doc;
   let slurp f = In_channel.with_open_bin f In_channel.input_all in
   let text = slurp jf in
@@ -401,9 +410,9 @@ let () =
         ] );
       ( "lineage",
         [
-          Alcotest.test_case "null is inert" `Quick test_lineage_null_inert;
-          Alcotest.test_case "journey" `Quick test_lineage_journey;
+          Alcotest.test_case "null is inert" `Quick test_journey_null_inert;
+          Alcotest.test_case "journey" `Quick test_journey;
           Alcotest.test_case "json deterministic" `Quick
-            test_lineage_json_deterministic;
+            test_journey_json_deterministic;
         ] );
     ]
