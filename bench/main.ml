@@ -29,32 +29,6 @@ let emit ~csv figure =
 
 let run_table1 ~quick = Report.print_table1 (Figures.params_for ~quick)
 
-let run_fig234 opts ~csv ~wanted =
-  let f2, f3, f4 = Figures.fig2_3_4 opts in
-  List.iter
-    (fun (id, figure) -> if List.mem id wanted then emit ~csv figure)
-    [ ("fig2", f2); ("fig3", f3); ("fig4", f4) ]
-
-let run_fig567 opts ~csv ~wanted =
-  let f5, f6, f7 = Figures.fig5_6_7 opts in
-  List.iter
-    (fun (id, figure) -> if List.mem id wanted then emit ~csv figure)
-    [ ("fig5", f5); ("fig6", f6); ("fig7", f7) ]
-
-let run_fig8 opts ~csv = emit ~csv (Figures.fig8 opts)
-
-let run_ablations opts ~csv ~wanted =
-  if List.mem "ablate-propagation" wanted then
-    emit ~csv (Figures.ablate_propagation opts);
-  if List.mem "ablate-applicators" wanted then
-    emit ~csv (Figures.ablate_applicators opts);
-  if List.mem "ablate-pcsi" wanted then emit ~csv (Figures.ablate_pcsi opts);
-  if List.mem "ablate-delay" wanted then emit ~csv (Figures.ablate_delay opts);
-  (* Extension study; run explicitly (kept out of `all` so the default
-     output matches the paper's evaluation set). *)
-  if List.mem "ablate-contention" wanted then
-    emit ~csv (Figures.ablate_contention opts)
-
 (* --- Fault-injection scenarios (docs/FAULTS.md) ----------------------------- *)
 
 (* Runs the simulated system with the propagation channels subjected to
@@ -472,38 +446,37 @@ let report_arg =
   in
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 
-let all_targets =
-  [
-    "table1"; "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8";
-    "ablate-propagation"; "ablate-applicators"; "ablate-pcsi";
-    "ablate-delay"; "micro";
-  ]
+let spec_ids group =
+  List.filter_map
+    (fun (s : Figures.spec) -> if s.group = group then Some s.id else None)
+    Figures.specs
+
+let paper_figures = spec_ids Figures.Paper_figure
+let paper_ablations = spec_ids Figures.Paper_ablation
+let all_targets = ("table1" :: paper_figures) @ paper_ablations @ [ "micro" ]
 
 (* Runnable explicitly but excluded from `all` (extension studies and the
    CI observability smoke run). *)
-let extra_targets =
-  [
-    "ablate-contention"; "fig-staleness"; "fig-utilization"; "fig-fence";
-    "fig-plan"; "faults"; "smoke"; "analyze";
-  ]
+let extra_targets = spec_ids Figures.Extension @ [ "faults"; "smoke"; "analyze" ]
 
 let targets_arg =
   let doc =
-    "What to regenerate: table1, fig2..fig8, figures (all figures), \
-     ablations, ablate-propagation, ablate-applicators, ablate-pcsi, \
-     ablate-delay, micro or all (default). Extension studies (excluded \
-     from all): ablate-contention, fig-staleness, fig-utilization, \
-     fig-fence, fig-plan, faults, smoke, analyze. Host-time measurement \
-     lives in $(b,lsrbench) (bench/suite)."
+    Printf.sprintf
+      "What to regenerate: table1, %s, figures (%s), ablations (%s), micro \
+       or all (default). Extension studies (excluded from all): %s. \
+       Host-time measurement lives in $(b,lsrbench) (bench/suite)."
+      (String.concat ", " (paper_figures @ paper_ablations))
+      (String.concat " " paper_figures)
+      (String.concat " " paper_ablations)
+      (String.concat ", " extra_targets)
   in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"TARGET" ~doc)
 
 let expand target =
   match target with
   | "all" -> all_targets
-  | "figures" -> [ "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8" ]
-  | "ablations" ->
-    [ "ablate-propagation"; "ablate-applicators"; "ablate-pcsi"; "ablate-delay" ]
+  | "figures" -> paper_figures
+  | "ablations" -> paper_ablations
   | t -> [ t ]
 
 let main quick seed csv verbose trace report_file targets =
@@ -527,18 +500,7 @@ let main quick seed csv verbose trace report_file targets =
       (if quick then "quick" else "paper-scale")
       seed;
     if List.mem "table1" wanted then run_table1 ~quick;
-    if List.exists (fun t -> List.mem t [ "fig2"; "fig3"; "fig4" ]) wanted then
-      run_fig234 opts ~csv ~wanted;
-    if List.exists (fun t -> List.mem t [ "fig5"; "fig6"; "fig7" ]) wanted then
-      run_fig567 opts ~csv ~wanted;
-    if List.mem "fig8" wanted then run_fig8 opts ~csv;
-    if List.mem "fig-staleness" wanted then
-      emit ~csv (Figures.fig_staleness opts);
-    if List.mem "fig-utilization" wanted then
-      emit ~csv (Figures.fig_utilization opts);
-    if List.mem "fig-fence" wanted then emit ~csv (Figures.fig_fence opts);
-    if List.mem "fig-plan" wanted then emit ~csv (Figures.fig_plan opts);
-    run_ablations opts ~csv ~wanted;
+    List.iter (emit ~csv) (Figures.run opts wanted);
     if List.mem "faults" wanted then run_faults ~quick ~seed ~report;
     if List.mem "smoke" wanted then run_smoke ~seed ~report;
     if List.mem "analyze" wanted then run_analysis ~csv;

@@ -868,8 +868,21 @@ let tiny_opts =
 let series_by_label (figure : Figures.figure) label =
   List.find (fun s -> s.Figures.label = label) figure.Figures.series
 
+(* Runs [ids] under [tiny_opts], returning the figures and the number of
+   progress lines (one per simulation run). *)
+let run_tiny ids =
+  let runs = ref 0 in
+  let figures =
+    Figures.run { tiny_opts with Figures.progress = (fun _ -> incr runs) } ids
+  in
+  (figures, !runs)
+
 let test_figures_tiny_fig234 () =
-  let f2, f3, f4 = Figures.fig2_3_4 tiny_opts in
+  let f2, f3, f4 =
+    match fst (run_tiny [ "fig2"; "fig3"; "fig4" ]) with
+    | [ f2; f3; f4 ] -> (f2, f3, f4)
+    | _ -> Alcotest.fail "expected three figures"
+  in
   Alcotest.(check string) "fig2 id" "fig2" f2.Figures.id;
   List.iter
     (fun (figure : Figures.figure) ->
@@ -892,7 +905,7 @@ let test_figures_tiny_fig_fence () =
      the Max_age bound never lowers read latency, and the tightest setting
      is strictly slower than unfenced (reads block on the threshold queue
      until the horizon is applied). *)
-  let fig = Figures.fig_fence tiny_opts in
+  let fig = List.hd (fst (run_tiny [ "fig-fence" ])) in
   Alcotest.(check string) "id" "fig-fence" fig.Figures.id;
   check_int "three series" 3 (List.length fig.Figures.series);
   List.iter
@@ -915,17 +928,52 @@ let test_figures_tiny_fig_fence () =
     (List.nth ages (List.length ages - 1) <= List.hd ages)
 
 let test_figures_tiny_fig5_ideal_line () =
-  let f5, _, _ = Figures.fig5_6_7 tiny_opts in
+  let f5 = List.hd (fst (run_tiny [ "fig5" ])) in
   check_int "ideal + three algorithms" 4 (List.length f5.Figures.series);
   let ideal = series_by_label f5 "ideal (linear)" in
   let points = ideal.Figures.points in
   let ratio (p : Figures.point) =
     p.Figures.interval.Lsr_stats.Confidence.mean /. p.Figures.x
   in
-  let r0 = ratio (List.hd points) in
+  (* The slope is the strong-session-SI throughput of the 1-secondary
+     system. *)
+  let reference =
+    List.hd (series_by_label f5 "ALG-STRONG-SESSION-SI").Figures.points
+  in
+  Alcotest.(check (float 0.)) "reference point is x = 1" 1. reference.Figures.x;
+  let r0 = ratio reference in
   List.iter
     (fun p -> Alcotest.(check (float 1e-6)) "ideal line is linear" r0 (ratio p))
     points
+
+let check_same_figures msg solo together =
+  check_bool msg true (compare solo together = 0)
+
+let test_figures_shared_tag () =
+  (* fig5 and fig8 both tag "<alg> secondaries=5", over different
+     workloads: both points must run, and each figure must equal its solo
+     run. *)
+  let fig5, runs5 = run_tiny [ "fig5" ] and fig8, runs8 = run_tiny [ "fig8" ] in
+  check_int "fig5 runs" 24 runs5;
+  check_int "fig8 runs" 24 runs8;
+  let both, runs = run_tiny [ "fig5"; "fig8" ] in
+  check_int "fig5 + fig8 runs" 48 runs;
+  check_same_figures "fig5 + fig8 = fig5, fig8" (fig5 @ fig8) both
+
+let test_figures_shared_runs () =
+  (* fig-staleness and fig-utilization reuse fig2's cells: requested
+     together they run fig2's 30 jobs once and still match their solo
+     figures. *)
+  let ids = [ "fig2"; "fig-staleness"; "fig-utilization" ] in
+  let together, runs = run_tiny ids in
+  check_int "shared runs" 30 runs;
+  let alone = List.concat_map (fun id -> fst (run_tiny [ id ])) ids in
+  check_same_figures "together = each alone" alone together
+
+let test_figures_contention_base () =
+  (* ablate-contention honours [base_params] like every other figure: 4
+     skews x 2 replications. *)
+  check_int "ablate-contention runs" 8 (snd (run_tiny [ "ablate-contention" ]))
 
 let test_params_for () =
   check_bool "quick shrinks" true
@@ -1016,5 +1064,10 @@ let () =
           Alcotest.test_case "fig5 ideal line" `Slow test_figures_tiny_fig5_ideal_line;
           Alcotest.test_case "fig-fence tradeoff" `Slow
             test_figures_tiny_fig_fence;
+          Alcotest.test_case "fig5 + fig8 shared tag" `Slow
+            test_figures_shared_tag;
+          Alcotest.test_case "fig2 runs shared" `Slow test_figures_shared_runs;
+          Alcotest.test_case "ablate-contention base" `Slow
+            test_figures_contention_base;
         ] );
     ]
