@@ -245,8 +245,7 @@ let propagator_process st () =
                 (now +. (Rng.float st.jitter_rng *. p.Params.propagation_jitter))
             in
             site.last_delivery <- at;
-            ignore
-              (Engine.schedule st.eng ~delay:(at -. now) (deliver site records))
+            Engine.after st.eng ~delay:(at -. now) (deliver site records)
           end)
         st.sites
     end;
@@ -543,27 +542,65 @@ let run_txn st site rng ~label spec =
   Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
 
 (* A closed-loop client is a process only while a transaction runs; while
-   it thinks it is one pending timer. [spawn_at] starts the body in the
-   event where a process parked in [Process.delay think] would resume, so
-   the firing order and the random draws are those of one looping process. *)
-let client_process st site rng () =
+   it thinks it is one pending timer whose action is [wake], the one
+   closure the client allocates: [wake] starts [client_turn] as a process
+   in the event where a process parked in [Process.delay think] would
+   resume, so the firing order and the random draws are those of one
+   looping process.
+
+   A session end is a time at or after 0 and is only compared, so it is
+   kept as the bits of its float in an int field, which OCaml does not box
+   as it would a float field of this record. Only the sign bit does not
+   fit, and it is 0 (or marks -0., which compares like 0.). *)
+type client = {
+  client_site : sec_site;
+  client_rng : Rng.t;
+  mutable client_label : string;
+  mutable session_end : int;
+  wake : unit -> unit;
+}
+
+let[@inline] session_bits time = Int64.to_int (Int64.bits_of_float time)
+
+let[@inline] session_over c now =
+  now
+  > Int64.float_of_bits
+      (Int64.logand (Int64.of_int c.session_end) Int64.max_int)
+
+let client_think st c =
+  Engine.after st.eng
+    ~delay:(Rng.exponential c.client_rng ~mean:st.cfg.params.Params.think_time)
+    c.wake
+
+let client_turn st c =
   let p = st.cfg.params in
-  let label = ref (fresh_label st) in
-  let session_end = ref (Rng.exponential rng ~mean:p.Params.session_time) in
-  let rec think () =
-    Process.spawn_at st.eng
-      ~delay:(Rng.exponential rng ~mean:p.Params.think_time)
-      (fun () ->
-        let now = Engine.now st.eng in
-        if now > !session_end then begin
-          label := fresh_label st;
-          session_end := now +. Rng.exponential rng ~mean:p.Params.session_time
-        end;
-        let spec = Txn_gen.generate p rng in
-        run_txn st site rng ~label:!label spec;
-        think ())
+  let now = Engine.now st.eng in
+  if session_over c now then begin
+    c.client_label <- fresh_label st;
+    c.session_end <-
+      session_bits
+        (now +. Rng.exponential c.client_rng ~mean:p.Params.session_time)
+  end;
+  let spec = Txn_gen.generate p c.client_rng in
+  run_txn st c.client_site c.client_rng ~label:c.client_label spec;
+  client_think st c
+
+(* [turn] is [client_turn st], shared by every client of the run. *)
+let client_start st turn site rng () =
+  let label = fresh_label st in
+  let session_end =
+    session_bits (Rng.exponential rng ~mean:st.cfg.params.Params.session_time)
   in
-  think ()
+  let rec c =
+    {
+      client_site = site;
+      client_rng = rng;
+      client_label = label;
+      session_end;
+      wake = (fun () -> Process.start st.eng turn c);
+    }
+  in
+  client_think st c
 
 (* --- Open-loop aggregated clients -------------------------------------------
 
@@ -866,11 +903,12 @@ let run cfg =
   Array.iter (fun site -> Process.spawn eng (refresher_process st site)) st.sites;
   (match cfg.client_mode with
   | Closed_loop ->
+    let turn = client_turn st in
     Array.iter
       (fun site ->
         for _ = 1 to p.Params.clients_per_secondary do
           let rng = Rng.split root in
-          ignore (Engine.schedule eng ~delay:0. (client_process st site rng))
+          Engine.after eng ~delay:0. (client_start st turn site rng)
         done)
       st.sites
   | Open_loop { clients; arrival; session_pool } ->

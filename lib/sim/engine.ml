@@ -1,15 +1,8 @@
-type state = Pending | Fired | Cancelled
-
-(* [time] stays a boxed float, so [t.now <- ev.time] is a pointer copy and
-   [now] never allocates. The queues keep their own unboxed copy of the
-   (time, seq) key; [seq] lives only there. *)
-type event = {
-  time : float;
-  action : unit -> unit;
-  mutable state : state;
-}
-
-type handle = event
+(* A handle remembers its event's (time, seq) key: events fire in key
+   order, so the event is still pending exactly when it has not been
+   cancelled and its key comes after that of the last event fired. The
+   engine itself never reads a handle while the event is pending. *)
+type handle = { at : float; id : int; mutable cancelled : bool }
 
 (* Pending events live in two queues. Events scheduled with [delay = 0.]
    (process wakes and spawns, about half of all events in a typical run) go
@@ -20,57 +13,48 @@ type handle = event
    The next event to fire is the earlier of the two heads, so the order is
    exactly that of a single heap.
 
-   Both queues are structures of arrays: slot [i] holds its key in
-   [times.(i)] (a flat float array) and [seqs.(i)], and its event in
-   [events.(i)]. A sift compares keys only, so one level of a 4-ary sift
-   reads the four sibling keys from one or two cache lines and touches no
-   event record; with a 2e5-deep timer heap that is what keeps the hot loop
-   out of main memory (LaMarca and Ladner, "The Influence of Caches on the
-   Performance of Heaps", JEA 1996). Vacated event slots are cleared so
-   fired events (and the closures they capture) are collectable. At
-   millions of events per run this is the hottest loop in the simulator. *)
+   Both queues are structures of arrays, and a pending event is nothing but
+   its slot: slot [i] holds its key in [times.(i)] (a flat float array) and
+   [seqs.(i)], and its action in [actions.(i)]. There is no per-event
+   record and no boxed time; the clock is boxed once, when an event fires.
+   A sift compares keys only, so one level of a 4-ary sift reads the four
+   sibling keys from one or two cache lines and touches no action; with a
+   2e5-deep timer heap that is what keeps the hot loop out of main memory
+   (LaMarca and Ladner, "The Influence of Caches on the Performance of
+   Heaps", JEA 1996). Vacated action slots are cleared so fired events (and
+   the closures they capture) are collectable. At millions of events per
+   run this is the hottest loop in the simulator.
+
+   A cancelled event stays in its queue until it reaches the front, where
+   it is dropped without firing. Cancelled events come to the front in key
+   order, so the engine keeps their handles in a small heap of their own
+   and compares each popped seq with the earliest one's: one int test per
+   event, and no mark in the queues. *)
 type t = {
   mutable now : float;
   mutable seq : int;
-  mutable live : int;
+  (* The seq of the last event fired; -1 before the first. *)
+  mutable last : int;
   mutable fired : int;
   (* The heap: slot 0 is the minimum, the children of [i] are
      [4i + 1 .. 4i + 4]. *)
   mutable times : float array;
   mutable seqs : int array;
-  mutable events : event array;
+  mutable actions : (unit -> unit) array;
   mutable size : int;
   (* The ring: capacity a power of two, [queued] slots from [head] on. *)
   mutable ring_times : float array;
   mutable ring_seqs : int array;
-  mutable ring : event array;
+  mutable ring : (unit -> unit) array;
   mutable head : int;
   mutable queued : int;
+  (* Cancelled events still queued, and the seq of the earliest of them
+     (-1 when there is none). *)
+  doomed : handle Binheap.t;
+  mutable next_doomed : int;
 }
 
-(* Placeholder for empty event slots; never fired. *)
-let dummy = { time = neg_infinity; action = ignore; state = Cancelled }
 let ring_capacity = 64
-
-let create () =
-  {
-    now = 0.;
-    seq = 0;
-    live = 0;
-    fired = 0;
-    times = [||];
-    seqs = [||];
-    events = [||];
-    size = 0;
-    ring_times = Array.make ring_capacity 0.;
-    ring_seqs = Array.make ring_capacity 0;
-    ring = Array.make ring_capacity dummy;
-    head = 0;
-    queued = 0;
-  }
-
-let now t = t.now
-let events_processed t = t.fired
 
 (* Key (t1, s1) fires strictly before key (t2, s2): earlier time, FIFO on
    ties. The annotations keep this a pair of unboxed float and int tests;
@@ -78,25 +62,46 @@ let events_processed t = t.fired
 let[@inline] before (t1 : float) (s1 : int) (t2 : float) (s2 : int) =
   t1 < t2 || (t1 = t2 && s1 < s2)
 
-(* Move the key and event of slot [src] into slot [dst]. *)
+let create () =
+  {
+    now = 0.;
+    seq = 0;
+    last = -1;
+    fired = 0;
+    times = [||];
+    seqs = [||];
+    actions = [||];
+    size = 0;
+    ring_times = Array.make ring_capacity 0.;
+    ring_seqs = Array.make ring_capacity 0;
+    ring = Array.make ring_capacity ignore;
+    head = 0;
+    queued = 0;
+    doomed =
+      Binheap.create
+        ~cmp:(fun a b -> if before a.at a.id b.at b.id then -1 else 1)
+        ~dummy:{ at = nan; id = -1; cancelled = true };
+    next_doomed = -1;
+  }
+
+let now t = t.now
+let events_processed t = t.fired
+let pending t = t.size + t.queued - Binheap.length t.doomed
+
+(* Move the key and action of slot [src] into slot [dst]. *)
 let[@inline] move t ~src ~dst =
   Array.unsafe_set t.times dst (Array.unsafe_get t.times src);
   Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
-  Array.unsafe_set t.events dst (Array.unsafe_get t.events src)
+  Array.unsafe_set t.actions dst (Array.unsafe_get t.actions src)
 
-let[@inline] place t i seq ev =
-  Array.unsafe_set t.times i ev.time;
-  Array.unsafe_set t.seqs i seq;
-  Array.unsafe_set t.events i ev
-
-(* Float arguments are passed boxed, so the sifts take the event and read
-   its time (boxed already) instead of a float key.
-
-   The hole starts at slot [i] and rises past every parent that fires after
-   the key (ev.time, seq). All indices stay below [t.size], so the unsafe
+(* The entry in slot [i] rises past every parent that fires after it. The
+   sifts read their entry's key from its slot, since a float argument
+   would be passed boxed. All indices stay below [t.size], so the unsafe
    accesses are in bounds. *)
-let sift_up t i seq ev =
-  let time = ev.time in
+let sift_up t i =
+  let time = Array.unsafe_get t.times i
+  and seq = Array.unsafe_get t.seqs i
+  and action = Array.unsafe_get t.actions i in
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
@@ -109,14 +114,19 @@ let sift_up t i seq ev =
     end
     else continue := false
   done;
-  place t !i seq ev
+  Array.unsafe_set t.times !i time;
+  Array.unsafe_set t.seqs !i seq;
+  Array.unsafe_set t.actions !i action
 
-(* The hole starts at slot [i] and sinks below every child that fires
-   before the key (ev.time, seq). *)
-let sift_down t i seq ev =
-  let time = ev.time in
+(* The entry in slot [t.size], just past the heap, fills the hole at the
+   root and sinks below every child that fires before it. *)
+let sift_down t =
   let size = t.size in
-  let i = ref i in
+  let time = Array.unsafe_get t.times size
+  and seq = Array.unsafe_get t.seqs size
+  and action = Array.unsafe_get t.actions size in
+  Array.unsafe_set t.actions size ignore;
+  let i = ref 0 in
   let continue = ref true in
   while !continue do
     let first = (4 * !i) + 1 in
@@ -142,10 +152,12 @@ let sift_down t i seq ev =
       else continue := false
     end
   done;
-  place t !i seq ev
+  Array.unsafe_set t.times !i time;
+  Array.unsafe_set t.seqs !i seq;
+  Array.unsafe_set t.actions !i action
 
-let push t seq ev =
-  let capacity = Array.length t.events in
+let push t seq ~delay action =
+  let capacity = Array.length t.actions in
   if t.size = capacity then begin
     let fresh = max 64 (2 * capacity) in
     let grow a fill =
@@ -155,24 +167,21 @@ let push t seq ev =
     in
     t.times <- grow t.times 0.;
     t.seqs <- grow t.seqs 0;
-    t.events <- grow t.events dummy
+    t.actions <- grow t.actions ignore
   end;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1) seq ev
+  let i = t.size in
+  Array.unsafe_set t.times i (t.now +. delay);
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.actions i action;
+  t.size <- i + 1;
+  sift_up t i
 
 let pop t =
-  let top = t.events.(0) in
   let last = t.size - 1 in
   t.size <- last;
-  if last > 0 then begin
-    let ev = Array.unsafe_get t.events last in
-    Array.unsafe_set t.events last dummy;
-    sift_down t 0 (Array.unsafe_get t.seqs last) ev
-  end
-  else t.events.(0) <- dummy;
-  top
+  if last > 0 then sift_down t else t.actions.(0) <- ignore
 
-let enqueue t seq ev =
+let enqueue t seq action =
   let capacity = Array.length t.ring in
   if t.queued = capacity then begin
     let fresh = 2 * capacity in
@@ -185,38 +194,47 @@ let enqueue t seq ev =
     in
     t.ring_times <- unroll t.ring_times 0.;
     t.ring_seqs <- unroll t.ring_seqs 0;
-    t.ring <- unroll t.ring dummy;
+    t.ring <- unroll t.ring ignore;
     t.head <- 0
   end;
   let i = (t.head + t.queued) land (Array.length t.ring - 1) in
-  t.ring_times.(i) <- ev.time;
+  t.ring_times.(i) <- t.now;
   t.ring_seqs.(i) <- seq;
-  t.ring.(i) <- ev;
+  t.ring.(i) <- action;
   t.queued <- t.queued + 1
 
 let dequeue t =
-  let ev = t.ring.(t.head) in
-  t.ring.(t.head) <- dummy;
+  t.ring.(t.head) <- ignore;
   t.head <- (t.head + 1) land (Array.length t.ring - 1);
-  t.queued <- t.queued - 1;
-  ev
+  t.queued <- t.queued - 1
+
+let check_delay caller delay =
+  if not (Float.is_finite delay) || delay < 0. then
+    invalid_arg (caller ^ ": delay must be finite and non-negative")
+
+let insert t ~delay action =
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  if delay = 0. then enqueue t seq action else push t seq ~delay action
+
+let after t ~delay action =
+  check_delay "Engine.after" delay;
+  insert t ~delay action
 
 let schedule t ~delay action =
-  if not (Float.is_finite delay) || delay < 0. then
-    invalid_arg "Engine.schedule: delay must be finite and non-negative";
-  let seq = t.seq in
-  let ev = { time = t.now +. delay; action; state = Pending } in
-  t.seq <- seq + 1;
-  t.live <- t.live + 1;
-  if delay = 0. then enqueue t seq ev else push t seq ev;
-  ev
+  check_delay "Engine.schedule" delay;
+  let h = { at = t.now +. delay; id = t.seq; cancelled = false } in
+  insert t ~delay action;
+  h
 
-let cancel t ev =
-  match ev.state with
-  | Pending ->
-    ev.state <- Cancelled;
-    t.live <- t.live - 1
-  | Fired | Cancelled -> ()
+let cancel t h =
+  if (not h.cancelled) && before t.now t.last h.at h.id then begin
+    h.cancelled <- true;
+    Binheap.push t.doomed h;
+    match Binheap.peek t.doomed with
+    | Some first -> t.next_doomed <- first.id
+    | None -> ()
+  end
 
 (* Whether the next event to fire is the ring's head rather than the heap's
    top. Call only when some event is queued. *)
@@ -229,24 +247,43 @@ let ring_first t =
        (before t.times.(0) t.seqs.(0) t.ring_times.(h) t.ring_seqs.(h)))
 
 let is_empty t = t.size = 0 && t.queued = 0
-let take t ~from_ring = if from_ring then dequeue t else pop t
 
-let fire t ev =
-  ev.state <- Fired;
-  t.live <- t.live - 1;
-  t.now <- ev.time;
+(* The seq of the next event, in the queue [ring_first] chose. *)
+let next_seq t ~from_ring =
+  if from_ring then Array.unsafe_get t.ring_seqs t.head
+  else Array.unsafe_get t.seqs 0
+
+(* Remove the next event, the earliest cancelled one, from its queue
+   without firing it. *)
+let drop t ~from_ring =
+  if from_ring then dequeue t else pop t;
+  ignore (Binheap.pop t.doomed);
+  t.next_doomed <-
+    (match Binheap.peek t.doomed with Some h -> h.id | None -> -1)
+
+(* Remove the next event, [seq], from its queue and fire it. *)
+let fire t ~from_ring seq =
+  let time = if from_ring then t.ring_times.(t.head) else t.times.(0) in
+  let action = if from_ring then t.ring.(t.head) else t.actions.(0) in
+  if from_ring then dequeue t else pop t;
+  t.now <- time;
+  t.last <- seq;
   t.fired <- t.fired + 1;
-  ev.action ()
+  action ()
 
 let rec step t =
   if is_empty t then false
   else begin
-    let ev = take t ~from_ring:(ring_first t) in
-    match ev.state with
-    | Cancelled | Fired -> step t
-    | Pending ->
-      fire t ev;
+    let from_ring = ring_first t in
+    let seq = next_seq t ~from_ring in
+    if seq = t.next_doomed then begin
+      drop t ~from_ring;
+      step t
+    end
+    else begin
+      fire t ~from_ring seq;
       true
+    end
   end
 
 let run ?until t =
@@ -254,22 +291,20 @@ let run ?until t =
   let rec loop () =
     if not (is_empty t) then begin
       let from_ring = ring_first t in
-      let ev = if from_ring then t.ring.(t.head) else t.events.(0) in
-      match ev.state with
-      | Cancelled | Fired ->
-        ignore (take t ~from_ring);
+      let seq = next_seq t ~from_ring in
+      if seq = t.next_doomed then begin
+        drop t ~from_ring;
         loop ()
-      | Pending ->
-        if ev.time <= limit then begin
-          ignore (take t ~from_ring);
-          fire t ev;
-          loop ()
-        end
+      end
+      else if
+        (if from_ring then t.ring_times.(t.head) else t.times.(0)) <= limit
+      then begin
+        fire t ~from_ring seq;
+        loop ()
+      end
     end
   in
   loop ();
   match until with
   | Some limit -> t.now <- Float.max t.now limit
   | None -> ()
-
-let pending t = t.live

@@ -13,19 +13,34 @@
     already in (time, seq) order, and each step fires the earlier of the
     lane's head and the heap's top. Neither structure changes the order:
     the firing sequence is exactly that of a single (time, seq) priority
-    queue. *)
+    queue.
+
+    A pending event costs its queue slot and nothing else: three words
+    (unboxed time, seq, action) besides the action's own closure. Only
+    {!schedule} allocates more, a handle of six words, so schedule with
+    {!after} any event that will never be cancelled. A cancelled event
+    keeps its slot until it reaches the front of its queue, where it is
+    dropped without firing. *)
 
 type t
 
-(** Cancellable reference to a scheduled event. *)
+(** Cancellable reference to an event scheduled with {!schedule}. *)
 type handle
 
 val create : unit -> t
 
-(** Current virtual time, in seconds. Starts at 0. *)
+(** Current virtual time, in seconds. Starts at 0. Allocates nothing: the
+    clock is boxed once per fired event. *)
 val now : t -> float
 
-(** [schedule t ~delay f] arranges for [f] to run at time [now t +. delay].
+(** [after t ~delay f] arranges for [f] to run at time [now t +. delay],
+    like {!schedule} but without a handle, so the event costs its queue
+    slot only.
+    @raise Invalid_argument if [delay] is negative or not finite. *)
+val after : t -> delay:float -> (unit -> unit) -> unit
+
+(** [schedule t ~delay f] is [after t ~delay f], and returns a handle that
+    can cancel the event.
     @raise Invalid_argument if [delay] is negative or not finite. *)
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 

@@ -8,12 +8,25 @@
     built on these two primitives.
 
     Processes are cooperative and single-domain: exactly one process runs at
-    any instant, so shared mutable state needs no locking. *)
+    any instant, so shared mutable state needs no locking.
+
+    {!start} runs a body as a process inside the event that calls it, so
+    an engine event whose action calls [start] is a process timer that
+    costs one queue slot plus the action's closure. A caller that keeps
+    that closure (a closed-loop client re-arming its timer) allocates no
+    closure per start; {!spawn_at} allocates one per call. A parked
+    process costs its continuation, and a suspended one also its waker. *)
 
 (** A waker resumes a suspended process with a value. Calling a waker more
     than once is a no-op after the first call. The process resumes at the
     current virtual time, after events already queued for that instant. *)
 type 'a waker = 'a -> unit
+
+(** [start engine f x] runs [f x] as a process now, inside the current
+    event, and returns when the process first delays, suspends or ends.
+    Call it from an engine event's action, not from inside a process.
+    Exceptions escaping [f] are re-raised to the caller. *)
+val start : Engine.t -> ('a -> unit) -> 'a -> unit
 
 (** [spawn engine f] starts [f] as a process at the current virtual time.
     Exceptions escaping [f] are re-raised out of the engine's event loop. *)

@@ -183,13 +183,12 @@ let rec fifo_start_next t =
   | Some job ->
     t.serving <- true;
     t.clock.slice_start <- Engine.now t.eng;
-    ignore
-      (Engine.schedule t.eng ~delay:job.remaining (fun () ->
-           let c = t.clock in
-           c.busy <- c.busy +. (Engine.now t.eng -. c.slice_start);
-           note_completion t job;
-           job.waker ();
-           fifo_start_next t))
+    Engine.after t.eng ~delay:job.remaining (fun () ->
+        let c = t.clock in
+        c.busy <- c.busy +. (Engine.now t.eng -. c.slice_start);
+        note_completion t job;
+        job.waker ();
+        fifo_start_next t)
 
 let fifo_use t amount =
   Process.suspend (fun waker ->
@@ -214,17 +213,16 @@ let rec rr_serve_slice t quantum =
     t.serving <- true;
     t.clock.slice_start <- Engine.now t.eng;
     let slice = Float.min quantum job.remaining in
-    ignore
-      (Engine.schedule t.eng ~delay:slice (fun () ->
-           let c = t.clock in
-           c.busy <- c.busy +. (Engine.now t.eng -. c.slice_start);
-           job.remaining <- job.remaining -. slice;
-           if job.remaining <= epsilon then begin
-             note_completion t job;
-             job.waker ()
-           end
-           else Queue.add job t.queue;
-           rr_serve_slice t quantum))
+    Engine.after t.eng ~delay:slice (fun () ->
+        let c = t.clock in
+        c.busy <- c.busy +. (Engine.now t.eng -. c.slice_start);
+        job.remaining <- job.remaining -. slice;
+        if job.remaining <= epsilon then begin
+          note_completion t job;
+          job.waker ()
+        end
+        else Queue.add job t.queue;
+        rr_serve_slice t quantum)
 
 let rr_use t quantum amount =
   Process.suspend (fun waker ->

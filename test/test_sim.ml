@@ -206,7 +206,15 @@ let test_engine_fifo_ties_with_cancel_and_until () =
    instant, competing with the lane). Event [i]'s action schedules
    [children] and may cancel the event [back] ids before the newest one:
    its own child, a pending sibling or one already fired. Between [run
-   ~until] chunks the test schedules more events from outside any action. *)
+   ~until] chunks the test cancels the newest event that already fired
+   and schedules more events from outside any action.
+
+   Every third event ([handle_free]) is scheduled with [Engine.after],
+   which gives no handle, so the same run mixes handle-free and
+   cancellable events in both queues; a cancel aimed at a handle-free
+   event is skipped in the model and the engine alike. *)
+let handle_free id = id mod 3 = 1
+
 let delay_gen =
   QCheck.Gen.(
     frequency
@@ -249,12 +257,11 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
       ev' :: insert ev rest
     | rest -> ev :: rest
   in
-  let cancel id =
-    if Hashtbl.mem live id then begin
-      Hashtbl.remove live id;
-      decr live_count
-    end
+  let retire id =
+    Hashtbl.remove live id;
+    decr live_count
   in
+  let cancel id = if Hashtbl.mem live id && not (handle_free id) then retire id in
   let add d =
     Hashtbl.replace live !next ();
     incr live_count;
@@ -269,7 +276,7 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
       run ~until ()
     | (time, id, _) :: rest when time <= until ->
       pending := rest;
-      cancel id;
+      retire id;
       now := time;
       log := id :: !log;
       let children, back = behaviour_of behaviours id in
@@ -295,10 +302,14 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
         let v = view () in
         (if cancel_top then
            match
-             List.find_opt (fun (_, id, heap) -> heap && Hashtbl.mem live id) !pending
+             List.find_opt
+               (fun (_, id, heap) ->
+                 heap && Hashtbl.mem live id && not (handle_free id))
+               !pending
            with
            | Some (_, id, _) -> cancel id
            | None -> ());
+        Option.iter cancel (List.find_opt (fun id -> not (handle_free id)) !log);
         List.iter schedule outside;
         v)
       chunks
@@ -307,8 +318,8 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
   views @ [ view () ]
 
 (* The same schedule on the engine. For [~cancel_top] the harness tracks the
-   heap-resident events itself ([heap]: id -> time) and cancels the least
-   (time, id) among them. *)
+   heap-resident cancellable events itself ([heap]: id -> time) and cancels
+   the least (time, id) among them. *)
 let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
   let eng = Engine.create () and handles = Hashtbl.create 64 in
   let heap = Hashtbl.create 64 in
@@ -320,14 +331,18 @@ let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
   let rec schedule d =
     let id = !next in
     incr next;
-    if d <> 0. then Hashtbl.replace heap id (Engine.now eng +. d);
-    Hashtbl.replace handles id
-      (Engine.schedule eng ~delay:d (fun () ->
-           Hashtbl.remove heap id;
-           log := id :: !log;
-           let children, back = behaviour_of behaviours id in
-           List.iter schedule children;
-           Option.iter (fun b -> cancel (!next - 1 - b)) back))
+    let action () =
+      Hashtbl.remove heap id;
+      log := id :: !log;
+      let children, back = behaviour_of behaviours id in
+      List.iter schedule children;
+      Option.iter (fun b -> cancel (!next - 1 - b)) back
+    in
+    if handle_free id then Engine.after eng ~delay:d action
+    else begin
+      if d <> 0. then Hashtbl.replace heap id (Engine.now eng +. d);
+      Hashtbl.replace handles id (Engine.schedule eng ~delay:d action)
+    end
   in
   let view () =
     { order = List.rev !log; clock = Engine.now eng; pending = Engine.pending eng;
@@ -346,11 +361,13 @@ let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
              | Some _ | None -> Some (id, time)
            in
            Option.iter (fun (id, _) -> cancel id) (Hashtbl.fold least heap None));
+        Option.iter cancel (List.find_opt (fun id -> not (handle_free id)) !log);
         List.iter schedule outside;
         v)
       chunks
   in
-  Engine.run eng;
+  (* The last chunk drains the queues one [step] at a time. *)
+  while Engine.step eng do () done;
   views @ [ view () ]
 
 let prop_engine_matches_model =
@@ -1234,6 +1251,37 @@ let test_engine_heap_budget () =
     (Printf.sprintf "200k-event heap drained in %.2fs cpu (budget 10s)" elapsed)
     true (elapsed < 10.)
 
+(* Footprint guard: a pending process timer is its queue slot plus the one
+   closure [spawn_at] allocates, with no event record and no boxed time.
+   100k pending timers sharing one body grow the engine's reachable heap by
+   about 8.9 words each: 5 for the closure, 3 for the slot and the rest
+   for the arrays' doubling slack. The clock is boxed when an event fires,
+   so reading it allocates nothing. *)
+let test_engine_timer_footprint () =
+  let eng = Engine.create () in
+  let fired = ref 0 in
+  let body () = incr fired in
+  let timers = 100_000 in
+  let before = Obj.reachable_words (Obj.repr eng) in
+  for i = 1 to timers do
+    Process.spawn_at eng ~delay:(float_of_int i) body
+  done;
+  let per_timer =
+    float_of_int (Obj.reachable_words (Obj.repr eng) - before)
+    /. float_of_int timers
+  in
+  check_bool
+    (Printf.sprintf "%.2f words per pending timer (bound 10)" per_timer)
+    true (per_timer < 10.);
+  let words = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Engine.now eng))
+  done;
+  Alcotest.(check (float 0.)) "Engine.now allocates nothing" 0.
+    (Gc.minor_words () -. words);
+  Engine.run eng;
+  check_int "every timer fired" timers !fired
+
 (* --- Suite ----------------------------------------------------------------------- *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -1266,6 +1314,8 @@ let () =
             test_engine_until_exact_boundary;
           Alcotest.test_case "fifo ties with cancel and until" `Quick
             test_engine_fifo_ties_with_cancel_and_until;
+          Alcotest.test_case "pending timer footprint" `Quick
+            test_engine_timer_footprint;
           Alcotest.test_case "200k-event heap budget" `Slow
             test_engine_heap_budget;
         ]
