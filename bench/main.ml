@@ -49,9 +49,9 @@ let run_faults ~quick ~seed ~report =
   in
   let scenarios =
     [
-      ("reliable", Some Lsr_faults.Channel.reliable);
-      ("mild", Some Lsr_faults.Channel.default);
-      ("chaos", Some Lsr_faults.Channel.chaos);
+      ("reliable", Some Lsr_core.Channel.reliable);
+      ("mild", Some Lsr_core.Channel.default);
+      ("chaos", Some Lsr_core.Channel.chaos);
     ]
   in
   let rows =

@@ -11,6 +11,18 @@ type freshness = {
   refresh_lag : Obs.histogram;
 }
 
+(* One secondary site. [hook] is the replica's whole refresh-commit hook,
+   kept so a recovered replica gets the same one. *)
+type site = {
+  mutable replica : Secondary.t;
+  hook : Timestamp.t -> unit;
+  channel : Channel.t option;
+  mutable crashed : bool;
+  (* False once the site has crashed: its state sequence is no longer a
+     prefix of the primary's, so only final-state equality can be checked. *)
+  mutable clean : bool;
+}
+
 type t = {
   primary : Primary.t;
   propagator : Propagation.t;
@@ -23,6 +35,7 @@ type t = {
   sinks : Sinks.t;
   now : unit -> float;
   freshness : (string, freshness) Hashtbl.t;
+  sites : site array;
 }
 
 (* The watchdog's alert hook: trigger the recorder's capture once. *)
@@ -37,8 +50,31 @@ let flight_trigger flight (a : Watchdog.alert) =
       ~detail:(Format.asprintf "%a" Watchdog.pp_alert a)
       ~txns ()
 
-let create ?now ~ship_aborted ~sinks ~record_history ~watchdog ~sites
-    guarantee =
+let freshness (sinks : Sinks.t) table site =
+  match Hashtbl.find_opt table site with
+  | Some f -> f
+  | None ->
+    let obs = sinks.obs in
+    let f =
+      {
+        read_age = Obs.histogram obs (site ^ ".read_age");
+        read_missed = Obs.histogram obs (site ^ ".read_missed");
+        missed_commits = Obs.gauge obs (site ^ ".missed_commits");
+        refresh_lag = Obs.histogram obs (site ^ ".refresh_lag");
+      }
+    in
+    Hashtbl.add table site f;
+    f
+
+let site_name i = Printf.sprintf "secondary-%d" i
+
+let note_refresh watchdog i seq =
+  match watchdog with
+  | Some w -> Watchdog.note_refresh w ~site:i ~seq
+  | None -> ()
+
+let create ?now ~on_refresh_commit ~faults ~ship_aborted ~sinks
+    ~record_history ~watchdog ~sites guarantee =
   let history = History.create () in
   let now =
     match now with
@@ -63,10 +99,42 @@ let create ?now ~ship_aborted ~sinks ~record_history ~watchdog ~sites
               else None)
            ())
   in
+  let propagator =
+    Propagation.create ~from:0 ~ship_aborted ~sinks (Primary.wal primary)
+  in
+  let table = Hashtbl.create 8 in
+  (* Every channel draws its own stream, split from the fault seed in site
+     order, so a whole fault schedule replays from one seed. *)
+  let channel =
+    match faults with
+    | None -> fun _ -> None
+    | Some (config, seed) ->
+      let rng = Lsr_sim.Rng.create seed in
+      fun name ->
+        Some (Channel.create ~config ~sinks ~name ~rng:(Lsr_sim.Rng.split rng) ())
+  in
+  let make_site i =
+    let name = site_name i in
+    let on_refresh_commit = on_refresh_commit i in
+    (* Each refresh commit calls the driver's hook, records its refresh lag
+       when a registry is attached, then advances the watchdog's horizon. *)
+    let hook ts =
+      on_refresh_commit ts;
+      (if Obs.enabled sinks.obs then
+         match Session.clock_time_of clock ts with
+         | Some committed_at ->
+           Obs.observe (freshness sinks table name).refresh_lag
+             (now () -. committed_at)
+         | None -> ());
+      note_refresh watchdog i ts
+    in
+    let replica = Secondary.create ~name ~sinks ~on_refresh_commit:hook () in
+    { replica; hook; channel = channel name; crashed = false; clean = true }
+  in
+  let sites = Array.init sites make_site in
   {
     primary;
-    propagator =
-      Propagation.create ~from:0 ~ship_aborted ~sinks (Primary.wal primary);
+    propagator;
     sessions = Session.create guarantee;
     clock;
     history;
@@ -75,7 +143,8 @@ let create ?now ~ship_aborted ~sinks ~record_history ~watchdog ~sites
     tracking = record_history || watchdog <> None;
     sinks;
     now;
-    freshness = Hashtbl.create 8;
+    freshness = table;
+    sites;
   }
 
 let primary t = t.primary
@@ -84,57 +153,70 @@ let sessions t = t.sessions
 let clock t = t.clock
 let history t = t.history
 let watchdog t = t.watchdog
-let sinks t = t.sinks
 let now t = t.now ()
 let tracking t = t.tracking
 
-let freshness t site =
-  match Hashtbl.find_opt t.freshness site with
-  | Some f -> f
-  | None ->
-    let obs = t.sinks.obs in
-    let f =
-      {
-        read_age = Obs.histogram obs (site ^ ".read_age");
-        read_missed = Obs.histogram obs (site ^ ".read_missed");
-        missed_commits = Obs.gauge obs (site ^ ".missed_commits");
-        refresh_lag = Obs.histogram obs (site ^ ".refresh_lag");
-      }
-    in
-    Hashtbl.add t.freshness site f;
-    f
-
 (* --- Secondaries ------------------------------------------------------------- *)
 
-let site_name i = Printf.sprintf "secondary-%d" i
+let sites t = Array.length t.sites
+let secondary t i = t.sites.(i).replica
+let is_crashed t i = t.sites.(i).crashed
 
-let note_refresh t i seq =
-  match t.watchdog with
-  | Some w -> Watchdog.note_refresh w ~site:i ~seq
-  | None -> ()
+let broadcast t records ~direct =
+  Array.iteri
+    (fun i s ->
+      if not s.crashed then
+        match s.channel with
+        | Some ch -> Channel.send ch records
+        | None -> direct i records)
+    t.sites
 
-let secondary ?(on_refresh_commit = ignore) ?backup t i =
-  let name = site_name i in
-  let on_refresh_commit ts =
-    on_refresh_commit ts;
-    (if Obs.enabled t.sinks.obs then
-       match Session.clock_time_of t.clock ts with
-       | Some committed_at ->
-         Obs.observe (freshness t name).refresh_lag (t.now () -. committed_at)
-       | None -> ());
-    note_refresh t i ts
-  in
-  match backup with
-  | None -> Secondary.create ~name ~sinks:t.sinks ~on_refresh_commit ()
-  | Some b -> Secondary.create_from ~name ~sinks:t.sinks ~on_refresh_commit b
+let deliver t i =
+  let s = t.sites.(i) in
+  match s.channel with
+  | Some ch when not s.crashed ->
+    let records = Channel.tick ch in
+    List.iter (Secondary.enqueue s.replica) records;
+    records <> []
+  | Some _ | None -> false
 
-let crashed t i = Flight.note_crash t.sinks.flight ~site:(site_name i)
+let channels_idle t =
+  Array.for_all
+    (fun s ->
+      s.crashed || match s.channel with Some ch -> Channel.idle ch | None -> true)
+    t.sites
+
+let channel_stats t =
+  Array.fold_left
+    (fun acc s ->
+      match s.channel with
+      | Some ch -> Channel.add_stats acc (Channel.stats ch)
+      | None -> acc)
+    Channel.zero_stats t.sites
+
+(* The site's connection state dies with it: messages in flight to it are
+   lost and both endpoints' sequence numbers restart on recovery. *)
+let crashed t i =
+  let s = t.sites.(i) in
+  s.crashed <- true;
+  s.clean <- false;
+  Flight.note_crash t.sinks.flight ~site:(site_name i);
+  Option.iter Channel.reset s.channel
 
 (* The recovered copy corresponds to primary state [seq]: the watchdog's
    per-site horizon jumps forward with it. *)
-let recovered t i ~seq =
-  Flight.note_recovery t.sinks.flight ~site:(site_name i) ~seq;
-  note_refresh t i seq
+let recovered t i ~backup ~seq =
+  let s = t.sites.(i) in
+  let name = site_name i in
+  let fresh =
+    Secondary.create_from ~name ~sinks:t.sinks ~on_refresh_commit:s.hook backup
+  in
+  Secondary.reseed_seq fresh seq;
+  Flight.note_recovery t.sinks.flight ~site:name ~seq;
+  note_refresh t.watchdog i seq;
+  Option.iter Channel.reset s.channel;
+  s.replica <- fresh;
+  s.crashed <- false
 
 (* --- Transactions -------------------------------------------------------------- *)
 
@@ -202,7 +284,7 @@ let begin_read ?fence t ~session ~site ~snapshot =
     let age, missed =
       Session.clock_freshness t.clock ~snapshot ~now:(t.now ())
     in
-    let f = freshness t site in
+    let f = freshness t.sinks t.freshness site in
     Obs.observe f.read_age age;
     Obs.observe f.read_missed (float_of_int missed);
     Obs.set_gauge f.missed_commits (float_of_int missed)
@@ -241,3 +323,58 @@ let finish_read ?fence t r ~session ~site ~snapshot ~read_at ~fence_seq ~reads
           fence;
         }
   end
+
+(* --- Verdict --------------------------------------------------------------------- *)
+
+(* The inversions the guarantee forbids. *)
+let offending guarantee (r : Checker.report) =
+  match guarantee with
+  | Session.Weak -> []
+  | Session.Prefix_consistent -> r.inversions_after_update
+  | Session.Strong_session -> r.inversions_in_session
+  | Session.Strong -> r.inversions_all
+
+let check t =
+  let errors = ref [] in
+  let add_error fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+  let guarantee = Session.guarantee t.sessions in
+  let report =
+    if not t.record_history then None
+    else begin
+      let primary = Primary.db t.primary in
+      (* A live site that never crashed must be complete (Theorem 3.1). A
+         recovered one's history is not a prefix, but once fully refreshed
+         its state must match the primary's current state. *)
+      Array.iteri
+        (fun i s ->
+          let db = Secondary.db s.replica in
+          if s.crashed then ()
+          else if s.clean then (
+            match Checker.check_completeness ~primary ~secondary:db with
+            | Ok () -> ()
+            | Error e -> add_error "secondary %d: %s" i e)
+          else if Secondary.update_queue_length s.replica = 0 then
+            let at = Mvcc.latest_commit_ts primary in
+            if not (Checker.same_state primary ~at db) then
+              add_error "recovered secondary %d diverges from primary" i)
+        t.sites;
+      let report = Checker.analyze ~clock:t.clock t.history in
+      List.iter (add_error "weak SI violation: %s") report.weak_si_violations;
+      List.iter (add_error "%s") report.fence_violations;
+      (match offending guarantee report with
+      | [] -> ()
+      | first :: _ as all ->
+        add_error "guarantee %s violated: %d inversions, first %s"
+          (Session.guarantee_name guarantee)
+          (List.length all)
+          (Format.asprintf "%a" Checker.pp_inversion first));
+      Some report
+    end
+  in
+  (match t.watchdog with
+  | Some w when not (Watchdog.satisfies w guarantee) ->
+    add_error "watchdog: guarantee %s violated (%d alerts)"
+      (Session.guarantee_name guarantee)
+      (Watchdog.verdict w).Watchdog.alerts_total
+  | Some _ | None -> ());
+  (List.rev !errors, report)

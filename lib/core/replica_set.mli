@@ -1,12 +1,15 @@
 (** The replica-set core shared by the embedded {!System} and the simulator
     ([Lsr_experiments.Sim_system]): the primary and its propagator, the
     session manager, the primary commit clock, the {!History}, the optional
-    {!Watchdog} with its flight-recorder trigger, and the observability
-    {!Lsr_obs.Sinks}. Drivers keep how transactions execute and wait, and
+    {!Watchdog} with its flight-recorder trigger, the observability
+    {!Lsr_obs.Sinks}, and the site table — per secondary its current
+    replica, its optional fault {!Channel} and whether it is crashed or was
+    ever recovered. Drivers keep how transactions execute and wait, and
     pass each transaction through the hooks below, which do its bookkeeping
     once: history ticks and ids, [seq(c)] and read floors, the commit clock,
     per-site freshness instruments, flight events, watchdog tokens and the
-    history record.
+    history record. {!check} is the one end-of-run verdict both drivers
+    report.
 
     Ordering rules the hooks encode:
     - a history tick and its watchdog hook happen in one hook call, so no
@@ -30,14 +33,22 @@ open Lsr_storage
 type t
 
 (** [create ~sinks ~record_history ~watchdog ~sites guarantee] is the core
-    of a system with [sites] secondaries. [now] is the simulator's virtual
-    clock: the flight recorder is bound to it and starts a new epoch.
-    Without it the time axis is the history event counter, so [Max_age]
-    fences, freshness samples and refresh lags count history events. [record_history] keeps every
-    finished transaction; [watchdog] attaches an online checker whose first
-    alert triggers the flight recorder's capture. *)
+    of a system with [sites] secondaries ["secondary-<i>"]. [now] is the
+    simulator's virtual clock: the flight recorder is bound to it and
+    starts a new epoch. Without it the time axis is the history event
+    counter, so [Max_age] fences, freshness samples and refresh lags count
+    history events. [record_history] keeps every finished transaction;
+    [watchdog] attaches an online checker whose first alert triggers the
+    flight recorder's capture. Each refresh commit at secondary [i] calls
+    [on_refresh_commit i] (applied once per site and kept for recovery),
+    records its lag in [<site>.refresh_lag], then advances the watchdog's
+    horizon for the site. [faults = Some (config, seed)] puts a fault
+    {!Channel} before every secondary, each drawing its own stream split
+    from [seed] in site order. *)
 val create :
   ?now:(unit -> float) ->
+  on_refresh_commit:(int -> Timestamp.t -> unit) ->
+  faults:(Channel.config * int) option ->
   ship_aborted:bool ->
   sinks:Lsr_obs.Sinks.t ->
   record_history:bool ->
@@ -52,7 +63,6 @@ val sessions : t -> Session.t
 val clock : t -> Session.clock
 val history : t -> History.t
 val watchdog : t -> Watchdog.t option
-val sinks : t -> Lsr_obs.Sinks.t
 
 (** The current instant on the core's time axis. *)
 val now : t -> float
@@ -63,19 +73,35 @@ val tracking : t -> bool
 
 (** {2 Secondaries} *)
 
-(** [secondary t i] is a fresh secondary ["secondary-<i>"] on the core's
-    sinks, restored from [backup] when given. Each refresh commit calls
-    [on_refresh_commit], records the commit's refresh lag in
-    [<site>.refresh_lag] when a registry is attached, then advances the watchdog's horizon for
-    the site. *)
-val secondary :
-  ?on_refresh_commit:(Timestamp.t -> unit) -> ?backup:string -> t -> int ->
-  Secondary.t
+val sites : t -> int
 
+(** The current replica at secondary [i] (a fresh one after recovery). *)
+val secondary : t -> int -> Secondary.t
+
+val is_crashed : t -> int -> bool
+
+(** [broadcast t records ~direct] hands a propagated batch to every live
+    secondary's fault channel, or to [direct i records] without one. *)
+val broadcast :
+  t -> Txn_record.t list -> direct:(int -> Txn_record.t list -> unit) -> unit
+
+(** [deliver t i] advances live secondary [i]'s fault channel one tick and
+    enqueues its in-order deliveries; [true] when anything arrived. *)
+val deliver : t -> int -> bool
+
+(** Every live secondary's fault channel has delivered all it was sent. *)
+val channels_idle : t -> bool
+
+(** Fault-channel counters summed over every secondary. *)
+val channel_stats : t -> Channel.stats
+
+(** Secondary [i] crashed: its channel's connection state is lost, and
+    {!check} holds it to final-state equality instead of completeness. *)
 val crashed : t -> int -> unit
 
-(** Secondary [i] recovered with [seq(DBsec)] reseeded to [seq]. *)
-val recovered : t -> int -> seq:Timestamp.t -> unit
+(** [recovered t i ~backup ~seq] installs a fresh replica at secondary [i],
+    restored from [backup] with [seq(DBsec)] reseeded to [seq]. *)
+val recovered : t -> int -> backup:string -> seq:Timestamp.t -> unit
 
 (** {2 Transactions} *)
 
@@ -106,3 +132,15 @@ val finish_read :
   ?fence:Session.fence -> t -> txn -> session:string -> site:string ->
   snapshot:Timestamp.t -> read_at:float -> fence_seq:int ->
   reads:(string * string option) list -> unit
+
+(** {2 Verdict} *)
+
+(** The end-of-run checker battery. With a history recorded: completeness
+    of every live never-crashed secondary against the primary (Theorem 3.1)
+    or, for a recovered one with an empty update queue, final-state
+    equality; weak SI of the history (Theorem 3.2); the fence audit; and
+    the guarantee, one line naming it with the number of offending
+    inversions and the first. Then the attached watchdog's verdict. Returns
+    the violations (empty when the run passed) and the report behind them
+    ([None] without a history). *)
+val check : t -> string list * Checker.report option

@@ -13,7 +13,10 @@
     transactions run at that secondary, update transactions are forwarded to
     the primary (§3). Every finished transaction is recorded in a
     {!History} for offline checking. The bookkeeping every transaction
-    passes through is the {!Replica_set} core the simulator shares. *)
+    passes through, the secondaries with their fault channels and crash
+    state, and the end-of-run verdict ({!check}) are the {!Replica_set} core
+    the simulator shares; this module adds how the embedded system drives
+    them: lazy propagation on demand, pumping reads, and compaction. *)
 
 open Lsr_storage
 
@@ -42,29 +45,16 @@ exception Pump_stalled of { ticks : int }
 (** A client session: a label and the secondary it is connected to. *)
 type client
 
-(** A transport carrying propagated records to one secondary. When attached
-    (see {!create}), {!propagate} hands record batches to [ch_send] instead
-    of enqueueing them directly; each refresh pulls one [ch_tick]'s worth of
-    in-order deliveries into the secondary's update queue, and {!pump} keeps
-    refreshing until every channel reports [ch_idle]. [ch_reset] is invoked
-    on secondary crash and again on recovery (connection state is lost with
-    the site). The channel must deliver every record exactly once, in send
-    order — [Lsr_faults.Channel] provides such a transport over a lossy,
-    duplicating, reordering network. *)
-type channel = {
-  ch_send : Txn_record.t list -> unit;
-  ch_tick : unit -> Txn_record.t list;
-  ch_idle : unit -> bool;
-  ch_reset : unit -> unit;
-}
-
 (** [create ~guarantee ~secondaries ()] builds a system with that many
     secondary sites (default 1). [schema] maps table names to secondary
     index declarations applied by every transaction handle (see
-    {!Lsr_storage.Table}). [faults], when given, is called once per
-    secondary index with the system's sinks to attach a fault-injection
-    {!channel} between the propagator and that site; omitted, propagation is
-    the paper's reliable FIFO channel and behaviour is unchanged.
+    {!Lsr_storage.Table}). [faults = (config, seed)] puts a fault-injection
+    {!Channel} between the propagator and every secondary, each with its own
+    random stream split from [seed] in site order; omitted, propagation is
+    the paper's reliable FIFO channel. With channels, {!propagate} hands
+    record batches to them instead of enqueueing directly, each refresh
+    pulls one tick's worth of in-order deliveries into the secondary's
+    update queue, and {!pump} keeps refreshing until every channel is idle.
 
     [obs] and [flight] form the system's {!Lsr_obs.Sinks}, handed to the
     propagator, every secondary, every fault channel and the watchdog; the
@@ -85,7 +75,7 @@ type channel = {
     before, and independently of, the post-hoc {!check}. *)
 val create :
   ?secondaries:int -> ?schema:(string * string list) list ->
-  ?faults:(Lsr_obs.Sinks.t -> int -> channel) ->
+  ?faults:Channel.config * int ->
   ?obs:Lsr_obs.Obs.t ->
   ?flight:Lsr_obs.Flight.t ->
   ?watchdog:bool ->
@@ -163,7 +153,7 @@ val read_nowait :
 (** {2 Replication control (lazy!)} *)
 
 (** Poll the primary log and broadcast new records to every live secondary
-    (into its update queue, or its fault {!channel} when one is attached).
+    (into its update queue, or its fault channel when one is attached).
     Returns the number of records shipped. *)
 val propagate : t -> int
 
@@ -218,11 +208,16 @@ val recover_secondary : t -> int -> unit
 
 val is_crashed : t -> int -> bool
 
+(** Fault-channel counters summed over every secondary ({!Channel.zero_stats}
+    without [faults]). *)
+val channel_stats : t -> Channel.stats
+
 (** {2 Verification} *)
 
-(** Run the full checker battery: completeness of every never-crashed
-    secondary against the primary (Theorem 3.1), final-state equality for
-    recovered ones, weak SI of the recorded history (Theorem 3.2), and the
-    advertised session guarantee. [Error] carries human-readable
+(** Run the end-of-run verdict ({!Replica_set.check}): completeness of
+    every never-crashed secondary against the primary (Theorem 3.1),
+    final-state equality for recovered ones, weak SI of the recorded history
+    (Theorem 3.2), the fence audit, the advertised session guarantee, and
+    the attached watchdog's verdict. [Error] carries human-readable
     violations. Call after {!pump} for completeness to be meaningful. *)
 val check : t -> (unit, string list) result

@@ -111,8 +111,10 @@ type token = {
   tk_snapshot : Timestamp.t;  (* reads only; updates re-declare at end *)
 }
 
+(* Alerts the log retains; the per-kind counters stay exact past it. *)
+let alert_cap = 256
+
 type t = {
-  alert_cap : int;
   on_alert : (alert -> unit) option;
   clock : Session.clock option;
   (* Weak-SI state, per key: primary writes newer than the horizon plus the
@@ -152,12 +154,11 @@ type t = {
   mutable peak : int;
 }
 
-let create ?(alert_cap = 256) ?on_alert ?(sinks = Lsr_obs.Sinks.null) ?clock
+let create ?on_alert ?(sinks = Lsr_obs.Sinks.null) ?clock
     ~sites () =
   if sites < 1 then invalid_arg "Watchdog.create: need at least 1 site";
   let obs = sinks.Lsr_obs.Sinks.obs in
   {
-    alert_cap = max 0 alert_cap;
     on_alert;
     clock;
     chains = Keys.create 1024;
@@ -246,7 +247,7 @@ let record_alert t ~at ~txn ~session ~site ~snapshot kind =
   | Fence_violation _ ->
     t.n_fence <- t.n_fence + 1;
     Obs.incr t.c_alert_fence);
-  let retain = t.alert_log_len < t.alert_cap in
+  let retain = t.alert_log_len < alert_cap in
   if retain || t.on_alert <> None then begin
     let alert = { at; txn; session; site; snapshot; kind } in
     if retain then begin

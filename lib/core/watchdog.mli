@@ -93,17 +93,17 @@ type verdict = {
 }
 
 (** [create ~sites ()] is a fresh watchdog for a system with [sites]
-    secondaries. [alert_cap] bounds the retained alert log (default 256;
-    counters keep exact totals past the cap). [clock] is the primary commit
-    clock used to audit [Max_age] claims — as in {!Checker.check_fences}, a
-    [Max_age] claim without a clock is itself a violation. [sinks.obs]
+    secondaries. The retained alert log keeps the first 256 alerts
+    (counters keep exact totals past the cap). [clock] is the primary
+    commit clock used to audit [Max_age] claims — as in
+    {!Checker.check_fences}, a [Max_age] claim without a clock is itself a
+    violation. [sinks.obs]
     receives [watchdog.alerts.*] counters and a [watchdog.state_size]
     gauge. [on_alert] fires synchronously on {e every} alert —
-    including ones the bounded log drops past [alert_cap] — with the same
+    including ones the bounded log drops past its cap — with the same
     alert value the log retains; it is the flight recorder's trigger hook,
     and like any observer it must not feed back into the run. *)
 val create :
-  ?alert_cap:int ->
   ?on_alert:(alert -> unit) ->
   ?sinks:Lsr_obs.Sinks.t ->
   ?clock:Session.clock ->

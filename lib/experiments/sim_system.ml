@@ -26,8 +26,7 @@ type config = {
   migrate_prob : float;
   client_mode : client_mode;
   fence : fence_policy;
-  faults : Lsr_faults.Channel.config option;
-  fault_tick : float;
+  faults : Channel.config option;
   obs : Obs.t;
   flight : Lsr_obs.Flight.t;
   monitor : Monitor.t;
@@ -46,7 +45,6 @@ let config params guarantee ~seed =
     client_mode = Closed_loop;
     fence = No_fence;
     faults = None;
-    fault_tick = 1.0;
     obs = Obs.null;
     flight = Lsr_obs.Flight.null;
     monitor = Monitor.null;
@@ -132,7 +130,6 @@ type sec_site = {
                                 session's required seq, so a commit pays
                                 only for the readers it actually unblocks *)
   mutable last_delivery : float;  (* keeps jittered deliveries FIFO *)
-  chan : Lsr_faults.Channel.t option;  (* faulty transport, when configured *)
   (* Trace track names, interned once so disabled tracing allocates nothing
      on the hot path. *)
   trk_refresher : string;
@@ -183,29 +180,15 @@ type state = {
   mutable label_counter : int;
 }
 
-let make_site cfg eng rs fault_rng index =
-  let queue_cond = Condition.create () in
-  let pending_cond = Condition.create () in
-  let session_cond = Seqcond.create () in
-  (* The refresher wakes fenced/session-blocked readers as it commits: each
-     refresh commit advances the site's threshold queue to the new
-     seq(DBsec) from inside the applicator step, so readers parked on a
-     required seq are released by exactly the commit that satisfies them. *)
-  let sec =
-    Replica_set.secondary ~on_refresh_commit:(Seqcond.advance session_cond) rs
-      index
-  in
+(* [sec] is the site's replica in [rs]; the simulator never recovers a
+   site, so it stays the same for the whole run. *)
+let make_site eng rs session_conds index =
+  let sec = Replica_set.secondary rs index in
   let site_name = Secondary.name sec in
-  let chan =
-    Option.map
-      (fun fc ->
-        Lsr_faults.Channel.create ~config:fc ~sinks:(Replica_set.sinks rs)
-          ~name:site_name ~rng:(Rng.split fault_rng) ())
-      cfg.faults
-  in
   { index; site_name; sec;
     res = Resource.create ~name:site_name eng ~discipline:Resource.Processor_sharing;
-    queue_cond; pending_cond; session_cond; last_delivery = 0.; chan;
+    queue_cond = Condition.create (); pending_cond = Condition.create ();
+    session_cond = session_conds.(index); last_delivery = 0.;
     trk_refresher = Printf.sprintf "site-%d/refresher" index;
     trk_applicators = Printf.sprintf "site-%d/applicators" index;
     trk_clients = Printf.sprintf "site-%d/clients" index }
@@ -226,15 +209,11 @@ let propagator_process st () =
         Obs.instant st.cfg.obs ~track:"primary/propagator" ~name:"propagate"
           ~args:[ ("records", string_of_int (List.length records)) ]
           ~now:(Engine.now st.eng);
-      Array.iter
-        (fun site ->
-          match site.chan with
-          | Some ch ->
-            (* The faulty transport owns delivery: records go on the wire
-               here and surface, in order, from the channel process's ticks
-               (loss, duplication, delay and reordering happen inside). *)
-            Lsr_faults.Channel.send ch records
-          | None ->
+      (* A site with a faulty transport gets the records on the wire here;
+         they surface, in order, from its channel process's ticks (loss,
+         duplication, delay and reordering happen inside). *)
+      Replica_set.broadcast st.rs records ~direct:(fun i records ->
+          let site = st.sites.(i) in
           if p.Params.propagation_jitter <= 0. then deliver site records ()
           else begin
             (* Per-destination scheduling variance; delivery times to one
@@ -247,23 +226,23 @@ let propagator_process st () =
             site.last_delivery <- at;
             Engine.after st.eng ~delay:(at -. now) (deliver site records)
           end)
-        st.sites
     end;
     cycle ()
   in
   cycle ()
 
+(* Virtual seconds per channel tick: the base one-hop latency and the
+   granularity of retransmission timeouts. *)
+let fault_tick = 1.0
+
 (* One process per faulty channel: each [fault_tick] virtual seconds the
    channel advances one tick (arrivals, acks, retransmissions) and whatever
    it delivers in order lands on the secondary's update queue. *)
-let channel_process st site ch () =
+let channel_process st site () =
   let rec loop () =
-    Process.delay st.cfg.fault_tick;
-    let records = Lsr_faults.Channel.tick ch in
-    if records <> [] then begin
-      List.iter (Secondary.enqueue site.sec) records;
-      Condition.signal site.queue_cond
-    end;
+    Process.delay fault_tick;
+    if Replica_set.deliver st.rs site.index then
+      Condition.signal site.queue_cond;
     loop ()
   in
   loop ()
@@ -795,7 +774,7 @@ let config_json cfg =
     | None -> Null
     | Some fc ->
       let {
-        Lsr_faults.Channel.loss;
+        Channel.loss;
         dup;
         delay;
         max_delay;
@@ -834,7 +813,7 @@ let config_json cfg =
       ("client_mode", client_mode);
       ("fence_policy", fence_policy);
       ("faults", faults);
-      ("fault_tick", num cfg.fault_tick);
+      ("fault_tick", num fault_tick);
       ( "params",
         Obj
           [
@@ -862,12 +841,21 @@ let config_json cfg =
 let run cfg =
   let p = cfg.params in
   let eng = Engine.create () in
+  (* The refresher wakes fenced/session-blocked readers as it commits: each
+     refresh commit advances the site's threshold queue to the new
+     seq(DBsec) from inside the applicator step, so readers parked on a
+     required seq are released by exactly the commit that satisfies them. *)
+  let session_conds =
+    Array.init p.Params.num_secondaries (fun _ -> Seqcond.create ())
+  in
   (* Flight events and freshness samples are stamped with virtual time.
      Binding the clock only reads the engine; it cannot feed back into the
      run. *)
   let rs =
     Replica_set.create
       ~now:(fun () -> Engine.now eng)
+      ~on_refresh_commit:(fun i -> Seqcond.advance session_conds.(i))
+      ~faults:(Option.map (fun fc -> (fc, cfg.seed lxor 0xFA17)) cfg.faults)
       ~ship_aborted:cfg.ship_aborted
       ~sinks:{ Lsr_obs.Sinks.obs = cfg.obs; flight = cfg.flight }
       ~record_history:cfg.record_history ~watchdog:cfg.watchdog
@@ -882,8 +870,7 @@ let run cfg =
         Resource.create ~name:"primary" eng
           ~discipline:Resource.Processor_sharing;
       sites =
-        Array.init p.Params.num_secondaries
-          (make_site cfg eng rs (Rng.create (cfg.seed lxor 0xFA17)));
+        Array.init p.Params.num_secondaries (make_site eng rs session_conds);
       metrics = Metrics.create ~warmup:p.Params.warmup ~cap:p.Params.response_time_cap;
       ins = instruments cfg.obs;
       fenced_reads = 0;
@@ -894,12 +881,8 @@ let run cfg =
   let root = Rng.create cfg.seed in
   Monitor.attach cfg.monitor eng ~probe:(monitor_probe st);
   Process.spawn eng (propagator_process st);
-  Array.iter
-    (fun site ->
-      match site.chan with
-      | Some ch -> Process.spawn eng (channel_process st site ch)
-      | None -> ())
-    st.sites;
+  if cfg.faults <> None then
+    Array.iter (fun site -> Process.spawn eng (channel_process st site)) st.sites;
   Array.iter (fun site -> Process.spawn eng (refresher_process st site)) st.sites;
   (match cfg.client_mode with
   | Closed_loop ->
@@ -922,71 +905,21 @@ let run cfg =
   let m = st.metrics in
   let measured = p.Params.duration -. p.Params.warmup in
   let checker_started = Sys.time () in
-  let check_errors, check_report =
-    if not cfg.record_history then ([], None)
-    else begin
-      let errors = ref [] in
-      let report =
-        Checker.analyze ~clock:(Replica_set.clock rs) (Replica_set.history rs)
-      in
-      List.iter
-        (fun v -> errors := ("weak SI violation: " ^ v) :: !errors)
-        report.Checker.weak_si_violations;
-      List.iter
-        (fun v -> errors := v :: !errors)
-        report.Checker.fence_violations;
-      if not (Checker.satisfies cfg.guarantee report) then
-        errors :=
-          Printf.sprintf "guarantee %s violated"
-            (Session.guarantee_name cfg.guarantee)
-          :: !errors;
-      Array.iter
-        (fun site ->
-          match
-            Checker.check_completeness
-              ~primary:(Primary.db (Replica_set.primary rs))
-              ~secondary:(Secondary.db site.sec)
-          with
-          | Ok () -> ()
-          | Error e ->
-            errors := Printf.sprintf "secondary %d: %s" site.index e :: !errors)
-        st.sites;
-      (List.rev !errors, Some report)
-    end
-  in
+  (* The watchdog's verdict joins the same error list as the post-hoc
+     battery, so a violated guarantee fails the run whether or not a history
+     was recorded. *)
+  let check_errors, check_report = Replica_set.check rs in
   let checker_cpu_s =
     if cfg.record_history then Sys.time () -. checker_started else 0.
   in
-  (* The watchdog's verdict joins the same error channel as the post-hoc
-     battery, so a violated guarantee fails the run whether or not a history
-     was recorded. *)
   let watchdog = Replica_set.watchdog rs in
-  let check_errors =
-    match watchdog with
-    | Some w when not (Watchdog.satisfies w cfg.guarantee) ->
-      check_errors
-      @ [
-          Printf.sprintf "watchdog: guarantee %s violated (%d alerts)"
-            (Session.guarantee_name cfg.guarantee)
-            (Watchdog.verdict w).Watchdog.alerts_total;
-        ]
-    | Some _ | None -> check_errors
-  in
   let secondary_utilization =
     let busy =
       Array.fold_left (fun acc site -> acc +. Resource.busy_time site.res) 0. st.sites
     in
     busy /. (p.Params.duration *. float_of_int (Array.length st.sites))
   in
-  let channel_stats =
-    Array.fold_left
-      (fun acc site ->
-        match site.chan with
-        | Some ch ->
-          Lsr_faults.Channel.add_stats acc (Lsr_faults.Channel.stats ch)
-        | None -> acc)
-      Lsr_faults.Channel.zero_stats st.sites
-  in
+  let channel_stats = Replica_set.channel_stats rs in
   (* Postmortem capture. A watchdog alert already triggered the recorder
      mid-run; a post-hoc battery failure triggers here so history-only runs
      still yield a bundle; otherwise the bundle is the end-of-run window
@@ -1036,12 +969,11 @@ let run cfg =
     secondary_utilization;
     check_errors;
     check_report;
-    channel_dropped = channel_stats.Lsr_faults.Channel.dropped;
-    channel_retransmitted = channel_stats.Lsr_faults.Channel.retransmitted;
-    channel_duplicated = channel_stats.Lsr_faults.Channel.duplicated;
+    channel_dropped = channel_stats.Channel.dropped;
+    channel_retransmitted = channel_stats.Channel.retransmitted;
+    channel_duplicated = channel_stats.Channel.duplicated;
     channel_max_queue =
-      max channel_stats.Lsr_faults.Channel.max_flight
-        channel_stats.Lsr_faults.Channel.max_ooo;
+      max channel_stats.Channel.max_flight channel_stats.Channel.max_ooo;
     sim_events = Engine.events_processed eng;
     checker_cpu_s;
     watchdog_verdict = Option.map Watchdog.verdict watchdog;

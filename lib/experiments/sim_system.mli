@@ -96,15 +96,13 @@ type config = {
           reduces exactly to the strong-session requirement. With
           [record_history] the fence is recorded per read and audited by
           {!Lsr_core.Checker.check_fences} at the end. *)
-  faults : Lsr_faults.Channel.config option;
+  faults : Channel.config option;
       (** when set, each secondary receives propagated records through a
-          fault-injection {!Lsr_faults.Channel} (loss / duplication / delay /
+          fault-injection {!Lsr_core.Channel} (loss / duplication / delay /
           bounded reordering with sequence numbers, acks and retransmission)
-          instead of the paper's reliable FIFO link; [None] (the paper's
-          model) leaves propagation untouched *)
-  fault_tick : float;
-      (** virtual seconds per channel tick (base one-hop latency; also the
-          granularity of retransmission timeouts) *)
+          ticking once per virtual second, instead of the paper's reliable
+          FIFO link; [None] (the paper's model) leaves propagation
+          untouched *)
   obs : Lsr_obs.Obs.t;
       (** observability sink: counters and queue-depth gauges from every
           layer (propagation, per-site refresh machinery, fault channels),
@@ -139,8 +137,7 @@ type config = {
 }
 
 (** [config params guarantee ~seed] with ablations off, closed-loop clients,
-    no recording, no fault injection ([fault_tick] defaults to 1 s) and no
-    observability. *)
+    no recording, no fault injection and no observability. *)
 val config : Params.t -> Session.guarantee -> seed:int -> config
 
 (** [offered_rate p ~clients] is the per-site transaction arrival rate (per
@@ -207,8 +204,8 @@ type outcome = {
   primary_utilization : float;
   secondary_utilization : float;  (** mean over secondaries *)
   check_errors : string list;
-      (** empty when the run satisfied its guarantee (always empty when
-          [record_history = false]) *)
+      (** the end-of-run verdict ({!Lsr_core.Replica_set.check}): empty
+          when the run satisfied its guarantee *)
   check_report : Lsr_core.Checker.report option;
       (** the full checker battery report behind [check_errors] ([None]
           when [record_history = false]) — lets callers ask finer questions

@@ -4,7 +4,7 @@
     A process is an ordinary OCaml function executed under an effect handler.
     Inside a process, {!delay} advances virtual time and {!suspend} parks the
     process until some other party calls the waker it was given. All
-    higher-level synchronization ({!Condition}, {!Mailbox}, {!Resource}) is
+    higher-level synchronization ({!Condition}, {!Seqcond}, {!Resource}) is
     built on these two primitives.
 
     Processes are cooperative and single-domain: exactly one process runs at

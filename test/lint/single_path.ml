@@ -2,17 +2,26 @@
    [Lsr_core.Replica_set], and every pipeline stage through
    [Lsr_obs.Sinks.stage]. Fails when any other library module records into
    the history, drives watchdog tokens, or notes commits, reads, stages,
-   crashes or recoveries in the flight recorder directly.
+   crashes or recoveries in the flight recorder directly; and when any
+   module but [Replica_set] runs the end-of-run verdict's checks or builds
+   a fault channel, which the replica set owns per secondary.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
 
-let allowed = [ "replica_set.ml"; "sinks.ml" ]
-
-let forbidden =
-  [ "History.add"; "Watchdog.begin_"; "Watchdog.end_"; "Flight.note_commit";
-    "Flight.note_read"; "Flight.note_stage"; "Flight.note_crash";
-    "Flight.note_recovery" ]
+(* (modules allowed to make the calls, how to name them, the calls) *)
+let rules =
+  [
+    ( [ "replica_set.ml"; "sinks.ml" ],
+      "Replica_set / Lsr_obs.Sinks",
+      [ "History.add"; "Watchdog.begin_"; "Watchdog.end_";
+        "Flight.note_commit"; "Flight.note_read"; "Flight.note_stage";
+        "Flight.note_crash"; "Flight.note_recovery" ] );
+    ( [ "replica_set.ml" ],
+      "Replica_set",
+      [ "Checker.analyze"; "Checker.check_completeness";
+        "Checker.same_state"; "Channel.create" ] );
+  ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines
    kept so line numbers survive. *)
@@ -97,18 +106,21 @@ let () =
   let offences = ref 0 in
   List.iter
     (fun file ->
-      if not (List.mem (Filename.basename file) allowed) then
-        List.iteri
-          (fun i line ->
-            List.iter
-              (fun pat ->
-                if mentions line pat then begin
-                  incr offences;
-                  Printf.printf
-                    "%s:%d: %s outside Replica_set / Lsr_obs.Sinks\n" file
-                    (i + 1) pat
-                end)
-              forbidden)
-          (String.split_on_char '\n' (code_only (read_file file))))
+      let lines = String.split_on_char '\n' (code_only (read_file file)) in
+      List.iter
+        (fun (allowed, owner, forbidden) ->
+          if not (List.mem (Filename.basename file) allowed) then
+            List.iteri
+              (fun i line ->
+                List.iter
+                  (fun pat ->
+                    if mentions line pat then begin
+                      incr offences;
+                      Printf.printf "%s:%d: %s outside %s\n" file (i + 1) pat
+                        owner
+                    end)
+                  forbidden)
+              lines)
+        rules)
     files;
   if !offences > 0 then exit 1

@@ -315,15 +315,12 @@ let test_deterministic_bundles_and_diff () =
 (* --- embedded system ------------------------------------------------------------ *)
 
 let test_embedded_channel_faults () =
-  (* The embedded system hands its sinks to the fault-channel factory, so
-     injected channel faults land in its flight recorder. *)
+  (* The embedded system hands its sinks to its fault channels, so injected
+     channel faults land in its flight recorder. *)
   let flight = Flight.create () in
-  let inj =
-    Lsr_faults.Injector.create ~config:Lsr_faults.Channel.chaos ~seed:2024 ()
-  in
   let sys =
-    System.create ~secondaries:2 ~faults:(Lsr_faults.Injector.faults inj)
-      ~flight ~guarantee:Session.Strong_session ()
+    System.create ~secondaries:2 ~faults:(Channel.chaos, 2024) ~flight
+      ~guarantee:Session.Strong_session ()
   in
   let c = System.connect sys "c0" in
   for i = 1 to 20 do

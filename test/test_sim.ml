@@ -661,76 +661,6 @@ let test_seqcond_immediate () =
   Engine.run eng;
   check_bool "threshold already reached returns immediately" true !ran
 
-(* --- Mailbox ------------------------------------------------------------------- *)
-
-let test_mailbox_fifo () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let received = ref [] in
-  Mailbox.send mb 1;
-  Mailbox.send mb 2;
-  Mailbox.send mb 3;
-  Process.spawn eng (fun () ->
-      for _ = 1 to 3 do
-        received := Mailbox.recv mb :: !received
-      done);
-  Engine.run eng;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !received)
-
-let test_mailbox_blocking_recv () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let got_at = ref 0. in
-  Process.spawn eng (fun () ->
-      ignore (Mailbox.recv mb);
-      got_at := Process.now ());
-  Process.spawn eng (fun () ->
-      Process.delay 3.;
-      Mailbox.send mb "hello");
-  Engine.run eng;
-  check_float "recv blocked until send" 3. !got_at
-
-let test_mailbox_peek_length () =
-  let mb = Mailbox.create () in
-  check_bool "empty" true (Mailbox.is_empty mb);
-  Mailbox.send mb 7;
-  Mailbox.send mb 8;
-  check_int "length" 2 (Mailbox.length mb);
-  check_int "peek is oldest" 7 (Option.get (Mailbox.peek mb))
-
-(* Depth telemetry on a hand-computable schedule: two messages queued at
-   t=0, drained at t=1 and t=3. *)
-let test_mailbox_telemetry () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create ~clock:(fun () -> Engine.now eng) () in
-  Process.spawn eng (fun () ->
-      Mailbox.send mb "a";
-      Mailbox.send mb "b");
-  Process.spawn_at eng ~delay:1. (fun () -> ignore (Mailbox.recv mb));
-  Process.spawn_at eng ~delay:3. (fun () -> ignore (Mailbox.recv mb));
-  Engine.run eng;
-  check_int "sends" 2 (Mailbox.sends mb);
-  check_int "recvs" 2 (Mailbox.recvs mb);
-  check_int "peak depth" 2 (Mailbox.peak_depth mb);
-  (* depth 2 over [0,1), depth 1 over [1,3): integral 4 over 3 seconds. *)
-  check_float "depth area" 4. (Mailbox.depth_area mb);
-  check_float "mean depth" (4. /. 3.) (Mailbox.mean_depth mb)
-
-(* A direct hand-off to a parked receiver never enqueues: the depth integral
-   stays zero while the send/recv counters still move. *)
-let test_mailbox_handoff_telemetry () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create ~clock:(fun () -> Engine.now eng) () in
-  let got = ref None in
-  Process.spawn eng (fun () -> got := Some (Mailbox.recv mb));
-  Process.spawn_at eng ~delay:1. (fun () -> Mailbox.send mb 7);
-  Engine.run eng;
-  Alcotest.(check (option int)) "delivered" (Some 7) !got;
-  check_int "sends" 1 (Mailbox.sends mb);
-  check_int "recvs" 1 (Mailbox.recvs mb);
-  check_int "peak depth" 0 (Mailbox.peak_depth mb);
-  check_float "depth area" 0. (Mailbox.depth_area mb)
-
 (* --- Resource ------------------------------------------------------------------- *)
 
 let test_resource_fifo () =
@@ -1347,15 +1277,6 @@ let () =
           Alcotest.test_case "rising threshold" `Quick
             test_seqcond_rising_threshold;
           Alcotest.test_case "immediate pass" `Quick test_seqcond_immediate;
-        ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "fifo order" `Quick test_mailbox_fifo;
-          Alcotest.test_case "blocking recv" `Quick test_mailbox_blocking_recv;
-          Alcotest.test_case "peek/length" `Quick test_mailbox_peek_length;
-          Alcotest.test_case "depth telemetry" `Quick test_mailbox_telemetry;
-          Alcotest.test_case "hand-off telemetry" `Quick
-            test_mailbox_handoff_telemetry;
         ] );
       ( "resource",
         [

@@ -190,7 +190,7 @@ let test_differential_faults () =
       let cfg =
         {
           (both_cfg Session.Strong_session ~seed) with
-          Sim_system.faults = Some Lsr_faults.Channel.chaos;
+          Sim_system.faults = Some Channel.chaos;
           migrate_prob = 0.2;
         }
       in
@@ -437,6 +437,42 @@ let test_embedded_recovery () =
     (Watchdog.satisfies w Session.Strong_session);
   check_bool "recovery advanced the horizon" true (Watchdog.horizon w > 0)
 
+let test_embedded_check_reports_watchdog () =
+  (* [System.check] carries the watchdog's verdict: a write made at a
+     secondary behind the protocol's back makes the next read there
+     disagree with the primary's state at its snapshot. *)
+  let sys =
+    System.create ~secondaries:1 ~guarantee:Session.Strong_session
+      ~watchdog:true ()
+  in
+  let c = System.connect sys "c" in
+  (match System.update sys c (fun h -> Handle.put h "k" "v") with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "update aborted");
+  System.pump sys;
+  let db = System.secondary_db sys 0 in
+  let txn = Lsr_storage.Mvcc.begin_txn db in
+  Lsr_storage.Mvcc.write db txn "k" (Some "diverged");
+  (match Lsr_storage.Mvcc.commit db txn with
+  | Lsr_storage.Mvcc.Committed _ -> ()
+  | Lsr_storage.Mvcc.Aborted _ -> Alcotest.fail "diverging write aborted");
+  Alcotest.(check (option string))
+    "the read sees the diverged copy" (Some "diverged")
+    (System.read sys c (fun h -> Handle.get h "k"));
+  let v = Watchdog.verdict (Option.get (System.watchdog sys)) in
+  check_int "one read mismatch" 1 v.Watchdog.read_mismatches;
+  match System.check sys with
+  | Ok () -> Alcotest.fail "check passed a diverged secondary"
+  | Error es ->
+    Alcotest.(check bool)
+      (Printf.sprintf "watchdog line in: %s" (String.concat "; " es))
+      true
+      (List.mem
+         (Printf.sprintf "watchdog: guarantee %s violated (%d alerts)"
+            (Session.guarantee_name Session.Strong_session)
+            v.Watchdog.alerts_total)
+         es)
+
 let test_retired_chain_reads_base () =
   (* A key whose only live version retires keeps its record: reads then
      expect the folded base value, and a later write starts a new chain
@@ -522,5 +558,7 @@ let () =
           Alcotest.test_case "continuous retirement" `Quick
             test_embedded_retirement;
           Alcotest.test_case "crash and recovery" `Quick test_embedded_recovery;
+          Alcotest.test_case "System.check reports the watchdog" `Quick
+            test_embedded_check_reports_watchdog;
         ] );
     ]
