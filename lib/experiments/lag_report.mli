@@ -6,8 +6,8 @@
     refresh's lag behind its primary commit.
 
     Counts, the missed mean and the missed max are exact; age and lag
-    quantiles are {!Lsr_obs.Obs.hist_quantile} estimates, within one base-2
-    bucket width of the exact nearest-rank value. Rows come out sorted by
+    quantiles are {!Lsr_obs.Obs.hist_quantile} estimates, within relative
+    error 1/128 of the exact nearest-rank value. Rows come out sorted by
     site name and floats use the canonical {!Lsr_obs.Json.number} form, so
     the report is byte-identical across same-seed runs (the [freshness]
     section of {!Run_report}). A registry spanning several runs reports

@@ -1,4 +1,5 @@
 open Lsr_sim
+module Histogram = Lsr_obs.Histogram
 
 type t = {
   warmup : float;
@@ -6,8 +7,8 @@ type t = {
   mutable fast : int;
   read_rt : Stat.t;
   update_rt : Stat.t;
-  read_rt_hist : Lsr_stats.Histogram.t;
-  update_rt_hist : Lsr_stats.Histogram.t;
+  read_rt_hist : Histogram.t;
+  update_rt_hist : Histogram.t;
   mutable aborts : int;
   mutable fcw_aborts : int;
   mutable blocked : int;
@@ -16,7 +17,7 @@ type t = {
   mutable refreshes : int;
   mutable wasted : int;
   read_age : Stat.t;
-  read_age_hist : Lsr_stats.Histogram.t;
+  read_age_hist : Histogram.t;
   read_missed : Stat.t;
 }
 
@@ -27,8 +28,8 @@ let create ~warmup ~cap =
     fast = 0;
     read_rt = Stat.create ();
     update_rt = Stat.create ();
-    read_rt_hist = Lsr_stats.Histogram.create ();
-    update_rt_hist = Lsr_stats.Histogram.create ();
+    read_rt_hist = Histogram.create ();
+    update_rt_hist = Histogram.create ();
     aborts = 0;
     fcw_aborts = 0;
     blocked = 0;
@@ -37,7 +38,7 @@ let create ~warmup ~cap =
     refreshes = 0;
     wasted = 0;
     read_age = Stat.create ();
-    read_age_hist = Lsr_stats.Histogram.create ();
+    read_age_hist = Histogram.create ();
     read_missed = Stat.create ();
   }
 
@@ -47,7 +48,7 @@ let note_completion t ~now ~response_time ~is_update =
   if measuring t now then begin
     if response_time <= t.cap then t.fast <- t.fast + 1;
     Stat.record (if is_update then t.update_rt else t.read_rt) response_time;
-    Lsr_stats.Histogram.record
+    Histogram.record
       (if is_update then t.update_rt_hist else t.read_rt_hist)
       response_time
   end
@@ -77,7 +78,7 @@ let note_wasted_ops t ~now n = if measuring t now then t.wasted <- t.wasted + n
 let note_read_freshness t ~now ~age ~missed =
   if measuring t now then begin
     Stat.record t.read_age age;
-    Lsr_stats.Histogram.record t.read_age_hist age;
+    Histogram.record t.read_age_hist age;
     Stat.record t.read_missed (float_of_int missed)
   end
 

@@ -45,10 +45,12 @@ val fast_completions : t -> int
 val read_rt : t -> Stat.t
 val update_rt : t -> Stat.t
 
-(** Full response-time distributions (for percentile reporting). *)
-val read_rt_hist : t -> Lsr_stats.Histogram.t
+(** Response-time distributions (for percentile reporting): bounded
+    log-linear histograms, so their quantiles are within 1/128 of the exact
+    nearest-rank sample and their memory is fixed however long the run. *)
+val read_rt_hist : t -> Lsr_obs.Histogram.t
 
-val update_rt_hist : t -> Lsr_stats.Histogram.t
+val update_rt_hist : t -> Lsr_obs.Histogram.t
 val aborts : t -> int
 val fcw_aborts : t -> int
 val blocked_reads : t -> int
@@ -58,7 +60,8 @@ val refresh_commits : t -> int
 val wasted_ops : t -> int
 val read_age : t -> Stat.t
 
-(** Full snapshot-age distribution (for percentile reporting). *)
-val read_age_hist : t -> Lsr_stats.Histogram.t
+(** Snapshot-age distribution (for percentile reporting), bounded like
+    {!read_rt_hist}. *)
+val read_age_hist : t -> Lsr_obs.Histogram.t
 
 val read_missed : t -> Stat.t

@@ -3,6 +3,7 @@ open Lsr_storage
 open Lsr_core
 open Lsr_workload
 module Obs = Lsr_obs.Obs
+module Histogram = Lsr_obs.Histogram
 
 type arrival = Poisson | Mmpp of float
 
@@ -946,9 +947,9 @@ let run cfg =
     throughput_fast = float_of_int (Metrics.fast_completions m) /. measured;
     read_rt_mean = Stat.mean (Metrics.read_rt m);
     update_rt_mean = Stat.mean (Metrics.update_rt m);
-    read_rt_p50 = Lsr_stats.Histogram.median (Metrics.read_rt_hist m);
-    read_rt_p95 = Lsr_stats.Histogram.p95 (Metrics.read_rt_hist m);
-    update_rt_p95 = Lsr_stats.Histogram.p95 (Metrics.update_rt_hist m);
+    read_rt_p50 = Histogram.quantile (Metrics.read_rt_hist m) 0.5;
+    read_rt_p95 = Histogram.quantile (Metrics.read_rt_hist m) 0.95;
+    update_rt_p95 = Histogram.quantile (Metrics.update_rt_hist m) 0.95;
     reads_completed = Stat.count (Metrics.read_rt m);
     updates_completed = Stat.count (Metrics.update_rt m);
     aborts = Metrics.aborts m;
@@ -960,10 +961,9 @@ let run cfg =
     refresh_commits = Metrics.refresh_commits m;
     wasted_ops = Metrics.wasted_ops m;
     read_age_mean = Stat.mean (Metrics.read_age m);
-    read_age_p50 =
-      Lsr_stats.Histogram.median (Metrics.read_age_hist m);
-    read_age_p95 = Lsr_stats.Histogram.p95 (Metrics.read_age_hist m);
-    read_age_p99 = Lsr_stats.Histogram.p99 (Metrics.read_age_hist m);
+    read_age_p50 = Histogram.quantile (Metrics.read_age_hist m) 0.5;
+    read_age_p95 = Histogram.quantile (Metrics.read_age_hist m) 0.95;
+    read_age_p99 = Histogram.quantile (Metrics.read_age_hist m) 0.99;
     read_missed_mean = Stat.mean (Metrics.read_missed m);
     primary_utilization = Resource.busy_time st.primary_res /. p.Params.duration;
     secondary_utilization;

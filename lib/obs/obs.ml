@@ -6,18 +6,7 @@ type gauge = {
   mutable g_seen : bool;
 }
 
-(* Base-2 log-scale buckets: bucket 0 collects values <= 0, bucket i >= 1
-   covers (2^(i-1-offset), 2^(i-offset)]. With offset 40 and 80 buckets the
-   range runs from ~1e-12 to ~5.5e11 — every virtual-time quantity fits. *)
-let hist_offset = 40
-let hist_size = 80
-
-type histogram = {
-  h_live : bool;
-  mutable h_count : int;
-  mutable h_sum : float;
-  h_buckets : int array;
-}
+type histogram = { h_live : bool; hist : Histogram.t }
 
 type instrument =
   | Counter of counter
@@ -69,8 +58,8 @@ let enabled t = t.live
 
 let null_counter = { c_live = false; c_count = 0 }
 let null_gauge = { g_live = false; g_value = 0.; g_peak = 0.; g_seen = false }
-let null_histogram =
-  { h_live = false; h_count = 0; h_sum = 0.; h_buckets = [||] }
+(* Shared but never written: [observe] checks [h_live] first. *)
+let null_histogram = { h_live = false; hist = Histogram.create () }
 let null_span = { sp_live = false; sp_track = 0; sp_name = ""; sp_t0 = 0. }
 
 let kind_name = function
@@ -125,62 +114,12 @@ let histogram t name =
   else
     intern t name
       (function Histogram h -> Some h | _ -> None)
-      (fun () ->
-        Histogram
-          {
-            h_live = true;
-            h_count = 0;
-            h_sum = 0.;
-            h_buckets = Array.make hist_size 0;
-          })
+      (fun () -> Histogram { h_live = true; hist = Histogram.create () })
 
-let bucket_of x =
-  if x <= 0. || not (Float.is_finite x) then 0
-  else begin
-    let _, e = Float.frexp x in
-    (* x = m * 2^e with m in [0.5, 1), so 2^(e-1) <= x < 2^e. *)
-    let i = e + hist_offset in
-    if i < 1 then 1 else if i >= hist_size then hist_size - 1 else i
-  end
-
-(* Upper bound of bucket [i] (used by the exporter). *)
-let bucket_bound i = if i = 0 then 0. else Float.ldexp 1. (i - hist_offset)
-
-let observe h x =
-  if h.h_live then begin
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. x;
-    let i = bucket_of x in
-    h.h_buckets.(i) <- h.h_buckets.(i) + 1
-  end
-
-let hist_count h = h.h_count
-let hist_sum h = h.h_sum
-
-(* Nearest-rank quantile over the log-scale buckets, linearly interpolated
-   within the selected bucket (matching Lsr_stats.Histogram.quantile's rank
-   convention: rank = ceil(q*n), 1-based). The bucket only bounds the value,
-   so the estimate is exact to within one base-2 bucket width. *)
-let hist_quantile h q =
-  if not (q >= 0. && q <= 1.) then invalid_arg "Obs.hist_quantile";
-  if h.h_count = 0 then 0.
-  else begin
-    let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int h.h_count))) in
-    let rec find i cum =
-      if i >= Array.length h.h_buckets then bucket_bound (hist_size - 1)
-      else
-        let n = h.h_buckets.(i) in
-        if cum + n >= rank then
-          if i = 0 then 0.
-          else begin
-            let hi = bucket_bound i in
-            let lo = if i = 1 then 0. else bucket_bound (i - 1) in
-            lo +. (hi -. lo) *. float_of_int (rank - cum) /. float_of_int n
-          end
-        else find (i + 1) (cum + n)
-    in
-    find 0 0
-  end
+let observe h x = if h.h_live then Histogram.record h.hist x
+let hist_count h = Histogram.count h.hist
+let hist_sum h = Histogram.sum h.hist
+let hist_quantile h q = Histogram.quantile h.hist q
 
 (* --- Tracing ----------------------------------------------------------------- *)
 
@@ -264,25 +203,22 @@ let metrics_json t =
   let gauge g =
     Json.Obj [ ("last", Json.Num g.g_value); ("peak", Json.Num g.g_peak) ]
   in
-  let histogram h =
-    let mean = if h.h_count = 0 then 0. else h.h_sum /. float_of_int h.h_count in
+  let histogram { hist = h; _ } =
+    let n = Histogram.count h and sum = Histogram.sum h in
     let buckets =
-      List.filter_map
-        (fun i ->
-          let n = h.h_buckets.(i) in
-          if n > 0 then Some (Json.Arr [ Json.Num (bucket_bound i); int n ])
-          else None)
-        (List.init (Array.length h.h_buckets) Fun.id)
+      Histogram.fold
+        (fun upper k acc -> Json.Arr [ Json.Num upper; int k ] :: acc)
+        h []
     in
     Json.Obj
       [
-        ("count", int h.h_count);
-        ("sum", Json.Num h.h_sum);
-        ("mean", Json.Num mean);
-        ("p50", Json.Num (hist_quantile h 0.5));
-        ("p95", Json.Num (hist_quantile h 0.95));
-        ("p99", Json.Num (hist_quantile h 0.99));
-        ("buckets", Json.Arr buckets);
+        ("count", int n);
+        ("sum", Json.Num sum);
+        ("mean", Json.Num (if n = 0 then 0. else sum /. float_of_int n));
+        ("p50", Json.Num (Histogram.quantile h 0.5));
+        ("p95", Json.Num (Histogram.quantile h 0.95));
+        ("p99", Json.Num (Histogram.quantile h 0.99));
+        ("buckets", Json.Arr (List.rev buckets));
       ]
   in
   let section kind render =

@@ -1,5 +1,5 @@
 (** Observability substrate: a registry of named counters, gauges and
-    log-scale histograms, plus span tracing in simulator virtual time.
+    log-linear histograms, plus span tracing in simulator virtual time.
 
     One {!t} is one measurement domain (typically one simulation run or one
     embedded system). Layers receive it at construction time, intern their
@@ -52,19 +52,19 @@ val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
 val gauge_peak : gauge -> float
 
-(** [histogram t name] interns a base-2 log-scale histogram: values fall
-    into buckets of exponentially growing width, so response times spanning
-    microseconds to minutes fit in a fixed 80-slot array. *)
+(** [histogram t name] interns a {!Histogram}: 64 linear sub-buckets per
+    power of two in one fixed array, so response times spanning
+    microseconds to minutes fit in constant memory and {!observe} allocates
+    nothing. *)
 val histogram : t -> string -> histogram
 
 val observe : histogram -> float -> unit
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 
-(** [hist_quantile h q] estimates the [q]-quantile (nearest-rank, matching
-    [Lsr_stats.Histogram.quantile]) from the log-scale buckets, linearly
-    interpolated within the selected bucket — exact to within one base-2
-    bucket width. 0 on an empty histogram.
+(** [hist_quantile h q] is {!Histogram.quantile}: the midpoint of the
+    bucket holding the nearest-rank sample, within relative error 1/128 of
+    it (exactly 0 for samples [<= 0]). 0 on an empty histogram.
     @raise Invalid_argument unless [0 <= q <= 1]. *)
 val hist_quantile : histogram -> float -> float
 
@@ -103,7 +103,9 @@ val event_count : t -> int
       "histograms":{name:{"count":..,"sum":..,"mean":..,
                           "p50":..,"p95":..,"p99":..,
                           "buckets":[[upper_bound, count],..]}}}],
-    instruments sorted by name. Quantiles are {!hist_quantile} estimates. *)
+    instruments sorted by name. Quantiles are {!hist_quantile} estimates;
+    [buckets] lists the non-empty buckets in increasing order, each by its
+    exclusive upper bound (0 for the zero bucket). *)
 val metrics_json : t -> Json.t
 
 (** Chrome [trace_event] JSON (the [{"traceEvents":[..]}] envelope):

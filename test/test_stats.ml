@@ -1,7 +1,9 @@
 (* Tests for the statistics package (lsr_stats): confidence intervals and
-   table rendering. *)
+   table rendering; and for the bounded log-linear histogram
+   (Lsr_obs.Histogram) that every reported quantile comes from. *)
 
 open Lsr_stats
+module Histogram = Lsr_obs.Histogram
 
 let check_bool = Alcotest.(check bool)
 
@@ -93,51 +95,132 @@ let test_float_cell () =
 
 (* --- Histogram ------------------------------------------------------------- *)
 
+(* A bucket midpoint is within relative error alpha = 1/128 of every sample
+   in the bucket, and exactly 0 for the zero bucket. *)
+let alpha = 1. /. 128.
+
+let within_alpha ~exact est =
+  if exact = 0. then est = 0. else Float.abs (est -. exact) <= alpha *. exact
+
+let check_near msg exact est =
+  if not (within_alpha ~exact est) then
+    Alcotest.failf "%s: %g is not within 1/128 of %g" msg est exact
+
 let test_histogram_quantiles () =
   let h = Histogram.create () in
   for i = 1 to 100 do
     Histogram.record h (float_of_int i)
   done;
   Alcotest.(check int) "count" 100 (Histogram.count h);
-  Alcotest.(check (float 0.)) "median" 50. (Histogram.median h);
-  Alcotest.(check (float 0.)) "p95" 95. (Histogram.p95 h);
-  Alcotest.(check (float 0.)) "p99" 99. (Histogram.p99 h);
-  Alcotest.(check (float 0.)) "q=0 is min" 1. (Histogram.quantile h 0.);
-  Alcotest.(check (float 0.)) "q=1 is max" 100. (Histogram.quantile h 1.)
+  Alcotest.(check (float 0.)) "sum" 5050. (Histogram.sum h);
+  check_near "median" 50. (Histogram.quantile h 0.5);
+  check_near "p95" 95. (Histogram.quantile h 0.95);
+  check_near "p99" 99. (Histogram.quantile h 0.99);
+  check_near "q=0 is min" 1. (Histogram.quantile h 0.);
+  check_near "q=1 is max" 100. (Histogram.quantile h 1.)
 
 let test_histogram_unsorted_input () =
   let h = Histogram.create () in
   List.iter (Histogram.record h) [ 5.; 1.; 9.; 3.; 7. ];
-  Alcotest.(check (float 0.)) "median of odd set" 5. (Histogram.median h);
-  (* More samples after a quantile query invalidate the cache. *)
+  check_near "median of odd set" 5. (Histogram.quantile h 0.5);
   Histogram.record h 11.;
-  Alcotest.(check (float 0.)) "max updates" 11. (Histogram.quantile h 1.)
+  check_near "max updates" 11. (Histogram.quantile h 1.)
 
-let test_histogram_empty_and_clear () =
+let check_quantiles msg h qs expected =
+  List.iter
+    (fun q -> Alcotest.(check (float 0.)) msg expected (Histogram.quantile h q))
+    qs
+
+let test_histogram_empty_and_zero () =
   let h = Histogram.create () in
-  Alcotest.(check (float 0.)) "empty quantile" 0. (Histogram.p95 h);
-  Histogram.record h 4.;
-  Histogram.clear h;
-  Alcotest.(check int) "cleared" 0 (Histogram.count h)
+  check_quantiles "empty quantile" h [ 0.; 0.5; 1. ] 0.;
+  Alcotest.(check int) "empty count" 0 (Histogram.count h);
+  List.iter (Histogram.record h) [ 0.; -0.; 0.; 0. ];
+  check_quantiles "all-zero quantile" h [ 0.; 0.25; 0.5; 0.99; 1. ] 0.;
+  Alcotest.(check int) "zeros count" 4 (Histogram.count h)
+
+(* Outside [2^-40, 2^40) samples count in the first or last bucket; NaN
+   counts as zero. *)
+let test_histogram_clamps () =
+  let h = Histogram.create () in
+  List.iter (Histogram.record h) [ nan; 1e-15; 2e15 ];
+  Alcotest.(check (float 0.)) "NaN in the zero bucket" 0.
+    (Histogram.quantile h 0.);
+  Alcotest.(check (float 0.)) "tiny in the first bucket"
+    (Float.ldexp (1. +. (1. /. 128.)) (-40))
+    (Histogram.quantile h 0.5);
+  Alcotest.(check (float 0.)) "huge in the last bucket"
+    (Float.ldexp (2. -. (1. /. 128.)) 39)
+    (Histogram.quantile h 1.)
 
 let test_histogram_bad_q () =
   let h = Histogram.create () in
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Histogram.quantile: q outside [0, 1]") (fun () ->
-      ignore (Histogram.quantile h 1.5))
+  List.iter
+    (fun q ->
+      Alcotest.check_raises (Printf.sprintf "q = %g" q)
+        (Invalid_argument "Histogram.quantile: q outside [0, 1]") (fun () ->
+          ignore (Histogram.quantile h q)))
+    [ 1.5; -0.1; nan ]
+
+(* Samples spanning 2^-30 to 2^30, after a block of exact zeros. *)
+let gen_samples =
+  QCheck.Gen.(
+    map2
+      (fun zeros xs -> List.init zeros (fun _ -> 0.) @ xs)
+      (int_range 0 10)
+      (list_size (int_range 1 50)
+         (map2 Float.ldexp (float_range 1. 2.) (int_range (-30) 30))))
 
 let prop_histogram_matches_sorted_list =
-  QCheck.Test.make ~name:"quantile = nearest rank of sorted samples" ~count:300
-    QCheck.(pair (list_of_size (Gen.int_range 1 50) (float_range (-100.) 100.))
-              (float_range 0.01 1.))
+  QCheck.Test.make
+    ~name:"quantile = nearest rank of sorted samples, within 1/128" ~count:500
+    QCheck.(
+      pair (make ~print:Print.(list float) gen_samples) (float_range 0. 1.))
     (fun (xs, q) ->
       let h = Histogram.create () in
       List.iter (Histogram.record h) xs;
       let sorted = List.sort Float.compare xs in
       let n = List.length xs in
-      let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-      let expected = List.nth sorted (max 0 (min (n - 1) (rank - 1))) in
-      Histogram.quantile h q = expected)
+      let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+      within_alpha ~exact:(List.nth sorted (rank - 1)) (Histogram.quantile h q)
+      && Histogram.count h = n
+      && Histogram.sum h = List.fold_left ( +. ) 0. xs)
+
+(* Pre-boxed samples across the whole range (zero, both clamps, NaN), so the
+   loops below allocate nothing of their own. *)
+let spread = [ 0.; 1e-15; 3.5e-4; 0.02; 1.; 7.25; 130.; 4e5; 2e15; nan ]
+
+let rec record_from h n = function
+  | [] -> if n > 0 then record_from h n spread
+  | x :: rest ->
+    if n > 0 then begin
+      Histogram.record h x;
+      record_from h (n - 1) rest
+    end
+
+let record_n h n = record_from h n spread
+
+(* Neither heap grows: an exact sample store would allocate its growing
+   arrays directly on the major heap. *)
+let test_histogram_record_allocates_nothing () =
+  let h = Histogram.create () in
+  Histogram.record h 1.;
+  let _, _, major_before = Gc.counters () in
+  let before = Gc.minor_words () in
+  record_n h 1_000_000;
+  let words = Gc.minor_words () -. before in
+  let _, _, major_after = Gc.counters () in
+  Alcotest.(check (float 0.)) "minor words for 1e6 records" 0. words;
+  Alcotest.(check (float 0.)) "major words for 1e6 records" 0.
+    (major_after -. major_before)
+
+let test_histogram_fixed_memory () =
+  let h = Histogram.create () in
+  record_n h 10;
+  let small = Obj.reachable_words (Obj.repr h) in
+  record_n h 1_000_000;
+  Alcotest.(check int) "reachable words after 1e6 samples" small
+    (Obj.reachable_words (Obj.repr h))
 
 let () =
   Alcotest.run "lsr_stats"
@@ -160,9 +243,17 @@ let () =
         [
           Alcotest.test_case "quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "unsorted input" `Quick test_histogram_unsorted_input;
-          Alcotest.test_case "empty/clear" `Quick test_histogram_empty_and_clear;
+          Alcotest.test_case "empty/all-zero" `Quick
+            test_histogram_empty_and_zero;
           Alcotest.test_case "bad q" `Quick test_histogram_bad_q;
           QCheck_alcotest.to_alcotest prop_histogram_matches_sorted_list;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "record allocates nothing" `Quick
+            test_histogram_record_allocates_nothing;
+          Alcotest.test_case "fixed memory" `Quick test_histogram_fixed_memory;
+          Alcotest.test_case "out-of-range clamps" `Quick test_histogram_clamps;
         ] );
       ( "table_fmt",
         [
