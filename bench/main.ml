@@ -337,7 +337,7 @@ let micro_tests () =
       (Staged.stage (fun () ->
            let open Lsr_sim in
            let eng = Engine.create () in
-           let cpu = Resource.create eng ~discipline:Resource.Processor_sharing in
+           let cpu = Resource.create eng in
            Process.spawn eng (fun () ->
                for _ = 1 to 100 do
                  Resource.use cpu 1e-6

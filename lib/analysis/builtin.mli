@@ -4,17 +4,13 @@
     pair (must be flagged) and a pure read-only + disjoint-writer mix (must
     come back clean) — and the symbolic {!Lsr_workload.Txn_gen} pair. *)
 
-val tpcw : unit -> Template.t list
-val write_skew : unit -> Template.t list
-val disjoint : unit -> Template.t list
-val txn_gen : unit -> Template.t list
-
 (** Read-heavy mix with exactly one inversion-prone reader ([read_inbox],
     raced by [post_message]) and two readers of never-written regions: the
     showcase for mixed per-template fence assignment ({!Plan}). *)
 val fence_mix : unit -> Template.t list
 
-(** All of the above, keyed by workload name, in report order. *)
+(** Every built-in workload, keyed by name ([tpcw], [write_skew],
+    [disjoint], [txn_gen], [fence_mix]), in report order. *)
 val workloads : unit -> (string * Template.t list) list
 
 (** [find name] is the workload of that name. *)

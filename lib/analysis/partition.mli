@@ -23,8 +23,6 @@ type atom = {
 (** ["books['k1']"] or ["books[rest]"]. *)
 val atom_name : atom -> string
 
-val compare_atom : atom -> atom -> int
-
 type route = {
   template : string;
   read_only : bool;

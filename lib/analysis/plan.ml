@@ -111,10 +111,6 @@ let infer ?shards ~workload templates =
     shard_levels;
   }
 
-let assignment t name = List.find_opt (fun a -> a.template = name) t.assignments
-
-let fence_for t name = Option.bind (assignment t name) (fun a -> a.fence)
-
 let readers t = List.filter (fun a -> a.read_only) t.assignments
 
 let mixed_cost t = List.fold_left (fun acc a -> acc + cost a.level) 0 (readers t)

@@ -48,17 +48,10 @@ type t = {
     @raise Template.Duplicate_template as {!Sdg.build}. *)
 val infer : ?shards:int -> workload:string -> Template.t list -> t
 
-val assignment : t -> string -> assignment option
-
-(** The fence the plan assigns to a template's reads ([None] = unfenced). *)
-val fence_for : t -> string -> Lsr_core.Session.fence option
-
-(** Guarantee price ladder: [Weak]=0, [Prefix_consistent]=1,
-    [Strong_session]=2, [Strong]=3 — each step buys the reader another
+(** Sum of the guarantee prices over read-only templates under the mixed
+    plan. The price ladder is [Weak]=0, [Prefix_consistent]=1,
+    [Strong_session]=2, [Strong]=3: each step buys the reader another
     blocking condition. *)
-val cost : Lsr_core.Session.guarantee -> int
-
-(** Sum of {!cost} over read-only templates under the mixed plan. *)
 val mixed_cost : t -> int
 
 (** Same sum if every read-only template ran at [t.uniform]. *)

@@ -42,6 +42,7 @@ let rw_vulnerable (a : Template.t) (ra : Symbolic.access) =
          a.footprint.Symbolic.writes)
   | Symbolic.Range _ | Symbolic.Scan -> true
 
+(* Total order over dependency kinds, to sort edge lists canonically. *)
 let dep_rank = function Ww -> 0 | Wr -> 1 | Rw -> 2
 
 (* One edge per (src, dst, dep), keeping the first witnessing access pair —

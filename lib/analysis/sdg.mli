@@ -51,10 +51,6 @@ type t = {
 
 val dep_name : dep -> string
 
-(** Total order over dependency kinds ([Ww] < [Wr] < [Rw]) used to sort
-    edge lists canonically. *)
-val dep_rank : dep -> int
-
 (** [build templates] — edges are returned sorted by [(src, dst, dep)], so
     every report derived from the graph is byte-stable.
     @raise Template.Duplicate_template when two templates share a name

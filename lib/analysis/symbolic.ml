@@ -42,6 +42,8 @@ let rec conjuncts = function
   | Ast.And (a, b) -> conjuncts a @ conjuncts b
   | c -> [ c ]
 
+(* [Exact] when the AND spine contains a pk-equality conjunct, [Scan] for
+   TRUE, [Range] otherwise. *)
 let region_of_where where =
   let pk_eq =
     List.find_map
@@ -55,9 +57,6 @@ let region_of_where where =
   | None -> ( match where with Ast.True -> Scan | cond -> Range cond)
 
 let access table where = { table; region = region_of_where where }
-
-let predicate_read a =
-  match a.region with Exact _ -> false | Range _ | Scan -> true
 
 let equal_key a b =
   match (a, b) with

@@ -42,26 +42,11 @@ type footprint = {
 
 val empty : footprint
 
-(** [key_of_literal lit] is the symbolic key a pk-comparison literal denotes
-    ([Text ":x"] is the parameter [x]; [Text]/[Int] constants normalize the
-    way the executor derives storage keys). [None] for literals that cannot
-    be a pk ([Float], [Bool], [Null]). *)
-val key_of_literal : Lsr_sql.Ast.literal -> key option
-
-(** [region_of_where cond] classifies a WHERE clause: [Exact] when the AND
-    spine contains a pk-equality conjunct, [Scan] for TRUE, [Range]
-    otherwise. *)
-val region_of_where : Lsr_sql.Ast.cond -> region
-
 (** Symbolic footprint of one statement. EXPLAIN accesses nothing. *)
 val statement_footprint : Lsr_sql.Ast.statement -> footprint
 
 (** Union with deduplication. *)
 val union : footprint -> footprint -> footprint
-
-(** [predicate_read a] — does the access evaluate a search condition over
-    the table (phantom-prone), as opposed to an exact-key lookup? *)
-val predicate_read : access -> bool
 
 (** Conservative overlap test; [false] only when instances of the two
     accesses can never touch a common row. *)
@@ -78,5 +63,4 @@ val bind :
   (string * Lsr_sql.Ast.literal) list -> Lsr_sql.Ast.statement ->
   Lsr_sql.Ast.statement
 
-val pp_access : Format.formatter -> access -> unit
 val access_to_string : access -> string

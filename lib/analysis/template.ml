@@ -7,6 +7,7 @@ type t = {
   footprint : Symbolic.footprint;
 }
 
+(* Routing and footprint derived from the statements. *)
 let make ~name statements =
   {
     name;
@@ -18,6 +19,7 @@ let make ~name statements =
         Symbolic.empty statements;
   }
 
+(* The typed error names the offending statement. *)
 let of_sql ~name sqls =
   Result.map (make ~name) (Sql.parse_script sqls)
 
@@ -27,31 +29,10 @@ let of_sql_exn ~name sqls =
   | Error e ->
     failwith (Printf.sprintf "template %s: %s" name (Sql.error_message e))
 
+(* Table name under which raw key-value accesses are modelled. *)
 let kv_table = "(kv)"
 
 let kv_access key = { Symbolic.table = kv_table; region = Symbolic.Exact key }
-
-let of_ops ~name ops =
-  let footprint =
-    List.fold_left
-      (fun acc op ->
-        match op with
-        | Lsr_workload.Txn_gen.Read_op k ->
-          Symbolic.union acc
-            { Symbolic.reads = [ kv_access (Symbolic.Const k) ]; writes = [] }
-        | Lsr_workload.Txn_gen.Write_op (k, _) ->
-          Symbolic.union acc
-            { Symbolic.reads = []; writes = [ kv_access (Symbolic.Const k) ] })
-      Symbolic.empty ops
-  in
-  let read_only =
-    List.for_all
-      (function
-        | Lsr_workload.Txn_gen.Read_op _ -> true
-        | Lsr_workload.Txn_gen.Write_op _ -> false)
-      ops
-  in
-  { name; statements = []; read_only; footprint }
 
 (* The generator draws every key independently from one shared (possibly
    skewed) key space, so symbolically each access is a free parameter: any

@@ -14,29 +14,14 @@ type t = {
   footprint : Symbolic.footprint;
 }
 
-(** [make ~name stmts] derives routing and footprint from the statements. *)
-val make : name:string -> Lsr_sql.Ast.statement list -> t
-
-(** [of_sql ~name sqls] parses each statement ({!Lsr_sql.Sql.parse_script});
-    the typed error names the offending statement. *)
-val of_sql : name:string -> string list -> (t, Lsr_sql.Sql.error) result
-
 (** @raise Failure on a malformed statement (carries the typed error's
     message); for statically-known template text. *)
 val of_sql_exn : name:string -> string list -> t
-
-(** [of_ops ~name ops] is the template of one concrete
-    {!Lsr_workload.Txn_gen} operation list: exact-key accesses to the shared
-    key-value namespace (table {!kv_table}). *)
-val of_ops : name:string -> Lsr_workload.Txn_gen.op list -> t
 
 (** The two symbolic templates of the {!Lsr_workload.Txn_gen} generator —
     a read-only and an update transaction over the shared key space, every
     key a free parameter (so any two instances may collide). *)
 val txn_gen_templates : unit -> t list
-
-(** Table name under which raw key-value accesses are modelled. *)
-val kv_table : string
 
 (** Raised by {!check_distinct} with the offending name. Template names are
     SDG node identities, so a duplicate would silently merge two distinct

@@ -9,19 +9,6 @@ type op =
 type history = op list
 type witness = int * int
 
-let pp_op ppf = function
-  | Begin t -> Format.fprintf ppf "b%d" t
-  | Read { txn; key; value } ->
-    Format.fprintf ppf "r%d(%s)=%s" txn key
-      (match value with Some v -> v | None -> "-")
-  | Pred_read { txn; pred; result } ->
-    Format.fprintf ppf "r%d<%s>={%s}" txn pred (String.concat "," result)
-  | Write { txn; key; value; _ } ->
-    Format.fprintf ppf "w%d(%s:=%s)" txn key
-      (match value with Some v -> v | None -> "-")
-  | Commit t -> Format.fprintf ppf "c%d" t
-  | Abort t -> Format.fprintf ppf "a%d" t
-
 (* Indexed view of a history: each op paired with its position. *)
 let indexed h = List.mapi (fun i op -> (i, op)) h
 
@@ -271,7 +258,3 @@ let write_skews h =
         committed)
     committed;
   uniq !result
-
-let si_safe h =
-  dirty_writes h = [] && dirty_reads h = [] && fuzzy_reads h = []
-  && phantoms h = [] && lost_updates h = []

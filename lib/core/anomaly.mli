@@ -48,8 +48,3 @@ val lost_updates : history -> witness list
 val write_skews : history -> witness list
 (** P5: committed concurrent transactions with disjoint write sets, each
     reading something the other wrote. *)
-
-(** True when none of P0–P4 occur (the anomalies SI excludes). *)
-val si_safe : history -> bool
-
-val pp_op : Format.formatter -> op -> unit

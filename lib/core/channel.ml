@@ -113,13 +113,6 @@ let add_stats a b =
     max_ooo = max a.max_ooo b.max_ooo;
   }
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "sent %d, delivered %d, dropped %d, dup %d, delayed %d, reordered %d, \
-     retransmitted %d, acks dropped %d, stale %d, max flight %d, max ooo %d"
-    s.sent s.delivered s.dropped s.duplicated s.delayed s.reordered
-    s.retransmitted s.acks_dropped s.stale_ignored s.max_flight s.max_ooo
-
 type message = { seq : int; record : Txn_record.t }
 
 (* One copy of a message traversing the network. *)
@@ -205,10 +198,7 @@ let emit_stage t record stage =
       ~txn:(Txn_record.txn record)
       (stage (Txn_record.kind_name record))
 
-let config t = t.cfg
 let stats t = t.s
-let now t = t.clock
-let unacked t = List.length t.pending
 
 let idle t =
   t.pending = [] && t.flight = [] && t.ack_flight = []
@@ -348,17 +338,6 @@ let tick t =
   t.s <- { t.s with delivered = t.s.delivered + List.length out };
   Lsr_obs.Obs.incr t.oc.oc_delivered ~by:(List.length out);
   out
-
-let drain t =
-  let out = ref [] in
-  let ticks = ref 0 in
-  while not (idle t) do
-    incr ticks;
-    if !ticks > 100_000 then
-      failwith "Channel.drain: not quiescent after 100000 ticks";
-    out := List.rev_append (tick t) !out
-  done;
-  List.rev !out
 
 let reset t =
   t.next_seq <- 0;

@@ -66,8 +66,6 @@ val zero_stats : stats
 (** Pointwise sum; the [max_*] fields take the maximum. *)
 val add_stats : stats -> stats -> stats
 
-val pp_stats : Format.formatter -> stats -> unit
-
 type t
 
 (** [create ~rng ()] is a fresh channel. Mutates [rng] on every send/tick.
@@ -92,8 +90,6 @@ val create :
   unit ->
   t
 
-val config : t -> config
-
 (** [send t records] accepts a batch from the propagator: each record gets
     the next sequence number and is transmitted (subject to faults). *)
 val send : t -> Txn_record.t list -> unit
@@ -102,11 +98,6 @@ val send : t -> Txn_record.t list -> unit
     delivered (returned oldest first), a cumulative ack is emitted, acked
     messages are released and timed-out ones retransmitted. *)
 val tick : t -> Txn_record.t list
-
-(** [drain t] ticks until {!idle}, concatenating deliveries.
-    @raise Failure after 100_000 ticks without quiescing — only possible
-    with a saturated loss rate. *)
-val drain : t -> Txn_record.t list
 
 (** Nothing buffered anywhere: no unacked messages, nothing in flight, no
     out-of-order arrivals held back. Every sent record has been delivered. *)
@@ -118,9 +109,3 @@ val idle : t -> bool
 val reset : t -> unit
 
 val stats : t -> stats
-
-(** Current tick count (diagnostic). *)
-val now : t -> int
-
-(** Messages sent but not yet cumulatively acked (diagnostic). *)
-val unacked : t -> int

@@ -225,14 +225,6 @@ let inversions ?(same_session_only = false) ?(earlier_updates_only = false)
   | true, false -> r.inversions_in_session
   | true, true -> r.inversions_after_update
 
-let is_strong_si history = inversions history = []
-
-let is_strong_session_si history =
-  inversions ~same_session_only:true history = []
-
-let check_fences ?clock history =
-  (wall_sweep ?clock (committed_txns history)).fence_violations
-
 (* --- Serializability via the multi-version serialization graph -------------
 
    Polynomial-time black-box construction in the style of Huang et al.'s
@@ -362,8 +354,6 @@ let serialization_cycle history =
   match Array.iter (fun (t : History.txn) -> visit t.id) txns with
   | () -> None
   | exception Found cycle -> Some cycle
-
-let is_serializable history = serialization_cycle history = None
 
 (* --- Completeness ----------------------------------------------------------
 

@@ -14,8 +14,8 @@
     transactions, so no routine may enumerate candidate orders or walk a
     version chain per read. [analyze] sorts the committed transactions once
     by first operation and once by finish, and one wall-order sweep yields
-    the inversions at every level and the fence audit ([inversions] and
-    [check_fences] are projections of it); [check_weak_si] is one more
+    the inversions at every level and the fence audit ([inversions] is a
+    projection of it); [check_weak_si] is one more
     sorted sweep. All of it is O(n log n) plus O(R) over recorded reads, in
     O(n + K) extra words for K written keys. [check_completeness] compares
     states key by key and materializes none. [serialization_cycle] builds
@@ -35,13 +35,6 @@ val pp_inversion : Format.formatter -> inversion -> unit
 val inversions :
   ?same_session_only:bool -> ?earlier_updates_only:bool -> History.t ->
   inversion list
-
-(** [is_strong_si h] — no inversion between any pair (Definition 2.1). *)
-val is_strong_si : History.t -> bool
-
-(** [is_strong_session_si h] — no inversion within any session
-    (Definition 2.2). *)
-val is_strong_session_si : History.t -> bool
 
 (** [check_weak_si h] verifies that the history is (global) weak SI: every
     committed transaction observed a transaction-consistent snapshot
@@ -77,9 +70,6 @@ val check_weak_si : History.t -> string list
     ids, in order) when one exists. *)
 val serialization_cycle : History.t -> int list option
 
-(** [is_serializable h] — no cycle in the serialization graph. *)
-val is_serializable : History.t -> bool
-
 (** [check_completeness ~primary ~secondary] verifies Theorem 3.1 on actual
     database instances: the sequence of committed states of [secondary] is a
     prefix of the primary's — same writesets installed in the same order —
@@ -92,17 +82,6 @@ val check_completeness : primary:Mvcc.t -> secondary:Mvcc.t -> (unit, string) re
     [actual]'s latest committed state. Compares key by key with
     {!Mvcc.fold_visible} and {!Mvcc.read_at}; allocates nothing per key. *)
 val same_state : Mvcc.t -> at:Timestamp.t -> Mvcc.t -> bool
-
-(** [check_fences ?clock h] audits every committed fenced read: its recorded
-    snapshot must actually satisfy its {!History.fence_claim}. [Exact] is
-    checked against the fence timestamp, [Session_seq] against the session's
-    wall-order fence floor (earlier committed updates and earlier
-    [Session_seq]-fenced reads of the same session), and [Max_age] against
-    the commit-visibility horizon replayed from [clock] at
-    [read_at - age] — a [Max_age] claim with no [clock] is itself reported
-    as a violation. Returns violation descriptions (empty = all fences
-    honoured). *)
-val check_fences : ?clock:Session.clock -> History.t -> string list
 
 (** Full report for a finished run: weak-SI violations, inversions at each
     strictness level, and fence-audit violations. *)
@@ -117,7 +96,7 @@ type report = {
 }
 
 (** [analyze ?clock h] — [clock] is the primary's commit clock, needed to
-    audit [Max_age] fences (see {!check_fences}). *)
+    audit [Max_age] fences (see [fence_violations]). *)
 val analyze : ?clock:Session.clock -> History.t -> report
 
 (** [satisfies guarantee report] — does the run meet the advertised

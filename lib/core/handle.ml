@@ -8,8 +8,6 @@ type t = {
 }
 
 let make ?(schema = []) db txn = { db; txn; schema; reads = [] }
-let db t = t.db
-let txn t = t.txn
 
 let get t key =
   let value = Mvcc.read t.db t.txn key in

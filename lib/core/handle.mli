@@ -14,9 +14,6 @@ type t
     tables not listed have no indexes. *)
 val make : ?schema:(string * string list) list -> Mvcc.t -> Mvcc.txn -> t
 
-val db : t -> Mvcc.t
-val txn : t -> Mvcc.txn
-
 (** {2 Key-value access (recorded)} *)
 
 val get : t -> string -> string option

@@ -11,17 +11,16 @@
     serializable (read-only transactions see committed prefixes).
 
     The price is concurrency — exactly the trade-off the paper leverages in
-    the other direction. The ablation benchmarks quantify it. *)
+    the other direction. [examples/serializable.ml] shows write skew under
+    plain SI and its prevention with tickets. *)
 
 open Lsr_storage
 
-(** The reserved ticket key ("$ticket$" by default; choose another when
-    sharding the serialization domain, e.g. one ticket per table). *)
-val default_ticket : string
-
 (** [guard ?ticket db txn] makes [txn] conflict with every other guarded
     transaction: it reads the ticket and writes it back incremented. Call it
-    once, at any point before commit. *)
+    once, at any point before commit. The ticket key defaults to
+    ["$ticket$"]; choose another to shard the serialization domain (e.g. one
+    ticket per table). *)
 val guard : ?ticket:string -> Mvcc.t -> Mvcc.txn -> unit
 
 (** [run ?ticket ?max_attempts db body] executes [body] in a guarded

@@ -2,7 +2,7 @@ open Lsr_storage
 
 type t = { db : Mvcc.t }
 
-let create ?(name = "primary") () = { db = Mvcc.create ~name () }
+let create () = { db = Mvcc.create () }
 let db t = t.db
 let wal t = Mvcc.wal t.db
 
@@ -37,5 +37,3 @@ let execute t ?(force_abort = false) body =
       Committed { value; txn = Mvcc.txn_id txn; commit_ts; snapshot; writes }
     | Mvcc.Aborted reason -> Aborted reason
   end
-
-let latest_commit_ts t = Mvcc.latest_commit_ts t.db

@@ -11,7 +11,7 @@ open Lsr_storage
 
 type t
 
-val create : ?name:string -> unit -> t
+val create : unit -> t
 val db : t -> Mvcc.t
 val wal : t -> Wal.t
 
@@ -35,6 +35,3 @@ type 'a outcome =
     transaction saw. Exceptions from [body] abort the transaction and are
     re-raised. *)
 val execute : t -> ?force_abort:bool -> (Mvcc.t -> Mvcc.txn -> 'a) -> 'a outcome
-
-(** Timestamp of the most recent primary commit. *)
-val latest_commit_ts : t -> Timestamp.t

@@ -68,11 +68,11 @@ let make ~name ~sinks db on_refresh_commit =
 
 let create ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
     ?(on_refresh_commit = fun _ -> ()) () =
-  make ~name ~sinks (Mvcc.create ~name ()) on_refresh_commit
+  make ~name ~sinks (Mvcc.create ()) on_refresh_commit
 
 let create_from ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
     ?(on_refresh_commit = fun _ -> ()) backup =
-  make ~name ~sinks (Mvcc.restore ~name backup) on_refresh_commit
+  make ~name ~sinks (Mvcc.restore backup) on_refresh_commit
 
 let db t = t.db
 let name t = t.name
@@ -230,4 +230,3 @@ let update_queue_length t = Queue.length t.update_queue
 let pending_queue_length t = Queue.length t.pending
 let peek_update t = Queue.peek_opt t.update_queue
 let pending_head t = Queue.peek_opt t.pending
-let pending_timestamps t = List.of_seq (Queue.to_seq t.pending)

@@ -141,6 +141,3 @@ val peek_update : t -> Txn_record.t option
 (** Head of the pending queue: the primary commit timestamp that must commit
     locally next. *)
 val pending_head : t -> Timestamp.t option
-
-(** Pending queue contents, head first (primary commit timestamps). *)
-val pending_timestamps : t -> Timestamp.t list

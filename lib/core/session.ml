@@ -12,9 +12,6 @@ let guarantee_name = function
   | Strong_session -> "ALG-STRONG-SESSION-SI"
   | Strong -> "ALG-STRONG-SI"
 
-let pp_guarantee ppf g = Format.pp_print_string ppf (guarantee_name g)
-let all_guarantees = [ Strong_session; Weak; Strong ]
-
 (* --- Freshness fences -------------------------------------------------------- *)
 
 type fence =
@@ -134,6 +131,8 @@ let guarantee t = t.guarantee
 
 let global_label = "<global>"
 
+(* The label used for ordering: the client's own label normally, one global
+   label under [Strong]. (Under [Weak] the result is never consulted.) *)
 let effective_label t label =
   match t.guarantee with
   | Strong -> global_label
@@ -181,6 +180,3 @@ let required_seq ?fence ?clock ?now t ~label =
   match fence with
   | None -> base
   | Some f -> Timestamp.max base (fence_threshold t ?clock ?now ~label f)
-
-let may_read ?fence ?clock ?now t ~label ~seq_dbsec =
-  Timestamp.compare (required_seq ?fence ?clock ?now t ~label) seq_dbsec <= 0

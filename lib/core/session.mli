@@ -32,10 +32,6 @@ type guarantee =
   | Strong
 
 val guarantee_name : guarantee -> string
-val pp_guarantee : Format.formatter -> guarantee -> unit
-
-(** The paper's three algorithms, in plotting order (PCSI excluded). *)
-val all_guarantees : guarantee list
 
 (** An optional per-read freshness fence, turning the discrete guarantee
     ladder into a continuous staleness/latency dial:
@@ -100,11 +96,6 @@ type t
 val create : guarantee -> t
 val guarantee : t -> guarantee
 
-(** [effective_label t label] is the label used for ordering: the client's
-    own label normally, one global label under [Strong]. (Under [Weak] the
-    result is never consulted.) *)
-val effective_label : t -> string -> string
-
 (** [seq t label] is [seq(c)]: the primary commit timestamp of the last
     update transaction committed by session [c] ([Timestamp.zero] if none). *)
 val seq : t -> string -> Timestamp.t
@@ -141,13 +132,3 @@ val fence_threshold :
     blocked readers wait on a threshold queue instead of re-polling. *)
 val required_seq :
   ?fence:fence -> ?clock:clock -> ?now:float -> t -> label:string -> Timestamp.t
-
-(** [may_read t ~label ~seq_dbsec] = [required_seq t ~label <= seq_dbsec]. *)
-val may_read :
-  ?fence:fence ->
-  ?clock:clock ->
-  ?now:float ->
-  t ->
-  label:string ->
-  seq_dbsec:Timestamp.t ->
-  bool

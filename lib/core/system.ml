@@ -60,7 +60,6 @@ let create ?(secondaries = 1) ?(schema = []) ?faults
   }
 
 let sessions t = Replica_set.sessions t.core
-let guarantee t = Session.guarantee (sessions t)
 let primary t = Replica_set.primary t.core
 let primary_db t = Primary.db (primary t)
 let secondaries t = Replica_set.sites t.core
@@ -93,7 +92,6 @@ let connect t ?secondary label =
   in
   { label; secondary }
 
-let client_label c = c.label
 let client_secondary c = c.secondary
 
 (* Move a session to another secondary (load balancing / failover). The

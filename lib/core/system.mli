@@ -81,8 +81,6 @@ val create :
   ?watchdog:bool ->
   guarantee:Session.guarantee -> unit -> t
 
-val guarantee : t -> Session.guarantee
-val primary : t -> Primary.t
 val primary_db : t -> Mvcc.t
 val secondaries : t -> int
 val secondary : t -> int -> Secondary.t
@@ -104,7 +102,6 @@ val watchdog : t -> Watchdog.t option
     starts a fresh session (ordering constraints never span labels). *)
 val connect : t -> ?secondary:int -> string -> client
 
-val client_label : client -> string
 val client_secondary : client -> int
 
 (** [migrate t c i] rebinds the session to secondary [i] (load balancing /
@@ -137,7 +134,7 @@ val update :
     {!Session.fence}: the effective threshold is the [max] of the guarantee's
     and the fence's. A [Max_age] fence resolves its visibility horizon once,
     when the read is submitted. The fence is recorded in the history so
-    {!Checker.check_fences} can audit it after the run.
+    the fence audit of {!Checker.analyze} can check it after the run.
     @raise Secondary_down when the client's secondary is crashed.
     @raise Unsatisfiable_read when the threshold is still unreachable after
     a bounded number of pump rounds. *)

@@ -15,7 +15,7 @@
       any finished committed transaction is maintained globally, per session,
       and per session restricted to updates (the PCSI floor), and every
       transaction captures the three floors at its first operation;
-    - {e fence audit}: the {!Checker.check_fences} wall-order session floor
+    - {e fence audit}: the {!Checker.analyze} wall-order session floor
       is maintained the same way, and [Exact]/[Max_age]/[Session_seq] claims
       are checked the moment the fenced read finishes.
 
@@ -96,7 +96,7 @@ type verdict = {
     secondaries. The retained alert log keeps the first 256 alerts
     (counters keep exact totals past the cap). [clock] is the primary
     commit clock used to audit [Max_age] claims — as in
-    {!Checker.check_fences}, a [Max_age] claim without a clock is itself a
+    {!Checker.analyze}'s fence audit, a [Max_age] claim without a clock is itself a
     violation. [sinks.obs]
     receives [watchdog.alerts.*] counters and a [watchdog.state_size]
     gauge. [on_alert] fires synchronously on {e every} alert —

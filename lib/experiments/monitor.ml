@@ -15,7 +15,6 @@ let create ?(interval = 1.0) () =
   { enabled = true; interval; series = Lsr_obs.Timeseries.create () }
 
 let enabled t = t.enabled
-let interval t = t.interval
 let series t = t.series
 
 let attach t eng ~probe =

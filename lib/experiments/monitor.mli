@@ -29,7 +29,6 @@ val null : t
 val create : ?interval:float -> unit -> t
 
 val enabled : t -> bool
-val interval : t -> float
 
 (** The collected samples. *)
 val series : t -> Lsr_obs.Timeseries.t

@@ -187,7 +187,7 @@ let make_site eng rs session_conds index =
   let sec = Replica_set.secondary rs index in
   let site_name = Secondary.name sec in
   { index; site_name; sec;
-    res = Resource.create ~name:site_name eng ~discipline:Resource.Processor_sharing;
+    res = Resource.create ~name:site_name eng;
     queue_cond = Condition.create (); pending_cond = Condition.create ();
     session_cond = session_conds.(index); last_delivery = 0.;
     trk_refresher = Printf.sprintf "site-%d/refresher" index;
@@ -867,9 +867,7 @@ let run cfg =
       cfg;
       eng;
       rs;
-      primary_res =
-        Resource.create ~name:"primary" eng
-          ~discipline:Resource.Processor_sharing;
+      primary_res = Resource.create ~name:"primary" eng;
       sites =
         Array.init p.Params.num_secondaries (make_site eng rs session_conds);
       metrics = Metrics.create ~warmup:p.Params.warmup ~cap:p.Params.response_time_cap;

@@ -95,7 +95,7 @@ type config = {
           session floor can rise under a shared open-loop label), so it
           reduces exactly to the strong-session requirement. With
           [record_history] the fence is recorded per read and audited by
-          {!Lsr_core.Checker.check_fences} at the end. *)
+          {!Lsr_core.Checker.analyze} at the end. *)
   faults : Channel.config option;
       (** when set, each secondary receives propagated records through a
           fault-injection {!Lsr_core.Channel} (loss / duplication / delay /

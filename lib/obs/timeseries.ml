@@ -3,19 +3,14 @@ type sample = { run : int; time : float; values : (string * float) list }
 type t = {
   mutable run : int;
   mutable rev_samples : sample list;
-  mutable count : int;
 }
 
-let create () = { run = 0; rev_samples = []; count = 0 }
+let create () = { run = 0; rev_samples = [] }
 
 let new_run t = t.run <- t.run + 1
 
 let add t ~time values =
-  t.rev_samples <- { run = t.run; time; values } :: t.rev_samples;
-  t.count <- t.count + 1
-
-let length t = t.count
-let runs t = t.run
+  t.rev_samples <- { run = t.run; time; values } :: t.rev_samples
 
 let samples t = List.rev t.rev_samples
 

@@ -25,12 +25,6 @@ val new_run : t -> unit
 (** [add t ~time values] appends one sample at virtual [time]. *)
 val add : t -> time:float -> (string * float) list -> unit
 
-(** Number of samples recorded. *)
-val length : t -> int
-
-(** Number of {!new_run} calls so far. *)
-val runs : t -> int
-
 (** Samples in insertion order. *)
 val samples : t -> sample list
 

@@ -49,9 +49,6 @@ val delay : float -> unit
     waker is applied. Must be called from within a process. *)
 val suspend : ('a waker -> unit) -> 'a
 
-(** [engine ()] is the engine driving the calling process.
+(** [now ()] is the current virtual time of the calling process's engine.
     @raise Failure when called outside a process. *)
-val engine : unit -> Engine.t
-
-(** [now ()] is the current virtual time of the calling process's engine. *)
 val now : unit -> float

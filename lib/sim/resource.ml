@@ -1,15 +1,3 @@
-type discipline =
-  | Fifo
-  | Round_robin of float
-  | Processor_sharing
-
-type job = {
-  mutable remaining : float;
-  amount : float;  (* original service demand, for the telemetry tallies *)
-  arrived : float;  (* virtual arrival time *)
-  waker : unit Process.waker;
-}
-
 (* Processor-sharing jobs are keyed by the virtual time at which their demand
    is met (arrival virtual time + demand); [seq] makes completion order
    deterministic when finish times tie. *)
@@ -30,9 +18,6 @@ type clock = {
   mutable vtime : float;
   mutable last_update : float;
   mutable busy : float;
-  (* Fifo / round-robin: when the slice in progress started ([nan] when the
-     server is idle), so busy time can be pro-rated at any read instant. *)
-  mutable slice_start : float;
   (* Queueing telemetry: the time-weighted integral of the number of jobs
      present (L), and the instant it was last charged to. *)
   mutable queue_area : float;
@@ -42,7 +27,6 @@ type clock = {
 type t = {
   eng : Engine.t;
   name : string;
-  discipline : discipline;
   clock : clock;
   (* Processor sharing: jobs in simultaneous service, ordered by finish
      virtual time, and the completion event pending for the first of them.
@@ -51,9 +35,6 @@ type t = {
   mutable ps_seq : int;
   mutable completion : Engine.handle option;
   on_completion : unit -> unit;
-  (* Fifo / round-robin: the waiting line and the server state. *)
-  queue : job Queue.t;
-  mutable serving : bool;
   (* Queueing telemetry: per-job tallies recorded at completion. *)
   mutable arrivals : int;
   mutable completions : int;
@@ -63,14 +44,11 @@ type t = {
 
 let epsilon = 1e-9
 
-(* Jobs present right now, before any lazy state advance: queued plus in
-   service. Between two events this count is constant, so charging
+(* Jobs present right now, before any lazy state advance (all of them in
+   service). Between two events this count is constant, so charging
    [raw_jobs * elapsed] at every state change keeps the queue-length
    integral exact. *)
-let raw_jobs t =
-  match t.discipline with
-  | Processor_sharing -> Binheap.length t.ps_heap
-  | Fifo | Round_robin _ -> Queue.length t.queue + if t.serving then 1 else 0
+let raw_jobs t = Binheap.length t.ps_heap
 
 (* Charge the interval since the last update to the queue-length integral.
    Must run before the job population changes. *)
@@ -87,17 +65,14 @@ let note_arrival t =
   t.arrivals <- t.arrivals + 1
 
 (* Per-job tallies, recorded once at completion. Waiting time is the sojourn
-   beyond the job's own service demand — exactly the queueing delay under
-   Fifo, and the slowdown from sharing the server under RR/PS. *)
+   beyond the job's own service demand: the slowdown from sharing the
+   server. *)
 let note_completion_values t ~amount ~arrived =
   advance_area t;
   t.completions <- t.completions + 1;
   let sojourn = Engine.now t.eng -. arrived in
   Stat.record t.service amount;
   Stat.record t.wait (Float.max 0. (sojourn -. amount))
-
-let note_completion t job =
-  note_completion_values t ~amount:job.amount ~arrived:job.arrived
 
 (* --- Processor sharing ---------------------------------------------------
 
@@ -173,82 +148,17 @@ let ps_use t amount =
       Binheap.push t.ps_heap job;
       ps_reschedule t)
 
-(* --- Fifo ---------------------------------------------------------------- *)
-
-let rec fifo_start_next t =
-  match Queue.take_opt t.queue with
-  | None ->
-    t.serving <- false;
-    t.clock.slice_start <- nan
-  | Some job ->
-    t.serving <- true;
-    t.clock.slice_start <- Engine.now t.eng;
-    Engine.after t.eng ~delay:job.remaining (fun () ->
-        let c = t.clock in
-        c.busy <- c.busy +. (Engine.now t.eng -. c.slice_start);
-        note_completion t job;
-        job.waker ();
-        fifo_start_next t)
-
-let fifo_use t amount =
-  Process.suspend (fun waker ->
-      note_arrival t;
-      Queue.add
-        { remaining = amount; amount; arrived = Engine.now t.eng; waker }
-        t.queue;
-      if not t.serving then fifo_start_next t)
-
-(* --- Round robin ---------------------------------------------------------
-
-   The head job receives at most one quantum of service, then yields the
-   server and re-enters the back of the line unless finished. This is the
-   discipline in the paper's simulation model (1 ms slice). *)
-
-let rec rr_serve_slice t quantum =
-  match Queue.take_opt t.queue with
-  | None ->
-    t.serving <- false;
-    t.clock.slice_start <- nan
-  | Some job ->
-    t.serving <- true;
-    t.clock.slice_start <- Engine.now t.eng;
-    let slice = Float.min quantum job.remaining in
-    Engine.after t.eng ~delay:slice (fun () ->
-        let c = t.clock in
-        c.busy <- c.busy +. (Engine.now t.eng -. c.slice_start);
-        job.remaining <- job.remaining -. slice;
-        if job.remaining <= epsilon then begin
-          note_completion t job;
-          job.waker ()
-        end
-        else Queue.add job t.queue;
-        rr_serve_slice t quantum)
-
-let rr_use t quantum amount =
-  Process.suspend (fun waker ->
-      note_arrival t;
-      Queue.add
-        { remaining = amount; amount; arrived = Engine.now t.eng; waker }
-        t.queue;
-      if not t.serving then rr_serve_slice t quantum)
-
-let create ?(name = "resource") eng ~discipline =
-  (match discipline with
-  | Round_robin quantum when quantum <= 0. ->
-    invalid_arg "Resource.create: round-robin quantum must be positive"
-  | Fifo | Round_robin _ | Processor_sharing -> ());
+let create ?(name = "resource") eng =
   let now = Engine.now eng in
   let rec t =
     {
       eng;
       name;
-      discipline;
       clock =
         {
           vtime = 0.;
           last_update = now;
           busy = 0.;
-          slice_start = nan;
           queue_area = 0.;
           last_area_update = now;
         };
@@ -263,8 +173,6 @@ let create ?(name = "resource") eng ~discipline =
       ps_seq = 0;
       completion = None;
       on_completion = (fun () -> ps_complete t);
-      queue = Queue.create ();
-      serving = false;
       arrivals = 0;
       completions = 0;
       wait = Stat.create ();
@@ -273,50 +181,37 @@ let create ?(name = "resource") eng ~discipline =
   in
   t
 
-(* --- Common --------------------------------------------------------------- *)
-
 let use t amount =
   if not (Float.is_finite amount) || amount < 0. then
     invalid_arg "Resource.use: amount must be finite and non-negative";
-  (* Zero-amount jobs still join the discipline: they must wait behind every
-     job already in line, not jump the queue by returning immediately. All
-     three disciplines complete a [remaining = 0.] job in its arrival-order
-     turn without consuming service time. *)
-  match t.discipline with
-  | Processor_sharing -> ps_use t amount
-  | Fifo -> fifo_use t amount
-  | Round_robin quantum -> rr_use t quantum amount
+  (* A zero-amount job still joins the server: its finish virtual time is
+     the current one, so its completion event fires at this instant, after
+     the events already queued for it, and moves no other job's finish. *)
+  ps_use t amount
 
 let load t =
-  match t.discipline with
-  | Processor_sharing ->
-    (* Exclude jobs whose fluid share has already finished their work but
-       whose completion event has not fired yet (the completion is scheduled
-       for exactly this instant), so a sampled queue length never overshoots
-       the population that is still genuinely in service. *)
-    let elapsed = Engine.now t.eng -. t.clock.last_update in
-    let n = Binheap.length t.ps_heap in
-    if n = 0 then 0
-    else begin
-      let v_now = t.clock.vtime +. (elapsed /. float_of_int n) in
-      Binheap.fold t.ps_heap ~init:0 ~f:(fun acc j ->
-          if j.vfinish -. v_now > epsilon then acc + 1 else acc)
-    end
-  | Fifo | Round_robin _ -> Queue.length t.queue + if t.serving then 1 else 0
+  (* Exclude jobs whose fluid share has already finished their work but
+     whose completion event has not fired yet (the completion is scheduled
+     for exactly this instant), so a sampled queue length never overshoots
+     the population that is still genuinely in service. *)
+  let elapsed = Engine.now t.eng -. t.clock.last_update in
+  let n = Binheap.length t.ps_heap in
+  if n = 0 then 0
+  else begin
+    let v_now = t.clock.vtime +. (elapsed /. float_of_int n) in
+    Binheap.fold t.ps_heap ~init:0 ~f:(fun acc j ->
+        if j.vfinish -. v_now > epsilon then acc + 1 else acc)
+  end
 
 (* Service time delivered so far, pro-rated to the current instant: elapsed
-   in-service time is charged lazily at read rather than only when the
-   completion (Fifo) or slice (RR) event fires, so a mid-run utilization
-   sample is never stale. *)
+   in-service time is charged lazily at read rather than only when a
+   completion event fires, so a mid-run utilization sample is never
+   stale. *)
 let busy_time t =
   let c = t.clock in
   let now = Engine.now t.eng in
-  match t.discipline with
-  | Processor_sharing ->
-    if Binheap.is_empty t.ps_heap then c.busy
-    else c.busy +. (now -. c.last_update)
-  | Fifo | Round_robin _ ->
-    if t.serving then c.busy +. (now -. c.slice_start) else c.busy
+  if Binheap.is_empty t.ps_heap then c.busy
+  else c.busy +. (now -. c.last_update)
 
 (* --- Telemetry ------------------------------------------------------------- *)
 

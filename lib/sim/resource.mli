@@ -1,17 +1,13 @@
-(** A shared server with a choice of queueing disciplines.
+(** A shared processor-sharing server.
 
     Each site in the simulation model is one such resource ("the server is a
     shared resource with a round-robin queueing scheme having a time slice of
-    0.001 seconds", §5). Three disciplines are provided:
-
-    - [Fifo]: jobs are served one at a time to completion, in arrival order.
-    - [Round_robin quantum]: jobs take turns receiving [quantum] seconds of
-      service — the paper's discipline, exact but event-heavy.
-    - [Processor_sharing]: the fluid limit of round-robin as the quantum goes
-      to zero; all queued jobs progress simultaneously at rate [1/n]. This is
-      the default for experiments because the paper's 1 ms slice against 20 ms
-      operations is indistinguishable from processor sharing while costing
-      20x fewer events.
+    0.001 seconds", §5). The resource runs processor sharing, the fluid limit
+    of that round robin as the slice goes to zero: all [n] jobs present
+    progress at once, each at rate [1/n]. Against 20 ms operations the
+    paper's 1 ms slice is indistinguishable from it, at a twentieth of the
+    events; the round-robin reference server in [test/test_sim.ml] ("rr
+    approximates ps") is the evidence for the substitution.
 
     Every resource also keeps full per-job queueing statistics in the CSIM
     tradition (resource statistics as a first-class simulation primitive):
@@ -20,34 +16,28 @@
     all correct at {e any} read instant, not just after a completion event,
     so a periodic monitor can sample them mid-run. *)
 
-type discipline =
-  | Fifo
-  | Round_robin of float  (** time slice in seconds, must be positive *)
-  | Processor_sharing
-
 type t
 
-(** [create ?name engine ~discipline] is a new single-server resource.
-    [name] (default ["resource"]) labels the telemetry. *)
-val create : ?name:string -> Engine.t -> discipline:discipline -> t
+(** [create ?name engine] is a new single-server resource. [name] (default
+    ["resource"]) labels the telemetry. *)
+val create : ?name:string -> Engine.t -> t
 
 (** [use t amount] consumes [amount] seconds of service, blocking the calling
-    process until the job completes under the resource's discipline. Must be
-    called from within a process. A zero [amount] still takes the job through
-    the discipline — it completes in its arrival-order turn, after every job
-    queued ahead of it, rather than bypassing the queue.
+    process until the job completes. Must be called from within a process.
+    A zero [amount] completes at its arrival instant, after the events
+    already queued for that instant, and moves no other job's finish time.
     @raise Invalid_argument if [amount] is negative or not finite. *)
 val use : t -> float -> unit
 
-(** Jobs currently queued or in service. Under processor sharing, jobs whose
-    fluid share has already exhausted their demand but whose completion event
-    has not fired yet (it is scheduled for exactly the current instant) are
-    {e not} counted, so a sampled queue length never overshoots. *)
+(** Jobs currently in service. Jobs whose fluid share has already exhausted
+    their demand but whose completion event has not fired yet (it is
+    scheduled for exactly the current instant) are {e not} counted, so a
+    sampled queue length never overshoots. *)
 val load : t -> int
 
 (** Total service time delivered so far. Elapsed in-service time is charged
-    lazily at read (all disciplines), so the value is exact at any instant —
-    utilization samples taken between completion events are never stale. *)
+    lazily at read, so the value is exact at any instant — utilization
+    samples taken between completion events are never stale. *)
 val busy_time : t -> float
 
 (** {2 Queueing telemetry}
@@ -58,29 +48,24 @@ val busy_time : t -> float
 (** The label given at creation. *)
 val name : t -> string
 
-(** Jobs that entered the discipline so far. *)
+(** Jobs that arrived so far. *)
 val arrivals : t -> int
 
 (** Jobs whose service completed so far. *)
 val completions : t -> int
 
 (** Waiting time per completed job: sojourn minus the job's own service
-    demand (the queueing delay under Fifo; the slowdown from sharing the
-    server under RR/PS). *)
+    demand, i.e. the slowdown from sharing the server. *)
 val wait_stat : t -> Stat.t
 
 (** Service demand per completed job. *)
 val service_stat : t -> Stat.t
 
-(** Time integral of the number of jobs present (queued + in service),
-    pro-rated to the read instant: [queue_area t /. now] is the time-average
-    queue length L. *)
-val queue_area : t -> float
-
 (** [busy_time t /. now]; 0 before any virtual time has passed. *)
 val utilization : t -> float
 
-(** Time-average number of jobs present, L. *)
+(** Time-average number of jobs present, L: the time integral of the
+    number of jobs present, pro-rated to the read instant, over [now]. *)
 val mean_queue_length : t -> float
 
 (** Completions per virtual second, λ. *)
@@ -89,6 +74,6 @@ val throughput : t -> float
 (** Little's-law self-check: the relative gap [|L - λW| / max L (λW)]
     where W is the mean sojourn (wait + service) over completed jobs.
     In steady state this tends to 0 — the invariant the telemetry must
-    satisfy (pinned by a property test over all three disciplines).
+    satisfy (pinned by a property test under Poisson arrivals).
     [None] before the first completion. *)
 val littles_law_gap : t -> float option

@@ -11,9 +11,7 @@ val count : t -> int
 val total : t -> float
 val mean : t -> float
 
-(** Unbiased sample variance; 0 for fewer than two samples. *)
-val variance : t -> float
-
+(** Unbiased sample standard deviation; 0 for fewer than two samples. *)
 val stddev : t -> float
 
 (** Smallest / largest recorded sample; [None] while the tally is empty

@@ -72,7 +72,6 @@ type statement =
 
 val pp_literal : Format.formatter -> literal -> unit
 val pp_cond : Format.formatter -> cond -> unit
-val pp_statement : Format.formatter -> statement -> unit
 
 (** Render back to parsable SQL (used by the parser round-trip tests). *)
 val to_string : statement -> string

@@ -26,6 +26,7 @@ let parse_script inputs =
   in
   go [] inputs
 
+(* Parse and execute one statement inside an already open transaction. *)
 let exec_typed handle input =
   match Parser.parse input with
   | Error message -> Error (Syntax_error { statement = input; message })
@@ -39,6 +40,11 @@ let exec_typed handle input =
    half-executed script. *)
 let execute_all handle stmts = List.map (Executor.execute_exn handle) stmts
 
+(* Several statements inside ONE transaction (the shell's BEGIN ... COMMIT):
+   atomically, against a single snapshot, with intermediate results visible
+   to later statements (read-your-writes). The transaction is read-only —
+   and routed to the client's secondary — only when every statement is. Any
+   parse or semantic error aborts the whole transaction. *)
 let run_script_typed system client inputs =
   match parse_script inputs with
   | Error e -> Error e

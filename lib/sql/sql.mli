@@ -33,26 +33,11 @@ val error_message : error -> string
     malformed one (with the offending input in the error). *)
 val parse_script : string list -> (Ast.statement list, error) result
 
-(** [exec_typed handle sql] parses and executes one statement inside an
-    already open transaction. *)
-val exec_typed :
-  Lsr_core.Handle.t -> string -> (Executor.result, error) result
-
 (** [run_typed system client sql] parses [sql], routes it as a transaction
     of [client]'s session, and returns the result or a structured error. *)
 val run_typed :
   Lsr_core.System.t -> Lsr_core.System.client -> string ->
   (Executor.result, error) result
-
-(** [run_script_typed system client sqls] executes several statements inside
-    ONE transaction (the shell's BEGIN ... COMMIT): atomically, against a
-    single snapshot, with intermediate results visible to later statements
-    (read-your-writes). The transaction is read-only — and routed to the
-    client's secondary — only when every statement is. Any parse or
-    semantic error aborts the whole transaction. *)
-val run_script_typed :
-  Lsr_core.System.t -> Lsr_core.System.client -> string list ->
-  (Executor.result list, error) result
 
 (** {2 Legacy string-message wrappers} *)
 

@@ -22,7 +22,5 @@ val t_critical : df:int -> float
     an empty list. *)
 val of_samples : float list -> interval
 
-val pp : Format.formatter -> interval -> unit
-
 (** [to_string i] like ["12.34 ± 0.56"]. *)
 val to_string : interval -> string

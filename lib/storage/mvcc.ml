@@ -52,7 +52,6 @@ let rec sentinel =
   }
 
 type t = {
-  name : string;
   clock : Timestamp.source;
   (* A chained hash table keyed on [String.hash] whose bucket nodes are the
      cells themselves; it doubles once [size > 2 * buckets], as
@@ -79,9 +78,8 @@ type t = {
   mutable latest_commit : Timestamp.t;
 }
 
-let create ?(name = "db") () =
+let create () =
   {
-    name;
     clock = Timestamp.source ();
     buckets = Array.make 1024 sentinel;
     size = 0;
@@ -96,7 +94,6 @@ let create ?(name = "db") () =
     latest_commit = Timestamp.zero;
   }
 
-let name t = t.name
 let wal t = t.wal
 
 (* --- Key cells ---------------------------------------------------------------- *)
@@ -390,7 +387,7 @@ let serialize t =
     bindings;
   Buffer.contents buf
 
-let restore ?name data =
+let restore data =
   let pos = ref 0 in
   let fail msg = failwith ("Mvcc.restore: " ^ msg) in
   let read_until ch =
@@ -415,7 +412,7 @@ let restore ?name data =
   in
   let count = read_int_until ';' in
   if count < 0 then fail "negative count";
-  let t = create ?name () in
+  let t = create () in
   let txn = begin_txn t in
   for _ = 1 to count do
     let key = read_string () in

@@ -39,8 +39,7 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 
 (** The site's logical log. *)
 val wal : t -> Wal.t
@@ -158,10 +157,10 @@ val version_count : t -> int
     §3.4 used to reseed failed secondaries. *)
 val serialize : t -> string
 
-(** [restore ?name data] is a fresh database whose single initial commit
+(** [restore data] is a fresh database whose single initial commit
     installs a serialized state.
     @raise Failure on malformed input. *)
-val restore : ?name:string -> string -> t
+val restore : string -> t
 
 (** Commit timestamps in commit order, oldest first (for checkers). *)
 val commit_history : t -> Timestamp.t list

@@ -6,20 +6,6 @@ type scalar =
 
 type t = (string * scalar) list
 
-let equal_scalar a b =
-  match (a, b) with
-  | Int x, Int y -> Int.equal x y
-  | Float x, Float y -> Float.equal x y
-  | Text x, Text y -> String.equal x y
-  | Bool x, Bool y -> Bool.equal x y
-  | (Int _ | Float _ | Text _ | Bool _), _ -> false
-
-let equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (ka, va) (kb, vb) -> String.equal ka kb && equal_scalar va vb)
-       a b
-
 let pp_scalar ppf = function
   | Int i -> Format.fprintf ppf "%d" i
   | Float f -> Format.fprintf ppf "%g" f

@@ -13,8 +13,6 @@ type scalar =
 
 type t = (string * scalar) list
 
-val equal_scalar : scalar -> scalar -> bool
-val equal : t -> t -> bool
 val pp_scalar : Format.formatter -> scalar -> unit
 val pp : Format.formatter -> t -> unit
 

@@ -8,8 +8,6 @@ type t = {
 let define ?(indexes = []) db ~name =
   { db; name; prefix = "t:" ^ name ^ ":"; indexes }
 
-let name t = t.name
-let indexes t = t.indexes
 let storage_key t ~pk = t.prefix ^ pk
 
 (* Index entries: "i:<table>:<field>:<order_key>\x00<pk>". [Row.order_key]
@@ -116,8 +114,6 @@ let scan t txn ~where =
       (candidate_keys t txn ~prefix:t.prefix)
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) visible
-
-let count t txn ~where = List.length (scan t txn ~where)
 
 let require_index t ~op ~field =
   if not (List.mem field t.indexes) then

@@ -17,11 +17,6 @@ type t
     declare the same indexes. *)
 val define : ?indexes:string list -> Mvcc.t -> name:string -> t
 
-val name : t -> string
-
-(** Indexed fields, as declared. *)
-val indexes : t -> string list
-
 (** [insert t txn ~pk row] writes a full row (also used for updates of the
     whole row) and maintains index entries. *)
 val insert : t -> Mvcc.txn -> pk:string -> Row.t -> unit
@@ -39,9 +34,6 @@ val delete : t -> Mvcc.txn -> pk:string -> unit
 (** [scan t txn ~where] is all visible rows satisfying the predicate, with
     their primary keys, sorted by primary key. *)
 val scan : t -> Mvcc.txn -> where:(Row.t -> bool) -> (string * Row.t) list
-
-(** [count t txn ~where] = [List.length (scan t txn ~where)]. *)
-val count : t -> Mvcc.txn -> where:(Row.t -> bool) -> int
 
 (** [lookup t txn ~field ~value] is all visible rows whose [field] equals
     [value] under SQL comparison semantics ([Int 1] matches [Float 1.]),
@@ -66,6 +58,3 @@ val range_lookup :
 
 (** The storage key for a row, exposed for tests and debugging. *)
 val storage_key : t -> pk:string -> string
-
-(** The storage key of an index entry, exposed for tests. *)
-val index_key : t -> field:string -> value:Row.scalar -> pk:string -> string

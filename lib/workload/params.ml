@@ -77,10 +77,3 @@ let table1_rows p =
       "propagator think time",
       Printf.sprintf "%gs" p.propagation_delay );
   ]
-
-let pp ppf p =
-  Format.fprintf ppf
-    "@[<v>secondaries: %d; clients: %d; mix: %g/%g; duration: %gs@]"
-    p.num_secondaries (num_clients p)
-    (100. *. (1. -. p.update_tran_prob))
-    (100. *. p.update_tran_prob) p.duration

@@ -49,5 +49,3 @@ val num_clients : t -> int
 
 (** Rows for reprinting Table 1. *)
 val table1_rows : t -> (string * string * string) list
-
-val pp : Format.formatter -> t -> unit

@@ -70,14 +70,4 @@ let generate params rng =
     { kind = Update; ops }
   end
 
-let op_count spec = List.length spec.ops
 let is_update spec = match spec.kind with Update -> true | Read_only -> false
-
-let write_count spec =
-  List.length
-    (List.filter (function Write_op _ -> true | Read_op _ -> false) spec.ops)
-
-let pp ppf spec =
-  Format.fprintf ppf "%s[%d ops, %d writes]"
-    (match spec.kind with Read_only -> "read-only" | Update -> "update")
-    (op_count spec) (write_count spec)

@@ -29,10 +29,4 @@ val generate : Params.t -> Rng.t -> spec
     [Printf.sprintf "item:%06d" i]. *)
 val key_name : int -> string
 
-val op_count : spec -> int
 val is_update : spec -> bool
-
-(** Number of write operations. *)
-val write_count : spec -> int
-
-val pp : Format.formatter -> spec -> unit

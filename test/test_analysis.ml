@@ -24,6 +24,13 @@ module Ast = Lsr_sql.Ast
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
+let builtin name = Option.get (Builtin.find name)
+
+let plan_assignment (plan : Plan.t) name =
+  List.find_opt (fun (a : Plan.assignment) -> a.template = name) plan.assignments
+
+let plan_fence plan name =
+  Option.bind (plan_assignment plan name) (fun a -> a.Plan.fence)
 
 let contains s sub =
   let n = String.length sub in
@@ -104,7 +111,7 @@ let test_template_params_and_instantiate () =
 (* --- Static dependency graph -------------------------------------------------- *)
 
 let test_sdg_write_skew_flagged () =
-  let report = Analyzer.run ~workload:"write_skew" (Builtin.write_skew ()) in
+  let report = Analyzer.run ~workload:"write_skew" (builtin "write_skew") in
   let ids = Analyzer.dangerous_ids report in
   check_bool "x>y>x structure found" true
     (List.mem
@@ -123,7 +130,7 @@ let test_sdg_write_skew_flagged () =
   check_bool "explanation names key y" true (contains text "duty[pk='y']")
 
 let test_sdg_disjoint_clean () =
-  let report = Analyzer.run ~workload:"disjoint" (Builtin.disjoint ()) in
+  let report = Analyzer.run ~workload:"disjoint" (builtin "disjoint") in
   check_int "no dangerous structures" 0 (List.length report.Analyzer.dangerous);
   (* The graph is not empty — readers anti-depend on the writers — but the
      self rw edges of the read-modify-write gauges are defused by
@@ -141,7 +148,7 @@ let test_sdg_disjoint_clean () =
     self_rw.Sdg.vulnerable
 
 let test_sdg_tpcw_pivots () =
-  let report = Analyzer.run ~workload:"tpcw" (Builtin.tpcw ()) in
+  let report = Analyzer.run ~workload:"tpcw" (builtin "tpcw") in
   check_bool "tpcw has dangerous structures" true
     (report.Analyzer.dangerous <> []);
   (* Every structure pivots on the predicate-writing template: exact-key
@@ -164,7 +171,7 @@ let test_sdg_tpcw_pivots () =
     buy_self.Sdg.vulnerable
 
 let test_session_pass_tpcw () =
-  let report = Analyzer.run ~workload:"tpcw" (Builtin.tpcw ()) in
+  let report = Analyzer.run ~workload:"tpcw" (builtin "tpcw") in
   let flags = report.Analyzer.session_flags in
   let has kind earlier later =
     List.exists
@@ -192,7 +199,7 @@ let test_session_pass_tpcw () =
            f.Session_pass.kind = Session_pass.Read_then_read))
 
 let test_report_json_roundtrip () =
-  let report = Analyzer.run ~workload:"tpcw" (Builtin.tpcw ()) in
+  let report = Analyzer.run ~workload:"tpcw" (builtin "tpcw") in
   let text = Lsr_obs.Json.to_string (Analyzer.to_json report) in
   match Lsr_obs.Json.parse text with
   | Error e -> Alcotest.failf "report JSON does not parse: %s" e
@@ -283,7 +290,8 @@ let run_schedule ~seed ~init ~templates ~bind =
       txn;
       handle;
       template =
-        { (Template.make ~name:"init" []) with Template.read_only = false };
+        { Template.name = "init"; statements = []; read_only = false;
+          footprint = Symbolic.empty };
       first_op;
       snapshot;
     };
@@ -396,14 +404,14 @@ let cross_validate ~workload ~init ~templates ~seeds =
 let test_cross_validate_write_skew () =
   let cycles =
     cross_validate ~workload:"write_skew" ~init:write_skew_init
-      ~templates:(Builtin.write_skew ()) ~seeds:25
+      ~templates:(builtin "write_skew") ~seeds:25
   in
   check_bool "the harness actually produced write-skew cycles" true (cycles > 0)
 
 let test_cross_validate_tpcw () =
   let cycles =
     cross_validate ~workload:"tpcw" ~init:tpcw_init
-      ~templates:(Builtin.tpcw ()) ~seeds:25
+      ~templates:(builtin "tpcw") ~seeds:25
   in
   (* Non-vacuity: concurrent genre reprices (and reprice vs restock/buy)
      produce real cycles under these seeds. *)
@@ -412,7 +420,7 @@ let test_cross_validate_tpcw () =
 let test_cross_validate_disjoint () =
   let cycles =
     cross_validate ~workload:"disjoint" ~init:disjoint_init
-      ~templates:(Builtin.disjoint ()) ~seeds:25
+      ~templates:(builtin "disjoint") ~seeds:25
   in
   (* The static verdict is "serializable under SI"; by soundness of the
      analysis the dynamic checker must agree on every run. *)
@@ -426,8 +434,8 @@ let test_cross_validate_disjoint () =
    re-reads. Every data-dependent in-session inversion the dynamic checker
    reports must be predicted by a session-pass flag. *)
 let test_session_cross_validation () =
-  let report = Analyzer.run ~workload:"tpcw" (Builtin.tpcw ()) in
-  let templates = Builtin.tpcw () in
+  let report = Analyzer.run ~workload:"tpcw" (builtin "tpcw") in
+  let templates = builtin "tpcw" in
   let find name =
     List.find (fun (t : Template.t) -> t.Template.name = name) templates
   in
@@ -591,8 +599,9 @@ let test_sdg_overlap_edges () =
        (fun e -> not (e.Sdg.src = "blind" && e.Sdg.dep = Sdg.Rw))
        sdg.Sdg.edges);
   (* Edge lists come out canonically sorted, whatever the template order. *)
-  let key e = (e.Sdg.src, e.Sdg.dst, Sdg.dep_rank e.Sdg.dep) in
-  let report = Analyzer.run ~workload:"tpcw" (Builtin.tpcw ()) in
+  let dep_rank = function Sdg.Ww -> 0 | Wr -> 1 | Rw -> 2 in
+  let key e = (e.Sdg.src, e.Sdg.dst, dep_rank e.Sdg.dep) in
+  let report = Analyzer.run ~workload:"tpcw" (builtin "tpcw") in
   let keys = List.map key report.Analyzer.sdg.Sdg.edges in
   check_bool "tpcw edges sorted by (src, dst, dep)" true
     (keys = List.sort compare keys)
@@ -604,7 +613,7 @@ let guarantee_eq = Session.guarantee_name
 let test_plan_fence_mix () =
   let plan = Plan.infer ~workload:"fence_mix" (Builtin.fence_mix ()) in
   let assignment name =
-    match Plan.assignment plan name with
+    match plan_assignment plan name with
     | Some a -> a
     | None -> Alcotest.failf "no assignment for %s" name
   in
@@ -646,7 +655,7 @@ let test_plan_fence_mix () =
     + List.length plan.Plan.partition.Partition.cross_shard_reads)
 
 let test_plan_tpcw_partition () =
-  let plan = Plan.infer ~workload:"tpcw" (Builtin.tpcw ()) in
+  let plan = Plan.infer ~workload:"tpcw" (builtin "tpcw") in
   let p = plan.Plan.partition in
   check_int "two shards (books, orders)" 2 (Partition.shard_count p);
   Alcotest.(check (list string))
@@ -664,7 +673,7 @@ let test_plan_tpcw_partition () =
     (List.length plan.Plan.residual)
 
 let test_partition_budget_and_determinism () =
-  let templates = Builtin.write_skew () in
+  let templates = builtin "write_skew" in
   let one = Partition.analyze ~shards:1 templates in
   check_int "budget 1 collapses to one shard" 1 (Partition.shard_count one);
   check_bool "single shard: nothing is cross-shard" true
@@ -681,8 +690,8 @@ let test_partition_budget_and_determinism () =
       check_bool (r.Partition.template ^ " is cross-shard") true
         r.Partition.cross_shard)
     two.Partition.routes;
-  let a = Partition.analyze ~shards:2 (Builtin.tpcw ()) in
-  let b = Partition.analyze ~shards:2 (Builtin.tpcw ()) in
+  let a = Partition.analyze ~shards:2 (builtin "tpcw") in
+  let b = Partition.analyze ~shards:2 (builtin "tpcw") in
   check_bool "same templates, structurally identical partition" true (a = b)
 
 let test_plan_json_deterministic () =
@@ -733,9 +742,9 @@ let sim_outcome ~guarantee ~fence ~seed =
 (* The simulator's clients execute exactly the txn_gen template pair, so
    its plan can be replayed and refuted against the real system. *)
 let test_plan_cross_validation_sim () =
-  let plan = Plan.infer ~workload:"txn_gen" (Builtin.txn_gen ()) in
+  let plan = Plan.infer ~workload:"txn_gen" (builtin "txn_gen") in
   let fence =
-    match Plan.fence_for plan "txn_gen_read_only" with
+    match plan_fence plan "txn_gen_read_only" with
     | Some f -> f
     | None -> Alcotest.fail "the plan must fence the inversion-prone reader"
   in
@@ -797,7 +806,7 @@ let test_plan_cross_validation_embedded () =
       if t.Template.read_only then begin
         let fence =
           if drop_inbox_fence && name = "read_inbox" then None
-          else Plan.fence_for plan name
+          else plan_fence plan name
         in
         match fence with
         | Some f -> System.read ~fence:f sys client (fun h -> exec_all h stmts)
@@ -851,7 +860,7 @@ let test_plan_cross_validation_embedded () =
          f.Session_pass.kind = Session_pass.Update_then_read
          && f.Session_pass.earlier = "post_message"
          && f.Session_pass.later = "read_inbox")
-       (match Plan.assignment plan "read_inbox" with
+       (match plan_assignment plan "read_inbox" with
        | Some a -> a.Plan.flags
        | None -> []))
 

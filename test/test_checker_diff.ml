@@ -292,14 +292,14 @@ let test_fixture_write_skew () =
 let test_fixture_serial () =
   let h, _ = Fixtures.serial_history () in
   assert_equivalent "serial" h;
-  check_bool "serial is serializable" true (Checker.is_serializable h)
+  check_bool "serial is serializable" true (Checker.serialization_cycle h = None)
 
 let test_fuzz () =
   let cyclic = ref 0 and acyclic = ref 0 and weak_violations = ref 0 in
   for seed = 0 to 299 do
     let h = gen_history seed in
     assert_equivalent (Printf.sprintf "seed %d" seed) h;
-    (if Checker.is_serializable h then incr acyclic else incr cyclic);
+    (if Checker.serialization_cycle h = None then incr acyclic else incr cyclic);
     if Checker.check_weak_si h <> [] then incr weak_violations
   done;
   (* The generator must actually exercise both branches of every verdict,
@@ -314,8 +314,9 @@ let test_fuzz_verdict_spread () =
   let session_ok = ref 0 and session_bad = ref 0 in
   for seed = 0 to 299 do
     let h = gen_history seed in
-    if Checker.is_strong_si h then incr strong_ok else incr strong_bad;
-    if Checker.is_strong_session_si h then incr session_ok else incr session_bad
+    if Checker.inversions h = [] then incr strong_ok else incr strong_bad;
+    if Checker.inversions ~same_session_only:true h = [] then incr session_ok
+    else incr session_bad
   done;
   check_bool "some histories are strong SI" true (!strong_ok > 0);
   check_bool "some histories are not strong SI" true (!strong_bad > 0);

@@ -8,6 +8,15 @@ open Lsr_storage
 open Lsr_core
 
 let check_bool = Alcotest.(check bool)
+
+(* No P0-P4 anomaly (the ones SI excludes). *)
+let si_safe h =
+  Anomaly.(
+    dirty_writes h = [] && dirty_reads h = [] && fuzzy_reads h = []
+    && phantoms h = [] && lost_updates h = [])
+
+let may_read ?fence ?clock ?now mgr ~label ~seq_dbsec =
+  Timestamp.compare (Session.required_seq ?fence ?clock ?now mgr ~label) seq_dbsec <= 0
 let check_int = Alcotest.(check int)
 let check_str_opt = Alcotest.(check (option string))
 
@@ -632,23 +641,23 @@ let test_session_weak_never_blocks () =
   let mgr = Session.create Session.Weak in
   Session.note_update_commit mgr ~label:"c1" ~commit_ts:10;
   check_bool "weak always may read" true
-    (Session.may_read mgr ~label:"c1" ~seq_dbsec:0)
+    (may_read mgr ~label:"c1" ~seq_dbsec:0)
 
 let test_session_strong_session_blocks_own_label () =
   let mgr = Session.create Session.Strong_session in
   Session.note_update_commit mgr ~label:"c1" ~commit_ts:10;
   check_bool "own session blocked on stale copy" false
-    (Session.may_read mgr ~label:"c1" ~seq_dbsec:5);
+    (may_read mgr ~label:"c1" ~seq_dbsec:5);
   check_bool "own session allowed on fresh copy" true
-    (Session.may_read mgr ~label:"c1" ~seq_dbsec:10);
+    (may_read mgr ~label:"c1" ~seq_dbsec:10);
   check_bool "other session unaffected" true
-    (Session.may_read mgr ~label:"c2" ~seq_dbsec:0)
+    (may_read mgr ~label:"c2" ~seq_dbsec:0)
 
 let test_session_strong_blocks_everyone () =
   let mgr = Session.create Session.Strong in
   Session.note_update_commit mgr ~label:"c1" ~commit_ts:10;
   check_bool "every session blocked" false
-    (Session.may_read mgr ~label:"c2" ~seq_dbsec:5)
+    (may_read mgr ~label:"c2" ~seq_dbsec:5)
 
 let test_session_seq_monotone () =
   let mgr = Session.create Session.Strong_session in
@@ -665,9 +674,9 @@ let test_session_pcsi_ignores_read_floor () =
     (fun mgr -> Session.note_read mgr ~label:"c" ~snapshot:10)
     [ pcsi; strong_session ];
   check_bool "PCSI: older copy fine after a read" true
-    (Session.may_read pcsi ~label:"c" ~seq_dbsec:5);
+    (may_read pcsi ~label:"c" ~seq_dbsec:5);
   check_bool "strong session: older copy refused" false
-    (Session.may_read strong_session ~label:"c" ~seq_dbsec:5);
+    (may_read strong_session ~label:"c" ~seq_dbsec:5);
   Alcotest.(check int) "read floor tracked" 10
     (Session.read_floor strong_session "c");
   Alcotest.(check int) "read floor not tracked under PCSI" 0
@@ -677,7 +686,7 @@ let test_session_pcsi_blocks_after_update () =
   let mgr = Session.create Session.Prefix_consistent in
   Session.note_update_commit mgr ~label:"c" ~commit_ts:10;
   check_bool "PCSI blocks own-update staleness" false
-    (Session.may_read mgr ~label:"c" ~seq_dbsec:5)
+    (may_read mgr ~label:"c" ~seq_dbsec:5)
 
 let test_session_guarantee_names () =
   Alcotest.(check string) "weak" "ALG-WEAK-SI" (Session.guarantee_name Session.Weak);
@@ -795,7 +804,7 @@ let test_fence_raises_weak_floor () =
   check_int "session fence = strong-session requirement" 10
     (Session.required_seq ~fence:Session.Session_seq mgr ~label:"c");
   check_bool "fenced read blocked on stale copy" false
-    (Session.may_read ~fence:Session.Session_seq mgr ~label:"c" ~seq_dbsec:5);
+    (may_read ~fence:Session.Session_seq mgr ~label:"c" ~seq_dbsec:5);
   (* A Session_seq-fenced read raises the session's read floor even under
      Weak, so later Session_seq reads never move backwards. *)
   Session.note_read ~fence:Session.Session_seq mgr ~label:"c" ~snapshot:12;
@@ -857,8 +866,9 @@ let test_checker_detects_inversion_update_then_read () =
   check_int "one inversion" 1 (List.length (Checker.inversions h));
   check_int "also in-session" 1
     (List.length (Checker.inversions ~same_session_only:true h));
-  check_bool "not strong SI" false (Checker.is_strong_si h);
-  check_bool "not strong session SI" false (Checker.is_strong_session_si h)
+  check_bool "not strong SI" false (Checker.inversions h = []);
+  check_bool "not strong session SI" false
+    (Checker.inversions ~same_session_only:true h = [])
 
 let test_checker_cross_session_inversion_allowed_in_session_mode () =
   let h =
@@ -873,7 +883,8 @@ let test_checker_cross_session_inversion_allowed_in_session_mode () =
   check_int "global inversion exists" 1 (List.length (Checker.inversions h));
   check_int "no in-session inversion" 0
     (List.length (Checker.inversions ~same_session_only:true h));
-  check_bool "strong session SI holds" true (Checker.is_strong_session_si h)
+  check_bool "strong session SI holds" true
+    (Checker.inversions ~same_session_only:true h = [])
 
 let test_checker_read_read_inversion () =
   (* Case 4: snapshots must not move backwards within a session. *)
@@ -910,7 +921,7 @@ let test_checker_fence_audit () =
           ~fence:(fenced Session.Session_seq 5.) ();
       ]
   in
-  let violations = Checker.check_fences violating in
+  let violations = (Checker.analyze violating).fence_violations in
   check_int "both mis-woken readers caught" 2 (List.length violations);
   let report = Checker.analyze violating in
   check_int "report carries the fence violations" 2
@@ -932,7 +943,7 @@ let test_checker_fence_audit () =
       ]
   in
   check_int "honest fenced reads pass the audit" 0
-    (List.length (Checker.check_fences clean));
+    (List.length (Checker.analyze clean).fence_violations);
   (* A Max_age claim is auditable only with the commit clock; without one it
      is reported, never silently skipped. *)
   let aged =
@@ -946,18 +957,19 @@ let test_checker_fence_audit () =
       ]
   in
   check_int "Max_age without a clock is itself a violation" 1
-    (List.length (Checker.check_fences aged));
+    (List.length (Checker.analyze aged).fence_violations);
   let clock = Session.clock_create () in
   Session.clock_note clock ~commit_ts:5 ~at:2.;
   check_int "with the clock, the stale Max_age read is caught" 1
-    (List.length (Checker.check_fences ~clock aged))
+    (List.length (Checker.analyze ~clock aged).fence_violations)
 
 let test_checker_fence_edge_cases () =
   let fenced claim read_at = { History.claim; read_at } in
   (* A Max_age claim audited against a clock with no commits yet: the
      visibility horizon of an empty clock is state zero, which any snapshot
      satisfies — present-but-empty is not the same as absent (a violation).
-     The watchdog inherits exactly this behaviour from check_fences. *)
+     The watchdog inherits exactly this behaviour from the checker's fence
+     audit. *)
   let aged =
     history_of
       [
@@ -967,9 +979,10 @@ let test_checker_fence_edge_cases () =
       ]
   in
   check_int "Max_age vs empty clock: horizon 0, trivially satisfied" 0
-    (List.length (Checker.check_fences ~clock:(Session.clock_create ()) aged));
+    (List.length
+       (Checker.analyze ~clock:(Session.clock_create ()) aged).fence_violations);
   check_int "the same claim with no clock at all is a violation" 1
-    (List.length (Checker.check_fences aged));
+    (List.length (Checker.analyze aged).fence_violations);
   (* Fence claims on transactions that later abort are never audited: the
      audit quantifies over committed transactions, and an aborted update
      must not raise the session fence floor either. *)
@@ -994,7 +1007,7 @@ let test_checker_fence_edge_cases () =
       ]
   in
   check_int "aborted claims ignored, aborted commits don't raise the floor" 0
-    (List.length (Checker.check_fences aborted_fenced));
+    (List.length (Checker.analyze aborted_fenced).fence_violations);
   (* Multiple Session_seq claims in one session ratchet: the first fenced
      read's snapshot becomes part of the floor the second is audited
      against, so a later read regressing below it is a violation even
@@ -1011,7 +1024,7 @@ let test_checker_fence_edge_cases () =
       ]
   in
   check_int "second Session_seq claim audited against the first's snapshot" 1
-    (List.length (Checker.check_fences ratchet));
+    (List.length (Checker.analyze ratchet).fence_violations);
   (* The online watchdog agrees on all three edge cases, fed the same
      streams through its hooks. *)
   let wd_case ~clock txns =
@@ -1204,7 +1217,7 @@ let build_completeness_case ((commits, prefix), (mutation, at, vacuum)) =
     List.iter (fun (k, v) -> Mvcc.write db txn k v) writes;
     ignore (commit_exn db txn)
   in
-  let primary = Mvcc.create ~name:"primary" () in
+  let primary = Mvcc.create () in
   List.iter (apply primary) commits;
   let installed = List.map snd (Mvcc.commits_with_updates primary) in
   let np = List.length installed in
@@ -1238,7 +1251,7 @@ let build_completeness_case ((commits, prefix), (mutation, at, vacuum)) =
     | More_commits ->
       List.map as_pairs installed @ [ [ ("z", Some "x") ]; [ ("a", None) ] ]
   in
-  let secondary = Mvcc.create ~name:"secondary" () in
+  let secondary = Mvcc.create () in
   List.iter (fun ws -> if ws <> [] then apply secondary ws) replay;
   Option.iter
     (fun i ->
@@ -1383,7 +1396,8 @@ let test_serializable_serial_history () =
     (fun _ -> ());
   record_update h ~session:"a" ~reads:[ "y" ] ~writes:[ ("x", "3") ] db
     (fun _ -> ());
-  check_bool "serial history is serializable" true (Checker.is_serializable h)
+  check_bool "serial history is serializable" true
+    (Checker.serialization_cycle h = None)
 
 let test_write_skew_not_serializable () =
   (* The classic SI write-skew execution has an rw-rw cycle. *)
@@ -1432,7 +1446,8 @@ let test_write_skew_not_serializable () =
       writes = w2;
       fence = None;
     };
-  check_bool "write skew breaks serializability" false (Checker.is_serializable h);
+  check_bool "write skew breaks serializability" false
+    (Checker.serialization_cycle h = None);
   match Checker.serialization_cycle h with
   | Some cycle -> check_bool "cycle has >= 2 nodes" true (List.length cycle >= 2)
   | None -> Alcotest.fail "expected a cycle"
@@ -1586,7 +1601,7 @@ let prop_one_sr_serializable =
               }
           | Error _ -> ())
         specs;
-      Checker.is_serializable h)
+      (Checker.serialization_cycle h = None))
 
 (* The single wall-order sweep must agree with direct O(n^2) transcriptions
    of Definitions 2.1/2.2 at all three strictness levels, witness for
@@ -1777,8 +1792,7 @@ let prop_inversions_match_bruteforce =
            (expect true true)
       && same (Checker.inversions ~earlier_updates_only:true h) (expect false true)
       && report.fence_violations = fences_oracle ~clock txns
-      && Checker.check_fences ~clock h = report.fence_violations
-      && Checker.check_fences h = fences_oracle txns)
+      && (Checker.analyze h).fence_violations = fences_oracle txns)
 
 (* --- Anomaly detectors --------------------------------------------------------------- *)
 
@@ -1795,7 +1809,7 @@ let test_anomaly_dirty_write () =
   in
   Alcotest.(check (list (pair int int))) "P0 witnessed" [ (1, 2) ]
     (Anomaly.dirty_writes h);
-  check_bool "not SI safe" false (Anomaly.si_safe h)
+  check_bool "not SI safe" false (si_safe h)
 
 let test_anomaly_dirty_read () =
   let h =
@@ -1875,7 +1889,7 @@ let test_anomaly_write_skew () =
   Alcotest.(check (list (pair int int))) "P5 witnessed" [ (1, 2) ]
     (Anomaly.write_skews h);
   (* Write skew alone leaves the history SI-safe: SI admits P5. *)
-  check_bool "P5 does not break si_safe" true (Anomaly.si_safe h)
+  check_bool "P5 does not break si_safe" true (si_safe h)
 
 let test_anomaly_clean_serial_history () =
   let h =
@@ -1889,7 +1903,7 @@ let test_anomaly_clean_serial_history () =
       Anomaly.Commit 2;
     ]
   in
-  check_bool "serial history is SI safe" true (Anomaly.si_safe h);
+  check_bool "serial history is SI safe" true (si_safe h);
   check_int "no P5 either" 0 (List.length (Anomaly.write_skews h))
 
 (* A random MVCC execution, transcribed to an anomaly trace, exhibits none of
@@ -1949,7 +1963,7 @@ let prop_mvcc_histories_si_safe =
         finish tb
       in
       run txn_specs;
-      Anomaly.si_safe (List.rev !trace))
+      si_safe (List.rev !trace))
 
 (* --- Embedded System ------------------------------------------------------------------ *)
 

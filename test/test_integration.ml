@@ -279,7 +279,7 @@ let test_compact_reclaims_log_and_versions () =
   let v = System.read sys c (fun h -> Handle.get h "hot") in
   check_bool "latest value intact" true (v = Some "20");
   (* The primary log below the propagation cursor was reclaimed. *)
-  let wal = Primary.wal (System.primary sys) in
+  let wal = Mvcc.wal (System.primary_db sys) in
   (match Wal.entry wal 0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "compact should truncate consumed log entries");

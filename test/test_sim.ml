@@ -1,6 +1,6 @@
 (* Tests for the discrete-event simulation engine (lsr_sim): event ordering,
-   processes, synchronization primitives, queueing disciplines, random
-   streams and statistics. *)
+   processes, synchronization primitives, the processor-sharing resource
+   against a round-robin reference, random streams and statistics. *)
 
 open Lsr_sim
 
@@ -511,9 +511,9 @@ let test_process_suspend_waker () =
   check_int "suspend returns woken value once" 42 !result
 
 let test_process_engine_outside () =
-  Alcotest.check_raises "engine() outside process"
+  Alcotest.check_raises "now () outside process"
     (Failure "Process.engine: not inside a process") (fun () ->
-      ignore (Process.engine ()))
+      ignore (Process.now ()))
 
 let test_process_spawn_within_process () =
   let eng = Engine.create () in
@@ -663,72 +663,42 @@ let test_seqcond_immediate () =
 
 (* --- Resource ------------------------------------------------------------------- *)
 
-let test_resource_fifo () =
-  let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:Resource.Fifo in
-  let finish = Hashtbl.create 4 in
-  let job name amount =
-    Process.spawn eng (fun () ->
-        Resource.use res amount;
-        Hashtbl.replace finish name (Process.now ()))
-  in
-  job "a" 2.;
-  job "b" 1.;
-  Engine.run eng;
-  (* Fifo: a served 0-2, b served 2-3. *)
-  check_float "a completes" 2. (Hashtbl.find finish "a");
-  check_float "b queues behind a" 3. (Hashtbl.find finish "b");
-  check_float "busy time" 3. (Resource.busy_time res)
+(* The paper's site server (§5): round robin with a time slice of
+   [quantum]. The head job gets at most one slice, then re-enters the back
+   of the line unless finished. It is the reference the processor-sharing
+   [Resource] stands in for ("rr approximates ps"). *)
+module Rr = struct
+  type job = { mutable remaining : float; waker : unit Process.waker }
 
-let test_resource_zero_amount_queues () =
-  (* A zero-cost job must not jump the queue: it goes through the discipline
-     and completes in its arrival-order turn, behind work already in line
-     (the old short-circuit returned immediately, breaking FIFO). *)
-  let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:Resource.Fifo in
-  let order = ref [] in
-  let finish = Hashtbl.create 4 in
-  let job name amount =
-    Process.spawn eng (fun () ->
-        Resource.use res amount;
-        order := name :: !order;
-        Hashtbl.replace finish name (Process.now ()))
-  in
-  job "slow" 2.;
-  job "free1" 0.;
-  job "mid" 1.;
-  job "free2" 0.;
-  Engine.run eng;
-  Alcotest.(check (list string))
-    "service strictly in arrival order"
-    [ "slow"; "free1"; "mid"; "free2" ]
-    (List.rev !order);
-  check_float "zero job waits behind predecessor" 2.
-    (Hashtbl.find finish "free1");
-  check_float "second zero job waits for all prior work" 3.
-    (Hashtbl.find finish "free2")
+  type t = {
+    eng : Engine.t;
+    quantum : float;
+    line : job Queue.t;
+    mutable serving : bool;
+  }
 
-let test_resource_zero_amount_round_robin () =
-  (* Under round robin a zero-cost arrival still waits for the slice in
-     progress instead of completing at once. *)
-  let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:(Resource.Round_robin 0.5) in
-  let finish = Hashtbl.create 4 in
-  let job name amount =
-    Process.spawn eng (fun () ->
-        Resource.use res amount;
-        Hashtbl.replace finish name (Process.now ()))
-  in
-  job "slow" 2.;
-  job "free" 0.;
-  Engine.run eng;
-  check_float "zero job completes after the head's first slice" 0.5
-    (Hashtbl.find finish "free");
-  check_float "slow job unaffected" 2. (Hashtbl.find finish "slow")
+  let create eng ~quantum = { eng; quantum; line = Queue.create (); serving = false }
+
+  let rec serve t =
+    match Queue.take_opt t.line with
+    | None -> t.serving <- false
+    | Some job ->
+      t.serving <- true;
+      let slice = Float.min t.quantum job.remaining in
+      Engine.after t.eng ~delay:slice (fun () ->
+          job.remaining <- job.remaining -. slice;
+          if job.remaining <= 1e-9 then job.waker () else Queue.add job t.line;
+          serve t)
+
+  let use t amount =
+    Process.suspend (fun waker ->
+        Queue.add { remaining = amount; waker } t.line;
+        if not t.serving then serve t)
+end
 
 let test_resource_ps_equal_share () =
   let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:Resource.Processor_sharing in
+  let res = Resource.create eng in
   let finish = Hashtbl.create 4 in
   let job name amount =
     Process.spawn eng (fun () ->
@@ -744,7 +714,7 @@ let test_resource_ps_equal_share () =
 
 let test_resource_ps_late_arrival () =
   let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:Resource.Processor_sharing in
+  let res = Resource.create eng in
   let finish = Hashtbl.create 4 in
   Process.spawn eng (fun () ->
       Resource.use res 2.;
@@ -760,11 +730,11 @@ let test_resource_ps_late_arrival () =
 
 let test_resource_round_robin () =
   let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:(Resource.Round_robin 0.1) in
+  let res = Rr.create eng ~quantum:0.1 in
   let finish = Hashtbl.create 4 in
   let job name amount =
     Process.spawn eng (fun () ->
-        Resource.use res amount;
+        Rr.use res amount;
         Hashtbl.replace finish name (Process.now ()))
   in
   job "a" 0.5;
@@ -777,22 +747,22 @@ let test_resource_round_robin () =
 let test_resource_rr_approximates_ps () =
   (* With a slice much smaller than jobs, round robin and processor sharing
      agree — the modelling substitution used by the experiments. *)
-  let run discipline =
+  let run use =
     let eng = Engine.create () in
-    let res = Resource.create eng ~discipline in
+    let use = use eng in
     let finish = ref [] in
     for i = 1 to 4 do
       Process.spawn_at eng
         ~delay:(0.3 *. float_of_int i)
         (fun () ->
-          Resource.use res 1.;
+          use 1.;
           finish := (i, Process.now ()) :: !finish)
     done;
     Engine.run eng;
     List.sort compare !finish
   in
-  let rr = run (Resource.Round_robin 0.001) in
-  let ps = run Resource.Processor_sharing in
+  let rr = run (fun eng -> Rr.use (Rr.create eng ~quantum:0.001)) in
+  let ps = run (fun eng -> Resource.use (Resource.create eng)) in
   List.iter2
     (fun (i, t_rr) (_, t_ps) ->
       Alcotest.(check (float 0.01))
@@ -800,19 +770,26 @@ let test_resource_rr_approximates_ps () =
         t_ps t_rr)
     rr ps
 
+(* A zero-amount job completes at its arrival instant and moves no other
+   job's finish time. *)
 let test_resource_zero_amount () =
   let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:Resource.Fifo in
-  let ran = ref false in
-  Process.spawn eng (fun () ->
-      Resource.use res 0.;
-      ran := true);
+  let res = Resource.create eng in
+  let finish = Hashtbl.create 4 in
+  let job name amount =
+    Process.spawn eng (fun () ->
+        Resource.use res amount;
+        Hashtbl.replace finish name (Process.now ()))
+  in
+  job "slow" 2.;
+  job "free" 0.;
   Engine.run eng;
-  check_bool "zero service returns immediately" true !ran
+  check_float "zero job completes at arrival" 0. (Hashtbl.find finish "free");
+  check_float "slow job unaffected" 2. (Hashtbl.find finish "slow")
 
 let test_resource_load () =
   let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:Resource.Processor_sharing in
+  let res = Resource.create eng in
   Process.spawn eng (fun () -> Resource.use res 2.);
   Process.spawn eng (fun () -> Resource.use res 2.);
   Process.spawn_at eng ~delay:1. (fun () ->
@@ -820,18 +797,11 @@ let test_resource_load () =
   Engine.run eng;
   check_int "drained" 0 (Resource.load res)
 
-let test_resource_bad_quantum () =
-  let eng = Engine.create () in
-  Alcotest.check_raises "bad quantum"
-    (Invalid_argument "Resource.create: round-robin quantum must be positive")
-    (fun () ->
-      ignore (Resource.create eng ~discipline:(Resource.Round_robin 0.)))
-
 (* Busy time is charged lazily, so utilization sampled mid-service is exact
    — not stale until the next completion event. *)
-let test_resource_busy_midservice_fifo () =
+let test_resource_busy_midservice () =
   let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:Resource.Fifo in
+  let res = Resource.create eng in
   Process.spawn eng (fun () -> Resource.use res 2.);
   Process.spawn_at eng ~delay:1. (fun () ->
       check_float "busy mid-service" 1. (Resource.busy_time res);
@@ -839,20 +809,11 @@ let test_resource_busy_midservice_fifo () =
   Engine.run eng;
   check_float "busy at end" 2. (Resource.busy_time res)
 
-let test_resource_busy_midslice_rr () =
-  let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:(Resource.Round_robin 0.5) in
-  Process.spawn eng (fun () -> Resource.use res 2.);
-  Process.spawn_at eng ~delay:0.25 (fun () ->
-      check_float "busy mid-slice" 0.25 (Resource.busy_time res));
-  Engine.run eng;
-  check_float "busy at end" 2. (Resource.busy_time res)
-
 (* A sampler firing at the same instant as (but before) PS completion events
    must not count the finished-but-unfired jobs. *)
 let test_resource_ps_load_no_overshoot () =
   let eng = Engine.create () in
-  let res = Resource.create eng ~discipline:Resource.Processor_sharing in
+  let res = Resource.create eng in
   (* Scheduled first, so FIFO tie-breaking fires it before the completions
      due at the same instant. *)
   Process.spawn_at eng ~delay:2. (fun () ->
@@ -862,11 +823,12 @@ let test_resource_ps_load_no_overshoot () =
   Engine.run eng;
   check_int "drained" 0 (Resource.load res)
 
-(* Exact telemetry on a hand-computable FIFO scenario: two unit jobs arriving
-   together at t=0, so one waits exactly the other's service time. *)
+(* Exact telemetry on a hand-computable scenario: two unit jobs arriving
+   together at t=0 share the server and both finish at t=2, so each waits
+   one second beyond its own demand. *)
 let test_resource_telemetry_counts () =
   let eng = Engine.create () in
-  let res = Resource.create ~name:"srv" eng ~discipline:Resource.Fifo in
+  let res = Resource.create ~name:"srv" eng in
   Process.spawn eng (fun () -> Resource.use res 1.);
   Process.spawn eng (fun () -> Resource.use res 1.);
   Engine.run eng;
@@ -874,10 +836,10 @@ let test_resource_telemetry_counts () =
   check_int "arrivals" 2 (Resource.arrivals res);
   check_int "completions" 2 (Resource.completions res);
   check_float "service total" 2. (Stat.total (Resource.service_stat res));
-  check_float "wait mean" 0.5 (Stat.mean (Resource.wait_stat res));
-  (* 2 jobs over [0,1), 1 job over [1,2): integral 3 over 2 seconds. *)
-  check_float "queue area" 3. (Resource.queue_area res);
-  check_float "mean queue length" 1.5 (Resource.mean_queue_length res);
+  check_float "wait mean" 1. (Stat.mean (Resource.wait_stat res));
+  (* 2 jobs over [0,2): integral 4 over 2 seconds. *)
+  check_float "queue area" 4. (Resource.mean_queue_length res *. Engine.now eng);
+  check_float "mean queue length" 2. (Resource.mean_queue_length res);
   check_float "throughput" 1. (Resource.throughput res);
   check_float "utilization" 1. (Resource.utilization res);
   match Resource.littles_law_gap res with
@@ -886,79 +848,57 @@ let test_resource_telemetry_counts () =
 
 (* Little's law L = λ·W as a pathwise invariant: over a long run the
    time-average population, the completion rate and the mean sojourn agree
-   up to edge effects (jobs in flight at the horizon), whatever the
-   discipline. *)
+   up to edge effects (jobs in flight at the horizon). *)
 let prop_resource_littles_law =
-  let disciplines =
-    [
-      ("fifo", Resource.Fifo);
-      ("rr", Resource.Round_robin 0.05);
-      ("ps", Resource.Processor_sharing);
-    ]
-  in
   QCheck.Test.make ~name:"Little's law holds under Poisson arrivals" ~count:20
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      List.for_all
-        (fun (_, discipline) ->
-          let eng = Engine.create () in
-          let res = Resource.create eng ~discipline in
-          let rng = Rng.create seed in
-          Process.spawn eng (fun () ->
-              let rec arrive () =
-                Process.delay (Rng.exponential rng ~mean:1.0);
-                let amount = Rng.exponential rng ~mean:0.4 in
-                Process.spawn eng (fun () -> Resource.use res amount);
-                arrive ()
-              in
-              arrive ());
-          Engine.run ~until:1000. eng;
-          match Resource.littles_law_gap res with
-          | None -> false
-          | Some gap -> gap < 0.1)
-        disciplines)
+      let eng = Engine.create () in
+      let res = Resource.create eng in
+      let rng = Rng.create seed in
+      Process.spawn eng (fun () ->
+          let rec arrive () =
+            Process.delay (Rng.exponential rng ~mean:1.0);
+            let amount = Rng.exponential rng ~mean:0.4 in
+            Process.spawn eng (fun () -> Resource.use res amount);
+            arrive ()
+          in
+          arrive ());
+      Engine.run ~until:1000. eng;
+      match Resource.littles_law_gap res with
+      | None -> false
+      | Some gap -> gap < 0.1)
 
-(* Work conservation: whatever the discipline and arrival pattern, every job
-   completes, total delivered service equals total demand, and no job
-   finishes before [arrival + amount]. *)
+(* Work conservation: whatever the arrival pattern, every job completes,
+   total delivered service equals total demand, and no job finishes before
+   [arrival + amount]. *)
 let prop_resource_work_conservation =
   let job_gen =
     QCheck.Gen.(
       list_size (int_range 1 15)
         (pair (float_bound_inclusive 10.) (float_bound_exclusive 5.)))
   in
-  let disciplines =
-    [
-      ("fifo", Resource.Fifo);
-      ("rr", Resource.Round_robin 0.05);
-      ("ps", Resource.Processor_sharing);
-    ]
-  in
   QCheck.Test.make ~name:"resource disciplines conserve work" ~count:150
     (QCheck.make job_gen) (fun jobs ->
       (* amounts must be strictly positive *)
       let jobs = List.map (fun (a, d) -> (a, d +. 0.01)) jobs in
-      List.for_all
-        (fun (_, discipline) ->
-          let eng = Engine.create () in
-          let res = Resource.create eng ~discipline in
-          let completions = ref [] in
-          List.iter
-            (fun (arrival, amount) ->
-              Process.spawn_at eng ~delay:arrival (fun () ->
-                  Resource.use res amount;
-                  completions := (arrival, amount, Process.now ()) :: !completions))
-            jobs;
-          Engine.run eng;
-          List.length !completions = List.length jobs
-          && List.for_all
-               (fun (arrival, amount, finish) ->
-                 finish >= arrival +. amount -. 1e-6)
-               !completions
-          &&
-          let total = List.fold_left (fun acc (_, a) -> acc +. a) 0. jobs in
-          Float.abs (Resource.busy_time res -. total) < 1e-3)
-        disciplines)
+      let eng = Engine.create () in
+      let res = Resource.create eng in
+      let completions = ref [] in
+      List.iter
+        (fun (arrival, amount) ->
+          Process.spawn_at eng ~delay:arrival (fun () ->
+              Resource.use res amount;
+              completions := (arrival, amount, Process.now ()) :: !completions))
+        jobs;
+      Engine.run eng;
+      List.length !completions = List.length jobs
+      && List.for_all
+           (fun (arrival, amount, finish) -> finish >= arrival +. amount -. 1e-6)
+           !completions
+      &&
+      let total = List.fold_left (fun acc (_, a) -> acc +. a) 0. jobs in
+      Float.abs (Resource.busy_time res -. total) < 1e-3)
 
 (* --- Rng ----------------------------------------------------------------------- *)
 
@@ -1092,7 +1032,7 @@ let test_stat_basic () =
   List.iter (Stat.record s) [ 1.; 2.; 3.; 4. ];
   check_int "count" 4 (Stat.count s);
   check_float "mean" 2.5 (Stat.mean s);
-  Alcotest.(check (float 1e-9)) "variance" (5. /. 3.) (Stat.variance s);
+  Alcotest.(check (float 1e-9)) "variance" (5. /. 3.) (Stat.stddev s ** 2.);
   Alcotest.(check (option (float 0.))) "min" (Some 1.) (Stat.min s);
   Alcotest.(check (option (float 0.))) "max" (Some 4.) (Stat.max s);
   check_float "total" 10. (Stat.total s)
@@ -1100,7 +1040,7 @@ let test_stat_basic () =
 let test_stat_empty () =
   let s = Stat.create () in
   check_float "empty mean" 0. (Stat.mean s);
-  check_float "empty variance" 0. (Stat.variance s);
+  check_float "empty variance" 0. (Stat.stddev s ** 2.);
   Alcotest.(check (option (float 0.))) "empty min" None (Stat.min s);
   Alcotest.(check (option (float 0.))) "empty max" None (Stat.max s)
 
@@ -1114,8 +1054,8 @@ let test_stat_merge () =
   let merged = Stat.merge a b in
   check_int "merged count" (Stat.count all) (Stat.count merged);
   Alcotest.(check (float 1e-9)) "merged mean" (Stat.mean all) (Stat.mean merged);
-  Alcotest.(check (float 1e-9)) "merged variance" (Stat.variance all)
-    (Stat.variance merged)
+  Alcotest.(check (float 1e-9)) "merged variance" (Stat.stddev all ** 2.)
+    (Stat.stddev merged ** 2.)
 
 let test_stat_merge_empty () =
   let a = Stat.create () and b = Stat.create () in
@@ -1280,11 +1220,6 @@ let () =
         ] );
       ( "resource",
         [
-          Alcotest.test_case "fifo discipline" `Quick test_resource_fifo;
-          Alcotest.test_case "zero amount queues (fifo)" `Quick
-            test_resource_zero_amount_queues;
-          Alcotest.test_case "zero amount queues (rr)" `Quick
-            test_resource_zero_amount_round_robin;
           Alcotest.test_case "ps equal share" `Quick test_resource_ps_equal_share;
           Alcotest.test_case "ps late arrival" `Quick test_resource_ps_late_arrival;
           Alcotest.test_case "round robin slices" `Quick test_resource_round_robin;
@@ -1292,11 +1227,8 @@ let () =
             test_resource_rr_approximates_ps;
           Alcotest.test_case "zero amount" `Quick test_resource_zero_amount;
           Alcotest.test_case "load" `Quick test_resource_load;
-          Alcotest.test_case "bad quantum" `Quick test_resource_bad_quantum;
-          Alcotest.test_case "busy time mid-service (fifo)" `Quick
-            test_resource_busy_midservice_fifo;
-          Alcotest.test_case "busy time mid-slice (rr)" `Quick
-            test_resource_busy_midslice_rr;
+          Alcotest.test_case "busy time mid-service" `Quick
+            test_resource_busy_midservice;
           Alcotest.test_case "ps load no overshoot" `Quick
             test_resource_ps_load_no_overshoot;
           Alcotest.test_case "telemetry counts" `Quick

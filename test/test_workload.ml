@@ -5,6 +5,11 @@ open Lsr_sim
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let op_count (spec : Txn_gen.spec) = List.length spec.ops
+
+let write_count (spec : Txn_gen.spec) =
+  List.length
+    (List.filter (function Txn_gen.Write_op _ -> true | Read_op _ -> false) spec.ops)
 
 (* --- Params ---------------------------------------------------------------- *)
 
@@ -47,7 +52,7 @@ let generate_many ?(params = Params.default) ?(n = 2000) seed =
 let test_sizes_in_range () =
   List.iter
     (fun spec ->
-      let n = Txn_gen.op_count spec in
+      let n = op_count spec in
       check_bool "size within [5,15]" true (n >= 5 && n <= 15))
     (generate_many 1)
 
@@ -55,14 +60,14 @@ let test_read_only_has_no_writes () =
   List.iter
     (fun spec ->
       if not (Txn_gen.is_update spec) then
-        check_int "read-only writes" 0 (Txn_gen.write_count spec))
+        check_int "read-only writes" 0 (write_count spec))
     (generate_many 2)
 
 let test_update_has_a_write () =
   List.iter
     (fun spec ->
       if Txn_gen.is_update spec then
-        check_bool "update writes >= 1" true (Txn_gen.write_count spec >= 1))
+        check_bool "update writes >= 1" true (write_count spec >= 1))
     (generate_many 3)
 
 let test_mix_frequency () =
@@ -81,8 +86,8 @@ let test_update_op_frequency () =
   (* Among the ops of update transactions, ~30% write (slightly more due to
      the at-least-one-write rule). *)
   let specs = List.filter Txn_gen.is_update (generate_many ~n:20_000 6) in
-  let ops = List.fold_left (fun acc s -> acc + Txn_gen.op_count s) 0 specs in
-  let writes = List.fold_left (fun acc s -> acc + Txn_gen.write_count s) 0 specs in
+  let ops = List.fold_left (fun acc s -> acc + op_count s) 0 specs in
+  let writes = List.fold_left (fun acc s -> acc + write_count s) 0 specs in
   let freq = float_of_int writes /. float_of_int ops in
   check_bool "write op frequency near 30%" true (freq > 0.28 && freq < 0.34)
 
@@ -104,7 +109,7 @@ let test_keys_within_space () =
 
 let test_mean_transaction_size () =
   let specs = generate_many ~n:20_000 8 in
-  let total = List.fold_left (fun acc s -> acc + Txn_gen.op_count s) 0 specs in
+  let total = List.fold_left (fun acc s -> acc + op_count s) 0 specs in
   let mean = float_of_int total /. 20_000. in
   check_bool "mean size near 10" true (Float.abs (mean -. 10.) < 0.1)
 
@@ -144,11 +149,11 @@ let prop_generate_wellformed =
     (fun seed ->
       let rng = Rng.create seed in
       let spec = Txn_gen.generate Params.default rng in
-      let n = Txn_gen.op_count spec in
+      let n = op_count spec in
       n >= 5 && n <= 15
       &&
-      if Txn_gen.is_update spec then Txn_gen.write_count spec >= 1
-      else Txn_gen.write_count spec = 0)
+      if Txn_gen.is_update spec then write_count spec >= 1
+      else write_count spec = 0)
 
 (* Key names are the bytes [Printf.sprintf "item:%06d"] gives, for every
    int: padding boundaries, signs and both extremes, then random ints. *)
