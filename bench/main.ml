@@ -89,10 +89,10 @@ let run_faults ~quick ~seed ~report =
 (* --- Smoke run (CI observability check) ------------------------------------- *)
 
 (* A deliberately tiny deterministic run whose only purpose is to exercise
-   the whole observability pipeline: every span phase fires, the counters
-   move, and --report/--trace produce their files in a couple of seconds.
-   Used by the `runtest` smoke rule, which pins both the stdout and the
-   report byte for byte. *)
+   the whole observability pipeline: the counters move, the watchdog and the
+   flight recorder see every stage, and --report produces its file in a
+   couple of seconds. Used by the `runtest` smoke rule, which pins both the
+   stdout and the report byte for byte. *)
 let run_smoke ~seed ~report =
   let open Lsr_workload in
   let params =
@@ -109,11 +109,10 @@ let run_smoke ~seed ~report =
       (Sim_system.config params Lsr_core.Session.Strong_session ~seed)
   in
   Printf.printf
-    "smoke: tput=%.2f reads=%d updates=%d refresh_commits=%d events=%d \
+    "smoke: tput=%.2f reads=%d updates=%d refresh_commits=%d \
      flight_events=%d\n%!"
     o.Sim_system.throughput_fast o.Sim_system.reads_completed
     o.Sim_system.updates_completed o.Sim_system.refresh_commits
-    (Lsr_obs.Obs.event_count (Run_report.obs report))
     o.Sim_system.flight_events;
   match o.Sim_system.watchdog_verdict with
   | None -> ()
@@ -428,13 +427,6 @@ let verbose_arg =
   let doc = "Print per-run progress to stderr." in
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc)
 
-let trace_arg =
-  let doc =
-    "Write a Chrome trace_event JSON file of the simulation's virtual-time \
-     spans to $(docv) (load it in Perfetto or chrome://tracing)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
 let report_arg =
   let doc =
     "Attach every observer to every run (metrics, a 1 virtual-second \
@@ -479,7 +471,7 @@ let expand target =
   | "ablations" -> paper_ablations
   | t -> [ t ]
 
-let main quick seed csv verbose trace report_file targets =
+let main quick seed csv verbose report_file targets =
   let wanted = List.concat_map expand targets in
   let unknown =
     List.filter
@@ -490,10 +482,8 @@ let main quick seed csv verbose trace report_file targets =
   | t :: _ -> `Error (false, Printf.sprintf "unknown target %S" t)
   | [] ->
     let report =
-      match (report_file, trace) with
-      | Some _, _ -> Run_report.create ()
-      | None, Some _ -> Run_report.tracing ()
-      | None, None -> Run_report.null
+      if Option.is_some report_file then Run_report.create ()
+      else Run_report.null
     in
     let opts = opts ~quick ~seed ~verbose ~report in
     Printf.printf "lazy-replication benchmark harness (%s mode, seed %d)\n%!"
@@ -505,11 +495,6 @@ let main quick seed csv verbose trace report_file targets =
     if List.mem "smoke" wanted then run_smoke ~seed ~report;
     if List.mem "analyze" wanted then run_analysis ~csv;
     if List.mem "micro" wanted then run_micro ();
-    Option.iter
-      (fun file ->
-        Lsr_obs.Obs.write_trace (Run_report.obs report) ~file;
-        Printf.printf "(trace written to %s)\n%!" file)
-      trace;
     Option.iter
       (fun file ->
         print_string (Run_report.summary report);
@@ -527,7 +512,7 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const main $ quick_arg $ seed_arg $ csv_arg $ verbose_arg $ trace_arg
-       $ report_arg $ targets_arg))
+        (const main $ quick_arg $ seed_arg $ csv_arg $ verbose_arg $ report_arg
+       $ targets_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -183,16 +183,7 @@ let simulate guarantee seed w serial ship validate watchdog open_loop arrival
   | None -> ()
   | Some v ->
     let open Lsr_core.Watchdog in
-    let inversions_at_level =
-      match guarantee with
-      | Session.Weak -> 0
-      | Session.Prefix_consistent -> v.v_inversions_after_update
-      | Session.Strong_session -> v.v_inversions_in_session
-      | Session.Strong -> v.v_inversions_all
-    in
-    let clean =
-      v.read_mismatches = 0 && v.fence_failures = 0 && inversions_at_level = 0
-    in
+    let clean = satisfies v guarantee in
     Printf.printf
       "\nwatchdog: %s — %d read mismatches, %d fence failures, inversions \
        all/session/after-update %d/%d/%d\n"

@@ -416,12 +416,14 @@ let analyze ?clock history =
   let weak_si_violations = weak_si_violations txns in
   { (wall_sweep ?clock txns) with weak_si_violations }
 
+let forbidden_inversions guarantee report =
+  match Session.forbidden_level guarantee with
+  | None -> []
+  | Some Session.All_sessions -> report.inversions_all
+  | Some Session.In_session -> report.inversions_in_session
+  | Some Session.After_update -> report.inversions_after_update
+
 let satisfies guarantee report =
   report.weak_si_violations = []
   && report.fence_violations = []
-  &&
-  match guarantee with
-  | Session.Weak -> true
-  | Session.Prefix_consistent -> report.inversions_after_update = []
-  | Session.Strong_session -> report.inversions_in_session = []
-  | Session.Strong -> report.inversions_all = []
+  && forbidden_inversions guarantee report = []

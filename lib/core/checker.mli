@@ -106,3 +106,7 @@ val analyze : ?clock:Session.clock -> History.t -> report
     anywhere. Fence violations fail every guarantee — a fence is a per-read
     contract independent of the ambient level. *)
 val satisfies : Session.guarantee -> report -> bool
+
+(** [forbidden_inversions guarantee report] is the report's inversion list
+    at {!Session.forbidden_level} [guarantee] ([[]] for [Weak]). *)
+val forbidden_inversions : Session.guarantee -> report -> inversion list

@@ -326,14 +326,6 @@ let finish_read ?fence t r ~session ~site ~snapshot ~read_at ~fence_seq ~reads
 
 (* --- Verdict --------------------------------------------------------------------- *)
 
-(* The inversions the guarantee forbids. *)
-let offending guarantee (r : Checker.report) =
-  match guarantee with
-  | Session.Weak -> []
-  | Session.Prefix_consistent -> r.inversions_after_update
-  | Session.Strong_session -> r.inversions_in_session
-  | Session.Strong -> r.inversions_all
-
 let check t =
   let errors = ref [] in
   let add_error fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
@@ -361,7 +353,7 @@ let check t =
       let report = Checker.analyze ~clock:t.clock t.history in
       List.iter (add_error "weak SI violation: %s") report.weak_si_violations;
       List.iter (add_error "%s") report.fence_violations;
-      (match offending guarantee report with
+      (match Checker.forbidden_inversions guarantee report with
       | [] -> ()
       | first :: _ as all ->
         add_error "guarantee %s violated: %d inversions, first %s"
@@ -371,10 +363,10 @@ let check t =
       Some report
     end
   in
-  (match t.watchdog with
-  | Some w when not (Watchdog.satisfies w guarantee) ->
+  (match Option.map Watchdog.verdict t.watchdog with
+  | Some v when not (Watchdog.satisfies v guarantee) ->
     add_error "watchdog: guarantee %s violated (%d alerts)"
       (Session.guarantee_name guarantee)
-      (Watchdog.verdict w).Watchdog.alerts_total
+      v.Watchdog.alerts_total
   | Some _ | None -> ());
   (List.rev !errors, report)

@@ -191,7 +191,6 @@ let applicator_step t app =
         raise (Refresh_conflict { txn = app.primary_txn; key = "<forced>" }))
     | Some _ | None -> Waiting_commit)
 
-let applicator_txn app = app.primary_txn
 let applicator_commit_ts app = app.commit_ts
 let applicator_local_start app = Mvcc.start_ts app.refresh
 let active_applicators t = List.of_seq (Queue.to_seq t.applicators)

@@ -109,9 +109,7 @@ type applicator_outcome =
 
 val applicator_step : t -> applicator -> applicator_outcome
 
-(** Primary transaction id and commit timestamp an applicator installs. *)
-val applicator_txn : applicator -> int
-
+(** Commit timestamp an applicator installs. *)
 val applicator_commit_ts : applicator -> Timestamp.t
 
 (** Local start timestamp of the refresh transaction (issued by this

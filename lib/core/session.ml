@@ -12,6 +12,14 @@ let guarantee_name = function
   | Strong_session -> "ALG-STRONG-SESSION-SI"
   | Strong -> "ALG-STRONG-SI"
 
+type level = All_sessions | In_session | After_update
+
+let forbidden_level = function
+  | Weak -> None
+  | Prefix_consistent -> Some After_update
+  | Strong_session -> Some In_session
+  | Strong -> Some All_sessions
+
 (* --- Freshness fences -------------------------------------------------------- *)
 
 type fence =

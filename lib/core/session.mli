@@ -33,6 +33,18 @@ type guarantee =
 
 val guarantee_name : guarantee -> string
 
+(** The three inversion levels, each a subset of the one before: an
+    inversion against any earlier transaction, against an earlier
+    transaction of the same session, and against an earlier update of the
+    same session. *)
+type level = All_sessions | In_session | After_update
+
+(** [forbidden_level g] is the inversion level [g] forbids: [Strong]
+    forbids every inversion, [Strong_session] those within a session,
+    [Prefix_consistent] those after the session's own update, and [Weak]
+    none. Every verdict reads the level a guarantee promises from here. *)
+val forbidden_level : guarantee -> level option
+
 (** An optional per-read freshness fence, turning the discrete guarantee
     ladder into a continuous staleness/latency dial:
 

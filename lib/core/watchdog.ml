@@ -2,10 +2,7 @@ open Lsr_storage
 module Obs = Lsr_obs.Obs
 module Json = Lsr_obs.Json
 
-type level =
-  | All_sessions
-  | In_session
-  | After_update
+type level = Session.level = All_sessions | In_session | After_update
 
 type alert_kind =
   | Read_mismatch of {
@@ -522,14 +519,14 @@ let verdict t =
     alerts_dropped = total - t.alert_log_len;
   }
 
-let satisfies t g =
-  t.n_read = 0 && t.n_fence = 0
+let satisfies v g =
+  v.read_mismatches = 0 && v.fence_failures = 0
   &&
-  match g with
-  | Session.Weak -> true
-  | Session.Prefix_consistent -> t.n_inv_upd = 0
-  | Session.Strong_session -> t.n_inv_sess = 0
-  | Session.Strong -> t.n_inv_all = 0
+  match Session.forbidden_level g with
+  | None -> true
+  | Some All_sessions -> v.v_inversions_all = 0
+  | Some In_session -> v.v_inversions_in_session = 0
+  | Some After_update -> v.v_inversions_after_update = 0
 
 (* --- Rendering -------------------------------------------------------------- *)
 

@@ -49,7 +49,7 @@ type t
 
 (** Which inversion floor a violation was detected against — mirroring the
     three lists of {!Checker.report}. *)
-type level =
+type level = Session.level =
   | All_sessions  (** {!Checker.report.inversions_all} (strong SI) *)
   | In_session  (** [inversions_in_session] (strong session SI) *)
   | After_update  (** [inversions_after_update] (PCSI) *)
@@ -178,9 +178,9 @@ val alerts : t -> alert list
 
 val verdict : t -> verdict
 
-(** [satisfies t g] mirrors {!Checker.satisfies}: no read mismatches, no
-    fence failures, and no inversions at the level [g] promises. *)
-val satisfies : t -> Session.guarantee -> bool
+(** [satisfies v g] mirrors {!Checker.satisfies}: no read mismatches, no
+    fence failures, and no inversions at {!Session.forbidden_level} [g]. *)
+val satisfies : verdict -> Session.guarantee -> bool
 
 (** {2 Introspection} *)
 

@@ -15,7 +15,7 @@
       attributed to resource queueing.
 
     Deterministic by construction (pure arithmetic over the outcome, sorted
-    ranking, canonical {!Lsr_obs.Json.number} floats), so the JSON export
+    ranking, canonical {!Lsr_obs.Json.to_string} floats), so the JSON export
     is byte-identical across same-seed runs (the run report's per-run
     [bottleneck] section). *)
 

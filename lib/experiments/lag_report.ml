@@ -74,7 +74,7 @@ let render rows =
   Table_fmt.render ~header (List.map cells rows)
 
 let to_json rows =
-  (* [Json.number] prints non-finite floats as [null]; clamp here so the lag
+  (* [Json.to_string] prints non-finite floats as [null]; clamp here so the lag
      report is null-free by construction (consumers index it numerically). *)
   let num f = Json.Num (if Float.is_finite f then f else 0.) in
   let row_json r =

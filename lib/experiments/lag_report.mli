@@ -8,7 +8,7 @@
     Counts, the missed mean and the missed max are exact; age and lag
     quantiles are {!Lsr_obs.Obs.hist_quantile} estimates, within relative
     error 1/128 of the exact nearest-rank value. Rows come out sorted by
-    site name and floats use the canonical {!Lsr_obs.Json.number} form, so
+    site name and floats use the canonical {!Lsr_obs.Json.to_string} form, so
     the report is byte-identical across same-seed runs (the [freshness]
     section of {!Run_report}). A registry spanning several runs reports
     their union.

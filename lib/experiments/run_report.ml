@@ -36,8 +36,6 @@ let create () =
     runs = [];
   }
 
-let tracing () = { null with obs = Obs.create () }
-
 let run t ~tag (cfg : Sim_system.config) =
   let cfg =
     {
@@ -60,8 +58,6 @@ let run t ~tag (cfg : Sim_system.config) =
       }
       :: t.runs;
   o
-
-let obs t = t.obs
 
 let to_json t =
   let opt = Option.value ~default:Json.Null in

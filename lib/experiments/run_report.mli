@@ -22,7 +22,9 @@
 
     [freshness], [metrics] and [timeseries] span every run. No section grows
     per committed transaction: journeys live only in each run's bounded
-    [flight] window.
+    [flight] window. Neither does the report between runs: the registry
+    holds only its instruments, the recorder only its ring, and no observer
+    keeps a finished run's engine, clients or stores alive.
 
     Every section is deterministic for a fixed seed, so the document is
     byte-stable. Attaching the observers never changes simulation outcomes
@@ -36,18 +38,10 @@ val null : t
 (** A recording report with every observer enabled. *)
 val create : unit -> t
 
-(** Attaches only an enabled {!Lsr_obs.Obs} registry (for a Chrome trace
-    without a report) and records nothing. *)
-val tracing : unit -> t
-
 (** [run t ~tag cfg] runs [cfg] with [t]'s observers attached (the watchdog
     is kept on when [cfg] already asks for it) and records the run under
     [tag]. *)
 val run : t -> tag:string -> Sim_system.config -> Sim_system.outcome
-
-(** The registry attached to every run (for {!Lsr_obs.Obs.write_trace}). *)
-val obs : t -> Lsr_obs.Obs.t
-
 
 (** The report document described above. *)
 val to_json : t -> Lsr_obs.Json.t

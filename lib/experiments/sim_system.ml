@@ -131,11 +131,6 @@ type sec_site = {
                                 session's required seq, so a commit pays
                                 only for the readers it actually unblocks *)
   mutable last_delivery : float;  (* keeps jittered deliveries FIFO *)
-  (* Trace track names, interned once so disabled tracing allocates nothing
-     on the hot path. *)
-  trk_refresher : string;
-  trk_applicators : string;
-  trk_clients : string;
 }
 
 (* Aggregate instruments (the per-site ones live inside Secondary/Channel). *)
@@ -189,10 +184,7 @@ let make_site eng rs session_conds index =
   { index; site_name; sec;
     res = Resource.create ~name:site_name eng;
     queue_cond = Condition.create (); pending_cond = Condition.create ();
-    session_cond = session_conds.(index); last_delivery = 0.;
-    trk_refresher = Printf.sprintf "site-%d/refresher" index;
-    trk_applicators = Printf.sprintf "site-%d/applicators" index;
-    trk_clients = Printf.sprintf "site-%d/clients" index }
+    session_cond = session_conds.(index); last_delivery = 0. }
 
 (* --- Propagator process (Algorithm 3.1 under a 10 s cycle) ---------------- *)
 
@@ -206,10 +198,6 @@ let propagator_process st () =
     Process.delay p.Params.propagation_delay;
     let records = Propagation.poll (Replica_set.propagator st.rs) in
     if records <> [] then begin
-      if Obs.enabled st.cfg.obs then
-        Obs.instant st.cfg.obs ~track:"primary/propagator" ~name:"propagate"
-          ~args:[ ("records", string_of_int (List.length records)) ]
-          ~now:(Engine.now st.eng);
       (* A site with a faulty transport gets the records on the wire here;
          they surface, in order, from its channel process's ticks (loss,
          duplication, delay and reordering happen inside). *)
@@ -252,39 +240,18 @@ let channel_process st site () =
 
 let run_applicator st site app =
   let p = st.cfg.params in
-  let obs = st.cfg.obs in
-  let span_args () =
-    if Obs.enabled obs then
-      [ ("txn", string_of_int (Secondary.applicator_txn app)) ]
-    else []
-  in
-  (* Two phases traced per applicator: [apply] while updates execute, then
-     [commit-wait] until its timestamp reaches the pending-queue head. *)
-  let cur =
-    ref
-      (Obs.begin_span obs ~track:site.trk_applicators ~name:"apply"
-         ~now:(Engine.now st.eng))
-  in
-  let waiting = ref false in
   let rec go () =
     match Secondary.applicator_step site.sec app with
     | Secondary.Applied _ ->
       Resource.use site.res p.Params.op_service_time;
       go ()
     | Secondary.Waiting_commit ->
-      if not !waiting then begin
-        waiting := true;
-        let now = Engine.now st.eng in
-        Obs.end_span obs !cur ~now ~args:(span_args ());
-        cur := Obs.begin_span obs ~track:site.trk_applicators ~name:"commit-wait" ~now
-      end;
       let mine = Secondary.applicator_commit_ts app in
       Condition.await site.pending_cond (fun () ->
           Secondary.pending_head site.sec = Some mine);
       go ()
     | Secondary.Committed ts ->
       let now = Engine.now st.eng in
-      Obs.end_span obs !cur ~now ~args:(span_args ());
       Obs.incr st.ins.c_refresh_commits;
       let staleness =
         match Session.clock_time_of (Replica_set.clock st.rs) ts with
@@ -302,16 +269,10 @@ let run_applicator st site app =
 
 let refresher_process st site () =
   let p = st.cfg.params in
-  let obs = st.cfg.obs in
   let rec loop () =
     let head = Secondary.peek_update site.sec in
     match Secondary.refresher_step site.sec with
-    | Secondary.Started txn ->
-      if Obs.enabled obs then
-        Obs.instant obs ~track:site.trk_refresher ~name:"refresh-start"
-          ~args:[ ("txn", string_of_int txn) ]
-          ~now:(Engine.now st.eng);
-      loop ()
+    | Secondary.Started _ -> loop ()
     | Secondary.Aborted _ ->
       (* The eager-propagation ablation pays for the aborted transaction's
          updates before discarding them. *)
@@ -422,13 +383,8 @@ let execute_read ?fence st site label spec =
   in
   if not (may_read ()) then begin
     let wait_start = Engine.now st.eng in
-    let sp =
-      Obs.begin_span st.cfg.obs ~track:site.trk_clients ~name:"session-block"
-        ~now:wait_start
-    in
     Seqcond.await site.session_cond ~threshold:required;
     let now = Engine.now st.eng in
-    Obs.end_span st.cfg.obs sp ~now;
     Obs.incr st.ins.c_blocked_reads;
     Obs.observe st.ins.h_block_wait (now -. wait_start);
     Metrics.note_block st.metrics ~now ~wait:(now -. wait_start)
@@ -497,11 +453,6 @@ let draw_fence st rng =
 let run_txn st site rng ~label spec =
   let t0 = Engine.now st.eng in
   let is_update = Txn_gen.is_update spec in
-  let sp =
-    Obs.begin_span st.cfg.obs ~track:site.trk_clients
-      ~name:(if is_update then "update" else "read")
-      ~now:t0
-  in
   (match spec.Txn_gen.kind with
   | Txn_gen.Update -> execute_update st rng label spec
   | Txn_gen.Read_only ->
@@ -515,7 +466,6 @@ let run_txn st site rng ~label spec =
     let fence = draw_fence st rng in
     execute_read ?fence st site label spec);
   let now = Engine.now st.eng in
-  Obs.end_span st.cfg.obs sp ~now;
   Obs.observe
     (if is_update then st.ins.h_update_rt else st.ins.h_read_rt)
     (now -. t0);
@@ -941,6 +891,9 @@ let run cfg =
       (Some bundle, Lsr_obs.Flight.trigger_reason cfg.flight)
     end
   in
+  (* The recorder outlives the run inside a report: a clock still reading
+     [eng] would keep the engine, every client and both stores alive. *)
+  Lsr_obs.Flight.set_clock cfg.flight (Fun.const (Engine.now eng));
   {
     throughput_fast = float_of_int (Metrics.fast_completions m) /. measured;
     read_rt_mean = Stat.mean (Metrics.read_rt m);

@@ -105,14 +105,12 @@ type config = {
           untouched *)
   obs : Lsr_obs.Obs.t;
       (** observability sink: counters and queue-depth gauges from every
-          layer (propagation, per-site refresh machinery, fault channels),
-          response-time/staleness histograms, and virtual-time spans around
-          each propagator cycle ([propagate]), refresh start
-          ([refresh-start]), applicator phase ([apply], [commit-wait]),
-          session wait ([session-block]) and client transaction. The default
+          layer (propagation, per-site refresh machinery, fault channels)
+          and response-time, staleness, session-wait and read-freshness
+          histograms. It keeps no per-transaction state. The default
           {!Lsr_obs.Obs.null} records nothing and costs nothing; attaching
-          an enabled registry never changes simulation outcomes (all
-          timestamps are virtual, no instrument feeds back into the run) *)
+          an enabled registry never changes simulation outcomes (no
+          instrument feeds back into the run) *)
   flight : Lsr_obs.Flight.t;
       (** flight recorder: a bounded in-memory black box over the unified
           event stream — primary commits (carrying both MVCC txn and history
@@ -124,8 +122,10 @@ type config = {
           it at the end; otherwise the bundle holds the end-of-run window.
           The bundle lands in [flight_report]. Same rules as [obs]:
           {!Lsr_obs.Flight.null} (the default) costs nothing, and an enabled
-          recorder never changes outcomes (O(capacity) memory, virtual-time
-          stamps, no feedback). *)
+          recorder never changes outcomes (virtual-time stamps, no
+          feedback). Its memory is O(capacity): when the run ends its clock
+          is rebound to the end instant, so a recorder kept after the run
+          (as {!Run_report} keeps it) holds nothing of the run. *)
   monitor : Monitor.t;
       (** periodic system monitor: every [Monitor.interval] virtual seconds
           it samples per-resource utilization ρ, time-average queue length L
@@ -254,8 +254,8 @@ type outcome = {
   flight_events : int;
       (** events the recorder saw (recorded + overwritten); 0 without one *)
   flight_bytes : int;
-      (** approximate recorder memory footprint: O(capacity), constant in
-          run length *)
+      (** approximate memory of the recorder's ring: O(capacity), constant
+          in run length *)
   resources : resource_report list;
       (** queueing telemetry per site resource, primary first then
           secondaries in index order — the input of {!Bottleneck} *)

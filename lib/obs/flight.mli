@@ -8,9 +8,11 @@
     vocabulary the online watchdog consumes: primary commits, propagation
     batching/shipping, fault-channel misbehaviour, per-site refresh
     start/commit, per-read snapshot+fence claims, and secondary
-    crash/recovery. Memory is fixed at creation — [O(capacity)] regardless
-    of run length — so the recorder is affordable on every run, including
-    the million-client showcase.
+    crash/recovery. Its arrays are fixed at creation — [O(capacity)]
+    regardless of run length — so the recorder is affordable on every run,
+    including the million-client showcase. The one thing it holds that is
+    not its own is the clock closure of {!set_clock}: a recorder that
+    outlives its run keeps whatever that closure reads alive.
 
     On {!trigger} (a watchdog alert, a checker failure, or an explicit
     flag), the recorder snapshots the ring — the event window leading up to
@@ -48,7 +50,9 @@ val capacity : t -> int
 
 (** [set_clock t f] makes [f] the source of event timestamps (the simulator
     binds its virtual [Engine.now]). Without a clock, events are stamped
-    with their own ordinal. *)
+    with their own ordinal. A caller that keeps the recorder after the run
+    rebinds it to a constant, so the recorder does not pin the run's
+    engine. *)
 val set_clock : t -> (unit -> float) -> unit
 
 (** [new_epoch t] rearms the recorder for a fresh run: the ring, horizon

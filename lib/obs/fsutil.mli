@@ -1,7 +1,7 @@
 (** Tiny filesystem helpers shared by the exporters.
 
-    Every file writer ([Json.write_file], [Obs.write_trace]) creates missing
-    parent directories of its output path, so [--report out/deep/r.json]
+    The file writer ([Json.write_file]) and the CSV exporter create missing
+    parent directories of their output paths, so [--report out/deep/r.json]
     works without a prior [mkdir -p]. *)
 
 (** [mkdir_p dir] creates [dir] and any missing ancestors ([mkdir -p]).

@@ -13,14 +13,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-(** [escape buf s] appends [s] to [buf] as a JSON string literal, including
-    the surrounding double quotes. *)
-val escape : Buffer.t -> string -> unit
-
-(** [number f] is the canonical text form used by every exporter ([%.12g],
-    with non-finite values mapped to [null] — JSON has no inf/nan). *)
-val number : float -> string
-
 (** [parse s] reads one JSON value; trailing non-whitespace is an error. *)
 val parse : string -> (t, string) result
 
@@ -28,8 +20,8 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 
 (** [to_string j] is the canonical text of [j]: no whitespace, object
-    field order preserved, floats in the {!number} form. Every exporter
-    emits through it. *)
+    field order preserved, floats as [%.12g] with non-finite values mapped
+    to [null] (JSON has no inf/nan). Every exporter emits through it. *)
 val to_string : t -> string
 
 (** [write_file ~file j] writes {!to_string} [j] and a trailing newline to

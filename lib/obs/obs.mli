@@ -1,5 +1,5 @@
 (** Observability substrate: a registry of named counters, gauges and
-    log-linear histograms, plus span tracing in simulator virtual time.
+    log-linear histograms.
 
     One {!t} is one measurement domain (typically one simulation run or one
     embedded system). Layers receive it at construction time, intern their
@@ -13,17 +13,16 @@
     fault channels bump one ["channel.dropped"]) while per-site names stay
     separate. Names are conventionally dotted paths ([layer.metric]).
 
-    Two exporters, both deterministic (instruments sorted by name, trace
-    events in emission order, fixed float formatting — same seed, same
-    bytes):
-    - {!metrics_json}: a flat machine-readable dump of every instrument;
-    - {!trace_json}: Chrome [trace_event] JSON loadable in Perfetto or
-      [about://tracing], with spans grouped by track ("process/thread"). *)
+    A registry holds its instruments and nothing per event: its memory is
+    bounded by the number of names, not by run length. The per-event
+    recorder is {!Flight}. The one exporter, {!metrics_json}, is
+    deterministic (instruments sorted by name, fixed float formatting —
+    same seed, same bytes). *)
 
 type t
 
-(** The disabled instance: instruments obtained from it ignore updates,
-    spans are dropped. This is the default everywhere. *)
+(** The disabled instance: instruments obtained from it ignore updates.
+    This is the default everywhere. *)
 val null : t
 
 (** A fresh, enabled registry. *)
@@ -71,31 +70,6 @@ val hist_quantile : histogram -> float -> float
 (** Every interned instrument name, sorted ([[]] for {!null}). *)
 val names : t -> string list
 
-(** {2 Spans (virtual-time tracing)}
-
-    Timestamps come from the caller (simulator virtual seconds), never from
-    a wall clock — tracing a deterministic run yields a deterministic trace.
-    A track is a ["process/thread"] path: the segment before the first [/]
-    groups tracks into Perfetto processes (e.g. ["site-0/refresher"],
-    ["site-0/applicators"], ["primary/propagator"]). *)
-
-type span
-
-(** [begin_span t ~track ~name ~now] opens a span; close it with
-    {!end_span}. Unclosed spans are dropped by the exporter. *)
-val begin_span : t -> track:string -> name:string -> now:float -> span
-
-val end_span :
-  ?args:(string * string) list -> t -> span -> now:float -> unit
-
-(** [instant t ~track ~name ~now] is a zero-duration marker event. *)
-val instant :
-  ?args:(string * string) list ->
-  t -> track:string -> name:string -> now:float -> unit
-
-(** Trace events recorded so far (diagnostic; 0 for {!null}). *)
-val event_count : t -> int
-
 (** {2 Export} *)
 
 (** Flat metrics dump:
@@ -107,14 +81,3 @@ val event_count : t -> int
     [buckets] lists the non-empty buckets in increasing order, each by its
     exclusive upper bound (0 for the zero bucket). *)
 val metrics_json : t -> Json.t
-
-(** Chrome [trace_event] JSON (the [{"traceEvents":[..]}] envelope):
-    metadata events naming each process and thread, then one [ph:"X"]
-    complete event per closed span and one [ph:"i"] instant per marker,
-    timestamps in microseconds of virtual time. *)
-val trace_json : t -> string
-
-(** [write_trace t ~file] writes {!trace_json} to [file], creating missing
-    parent directories. The metrics dump has no file writer of its own: it
-    is a section of the run report. *)
-val write_trace : t -> file:string -> unit

@@ -9,7 +9,7 @@
     [null].
 
     The export is deterministic — sorted columns, emission-ordered rows,
-    canonical {!Json.number} float formatting — so a fixed seed yields
+    canonical {!Json.to_string} float formatting — so a fixed seed yields
     byte-identical output. *)
 
 type t

@@ -436,7 +436,8 @@ let test_sim_obs_does_not_perturb () =
     && observed.Sim_system.updates_completed
        = blind.Sim_system.updates_completed
     && observed.Sim_system.refresh_commits = blind.Sim_system.refresh_commits);
-  check_bool "trace recorded spans" true (Lsr_obs.Obs.event_count obs > 0)
+  check_bool "registry recorded reads" true
+    (Lsr_obs.Obs.hist_count (Lsr_obs.Obs.histogram obs "client.read_rt") > 0)
 
 let test_sim_obs_counters_track_outcome () =
   let o, obs = obs_run ~seed:23 in
@@ -710,18 +711,14 @@ let test_sim_freshness_outcome () =
   check_bool "missed mean nonnegative" true (o.Sim_system.read_missed_mean >= 0.)
 
 let test_sim_obs_exports_deterministic () =
-  (* Same seed, fresh registries: metrics and trace exports are
-     byte-identical; a different seed diverges. *)
+  (* Same seed, fresh registries: metrics exports are byte-identical; a
+     different seed diverges. *)
   let _, obs_a = obs_run ~seed:11 in
   let _, obs_b = obs_run ~seed:11 in
   let _, obs_c = obs_run ~seed:12 in
   let metrics obs = Lsr_obs.Json.to_string (Lsr_obs.Obs.metrics_json obs) in
   Alcotest.(check string) "metrics bytes identical" (metrics obs_a)
     (metrics obs_b);
-  Alcotest.(check string)
-    "trace bytes identical"
-    (Lsr_obs.Obs.trace_json obs_a)
-    (Lsr_obs.Obs.trace_json obs_b);
   check_bool "different seed, different metrics" true
     (metrics obs_a <> metrics obs_c)
 

@@ -328,8 +328,8 @@ let test_embedded_inversion_alert () =
   check_int "no weak-SI mismatch (the stale snapshot was consistent)" 0
     v.Watchdog.read_mismatches;
   check_bool "weak guarantee still satisfied online" true
-    (Watchdog.satisfies w Session.Weak);
-  check_bool "strong would not be" false (Watchdog.satisfies w Session.Strong);
+    (Watchdog.satisfies (Watchdog.verdict w) Session.Weak);
+  check_bool "strong would not be" false (Watchdog.satisfies (Watchdog.verdict w) Session.Strong);
   (* Post-hoc agreement on the same run. *)
   let report =
     Checker.analyze ~clock:(System.commit_clock sys) (System.history sys)
@@ -402,7 +402,7 @@ let test_embedded_retirement () =
     (Watchdog.live_versions w < 10);
   check_bool "state size bounded" true
     (Watchdog.state_size w < Watchdog.peak_state w + 1);
-  check_bool "clean verdict" true (Watchdog.satisfies w Session.Strong_session)
+  check_bool "clean verdict" true (Watchdog.satisfies (Watchdog.verdict w) Session.Strong_session)
 
 let test_embedded_recovery () =
   (* Crash/recover a secondary with the watchdog attached: recovery reseeds
@@ -434,7 +434,7 @@ let test_embedded_recovery () =
   | Error es -> Alcotest.failf "post-hoc check failed: %s" (String.concat "; " es));
   let w = Option.get (System.watchdog sys) in
   check_bool "watchdog verdict clean across crash/recovery" true
-    (Watchdog.satisfies w Session.Strong_session);
+    (Watchdog.satisfies (Watchdog.verdict w) Session.Strong_session);
   check_bool "recovery advanced the horizon" true (Watchdog.horizon w > 0)
 
 let test_embedded_check_reports_watchdog () =
