@@ -2,7 +2,9 @@ open Lsr_storage
 
 type t = { db : Mvcc.t }
 
-let create () = { db = Mvcc.create () }
+let create ?commit_log () =
+  { db = Mvcc.create ~log:(Wal.create ()) ?commit_log () }
+
 let db t = t.db
 let wal t = Mvcc.wal t.db
 

@@ -5,13 +5,15 @@
     Read-only transactions never run here (the router sends them to
     secondaries); update transactions forwarded from secondaries run to
     completion and leave start / update / commit-or-abort records in the
-    site's {!Lsr_storage.Wal}. *)
+    primary's {!Lsr_storage.Wal}, the only log any site keeps. *)
 
 open Lsr_storage
 
 type t
 
-val create : unit -> t
+(** [commit_log]: see {!Mvcc.create}. *)
+val create : ?commit_log:bool -> unit -> t
+
 val db : t -> Mvcc.t
 val wal : t -> Wal.t
 

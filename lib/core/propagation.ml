@@ -32,6 +32,8 @@ let record_of_entry t entry =
   match entry with
   | Wal.Start { txn; ts } ->
     Txns.replace t.update_lists txn [];
+    if Lsr_obs.Sinks.tracing t.sinks then
+      Lsr_obs.Sinks.stage t.sinks ~txn Lsr_obs.Flight.Batched;
     Some (Txn_record.Start_rec { txn; start_ts = ts })
   | Wal.Update { txn; update } ->
     let sofar = Option.value ~default:[] (Txns.find_opt t.update_lists txn) in
@@ -44,6 +46,9 @@ let record_of_entry t entry =
     Txns.remove t.update_lists txn;
     (* The refresh transaction re-executes these verbatim. *)
     let updates = Wal.squash (List.rev accumulated) in
+    if Lsr_obs.Sinks.tracing t.sinks then
+      Lsr_obs.Sinks.stage t.sinks ~txn
+        (Lsr_obs.Flight.Shipped { updates = List.length updates });
     Some (Txn_record.Commit_rec { txn; commit_ts = ts; updates })
   | Wal.Abort { txn } ->
     let wasted =
@@ -58,17 +63,6 @@ let poll t =
   let entries, next = Wal.read_from t.wal t.cursor in
   t.cursor <- next;
   let records = List.filter_map (record_of_entry t) entries in
-  if Lsr_obs.Sinks.tracing t.sinks then
-    List.iter
-      (fun record ->
-        match record with
-        | Txn_record.Start_rec { txn; _ } ->
-          Lsr_obs.Sinks.stage t.sinks ~txn Lsr_obs.Flight.Batched
-        | Txn_record.Commit_rec { txn; updates; _ } ->
-          Lsr_obs.Sinks.stage t.sinks ~txn
-            (Lsr_obs.Flight.Shipped { updates = List.length updates })
-        | Txn_record.Abort_rec _ -> ())
-      records;
   Lsr_obs.Obs.incr t.c_polls;
   Lsr_obs.Obs.incr t.c_shipped ~by:(List.length records);
   Lsr_obs.Obs.set_gauge t.g_in_flight

@@ -28,11 +28,9 @@ let replay_filter ~after records =
     records
 
 let restore ?(name = "recovered") ~primary b =
-  let fresh = Secondary.create_from ~name b.state in
+  let fresh = Secondary.create ~name ~db:(Mvcc.restore b.state) () in
   Secondary.reseed_seq fresh b.ts;
-  (* Replaying from offset 0 raises inside Wal.read_from if the log prefix
-     has been reclaimed — a stale backup plus a truncated log is data loss,
-     and must say so. *)
+  (* Raises inside Wal.read_from if the prefix is gone: that is data loss. *)
   let replayer = Propagation.create ~from:0 (Primary.wal primary) in
   let records = Propagation.poll replayer in
   List.iter (Secondary.enqueue fresh) (replay_filter ~after:b.ts records);

@@ -14,13 +14,7 @@
     The replayed refresh transactions re-execute in primary timestamp order,
     so Theorem 3.1's ordering relationships hold over the replay and the
     recovered copy converges to the same state and [seq(DBsec)] as a replica
-    that never crashed.
-
-    Replay requires the log prefix to still exist: if the primary log has
-    been truncated ({!Lsr_storage.Wal.truncate_before}, e.g. by
-    [System.compact]), {!restore} raises rather than silently skipping
-    records — a backup older than the truncation point cannot be recovered
-    from. *)
+    that never crashed. Replay needs the whole log: see {!restore}. *)
 
 open Lsr_storage
 
@@ -41,6 +35,7 @@ val replay_filter : after:Timestamp.t -> Txn_record.t list -> Txn_record.t list
     the primary's whole log through a fresh propagator and draining. The
     result has the database state and [seq(DBsec)] of a replica that
     consumed the full log.
-    @raise Invalid_argument when the log has been truncated (replay would
-    skip records). *)
+    @raise Invalid_argument when the log has been truncated (e.g. by
+    [System.compact]): replay would skip records, so a backup older than
+    the truncation point cannot be recovered from. *)
 val restore : ?name:string -> primary:Primary.t -> backup -> Secondary.t

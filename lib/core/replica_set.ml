@@ -86,7 +86,7 @@ let create ?now ~on_refresh_commit ~faults ~ship_aborted ~sinks
     | None -> fun () -> float_of_int (History.now history)
   in
   Flight.set_clock sinks.flight now;
-  let primary = Primary.create () in
+  let primary = Primary.create ~commit_log:record_history () in
   let clock = Session.clock_create () in
   let watchdog =
     if not watchdog then None
@@ -128,7 +128,10 @@ let create ?now ~on_refresh_commit ~faults ~ship_aborted ~sinks
          | None -> ());
       note_refresh watchdog i ts
     in
-    let replica = Secondary.create ~name ~sinks ~on_refresh_commit:hook () in
+    let replica =
+      Secondary.create ~name ~sinks ~on_refresh_commit:hook
+        ~db:(Mvcc.create ~commit_log:record_history ()) ()
+    in
     { replica; hook; channel = channel name; crashed = false; clean = true }
   in
   let sites = Array.init sites make_site in
@@ -209,7 +212,8 @@ let recovered t i ~backup ~seq =
   let s = t.sites.(i) in
   let name = site_name i in
   let fresh =
-    Secondary.create_from ~name ~sinks:t.sinks ~on_refresh_commit:s.hook backup
+    Secondary.create ~name ~sinks:t.sinks ~on_refresh_commit:s.hook
+      ~db:(Mvcc.restore backup) ()
   in
   Secondary.reseed_seq fresh seq;
   Flight.note_recovery t.sinks.flight ~site:name ~seq;

@@ -37,7 +37,8 @@ type t
     simulator's virtual clock: the flight recorder is bound to it and
     starts a new epoch. Without it the time axis is the history event
     counter, so [Max_age] fences, freshness samples and refresh lags count
-    history events. [record_history] keeps every finished transaction;
+    history events. [record_history] keeps every finished transaction and
+    every store's commit list (for {!check}'s completeness audit);
     [watchdog] attaches an online checker whose first alert triggers the
     flight recorder's capture. Each refresh commit at secondary [i] calls
     [on_refresh_commit i] (applied once per site and kept for recovery),

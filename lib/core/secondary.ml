@@ -2,6 +2,7 @@ open Lsr_storage
 module Txns = Hashtbl.Make (Int)
 
 exception Refresh_conflict of { txn : int; key : string }
+exception Commit_without_start of { txn : int }
 
 type applicator_phase =
   | Applying of Wal.update list  (* updates not yet executed *)
@@ -45,7 +46,8 @@ type refresher_outcome =
   | Blocked_on_pending
   | Idle
 
-let make ~name ~sinks db on_refresh_commit =
+let create ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
+    ?(on_refresh_commit = fun _ -> ()) ?(db = Mvcc.create ()) () =
   let module Obs = Lsr_obs.Obs in
   let obs = sinks.Lsr_obs.Sinks.obs in
   let inst fmt suffix = Printf.sprintf fmt name suffix in
@@ -66,16 +68,12 @@ let make ~name ~sinks db on_refresh_commit =
     g_pending = Obs.gauge obs (inst "%s.%s" "pending_depth");
   }
 
-let create ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
-    ?(on_refresh_commit = fun _ -> ()) () =
-  make ~name ~sinks (Mvcc.create ()) on_refresh_commit
-
-let create_from ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
-    ?(on_refresh_commit = fun _ -> ()) backup =
-  make ~name ~sinks (Mvcc.restore backup) on_refresh_commit
-
 let db t = t.db
 let name t = t.name
+
+let note_update_queue t =
+  Lsr_obs.Obs.set_gauge t.g_update_queue
+    (float_of_int (Queue.length t.update_queue))
 
 let enqueue t record =
   Queue.add record t.update_queue;
@@ -84,10 +82,14 @@ let enqueue t record =
      | Txn_record.Commit_rec { txn; _ } ->
        Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn Lsr_obs.Flight.Enqueued
      | Txn_record.Start_rec _ | Txn_record.Abort_rec _ -> ());
-  Lsr_obs.Obs.set_gauge t.g_update_queue
-    (float_of_int (Queue.length t.update_queue))
+  note_update_queue t
+
 let seq_dbsec t = t.seq_dbsec
 let reseed_seq t ts = t.seq_dbsec <- ts
+
+let pop_update t =
+  ignore (Queue.pop t.update_queue);
+  note_update_queue t
 
 let refresher_step t =
   match Queue.peek_opt t.update_queue with
@@ -95,9 +97,7 @@ let refresher_step t =
   | Some (Txn_record.Start_rec { txn; _ }) ->
     if not (Queue.is_empty t.pending) then Blocked_on_pending
     else begin
-      ignore (Queue.pop t.update_queue);
-      Lsr_obs.Obs.set_gauge t.g_update_queue
-        (float_of_int (Queue.length t.update_queue));
+      pop_update t;
       let refresh = Mvcc.begin_txn t.db in
       Txns.replace t.refresh_txns txn refresh;
       if Lsr_obs.Sinks.tracing t.sinks then
@@ -107,18 +107,11 @@ let refresher_step t =
       Started txn
     end
   | Some (Txn_record.Commit_rec { txn; commit_ts; updates }) ->
-    ignore (Queue.pop t.update_queue);
-    Lsr_obs.Obs.set_gauge t.g_update_queue
-      (float_of_int (Queue.length t.update_queue));
+    pop_update t;
     let refresh =
       match Txns.find_opt t.refresh_txns txn with
       | Some r -> r
-      | None ->
-        (* Propagation is FIFO and starts precede commits in the log, so a
-           missing refresh transaction is a protocol violation. *)
-        invalid_arg
-          (Printf.sprintf
-             "Secondary.refresher_step: commit record for T%d without start" txn)
+      | None -> raise (Commit_without_start { txn })
     in
     Txns.remove t.refresh_txns txn;
     Queue.add commit_ts t.pending;
@@ -129,9 +122,7 @@ let refresher_step t =
     Queue.add app t.applicators;
     Dispatched app
   | Some (Txn_record.Abort_rec { txn; wasted = _ }) ->
-    ignore (Queue.pop t.update_queue);
-    Lsr_obs.Obs.set_gauge t.g_update_queue
-      (float_of_int (Queue.length t.update_queue));
+    pop_update t;
     (match Txns.find_opt t.refresh_txns txn with
     | Some refresh ->
       Txns.remove t.refresh_txns txn;
@@ -167,18 +158,9 @@ let applicator_step t app =
         app.phase <- Committed_phase;
         t.seq_dbsec <- app.commit_ts;
         (* Commits follow the pending queue, whose order is dispatch order,
-           so the committing applicator is the front of the queue. Fall back
-           to a linear rebuild if a future change ever breaks that. *)
-        (match Queue.peek_opt t.applicators with
-        | Some front when front == app -> ignore (Queue.pop t.applicators)
-        | _ ->
-          let keep =
-            Queue.to_seq t.applicators
-            |> Seq.filter (fun a -> a.primary_txn <> app.primary_txn)
-            |> Queue.of_seq
-          in
-          Queue.clear t.applicators;
-          Queue.transfer keep t.applicators);
+           so the committing applicator is the front of the queue. *)
+        let front = Queue.pop t.applicators in
+        assert (front == app);
         if Lsr_obs.Sinks.tracing t.sinks then
           Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn:app.primary_txn
             (Lsr_obs.Flight.Refresh_committed { commit_ts = app.commit_ts });
@@ -195,35 +177,27 @@ let applicator_commit_ts app = app.commit_ts
 let applicator_local_start app = Mvcc.start_ts app.refresh
 let active_applicators t = List.of_seq (Queue.to_seq t.applicators)
 
+(* Run the refresher as far as it can go, then give every active applicator
+   one full pass; repeat while anything moved. *)
 let drain t =
-  let committed = ref 0 in
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    (* Run the refresher as far as it can go. *)
-    let refresher_live = ref true in
-    while !refresher_live do
-      match refresher_step t with
-      | Started _ | Dispatched _ | Aborted _ -> progressed := true
-      | Blocked_on_pending | Idle -> refresher_live := false
-    done;
-    (* Give every active applicator one full pass. *)
-    let apps = active_applicators t in
-    List.iter
-      (fun app ->
-        let live = ref true in
-        while !live do
-          match applicator_step t app with
-          | Applied _ -> progressed := true
-          | Committed _ ->
-            incr committed;
-            progressed := true;
-            live := false
-          | Waiting_commit | Done -> live := false
-        done)
-      apps
-  done;
-  !committed
+  let rec refresh moved =
+    match refresher_step t with
+    | Started _ | Dispatched _ | Aborted _ -> refresh true
+    | Blocked_on_pending | Idle -> moved
+  in
+  let rec apply (moved, committed) app =
+    match applicator_step t app with
+    | Applied _ -> apply (true, committed) app
+    | Committed _ -> (true, committed + 1)
+    | Waiting_commit | Done -> (moved, committed)
+  in
+  let rec loop committed =
+    let moved = refresh false in
+    match List.fold_left apply (moved, committed) (active_applicators t) with
+    | true, committed -> loop committed
+    | false, committed -> committed
+  in
+  loop 0
 
 let update_queue_length t = Queue.length t.update_queue
 let pending_queue_length t = Queue.length t.pending

@@ -34,8 +34,14 @@ exception Refresh_conflict of { txn : int; key : string }
     propagation/refresh ordering rules make this impossible (Theorem 3.1);
     raising loudly turns any protocol bug into a test failure. *)
 
-(** [create ~name ()] is a fresh secondary with an empty database copy.
-    [on_refresh_commit] fires after each refresh transaction commits, with
+exception Commit_without_start of { txn : int }
+(** Raised by {!refresher_step} on a commit record with no open refresh
+    transaction: only a channel that lost a start record gets here. *)
+
+(** [create ~name ()] is a fresh secondary whose local copy is [db]
+    (default: an empty store with no log and no commit list); the §3.4
+    recovery path passes a {!Lsr_storage.Mvcc.restore}d one, and then
+    reseeds [seq(DBsec)] with {!reseed_seq}. [on_refresh_commit] fires after each refresh transaction commits, with
     the primary commit timestamp just installed (used to wake blocked
     read-only transactions). [sinks.obs] receives per-site counters and
     queue-depth gauges named [<name>.refresh_started/committed/aborted],
@@ -47,18 +53,8 @@ val create :
   ?name:string ->
   ?sinks:Lsr_obs.Sinks.t ->
   ?on_refresh_commit:(Timestamp.t -> unit) ->
+  ?db:Mvcc.t ->
   unit ->
-  t
-
-(** [create_from backup] is a secondary whose database copy is restored from
-    a serialized primary state ({!Lsr_storage.Mvcc.serialize}) — the §3.4
-    recovery path. [seq(DBsec)] still starts at zero; reseed it with
-    {!reseed_seq}. *)
-val create_from :
-  ?name:string ->
-  ?sinks:Lsr_obs.Sinks.t ->
-  ?on_refresh_commit:(Timestamp.t -> unit) ->
-  string ->
   t
 
 (** The local database copy. *)

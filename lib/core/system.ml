@@ -142,15 +142,11 @@ let compact t =
   Wal.truncate_before
     (Primary.wal (primary t))
     (Propagation.position (Replica_set.propagator t.core));
-  let reclaimed = ref 0 in
-  let vacuum_db db =
-    reclaimed := !reclaimed + Mvcc.vacuum db ~before:(Mvcc.latest_commit_ts db)
-  in
-  vacuum_db (primary_db t);
-  for i = 0 to secondaries t - 1 do
-    if not (is_crashed t i) then vacuum_db (secondary_db t i)
-  done;
-  !reclaimed
+  let vacuum db = Mvcc.vacuum db ~before:(Mvcc.latest_commit_ts db) in
+  List.fold_left
+    (fun n i -> if is_crashed t i then n else n + vacuum (secondary_db t i))
+    (vacuum (primary_db t))
+    (List.init (secondaries t) Fun.id)
 
 (* --- Transactions ---------------------------------------------------------- *)
 

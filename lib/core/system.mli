@@ -175,13 +175,13 @@ val pump : t -> unit
 (** Reads that had to wait for the session condition so far. *)
 val blocked_reads : t -> int
 
-(** [compact t] reclaims storage across the system: the primary log is
-    truncated below the propagator cursor (those records have been
-    broadcast to every live secondary's queue), and version chains at the
-    primary and at every live secondary are vacuumed down to their latest
-    committed version. Returns the number of versions reclaimed. Call it
-    after {!pump}: snapshot reconstruction below the current state becomes
-    unavailable, so lagging secondaries must have caught up first.
+(** [compact t] reclaims storage across the system: the primary log (the
+    only one) is truncated below the propagator cursor, here and nowhere
+    else, since {!Recovery} replays it from offset 0; and version chains at
+    the primary and at every live secondary are vacuumed down to their
+    latest committed version. Returns the number of versions reclaimed.
+    Call it after {!pump}: snapshot reconstruction below the current state
+    becomes unavailable, so lagging secondaries must have caught up first.
 
     Its vacuum costs each database the keys written more than once since
     the last compact, not the whole store (see {!Mvcc.vacuum}). *)

@@ -2,6 +2,8 @@ open Lsr_storage
 module Obs = Lsr_obs.Obs
 module Json = Lsr_obs.Json
 
+exception Unknown_site of { site : int; sites : int }
+
 type level = Session.level = All_sessions | In_session | After_update
 
 type alert_kind =
@@ -339,8 +341,8 @@ let retire t =
   end
 
 let note_refresh t ~site ~seq =
-  if site < 0 || site >= Array.length t.site_seq then
-    invalid_arg "Watchdog.note_refresh: unknown site";
+  let sites = Array.length t.site_seq in
+  if site < 0 || site >= sites then raise (Unknown_site { site; sites });
   if Timestamp.compare seq t.site_seq.(site) > 0 then begin
     t.site_seq.(site) <- seq;
     retire t;

@@ -47,6 +47,9 @@ open Lsr_storage
 
 type t
 
+exception Unknown_site of { site : int; sites : int }
+(** Raised by {!note_refresh} for a site outside [0 .. sites - 1]. *)
+
 (** Which inversion floor a violation was detected against — mirroring the
     three lists of {!Checker.report}. *)
 type level = Session.level =

@@ -197,6 +197,11 @@ let propagator_process st () =
   let rec cycle () =
     Process.delay p.Params.propagation_delay;
     let records = Propagation.poll (Replica_set.propagator st.rs) in
+    (* No reader is left behind the cursor: the simulator never recovers a
+       site, and a fault channel keeps its own copy of what is in flight. *)
+    Wal.truncate_before
+      (Primary.wal (Replica_set.primary st.rs))
+      (Propagation.position (Replica_set.propagator st.rs));
     if records <> [] then begin
       (* A site with a faulty transport gets the records on the wire here;
          they surface, in order, from its channel process's ticks (loss,

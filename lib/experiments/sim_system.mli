@@ -56,8 +56,8 @@ type config = {
   guarantee : Session.guarantee;
   seed : int;
   record_history : bool;
-      (** record every transaction and run the checker battery at the end
-          (memory-heavy; meant for validation runs, not performance sweeps) *)
+      (** record every transaction and commit list, run the checker battery
+          at the end (memory-heavy; for validation, not performance sweeps) *)
   watchdog : bool;
       (** attach an online {!Lsr_core.Watchdog}: the weak-SI read
           validation, the inversion floors for all three session-guarantee

@@ -69,16 +69,17 @@ type t = {
   (* The cells whose chains hold two or more versions, each once: the only
      ones [vacuum] can trim. *)
   mutable multi : cell list;
-  wal : Wal.t;
+  log : Wal.t option;  (* only the primary's store has a log *)
   mutable next_txn_id : int;
   (* Commit timestamps with the writes installed, newest first; the basis of
-     the S^i state sequence. *)
+     the S^i state sequence. Kept only when [commit_log]. *)
+  commit_log : bool;
   mutable commits : (Timestamp.t * Wal.update list) list;
   mutable commit_count : int;
   mutable latest_commit : Timestamp.t;
 }
 
-let create () =
+let create ?log ?(commit_log = false) () =
   {
     clock = Timestamp.source ();
     buckets = Array.make 1024 sentinel;
@@ -87,14 +88,19 @@ let create () =
     new_keys = [];
     versions = 0;
     multi = [];
-    wal = Wal.create ();
+    log;
     next_txn_id = 0;
+    commit_log;
     commits = [];
     commit_count = 0;
     latest_commit = Timestamp.zero;
   }
 
-let wal t = t.wal
+let wal t =
+  match t.log with
+  | Some wal -> wal
+  | None -> invalid_arg "Mvcc.wal: this store was created without a log"
+
 
 (* --- Key cells ---------------------------------------------------------------- *)
 
@@ -139,7 +145,9 @@ let fold_cells f t init =
 let make_txn t start_ts =
   let id = t.next_txn_id in
   t.next_txn_id <- id + 1;
-  Wal.append t.wal (Wal.Start { txn = id; ts = start_ts });
+  (match t.log with
+  | Some wal -> Wal.append wal (Wal.Start { txn = id; ts = start_ts })
+  | None -> ());
   {
     id;
     start_ts;
@@ -190,8 +198,11 @@ let read t txn key =
 
 let write t txn key value =
   require_active txn "write";
-  Wal.append t.wal (Wal.Update { txn = txn.id; update = { key; value } });
-  txn.writes <- { Wal.key; value } :: txn.writes;
+  let update = { Wal.key; value } in
+  (match t.log with
+  | Some wal -> Wal.append wal (Wal.Update { txn = txn.id; update })
+  | None -> ());
+  txn.writes <- update :: txn.writes;
   txn.effective <- None;
   let own =
     match txn.writes_by_key with
@@ -234,7 +245,7 @@ let install t ~commit_ts updates =
     t.versions <- t.versions + 1
   in
   List.iter apply updates;
-  t.commits <- (commit_ts, updates) :: t.commits;
+  if t.commit_log then t.commits <- (commit_ts, updates) :: t.commits;
   t.commit_count <- t.commit_count + 1;
   t.latest_commit <- commit_ts
 
@@ -253,24 +264,31 @@ let effective_updates txn =
     txn.effective <- Some updates;
     updates
 
+(* An entry is built only when there is a log to append it to. *)
+let mark_aborted t txn =
+  txn.state <- Aborted_;
+  match t.log with
+  | Some wal -> Wal.append wal (Wal.Abort { txn = txn.id })
+  | None -> ()
+
 let commit t txn =
   require_active txn "commit";
   match first_committer_conflict t txn with
   | Some key ->
-    txn.state <- Aborted_;
-    Wal.append t.wal (Wal.Abort { txn = txn.id });
+    mark_aborted t txn;
     Aborted (Write_conflict key)
   | None ->
     let commit_ts = Timestamp.next t.clock in
     install t ~commit_ts (effective_updates txn);
     txn.state <- Committed_;
-    Wal.append t.wal (Wal.Commit { txn = txn.id; ts = commit_ts });
+    (match t.log with
+    | Some wal -> Wal.append wal (Wal.Commit { txn = txn.id; ts = commit_ts })
+    | None -> ());
     Committed commit_ts
 
 let abort t txn =
   require_active txn "abort";
-  txn.state <- Aborted_;
-  Wal.append t.wal (Wal.Abort { txn = txn.id })
+  mark_aborted t txn
 
 let end_read _t txn =
   require_active txn "end_read";
@@ -323,8 +341,13 @@ let fold_keys t ~prefix ~init ~f =
   in
   consume init (keys_from t prefix)
 
-let commit_history t = List.rev_map fst t.commits
-let commits_with_updates t = List.rev t.commits
+let commits t op =
+  if t.commit_log then t.commits
+  else
+    invalid_arg ("Mvcc." ^ op ^ ": this store was created without a commit list")
+
+let commit_history t = List.rev_map fst (commits t "commit_history")
+let commits_with_updates t = List.rev (commits t "commits_with_updates")
 
 (* --- Maintenance ----------------------------------------------------------- *)
 

@@ -11,12 +11,12 @@
     - writers never block: write-write conflicts are resolved at commit by
       the first-committer-wins rule, so there are no deadlocks;
     - a transaction reads its own uncommitted writes;
-    - every update transaction leaves start / update / commit (or abort)
-      records in the site's logical {!Wal}.
+    - a store given a logical {!Wal} (only the primary's is) logs start /
+      update / commit (or abort) records there.
 
     The engine also exposes snapshot reconstruction ([state_at],
-    [fold_visible]) used to check the paper's completeness property
-    (Theorem 3.1, [S^i_p = S^i_s]).
+    [fold_visible]) and the commit list, used to check the paper's
+    completeness property (Theorem 3.1, [S^i_p = S^i_s]).
 
     Each key is one cell that is also its hash-bucket node and holds the
     newest version inline, with older versions in a list behind it. A read
@@ -39,9 +39,14 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
-val create : unit -> t
+(** An empty store that logs to [log] (without it, nowhere). Only with
+    [commit_log] (default false) does it keep the commit list, which grows
+    by one entry per commit; without it {!commit_history} and
+    {!commits_with_updates} raise [Invalid_argument] rather than answer
+    [[]], which would pass any comparison. *)
+val create : ?log:Wal.t -> ?commit_log:bool -> unit -> t
 
-(** The site's logical log. *)
+(** The log given at {!create}. @raise Invalid_argument without one. *)
 val wal : t -> Wal.t
 
 (** [begin_txn t] starts a transaction whose snapshot is the latest committed
@@ -158,7 +163,7 @@ val version_count : t -> int
 val serialize : t -> string
 
 (** [restore data] is a fresh database whose single initial commit
-    installs a serialized state.
+    installs a serialized state. It keeps no log and no commit list.
     @raise Failure on malformed input. *)
 val restore : string -> t
 

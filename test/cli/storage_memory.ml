@@ -1,0 +1,73 @@
+(* Memory guard for the records a simulated run keeps per transaction: only
+   the primary writes a log, the simulator truncates it behind the
+   propagation cursor every cycle, and a run that records no history keeps
+   no commit lists. Runs 2 sites x 200k open-loop clients under weak SI,
+   with no history, watchdog or recorder attached, and fails when the
+   growth of the resident-set high-water mark across the run, per completed
+   transaction, reaches [bound_bytes]. What is left per transaction is the
+   version each update installs at every site, which nothing reclaims yet.
+
+   Measured on a 2-vCPU x86-64 Linux guest: about 471 B per transaction
+   when every site logged every transaction, never truncated, and kept a
+   commit list; about 284 B once only the primary logs, its log is
+   truncated every cycle and no commit list is kept. The bound sits
+   between the two.
+
+   Prints a skip line and exits 0 where /proc/self/status is unreadable. *)
+
+open Lsr_core
+open Lsr_workload
+module Sim = Lsr_experiments.Sim_system
+
+let bound_bytes = 380.
+
+(* Resident-set high-water mark (VmHWM) in bytes, or [None] when
+   /proc/self/status cannot be read. *)
+let vm_hwm_bytes () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
+        Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d"
+          (fun kb -> Some (1024. *. float_of_int kb))
+      | _ -> scan ()
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
+let () =
+  let clients = 200_000 in
+  let cfg =
+    {
+      (Sim.config
+         {
+           Params.default with
+           Params.num_secondaries = 2;
+           clients_per_secondary = clients;
+           op_service_time = 1e-6;
+           propagation_delay = 1.0;
+           warmup = 0.;
+           duration = 2.;
+         }
+         Session.Weak ~seed:11)
+      with
+      Sim.client_mode =
+        Sim.Open_loop { clients; arrival = Sim.Poisson; session_pool = 0 };
+    }
+  in
+  match vm_hwm_bytes () with
+  | None -> print_endline "storage_memory: skipped, /proc/self/status unreadable"
+  | Some before ->
+    let o = Sim.run cfg in
+    let after = Option.get (vm_hwm_bytes ()) in
+    let txns = o.Sim.reads_completed + o.Sim.updates_completed in
+    let per_txn = (after -. before) /. float_of_int txns in
+    if per_txn >= bound_bytes then begin
+      Printf.printf
+        "storage_memory: FAIL, peak RSS grew %.0f B per completed transaction \
+         (bound %.0f)\n"
+        per_txn bound_bytes;
+      exit 1
+    end

@@ -4,7 +4,10 @@
    the history, drives watchdog tokens, or notes commits, reads, stages,
    crashes or recoveries in the flight recorder directly; and when any
    module but [Replica_set] runs the end-of-run verdict's checks or builds
-   a fault channel, which the replica set owns per secondary.
+   a fault channel, which the replica set owns per secondary. Every log
+   record has a reader: only [Primary] creates a log, and only the two
+   drivers, which know when no reader is left behind the propagation
+   cursor, truncate it.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -21,6 +24,10 @@ let rules =
       "Replica_set",
       [ "Checker.analyze"; "Checker.check_completeness";
         "Checker.same_state"; "Channel.create" ] );
+    ([ "primary.ml" ], "Primary", [ "Wal.create" ]);
+    ( [ "system.ml"; "sim_system.ml" ],
+      "System / Sim_system",
+      [ "Wal.truncate_before" ] );
   ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines

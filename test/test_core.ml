@@ -215,7 +215,7 @@ let test_propagation_from_offset () =
 
 (* Feed the propagated records of [actions] into a fresh secondary. *)
 let replicate_to_secondary records =
-  let sec = Secondary.create () in
+  let sec = Secondary.create ~db:(Mvcc.create ~commit_log:true ()) () in
   List.iter (Secondary.enqueue sec) records;
   sec
 
@@ -336,7 +336,7 @@ let test_applicators_commit_in_primary_order () =
 let test_refresh_commit_order_matches_primary_random () =
   (* Randomized version of Lemma 3.3: whatever the interleaving of disjoint
      primary transactions, refresh commits occur in primary commit order. *)
-  let primary = Primary.create () in
+  let primary = Primary.create ~commit_log:true () in
   for i = 1 to 20 do
     ignore (update_at primary [ (Printf.sprintf "k%d" i, Some (string_of_int i)) ])
   done;
@@ -354,8 +354,7 @@ let test_commit_without_start_rejected () =
   Secondary.enqueue sec
     (Txn_record.Commit_rec { txn = 99; commit_ts = 5; updates = [] });
   Alcotest.check_raises "protocol violation"
-    (Invalid_argument
-       "Secondary.refresher_step: commit record for T99 without start")
+    (Secondary.Commit_without_start { txn = 99 })
     (fun () -> ignore (Secondary.refresher_step sec))
 
 let test_reseed_seq () =
@@ -448,7 +447,7 @@ let prop_refresh_ordering_relationships =
       let local = Hashtbl.create 16 in
       (* primary commit ts -> (local start, local commit order index) *)
       let order = ref 0 in
-      let sec = Secondary.create () in
+      let sec = Secondary.create ~db:(Mvcc.create ~commit_log:true ()) () in
       List.iter (Secondary.enqueue sec) (records_of primary);
       let rec drive () =
         match Secondary.refresher_step sec with
@@ -1119,8 +1118,8 @@ let test_checker_weak_si_read_validation () =
     (List.length (Checker.check_weak_si (history_of [ w1; w2; bad_read ])))
 
 let test_checker_completeness_positive_negative () =
-  let primary = Mvcc.create () in
-  let sec = Mvcc.create () in
+  let primary = Mvcc.create ~commit_log:true () in
+  let sec = Mvcc.create ~commit_log:true () in
   let apply db writes =
     let txn = Mvcc.begin_txn db in
     List.iter (fun (k, v) -> Mvcc.write db txn k (Some v)) writes;
@@ -1140,8 +1139,8 @@ let test_checker_completeness_positive_negative () =
   | Ok () -> Alcotest.fail "divergence not detected"
 
 let test_checker_completeness_secondary_ahead () =
-  let primary = Mvcc.create () in
-  let sec = Mvcc.create () in
+  let primary = Mvcc.create ~commit_log:true () in
+  let sec = Mvcc.create ~commit_log:true () in
   let txn = Mvcc.begin_txn sec in
   Mvcc.write sec txn "x" (Some "1");
   ignore (commit_exn sec txn);
@@ -1217,7 +1216,7 @@ let build_completeness_case ((commits, prefix), (mutation, at, vacuum)) =
     List.iter (fun (k, v) -> Mvcc.write db txn k v) writes;
     ignore (commit_exn db txn)
   in
-  let primary = Mvcc.create () in
+  let primary = Mvcc.create ~commit_log:true () in
   List.iter (apply primary) commits;
   let installed = List.map snd (Mvcc.commits_with_updates primary) in
   let np = List.length installed in
@@ -1251,7 +1250,7 @@ let build_completeness_case ((commits, prefix), (mutation, at, vacuum)) =
     | More_commits ->
       List.map as_pairs installed @ [ [ ("z", Some "x") ]; [ ("a", None) ] ]
   in
-  let secondary = Mvcc.create () in
+  let secondary = Mvcc.create ~commit_log:true () in
   List.iter (fun ws -> if ws <> [] then apply secondary ws) replay;
   Option.iter
     (fun i ->
@@ -1295,7 +1294,7 @@ let test_completeness_oracle_coverage () =
    allocates the same few words for a 5k-key and a 20k-key pair. *)
 let test_completeness_allocation_bound () =
   let words_allocated keys =
-    let primary = Mvcc.create () and secondary = Mvcc.create () in
+    let primary = Mvcc.create ~commit_log:true () and secondary = Mvcc.create ~commit_log:true () in
     let commits = 4 in
     for c = 0 to commits - 1 do
       List.iter

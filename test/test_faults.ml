@@ -227,6 +227,34 @@ let test_system_pump_under_chaos () =
       = Mvcc.committed_state (System.primary_db sys))
   done
 
+(* The simulator truncates the primary log behind the propagation cursor
+   every cycle, and only an audited run keeps commit lists. Under chaos the
+   channels still hold what the log no longer does, and every secondary's
+   state sequence must remain a prefix of the primary's (Theorem 3.1). *)
+let test_sim_chaos_complete () =
+  let params =
+    {
+      Lsr_workload.Params.default with
+      Lsr_workload.Params.num_secondaries = 2;
+      clients_per_secondary = 5;
+      warmup = 10.;
+      duration = 120.;
+    }
+  in
+  let o =
+    Lsr_experiments.Sim_system.run
+      {
+        (Lsr_experiments.Sim_system.config params Session.Weak ~seed:43) with
+        Lsr_experiments.Sim_system.record_history = true;
+        faults = Some Channel.chaos;
+      }
+  in
+  let open Lsr_experiments.Sim_system in
+  check_bool "faults fired" true (o.channel_dropped > 0 && o.channel_duplicated > 0);
+  check_bool "refreshed" true (o.refresh_commits > 0);
+  check_bool "audited" true (o.check_report <> None);
+  Alcotest.(check (list string)) "complete" [] o.check_errors
+
 (* A channel that loses all but one transmission in a billion (loss stays
    below 1, so the channel accepts it) cannot quiesce: pump gives up after
    its tick cap with a typed error. *)
@@ -763,6 +791,8 @@ let () =
             test_system_blocked_read_under_chaos;
           Alcotest.test_case "crash mid-refresh recovers" `Quick
             test_system_crash_mid_refresh_recovers;
+          Alcotest.test_case "simulator under chaos stays complete" `Quick
+            test_sim_chaos_complete;
         ] );
       ( "recovery",
         [

@@ -280,7 +280,7 @@ let as_pairs = List.map (fun { Wal.key; value } -> (key, value))
 (* Without a repeated key the buffered writes are the updates, in write
    order; asking for them mid-transaction must not freeze them. *)
 let test_pending_writes_distinct_keys () =
-  let db = Mvcc.create () in
+  let db = Mvcc.create ~commit_log:true () in
   seed db [ ("z", "old") ];
   let txn = Mvcc.begin_txn db in
   check_str_opt "no writes yet: snapshot" (Some "old") (Mvcc.read db txn "z");
@@ -306,7 +306,7 @@ let test_pending_writes_distinct_keys () =
 
 (* With repeats: one update per key, first-write position, last value. *)
 let test_pending_writes_repeated_keys () =
-  let db = Mvcc.create () in
+  let db = Mvcc.create ~commit_log:true () in
   let txn = Mvcc.begin_txn db in
   put db txn "a" "1";
   put db txn "b" "2";
@@ -359,7 +359,7 @@ let prop_key_index_lazy =
 (* --- Mvcc: state reconstruction --------------------------------------------------- *)
 
 let test_state_sequence () =
-  let db = Mvcc.create () in
+  let db = Mvcc.create ~commit_log:true () in
   let state i =
     (* S^i: the state as of the i-th commit's timestamp (S^0 is empty). *)
     Mvcc.state_at db
@@ -393,7 +393,7 @@ let test_read_at () =
     (Mvcc.read_at db (Mvcc.latest_commit_ts db) "x")
 
 let test_commit_history_ordered () =
-  let db = Mvcc.create () in
+  let db = Mvcc.create ~commit_log:true () in
   seed db [ ("a", "1") ];
   seed db [ ("b", "2") ];
   let history = Mvcc.commit_history db in
@@ -409,11 +409,12 @@ let test_fold_keys_prefix () =
   check_int "prefix filter" 2 books
 
 let test_wal_records_transaction () =
-  let db = Mvcc.create () in
+  let log = Wal.create () in
+  let db = Mvcc.create ~log () in
   let txn = Mvcc.begin_txn db in
   put db txn "x" "1";
   ignore (commit_exn db txn);
-  let entries, _ = Wal.read_from (Mvcc.wal db) 0 in
+  let entries, _ = Wal.read_from log 0 in
   match entries with
   | [ Wal.Start s; Wal.Update u; Wal.Commit c ] ->
     check_int "start txn id" (Mvcc.txn_id txn) s.txn;
@@ -422,14 +423,53 @@ let test_wal_records_transaction () =
   | _ -> Alcotest.fail "unexpected log shape"
 
 let test_wal_records_abort () =
-  let db = Mvcc.create () in
+  let log = Wal.create () in
+  let db = Mvcc.create ~log () in
   let txn = Mvcc.begin_txn db in
   put db txn "x" "1";
   Mvcc.abort db txn;
-  let entries, _ = Wal.read_from (Mvcc.wal db) 0 in
+  let entries, _ = Wal.read_from log 0 in
   match List.rev entries with
   | Wal.Abort a :: _ -> check_int "abort logged" (Mvcc.txn_id txn) a.txn
   | _ -> Alcotest.fail "abort record missing"
+
+(* A store given no log appends nothing anywhere and has no log to hand
+   out; one given a log keeps it. *)
+let test_unlogged_store () =
+  let log = Wal.create () in
+  let logged = Mvcc.create ~log () in
+  let db = Mvcc.create () in
+  seed db [ ("x", "1") ];
+  let txn = Mvcc.begin_txn db in
+  put db txn "x" "2";
+  Mvcc.abort db txn;
+  Mvcc.end_read db (Mvcc.begin_txn db);
+  check_int "other log untouched" 0 (Wal.length log);
+  check_bool "the given log" true (Mvcc.wal logged == log);
+  Alcotest.check_raises "no log"
+    (Invalid_argument "Mvcc.wal: this store was created without a log")
+    (fun () -> ignore (Mvcc.wal db));
+  Alcotest.check_raises "restored store has no log"
+    (Invalid_argument "Mvcc.wal: this store was created without a log")
+    (fun () -> ignore (Mvcc.wal (Mvcc.restore (Mvcc.serialize db))))
+
+(* The commit list exists only when asked for: a store without one raises
+   rather than answer [], which any completeness comparison would pass. *)
+let test_commit_list_only_when_kept () =
+  let db = Mvcc.create () in
+  seed db [ ("x", "1") ];
+  check_int "commits still counted" 1 (Mvcc.commit_count db);
+  Alcotest.check_raises "commits_with_updates"
+    (Invalid_argument
+       "Mvcc.commits_with_updates: this store was created without a commit list")
+    (fun () -> ignore (Mvcc.commits_with_updates db));
+  Alcotest.check_raises "commit_history"
+    (Invalid_argument
+       "Mvcc.commit_history: this store was created without a commit list")
+    (fun () -> ignore (Mvcc.commit_history db));
+  let kept = Mvcc.create ~commit_log:true () in
+  seed kept [ ("x", "1") ];
+  check_int "kept" 1 (List.length (Mvcc.commits_with_updates kept))
 
 (* --- Mvcc: qcheck properties -------------------------------------------------------- *)
 
@@ -490,7 +530,7 @@ let prop_state_replay =
     ~count:300
     QCheck.(make Gen.(list_size (int_range 0 8) gen_txn_writes))
     (fun txns ->
-      let db = Mvcc.create () in
+      let db = Mvcc.create ~commit_log:true () in
       List.iter
         (fun writes ->
           let t = Mvcc.begin_txn db in
@@ -517,7 +557,7 @@ let prop_fold_visible_matches_state_at =
   QCheck.Test.make ~name:"fold_visible = state_at at every commit" ~count:100
     QCheck.(make Gen.(list_size (int_range 0 6) gen_txn_writes))
     (fun txns ->
-      let db = Mvcc.create () in
+      let db = Mvcc.create ~commit_log:true () in
       List.iter
         (fun writes ->
           let t = Mvcc.begin_txn db in
@@ -1375,6 +1415,10 @@ let () =
           Alcotest.test_case "fold_keys prefix" `Quick test_fold_keys_prefix;
           Alcotest.test_case "wal records txn" `Quick test_wal_records_transaction;
           Alcotest.test_case "wal records abort" `Quick test_wal_records_abort;
+          Alcotest.test_case "unlogged store appends nothing" `Quick
+            test_unlogged_store;
+          Alcotest.test_case "commit list only when kept" `Quick
+            test_commit_list_only_when_kept;
         ]
         @ qsuite
             [

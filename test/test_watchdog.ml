@@ -526,6 +526,19 @@ let test_retired_chain_reads_base () =
   check_expected "the rewrite folds into the base" [ ("x", Some "c"); ("y", None) ]
     (expected ~snapshot:3 [ "x"; "y" ])
 
+(* A refresh from a site the watchdog was not created with is a wiring
+   fault, reported as a typed error that names the site. *)
+let test_unknown_site () =
+  let w = Watchdog.create ~sites:2 () in
+  Watchdog.note_refresh w ~site:1 ~seq:1;
+  List.iter
+    (fun site ->
+      Alcotest.check_raises
+        (Printf.sprintf "site %d" site)
+        (Watchdog.Unknown_site { site; sites = 2 })
+        (fun () -> Watchdog.note_refresh w ~site ~seq:2))
+    [ 2; -1 ]
+
 let () =
   Alcotest.run "lsr_watchdog"
     [
@@ -558,6 +571,8 @@ let () =
           Alcotest.test_case "continuous retirement" `Quick
             test_embedded_retirement;
           Alcotest.test_case "crash and recovery" `Quick test_embedded_recovery;
+          Alcotest.test_case "unknown site is a typed error" `Quick
+            test_unknown_site;
           Alcotest.test_case "System.check reports the watchdog" `Quick
             test_embedded_check_reports_watchdog;
         ] );
