@@ -45,6 +45,33 @@ let guarantee_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
+(* Counts and durations are range-checked while parsing, so an out-of-range
+   value is a usage error naming its option (exit 124) rather than a crash
+   or a run that reports nonsense. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %d" lo n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let duration_conv =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok d when not (Float.is_finite d && d > 0.) ->
+      Error (`Msg (Printf.sprintf "expected a finite duration > 0, got %s" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let secondaries_arg ~default =
+  Arg.(
+    value
+    & opt (int_at_least 1) default
+    & info [ "secondaries"; "s" ] ~doc:"Secondary sites.")
+
 (* --- shared workload options -----------------------------------------------------
 
    simulate and bottleneck size the simulated system with the same four
@@ -60,17 +87,20 @@ type workload_opts = {
 }
 
 let workload_term =
-  let secondaries =
-    Arg.(value & opt int 5 & info [ "secondaries"; "s" ] ~doc:"Secondary sites.")
-  in
+  let secondaries = secondaries_arg ~default:5 in
   let clients =
-    Arg.(value & opt int 20 & info [ "clients"; "c" ] ~doc:"Clients per secondary.")
+    Arg.(
+      value
+      & opt (int_at_least 1) 20
+      & info [ "clients"; "c" ] ~doc:"Clients per secondary.")
   in
   let browsing =
     Arg.(value & flag & info [ "browsing" ] ~doc:"Use the 95/5 TPC-W browsing mix.")
   in
   let duration =
-    Arg.(value & opt float 600. & info [ "duration"; "d" ] ~doc:"Simulated seconds.")
+    Arg.(
+      value & opt duration_conv 600.
+      & info [ "duration"; "d" ] ~doc:"Simulated seconds.")
   in
   Term.(
     const (fun w_secondaries w_clients w_browsing w_duration ->
@@ -258,7 +288,8 @@ let simulate_cmd =
        arrival process per site instead of per-client coroutines (0 = \
        closed loop). Scales to millions of modeled clients."
     in
-    Arg.(value & opt int 0 & info [ "open-loop" ] ~docv:"CLIENTS" ~doc)
+    Arg.(
+      value & opt (int_at_least 0) 0 & info [ "open-loop" ] ~docv:"CLIENTS" ~doc)
   in
   let arrival =
     let parse s =
@@ -289,7 +320,8 @@ let simulate_cmd =
       "Size of the rotating session-label pool in open-loop mode (0 = \
        min(clients, 4096))."
     in
-    Arg.(value & opt int 0 & info [ "session-pool" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (int_at_least 0) 0 & info [ "session-pool" ] ~docv:"N" ~doc)
   in
   let fence =
     let parse s =
@@ -497,9 +529,7 @@ let sql guarantee secondaries schema_spec =
     List.iter print_endline es
 
 let sql_cmd =
-  let secondaries =
-    Arg.(value & opt int 2 & info [ "secondaries"; "s" ] ~doc:"Secondary sites.")
-  in
+  let secondaries = secondaries_arg ~default:2 in
   let schema =
     let doc = "Secondary indexes, e.g. \"books:price,stock;orders:status\"." in
     Arg.(value & opt string "" & info [ "schema" ] ~doc)

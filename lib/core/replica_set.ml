@@ -12,8 +12,10 @@ type freshness = {
 }
 
 (* One secondary site. [hook] is the replica's whole refresh-commit hook,
-   kept so a recovered replica gets the same one. *)
+   kept so a recovered replica gets the same one. [freshness] is forced on
+   the site's first sample into an attached registry. *)
 type site = {
+  name : string;
   mutable replica : Secondary.t;
   hook : Timestamp.t -> unit;
   channel : Channel.t option;
@@ -21,6 +23,7 @@ type site = {
   (* False once the site has crashed: its state sequence is no longer a
      prefix of the primary's, so only final-state equality can be checked. *)
   mutable clean : bool;
+  freshness : freshness Lazy.t;
 }
 
 type t = {
@@ -34,7 +37,7 @@ type t = {
   tracking : bool;
   sinks : Sinks.t;
   now : unit -> float;
-  freshness : (string, freshness) Hashtbl.t;
+  on_read : int -> age:float -> missed:int -> unit;
   sites : site array;
 }
 
@@ -50,30 +53,20 @@ let flight_trigger flight (a : Watchdog.alert) =
       ~detail:(Format.asprintf "%a" Watchdog.pp_alert a)
       ~txns ()
 
-let freshness (sinks : Sinks.t) table site =
-  match Hashtbl.find_opt table site with
-  | Some f -> f
-  | None ->
-    let obs = sinks.obs in
-    let f =
-      {
-        read_age = Obs.histogram obs (site ^ ".read_age");
-        read_missed = Obs.histogram obs (site ^ ".read_missed");
-        missed_commits = Obs.gauge obs (site ^ ".missed_commits");
-        refresh_lag = Obs.histogram obs (site ^ ".refresh_lag");
-      }
-    in
-    Hashtbl.add table site f;
-    f
-
-let site_name i = Printf.sprintf "secondary-%d" i
+let freshness obs site =
+  {
+    read_age = Obs.histogram obs (site ^ ".read_age");
+    read_missed = Obs.histogram obs (site ^ ".read_missed");
+    missed_commits = Obs.gauge obs (site ^ ".missed_commits");
+    refresh_lag = Obs.histogram obs (site ^ ".refresh_lag");
+  }
 
 let note_refresh watchdog i seq =
   match watchdog with
   | Some w -> Watchdog.note_refresh w ~site:i ~seq
   | None -> ()
 
-let create ?now ~on_refresh_commit ~faults ~ship_aborted ~sinks
+let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
     ~record_history ~watchdog ~sites guarantee =
   let history = History.create () in
   let now =
@@ -102,7 +95,6 @@ let create ?now ~on_refresh_commit ~faults ~ship_aborted ~sinks
   let propagator =
     Propagation.create ~from:0 ~ship_aborted ~sinks (Primary.wal primary)
   in
-  let table = Hashtbl.create 8 in
   (* Every channel draws its own stream, split from the fault seed in site
      order, so a whole fault schedule replays from one seed. *)
   let channel =
@@ -114,25 +106,31 @@ let create ?now ~on_refresh_commit ~faults ~ship_aborted ~sinks
         Some (Channel.create ~config ~sinks ~name ~rng:(Lsr_sim.Rng.split rng) ())
   in
   let make_site i =
-    let name = site_name i in
+    let name = Printf.sprintf "secondary-%d" i in
     let on_refresh_commit = on_refresh_commit i in
-    (* Each refresh commit calls the driver's hook, records its refresh lag
-       when a registry is attached, then advances the watchdog's horizon. *)
+    let freshness = lazy (freshness sinks.obs name) in
+    (* Each refresh commit measures its lag once (none for a commit that is
+       not on the clock), hands it to the driver's hook and to an attached
+       registry, then advances the watchdog's horizon. *)
     let hook ts =
-      on_refresh_commit ts;
-      (if Obs.enabled sinks.obs then
-         match Session.clock_time_of clock ts with
-         | Some committed_at ->
-           Obs.observe (freshness sinks table name).refresh_lag
-             (now () -. committed_at)
-         | None -> ());
+      let lag =
+        match Session.clock_time_of clock ts with
+        | Some committed_at -> Some (now () -. committed_at)
+        | None -> None
+      in
+      on_refresh_commit ts lag;
+      (match lag with
+      | Some lag when Obs.enabled sinks.obs ->
+        Obs.observe (Lazy.force freshness).refresh_lag lag
+      | Some _ | None -> ());
       note_refresh watchdog i ts
     in
     let replica =
       Secondary.create ~name ~sinks ~on_refresh_commit:hook
         ~db:(Mvcc.create ~commit_log:record_history ()) ()
     in
-    { replica; hook; channel = channel name; crashed = false; clean = true }
+    { name; replica; hook; channel = channel name; crashed = false;
+      clean = true; freshness }
   in
   let sites = Array.init sites make_site in
   {
@@ -146,7 +144,7 @@ let create ?now ~on_refresh_commit ~faults ~ship_aborted ~sinks
     tracking = record_history || watchdog <> None;
     sinks;
     now;
-    freshness = table;
+    on_read;
     sites;
   }
 
@@ -203,20 +201,19 @@ let crashed t i =
   let s = t.sites.(i) in
   s.crashed <- true;
   s.clean <- false;
-  Flight.note_crash t.sinks.flight ~site:(site_name i);
+  Flight.note_crash t.sinks.flight ~site:s.name;
   Option.iter Channel.reset s.channel
 
 (* The recovered copy corresponds to primary state [seq]: the watchdog's
    per-site horizon jumps forward with it. *)
 let recovered t i ~backup ~seq =
   let s = t.sites.(i) in
-  let name = site_name i in
   let fresh =
-    Secondary.create ~name ~sinks:t.sinks ~on_refresh_commit:s.hook
+    Secondary.create ~name:s.name ~sinks:t.sinks ~on_refresh_commit:s.hook
       ~db:(Mvcc.restore backup) ()
   in
   Secondary.reseed_seq fresh seq;
-  Flight.note_recovery t.sinks.flight ~site:name ~seq;
+  Flight.note_recovery t.sinks.flight ~site:s.name ~seq;
   note_refresh t.watchdog i seq;
   Option.iter Channel.reset s.channel;
   s.replica <- fresh;
@@ -284,11 +281,10 @@ let finish_update t u ~session ~reads (outcome : _ Primary.outcome) =
     end
 
 let begin_read ?fence t ~session ~site ~snapshot =
+  let age, missed = Session.clock_freshness t.clock ~snapshot ~now:(t.now ()) in
+  t.on_read site ~age ~missed;
   if Obs.enabled t.sinks.obs then begin
-    let age, missed =
-      Session.clock_freshness t.clock ~snapshot ~now:(t.now ())
-    in
-    let f = freshness t.sinks t.freshness site in
+    let f = Lazy.force t.sites.(site).freshness in
     Obs.observe f.read_age age;
     Obs.observe f.read_missed (float_of_int missed);
     Obs.set_gauge f.missed_commits (float_of_int missed)
@@ -301,6 +297,7 @@ let begin_read ?fence t ~session ~site ~snapshot =
 
 let finish_read ?fence t r ~session ~site ~snapshot ~read_at ~fence_seq ~reads
     =
+  let site = t.sites.(site).name in
   let id, finished = finish_tick t in
   if Flight.enabled t.sinks.flight then
     Flight.note_read t.sinks.flight ~site ~hid:id ~session ~snapshot

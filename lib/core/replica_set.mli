@@ -7,9 +7,9 @@
     ever recovered. Drivers keep how transactions execute and wait, and
     pass each transaction through the hooks below, which do its bookkeeping
     once: history ticks and ids, [seq(c)] and read floors, the commit clock,
-    per-site freshness instruments, flight events, watchdog tokens and the
-    history record. {!check} is the one end-of-run verdict both drivers
-    report.
+    read freshness and refresh lag, per-site freshness instruments, flight
+    events, watchdog tokens and the history record. {!check} is the one
+    end-of-run verdict both drivers report.
 
     Ordering rules the hooks encode:
     - a history tick and its watchdog hook happen in one hook call, so no
@@ -20,11 +20,14 @@
       driver calls {!finish_update} with no yield after the primary commit.
 
     With no watchdog, history, registry or flight recorder attached, the
-    hooks allocate nothing.
+    hooks allocate only the freshness and lag values they hand to the
+    driver.
 
-    Freshness goes to an attached {!Lsr_obs.Obs} registry as four
-    instruments per secondary, interned together on the site's first
-    sample: histograms [<site>.read_age], [<site>.read_missed] and
+    Read freshness and refresh lag are computed here once per event, on the
+    commit clock, and handed to the driver's [on_read] and
+    [on_refresh_commit] hooks. They also go to an attached {!Lsr_obs.Obs}
+    registry as four instruments per secondary, interned together on the
+    site's first sample: histograms [<site>.read_age], [<site>.read_missed] and
     [<site>.refresh_lag], and the gauge [<site>.missed_commits], whose peak
     is the exact maximum of [read_missed] ([Lag_report] reads them). *)
 
@@ -40,15 +43,20 @@ type t
     history events. [record_history] keeps every finished transaction and
     every store's commit list (for {!check}'s completeness audit);
     [watchdog] attaches an online checker whose first alert triggers the
-    flight recorder's capture. Each refresh commit at secondary [i] calls
-    [on_refresh_commit i] (applied once per site and kept for recovery),
-    records its lag in [<site>.refresh_lag], then advances the watchdog's
-    horizon for the site. [faults = Some (config, seed)] puts a fault
-    {!Channel} before every secondary, each drawing its own stream split
-    from [seed] in site order. *)
+    flight recorder's capture. Each refresh commit of [ts] at secondary [i]
+    calls [on_refresh_commit i ts lag] (applied once per site and kept for
+    recovery), where [lag] is the time since [ts] committed at the primary
+    ([None] when [ts] is not on the commit clock: it was committed straight
+    on the primary's store); then a [Some] lag goes to
+    [<site>.refresh_lag] and the watchdog's horizon for the site advances.
+    Each read at secondary [i] calls [on_read i ~age ~missed] with its
+    snapshot's freshness (see {!begin_read}). [faults = Some (config, seed)]
+    puts a fault {!Channel} before every secondary, each drawing its own
+    stream split from [seed] in site order. *)
 val create :
   ?now:(unit -> float) ->
-  on_refresh_commit:(int -> Timestamp.t -> unit) ->
+  on_refresh_commit:(int -> Timestamp.t -> float option -> unit) ->
+  on_read:(int -> age:float -> missed:int -> unit) ->
   faults:(Channel.config * int) option ->
   ship_aborted:bool ->
   sinks:Lsr_obs.Sinks.t ->
@@ -119,18 +127,22 @@ val finish_update :
   t -> txn -> session:string -> reads:(string * string option) list ->
   _ Primary.outcome -> unit
 
-(** A read-only transaction of [session] starts at [site] with [snapshot],
-    its seq(DBsec); the session's read floor rises as the guarantee and
-    fence require. With a registry attached, the snapshot's freshness on
-    the commit clock is sampled into the site's instruments. *)
+(** A read-only transaction of [session] starts at secondary [site] (its
+    index) with [snapshot], its seq(DBsec); the session's read floor rises
+    as the guarantee and fence require. The snapshot's freshness on the
+    commit clock — [age], how old its newest reflected primary commit is (0
+    when caught up), and [missed], the primary commits it does not reflect
+    — goes to the driver's [on_read] hook and, with a registry attached, to
+    the site's instruments. *)
 val begin_read :
-  ?fence:Session.fence -> t -> session:string -> site:string ->
+  ?fence:Session.fence -> t -> session:string -> site:int ->
   snapshot:Timestamp.t -> txn
 
-(** The read finished. [read_at] is when its fence resolved its horizon;
-    [fence_seq] is the seq floor it was held to ([-1] when unfenced). *)
+(** The read at secondary [site] (its index) finished. [read_at] is when
+    its fence resolved its horizon; [fence_seq] is the seq floor it was held
+    to ([-1] when unfenced). *)
 val finish_read :
-  ?fence:Session.fence -> t -> txn -> session:string -> site:string ->
+  ?fence:Session.fence -> t -> txn -> session:string -> site:int ->
   snapshot:Timestamp.t -> read_at:float -> fence_seq:int ->
   reads:(string * string option) list -> unit
 

@@ -44,7 +44,8 @@ let create ?(secondaries = 1) ?(schema = []) ?faults
   if secondaries < 1 then invalid_arg "System.create: need at least 1 secondary";
   let core =
     Replica_set.create
-      ~on_refresh_commit:(fun _ _ -> ())
+      ~on_refresh_commit:(fun _ _ _ -> ())
+      ~on_read:(fun _ ~age:_ ~missed:_ -> ())
       ~faults ~ship_aborted:false
       ~sinks:{ Lsr_obs.Sinks.obs; flight }
       ~record_history:true ~watchdog ~sites:secondaries guarantee
@@ -175,7 +176,7 @@ let update t client ?force_abort body =
 let run_read ?fence t client sec ~required body =
   Lsr_obs.Obs.incr t.c_reads;
   let db = Secondary.db sec in
-  let site = Secondary.name sec in
+  let site = client.secondary in
   let session = client.label in
   let read_at = Replica_set.now t.core in
   let snapshot = Secondary.seq_dbsec sec in

@@ -1,5 +1,6 @@
 open Lsr_sim
 module Histogram = Lsr_obs.Histogram
+module Obs = Lsr_obs.Obs
 
 type t = {
   warmup : float;
@@ -11,17 +12,26 @@ type t = {
   update_rt_hist : Histogram.t;
   mutable aborts : int;
   mutable fcw_aborts : int;
-  mutable blocked : int;
   block_wait : Stat.t;
   staleness : Stat.t;
-  mutable refreshes : int;
   mutable wasted : int;
   read_age : Stat.t;
   read_age_hist : Histogram.t;
   read_missed : Stat.t;
+  (* The registry's instruments: every sample, warm-up included. *)
+  c_refresh_commits : Obs.counter;
+  c_fcw_aborts : Obs.counter;
+  c_forced_aborts : Obs.counter;
+  c_blocked_reads : Obs.counter;
+  h_read_rt : Obs.histogram;
+  h_update_rt : Obs.histogram;
+  h_block_wait : Obs.histogram;
+  h_staleness : Obs.histogram;
+  h_read_age : Obs.histogram;
+  h_read_missed : Obs.histogram;
 }
 
-let create ~warmup ~cap =
+let create ~obs ~warmup ~cap =
   {
     warmup;
     cap;
@@ -32,19 +42,28 @@ let create ~warmup ~cap =
     update_rt_hist = Histogram.create ();
     aborts = 0;
     fcw_aborts = 0;
-    blocked = 0;
     block_wait = Stat.create ();
     staleness = Stat.create ();
-    refreshes = 0;
     wasted = 0;
     read_age = Stat.create ();
     read_age_hist = Histogram.create ();
     read_missed = Stat.create ();
+    c_refresh_commits = Obs.counter obs "refresh.commits";
+    c_fcw_aborts = Obs.counter obs "client.fcw_aborts";
+    c_forced_aborts = Obs.counter obs "client.forced_aborts";
+    c_blocked_reads = Obs.counter obs "client.blocked_reads";
+    h_read_rt = Obs.histogram obs "client.read_rt";
+    h_update_rt = Obs.histogram obs "client.update_rt";
+    h_block_wait = Obs.histogram obs "client.block_wait";
+    h_staleness = Obs.histogram obs "refresh.staleness";
+    h_read_age = Obs.histogram obs "client.read_age";
+    h_read_missed = Obs.histogram obs "client.read_missed";
   }
 
 let measuring t now = now > t.warmup
 
 let note_completion t ~now ~response_time ~is_update =
+  Obs.observe (if is_update then t.h_update_rt else t.h_read_rt) response_time;
   if measuring t now then begin
     if response_time <= t.cap then t.fast <- t.fast + 1;
     Stat.record (if is_update then t.update_rt else t.read_rt) response_time;
@@ -53,29 +72,32 @@ let note_completion t ~now ~response_time ~is_update =
       response_time
   end
 
-let note_abort t ~now = if measuring t now then t.aborts <- t.aborts + 1
+let note_abort t ~now =
+  Obs.incr t.c_forced_aborts;
+  if measuring t now then t.aborts <- t.aborts + 1
 
 let note_fcw_abort t ~now =
+  Obs.incr t.c_fcw_aborts;
   if measuring t now then begin
     t.aborts <- t.aborts + 1;
     t.fcw_aborts <- t.fcw_aborts + 1
   end
 
 let note_block t ~now ~wait =
-  if measuring t now then begin
-    t.blocked <- t.blocked + 1;
-    Stat.record t.block_wait wait
-  end
+  Obs.incr t.c_blocked_reads;
+  Obs.observe t.h_block_wait wait;
+  if measuring t now then Stat.record t.block_wait wait
 
 let note_refresh t ~now ~staleness =
-  if measuring t now then begin
-    t.refreshes <- t.refreshes + 1;
-    Stat.record t.staleness staleness
-  end
+  Obs.incr t.c_refresh_commits;
+  Obs.observe t.h_staleness staleness;
+  if measuring t now then Stat.record t.staleness staleness
 
 let note_wasted_ops t ~now n = if measuring t now then t.wasted <- t.wasted + n
 
 let note_read_freshness t ~now ~age ~missed =
+  Obs.observe t.h_read_age age;
+  Obs.observe t.h_read_missed (float_of_int missed);
   if measuring t now then begin
     Stat.record t.read_age age;
     Histogram.record t.read_age_hist age;
@@ -89,10 +111,10 @@ let read_rt_hist t = t.read_rt_hist
 let update_rt_hist t = t.update_rt_hist
 let aborts t = t.aborts
 let fcw_aborts t = t.fcw_aborts
-let blocked_reads t = t.blocked
+let blocked_reads t = Stat.count t.block_wait
 let block_wait t = t.block_wait
 let refresh_staleness t = t.staleness
-let refresh_commits t = t.refreshes
+let refresh_commits t = Stat.count t.staleness
 let wasted_ops t = t.wasted
 let read_age t = t.read_age
 let read_age_hist t = t.read_age_hist

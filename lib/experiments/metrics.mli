@@ -1,14 +1,25 @@
-(** Per-run measurement collection for the simulated system.
+(** Per-run measurement collection for the simulated system: the
+    simulator's one recorder, so each sample is recorded by one call.
 
     The paper's throughput curves are "response time-related": they count
     transactions finishing within 3 seconds (§6.2). Response times are
-    tallied per transaction class; all counters ignore the warm-up window. *)
+    tallied per transaction class.
+
+    Each [note_*] call feeds two views of one sample. The registry's
+    instruments ([refresh.commits], [client.fcw_aborts],
+    [client.forced_aborts], [client.blocked_reads], [client.read_rt],
+    [client.update_rt], [client.block_wait], [refresh.staleness],
+    [client.read_age], [client.read_missed]) see every sample, warm-up
+    included. The per-run tallies read by the reduction functions below
+    ignore the warm-up window. *)
 
 open Lsr_sim
 
 type t
 
-val create : warmup:float -> cap:float -> t
+(** [create ~obs ~warmup ~cap] interns the run's instruments in [obs]
+    ({!Lsr_obs.Obs.null} for none). *)
+val create : obs:Lsr_obs.Obs.t -> warmup:float -> cap:float -> t
 
 (** [note_completion t ~now ~response_time ~is_update] records one finished
     transaction. *)

@@ -133,44 +133,16 @@ type sec_site = {
   mutable last_delivery : float;  (* keeps jittered deliveries FIFO *)
 }
 
-(* Aggregate instruments (the per-site ones live inside Secondary/Channel). *)
-type instruments = {
-  c_refresh_commits : Obs.counter;
-  c_fcw_aborts : Obs.counter;
-  c_forced_aborts : Obs.counter;
-  c_blocked_reads : Obs.counter;
-  h_read_rt : Obs.histogram;
-  h_update_rt : Obs.histogram;
-  h_staleness : Obs.histogram;
-  h_block_wait : Obs.histogram;
-  h_read_age : Obs.histogram;
-  h_read_missed : Obs.histogram;
-}
-
-let instruments obs =
-  {
-    c_refresh_commits = Obs.counter obs "refresh.commits";
-    c_fcw_aborts = Obs.counter obs "client.fcw_aborts";
-    c_forced_aborts = Obs.counter obs "client.forced_aborts";
-    c_blocked_reads = Obs.counter obs "client.blocked_reads";
-    h_read_rt = Obs.histogram obs "client.read_rt";
-    h_update_rt = Obs.histogram obs "client.update_rt";
-    h_staleness = Obs.histogram obs "refresh.staleness";
-    h_block_wait = Obs.histogram obs "client.block_wait";
-    h_read_age = Obs.histogram obs "client.read_age";
-    h_read_missed = Obs.histogram obs "client.read_missed";
-  }
-
 type state = {
   cfg : config;
   eng : Engine.t;
-  (* Primary, propagator, sessions, commit clock, history, watchdog: the
-     clock also answers the staleness and read-freshness metrics. *)
+  (* Primary, propagator, sessions, commit clock, history, watchdog; its
+     hooks hand each read's freshness and each refresh's staleness to
+     [metrics]. *)
   rs : Replica_set.t;
   primary_res : Resource.t;
   sites : sec_site array;
   metrics : Metrics.t;
-  ins : instruments;
   mutable fenced_reads : int;
   jitter_rng : Rng.t;
   mutable label_counter : int;
@@ -255,18 +227,10 @@ let run_applicator st site app =
       Condition.await site.pending_cond (fun () ->
           Secondary.pending_head site.sec = Some mine);
       go ()
-    | Secondary.Committed ts ->
-      let now = Engine.now st.eng in
-      Obs.incr st.ins.c_refresh_commits;
-      let staleness =
-        match Session.clock_time_of (Replica_set.clock st.rs) ts with
-        | Some committed_at -> now -. committed_at
-        | None -> 0.
-      in
-      Metrics.note_refresh st.metrics ~now ~staleness;
-      Obs.observe st.ins.h_staleness staleness;
-      (* seq(DBsec) and the site's threshold queue already advanced inside
-         [applicator_step] (the [on_refresh_commit] hook). *)
+    | Secondary.Committed _ ->
+      (* seq(DBsec), the site's threshold queue and the staleness tally
+         already advanced inside [applicator_step] (the [on_refresh_commit]
+         hook). *)
       Condition.signal site.pending_cond
     | Secondary.Done -> ()
   in
@@ -343,11 +307,9 @@ let execute_update st rng label spec =
       (* A real conflict under the first-committer-wins rule (key skew);
          restart like any other abort to maintain the offered load. *)
       Metrics.note_fcw_abort st.metrics ~now:(Engine.now st.eng);
-      Obs.incr st.ins.c_fcw_aborts;
       attempt ()
     | Primary.Aborted Mvcc.Forced ->
       Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
-      Obs.incr st.ins.c_forced_aborts;
       attempt ()
   in
   attempt ()
@@ -390,27 +352,16 @@ let execute_read ?fence st site label spec =
     let wait_start = Engine.now st.eng in
     Seqcond.await site.session_cond ~threshold:required;
     let now = Engine.now st.eng in
-    Obs.incr st.ins.c_blocked_reads;
-    Obs.observe st.ins.h_block_wait (now -. wait_start);
     Metrics.note_block st.metrics ~now ~wait:(now -. wait_start)
   end;
   let snapshot = Secondary.seq_dbsec site.sec in
   (* Taken with no yield since the wake: the watchdog's captured floors
-     equal the post-hoc sweep's floors at the first operation. *)
+     equal the post-hoc sweep's floors at the first operation. The snapshot's
+     freshness reaches [metrics] through the [on_read] hook. *)
   let txn =
-    Replica_set.begin_read ?fence st.rs ~session:label ~site:site.site_name
+    Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
       ~snapshot
   in
-  (* Freshness of the snapshot this read is about to use: how old its newest
-     reflected primary commit is, and how many commits it misses. Always
-     computed (the outcome reports it). *)
-  let now = Engine.now st.eng in
-  let age, missed =
-    Session.clock_freshness (Replica_set.clock st.rs) ~snapshot ~now
-  in
-  Metrics.note_read_freshness st.metrics ~now ~age ~missed;
-  Obs.observe st.ins.h_read_age age;
-  Obs.observe st.ins.h_read_missed (float_of_int missed);
   let track_reads = Replica_set.tracking st.rs in
   let mtxn = Mvcc.begin_txn sdb in
   let reads = ref [] in
@@ -427,7 +378,7 @@ let execute_read ?fence st site label spec =
   (* The seq floor this read was held to (-1 = unfenced), recorded so replay
      can show the claim the fence audit later judges. *)
   let fence_seq = match fence with None -> -1 | Some _ -> required () in
-  Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.site_name
+  Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.index
     ~snapshot ~read_at ~fence_seq ~reads:(List.rev !reads)
 
 (* The fence for one read, drawn from the run's fence policy. [All_reads]
@@ -471,9 +422,6 @@ let run_txn st site rng ~label spec =
     let fence = draw_fence st rng in
     execute_read ?fence st site label spec);
   let now = Engine.now st.eng in
-  Obs.observe
-    (if is_update then st.ins.h_update_rt else st.ins.h_read_rt)
-    (now -. t0);
   Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
 
 (* A closed-loop client is a process only while a transaction runs; while
@@ -804,13 +752,22 @@ let run cfg =
   let session_conds =
     Array.init p.Params.num_secondaries (fun _ -> Seqcond.create ())
   in
+  let metrics =
+    Metrics.create ~obs:cfg.obs ~warmup:p.Params.warmup
+      ~cap:p.Params.response_time_cap
+  in
   (* Flight events and freshness samples are stamped with virtual time.
      Binding the clock only reads the engine; it cannot feed back into the
-     run. *)
+     run. A refresh commit not on the commit clock counts as 0 s stale. *)
   let rs =
     Replica_set.create
       ~now:(fun () -> Engine.now eng)
-      ~on_refresh_commit:(fun i -> Seqcond.advance session_conds.(i))
+      ~on_refresh_commit:(fun i ts lag ->
+        Seqcond.advance session_conds.(i) ts;
+        Metrics.note_refresh metrics ~now:(Engine.now eng)
+          ~staleness:(Option.value lag ~default:0.))
+      ~on_read:(fun _ ~age ~missed ->
+        Metrics.note_read_freshness metrics ~now:(Engine.now eng) ~age ~missed)
       ~faults:(Option.map (fun fc -> (fc, cfg.seed lxor 0xFA17)) cfg.faults)
       ~ship_aborted:cfg.ship_aborted
       ~sinks:{ Lsr_obs.Sinks.obs = cfg.obs; flight = cfg.flight }
@@ -825,8 +782,7 @@ let run cfg =
       primary_res = Resource.create ~name:"primary" eng;
       sites =
         Array.init p.Params.num_secondaries (make_site eng rs session_conds);
-      metrics = Metrics.create ~warmup:p.Params.warmup ~cap:p.Params.response_time_cap;
-      ins = instruments cfg.obs;
+      metrics;
       fenced_reads = 0;
       jitter_rng = Rng.create (cfg.seed lxor 0x5EED);
       label_counter = 0;

@@ -3,8 +3,10 @@
    [Lsr_obs.Sinks.stage]. Fails when any other library module records into
    the history, drives watchdog tokens, or notes commits, reads, stages,
    crashes or recoveries in the flight recorder directly; and when any
-   module but [Replica_set] runs the end-of-run verdict's checks or builds
-   a fault channel, which the replica set owns per secondary. Every log
+   module but [Replica_set] runs the end-of-run verdict's checks, builds
+   a fault channel, which the replica set owns per secondary, or reads
+   freshness or lag off the commit clock, which it measures once per read
+   and per refresh commit and hands to the driver's hooks. Every log
    record has a reader: only [Primary] creates a log, and only the two
    drivers, which know when no reader is left behind the propagation
    cursor, truncate it.
@@ -23,7 +25,8 @@ let rules =
     ( [ "replica_set.ml" ],
       "Replica_set",
       [ "Checker.analyze"; "Checker.check_completeness";
-        "Checker.same_state"; "Channel.create" ] );
+        "Checker.same_state"; "Channel.create"; "Session.clock_freshness";
+        "Session.clock_time_of" ] );
     ([ "primary.ml" ], "Primary", [ "Wal.create" ]);
     ( [ "system.ml"; "sim_system.ml" ],
       "System / Sim_system",

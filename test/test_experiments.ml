@@ -13,17 +13,27 @@ let check_int = Alcotest.(check int)
 (* --- Metrics ---------------------------------------------------------------- *)
 
 let test_metrics_warmup_filtering () =
-  let m = Metrics.create ~warmup:100. ~cap:3. in
+  let obs = Lsr_obs.Obs.create () in
+  let m = Metrics.create ~obs ~warmup:100. ~cap:3. in
+  let hist name = Lsr_obs.Obs.hist_count (Lsr_obs.Obs.histogram obs name) in
   Metrics.note_completion m ~now:50. ~response_time:1. ~is_update:false;
+  Metrics.note_refresh m ~now:50. ~staleness:2.;
   check_int "warm-up completions ignored" 0 (Metrics.fast_completions m);
+  check_int "warm-up read rt not tallied" 0
+    (Lsr_sim.Stat.count (Metrics.read_rt m));
+  check_int "warm-up read rt in the registry" 1 (hist "client.read_rt");
+  check_int "warm-up refresh not tallied" 0 (Metrics.refresh_commits m);
+  check_int "warm-up refresh in the registry" 1
+    (Lsr_obs.Obs.count (Lsr_obs.Obs.counter obs "refresh.commits"));
   Metrics.note_completion m ~now:150. ~response_time:1. ~is_update:false;
   Metrics.note_completion m ~now:160. ~response_time:5. ~is_update:true;
   check_int "only fast ones counted" 1 (Metrics.fast_completions m);
   check_int "read rt recorded" 1 (Lsr_sim.Stat.count (Metrics.read_rt m));
-  check_int "update rt recorded" 1 (Lsr_sim.Stat.count (Metrics.update_rt m))
+  check_int "update rt recorded" 1 (Lsr_sim.Stat.count (Metrics.update_rt m));
+  check_int "registry saw every read" 2 (hist "client.read_rt")
 
 let test_metrics_counters () =
-  let m = Metrics.create ~warmup:0. ~cap:3. in
+  let m = Metrics.create ~obs:Lsr_obs.Obs.null ~warmup:0. ~cap:3. in
   Metrics.note_abort m ~now:1.;
   Metrics.note_block m ~now:1. ~wait:2.5;
   Metrics.note_refresh m ~now:1. ~staleness:7.;
@@ -449,7 +459,26 @@ let test_sim_obs_counters_track_outcome () =
   check_bool "records were shipped" true
     (count "propagation.records_shipped" > 0);
   check_int "fcw aborts agree (uniform keys: none)" o.Sim_system.fcw_aborts
-    (count "client.fcw_aborts")
+    (count "client.fcw_aborts");
+  (* One measurement per read and per refresh commit feeds the aggregate
+     instrument and the site's: their counts agree. *)
+  let hist name = Lsr_obs.Obs.hist_count (Lsr_obs.Obs.histogram obs name) in
+  let per_site suffix =
+    List.fold_left
+      (fun acc name ->
+        if String.starts_with ~prefix:"secondary-" name
+           && Filename.check_suffix name suffix
+        then acc + hist name
+        else acc)
+      0 (Lsr_obs.Obs.names obs)
+  in
+  check_bool "reads were sampled" true (hist "client.read_age" > 0);
+  check_int "read ages = per-site read ages" (hist "client.read_age")
+    (per_site ".read_age");
+  check_int "staleness samples = per-site refresh lags"
+    (hist "refresh.staleness") (per_site ".refresh_lag");
+  check_int "staleness samples = refresh commits" (hist "refresh.staleness")
+    (count "refresh.commits")
 
 (* A run with the per-transaction recorder and the freshness registry
    attached. *)
