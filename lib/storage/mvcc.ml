@@ -1,6 +1,14 @@
 module Sset = Set.Make (String)
 
-type version = { committed_at : Timestamp.t; value : string option }
+(* An older version of a key, and the next older one below it: a chain ends
+   at [bottom], so a version costs one block. *)
+type version = {
+  committed_at : Timestamp.t;
+  value : string option;
+  mutable below : version;
+}
+
+let rec bottom = { committed_at = Timestamp.zero; value = None; below = bottom }
 
 type txn_state = Active | Committed_ | Aborted_
 
@@ -27,15 +35,15 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
-(* One key: its newest version inline, the older ones newest first, and the
-   next cell of its hash bucket. A read touches the bucket slot, the cell and
-   the key bytes, and allocates nothing. *)
+(* One key: its newest version inline, the chain of older ones newest first,
+   and the next cell of its hash bucket. A read touches the bucket slot, the
+   cell and the key bytes, and allocates nothing. *)
 type cell = {
   key : string;
   hash : int;
   mutable ts : Timestamp.t;
   mutable value : string option;
-  mutable older : version list;
+  mutable older : version;
   mutable next : cell;
 }
 
@@ -47,7 +55,7 @@ let rec sentinel =
     hash = -1;
     ts = Timestamp.zero;
     value = None;
-    older = [];
+    older = bottom;
     next = sentinel;
   }
 
@@ -59,8 +67,10 @@ type t = {
   mutable buckets : cell array;
   mutable size : int;
   (* Committed keys in lexicographic order: prefix and range scans seek in
-     O(log n) instead of folding over the whole store. Built lazily: keys
-     first installed since the last scan wait in [new_keys]. *)
+     O(log n) instead of folding over the whole store. Built from the cells
+     by the first scan; after it, keys first installed since the last scan
+     wait in [new_keys]. A store that is never scanned keeps neither. *)
+  mutable indexed : bool;
   mutable key_set : Sset.t;
   mutable new_keys : string list;
   (* Stored versions across all keys, maintained incrementally so the
@@ -84,6 +94,7 @@ let create ?log ?(commit_log = false) () =
     clock = Timestamp.source ();
     buckets = Array.make 1024 sentinel;
     size = 0;
+    indexed = false;
     key_set = Sset.empty;
     new_keys = [];
     versions = 0;
@@ -134,9 +145,10 @@ let resize t =
 (* A new cell for a key not in the store, holding one version. *)
 let add_cell t key ~hash ~ts value =
   let i = bucket t hash in
-  t.buckets.(i) <- { key; hash; ts; value; older = []; next = t.buckets.(i) };
+  t.buckets.(i) <- { key; hash; ts; value; older = bottom; next = t.buckets.(i) };
   t.size <- t.size + 1;
-  if t.size > 2 * Array.length t.buckets then resize t
+  if t.size > 2 * Array.length t.buckets then resize t;
+  if t.indexed then t.new_keys <- key :: t.new_keys
 
 let fold_cells f t init =
   let rec chain c acc = if c == sentinel then acc else chain c.next (f c acc) in
@@ -178,10 +190,10 @@ let require_active txn op =
 
 (* The value of the newest version committed at or before [at]; [None] when
    that version is a delete or there is none. *)
-let rec visible_older older ~at =
-  match older with
-  | [] -> None
-  | v :: rest -> if v.committed_at <= at then v.value else visible_older rest ~at
+let rec visible_older v ~at =
+  if v == bottom then None
+  else if v.committed_at <= at then v.value
+  else visible_older v.below ~at
 
 let visible_value c ~at = if c.ts <= at then c.value else visible_older c.older ~at
 
@@ -232,13 +244,10 @@ let install t ~commit_ts updates =
   let apply { Wal.key; value } =
     let hash = String.hash key in
     let c = find_in t.buckets.(bucket t hash) hash key in
-    if c == sentinel then begin
-      add_cell t key ~hash ~ts:commit_ts value;
-      t.new_keys <- key :: t.new_keys
-    end
+    if c == sentinel then add_cell t key ~hash ~ts:commit_ts value
     else begin
-      (match c.older with [] -> t.multi <- c :: t.multi | _ :: _ -> ());
-      c.older <- { committed_at = c.ts; value = c.value } :: c.older;
+      if c.older == bottom then t.multi <- c :: t.multi;
+      c.older <- { committed_at = c.ts; value = c.value; below = c.older };
       c.ts <- commit_ts;
       c.value <- value
     end;
@@ -317,9 +326,14 @@ let state_at t ts =
 
 let committed_state t = state_at t t.latest_commit
 
-(* Fold the keys installed since the last scan into the ordered index. *)
+(* Build the ordered index from the cells at the first scan; after that, fold
+   in the keys installed since the last scan. *)
 let sync_keys t =
-  if t.new_keys <> [] then begin
+  if not t.indexed then begin
+    t.key_set <- Sset.of_list (fold_cells (fun c keys -> c.key :: keys) t []);
+    t.indexed <- true
+  end
+  else if t.new_keys <> [] then begin
     t.key_set <- Sset.union t.key_set (Sset.of_list t.new_keys);
     t.new_keys <- []
   end
@@ -328,16 +342,22 @@ let keys_from t start =
   sync_keys t;
   Sset.to_seq_from start t.key_set
 
+(* [String.starts_with] without its per-call closure. *)
+let rec same_from prefix key i =
+  i = String.length prefix || (prefix.[i] = key.[i] && same_from prefix key (i + 1))
+
+let has_prefix ~prefix key =
+  String.length key >= String.length prefix && same_from prefix key 0
+
 let fold_keys t ~prefix ~init ~f =
   (* Keys are sorted, so every key with [prefix] sits in one contiguous run
      starting at the first key >= prefix: seek there and stop at the first
      non-match instead of folding over the whole store. *)
-  let plen = String.length prefix in
-  let matches key = String.length key >= plen && String.sub key 0 plen = prefix in
   let rec consume acc seq =
     match seq () with
     | Seq.Nil -> acc
-    | Seq.Cons (key, rest) -> if matches key then consume (f acc key) rest else acc
+    | Seq.Cons (key, rest) ->
+      if has_prefix ~prefix key then consume (f acc key) rest else acc
   in
   consume init (keys_from t prefix)
 
@@ -351,43 +371,34 @@ let commits_with_updates t = List.rev (commits t "commits_with_updates")
 
 (* --- Maintenance ----------------------------------------------------------- *)
 
-(* The number of versions older than the one visible at [before]. *)
-let rec reclaimable ~before = function
-  | [] -> 0
-  | v :: rest ->
-    if Timestamp.compare v.committed_at before <= 0 then List.length rest
-    else reclaimable ~before rest
+let rec chain_length v n = if v == bottom then n else chain_length v.below (n + 1)
 
-(* The older versions cut just below the one visible at [before]. *)
-let keep_visible ~before older =
-  let rec walk kept = function
-    | [] -> List.rev kept
-    | v :: rest ->
-      if Timestamp.compare v.committed_at before <= 0 then List.rev (v :: kept)
-      else walk (v :: kept) rest
-  in
-  walk [] older
+(* Cut a chain just below its newest version committed at or before
+   [before], the one visible there, and return how many versions the cut
+   drops. *)
+let rec cut_below v ~before =
+  if v == bottom then 0
+  else if Timestamp.compare v.committed_at before <= 0 then begin
+    let n = chain_length v.below 0 in
+    if n > 0 then v.below <- bottom;
+    n
+  end
+  else cut_below v.below ~before
 
 let vacuum t ~before =
   (* Keep every version newer than [before] plus the single version visible
-     at [before]. Only multi-version cells can lose anything, and a chain
-     that loses nothing is left as it is. *)
+     at [before]. Only multi-version cells can lose anything, and a cut
+     writes one field, so only the filtered [multi] allocates. *)
   let trim reclaimed c =
     if Timestamp.compare c.ts before <= 0 then begin
-      let n = List.length c.older in
-      c.older <- [];
+      let n = chain_length c.older 0 in
+      c.older <- bottom;
       reclaimed + n
     end
-    else begin
-      let n = reclaimable ~before c.older in
-      if n > 0 then c.older <- keep_visible ~before c.older;
-      reclaimed + n
-    end
+    else reclaimed + cut_below c.older ~before
   in
   let reclaimed = List.fold_left trim 0 t.multi in
-  if reclaimed > 0 then
-    t.multi <-
-      List.filter (fun c -> match c.older with [] -> false | _ :: _ -> true) t.multi;
+  if reclaimed > 0 then t.multi <- List.filter (fun c -> c.older != bottom) t.multi;
   t.versions <- t.versions - reclaimed;
   reclaimed
 

@@ -19,7 +19,10 @@
     completeness property (Theorem 3.1, [S^i_p = S^i_s]).
 
     Each key is one cell that is also its hash-bucket node and holds the
-    newest version inline, with older versions in a list behind it. A read
+    newest version inline, with older versions behind it in a chain of one
+    block each. A store keeps no ordered key index until its first scan
+    ({!fold_keys}, {!keys_from}), so a store that is never scanned costs
+    only its cells, their versions and the bucket array. A read
     at or above a key's newest commit touches the bucket slot, the cell and
     the key bytes, and a read of a key the transaction did not write
     allocates nothing ([read], [read_at]). A refresh re-executes every
@@ -126,16 +129,17 @@ val fold_visible :
 
 (** [fold_keys t ~prefix ~init ~f] folds over every key ever written with the
     given prefix, in ascending lexicographic order (visibility is up to the
-    caller via [read]). Costs O(log n + k) for k matching keys, not O(n).
-    The ordered index is built lazily, so installs never pay for it: the
-    first scan after m keys were first installed also pays O(m log n) to
-    fold them in. *)
+    caller via [read]). Costs O(log n + k) for k matching keys, not O(n),
+    and matching a key against the prefix allocates nothing. The ordered
+    index is built lazily, so installs never pay for it: the store's first
+    scan builds it from the cells in O(n log n), and every later scan after
+    m keys were first installed pays O(m log n) to fold them in. *)
 val fold_keys : t -> prefix:string -> init:'acc -> f:('acc -> string -> 'acc) -> 'acc
 
 (** [keys_from t start] is the ascending sequence of every key ever written
     that is [>= start]. Backs index range seeks: O(log n) to position, O(1)
-    per element, plus the lazy index's O(m log n) catch-up described at
-    {!fold_keys}. The sequence is a persistent snapshot of the keys present
+    per element, plus the lazy index's first build or catch-up described
+    at {!fold_keys}. The sequence is a persistent snapshot of the keys present
     when it was created (safe to re-force). *)
 val keys_from : t -> string -> string Seq.t
 
@@ -150,8 +154,10 @@ val keys_from : t -> string -> string Seq.t
 
     Costs O(m + r) for the m keys holding two or more versions and the r
     versions reclaimed, not O(store): single-version keys are never
-    visited, and a chain that loses nothing is left as it is, so a vacuum
-    with nothing to reclaim allocates nothing. *)
+    visited, a chain that loses nothing is left as it is, and a chain that
+    loses versions is cut by one write, which allocates nothing. Only the
+    list of multi-version keys is rebuilt when a vacuum reclaims anything,
+    so a vacuum with nothing to reclaim allocates nothing. *)
 val vacuum : t -> before:Timestamp.t -> int
 
 (** Number of stored versions across all keys (for reclamation tests). *)

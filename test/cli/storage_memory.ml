@@ -9,9 +9,11 @@
 
    Measured on a 2-vCPU x86-64 Linux guest: about 471 B per transaction
    when every site logged every transaction, never truncated, and kept a
-   commit list; about 284 B once only the primary logs, its log is
-   truncated every cycle and no commit list is kept. The bound sits
-   between the two.
+   commit list; about 292 B once only the primary logs, its log is
+   truncated every cycle and no commit list is kept; about 244 B once an
+   unscanned store keeps no list of new keys and an older version is one
+   block instead of a record and a list cell. The bound sits between the
+   last two.
 
    Prints a skip line and exits 0 where /proc/self/status is unreadable. *)
 
@@ -19,7 +21,7 @@ open Lsr_core
 open Lsr_workload
 module Sim = Lsr_experiments.Sim_system
 
-let bound_bytes = 380.
+let bound_bytes = 270.
 
 (* Resident-set high-water mark (VmHWM) in bytes, or [None] when
    /proc/self/status cannot be read. *)

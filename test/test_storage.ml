@@ -328,32 +328,63 @@ let test_pending_writes_repeated_keys () =
   Alcotest.(check (list (pair string string)))
     "committed" [ ("a", "3"); ("c", "4") ] (Mvcc.committed_state db)
 
-(* The ordered key index is built lazily from the keys installed since the
-   last scan; scans interleaved with installs must still see every key. *)
-let steps_arb =
+(* The ordered key index is built from the cells at the first scan and then
+   from the keys installed since the last scan; scans interleaved with
+   installs must still see every key ever written. Probes come on a random
+   subset of steps, so the first scan may follow many installs, deletes of
+   keys that have no other version, and vacuums. *)
+type lazy_step =
+  | Install of (string * string option) list
+  | Delete_only  (** deletes a key nothing else writes *)
+  | Vacuum_now
+  | Probe of string
+
+let lazy_steps_arb =
   let open QCheck.Gen in
   let key = string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 1 3) in
-  QCheck.make (list_size (int_bound 30) (pair (list_size (int_bound 5) key) key))
+  let value = frequency [ (3, return (Some "v")); (1, return None) ] in
+  let step =
+    frequency
+      [
+        (6, map (fun ws -> Install ws) (list_size (int_bound 5) (pair key value)));
+        (1, return Delete_only);
+        (1, return Vacuum_now);
+        (2, map (fun k -> Probe k) key);
+      ]
+  in
+  QCheck.make (list_size (int_bound 40) step)
 
 let prop_key_index_lazy =
   QCheck.Test.make ~name:"lazy key index agrees with sorted reference" ~count:300
-    steps_arb
+    lazy_steps_arb
     (fun steps ->
       let db = Mvcc.create () in
       let written = ref [] in
+      let commit writes =
+        let txn = Mvcc.begin_txn db in
+        List.iter (fun (k, v) -> Mvcc.write db txn k v) writes;
+        ignore (commit_exn db txn);
+        written := List.map fst writes @ !written
+      in
       List.for_all
-        (fun (install, probe) ->
-          if install <> [] then begin
-            seed db (List.map (fun k -> (k, "v")) install);
-            written := install @ !written
-          end;
-          let reference = List.sort_uniq String.compare !written in
-          let from = List.of_seq (Mvcc.keys_from db probe) in
-          let prefixed =
-            List.rev (Mvcc.fold_keys db ~prefix:probe ~init:[] ~f:(fun acc k -> k :: acc))
-          in
-          from = List.filter (fun k -> String.compare k probe >= 0) reference
-          && prefixed = List.filter (String.starts_with ~prefix:probe) reference)
+        (function
+          | Install writes ->
+            commit writes;
+            true
+          | Delete_only ->
+            commit [ (Printf.sprintf "deleted:%d" (List.length !written), None) ];
+            true
+          | Vacuum_now ->
+            ignore (Mvcc.vacuum db ~before:(Mvcc.latest_commit_ts db));
+            true
+          | Probe probe ->
+            let reference = List.sort_uniq String.compare !written in
+            let from = List.of_seq (Mvcc.keys_from db probe) in
+            let prefixed =
+              List.rev (Mvcc.fold_keys db ~prefix:probe ~init:[] ~f:(fun acc k -> k :: acc))
+            in
+            from = List.filter (fun k -> String.compare k probe >= 0) reference
+            && prefixed = List.filter (String.starts_with ~prefix:probe) reference)
         steps)
 
 (* --- Mvcc: state reconstruction --------------------------------------------------- *)
@@ -406,7 +437,29 @@ let test_fold_keys_prefix () =
   let books =
     Mvcc.fold_keys db ~prefix:"t:books:" ~init:0 ~f:(fun acc _ -> acc + 1)
   in
-  check_int "prefix filter" 2 books
+  check_int "prefix filter" 2 books;
+  (* Matching a key against the prefix allocates nothing: a fold over 10k
+     matching keys allocates what walking [keys_from] over them does (the
+     persistent sequence's own nodes), within 64 words. The fold's own
+     accumulator is an int, so it allocates nothing either. *)
+  seed db (List.init 10_000 (fun i -> (Printf.sprintf "t:books:%05d" i, "v")));
+  let matching = 10_002 and prefix = "t:books:" in
+  let count_keys () = Mvcc.fold_keys db ~prefix ~init:0 ~f:(fun acc _ -> acc + 1) in
+  check_int "prefix fold" matching (count_keys ());
+  let rec walk n seq =
+    if n = matching then n
+    else match seq () with Seq.Cons (_, rest) -> walk (n + 1) rest | Seq.Nil -> n
+  in
+  let words_of run =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (run ()));
+    Gc.minor_words () -. w0
+  in
+  let walked = words_of (fun () -> walk 0 (Mvcc.keys_from db prefix)) in
+  let folded = words_of count_keys in
+  if folded -. walked >= 64. then
+    Alcotest.failf "prefix fold over 10k keys allocated %.0f words beyond the sequence"
+      (folded -. walked)
 
 let test_wal_records_transaction () =
   let log = Wal.create () in
@@ -687,6 +740,53 @@ let test_present_key_reads_allocate_nothing () =
   check_str_opt "reads see the value" (Some "v0") (Mvcc.read db txn keys.(42));
   if words >= 64. then
     Alcotest.failf "20k reads of present keys allocated %.0f words" words
+
+(* The exact heap footprint of a store that has never been scanned: per key
+   one cell and its value's option box, per older version one chain block
+   and its option box, per multi-version key one cons of the vacuum list,
+   and the bucket array. There is no key index and no list of new keys
+   until the first scan; after it, the index is one [Set] node per key. *)
+let test_unscanned_store_footprint () =
+  let cell_words = 7 (* header, key, hash, ts, value, older, next *)
+  and version_words = 4 (* header, committed_at, value, below *)
+  and option_words = 2 (* header, the value string *)
+  and multi_words = 3 (* header, head, tail *)
+  and set_node_words = 5 (* header, l, v, r, h *) in
+  let keys = 3_000 and rewritten = 500 and rounds = 2 in
+  let overwrites = rewritten * rounds in
+  let key = Array.init keys (Printf.sprintf "k%06d") in
+  let db = Mvcc.create () in
+  let reachable () = Obj.reachable_words (Obj.repr db) in
+  (* The store's fixed part: everything an empty store reaches but its
+     1,024-slot bucket array. *)
+  let fixed = reachable () - (1 + 1_024) in
+  let words_of s = Obj.reachable_words (Obj.repr s) in
+  let string_words = ref (Array.fold_left (fun acc k -> acc + words_of k) 0 key) in
+  let install count =
+    let txn = Mvcc.begin_txn db in
+    for i = 0 to count - 1 do
+      let value = Printf.sprintf "v%d:%d" (Mvcc.commit_count db) i in
+      string_words := !string_words + words_of value;
+      Mvcc.write db txn key.(i) (Some value)
+    done;
+    ignore (commit_exn db txn)
+  in
+  install keys;
+  for _ = 1 to rounds do
+    install rewritten
+  done;
+  check_int "versions" (keys + overwrites) (Mvcc.version_count db);
+  (* The buckets double whenever the keys exceed twice their number. *)
+  let rec buckets b = if keys > 2 * b then buckets (2 * b) else b in
+  let unscanned =
+    fixed + 1 + buckets 1_024
+    + (keys * (cell_words + option_words))
+    + (overwrites * (version_words + option_words))
+    + (rewritten * multi_words) + !string_words
+  in
+  check_int "words of an unscanned store" unscanned (reachable ());
+  let (_ : string Seq.t) = Mvcc.keys_from db "" in
+  check_int "words once scanned" (unscanned + (keys * set_node_words)) (reachable ())
 
 type vacuum_step = Commit of (string * string option) list | Vacuum of int
 
@@ -1448,6 +1548,8 @@ let () =
             test_vacuum_idle_allocates_nothing;
           Alcotest.test_case "present-key reads allocate nothing" `Quick
             test_present_key_reads_allocate_nothing;
+          Alcotest.test_case "unscanned store footprint" `Quick
+            test_unscanned_store_footprint;
           Alcotest.test_case "serialize/restore roundtrip" `Quick
             test_serialize_restore_roundtrip;
           Alcotest.test_case "serialize empty" `Quick test_serialize_empty;
