@@ -225,7 +225,9 @@ let run_applicator st site app =
     | Secondary.Waiting_commit ->
       let mine = Secondary.applicator_commit_ts app in
       Condition.await site.pending_cond (fun () ->
-          Secondary.pending_head site.sec = Some mine);
+          match Secondary.pending_head site.sec with
+          | Some head -> Timestamp.equal head mine
+          | None -> false);
       go ()
     | Secondary.Committed _ ->
       (* seq(DBsec), the site's threshold queue and the staleness tally
@@ -314,9 +316,46 @@ let execute_update st rng label spec =
   in
   attempt ()
 
-let execute_read ?fence st site label spec =
+let note_completion st ~t0 ~is_update =
+  let now = Engine.now st.eng in
+  Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
+
+(* A read from its snapshot to its completion, then [next st arg]; run once
+   the site's seq(DBsec) has reached [required ()]. *)
+let run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg =
   let p = st.cfg.params in
   let sdb = Secondary.db site.sec in
+  let snapshot = Secondary.seq_dbsec site.sec in
+  (* Taken with no yield since the wake: the watchdog's captured floors
+     equal the post-hoc sweep's floors at the first operation. The snapshot's
+     freshness reaches [metrics] through the [on_read] hook. *)
+  let txn =
+    Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
+      ~snapshot
+  in
+  let track_reads = Replica_set.tracking st.rs in
+  let mtxn = Mvcc.begin_txn sdb in
+  let reads = ref [] in
+  List.iter
+    (fun op ->
+      Resource.use site.res p.Params.op_service_time;
+      match op with
+      | Txn_gen.Read_op key ->
+        let v = Mvcc.read sdb mtxn key in
+        if track_reads then reads := (key, v) :: !reads
+      | Txn_gen.Write_op _ -> assert false (* read-only by construction *))
+    spec.Txn_gen.ops;
+  Mvcc.end_read sdb mtxn;
+  (* The seq floor this read was held to (-1 = unfenced), recorded so replay
+     can show the claim the fence audit later judges. *)
+  let fence_seq = match fence with None -> -1 | Some _ -> required () in
+  Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.index
+    ~snapshot ~read_at ~fence_seq ~reads:(List.rev !reads);
+  note_completion st ~t0 ~is_update:false;
+  next st arg
+
+(* A read submitted at [t0], then [next st arg]. *)
+let execute_read ?fence st site label spec ~t0 ~next arg =
   let sessions = Replica_set.sessions st.rs in
   (* An [Exact] or [Max_age] fence resolves its threshold once, at
      submission (the Minnal per-statement horizon B): blocking does not move
@@ -345,41 +384,16 @@ let execute_read ?fence st site label spec =
   let required () =
     Timestamp.max (Session.required_seq sessions ~label) (fence_b ())
   in
-  let may_read () =
-    Timestamp.compare (required ()) (Secondary.seq_dbsec site.sec) <= 0
-  in
-  if not (may_read ()) then begin
-    let wait_start = Engine.now st.eng in
-    Seqcond.await site.session_cond ~threshold:required;
-    let now = Engine.now st.eng in
-    Metrics.note_block st.metrics ~now ~wait:(now -. wait_start)
-  end;
-  let snapshot = Secondary.seq_dbsec site.sec in
-  (* Taken with no yield since the wake: the watchdog's captured floors
-     equal the post-hoc sweep's floors at the first operation. The snapshot's
-     freshness reaches [metrics] through the [on_read] hook. *)
-  let txn =
-    Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
-      ~snapshot
-  in
-  let track_reads = Replica_set.tracking st.rs in
-  let mtxn = Mvcc.begin_txn sdb in
-  let reads = ref [] in
-  List.iter
-    (fun op ->
-      Resource.use site.res p.Params.op_service_time;
-      match op with
-      | Txn_gen.Read_op key ->
-        let v = Mvcc.read sdb mtxn key in
-        if track_reads then reads := (key, v) :: !reads
-      | Txn_gen.Write_op _ -> assert false (* read-only by construction *))
-    spec.Txn_gen.ops;
-  Mvcc.end_read sdb mtxn;
-  (* The seq floor this read was held to (-1 = unfenced), recorded so replay
-     can show the claim the fence audit later judges. *)
-  let fence_seq = match fence with None -> -1 | Some _ -> required () in
-  Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.index
-    ~snapshot ~read_at ~fence_seq ~reads:(List.rev !reads)
+  if Timestamp.compare (required ()) (Secondary.seq_dbsec site.sec) <= 0 then
+    run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg
+  else
+    (* Only a read that must wait builds a continuation. It parks in the
+       site's threshold queue holding no process; the commit that satisfies
+       it starts the rest of the read as a fresh process. *)
+    Seqcond.park site.session_cond ~threshold:required (fun () ->
+        let now = Engine.now st.eng in
+        Metrics.note_block st.metrics ~now ~wait:(now -. read_at);
+        run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg)
 
 (* The fence for one read, drawn from the run's fence policy. [All_reads]
    draws nothing from the rng, so a run with [All_reads Session_seq] under
@@ -404,13 +418,17 @@ let draw_fence st rng =
       pick 0. weighted
     end
 
-(* Execute one generated transaction against the system and record its
-   telemetry — the body shared by both client models. *)
-let run_txn st site rng ~label spec =
+(* Execute one generated transaction against the system, record its
+   telemetry, then [next st arg] — the body shared by both client models.
+   A blocked read runs [next] later, in a process of its own; passing it
+   with its argument lets a read that never blocks build no closure. *)
+let run_txn st site rng ~label spec ~next arg =
   let t0 = Engine.now st.eng in
-  let is_update = Txn_gen.is_update spec in
-  (match spec.Txn_gen.kind with
-  | Txn_gen.Update -> execute_update st rng label spec
+  match spec.Txn_gen.kind with
+  | Txn_gen.Update ->
+    execute_update st rng label spec;
+    note_completion st ~t0 ~is_update:true;
+    next st arg
   | Txn_gen.Read_only ->
     (* Optional load-balancing migration: serve this read from a random
        secondary instead of the home site. *)
@@ -420,16 +438,14 @@ let run_txn st site rng ~label spec =
       else site
     in
     let fence = draw_fence st rng in
-    execute_read ?fence st site label spec);
-  let now = Engine.now st.eng in
-  Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
+    execute_read ?fence st site label spec ~t0 ~next arg
 
-(* A closed-loop client is a process only while a transaction runs; while
-   it thinks it is one pending timer whose action is [wake], the one
-   closure the client allocates: [wake] starts [client_turn] as a process
-   in the event where a process parked in [Process.delay think] would
-   resume, so the firing order and the random draws are those of one
-   looping process.
+(* A closed-loop client is a process only while a transaction runs and
+   does not wait on seq(c); while it thinks it is one pending timer whose
+   action is [wake], the one closure the client keeps: [wake] starts
+   [client_turn] as a process in the event where a process parked in
+   [Process.delay think] would resume, so the firing order and the random
+   draws are those of one looping process.
 
    A session end is a time at or after 0 and is only compared, so it is
    kept as the bits of its float in an int field, which OCaml does not box
@@ -465,8 +481,8 @@ let client_turn st c =
         (now +. Rng.exponential c.client_rng ~mean:p.Params.session_time)
   end;
   let spec = Txn_gen.generate p c.client_rng in
-  run_txn st c.client_site c.client_rng ~label:c.client_label spec;
-  client_think st c
+  run_txn st c.client_site c.client_rng ~label:c.client_label spec
+    ~next:client_think c
 
 (* [turn] is [client_turn st], shared by every client of the run. *)
 let client_start st turn site rng () =
@@ -526,7 +542,7 @@ let open_loop_process st site ~clients ~arrival ~session_pool rng () =
     let txn_rng = Rng.split rng in
     Process.spawn st.eng (fun () ->
         let spec = Txn_gen.generate p txn_rng in
-        run_txn st site txn_rng ~label spec)
+        run_txn st site txn_rng ~label spec ~next:(fun _ () -> ()) ())
   in
   match arrival with
   | Poisson ->
@@ -750,7 +766,7 @@ let run cfg =
      seq(DBsec) from inside the applicator step, so readers parked on a
      required seq are released by exactly the commit that satisfies them. *)
   let session_conds =
-    Array.init p.Params.num_secondaries (fun _ -> Seqcond.create ())
+    Array.init p.Params.num_secondaries (fun _ -> Seqcond.create eng)
   in
   let metrics =
     Metrics.create ~obs:cfg.obs ~warmup:p.Params.warmup

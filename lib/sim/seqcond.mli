@@ -1,36 +1,39 @@
-(** A condition variable specialized to waiting for a monotone integer
-    level to reach a per-waiter threshold.
+(** A threshold queue: continuations waiting for a monotone integer level
+    to reach a per-waiter threshold.
 
     {!Condition} re-evaluates every waiter's predicate on every signal —
-    O(waiters) per signal, which is quadratic when thousands of processes
+    O(waiters) per signal, which is quadratic when thousands of readers
     block per advance of the level (the session-blocking herd at bench
     scale). Here waiters are keyed by threshold in a min-heap, so each
     {!advance} pays O(log n) per waiter actually woken and nothing for the
-    rest.
+    rest. A waiter is a parked continuation, not a suspended process: it
+    holds its closure and a heap slot, and no fiber or stack.
 
     The threshold is a function: it is re-evaluated after every wake-up and
-    the process re-enqueues if the (possibly risen) threshold is still
+    the continuation parks again if the (possibly risen) threshold is still
     above the level — the same re-check loop as {!Condition.await}, needed
     because e.g. a pooled session's [seq(c)] can rise while one of its
     reads is already waiting. *)
 
 type t
 
-(** [create ()] starts with the level at [min_int] (everything waits). *)
-val create : unit -> t
+(** [create engine] starts with the level at [min_int] (everything waits). *)
+val create : Engine.t -> t
 
 (** Largest value ever passed to {!advance}. *)
 val level : t -> int
 
-(** [await t ~threshold] returns once [threshold () <= level t],
-    suspending the calling process until then. Must run inside a process.
-    Waiters satisfied by the same {!advance} wake in threshold order,
-    then registration order (deterministic). *)
-val await : t -> threshold:(unit -> int) -> unit
+(** [park t ~threshold k] runs [k ()] once [threshold () <= level t]: now,
+    in the caller, if that holds already; otherwise the caller returns and
+    [k] runs as a process ({!Process.start}) in the zero-delay event that
+    the satisfying {!advance} schedules, where a suspended process would
+    resume. Waiters satisfied by the same {!advance} run in threshold
+    order, then registration order (deterministic). *)
+val park : t -> threshold:(unit -> int) -> (unit -> unit) -> unit
 
 (** [advance t v] raises the level to [v] (no-op if [v <= level t]) and
     wakes every waiter whose threshold is now reached. *)
 val advance : t -> int -> unit
 
-(** Number of blocked waiters. *)
+(** Number of parked waiters. *)
 val waiting : t -> int

@@ -9,7 +9,9 @@
    and per refresh commit and hands to the driver's hooks. Every log
    record has a reader: only [Primary] creates a log, and only the two
    drivers, which know when no reader is left behind the propagation
-   cursor, truncate it.
+   cursor, truncate it. Only [Condition] and [Resource], whose waits are
+   short, suspend a process: a longer wait parks a continuation in a
+   [Seqcond] threshold queue or a timer, and holds no fiber.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -31,6 +33,9 @@ let rules =
     ( [ "system.ml"; "sim_system.ml" ],
       "System / Sim_system",
       [ "Wal.truncate_before" ] );
+    ( [ "condition.ml"; "resource.ml" ],
+      "Condition / Resource",
+      [ "Process.suspend" ] );
   ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines

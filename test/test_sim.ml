@@ -610,56 +610,151 @@ let test_condition_waiting_count () =
 
 let test_seqcond_threshold_order () =
   let eng = Engine.create () in
-  let sc = Seqcond.create () in
+  let sc = Seqcond.create eng in
   let woken = ref [] in
+  (* Parked from outside any process: a waiter holds no process. *)
   List.iter
-    (fun threshold ->
-      Process.spawn eng (fun () ->
-          Seqcond.await sc ~threshold:(fun () -> threshold);
-          woken := threshold :: !woken))
-    [ 3; 1; 2 ];
+    (fun (name, threshold) ->
+      Seqcond.park sc ~threshold:(fun () -> threshold) (fun () ->
+          woken := name :: !woken))
+    [ ("a", 3); ("b", 1); ("c", 2); ("d", 1) ];
+  check_int "all parked, none ran" 4 (Seqcond.waiting sc);
   Process.spawn eng (fun () ->
       Process.delay 1.;
       Seqcond.advance sc 1;
       Process.delay 1.;
-      check_int "only the satisfied waiter woke" 2 (Seqcond.waiting sc);
+      check_int "only the satisfied waiters woke" 2 (Seqcond.waiting sc);
       Seqcond.advance sc 3);
   Engine.run eng;
-  Alcotest.(check (list int))
-    "woken as thresholds pass, lowest first" [ 1; 2; 3 ] (List.rev !woken);
+  Alcotest.(check (list string))
+    "woken as thresholds pass, lowest first, then in registration order"
+    [ "b"; "d"; "c"; "a" ] (List.rev !woken);
   check_int "all released" 0 (Seqcond.waiting sc);
   check_int "level sticks at the high-water mark" 3 (Seqcond.level sc)
 
 let test_seqcond_rising_threshold () =
   (* A pooled session's required seq can rise while one of its reads is
-     already blocked: the waiter must re-check after waking and go back to
-     sleep until the new threshold is reached. *)
+     already parked: the waiter must re-check after waking and park again
+     until the new threshold is reached. *)
   let eng = Engine.create () in
-  let sc = Seqcond.create () in
+  let sc = Seqcond.create eng in
   let need = ref 2 in
   let resumed_at = ref 0. in
-  Process.spawn eng (fun () ->
-      Seqcond.await sc ~threshold:(fun () -> !need);
-      resumed_at := Process.now ());
+  let finished_at = ref 0. in
+  Seqcond.park sc ~threshold:(fun () -> !need) (fun () ->
+      (* The continuation runs as a process: it may delay. *)
+      resumed_at := Process.now ();
+      Process.delay 1.;
+      finished_at := Process.now ());
   Process.spawn eng (fun () ->
       Process.delay 1.;
       need := 5 (* rises before the old threshold is reached *);
       Seqcond.advance sc 2;
       Process.delay 1.;
+      check_int "parked again at the risen threshold" 1 (Seqcond.waiting sc);
       Seqcond.advance sc 5);
   Engine.run eng;
-  check_float "resumed only once the risen threshold passed" 2. !resumed_at
+  check_float "resumed only once the risen threshold passed" 2. !resumed_at;
+  check_float "ran on as a process" 3. !finished_at
 
 let test_seqcond_immediate () =
   let eng = Engine.create () in
-  let sc = Seqcond.create () in
+  let sc = Seqcond.create eng in
   Seqcond.advance sc 7;
   let ran = ref false in
+  Seqcond.park sc ~threshold:(fun () -> 7) (fun () -> ran := true);
+  check_bool "threshold already reached runs the continuation now" true !ran;
+  check_int "nothing parked" 0 (Seqcond.waiting sc);
+  check_int "no event scheduled" 0 (Engine.pending eng)
+
+(* One seeded run of a pooled-session workload. Every virtual second [k]
+   one control event raises some sessions' seq(c), advances the level and
+   registers new waiters on random sessions, each waiting for its
+   session's current seq(c). [register eng sc id threshold k]
+   registers waiter [id], which must call [k] once released. Returns each
+   waiter's release instant and the run's release log, in run order. *)
+let seqcond_pool_run ~seed register =
+  let rng = Random.State.make [| seed |] in
+  let eng = Engine.create () in
+  let sc = Seqcond.create eng in
+  let sessions = Array.make 4 0 in
+  let released = Hashtbl.create 64 in
+  let log = ref [] in
+  let next_id = ref 0 in
   Process.spawn eng (fun () ->
-      Seqcond.await sc ~threshold:(fun () -> 7);
-      ran := true);
+      Seqcond.advance sc 0;
+      for k = 1 to 40 do
+        Process.delay 1.;
+        Array.iteri
+          (fun s seq ->
+            if Random.State.int rng 10 < 3 then
+              sessions.(s) <- seq + Random.State.int rng 4)
+          sessions;
+        if k = 40 then Seqcond.advance sc max_int
+        else if Random.State.int rng 10 < 6 then
+          Seqcond.advance sc (Seqcond.level sc + Random.State.int rng 3);
+        if k < 40 then
+          for _ = 1 to Random.State.int rng 4 do
+            let id = !next_id and s = Random.State.int rng 4 in
+            incr next_id;
+            register eng sc id (fun () -> sessions.(s)) (fun () ->
+                Hashtbl.replace released id (Process.now ());
+                log := id :: !log)
+          done
+      done);
   Engine.run eng;
-  check_bool "threshold already reached returns immediately" true !ran
+  check_int "every waiter released" !next_id (Hashtbl.length released);
+  (released, List.rev !log)
+
+let test_seqcond_matches_polling () =
+  for seed = 1 to 20 do
+    (* Reference: a process per waiter that polls the level each second,
+       after that second's control event. *)
+    let polled, _ =
+      seqcond_pool_run ~seed (fun eng sc _ threshold k ->
+          Process.spawn eng (fun () ->
+              while threshold () > Seqcond.level sc do
+                Process.delay 1.
+              done;
+              k ()))
+    in
+    (* Parked: the threshold the queue saw at each waiter's latest
+       registration, and that registration's rank. *)
+    let keys = Hashtbl.create 64 in
+    let registrations = ref 0 in
+    let parked, log =
+      seqcond_pool_run ~seed (fun _ sc id threshold k ->
+          let threshold () =
+            let need = threshold () in
+            if need > Seqcond.level sc then begin
+              Hashtbl.replace keys id (need, !registrations);
+              incr registrations
+            end;
+            need
+          in
+          Seqcond.park sc ~threshold k)
+    in
+    Hashtbl.iter
+      (fun id at ->
+        check_float
+          (Printf.sprintf "seed %d: waiter %d released when polling sees it" seed id)
+          (Hashtbl.find polled id) at)
+      parked;
+    (* Waiters woken in the same instant run in threshold order, then
+       registration order; one released inline never registered. *)
+    let rec ordered = function
+      | a :: (b :: _ as rest) ->
+        (match (Hashtbl.find_opt keys a, Hashtbl.find_opt keys b) with
+        | Some ka, Some kb when Hashtbl.find parked a = Hashtbl.find parked b ->
+          check_bool
+            (Printf.sprintf "seed %d: waiter %d runs before waiter %d" seed a b)
+            true (compare ka kb < 0)
+        | _ -> ());
+        ordered rest
+      | [ _ ] | [] -> ()
+    in
+    ordered log
+  done
 
 (* --- Resource ------------------------------------------------------------------- *)
 
@@ -1217,6 +1312,8 @@ let () =
           Alcotest.test_case "rising threshold" `Quick
             test_seqcond_rising_threshold;
           Alcotest.test_case "immediate pass" `Quick test_seqcond_immediate;
+          Alcotest.test_case "matches a polling process" `Quick
+            test_seqcond_matches_polling;
         ] );
       ( "resource",
         [
