@@ -124,17 +124,15 @@ let workload_mix w = if w.w_browsing then "95/5" else "80/20"
 (* --- simulate ------------------------------------------------------------------ *)
 
 let simulate guarantee seed w serial ship validate watchdog open_loop arrival
-    session_pool fence flight_file =
+    session_pool fence report_file =
   let params = workload_params w in
   let client_mode =
     match open_loop with
     | 0 -> Sim_system.Closed_loop
     | n -> Sim_system.Open_loop { clients = n; arrival; session_pool }
   in
-  let flight =
-    match flight_file with
-    | None -> Lsr_obs.Flight.null
-    | Some _ -> Lsr_obs.Flight.create ()
+  let report =
+    if report_file = None then Run_report.null else Run_report.create ()
   in
   let cfg =
     {
@@ -144,7 +142,6 @@ let simulate guarantee seed w serial ship validate watchdog open_loop arrival
       serial_refresh = serial;
       ship_aborted = ship;
       client_mode;
-      flight;
       fence =
         (match fence with
         | None -> Sim_system.No_fence
@@ -173,7 +170,7 @@ let simulate guarantee seed w serial ship validate watchdog open_loop arrival
       Printf.printf "freshness fence on every read: %s\n%!"
         (Session.fence_to_string f))
     fence;
-  let o = Sim_system.run cfg in
+  let o = Run_report.run report ~tag:"simulate" cfg in
   let rows =
     [
       [ "throughput (<=3s)"; Printf.sprintf "%.2f tps" o.Sim_system.throughput_fast ];
@@ -213,7 +210,7 @@ let simulate guarantee seed w serial ship validate watchdog open_loop arrival
   | None -> ()
   | Some v ->
     let open Lsr_core.Watchdog in
-    let clean = satisfies v guarantee in
+    let clean = v.alerts_total = 0 in
     Printf.printf
       "\nwatchdog: %s — %d read mismatches, %d fence failures, inversions \
        all/session/after-update %d/%d/%d\n"
@@ -250,16 +247,16 @@ let simulate guarantee seed w serial ship validate watchdog open_loop arrival
       print_endline "\nchecker: VIOLATIONS FOUND";
       List.iter (fun e -> print_endline ("  " ^ e)) es
     end);
-  match (flight_file, o.Sim_system.flight_report) with
-  | Some file, Some bundle ->
-    Lsr_obs.Json.write_file ~file bundle;
-    Printf.printf "\nflight recorder: %d events seen, %s — bundle written to %s\n"
-      o.Sim_system.flight_events
-      (match o.Sim_system.flight_trigger with
-      | Some reason -> Printf.sprintf "postmortem triggered by %s" reason
-      | None -> "no anomaly (end-of-run window captured)")
-      file
-  | _ -> ()
+  Option.iter
+    (fun file ->
+      Lsr_obs.Json.write_file ~file (Run_report.to_json report);
+      Printf.printf "\nflight recorder: %d events seen, %s — report written to %s\n"
+        o.Sim_system.flight_events
+        (match o.Sim_system.flight_trigger with
+        | Some reason -> Printf.sprintf "postmortem triggered by %s" reason
+        | None -> "no violation (end-of-run window captured)")
+        file)
+    report_file
 
 let simulate_cmd =
   let serial =
@@ -343,23 +340,24 @@ let simulate_cmd =
     in
     Arg.(value & opt (some fence_conv) None & info [ "fence" ] ~docv:"FENCE" ~doc)
   in
-  let flight_file =
+  let report_file =
     let doc =
-      "Attach the bounded flight recorder and write its postmortem bundle \
-       to $(docv) after the run. With $(b,--watchdog), the first online \
-       alert triggers the capture mid-run; with $(b,--validate), a failed \
-       checker battery triggers it at the end; otherwise the bundle holds \
-       the end-of-run event window. Inspect the bundle with \
-       $(b,lsrepl replay)."
+      "Attach every observer (metrics, the 1 virtual-second system monitor, \
+       the watchdog and the flight recorder) and write the run report as \
+       JSON to $(docv). Its flight section is the postmortem bundle: the \
+       watchdog's first alert, a violation of the guarantee, triggers the \
+       capture mid-run; with $(b,--validate), a failed checker battery \
+       triggers it at the end; otherwise it holds the end-of-run event \
+       window. Inspect it with $(b,lsrepl replay)."
     in
-    Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one simulation of the replicated system")
     Term.(
       const simulate $ guarantee_arg $ seed_arg $ workload_term $ serial $ ship
       $ validate $ watchdog $ open_loop $ arrival $ session_pool $ fence
-      $ flight_file)
+      $ report_file)
 
 (* --- bottleneck ----------------------------------------------------------------- *)
 
@@ -757,21 +755,45 @@ let trace_cmd =
 
 (* --- replay ---------------------------------------------------------------------- *)
 
-(* Time-travel debugging over a committed postmortem bundle: the default
-   view prints the capture header and the witness interleaving of the
-   implicated transactions; --seek/--txn/--at reconstruct the window at any
-   instant; --diff audits two bundles for determinism. Everything here is a
-   pure function of the bundle files, so outputs golden cleanly. *)
-let replay bundle_file diff_file seek txn at limit =
-  let open Lsr_obs.Flight in
-  let load file =
-    match load_bundle ~file with
-    | Ok b -> b
-    | Error e ->
-      Printf.eprintf "error: %s: %s\n" file e;
-      exit 1
+(* Time-travel debugging over the postmortem bundle of a one-run report:
+   the default view prints the capture header and the witness interleaving
+   of the implicated transactions; --seek/--txn/--at reconstruct the window
+   at any instant; --diff audits two bundles for determinism. Everything
+   here is a pure function of the report files, so outputs golden cleanly. *)
+
+(* A report file, read as its one run's flight section. A report of several
+   runs is a usage error naming their tags. *)
+let report_flight_conv =
+  let module Json = Lsr_obs.Json in
+  let ( let* ) = Result.bind in
+  let parse file =
+    let* text =
+      try Ok (In_channel.with_open_bin file In_channel.input_all)
+      with Sys_error e -> Error e
+    in
+    let* json = Json.parse text in
+    let* run =
+      match Json.member "runs" json with
+      | Some (Json.Arr [ run ]) -> Ok run
+      | Some (Json.Arr runs) ->
+        let tag run =
+          match Json.member "tag" run with Some (Json.Str t) -> t | _ -> "?"
+        in
+        Error
+          (Printf.sprintf "%s holds %d runs (%s); replay reads a one-run report"
+             file (List.length runs)
+             (String.concat ", " (List.map tag runs)))
+      | _ -> Error (file ^ " is not a run report")
+    in
+    match Json.member "flight" run with
+    | Some (Json.Obj _ as bundle) -> Lsr_obs.Flight.parse_bundle bundle
+    | _ -> Error (file ^ ": the run has no flight recorder section")
   in
-  let b = load bundle_file in
+  let parse file = Result.map_error (fun e -> `Msg e) (parse file) in
+  Arg.conv (parse, fun ppf _ -> Format.pp_print_string ppf "<report>")
+
+let replay b other seek txn at limit =
+  let open Lsr_obs.Flight in
   let print_events ?(label_omitted = "earlier") evs =
     let total = List.length evs in
     let evs =
@@ -784,14 +806,13 @@ let replay bundle_file diff_file seek txn at limit =
     in
     List.iter (fun e -> Format.printf "  %a@." pp_event e) evs
   in
-  match diff_file with
+  match other with
   | Some other ->
-    let a, bb = (b, load other) in
-    (match diff a bb with
+    (match diff b other with
     | None ->
       Printf.printf
         "no divergence: both bundles retain the same %d-event window\n"
-        (Array.length a.window)
+        (Array.length b.window)
     | Some (i, ea, eb) ->
       Printf.printf "FIRST DIVERGENCE at window index %d:\n" i;
       let side tag = function
@@ -839,17 +860,25 @@ let replay bundle_file diff_file seek txn at limit =
         print_events evs))
 
 let replay_cmd =
-  let bundle_file =
-    let doc = "Postmortem bundle written by simulate --flight or the bench." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BUNDLE" ~doc)
-  in
-  let diff_file =
+  let report =
     let doc =
-      "Determinism audit: compare $(i,BUNDLE) against $(docv) and report \
-       the first divergence between their event windows (exit 1), or that \
-       none exists. Two bundles from the same seed must not diverge."
+      "A one-run report written by $(b,simulate --report), $(b,bottleneck \
+       --report) or the bench's $(b,--report); replay reads its flight \
+       section."
     in
-    Arg.(value & opt (some string) None & info [ "diff" ] ~docv:"OTHER" ~doc)
+    Arg.(
+      required & pos 0 (some report_flight_conv) None
+      & info [] ~docv:"REPORT" ~doc)
+  in
+  let other =
+    let doc =
+      "Determinism audit: compare $(i,REPORT)'s flight window against \
+       $(docv)'s and report the first divergence (exit 1), or that none \
+       exists. Two reports from the same seed must not diverge."
+    in
+    Arg.(
+      value & opt (some report_flight_conv) None
+      & info [ "diff" ] ~docv:"OTHER" ~doc)
   in
   let seek =
     let doc = "Print the window events up to virtual time $(docv)." in
@@ -876,8 +905,8 @@ let replay_cmd =
   in
   Cmd.v
     (Cmd.info "replay"
-       ~doc:"Time-travel through a flight recorder postmortem bundle")
-    Term.(const replay $ bundle_file $ diff_file $ seek $ txn $ at $ limit)
+       ~doc:"Time-travel through a run report's flight recorder postmortem")
+    Term.(const replay $ report $ other $ seek $ txn $ at $ limit)
 
 let () =
   let info =

@@ -41,18 +41,6 @@ type t = {
   sites : site array;
 }
 
-(* The watchdog's alert hook: trigger the recorder's capture once. *)
-let flight_trigger flight (a : Watchdog.alert) =
-  if not (Flight.triggered flight) then
-    let txns =
-      match a.Watchdog.kind with
-      | Watchdog.Inversion { earlier; _ } -> [ a.Watchdog.txn; earlier ]
-      | _ -> [ a.Watchdog.txn ]
-    in
-    Flight.trigger flight ~reason:"watchdog"
-      ~detail:(Format.asprintf "%a" Watchdog.pp_alert a)
-      ~txns ()
-
 let freshness obs site =
   {
     read_age = Obs.histogram obs (site ^ ".read_age");
@@ -67,8 +55,7 @@ let note_refresh watchdog i seq =
   | None -> ()
 
 let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
-    ~record_history ~watchdog ~sites guarantee =
-  let history = History.create () in
+    ~record_history ~watchdog ?(history = History.create ()) ~sites guarantee =
   let now =
     match now with
     | Some f ->
@@ -82,15 +69,8 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
   let primary = Primary.create ~commit_log:record_history () in
   let clock = Session.clock_create () in
   let watchdog =
-    if not watchdog then None
-    else
-      Some
-        (Watchdog.create ~sinks ~clock ~sites
-           ?on_alert:
-             (if Flight.enabled sinks.flight then
-                Some (flight_trigger sinks.flight)
-              else None)
-           ())
+    if watchdog then Some (Watchdog.create ~sinks ~clock ~guarantee ~sites ())
+    else None
   in
   let propagator =
     Propagation.create ~from:0 ~ship_aborted ~sinks (Primary.wal primary)
@@ -365,7 +345,7 @@ let check t =
     end
   in
   (match Option.map Watchdog.verdict t.watchdog with
-  | Some v when not (Watchdog.satisfies v guarantee) ->
+  | Some v when v.Watchdog.alerts_total > 0 ->
     add_error "watchdog: guarantee %s violated (%d alerts)"
       (Session.guarantee_name guarantee)
       v.Watchdog.alerts_total

@@ -1,7 +1,7 @@
 (** The replica-set core shared by the embedded {!System} and the simulator
     ([Lsr_experiments.Sim_system]): the primary and its propagator, the
     session manager, the primary commit clock, the {!History}, the optional
-    {!Watchdog} with its flight-recorder trigger, the observability
+    {!Watchdog} judging the run's guarantee, the observability
     {!Lsr_obs.Sinks}, and the site table — per secondary its current
     replica, its optional fault {!Channel} and whether it is crashed or was
     ever recovered. Drivers keep how transactions execute and wait, and
@@ -40,9 +40,11 @@ type t
     simulator's virtual clock: the flight recorder is bound to it and
     starts a new epoch. Without it the time axis is the history event
     counter, so [Max_age] fences, freshness samples and refresh lags count
-    history events. [record_history] keeps every finished transaction and
-    every store's commit list (for {!check}'s completeness audit);
-    [watchdog] attaches an online checker whose first alert triggers the
+    history events. [record_history] keeps every finished transaction, in
+    [history] (a fresh one by default), and every store's commit list (for
+    {!check}'s completeness audit);
+    [watchdog] attaches an online checker of the guarantee, created with
+    [sinks], so its first alert — the first violation — triggers the
     flight recorder's capture. Each refresh commit of [ts] at secondary [i]
     calls [on_refresh_commit i ts lag] (applied once per site and kept for
     recovery), where [lag] is the time since [ts] committed at the primary
@@ -62,6 +64,7 @@ val create :
   sinks:Lsr_obs.Sinks.t ->
   record_history:bool ->
   watchdog:bool ->
+  ?history:History.t ->
   sites:int ->
   Session.guarantee ->
   t
@@ -153,7 +156,8 @@ val finish_read :
     or, for a recovered one with an empty update queue, final-state
     equality; weak SI of the history (Theorem 3.2); the fence audit; and
     the guarantee, one line naming it with the number of offending
-    inversions and the first. Then the attached watchdog's verdict. Returns
+    inversions and the first. Then the attached watchdog's verdict: one
+    line with its alert count when it raised any. Returns
     the violations (empty when the run passed) and the report behind them
     ([None] without a history). *)
 val check : t -> string list * Checker.report option

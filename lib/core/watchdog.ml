@@ -114,7 +114,8 @@ type token = {
 let alert_cap = 256
 
 type t = {
-  on_alert : (alert -> unit) option;
+  forbidden : level option;  (* the guarantee's forbidden inversion level *)
+  flight : Lsr_obs.Flight.t;
   clock : Session.clock option;
   (* Weak-SI state, per key: primary writes newer than the horizon plus the
      folded base value of everything retired. *)
@@ -138,9 +139,11 @@ type t = {
   mutable min_pin_dirty : bool;
   mutable next_serial : int;
   mutable horizon : Timestamp.t;
-  (* Alerts: newest-first bounded log plus exact per-kind counters. *)
+  (* Alerts: newest-first bounded log plus exact counters, the inversion
+     counters at every level. *)
   mutable alert_log : alert list;
   mutable alert_log_len : int;
+  mutable n_alerts : int;
   mutable n_read : int;
   mutable n_inv_all : int;
   mutable n_inv_sess : int;
@@ -153,12 +156,12 @@ type t = {
   mutable peak : int;
 }
 
-let create ?on_alert ?(sinks = Lsr_obs.Sinks.null) ?clock
-    ~sites () =
+let create ?(sinks = Lsr_obs.Sinks.null) ?clock ~guarantee ~sites () =
   if sites < 1 then invalid_arg "Watchdog.create: need at least 1 site";
   let obs = sinks.Lsr_obs.Sinks.obs in
   {
-    on_alert;
+    forbidden = Session.forbidden_level guarantee;
+    flight = sinks.Lsr_obs.Sinks.flight;
     clock;
     chains = Keys.create 1024;
     unretired = Queue.create ();
@@ -178,6 +181,7 @@ let create ?on_alert ?(sinks = Lsr_obs.Sinks.null) ?clock
     horizon = Timestamp.zero;
     alert_log = [];
     alert_log_len = 0;
+    n_alerts = 0;
     n_read = 0;
     n_inv_all = 0;
     n_inv_sess = 0;
@@ -230,33 +234,55 @@ let min_pin t =
   end;
   t.min_pin
 
+(* --- Rendering -------------------------------------------------------------- *)
+
+let level_name = function
+  | All_sessions -> "all-sessions"
+  | In_session -> "in-session"
+  | After_update -> "after-update"
+
+let value_str = function Some v -> v | None -> "<none>"
+
+let pp_kind ppf = function
+  | Read_mismatch { key; observed; expected } ->
+    Format.fprintf ppf "read %s = %s but primary state has %s" key
+      (value_str observed) (value_str expected)
+  | Inversion { level; earlier; floor } ->
+    Format.fprintf ppf "inversion (%s): snapshot behind txn %d's state %a"
+      (level_name level) earlier Timestamp.pp floor
+  | Fence_violation { detail } -> Format.fprintf ppf "fence violated: %s" detail
+
+let pp_alert ppf a =
+  Format.fprintf ppf "[%.3f] txn %d (session %s at %s, snapshot %a): %a" a.at
+    a.txn a.session a.site Timestamp.pp a.snapshot pp_kind a.kind
+
 (* --- Alerts ----------------------------------------------------------------- *)
 
+(* A violation of the promised guarantee: counted, logged while the log has
+   room, and the first one triggers the flight recorder's capture. *)
 let record_alert t ~at ~txn ~session ~site ~snapshot kind =
   (match kind with
   | Read_mismatch _ ->
     t.n_read <- t.n_read + 1;
     Obs.incr t.c_alert_read
-  | Inversion { level; _ } ->
-    (match level with
-    | All_sessions -> t.n_inv_all <- t.n_inv_all + 1
-    | In_session -> t.n_inv_sess <- t.n_inv_sess + 1
-    | After_update -> t.n_inv_upd <- t.n_inv_upd + 1);
-    Obs.incr t.c_alert_inversion
+  | Inversion _ -> Obs.incr t.c_alert_inversion
   | Fence_violation _ ->
     t.n_fence <- t.n_fence + 1;
     Obs.incr t.c_alert_fence);
-  let retain = t.alert_log_len < alert_cap in
-  if retain || t.on_alert <> None then begin
+  t.n_alerts <- t.n_alerts + 1;
+  if t.alert_log_len < alert_cap then begin
     let alert = { at; txn; session; site; snapshot; kind } in
-    if retain then begin
-      t.alert_log <- alert :: t.alert_log;
-      t.alert_log_len <- t.alert_log_len + 1
-    end;
-    (* The hook fires on every alert, including ones the bounded log drops —
-       the flight recorder's first-trigger-wins capture must not miss the
-       first anomaly just because the log was already full. *)
-    match t.on_alert with Some f -> f alert | None -> ()
+    t.alert_log <- alert :: t.alert_log;
+    t.alert_log_len <- t.alert_log_len + 1;
+    if t.n_alerts = 1 && Lsr_obs.Flight.enabled t.flight then
+      let txns =
+        match kind with
+        | Inversion { earlier; _ } -> [ txn; earlier ]
+        | Read_mismatch _ | Fence_violation _ -> [ txn ]
+      in
+      Lsr_obs.Flight.trigger t.flight ~reason:"watchdog"
+        ~detail:(Format.asprintf "%a" pp_alert alert)
+        ~txns ()
   end
 
 (* --- Floors ----------------------------------------------------------------- *)
@@ -397,17 +423,26 @@ let validate_reads t ~at ~txn ~session ~site ~snapshot ~own_writes reads =
       end)
     reads
 
-let check_inversions t tok ~at ~txn ~site ~snapshot =
-  let check level floor =
-    match floor with
-    | Some (ts, earlier) when Timestamp.compare snapshot ts < 0 ->
+(* An inversion at every level bumps that level's count; only one at the
+   forbidden level is an alert. *)
+let check_level t tok ~at ~txn ~site ~snapshot level floor =
+  match floor with
+  | Some (ts, earlier) when Timestamp.compare snapshot ts < 0 ->
+    (match level with
+    | All_sessions -> t.n_inv_all <- t.n_inv_all + 1
+    | In_session -> t.n_inv_sess <- t.n_inv_sess + 1
+    | After_update -> t.n_inv_upd <- t.n_inv_upd + 1);
+    (match t.forbidden with
+    | Some forbidden when forbidden = level ->
       record_alert t ~at ~txn ~session:tok.tk_session ~site ~snapshot
         (Inversion { level; earlier; floor = ts })
-    | Some _ | None -> ()
-  in
-  check All_sessions tok.tk_global;
-  check In_session tok.tk_session_floor;
-  check After_update tok.tk_update_floor
+    | Some _ | None -> ())
+  | Some _ | None -> ()
+
+let check_inversions t tok ~at ~txn ~site ~snapshot =
+  check_level t tok ~at ~txn ~site ~snapshot All_sessions tok.tk_global;
+  check_level t tok ~at ~txn ~site ~snapshot In_session tok.tk_session_floor;
+  check_level t tok ~at ~txn ~site ~snapshot After_update tok.tk_update_floor
 
 let check_fence t tok ~at ~txn ~site ~snapshot fence =
   match fence with
@@ -510,47 +545,17 @@ let alerts t =
     t.alert_log
 
 let verdict t =
-  let total = t.n_read + t.n_inv_all + t.n_inv_sess + t.n_inv_upd + t.n_fence in
   {
     read_mismatches = t.n_read;
     v_inversions_all = t.n_inv_all;
     v_inversions_in_session = t.n_inv_sess;
     v_inversions_after_update = t.n_inv_upd;
     fence_failures = t.n_fence;
-    alerts_total = total;
-    alerts_dropped = total - t.alert_log_len;
+    alerts_total = t.n_alerts;
+    alerts_dropped = t.n_alerts - t.alert_log_len;
   }
 
-let satisfies v g =
-  v.read_mismatches = 0 && v.fence_failures = 0
-  &&
-  match Session.forbidden_level g with
-  | None -> true
-  | Some All_sessions -> v.v_inversions_all = 0
-  | Some In_session -> v.v_inversions_in_session = 0
-  | Some After_update -> v.v_inversions_after_update = 0
-
-(* --- Rendering -------------------------------------------------------------- *)
-
-let level_name = function
-  | All_sessions -> "all-sessions"
-  | In_session -> "in-session"
-  | After_update -> "after-update"
-
-let value_str = function Some v -> v | None -> "<none>"
-
-let pp_kind ppf = function
-  | Read_mismatch { key; observed; expected } ->
-    Format.fprintf ppf "read %s = %s but primary state has %s" key
-      (value_str observed) (value_str expected)
-  | Inversion { level; earlier; floor } ->
-    Format.fprintf ppf "inversion (%s): snapshot behind txn %d's state %a"
-      (level_name level) earlier Timestamp.pp floor
-  | Fence_violation { detail } -> Format.fprintf ppf "fence violated: %s" detail
-
-let pp_alert ppf a =
-  Format.fprintf ppf "[%.3f] txn %d (session %s at %s, snapshot %a): %a" a.at
-    a.txn a.session a.site Timestamp.pp a.snapshot pp_kind a.kind
+(* --- JSON report ------------------------------------------------------------ *)
 
 let kind_json = function
   | Read_mismatch { key; observed; expected } ->

@@ -19,9 +19,15 @@
       is maintained the same way, and [Exact]/[Max_age]/[Session_seq] claims
       are checked the moment the fenced read finishes.
 
-    Violations surface immediately as typed {!alert}s (bounded log, per-kind
-    counters). An alert carries ids, not journeys: the flight recorder's
-    capture holds each implicated update's pipeline events.
+    The watchdog judges the run against the guarantee it promises. An
+    {e alert} is a violation of it: a read mismatch, a fence failure, or an
+    inversion at the guarantee's {!Session.forbidden_level}. Alerts surface
+    immediately as typed {!alert}s (bounded log, per-kind counters), and
+    the first one triggers the attached flight recorder's capture. An
+    inversion at any other level is no violation: it only bumps the
+    verdict's count for its level. An alert carries ids, not journeys: the
+    flight recorder's capture holds each implicated update's pipeline
+    events.
 
     {b Bounded memory.} State below the global minimum secondary visibility
     horizon is retired continuously: once every secondary has refreshed past
@@ -39,9 +45,11 @@
     first_op] iff the earlier transaction's end hook ran before the later
     one's begin hook) and ties keep the earlier witness, like
     {!Checker.inversions}. The differential suite in [test/test_watchdog.ml]
-    checks verdict and alert-set equality against {!Checker.analyze} across
-    fuzzed runs. Aborted transactions pin nothing and are never validated
-    (the definitions quantify over committed transactions only). *)
+    checks the verdict against {!Checker.analyze} across fuzzed runs, and
+    replays each run's history into watchdogs promising each level to match
+    their alerts witness for witness. Aborted transactions pin nothing and
+    are never validated (the definitions quantify over committed
+    transactions only). *)
 
 open Lsr_storage
 
@@ -68,7 +76,7 @@ type alert_kind =
   | Inversion of { level : level; earlier : int; floor : Timestamp.t }
       (** The transaction's snapshot is older than the maximal state pinned
           by committed transaction [earlier], which finished before this
-          transaction's first operation. *)
+          transaction's first operation; [level] is the forbidden one. *)
   | Fence_violation of { detail : string }
       (** A fenced read's snapshot did not honour its freshness claim. *)
 
@@ -83,8 +91,10 @@ type alert = {
 
 val pp_alert : Format.formatter -> alert -> unit
 
-(** Per-kind violation counts — the online mirror of {!Checker.report}
-    (counting alerts, including any dropped beyond the bounded log). *)
+(** The run's counts. [alerts_total] counts every alert, including any
+    dropped beyond the bounded log; a run kept its guarantee exactly when
+    it is 0. The three inversion counts cover every level, forbidden or
+    not — the online mirror of {!Checker.report}'s three lists. *)
 type verdict = {
   read_mismatches : int;
   v_inversions_all : int;
@@ -95,21 +105,19 @@ type verdict = {
   alerts_dropped : int;  (** alerts beyond the bounded log's capacity *)
 }
 
-(** [create ~sites ()] is a fresh watchdog for a system with [sites]
-    secondaries. The retained alert log keeps the first 256 alerts
-    (counters keep exact totals past the cap). [clock] is the primary
-    commit clock used to audit [Max_age] claims — as in
-    {!Checker.analyze}'s fence audit, a [Max_age] claim without a clock is itself a
-    violation. [sinks.obs]
-    receives [watchdog.alerts.*] counters and a [watchdog.state_size]
-    gauge. [on_alert] fires synchronously on {e every} alert —
-    including ones the bounded log drops past its cap — with the same
-    alert value the log retains; it is the flight recorder's trigger hook,
-    and like any observer it must not feed back into the run. *)
+(** [create ~guarantee ~sites ()] is a fresh watchdog judging a system with
+    [sites] secondaries against [guarantee]. The retained alert log keeps
+    the first 256 alerts (counters keep exact totals past the cap).
+    [clock] is the primary commit clock used to audit [Max_age] claims —
+    as in {!Checker.analyze}'s fence audit, a [Max_age] claim without a
+    clock is itself a violation. [sinks.obs] receives
+    [watchdog.alerts.*] counters and a [watchdog.state_size] gauge; the
+    first alert triggers [sinks.flight] (reason ["watchdog"], implicating
+    the offending transaction and, for an inversion, its witness). *)
 val create :
-  ?on_alert:(alert -> unit) ->
   ?sinks:Lsr_obs.Sinks.t ->
   ?clock:Session.clock ->
+  guarantee:Session.guarantee ->
   sites:int ->
   unit ->
   t
@@ -180,10 +188,6 @@ val note_refresh : t -> site:int -> seq:Timestamp.t -> unit
 val alerts : t -> alert list
 
 val verdict : t -> verdict
-
-(** [satisfies v g] mirrors {!Checker.satisfies}: no read mismatches, no
-    fence failures, and no inversions at {!Session.forbidden_level} [g]. *)
-val satisfies : verdict -> Session.guarantee -> bool
 
 (** {2 Introspection} *)
 

@@ -15,7 +15,8 @@
     - [runs]: one entry per run, in run order. [bottleneck] is
       {!Bottleneck.to_json}; [watchdog] is the run's [watchdog_report]
       and [flight] its postmortem bundle ([flight_report]), each [null]
-      when that observer is off;
+      when that observer is off. [lsrepl replay] reads the [flight]
+      section of a one-run report;
     - [freshness]: {!Lag_report.to_json} of the registry's per-site
       freshness instruments;
     - [metrics], [timeseries]: the sinks' own [to_json].

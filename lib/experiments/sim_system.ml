@@ -758,7 +758,7 @@ let config_json cfg =
           ] );
     ]
 
-let run cfg =
+let run ?history cfg =
   let p = cfg.params in
   let eng = Engine.create () in
   (* The refresher wakes fenced/session-blocked readers as it commits: each
@@ -788,7 +788,7 @@ let run cfg =
       ~ship_aborted:cfg.ship_aborted
       ~sinks:{ Lsr_obs.Sinks.obs = cfg.obs; flight = cfg.flight }
       ~record_history:cfg.record_history ~watchdog:cfg.watchdog
-      ~sites:p.Params.num_secondaries cfg.guarantee
+      ?history ~sites:p.Params.num_secondaries cfg.guarantee
   in
   let st =
     {

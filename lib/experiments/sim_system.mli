@@ -59,16 +59,18 @@ type config = {
       (** record every transaction and commit list, run the checker battery
           at the end (memory-heavy; for validation, not performance sweeps) *)
   watchdog : bool;
-      (** attach an online {!Lsr_core.Watchdog}: the weak-SI read
-          validation, the inversion floors for all three session-guarantee
-          levels and the fence audit run incrementally as transactions
-          finish, in memory bounded by the active visibility window — so
-          guarantees are verified even with [record_history = false] (and
-          on runs too long to record). Alerts land in
-          [watchdog_alerts]/[watchdog_verdict], a failed guarantee also in
-          [check_errors]. Attaching the watchdog never changes simulation
-          outcomes (it only observes; virtual time never advances in its
-          hooks). *)
+      (** attach an online {!Lsr_core.Watchdog} judging the run against
+          [guarantee]: the weak-SI read validation, the inversion floors
+          for all three session-guarantee levels and the fence audit run
+          incrementally as transactions finish, in memory bounded by the
+          active visibility window — so the guarantee is verified even
+          with [record_history = false] (and on runs too long to record).
+          Only violations of [guarantee] are alerts; they land in
+          [watchdog_alerts]/[watchdog_verdict] and, as one line, in
+          [check_errors]. Inversions at every level are counted in
+          [watchdog_verdict]. Attaching the watchdog never changes
+          simulation outcomes (it only observes; virtual time never
+          advances in its hooks). *)
   serial_refresh : bool;
       (** ablation: the refresher waits for each applicator to commit before
           processing the next record (no concurrent applicators) *)
@@ -117,9 +119,10 @@ type config = {
           ids when a tracking consumer is on, hid = -1 otherwise), every
           propagation/refresh pipeline stage, fault-channel misbehaviour,
           per-read snapshot/fence claims and crash/recovery marks. The first
-          watchdog alert (with [watchdog]) triggers its postmortem capture
-          mid-run; a failed checker battery (with [record_history]) triggers
-          it at the end; otherwise the bundle holds the end-of-run window.
+          watchdog alert (with [watchdog]), a violation of [guarantee],
+          triggers its postmortem capture mid-run; a failed checker battery
+          (with [record_history]) triggers it at the end; otherwise the
+          bundle holds the end-of-run window.
           The bundle lands in [flight_report]. Same rules as [obs]:
           {!Lsr_obs.Flight.null} (the default) costs nothing, and an enabled
           recorder never changes outcomes (virtual-time stamps, no
@@ -227,11 +230,13 @@ type outcome = {
       (** CPU seconds the end-of-run checker battery took (0 when
           [record_history = false]) *)
   watchdog_verdict : Lsr_core.Watchdog.verdict option;
-      (** the online watchdog's final per-kind violation counts ([None]
-          when [watchdog = false]) *)
+      (** the online watchdog's final counts: alerts (violations of
+          [guarantee]) by kind, and inversions at every level ([None] when
+          [watchdog = false]) *)
   watchdog_alerts : Lsr_core.Watchdog.alert list;
-      (** the watchdog's retained alert log, sorted by (virtual time,
-          txn id) — deterministic for a fixed seed *)
+      (** the watchdog's retained alert log — the guarantee's violations,
+          empty for a run that kept it — sorted by (virtual time, txn id),
+          deterministic for a fixed seed *)
   watchdog_peak_state : int;
       (** peak watchdog state size (live versions + unretired commits +
           session floors + in-flight pins): the memory the online check
@@ -248,9 +253,11 @@ type outcome = {
           ids, full config and seed), keys sorted, byte-stable for a
           fixed seed; [None] when no recorder was attached *)
   flight_trigger : string option;
-      (** what tripped the capture — ["watchdog"] (first online alert) or
-          ["checker"] (post-hoc battery failure); [None] when untriggered
-          (the bundle then holds the end-of-run window) or no recorder *)
+      (** what tripped the capture — ["watchdog"] (the first online alert,
+          a violation of [guarantee]) or ["checker"] (post-hoc battery
+          failure); [None] when untriggered, as on every run that kept its
+          guarantee (the bundle then holds the end-of-run window), or
+          without a recorder *)
   flight_events : int;
       (** events the recorder saw (recorded + overwritten); 0 without one *)
   flight_bytes : int;
@@ -261,5 +268,7 @@ type outcome = {
           secondaries in index order — the input of {!Bottleneck} *)
 }
 
-(** [run config] executes one independent replication and reduces it. *)
-val run : config -> outcome
+(** [run config] executes one independent replication and reduces it. With
+    [record_history], every transaction is recorded into [history] (a
+    fresh one by default), which a caller that passes it can replay. *)
+val run : ?history:History.t -> config -> outcome

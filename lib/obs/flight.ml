@@ -556,19 +556,6 @@ let parse_bundle j =
         metrics;
       }
 
-let load_bundle ~file =
-  match
-    let ic = open_in_bin file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | exception Sys_error e -> Error e
-  | s ->
-    let* j = Json.parse s in
-    parse_bundle j
-
 (* --- Replay ---------------------------------------------------------------- *)
 
 let ev_detail = function

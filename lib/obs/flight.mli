@@ -14,12 +14,12 @@
     not its own is the clock closure of {!set_clock}: a recorder that
     outlives its run keeps whatever that closure reads alive.
 
-    On {!trigger} (a watchdog alert, a checker failure, or an explicit
-    flag), the recorder snapshots the ring — the event window leading up to
-    the trigger instant — together with per-site visibility horizons.
-    First trigger wins: later triggers do not overwrite the captured
-    window. {!bundle_json} then assembles the postmortem bundle: the
-    window, the implicated transactions, horizons, the reproducing
+    On {!trigger} (the watchdog's first alert, a checker failure, or an
+    explicit flag), the recorder snapshots the ring — the event window
+    leading up to the trigger instant — together with per-site visibility
+    horizons. First trigger wins: later triggers do not overwrite the
+    captured window. {!bundle_json} then assembles the postmortem bundle:
+    the window, the implicated transactions, horizons, the reproducing
     config+seed and a metrics snapshot.
 
     The module obeys the observability design rules (docs/OBSERVABILITY.md,
@@ -30,9 +30,10 @@
     never the wall clock), and deterministic export (same seed ⇒
     byte-identical bundles).
 
-    The second half of the module is the consumer: {!load_bundle} parses a
-    bundle back, {!events_until}/{!horizons_at}/{!txn_events} reconstruct
-    the window in virtual time, {!witness_events} extracts the concrete
+    The second half of the module is the consumer: {!parse_bundle} reads a
+    bundle back (lsrepl replay reads it from a run report's [flight]
+    section), {!events_until}/{!horizons_at}/{!txn_events} reconstruct the
+    window in virtual time, {!witness_events} extracts the concrete
     interleaving of the implicated transactions, and {!diff} reports the
     first divergence between two bundles — a determinism audit. *)
 
@@ -186,10 +187,8 @@ val bundle_json : t -> config:Json.t -> ?metrics:Json.t -> unit -> Json.t
 
 (** {2 Replay} *)
 
+(** [parse_bundle j] reads back a bundle {!bundle_json} built. *)
 val parse_bundle : Json.t -> (bundle, string) result
-
-(** [load_bundle ~file] reads and parses one bundle. *)
-val load_bundle : file:string -> (bundle, string) result
 
 (** One replay line: time, site, event kind and details. *)
 val pp_event : Format.formatter -> event -> unit

@@ -11,7 +11,11 @@
    drivers, which know when no reader is left behind the propagation
    cursor, truncate it. Only [Condition] and [Resource], whose waits are
    short, suspend a process: a longer wait parks a continuation in a
-   [Seqcond] threshold queue or a timer, and holds no fiber.
+   [Seqcond] threshold queue or a timer, and holds no fiber. A postmortem
+   capture has two triggers: the watchdog's first alert and the
+   simulator's failed checker battery. Only the two verdicts, [Checker]
+   and [Watchdog], map a guarantee to the inversion level it forbids;
+   everyone else reads their verdicts.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -36,6 +40,12 @@ let rules =
     ( [ "condition.ml"; "resource.ml" ],
       "Condition / Resource",
       [ "Process.suspend" ] );
+    ( [ "watchdog.ml"; "sim_system.ml" ],
+      "Watchdog / Sim_system",
+      [ "Flight.trigger" ] );
+    ( [ "checker.ml"; "watchdog.ml" ],
+      "Checker / Watchdog",
+      [ "Session.forbidden_level" ] );
   ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines

@@ -1027,7 +1027,7 @@ let test_checker_fence_edge_cases () =
   (* The online watchdog agrees on all three edge cases, fed the same
      streams through its hooks. *)
   let wd_case ~clock txns =
-    let w = Watchdog.create ?clock ~sites:1 () in
+    let w = Watchdog.create ?clock ~guarantee:Session.Weak ~sites:1 () in
     List.iter
       (fun (t : History.txn) ->
         match t.History.kind with

@@ -1,10 +1,11 @@
 (* The flight recorder (PR 10): ring semantics and first-trigger-wins at the
    unit level, then the simulator-level contracts — attaching the recorder
    never perturbs an outcome, its footprint is bounded regardless of run
-   length, bundles are byte-deterministic per seed (replay --diff finds no
-   divergence), and the end-to-end postmortem path: a weak-SI run trips the
-   watchdog, the bundle's implicated pair is a real inversion witness of the
-   post-hoc checker on the same seed. *)
+   length, a run that keeps its guarantee captures nothing, and bundles are
+   byte-deterministic per seed (replay --diff finds no divergence) — and
+   the end-to-end postmortem path in the embedded system: a real violation
+   trips the watchdog, and the bundle implicates the post-hoc checker's
+   witness of it. *)
 
 open Lsr_core
 open Lsr_experiments
@@ -181,7 +182,7 @@ let test_never_perturbs () =
       ( "quiet",
         cfg Session.Strong_session ~seed:5,
         cfg Session.Strong_session ~seed:5 ~flight:true );
-      ( "anomalous",
+      ( "watchdog on",
         {
           (cfg Session.Weak ~seed:7 ~watchdog:true) with
           Sim_system.migrate_prob = 0.4;
@@ -224,7 +225,7 @@ let test_bounded_footprint () =
     true
     (abs (lb - sb) * 100 < sb)
 
-let anomalous_cfg ~flight =
+let migrating_cfg ~flight =
   {
     (cfg Session.Weak ~seed:7 ~watchdog:true ~flight) with
     Sim_system.migrate_prob = 0.4;
@@ -235,47 +236,41 @@ let bundle_of (o : Sim_system.outcome) =
   | Some j -> parse_ok j
   | None -> Alcotest.fail "no flight report"
 
-let test_postmortem_end_to_end () =
-  (* Weak SI with cross-site load balancing produces real inversions
-     (test_watchdog relies on the same workload): the watchdog's first
-     alert must trip the recorder, and the bundle's implicated pair must be
-     an inversion witness the post-hoc checker independently finds on the
-     same seed. *)
-  let o = Sim_system.run (anomalous_cfg ~flight:true) in
-  check_bool "watchdog tripped the recorder" true
-    (o.Sim_system.flight_trigger = Some "watchdog");
-  let b = bundle_of o in
-  check_string "bundle reason" "watchdog" b.Flight.reason;
-  check_bool "trigger detail names the alert" true
-    (String.length b.Flight.detail > 0);
-  check_bool "window captured" true (Array.length b.Flight.window > 0);
-  (* The inversion fires early in the run, so only sites with visibility
-     bookkeeping by then appear — the primary always does. *)
-  check_bool "primary horizon captured" true
-    (match List.assoc_opt "primary" b.Flight.horizons with
-    | Some h -> h >= 0
-    | None -> false);
-  (* The implicated pair is a real witness: some checker inversion (at any
-     strictness level) blames exactly these two history ids. *)
-  let report = Option.get o.Sim_system.check_report in
-  let pairs =
-    List.map
-      (fun (i : Checker.inversion) ->
-        List.sort compare [ i.Checker.earlier.History.id; i.Checker.later.History.id ])
-      (report.Checker.inversions_all @ report.Checker.inversions_in_session
-     @ report.Checker.inversions_after_update)
+let test_clean_runs_capture_nothing () =
+  (* Runs that keep their guarantee raise no alert, so nothing triggers the
+     recorder — even a weak run whose cross-site load balancing inverts
+     transactions in session, which weak SI does not forbid. The watchdog
+     still counts every inversion, level by level, as the checker finds
+     them. *)
+  let clean tag cfg =
+    let o = Sim_system.run cfg in
+    let v = Option.get o.Sim_system.watchdog_verdict in
+    let report = Option.get o.Sim_system.check_report in
+    Alcotest.(check (list string)) (tag ^ ": clean run") [] o.Sim_system.check_errors;
+    check_int (tag ^ ": no alert") 0 v.Watchdog.alerts_total;
+    check_bool (tag ^ ": no capture") true (o.Sim_system.flight_trigger = None);
+    List.iter
+      (fun (level, count, invs) ->
+        check_int
+          (Printf.sprintf "%s: %s inversions counted" tag level)
+          (List.length invs) count)
+      [
+        ("all-sessions", v.Watchdog.v_inversions_all, report.Checker.inversions_all);
+        ( "in-session",
+          v.Watchdog.v_inversions_in_session,
+          report.Checker.inversions_in_session );
+        ( "after-update",
+          v.Watchdog.v_inversions_after_update,
+          report.Checker.inversions_after_update );
+      ];
+    v
   in
-  check_int "two implicated txns" 2 (List.length b.Flight.implicated);
-  check_bool "implicated pair is a post-hoc inversion witness" true
-    (List.mem (List.sort compare b.Flight.implicated) pairs);
-  check_bool "the witness interleaving is non-empty" true
-    (Flight.witness_events b <> []);
-  (* The bundle carries the reproducing config. *)
-  check_bool "bundle embeds the seed" true
-    (Json.member "seed" b.Flight.config = Some (Json.Num 7.));
-  check_bool "window events precede the trigger instant" true
-    (Array.for_all (fun (e : Flight.event) -> e.Flight.time <= b.Flight.at)
-       b.Flight.window)
+  let weak = clean "weak" (migrating_cfg ~flight:true) in
+  check_bool "the weak run inverted in session" true
+    (weak.Watchdog.v_inversions_in_session > 0);
+  ignore
+    (clean "strong session"
+       (cfg Session.Strong_session ~seed:5 ~watchdog:true ~flight:true))
 
 let test_end_of_run_fallback () =
   (* A clean run never triggers; the bundle still exists (reason
@@ -286,12 +281,14 @@ let test_end_of_run_fallback () =
   let b = bundle_of o in
   check_string "fallback reason" "end-of-run" b.Flight.reason;
   check_bool "nothing implicated" true (b.Flight.implicated = []);
-  check_bool "window retained anyway" true (Array.length b.Flight.window > 0)
+  check_bool "window retained anyway" true (Array.length b.Flight.window > 0);
+  check_bool "bundle embeds the seed" true
+    (Json.member "seed" b.Flight.config = Some (Json.Num 5.))
 
 let test_deterministic_bundles_and_diff () =
   (* Same seed, two fresh recorders: byte-identical bundles, and the replay
      diff engine agrees there is no divergence. *)
-  let run () = Sim_system.run (anomalous_cfg ~flight:true) in
+  let run () = Sim_system.run (migrating_cfg ~flight:true) in
   let a = run () and b = run () in
   let ja = Option.get a.Sim_system.flight_report
   and jb = Option.get b.Sim_system.flight_report in
@@ -302,7 +299,7 @@ let test_deterministic_bundles_and_diff () =
   let c =
     Sim_system.run
       {
-        (anomalous_cfg ~flight:true) with
+        (migrating_cfg ~flight:true) with
         Sim_system.seed = 8;
       }
   in
@@ -313,6 +310,58 @@ let test_deterministic_bundles_and_diff () =
       (Flight.diff (parse_ok ja) (parse_ok jc) <> None)
 
 (* --- embedded system ------------------------------------------------------------ *)
+
+let test_postmortem_end_to_end () =
+  (* A write made at a secondary behind the protocol's back makes the next
+     read there disagree with the primary's state at its snapshot: a weak-SI
+     violation, which breaks every guarantee. The watchdog's first alert
+     must trip the recorder, and the bundle must implicate exactly the read
+     the post-hoc checker independently blames. *)
+  let flight = Flight.create () in
+  let sys =
+    System.create ~secondaries:1 ~flight ~guarantee:Session.Strong_session
+      ~watchdog:true ()
+  in
+  let c = System.connect sys "c" in
+  for i = 1 to 3 do
+    match System.update sys c (fun h -> Handle.put h "k" (string_of_int i)) with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update aborted"
+  done;
+  System.pump sys;
+  let db = System.secondary_db sys 0 in
+  let txn = Lsr_storage.Mvcc.begin_txn db in
+  Lsr_storage.Mvcc.write db txn "k" (Some "diverged");
+  (match Lsr_storage.Mvcc.commit db txn with
+  | Lsr_storage.Mvcc.Committed _ -> ()
+  | Lsr_storage.Mvcc.Aborted _ -> Alcotest.fail "diverging write aborted");
+  ignore (System.read sys c (fun h -> Handle.get h "k"));
+  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj []) ()) in
+  check_string "trigger reason" "watchdog" b.Flight.reason;
+  check_bool "trigger detail names the alert" true
+    (String.length b.Flight.detail > 0);
+  (* The checker's one weak-SI violation names its reader first. *)
+  let report =
+    Checker.analyze ~clock:(System.commit_clock sys) (System.history sys)
+  in
+  (match (b.Flight.implicated, report.Checker.weak_si_violations) with
+  | [ id ], [ violation ] ->
+    check_bool
+      (Printf.sprintf "implicated txn %d is the checker's witness: %s" id
+         violation)
+      true
+      (String.starts_with ~prefix:(Printf.sprintf "T%d[" id) violation)
+  | ids, vs ->
+    Alcotest.failf "expected one implicated id and one violation, got %d and %d"
+      (List.length ids) (List.length vs));
+  check_bool "window captured" true (Array.length b.Flight.window > 0);
+  check_bool "primary horizon captured" true
+    (List.mem_assoc "primary" b.Flight.horizons);
+  check_bool "window events precede the trigger instant" true
+    (Array.for_all (fun (e : Flight.event) -> e.Flight.time <= b.Flight.at)
+       b.Flight.window);
+  check_bool "the witness events are in the window" true
+    (Flight.witness_events b <> [])
 
 let test_embedded_channel_faults () =
   (* The embedded system hands its sinks to its fault channels, so injected
@@ -385,8 +434,8 @@ let () =
         [
           Alcotest.test_case "never perturbs" `Slow test_never_perturbs;
           Alcotest.test_case "bounded footprint" `Slow test_bounded_footprint;
-          Alcotest.test_case "postmortem end to end" `Quick
-            test_postmortem_end_to_end;
+          Alcotest.test_case "clean runs capture nothing" `Quick
+            test_clean_runs_capture_nothing;
           Alcotest.test_case "end-of-run fallback" `Quick
             test_end_of_run_fallback;
           Alcotest.test_case "deterministic bundles + diff" `Quick
@@ -398,5 +447,7 @@ let () =
             test_embedded_channel_faults;
           Alcotest.test_case "read records its seq floor" `Quick
             test_embedded_read_floor;
+          Alcotest.test_case "postmortem end to end" `Quick
+            test_postmortem_end_to_end;
         ] );
     ]

@@ -1,10 +1,12 @@
 (* The online watchdog's differential suite (PR 9): on every fuzzed run the
-   streaming verdict must equal the post-hoc checker battery's, alert for
-   alert — the same weak-SI read mismatches, the same inversion witness
-   pairs at all three strictness levels, the same fence-audit failures.
-   Plus the watchdog's own contracts: deterministic alert ordering, zero
-   effect on simulation outcomes, and bounded state through continuous
-   retirement (embedded system and simulator). *)
+   streaming verdict must equal the post-hoc checker battery's — the same
+   weak-SI read mismatches, the same inversion counts at all three
+   strictness levels, the same fence-audit failures — and the run's
+   history, replayed into watchdogs promising each level, must blame the
+   same inversion witness pairs. Plus the watchdog's own contracts:
+   deterministic alert ordering, zero effect on simulation outcomes, and
+   bounded state through continuous retirement (embedded system and
+   simulator). *)
 
 open Lsr_core
 open Lsr_experiments
@@ -13,6 +15,78 @@ module Json = Lsr_obs.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+(* --- replaying a recorded history ------------------------------------------- *)
+
+(* A fresh watchdog promising [guarantee], fed [history] in tick order: each
+   transaction's begin hook at its first operation's tick and its end hook
+   at its finish tick, as the live run called them. No refresh is replayed,
+   so nothing retires; fence claims are left out, because the history does
+   not keep the commit clock their audit needs. *)
+let replay guarantee history =
+  let w = Watchdog.create ~guarantee ~sites:1 () in
+  let tokens = Hashtbl.create 64 in
+  let hook (_, (t : History.txn), first) =
+    let session = t.History.session and id = t.History.id in
+    let now = float_of_int t.History.finished in
+    match (t.History.kind, first) with
+    | History.Read_only, true ->
+      Hashtbl.replace tokens id
+        (Watchdog.begin_read w ~session ~snapshot:t.History.snapshot)
+    | History.Update, true ->
+      Hashtbl.replace tokens id (Watchdog.begin_update w ~session)
+    | History.Read_only, false ->
+      Watchdog.end_read w (Hashtbl.find tokens id) ~id ~site:t.History.site
+        ~now ~reads:t.History.reads
+    | History.Update, false ->
+      Watchdog.end_update w (Hashtbl.find tokens id) ~id ~now
+        ~commit:
+          (Option.map (fun ts -> (ts, t.History.writes)) t.History.commit_ts)
+        ~snapshot:t.History.snapshot ~reads:t.History.reads
+  in
+  History.transactions history
+  |> List.concat_map (fun (t : History.txn) ->
+         [ (t.History.first_op, t, true); (t.History.finished, t, false) ])
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  |> List.iter hook;
+  w
+
+(* The inversion witness pairs (earlier id, later id) of retained alerts. *)
+let alert_pairs (alerts : Watchdog.alert list) =
+  List.filter_map
+    (fun (a : Watchdog.alert) ->
+      match a.Watchdog.kind with
+      | Watchdog.Inversion { earlier; _ } -> Some (earlier, a.Watchdog.txn)
+      | _ -> None)
+    alerts
+  |> List.sort compare
+
+let report_pairs (invs : Checker.inversion list) =
+  List.map
+    (fun (i : Checker.inversion) ->
+      (i.Checker.earlier.History.id, i.Checker.later.History.id))
+    invs
+  |> List.sort compare
+
+(* Replays [history] into watchdogs promising each of the three levels: each
+   raises one alert per inversion the checker finds at that level, and,
+   whenever its bounded log kept everything, blames the same (earlier,
+   later) pairs, not merely as many. *)
+let assert_witnesses ~tag history report =
+  List.iter
+    (fun g ->
+      let tag = Printf.sprintf "%s, replayed as %s" tag (Session.guarantee_name g) in
+      let expected = Checker.forbidden_inversions g report in
+      let w = replay g history in
+      let v = Watchdog.verdict w in
+      check_int (tag ^ ": one alert per inversion")
+        (List.length report.Checker.weak_si_violations + List.length expected)
+        v.Watchdog.alerts_total;
+      if v.Watchdog.alerts_dropped = 0 then
+        Alcotest.(check (list (pair int int)))
+          (tag ^ ": witness pairs") (report_pairs expected)
+          (alert_pairs (Watchdog.alerts w)))
+    [ Session.Strong; Session.Strong_session; Session.Prefix_consistent ]
 
 (* --- differential: watchdog verdict == Checker.analyze ---------------------- *)
 
@@ -32,27 +106,9 @@ let both_cfg ?(params = base_params) guarantee ~seed =
     watchdog = true;
   }
 
-(* The inversion witness pairs (earlier id, later id) the watchdog retained
-   at one level. Comparable only when nothing was dropped past the alert
-   cap. *)
-let alert_pairs level (alerts : Watchdog.alert list) =
-  List.filter_map
-    (fun (a : Watchdog.alert) ->
-      match a.Watchdog.kind with
-      | Watchdog.Inversion { level = l; earlier; floor = _ } when l = level ->
-        Some (earlier, a.Watchdog.txn)
-      | _ -> None)
-    alerts
-  |> List.sort compare
-
-let report_pairs (invs : Checker.inversion list) =
-  List.map
-    (fun (i : Checker.inversion) ->
-      (i.Checker.earlier.History.id, i.Checker.later.History.id))
-    invs
-  |> List.sort compare
-
-let assert_equivalent ~tag (o : Sim_system.outcome) =
+let assert_equivalent ~tag (cfg : Sim_system.config) =
+  let history = History.create () in
+  let o = Sim_system.run ~history cfg in
   let report =
     match o.Sim_system.check_report with
     | Some r -> r
@@ -83,43 +139,13 @@ let assert_equivalent ~tag (o : Sim_system.outcome) =
     (tag ^ ": fence failures")
     (List.length report.Checker.fence_violations)
     v.Watchdog.fence_failures;
-  (* Witness-for-witness equality whenever the bounded log kept everything:
-     the watchdog must blame the same (earlier, later) transaction pairs the
-     post-hoc sweep finds, not merely count the same. *)
-  if v.Watchdog.alerts_dropped = 0 then begin
-    Alcotest.(check (list (pair int int)))
-      (tag ^ ": witness pairs (all)")
-      (report_pairs report.Checker.inversions_all)
-      (alert_pairs Watchdog.All_sessions o.Sim_system.watchdog_alerts);
-    Alcotest.(check (list (pair int int)))
-      (tag ^ ": witness pairs (in session)")
-      (report_pairs report.Checker.inversions_in_session)
-      (alert_pairs Watchdog.In_session o.Sim_system.watchdog_alerts);
-    Alcotest.(check (list (pair int int)))
-      (tag ^ ": witness pairs (after update)")
-      (report_pairs report.Checker.inversions_after_update)
-      (alert_pairs Watchdog.After_update o.Sim_system.watchdog_alerts)
-  end;
-  (* Same final verdict per guarantee ladder rung. *)
-  List.iter
-    (fun g ->
-      let online =
-        v.Watchdog.read_mismatches = 0
-        && v.Watchdog.fence_failures = 0
-        &&
-        match g with
-        | Session.Weak -> true
-        | Session.Prefix_consistent -> v.Watchdog.v_inversions_after_update = 0
-        | Session.Strong_session -> v.Watchdog.v_inversions_in_session = 0
-        | Session.Strong -> v.Watchdog.v_inversions_all = 0
-      in
-      check_bool
-        (Printf.sprintf "%s: satisfies %s agrees" tag (Session.guarantee_name g))
-        (Checker.satisfies g report) online)
-    [
-      Session.Weak; Session.Prefix_consistent; Session.Strong_session;
-      Session.Strong;
-    ]
+  (* The live watchdog raises alerts exactly when the run broke the
+     guarantee it promised. *)
+  check_bool
+    (tag ^ ": no alert iff the checker finds the guarantee kept")
+    (Checker.satisfies cfg.Sim_system.guarantee report)
+    (v.Watchdog.alerts_total = 0);
+  assert_witnesses ~tag history report
 
 let guarantees =
   [
@@ -135,7 +161,7 @@ let test_differential_guarantees () =
       List.iter
         (fun seed ->
           let tag = Printf.sprintf "%s seed=%d" gname seed in
-          assert_equivalent ~tag (Sim_system.run (both_cfg g ~seed)))
+          assert_equivalent ~tag (both_cfg g ~seed))
         [ 11; 12; 13 ])
     guarantees
 
@@ -150,7 +176,7 @@ let test_differential_migration () =
             { (both_cfg g ~seed) with Sim_system.migrate_prob = 0.4 }
           in
           let tag = Printf.sprintf "migrate %s seed=%d" gname seed in
-          assert_equivalent ~tag (Sim_system.run cfg))
+          assert_equivalent ~tag cfg)
         [ 21; 22 ])
     guarantees
 
@@ -178,7 +204,7 @@ let test_differential_fences () =
             { (both_cfg Session.Weak ~seed) with Sim_system.fence }
           in
           let tag = Printf.sprintf "fence %s seed=%d" mname seed in
-          assert_equivalent ~tag (Sim_system.run cfg))
+          assert_equivalent ~tag cfg)
         [ 31; 32 ])
     mixes
 
@@ -195,7 +221,7 @@ let test_differential_faults () =
         }
       in
       let tag = Printf.sprintf "chaos seed=%d" seed in
-      assert_equivalent ~tag (Sim_system.run cfg))
+      assert_equivalent ~tag cfg)
     [ 41; 42 ]
 
 let test_differential_abortive () =
@@ -205,7 +231,7 @@ let test_differential_abortive () =
   List.iter
     (fun (gname, g) ->
       let tag = Printf.sprintf "aborts %s" gname in
-      assert_equivalent ~tag (Sim_system.run (both_cfg ~params g ~seed:51)))
+      assert_equivalent ~tag (both_cfg ~params g ~seed:51))
     guarantees
 
 (* --- watchdog contracts ------------------------------------------------------ *)
@@ -240,11 +266,15 @@ let test_watchdog_never_perturbs () =
     on_.Sim_system.check_errors
 
 let test_alerts_sorted_and_bounded () =
-  let o =
-    Sim_system.run
-      { (both_cfg Session.Weak ~seed:7) with Sim_system.migrate_prob = 0.4 }
-  in
-  let v = Option.get o.Sim_system.watchdog_verdict in
+  (* A weak run with migration, judged as if it promised strong SI: each of
+     its all-sessions inversions is a violation. *)
+  let history = History.create () in
+  ignore
+    (Sim_system.run ~history
+       { (both_cfg Session.Weak ~seed:7) with Sim_system.migrate_prob = 0.4 });
+  let w = replay Session.Strong history in
+  let v = Watchdog.verdict w in
+  let alerts = Watchdog.alerts w in
   check_bool "run produced alerts" true (v.Watchdog.alerts_total > 0);
   let rec sorted = function
     | (a : Watchdog.alert) :: (b : Watchdog.alert) :: rest ->
@@ -253,26 +283,28 @@ let test_alerts_sorted_and_bounded () =
       && sorted (b :: rest)
     | _ -> true
   in
-  check_bool "alerts sorted by (time, txn)" true
-    (sorted o.Sim_system.watchdog_alerts);
+  check_bool "alerts sorted by (time, txn)" true (sorted alerts);
   check_int "retained = total - dropped"
     (v.Watchdog.alerts_total - v.Watchdog.alerts_dropped)
-    (List.length o.Sim_system.watchdog_alerts);
-  check_int "verdict totals alerts by kind" v.Watchdog.alerts_total
+    (List.length alerts);
+  check_int "verdict totals the violations by kind" v.Watchdog.alerts_total
     (v.Watchdog.read_mismatches + v.Watchdog.v_inversions_all
-    + v.Watchdog.v_inversions_in_session
-    + v.Watchdog.v_inversions_after_update
-    + v.Watchdog.fence_failures);
+   + v.Watchdog.fence_failures);
+  check_bool "weaker-level inversions are counted, not alerted" true
+    (v.Watchdog.v_inversions_in_session > 0
+    && List.for_all
+         (fun (a : Watchdog.alert) ->
+           match a.Watchdog.kind with
+           | Watchdog.Inversion { level; _ } -> level = Watchdog.All_sessions
+           | _ -> true)
+         alerts);
   (* The JSON report is deterministic and sorted. *)
-  match o.Sim_system.watchdog_report with
-  | None -> Alcotest.fail "watchdog report missing"
-  | Some report -> (
-    let text = Json.to_string report in
-    match Json.parse text with
-    | Error e -> Alcotest.failf "watchdog report does not re-parse: %s" e
-    | Ok reparsed ->
-      check_bool "report keys already sorted" true
-        (Json.to_string (Json.sort_keys reparsed) = text))
+  let text = Json.to_string (Watchdog.report_json w) in
+  match Json.parse text with
+  | Error e -> Alcotest.failf "watchdog report does not re-parse: %s" e
+  | Ok reparsed ->
+    check_bool "report keys already sorted" true
+      (Json.to_string (Json.sort_keys reparsed) = text)
 
 let test_bounded_memory () =
   (* Same trajectory, growing run length: the recorded history grows
@@ -305,8 +337,9 @@ let test_bounded_memory () =
 let test_embedded_inversion_alert () =
   (* Provoke a textbook inversion in the embedded system: commit at the
      primary, read the not-yet-refreshed secondary. Under Weak that is
-     legal for the ambient guarantee, but the watchdog still records the
-     strong-SI-level inversion — and the post-hoc checker agrees. *)
+     legal, so the watchdog counts the strong-SI-level inversion without
+     raising an alert; replayed as a strong-SI run, the same history alerts
+     on it — and the post-hoc checker agrees at every level. *)
   let sys = System.create ~secondaries:1 ~guarantee:Session.Weak ~watchdog:true () in
   let alice = System.connect sys "alice" in
   let bob = System.connect sys "bob" in
@@ -323,13 +356,14 @@ let test_embedded_inversion_alert () =
   System.pump sys;
   let w = Option.get (System.watchdog sys) in
   let v = Watchdog.verdict w in
-  check_bool "watchdog saw the strong-SI inversion" true
+  check_bool "watchdog counted the strong-SI inversion" true
     (v.Watchdog.v_inversions_all > 0);
   check_int "no weak-SI mismatch (the stale snapshot was consistent)" 0
     v.Watchdog.read_mismatches;
-  check_bool "weak guarantee still satisfied online" true
-    (Watchdog.satisfies (Watchdog.verdict w) Session.Weak);
-  check_bool "strong would not be" false (Watchdog.satisfies (Watchdog.verdict w) Session.Strong);
+  check_int "no alert: weak SI forbids no inversion" 0 v.Watchdog.alerts_total;
+  check_bool "as a strong-SI run it would alert" true
+    ((Watchdog.verdict (replay Session.Strong (System.history sys)))
+       .Watchdog.alerts_total > 0);
   (* Post-hoc agreement on the same run. *)
   let report =
     Checker.analyze ~clock:(System.commit_clock sys) (System.history sys)
@@ -337,10 +371,7 @@ let test_embedded_inversion_alert () =
   check_int "post-hoc count agrees"
     (List.length report.Checker.inversions_all)
     v.Watchdog.v_inversions_all;
-  Alcotest.(check (list (pair int int)))
-    "post-hoc witnesses agree"
-    (report_pairs report.Checker.inversions_all)
-    (alert_pairs Watchdog.All_sessions (Watchdog.alerts w))
+  assert_witnesses ~tag:"embedded" (System.history sys) report
 
 let test_embedded_aborted_reads_not_judged () =
   (* The embedded system records an aborted update at snapshot zero. Its
@@ -402,7 +433,7 @@ let test_embedded_retirement () =
     (Watchdog.live_versions w < 10);
   check_bool "state size bounded" true
     (Watchdog.state_size w < Watchdog.peak_state w + 1);
-  check_bool "clean verdict" true (Watchdog.satisfies (Watchdog.verdict w) Session.Strong_session)
+  check_int "clean verdict" 0 (Watchdog.verdict w).Watchdog.alerts_total
 
 let test_embedded_recovery () =
   (* Crash/recover a secondary with the watchdog attached: recovery reseeds
@@ -433,8 +464,8 @@ let test_embedded_recovery () =
   | Ok () -> ()
   | Error es -> Alcotest.failf "post-hoc check failed: %s" (String.concat "; " es));
   let w = Option.get (System.watchdog sys) in
-  check_bool "watchdog verdict clean across crash/recovery" true
-    (Watchdog.satisfies (Watchdog.verdict w) Session.Strong_session);
+  check_int "watchdog verdict clean across crash/recovery" 0
+    (Watchdog.verdict w).Watchdog.alerts_total;
   check_bool "recovery advanced the horizon" true (Watchdog.horizon w > 0)
 
 let test_embedded_check_reports_watchdog () =
@@ -477,7 +508,7 @@ let test_retired_chain_reads_base () =
   (* A key whose only live version retires keeps its record: reads then
      expect the folded base value, and a later write starts a new chain
      above it. A retired delete reads as absent. *)
-  let w = Watchdog.create ~sites:1 () in
+  let w = Watchdog.create ~guarantee:Session.Weak ~sites:1 () in
   let next_id = ref 0 in
   let fresh_id () = incr next_id; !next_id in
   let commit ts writes =
@@ -490,8 +521,7 @@ let test_retired_chain_reads_base () =
       ~snapshot:(ts - 1) ~reads:[]
   in
   (* The expected value of each key at [snapshot], read back from the
-     mismatch alerts that observing a sentinel value raises. (Reads below
-     the newest commit also raise inversion alerts; they are skipped.) *)
+     mismatch alerts that observing a sentinel value raises. *)
   let expected ~snapshot keys =
     let id = fresh_id () in
     let tok = Watchdog.begin_read w ~session:"reader" ~snapshot in
@@ -526,10 +556,49 @@ let test_retired_chain_reads_base () =
   check_expected "the rewrite folds into the base" [ ("x", Some "c"); ("y", None) ]
     (expected ~snapshot:3 [ "x"; "y" ])
 
+(* Only a violation triggers the flight recorder the watchdog was created
+   with: under strong session SI, another session's inversion is counted
+   and passes; the session's own inversion is the first alert, and the
+   capture implicates the reader and its witness. *)
+let test_first_violation_triggers () =
+  let flight = Lsr_obs.Flight.create () in
+  let w =
+    Watchdog.create
+      ~sinks:{ Lsr_obs.Sinks.obs = Lsr_obs.Obs.null; flight }
+      ~guarantee:Session.Strong_session ~sites:1 ()
+  in
+  let tok = Watchdog.begin_update w ~session:"a" in
+  Watchdog.end_update w tok ~id:1 ~now:1.
+    ~commit:(Some (1, [ { Lsr_storage.Wal.key = "k"; value = Some "v" } ]))
+    ~snapshot:0 ~reads:[];
+  let read ~session ~id =
+    let tok = Watchdog.begin_read w ~session ~snapshot:0 in
+    Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
+      ~reads:[]
+  in
+  read ~session:"b" ~id:2;
+  check_int "the other session's inversion is counted" 1
+    (Watchdog.verdict w).Watchdog.v_inversions_all;
+  check_bool "and triggers nothing" false (Lsr_obs.Flight.triggered flight);
+  read ~session:"a" ~id:3;
+  let v = Watchdog.verdict w in
+  check_int "the session's own inversion is the one alert" 1
+    v.Watchdog.alerts_total;
+  match
+    Lsr_obs.Flight.parse_bundle
+      (Lsr_obs.Flight.bundle_json flight ~config:(Json.Obj []) ())
+  with
+  | Error e -> Alcotest.failf "bundle does not parse: %s" e
+  | Ok b ->
+    Alcotest.(check string) "reason" "watchdog" b.Lsr_obs.Flight.reason;
+    Alcotest.(check (list int))
+      "implicates the reader and its witness" [ 3; 1 ]
+      b.Lsr_obs.Flight.implicated
+
 (* A refresh from a site the watchdog was not created with is a wiring
    fault, reported as a typed error that names the site. *)
 let test_unknown_site () =
-  let w = Watchdog.create ~sites:2 () in
+  let w = Watchdog.create ~guarantee:Session.Weak ~sites:2 () in
   Watchdog.note_refresh w ~site:1 ~seq:1;
   List.iter
     (fun site ->
@@ -557,6 +626,8 @@ let () =
             test_watchdog_never_perturbs;
           Alcotest.test_case "alerts sorted, counted, bounded" `Quick
             test_alerts_sorted_and_bounded;
+          Alcotest.test_case "only a violation triggers the recorder" `Quick
+            test_first_violation_triggers;
           Alcotest.test_case "bounded memory vs run length" `Slow
             test_bounded_memory;
         ] );
