@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (Table 1, Figures 2-8), runs the ablation studies from
-   DESIGN.md, and provides Bechamel microbenchmarks of the substrates.
+   evaluation section (Table 1, Figures 2-8) and runs the ablation studies
+   from DESIGN.md.
 
    Default invocation (`dune exec bench/main.exe`) runs everything at paper
    scale (35-minute simulated runs, 5 replications per point). Use --quick
@@ -216,197 +216,6 @@ let run_analysis ~csv =
     write_json "plans.json"
       (Lsr_obs.Json.Arr (List.map Lsr_analysis.Plan.to_json plans))
 
-(* --- Bechamel microbenchmarks ---------------------------------------------- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let open Lsr_storage in
-  (* A pre-populated database for read benchmarks. *)
-  let populated () =
-    let db = Mvcc.create () in
-    let txn = Mvcc.begin_txn db in
-    for i = 0 to 9_999 do
-      Mvcc.write db txn (Printf.sprintf "key:%05d" i) (Some (string_of_int i))
-    done;
-    (match Mvcc.commit db txn with
-    | Mvcc.Committed _ -> ()
-    | Mvcc.Aborted _ -> assert false);
-    db
-  in
-  let read_db = populated () in
-  let mvcc_commit =
-    Test.make ~name:"mvcc/txn-10-writes"
-      (Staged.stage (fun () ->
-           let db = Mvcc.create () in
-           let txn = Mvcc.begin_txn db in
-           for i = 0 to 9 do
-             Mvcc.write db txn (string_of_int i) (Some "v")
-           done;
-           Mvcc.commit db txn))
-  in
-  let mvcc_read =
-    let counter = ref 0 in
-    Test.make ~name:"mvcc/snapshot-read"
-      (Staged.stage (fun () ->
-           incr counter;
-           let txn = Mvcc.begin_txn read_db in
-           let v =
-             Mvcc.read read_db txn
-               (Printf.sprintf "key:%05d" (!counter mod 10_000))
-           in
-           Mvcc.end_read read_db txn;
-           v))
-  in
-  let row_codec =
-    let row =
-      [
-        ("id", Row.Int 42);
-        ("title", Row.Text "the art of lazy replication");
-        ("price", Row.Float 30.5);
-        ("in_stock", Row.Bool true);
-      ]
-    in
-    Test.make ~name:"row/encode-decode"
-      (Staged.stage (fun () -> Row.decode (Row.encode row)))
-  in
-  let replication_pipeline =
-    Test.make ~name:"replication/one-txn-end-to-end"
-      (Staged.stage (fun () ->
-           let open Lsr_core in
-           let sys = System.create ~secondaries:1 ~guarantee:Session.Weak () in
-           let c = System.connect sys "bench" in
-           (match System.update sys c (fun h -> Handle.put h "x" "1") with
-           | Ok () -> ()
-           | Error _ -> assert false);
-           System.pump sys))
-  in
-  let propagation_poll =
-    let open Lsr_core in
-    let primary = Primary.create () in
-    let prop = Propagation.create ~from:0 (Primary.wal primary) in
-    Test.make ~name:"replication/update+poll"
-      (Staged.stage (fun () ->
-           (match
-              Primary.execute primary (fun db txn ->
-                  Mvcc.write db txn "k" (Some "v"))
-            with
-           | Primary.Committed _ -> ()
-           | Primary.Aborted _ -> assert false);
-           Propagation.poll prop))
-  in
-  let checker_bench =
-    let open Lsr_core in
-    (* A synthetic 1000-transaction history to analyze. *)
-    let history = History.create () in
-    for i = 1 to 1000 do
-      let first_op = History.tick history in
-      let finished = History.tick history in
-      History.add history
-        {
-          History.id = History.fresh_id history;
-          session = Printf.sprintf "s%d" (i mod 20);
-          kind = (if i mod 5 = 0 then History.Update else History.Read_only);
-          site = "synthetic";
-          first_op;
-          finished;
-          snapshot = i - (i mod 3);
-          commit_ts = (if i mod 5 = 0 then Some i else None);
-          reads = [];
-          writes = [];
-          fence = None;
-        }
-    done;
-    Test.make ~name:"checker/inversions-1k-txns"
-      (Staged.stage (fun () -> Checker.inversions history))
-  in
-  let sim_engine =
-    Test.make ~name:"sim/1k-events"
-      (Staged.stage (fun () ->
-           let open Lsr_sim in
-           let eng = Engine.create () in
-           for i = 1 to 1000 do
-             ignore (Engine.schedule eng ~delay:(float_of_int i) (fun () -> ()))
-           done;
-           Engine.run eng))
-  in
-  (* A process using an idle processor-sharing resource 100 times: each use
-     is one completion event and one zero-delay wake. *)
-  let sim_wakes =
-    Test.make ~name:"sim/zero-delay-wakes"
-      (Staged.stage (fun () ->
-           let open Lsr_sim in
-           let eng = Engine.create () in
-           let cpu = Resource.create eng in
-           Process.spawn eng (fun () ->
-               for _ = 1 to 100 do
-                 Resource.use cpu 1e-6
-               done);
-           Engine.run eng))
-  in
-  let txn_gen =
-    let rng = Lsr_sim.Rng.create 1 in
-    Test.make ~name:"workload/txn-gen"
-      (Staged.stage (fun () ->
-           Lsr_workload.Txn_gen.generate Lsr_workload.Params.default rng))
-  in
-  let sim_small_run =
-    Test.make ~name:"sim/30s-replicated-system"
-      (Staged.stage (fun () ->
-           let params =
-             {
-               Lsr_workload.Params.default with
-               Lsr_workload.Params.num_secondaries = 2;
-               clients_per_secondary = 5;
-               warmup = 5.;
-               duration = 30.;
-             }
-           in
-           Sim_system.run
-             (Sim_system.config params Lsr_core.Session.Strong_session ~seed:1)))
-  in
-  [
-    mvcc_commit;
-    mvcc_read;
-    row_codec;
-    propagation_poll;
-    replication_pipeline;
-    checker_bench;
-    sim_engine;
-    sim_wakes;
-    sim_small_run;
-    txn_gen;
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.75) () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let grouped = Test.make_grouped ~name:"micro" ~fmt:"%s/%s" (micro_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let nanos =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> t
-          | Some [] | None -> nan
-        in
-        let r2 =
-          match Analyze.OLS.r_square ols with Some r -> r | None -> nan
-        in
-        (name, nanos, r2) :: acc)
-      results []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-    |> List.map (fun (name, nanos, r2) ->
-           [ name; Printf.sprintf "%.1f" nanos; Printf.sprintf "%.4f" r2 ])
-  in
-  Lsr_stats.Table_fmt.print ~title:"Microbenchmarks (Bechamel, OLS estimates)"
-    ~header:[ "benchmark"; "ns/run"; "r2" ] rows
-
 (* --- Command line ------------------------------------------------------------ *)
 
 open Cmdliner
@@ -445,7 +254,7 @@ let spec_ids group =
 
 let paper_figures = spec_ids Figures.Paper_figure
 let paper_ablations = spec_ids Figures.Paper_ablation
-let all_targets = ("table1" :: paper_figures) @ paper_ablations @ [ "micro" ]
+let all_targets = ("table1" :: paper_figures) @ paper_ablations
 
 (* Runnable explicitly but excluded from `all` (extension studies and the
    CI observability smoke run). *)
@@ -454,8 +263,8 @@ let extra_targets = spec_ids Figures.Extension @ [ "faults"; "smoke"; "analyze" 
 let targets_arg =
   let doc =
     Printf.sprintf
-      "What to regenerate: table1, %s, figures (%s), ablations (%s), micro \
-       or all (default). Extension studies (excluded from all): %s. \
+      "What to regenerate: table1, %s, figures (%s), ablations (%s) or all \
+       (default). Extension studies (excluded from all): %s. \
        Host-time measurement lives in $(b,lsrbench) (bench/suite)."
       (String.concat ", " (paper_figures @ paper_ablations))
       (String.concat " " paper_figures)
@@ -494,7 +303,6 @@ let main quick seed csv verbose report_file targets =
     if List.mem "faults" wanted then run_faults ~quick ~seed ~report;
     if List.mem "smoke" wanted then run_smoke ~seed ~report;
     if List.mem "analyze" wanted then run_analysis ~csv;
-    if List.mem "micro" wanted then run_micro ();
     Option.iter
       (fun file ->
         print_string (Run_report.summary report);

@@ -20,13 +20,13 @@ type t = {
   name : string;
   db : Mvcc.t;
   update_queue : Txn_record.t Queue.t;
-  pending : Timestamp.t Queue.t;
   (* Primary txn id -> open refresh transaction (started, not yet dispatched
      to an applicator). *)
   refresh_txns : Mvcc.txn Txns.t;
-  (* Dispatched, not yet committed, in dispatch order. Commits always remove
-     the front (pending-queue order is dispatch order), so a queue keeps
-     dispatch O(1) where a list append made long refresh backlogs O(n²). *)
+  (* The pending queue: dispatched, not yet committed, in dispatch order,
+     which is primary commit order. Only the front may commit, so a queue
+     keeps dispatch O(1) where a list append made long refresh backlogs
+     O(n²). *)
   applicators : applicator Queue.t;
   mutable seq_dbsec : Timestamp.t;
   on_refresh_commit : Timestamp.t -> unit;
@@ -55,7 +55,6 @@ let create ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
     name;
     db;
     update_queue = Queue.create ();
-    pending = Queue.create ();
     refresh_txns = Txns.create 32;
     applicators = Queue.create ();
     seq_dbsec = Timestamp.zero;
@@ -87,6 +86,9 @@ let enqueue t record =
 let seq_dbsec t = t.seq_dbsec
 let reseed_seq t ts = t.seq_dbsec <- ts
 
+let note_pending t =
+  Lsr_obs.Obs.set_gauge t.g_pending (float_of_int (Queue.length t.applicators))
+
 let pop_update t =
   ignore (Queue.pop t.update_queue);
   note_update_queue t
@@ -95,7 +97,7 @@ let refresher_step t =
   match Queue.peek_opt t.update_queue with
   | None -> Idle
   | Some (Txn_record.Start_rec { txn; _ }) ->
-    if not (Queue.is_empty t.pending) then Blocked_on_pending
+    if not (Queue.is_empty t.applicators) then Blocked_on_pending
     else begin
       pop_update t;
       let refresh = Mvcc.begin_txn t.db in
@@ -114,12 +116,11 @@ let refresher_step t =
       | None -> raise (Commit_without_start { txn })
     in
     Txns.remove t.refresh_txns txn;
-    Queue.add commit_ts t.pending;
-    Lsr_obs.Obs.set_gauge t.g_pending (float_of_int (Queue.length t.pending));
     let app =
       { primary_txn = txn; commit_ts; refresh; phase = Applying updates }
     in
     Queue.add app t.applicators;
+    note_pending t;
     Dispatched app
   | Some (Txn_record.Abort_rec { txn; wasted = _ }) ->
     pop_update t;
@@ -148,19 +149,14 @@ let applicator_step t app =
     app.phase <- (match rest with [] -> Awaiting_commit | _ -> Applying rest);
     Applied update
   | Awaiting_commit -> (
-    match Queue.peek_opt t.pending with
-    | Some head when Timestamp.equal head app.commit_ts -> (
+    match Queue.peek_opt t.applicators with
+    | Some head when head == app -> (
       match Mvcc.commit t.db app.refresh with
       | Mvcc.Committed _local_ts ->
-        ignore (Queue.pop t.pending);
-        Lsr_obs.Obs.set_gauge t.g_pending
-          (float_of_int (Queue.length t.pending));
+        ignore (Queue.pop t.applicators);
+        note_pending t;
         app.phase <- Committed_phase;
         t.seq_dbsec <- app.commit_ts;
-        (* Commits follow the pending queue, whose order is dispatch order,
-           so the committing applicator is the front of the queue. *)
-        let front = Queue.pop t.applicators in
-        assert (front == app);
         if Lsr_obs.Sinks.tracing t.sinks then
           Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn:app.primary_txn
             (Lsr_obs.Flight.Refresh_committed { commit_ts = app.commit_ts });
@@ -200,6 +196,5 @@ let drain t =
   loop 0
 
 let update_queue_length t = Queue.length t.update_queue
-let pending_queue_length t = Queue.length t.pending
+let pending_queue_length t = Queue.length t.applicators
 let peek_update t = Queue.peek_opt t.update_queue
-let pending_head t = Queue.peek_opt t.pending

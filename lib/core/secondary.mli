@@ -1,9 +1,9 @@
 (** Secondary-site refresh machinery — Algorithms 3.2 and 3.3.
 
     A secondary holds a full database copy, a FIFO {e update queue} of
-    propagated records, a FIFO {e pending queue} of primary commit
-    timestamps, and a set of {e applicators}, each installing one refresh
-    transaction.
+    propagated records, and a FIFO {e pending queue} of {e applicators},
+    each installing one dispatched refresh transaction, in primary commit
+    order.
 
     The refresher consumes the update queue:
     - a {e start} record blocks until the pending queue is empty, then opens
@@ -11,15 +11,15 @@
       a refresh transaction starts only after every refresh transaction whose
       primary counterpart committed before this one started has committed
       locally);
-    - a {e commit} record appends the primary commit timestamp to the pending
-      queue and hands the update list to an applicator;
+    - a {e commit} record hands the update list to an applicator at the
+      tail of the pending queue;
     - an {e abort} record discards the refresh transaction.
 
     An applicator executes its transaction's updates (concurrently with other
-    applicators), then waits until its commit timestamp reaches the head of
-    the pending queue before committing — enforcing relationship 3 (local
-    commits in primary commit order). After committing it advances
-    [seq(DBsec)], the sequence number used by ALG-STRONG-SESSION-SI.
+    applicators), then waits until it reaches the head of the pending queue
+    before committing — enforcing relationship 3 (local commits in primary
+    commit order). Committing pops it and advances [seq(DBsec)], the
+    sequence number used by ALG-STRONG-SESSION-SI.
 
     The module is a pure state machine: each transition is a [*_step]
     function, so the embedded system can drain it synchronously while the
@@ -98,7 +98,7 @@ val refresher_step : t -> refresher_outcome
 type applicator_outcome =
   | Applied of Wal.update  (** executed one update inside the refresh txn *)
   | Waiting_commit
-      (** all updates executed; commit record not yet at pending-queue head *)
+      (** all updates executed; not yet at the pending-queue head *)
   | Committed of Timestamp.t
       (** refresh transaction committed; value is the primary commit ts *)
   | Done  (** already committed earlier *)
@@ -113,7 +113,8 @@ val applicator_commit_ts : applicator -> Timestamp.t
     processed). Lets tests verify relationships 1 and 2 of §3.1 directly. *)
 val applicator_local_start : applicator -> Timestamp.t
 
-(** Applicators dispatched but not yet committed. *)
+(** The pending queue: applicators dispatched but not yet committed, head
+    (the one that commits next) first. *)
 val active_applicators : t -> applicator list
 
 (** {2 Synchronous drain (embedded mode)} *)
@@ -126,12 +127,10 @@ val drain : t -> int
 (** {2 Introspection} *)
 
 val update_queue_length : t -> int
+
+(** Length of the pending queue ({!active_applicators}). *)
 val pending_queue_length : t -> int
 
 (** Head of the update queue, without consuming it (the simulator inspects
     abort records for their wasted-work payload before stepping). *)
 val peek_update : t -> Txn_record.t option
-
-(** Head of the pending queue: the primary commit timestamp that must commit
-    locally next. *)
-val pending_head : t -> Timestamp.t option

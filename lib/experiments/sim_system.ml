@@ -124,12 +124,17 @@ type sec_site = {
   site_name : string;
   sec : Secondary.t;
   res : Resource.t;
-  queue_cond : Condition.t;  (* signalled when records arrive *)
-  pending_cond : Condition.t;  (* signalled when the pending queue pops *)
   session_cond : Seqcond.t;  (* advanced to seq(DBsec) after each refresh
                                 commit; blocked readers wait on their
                                 session's required seq, so a commit pays
                                 only for the readers it actually unblocks *)
+  commit_order : Seqcond.t;  (* seq(DBsec) again, advanced after the commit
+                                hook advanced [session_cond], so the readers
+                                a commit releases run first; applicators
+                                and a blocked refresher park here *)
+  mutable last_dispatched : Timestamp.t;  (* the pending queue's tail, or
+                                             seq(DBsec) when it is empty *)
+  mutable refresher_idle : bool;  (* ended on an empty update queue *)
   mutable last_delivery : float;  (* keeps jittered deliveries FIFO *)
 }
 
@@ -153,10 +158,79 @@ type state = {
 let make_site eng rs session_conds index =
   let sec = Replica_set.secondary rs index in
   let site_name = Secondary.name sec in
+  let commit_order = Seqcond.create eng in
+  Seqcond.advance commit_order (Secondary.seq_dbsec sec);
   { index; site_name; sec;
     res = Resource.create ~name:site_name eng;
-    queue_cond = Condition.create (); pending_cond = Condition.create ();
-    session_cond = session_conds.(index); last_delivery = 0. }
+    session_cond = session_conds.(index); commit_order;
+    last_dispatched = Secondary.seq_dbsec sec; refresher_idle = false;
+    last_delivery = 0. }
+
+(* --- Refresher and applicator processes (Algorithms 3.2 / 3.3) ------------ *)
+
+(* [after] is the commit ts of the refresh dispatched just before [app]:
+   once seq(DBsec) reaches it, [app] heads the pending queue. [next] runs
+   once [app] has committed. *)
+let run_applicator st site app ~after ~next =
+  let p = st.cfg.params in
+  let rec go () =
+    match Secondary.applicator_step site.sec app with
+    | Secondary.Applied _ ->
+      Resource.use site.res p.Params.op_service_time;
+      go ()
+    | Secondary.Waiting_commit ->
+      Seqcond.park site.commit_order ~threshold:(fun () -> after) go
+    | Secondary.Committed ts ->
+      (* seq(DBsec), the readers' threshold queue and the staleness tally
+         already advanced inside [applicator_step] (the [on_refresh_commit]
+         hook). *)
+      Seqcond.advance site.commit_order ts;
+      next ()
+    | Secondary.Done -> next ()
+  in
+  go ()
+
+(* The refresher ends on an empty update queue; whatever enqueues records
+   next starts it again ({!wake_refresher}). *)
+let refresher_process st site () =
+  let p = st.cfg.params in
+  let rec loop () =
+    let head = Secondary.peek_update site.sec in
+    match Secondary.refresher_step site.sec with
+    | Secondary.Started _ -> loop ()
+    | Secondary.Aborted _ ->
+      (* The eager-propagation ablation pays for the aborted transaction's
+         updates before discarding them. *)
+      (match head with
+      | Some (Txn_record.Abort_rec { wasted; _ }) when wasted <> [] ->
+        let n = List.length wasted in
+        Resource.use site.res (float_of_int n *. p.Params.op_service_time);
+        Metrics.note_wasted_ops st.metrics ~now:(Engine.now st.eng) n
+      | Some _ | None -> ());
+      loop ()
+    | Secondary.Dispatched app ->
+      let after = site.last_dispatched in
+      site.last_dispatched <- Secondary.applicator_commit_ts app;
+      if st.cfg.serial_refresh then run_applicator st site app ~after ~next:loop
+      else begin
+        Process.spawn st.eng (fun () ->
+            run_applicator st site app ~after ~next:ignore);
+        loop ()
+      end
+    | Secondary.Blocked_on_pending ->
+      (* Parked until the pending queue's tail has committed. *)
+      Seqcond.park site.commit_order
+        ~threshold:(fun () -> site.last_dispatched)
+        loop
+    | Secondary.Idle -> site.refresher_idle <- true
+  in
+  loop ()
+
+let wake_refresher st site =
+  if site.refresher_idle then begin
+    site.refresher_idle <- false;
+    Process.spawn st.eng (refresher_process st site)
+  end
 
 (* --- Propagator process (Algorithm 3.1 under a 10 s cycle) ---------------- *)
 
@@ -164,7 +238,7 @@ let propagator_process st () =
   let p = st.cfg.params in
   let deliver site records () =
     List.iter (Secondary.enqueue site.sec) records;
-    Condition.signal site.queue_cond
+    wake_refresher st site
   in
   let rec cycle () =
     Process.delay p.Params.propagation_delay;
@@ -207,65 +281,8 @@ let fault_tick = 1.0
 let channel_process st site () =
   let rec loop () =
     Process.delay fault_tick;
-    if Replica_set.deliver st.rs site.index then
-      Condition.signal site.queue_cond;
+    if Replica_set.deliver st.rs site.index then wake_refresher st site;
     loop ()
-  in
-  loop ()
-
-(* --- Refresher and applicator processes (Algorithms 3.2 / 3.3) ------------ *)
-
-let run_applicator st site app =
-  let p = st.cfg.params in
-  let rec go () =
-    match Secondary.applicator_step site.sec app with
-    | Secondary.Applied _ ->
-      Resource.use site.res p.Params.op_service_time;
-      go ()
-    | Secondary.Waiting_commit ->
-      let mine = Secondary.applicator_commit_ts app in
-      Condition.await site.pending_cond (fun () ->
-          match Secondary.pending_head site.sec with
-          | Some head -> Timestamp.equal head mine
-          | None -> false);
-      go ()
-    | Secondary.Committed _ ->
-      (* seq(DBsec), the site's threshold queue and the staleness tally
-         already advanced inside [applicator_step] (the [on_refresh_commit]
-         hook). *)
-      Condition.signal site.pending_cond
-    | Secondary.Done -> ()
-  in
-  go ()
-
-let refresher_process st site () =
-  let p = st.cfg.params in
-  let rec loop () =
-    let head = Secondary.peek_update site.sec in
-    match Secondary.refresher_step site.sec with
-    | Secondary.Started _ -> loop ()
-    | Secondary.Aborted _ ->
-      (* The eager-propagation ablation pays for the aborted transaction's
-         updates before discarding them. *)
-      (match head with
-      | Some (Txn_record.Abort_rec { wasted; _ }) when wasted <> [] ->
-        let n = List.length wasted in
-        Resource.use site.res (float_of_int n *. p.Params.op_service_time);
-        Metrics.note_wasted_ops st.metrics ~now:(Engine.now st.eng) n
-      | Some _ | None -> ());
-      loop ()
-    | Secondary.Dispatched app ->
-      if st.cfg.serial_refresh then run_applicator st site app
-      else Process.spawn st.eng (fun () -> run_applicator st site app);
-      loop ()
-    | Secondary.Blocked_on_pending ->
-      Condition.await site.pending_cond (fun () ->
-          Secondary.pending_queue_length site.sec = 0);
-      loop ()
-    | Secondary.Idle ->
-      Condition.await site.queue_cond (fun () ->
-          Secondary.update_queue_length site.sec > 0);
-      loop ()
   in
   loop ()
 
@@ -326,6 +343,10 @@ let run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg =
   let p = st.cfg.params in
   let sdb = Secondary.db site.sec in
   let snapshot = Secondary.seq_dbsec site.sec in
+  (* The seq floor this read is held to (-1 = unfenced), recorded so replay
+     can show the claim the fence audit later judges. Taken with the
+     snapshot: a pooled session's floor can rise while the operations run. *)
+  let fence_seq = match fence with None -> -1 | Some _ -> required () in
   (* Taken with no yield since the wake: the watchdog's captured floors
      equal the post-hoc sweep's floors at the first operation. The snapshot's
      freshness reaches [metrics] through the [on_read] hook. *)
@@ -346,9 +367,6 @@ let run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg =
       | Txn_gen.Write_op _ -> assert false (* read-only by construction *))
     spec.Txn_gen.ops;
   Mvcc.end_read sdb mtxn;
-  (* The seq floor this read was held to (-1 = unfenced), recorded so replay
-     can show the claim the fence audit later judges. *)
-  let fence_seq = match fence with None -> -1 | Some _ -> required () in
   Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.index
     ~snapshot ~read_at ~fence_seq ~reads:(List.rev !reads);
   note_completion st ~t0 ~is_update:false;

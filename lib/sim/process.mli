@@ -3,9 +3,9 @@
 
     A process is an ordinary OCaml function executed under an effect handler.
     Inside a process, {!delay} advances virtual time and {!suspend} parks the
-    process until some other party calls the waker it was given.
-    {!Condition} and {!Resource} are built on these two primitives;
-    {!Seqcond} parks continuations instead and runs them with {!start}.
+    process until some other party calls the waker it was given. {!Resource}
+    is built on these two primitives. Every other wait parks a continuation
+    instead ({!Seqcond}, or a timer), which {!start} runs as a fresh process.
 
     Processes are cooperative and single-domain: exactly one process runs at
     any instant, so shared mutable state needs no locking.

@@ -1,19 +1,21 @@
 (** A threshold queue: continuations waiting for a monotone integer level
-    to reach a per-waiter threshold.
+    to reach a per-waiter threshold. The simulator's one way to wait for
+    another party: a read blocked on its session's [seq(c)], a refresh
+    applicator waiting for its predecessor's commit and a refresher waiting
+    for the pending queue to drain all park here.
 
-    {!Condition} re-evaluates every waiter's predicate on every signal —
-    O(waiters) per signal, which is quadratic when thousands of readers
-    block per advance of the level (the session-blocking herd at bench
-    scale). Here waiters are keyed by threshold in a min-heap, so each
-    {!advance} pays O(log n) per waiter actually woken and nothing for the
-    rest. A waiter is a parked continuation, not a suspended process: it
-    holds its closure and a heap slot, and no fiber or stack.
+    Waiters are keyed by threshold in a min-heap, so each {!advance} pays
+    O(log n) per waiter actually woken and nothing for the rest, where
+    re-checking every waiter's predicate on every signal is quadratic when
+    thousands of readers block per advance of the level (the
+    session-blocking herd at bench scale). A waiter is a parked
+    continuation, not a suspended process: it holds its closure and a heap
+    slot, and no fiber or stack.
 
     The threshold is a function: it is re-evaluated after every wake-up and
     the continuation parks again if the (possibly risen) threshold is still
-    above the level — the same re-check loop as {!Condition.await}, needed
-    because e.g. a pooled session's [seq(c)] can rise while one of its
-    reads is already waiting. *)
+    above the level, because e.g. a pooled session's [seq(c)] can rise while
+    one of its reads is already waiting. *)
 
 type t
 

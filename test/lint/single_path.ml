@@ -9,9 +9,9 @@
    and per refresh commit and hands to the driver's hooks. Every log
    record has a reader: only [Primary] creates a log, and only the two
    drivers, which know when no reader is left behind the propagation
-   cursor, truncate it. Only [Condition] and [Resource], whose waits are
-   short, suspend a process: a longer wait parks a continuation in a
-   [Seqcond] threshold queue or a timer, and holds no fiber. A postmortem
+   cursor, truncate it. Only [Resource], whose waits are short, suspends a
+   process: every other wait parks a continuation in a [Seqcond] threshold
+   queue or a timer, and holds no fiber. A postmortem
    capture has two triggers: the watchdog's first alert and the
    simulator's failed checker battery. Only the two verdicts, [Checker]
    and [Watchdog], map a guarantee to the inversion level it forbids;
@@ -37,9 +37,7 @@ let rules =
     ( [ "system.ml"; "sim_system.ml" ],
       "System / Sim_system",
       [ "Wal.truncate_before" ] );
-    ( [ "condition.ml"; "resource.ml" ],
-      "Condition / Resource",
-      [ "Process.suspend" ] );
+    ([ "resource.ml" ], "Resource", [ "Process.suspend" ]);
     ( [ "watchdog.ml"; "sim_system.ml" ],
       "Watchdog / Sim_system",
       [ "Flight.trigger" ] );

@@ -565,12 +565,10 @@ let test_exhaustive_interleavings () =
               blocked := [] (* the head moved: everyone may retry *);
               go rest
             | Secondary.Waiting_commit ->
-              (match Secondary.pending_head sec with
-              | Some head
-                when Timestamp.equal head (Secondary.applicator_commit_ts app)
-                ->
+              (match Secondary.active_applicators sec with
+              | head :: _ when head == app ->
                 () (* its turn: stepping again will commit *)
-              | Some _ | None -> blocked := app :: !blocked);
+              | _ -> blocked := app :: !blocked);
               go rest
             | Secondary.Applied _ | Secondary.Done -> go rest)))
     in

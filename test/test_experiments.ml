@@ -223,6 +223,96 @@ let test_sim_serial_refresh_staler () =
   Alcotest.(check (list string)) "serial refresh still correct" []
     o.Sim_system.check_errors
 
+let test_sim_refresh_pipeline () =
+  (* Refreshes of different sizes share a site's processor, so concurrent
+     applicators finish applying out of commit order; each still commits
+     only after its predecessor, and the refresher starts no refresh while
+     one is pending. When every refresh is empty, each applicator waits for
+     its predecessor at once, the first one for seq(DBsec) = 0. The last
+     propagation cycle ships at 55 s, so by the end of the run every
+     shipped commit is applied at every site and nothing is left in, or
+     parked on, a pending queue. *)
+  let mixed =
+    {
+      tiny_params with
+      Params.clients_per_secondary = 20;
+      warmup = 0.;
+      duration = 58.;
+      propagation_delay = 5.;
+    }
+  in
+  let empty = { mixed with Params.tran_size_min = 0; tran_size_max = 0 } in
+  List.iter
+    (fun (sizes, params, serial) ->
+      let open Lsr_obs in
+      let tag = sizes ^ if serial then " serial" else " concurrent" in
+      let obs = Obs.create () in
+      let o =
+        Sim_system.run
+          {
+            (Sim_system.config params Session.Strong_session ~seed:11) with
+            Sim_system.serial_refresh = serial;
+            obs;
+            flight = Flight.create ~capacity:(1 lsl 16) ();
+          }
+      in
+      let b =
+        match Flight.parse_bundle (Option.get o.Sim_system.flight_report) with
+        | Ok b -> b
+        | Error e -> Alcotest.fail e
+      in
+      check_int (tag ^ ": nothing evicted") 0 b.Flight.dropped;
+      let events = Array.to_list b.Flight.window in
+      let commit_ts txn =
+        List.find_map
+          (fun e ->
+            match e.Flight.ev with
+            | Flight.Commit c when c.txn = txn -> Some c.commit_ts
+            | _ -> None)
+          events
+      in
+      let shipped =
+        List.filter_map
+          (fun e ->
+            match e.Flight.ev with
+            | Flight.Shipped { txn; _ } -> commit_ts txn
+            | _ -> None)
+          events
+      in
+      check_bool (tag ^ ": several cycles shipped") true
+        (List.length shipped > 20);
+      List.iter
+        (fun { Sim_system.res_site = site; _ } ->
+          if site <> "primary" then begin
+            let committed =
+              List.filter_map
+                (fun e ->
+                  match e.Flight.ev with
+                  | Flight.Refresh_commit { commit_ts; _ }
+                    when e.Flight.site = Some site ->
+                    Some commit_ts
+                  | _ -> None)
+                events
+            in
+            Alcotest.(check (list int))
+              (tag ^ ": " ^ site ^ " commits every shipped txn in commit order")
+              shipped committed;
+            List.iter
+              (fun queue ->
+                Alcotest.(check (float 0.))
+                  (Printf.sprintf "%s: %s %s empty" tag site queue)
+                  0.
+                  (Obs.gauge_value (Obs.gauge obs (site ^ "." ^ queue))))
+              [ "update_queue_depth"; "pending_depth" ]
+          end)
+        o.Sim_system.resources)
+    [
+      ("mixed", mixed, false);
+      ("mixed", mixed, true);
+      ("empty", empty, false);
+      ("empty", empty, true);
+    ]
+
 let test_sim_ship_aborted_wastes_work () =
   let params = { tiny_params with Params.abort_prob = 0.2 } in
   let eager = run ~params ~ship:true Session.Weak in
@@ -1030,6 +1120,8 @@ let () =
             test_sim_outcome_pinned;
           Alcotest.test_case "serial refresh staler" `Slow
             test_sim_serial_refresh_staler;
+          Alcotest.test_case "refresh pipeline order" `Quick
+            test_sim_refresh_pipeline;
           Alcotest.test_case "ship_aborted wastes work" `Quick
             test_sim_ship_aborted_wastes_work;
           Alcotest.test_case "ship_aborted still correct" `Slow

@@ -417,6 +417,43 @@ let test_embedded_read_floor () =
   Alcotest.(check (list int)) "read event carries the session floor" [ floor ]
     fences
 
+let test_pooled_read_claims_its_snapshot () =
+  (* A simulated read records the seq floor it was held to together with
+     its snapshot, before its first operation, where the fence audit holds
+     it. Under a pooled open-loop session, reads and updates of the same
+     session run while its operations do, so a floor taken at the end could
+     claim more than the snapshot the read saw. *)
+  let params =
+    {
+      base_params with
+      Params.op_service_time = 0.002;
+      warmup = 0.;
+      duration = 200.;
+    }
+  in
+  let o =
+    Sim_system.run
+      {
+        (Sim_system.config params Session.Weak ~seed:20060912) with
+        Sim_system.client_mode =
+          Sim_system.Open_loop
+            { clients = 1000; arrival = Sim_system.Poisson; session_pool = 64 };
+        fence = Sim_system.All_reads Session.Session_seq;
+        flight = Flight.create ();
+      }
+  in
+  let claims =
+    Array.to_list (bundle_of o).Flight.window
+    |> List.filter_map (fun e ->
+           match e.Flight.ev with
+           | Flight.Read { snapshot; fence; _ } -> Some (snapshot, fence)
+           | _ -> None)
+  in
+  check_bool "the window holds fenced reads" true
+    (List.exists (fun (_, fence) -> fence > 0) claims);
+  check_int "reads claiming a floor above their snapshot" 0
+    (List.length (List.filter (fun (snapshot, fence) -> fence > snapshot) claims))
+
 let () =
   Alcotest.run "lsr_flight"
     [
@@ -440,6 +477,8 @@ let () =
             test_end_of_run_fallback;
           Alcotest.test_case "deterministic bundles + diff" `Quick
             test_deterministic_bundles_and_diff;
+          Alcotest.test_case "pooled read claims its snapshot" `Quick
+            test_pooled_read_claims_its_snapshot;
         ] );
       ( "embedded",
         [

@@ -540,72 +540,6 @@ let test_engine_pending_counter () =
   Engine.run eng;
   check_int "none after run" 0 (Engine.pending eng)
 
-(* --- Condition ----------------------------------------------------------------- *)
-
-let test_condition_await_signal () =
-  let eng = Engine.create () in
-  let cond = Condition.create () in
-  let flag = ref false in
-  let resumed_at = ref 0. in
-  Process.spawn eng (fun () ->
-      Condition.await cond (fun () -> !flag);
-      resumed_at := Process.now ());
-  Process.spawn eng (fun () ->
-      Process.delay 1.;
-      Condition.signal cond (* predicate still false: no wake *);
-      Process.delay 1.;
-      flag := true;
-      Condition.signal cond);
-  Engine.run eng;
-  check_float "woke when predicate held" 2. !resumed_at
-
-let test_condition_immediate () =
-  let eng = Engine.create () in
-  let cond = Condition.create () in
-  let ran = ref false in
-  Process.spawn eng (fun () ->
-      Condition.await cond (fun () -> true);
-      ran := true);
-  Engine.run eng;
-  check_bool "true predicate returns immediately" true !ran
-
-let test_condition_distinct_predicates () =
-  let eng = Engine.create () in
-  let cond = Condition.create () in
-  let level = ref 0 in
-  let woken = ref [] in
-  List.iter
-    (fun threshold ->
-      Process.spawn eng (fun () ->
-          Condition.await cond (fun () -> !level >= threshold);
-          woken := threshold :: !woken))
-    [ 3; 1; 2 ];
-  Process.spawn eng (fun () ->
-      Process.delay 1.;
-      level := 1;
-      Condition.signal cond;
-      Process.delay 1.;
-      level := 3;
-      Condition.signal cond);
-  Engine.run eng;
-  Alcotest.(check (list int)) "woken as thresholds pass" [ 1; 3; 2 ]
-    (List.rev !woken)
-
-let test_condition_waiting_count () =
-  let eng = Engine.create () in
-  let cond = Condition.create () in
-  let release = ref false in
-  for _ = 1 to 3 do
-    Process.spawn eng (fun () -> Condition.await cond (fun () -> !release))
-  done;
-  Process.spawn eng (fun () ->
-      Process.delay 1.;
-      check_int "three waiters" 3 (Condition.waiting cond);
-      release := true;
-      Condition.signal cond);
-  Engine.run eng;
-  check_int "all released" 0 (Condition.waiting cond)
-
 (* --- Seqcond ------------------------------------------------------------------- *)
 
 let test_seqcond_threshold_order () =
@@ -1298,14 +1232,6 @@ let () =
           Alcotest.test_case "pending counter" `Quick test_engine_pending_counter;
         ]
         @ qsuite [ prop_spawn_at_drop_in ] );
-      ( "condition",
-        [
-          Alcotest.test_case "await/signal" `Quick test_condition_await_signal;
-          Alcotest.test_case "immediate pass" `Quick test_condition_immediate;
-          Alcotest.test_case "waiting count" `Quick test_condition_waiting_count;
-          Alcotest.test_case "distinct predicates" `Quick
-            test_condition_distinct_predicates;
-        ] );
       ( "seqcond",
         [
           Alcotest.test_case "threshold order" `Quick test_seqcond_threshold_order;
