@@ -69,6 +69,21 @@ let validate cfg =
   if cfg.backoff < 1. then invalid_arg "Channel.create: backoff must be >= 1.";
   if cfg.max_rto < cfg.rto then invalid_arg "Channel.create: max_rto < rto"
 
+(* What [stats] reports, counted in place; [stats] copies it out. *)
+type tally = {
+  mutable sent : int;
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable duplicated : int;
+  mutable delayed : int;
+  mutable reordered : int;
+  mutable retransmitted : int;
+  mutable acks_dropped : int;
+  mutable stale_ignored : int;
+  mutable max_flight : int;
+  mutable max_ooo : int;
+}
+
 type stats = {
   sent : int;
   delivered : int;
@@ -161,14 +176,14 @@ type t = {
   mutable clock : int;
   (* Sender. *)
   mutable next_seq : int;
-  mutable pending : unacked_msg list; (* sorted by seq, oldest first *)
+  pending : unacked_msg Queue.t; (* in seq order, oldest first *)
   (* Network. *)
   mutable flight : packet list;
   mutable ack_flight : (int * int) list; (* arrival tick, cumulative ack *)
   (* Receiver. *)
   mutable next_expected : int;
   ooo : (int, Txn_record.t) Hashtbl.t;
-  mutable s : stats;
+  s : tally;
   oc : obs_counters;
   sinks : Lsr_obs.Sinks.t;
   lname : string option; (* site this channel feeds, for flight events *)
@@ -181,12 +196,15 @@ let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
     rng;
     clock = 0;
     next_seq = 0;
-    pending = [];
+    pending = Queue.create ();
     flight = [];
     ack_flight = [];
     next_expected = 0;
     ooo = Hashtbl.create 32;
-    s = zero_stats;
+    s =
+      { sent = 0; delivered = 0; dropped = 0; duplicated = 0; delayed = 0;
+        reordered = 0; retransmitted = 0; acks_dropped = 0; stale_ignored = 0;
+        max_flight = 0; max_ooo = 0 };
     oc = obs_counters sinks.Lsr_obs.Sinks.obs;
     sinks;
     lname = name;
@@ -198,16 +216,30 @@ let emit_stage t record stage =
       ~txn:(Txn_record.txn record)
       (stage (Txn_record.kind_name record))
 
-let stats t = t.s
+let stats t =
+  let c = t.s in
+  {
+    sent = c.sent;
+    delivered = c.delivered;
+    dropped = c.dropped;
+    duplicated = c.duplicated;
+    delayed = c.delayed;
+    reordered = c.reordered;
+    retransmitted = c.retransmitted;
+    acks_dropped = c.acks_dropped;
+    stale_ignored = c.stale_ignored;
+    max_flight = c.max_flight;
+    max_ooo = c.max_ooo;
+  }
 
 let idle t =
-  t.pending = [] && t.flight = [] && t.ack_flight = []
+  Queue.is_empty t.pending && t.flight = [] && t.ack_flight = []
   && Hashtbl.length t.ooo = 0
 
 (* Put one copy of [msg] on the wire, applying the configured faults. *)
 let transmit t msg =
   if t.cfg.loss > 0. && Rng.bernoulli t.rng ~p:t.cfg.loss then begin
-    t.s <- { t.s with dropped = t.s.dropped + 1 };
+    t.s.dropped <- t.s.dropped + 1;
     emit_stage t msg.record (fun record ->
         Lsr_obs.Flight.Channel_dropped { record });
     Lsr_obs.Obs.incr t.oc.oc_dropped
@@ -217,7 +249,7 @@ let transmit t msg =
     if t.cfg.delay > 0. && Rng.bernoulli t.rng ~p:t.cfg.delay then begin
       let extra = Rng.uniform t.rng ~lo:1 ~hi:(max 1 t.cfg.max_delay) in
       latency := !latency + extra;
-      t.s <- { t.s with delayed = t.s.delayed + 1 };
+      t.s.delayed <- t.s.delayed + 1;
       emit_stage t msg.record (fun record ->
           Lsr_obs.Flight.Channel_delayed { record; ticks = extra });
       Lsr_obs.Obs.incr t.oc.oc_delayed
@@ -225,7 +257,7 @@ let transmit t msg =
     if t.cfg.reorder > 0. && Rng.bernoulli t.rng ~p:t.cfg.reorder then begin
       latency :=
         !latency + Rng.uniform t.rng ~lo:1 ~hi:(max 1 t.cfg.reorder_window);
-      t.s <- { t.s with reordered = t.s.reordered + 1 };
+      t.s.reordered <- t.s.reordered + 1;
       Lsr_obs.Obs.incr t.oc.oc_reordered
     end;
     t.flight <-
@@ -236,14 +268,14 @@ let transmit t msg =
       t.flight <-
         { arrive = t.clock + extra; pseq = msg.seq; precord = msg.record }
         :: t.flight;
-      t.s <- { t.s with duplicated = t.s.duplicated + 1 };
+      t.s.duplicated <- t.s.duplicated + 1;
       emit_stage t msg.record (fun record ->
           Lsr_obs.Flight.Channel_duplicated { record });
       Lsr_obs.Obs.incr t.oc.oc_duplicated
     end;
     let depth = List.length t.flight in
     Lsr_obs.Obs.set_gauge t.oc.oc_flight (float_of_int depth);
-    if depth > t.s.max_flight then t.s <- { t.s with max_flight = depth }
+    if depth > t.s.max_flight then t.s.max_flight <- depth
   end
 
 let send t records =
@@ -251,10 +283,10 @@ let send t records =
     (fun record ->
       let msg = { seq = t.next_seq; record } in
       t.next_seq <- t.next_seq + 1;
-      t.pending <-
-        t.pending
-        @ [ { msg; rto_at = t.clock + t.cfg.rto; cur_rto = t.cfg.rto } ];
-      t.s <- { t.s with sent = t.s.sent + 1 };
+      Queue.add
+        { msg; rto_at = t.clock + t.cfg.rto; cur_rto = t.cfg.rto }
+        t.pending;
+      t.s.sent <- t.s.sent + 1;
       Lsr_obs.Obs.incr t.oc.oc_sent;
       transmit t msg)
     records
@@ -272,7 +304,7 @@ let tick t =
   List.iter
     (fun p ->
       if p.pseq < t.next_expected then begin
-        t.s <- { t.s with stale_ignored = t.s.stale_ignored + 1 };
+        t.s.stale_ignored <- t.s.stale_ignored + 1;
         Lsr_obs.Obs.incr t.oc.oc_stale
       end
       else Hashtbl.replace t.ooo p.pseq p.precord)
@@ -290,13 +322,13 @@ let tick t =
   done;
   let depth = Hashtbl.length t.ooo in
   Lsr_obs.Obs.set_gauge t.oc.oc_ooo (float_of_int depth);
-  if depth > t.s.max_ooo then t.s <- { t.s with max_ooo = depth };
+  if depth > t.s.max_ooo then t.s.max_ooo <- depth;
   (* The receiver acks (cumulatively) whenever data arrives — including stale
      duplicates, which is what lets a lost ack be repaired by the
      retransmission it provokes. *)
   if arrived <> [] then begin
     if t.cfg.ack_loss > 0. && Rng.bernoulli t.rng ~p:t.cfg.ack_loss then begin
-      t.s <- { t.s with acks_dropped = t.s.acks_dropped + 1 };
+      t.s.acks_dropped <- t.s.acks_dropped + 1;
       Lsr_obs.Obs.incr t.oc.oc_acks_dropped
     end
     else t.ack_flight <- (t.clock + 1, t.next_expected) :: t.ack_flight
@@ -307,22 +339,25 @@ let tick t =
   in
   t.ack_flight <- still_acks;
   let cum = List.fold_left (fun acc (_, v) -> max acc v) (-1) acks in
-  if cum >= 0 then begin
-    let before = List.length t.pending in
-    t.pending <- List.filter (fun u -> u.msg.seq >= cum) t.pending;
-    (* Progress: restart the timers of whatever is still outstanding. *)
-    if List.length t.pending < before then
-      List.iter
-        (fun u ->
-          u.cur_rto <- t.cfg.rto;
-          u.rto_at <- t.clock + u.cur_rto)
-        t.pending
-  end;
+  let released = ref false in
+  while
+    (not (Queue.is_empty t.pending)) && (Queue.peek t.pending).msg.seq < cum
+  do
+    ignore (Queue.pop t.pending);
+    released := true
+  done;
+  (* Progress: restart the timers of whatever is still outstanding. *)
+  if !released then
+    Queue.iter
+      (fun u ->
+        u.cur_rto <- t.cfg.rto;
+        u.rto_at <- t.clock + u.cur_rto)
+      t.pending;
   (* Retransmit timed-out messages with exponential backoff. *)
-  List.iter
+  Queue.iter
     (fun u ->
       if u.rto_at <= t.clock then begin
-        t.s <- { t.s with retransmitted = t.s.retransmitted + 1 };
+        t.s.retransmitted <- t.s.retransmitted + 1;
         emit_stage t u.msg.record (fun record ->
             Lsr_obs.Flight.Channel_retransmitted { record });
         Lsr_obs.Obs.incr t.oc.oc_retransmitted;
@@ -335,13 +370,13 @@ let tick t =
       end)
     t.pending;
   let out = List.rev !delivered in
-  t.s <- { t.s with delivered = t.s.delivered + List.length out };
+  t.s.delivered <- t.s.delivered + List.length out;
   Lsr_obs.Obs.incr t.oc.oc_delivered ~by:(List.length out);
   out
 
 let reset t =
   t.next_seq <- 0;
-  t.pending <- [];
+  Queue.clear t.pending;
   t.flight <- [];
   t.ack_flight <- [];
   t.next_expected <- 0;

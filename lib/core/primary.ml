@@ -18,24 +18,32 @@ type 'a outcome =
     }
   | Aborted of Mvcc.abort_reason
 
-let execute t ?(force_abort = false) body =
+type txn = { mvcc : Mvcc.txn; snapshot : Timestamp.t }
+
+let start t =
   let snapshot = Mvcc.latest_commit_ts t.db in
-  let txn = Mvcc.begin_txn t.db in
-  let value =
-    try body t.db txn
-    with exn ->
-      Mvcc.abort t.db txn;
-      raise exn
-  in
+  { mvcc = Mvcc.begin_txn t.db; snapshot }
+
+let finish t ?(force_abort = false) { mvcc; snapshot } value =
   if force_abort then begin
-    Mvcc.abort t.db txn;
+    Mvcc.abort t.db mvcc;
     Aborted Mvcc.Forced
   end
   else begin
-    match Mvcc.commit t.db txn with
+    match Mvcc.commit t.db mvcc with
     | Mvcc.Committed commit_ts ->
       (* The updates the commit just installed, not computed again. *)
-      let writes = Mvcc.pending_writes txn in
-      Committed { value; txn = Mvcc.txn_id txn; commit_ts; snapshot; writes }
+      let writes = Mvcc.pending_writes mvcc in
+      Committed { value; txn = Mvcc.txn_id mvcc; commit_ts; snapshot; writes }
     | Mvcc.Aborted reason -> Aborted reason
   end
+
+let execute t ?force_abort body =
+  let txn = start t in
+  let value =
+    try body t.db txn.mvcc
+    with exn ->
+      Mvcc.abort t.db txn.mvcc;
+      raise exn
+  in
+  finish t ?force_abort txn value

@@ -30,10 +30,24 @@ type 'a outcome =
     }
   | Aborted of Mvcc.abort_reason
 
-(** [execute t body] runs [body db txn] inside a fresh transaction and
-    commits it. [force_abort] aborts at commit instead (modelling the
-    paper's [abort_prob]); the abort record still reaches the log. [snapshot]
-    in the outcome is the primary commit timestamp of the state the
-    transaction saw. Exceptions from [body] abort the transaction and are
-    re-raised. *)
+(** An update transaction between {!start} and {!finish}. *)
+type txn = {
+  mvcc : Mvcc.txn;  (** the primary MVCC transaction the body runs in *)
+  snapshot : Timestamp.t;
+      (** the primary commit timestamp of the state the transaction sees *)
+}
+
+(** [start t] begins an update transaction at the primary's latest
+    committed state. *)
+val start : t -> txn
+
+(** [finish t txn value] commits [txn] under first-committer-wins.
+    [force_abort] aborts it instead (modelling the paper's [abort_prob]);
+    the abort record still reaches the log. [value] is handed back in
+    [Committed]. *)
+val finish : t -> ?force_abort:bool -> txn -> 'a -> 'a outcome
+
+(** [execute t body] is {!start}, then [body db txn], then {!finish}: the
+    synchronous form, for callers whose operations take no virtual time.
+    Exceptions from [body] abort the transaction and are re-raised. *)
 val execute : t -> ?force_abort:bool -> (Mvcc.t -> Mvcc.txn -> 'a) -> 'a outcome

@@ -173,18 +173,12 @@ let guarantee_required_seq t ~label =
   | Prefix_consistent -> seq t label
   | Strong_session | Strong -> Timestamp.max (seq t label) (read_floor t label)
 
-let fence_threshold t ?clock ?now ~label fence =
+let read_threshold ?fence t ~clock ~now ~label =
+  let fenced b () = Timestamp.max (guarantee_required_seq t ~label) b in
   match fence with
-  | Exact ts -> ts
-  | Session_seq -> Timestamp.max (seq t label) (read_floor t label)
-  | Max_age d -> (
-    match (clock, now) with
-    | Some c, Some now -> clock_horizon c ~cutoff:(now -. d)
-    | _ ->
-      invalid_arg "Session.fence_threshold: Max_age needs ~clock and ~now")
-
-let required_seq ?fence ?clock ?now t ~label =
-  let base = guarantee_required_seq t ~label in
-  match fence with
-  | None -> base
-  | Some f -> Timestamp.max base (fence_threshold t ?clock ?now ~label f)
+  | None -> fun () -> guarantee_required_seq t ~label
+  | Some Session_seq ->
+    (* Never below the guarantee's part, whatever the guarantee. *)
+    fun () -> Timestamp.max (seq t label) (read_floor t label)
+  | Some (Exact b) -> fenced b
+  | Some (Max_age d) -> fenced (clock_horizon clock ~cutoff:(now -. d))

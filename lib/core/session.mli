@@ -127,20 +127,27 @@ val note_update_commit : t -> label:string -> commit_ts:Timestamp.t -> unit
     [Session_seq] fence (no-op otherwise). *)
 val note_read : ?fence:fence -> t -> label:string -> snapshot:Timestamp.t -> unit
 
-(** [fence_threshold t ~label fence] is the smallest [seq(DBsec)]
-    satisfying [fence] alone. [Max_age] needs [~clock] and [~now]
-    ([invalid_arg] otherwise); the horizon is resolved once, at the instant
-    the read asks — the Minnal per-statement visibility horizon [B]. *)
-val fence_threshold :
-  t -> ?clock:clock -> ?now:float -> label:string -> fence -> Timestamp.t
-
-(** [required_seq t ~label] is the smallest [seq(DBsec)] at which a
-    read-only transaction from session [label] may start:
+(** [read_threshold ?fence t ~clock ~now ~label] is the live threshold of
+    a read-only transaction from session [label] submitted at [now]: each
+    call returns the smallest [seq(DBsec)] at which it may start, the [max]
+    of the guarantee's part
     - [Weak]: [Timestamp.zero] (never waits);
     - [Prefix_consistent]: [seq(c)];
     - [Strong_session] / [Strong]: [max (seq c) (read_floor c)];
-    and with [?fence], the [max] of the above and {!fence_threshold}.
-    Monotone in time for a fixed label and fence threshold, which lets
-    blocked readers wait on a threshold queue instead of re-polling. *)
-val required_seq :
-  ?fence:fence -> ?clock:clock -> ?now:float -> t -> label:string -> Timestamp.t
+
+    and the fence's part. An [Exact] or [Max_age] fence is resolved here,
+    once: [Max_age d] against [clock] at [now - d], the Minnal
+    per-statement visibility horizon [B], so blocking does not move the
+    target. The guarantee's part and a [Session_seq] fence's part
+    ([max (seq c) (read_floor c)]) are read at each call: under a shared
+    session label they can rise while the read waits. Monotone in time,
+    which lets blocked readers wait on a threshold queue instead of
+    re-polling. *)
+val read_threshold :
+  ?fence:fence ->
+  t ->
+  clock:clock ->
+  now:float ->
+  label:string ->
+  unit ->
+  Timestamp.t

@@ -190,12 +190,11 @@ let run_read ?fence t client sec ~required body =
     ~fence_seq ~reads:(Handle.reads h);
   value
 
-(* The seq(DBsec) threshold this read needs. A [Max_age] fence resolves its
-   visibility horizon here, once — the Minnal per-statement horizon [B] —
-   so retrying the same read keeps the same target. *)
+(* The seq(DBsec) threshold this read needs, evaluated once: nothing moves
+   seq(c) while a blocked read pumps, so retrying keeps the same target. *)
 let required_for ?fence t client =
-  Session.required_seq ?fence ~clock:(commit_clock t)
-    ~now:(Replica_set.now t.core) (sessions t) ~label:client.label
+  Session.read_threshold ?fence (sessions t) ~clock:(commit_clock t)
+    ~now:(Replica_set.now t.core) ~label:client.label ()
 
 (* Bound on pump rounds in a blocked read. Each pump drives the fault
    channels to quiescence, so commits already in the primary log arrive in

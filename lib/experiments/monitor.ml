@@ -20,11 +20,6 @@ let series t = t.series
 let attach t eng ~probe =
   if t.enabled then begin
     Lsr_obs.Timeseries.new_run t.series;
-    Process.spawn eng (fun () ->
-        let rec loop () =
-          Process.delay t.interval;
-          Lsr_obs.Timeseries.add t.series ~time:(Engine.now eng) (probe ());
-          loop ()
-        in
-        loop ())
+    Engine.every eng t.interval (fun () ->
+        Lsr_obs.Timeseries.add t.series ~time:(Engine.now eng) (probe ()))
   end

@@ -9,8 +9,8 @@
 
     Same contract as the other sinks ({!Lsr_obs.Obs}, {!Lsr_obs.Flight}):
     {!null} costs nothing, and attaching an enabled monitor never changes
-    simulation outcomes — the sampling process only reads state, draws no
-    randomness and wakes no other process, so every other event fires at
+    simulation outcomes — the sampling timer only reads state, draws no
+    randomness and wakes nothing, so every other event fires at
     exactly the time it would have fired unobserved
     ([test_sim_monitor_does_not_perturb] pins this).
 
@@ -33,7 +33,7 @@ val enabled : t -> bool
 (** The collected samples. *)
 val series : t -> Lsr_obs.Timeseries.t
 
-(** [attach t eng ~probe] starts the sampling process on [eng] (first
+(** [attach t eng ~probe] starts the sampling timer chain on [eng] (first
     sample one interval in). Called by {!Sim_system.run}; a no-op on
     {!null}. *)
 val attach : t -> Lsr_sim.Engine.t -> probe:(unit -> (string * float) list) -> unit

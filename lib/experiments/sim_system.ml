@@ -166,18 +166,16 @@ let make_site eng rs session_conds index =
     last_dispatched = Secondary.seq_dbsec sec; refresher_idle = false;
     last_delivery = 0. }
 
-(* --- Refresher and applicator processes (Algorithms 3.2 / 3.3) ------------ *)
+(* --- Refresher and applicator (Algorithms 3.2 / 3.3) ----------------------- *)
 
 (* [after] is the commit ts of the refresh dispatched just before [app]:
-   once seq(DBsec) reaches it, [app] heads the pending queue. [next] runs
-   once [app] has committed. *)
-let run_applicator st site app ~after ~next =
+   once seq(DBsec) reaches it, [app] heads the pending queue. [k] runs once
+   [app] has committed. *)
+let run_applicator st site app ~after k =
   let p = st.cfg.params in
   let rec go () =
     match Secondary.applicator_step site.sec app with
-    | Secondary.Applied _ ->
-      Resource.use site.res p.Params.op_service_time;
-      go ()
+    | Secondary.Applied _ -> Resource.use site.res p.Params.op_service_time go
     | Secondary.Waiting_commit ->
       Seqcond.park site.commit_order ~threshold:(fun () -> after) go
     | Secondary.Committed ts ->
@@ -185,36 +183,37 @@ let run_applicator st site app ~after ~next =
          already advanced inside [applicator_step] (the [on_refresh_commit]
          hook). *)
       Seqcond.advance site.commit_order ts;
-      next ()
-    | Secondary.Done -> next ()
+      k ()
+    | Secondary.Done -> k ()
   in
   go ()
 
 (* The refresher ends on an empty update queue; whatever enqueues records
    next starts it again ({!wake_refresher}). *)
-let refresher_process st site () =
+let refresher st site () =
   let p = st.cfg.params in
   let rec loop () =
     let head = Secondary.peek_update site.sec in
     match Secondary.refresher_step site.sec with
     | Secondary.Started _ -> loop ()
-    | Secondary.Aborted _ ->
+    | Secondary.Aborted _ -> (
       (* The eager-propagation ablation pays for the aborted transaction's
          updates before discarding them. *)
-      (match head with
+      match head with
       | Some (Txn_record.Abort_rec { wasted; _ }) when wasted <> [] ->
         let n = List.length wasted in
-        Resource.use site.res (float_of_int n *. p.Params.op_service_time);
-        Metrics.note_wasted_ops st.metrics ~now:(Engine.now st.eng) n
-      | Some _ | None -> ());
-      loop ()
+        Resource.use site.res (float_of_int n *. p.Params.op_service_time)
+          (fun () ->
+            Metrics.note_wasted_ops st.metrics ~now:(Engine.now st.eng) n;
+            loop ())
+      | Some _ | None -> loop ())
     | Secondary.Dispatched app ->
       let after = site.last_dispatched in
       site.last_dispatched <- Secondary.applicator_commit_ts app;
-      if st.cfg.serial_refresh then run_applicator st site app ~after ~next:loop
+      if st.cfg.serial_refresh then run_applicator st site app ~after loop
       else begin
-        Process.spawn st.eng (fun () ->
-            run_applicator st site app ~after ~next:ignore);
+        Engine.after st.eng ~delay:0. (fun () ->
+            run_applicator st site app ~after ignore);
         loop ()
       end
     | Secondary.Blocked_on_pending ->
@@ -229,117 +228,112 @@ let refresher_process st site () =
 let wake_refresher st site =
   if site.refresher_idle then begin
     site.refresher_idle <- false;
-    Process.spawn st.eng (refresher_process st site)
+    Engine.after st.eng ~delay:0. (refresher st site)
   end
 
-(* --- Propagator process (Algorithm 3.1 under a 10 s cycle) ---------------- *)
+(* --- Propagator (Algorithm 3.1 under a 10 s cycle) ------------------------- *)
 
-let propagator_process st () =
+let propagate st () =
   let p = st.cfg.params in
   let deliver site records () =
     List.iter (Secondary.enqueue site.sec) records;
     wake_refresher st site
   in
-  let rec cycle () =
-    Process.delay p.Params.propagation_delay;
-    let records = Propagation.poll (Replica_set.propagator st.rs) in
-    (* No reader is left behind the cursor: the simulator never recovers a
-       site, and a fault channel keeps its own copy of what is in flight. *)
-    Wal.truncate_before
-      (Primary.wal (Replica_set.primary st.rs))
-      (Propagation.position (Replica_set.propagator st.rs));
-    if records <> [] then begin
-      (* A site with a faulty transport gets the records on the wire here;
-         they surface, in order, from its channel process's ticks (loss,
-         duplication, delay and reordering happen inside). *)
-      Replica_set.broadcast st.rs records ~direct:(fun i records ->
-          let site = st.sites.(i) in
-          if p.Params.propagation_jitter <= 0. then deliver site records ()
-          else begin
-            (* Per-destination scheduling variance; delivery times to one
-               site never reorder (the channel stays FIFO). *)
-            let now = Engine.now st.eng in
-            let at =
-              Float.max site.last_delivery
-                (now +. (Rng.float st.jitter_rng *. p.Params.propagation_jitter))
-            in
-            site.last_delivery <- at;
-            Engine.after st.eng ~delay:(at -. now) (deliver site records)
-          end)
-    end;
-    cycle ()
-  in
-  cycle ()
+  let records = Propagation.poll (Replica_set.propagator st.rs) in
+  (* No reader is left behind the cursor: the simulator never recovers a
+     site, and a fault channel keeps its own copy of what is in flight. *)
+  Wal.truncate_before
+    (Primary.wal (Replica_set.primary st.rs))
+    (Propagation.position (Replica_set.propagator st.rs));
+  if records <> [] then
+    (* A site with a faulty transport gets the records on the wire here;
+       they surface, in order, from its channel's ticks (loss, duplication,
+       delay and reordering happen inside). *)
+    Replica_set.broadcast st.rs records ~direct:(fun i records ->
+        let site = st.sites.(i) in
+        if p.Params.propagation_jitter <= 0. then deliver site records ()
+        else begin
+          (* Per-destination scheduling variance; delivery times to one
+             site never reorder (the channel stays FIFO). *)
+          let now = Engine.now st.eng in
+          let at =
+            Float.max site.last_delivery
+              (now +. (Rng.float st.jitter_rng *. p.Params.propagation_jitter))
+          in
+          site.last_delivery <- at;
+          Engine.after st.eng ~delay:(at -. now) (deliver site records)
+        end)
 
 (* Virtual seconds per channel tick: the base one-hop latency and the
    granularity of retransmission timeouts. *)
 let fault_tick = 1.0
 
-(* One process per faulty channel: each [fault_tick] virtual seconds the
-   channel advances one tick (arrivals, acks, retransmissions) and whatever
-   it delivers in order lands on the secondary's update queue. *)
-let channel_process st site () =
-  let rec loop () =
-    Process.delay fault_tick;
-    if Replica_set.deliver st.rs site.index then wake_refresher st site;
-    loop ()
-  in
-  loop ()
+(* One tick of a faulty channel: arrivals, acks and retransmissions, and
+   whatever the channel delivers in order lands on the secondary's update
+   queue. *)
+let channel_tick st site () =
+  if Replica_set.deliver st.rs site.index then wake_refresher st site
 
-(* --- Client processes ------------------------------------------------------ *)
+(* --- Clients ----------------------------------------------------------------- *)
 
 let fresh_label st =
   st.label_counter <- st.label_counter + 1;
   "s" ^ string_of_int st.label_counter
 
-let execute_update st rng label spec =
+let note_completion st ~t0 ~is_update =
+  let now = Engine.now st.eng in
+  Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
+
+(* An update submitted at [t0], retried until it commits, then [k ()]. *)
+let execute_update st rng label spec ~t0 k =
   let p = st.cfg.params in
   let primary = Replica_set.primary st.rs in
+  let db = Primary.db primary in
   let track_reads = Replica_set.tracking st.rs in
   (* One token for the whole retry loop: only the committed attempt becomes
      a transaction. *)
   let txn = Replica_set.begin_update st.rs ~session:label in
   let rec attempt () =
-    (* No other process draws from [rng] while this transaction runs, so
-       drawing the abort before the operations gives the same stream as
-       drawing it after them. *)
+    (* Nothing else draws from [rng] while this transaction runs, so drawing
+       the abort before the operations gives the same stream as drawing it
+       after them. *)
     let force_abort = Rng.bernoulli rng ~p:p.Params.abort_prob in
-    let reads = ref [] in
-    let body db mtxn =
-      List.iter
-        (fun op ->
-          Resource.use st.primary_res p.Params.op_service_time;
-          match op with
-          | Txn_gen.Read_op key ->
-            let v = Mvcc.read db mtxn key in
-            if track_reads then reads := (key, v) :: !reads
-          | Txn_gen.Write_op (key, value) -> Mvcc.write db mtxn key (Some value))
-        spec.Txn_gen.ops
+    let ptxn = Primary.start primary in
+    let rec ops reads = function
+      | op :: rest ->
+        Resource.use st.primary_res p.Params.op_service_time (fun () ->
+            match op with
+            | Txn_gen.Read_op key ->
+              let v = Mvcc.read db ptxn.Primary.mvcc key in
+              ops (if track_reads then (key, v) :: reads else reads) rest
+            | Txn_gen.Write_op (key, value) ->
+              Mvcc.write db ptxn.Primary.mvcc key (Some value);
+              ops reads rest)
+      | [] -> (
+        match Primary.finish primary ~force_abort ptxn () with
+        | Primary.Committed _ as outcome ->
+          (* Nothing runs between the primary commit and here, so the core
+             sees commits in commit-timestamp order. *)
+          Replica_set.finish_update st.rs txn ~session:label
+            ~reads:(List.rev reads) outcome;
+          note_completion st ~t0 ~is_update:true;
+          k ()
+        | Primary.Aborted (Mvcc.Write_conflict _) ->
+          (* A real conflict under the first-committer-wins rule (key skew);
+             restart like any other abort to maintain the offered load. *)
+          Metrics.note_fcw_abort st.metrics ~now:(Engine.now st.eng);
+          attempt ()
+        | Primary.Aborted Mvcc.Forced ->
+          Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
+          attempt ())
     in
-    match Primary.execute primary ~force_abort body with
-    | Primary.Committed _ as outcome ->
-      (* Nothing yields between the primary commit and here, so the core
-         sees commits in commit-timestamp order. *)
-      Replica_set.finish_update st.rs txn ~session:label
-        ~reads:(List.rev !reads) outcome
-    | Primary.Aborted (Mvcc.Write_conflict _) ->
-      (* A real conflict under the first-committer-wins rule (key skew);
-         restart like any other abort to maintain the offered load. *)
-      Metrics.note_fcw_abort st.metrics ~now:(Engine.now st.eng);
-      attempt ()
-    | Primary.Aborted Mvcc.Forced ->
-      Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
-      attempt ()
+    ops [] spec.Txn_gen.ops
   in
   attempt ()
 
-let note_completion st ~t0 ~is_update =
-  let now = Engine.now st.eng in
-  Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
-
-(* A read from its snapshot to its completion, then [next st arg]; run once
-   the site's seq(DBsec) has reached [required ()]. *)
-let run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg =
+(* A read from its snapshot to its completion, then [k ()]; run once the
+   site's seq(DBsec) has reached [required ()]. *)
+let run_read ?fence st site label spec ~read_at ~required ~t0 k =
   let p = st.cfg.params in
   let sdb = Secondary.db site.sec in
   let snapshot = Secondary.seq_dbsec site.sec in
@@ -347,71 +341,50 @@ let run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg =
      can show the claim the fence audit later judges. Taken with the
      snapshot: a pooled session's floor can rise while the operations run. *)
   let fence_seq = match fence with None -> -1 | Some _ -> required () in
-  (* Taken with no yield since the wake: the watchdog's captured floors
-     equal the post-hoc sweep's floors at the first operation. The snapshot's
-     freshness reaches [metrics] through the [on_read] hook. *)
+  (* Taken in the event that found [required ()] reached: the watchdog's
+     captured floors equal the post-hoc sweep's floors at the first
+     operation. The snapshot's freshness reaches [metrics] through the
+     [on_read] hook. *)
   let txn =
     Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
       ~snapshot
   in
   let track_reads = Replica_set.tracking st.rs in
   let mtxn = Mvcc.begin_txn sdb in
-  let reads = ref [] in
-  List.iter
-    (fun op ->
-      Resource.use site.res p.Params.op_service_time;
-      match op with
-      | Txn_gen.Read_op key ->
-        let v = Mvcc.read sdb mtxn key in
-        if track_reads then reads := (key, v) :: !reads
-      | Txn_gen.Write_op _ -> assert false (* read-only by construction *))
-    spec.Txn_gen.ops;
-  Mvcc.end_read sdb mtxn;
-  Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.index
-    ~snapshot ~read_at ~fence_seq ~reads:(List.rev !reads);
-  note_completion st ~t0 ~is_update:false;
-  next st arg
-
-(* A read submitted at [t0], then [next st arg]. *)
-let execute_read ?fence st site label spec ~t0 ~next arg =
-  let sessions = Replica_set.sessions st.rs in
-  (* An [Exact] or [Max_age] fence resolves its threshold once, at
-     submission (the Minnal per-statement horizon B): blocking does not move
-     the target. A [Session_seq] fence stays live, like the guarantee's own
-     threshold — it must reduce exactly to the strong-session requirement,
-     and under a shared session label (open-loop pool) the session floor can
-     rise while this read waits; the audit holds the read to the floor at
-     its first operation, which is where the threshold queue re-evaluates
-     last (no yield between wake and first_op). *)
-  let read_at = Engine.now st.eng in
-  let fence_b =
-    match fence with
-    | None -> fun () -> Timestamp.zero
-    | Some f ->
-      st.fenced_reads <- st.fenced_reads + 1;
-      (match f with
-      | Session.Session_seq ->
-        fun () -> Session.fence_threshold sessions ~label Session.Session_seq
-      | Session.Exact _ | Session.Max_age _ ->
-        let b =
-          Session.fence_threshold sessions ~clock:(Replica_set.clock st.rs)
-            ~now:read_at ~label f
-        in
-        fun () -> b)
+  let rec ops reads = function
+    | op :: rest ->
+      Resource.use site.res p.Params.op_service_time (fun () ->
+          match op with
+          | Txn_gen.Read_op key ->
+            let v = Mvcc.read sdb mtxn key in
+            ops (if track_reads then (key, v) :: reads else reads) rest
+          | Txn_gen.Write_op _ -> assert false (* read-only by construction *))
+    | [] ->
+      Mvcc.end_read sdb mtxn;
+      Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.index
+        ~snapshot ~read_at ~fence_seq ~reads:(List.rev reads);
+      note_completion st ~t0 ~is_update:false;
+      k ()
   in
-  let required () =
-    Timestamp.max (Session.required_seq sessions ~label) (fence_b ())
+  ops [] spec.Txn_gen.ops
+
+(* A read submitted at [t0], then [k ()]. *)
+let execute_read ?fence st site label spec ~t0 k =
+  let read_at = Engine.now st.eng in
+  if Option.is_some fence then st.fenced_reads <- st.fenced_reads + 1;
+  let required =
+    Session.read_threshold ?fence (Replica_set.sessions st.rs)
+      ~clock:(Replica_set.clock st.rs) ~now:read_at ~label
   in
   if Timestamp.compare (required ()) (Secondary.seq_dbsec site.sec) <= 0 then
-    run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg
+    run_read ?fence st site label spec ~read_at ~required ~t0 k
   else
-    (* Only a read that must wait builds a continuation. It parks in the
-       site's threshold queue holding no process; the commit that satisfies
-       it starts the rest of the read as a fresh process. *)
+    (* A read that must wait parks in the site's threshold queue; the
+       commit that satisfies it runs the rest of the read. *)
     Seqcond.park site.session_cond ~threshold:required (fun () ->
         let now = Engine.now st.eng in
         Metrics.note_block st.metrics ~now ~wait:(now -. read_at);
-        run_read ?fence st site label spec ~read_at ~required ~t0 ~next arg)
+        run_read ?fence st site label spec ~read_at ~required ~t0 k)
 
 (* The fence for one read, drawn from the run's fence policy. [All_reads]
    draws nothing from the rng, so a run with [All_reads Session_seq] under
@@ -437,16 +410,11 @@ let draw_fence st rng =
     end
 
 (* Execute one generated transaction against the system, record its
-   telemetry, then [next st arg] — the body shared by both client models.
-   A blocked read runs [next] later, in a process of its own; passing it
-   with its argument lets a read that never blocks build no closure. *)
-let run_txn st site rng ~label spec ~next arg =
+   telemetry, then [k ()] — the body shared by both client models. *)
+let run_txn st site rng ~label spec k =
   let t0 = Engine.now st.eng in
   match spec.Txn_gen.kind with
-  | Txn_gen.Update ->
-    execute_update st rng label spec;
-    note_completion st ~t0 ~is_update:true;
-    next st arg
+  | Txn_gen.Update -> execute_update st rng label spec ~t0 k
   | Txn_gen.Read_only ->
     (* Optional load-balancing migration: serve this read from a random
        secondary instead of the home site. *)
@@ -456,14 +424,11 @@ let run_txn st site rng ~label spec ~next arg =
       else site
     in
     let fence = draw_fence st rng in
-    execute_read ?fence st site label spec ~t0 ~next arg
+    execute_read ?fence st site label spec ~t0 k
 
-(* A closed-loop client is a process only while a transaction runs and
-   does not wait on seq(c); while it thinks it is one pending timer whose
-   action is [wake], the one closure the client keeps: [wake] starts
-   [client_turn] as a process in the event where a process parked in
-   [Process.delay think] would resume, so the firing order and the random
-   draws are those of one looping process.
+(* A closed-loop client that thinks is one pending timer whose action is
+   [wake], the one closure the client keeps: [wake] runs [client_turn],
+   and the turn's last continuation arms the next think timer.
 
    A session end is a time at or after 0 and is only compared, so it is
    kept as the bits of its float in an int field, which OCaml does not box
@@ -499,11 +464,10 @@ let client_turn st c =
         (now +. Rng.exponential c.client_rng ~mean:p.Params.session_time)
   end;
   let spec = Txn_gen.generate p c.client_rng in
-  run_txn st c.client_site c.client_rng ~label:c.client_label spec
-    ~next:client_think c
+  run_txn st c.client_site c.client_rng ~label:c.client_label spec (fun () ->
+      client_think st c)
 
-(* [turn] is [client_turn st], shared by every client of the run. *)
-let client_start st turn site rng () =
+let client_start st site rng () =
   let label = fresh_label st in
   let session_end =
     session_bits (Rng.exponential rng ~mean:st.cfg.params.Params.session_time)
@@ -514,27 +478,27 @@ let client_start st turn site rng () =
       client_rng = rng;
       client_label = label;
       session_end;
-      wake = (fun () -> Process.start st.eng turn c);
+      wake = (fun () -> client_turn st c);
     }
   in
   client_think st c
 
 (* --- Open-loop aggregated clients -------------------------------------------
 
-   One arrival process per site replaces its [clients] closed-loop
-   clients' think timers: transactions arrive at the rate the population
-   would offer if it never queued ({!offered_rate}), each arrival runs in a
-   short-lived process, so pending events and live continuations scale with
-   transactions in flight, not with the modeled population. Sessions are
-   modeled by a bounded pool of rotating labels: each arrival draws a slot
-   uniformly, and a slot whose session expired gets a fresh label (the
-   session-guarantee machinery sees a subsample of the real population's
-   sessions; the pool is capped so state stays bounded at millions of
-   modeled clients). *)
+   One arrival chain per site replaces its [clients] closed-loop clients'
+   think timers: transactions arrive at the rate the population would offer
+   if it never queued ({!offered_rate}), each arrival starting in a
+   zero-delay event of its own, so pending events and live continuations
+   scale with transactions in flight, not with the modeled population.
+   Sessions are modeled by a bounded pool of rotating labels: each arrival
+   draws a slot uniformly, and a slot whose session expired gets a fresh
+   label (the session-guarantee machinery sees a subsample of the real
+   population's sessions; the pool is capped so state stays bounded at
+   millions of modeled clients). *)
 
 type session_slot = { mutable slot_label : string; mutable slot_end : float }
 
-let open_loop_process st site ~clients ~arrival ~session_pool rng () =
+let open_loop st site ~clients ~arrival ~session_pool rng () =
   let p = st.cfg.params in
   let rate = offered_rate p ~clients in
   let pool_size =
@@ -558,19 +522,18 @@ let open_loop_process st site ~clients ~arrival ~session_pool rng () =
   let emit () =
     let label = pick_label (Engine.now st.eng) in
     let txn_rng = Rng.split rng in
-    Process.spawn st.eng (fun () ->
+    Engine.after st.eng ~delay:0. (fun () ->
         let spec = Txn_gen.generate p txn_rng in
-        run_txn st site txn_rng ~label spec ~next:(fun _ () -> ()) ())
+        run_txn st site txn_rng ~label spec ignore)
   in
   match arrival with
   | Poisson ->
     let mean = 1. /. rate in
-    let rec loop () =
-      Process.delay (Rng.exponential rng ~mean);
+    let rec arrive () =
       emit ();
-      loop ()
-    in
-    loop ()
+      next ()
+    and next () = Engine.after st.eng ~delay:(Rng.exponential rng ~mean) arrive in
+    next ()
   | Mmpp burst ->
     (* Two-state Markov-modulated Poisson process with equal expected dwell
        in each state, rates scaled so the long-run mean rate stays [rate]:
@@ -586,22 +549,23 @@ let open_loop_process st site ~clients ~arrival ~session_pool rng () =
     let r_lo = 2. *. rate /. (1. +. burst) in
     let in_high = ref (Rng.bernoulli rng ~p:0.5) in
     let until_switch = ref (Rng.exponential rng ~mean:dwell) in
-    let rec loop () =
+    let rec next () =
       let r = if !in_high then r_hi else r_lo in
-      let next = Rng.exponential rng ~mean:(1. /. r) in
-      if next <= !until_switch then begin
-        until_switch := !until_switch -. next;
-        Process.delay next;
-        emit ()
+      let wait = Rng.exponential rng ~mean:(1. /. r) in
+      if wait <= !until_switch then begin
+        until_switch := !until_switch -. wait;
+        Engine.after st.eng ~delay:wait arrive
       end
-      else begin
-        Process.delay !until_switch;
-        in_high := not !in_high;
-        until_switch := Rng.exponential rng ~mean:dwell
-      end;
-      loop ()
+      else Engine.after st.eng ~delay:!until_switch switch
+    and arrive () =
+      emit ();
+      next ()
+    and switch () =
+      in_high := not !in_high;
+      until_switch := Rng.exponential rng ~mean:dwell;
+      next ()
     in
-    loop ()
+    next ()
 
 (* --- Monitor probe ----------------------------------------------------------
 
@@ -824,26 +788,29 @@ let run ?history cfg =
   in
   let root = Rng.create cfg.seed in
   Monitor.attach cfg.monitor eng ~probe:(monitor_probe st);
-  Process.spawn eng (propagator_process st);
+  Engine.every eng p.Params.propagation_delay (propagate st);
   if cfg.faults <> None then
-    Array.iter (fun site -> Process.spawn eng (channel_process st site)) st.sites;
-  Array.iter (fun site -> Process.spawn eng (refresher_process st site)) st.sites;
+    Array.iter
+      (fun site -> Engine.every eng fault_tick (channel_tick st site))
+      st.sites;
+  Array.iter
+    (fun site -> Engine.after eng ~delay:0. (refresher st site))
+    st.sites;
   (match cfg.client_mode with
   | Closed_loop ->
-    let turn = client_turn st in
     Array.iter
       (fun site ->
         for _ = 1 to p.Params.clients_per_secondary do
           let rng = Rng.split root in
-          Engine.after eng ~delay:0. (client_start st turn site rng)
+          Engine.after eng ~delay:0. (client_start st site rng)
         done)
       st.sites
   | Open_loop { clients; arrival; session_pool } ->
     Array.iter
       (fun site ->
         let rng = Rng.split root in
-        Process.spawn eng
-          (open_loop_process st site ~clients ~arrival ~session_pool rng))
+        Engine.after eng ~delay:0.
+          (open_loop st site ~clients ~arrival ~session_pool rng))
       st.sites);
   Engine.run ~until:p.Params.duration eng;
   let m = st.metrics in

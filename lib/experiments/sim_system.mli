@@ -5,10 +5,13 @@
     {!Lsr_storage.Mvcc} instance — from virtual time: every site is a shared
     {!Lsr_sim.Resource} (the paper's round-robin server, modelled as
     processor sharing), clients think, start sessions and submit
-    transactions per {!Lsr_workload.Params}, each transaction running as a
-    process, the propagator is a 10-second-cycle log sniffer, and each
-    secondary runs one refresher process plus concurrent applicator
-    processes.
+    transactions per {!Lsr_workload.Params}, the propagator is a
+    10-second-cycle log sniffer, and each secondary runs one refresher plus
+    concurrent applicators. In the paper's CSIM model each of these is a
+    process; here none is a fiber. Every wait is a continuation: an
+    operation's continuation goes to {!Lsr_sim.Resource.use}, a blocked
+    read or refresh step parks one in a {!Lsr_sim.Seqcond} threshold queue,
+    and the periodic parts are {!Lsr_sim.Engine.after} timer chains.
 
     Because the data operations really execute, a run both measures
     performance and (optionally) records a {!Lsr_core.History} that the
@@ -27,15 +30,15 @@ type arrival = Poisson | Mmpp of float
 type client_mode =
   | Closed_loop
       (** the paper's model: [Params.clients_per_secondary] clients per
-          site, each thinking between transactions; one process per
-          transaction; a thinking client is one pending timer event *)
+          site, each thinking between transactions; a thinking client is
+          one pending timer event *)
   | Open_loop of { clients : int; arrival : arrival; session_pool : int }
       (** aggregated model for very large populations: one seeded arrival
-          process per site generates the stream a population of [clients]
+          chain per site generates the stream a population of [clients]
           closed-loop clients would offer ({!offered_rate}), each
-          transaction runs in a short-lived process, and session labels come
-          from a rotating pool of [session_pool] slots ([<= 0] picks
-          [min clients 4096]) *)
+          transaction starts in a zero-delay event of its own, and session
+          labels come from a rotating pool of [session_pool] slots
+          ([<= 0] picks [min clients 4096]) *)
 
 (** Which freshness fence (if any) read-only transactions carry; applies
     identically under both client modes (the fence is attached per read in

@@ -5,7 +5,8 @@
 type handle = { at : float; id : int; mutable cancelled : bool }
 
 (* Pending events live in two queues. Events scheduled with [delay = 0.]
-   (process wakes and spawns, about half of all events in a typical run) go
+   (finished jobs' continuations, released waiters and chain starts, about
+   half of all events in a typical run) go
    into the ring, a FIFO: each is stamped with the current time and the next
    seq, and the clock never runs backwards, so the ring is already sorted by
    (time, seq). Every other event goes into the heap, a monomorphic 4-ary
@@ -220,6 +221,14 @@ let insert t ~delay action =
 let after t ~delay action =
   check_delay "Engine.after" delay;
   insert t ~delay action
+
+let every t period tick =
+  check_delay "Engine.every" period;
+  let rec fire () =
+    tick ();
+    insert t ~delay:period fire
+  in
+  insert t ~delay:0. (fun () -> insert t ~delay:period fire)
 
 let schedule t ~delay action =
   check_delay "Engine.schedule" delay;

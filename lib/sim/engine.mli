@@ -8,12 +8,12 @@
 
     Pending events with a positive delay wait in a 4-ary min-heap whose
     (time, seq) keys are stored unboxed beside the events, so ordering them
-    reads no event record. Events scheduled with [delay = 0.] (process
-    wakes and spawns) skip the heap: they wait in a FIFO lane that is
-    already in (time, seq) order, and each step fires the earlier of the
-    lane's head and the heap's top. Neither structure changes the order:
-    the firing sequence is exactly that of a single (time, seq) priority
-    queue.
+    reads no event record. Events scheduled with [delay = 0.] (a finished
+    job's continuation, a released waiter, the start of an {!every} chain)
+    skip the heap: they wait in a FIFO lane that is already in (time, seq)
+    order, and each step fires the earlier of the lane's head and the
+    heap's top. Neither structure changes the order: the firing sequence is
+    exactly that of a single (time, seq) priority queue.
 
     A pending event costs its queue slot and nothing else: three words
     (unboxed time, seq, action) besides the action's own closure. Only
@@ -38,6 +38,13 @@ val now : t -> float
     slot only.
     @raise Invalid_argument if [delay] is negative or not finite. *)
 val after : t -> delay:float -> (unit -> unit) -> unit
+
+(** [every t period f] runs [f ()] every [period] seconds, forever: the
+    first time [period] after a zero-delay event that this call schedules,
+    and each later time [period] after the previous one returns. Each tick
+    costs one queue slot; the chain allocates its closures once.
+    @raise Invalid_argument if [period] is negative or not finite. *)
+val every : t -> float -> (unit -> unit) -> unit
 
 (** [schedule t ~delay f] is [after t ~delay f], and returns a handle that
     can cancel the event.

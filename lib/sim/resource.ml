@@ -6,7 +6,7 @@ type ps_job = {
   seq : int;
   ps_amount : float;
   ps_arrived : float;  (* real arrival time, for sojourn telemetry *)
-  ps_waker : unit Process.waker;
+  ps_k : unit -> unit;  (* the job's continuation *)
 }
 
 (* The resource's float state: one all-float record, which OCaml stores
@@ -112,10 +112,10 @@ let ps_reschedule t =
 let ps_complete t =
   t.completion <- None;
   ps_advance t;
-  (* Pop every job whose demand is met at the advanced virtual time and wake
-     it; ties complete in arrival order (heap order includes [seq]). A waker
-     only schedules the process's resumption, so waking inside the loop
-     fires in the same order as waking after it. *)
+  (* Pop every job whose demand is met at the advanced virtual time and
+     schedule its continuation; ties complete in arrival order (heap order
+     includes [seq]). Scheduling inside the loop fires in the same order as
+     scheduling after it. *)
   let rec drain () =
     match Binheap.peek t.ps_heap with
     | Some j when j.vfinish -. t.clock.vtime <= epsilon ->
@@ -124,29 +124,28 @@ let ps_complete t =
          this job still counted. *)
       note_completion_values t ~amount:j.ps_amount ~arrived:j.ps_arrived;
       ignore (Binheap.pop t.ps_heap);
-      j.ps_waker ();
+      Engine.after t.eng ~delay:0. j.ps_k;
       drain ()
     | Some _ | None -> ()
   in
   drain ();
   ps_reschedule t
 
-let ps_use t amount =
-  Process.suspend (fun waker ->
-      note_arrival t;
-      ps_advance t;
-      let job =
-        {
-          vfinish = t.clock.vtime +. amount;
-          seq = t.ps_seq;
-          ps_amount = amount;
-          ps_arrived = Engine.now t.eng;
-          ps_waker = waker;
-        }
-      in
-      t.ps_seq <- t.ps_seq + 1;
-      Binheap.push t.ps_heap job;
-      ps_reschedule t)
+let ps_use t amount k =
+  note_arrival t;
+  ps_advance t;
+  let job =
+    {
+      vfinish = t.clock.vtime +. amount;
+      seq = t.ps_seq;
+      ps_amount = amount;
+      ps_arrived = Engine.now t.eng;
+      ps_k = k;
+    }
+  in
+  t.ps_seq <- t.ps_seq + 1;
+  Binheap.push t.ps_heap job;
+  ps_reschedule t
 
 let create ?(name = "resource") eng =
   let now = Engine.now eng in
@@ -169,7 +168,7 @@ let create ?(name = "resource") eng =
             if c <> 0 then c else Int.compare a.seq b.seq)
           ~dummy:
             { vfinish = infinity; seq = -1; ps_amount = 0.; ps_arrived = 0.;
-              ps_waker = ignore };
+              ps_k = ignore };
       ps_seq = 0;
       completion = None;
       on_completion = (fun () -> ps_complete t);
@@ -181,13 +180,13 @@ let create ?(name = "resource") eng =
   in
   t
 
-let use t amount =
+let use t amount k =
   if not (Float.is_finite amount) || amount < 0. then
     invalid_arg "Resource.use: amount must be finite and non-negative";
   (* A zero-amount job still joins the server: its finish virtual time is
      the current one, so its completion event fires at this instant, after
      the events already queued for it, and moves no other job's finish. *)
-  ps_use t amount
+  ps_use t amount k
 
 let load t =
   (* Exclude jobs whose fluid share has already finished their work but

@@ -22,12 +22,15 @@ type t
     ["resource"]) labels the telemetry. *)
 val create : ?name:string -> Engine.t -> t
 
-(** [use t amount] consumes [amount] seconds of service, blocking the calling
-    process until the job completes. Must be called from within a process.
-    A zero [amount] completes at its arrival instant, after the events
+(** [use t amount k] submits a job of [amount] seconds of service and
+    returns at once; [k ()] runs when the job completes. It never runs
+    inside [use] or inside the event that completes the job: completion
+    schedules [k] as a zero-delay event of its own, so a job finishing at
+    the same instant as other events runs after those already queued. A
+    zero [amount] completes at its arrival instant, after the events
     already queued for that instant, and moves no other job's finish time.
     @raise Invalid_argument if [amount] is negative or not finite. *)
-val use : t -> float -> unit
+val use : t -> float -> (unit -> unit) -> unit
 
 (** Jobs currently in service. Jobs whose fluid share has already exhausted
     their demand but whose completion event has not fired yet (it is

@@ -1,7 +1,7 @@
 (** Deterministic pseudo-random streams for simulation.
 
     SplitMix64 generator: tiny state, good statistical quality, and cheap
-    {!split}ting so each simulated process can own an independent stream —
+    {!split}ting so each simulated client can own an independent stream —
     replications then differ only in the root seed, which keeps experiments
     reproducible and lets variance-reduction comparisons share streams. *)
 

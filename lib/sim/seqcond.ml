@@ -36,8 +36,7 @@ let park t ~threshold k =
    since it was parked. *)
 let resume t w () =
   let need = w.threshold () in
-  if need <= t.level then Process.start t.eng w.k ()
-  else push t need w.threshold w.k
+  if need <= t.level then w.k () else push t need w.threshold w.k
 
 let advance t v =
   if v > t.level then begin

@@ -9,8 +9,8 @@
     re-checking every waiter's predicate on every signal is quadratic when
     thousands of readers block per advance of the level (the
     session-blocking herd at bench scale). A waiter is a parked
-    continuation, not a suspended process: it holds its closure and a heap
-    slot, and no fiber or stack.
+    continuation: it holds its closure and a heap slot, and no fiber or
+    stack.
 
     The threshold is a function: it is re-evaluated after every wake-up and
     the continuation parks again if the (possibly risen) threshold is still
@@ -27,9 +27,8 @@ val level : t -> int
 
 (** [park t ~threshold k] runs [k ()] once [threshold () <= level t]: now,
     in the caller, if that holds already; otherwise the caller returns and
-    [k] runs as a process ({!Process.start}) in the zero-delay event that
-    the satisfying {!advance} schedules, where a suspended process would
-    resume. Waiters satisfied by the same {!advance} run in threshold
+    [k] runs in the zero-delay event that the satisfying {!advance}
+    schedules. Waiters satisfied by the same {!advance} run in threshold
     order, then registration order (deterministic). *)
 val park : t -> threshold:(unit -> int) -> (unit -> unit) -> unit
 

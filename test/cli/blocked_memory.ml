@@ -11,8 +11,9 @@
 
    Measured on a 2-vCPU x86-64 Linux guest, 3 runs each: about 5,200 B
    per blocked read (27.0 MB in all) when each blocked read held its
-   process, about 3,550 B (18.4 MB) once it parks as a continuation. The
-   bound sits between the two.
+   process, about 3,550 B (18.4 MB) once it parks as a continuation, and
+   about 3,340 B (17.3 MB) once no transaction runs as a fiber. The bound
+   sits between the first two.
 
    Prints a skip line and exits 0 where /proc/self/status is unreadable. *)
 

@@ -5,7 +5,7 @@
    still thinking at the end) and fails when the growth of the resident-set
    high-water mark across the run, per client, reaches [bound_bytes]. A
    client parked in a long-lived process costs about 1.2 kB here; one that
-   waits on a timer whose action is its own reused closure about 0.35 kB.
+   waits on a timer whose action is its own reused closure about 0.31 kB.
 
    Prints a skip line and exits 0 where /proc/self/status is unreadable. *)
 

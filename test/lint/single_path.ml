@@ -9,13 +9,13 @@
    and per refresh commit and hands to the driver's hooks. Every log
    record has a reader: only [Primary] creates a log, and only the two
    drivers, which know when no reader is left behind the propagation
-   cursor, truncate it. Only [Resource], whose waits are short, suspends a
-   process: every other wait parks a continuation in a [Seqcond] threshold
-   queue or a timer, and holds no fiber. A postmortem
-   capture has two triggers: the watchdog's first alert and the
-   simulator's failed checker battery. Only the two verdicts, [Checker]
-   and [Watchdog], map a guarantee to the inversion level it forbids;
-   everyone else reads their verdicts.
+   cursor, truncate it. No simulated process is a fiber: every wait passes
+   a continuation to [Resource.use], a [Seqcond] threshold queue or a
+   timer, so no library module but [Process] itself names [Process] or
+   [Effect]. A postmortem capture has two triggers: the watchdog's first
+   alert and the simulator's failed checker battery. Only the two
+   verdicts, [Checker] and [Watchdog], map a guarantee to the inversion
+   level it forbids; everyone else reads their verdicts.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -37,7 +37,7 @@ let rules =
     ( [ "system.ml"; "sim_system.ml" ],
       "System / Sim_system",
       [ "Wal.truncate_before" ] );
-    ([ "resource.ml" ], "Resource", [ "Process.suspend" ]);
+    ([ "process.ml" ], "Process", [ "Process"; "Effect" ]);
     ( [ "watchdog.ml"; "sim_system.ml" ],
       "Watchdog / Sim_system",
       [ "Flight.trigger" ] );

@@ -15,8 +15,12 @@ let si_safe h =
     dirty_writes h = [] && dirty_reads h = [] && fuzzy_reads h = []
     && phantoms h = [] && lost_updates h = [])
 
-let may_read ?fence ?clock ?now mgr ~label ~seq_dbsec =
-  Timestamp.compare (Session.required_seq ?fence ?clock ?now mgr ~label) seq_dbsec <= 0
+(* The read's threshold as a driver evaluates it at submission. *)
+let required ?fence ?(clock = Session.clock_create ()) ?(now = 0.) mgr ~label =
+  Session.read_threshold ?fence mgr ~clock ~now ~label ()
+
+let may_read ?fence mgr ~label ~seq_dbsec =
+  Timestamp.compare (required ?fence mgr ~label) seq_dbsec <= 0
 let check_int = Alcotest.(check int)
 let check_str_opt = Alcotest.(check (option string))
 
@@ -789,26 +793,26 @@ let prop_clock_freshness_matches_model =
       Session.clock_freshness c ~snapshot ~now = model commits ~snapshot ~now)
 
 let test_fence_raises_weak_floor () =
-  (* A fence is additive to the ambient guarantee: under Weak, required_seq
-     is the fence's threshold alone; a Session_seq fence reduces exactly to
+  (* A fence is additive to the ambient guarantee: under Weak, the read's
+     threshold is the fence's alone; a Session_seq fence reduces exactly to
      the strong-session requirement. *)
   let mgr = Session.create Session.Weak in
   Session.note_update_commit mgr ~label:"c" ~commit_ts:10;
   check_int "weak alone requires nothing" Timestamp.zero
-    (Session.required_seq mgr ~label:"c");
+    (required mgr ~label:"c");
   check_int "exact fence requires its ts" 17
-    (Session.required_seq ~fence:(Session.Exact 17) mgr ~label:"c");
+    (required ~fence:(Session.Exact 17) mgr ~label:"c");
   check_int "session fence = strong-session requirement" 10
-    (Session.required_seq ~fence:Session.Session_seq mgr ~label:"c");
+    (required ~fence:Session.Session_seq mgr ~label:"c");
   check_bool "fenced read blocked on stale copy" false
     (may_read ~fence:Session.Session_seq mgr ~label:"c" ~seq_dbsec:5);
   (* A Session_seq-fenced read raises the session's read floor even under
      Weak, so later Session_seq reads never move backwards. *)
   Session.note_read ~fence:Session.Session_seq mgr ~label:"c" ~snapshot:12;
   check_int "session fence floor ratchets" 12
-    (Session.required_seq ~fence:Session.Session_seq mgr ~label:"c");
+    (required ~fence:Session.Session_seq mgr ~label:"c");
   check_int "guarantee alone still requires nothing" Timestamp.zero
-    (Session.required_seq mgr ~label:"c")
+    (required mgr ~label:"c")
 
 let test_fence_max_age_threshold () =
   let mgr = Session.create Session.Weak in
@@ -816,14 +820,19 @@ let test_fence_max_age_threshold () =
   Session.clock_note clock ~commit_ts:3 ~at:10.;
   Session.clock_note clock ~commit_ts:8 ~at:50.;
   check_int "horizon at now-5" 3
-    (Session.fence_threshold mgr ~clock ~now:40. ~label:"c" (Session.Max_age 5.));
+    (required ~fence:(Session.Max_age 5.) ~clock ~now:40. mgr ~label:"c");
   check_int "tight bound reaches the newest commit" 8
-    (Session.fence_threshold mgr ~clock ~now:50. ~label:"c" (Session.Max_age 0.));
-  check_bool "Max_age without a clock is a programming error" true
-    (try
-       ignore (Session.fence_threshold mgr ~label:"c" (Session.Max_age 1.));
-       false
-     with Invalid_argument _ -> true)
+    (required ~fence:(Session.Max_age 0.) ~clock ~now:50. mgr ~label:"c");
+  (* The horizon is resolved at submission; the guarantee's part stays
+     live. *)
+  let mgr = Session.create Session.Prefix_consistent in
+  let threshold =
+    Session.read_threshold ~fence:(Session.Max_age 5.) mgr ~clock ~now:40.
+      ~label:"c"
+  in
+  check_int "the horizon alone" 3 (threshold ());
+  Session.note_update_commit mgr ~label:"c" ~commit_ts:9;
+  check_int "the guarantee's part read at each call" 9 (threshold ())
 
 (* --- Checker ------------------------------------------------------------------------ *)
 
