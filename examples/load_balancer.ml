@@ -38,7 +38,7 @@ let scenario guarantee =
       let rec run () =
         match Secondary.applicator_step lagging app with
         | Secondary.Committed _ -> ()
-        | Secondary.Applied _ | Secondary.Waiting_commit -> run ()
+        | Secondary.Waiting_commit -> run ()
         | Secondary.Done -> ()
       in
       run ()

@@ -11,9 +11,9 @@
     multi-shard snapshot), and emits a routing plan: which shards each
     template touches and whether it is single- or cross-shard.
 
-    This is the static half of ROADMAP item 2 (partial replication):
-    per-shard sequence vectors only work if the planner can say which
-    templates stay single-shard. *)
+    This is the static half of ROADMAP's deferred "sharded primaries"
+    direction: per-shard sequence vectors only work if the planner can say
+    which templates stay single-shard. *)
 
 type atom = {
   table : string;

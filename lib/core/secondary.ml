@@ -4,16 +4,11 @@ module Txns = Hashtbl.Make (Int)
 exception Refresh_conflict of { txn : int; key : string }
 exception Commit_without_start of { txn : int }
 
-type applicator_phase =
-  | Applying of Wal.update list  (* updates not yet executed *)
-  | Awaiting_commit
-  | Committed_phase
-
 type applicator = {
   primary_txn : int;
   commit_ts : Timestamp.t;
-  refresh : Mvcc.txn;
-  mutable phase : applicator_phase;
+  refresh : Mvcc.txn;  (* holds every update, buffered since dispatch *)
+  mutable committed : bool;
 }
 
 type t = {
@@ -116,9 +111,12 @@ let refresher_step t =
       | None -> raise (Commit_without_start { txn })
     in
     Txns.remove t.refresh_txns txn;
-    let app =
-      { primary_txn = txn; commit_ts; refresh; phase = Applying updates }
-    in
+    (* Buffered in the uncommitted refresh txn, so nobody sees them before
+       the commit. *)
+    List.iter
+      (fun { Wal.key; value } -> Mvcc.write t.db refresh key value)
+      updates;
+    let app = { primary_txn = txn; commit_ts; refresh; committed = false } in
     Queue.add app t.applicators;
     note_pending t;
     Dispatched app
@@ -132,30 +130,18 @@ let refresher_step t =
     Lsr_obs.Obs.incr t.c_aborted;
     Aborted txn
 
-type applicator_outcome =
-  | Applied of Wal.update
-  | Waiting_commit
-  | Committed of Timestamp.t
-  | Done
+type applicator_outcome = Waiting_commit | Committed of Timestamp.t | Done
 
 let applicator_step t app =
-  match app.phase with
-  | Committed_phase -> Done
-  | Applying [] ->
-    app.phase <- Awaiting_commit;
-    Waiting_commit
-  | Applying (update :: rest) ->
-    Mvcc.write t.db app.refresh update.Wal.key update.Wal.value;
-    app.phase <- (match rest with [] -> Awaiting_commit | _ -> Applying rest);
-    Applied update
-  | Awaiting_commit -> (
+  if app.committed then Done
+  else
     match Queue.peek_opt t.applicators with
     | Some head when head == app -> (
       match Mvcc.commit t.db app.refresh with
       | Mvcc.Committed _local_ts ->
         ignore (Queue.pop t.applicators);
         note_pending t;
-        app.phase <- Committed_phase;
+        app.committed <- true;
         t.seq_dbsec <- app.commit_ts;
         if Lsr_obs.Sinks.tracing t.sinks then
           Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn:app.primary_txn
@@ -167,31 +153,28 @@ let applicator_step t app =
         raise (Refresh_conflict { txn = app.primary_txn; key })
       | Mvcc.Aborted Mvcc.Forced ->
         raise (Refresh_conflict { txn = app.primary_txn; key = "<forced>" }))
-    | Some _ | None -> Waiting_commit)
+    | Some _ | None -> Waiting_commit
 
 let applicator_commit_ts app = app.commit_ts
 let applicator_local_start app = Mvcc.start_ts app.refresh
 let active_applicators t = List.of_seq (Queue.to_seq t.applicators)
 
-(* Run the refresher as far as it can go, then give every active applicator
-   one full pass; repeat while anything moved. *)
+(* Run the refresher until it blocks on the pending queue, then commit the
+   whole queue (its head can always commit); stop once it is idle. *)
 let drain t =
-  let rec refresh moved =
-    match refresher_step t with
-    | Started _ | Dispatched _ | Aborted _ -> refresh true
-    | Blocked_on_pending | Idle -> moved
-  in
-  let rec apply (moved, committed) app =
-    match applicator_step t app with
-    | Applied _ -> apply (true, committed) app
-    | Committed _ -> (true, committed + 1)
-    | Waiting_commit | Done -> (moved, committed)
+  let rec commit_all committed =
+    match Queue.peek_opt t.applicators with
+    | None -> committed
+    | Some app -> (
+      match applicator_step t app with
+      | Committed _ -> commit_all (committed + 1)
+      | Waiting_commit | Done -> assert false (* the head commits or raises *))
   in
   let rec loop committed =
-    let moved = refresh false in
-    match List.fold_left apply (moved, committed) (active_applicators t) with
-    | true, committed -> loop committed
-    | false, committed -> committed
+    match refresher_step t with
+    | Started _ | Dispatched _ | Aborted _ -> loop committed
+    | Blocked_on_pending -> loop (commit_all committed)
+    | Idle -> commit_all committed
   in
   loop 0
 

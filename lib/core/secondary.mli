@@ -11,15 +11,15 @@
       a refresh transaction starts only after every refresh transaction whose
       primary counterpart committed before this one started has committed
       locally);
-    - a {e commit} record hands the update list to an applicator at the
-      tail of the pending queue;
+    - a {e commit} record writes its updates into the refresh transaction,
+      where they stay buffered and unseen until its commit, and hands it to
+      an applicator at the tail of the pending queue;
     - an {e abort} record discards the refresh transaction.
 
-    An applicator executes its transaction's updates (concurrently with other
-    applicators), then waits until it reaches the head of the pending queue
-    before committing — enforcing relationship 3 (local commits in primary
-    commit order). Committing pops it and advances [seq(DBsec)], the
-    sequence number used by ALG-STRONG-SESSION-SI.
+    An applicator commits once it heads the pending queue — enforcing
+    relationship 3 (local commits in primary commit order). Committing pops
+    it and advances [seq(DBsec)], the sequence number used by
+    ALG-STRONG-SESSION-SI.
 
     The module is a pure state machine: each transition is a [*_step]
     function, so the embedded system can drain it synchronously while the
@@ -82,7 +82,8 @@ val reseed_seq : t -> Timestamp.t -> unit
 type refresher_outcome =
   | Started of int  (** opened the refresh transaction for this primary txn *)
   | Dispatched of applicator
-      (** commit record consumed; an applicator now owns the refresh txn *)
+      (** commit record consumed and its updates written into the refresh
+          txn; an applicator now owns it *)
   | Aborted of int  (** abort record consumed *)
   | Blocked_on_pending
       (** head is a start record but the pending queue is not empty *)
@@ -96,13 +97,13 @@ val refresher_step : t -> refresher_outcome
 (** {2 Applicator (Algorithm 3.3)} *)
 
 type applicator_outcome =
-  | Applied of Wal.update  (** executed one update inside the refresh txn *)
-  | Waiting_commit
-      (** all updates executed; not yet at the pending-queue head *)
+  | Waiting_commit  (** not yet at the pending-queue head *)
   | Committed of Timestamp.t
       (** refresh transaction committed; value is the primary commit ts *)
   | Done  (** already committed earlier *)
 
+(** One commit attempt: the applicator commits if it heads the pending
+    queue. *)
 val applicator_step : t -> applicator -> applicator_outcome
 
 (** Commit timestamp an applicator installs. *)
@@ -119,7 +120,7 @@ val active_applicators : t -> applicator list
 
 (** {2 Synchronous drain (embedded mode)} *)
 
-(** [drain t] runs refresher and applicator steps until no progress is
+(** [drain t] runs refresher steps and commits until no progress is
     possible (update queue empty or waiting for records not yet received).
     Returns the number of refresh transactions committed. *)
 val drain : t -> int
@@ -131,6 +132,6 @@ val update_queue_length : t -> int
 (** Length of the pending queue ({!active_applicators}). *)
 val pending_queue_length : t -> int
 
-(** Head of the update queue, without consuming it (the simulator inspects
-    abort records for their wasted-work payload before stepping). *)
+(** Head of the update queue, without consuming it (the simulator reads the
+    updates or wasted work it must charge for before stepping). *)
 val peek_update : t -> Txn_record.t option

@@ -4,7 +4,7 @@
 
     - a {e resource ranking}: every site resource sorted by utilization ρ
       (ties by name), with its share of all queueing wait, time-average
-      queue length L, completion throughput λ and Little's-law gap — the
+      queue length L, transaction throughput λ and Little's-law gap — the
       head of the list is the dominant (saturating) resource;
     - a {e residence-time breakdown} per transaction class (read / update):
       the mean response time split into measured or by-construction
@@ -26,7 +26,7 @@ type rank = {
       (** this resource's total queueing wait over the sum across all
           resources (0 when nothing ever waited) *)
   bn_queue_mean : float;  (** L, time-average jobs present *)
-  bn_throughput : float;  (** λ, completions per virtual second *)
+  bn_throughput : float;  (** λ, transactions served per virtual second *)
   bn_littles_gap : float;  (** relative [|L − λ·W|] self-check *)
 }
 

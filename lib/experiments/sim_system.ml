@@ -168,16 +168,22 @@ let make_site eng rs session_conds index =
 
 (* --- Refresher and applicator (Algorithms 3.2 / 3.3) ----------------------- *)
 
+(* One processor-sharing job of [n] operations, then [k ()]; none when
+   [n = 0]. A transaction present without a break from its first operation
+   to its last gets the same share as a chain of per-operation jobs, so the
+   one job finishes at the instant the chain would. *)
+let serve st res n k =
+  if n = 0 then k ()
+  else Resource.use res (float_of_int n *. st.cfg.params.Params.op_service_time) k
+
 (* [after] is the commit ts of the refresh dispatched just before [app]:
    once seq(DBsec) reaches it, [app] heads the pending queue. [k] runs once
    [app] has committed. *)
-let run_applicator st site app ~after k =
-  let p = st.cfg.params in
-  let rec go () =
+let run_applicator st site app ~writes ~after k =
+  let rec commit () =
     match Secondary.applicator_step site.sec app with
-    | Secondary.Applied _ -> Resource.use site.res p.Params.op_service_time go
     | Secondary.Waiting_commit ->
-      Seqcond.park site.commit_order ~threshold:(fun () -> after) go
+      Seqcond.park site.commit_order ~threshold:(fun () -> after) commit
     | Secondary.Committed ts ->
       (* seq(DBsec), the readers' threshold queue and the staleness tally
          already advanced inside [applicator_step] (the [on_refresh_commit]
@@ -186,34 +192,35 @@ let run_applicator st site app ~after k =
       k ()
     | Secondary.Done -> k ()
   in
-  go ()
+  serve st site.res writes commit
 
 (* The refresher ends on an empty update queue; whatever enqueues records
    next starts it again ({!wake_refresher}). *)
 let refresher st site () =
-  let p = st.cfg.params in
   let rec loop () =
-    let head = Secondary.peek_update site.sec in
+    (* The operations the head record costs: a refresh's writes, or the
+       aborted work the eager-propagation ablation ships and pays for. *)
+    let ops =
+      match Secondary.peek_update site.sec with
+      | Some
+          ( Txn_record.Commit_rec { updates = l; _ }
+          | Txn_record.Abort_rec { wasted = l; _ } ) -> List.length l
+      | Some (Txn_record.Start_rec _) | None -> 0
+    in
     match Secondary.refresher_step site.sec with
     | Secondary.Started _ -> loop ()
-    | Secondary.Aborted _ -> (
-      (* The eager-propagation ablation pays for the aborted transaction's
-         updates before discarding them. *)
-      match head with
-      | Some (Txn_record.Abort_rec { wasted; _ }) when wasted <> [] ->
-        let n = List.length wasted in
-        Resource.use site.res (float_of_int n *. p.Params.op_service_time)
-          (fun () ->
-            Metrics.note_wasted_ops st.metrics ~now:(Engine.now st.eng) n;
-            loop ())
-      | Some _ | None -> loop ())
+    | Secondary.Aborted _ ->
+      serve st site.res ops (fun () ->
+          Metrics.note_wasted_ops st.metrics ~now:(Engine.now st.eng) ops;
+          loop ())
     | Secondary.Dispatched app ->
       let after = site.last_dispatched in
       site.last_dispatched <- Secondary.applicator_commit_ts app;
-      if st.cfg.serial_refresh then run_applicator st site app ~after loop
+      if st.cfg.serial_refresh then
+        run_applicator st site app ~writes:ops ~after loop
       else begin
         Engine.after st.eng ~delay:0. (fun () ->
-            run_applicator st site app ~after ignore);
+            run_applicator st site app ~writes:ops ~after ignore);
         loop ()
       end
     | Secondary.Blocked_on_pending ->
@@ -284,12 +291,25 @@ let note_completion st ~t0 ~is_update =
   let now = Engine.now st.eng in
   Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
 
+(* Runs [ops] in [txn]; the values read, in operation order, when [track]. *)
+let run_ops db txn ~track ops =
+  let run reads = function
+    | Txn_gen.Read_op key ->
+      let v = Mvcc.read db txn key in
+      if track then (key, v) :: reads else reads
+    | Txn_gen.Write_op (key, value) ->
+      Mvcc.write db txn key (Some value);
+      reads
+  in
+  List.rev (List.fold_left run [] ops)
+
 (* An update submitted at [t0], retried until it commits, then [k ()]. *)
 let execute_update st rng label spec ~t0 k =
   let p = st.cfg.params in
   let primary = Replica_set.primary st.rs in
   let db = Primary.db primary in
-  let track_reads = Replica_set.tracking st.rs in
+  let track = Replica_set.tracking st.rs in
+  let ops = spec.Txn_gen.ops in
   (* One token for the whole retry loop: only the committed attempt becomes
      a transaction. *)
   let txn = Replica_set.begin_update st.rs ~session:label in
@@ -299,23 +319,13 @@ let execute_update st rng label spec ~t0 k =
        after them. *)
     let force_abort = Rng.bernoulli rng ~p:p.Params.abort_prob in
     let ptxn = Primary.start primary in
-    let rec ops reads = function
-      | op :: rest ->
-        Resource.use st.primary_res p.Params.op_service_time (fun () ->
-            match op with
-            | Txn_gen.Read_op key ->
-              let v = Mvcc.read db ptxn.Primary.mvcc key in
-              ops (if track_reads then (key, v) :: reads else reads) rest
-            | Txn_gen.Write_op (key, value) ->
-              Mvcc.write db ptxn.Primary.mvcc key (Some value);
-              ops reads rest)
-      | [] -> (
+    serve st st.primary_res (List.length ops) (fun () ->
+        let reads = run_ops db ptxn.Primary.mvcc ~track ops in
         match Primary.finish primary ~force_abort ptxn () with
         | Primary.Committed _ as outcome ->
           (* Nothing runs between the primary commit and here, so the core
              sees commits in commit-timestamp order. *)
-          Replica_set.finish_update st.rs txn ~session:label
-            ~reads:(List.rev reads) outcome;
+          Replica_set.finish_update st.rs txn ~session:label ~reads outcome;
           note_completion st ~t0 ~is_update:true;
           k ()
         | Primary.Aborted (Mvcc.Write_conflict _) ->
@@ -326,15 +336,12 @@ let execute_update st rng label spec ~t0 k =
         | Primary.Aborted Mvcc.Forced ->
           Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
           attempt ())
-    in
-    ops [] spec.Txn_gen.ops
   in
   attempt ()
 
 (* A read from its snapshot to its completion, then [k ()]; run once the
    site's seq(DBsec) has reached [required ()]. *)
 let run_read ?fence st site label spec ~read_at ~required ~t0 k =
-  let p = st.cfg.params in
   let sdb = Secondary.db site.sec in
   let snapshot = Secondary.seq_dbsec site.sec in
   (* The seq floor this read is held to (-1 = unfenced), recorded so replay
@@ -349,24 +356,15 @@ let run_read ?fence st site label spec ~read_at ~required ~t0 k =
     Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
       ~snapshot
   in
-  let track_reads = Replica_set.tracking st.rs in
   let mtxn = Mvcc.begin_txn sdb in
-  let rec ops reads = function
-    | op :: rest ->
-      Resource.use site.res p.Params.op_service_time (fun () ->
-          match op with
-          | Txn_gen.Read_op key ->
-            let v = Mvcc.read sdb mtxn key in
-            ops (if track_reads then (key, v) :: reads else reads) rest
-          | Txn_gen.Write_op _ -> assert false (* read-only by construction *))
-    | [] ->
+  let ops = spec.Txn_gen.ops in
+  serve st site.res (List.length ops) (fun () ->
+      let reads = run_ops sdb mtxn ~track:(Replica_set.tracking st.rs) ops in
       Mvcc.end_read sdb mtxn;
       Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.index
-        ~snapshot ~read_at ~fence_seq ~reads:(List.rev reads);
+        ~snapshot ~read_at ~fence_seq ~reads;
       note_completion st ~t0 ~is_update:false;
-      k ()
-  in
-  ops [] spec.Txn_gen.ops
+      k ())
 
 (* A read submitted at [t0], then [k ()]. *)
 let execute_read ?fence st site label spec ~t0 k =

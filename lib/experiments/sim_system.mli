@@ -8,10 +8,12 @@
     transactions per {!Lsr_workload.Params}, the propagator is a
     10-second-cycle log sniffer, and each secondary runs one refresher plus
     concurrent applicators. In the paper's CSIM model each of these is a
-    process; here none is a fiber. Every wait is a continuation: an
-    operation's continuation goes to {!Lsr_sim.Resource.use}, a blocked
-    read or refresh step parks one in a {!Lsr_sim.Seqcond} threshold queue,
-    and the periodic parts are {!Lsr_sim.Engine.after} timer chains.
+    process; here none is a fiber. Every wait is a continuation: a
+    transaction's goes to {!Lsr_sim.Resource.use} as one job for all its
+    operations (as exact under processor sharing as one per operation), a
+    blocked read or refresh commit parks one in a {!Lsr_sim.Seqcond}
+    threshold queue, and the periodic parts are {!Lsr_sim.Engine.after}
+    timer chains.
 
     Because the data operations really execute, a run both measures
     performance and (optionally) records a {!Lsr_core.History} that the
@@ -157,16 +159,17 @@ val offered_rate : Params.t -> clients:int -> float
 (** End-of-run queueing telemetry of one {!Lsr_sim.Resource} (the primary
     or one secondary site), read at the instant the run stops — busy time
     and the queue-length integral are pro-rated, so ρ and L are exact even
-    with jobs still in service. *)
+    with jobs still in service. A job is one transaction: an update attempt
+    at the primary, a read or a refresh with writes at a secondary. *)
 type resource_report = {
   res_site : string;  (** resource name: ["primary"] or the site name *)
   res_utilization : float;  (** ρ = busy time / elapsed time *)
-  res_throughput : float;  (** λ = completions / elapsed time *)
+  res_throughput : float;  (** λ = transactions served / elapsed time *)
   res_arrivals : int;
   res_completions : int;
   res_wait_mean : float;  (** mean time queued before/besides service *)
   res_wait_total : float;
-  res_service_mean : float;  (** mean service demand per job *)
+  res_service_mean : float;  (** mean demand per transaction: ops × op time *)
   res_service_total : float;
   res_queue_mean : float;  (** L = time-average number of jobs present *)
   res_littles_gap : float;

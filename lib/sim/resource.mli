@@ -14,7 +14,8 @@
     arrival and completion counts, waiting-time and service-time tallies, a
     time-weighted queue-length integral and exactly pro-rated busy time —
     all correct at {e any} read instant, not just after a completion event,
-    so a periodic monitor can sample them mid-run. *)
+    so a periodic monitor can sample them mid-run. The simulator's jobs are
+    whole transactions, so these counts and tallies are per transaction. *)
 
 type t
 

@@ -285,7 +285,7 @@ let test_refresher_blocks_start_on_pending () =
   let rec finish () =
     match Secondary.applicator_step sec app with
     | Secondary.Committed _ -> ()
-    | Secondary.Applied _ | Secondary.Waiting_commit -> finish ()
+    | Secondary.Waiting_commit -> finish ()
     | Secondary.Done -> ()
   in
   finish ();
@@ -321,16 +321,11 @@ let test_applicators_commit_in_primary_order () =
   check_int "two applicators" 2 (List.length apps);
   let r1 = List.find (fun a -> Secondary.applicator_commit_ts a = ts1) apps in
   let r2 = List.find (fun a -> Secondary.applicator_commit_ts a = ts2) apps in
-  (* Drive R2 to completion of its work: it must wait for R1. *)
-  let rec drive app =
-    match Secondary.applicator_step sec app with
-    | Secondary.Applied _ -> drive app
-    | other -> other
-  in
-  (match drive r2 with
+  (* R2's updates are already written: its commit must wait for R1. *)
+  (match Secondary.applicator_step sec r2 with
   | Secondary.Waiting_commit -> ()
   | _ -> Alcotest.fail "R2 must wait for R1's commit");
-  (match drive r1 with
+  (match Secondary.applicator_step sec r1 with
   | Secondary.Committed ts -> Alcotest.(check int) "R1 commits first" ts1 ts
   | _ -> Alcotest.fail "R1 should commit");
   match Secondary.applicator_step sec r2 with
@@ -463,7 +458,7 @@ let prop_refresh_ordering_relationships =
               incr order;
               Hashtbl.replace local pts
                 (Secondary.applicator_local_start app, !order)
-            | Secondary.Applied _ | Secondary.Waiting_commit -> run ()
+            | Secondary.Waiting_commit -> run ()
             | Secondary.Done -> ()
           in
           run ();
@@ -507,19 +502,24 @@ let prop_refresh_ordering_relationships =
    path, and no path may raise Refresh_conflict. Each path re-executes the
    schedule from scratch, choosing the [n]th enabled action at each point. *)
 let test_exhaustive_interleavings () =
-  (* Schedule: T1 and T2 concurrent with disjoint writesets, then T3
-     sequential after both — exercises both the pending-queue blocking and
-     concurrent applicators. *)
+  (* Schedule: T1, T2 and T3 concurrent with disjoint writesets, then T4
+     sequential after them — exercises both the pending-queue blocking and
+     concurrent applicators. An applicator step is one commit attempt, so
+     three concurrent refreshes are what give the schedule room to
+     interleave. *)
   let build_primary () =
     let primary = Primary.create () in
     let db = Primary.db primary in
     let t1 = Mvcc.begin_txn db in
     let t2 = Mvcc.begin_txn db in
+    let t3 = Mvcc.begin_txn db in
     Mvcc.write db t1 "x" (Some "t1");
     Mvcc.write db t2 "y" (Some "t2");
+    Mvcc.write db t3 "w" (Some "t3");
     ignore (commit_exn db t1);
     ignore (commit_exn db t2);
-    ignore (update_at primary [ ("x", Some "t3"); ("z", Some "t3") ]);
+    ignore (commit_exn db t3);
+    ignore (update_at primary [ ("x", Some "t4"); ("z", Some "t4") ]);
     primary
   in
   let reference = Mvcc.committed_state (Primary.db (build_primary ())) in
@@ -574,7 +574,7 @@ let test_exhaustive_interleavings () =
                 () (* its turn: stepping again will commit *)
               | _ -> blocked := app :: !blocked);
               go rest
-            | Secondary.Applied _ | Secondary.Done -> go rest)))
+            | Secondary.Done -> go rest)))
     in
     match go choices with
     | `Done commits ->
@@ -598,7 +598,9 @@ let test_exhaustive_interleavings () =
       done
   in
   explore [];
-  check_bool "explored many interleavings" true (!explored >= 10)
+  check_bool
+    (Printf.sprintf "explored many interleavings (%d)" !explored)
+    true (!explored >= 10)
 
 let test_pretty_printers () =
   let contains needle haystack =
@@ -2300,7 +2302,7 @@ let migration_scenario guarantee =
       let rec drive () =
         match Secondary.applicator_step lagging app with
         | Secondary.Committed _ -> ()
-        | Secondary.Applied _ | Secondary.Waiting_commit -> drive ()
+        | Secondary.Waiting_commit -> drive ()
         | Secondary.Done -> ()
       in
       drive ()

@@ -179,27 +179,30 @@ let fingerprint (o : Sim_system.outcome) =
    before the first propagation cycle, so each shape is pinned a second
    time over 2 virtual seconds, which also covers propagation and refresh.
    The quantiles are histogram bucket midpoints: each has the top 6
-   mantissa bits of the exact nearest-rank sample, then a set bit. *)
+   mantissa bits of the exact nearest-rank sample, then a set bit.
+   The event counts and the utilization's last bits last moved when a
+   transaction became one processor-sharing job (one sum of k·d instead of
+   k sums of d); the counts and quantiles did not. *)
 let expected_fingerprints =
   [
     ( "open-weak",
-      "events=62021 reads=1849 updates=421 refresh=0 rt95=0x1.f6p-17 \
-       age95=0x1.eap-2 util=0x1.6798958d886dap-7" );
+      "events=11323 reads=1849 updates=421 refresh=0 rt95=0x1.f6p-17 \
+       age95=0x1.eap-2 util=0x1.6798958d9b49dp-7" );
     ( "closed-session",
-      "events=24134 reads=434 updates=98 refresh=0 rt95=0x1.f6p-17 \
-       age95=0x1.eap-2 util=0x1.48ba83f4dad81p-9" );
+      "events=12028 reads=434 updates=98 refresh=0 rt95=0x1.f6p-17 \
+       age95=0x1.eap-2 util=0x1.48ba83f4ec77cp-9" );
     ( "verified-session",
-      "events=27568 reads=1774 updates=421 refresh=0 rt95=0x1.92p-18 \
-       age95=0x1.eap-2 util=0x1.1dffc5478e0bcp-8" );
+      "events=11166 reads=1774 updates=421 refresh=0 rt95=0x1.92p-18 \
+       age95=0x1.eap-2 util=0x1.1dffc5479cc2dp-8" );
     ( "open-weak@2s",
-      "events=269531 reads=8745 updates=2134 refresh=2278 rt95=0x1.f6p-17 \
-       age95=0x1.eap-1 util=0x1.737110e41c436p-7" );
+      "events=54905 reads=8745 updates=2134 refresh=2278 rt95=0x1.f6p-17 \
+       age95=0x1.eap-1 util=0x1.737110e453a27p-7" );
     ( "closed-session@2s",
-      "events=74751 reads=2167 updates=546 refresh=562 rt95=0x1.f6p-17 \
-       age95=0x1.eap-1 util=0x1.7c2ca1487f86p-9" );
+      "events=20862 reads=2167 updates=546 refresh=562 rt95=0x1.f6p-17 \
+       age95=0x1.eap-1 util=0x1.7c2ca148ba4dfp-9" );
     ( "verified-session@2s",
-      "events=129379 reads=8677 updates=2134 refresh=3344 rt95=0x1.92p-18 \
-       age95=0x1.e6p-2 util=0x1.28b6d86e94f2fp-8" );
+      "events=59101 reads=8677 updates=2134 refresh=3344 rt95=0x1.92p-18 \
+       age95=0x1.e6p-2 util=0x1.28b6d86ebdb8bp-8" );
   ]
 
 let test_sim_outcome_pinned () =
@@ -396,6 +399,33 @@ let test_sim_contention_fcw_aborts () =
     o.Sim_system.aborts;
   Alcotest.(check (list string)) "contended run still correct" []
     o.Sim_system.check_errors
+
+(* An update attempt is one job at the primary, however many operations it
+   has: every job completed there is a commit, a forced abort or a
+   first-committer-wins abort. *)
+let test_sim_one_job_per_attempt () =
+  let params =
+    {
+      tiny_params with
+      Params.warmup = 0.;
+      key_skew = 1.2;
+      key_space = 50;
+      clients_per_secondary = 10;
+      abort_prob = 0.05;
+    }
+  in
+  let o = run ~params Session.Weak in
+  check_bool "both kinds of abort occurred" true
+    (o.Sim_system.fcw_aborts > 0 && o.Sim_system.aborts > o.Sim_system.fcw_aborts);
+  let primary =
+    List.find
+      (fun r -> r.Sim_system.res_site = "primary")
+      o.Sim_system.resources
+  in
+  (* [aborts] counts the forced and the first-committer-wins aborts. *)
+  check_int "primary jobs = committed updates + aborts"
+    (o.Sim_system.updates_completed + o.Sim_system.aborts)
+    primary.Sim_system.res_completions
 
 let test_sim_uniform_has_no_fcw () =
   let params = { tiny_params with Params.abort_prob = 0. } in
@@ -1137,6 +1167,8 @@ let () =
             test_sim_migration_pcsi_waits_less;
           Alcotest.test_case "contention: fcw aborts + correct" `Slow
             test_sim_contention_fcw_aborts;
+          Alcotest.test_case "one job per update attempt" `Quick
+            test_sim_one_job_per_attempt;
           Alcotest.test_case "uniform: no fcw" `Quick test_sim_uniform_has_no_fcw;
         ] );
       ( "observability",

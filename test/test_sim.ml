@@ -831,34 +831,69 @@ let prop_resource_littles_law =
 
 (* Work conservation: whatever the arrival pattern, every job completes,
    total delivered service equals total demand, and no job finishes before
-   [arrival + amount]. *)
+   [arrival + amount]. Beside those jobs, a chain of [k] back-to-back jobs of
+   [d] seconds (each submitted as the previous one completes) and one job of
+   [k·d] seconds submitted at the same instant give the same completion
+   instants, for the competing jobs and for the chain: under processor
+   sharing a rate depends only on how many jobs are present, which is why a
+   transaction can be one job instead of one per operation. *)
 let prop_resource_work_conservation =
   let job_gen =
     QCheck.Gen.(
       list_size (int_range 1 15)
         (pair (float_bound_inclusive 10.) (float_bound_exclusive 5.)))
   in
+  let chain_gen =
+    QCheck.Gen.(
+      triple (float_bound_inclusive 10.) (int_range 1 6)
+        (float_bound_exclusive 2.))
+  in
   QCheck.Test.make ~name:"resource disciplines conserve work" ~count:150
-    (QCheck.make job_gen) (fun jobs ->
+    (QCheck.make (QCheck.Gen.pair job_gen chain_gen))
+    (fun (jobs, (start, k, d)) ->
       (* amounts must be strictly positive *)
       let jobs = List.map (fun (a, d) -> (a, d +. 0.01)) jobs in
-      let eng = Engine.create () in
-      let res = Resource.create eng in
-      let completions = ref [] in
-      List.iter
-        (fun (arrival, amount) ->
-          Engine.after eng ~delay:arrival (fun () ->
-              Resource.use res amount (fun () ->
-                  completions := (arrival, amount, Engine.now eng) :: !completions)))
-        jobs;
-      Engine.run eng;
-      List.length !completions = List.length jobs
-      && List.for_all
-           (fun (arrival, amount, finish) -> finish >= arrival +. amount -. 1e-6)
-           !completions
-      &&
-      let total = List.fold_left (fun acc (_, a) -> acc +. a) 0. jobs in
-      Float.abs (Resource.busy_time res -. total) < 1e-3)
+      let d = d +. 0.01 in
+      let run ~chained =
+        let eng = Engine.create () in
+        let res = Resource.create eng in
+        let completions = ref [] in
+        List.iteri
+          (fun i (arrival, amount) ->
+            Engine.after eng ~delay:arrival (fun () ->
+                Resource.use res amount (fun () ->
+                    completions :=
+                      (i, arrival, amount, Engine.now eng) :: !completions)))
+          jobs;
+        let chain_done = ref Float.nan in
+        let finish () = chain_done := Engine.now eng in
+        let rec link left () =
+          if left = 0 then finish () else Resource.use res d (link (left - 1))
+        in
+        Engine.after eng ~delay:start (fun () ->
+            if chained then link k ()
+            else Resource.use res (float_of_int k *. d) finish);
+        Engine.run eng;
+        let total =
+          List.fold_left (fun acc (_, a) -> acc +. a) (float_of_int k *. d) jobs
+        in
+        let conserves =
+          List.length !completions = List.length jobs
+          && List.for_all
+               (fun (_, arrival, amount, finish) ->
+                 finish >= arrival +. amount -. 1e-6)
+               !completions
+          && Float.abs (Resource.busy_time res -. total) < 1e-3
+        in
+        (conserves, List.sort compare !completions, !chain_done)
+      in
+      let one_ok, one, one_done = run ~chained:false in
+      let chain_ok, chain, chain_done = run ~chained:true in
+      one_ok && chain_ok
+      && List.for_all2
+           (fun (i, _, _, f) (j, _, _, g) -> i = j && Float.abs (f -. g) <= 1e-9)
+           one chain
+      && Float.abs (one_done -. chain_done) <= 1e-9)
 
 (* --- Rng ----------------------------------------------------------------------- *)
 
