@@ -69,10 +69,12 @@ let run_faults ~quick ~seed ~report =
           name;
           Printf.sprintf "%.2f" o.Sim_system.throughput_fast;
           Printf.sprintf "%.3f" o.Sim_system.refresh_staleness_mean;
-          string_of_int o.Sim_system.channel_dropped;
-          string_of_int o.Sim_system.channel_retransmitted;
-          string_of_int o.Sim_system.channel_duplicated;
-          string_of_int o.Sim_system.channel_max_queue;
+          string_of_int o.Sim_system.channels.dropped;
+          string_of_int o.Sim_system.channels.retransmitted;
+          string_of_int o.Sim_system.channels.duplicated;
+          string_of_int
+            (max o.Sim_system.channels.max_flight
+               o.Sim_system.channels.max_ooo);
           string_of_int (List.length o.Sim_system.check_errors);
         ])
       scenarios

@@ -69,8 +69,7 @@ let validate cfg =
   if cfg.backoff < 1. then invalid_arg "Channel.create: backoff must be >= 1.";
   if cfg.max_rto < cfg.rto then invalid_arg "Channel.create: max_rto < rto"
 
-(* What [stats] reports, counted in place; [stats] copies it out. *)
-type tally = {
+type stats = {
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -84,21 +83,7 @@ type tally = {
   mutable max_ooo : int;
 }
 
-type stats = {
-  sent : int;
-  delivered : int;
-  dropped : int;
-  duplicated : int;
-  delayed : int;
-  reordered : int;
-  retransmitted : int;
-  acks_dropped : int;
-  stale_ignored : int;
-  max_flight : int;
-  max_ooo : int;
-}
-
-let zero_stats =
+let zero () =
   {
     sent = 0;
     delivered = 0;
@@ -112,6 +97,8 @@ let zero_stats =
     max_flight = 0;
     max_ooo = 0;
   }
+
+let zero_stats = zero ()
 
 let add_stats a b =
   {
@@ -136,40 +123,6 @@ type packet = { arrive : int; pseq : int; precord : Txn_record.t }
 (* Sender-side retransmission state for one unacked message. *)
 type unacked_msg = { msg : message; mutable rto_at : int; mutable cur_rto : int }
 
-(* The same counters, re-exported live through an observability registry.
-   All channels attached to one registry share these instruments (names are
-   interned), so the registry view aggregates across sites; the per-channel
-   [stats] record remains the per-instance view. *)
-type obs_counters = {
-  oc_sent : Lsr_obs.Obs.counter;
-  oc_delivered : Lsr_obs.Obs.counter;
-  oc_dropped : Lsr_obs.Obs.counter;
-  oc_duplicated : Lsr_obs.Obs.counter;
-  oc_delayed : Lsr_obs.Obs.counter;
-  oc_reordered : Lsr_obs.Obs.counter;
-  oc_retransmitted : Lsr_obs.Obs.counter;
-  oc_acks_dropped : Lsr_obs.Obs.counter;
-  oc_stale : Lsr_obs.Obs.counter;
-  oc_flight : Lsr_obs.Obs.gauge;
-  oc_ooo : Lsr_obs.Obs.gauge;
-}
-
-let obs_counters obs =
-  let module Obs = Lsr_obs.Obs in
-  {
-    oc_sent = Obs.counter obs "channel.sent";
-    oc_delivered = Obs.counter obs "channel.delivered";
-    oc_dropped = Obs.counter obs "channel.dropped";
-    oc_duplicated = Obs.counter obs "channel.duplicated";
-    oc_delayed = Obs.counter obs "channel.delayed";
-    oc_reordered = Obs.counter obs "channel.reordered";
-    oc_retransmitted = Obs.counter obs "channel.retransmitted";
-    oc_acks_dropped = Obs.counter obs "channel.acks_dropped";
-    oc_stale = Obs.counter obs "channel.stale_ignored";
-    oc_flight = Obs.gauge obs "channel.in_flight";
-    oc_ooo = Obs.gauge obs "channel.ooo_depth";
-  }
-
 type t = {
   cfg : config;
   rng : Rng.t;
@@ -183,8 +136,7 @@ type t = {
   (* Receiver. *)
   mutable next_expected : int;
   ooo : (int, Txn_record.t) Hashtbl.t;
-  s : tally;
-  oc : obs_counters;
+  s : stats;
   sinks : Lsr_obs.Sinks.t;
   lname : string option; (* site this channel feeds, for flight events *)
 }
@@ -201,11 +153,7 @@ let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
     ack_flight = [];
     next_expected = 0;
     ooo = Hashtbl.create 32;
-    s =
-      { sent = 0; delivered = 0; dropped = 0; duplicated = 0; delayed = 0;
-        reordered = 0; retransmitted = 0; acks_dropped = 0; stale_ignored = 0;
-        max_flight = 0; max_ooo = 0 };
-    oc = obs_counters sinks.Lsr_obs.Sinks.obs;
+    s = zero ();
     sinks;
     lname = name;
   }
@@ -216,21 +164,7 @@ let emit_stage t record stage =
       ~txn:(Txn_record.txn record)
       (stage (Txn_record.kind_name record))
 
-let stats t =
-  let c = t.s in
-  {
-    sent = c.sent;
-    delivered = c.delivered;
-    dropped = c.dropped;
-    duplicated = c.duplicated;
-    delayed = c.delayed;
-    reordered = c.reordered;
-    retransmitted = c.retransmitted;
-    acks_dropped = c.acks_dropped;
-    stale_ignored = c.stale_ignored;
-    max_flight = c.max_flight;
-    max_ooo = c.max_ooo;
-  }
+let stats t = t.s
 
 let idle t =
   Queue.is_empty t.pending && t.flight = [] && t.ack_flight = []
@@ -241,8 +175,7 @@ let transmit t msg =
   if t.cfg.loss > 0. && Rng.bernoulli t.rng ~p:t.cfg.loss then begin
     t.s.dropped <- t.s.dropped + 1;
     emit_stage t msg.record (fun record ->
-        Lsr_obs.Flight.Channel_dropped { record });
-    Lsr_obs.Obs.incr t.oc.oc_dropped
+        Lsr_obs.Flight.Channel_dropped { record })
   end
   else begin
     let latency = ref 1 in
@@ -251,14 +184,12 @@ let transmit t msg =
       latency := !latency + extra;
       t.s.delayed <- t.s.delayed + 1;
       emit_stage t msg.record (fun record ->
-          Lsr_obs.Flight.Channel_delayed { record; ticks = extra });
-      Lsr_obs.Obs.incr t.oc.oc_delayed
+          Lsr_obs.Flight.Channel_delayed { record; ticks = extra })
     end;
     if t.cfg.reorder > 0. && Rng.bernoulli t.rng ~p:t.cfg.reorder then begin
       latency :=
         !latency + Rng.uniform t.rng ~lo:1 ~hi:(max 1 t.cfg.reorder_window);
-      t.s.reordered <- t.s.reordered + 1;
-      Lsr_obs.Obs.incr t.oc.oc_reordered
+      t.s.reordered <- t.s.reordered + 1
     end;
     t.flight <-
       { arrive = t.clock + !latency; pseq = msg.seq; precord = msg.record }
@@ -270,11 +201,9 @@ let transmit t msg =
         :: t.flight;
       t.s.duplicated <- t.s.duplicated + 1;
       emit_stage t msg.record (fun record ->
-          Lsr_obs.Flight.Channel_duplicated { record });
-      Lsr_obs.Obs.incr t.oc.oc_duplicated
+          Lsr_obs.Flight.Channel_duplicated { record })
     end;
     let depth = List.length t.flight in
-    Lsr_obs.Obs.set_gauge t.oc.oc_flight (float_of_int depth);
     if depth > t.s.max_flight then t.s.max_flight <- depth
   end
 
@@ -287,7 +216,6 @@ let send t records =
         { msg; rto_at = t.clock + t.cfg.rto; cur_rto = t.cfg.rto }
         t.pending;
       t.s.sent <- t.s.sent + 1;
-      Lsr_obs.Obs.incr t.oc.oc_sent;
       transmit t msg)
     records
 
@@ -303,10 +231,8 @@ let tick t =
   in
   List.iter
     (fun p ->
-      if p.pseq < t.next_expected then begin
-        t.s.stale_ignored <- t.s.stale_ignored + 1;
-        Lsr_obs.Obs.incr t.oc.oc_stale
-      end
+      if p.pseq < t.next_expected then
+        t.s.stale_ignored <- t.s.stale_ignored + 1
       else Hashtbl.replace t.ooo p.pseq p.precord)
     arrived;
   (* Deliver the in-sequence prefix. *)
@@ -321,16 +247,13 @@ let tick t =
     | None -> advancing := false
   done;
   let depth = Hashtbl.length t.ooo in
-  Lsr_obs.Obs.set_gauge t.oc.oc_ooo (float_of_int depth);
   if depth > t.s.max_ooo then t.s.max_ooo <- depth;
   (* The receiver acks (cumulatively) whenever data arrives — including stale
      duplicates, which is what lets a lost ack be repaired by the
      retransmission it provokes. *)
   if arrived <> [] then begin
-    if t.cfg.ack_loss > 0. && Rng.bernoulli t.rng ~p:t.cfg.ack_loss then begin
-      t.s.acks_dropped <- t.s.acks_dropped + 1;
-      Lsr_obs.Obs.incr t.oc.oc_acks_dropped
-    end
+    if t.cfg.ack_loss > 0. && Rng.bernoulli t.rng ~p:t.cfg.ack_loss then
+      t.s.acks_dropped <- t.s.acks_dropped + 1
     else t.ack_flight <- (t.clock + 1, t.next_expected) :: t.ack_flight
   end;
   (* Sender: absorb arrived acks, release acked messages. *)
@@ -360,7 +283,6 @@ let tick t =
         t.s.retransmitted <- t.s.retransmitted + 1;
         emit_stage t u.msg.record (fun record ->
             Lsr_obs.Flight.Channel_retransmitted { record });
-        Lsr_obs.Obs.incr t.oc.oc_retransmitted;
         transmit t u.msg;
         u.cur_rto <-
           min t.cfg.max_rto
@@ -371,7 +293,6 @@ let tick t =
     t.pending;
   let out = List.rev !delivered in
   t.s.delivered <- t.s.delivered + List.length out;
-  Lsr_obs.Obs.incr t.oc.oc_delivered ~by:(List.length out);
   out
 
 let reset t =

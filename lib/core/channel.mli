@@ -46,19 +46,21 @@ val default : config
 val chaos : config
 
 (** Counters since creation ({!reset} does not clear them, so a crash/restart
-    cycle keeps its evidence). *)
-type stats = {
-  sent : int;  (** records accepted by {!send} *)
-  delivered : int;  (** records handed to the receiver, in order *)
-  dropped : int;  (** transmissions lost by the network *)
-  duplicated : int;  (** extra copies injected *)
-  delayed : int;  (** transmissions given extra latency *)
-  reordered : int;  (** transmissions deferred past later ones *)
-  retransmitted : int;  (** sender timeouts that resent a record *)
-  acks_dropped : int;  (** cumulative acks lost *)
-  stale_ignored : int;  (** arrivals below the receive cursor, discarded *)
-  max_flight : int;  (** peak messages simultaneously in the network *)
-  max_ooo : int;  (** peak out-of-order buffer depth at the receiver *)
+    cycle keeps its evidence). The channel counts into this one record;
+    callers read it. *)
+type stats = private {
+  mutable sent : int;  (** records accepted by {!send} *)
+  mutable delivered : int;  (** records handed to the receiver, in order *)
+  mutable dropped : int;  (** transmissions lost by the network *)
+  mutable duplicated : int;  (** extra copies injected *)
+  mutable delayed : int;  (** transmissions given extra latency *)
+  mutable reordered : int;  (** transmissions deferred past later ones *)
+  mutable retransmitted : int;  (** sender timeouts that resent a record *)
+  mutable acks_dropped : int;  (** cumulative acks lost *)
+  mutable stale_ignored : int;
+      (** arrivals below the receive cursor, discarded *)
+  mutable max_flight : int;  (** peak messages simultaneously in the network *)
+  mutable max_ooo : int;  (** peak out-of-order buffer depth at the receiver *)
 }
 
 val zero_stats : stats
@@ -69,16 +71,12 @@ val add_stats : stats -> stats -> stats
 type t
 
 (** [create ~rng ()] is a fresh channel. Mutates [rng] on every send/tick.
-    [sinks.obs], when enabled, receives the same counters live under
-    [channel.sent/delivered/dropped/duplicated/delayed/reordered/
-    retransmitted/acks_dropped/stale_ignored] plus [channel.in_flight] and
-    [channel.ooo_depth] gauges; every channel attached to one registry
-    shares those instruments, so the registry aggregates across sites. A
-    [Channel_dropped] / [Channel_delayed] / [Channel_duplicated] /
-    [Channel_retransmitted] stage is tapped per injected fault, tagged with
-    [name] (the site this channel feeds) and the affected record's
-    transaction id — so faults show up in that transaction's journey and in
-    the flight recorder.
+    Its counts live only in its {!stats} record. A [Channel_dropped] /
+    [Channel_delayed] / [Channel_duplicated] / [Channel_retransmitted]
+    stage is tapped into [sinks] per injected fault, tagged with [name]
+    (the site this channel feeds) and the affected record's transaction
+    id — so faults show up in that transaction's journey and in the flight
+    recorder.
     @raise Invalid_argument on an ill-formed config (probabilities outside
     [0, 1], [loss >= 1.], [ack_loss >= 1.], [rto < 1], [backoff < 1.],
     negative windows). *)
@@ -108,4 +106,5 @@ val idle : t -> bool
     restart at zero on both sides. Counters are preserved. *)
 val reset : t -> unit
 
+(** The channel's own counters, live: they keep counting as it runs. *)
 val stats : t -> stats

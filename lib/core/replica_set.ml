@@ -69,7 +69,8 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
   let primary = Primary.create ~commit_log:record_history () in
   let clock = Session.clock_create () in
   let watchdog =
-    if watchdog then Some (Watchdog.create ~sinks ~clock ~guarantee ~sites ())
+    if watchdog then
+      Some (Watchdog.create ~flight:sinks.flight ~clock ~guarantee ~sites ())
     else None
   in
   let propagator =

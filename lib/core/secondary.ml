@@ -28,7 +28,6 @@ type t = {
   (* Observability (no-ops unless an enabled registry is supplied). *)
   sinks : Lsr_obs.Sinks.t;
   c_started : Lsr_obs.Obs.counter;
-  c_committed : Lsr_obs.Obs.counter;
   c_aborted : Lsr_obs.Obs.counter;
   g_update_queue : Lsr_obs.Obs.gauge;
   g_pending : Lsr_obs.Obs.gauge;
@@ -56,7 +55,6 @@ let create ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
     on_refresh_commit;
     sinks;
     c_started = Obs.counter obs (inst "%s.refresh_%s" "started");
-    c_committed = Obs.counter obs (inst "%s.refresh_%s" "committed");
     c_aborted = Obs.counter obs (inst "%s.refresh_%s" "aborted");
     g_update_queue = Obs.gauge obs (inst "%s.%s" "update_queue_depth");
     g_pending = Obs.gauge obs (inst "%s.%s" "pending_depth");
@@ -146,7 +144,6 @@ let applicator_step t app =
         if Lsr_obs.Sinks.tracing t.sinks then
           Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn:app.primary_txn
             (Lsr_obs.Flight.Refresh_committed { commit_ts = app.commit_ts });
-        Lsr_obs.Obs.incr t.c_committed;
         t.on_refresh_commit app.commit_ts;
         Committed app.commit_ts
       | Mvcc.Aborted (Mvcc.Write_conflict key) ->

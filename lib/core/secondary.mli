@@ -44,8 +44,9 @@ exception Commit_without_start of { txn : int }
     reseeds [seq(DBsec)] with {!reseed_seq}. [on_refresh_commit] fires after each refresh transaction commits, with
     the primary commit timestamp just installed (used to wake blocked
     read-only transactions). [sinks.obs] receives per-site counters and
-    queue-depth gauges named [<name>.refresh_started/committed/aborted],
-    [<name>.update_queue_depth] and [<name>.pending_depth]; the [Enqueued]
+    queue-depth gauges named [<name>.refresh_started/aborted],
+    [<name>.update_queue_depth] and [<name>.pending_depth] (a commit is
+    counted once, by {!Replica_set}'s [<name>.refresh_lag]); the [Enqueued]
     (commit record entered the update queue), [Refresh_started] and
     [Refresh_committed] stages are tapped tagged with this site's [name].
     The default {!Lsr_obs.Sinks.null} makes all of it a no-op. *)

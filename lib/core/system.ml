@@ -29,9 +29,6 @@ let () =
 type t = {
   core : Replica_set.t;
   schema : (string * string list) list;
-  c_commits : Lsr_obs.Obs.counter;
-  c_aborts : Lsr_obs.Obs.counter;
-  c_reads : Lsr_obs.Obs.counter;
   mutable next_client : int;
   mutable blocked_reads : int;
 }
@@ -53,9 +50,6 @@ let create ?(secondaries = 1) ?(schema = []) ?faults
   {
     core;
     schema;
-    c_commits = Lsr_obs.Obs.counter obs "system.update_commits";
-    c_aborts = Lsr_obs.Obs.counter obs "system.update_aborts";
-    c_reads = Lsr_obs.Obs.counter obs "system.reads";
     next_client = 0;
     blocked_reads = 0;
   }
@@ -164,17 +158,12 @@ let update t client ?force_abort body =
   let reads = match !handle_ref with Some h -> Handle.reads h | None -> [] in
   Replica_set.finish_update t.core txn ~session ~reads outcome;
   match outcome with
-  | Primary.Committed { value; _ } ->
-    Lsr_obs.Obs.incr t.c_commits;
-    Ok value
-  | Primary.Aborted reason ->
-    Lsr_obs.Obs.incr t.c_aborts;
-    Error reason
+  | Primary.Committed { value; _ } -> Ok value
+  | Primary.Aborted reason -> Error reason
 
 (* [required] is the seq floor the read was held to; the flight recorder
    notes it as the read's fence claim (-1 when unfenced). *)
 let run_read ?fence t client sec ~required body =
-  Lsr_obs.Obs.incr t.c_reads;
   let db = Secondary.db sec in
   let site = client.secondary in
   let session = client.label in

@@ -58,9 +58,9 @@ type client
 
     [obs] and [flight] form the system's {!Lsr_obs.Sinks}, handed to the
     propagator, every secondary, every fault channel and the watchdog; the
-    disabled defaults cost nothing. [obs] also receives the system counters
-    [system.update_commits] / [system.update_aborts] / [system.reads] and
-    the per-site freshness instruments of {!Replica_set}. [flight] receives
+    disabled defaults cost nothing. [obs] also receives the per-site
+    freshness instruments of {!Replica_set}; the history, not the registry,
+    counts commits, aborts and reads. [flight] receives
     the compact unified event stream (commits carrying both MVCC and
     history ids, pipeline stages and channel faults, per-read snapshot
     claims, crash/recovery marks), from which {!Lsr_obs.Flight.journey}

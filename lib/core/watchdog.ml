@@ -1,5 +1,4 @@
 open Lsr_storage
-module Obs = Lsr_obs.Obs
 module Json = Lsr_obs.Json
 
 exception Unknown_site of { site : int; sites : int }
@@ -149,19 +148,14 @@ type t = {
   mutable n_inv_sess : int;
   mutable n_inv_upd : int;
   mutable n_fence : int;
-  c_alert_read : Obs.counter;
-  c_alert_inversion : Obs.counter;
-  c_alert_fence : Obs.counter;
-  g_state : Obs.gauge;
   mutable peak : int;
 }
 
-let create ?(sinks = Lsr_obs.Sinks.null) ?clock ~guarantee ~sites () =
+let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee ~sites () =
   if sites < 1 then invalid_arg "Watchdog.create: need at least 1 site";
-  let obs = sinks.Lsr_obs.Sinks.obs in
   {
     forbidden = Session.forbidden_level guarantee;
-    flight = sinks.Lsr_obs.Sinks.flight;
+    flight;
     clock;
     chains = Keys.create 1024;
     unretired = Queue.create ();
@@ -187,10 +181,6 @@ let create ?(sinks = Lsr_obs.Sinks.null) ?clock ~guarantee ~sites () =
     n_inv_sess = 0;
     n_inv_upd = 0;
     n_fence = 0;
-    c_alert_read = Obs.counter obs "watchdog.alerts.read_mismatch";
-    c_alert_inversion = Obs.counter obs "watchdog.alerts.inversion";
-    c_alert_fence = Obs.counter obs "watchdog.alerts.fence";
-    g_state = Obs.gauge obs "watchdog.state_size";
     peak = 0;
   }
 
@@ -208,8 +198,7 @@ let horizon t = t.horizon
 
 let note_state t =
   let s = state_size t in
-  if s > t.peak then t.peak <- s;
-  Obs.set_gauge t.g_state (float_of_int s)
+  if s > t.peak then t.peak <- s
 
 (* --- Horizon pins ----------------------------------------------------------- *)
 
@@ -262,13 +251,9 @@ let pp_alert ppf a =
    room, and the first one triggers the flight recorder's capture. *)
 let record_alert t ~at ~txn ~session ~site ~snapshot kind =
   (match kind with
-  | Read_mismatch _ ->
-    t.n_read <- t.n_read + 1;
-    Obs.incr t.c_alert_read
-  | Inversion _ -> Obs.incr t.c_alert_inversion
-  | Fence_violation _ ->
-    t.n_fence <- t.n_fence + 1;
-    Obs.incr t.c_alert_fence);
+  | Read_mismatch _ -> t.n_read <- t.n_read + 1
+  | Inversion _ -> ()
+  | Fence_violation _ -> t.n_fence <- t.n_fence + 1);
   t.n_alerts <- t.n_alerts + 1;
   if t.alert_log_len < alert_cap then begin
     let alert = { at; txn; session; site; snapshot; kind } in

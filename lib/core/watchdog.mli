@@ -110,12 +110,12 @@ type verdict = {
     the first 256 alerts (counters keep exact totals past the cap).
     [clock] is the primary commit clock used to audit [Max_age] claims —
     as in {!Checker.analyze}'s fence audit, a [Max_age] claim without a
-    clock is itself a violation. [sinks.obs] receives
-    [watchdog.alerts.*] counters and a [watchdog.state_size] gauge; the
-    first alert triggers [sinks.flight] (reason ["watchdog"], implicating
-    the offending transaction and, for an inversion, its witness). *)
+    clock is itself a violation. The watchdog keeps its own counts (its
+    {!verdict}, {!peak_state} and {!state_size}); the first alert triggers
+    [flight] (reason ["watchdog"], implicating the offending transaction
+    and, for an inversion, its witness). *)
 val create :
-  ?sinks:Lsr_obs.Sinks.t ->
+  ?flight:Lsr_obs.Flight.t ->
   ?clock:Session.clock ->
   guarantee:Session.guarantee ->
   sites:int ->

@@ -19,16 +19,11 @@ type t = {
   read_age_hist : Histogram.t;
   read_missed : Stat.t;
   (* The registry's instruments: every sample, warm-up included. *)
-  c_refresh_commits : Obs.counter;
   c_fcw_aborts : Obs.counter;
   c_forced_aborts : Obs.counter;
-  c_blocked_reads : Obs.counter;
   h_read_rt : Obs.histogram;
   h_update_rt : Obs.histogram;
   h_block_wait : Obs.histogram;
-  h_staleness : Obs.histogram;
-  h_read_age : Obs.histogram;
-  h_read_missed : Obs.histogram;
 }
 
 let create ~obs ~warmup ~cap =
@@ -48,16 +43,11 @@ let create ~obs ~warmup ~cap =
     read_age = Stat.create ();
     read_age_hist = Histogram.create ();
     read_missed = Stat.create ();
-    c_refresh_commits = Obs.counter obs "refresh.commits";
     c_fcw_aborts = Obs.counter obs "client.fcw_aborts";
     c_forced_aborts = Obs.counter obs "client.forced_aborts";
-    c_blocked_reads = Obs.counter obs "client.blocked_reads";
     h_read_rt = Obs.histogram obs "client.read_rt";
     h_update_rt = Obs.histogram obs "client.update_rt";
     h_block_wait = Obs.histogram obs "client.block_wait";
-    h_staleness = Obs.histogram obs "refresh.staleness";
-    h_read_age = Obs.histogram obs "client.read_age";
-    h_read_missed = Obs.histogram obs "client.read_missed";
   }
 
 let measuring t now = now > t.warmup
@@ -84,20 +74,15 @@ let note_fcw_abort t ~now =
   end
 
 let note_block t ~now ~wait =
-  Obs.incr t.c_blocked_reads;
   Obs.observe t.h_block_wait wait;
   if measuring t now then Stat.record t.block_wait wait
 
 let note_refresh t ~now ~staleness =
-  Obs.incr t.c_refresh_commits;
-  Obs.observe t.h_staleness staleness;
   if measuring t now then Stat.record t.staleness staleness
 
 let note_wasted_ops t ~now n = if measuring t now then t.wasted <- t.wasted + n
 
 let note_read_freshness t ~now ~age ~missed =
-  Obs.observe t.h_read_age age;
-  Obs.observe t.h_read_missed (float_of_int missed);
   if measuring t now then begin
     Stat.record t.read_age age;
     Histogram.record t.read_age_hist age;

@@ -5,13 +5,12 @@
     transactions finishing within 3 seconds (§6.2). Response times are
     tallied per transaction class.
 
-    Each [note_*] call feeds two views of one sample. The registry's
-    instruments ([refresh.commits], [client.fcw_aborts],
-    [client.forced_aborts], [client.blocked_reads], [client.read_rt],
-    [client.update_rt], [client.block_wait], [refresh.staleness],
-    [client.read_age], [client.read_missed]) see every sample, warm-up
-    included. The per-run tallies read by the reduction functions below
-    ignore the warm-up window. *)
+    The per-run tallies read by the reduction functions below ignore the
+    warm-up window. The registry's client instruments ([client.fcw_aborts],
+    [client.forced_aborts], [client.read_rt], [client.update_rt],
+    [client.block_wait]) see every sample, warm-up included. Refresh
+    staleness and read freshness are only tallied here: they reach the
+    registry through {!Lsr_core.Replica_set}'s per-site instruments. *)
 
 open Lsr_sim
 

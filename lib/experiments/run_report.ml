@@ -6,6 +6,7 @@ type run = {
   tag : string;
   check_errors : string list;
   bottleneck : Bottleneck.t;
+  channels : Lsr_core.Channel.stats option;
   watchdog : Json.t option;
   flight : Json.t option;
 }
@@ -53,11 +54,30 @@ let run t ~tag (cfg : Sim_system.config) =
         tag;
         check_errors = o.Sim_system.check_errors;
         bottleneck = Bottleneck.analyze cfg.Sim_system.params o;
+        channels =
+          Option.map (fun _ -> o.Sim_system.channels) cfg.Sim_system.faults;
         watchdog = o.Sim_system.watchdog_report;
         flight = o.Sim_system.flight_report;
       }
       :: t.runs;
   o
+
+let channels_json (c : Lsr_core.Channel.stats) =
+  let n v = Json.Num (float_of_int v) in
+  Json.Obj
+    [
+      ("sent", n c.sent);
+      ("delivered", n c.delivered);
+      ("dropped", n c.dropped);
+      ("duplicated", n c.duplicated);
+      ("delayed", n c.delayed);
+      ("reordered", n c.reordered);
+      ("retransmitted", n c.retransmitted);
+      ("acks_dropped", n c.acks_dropped);
+      ("stale_ignored", n c.stale_ignored);
+      ("max_flight", n c.max_flight);
+      ("max_ooo", n c.max_ooo);
+    ]
 
 let to_json t =
   let opt = Option.value ~default:Json.Null in
@@ -67,6 +87,7 @@ let to_json t =
         ("tag", Json.Str r.tag);
         ("check_errors", Json.Arr (List.map (fun e -> Json.Str e) r.check_errors));
         ("bottleneck", Bottleneck.to_json r.bottleneck);
+        ("channels", opt (Option.map channels_json r.channels));
         ("watchdog", opt r.watchdog);
         ("flight", opt r.flight);
       ]

@@ -8,15 +8,19 @@
 
     {v
     {"version": 2,
-     "runs": [{"tag", "check_errors", "bottleneck", "watchdog", "flight"}],
+     "runs": [{"tag", "check_errors", "bottleneck", "channels", "watchdog",
+               "flight"}],
      "freshness", "metrics", "timeseries"}
     v}
 
     - [runs]: one entry per run, in run order. [bottleneck] is
-      {!Bottleneck.to_json}; [watchdog] is the run's [watchdog_report]
-      and [flight] its postmortem bundle ([flight_report]), each [null]
-      when that observer is off. [lsrepl replay] reads the [flight]
-      section of a one-run report;
+      {!Bottleneck.to_json}; [channels] holds the run's fault-channel
+      counts ([Sim_system.outcome]'s [channels], one key per
+      {!Lsr_core.Channel.stats} field), [null] for a run without fault
+      channels; [watchdog] is the run's [watchdog_report] and [flight] its
+      postmortem bundle ([flight_report]), each [null] when that observer
+      is off. [lsrepl replay] reads the [flight] section of a one-run
+      report;
     - [freshness]: {!Lag_report.to_json} of the registry's per-site
       freshness instruments;
     - [metrics], [timeseries]: the sinks' own [to_json].

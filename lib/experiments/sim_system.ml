@@ -102,10 +102,7 @@ type outcome = {
   secondary_utilization : float;
   check_errors : string list;
   check_report : Checker.report option;
-  channel_dropped : int;
-  channel_retransmitted : int;
-  channel_duplicated : int;
-  channel_max_queue : int;
+  channels : Channel.stats;
   sim_events : int;
   checker_cpu_s : float;
   watchdog_verdict : Watchdog.verdict option;
@@ -828,7 +825,6 @@ let run ?history cfg =
     in
     busy /. (p.Params.duration *. float_of_int (Array.length st.sites))
   in
-  let channel_stats = Replica_set.channel_stats rs in
   (* Postmortem capture. A watchdog alert already triggered the recorder
      mid-run; a post-hoc battery failure triggers here so history-only runs
      still yield a bundle; otherwise the bundle is the end-of-run window
@@ -841,12 +837,8 @@ let run ?history cfg =
         Lsr_obs.Flight.trigger cfg.flight ~reason:"checker"
           ~detail:(String.concat "; " check_errors)
           ();
-      let metrics =
-        if Obs.enabled cfg.obs then Some (Obs.metrics_json cfg.obs) else None
-      in
       let bundle =
         Lsr_obs.Flight.bundle_json cfg.flight ~config:(config_json cfg)
-          ?metrics ()
       in
       (Some bundle, Lsr_obs.Flight.trigger_reason cfg.flight)
     end
@@ -880,11 +872,7 @@ let run ?history cfg =
     secondary_utilization;
     check_errors;
     check_report;
-    channel_dropped = channel_stats.Channel.dropped;
-    channel_retransmitted = channel_stats.Channel.retransmitted;
-    channel_duplicated = channel_stats.Channel.duplicated;
-    channel_max_queue =
-      max channel_stats.Channel.max_flight channel_stats.Channel.max_ooo;
+    channels = Replica_set.channel_stats rs;
     sim_events = Engine.events_processed eng;
     checker_cpu_s;
     watchdog_verdict = Option.map Watchdog.verdict watchdog;

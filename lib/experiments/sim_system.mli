@@ -111,13 +111,14 @@ type config = {
           FIFO link; [None] (the paper's model) leaves propagation
           untouched *)
   obs : Lsr_obs.Obs.t;
-      (** observability sink: counters and queue-depth gauges from every
-          layer (propagation, per-site refresh machinery, fault channels)
-          and response-time, staleness, session-wait and read-freshness
-          histograms. It keeps no per-transaction state. The default
-          {!Lsr_obs.Obs.null} records nothing and costs nothing; attaching
-          an enabled registry never changes simulation outcomes (no
-          instrument feeds back into the run) *)
+      (** observability sink: counters and queue-depth gauges from
+          propagation and the per-site refresh machinery, the clients'
+          response-time and session-wait histograms, and each secondary's
+          refresh-lag and read-freshness instruments. Fault-channel counts
+          are in [channels], not here. It keeps no per-transaction state.
+          The default {!Lsr_obs.Obs.null} records nothing and costs
+          nothing; attaching an enabled registry never changes simulation
+          outcomes (no instrument feeds back into the run) *)
   flight : Lsr_obs.Flight.t;
       (** flight recorder: a bounded in-memory black box over the unified
           event stream — primary commits (carrying both MVCC txn and history
@@ -221,12 +222,9 @@ type outcome = {
           than pass/fail, e.g. which guarantees the history would also have
           satisfied, or which session inversions actually occurred (the
           planner cross-validation tests do both) *)
-  channel_dropped : int;
-      (** transmissions lost by the fault channels (0 without [faults]) *)
-  channel_retransmitted : int;  (** sender timeouts that resent a record *)
-  channel_duplicated : int;  (** extra copies injected by the network *)
-  channel_max_queue : int;
-      (** peak in-flight / out-of-order buffer depth over all channels *)
+  channels : Lsr_core.Channel.stats;
+      (** the fault channels' counters summed over every secondary
+          ({!Lsr_core.Replica_set.channel_stats}; all 0 without [faults]) *)
   sim_events : int;
       (** total simulator events fired during the run — the denominator-free
           work measure behind the perf bench's events/second. Includes every

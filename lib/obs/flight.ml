@@ -334,7 +334,6 @@ type bundle = {
   commits : int;
   horizons : (string * int) list;
   config : Json.t;
-  metrics : Json.t option;
 }
 
 let num n = Json.Num (float_of_int n)
@@ -393,7 +392,7 @@ let snap_for_export t =
   | Some s -> s
   | None -> capture t ~reason:"end-of-run" ~detail:"" ~txns:[]
 
-let bundle_json t ~config ?metrics () =
+let bundle_json t ~config =
   let s = snap_for_export t in
   let j =
     Json.Obj
@@ -412,7 +411,6 @@ let bundle_json t ~config ?metrics () =
         ( "window",
           Json.Arr (Array.to_list (Array.map event_json s.s_events)) );
         ("config", config);
-        ("metrics", match metrics with Some m -> m | None -> Json.Null);
       ]
   in
   Json.sort_keys j
@@ -536,11 +534,6 @@ let parse_bundle j =
     let config =
       Option.value ~default:Json.Null (Json.member "config" j)
     in
-    let metrics =
-      match Json.member "metrics" j with
-      | None | Some Json.Null -> None
-      | Some m -> Some m
-    in
     Ok
       {
         version;
@@ -553,7 +546,6 @@ let parse_bundle j =
         commits;
         horizons;
         config;
-        metrics;
       }
 
 (* --- Replay ---------------------------------------------------------------- *)

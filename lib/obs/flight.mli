@@ -19,8 +19,9 @@
     leading up to the trigger instant — together with per-site visibility
     horizons. First trigger wins: later triggers do not overwrite the
     captured window. {!bundle_json} then assembles the postmortem bundle:
-    the window, the implicated transactions, horizons, the reproducing
-    config+seed and a metrics snapshot.
+    the window, the implicated transactions, horizons and the reproducing
+    config+seed. The registry's metrics are not copied in: a run report
+    holds them once, in its own [metrics] section.
 
     The module obeys the observability design rules (docs/OBSERVABILITY.md,
     docs/FLIGHT.md): explicit plumbing ({!null} default, constructors take
@@ -176,18 +177,19 @@ type bundle = {
           maps to the latest primary commit ts, each secondary to its
           seq(DBsec); sorted by site name *)
   config : Json.t;  (** the reproducing config+seed, verbatim *)
-  metrics : Json.t option;
 }
 
 (** [bundle_json t ~config ()] assembles the canonical (sorted-keys)
     postmortem bundle from the captured trigger — or, if nothing triggered,
-    from the live ring under reason ["end-of-run"]. [metrics] embeds a
-    metrics snapshot. Deterministic: same seed, same bytes. *)
-val bundle_json : t -> config:Json.t -> ?metrics:Json.t -> unit -> Json.t
+    from the live ring under reason ["end-of-run"]. Deterministic: same
+    seed, same bytes. *)
+val bundle_json : t -> config:Json.t -> Json.t
 
 (** {2 Replay} *)
 
-(** [parse_bundle j] reads back a bundle {!bundle_json} built. *)
+(** [parse_bundle j] reads back a bundle {!bundle_json} built. Keys it
+    does not read are ignored, so a bundle that still carries the
+    [metrics] snapshot older reports embedded parses too. *)
 val parse_bundle : Json.t -> (bundle, string) result
 
 (** One replay line: time, site, event kind and details. *)

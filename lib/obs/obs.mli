@@ -9,9 +9,12 @@
     outcomes are independent of whether observation is on.
 
     Instruments are interned by name: asking twice for the same name returns
-    the same instrument, so components that share a name aggregate (e.g. all
-    fault channels bump one ["channel.dropped"]) while per-site names stay
-    separate. Names are conventionally dotted paths ([layer.metric]).
+    the same instrument, so components that share a name aggregate (e.g.
+    every simulated client feeds one ["client.read_rt"]) while per-site
+    names stay separate. Names are conventionally dotted paths
+    ([layer.metric]). A registry records a fact no other record holds: a
+    count another record already keeps (a channel's, the watchdog's, the
+    history's) is not copied in.
 
     A registry holds its instruments and nothing per event: its memory is
     bounded by the number of names, not by run length. The per-event

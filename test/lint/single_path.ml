@@ -15,7 +15,10 @@
    [Effect]. A postmortem capture has two triggers: the watchdog's first
    alert and the simulator's failed checker battery. Only the two
    verdicts, [Checker] and [Watchdog], map a guarantee to the inversion
-   level it forbids; everyone else reads their verdicts.
+   level it forbids; everyone else reads their verdicts. A sample reaches
+   a registry histogram from one place: the clients' samples from
+   [Metrics], freshness and lag from [Replica_set], so no third module
+   records the same sample again.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -44,6 +47,9 @@ let rules =
     ( [ "checker.ml"; "watchdog.ml" ],
       "Checker / Watchdog",
       [ "Session.forbidden_level" ] );
+    ( [ "metrics.ml"; "replica_set.ml" ],
+      "Metrics / Replica_set",
+      [ "Obs.observe" ] );
   ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines

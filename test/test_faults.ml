@@ -250,7 +250,8 @@ let test_sim_chaos_complete () =
       }
   in
   let open Lsr_experiments.Sim_system in
-  check_bool "faults fired" true (o.channel_dropped > 0 && o.channel_duplicated > 0);
+  check_bool "faults fired" true
+    (o.channels.dropped > 0 && o.channels.duplicated > 0);
   check_bool "refreshed" true (o.refresh_commits > 0);
   check_bool "audited" true (o.check_report <> None);
   Alcotest.(check (list string)) "complete" [] o.check_errors

@@ -49,7 +49,7 @@ let test_ring_overwrites_and_first_trigger_wins () =
   check_bool "triggered" true (Flight.triggered f);
   check_bool "first trigger wins" true
     (Flight.trigger_reason f = Some "first");
-  let b = parse_ok (Flight.bundle_json f ~config:(Json.Obj []) ()) in
+  let b = parse_ok (Flight.bundle_json f ~config:(Json.Obj [])) in
   check_string "reason" "first" b.Flight.reason;
   check_string "detail" "d1" b.Flight.detail;
   check_bool "implicated" true (b.Flight.implicated = [ 39; 40 ]);
@@ -90,7 +90,7 @@ let test_bundle_json_roundtrip () =
   Flight.note_read f ~site:"sec-0" ~hid:11 ~session:"c0" ~snapshot:1 ~fence:1;
   Flight.note_crash f ~site:"sec-0";
   Flight.note_recovery f ~site:"sec-0" ~seq:1;
-  let j = Flight.bundle_json f ~config:(Json.Obj [ ("seed", Json.Num 5.) ]) () in
+  let j = Flight.bundle_json f ~config:(Json.Obj [ ("seed", Json.Num 5.) ]) in
   (* The canonical text re-parses to the identical bundle. *)
   let text = Json.to_string j in
   let reparsed =
@@ -105,6 +105,23 @@ let test_bundle_json_roundtrip () =
   check_int "every event kind survived the ring encoding" 10
     (Array.length a.Flight.window);
   check_bool "no divergence against itself" true (Flight.diff a b = None)
+
+(* Reports written while a bundle still embedded the registry's metrics
+   replay as before: the parser ignores that key. *)
+let test_bundle_legacy_metrics () =
+  let f = Flight.create ~capacity:8 () in
+  Flight.note_commit f ~txn:1 ~hid:1 ~commit_ts:1 ~updates:1;
+  let j = Flight.bundle_json f ~config:(Json.Obj []) in
+  let legacy =
+    match j with
+    | Json.Obj kv ->
+      Json.sort_keys
+        (Json.Obj
+           (("metrics", Json.Obj [ ("counters", Json.Obj []) ]) :: kv))
+    | _ -> Alcotest.fail "bundle is not an object"
+  in
+  check_bool "legacy bundle parses to the same bundle" true
+    (parse_ok legacy = parse_ok j)
 
 let test_journey_evicted_vs_unknown () =
   (* Ten updates of three events each through a 16-slot ring: the oldest
@@ -336,7 +353,7 @@ let test_postmortem_end_to_end () =
   | Lsr_storage.Mvcc.Committed _ -> ()
   | Lsr_storage.Mvcc.Aborted _ -> Alcotest.fail "diverging write aborted");
   ignore (System.read sys c (fun h -> Handle.get h "k"));
-  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj []) ()) in
+  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj [])) in
   check_string "trigger reason" "watchdog" b.Flight.reason;
   check_bool "trigger detail names the alert" true
     (String.length b.Flight.detail > 0);
@@ -380,7 +397,7 @@ let test_embedded_channel_faults () =
     | Error _ -> Alcotest.fail "update aborted"
   done;
   System.pump sys;
-  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj []) ()) in
+  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj [])) in
   check_bool "a channel fault is in the window" true
     (Array.exists
        (fun e ->
@@ -406,7 +423,7 @@ let test_embedded_read_floor () =
   let floor = Session.seq (System.sessions sys) "c0" in
   check_bool "the session floor is above the fence" true (floor > 1);
   ignore (System.read ~fence:(Session.Exact 1) sys c (fun h -> Handle.get h "k1"));
-  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj []) ()) in
+  let b = parse_ok (Flight.bundle_json flight ~config:(Json.Obj [])) in
   let fences =
     Array.to_list b.Flight.window
     |> List.filter_map (fun e ->
@@ -466,6 +483,8 @@ let () =
             test_journey_evicted_vs_unknown;
           Alcotest.test_case "bundle json roundtrip" `Quick
             test_bundle_json_roundtrip;
+          Alcotest.test_case "bundle with legacy metrics" `Quick
+            test_bundle_legacy_metrics;
         ] );
       ( "simulator",
         [

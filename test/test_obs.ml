@@ -295,7 +295,7 @@ let test_journey_json_deterministic () =
     Sinks.stage s ~site:"a" ~txn:1 Flight.Enqueued;
     Sinks.stage s ~site:"b" ~txn:1 (Flight.Refresh_committed { commit_ts = 2 });
     Sinks.stage s ~site:"a" ~txn:1 (Flight.Refresh_committed { commit_ts = 2 });
-    Json.to_string (Flight.bundle_json f ~config:(Json.Obj []) ())
+    Json.to_string (Flight.bundle_json f ~config:(Json.Obj []))
   in
   let s1 = build () and s2 = build () in
   check_string "same bytes across identical builds" s1 s2;
@@ -315,7 +315,7 @@ let test_write_creates_parents () =
   let jf = List.fold_left Filename.concat base [ "a"; "b"; "r.json" ] in
   let f = Flight.create () in
   Flight.note_commit f ~txn:1 ~hid:(-1) ~commit_ts:1 ~updates:1;
-  let doc = Flight.bundle_json f ~config:(Json.Obj []) () in
+  let doc = Flight.bundle_json f ~config:(Json.Obj []) in
   Json.write_file ~file:jf doc;
   let slurp f = In_channel.with_open_bin f In_channel.input_all in
   let text = slurp jf in

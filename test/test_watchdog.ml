@@ -563,9 +563,7 @@ let test_retired_chain_reads_base () =
 let test_first_violation_triggers () =
   let flight = Lsr_obs.Flight.create () in
   let w =
-    Watchdog.create
-      ~sinks:{ Lsr_obs.Sinks.obs = Lsr_obs.Obs.null; flight }
-      ~guarantee:Session.Strong_session ~sites:1 ()
+    Watchdog.create ~flight ~guarantee:Session.Strong_session ~sites:1 ()
   in
   let tok = Watchdog.begin_update w ~session:"a" in
   Watchdog.end_update w tok ~id:1 ~now:1.
@@ -586,7 +584,7 @@ let test_first_violation_triggers () =
     v.Watchdog.alerts_total;
   match
     Lsr_obs.Flight.parse_bundle
-      (Lsr_obs.Flight.bundle_json flight ~config:(Json.Obj []) ())
+      (Lsr_obs.Flight.bundle_json flight ~config:(Json.Obj []))
   with
   | Error e -> Alcotest.failf "bundle does not parse: %s" e
   | Ok b ->
