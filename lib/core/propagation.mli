@@ -21,7 +21,14 @@ type t
     [propagation.polls] / [propagation.records_shipped] and the
     [propagation.in_flight] gauge; a [Batched] stage is tapped when a
     transaction's start record is picked up and a [Shipped] stage when its
-    squashed commit record leaves the propagator. *)
+    squashed commit record leaves the propagator.
+
+    A commit record's update list is built once, by one {!Wal.squash} of
+    the logged updates (linear in their number), from the primary's own
+    update records. It is broadcast as it is: every secondary's refresh
+    installs that list and keeps it in its commit list, so a writeset
+    costs its records once and its list twice (primary and shipped),
+    however many secondaries there are. *)
 val create :
   ?from:int -> ?ship_aborted:bool -> ?sinks:Lsr_obs.Sinks.t -> Wal.t -> t
 

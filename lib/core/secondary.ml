@@ -7,7 +7,7 @@ exception Commit_without_start of { txn : int }
 type applicator = {
   primary_txn : int;
   commit_ts : Timestamp.t;
-  refresh : Mvcc.txn;  (* holds every update, buffered since dispatch *)
+  refresh : Mvcc.txn;  (* holds the shipped updates, buffered since dispatch *)
   mutable committed : bool;
 }
 
@@ -109,11 +109,9 @@ let refresher_step t =
       | None -> raise (Commit_without_start { txn })
     in
     Txns.remove t.refresh_txns txn;
-    (* Buffered in the uncommitted refresh txn, so nobody sees them before
-       the commit. *)
-    List.iter
-      (fun { Wal.key; value } -> Mvcc.write t.db refresh key value)
-      updates;
+    (* Handed over whole to the uncommitted refresh txn, so nobody sees them
+       before the commit, which installs and keeps this very list. *)
+    Mvcc.write_all t.db refresh updates;
     let app = { primary_txn = txn; commit_ts; refresh; committed = false } in
     Queue.add app t.applicators;
     note_pending t;

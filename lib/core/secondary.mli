@@ -11,9 +11,14 @@
       a refresh transaction starts only after every refresh transaction whose
       primary counterpart committed before this one started has committed
       locally);
-    - a {e commit} record writes its updates into the refresh transaction,
-      where they stay buffered and unseen until its commit, and hands it to
-      an applicator at the tail of the pending queue;
+    - a {e commit} record hands its shipped update list to the refresh
+      transaction whole ({!Lsr_storage.Mvcc.write_all}), where it stays
+      buffered and unseen until its commit, and hands the transaction to an
+      applicator at the tail of the pending queue. No update is written one
+      by one and no record is copied: the commit checks first-committer-wins
+      by walking the list and installs it, and a commit list keeps the
+      shipped list itself, so the secondaries of one primary share every
+      propagated writeset;
     - an {e abort} record discards the refresh transaction.
 
     An applicator commits once it heads the pending queue — enforcing
@@ -83,7 +88,7 @@ val reseed_seq : t -> Timestamp.t -> unit
 type refresher_outcome =
   | Started of int  (** opened the refresh transaction for this primary txn *)
   | Dispatched of applicator
-      (** commit record consumed and its updates written into the refresh
+      (** commit record consumed and its updates handed to the refresh
           txn; an applicator now owns it *)
   | Aborted of int  (** abort record consumed *)
   | Blocked_on_pending

@@ -15,15 +15,16 @@ type txn_state = Active | Committed_ | Aborted_
 type txn = {
   id : int;
   start_ts : Timestamp.t;
-  (* Buffered writes, newest-first; replayed in reverse for the log and the
-     version store so that later writes to the same key win. *)
+  (* Writes buffered one at a time by [write], newest first. *)
   mutable writes : Wal.update list;
-  (* Latest buffered value per key, for read-your-writes. Allocated at the
-     first write: most transactions only read. *)
-  mutable writes_by_key : (string, string option) Hashtbl.t option;
-  (* [effective_updates], kept once computed: the primary asks for the
-     updates a commit installed. Reset by every write. *)
+  (* The updates [commit] installs, one per key in first-write order: the
+     writeset [write_all] handed over, which is then the only copy of the
+     writes, or [Wal.squash] of [writes], kept once computed and reset by
+     every [write]. *)
   mutable effective : Wal.update list option;
+  (* Each written key's latest update, for read-your-writes on a long
+     writeset: built at its first read, then kept up to date by [write]. *)
+  mutable own : (string, Wal.update) Hashtbl.t option;
   mutable state : txn_state;
 }
 
@@ -164,8 +165,8 @@ let make_txn t start_ts =
     id;
     start_ts;
     writes = [];
-    writes_by_key = None;
     effective = None;
+    own = None;
     state = Active;
   }
 
@@ -199,14 +200,45 @@ let visible_value c ~at = if c.ts <= at then c.value else visible_older c.older 
 
 let snapshot_read t ~at key = visible_value (find t key) ~at
 
+(* Everything buffered, each key's latest write ahead of its older ones:
+   [writes], or a writeset handed over whole (one update per key). *)
+let buffered txn =
+  match (txn.writes, txn.effective) with
+  | [], Some whole -> whole
+  | writes, _ -> writes
+
+(* Stands for "the transaction has not written this key". *)
+let no_write = { Wal.key = ""; value = None }
+
+let rec find_write key = function
+  | [] -> no_write
+  | u :: rest -> if String.equal u.Wal.key key then u else find_write key rest
+
+(* Writesets up to this long are scanned for a key; longer ones get a
+   table at their first read. *)
+let short = 16
+
+(* The transaction's latest write of [key], or [no_write]. Scanning a short
+   writeset allocates nothing. *)
+let rec own_write txn key =
+  match txn.own with
+  | Some own -> ( try Hashtbl.find own key with Not_found -> no_write)
+  | None ->
+    let writes = buffered txn in
+    if List.compare_length_with writes short <= 0 then find_write key writes
+    else begin
+      let own = Hashtbl.create 64 in
+      List.iter
+        (fun u -> if not (Hashtbl.mem own u.Wal.key) then Hashtbl.add own u.Wal.key u)
+        writes;
+      txn.own <- Some own;
+      own_write txn key
+    end
+
 let read t txn key =
   require_active txn "read";
-  match txn.writes_by_key with
-  | None -> snapshot_read t ~at:txn.start_ts key
-  | Some own -> (
-    match Hashtbl.find_opt own key with
-    | Some value -> value
-    | None -> snapshot_read t ~at:txn.start_ts key)
+  let own = own_write txn key in
+  if own == no_write then snapshot_read t ~at:txn.start_ts key else own.value
 
 let write t txn key value =
   require_active txn "write";
@@ -214,31 +246,33 @@ let write t txn key value =
   (match t.log with
   | Some wal -> Wal.append wal (Wal.Update { txn = txn.id; update })
   | None -> ());
+  (match (txn.writes, txn.effective) with
+  | [], Some whole -> txn.writes <- List.rev whole (* written whole so far *)
+  | _ -> ());
   txn.writes <- update :: txn.writes;
   txn.effective <- None;
-  let own =
-    match txn.writes_by_key with
-    | Some own -> own
-    | None ->
-      let own = Hashtbl.create 8 in
-      txn.writes_by_key <- Some own;
-      own
-  in
-  Hashtbl.replace own key value
+  match txn.own with Some own -> Hashtbl.replace own key update | None -> ()
 
-let first_committer_conflict t txn =
-  (* A committed version newer than our snapshot on any written key means a
-     concurrent transaction committed that write first. *)
-  let conflicting key = (find t key).ts > txn.start_ts in
-  match txn.writes_by_key with
-  | None -> None
-  | Some own ->
-    Hashtbl.fold
-      (fun key _ acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> if conflicting key then Some key else None)
-      own None
+let write_all t txn updates =
+  require_active txn "write_all";
+  if buffered txn <> [] then
+    invalid_arg
+      (Printf.sprintf "Mvcc.write_all: transaction %d has written already" txn.id);
+  (match t.log with
+  | Some wal ->
+    List.iter
+      (fun update -> Wal.append wal (Wal.Update { txn = txn.id; update }))
+      updates
+  | None -> ());
+  txn.effective <- Some updates
+
+(* The first key of [updates] that a transaction committed after [start_ts]
+   wrote: that transaction committed its write first. *)
+let rec first_committer_conflict t ~start_ts = function
+  | [] -> None
+  | { Wal.key; _ } :: rest ->
+    if (find t key).ts > start_ts then Some key
+    else first_committer_conflict t ~start_ts rest
 
 let install t ~commit_ts updates =
   let apply { Wal.key; value } =
@@ -258,18 +292,11 @@ let install t ~commit_ts updates =
   t.commit_count <- t.commit_count + 1;
   t.latest_commit <- commit_ts
 
-(* One update per key in first-write order, with the last value written. *)
 let effective_updates txn =
   match txn.effective with
   | Some updates -> updates
   | None ->
-    let ordered = List.rev txn.writes in
-    let repeats =
-      match txn.writes_by_key with
-      | Some own -> Hashtbl.length own < List.length ordered
-      | None -> false
-    in
-    let updates = if repeats then Wal.squash ordered else ordered in
+    let updates = Wal.squash (List.rev txn.writes) in
     txn.effective <- Some updates;
     updates
 
@@ -282,13 +309,14 @@ let mark_aborted t txn =
 
 let commit t txn =
   require_active txn "commit";
-  match first_committer_conflict t txn with
+  let updates = effective_updates txn in
+  match first_committer_conflict t ~start_ts:txn.start_ts updates with
   | Some key ->
     mark_aborted t txn;
     Aborted (Write_conflict key)
   | None ->
     let commit_ts = Timestamp.next t.clock in
-    install t ~commit_ts (effective_updates txn);
+    install t ~commit_ts updates;
     txn.state <- Committed_;
     (match t.log with
     | Some wal -> Wal.append wal (Wal.Commit { txn = txn.id; ts = commit_ts })
@@ -301,7 +329,7 @@ let abort t txn =
 
 let end_read _t txn =
   require_active txn "end_read";
-  if txn.writes <> [] then
+  if buffered txn <> [] then
     invalid_arg "Mvcc.end_read: transaction has writes; commit or abort it";
   txn.state <- Committed_
 

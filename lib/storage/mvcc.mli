@@ -25,9 +25,11 @@
     only its cells, their versions and the bucket array. A read
     at or above a key's newest commit touches the bucket slot, the cell and
     the key bytes, and a read of a key the transaction did not write
-    allocates nothing ([read], [read_at]). A refresh re-executes every
-    primary update at every secondary, so every per-key operation here is
-    paid once per database. *)
+    allocates nothing ([read], [read_at]). A refresh installs every
+    primary update at every secondary, so every per-key install here is
+    paid once per database; a refresh transaction takes its writeset whole
+    ({!write_all}), so buffering and checking it cost one walk of the
+    shipped list, with no per-update allocation. *)
 
 type t
 type txn
@@ -72,17 +74,30 @@ val txn_id : txn -> int
 val start_ts : txn -> Timestamp.t
 
 (** [read t txn key] is the value visible in [txn]'s snapshot, its own
-    uncommitted write taking precedence (read-your-writes). *)
+    uncommitted write taking precedence (read-your-writes). A transaction
+    with up to 16 buffered writes scans them, allocating nothing; a longer
+    one builds a table of its writes at its first read. *)
 val read : t -> txn -> string -> string option
 
 (** [write t txn key value] buffers an update ([None] deletes). Never
     blocks. @raise Invalid_argument if [txn] is no longer active. *)
 val write : t -> txn -> string -> string option -> unit
 
+(** [write_all t txn updates] buffers a whole writeset at once: [updates]
+    must hold one update per key, as {!Wal.squash} returns it. The list is
+    kept as it is, with no per-update work and no new record: {!commit}
+    checks first-committer-wins by walking it, installs it and, with a
+    commit list, keeps that very list in it; {!pending_writes} returns it.
+    This is how a refresh transaction takes a propagated commit's updates.
+    Reads still see these writes, and a later {!write} may follow.
+    @raise Invalid_argument if [txn] is no longer active or has written. *)
+val write_all : t -> txn -> Wal.update list -> unit
+
 (** [commit t txn] applies the first-committer-wins rule: if any key written
     by [txn] was also written by a transaction that committed after [txn]
-    started, [txn] aborts with [Write_conflict]; otherwise its writes are
-    installed atomically under a fresh commit timestamp. *)
+    started, [txn] aborts with [Write_conflict], naming the first such key
+    in first-write order; otherwise its writes are installed atomically
+    under a fresh commit timestamp. *)
 val commit : t -> txn -> commit_result
 
 (** [abort t txn] discards the transaction's buffered writes. *)
@@ -94,8 +109,10 @@ val abort : t -> txn -> unit
     @raise Invalid_argument if the transaction wrote anything. *)
 val end_read : t -> txn -> unit
 
-(** Buffered writes of an active transaction, in write order (later writes to
-    the same key supersede earlier ones). *)
+(** Buffered writes of an active transaction, one update per key in
+    first-write order, each with the key's last value ({!Wal.squash} of the
+    writes, or the list given to {!write_all}); after a commit, the updates
+    it installed. *)
 val pending_writes : txn -> Wal.update list
 
 (** Keys written so far by an active transaction, in first-write order.

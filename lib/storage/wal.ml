@@ -60,30 +60,38 @@ let truncate_before t offset =
     t.base <- offset
   end
 
-let has_repeats updates =
-  let keys = Array.of_list (List.map (fun u -> u.key) updates) in
-  Array.sort String.compare keys;
-  let rec adjacent i =
-    i < Array.length keys
-    && (String.equal keys.(i - 1) keys.(i) || adjacent (i + 1))
-  in
-  adjacent 1
+(* Writesets up to this long are checked for a repeated key pair by pair,
+   which allocates nothing; longer ones through a table, in linear time. *)
+let short = 16
+
+let rec has_key key = function
+  | [] -> false
+  | u :: rest -> String.equal u.key key || has_key key rest
+
+let rec has_repeat = function
+  | [] -> false
+  | u :: rest -> has_key u.key rest || has_repeat rest
+
+(* Each key's last update, emitted where its first write was and removed
+   once emitted. *)
+let keep_last last updates =
+  List.filter_map
+    (fun u ->
+      match Hashtbl.find_opt last u.key with
+      | None -> None
+      | Some _ as kept ->
+        Hashtbl.remove last u.key;
+        kept)
+    updates
 
 let squash updates =
-  if not (has_repeats updates) then updates
+  if List.compare_length_with updates short <= 0 && not (has_repeat updates)
+  then updates
   else begin
-    (* Each key's last value, removed once its first write has been
-       emitted. *)
-    let last = Hashtbl.create 8 in
-    List.iter (fun u -> Hashtbl.replace last u.key u.value) updates;
-    List.filter_map
-      (fun u ->
-        match Hashtbl.find_opt last u.key with
-        | None -> None
-        | Some value ->
-          Hashtbl.remove last u.key;
-          Some { key = u.key; value })
-      updates
+    let n = List.length updates in
+    let last = Hashtbl.create n in
+    List.iter (fun u -> Hashtbl.replace last u.key u) updates;
+    if Hashtbl.length last = n then updates else keep_last last updates
   end
 
 let pp_entry ppf = function

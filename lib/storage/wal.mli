@@ -11,8 +11,10 @@ type update = { key : string; value : string option }
 
 (** [squash updates] keeps one update per key of a transaction's updates,
     given in write order: keys in first-write order, each with the last
-    value written. When no key repeats it returns [updates] itself, after
-    an O(n log n) check that allocates no table. *)
+    value written (the record of that last write, not a copy). When no key
+    repeats it returns [updates] itself. Linear: up to 16 updates are
+    checked for a repeat pair by pair, allocating nothing; a longer list,
+    or one with a repeat, goes through one table of its keys. *)
 val squash : update list -> update list
 
 type entry =

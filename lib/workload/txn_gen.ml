@@ -13,24 +13,43 @@ type spec = {
   ops : op list;
 }
 
+let rec digits n acc = if n = 0 then acc else digits (n / 10) (acc + 1)
+
+(* Writes the last decimal digit of [n], which must not be positive, at
+   [i]. *)
+let set_digit b i n = Bytes.unsafe_set b i (Char.unsafe_chr (48 - (n mod 10)))
+
 (* [Printf.sprintf "item:%06d" idx], byte for byte, without the format
    interpreter: at least six digits, zero-padded after any sign. Digits are
-   taken from the negative side so [min_int] needs no special case. *)
+   taken from the negative side so [min_int] needs no special case. An index
+   in [0, 10^6) writes its six digits straight into the 11-byte string, its
+   only allocation. *)
 let key_name idx =
-  let rec digits n acc = if n = 0 then acc else digits (n / 10) (acc + 1) in
-  let sign = if idx < 0 then 1 else 0 in
-  let width = max 6 (sign + max 1 (digits idx 0)) in
-  let b = Bytes.make (5 + width) '0' in
-  Bytes.blit_string "item:" 0 b 0 5;
-  if sign = 1 then Bytes.set b 5 '-';
-  let rec fill n i =
-    if n <> 0 then begin
-      Bytes.set b i (Char.unsafe_chr (48 - (n mod 10)));
-      fill (n / 10) (i - 1)
-    end
-  in
-  fill (if idx > 0 then -idx else idx) (4 + width);
-  Bytes.unsafe_to_string b
+  if idx >= 0 && idx < 1_000_000 then begin
+    let b = Bytes.create 11 in
+    Bytes.blit_string "item:" 0 b 0 5;
+    let n = -idx in
+    set_digit b 5 (n / 100_000);
+    set_digit b 6 (n / 10_000);
+    set_digit b 7 (n / 1_000);
+    set_digit b 8 (n / 100);
+    set_digit b 9 (n / 10);
+    set_digit b 10 n;
+    Bytes.unsafe_to_string b
+  end
+  else begin
+    let sign = if idx < 0 then 1 else 0 in
+    let width = max 6 (sign + max 1 (digits idx 0)) in
+    let b = Bytes.make (5 + width) '0' in
+    Bytes.blit_string "item:" 0 b 0 5;
+    if sign = 1 then Bytes.set b 5 '-';
+    let n = ref (if idx > 0 then -idx else idx) in
+    for i = 4 + width downto 5 + sign do
+      set_digit b i !n;
+      n := !n / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
 
 let key params rng =
   let n = params.Params.key_space in
@@ -41,7 +60,27 @@ let key params rng =
   in
   key_name idx
 
-let fresh_value rng = "v" ^ Int64.to_string (Rng.bits64 rng)
+(* ["v" ^ Int64.to_string x] as one string. [x] splits into two ints
+   around 10^10 that keep its sign, and digits are taken from the negative
+   side so [Int64.min_int] needs no special case. *)
+let fresh_value rng =
+  let x = Rng.bits64 rng in
+  let hi = Int64.to_int (Int64.div x 10_000_000_000L)
+  and lo = Int64.to_int (Int64.rem x 10_000_000_000L) in
+  let sign = if hi < 0 || lo < 0 then 1 else 0 in
+  let hi = if sign = 1 then hi else -hi and lo = if sign = 1 then lo else -lo in
+  let len = 1 + sign + if hi = 0 then max 1 (digits lo 0) else 10 + digits hi 0 in
+  let b = Bytes.create len in
+  Bytes.unsafe_set b 0 'v';
+  if sign = 1 then Bytes.unsafe_set b 1 '-';
+  (* The low ten digits, zero-padded when [hi] follows, then [hi]'s. *)
+  let n = ref lo in
+  for i = len - 1 downto 1 + sign do
+    if i = len - 11 then n := hi;
+    set_digit b i !n;
+    n := !n / 10
+  done;
+  Bytes.unsafe_to_string b
 
 let generate params rng =
   let size =

@@ -26,7 +26,12 @@ type spec = {
 val generate : Params.t -> Rng.t -> spec
 
 (** [key_name i] is the name of key index [i], the same string as
-    [Printf.sprintf "item:%06d" i]. *)
+    [Printf.sprintf "item:%06d" i]. For [0 <= i < 1_000_000] it allocates
+    only the eleven-byte string. *)
 val key_name : int -> string
+
+(** [fresh_value rng] draws a value to write: the same string as
+    ["v" ^ Int64.to_string (Rng.bits64 rng)], from the same one draw. *)
+val fresh_value : Rng.t -> string
 
 val is_update : spec -> bool

@@ -2002,6 +2002,40 @@ let test_system_strong_session_reads_own_writes () =
   | Ok () -> ()
   | Error es -> Alcotest.fail (String.concat "; " es)
 
+(* A refresh installs the writeset the propagator shipped: after a pump,
+   every secondary's commit list holds that very list (the same one at every
+   secondary), made of the primary's own update records. *)
+let test_system_secondaries_share_shipped_writesets () =
+  let sys = System.create ~secondaries:3 ~guarantee:Session.Weak () in
+  let c = System.connect sys "loader" in
+  let update body =
+    match System.update sys c body with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update failed"
+  in
+  update (fun h -> for i = 0 to 39 do Handle.put h (Printf.sprintf "k%02d" i) "v" done);
+  update (fun h ->
+      Handle.put h "a" "1";
+      Handle.put h "b" "2";
+      Handle.put h "a" "3");
+  update (fun h -> Handle.del h "k00");
+  System.pump sys;
+  let primary = Mvcc.commits_with_updates (System.primary_db sys) in
+  let shipped = Mvcc.commits_with_updates (System.secondary_db sys 0) in
+  check_int "every commit refreshed" (List.length primary) (List.length shipped);
+  for i = 1 to 2 do
+    List.iter2
+      (fun (ts, updates) (ts', updates') ->
+        check_int "commit ts" ts ts';
+        check_bool "the same shipped list" true (updates == updates'))
+      shipped
+      (Mvcc.commits_with_updates (System.secondary_db sys i))
+  done;
+  List.iter2
+    (fun (_, mine) (_, updates) ->
+      check_bool "the primary's records" true (List.for_all2 ( == ) mine updates))
+    primary shipped
+
 let test_system_strong_session_cross_session_stale_ok () =
   let sys = System.create ~secondaries:1 ~guarantee:Session.Strong_session () in
   let writer = System.connect sys "writer" in
@@ -2572,6 +2606,8 @@ let () =
           Alcotest.test_case "fcw abort in log" `Quick test_system_fcw_abort_surfaces;
           Alcotest.test_case "multi-secondary consistency" `Quick
             test_system_multi_secondary_consistency;
+          Alcotest.test_case "secondaries share shipped writesets" `Quick
+            test_system_secondaries_share_shipped_writesets;
           Alcotest.test_case "row api" `Quick test_system_row_api;
           Alcotest.test_case "handle schema/reads" `Quick
             test_handle_schema_and_reads;

@@ -120,6 +120,51 @@ let prop_wal_truncate_preserves_suffix =
       let after, _ = Wal.read_from wal cut in
       before = after && Wal.length wal = List.length txns)
 
+(* The sort-based squash that the linear one replaced, kept as its oracle:
+   a sorted copy of the keys finds a repeat, and a table keeps each key's
+   last value. *)
+let squash_by_sorting updates =
+  let keys = Array.of_list (List.map (fun u -> u.Wal.key) updates) in
+  Array.sort String.compare keys;
+  let rec adjacent i =
+    i < Array.length keys && (String.equal keys.(i - 1) keys.(i) || adjacent (i + 1))
+  in
+  if not (adjacent 1) then updates
+  else begin
+    let last = Hashtbl.create 8 in
+    List.iter (fun u -> Hashtbl.replace last u.Wal.key u.Wal.value) updates;
+    List.filter_map
+      (fun u ->
+        match Hashtbl.find_opt last u.Wal.key with
+        | None -> None
+        | Some value ->
+          Hashtbl.remove last u.Wal.key;
+          Some { Wal.key = u.Wal.key; value })
+      updates
+  end
+
+(* Writesets on either side of the short/long split, from a key space
+   small enough that keys repeat or so large that they almost never do. *)
+let arb_writeset =
+  let open QCheck.Gen in
+  let writeset =
+    oneofl [ 4; 30; 1_000_000 ] >>= fun space ->
+    list_size (int_range 0 60)
+      (map2
+         (fun k v -> { Wal.key = Printf.sprintf "k%d" k; value = v })
+         (int_range 0 space)
+         (opt (map string_of_int small_nat)))
+  in
+  QCheck.make writeset ~print:(fun us ->
+      String.concat "," (List.map (fun u -> u.Wal.key) us))
+
+(* The same updates, and the very input list when no key repeats. *)
+let prop_squash_matches_sorting =
+  QCheck.Test.make ~name:"squash agrees with the sort-based oracle" ~count:2000
+    arb_writeset (fun updates ->
+      let got = Wal.squash updates and want = squash_by_sorting updates in
+      got = want && got == updates = (want == updates))
+
 (* --- Mvcc: basic semantics ------------------------------------------------------- *)
 
 let test_visibility_committed_before_start () =
@@ -303,6 +348,68 @@ let test_pending_writes_distinct_keys () =
     (as_pairs (snd (List.nth (Mvcc.commits_with_updates db) 1)));
   Alcotest.check updates "pending after commit" expected
     (as_pairs (Mvcc.pending_writes txn))
+
+(* A writeset handed over whole, short (scanned by reads) or long (read
+   through a table): reads see it, commit checks first-committer-wins on it
+   and installs it, and the pending writes and the commit list are that very
+   list. *)
+let test_write_all_reads_own_writes () =
+  let db = Mvcc.create ~commit_log:true () in
+  seed db [ ("old", "0"); ("gone", "0") ];
+  let update key value = { Wal.key; value } in
+  let short = [ update "a" (Some "1"); update "gone" None ] in
+  let long =
+    List.init 40 (fun i -> update (Printf.sprintf "k%02d" i) (Some (string_of_int i)))
+  in
+  List.iter
+    (fun whole ->
+      let txn = Mvcc.begin_txn db in
+      Mvcc.write_all db txn whole;
+      List.iter
+        (fun { Wal.key; value } -> check_str_opt key value (Mvcc.read db txn key))
+        whole;
+      check_str_opt "unwritten key" (Some "0") (Mvcc.read db txn "old");
+      check_bool "pending writes are the list" true (Mvcc.pending_writes txn == whole);
+      Alcotest.check_raises "end_read"
+        (Invalid_argument "Mvcc.end_read: transaction has writes; commit or abort it")
+        (fun () -> Mvcc.end_read db txn);
+      ignore (commit_exn db txn);
+      let installed = snd (List.hd (List.rev (Mvcc.commits_with_updates db))) in
+      check_bool "the commit list keeps the list" true (installed == whole))
+    [ short; long ];
+  check_str_opt "installed delete" None
+    (Mvcc.read_at db (Mvcc.latest_commit_ts db) "gone");
+  (* Written on after the whole writeset, with the table already built. *)
+  let txn = Mvcc.begin_txn db in
+  Mvcc.write_all db txn long;
+  check_str_opt "whole write" (Some "1") (Mvcc.read db txn "k01");
+  put db txn "k01" "new";
+  put db txn "extra" "x";
+  check_str_opt "later write wins" (Some "new") (Mvcc.read db txn "k01");
+  check_str_opt "whole write kept" (Some "2") (Mvcc.read db txn "k02");
+  check_str_opt "new key" (Some "x") (Mvcc.read db txn "extra");
+  let expected =
+    List.map
+      (fun (key, value) -> if key = "k01" then (key, Some "new") else (key, value))
+      (as_pairs long)
+    @ [ ("extra", Some "x") ]
+  in
+  Alcotest.check updates "pending writes" expected (as_pairs (Mvcc.pending_writes txn));
+  Alcotest.check_raises "write_all after writes"
+    (Invalid_argument
+       (Printf.sprintf "Mvcc.write_all: transaction %d has written already"
+          (Mvcc.txn_id txn)))
+    (fun () -> Mvcc.write_all db txn short);
+  Mvcc.abort db txn;
+  (* First-committer-wins walks the list and names its first conflict. *)
+  let txn = Mvcc.begin_txn db in
+  seed db [ ("k07", "late"); ("k03", "late") ];
+  Mvcc.write_all db txn long;
+  match Mvcc.commit db txn with
+  | Mvcc.Aborted (Mvcc.Write_conflict key) ->
+    Alcotest.(check string) "first conflict" "k03" key
+  | Mvcc.Aborted Mvcc.Forced | Mvcc.Committed _ ->
+    Alcotest.fail "expected a write conflict"
 
 (* With repeats: one update per key, first-write position, last value. *)
 let test_pending_writes_repeated_keys () =
@@ -1471,6 +1578,7 @@ let () =
           Alcotest.test_case "read_from at length" `Quick
             test_wal_read_from_at_length;
           QCheck_alcotest.to_alcotest prop_wal_truncate_preserves_suffix;
+          QCheck_alcotest.to_alcotest prop_squash_matches_sorting;
           Alcotest.test_case "pp entries" `Quick test_wal_pp_entries;
           Alcotest.test_case "row pp" `Quick test_row_pp;
         ] );
@@ -1505,6 +1613,8 @@ let () =
             test_pending_writes_distinct_keys;
           Alcotest.test_case "pending writes, repeated keys" `Quick
             test_pending_writes_repeated_keys;
+          Alcotest.test_case "write_all reads own writes" `Quick
+            test_write_all_reads_own_writes;
         ] );
       ( "mvcc-states",
         [

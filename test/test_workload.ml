@@ -169,6 +169,25 @@ let prop_key_name_printf =
   QCheck.Test.make ~name:"key_name agrees with Printf" ~count:2000 QCheck.int
     key_name_matches
 
+(* Every index the fast path takes, both of its edges and the slow path
+   around them, checked one by one. *)
+let test_key_name_exhaustive () =
+  for i = -1_200_000 to 1_200_000 do
+    if not (key_name_matches i) then
+      Alcotest.failf "key_name %d = %S" i (Txn_gen.key_name i)
+  done;
+  check_bool "min_int" true (key_name_matches min_int);
+  check_bool "max_int" true (key_name_matches max_int)
+
+(* A twin generator draws the same 64-bit words for the reference. *)
+let test_fresh_value_matches () =
+  let rng = Rng.create 20060912 and twin = Rng.create 20060912 in
+  for _ = 1 to 1_000_000 do
+    let got = Txn_gen.fresh_value rng in
+    let want = "v" ^ Int64.to_string (Rng.bits64 twin) in
+    if not (String.equal got want) then Alcotest.failf "%S <> %S" got want
+  done
+
 let () =
   Alcotest.run "lsr_workload"
     [
@@ -199,5 +218,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_generate_wellformed;
           Alcotest.test_case "key names at the edges" `Quick test_key_name_edges;
           QCheck_alcotest.to_alcotest prop_key_name_printf;
+          Alcotest.test_case "key names exhaustively" `Quick
+            test_key_name_exhaustive;
+          Alcotest.test_case "fresh values match Int64.to_string" `Quick
+            test_fresh_value_matches;
         ] );
     ]
