@@ -115,10 +115,10 @@ let add_stats a b =
     max_ooo = max a.max_ooo b.max_ooo;
   }
 
-type message = { seq : int; record : Txn_record.t }
+type message = { seq : int; record : Lsr_storage.Wal.entry }
 
 (* One copy of a message traversing the network. *)
-type packet = { arrive : int; pseq : int; precord : Txn_record.t }
+type packet = { arrive : int; pseq : int; precord : Lsr_storage.Wal.entry }
 
 (* Sender-side retransmission state for one unacked message. *)
 type unacked_msg = { msg : message; mutable rto_at : int; mutable cur_rto : int }
@@ -135,7 +135,7 @@ type t = {
   mutable ack_flight : (int * int) list; (* arrival tick, cumulative ack *)
   (* Receiver. *)
   mutable next_expected : int;
-  ooo : (int, Txn_record.t) Hashtbl.t;
+  ooo : (int, Lsr_storage.Wal.entry) Hashtbl.t;
   s : stats;
   sinks : Lsr_obs.Sinks.t;
   lname : string option; (* site this channel feeds, for flight events *)
@@ -161,8 +161,8 @@ let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
 let emit_stage t record stage =
   if Lsr_obs.Sinks.tracing t.sinks then
     Lsr_obs.Sinks.stage t.sinks ?site:t.lname
-      ~txn:(Txn_record.txn record)
-      (stage (Txn_record.kind_name record))
+      ~txn:(Lsr_storage.Wal.txn record)
+      (stage (Lsr_storage.Wal.kind_name record))
 
 let stats t = t.s
 

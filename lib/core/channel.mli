@@ -90,12 +90,12 @@ val create :
 
 (** [send t records] accepts a batch from the propagator: each record gets
     the next sequence number and is transmitted (subject to faults). *)
-val send : t -> Txn_record.t list -> unit
+val send : t -> Lsr_storage.Wal.entry list -> unit
 
 (** [tick t] advances one tick: arrivals are processed, in-order records are
     delivered (returned oldest first), a cumulative ack is emitted, acked
     messages are released and timed-out ones retransmitted. *)
-val tick : t -> Txn_record.t list
+val tick : t -> Lsr_storage.Wal.entry list
 
 (** Nothing buffered anywhere: no unacked messages, nothing in flight, no
     out-of-order arrivals held back. Every sent record has been delivered. *)

@@ -7,8 +7,8 @@
       timestamp;
     + reseed [seq(DBsec)] to that timestamp ({!Lsr_core.Secondary.reseed_seq},
       §4's dummy-transaction rule applied at backup time);
-    + replay the primary's log from the beginning
-      ([Propagation.create ~from:0]), discarding transactions already
+    + replay the primary's log from the beginning (a fresh
+      {!Lsr_core.Propagation}), discarding transactions already
       reflected in the backup, and drain the refresh machinery.
 
     The replayed refresh transactions re-execute in primary timestamp order,
@@ -29,7 +29,7 @@ val backup : Primary.t -> backup
     site must re-execute: start/commit pairs of transactions whose commit
     timestamp exceeds [after]. Commits at or below [after] are already in
     the backup; aborted and still-in-flight transactions install nothing. *)
-val replay_filter : after:Timestamp.t -> Txn_record.t list -> Txn_record.t list
+val replay_filter : after:Timestamp.t -> Wal.entry list -> Wal.entry list
 
 (** [restore ~primary b] rebuilds a secondary from backup [b] by replaying
     the primary's whole log through a fresh propagator and draining. The

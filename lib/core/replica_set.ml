@@ -74,7 +74,7 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
     else None
   in
   let propagator =
-    Propagation.create ~from:0 ~ship_aborted ~sinks (Primary.wal primary)
+    Propagation.create ~ship_aborted ~sinks (Primary.wal primary)
   in
   (* Every channel draws its own stream, split from the fault seed in site
      order, so a whole fault schedule replays from one seed. *)

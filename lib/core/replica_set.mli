@@ -95,7 +95,7 @@ val is_crashed : t -> int -> bool
 (** [broadcast t records ~direct] hands a propagated batch to every live
     secondary's fault channel, or to [direct i records] without one. *)
 val broadcast :
-  t -> Txn_record.t list -> direct:(int -> Txn_record.t list -> unit) -> unit
+  t -> Wal.entry list -> direct:(int -> Wal.entry list -> unit) -> unit
 
 (** [deliver t i] advances live secondary [i]'s fault channel one tick and
     enqueues its in-order deliveries; [true] when anything arrived. *)

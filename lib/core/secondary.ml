@@ -14,7 +14,7 @@ type applicator = {
 type t = {
   name : string;
   db : Mvcc.t;
-  update_queue : Txn_record.t Queue.t;
+  update_queue : Wal.entry Queue.t;
   (* Primary txn id -> open refresh transaction (started, not yet dispatched
      to an applicator). *)
   refresh_txns : Mvcc.txn Txns.t;
@@ -71,9 +71,9 @@ let enqueue t record =
   Queue.add record t.update_queue;
   (if Lsr_obs.Sinks.tracing t.sinks then
      match record with
-     | Txn_record.Commit_rec { txn; _ } ->
+     | Wal.Commit { txn; _ } ->
        Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn Lsr_obs.Flight.Enqueued
-     | Txn_record.Start_rec _ | Txn_record.Abort_rec _ -> ());
+     | Wal.Start _ | Wal.Abort _ -> ());
   note_update_queue t
 
 let seq_dbsec t = t.seq_dbsec
@@ -89,7 +89,7 @@ let pop_update t =
 let refresher_step t =
   match Queue.peek_opt t.update_queue with
   | None -> Idle
-  | Some (Txn_record.Start_rec { txn; _ }) ->
+  | Some (Wal.Start { txn; _ }) ->
     if not (Queue.is_empty t.applicators) then Blocked_on_pending
     else begin
       pop_update t;
@@ -101,7 +101,7 @@ let refresher_step t =
       Lsr_obs.Obs.incr t.c_started;
       Started txn
     end
-  | Some (Txn_record.Commit_rec { txn; commit_ts; updates }) ->
+  | Some (Wal.Commit { txn; ts = commit_ts; updates }) ->
     pop_update t;
     let refresh =
       match Txns.find_opt t.refresh_txns txn with
@@ -116,7 +116,7 @@ let refresher_step t =
     Queue.add app t.applicators;
     note_pending t;
     Dispatched app
-  | Some (Txn_record.Abort_rec { txn; wasted = _ }) ->
+  | Some (Wal.Abort { txn; _ }) ->
     pop_update t;
     (match Txns.find_opt t.refresh_txns txn with
     | Some refresh ->

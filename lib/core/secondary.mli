@@ -18,7 +18,7 @@
       by one and no record is copied: the commit checks first-committer-wins
       by walking the list and installs it, and a commit list keeps the
       shipped list itself, so the secondaries of one primary share every
-      propagated writeset;
+      propagated writeset with the primary's commit that logged it;
     - an {e abort} record discards the refresh transaction.
 
     An applicator commits once it heads the pending queue — enforcing
@@ -71,7 +71,7 @@ val name : t -> string
 
 (** [enqueue t record] appends a propagated record to the update queue
     (records must arrive in primary log order; the channel is FIFO). *)
-val enqueue : t -> Txn_record.t -> unit
+val enqueue : t -> Wal.entry -> unit
 
 (** [seq_dbsec t] is the primary commit timestamp of the latest refresh
     transaction committed here — the state of this copy "in terms of the
@@ -140,4 +140,4 @@ val pending_queue_length : t -> int
 
 (** Head of the update queue, without consuming it (the simulator reads the
     updates or wasted work it must charge for before stepping). *)
-val peek_update : t -> Txn_record.t option
+val peek_update : t -> Wal.entry option

@@ -248,12 +248,12 @@ let recover_secondary t i =
      cursor agree ("quiesced copy", §3.4). *)
   ignore (propagate t);
   (* Install a quiesced copy of the primary database (§3.4), shipped in its
-     serialized backup form, and reinitialize seq(DBsec) from a dummy
-     transaction's view of the primary's latest committed state (§4). *)
+     serialized backup form, and reinitialize seq(DBsec) to the primary's
+     latest commit, the state §4's dummy transaction would see. No dummy is
+     run: its start record would open a refresh at every live secondary
+     that no commit or abort record ever closes. *)
   let backup = Mvcc.serialize (primary_db t) in
-  let dummy = Mvcc.begin_txn (primary_db t) in
   let seq = Mvcc.latest_commit_ts (primary_db t) in
-  Mvcc.end_read (primary_db t) dummy;
   Replica_set.recovered t.core i ~backup ~seq
 
 (* --- Verification ----------------------------------------------------------- *)

@@ -199,8 +199,9 @@ val crash_secondary : t -> int -> unit
 (** [recover_secondary t i] first quiesces propagation (so the backup point
     and the propagation cursor agree — nothing already in the backup is
     propagated again), then installs a quiesced copy of the primary database
-    and reinitializes [seq(DBsec)] from a dummy transaction at the primary,
-    after which the site resumes receiving propagated updates. *)
+    and reinitializes [seq(DBsec)] to the primary's latest commit (what §4's
+    dummy transaction would read; none is run, so the primary's log gains
+    no entry), after which the site resumes receiving propagated updates. *)
 val recover_secondary : t -> int -> unit
 
 val is_crashed : t -> int -> bool

@@ -199,10 +199,9 @@ let refresher st site () =
        aborted work the eager-propagation ablation ships and pays for. *)
     let ops =
       match Secondary.peek_update site.sec with
-      | Some
-          ( Txn_record.Commit_rec { updates = l; _ }
-          | Txn_record.Abort_rec { wasted = l; _ } ) -> List.length l
-      | Some (Txn_record.Start_rec _) | None -> 0
+      | Some (Wal.Commit { updates; _ }) -> List.length updates
+      | Some (Wal.Abort { writes; _ }) -> writes
+      | Some (Wal.Start _) | None -> 0
     in
     match Secondary.refresher_step site.sec with
     | Secondary.Started _ -> loop ()

@@ -67,7 +67,7 @@ val new_epoch : t -> unit
 
 (** One pipeline stage of an update transaction after its primary commit.
     Channel stages identify the affected record by its rendered kind
-    ([record]) because a network message may carry any [Txn_record];
+    ([record]) because a network message may carry any log entry;
     [ticks] is the injected extra delay in channel ticks. *)
 type stage =
   | Batched  (** the propagator opened a batch for this transaction *)

@@ -240,12 +240,9 @@ let read t txn key =
   let own = own_write txn key in
   if own == no_write then snapshot_read t ~at:txn.start_ts key else own.value
 
-let write t txn key value =
+let write _t txn key value =
   require_active txn "write";
   let update = { Wal.key; value } in
-  (match t.log with
-  | Some wal -> Wal.append wal (Wal.Update { txn = txn.id; update })
-  | None -> ());
   (match (txn.writes, txn.effective) with
   | [], Some whole -> txn.writes <- List.rev whole (* written whole so far *)
   | _ -> ());
@@ -253,17 +250,11 @@ let write t txn key value =
   txn.effective <- None;
   match txn.own with Some own -> Hashtbl.replace own key update | None -> ()
 
-let write_all t txn updates =
+let write_all _t txn updates =
   require_active txn "write_all";
   if buffered txn <> [] then
     invalid_arg
       (Printf.sprintf "Mvcc.write_all: transaction %d has written already" txn.id);
-  (match t.log with
-  | Some wal ->
-    List.iter
-      (fun update -> Wal.append wal (Wal.Update { txn = txn.id; update }))
-      updates
-  | None -> ());
   txn.effective <- Some updates
 
 (* The first key of [updates] that a transaction committed after [start_ts]
@@ -304,7 +295,9 @@ let effective_updates txn =
 let mark_aborted t txn =
   txn.state <- Aborted_;
   match t.log with
-  | Some wal -> Wal.append wal (Wal.Abort { txn = txn.id })
+  | Some wal ->
+    Wal.append wal
+      (Wal.Abort { txn = txn.id; writes = List.length (buffered txn) })
   | None -> ()
 
 let commit t txn =
@@ -319,7 +312,7 @@ let commit t txn =
     install t ~commit_ts updates;
     txn.state <- Committed_;
     (match t.log with
-    | Some wal -> Wal.append wal (Wal.Commit { txn = txn.id; ts = commit_ts })
+    | Some wal -> Wal.append wal (Wal.Commit { txn = txn.id; ts = commit_ts; updates })
     | None -> ());
     Committed commit_ts
 

@@ -11,8 +11,9 @@
     - writers never block: write-write conflicts are resolved at commit by
       the first-committer-wins rule, so there are no deadlocks;
     - a transaction reads its own uncommitted writes;
-    - a store given a logical {!Wal} (only the primary's is) logs start /
-      update / commit (or abort) records there.
+    - a store given a logical {!Wal} (only the primary's is) logs each
+      transaction's start, then its commit record carrying the very list
+      the commit installed, or its abort record; a write logs nothing.
 
     The engine also exposes snapshot reconstruction ([state_at],
     [fold_visible]) and the commit list, used to check the paper's
@@ -97,10 +98,13 @@ val write_all : t -> txn -> Wal.update list -> unit
     by [txn] was also written by a transaction that committed after [txn]
     started, [txn] aborts with [Write_conflict], naming the first such key
     in first-write order; otherwise its writes are installed atomically
-    under a fresh commit timestamp. *)
+    under a fresh commit timestamp. With a log, the commit record carries
+    the installed list itself, the one {!pending_writes} and the commit
+    list return. *)
 val commit : t -> txn -> commit_result
 
-(** [abort t txn] discards the transaction's buffered writes. *)
+(** [abort t txn] discards the transaction's buffered writes. With a log,
+    the abort record counts them (every write, repeats included). *)
 val abort : t -> txn -> unit
 
 (** [end_read t txn] finishes a read-only transaction: no state is

@@ -2,9 +2,15 @@ type update = { key : string; value : string option }
 
 type entry =
   | Start of { txn : int; ts : Timestamp.t }
-  | Update of { txn : int; update : update }
-  | Commit of { txn : int; ts : Timestamp.t }
-  | Abort of { txn : int }
+  | Commit of { txn : int; ts : Timestamp.t; updates : update list }
+  | Abort of { txn : int; writes : int }
+
+let txn = function Start { txn; _ } | Commit { txn; _ } | Abort { txn; _ } -> txn
+
+let kind_name = function
+  | Start _ -> "start"
+  | Commit _ -> "commit"
+  | Abort _ -> "abort"
 
 type t = {
   mutable entries : entry array;
@@ -16,7 +22,7 @@ type t = {
 
 let create () = { entries = [||]; base = 0; size = 0 }
 
-let dummy = Abort { txn = -1 }
+let dummy = Abort { txn = -1; writes = 0 }
 
 let append t e =
   let used = t.size - t.base in
@@ -96,8 +102,7 @@ let squash updates =
 
 let pp_entry ppf = function
   | Start { txn; ts } -> Format.fprintf ppf "start(T%d)@%a" txn Timestamp.pp ts
-  | Update { txn; update = { key; value } } ->
-    Format.fprintf ppf "update(T%d, %s := %s)" txn key
-      (match value with Some v -> v | None -> "<delete>")
-  | Commit { txn; ts } -> Format.fprintf ppf "commit(T%d)@%a" txn Timestamp.pp ts
-  | Abort { txn } -> Format.fprintf ppf "abort(T%d)" txn
+  | Commit { txn; ts; updates } ->
+    Format.fprintf ppf "commit(T%d)@%a[%d updates]" txn Timestamp.pp ts
+      (List.length updates)
+  | Abort { txn; writes } -> Format.fprintf ppf "abort(T%d)[%d writes]" txn writes

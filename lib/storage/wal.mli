@@ -4,7 +4,11 @@
     ... each update transaction's start timestamp is inserted into the log,
     followed by the transaction's update records, and then the transaction's
     commit record tagged with its commit timestamp or the abort record"
-    (§3). The propagator of Algorithm 3.1 is a sniffer over this log. *)
+    (§3). Algorithm 3.1 ships a transaction's updates only with its commit
+    record, so here the commit entry carries them: the squashed writeset the
+    commit installed, and no entry is logged per write. The propagator of
+    Algorithm 3.1 is a sniffer over this log, and its entries are the
+    records it ships. *)
 
 (** One logical update: assigning [value] to [key] ([None] deletes). *)
 type update = { key : string; value : string option }
@@ -19,9 +23,19 @@ val squash : update list -> update list
 
 type entry =
   | Start of { txn : int; ts : Timestamp.t }
-  | Update of { txn : int; update : update }
-  | Commit of { txn : int; ts : Timestamp.t }
-  | Abort of { txn : int }
+  | Commit of { txn : int; ts : Timestamp.t; updates : update list }
+      (** [updates] is the list the commit installed, one per key in
+          first-write order ({!squash} of the writes), shared with the
+          committing store's commit list and every refresh of it. *)
+  | Abort of { txn : int; writes : int }
+      (** [writes] counts the writes the transaction had buffered: the work
+          the eager-propagation ablation ships and secondaries discard. *)
+
+val txn : entry -> int
+
+(** ["start"], ["commit"] or ["abort"]: the entry's tag alone, used by the
+    fault channel to label flight events without rendering payloads. *)
+val kind_name : entry -> string
 
 type t
 

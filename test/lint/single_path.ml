@@ -9,7 +9,10 @@
    and per refresh commit and hands to the driver's hooks. Every log
    record has a reader: only [Primary] creates a log, and only the two
    drivers, which know when no reader is left behind the propagation
-   cursor, truncate it. No simulated process is a fiber: every wait passes
+   cursor, truncate it. The log has one writer and one reader: only
+   [Mvcc] appends to it, and squashes a writeset, once per commit, into
+   the commit record that is shipped as it is; only [Propagation] reads
+   it. No simulated process is a fiber: every wait passes
    a continuation to [Resource.use], a [Seqcond] threshold queue or a
    timer, so no library module but [Process] itself names [Process] or
    [Effect]. A postmortem capture has two triggers: the watchdog's first
@@ -37,6 +40,8 @@ let rules =
         "Checker.same_state"; "Channel.create"; "Session.clock_freshness";
         "Session.clock_time_of" ] );
     ([ "primary.ml" ], "Primary", [ "Wal.create" ]);
+    ([ "mvcc.ml" ], "Mvcc", [ "Wal.append"; "Wal.squash" ]);
+    ([ "propagation.ml" ], "Propagation", [ "Wal.read_from" ]);
     ( [ "system.ml"; "sim_system.ml" ],
       "System / Sim_system",
       [ "Wal.truncate_before" ] );

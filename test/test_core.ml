@@ -42,43 +42,43 @@ let update_at primary writes =
 
 let test_propagation_commit_carries_updates () =
   let primary = Primary.create () in
-  let prop = Propagation.create ~from:0 (Primary.wal primary) in
+  let prop = Propagation.create (Primary.wal primary) in
   ignore (update_at primary [ ("x", Some "1"); ("y", Some "2") ]);
   match Propagation.poll prop with
-  | [ Txn_record.Start_rec _; Txn_record.Commit_rec { updates; _ } ] ->
+  | [ Wal.Start _; Wal.Commit { updates; _ } ] ->
     check_int "both updates shipped" 2 (List.length updates)
   | records ->
     Alcotest.failf "unexpected records: %d" (List.length records)
 
 let test_propagation_start_before_commit () =
   let primary = Primary.create () in
-  let prop = Propagation.create ~from:0 (Primary.wal primary) in
+  let prop = Propagation.create (Primary.wal primary) in
   let db = Primary.db primary in
   (* Begin a transaction but do not commit yet: its start record must
      propagate immediately (liveness, §3.2). *)
   let txn = Mvcc.begin_txn db in
   Mvcc.write db txn "x" (Some "1");
   (match Propagation.poll prop with
-  | [ Txn_record.Start_rec { txn = id; _ } ] ->
+  | [ Wal.Start { txn = id; _ } ] ->
     check_int "start of in-flight txn" (Mvcc.txn_id txn) id
   | _ -> Alcotest.fail "expected exactly the start record");
   check_int "one in flight" 1 (Propagation.in_flight prop);
   ignore (commit_exn db txn);
   (match Propagation.poll prop with
-  | [ Txn_record.Commit_rec _ ] -> ()
+  | [ Wal.Commit _ ] -> ()
   | _ -> Alcotest.fail "expected the commit record");
   check_int "none in flight" 0 (Propagation.in_flight prop)
 
 let test_propagation_abort_discards_updates () =
   let primary = Primary.create () in
-  let prop = Propagation.create ~from:0 (Primary.wal primary) in
+  let prop = Propagation.create (Primary.wal primary) in
   let db = Primary.db primary in
   let txn = Mvcc.begin_txn db in
   Mvcc.write db txn "x" (Some "1");
   Mvcc.abort db txn;
   match Propagation.poll prop with
-  | [ Txn_record.Start_rec _; Txn_record.Abort_rec { wasted; _ } ] ->
-    check_int "no wasted work shipped by default" 0 (List.length wasted)
+  | [ Wal.Start _; Wal.Abort { writes; _ } ] ->
+    check_int "no wasted work shipped by default" 0 writes
   | _ -> Alcotest.fail "expected start + abort"
 
 (* A propagator whose cursor lies below the log's truncation point has lost
@@ -87,7 +87,7 @@ let test_propagation_truncated_log_fails_loudly () =
   let primary = Primary.create () in
   ignore (update_at primary [ ("x", Some "1") ]);
   ignore (update_at primary [ ("y", Some "2") ]);
-  let late = Propagation.create ~from:0 (Primary.wal primary) in
+  let late = Propagation.create (Primary.wal primary) in
   Wal.truncate_before (Primary.wal primary) (Wal.length (Primary.wal primary));
   Alcotest.check_raises "poll below the cut"
     (Invalid_argument
@@ -97,20 +97,20 @@ let test_propagation_truncated_log_fails_loudly () =
 
 let test_propagation_ship_aborted () =
   let primary = Primary.create () in
-  let prop = Propagation.create ~from:0 ~ship_aborted:true (Primary.wal primary) in
+  let prop = Propagation.create ~ship_aborted:true (Primary.wal primary) in
   let db = Primary.db primary in
   let txn = Mvcc.begin_txn db in
   Mvcc.write db txn "x" (Some "1");
   Mvcc.write db txn "y" (Some "2");
   Mvcc.abort db txn;
   match Propagation.poll prop with
-  | [ Txn_record.Start_rec _; Txn_record.Abort_rec { wasted; _ } ] ->
-    check_int "eager mode ships aborted work" 2 (List.length wasted)
+  | [ Wal.Start _; Wal.Abort { writes; _ } ] ->
+    check_int "eager mode ships aborted work" 2 writes
   | _ -> Alcotest.fail "expected start + abort"
 
 let test_propagation_squashes_rewrites () =
   let primary = Primary.create () in
-  let prop = Propagation.create ~from:0 (Primary.wal primary) in
+  let prop = Propagation.create (Primary.wal primary) in
   (match
      Primary.execute primary (fun db txn ->
          Mvcc.write db txn "x" (Some "first");
@@ -119,7 +119,7 @@ let test_propagation_squashes_rewrites () =
   | Primary.Committed _ -> ()
   | Primary.Aborted _ -> Alcotest.fail "abort");
   match Propagation.poll prop with
-  | [ Txn_record.Start_rec _; Txn_record.Commit_rec { updates; _ } ] -> (
+  | [ Wal.Start _; Wal.Commit { updates; _ } ] -> (
     match updates with
     | [ { Wal.key = "x"; value = Some "second" } ] -> ()
     | _ -> Alcotest.fail "updates not squashed to last write")
@@ -130,7 +130,7 @@ let test_propagation_squash_keeps_first_write_position () =
      the update list while carrying the last-written value — the refresh
      transaction replays the list verbatim, so both halves matter. *)
   let primary = Primary.create () in
-  let prop = Propagation.create ~from:0 (Primary.wal primary) in
+  let prop = Propagation.create (Primary.wal primary) in
   (match
      Primary.execute primary (fun db txn ->
          Mvcc.write db txn "x" (Some "first");
@@ -140,7 +140,7 @@ let test_propagation_squash_keeps_first_write_position () =
   | Primary.Committed _ -> ()
   | Primary.Aborted _ -> Alcotest.fail "abort");
   match Propagation.poll prop with
-  | [ Txn_record.Start_rec _; Txn_record.Commit_rec { updates; _ } ] ->
+  | [ Wal.Start _; Wal.Commit { updates; _ } ] ->
     let pairs = List.map (fun { Wal.key; value } -> (key, value)) updates in
     Alcotest.(check (list (pair string (option string))))
       "x stays first with its last value"
@@ -149,71 +149,58 @@ let test_propagation_squash_keeps_first_write_position () =
   | _ -> Alcotest.fail "unexpected records"
 
 let test_propagation_interleaved_txns_isolated () =
-  (* Two transactions interleaved in the log, writing the same key: each
-     commit record carries exactly its own transaction's updates. *)
-  let wal = Wal.create () in
-  let prop = Propagation.create ~from:0 wal in
-  Wal.append wal (Wal.Start { txn = 1; ts = 1 });
-  Wal.append wal (Wal.Start { txn = 2; ts = 2 });
-  Wal.append wal (Wal.Update { txn = 1; update = { key = "k"; value = Some "from-1" } });
-  Wal.append wal (Wal.Update { txn = 2; update = { key = "k"; value = Some "from-2" } });
-  Wal.append wal (Wal.Update { txn = 1; update = { key = "only-1"; value = Some "a" } });
-  Wal.append wal (Wal.Commit { txn = 1; ts = 3 });
-  Wal.append wal (Wal.Commit { txn = 2; ts = 4 });
+  (* Two transactions interleaved at the primary (their writes alternate
+     and the later start commits first): each commit record carries exactly
+     its own transaction's updates, squashed. *)
+  let primary = Primary.create () in
+  let db = Primary.db primary in
+  let prop = Propagation.create (Primary.wal primary) in
+  let t1 = Mvcc.begin_txn db in
+  let t2 = Mvcc.begin_txn db in
+  Mvcc.write db t1 "k" (Some "from-1");
+  Mvcc.write db t2 "k2" (Some "from-2");
+  Mvcc.write db t1 "only-1" (Some "a");
+  Mvcc.write db t2 "k2" (Some "again-2");
+  ignore (commit_exn db t2);
+  ignore (commit_exn db t1);
   let commits =
     List.filter_map
       (function
-        | Txn_record.Commit_rec { txn; updates; _ } ->
+        | Wal.Commit { txn; updates; _ } ->
           Some (txn, List.map (fun { Wal.key; value } -> (key, value)) updates)
-        | Txn_record.Start_rec _ | Txn_record.Abort_rec _ -> None)
+        | Wal.Start _ | Wal.Abort _ -> None)
       (Propagation.poll prop)
   in
   Alcotest.(check (list (pair int (list (pair string (option string))))))
     "no cross-contamination between interleaved txns"
     [
-      (1, [ ("k", Some "from-1"); ("only-1", Some "a") ]);
-      (2, [ ("k", Some "from-2") ]);
+      (Mvcc.txn_id t2, [ ("k2", Some "again-2") ]);
+      (Mvcc.txn_id t1, [ ("k", Some "from-1"); ("only-1", Some "a") ]);
     ]
     commits
 
 let test_propagation_order_is_log_order () =
   let primary = Primary.create () in
-  let prop = Propagation.create ~from:0 (Primary.wal primary) in
+  let prop = Propagation.create (Primary.wal primary) in
   let ts1 = update_at primary [ ("a", Some "1") ] in
   let ts2 = update_at primary [ ("b", Some "2") ] in
   check_bool "ts1 < ts2" true (Timestamp.compare ts1 ts2 < 0);
   let commits =
     List.filter_map
       (function
-        | Txn_record.Commit_rec { commit_ts; _ } -> Some commit_ts
-        | Txn_record.Start_rec _ | Txn_record.Abort_rec _ -> None)
+        | Wal.Commit { ts; _ } -> Some ts
+        | Wal.Start _ | Wal.Abort _ -> None)
       (Propagation.poll prop)
   in
   Alcotest.(check (list int)) "commit records in ts order" [ ts1; ts2 ] commits
 
 let test_propagation_cursor_position () =
   let primary = Primary.create () in
-  let prop = Propagation.create ~from:0 (Primary.wal primary) in
+  let prop = Propagation.create (Primary.wal primary) in
   ignore (update_at primary [ ("a", Some "1") ]);
   ignore (Propagation.poll prop);
   check_int "cursor at log end" (Wal.length (Primary.wal primary))
     (Propagation.position prop)
-
-let test_propagation_from_offset () =
-  (* A propagator attached mid-log only ships what follows its cursor. *)
-  let primary = Primary.create () in
-  ignore (update_at primary [ ("old", Some "1") ]);
-  let prop = Propagation.create (Primary.wal primary) in
-  ignore (update_at primary [ ("new", Some "2") ]);
-  let keys =
-    List.concat_map
-      (function
-        | Txn_record.Commit_rec { updates; _ } ->
-          List.map (fun { Wal.key; _ } -> key) updates
-        | Txn_record.Start_rec _ | Txn_record.Abort_rec _ -> [])
-      (Propagation.poll prop)
-  in
-  Alcotest.(check (list string)) "only new updates shipped" [ "new" ] keys
 
 (* --- Secondary refresh (Algorithms 3.2/3.3) -------------------------------------- *)
 
@@ -224,7 +211,7 @@ let replicate_to_secondary records =
   sec
 
 let records_of primary =
-  Propagation.poll (Propagation.create ~from:0 (Primary.wal primary))
+  Propagation.poll (Propagation.create (Primary.wal primary))
 
 let test_refresh_applies_updates () =
   let primary = Primary.create () in
@@ -351,7 +338,7 @@ let test_refresh_commit_order_matches_primary_random () =
 let test_commit_without_start_rejected () =
   let sec = Secondary.create () in
   Secondary.enqueue sec
-    (Txn_record.Commit_rec { txn = 99; commit_ts = 5; updates = [] });
+    (Wal.Commit { txn = 99; ts = 5; updates = [] });
   Alcotest.check_raises "protocol violation"
     (Secondary.Commit_without_start { txn = 99 })
     (fun () -> ignore (Secondary.refresher_step sec))
@@ -379,14 +366,14 @@ let test_applicator_dispatch_scales () =
   let n = 50_000 in
   let sec = Secondary.create () in
   for i = 1 to n do
-    Secondary.enqueue sec (Txn_record.Start_rec { txn = i; start_ts = i })
+    Secondary.enqueue sec (Wal.Start { txn = i; ts = i })
   done;
   for i = 1 to n do
     Secondary.enqueue sec
-      (Txn_record.Commit_rec
+      (Wal.Commit
          {
            txn = i;
-           commit_ts = n + i;
+           ts = n + i;
            updates = [ { Wal.key = Printf.sprintf "k%d" i; value = Some "v" } ];
          })
   done;
@@ -538,9 +525,9 @@ let test_exhaustive_interleavings () =
       let refresher_enabled =
         match Secondary.peek_update sec with
         | None -> false
-        | Some (Txn_record.Start_rec _) ->
+        | Some (Wal.Start _) ->
           Secondary.pending_queue_length sec = 0
-        | Some (Txn_record.Commit_rec _ | Txn_record.Abort_rec _) -> true
+        | Some (Wal.Commit _ | Wal.Abort _) -> true
       in
       let apps =
         List.filter
@@ -609,9 +596,9 @@ let test_pretty_printers () =
     n = 0 || scan 0
   in
   let rec_text =
-    Format.asprintf "%a" Txn_record.pp
-      (Txn_record.Commit_rec
-         { txn = 7; commit_ts = 42; updates = [ { Wal.key = "x"; value = Some "1" } ] })
+    Format.asprintf "%a" Wal.pp_entry
+      (Wal.Commit
+         { txn = 7; ts = 42; updates = [ { Wal.key = "x"; value = Some "1" } ] })
   in
   check_bool "commit record pp" true
     (contains "T7" rec_text && contains "1 updates" rec_text);
@@ -2003,8 +1990,8 @@ let test_system_strong_session_reads_own_writes () =
   | Error es -> Alcotest.fail (String.concat "; " es)
 
 (* A refresh installs the writeset the propagator shipped: after a pump,
-   every secondary's commit list holds that very list (the same one at every
-   secondary), made of the primary's own update records. *)
+   every secondary's commit list holds that very list, the one the primary's
+   commit installed and logged. *)
 let test_system_secondaries_share_shipped_writesets () =
   let sys = System.create ~secondaries:3 ~guarantee:Session.Weak () in
   let c = System.connect sys "loader" in
@@ -2031,10 +2018,13 @@ let test_system_secondaries_share_shipped_writesets () =
       shipped
       (Mvcc.commits_with_updates (System.secondary_db sys i))
   done;
-  List.iter2
-    (fun (_, mine) (_, updates) ->
-      check_bool "the primary's records" true (List.for_all2 ( == ) mine updates))
-    primary shipped
+  for i = 0 to 2 do
+    List.iter2
+      (fun (_, mine) (_, updates) ->
+        check_bool "the primary's own list" true (mine == updates))
+      primary
+      (Mvcc.commits_with_updates (System.secondary_db sys i))
+  done
 
 let test_system_strong_session_cross_session_stale_ok () =
   let sys = System.create ~secondaries:1 ~guarantee:Session.Strong_session () in
@@ -2302,6 +2292,35 @@ let test_system_crash_recovery () =
   | Ok () -> ()
   | Error es -> Alcotest.fail (String.concat "; " es)
 
+(* Recovery runs no transaction at the primary: after a crash, a recovery
+   and a pump, every start record in the primary's log is closed by its
+   commit or abort, so no secondary is left with a refresh it never ends. *)
+let test_system_recovery_closes_every_start () =
+  let sys = System.create ~secondaries:2 ~guarantee:Session.Strong_session () in
+  let c = System.connect sys ~secondary:1 "c" in
+  let update k =
+    match System.update sys c (fun h -> Handle.put h k "v") with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update failed"
+  in
+  update "a";
+  System.pump sys;
+  System.crash_secondary sys 0;
+  update "b";
+  System.recover_secondary sys 0;
+  update "c";
+  System.pump sys;
+  let open_starts = Hashtbl.create 8 in
+  let wal = Mvcc.wal (System.primary_db sys) in
+  for i = 0 to Wal.length wal - 1 do
+    match Wal.entry wal i with
+    | Wal.Start { txn; _ } -> Hashtbl.replace open_starts txn ()
+    | Wal.Commit { txn; _ } | Wal.Abort { txn; _ } -> Hashtbl.remove open_starts txn
+  done;
+  Alcotest.(check (list int))
+    "every start closed" []
+    (List.of_seq (Hashtbl.to_seq_keys open_starts))
+
 let migration_scenario guarantee =
   (* A session updates, reads at an up-to-date secondary, then migrates to
      a secondary that has not yet refreshed. Its next read would observe an
@@ -2479,7 +2498,6 @@ let () =
           Alcotest.test_case "log order preserved" `Quick
             test_propagation_order_is_log_order;
           Alcotest.test_case "cursor position" `Quick test_propagation_cursor_position;
-          Alcotest.test_case "attach mid-log" `Quick test_propagation_from_offset;
         ] );
       ( "secondary-refresh",
         [
@@ -2612,6 +2630,8 @@ let () =
           Alcotest.test_case "handle schema/reads" `Quick
             test_handle_schema_and_reads;
           Alcotest.test_case "crash recovery" `Quick test_system_crash_recovery;
+          Alcotest.test_case "recovery closes every start" `Quick
+            test_system_recovery_closes_every_start;
           Alcotest.test_case "migration: strong session blocks" `Quick
             test_system_migration_strong_session_blocks;
           Alcotest.test_case "migration: pcsi proceeds" `Quick

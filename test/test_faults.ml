@@ -27,13 +27,13 @@ let drain ch =
   List.rev !out
 let check_int = Alcotest.(check int)
 
-let start_rec i = Txn_record.Start_rec { txn = i; start_ts = i }
+let start_rec i = Wal.Start { txn = i; ts = i }
 
 let commit_rec i =
-  Txn_record.Commit_rec
+  Wal.Commit
     {
       txn = i;
-      commit_ts = i;
+      ts = i;
       updates = [ { Wal.key = Printf.sprintf "k%d" i; value = Some "v" } ];
     }
 
@@ -376,7 +376,7 @@ let update_primary primary writes =
 let test_recovery_stale_backup_converges () =
   let primary = Primary.create () in
   let live = Secondary.create ~name:"live" () in
-  let prop = Propagation.create ~from:0 (Primary.wal primary) in
+  let prop = Propagation.create (Primary.wal primary) in
   let feed () =
     List.iter (Secondary.enqueue live) (Propagation.poll prop);
     ignore (Secondary.drain live)
@@ -443,7 +443,7 @@ let test_replay_filter () =
       start_rec 1;
       commit_rec 1;
       start_rec 2;
-      Txn_record.Abort_rec { txn = 2; wasted = [] };
+      Wal.Abort { txn = 2; writes = 0 };
       start_rec 3;
       commit_rec 3;
       start_rec 4 (* still in flight: no commit *);

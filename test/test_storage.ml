@@ -40,9 +40,9 @@ let test_timestamp_monotonic () =
 let test_wal_append_read () =
   let wal = Wal.create () in
   Wal.append wal (Wal.Start { txn = 1; ts = 1 });
+  Wal.append wal (Wal.Start { txn = 2; ts = 2 });
   Wal.append wal
-    (Wal.Update { txn = 1; update = { Wal.key = "x"; value = Some "1" } });
-  Wal.append wal (Wal.Commit { txn = 1; ts = 2 });
+    (Wal.Commit { txn = 1; ts = 3; updates = [ { Wal.key = "x"; value = Some "1" } ] });
   check_int "length" 3 (Wal.length wal);
   let entries, next = Wal.read_from wal 0 in
   check_int "cursor" 3 next;
@@ -53,7 +53,7 @@ let test_wal_append_read () =
 
 let test_wal_entry_bounds () =
   let wal = Wal.create () in
-  Wal.append wal (Wal.Abort { txn = 1 });
+  Wal.append wal (Wal.Abort { txn = 1; writes = 0 });
   Alcotest.check_raises "out of range"
     (Invalid_argument "Wal.entry: offset 5 outside [0, 1)") (fun () ->
       ignore (Wal.entry wal 5))
@@ -576,9 +576,13 @@ let test_wal_records_transaction () =
   ignore (commit_exn db txn);
   let entries, _ = Wal.read_from log 0 in
   match entries with
-  | [ Wal.Start s; Wal.Update u; Wal.Commit c ] ->
+  | [ Wal.Start s; Wal.Commit c ] ->
     check_int "start txn id" (Mvcc.txn_id txn) s.txn;
-    Alcotest.(check string) "update key" "x" u.update.Wal.key;
+    (match c.updates with
+    | [ u ] -> Alcotest.(check string) "update key" "x" u.Wal.key
+    | _ -> Alcotest.fail "commit record should carry one update");
+    check_bool "the installed list itself" true
+      (c.updates == Mvcc.pending_writes txn);
     check_bool "commit after start" true (c.ts > s.ts)
   | _ -> Alcotest.fail "unexpected log shape"
 
@@ -587,10 +591,13 @@ let test_wal_records_abort () =
   let db = Mvcc.create ~log () in
   let txn = Mvcc.begin_txn db in
   put db txn "x" "1";
+  put db txn "x" "2";
   Mvcc.abort db txn;
   let entries, _ = Wal.read_from log 0 in
   match List.rev entries with
-  | Wal.Abort a :: _ -> check_int "abort logged" (Mvcc.txn_id txn) a.txn
+  | Wal.Abort a :: _ ->
+    check_int "abort logged" (Mvcc.txn_id txn) a.txn;
+    check_int "every buffered write counted" 2 a.writes
   | _ -> Alcotest.fail "abort record missing"
 
 (* A store given no log appends nothing anywhere and has no log to hand
@@ -1141,12 +1148,18 @@ let prop_serialize_roundtrip =
 let test_wal_pp_entries () =
   let render e = Format.asprintf "%a" Wal.pp_entry e in
   Alcotest.(check string) "start" "start(T1)@5" (render (Wal.Start { txn = 1; ts = 5 }));
-  Alcotest.(check string) "update" "update(T1, x := 1)"
-    (render (Wal.Update { txn = 1; update = { Wal.key = "x"; value = Some "1" } }));
-  Alcotest.(check string) "delete" "update(T1, x := <delete>)"
-    (render (Wal.Update { txn = 1; update = { Wal.key = "x"; value = None } }));
-  Alcotest.(check string) "commit" "commit(T1)@9" (render (Wal.Commit { txn = 1; ts = 9 }));
-  Alcotest.(check string) "abort" "abort(T1)" (render (Wal.Abort { txn = 1 }))
+  Alcotest.(check string) "commit" "commit(T1)@9[2 updates]"
+    (render
+       (Wal.Commit
+          {
+            txn = 1;
+            ts = 9;
+            updates = [ { Wal.key = "x"; value = Some "1" }; { Wal.key = "y"; value = None } ];
+          }));
+  Alcotest.(check string) "empty commit" "commit(T2)@10[0 updates]"
+    (render (Wal.Commit { txn = 2; ts = 10; updates = [] }));
+  Alcotest.(check string) "abort" "abort(T1)[3 writes]"
+    (render (Wal.Abort { txn = 1; writes = 3 }))
 
 let test_row_pp () =
   let text = Format.asprintf "%a" Row.pp [ ("a", Row.Int 1); ("b", Row.Bool true) ] in
