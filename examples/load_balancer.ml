@@ -29,20 +29,14 @@ let scenario guarantee =
   update_exn sys user (fun h -> Handle.put h "cart" "1 item");
   ignore (System.propagate sys);
   ignore (System.refresh_one sys 0);
-  (* Apply the cart update at site 1 too, but stop there. *)
-  let lagging = System.secondary sys 1 in
+  (* Apply the cart update at site 1 too, but stop there: fire site 1's
+     refresher until it dispatches the update, then commit it. *)
+  let rs = System.replica_set sys in
   let rec apply_one () =
-    match Secondary.refresher_step lagging with
-    | Secondary.Started _ -> apply_one ()
-    | Secondary.Dispatched app ->
-      let rec run () =
-        match Secondary.applicator_step lagging app with
-        | Secondary.Committed _ -> ()
-        | Secondary.Waiting_commit -> run ()
-        | Secondary.Done -> ()
-      in
-      run ()
-    | Secondary.Aborted _ | Secondary.Blocked_on_pending | Secondary.Idle -> ()
+    match Replica_set.fire rs (Replica_set.Refresh 1) with
+    | Replica_set.Started -> apply_one ()
+    | Replica_set.Dispatched _ -> ignore (Replica_set.fire rs (Replica_set.Commit 1))
+    | _ -> ()
   in
   apply_one ();
   (* Another user's update reaches only the fresh site. *)

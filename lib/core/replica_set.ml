@@ -11,6 +11,10 @@ type freshness = {
   refresh_lag : Obs.histogram;
 }
 
+(* What carries propagated batches to one secondary: the paper's reliable
+   FIFO channel, batch by batch, or a fault channel. *)
+type link = Plain of Wal.entry list Queue.t | Faulty of Channel.t
+
 (* One secondary site. [hook] is the replica's whole refresh-commit hook,
    kept so a recovered replica gets the same one. [freshness] is forced on
    the site's first sample into an attached registry. *)
@@ -18,7 +22,7 @@ type site = {
   name : string;
   mutable replica : Secondary.t;
   hook : Timestamp.t -> unit;
-  channel : Channel.t option;
+  link : link;
   mutable crashed : bool;
   (* False once the site has crashed: its state sequence is no longer a
      prefix of the primary's, so only final-state equality can be checked. *)
@@ -78,13 +82,13 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
   in
   (* Every channel draws its own stream, split from the fault seed in site
      order, so a whole fault schedule replays from one seed. *)
-  let channel =
+  let link =
     match faults with
-    | None -> fun _ -> None
+    | None -> fun _ -> Plain (Queue.create ())
     | Some (config, seed) ->
       let rng = Lsr_sim.Rng.create seed in
       fun name ->
-        Some (Channel.create ~config ~sinks ~name ~rng:(Lsr_sim.Rng.split rng) ())
+        Faulty (Channel.create ~config ~sinks ~name ~rng:(Lsr_sim.Rng.split rng) ())
   in
   let make_site i =
     let name = Printf.sprintf "secondary-%d" i in
@@ -110,7 +114,7 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
       Secondary.create ~name ~sinks ~on_refresh_commit:hook
         ~db:(Mvcc.create ~commit_log:record_history ()) ()
     in
-    { name; replica; hook; channel = channel name; crashed = false;
+    { name; replica; hook; link = link name; crashed = false;
       clean = true; freshness }
   in
   let sites = Array.init sites make_site in
@@ -144,61 +148,130 @@ let sites t = Array.length t.sites
 let secondary t i = t.sites.(i).replica
 let is_crashed t i = t.sites.(i).crashed
 
-let broadcast t records ~direct =
-  Array.iteri
-    (fun i s ->
-      if not s.crashed then
-        match s.channel with
-        | Some ch -> Channel.send ch records
-        | None -> direct i records)
-    t.sites
-
-let deliver t i =
-  let s = t.sites.(i) in
-  match s.channel with
-  | Some ch when not s.crashed ->
-    let records = Channel.tick ch in
-    List.iter (Secondary.enqueue s.replica) records;
-    records <> []
-  | Some _ | None -> false
-
-let channels_idle t =
-  Array.for_all
-    (fun s ->
-      s.crashed || match s.channel with Some ch -> Channel.idle ch | None -> true)
+let faulty t =
+  Array.exists
+    (fun s -> match s.link with Faulty _ -> true | Plain _ -> false)
     t.sites
 
 let channel_stats t =
   Array.fold_left
     (fun acc s ->
-      match s.channel with
-      | Some ch -> Channel.add_stats acc (Channel.stats ch)
-      | None -> acc)
+      match s.link with
+      | Faulty ch -> Channel.add_stats acc (Channel.stats ch)
+      | Plain _ -> acc)
     Channel.zero_stats t.sites
+
+(* --- Moves ------------------------------------------------------------------------ *)
+
+type action =
+  | Poll
+  | Deliver of int
+  | Refresh of int
+  | Commit of int
+  | Crash of int
+  | Recover of int
+
+type fired =
+  | Shipped of int
+  | Started
+  | Dispatched of int
+  | Aborted of int
+  | Committed of Timestamp.t
+  | Nothing
+
+let poll_ready t =
+  Wal.length (Primary.wal t.primary) > Propagation.position t.propagator
+
+let link_busy = function
+  | Plain q -> not (Queue.is_empty q)
+  | Faulty ch -> not (Channel.idle ch)
 
 (* The site's connection state dies with it: messages in flight to it are
    lost and both endpoints' sequence numbers restart on recovery. *)
-let crashed t i =
-  let s = t.sites.(i) in
-  s.crashed <- true;
-  s.clean <- false;
-  Flight.note_crash t.sinks.flight ~site:s.name;
-  Option.iter Channel.reset s.channel
+let reset_link = function Plain q -> Queue.clear q | Faulty ch -> Channel.reset ch
 
-(* The recovered copy corresponds to primary state [seq]: the watchdog's
-   per-site horizon jumps forward with it. *)
-let recovered t i ~backup ~seq =
-  let s = t.sites.(i) in
-  let fresh =
-    Secondary.create ~name:s.name ~sinks:t.sinks ~on_refresh_commit:s.hook
-      ~db:(Mvcc.restore backup) ()
-  in
-  Secondary.reseed_seq fresh seq;
-  Flight.note_recovery t.sinks.flight ~site:s.name ~seq;
-  note_refresh t.watchdog i seq;
-  Option.iter Channel.reset s.channel;
-  s.replica <- fresh;
-  s.crashed <- false
+let enabled t =
+  let moves = ref [] in
+  for i = Array.length t.sites - 1 downto 0 do
+    let s = t.sites.(i) in
+    if not s.crashed then begin
+      if Secondary.pending_queue_length s.replica > 0 then
+        moves := Commit i :: !moves;
+      if Secondary.refresher_ready s.replica then moves := Refresh i :: !moves;
+      if link_busy s.link then moves := Deliver i :: !moves
+    end
+  done;
+  if poll_ready t then Poll :: !moves else !moves
+
+let rec fire t = function
+  | Poll -> (
+    match Propagation.poll t.propagator with
+    | [] -> Nothing
+    | records ->
+      Array.iter
+        (fun s ->
+          if not s.crashed then
+            match s.link with
+            | Plain q -> Queue.add records q
+            | Faulty ch -> Channel.send ch records)
+        t.sites;
+      Shipped (List.length records))
+  | Deliver i -> (
+    let s = t.sites.(i) in
+    let records =
+      if s.crashed then []
+      else
+        match s.link with
+        | Plain q -> Option.value (Queue.take_opt q) ~default:[]
+        | Faulty ch -> Channel.tick ch
+    in
+    match records with
+    | [] -> Nothing
+    | records ->
+      List.iter (Secondary.enqueue s.replica) records;
+      Shipped (List.length records))
+  | Refresh i when t.sites.(i).crashed -> Nothing
+  | Refresh i -> (
+    match Secondary.refresher_step t.sites.(i).replica with
+    | Secondary.Started _ -> Started
+    | Secondary.Dispatched ops -> Dispatched ops
+    | Secondary.Aborted writes -> Aborted writes
+    | Secondary.Blocked_on_pending | Secondary.Idle -> Nothing)
+  | Commit i ->
+    let s = t.sites.(i) in
+    if (not s.crashed) && Secondary.commit_head s.replica then
+      Committed (Secondary.seq_dbsec s.replica)
+    else Nothing
+  | Crash i ->
+    let s = t.sites.(i) in
+    if not s.crashed then begin
+      s.crashed <- true;
+      s.clean <- false;
+      Flight.note_crash t.sinks.flight ~site:s.name;
+      reset_link s.link
+    end;
+    Nothing
+  | Recover i ->
+    let s = t.sites.(i) in
+    if s.crashed then begin
+      (* Quiesced: nothing the copy holds is shipped to the site again. No
+         §4 dummy transaction is run: its start record would open a refresh
+         at every live site that nothing closes. The watchdog's horizon for
+         the site jumps forward with its seq. *)
+      if poll_ready t then ignore (fire t Poll);
+      let db = Primary.db t.primary in
+      let seq = Mvcc.latest_commit_ts db in
+      let fresh =
+        Secondary.create ~name:s.name ~sinks:t.sinks ~on_refresh_commit:s.hook
+          ~db:(Mvcc.restore (Mvcc.serialize db)) ~seq ()
+      in
+      Flight.note_recovery t.sinks.flight ~site:s.name ~seq;
+      note_refresh t.watchdog i seq;
+      reset_link s.link;
+      s.replica <- fresh;
+      s.crashed <- false
+    end;
+    Nothing
 
 (* --- Transactions -------------------------------------------------------------- *)
 

@@ -3,13 +3,15 @@
     session manager, the primary commit clock, the {!History}, the optional
     {!Watchdog} judging the run's guarantee, the observability
     {!Lsr_obs.Sinks}, and the site table — per secondary its current
-    replica, its optional fault {!Channel} and whether it is crashed or was
-    ever recovered. Drivers keep how transactions execute and wait, and
-    pass each transaction through the hooks below, which do its bookkeeping
-    once: history ticks and ids, [seq(c)] and read floors, the commit clock,
-    read freshness and refresh lag, per-site freshness instruments, flight
-    events, watchdog tokens and the history record. {!check} is the one
-    end-of-run verdict both drivers report.
+    replica, its link from the propagator (a plain FIFO queue or a fault
+    {!Channel}) and whether it is crashed or was ever recovered. Drivers
+    keep how transactions execute and wait, and pass each transaction
+    through the hooks below, which do its bookkeeping once: history ticks
+    and ids, [seq(c)] and read floors, the commit clock, read freshness and
+    refresh lag, per-site freshness instruments, flight events, watchdog
+    tokens and the history record. {!check} is the one
+    end-of-run verdict both drivers report. The protocol's moves are
+    performed here ({!fire}) and nowhere else.
 
     Ordering rules the hooks encode:
     - a history tick and its watchdog hook happen in one hook call, so no
@@ -53,7 +55,7 @@ type t
     [<site>.refresh_lag] and the watchdog's horizon for the site advances.
     Each read at secondary [i] calls [on_read i ~age ~missed] with its
     snapshot's freshness (see {!begin_read}). [faults = Some (config, seed)]
-    puts a fault {!Channel} before every secondary, each drawing its own
+    makes every secondary's link a fault {!Channel}, each drawing its own
     stream split from [seed] in site order. *)
 val create :
   ?now:(unit -> float) ->
@@ -92,28 +94,50 @@ val secondary : t -> int -> Secondary.t
 
 val is_crashed : t -> int -> bool
 
-(** [broadcast t records ~direct] hands a propagated batch to every live
-    secondary's fault channel, or to [direct i records] without one. *)
-val broadcast :
-  t -> Wal.entry list -> direct:(int -> Wal.entry list -> unit) -> unit
-
-(** [deliver t i] advances live secondary [i]'s fault channel one tick and
-    enqueues its in-order deliveries; [true] when anything arrived. *)
-val deliver : t -> int -> bool
-
-(** Every live secondary's fault channel has delivered all it was sent. *)
-val channels_idle : t -> bool
+(** Every site's link is a fault {!Channel} ([faults] was given). *)
+val faulty : t -> bool
 
 (** Fault-channel counters summed over every secondary. *)
 val channel_stats : t -> Channel.stats
 
-(** Secondary [i] crashed: its channel's connection state is lost, and
-    {!check} holds it to final-state equality instead of completeness. *)
-val crashed : t -> int -> unit
+(** {2 Moves}
 
-(** [recovered t i ~backup ~seq] installs a fresh replica at secondary [i],
-    restored from [backup] with [seq(DBsec)] reseeded to [seq]. *)
-val recovered : t -> int -> backup:string -> seq:Timestamp.t -> unit
+    The protocol as a transition relation, the one place its state
+    changes. Each secondary's link from the propagator is a plain FIFO
+    queue of batches or a fault {!Channel}. *)
+
+type action =
+  | Poll  (** Alg. 3.1: put the log past the cursor on every live link *)
+  | Deliver of int
+      (** site [i]'s oldest plain batch, or one channel tick's in-order
+          deliveries, into its update queue *)
+  | Refresh of int  (** Alg. 3.2: the refresher takes its head record *)
+  | Commit of int  (** Alg. 3.3: commit the pending queue's head *)
+  | Crash of int  (** §3.4: the site and its link's contents are lost *)
+  | Recover of int
+      (** a quiesced copy of the primary (after a [Poll] when the log holds
+          anything past the cursor), [seq(DBsec)] at its latest commit *)
+
+type fired =
+  | Shipped of int  (** [Poll] or [Deliver] moved this many records *)
+  | Started  (** [Refresh] opened a refresh transaction *)
+  | Dispatched of int
+      (** [Refresh] handed this many updates to a refresh transaction,
+          now the pending queue's tail *)
+  | Aborted of int  (** [Refresh] discarded an abort of this many writes *)
+  | Committed of Timestamp.t  (** [Commit] installed this primary commit *)
+  | Nothing  (** not enabled, no record moved, or a crash or recovery *)
+
+(** The replication moves enabled now: [Poll], then per live site in index
+    order [Deliver i], [Refresh i], [Commit i]. [Crash] and [Recover] are
+    fired on purpose, never listed. *)
+val enabled : t -> action list
+
+(** [fire t a] performs [a]. A move that is not enabled changes no
+    replication state and returns [Nothing] ([Poll] still counts a poll, a
+    fault channel's [Deliver] still ticks it), and a crashed site's
+    [Crash] or a live one's [Recover] does nothing. *)
+val fire : t -> action -> fired
 
 (** {2 Transactions} *)
 

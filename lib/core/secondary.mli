@@ -21,14 +21,14 @@
       propagated writeset with the primary's commit that logged it;
     - an {e abort} record discards the refresh transaction.
 
-    An applicator commits once it heads the pending queue — enforcing
+    The head of the pending queue commits ({!commit_head}) — enforcing
     relationship 3 (local commits in primary commit order). Committing pops
     it and advances [seq(DBsec)], the sequence number used by
     ALG-STRONG-SESSION-SI.
 
-    The module is a pure state machine: each transition is a [*_step]
-    function, so the embedded system can drain it synchronously while the
-    simulator interleaves steps under virtual time. *)
+    The module is a pure state machine with two transitions, a refresher
+    step and a head commit, fired only as {!Replica_set}'s [Refresh i] and
+    [Commit i] moves. *)
 
 open Lsr_storage
 
@@ -44,9 +44,10 @@ exception Commit_without_start of { txn : int }
     transaction: only a channel that lost a start record gets here. *)
 
 (** [create ~name ()] is a fresh secondary whose local copy is [db]
-    (default: an empty store with no log and no commit list); the §3.4
-    recovery path passes a {!Lsr_storage.Mvcc.restore}d one, and then
-    reseeds [seq(DBsec)] with {!reseed_seq}. [on_refresh_commit] fires after each refresh transaction commits, with
+    (default: an empty store with no log and no commit list) and whose
+    [seq(DBsec)] is [seq] (default zero); the §3.4 recovery path passes a
+    {!Lsr_storage.Mvcc.restore}d copy and the primary timestamp it reflects
+    (§4's dummy-transaction rule). [on_refresh_commit] fires after each refresh transaction commits, with
     the primary commit timestamp just installed (used to wake blocked
     read-only transactions). [sinks.obs] receives per-site counters and
     queue-depth gauges named [<name>.refresh_started/aborted],
@@ -60,6 +61,7 @@ val create :
   ?sinks:Lsr_obs.Sinks.t ->
   ?on_refresh_commit:(Timestamp.t -> unit) ->
   ?db:Mvcc.t ->
+  ?seq:Timestamp.t ->
   unit ->
   t
 
@@ -78,66 +80,50 @@ val enqueue : t -> Wal.entry -> unit
     primary database" (§4). *)
 val seq_dbsec : t -> Timestamp.t
 
-(** [reseed_seq t ts] reinitializes [seq(DBsec)] after recovery from a
-    database copy whose state corresponds to primary timestamp [ts] (§4's
-    dummy-transaction recovery). *)
-val reseed_seq : t -> Timestamp.t -> unit
-
 (** {2 Refresher (Algorithm 3.2)} *)
 
 type refresher_outcome =
   | Started of int  (** opened the refresh transaction for this primary txn *)
-  | Dispatched of applicator
-      (** commit record consumed and its updates handed to the refresh
-          txn; an applicator now owns it *)
-  | Aborted of int  (** abort record consumed *)
+  | Dispatched of int
+      (** commit record consumed: this many updates handed to the refresh
+          txn, which joined the pending queue's tail *)
+  | Aborted of int  (** abort record consumed, carrying this many writes *)
   | Blocked_on_pending
       (** head is a start record but the pending queue is not empty *)
   | Idle  (** update queue empty *)
 
-and applicator
+(** The update queue's head exists and is not a start record blocked on a
+    non-empty pending queue. *)
+val refresher_ready : t -> bool
 
 (** One refresher iteration: examine the head of the update queue. *)
 val refresher_step : t -> refresher_outcome
 
-(** {2 Applicator (Algorithm 3.3)} *)
+(** {2 Commit (Algorithm 3.3)} *)
 
-type applicator_outcome =
-  | Waiting_commit  (** not yet at the pending-queue head *)
-  | Committed of Timestamp.t
-      (** refresh transaction committed; value is the primary commit ts *)
-  | Done  (** already committed earlier *)
+(** [commit_head t] commits the refresh transaction at the head of the
+    pending queue, pops it and advances [seq(DBsec)] to its primary commit
+    ts; [false] when the pending queue is empty. *)
+val commit_head : t -> bool
 
-(** One commit attempt: the applicator commits if it heads the pending
-    queue. *)
-val applicator_step : t -> applicator -> applicator_outcome
+(** The pending tail's primary commit ts ([seq(DBsec)] when empty): a
+    refresh dispatched next heads the queue once [seq(DBsec)] reaches it. *)
+val pending_tail : t -> Timestamp.t
 
-(** Commit timestamp an applicator installs. *)
-val applicator_commit_ts : applicator -> Timestamp.t
+(** {2 Introspection} *)
+
+(** A dispatched refresh transaction waiting in the pending queue. *)
+type applicator
 
 (** Local start timestamp of the refresh transaction (issued by this
     secondary's own concurrency control when the start record was
     processed). Lets tests verify relationships 1 and 2 of §3.1 directly. *)
 val applicator_local_start : applicator -> Timestamp.t
 
-(** The pending queue: applicators dispatched but not yet committed, head
-    (the one that commits next) first. *)
+(** The pending queue, head (the one that commits next) first. *)
 val active_applicators : t -> applicator list
-
-(** {2 Synchronous drain (embedded mode)} *)
-
-(** [drain t] runs refresher steps and commits until no progress is
-    possible (update queue empty or waiting for records not yet received).
-    Returns the number of refresh transactions committed. *)
-val drain : t -> int
-
-(** {2 Introspection} *)
 
 val update_queue_length : t -> int
 
 (** Length of the pending queue ({!active_applicators}). *)
 val pending_queue_length : t -> int
-
-(** Head of the update queue, without consuming it (the simulator reads the
-    updates or wasted work it must charge for before stepping). *)
-val peek_update : t -> Wal.entry option

@@ -54,6 +54,7 @@ let create ?(secondaries = 1) ?(schema = []) ?faults
     blocked_reads = 0;
   }
 
+let replica_set t = t.core
 let sessions t = Replica_set.sessions t.core
 let primary t = Replica_set.primary t.core
 let primary_db t = Primary.db (primary t)
@@ -96,21 +97,35 @@ let migrate t client secondary = { client with secondary = site t secondary }
 
 (* --- Replication control -------------------------------------------------- *)
 
+(* The paper's reliable channel is instant here: a poll's batch is
+   delivered along every plain link at once; a fault channel ticks once per
+   refresh. *)
 let propagate t =
-  let records = Propagation.poll (Replica_set.propagator t.core) in
-  if records <> [] then
-    Replica_set.broadcast t.core records ~direct:(fun i records ->
-        List.iter (Secondary.enqueue (secondary t i)) records);
-  List.length records
+  match Replica_set.fire t.core Replica_set.Poll with
+  | Replica_set.Shipped n ->
+    if not (Replica_set.faulty t.core) then
+      for i = 0 to secondaries t - 1 do
+        ignore (Replica_set.fire t.core (Replica_set.Deliver i))
+      done;
+    n
+  | _ -> 0
 
-(* With a fault channel attached, one refresh advances the channel by one
-   tick (delivering whatever arrives in order) before draining the refresh
-   machinery; without one, records were enqueued directly by [propagate]. *)
+(* Blocked on a start record, the refresher waits while the pending queue
+   commits whole. *)
 let refresh_one t i =
   if is_crashed t i then 0
   else begin
-    ignore (Replica_set.deliver t.core i);
-    Secondary.drain (secondary t i)
+    ignore (Replica_set.fire t.core (Replica_set.Deliver i));
+    let refresh = Replica_set.Refresh i and commit = Replica_set.Commit i in
+    let rec settle committed =
+      match Replica_set.fire t.core refresh with
+      | Replica_set.Nothing -> (
+        match Replica_set.fire t.core commit with
+        | Replica_set.Committed _ -> settle (committed + 1)
+        | _ -> committed)
+      | _ -> settle committed
+    in
+    settle 0
   end
 
 let refresh_all t =
@@ -125,7 +140,7 @@ let pump t =
   ignore (propagate t);
   ignore (refresh_all t);
   let ticks = ref 0 in
-  while not (Replica_set.channels_idle t.core) do
+  while Replica_set.enabled t.core <> [] do
     incr ticks;
     if !ticks > pump_tick_cap then raise (Pump_stalled { ticks = !ticks });
     ignore (refresh_all t)
@@ -235,26 +250,20 @@ let read_nowait ?fence t client body =
 
 (* --- Failures -------------------------------------------------------------- *)
 
-let crash_secondary t i = Replica_set.crashed t.core (site t i)
+let crash_secondary t i =
+  ignore (Replica_set.fire t.core (Replica_set.Crash (site t i)))
 
 let recover_secondary t i =
   if not (is_crashed t i) then
     invalid_arg "System.recover_secondary: not crashed";
   (* Quiesce propagation first: any primary commit not yet polled would be
-     included in the backup below AND broadcast later, and re-executing it at
-     the recovered site would briefly move seq(DBsec) backwards — a read in
+     included in the copy AND shipped later, and re-executing it at the
+     recovered site would briefly move seq(DBsec) backwards — a read in
      that window would observe a state newer than its recorded snapshot.
-     Consuming the log up to the backup point makes backup and propagation
-     cursor agree ("quiesced copy", §3.4). *)
+     Consuming the log up to the copy point makes the copy and the
+     propagation cursor agree ("quiesced copy", §3.4). *)
   ignore (propagate t);
-  (* Install a quiesced copy of the primary database (§3.4), shipped in its
-     serialized backup form, and reinitialize seq(DBsec) to the primary's
-     latest commit, the state §4's dummy transaction would see. No dummy is
-     run: its start record would open a refresh at every live secondary
-     that no commit or abort record ever closes. *)
-  let backup = Mvcc.serialize (primary_db t) in
-  let seq = Mvcc.latest_commit_ts (primary_db t) in
-  Replica_set.recovered t.core i ~backup ~seq
+  ignore (Replica_set.fire t.core (Replica_set.Recover i))
 
 (* --- Verification ----------------------------------------------------------- *)
 

@@ -147,16 +147,21 @@ val read : ?fence:Session.fence -> t -> client -> (Handle.t -> 'a) -> 'a
 val read_nowait :
   ?fence:Session.fence -> t -> client -> (Handle.t -> 'a) -> 'a option
 
-(** {2 Replication control (lazy!)} *)
+(** {2 Replication control (lazy!)}
 
-(** Poll the primary log and broadcast new records to every live secondary
-    (into its update queue, or its fault channel when one is attached).
-    Returns the number of records shipped. *)
+    Each call fires {!Replica_set} moves in {!Replica_set.enabled}'s order. *)
+
+(** The core, whose moves a caller may fire one by one. *)
+val replica_set : t -> Replica_set.t
+
+(** Fire [Poll] and, without fault channels, every [Deliver], so the
+    records are in the update queues on return. Returns the number of
+    records shipped. *)
 val propagate : t -> int
 
-(** Drain the refresh machinery at one / all secondaries. With a fault
-    channel attached, first advances the channel one tick and enqueues its
-    in-order deliveries. Returns refresh transactions committed. *)
+(** [refresh_one t i] fires [Deliver i] once (one fault-channel tick), then
+    [Refresh i] before [Commit i] until neither is enabled. Returns refresh
+    transactions committed. *)
 val refresh_one : t -> int -> int
 
 val refresh_all : t -> int
@@ -165,9 +170,8 @@ val refresh_all : t -> int
     quiesce. *)
 val pump_tick_cap : int
 
-(** [pump t] = [propagate] then [refresh_all], repeated until every attached
-    fault channel is idle: bring every secondary up to date with the
-    primary.
+(** [pump t] = [propagate] then [refresh_all], repeated until no move is
+    enabled: bring every secondary up to date with the primary.
     @raise Pump_stalled if a channel fails to quiesce within
     {!pump_tick_cap} ticks (saturated loss rate). *)
 val pump : t -> unit
@@ -176,10 +180,10 @@ val pump : t -> unit
 val blocked_reads : t -> int
 
 (** [compact t] reclaims storage across the system: the primary log (the
-    only one) is truncated below the propagator cursor, here and nowhere
-    else, since {!Recovery} replays it from offset 0; and version chains at
-    the primary and at every live secondary are vacuumed down to their
-    latest committed version. Returns the number of versions reclaimed.
+    only one) is truncated below the propagator cursor (nothing reads it
+    there: {!recover_secondary} installs a copy); and version chains at the
+    primary and at every live secondary are vacuumed down to their latest
+    committed version. Returns the number of versions reclaimed.
     Call it after {!pump}: snapshot reconstruction below the current state
     becomes unavailable, so lagging secondaries must have caught up first.
 
@@ -189,19 +193,18 @@ val compact : t -> int
 
 (** {2 Failures (§3.4, §4)} *)
 
-(** [crash_secondary t i] drops the site's queues, refresh state and
-    database copy — everything §3.4 says is lost — and resets its fault
-    channel if one is attached (in-flight messages to a dead site are gone).
-    Reads through clients of a crashed secondary raise {!Secondary_down}
-    until recovery. *)
+(** [crash_secondary t i] fires [Crash i]: the site's queues, refresh state,
+    database copy and in-flight messages are lost (§3.4); a crashed site's
+    crash does nothing. Reads through clients of a crashed secondary raise
+    {!Secondary_down} until recovery. *)
 val crash_secondary : t -> int -> unit
 
-(** [recover_secondary t i] first quiesces propagation (so the backup point
-    and the propagation cursor agree — nothing already in the backup is
-    propagated again), then installs a quiesced copy of the primary database
-    and reinitializes [seq(DBsec)] to the primary's latest commit (what §4's
-    dummy transaction would read; none is run, so the primary's log gains
-    no entry), after which the site resumes receiving propagated updates. *)
+(** [recover_secondary t i] quiesces propagation ({!propagate}: nothing
+    already in the copy is propagated again), then fires [Recover i]: a
+    quiesced copy of the primary database, with [seq(DBsec)] at the
+    primary's latest commit (what §4's dummy transaction would read; none
+    is run), after which the site resumes receiving propagated updates.
+    @raise Invalid_argument when site [i] is not crashed. *)
 val recover_secondary : t -> int -> unit
 
 val is_crashed : t -> int -> bool

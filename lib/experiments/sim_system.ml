@@ -129,8 +129,6 @@ type sec_site = {
                                 hook advanced [session_cond], so the readers
                                 a commit releases run first; applicators
                                 and a blocked refresher park here *)
-  mutable last_dispatched : Timestamp.t;  (* the pending queue's tail, or
-                                             seq(DBsec) when it is empty *)
   mutable refresher_idle : bool;  (* ended on an empty update queue *)
   mutable last_delivery : float;  (* keeps jittered deliveries FIFO *)
 }
@@ -160,8 +158,7 @@ let make_site eng rs session_conds index =
   { index; site_name; sec;
     res = Resource.create ~name:site_name eng;
     session_cond = session_conds.(index); commit_order;
-    last_dispatched = Secondary.seq_dbsec sec; refresher_idle = false;
-    last_delivery = 0. }
+    refresher_idle = false; last_delivery = 0. }
 
 (* --- Refresher and applicator (Algorithms 3.2 / 3.3) ----------------------- *)
 
@@ -173,58 +170,52 @@ let serve st res n k =
   if n = 0 then k ()
   else Resource.use res (float_of_int n *. st.cfg.params.Params.op_service_time) k
 
-(* [after] is the commit ts of the refresh dispatched just before [app]:
-   once seq(DBsec) reaches it, [app] heads the pending queue. [k] runs once
-   [app] has committed. *)
-let run_applicator st site app ~writes ~after k =
+(* The refresh just dispatched at [site] commits after its [ops] have been
+   served, once seq(DBsec) reaches [after], the pending queue's tail it
+   joined: it then heads the queue. [k] runs after its commit. *)
+let run_applicator st site ~ops ~after k =
   let rec commit () =
-    match Secondary.applicator_step site.sec app with
-    | Secondary.Waiting_commit ->
+    if Secondary.seq_dbsec site.sec < after then
       Seqcond.park site.commit_order ~threshold:(fun () -> after) commit
-    | Secondary.Committed ts ->
-      (* seq(DBsec), the readers' threshold queue and the staleness tally
-         already advanced inside [applicator_step] (the [on_refresh_commit]
-         hook). *)
-      Seqcond.advance site.commit_order ts;
-      k ()
-    | Secondary.Done -> k ()
+    else
+      match Replica_set.fire st.rs (Replica_set.Commit site.index) with
+      | Replica_set.Committed ts ->
+        (* The commit hook already released the readers it satisfies. *)
+        Seqcond.advance site.commit_order ts;
+        k ()
+      | _ -> assert false (* the head of a non-empty pending queue commits *)
   in
-  serve st site.res writes commit
+  serve st site.res ops commit
 
 (* The refresher ends on an empty update queue; whatever enqueues records
    next starts it again ({!wake_refresher}). *)
 let refresher st site () =
+  let refresh = Replica_set.Refresh site.index in
   let rec loop () =
-    (* The operations the head record costs: a refresh's writes, or the
-       aborted work the eager-propagation ablation ships and pays for. *)
-    let ops =
-      match Secondary.peek_update site.sec with
-      | Some (Wal.Commit { updates; _ }) -> List.length updates
-      | Some (Wal.Abort { writes; _ }) -> writes
-      | Some (Wal.Start _) | None -> 0
-    in
-    match Secondary.refresher_step site.sec with
-    | Secondary.Started _ -> loop ()
-    | Secondary.Aborted _ ->
+    let after = Secondary.pending_tail site.sec in
+    match Replica_set.fire st.rs refresh with
+    | Replica_set.Started -> loop ()
+    | Replica_set.Aborted ops ->
+      (* The aborted work the eager-propagation ablation ships and pays
+         for. *)
       serve st site.res ops (fun () ->
           Metrics.note_wasted_ops st.metrics ~now:(Engine.now st.eng) ops;
           loop ())
-    | Secondary.Dispatched app ->
-      let after = site.last_dispatched in
-      site.last_dispatched <- Secondary.applicator_commit_ts app;
-      if st.cfg.serial_refresh then
-        run_applicator st site app ~writes:ops ~after loop
+    | Replica_set.Dispatched ops ->
+      if st.cfg.serial_refresh then run_applicator st site ~ops ~after loop
       else begin
         Engine.after st.eng ~delay:0. (fun () ->
-            run_applicator st site app ~writes:ops ~after ignore);
+            run_applicator st site ~ops ~after ignore);
         loop ()
       end
-    | Secondary.Blocked_on_pending ->
-      (* Parked until the pending queue's tail has committed. *)
+    | _ when Secondary.update_queue_length site.sec = 0 ->
+      site.refresher_idle <- true
+    | _ ->
+      (* Blocked on a start record: parked until the pending queue's tail
+         has committed. *)
       Seqcond.park site.commit_order
-        ~threshold:(fun () -> site.last_dispatched)
+        ~threshold:(fun () -> Secondary.pending_tail site.sec)
         loop
-    | Secondary.Idle -> site.refresher_idle <- true
   in
   loop ()
 
@@ -234,48 +225,47 @@ let wake_refresher st site =
     Engine.after st.eng ~delay:0. (refresher st site)
   end
 
+(* A plain link's oldest batch, or one tick of a fault channel. *)
+let deliver st site () =
+  match Replica_set.fire st.rs (Replica_set.Deliver site.index) with
+  | Replica_set.Shipped _ -> wake_refresher st site
+  | _ -> ()
+
 (* --- Propagator (Algorithm 3.1 under a 10 s cycle) ------------------------- *)
 
 let propagate st () =
   let p = st.cfg.params in
-  let deliver site records () =
-    List.iter (Secondary.enqueue site.sec) records;
-    wake_refresher st site
-  in
-  let records = Propagation.poll (Replica_set.propagator st.rs) in
+  let shipped = Replica_set.fire st.rs Replica_set.Poll in
   (* No reader is left behind the cursor: the simulator never recovers a
      site, and a fault channel keeps its own copy of what is in flight. *)
   Wal.truncate_before
     (Primary.wal (Replica_set.primary st.rs))
     (Propagation.position (Replica_set.propagator st.rs));
-  if records <> [] then
-    (* A site with a faulty transport gets the records on the wire here;
-       they surface, in order, from its channel's ticks (loss, duplication,
-       delay and reordering happen inside). *)
-    Replica_set.broadcast st.rs records ~direct:(fun i records ->
-        let site = st.sites.(i) in
-        if p.Params.propagation_jitter <= 0. then deliver site records ()
+  (* A fault channel surfaces the batch, in order, from its own ticks
+     (loss, duplication, delay and reordering happen inside); a plain link
+     delivers it now or after a jitter. *)
+  match shipped with
+  | Replica_set.Shipped _ when st.cfg.faults = None ->
+    Array.iter
+      (fun site ->
+        if p.Params.propagation_jitter <= 0. then deliver st site ()
         else begin
           (* Per-destination scheduling variance; delivery times to one
-             site never reorder (the channel stays FIFO). *)
+             site never reorder (the link stays FIFO). *)
           let now = Engine.now st.eng in
           let at =
             Float.max site.last_delivery
               (now +. (Rng.float st.jitter_rng *. p.Params.propagation_jitter))
           in
           site.last_delivery <- at;
-          Engine.after st.eng ~delay:(at -. now) (deliver site records)
+          Engine.after st.eng ~delay:(at -. now) (deliver st site)
         end)
+      st.sites
+  | _ -> ()
 
 (* Virtual seconds per channel tick: the base one-hop latency and the
    granularity of retransmission timeouts. *)
 let fault_tick = 1.0
-
-(* One tick of a faulty channel: arrivals, acks and retransmissions, and
-   whatever the channel delivers in order lands on the secondary's update
-   queue. *)
-let channel_tick st site () =
-  if Replica_set.deliver st.rs site.index then wake_refresher st site
 
 (* --- Clients ----------------------------------------------------------------- *)
 
@@ -739,7 +729,7 @@ let run ?history cfg =
   let eng = Engine.create () in
   (* The refresher wakes fenced/session-blocked readers as it commits: each
      refresh commit advances the site's threshold queue to the new
-     seq(DBsec) from inside the applicator step, so readers parked on a
+     seq(DBsec) from inside the [Commit] move, so readers parked on a
      required seq are released by exactly the commit that satisfies them. *)
   let session_conds =
     Array.init p.Params.num_secondaries (fun _ -> Seqcond.create eng)
@@ -785,7 +775,7 @@ let run ?history cfg =
   Engine.every eng p.Params.propagation_delay (propagate st);
   if cfg.faults <> None then
     Array.iter
-      (fun site -> Engine.every eng fault_tick (channel_tick st site))
+      (fun site -> Engine.every eng fault_tick (deliver st site))
       st.sites;
   Array.iter
     (fun site -> Engine.after eng ~delay:0. (refresher st site))

@@ -8,7 +8,9 @@
     transactions per {!Lsr_workload.Params}, the propagator is a
     10-second-cycle log sniffer, and each secondary runs one refresher plus
     concurrent applicators. In the paper's CSIM model each of these is a
-    process; here none is a fiber. Every wait is a continuation: a
+    process; here none is a fiber, and each fires the same
+    {!Lsr_core.Replica_set} moves as the embedded system ([Poll], [Deliver],
+    [Refresh], [Commit]), timed by the service, delay or tick it models. Every wait is a continuation: a
     transaction's goes to {!Lsr_sim.Resource.use} as one job for all its
     operations (as exact under processor sharing as one per operation), a
     blocked read or refresh commit parks one in a {!Lsr_sim.Seqcond}

@@ -1,4 +1,4 @@
-(* Pins five small simulator runs by the number of events they fire and a
+(* Pins six small simulator runs by the number of events they fire and a
    digest of their whole outcome. A change meant to keep results identical
    (a faster event queue, a leaner process or resource) must leave this
    output byte for byte as it is: any reordering of same-time events shows
@@ -76,6 +76,17 @@ let runs =
       {
         (Sim.config churn Session.Strong_session ~seed:15) with
         Sim.watchdog = true;
+        flight = Lsr_obs.Flight.create ();
+        record_history = true;
+      } );
+    ( "closed strong-session over default faults, watchdog, flight and history",
+      {
+        (Sim.config
+           (params ~clients:200 ~op_service_time:2e-3)
+           Session.Strong_session ~seed:16)
+        with
+        Sim.faults = Some Channel.default;
+        watchdog = true;
         flight = Lsr_obs.Flight.create ();
         record_history = true;
       } );

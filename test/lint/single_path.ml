@@ -6,7 +6,11 @@
    module but [Replica_set] runs the end-of-run verdict's checks, builds
    a fault channel, which the replica set owns per secondary, or reads
    freshness or lag off the commit clock, which it measures once per read
-   and per refresh commit and hands to the driver's hooks. Every log
+   and per refresh commit and hands to the driver's hooks. The protocol's
+   moves change replication state in one place, [Replica_set.fire]: no
+   other module polls the log, drives a link, builds a replica,
+   enqueues a record, steps a refresher or commits a pending queue's head,
+   so System and Sim_system fire the same transition relation. Every log
    record has a reader: only [Primary] creates a log, and only the two
    drivers, which know when no reader is left behind the propagation
    cursor, truncate it. The log has one writer and one reader: only
@@ -39,6 +43,12 @@ let rules =
       [ "Checker.analyze"; "Checker.check_completeness";
         "Checker.same_state"; "Channel.create"; "Session.clock_freshness";
         "Session.clock_time_of" ] );
+    ( [ "replica_set.ml" ],
+      "Replica_set.fire",
+      [ "Propagation.create"; "Propagation.poll"; "Channel.send";
+        "Channel.tick"; "Channel.reset"; "Secondary.create";
+        "Secondary.enqueue"; "Secondary.refresher_step";
+        "Secondary.commit_head" ] );
     ([ "primary.ml" ], "Primary", [ "Wal.create" ]);
     ([ "mvcc.ml" ], "Mvcc", [ "Wal.append"; "Wal.squash" ]);
     ([ "propagation.ml" ], "Propagation", [ "Wal.read_from" ]);

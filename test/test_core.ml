@@ -213,12 +213,25 @@ let replicate_to_secondary records =
 let records_of primary =
   Propagation.poll (Propagation.create (Primary.wal primary))
 
+(* Refresher steps and head commits, the refresher first, until neither
+   moves (the order [System.refresh_one] fires them in). Returns the
+   refresh transactions committed. *)
+let drain sec =
+  let rec go committed =
+    match Secondary.refresher_step sec with
+    | Secondary.Blocked_on_pending | Secondary.Idle ->
+      if Secondary.commit_head sec then go (committed + 1) else committed
+    | Secondary.Started _ | Secondary.Dispatched _ | Secondary.Aborted _ ->
+      go committed
+  in
+  go 0
+
 let test_refresh_applies_updates () =
   let primary = Primary.create () in
   ignore (update_at primary [ ("x", Some "1") ]);
   ignore (update_at primary [ ("y", Some "2") ]);
   let sec = replicate_to_secondary (records_of primary) in
-  check_int "two refresh commits" 2 (Secondary.drain sec);
+  check_int "two refresh commits" 2 (drain sec);
   let db = Secondary.db sec in
   Alcotest.(check (list (pair string string)))
     "secondary state equals primary"
@@ -230,7 +243,7 @@ let test_refresh_sets_seq_dbsec () =
   let ts = update_at primary [ ("x", Some "1") ] in
   let sec = replicate_to_secondary (records_of primary) in
   Alcotest.(check int) "initially zero" Timestamp.zero (Secondary.seq_dbsec sec);
-  ignore (Secondary.drain sec);
+  ignore (drain sec);
   Alcotest.(check int) "seq(DBsec) = primary commit ts" ts
     (Secondary.seq_dbsec sec)
 
@@ -242,7 +255,7 @@ let test_refresh_abort_record () =
   Mvcc.abort db txn;
   ignore (update_at primary [ ("y", Some "ok") ]);
   let sec = replicate_to_secondary (records_of primary) in
-  check_int "only the committed txn refreshes" 1 (Secondary.drain sec);
+  check_int "only the committed txn refreshes" 1 (drain sec);
   check_str_opt "aborted write never applied" None
     (Mvcc.read_at (Secondary.db sec)
        (Mvcc.latest_commit_ts (Secondary.db sec))
@@ -267,15 +280,8 @@ let test_refresher_blocks_start_on_pending () =
   | Secondary.Blocked_on_pending -> ()
   | _ -> Alcotest.fail "expected Blocked_on_pending for T2's start");
   check_int "pending holds R1" 1 (Secondary.pending_queue_length sec);
-  (* Run R1 to completion; then T2 can start. *)
-  let app = List.hd (Secondary.active_applicators sec) in
-  let rec finish () =
-    match Secondary.applicator_step sec app with
-    | Secondary.Committed _ -> ()
-    | Secondary.Waiting_commit -> finish ()
-    | Secondary.Done -> ()
-  in
-  finish ();
+  (* Commit R1; then T2 can start. *)
+  check_bool "R1 commits" true (Secondary.commit_head sec);
   match Secondary.refresher_step sec with
   | Secondary.Started _ -> ()
   | _ -> Alcotest.fail "T2's refresh should start after R1 commits"
@@ -295,29 +301,25 @@ let test_applicators_commit_in_primary_order () =
   let ts2 = commit_exn db t2 in
   let sec = replicate_to_secondary (records_of primary) in
   (* Both starts arrive before both commits (concurrent txns), so the
-     refresher dispatches two applicators. *)
-  let rec dispatch_all apps =
+     refresher dispatches two refresh transactions. *)
+  let rec dispatch_all n =
     match Secondary.refresher_step sec with
-    | Secondary.Started _ -> dispatch_all apps
-    | Secondary.Dispatched app -> dispatch_all (app :: apps)
-    | Secondary.Idle -> List.rev apps
+    | Secondary.Started _ -> dispatch_all n
+    | Secondary.Dispatched _ -> dispatch_all (n + 1)
+    | Secondary.Idle -> n
     | Secondary.Aborted _ | Secondary.Blocked_on_pending ->
       Alcotest.fail "unexpected refresher outcome"
   in
-  let apps = dispatch_all [] in
-  check_int "two applicators" 2 (List.length apps);
-  let r1 = List.find (fun a -> Secondary.applicator_commit_ts a = ts1) apps in
-  let r2 = List.find (fun a -> Secondary.applicator_commit_ts a = ts2) apps in
-  (* R2's updates are already written: its commit must wait for R1. *)
-  (match Secondary.applicator_step sec r2 with
-  | Secondary.Waiting_commit -> ()
-  | _ -> Alcotest.fail "R2 must wait for R1's commit");
-  (match Secondary.applicator_step sec r1 with
-  | Secondary.Committed ts -> Alcotest.(check int) "R1 commits first" ts1 ts
-  | _ -> Alcotest.fail "R1 should commit");
-  match Secondary.applicator_step sec r2 with
-  | Secondary.Committed ts -> Alcotest.(check int) "R2 commits second" ts2 ts
-  | _ -> Alcotest.fail "R2 should commit after R1"
+  check_int "two dispatched" 2 (dispatch_all 0);
+  check_int "R2 waits behind R1" 2 (Secondary.pending_queue_length sec);
+  (* R2's updates are already handed over, but only the head commits. *)
+  check_int "pending tail is R2" ts2 (Secondary.pending_tail sec);
+  check_bool "R1 commits" true (Secondary.commit_head sec);
+  Alcotest.(check int) "R1 commits first" ts1 (Secondary.seq_dbsec sec);
+  check_bool "R2 commits" true (Secondary.commit_head sec);
+  Alcotest.(check int) "R2 commits second" ts2 (Secondary.seq_dbsec sec);
+  check_bool "nothing left to commit" false (Secondary.commit_head sec);
+  check_int "empty pending tail is seq(DBsec)" ts2 (Secondary.pending_tail sec)
 
 let test_refresh_commit_order_matches_primary_random () =
   (* Randomized version of Lemma 3.3: whatever the interleaving of disjoint
@@ -327,7 +329,7 @@ let test_refresh_commit_order_matches_primary_random () =
     ignore (update_at primary [ (Printf.sprintf "k%d" i, Some (string_of_int i)) ])
   done;
   let sec = replicate_to_secondary (records_of primary) in
-  ignore (Secondary.drain sec);
+  ignore (drain sec);
   match
     Checker.check_completeness ~primary:(Primary.db primary)
       ~secondary:(Secondary.db sec)
@@ -344,9 +346,9 @@ let test_commit_without_start_rejected () =
     (fun () -> ignore (Secondary.refresher_step sec))
 
 let test_reseed_seq () =
-  let sec = Secondary.create () in
-  Secondary.reseed_seq sec 42;
-  Alcotest.(check int) "reseeded" 42 (Secondary.seq_dbsec sec)
+  let sec = Secondary.create ~seq:42 () in
+  Alcotest.(check int) "reseeded" 42 (Secondary.seq_dbsec sec);
+  check_int "empty pending tail is the seed" 42 (Secondary.pending_tail sec)
 
 let test_on_refresh_commit_callback () =
   let primary = Primary.create () in
@@ -354,7 +356,7 @@ let test_on_refresh_commit_callback () =
   let seen = ref [] in
   let sec = Secondary.create ~on_refresh_commit:(fun t -> seen := t :: !seen) () in
   List.iter (Secondary.enqueue sec) (records_of primary);
-  ignore (Secondary.drain sec);
+  ignore (drain sec);
   Alcotest.(check (list int)) "callback fired with primary ts" [ ts ] !seen
 
 let test_applicator_dispatch_scales () =
@@ -378,7 +380,7 @@ let test_applicator_dispatch_scales () =
          })
   done;
   let t0 = Sys.time () in
-  let committed = Secondary.drain sec in
+  let committed = drain sec in
   let elapsed = Sys.time () -. t0 in
   check_int "all refresh txns committed" n committed;
   check_int "no applicators left" 0
@@ -435,27 +437,19 @@ let prop_refresh_ordering_relationships =
       let order = ref 0 in
       let sec = Secondary.create ~db:(Mvcc.create ~commit_log:true ()) () in
       List.iter (Secondary.enqueue sec) (records_of primary);
+      (* Each dispatched refresh commits at once, the head of the pending
+         queue; its local start is read off the queue just before. *)
       let rec drive () =
         match Secondary.refresher_step sec with
-        | Secondary.Started _ -> drive ()
-        | Secondary.Dispatched app ->
-          let rec run () =
-            match Secondary.applicator_step sec app with
-            | Secondary.Committed pts ->
-              incr order;
-              Hashtbl.replace local pts
-                (Secondary.applicator_local_start app, !order)
-            | Secondary.Waiting_commit -> run ()
-            | Secondary.Done -> ()
-          in
-          run ();
+        | Secondary.Dispatched _ ->
+          let head = List.hd (Secondary.active_applicators sec) in
+          let local_start = Secondary.applicator_local_start head in
+          ignore (Secondary.commit_head sec);
+          incr order;
+          Hashtbl.replace local (Secondary.seq_dbsec sec) (local_start, !order);
           drive ()
-        | Secondary.Aborted _ -> drive ()
-        | Secondary.Blocked_on_pending ->
-          (* cannot happen in this driver: applicators run to completion *)
-          false |> ignore;
-          drive ()
-        | Secondary.Idle -> ()
+        | Secondary.Started _ | Secondary.Aborted _ -> drive ()
+        | Secondary.Blocked_on_pending | Secondary.Idle -> ()
       in
       drive ();
       (* Local commit timestamps, in local commit order: the nth refresh
@@ -484,90 +478,53 @@ let prop_refresh_ordering_relationships =
       !ok)
 
 (* Exhaustive interleaving exploration (bounded model checking): for a fixed
-   propagated schedule, enumerate EVERY order in which the refresher and the
-   applicators can take steps. Completeness (Theorem 3.1) must hold on every
-   path, and no path may raise Refresh_conflict. Each path re-executes the
-   schedule from scratch, choosing the [n]th enabled action at each point. *)
+   primary schedule, enumerate EVERY order in which the replica set's
+   enabled moves can fire at one secondary. Completeness (Theorem 3.1) must
+   hold on every path, and no path may raise Refresh_conflict. Each path
+   re-executes the schedule from scratch, firing the [n]th enabled move at
+   each point. *)
 let test_exhaustive_interleavings () =
-  (* Schedule: T1, T2 and T3 concurrent with disjoint writesets, then T4
-     sequential after them — exercises both the pending-queue blocking and
-     concurrent applicators. An applicator step is one commit attempt, so
-     three concurrent refreshes are what give the schedule room to
-     interleave. *)
-  let build_primary () =
-    let primary = Primary.create () in
+  (* Schedule: T1 to T4 concurrent with disjoint writesets, then T5
+     sequential after them, rewriting T1's key — exercises both the
+     pending-queue blocking and dispatches racing commits. Only the head of
+     the pending queue commits, so the paths are the orders in which four
+     dispatches and four commits interleave (14), then T5's. *)
+  let build () =
+    let sys = System.create ~guarantee:Session.Weak () in
+    let primary = Replica_set.primary (System.replica_set sys) in
     let db = Primary.db primary in
-    let t1 = Mvcc.begin_txn db in
-    let t2 = Mvcc.begin_txn db in
-    let t3 = Mvcc.begin_txn db in
-    Mvcc.write db t1 "x" (Some "t1");
-    Mvcc.write db t2 "y" (Some "t2");
-    Mvcc.write db t3 "w" (Some "t3");
-    ignore (commit_exn db t1);
-    ignore (commit_exn db t2);
-    ignore (commit_exn db t3);
-    ignore (update_at primary [ ("x", Some "t4"); ("z", Some "t4") ]);
-    primary
+    let txns = List.map (fun _ -> Mvcc.begin_txn db) [ 1; 2; 3; 4 ] in
+    List.iteri
+      (fun i txn -> Mvcc.write db txn (Printf.sprintf "k%d" i) (Some "t"))
+      txns;
+    List.iter (fun txn -> ignore (commit_exn db txn)) txns;
+    ignore (update_at primary [ ("k0", Some "t5"); ("z", Some "t5") ]);
+    System.replica_set sys
   in
-  let reference = Mvcc.committed_state (Primary.db (build_primary ())) in
-  (* Run one path guided by [choices]; returns [`Done commits] when the
-     schedule drained, or [`Need_choice] when the guidance ran out. *)
+  let reference =
+    Mvcc.committed_state (Primary.db (Replica_set.primary (build ())))
+  in
+  (* Run one path guided by [choices]; returns [`Done (commits, state)] when
+     no move is enabled, or [`Need_choice n] when the guidance ran out at a
+     point with [n] enabled moves. *)
   let run_path choices =
-    let primary = build_primary () in
-    let sec = replicate_to_secondary (records_of primary) in
+    let rs = build () in
     let commits = ref [] in
-    (* Applicators that returned Waiting_commit while not at the head of the
-       pending queue make no progress until a commit pops the queue; exclude
-       them from the enabled set so every path terminates. *)
-    let blocked = ref [] in
-    let is_blocked app = List.memq app !blocked in
     let rec go choices =
-      let refresher_enabled =
-        match Secondary.peek_update sec with
-        | None -> false
-        | Some (Wal.Start _) ->
-          Secondary.pending_queue_length sec = 0
-        | Some (Wal.Commit _ | Wal.Abort _) -> true
-      in
-      let apps =
-        List.filter
-          (fun a -> not (is_blocked a))
-          (Secondary.active_applicators sec)
-      in
-      let actions =
-        (if refresher_enabled then [ `Refresher ] else [])
-        @ List.map (fun a -> `Applicator a) apps
-      in
-      match actions with
-      | [] -> `Done (List.rev !commits)
-      | _ -> (
-        match choices with
-        | [] -> `Need_choice (List.length actions)
-        | choice :: rest -> (
-          let action = List.nth actions (choice mod List.length actions) in
-          match action with
-          | `Refresher ->
-            ignore (Secondary.refresher_step sec);
-            go rest
-          | `Applicator app -> (
-            match Secondary.applicator_step sec app with
-            | Secondary.Committed ts ->
-              commits := ts :: !commits;
-              blocked := [] (* the head moved: everyone may retry *);
-              go rest
-            | Secondary.Waiting_commit ->
-              (match Secondary.active_applicators sec with
-              | head :: _ when head == app ->
-                () (* its turn: stepping again will commit *)
-              | _ -> blocked := app :: !blocked);
-              go rest
-            | Secondary.Done -> go rest)))
+      match (Replica_set.enabled rs, choices) with
+      | [], _ ->
+        `Done
+          ( List.rev !commits,
+            Mvcc.committed_state (Secondary.db (Replica_set.secondary rs 0)) )
+      | moves, [] -> `Need_choice (List.length moves)
+      | moves, choice :: rest ->
+        (match Replica_set.fire rs (List.nth moves choice) with
+        | Replica_set.Committed ts -> commits := ts :: !commits
+        | Replica_set.Nothing -> Alcotest.fail "an enabled move did nothing"
+        | _ -> ());
+        go rest
     in
-    match go choices with
-    | `Done commits ->
-      let final = Mvcc.committed_state (Secondary.db sec) in
-      `Done (commits, final)
-    | `Need_choice n -> `Need_choice n
+    go choices
   in
   (* DFS over choice sequences. *)
   let explored = ref 0 in
@@ -577,6 +534,7 @@ let test_exhaustive_interleavings () =
       incr explored;
       check_bool "refresh commits in primary order" true
         (List.sort Timestamp.compare commits = commits);
+      check_int "every commit refreshed" 5 (List.length commits);
       Alcotest.(check (list (pair string string)))
         "final state matches primary" reference final
     | `Need_choice n ->
@@ -2347,20 +2305,13 @@ let migration_scenario guarantee =
   (* Partially refresh secondary 1: apply the session's own update (x) but
      leave the later one (y) queued, so the copy is valid but older than the
      snapshot the session just observed. *)
-  let lagging = System.secondary sys 1 in
+  let rs = System.replica_set sys in
   let rec apply_first () =
-    match Secondary.refresher_step lagging with
-    | Secondary.Started _ -> apply_first ()
-    | Secondary.Dispatched app ->
-      let rec drive () =
-        match Secondary.applicator_step lagging app with
-        | Secondary.Committed _ -> ()
-        | Secondary.Waiting_commit -> drive ()
-        | Secondary.Done -> ()
-      in
-      drive ()
-    | Secondary.Aborted _ | Secondary.Blocked_on_pending | Secondary.Idle ->
-      Alcotest.fail "unexpected refresher outcome while lagging"
+    match Replica_set.fire rs (Replica_set.Refresh 1) with
+    | Replica_set.Started -> apply_first ()
+    | Replica_set.Dispatched _ ->
+      ignore (Replica_set.fire rs (Replica_set.Commit 1))
+    | _ -> Alcotest.fail "unexpected refresher outcome while lagging"
   in
   apply_first ();
   (* Migrate to the lagging secondary (has x but not y). *)

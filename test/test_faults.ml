@@ -365,6 +365,63 @@ let test_system_crash_mid_refresh_recovers () =
 
 (* --- Recovery from a stale backup + log replay -------------------------------- *)
 
+(* The §3.4 path where a failed site does not get a fresh copy of the
+   current primary state but rebuilds from an older checkpoint: restore the
+   copy from a serialized backup taken at some earlier primary timestamp,
+   reseed seq(DBsec) to that timestamp, replay the primary's log from the
+   beginning through a fresh propagator, discarding transactions already
+   reflected in the backup, and run the refresh machinery. The replayed
+   refresh transactions re-execute in primary timestamp order, so the copy
+   converges to the state and seq(DBsec) of a replica that never crashed.
+   [System.recover_secondary] installs a quiesced copy of the current
+   primary instead and never reads the log. *)
+
+type backup = { state : string; ts : Timestamp.t }
+
+let backup primary =
+  {
+    state = Mvcc.serialize (Primary.db primary);
+    ts = Mvcc.latest_commit_ts (Primary.db primary);
+  }
+
+(* Start/commit pairs of the transactions whose commit lies beyond the
+   backup point; everything else is either already in the backup or
+   installed nothing. *)
+let replay_filter ~after records =
+  let wanted = Hashtbl.create 32 in
+  List.iter
+    (function
+      | Wal.Commit { txn; ts; _ } when Timestamp.compare ts after > 0 ->
+        Hashtbl.replace wanted txn ()
+      | Wal.Start _ | Wal.Commit _ | Wal.Abort _ -> ())
+    records;
+  List.filter
+    (function
+      | Wal.Start { txn; _ } | Wal.Commit { txn; _ } -> Hashtbl.mem wanted txn
+      | Wal.Abort _ -> false)
+    records
+
+(* Refresher steps and head commits, the refresher first, until neither
+   moves (the order [System.refresh_one] fires them in). *)
+let settle sec =
+  let rec go () =
+    match Secondary.refresher_step sec with
+    | Secondary.Blocked_on_pending | Secondary.Idle ->
+      if Secondary.commit_head sec then go ()
+    | Secondary.Started _ | Secondary.Dispatched _ | Secondary.Aborted _ -> go ()
+  in
+  go ()
+
+(* Raises [Invalid_argument] inside [Wal.read_from] when the log has been
+   truncated: replay would skip records, so a backup older than the
+   truncation point cannot be recovered from. *)
+let restore ?(name = "recovered") ~primary b =
+  let fresh = Secondary.create ~name ~db:(Mvcc.restore b.state) ~seq:b.ts () in
+  let records = Propagation.poll (Propagation.create (Primary.wal primary)) in
+  List.iter (Secondary.enqueue fresh) (replay_filter ~after:b.ts records);
+  settle fresh;
+  fresh
+
 let update_primary primary writes =
   match
     Primary.execute primary (fun db txn ->
@@ -379,7 +436,7 @@ let test_recovery_stale_backup_converges () =
   let prop = Propagation.create (Primary.wal primary) in
   let feed () =
     List.iter (Secondary.enqueue live) (Propagation.poll prop);
-    ignore (Secondary.drain live)
+    settle live
   in
   ignore (update_primary primary [ ("x", Some "1"); ("y", Some "1") ]);
   ignore (update_primary primary [ ("x", Some "2") ]);
@@ -389,7 +446,7 @@ let test_recovery_stale_backup_converges () =
   let pdb = Primary.db primary in
   let inflight = Mvcc.begin_txn pdb in
   Mvcc.write pdb inflight "z" (Some "9");
-  let b = Recovery.backup primary in
+  let b = backup primary in
   (match Mvcc.commit pdb inflight with
   | Mvcc.Committed _ -> ()
   | Mvcc.Aborted _ -> Alcotest.fail "in-flight commit failed");
@@ -401,7 +458,7 @@ let test_recovery_stale_backup_converges () =
   Mvcc.abort pdb doomed;
   feed ();
   (* The crashed replica rebuilds from the stale backup + full log replay. *)
-  let recovered = Recovery.restore ~name:"recovered" ~primary b in
+  let recovered = restore ~name:"recovered" ~primary b in
   check_bool "state converged to the uncrashed replica" true
     (Mvcc.committed_state (Secondary.db recovered)
     = Mvcc.committed_state (Secondary.db live));
@@ -417,9 +474,9 @@ let test_recovery_stale_backup_converges () =
 let test_recovery_without_new_commits_keeps_seq () =
   let primary = Primary.create () in
   ignore (update_primary primary [ ("x", Some "1") ]);
-  let b = Recovery.backup primary in
-  let recovered = Recovery.restore ~primary b in
-  check_int "seq stays at the backup point" b.Recovery.ts
+  let b = backup primary in
+  let recovered = restore ~primary b in
+  check_int "seq stays at the backup point" b.ts
     (Secondary.seq_dbsec recovered);
   check_bool "state is the backup state" true
     (Mvcc.committed_state (Secondary.db recovered)
@@ -428,12 +485,12 @@ let test_recovery_without_new_commits_keeps_seq () =
 let test_recovery_truncated_log_fails_loudly () =
   let primary = Primary.create () in
   ignore (update_primary primary [ ("x", Some "1") ]);
-  let b = Recovery.backup primary in
+  let b = backup primary in
   ignore (update_primary primary [ ("x", Some "2") ]);
   Wal.truncate_before (Primary.wal primary) (Wal.length (Primary.wal primary));
   check_bool "replay over a truncated log raises" true
     (try
-       ignore (Recovery.restore ~primary b);
+       ignore (restore ~primary b);
        false
      with Invalid_argument _ -> true)
 
@@ -449,7 +506,7 @@ let test_replay_filter () =
       start_rec 4 (* still in flight: no commit *);
     ]
   in
-  let kept = Recovery.replay_filter ~after:1 records in
+  let kept = replay_filter ~after:1 records in
   check_bool "only the post-backup committed pair survives" true
     (kept = [ start_rec 3; commit_rec 3 ])
 
@@ -760,6 +817,85 @@ let test_journey_spans_crash_recovery () =
       (sites t3 = [ "secondary-0"; "secondary-1" ])
   | l -> Alcotest.failf "expected three traced txns, got %d" (List.length l)
 
+(* --- Replication moves -------------------------------------------------------- *)
+
+(* A second crash of a crashed site changes nothing: one crash event in
+   the flight recorder, and the site recovers as from one crash. *)
+let test_crash_of_crashed_site_is_noop () =
+  let flight = Flight.create () in
+  let sys =
+    System.create ~secondaries:2 ~faults:(Lsr_core.Channel.default, 3) ~flight
+      ~guarantee:Session.Strong_session ()
+  in
+  let c = System.connect sys ~secondary:0 "c0" in
+  ignore (System.update sys c (fun h -> Handle.put h "a" "1"));
+  ignore (System.propagate sys);
+  System.crash_secondary sys 1;
+  System.crash_secondary sys 1;
+  let crashes () =
+    match Flight.parse_bundle (Flight.bundle_json flight ~config:(Lsr_obs.Json.Obj [])) with
+    | Ok b ->
+      Array.fold_left
+        (fun n e -> match e.Flight.ev with Flight.Crash -> n + 1 | _ -> n)
+        0 b.Flight.window
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "one crash event" 1 (crashes ());
+  System.recover_secondary sys 1;
+  System.pump sys;
+  match System.check sys with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "checker: %s" (String.concat "; " es)
+
+(* Random interleavings of the replica set's enabled moves, with updates,
+   reads, crashes and recoveries mixed in, on 2 sites behind fault
+   channels. Every enabled move but a channel tick changes something, and
+   after a final pump the end-of-run verdict is clean. *)
+let prop_random_moves_stay_correct =
+  let step = QCheck.Gen.(pair (int_range 0 9) (int_range 0 99)) in
+  QCheck.Test.make ~name:"random enabled moves, crashes and recoveries"
+    ~count:150
+    QCheck.(pair (int_range 0 10_000) (make Gen.(list_size (int_range 0 80) step)))
+    (fun (seed, steps) ->
+      let sys =
+        System.create ~secondaries:2 ~faults:(Lsr_core.Channel.default, seed)
+          ~guarantee:Session.Strong_session ()
+      in
+      let rs = System.replica_set sys in
+      let clients =
+        Array.init 2 (fun i ->
+            System.connect sys ~secondary:i (Printf.sprintf "c%d" i))
+      in
+      List.iter
+        (fun (kind, n) ->
+          let c = clients.(n mod 2) in
+          match kind with
+          | 0 | 1 ->
+            ignore
+              (System.update sys c (fun h ->
+                   Handle.put h (Printf.sprintf "k%d" (n mod 5)) (string_of_int n)))
+          | 2 -> ignore (System.read_nowait sys c (fun h -> Handle.get h "k0"))
+          | 3 -> ignore (Replica_set.fire rs (Replica_set.Crash (n mod 2)))
+          | 4 -> ignore (Replica_set.fire rs (Replica_set.Recover (n mod 2)))
+          | _ -> (
+            match Replica_set.enabled rs with
+            | [] -> ()
+            | moves -> (
+              let move = List.nth moves (n mod List.length moves) in
+              match (move, Replica_set.fire rs move) with
+              | Replica_set.Deliver _, _ -> ()
+              | _, Replica_set.Nothing ->
+                QCheck.Test.fail_report "an enabled move did nothing"
+              | _ -> ())))
+        steps;
+      for i = 0 to 1 do
+        if System.is_crashed sys i then System.recover_secondary sys i
+      done;
+      System.pump sys;
+      match Replica_set.check rs with
+      | [], _ -> true
+      | es, _ -> QCheck.Test.fail_report (String.concat "; " es))
+
 (* --- Suite -------------------------------------------------------------------- *)
 
 let () =
@@ -794,6 +930,8 @@ let () =
             test_system_crash_mid_refresh_recovers;
           Alcotest.test_case "simulator under chaos stays complete" `Quick
             test_sim_chaos_complete;
+          Alcotest.test_case "crash of a crashed site is a no-op" `Quick
+            test_crash_of_crashed_site_is_noop;
         ] );
       ( "recovery",
         [
@@ -819,5 +957,6 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "randomized fault schedules (%d trials)" trials)
             `Slow test_randomized_protocol;
+          QCheck_alcotest.to_alcotest prop_random_moves_stay_correct;
         ] );
     ]
