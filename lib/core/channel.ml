@@ -138,7 +138,7 @@ type t = {
   ooo : (int, Lsr_storage.Wal.entry) Hashtbl.t;
   s : stats;
   sinks : Lsr_obs.Sinks.t;
-  lname : string option; (* site this channel feeds, for flight events *)
+  site : int; (* recorder id of the site this channel feeds; -1 = none *)
 }
 
 let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
@@ -155,14 +155,20 @@ let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
     ooo = Hashtbl.create 32;
     s = zero ();
     sinks;
-    lname = name;
+    site =
+      (match name with
+      | Some n -> Lsr_obs.Flight.intern sinks.Lsr_obs.Sinks.flight n
+      | None -> -1);
   }
 
-let emit_stage t record stage =
+let emit_stage t record stage ticks =
   if Lsr_obs.Sinks.tracing t.sinks then
-    Lsr_obs.Sinks.stage t.sinks ?site:t.lname
-      ~txn:(Lsr_storage.Wal.txn record)
-      (stage (Lsr_storage.Wal.kind_name record))
+    Lsr_obs.Sinks.stage t.sinks ~site:t.site
+      ~txn:(Lsr_storage.Wal.txn record) stage
+      ~record:
+        (Lsr_obs.Flight.intern t.sinks.Lsr_obs.Sinks.flight
+           (Lsr_storage.Wal.kind_name record))
+      ticks
 
 let stats t = t.s
 
@@ -174,8 +180,7 @@ let idle t =
 let transmit t msg =
   if t.cfg.loss > 0. && Rng.bernoulli t.rng ~p:t.cfg.loss then begin
     t.s.dropped <- t.s.dropped + 1;
-    emit_stage t msg.record (fun record ->
-        Lsr_obs.Flight.Channel_dropped { record })
+    emit_stage t msg.record Lsr_obs.Flight.Channel_dropped (-1)
   end
   else begin
     let latency = ref 1 in
@@ -183,8 +188,7 @@ let transmit t msg =
       let extra = Rng.uniform t.rng ~lo:1 ~hi:(max 1 t.cfg.max_delay) in
       latency := !latency + extra;
       t.s.delayed <- t.s.delayed + 1;
-      emit_stage t msg.record (fun record ->
-          Lsr_obs.Flight.Channel_delayed { record; ticks = extra })
+      emit_stage t msg.record Lsr_obs.Flight.Channel_delayed extra
     end;
     if t.cfg.reorder > 0. && Rng.bernoulli t.rng ~p:t.cfg.reorder then begin
       latency :=
@@ -200,8 +204,7 @@ let transmit t msg =
         { arrive = t.clock + extra; pseq = msg.seq; precord = msg.record }
         :: t.flight;
       t.s.duplicated <- t.s.duplicated + 1;
-      emit_stage t msg.record (fun record ->
-          Lsr_obs.Flight.Channel_duplicated { record })
+      emit_stage t msg.record Lsr_obs.Flight.Channel_duplicated (-1)
     end;
     let depth = List.length t.flight in
     if depth > t.s.max_flight then t.s.max_flight <- depth
@@ -281,8 +284,7 @@ let tick t =
     (fun u ->
       if u.rto_at <= t.clock then begin
         t.s.retransmitted <- t.s.retransmitted + 1;
-        emit_stage t u.msg.record (fun record ->
-            Lsr_obs.Flight.Channel_retransmitted { record });
+        emit_stage t u.msg.record Lsr_obs.Flight.Channel_retransmitted (-1);
         transmit t u.msg;
         u.cur_rto <-
           min t.cfg.max_rto

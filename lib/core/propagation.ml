@@ -32,14 +32,14 @@ let record_of_entry t entry =
   match entry with
   | Wal.Start { txn; _ } ->
     t.in_flight <- t.in_flight + 1;
-    if Lsr_obs.Sinks.tracing t.sinks then
-      Lsr_obs.Sinks.stage t.sinks ~txn Lsr_obs.Flight.Batched;
+    Lsr_obs.Sinks.stage t.sinks ~site:(-1) ~txn Lsr_obs.Flight.Batched
+      ~record:(-1) (-1);
     entry
   | Wal.Commit { txn; updates; _ } ->
     t.in_flight <- t.in_flight - 1;
     if Lsr_obs.Sinks.tracing t.sinks then
-      Lsr_obs.Sinks.stage t.sinks ~txn
-        (Lsr_obs.Flight.Shipped { updates = List.length updates });
+      Lsr_obs.Sinks.stage t.sinks ~site:(-1) ~txn Lsr_obs.Flight.Shipped
+        ~record:(-1) (List.length updates);
     entry
   | Wal.Abort { txn; writes } ->
     t.in_flight <- t.in_flight - 1;

@@ -20,6 +20,7 @@ type link = Plain of Wal.entry list Queue.t | Faulty of Channel.t
    the site's first sample into an attached registry. *)
 type site = {
   name : string;
+  fid : int;  (* its flight recorder id *)
   mutable replica : Secondary.t;
   hook : Timestamp.t -> unit;
   link : link;
@@ -114,8 +115,8 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
       Secondary.create ~name ~sinks ~on_refresh_commit:hook
         ~db:(Mvcc.create ~commit_log:record_history ()) ()
     in
-    { name; replica; hook; link = link name; crashed = false;
-      clean = true; freshness }
+    { name; fid = Flight.intern sinks.flight name; replica; hook;
+      link = link name; crashed = false; clean = true; freshness }
   in
   let sites = Array.init sites make_site in
   {
@@ -247,25 +248,28 @@ let rec fire t = function
     if not s.crashed then begin
       s.crashed <- true;
       s.clean <- false;
-      Flight.note_crash t.sinks.flight ~site:s.name;
+      Flight.note_crash t.sinks.flight ~site:s.fid;
       reset_link s.link
     end;
     Nothing
   | Recover i ->
     let s = t.sites.(i) in
     if s.crashed then begin
-      (* Quiesced: nothing the copy holds is shipped to the site again. No
-         §4 dummy transaction is run: its start record would open a refresh
-         at every live site that nothing closes. The watchdog's horizon for
-         the site jumps forward with its seq. *)
+      (* Quiesced: nothing the copy holds is shipped to the site again,
+         and a txn in flight at the primary, whose start record the site
+         missed, opens its refresh at its commit record. No §4 dummy
+         transaction is run: its start record would open a refresh at every
+         live site that nothing closes. The watchdog's horizon for the site
+         jumps forward with its seq. *)
       if poll_ready t then ignore (fire t Poll);
       let db = Primary.db t.primary in
       let seq = Mvcc.latest_commit_ts db in
       let fresh =
         Secondary.create ~name:s.name ~sinks:t.sinks ~on_refresh_commit:s.hook
-          ~db:(Mvcc.restore (Mvcc.serialize db)) ~seq ()
+          ~db:(Mvcc.restore (Mvcc.serialize db)) ~seq
+          ~resumed_at:(Mvcc.next_txn_id db) ()
       in
-      Flight.note_recovery t.sinks.flight ~site:s.name ~seq;
+      Flight.note_recovery t.sinks.flight ~site:s.fid ~seq;
       note_refresh t.watchdog i seq;
       reset_link s.link;
       s.replica <- fresh;
@@ -275,22 +279,25 @@ let rec fire t = function
 
 (* --- Transactions -------------------------------------------------------------- *)
 
-type txn = { first_op : int; token : Watchdog.token option }
+(* The watchdog's token, which also carries the first-operation tick the
+   history records. *)
+type txn = Watchdog.token
 
-let untracked = { first_op = 0; token = None }
-let tracked t token = { first_op = History.tick t.history; token }
+let untracked = Watchdog.unwatched ~tick:0
 
 let begin_update t ~session =
   if not t.tracking then untracked
   else
-    tracked t (Option.map (fun w -> Watchdog.begin_update w ~session) t.watchdog)
+    let tick = History.tick t.history in
+    match t.watchdog with
+    | Some w -> Watchdog.begin_update w ~tick ~session
+    | None -> Watchdog.unwatched ~tick
 
 (* Judge and record a finished update; [commit] is [None] for an abort. *)
 let end_update t u ~id ~finished ~now ~session ~commit ~snapshot ~reads =
-  (match (t.watchdog, u.token) with
-  | Some w, Some tok ->
-    Watchdog.end_update w tok ~id ~now ~commit ~snapshot ~reads
-  | _ -> ());
+  (match t.watchdog with
+  | Some w -> Watchdog.end_update w u ~id ~now ~commit ~snapshot ~reads
+  | None -> ());
   if t.record_history then
     History.add t.history
       {
@@ -298,7 +305,7 @@ let end_update t u ~id ~finished ~now ~session ~commit ~snapshot ~reads =
         session;
         kind = History.Update;
         site = "primary";
-        first_op = u.first_op;
+        first_op = Watchdog.tick u;
         finished;
         snapshot;
         commit_ts = Option.map fst commit;
@@ -308,16 +315,17 @@ let end_update t u ~id ~finished ~now ~session ~commit ~snapshot ~reads =
       }
 
 (* One id and finish tick per transaction, shared by the history record and
-   the watchdog, so inversion witnesses are comparable across both. *)
-let finish_tick t =
-  if t.tracking then (History.fresh_id t.history, History.tick t.history)
-  else (-1, 0)
+   the watchdog, so inversion witnesses are comparable across both; the id
+   is drawn first. *)
+let finish_id t = if t.tracking then History.fresh_id t.history else -1
+let finish_tick t = if t.tracking then History.tick t.history else 0
 
 let finish_update t u ~session ~reads (outcome : _ Primary.outcome) =
   match outcome with
   | Primary.Committed { txn; commit_ts; snapshot; writes; _ } ->
     Session.note_update_commit t.sessions ~label:session ~commit_ts;
-    let id, finished = finish_tick t in
+    let id = finish_id t in
+    let finished = finish_tick t in
     let now = t.now () in
     Session.clock_note t.clock ~commit_ts ~at:now;
     if Flight.enabled t.sinks.flight then
@@ -329,7 +337,8 @@ let finish_update t u ~session ~reads (outcome : _ Primary.outcome) =
         ~snapshot ~reads
   | Primary.Aborted _ ->
     if t.tracking then begin
-      let id, finished = finish_tick t in
+      let id = finish_id t in
+      let finished = finish_tick t in
       end_update t u ~id ~finished ~now:(t.now ()) ~session ~commit:None
         ~snapshot:Timestamp.zero ~reads
     end
@@ -346,22 +355,26 @@ let begin_read ?fence t ~session ~site ~snapshot =
   Session.note_read ?fence t.sessions ~label:session ~snapshot;
   if not t.tracking then untracked
   else
-    tracked t
-      (Option.map (fun w -> Watchdog.begin_read w ~session ~snapshot) t.watchdog)
+    let tick = History.tick t.history in
+    match t.watchdog with
+    | Some w -> Watchdog.begin_read w ~tick ~session ~snapshot
+    | None -> Watchdog.unwatched ~tick
 
 let finish_read ?fence t r ~session ~site ~snapshot ~read_at ~fence_seq ~reads
     =
-  let site = t.sites.(site).name in
-  let id, finished = finish_tick t in
-  if Flight.enabled t.sinks.flight then
-    Flight.note_read t.sinks.flight ~site ~hid:id ~session ~snapshot
-      ~fence:fence_seq;
+  let s = t.sites.(site) in
+  let site = s.name in
+  let id = finish_id t in
+  let finished = finish_tick t in
+  Flight.note_read t.sinks.flight ~site:s.fid ~hid:id ~session ~snapshot
+    ~fence:fence_seq;
   if t.tracking then begin
-    let fence = Option.map (fun claim -> { History.claim; read_at }) fence in
-    (match (t.watchdog, r.token) with
-    | Some w, Some tok ->
-      Watchdog.end_read ?fence w tok ~id ~site ~now:(t.now ()) ~reads
-    | _ -> ());
+    let fence =
+      match fence with Some claim -> Some { History.claim; read_at } | None -> None
+    in
+    (match t.watchdog with
+    | Some w -> Watchdog.end_read ?fence w r ~id ~site ~now:(t.now ()) ~reads
+    | None -> ());
     if t.record_history then
       History.add t.history
         {
@@ -369,7 +382,7 @@ let finish_read ?fence t r ~session ~site ~snapshot ~read_at ~fence_seq ~reads
           session;
           kind = History.Read_only;
           site;
-          first_op = r.first_op;
+          first_op = Watchdog.tick r;
           finished;
           snapshot;
           commit_ts = None;

@@ -26,9 +26,12 @@ type t = {
      while it is not empty. *)
   mutable tail : Timestamp.t;
   mutable seq_dbsec : Timestamp.t;
+  (* Primary txns below this id started before this site was recovered. *)
+  resumed_at : int;
   on_refresh_commit : Timestamp.t -> unit;
   (* Observability (no-ops unless an enabled registry is supplied). *)
   sinks : Lsr_obs.Sinks.t;
+  site : int;  (* this site's recorder id *)
   c_started : Lsr_obs.Obs.counter;
   c_aborted : Lsr_obs.Obs.counter;
   g_update_queue : Lsr_obs.Obs.gauge;
@@ -44,7 +47,7 @@ type refresher_outcome =
 
 let create ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
     ?(on_refresh_commit = fun _ -> ()) ?(db = Mvcc.create ())
-    ?(seq = Timestamp.zero) () =
+    ?(seq = Timestamp.zero) ?(resumed_at = 0) () =
   let module Obs = Lsr_obs.Obs in
   let obs = sinks.Lsr_obs.Sinks.obs in
   let inst fmt suffix = Printf.sprintf fmt name suffix in
@@ -56,8 +59,10 @@ let create ?(name = "secondary") ?(sinks = Lsr_obs.Sinks.null)
     applicators = Queue.create ();
     tail = Timestamp.zero;
     seq_dbsec = seq;
+    resumed_at;
     on_refresh_commit;
     sinks;
+    site = Lsr_obs.Flight.intern sinks.Lsr_obs.Sinks.flight name;
     c_started = Obs.counter obs (inst "%s.refresh_%s" "started");
     c_aborted = Obs.counter obs (inst "%s.refresh_%s" "aborted");
     g_update_queue = Obs.gauge obs (inst "%s.%s" "update_queue_depth");
@@ -73,11 +78,11 @@ let note_update_queue t =
 
 let enqueue t record =
   Queue.add record t.update_queue;
-  (if Lsr_obs.Sinks.tracing t.sinks then
-     match record with
-     | Wal.Commit { txn; _ } ->
-       Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn Lsr_obs.Flight.Enqueued
-     | Wal.Start _ | Wal.Abort _ -> ());
+  (match record with
+  | Wal.Commit { txn; _ } ->
+    Lsr_obs.Sinks.stage t.sinks ~site:t.site ~txn Lsr_obs.Flight.Enqueued
+      ~record:(-1) (-1)
+  | Wal.Start _ | Wal.Abort _ -> ());
   note_update_queue t
 
 let seq_dbsec t = t.seq_dbsec
@@ -104,9 +109,8 @@ let refresher_step t =
       pop_update t;
       let refresh = Mvcc.begin_txn t.db in
       Txns.replace t.refresh_txns txn refresh;
-      if Lsr_obs.Sinks.tracing t.sinks then
-        Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn
-          Lsr_obs.Flight.Refresh_started;
+      Lsr_obs.Sinks.stage t.sinks ~site:t.site ~txn
+        Lsr_obs.Flight.Refresh_started ~record:(-1) (-1);
       Lsr_obs.Obs.incr t.c_started;
       Started txn
     end
@@ -114,10 +118,16 @@ let refresher_step t =
     pop_update t;
     let refresh =
       match Txns.find_opt t.refresh_txns txn with
-      | Some r -> r
+      | Some r ->
+        Txns.remove t.refresh_txns txn;
+        r
+      | None when txn < t.resumed_at ->
+        (* Its start record was shipped before this site recovered from a
+           copy holding every commit before that start, so any txn still
+           pending here is concurrent with it and writes other keys. *)
+        Mvcc.begin_txn t.db
       | None -> raise (Commit_without_start { txn })
     in
-    Txns.remove t.refresh_txns txn;
     (* Handed over whole to the uncommitted refresh txn, so nobody sees them
        before the commit, which installs and keeps this very list. *)
     Mvcc.write_all t.db refresh updates;
@@ -144,9 +154,8 @@ let commit_head t =
       ignore (Queue.pop t.applicators);
       note_pending t;
       t.seq_dbsec <- app.commit_ts;
-      if Lsr_obs.Sinks.tracing t.sinks then
-        Lsr_obs.Sinks.stage t.sinks ~site:t.name ~txn:app.primary_txn
-          (Lsr_obs.Flight.Refresh_committed { commit_ts = app.commit_ts });
+      Lsr_obs.Sinks.stage t.sinks ~site:t.site ~txn:app.primary_txn
+        Lsr_obs.Flight.Refresh_committed ~record:(-1) app.commit_ts;
       t.on_refresh_commit app.commit_ts;
       true
     | Mvcc.Aborted (Mvcc.Write_conflict key) ->

@@ -41,13 +41,16 @@ exception Refresh_conflict of { txn : int; key : string }
 
 exception Commit_without_start of { txn : int }
 (** Raised by {!refresher_step} on a commit record with no open refresh
-    transaction: only a channel that lost a start record gets here. *)
+    transaction, unless it predates [resumed_at]: only a channel that lost
+    a start record gets here. *)
 
 (** [create ~name ()] is a fresh secondary whose local copy is [db]
     (default: an empty store with no log and no commit list) and whose
     [seq(DBsec)] is [seq] (default zero); the §3.4 recovery path passes a
     {!Lsr_storage.Mvcc.restore}d copy and the primary timestamp it reflects
-    (§4's dummy-transaction rule). [on_refresh_commit] fires after each refresh transaction commits, with
+    (§4's dummy-transaction rule) and the primary's next txn id
+    [resumed_at]: a lower id's commit record opens its own refresh.
+    [on_refresh_commit] fires after each refresh transaction commits, with
     the primary commit timestamp just installed (used to wake blocked
     read-only transactions). [sinks.obs] receives per-site counters and
     queue-depth gauges named [<name>.refresh_started/aborted],
@@ -62,6 +65,7 @@ val create :
   ?on_refresh_commit:(Timestamp.t -> unit) ->
   ?db:Mvcc.t ->
   ?seq:Timestamp.t ->
+  ?resumed_at:int ->
   unit ->
   t
 

@@ -33,16 +33,20 @@ type verdict = {
   alerts_dropped : int;
 }
 
-module Keys = Hashtbl.Make (String)
-module Serials = Hashtbl.Make (Int)
+module Sessions = Hashtbl.Make (String)
+module Pins = Hashtbl.Make (Int)
 
-(* A per-key record: the folded base value of every retired write, and the
+(* One key, as in [Mvcc]'s key cells: its hash, the next cell of its hash
+   bucket, the folded base value of every retired write, and the
    committed-writer chain of the live ones, in commit-timestamp order, as a
-   window [lo, hi) over a growable ring-free array. Retirement only ever
-   drops the oldest version, so the window slides forward and the dead
-   prefix is reclaimed by compaction once it dominates the array. A chain
-   that retirement empties gives its arrays back and keeps its base. *)
-type chain = {
+   window [lo, hi) over growable arrays. Retirement only ever drops the
+   oldest version, so the window slides forward and the dead prefix is
+   reclaimed by compaction once it dominates the array. A chain that
+   retirement empties gives its arrays back and keeps its base. *)
+type cell = {
+  key : string;
+  hash : int;
+  mutable next : cell;
   mutable c_base : string option;
   mutable c_ts : Timestamp.t array;
   mutable c_v : string option array;
@@ -50,21 +54,23 @@ type chain = {
   mutable c_hi : int;
 }
 
-let chain_create () = { c_base = None; c_ts = [||]; c_v = [||]; c_lo = 0; c_hi = 0 }
-
-let chain_len c = c.c_hi - c.c_lo
+(* Ends every bucket and stands for a key never written: an empty chain
+   with an absent base. *)
+let rec no_cell =
+  { key = ""; hash = -1; next = no_cell; c_base = None; c_ts = [||];
+    c_v = [||]; c_lo = 0; c_hi = 0 }
 
 let chain_append c ts v =
   let cap = Array.length c.c_ts in
   if c.c_hi = cap then begin
-    let live = chain_len c in
+    let live = c.c_hi - c.c_lo in
     if c.c_lo >= live && c.c_lo > 0 then begin
       (* Dead prefix at least half the array: slide the window back. *)
       Array.blit c.c_ts c.c_lo c.c_ts 0 live;
       Array.blit c.c_v c.c_lo c.c_v 0 live
     end
     else begin
-      let cap' = max 4 (2 * cap) in
+      let cap' = max 2 (2 * cap) in
       let ts' = Array.make cap' Timestamp.zero and v' = Array.make cap' None in
       Array.blit c.c_ts c.c_lo ts' 0 live;
       Array.blit c.c_v c.c_lo v' 0 live;
@@ -84,11 +90,13 @@ let chain_partition c s =
   let lo = ref c.c_lo and hi = ref c.c_hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Timestamp.compare c.c_ts.(mid) s <= 0 then lo := mid + 1 else hi := mid
+    if c.c_ts.(mid) <= s then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let chain_drop_head c =
+(* Folds the oldest live version into the base. *)
+let chain_retire_head c =
+  c.c_base <- c.c_v.(c.c_lo);
   c.c_v.(c.c_lo) <- None;
   (* release the value for the GC *)
   c.c_lo <- c.c_lo + 1;
@@ -99,15 +107,50 @@ let chain_drop_head c =
     c.c_hi <- 0
   end
 
-type token = {
-  tk_serial : int;
-  tk_session : string;
-  tk_global : (Timestamp.t * int) option;
-  tk_session_floor : (Timestamp.t * int) option;
-  tk_update_floor : (Timestamp.t * int) option;
-  tk_fence_floor : Timestamp.t option;
-  tk_snapshot : Timestamp.t;  (* reads only; updates re-declare at end *)
+(* One session's floors, each a timestamp with -1 for none: the maximal
+   state pinned by its finished committed transactions and by its updates
+   alone (the PCSI floor), each with its witness, and its fence floor.
+   [holders] counts the in-flight tokens that will raise them, so a sweep
+   never drops a record a token still holds. *)
+type session = {
+  name : string;
+  mutable sess_ts : int;
+  mutable sess_id : int;
+  mutable upd_ts : int;
+  mutable upd_id : int;
+  mutable fence_ts : int;
+  mutable holders : int;
 }
+
+let new_session name =
+  { name; sess_ts = -1; sess_id = -1; upd_ts = -1; upd_id = -1; fence_ts = -1;
+    holders = 0 }
+
+(* The floors captured at the transaction's first operation, and the
+   session record its end raises. *)
+type token = {
+  tk_tick : int;
+  tk_session : session;
+  tk_snapshot : Timestamp.t;
+      (* its horizon pin; the snapshot of a read only, as updates
+         re-declare theirs at end *)
+  tk_global : int;
+  tk_global_id : int;
+  tk_sess : int;
+  tk_sess_id : int;
+  tk_upd : int;
+  tk_upd_id : int;
+  tk_fence : int;
+}
+
+let no_session = new_session ""
+
+let unwatched ~tick =
+  { tk_tick = tick; tk_session = no_session; tk_snapshot = Timestamp.zero;
+    tk_global = -1; tk_global_id = -1; tk_sess = -1; tk_sess_id = -1;
+    tk_upd = -1; tk_upd_id = -1; tk_fence = -1 }
+
+let tick tok = tok.tk_tick
 
 (* Alerts the log retains; the per-kind counters stay exact past it. *)
 let alert_cap = 256
@@ -117,26 +160,30 @@ type t = {
   flight : Lsr_obs.Flight.t;
   clock : Session.clock option;
   (* Weak-SI state, per key: primary writes newer than the horizon plus the
-     folded base value of everything retired. *)
-  chains : chain Keys.t;
-  unretired : (Timestamp.t * Wal.update list) Queue.t;
+     folded base value of everything retired, in a chained hash table whose
+     bucket nodes are the cells; it doubles once [keys > 2 * buckets]. *)
+  mutable buckets : cell array;
+  mutable keys : int;
+  (* The unretired versions' cells in commit order, each commit's ended by
+     [no_cell]: a cell's chain head is the version to retire. *)
+  unretired : cell Queue.t;
   mutable last_commit_ts : Timestamp.t;
   mutable live_versions : int;
   mutable retired_versions : int;
   (* Inversion floors: maximal pinned state with its witness, globally and
-     per session (all committed txns, and updates only for PCSI); plus the
-     fence-audit session floor. *)
-  mutable global_floor : (Timestamp.t * int) option;
-  session_floor : (string, Timestamp.t * int) Hashtbl.t;
-  update_floor : (string, Timestamp.t * int) Hashtbl.t;
-  fence_floor : (string, Timestamp.t) Hashtbl.t;
+     per session, and how many session floors are set. *)
+  mutable global_ts : int;
+  mutable global_id : int;
+  sessions : session Sessions.t;
+  mutable floors : int;
   mutable floors_swept_at : int;
-  (* Retirement horizon inputs: per-site seq(DBsec) and in-flight pins. *)
+  (* Retirement horizon inputs: per-site seq(DBsec), and the in-flight
+     transactions' pins, counted per pinned timestamp. *)
   site_seq : Timestamp.t array;
-  pins : Timestamp.t Serials.t;
+  pins : int Pins.t;
+  mutable n_pins : int;
   mutable min_pin : Timestamp.t;  (* valid unless [min_pin_dirty] *)
   mutable min_pin_dirty : bool;
-  mutable next_serial : int;
   mutable horizon : Timestamp.t;
   (* Alerts: newest-first bounded log plus exact counters, the inversion
      counters at every level. *)
@@ -157,21 +204,22 @@ let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee ~sites () =
     forbidden = Session.forbidden_level guarantee;
     flight;
     clock;
-    chains = Keys.create 1024;
+    buckets = Array.make 1024 no_cell;
+    keys = 0;
     unretired = Queue.create ();
     last_commit_ts = Timestamp.zero;
     live_versions = 0;
     retired_versions = 0;
-    global_floor = None;
-    session_floor = Hashtbl.create 64;
-    update_floor = Hashtbl.create 64;
-    fence_floor = Hashtbl.create 64;
+    global_ts = -1;
+    global_id = -1;
+    sessions = Sessions.create 64;
+    floors = 0;
     floors_swept_at = 0;
     site_seq = Array.make sites Timestamp.zero;
-    pins = Serials.create 64;
+    pins = Pins.create 64;
+    n_pins = 0;
     min_pin = max_int;
     min_pin_dirty = false;
-    next_serial = 0;
     horizon = Timestamp.zero;
     alert_log = [];
     alert_log_len = 0;
@@ -184,12 +232,8 @@ let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee ~sites () =
     peak = 0;
   }
 
-let state_size t =
-  t.live_versions + Queue.length t.unretired
-  + Hashtbl.length t.session_floor
-  + Hashtbl.length t.update_floor
-  + Hashtbl.length t.fence_floor
-  + Serials.length t.pins
+(* The queue holds one entry per live version and one per unretired commit. *)
+let state_size t = Queue.length t.unretired + t.floors + t.n_pins
 
 let peak_state t = t.peak
 let retired_versions t = t.retired_versions
@@ -200,25 +244,70 @@ let note_state t =
   let s = state_size t in
   if s > t.peak then t.peak <- s
 
+(* --- Key cells -------------------------------------------------------------- *)
+
+let rec find_in c h key =
+  if c == no_cell || (c.hash = h && String.equal c.key key) then c
+  else find_in c.next h key
+
+(* The key's cell, or [no_cell] when the key was never written. *)
+let find t key =
+  let h = String.hash key in
+  find_in t.buckets.(h land (Array.length t.buckets - 1)) h key
+
+let rec insert buckets c =
+  if c != no_cell then begin
+    let next = c.next and i = c.hash land (Array.length buckets - 1) in
+    c.next <- buckets.(i);
+    buckets.(i) <- c;
+    insert buckets next
+  end
+
+(* The key's cell, made empty when the key is new. *)
+let find_or_add t key =
+  let c = find t key in
+  if c != no_cell then c
+  else begin
+    let c = { no_cell with key; hash = String.hash key; next = no_cell } in
+    insert t.buckets c;
+    t.keys <- t.keys + 1;
+    if t.keys > 2 * Array.length t.buckets then begin
+      let buckets = Array.make (2 * Array.length t.buckets) no_cell in
+      Array.iter (insert buckets) t.buckets;
+      t.buckets <- buckets
+    end;
+    c
+  end
+
+(* Whether the queue's front retires at horizon [h]: the oldest unretired
+   version, if at or below [h], or the end of a commit it retired. *)
+let retirable t h =
+  (not (Queue.is_empty t.unretired))
+  &&
+  let c = Queue.peek t.unretired in
+  c == no_cell || c.c_ts.(c.c_lo) <= h
+
 (* --- Horizon pins ----------------------------------------------------------- *)
 
 let pin t ts =
-  let serial = t.next_serial in
-  t.next_serial <- serial + 1;
-  Serials.replace t.pins serial ts;
-  if ts < t.min_pin then t.min_pin <- ts;
-  serial
+  (match Pins.find t.pins ts with
+  | n -> Pins.replace t.pins ts (n + 1)
+  | exception Not_found -> Pins.add t.pins ts 1);
+  t.n_pins <- t.n_pins + 1;
+  if ts < t.min_pin then t.min_pin <- ts
 
-let unpin t serial =
-  match Serials.find_opt t.pins serial with
-  | None -> ()
-  | Some ts ->
-    Serials.remove t.pins serial;
+let unpin t ts =
+  let n = Pins.find t.pins ts in
+  t.n_pins <- t.n_pins - 1;
+  if n > 1 then Pins.replace t.pins ts (n - 1)
+  else begin
+    Pins.remove t.pins ts;
     if ts = t.min_pin then t.min_pin_dirty <- true
+  end
 
 let min_pin t =
   if t.min_pin_dirty then begin
-    t.min_pin <- Serials.fold (fun _ ts acc -> Int.min ts acc) t.pins max_int;
+    t.min_pin <- Pins.fold (fun ts _ acc -> Int.min ts acc) t.pins max_int;
     t.min_pin_dirty <- false
   end;
   t.min_pin
@@ -274,81 +363,72 @@ let record_alert t ~at ~txn ~session ~site ~snapshot kind =
 
 (* Raise a floor, keeping the earlier witness on equal timestamps — the same
    tie rule as [Checker.inversions]'s [note]. *)
-let bump_floor tbl session ts id =
-  match Hashtbl.find_opt tbl session with
-  | Some (best, _) when Timestamp.compare best ts >= 0 -> ()
-  | Some _ | None -> Hashtbl.replace tbl session (ts, id)
-
 let bump_global t ts id =
-  match t.global_floor with
-  | Some (best, _) when Timestamp.compare best ts >= 0 -> ()
-  | Some _ | None -> t.global_floor <- Some (ts, id)
+  if ts > t.global_ts then begin
+    t.global_ts <- ts;
+    t.global_id <- id
+  end
 
-let bump_fence_floor t session ts =
-  match Hashtbl.find_opt t.fence_floor session with
-  | Some best when Timestamp.compare best ts >= 0 -> ()
-  | Some _ | None -> Hashtbl.replace t.fence_floor session ts
+(* A session floor is raised from [old]; from none, it is one more floor. *)
+let raised t old ts =
+  if old < 0 then t.floors <- t.floors + 1;
+  ts
+
+let bump_session t s ts id =
+  if ts > s.sess_ts then begin
+    s.sess_ts <- raised t s.sess_ts ts;
+    s.sess_id <- id
+  end
+
+let bump_update t s ts id =
+  if ts > s.upd_ts then begin
+    s.upd_ts <- raised t s.upd_ts ts;
+    s.upd_id <- id
+  end
+
+let bump_fence t s ts =
+  if ts > s.fence_ts then s.fence_ts <- raised t s.fence_ts ts
 
 (* Session floors at or below the horizon can never fire again: any future
    transaction's snapshot is at least the horizon at its own first operation
    (a read's snapshot is its site's seq(DBsec) >= the min over sites; an
    update's snapshot is the primary's newest commit >= every retired one).
-   Sweeping them keeps the tables O(sessions active in the window). *)
-let floors_len t =
-  Hashtbl.length t.session_floor
-  + Hashtbl.length t.update_floor
-  + Hashtbl.length t.fence_floor
-
+   Sweeping them keeps the table O(sessions active in the window). *)
 let sweep_floors t =
-  let len = floors_len t in
-  if len >= 64 && len >= 2 * t.floors_swept_at then begin
-    let drop tbl keep_of =
-      let dead =
-        Hashtbl.fold
-          (fun session v acc ->
-            if Timestamp.compare (keep_of v) t.horizon <= 0 then session :: acc
-            else acc)
-          tbl []
-      in
-      List.iter (Hashtbl.remove tbl) dead
+  if t.floors >= 64 && t.floors >= 2 * t.floors_swept_at then begin
+    let drop ts =
+      if ts < 0 || ts > t.horizon then ts else (t.floors <- t.floors - 1; -1)
     in
-    drop t.session_floor fst;
-    drop t.update_floor fst;
-    drop t.fence_floor (fun ts -> ts);
-    t.floors_swept_at <- floors_len t
+    Sessions.filter_map_inplace
+      (fun _ s ->
+        s.sess_ts <- drop s.sess_ts;
+        s.upd_ts <- drop s.upd_ts;
+        s.fence_ts <- drop s.fence_ts;
+        if s.holders = 0 && s.sess_ts < 0 && s.upd_ts < 0 && s.fence_ts < 0
+        then None
+        else Some s)
+      t.sessions;
+    t.floors_swept_at <- t.floors
   end
 
 (* --- Retirement ------------------------------------------------------------- *)
 
+(* Folds every version at or below the new horizon into its key's base,
+   oldest first; a commit's versions share its timestamp. *)
 let retire t =
-  if not (Queue.is_empty t.unretired) then begin
-    let site_min = Array.fold_left Int.min max_int t.site_seq in
-    let front_ts, _ = Queue.peek t.unretired in
-    if Timestamp.compare front_ts site_min <= 0 then begin
-      let h = Int.min site_min (min_pin t) in
-      if Timestamp.compare h t.horizon > 0 then t.horizon <- h;
-      while
-        match Queue.peek_opt t.unretired with
-        | Some (ts, _) -> Timestamp.compare ts h <= 0
-        | None -> false
-      do
-        let ts, writes = Queue.pop t.unretired in
-        List.iter
-          (fun { Wal.key; value } ->
-            (match Keys.find_opt t.chains key with
-            | Some c when chain_len c > 0 && Timestamp.equal c.c_ts.(c.c_lo) ts ->
-              c.c_base <- value;
-              chain_drop_head c
-            | Some _ | None ->
-              (* Commits arrive in timestamp order and retire in the same
-                 order, so the popped version is always the chain head. *)
-              assert false);
-            t.live_versions <- t.live_versions - 1;
-            t.retired_versions <- t.retired_versions + 1)
-          writes
-      done;
-      sweep_floors t
-    end
+  let site_min = Array.fold_left Int.min max_int t.site_seq in
+  if retirable t site_min then begin
+    let h = Int.min site_min (min_pin t) in
+    if h > t.horizon then t.horizon <- h;
+    while retirable t h do
+      let c = Queue.pop t.unretired in
+      if c != no_cell then begin
+        chain_retire_head c;
+        t.live_versions <- t.live_versions - 1;
+        t.retired_versions <- t.retired_versions + 1
+      end
+    done;
+    sweep_floors t
   end
 
 let note_refresh t ~site ~seq =
@@ -362,23 +442,37 @@ let note_refresh t ~site ~seq =
 
 (* --- Event stream ----------------------------------------------------------- *)
 
-let capture t ~session ~pin_at =
+let capture t ~tick ~session ~pin_at =
+  let s =
+    match Sessions.find t.sessions session with
+    | s -> s
+    | exception Not_found ->
+      let s = new_session session in
+      Sessions.add t.sessions session s;
+      s
+  in
+  s.holders <- s.holders + 1;
+  pin t pin_at;
   {
-    tk_serial = pin t pin_at;
-    tk_session = session;
-    tk_global = t.global_floor;
-    tk_session_floor = Hashtbl.find_opt t.session_floor session;
-    tk_update_floor = Hashtbl.find_opt t.update_floor session;
-    tk_fence_floor = Hashtbl.find_opt t.fence_floor session;
+    tk_tick = tick;
+    tk_session = s;
     tk_snapshot = pin_at;
+    tk_global = t.global_ts;
+    tk_global_id = t.global_id;
+    tk_sess = s.sess_ts;
+    tk_sess_id = s.sess_id;
+    tk_upd = s.upd_ts;
+    tk_upd_id = s.upd_id;
+    tk_fence = s.fence_ts;
   }
 
-let begin_read t ~session ~snapshot = capture t ~session ~pin_at:snapshot
+let begin_read t ~tick ~session ~snapshot =
+  capture t ~tick ~session ~pin_at:snapshot
 
-let begin_update t ~session =
+let begin_update t ~tick ~session =
   (* Any attempt of this transaction reads the primary's newest commit at
      attempt start, which is at least the newest commit seen so far. *)
-  capture t ~session ~pin_at:t.last_commit_ts
+  capture t ~tick ~session ~pin_at:t.last_commit_ts
 
 (* Expected value of [key] in primary state S@[snapshot]: newest live chain
    version at or below the snapshot, else the folded base (everything
@@ -386,55 +480,55 @@ let begin_update t ~session =
    called with [snapshot >= horizon at the reader's first operation], which
    the token's pin guarantees. *)
 let expected_value t key snapshot =
-  match Keys.find_opt t.chains key with
-  | Some c ->
-    let pos = chain_partition c snapshot in
-    if pos > c.c_lo then c.c_v.(pos - 1) else c.c_base
-  | None -> None
+  let c = find t key in
+  let pos = chain_partition c snapshot in
+  if pos > c.c_lo then c.c_v.(pos - 1) else c.c_base
 
-let validate_reads t ~at ~txn ~session ~site ~snapshot ~own_writes reads =
-  List.iter
-    (fun (key, observed) ->
-      let own =
-        match own_writes with
-        | [] -> false
-        | ws -> List.exists (fun { Wal.key = k; _ } -> String.equal k key) ws
-      in
-      if not own then begin
-        let expected = expected_value t key snapshot in
-        if not (Option.equal String.equal expected observed) then
-          record_alert t ~at ~txn ~session ~site ~snapshot
-            (Read_mismatch { key; observed; expected })
-      end)
-    reads
+let rec wrote key = function
+  | [] -> false
+  | { Wal.key = k; _ } :: ws -> String.equal k key || wrote key ws
+
+let rec validate_reads t ~at ~txn ~session ~site ~snapshot ~own_writes =
+  function
+  | [] -> ()
+  | (key, observed) :: reads ->
+    if not (wrote key own_writes) then begin
+      let expected = expected_value t key snapshot in
+      if not (Option.equal String.equal expected observed) then
+        record_alert t ~at ~txn ~session ~site ~snapshot
+          (Read_mismatch { key; observed; expected })
+    end;
+    validate_reads t ~at ~txn ~session ~site ~snapshot ~own_writes reads
 
 (* An inversion at every level bumps that level's count; only one at the
-   forbidden level is an alert. *)
-let check_level t tok ~at ~txn ~site ~snapshot level floor =
-  match floor with
-  | Some (ts, earlier) when Timestamp.compare snapshot ts < 0 ->
+   forbidden level is an alert. A floor of -1 is none. *)
+let check_level t tok ~at ~txn ~site ~snapshot level floor earlier =
+  if snapshot < floor then begin
     (match level with
     | All_sessions -> t.n_inv_all <- t.n_inv_all + 1
     | In_session -> t.n_inv_sess <- t.n_inv_sess + 1
     | After_update -> t.n_inv_upd <- t.n_inv_upd + 1);
-    (match t.forbidden with
+    match t.forbidden with
     | Some forbidden when forbidden = level ->
-      record_alert t ~at ~txn ~session:tok.tk_session ~site ~snapshot
-        (Inversion { level; earlier; floor = ts })
-    | Some _ | None -> ())
-  | Some _ | None -> ()
+      record_alert t ~at ~txn ~session:tok.tk_session.name ~site ~snapshot
+        (Inversion { level; earlier; floor })
+    | Some _ | None -> ()
+  end
 
 let check_inversions t tok ~at ~txn ~site ~snapshot =
-  check_level t tok ~at ~txn ~site ~snapshot All_sessions tok.tk_global;
-  check_level t tok ~at ~txn ~site ~snapshot In_session tok.tk_session_floor;
-  check_level t tok ~at ~txn ~site ~snapshot After_update tok.tk_update_floor
+  check_level t tok ~at ~txn ~site ~snapshot All_sessions tok.tk_global
+    tok.tk_global_id;
+  check_level t tok ~at ~txn ~site ~snapshot In_session tok.tk_sess
+    tok.tk_sess_id;
+  check_level t tok ~at ~txn ~site ~snapshot After_update tok.tk_upd
+    tok.tk_upd_id
 
 let check_fence t tok ~at ~txn ~site ~snapshot fence =
   match fence with
   | None -> ()
   | Some { History.claim; read_at } ->
     let violation detail =
-      record_alert t ~at ~txn ~session:tok.tk_session ~site ~snapshot
+      record_alert t ~at ~txn ~session:tok.tk_session.name ~site ~snapshot
         (Fence_violation { detail })
     in
     (match claim with
@@ -443,13 +537,11 @@ let check_fence t tok ~at ~txn ~site ~snapshot fence =
         violation
           (Format.asprintf "snapshot %a < exact fence %a" Timestamp.pp snapshot
              Timestamp.pp ts)
-    | Session.Session_seq -> (
-      match tok.tk_fence_floor with
-      | Some floor when Timestamp.compare snapshot floor < 0 ->
+    | Session.Session_seq ->
+      if snapshot < tok.tk_fence then
         violation
           (Format.asprintf "snapshot %a < session fence floor %a" Timestamp.pp
-             snapshot Timestamp.pp floor)
-      | Some _ | None -> ())
+             snapshot Timestamp.pp tok.tk_fence)
     | Session.Max_age d -> (
       match t.clock with
       | None ->
@@ -465,10 +557,25 @@ let check_fence t tok ~at ~txn ~site ~snapshot fence =
                "snapshot %a < visibility horizon %a (age %g at read time %g)"
                Timestamp.pp snapshot Timestamp.pp hor d read_at)))
 
+let rec add_versions t ts = function
+  | [] -> ()
+  | { Wal.key; value } :: writes ->
+    let c = find_or_add t key in
+    chain_append c ts value;
+    Queue.push c t.unretired;
+    t.live_versions <- t.live_versions + 1;
+    add_versions t ts writes
+
+(* The token's end: its pin goes, and its session record may be swept once
+   no other token holds it. *)
+let release t tok =
+  unpin t tok.tk_snapshot;
+  tok.tk_session.holders <- tok.tk_session.holders - 1
+
 let end_read ?fence t tok ~id ~site ~now ~reads =
-  unpin t tok.tk_serial;
-  let snapshot = tok.tk_snapshot in
-  validate_reads t ~at:now ~txn:id ~session:tok.tk_session ~site ~snapshot
+  release t tok;
+  let snapshot = tok.tk_snapshot and s = tok.tk_session in
+  validate_reads t ~at:now ~txn:id ~session:s.name ~site ~snapshot
     ~own_writes:[] reads;
   check_inversions t tok ~at:now ~txn:id ~site ~snapshot;
   check_fence t tok ~at:now ~txn:id ~site ~snapshot fence;
@@ -477,15 +584,14 @@ let end_read ?fence t tok ~id ~site ~now ~reads =
      updates-only PCSI floor), and a [Session_seq]-fenced one also raises
      its session's fence floor. *)
   bump_global t snapshot id;
-  bump_floor t.session_floor tok.tk_session snapshot id;
+  bump_session t s snapshot id;
   (match fence with
-  | Some { History.claim = Session.Session_seq; _ } ->
-    bump_fence_floor t tok.tk_session snapshot
+  | Some { History.claim = Session.Session_seq; _ } -> bump_fence t s snapshot
   | Some _ | None -> ());
   note_state t
 
 let end_update t tok ~id ~now ~commit ~snapshot ~reads =
-  unpin t tok.tk_serial;
+  release t tok;
   match commit with
   | None ->
     (* Aborted: pins nothing, checks nothing (the definitions quantify over
@@ -495,29 +601,18 @@ let end_update t tok ~id ~now ~commit ~snapshot ~reads =
   | Some (commit_ts, writes) ->
     if Timestamp.compare commit_ts t.last_commit_ts <= 0 then
       invalid_arg "Watchdog.end_update: commits must arrive in commit order";
-    validate_reads t ~at:now ~txn:id ~session:tok.tk_session ~site:"primary"
+    let s = tok.tk_session in
+    validate_reads t ~at:now ~txn:id ~session:s.name ~site:"primary"
       ~snapshot ~own_writes:writes reads;
     check_inversions t tok ~at:now ~txn:id ~site:"primary" ~snapshot;
     bump_global t commit_ts id;
-    bump_floor t.session_floor tok.tk_session commit_ts id;
-    bump_floor t.update_floor tok.tk_session commit_ts id;
-    bump_fence_floor t tok.tk_session commit_ts;
+    bump_session t s commit_ts id;
+    bump_update t s commit_ts id;
+    bump_fence t s commit_ts;
     t.last_commit_ts <- commit_ts;
     if writes <> [] then begin
-      List.iter
-        (fun { Wal.key; value } ->
-          let c =
-            match Keys.find_opt t.chains key with
-            | Some c -> c
-            | None ->
-              let c = chain_create () in
-              Keys.replace t.chains key c;
-              c
-          in
-          chain_append c commit_ts value;
-          t.live_versions <- t.live_versions + 1)
-        writes;
-      Queue.push (commit_ts, writes) t.unretired
+      add_versions t commit_ts writes;
+      Queue.push no_cell t.unretired
     end;
     note_state t
 

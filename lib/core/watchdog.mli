@@ -36,8 +36,10 @@
     dropped; session floors below the horizon are swept out, because no
     future snapshot can be older than the horizon at its own first operation.
     A run with the watchdog on and history recording {e off} verifies the
-    same guarantees in O(active visibility window) memory instead of
-    O(run length).
+    same guarantees with versions, floors and pins in O(active visibility
+    window) memory instead of O(run length); only the base values, one per
+    key ever written, are bounded by the key space instead, and
+    {!state_size} does not count them.
 
     {b Equivalence.} For every committed transaction the captured floors
     equal the post-hoc sweep's floors exactly, because the begin/end hooks
@@ -133,15 +135,24 @@ val create :
 
 type token
 
-(** [begin_read t ~session ~snapshot] — a read-only transaction starts with
-    [snapshot] (its secondary's seq(DBsec)). Pins the horizon at
-    [snapshot]. *)
-val begin_read : t -> session:string -> snapshot:Timestamp.t -> token
+(** [begin_read t ~tick ~session ~snapshot] — a read-only transaction
+    starts with [snapshot] (its secondary's seq(DBsec)); [tick] is the
+    caller's tick of its first operation, which {!tick} hands back. Pins
+    the horizon at [snapshot]. *)
+val begin_read :
+  t -> tick:int -> session:string -> snapshot:Timestamp.t -> token
 
-(** [begin_update t ~session] — an update transaction starts at the primary.
-    Pins the horizon at the newest commit seen so far (a lower bound for any
-    snapshot a retrying attempt can observe). *)
-val begin_update : t -> session:string -> token
+(** [begin_update t ~tick ~session] — an update transaction starts at the
+    primary. Pins the horizon at the newest commit seen so far (a lower
+    bound for any snapshot a retrying attempt can observe). *)
+val begin_update : t -> tick:int -> session:string -> token
+
+(** The [tick] the token was begun with. *)
+val tick : token -> int
+
+(** [unwatched ~tick] carries only [tick], for a transaction no watchdog
+    sees; it must not reach {!end_read} or {!end_update}. *)
+val unwatched : tick:int -> token
 
 (** [end_read t token ~id ~site ~now ?fence ~reads] — the read-only
     transaction finished: validate its reads, check the captured inversion
@@ -193,7 +204,7 @@ val verdict : t -> verdict
 
 (** Current tracked state: live chain versions + unretired commits + session
     floors + active transaction pins (the quantity bounded by the active
-    visibility window). *)
+    visibility window); not the per-key base values. *)
 val state_size : t -> int
 
 val peak_state : t -> int

@@ -1,7 +1,8 @@
 (* Compact ring encoding: one slot = one event spread across parallel
-   scalar arrays (no per-event allocation on the hot path except the
-   session label, which is a shared immutable string). Site and record
-   names are interned; codes index the fixed event vocabulary. *)
+   scalar arrays; noting an event allocates nothing (a read's session label
+   is the caller's shared immutable string). Site and record names are
+   interned once, by the layer that notes them; codes index the fixed event
+   vocabulary. *)
 
 let c_commit = 0
 let c_batched = 1
@@ -19,14 +20,25 @@ let c_recovery = 12
 
 type stage =
   | Batched
-  | Shipped of { updates : int }
-  | Channel_dropped of { record : string }
-  | Channel_duplicated of { record : string }
-  | Channel_delayed of { record : string; ticks : int }
-  | Channel_retransmitted of { record : string }
+  | Shipped
+  | Channel_dropped
+  | Channel_duplicated
+  | Channel_delayed
+  | Channel_retransmitted
   | Enqueued
   | Refresh_started
-  | Refresh_committed of { commit_ts : int }
+  | Refresh_committed
+
+let stage_code = function
+  | Batched -> c_batched
+  | Shipped -> c_shipped
+  | Channel_dropped -> c_dropped
+  | Channel_duplicated -> c_duplicated
+  | Channel_delayed -> c_delayed
+  | Channel_retransmitted -> c_retransmitted
+  | Enqueued -> c_enqueued
+  | Refresh_started -> c_refresh_start
+  | Refresh_committed -> c_refresh_commit
 
 type event = { seq : int; time : float; site : string option; ev : ev }
 
@@ -70,7 +82,7 @@ type t = {
   mutable names : string array;
   mutable n_names : int;
   name_ids : (string, int) Hashtbl.t;
-  horizons : (int, int) Hashtbl.t; (* site intern id -> seq(DBsec) *)
+  mutable horizons : int array; (* by site intern id: seq(DBsec), -1 = none *)
   mutable primary_ts : int;
   mutable commits : int;
   mutable snap : snap option;
@@ -95,7 +107,7 @@ let make ~live cap =
     names = Array.make 8 "";
     n_names = 0;
     name_ids = Hashtbl.create 16;
-    horizons = Hashtbl.create 16;
+    horizons = Array.make 8 (-1);
     primary_ts = 0;
     commits = 0;
     snap = None;
@@ -111,7 +123,7 @@ let new_epoch t =
   if t.live then begin
     t.total <- 0;
     t.hi_txn <- -1;
-    Hashtbl.reset t.horizons;
+    Array.fill t.horizons 0 (Array.length t.horizons) (-1);
     t.primary_ts <- 0;
     t.commits <- 0;
     t.snap <- None
@@ -122,11 +134,15 @@ let now t = match t.clock with Some f -> f () | None -> float_of_int t.total
 let intern t s =
   match Hashtbl.find_opt t.name_ids s with
   | Some i -> i
+  | None when not t.live -> -1
   | None ->
     if t.n_names = Array.length t.names then begin
       let bigger = Array.make (2 * t.n_names) "" in
       Array.blit t.names 0 bigger 0 t.n_names;
-      t.names <- bigger
+      t.names <- bigger;
+      let horizons = Array.make (2 * t.n_names) (-1) in
+      Array.blit t.horizons 0 horizons 0 t.n_names;
+      t.horizons <- horizons
     end;
     let i = t.n_names in
     t.names.(i) <- s;
@@ -147,8 +163,6 @@ let push t ~site ~code ~txn ~hid ~a ~b ~sess =
   if txn > t.hi_txn then t.hi_txn <- txn;
   t.total <- t.total + 1
 
-let site_id t = function None -> -1 | Some s -> intern t s
-
 let note_commit t ~txn ~hid ~commit_ts ~updates =
   if t.live then begin
     t.commits <- t.commits + 1;
@@ -156,47 +170,27 @@ let note_commit t ~txn ~hid ~commit_ts ~updates =
     push t ~site:(-1) ~code:c_commit ~txn ~hid ~a:commit_ts ~b:updates ~sess:""
   end
 
-let note_stage t ?site ~txn (stage : stage) =
+let note_stage t ~site ~txn stage ~record n =
   if t.live then begin
-    let sid = site_id t site in
-    let push = push t ~site:sid ~txn ~hid:(-1) ~sess:"" in
-    match stage with
-    | Batched -> push ~code:c_batched ~a:(-1) ~b:(-1)
-    | Shipped { updates } -> push ~code:c_shipped ~a:(-1) ~b:updates
-    | Channel_dropped { record } ->
-      push ~code:c_dropped ~a:(intern t record) ~b:(-1)
-    | Channel_duplicated { record } ->
-      push ~code:c_duplicated ~a:(intern t record) ~b:(-1)
-    | Channel_delayed { record; ticks } ->
-      push ~code:c_delayed ~a:(intern t record) ~b:ticks
-    | Channel_retransmitted { record } ->
-      push ~code:c_retransmitted ~a:(intern t record) ~b:(-1)
-    | Enqueued -> push ~code:c_enqueued ~a:(-1) ~b:(-1)
-    | Refresh_started -> push ~code:c_refresh_start ~a:(-1) ~b:(-1)
-    | Refresh_committed { commit_ts } ->
-      (if sid >= 0 then
-         match Hashtbl.find_opt t.horizons sid with
-         | Some h when h >= commit_ts -> ()
-         | _ -> Hashtbl.replace t.horizons sid commit_ts);
-      push ~code:c_refresh_commit ~a:commit_ts ~b:(-1)
+    (match stage with
+    | Refresh_committed when site >= 0 && n > t.horizons.(site) ->
+      t.horizons.(site) <- n
+    | _ -> ());
+    push t ~site ~code:(stage_code stage) ~txn ~hid:(-1) ~a:record ~b:n ~sess:""
   end
 
 let note_read t ~site ~hid ~session ~snapshot ~fence =
   if t.live then
-    push t ~site:(intern t site) ~code:c_read ~txn:(-1) ~hid ~a:snapshot
-      ~b:fence ~sess:session
+    push t ~site ~code:c_read ~txn:(-1) ~hid ~a:snapshot ~b:fence ~sess:session
 
 let note_crash t ~site =
   if t.live then
-    push t ~site:(intern t site) ~code:c_crash ~txn:(-1) ~hid:(-1) ~a:(-1)
-      ~b:(-1) ~sess:""
+    push t ~site ~code:c_crash ~txn:(-1) ~hid:(-1) ~a:(-1) ~b:(-1) ~sess:""
 
 let note_recovery t ~site ~seq =
   if t.live then begin
-    let sid = intern t site in
-    Hashtbl.replace t.horizons sid seq;
-    push t ~site:sid ~code:c_recovery ~txn:(-1) ~hid:(-1) ~a:seq ~b:(-1)
-      ~sess:""
+    t.horizons.(site) <- seq;
+    push t ~site ~code:c_recovery ~txn:(-1) ~hid:(-1) ~a:seq ~b:(-1) ~sess:""
   end
 
 let events_noted t = t.total
@@ -243,7 +237,7 @@ let decode_slot t i =
     else if code = c_enqueued then Enqueued { txn }
     else if code = c_refresh_start then Refresh_start { txn }
     else if code = c_refresh_commit then
-      Refresh_commit { txn; commit_ts = t.e_a.(i) }
+      Refresh_commit { txn; commit_ts = t.e_b.(i) }
     else if code = c_read then
       Read
         {
@@ -258,13 +252,11 @@ let decode_slot t i =
   (t.e_time.(i), ev, site)
 
 let live_horizons t =
-  let hs =
-    Hashtbl.fold
-      (fun sid seq acc -> (t.names.(sid), seq) :: acc)
-      t.horizons
-      [ ("primary", t.primary_ts) ]
-  in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) hs
+  let hs = ref [ ("primary", t.primary_ts) ] in
+  for sid = 0 to t.n_names - 1 do
+    if t.horizons.(sid) >= 0 then hs := (t.names.(sid), t.horizons.(sid)) :: !hs
+  done;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !hs
 
 (* The retained slots that [keep] accepts, decoded oldest first, with the
    count of events evicted before the ring's window. *)

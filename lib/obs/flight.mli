@@ -63,28 +63,37 @@ val set_clock : t -> (unit -> float) -> unit
     current run only. *)
 val new_epoch : t -> unit
 
-(** {2 Recording} *)
+(** {2 Recording}
+
+    Noting an event writes one ring slot and allocates nothing. *)
+
+(** [intern t name] is [name]'s id in the recorder's name table, which a
+    layer takes once ([-1] on a disabled recorder; the primary is site
+    [-1]). *)
+val intern : t -> string -> int
 
 (** One pipeline stage of an update transaction after its primary commit.
-    Channel stages identify the affected record by its rendered kind
-    ([record]) because a network message may carry any log entry;
-    [ticks] is the injected extra delay in channel ticks. *)
+    Channel stages identify the affected record by its kind's name, because
+    a network message may carry any log entry. *)
 type stage =
   | Batched  (** the propagator opened a batch for this transaction *)
-  | Shipped of { updates : int }
-      (** the squashed commit record left the propagator *)
-  | Channel_dropped of { record : string }
-  | Channel_duplicated of { record : string }
-  | Channel_delayed of { record : string; ticks : int }
-  | Channel_retransmitted of { record : string }
+  | Shipped  (** the squashed commit record left the propagator *)
+  | Channel_dropped
+  | Channel_duplicated
+  | Channel_delayed
+  | Channel_retransmitted
   | Enqueued  (** commit record entered a secondary's refresh queue *)
   | Refresh_started
-  | Refresh_committed of { commit_ts : int }
+  | Refresh_committed
 
-(** [note_stage t ?site ~txn stage] records one pipeline stage of update
-    transaction [txn] (the primary MVCC id) at [site] ([None] = the
-    primary); layers reach it through {!Sinks.stage}. *)
-val note_stage : t -> ?site:string -> txn:int -> stage -> unit
+(** [note_stage t ~site ~txn stage ~record n] records one pipeline stage of
+    update transaction [txn] (the primary MVCC id) at site id [site];
+    layers reach it through {!Sinks.stage}. [record] is a channel stage's
+    {!intern}ed record kind, [n] a [Shipped]'s update count, a
+    [Channel_delayed]'s ticks or a [Refresh_committed]'s commit ts; [-1]
+    where a stage has none. *)
+val note_stage :
+  t -> site:int -> txn:int -> stage -> record:int -> int -> unit
 
 (** [note_commit t ~txn ~hid ~commit_ts ~updates] records a primary commit
     carrying both ids: [txn] the MVCC id (the journey key) and [hid]
@@ -93,16 +102,16 @@ val note_stage : t -> ?site:string -> txn:int -> stage -> unit
 val note_commit : t -> txn:int -> hid:int -> commit_ts:int -> updates:int -> unit
 
 (** [note_read t ~site ~hid ~session ~snapshot ~fence] records a read-only
-    transaction's snapshot claim at [site]: the snapshot seq it read at and
-    the seq floor its fence/guarantee required ([-1] = unfenced). *)
+    transaction's snapshot claim at site id [site]: the snapshot seq it read
+    at and the seq floor its fence/guarantee required ([-1] = unfenced). *)
 val note_read :
-  t -> site:string -> hid:int -> session:string -> snapshot:int -> fence:int -> unit
+  t -> site:int -> hid:int -> session:string -> snapshot:int -> fence:int -> unit
 
-val note_crash : t -> site:string -> unit
+val note_crash : t -> site:int -> unit
 
-(** [note_recovery t ~site ~seq] records a secondary recovering with its
-    sequence bookkeeping reseeded to [seq]. *)
-val note_recovery : t -> site:string -> seq:int -> unit
+(** [note_recovery t ~site ~seq] records secondary [site] (its id)
+    recovering with its sequence bookkeeping reseeded to [seq]. *)
+val note_recovery : t -> site:int -> seq:int -> unit
 
 (** Events noted over the recorder's lifetime (≥ retained). *)
 val events_noted : t -> int

@@ -7,11 +7,9 @@ type t = { obs : Obs.t; flight : Flight.t }
 (** Both disabled: the default everywhere. *)
 val null : t
 
-(** [tracing t] is true when {!stage} records anything. Call sites build a
-    stage payload only behind it, so a run with no recorder allocates
-    nothing. *)
+(** [tracing t] is true when {!stage} records anything. *)
 val tracing : t -> bool
 
-(** [stage t ?site ~txn s] records stage [s] of update transaction [txn]
-    (the primary MVCC id) at [site] ([None] = the primary). *)
-val stage : t -> ?site:string -> txn:int -> Flight.stage -> unit
+(** {!Flight.note_stage} on the recorder: allocates nothing. *)
+val stage :
+  t -> site:int -> txn:int -> Flight.stage -> record:int -> int -> unit

@@ -181,6 +181,7 @@ let begin_txn_at t ~snapshot =
   make_txn t snapshot
 
 let txn_id txn = txn.id
+let next_txn_id t = t.next_txn_id
 let start_ts txn = txn.start_ts
 
 let require_active txn op =

@@ -71,6 +71,8 @@ val begin_txn_at : t -> snapshot:Timestamp.t -> txn
 
 val txn_id : txn -> int
 
+val next_txn_id : t -> int  (** the id the next transaction gets *)
+
 (** Start timestamp assigned by the local concurrency control. *)
 val start_ts : txn -> Timestamp.t
 

@@ -987,15 +987,18 @@ let test_checker_fence_edge_cases () =
         match t.History.kind with
         | History.Read_only ->
           let tok =
-            Watchdog.begin_read w ~session:t.History.session
-              ~snapshot:t.History.snapshot
+            Watchdog.begin_read w ~tick:t.History.first_op
+              ~session:t.History.session ~snapshot:t.History.snapshot
           in
           Watchdog.end_read ?fence:t.History.fence w tok ~id:t.History.id
             ~site:t.History.site
             ~now:(float_of_int t.History.finished)
             ~reads:t.History.reads
         | History.Update ->
-          let tok = Watchdog.begin_update w ~session:t.History.session in
+          let tok =
+            Watchdog.begin_update w ~tick:t.History.first_op
+              ~session:t.History.session
+          in
           Watchdog.end_update w tok ~id:t.History.id
             ~now:(float_of_int t.History.finished)
             ~commit:

@@ -847,12 +847,41 @@ let test_crash_of_crashed_site_is_noop () =
   | Ok () -> ()
   | Error es -> Alcotest.failf "checker: %s" (String.concat "; " es)
 
+(* A site recovered while a primary transaction is in flight: the
+   transaction's start record was shipped before the recovery (to the live
+   site only), its commit record after it, to both. The recovered site must
+   apply the commit all the same. *)
+let test_recover_during_primary_txn () =
+  let sys =
+    System.create ~secondaries:2 ~guarantee:Session.Strong_session ()
+  in
+  let rs = System.replica_set sys in
+  let c = System.connect sys ~secondary:0 "c0" in
+  ignore (System.update sys c (fun h -> Handle.put h "a" "0"));
+  let r =
+    System.update sys c (fun h ->
+        Handle.put h "a" "1";
+        ignore (Replica_set.fire rs Replica_set.Poll);
+        ignore (Replica_set.fire rs (Replica_set.Crash 1));
+        ignore (Replica_set.fire rs (Replica_set.Recover 1)))
+  in
+  check_bool "committed" true (Result.is_ok r);
+  System.pump sys;
+  Alcotest.(check (option string))
+    "recovered site has the commit" (Some "1")
+    (Mvcc.read_at (System.secondary_db sys 1)
+       (Secondary.seq_dbsec (Replica_set.secondary rs 1))
+       "a");
+  match System.check sys with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "checker: %s" (String.concat "; " es)
+
 (* Random interleavings of the replica set's enabled moves, with updates,
    reads, crashes and recoveries mixed in, on 2 sites behind fault
    channels. Every enabled move but a channel tick changes something, and
    after a final pump the end-of-run verdict is clean. *)
 let prop_random_moves_stay_correct =
-  let step = QCheck.Gen.(pair (int_range 0 9) (int_range 0 99)) in
+  let step = QCheck.Gen.(pair (int_range 0 10) (int_range 0 99)) in
   QCheck.Test.make ~name:"random enabled moves, crashes and recoveries"
     ~count:150
     QCheck.(pair (int_range 0 10_000) (make Gen.(list_size (int_range 0 80) step)))
@@ -877,6 +906,15 @@ let prop_random_moves_stay_correct =
           | 2 -> ignore (System.read_nowait sys c (fun h -> Handle.get h "k0"))
           | 3 -> ignore (Replica_set.fire rs (Replica_set.Crash (n mod 2)))
           | 4 -> ignore (Replica_set.fire rs (Replica_set.Recover (n mod 2)))
+          | 5 ->
+            (* A crash and a recovery between the update's start and its
+               commit, after its start record was shipped. *)
+            ignore
+              (System.update sys c (fun h ->
+                   Handle.put h (Printf.sprintf "k%d" (n mod 5)) (string_of_int n);
+                   ignore (Replica_set.fire rs Replica_set.Poll);
+                   ignore (Replica_set.fire rs (Replica_set.Crash (n mod 2)));
+                   ignore (Replica_set.fire rs (Replica_set.Recover (n mod 2)))))
           | _ -> (
             match Replica_set.enabled rs with
             | [] -> ()
@@ -932,6 +970,8 @@ let () =
             test_sim_chaos_complete;
           Alcotest.test_case "crash of a crashed site is a no-op" `Quick
             test_crash_of_crashed_site_is_noop;
+          Alcotest.test_case "recover during a primary transaction" `Quick
+            test_recover_during_primary_txn;
         ] );
       ( "recovery",
         [

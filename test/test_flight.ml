@@ -23,11 +23,28 @@ let test_null_inert () =
   let f = Flight.null in
   check_bool "not enabled" false (Flight.enabled f);
   Flight.note_commit f ~txn:1 ~hid:1 ~commit_ts:1 ~updates:1;
-  Flight.note_read f ~site:"s" ~hid:2 ~session:"c" ~snapshot:1 ~fence:(-1);
+  Flight.note_read f ~site:(Flight.intern f "s") ~hid:2 ~session:"c"
+    ~snapshot:1 ~fence:(-1);
   Flight.trigger f ~reason:"x" ();
   check_int "no events" 0 (Flight.events_noted f);
   check_int "no bytes" 0 (Flight.approx_bytes f);
   check_bool "never triggered" false (Flight.triggered f)
+
+(* The ring's hot path: with a clock that returns an already boxed float,
+   10k stage notes and 10k read notes on a live recorder allocate nothing. *)
+let test_notes_allocate_nothing () =
+  let f = Flight.create ~capacity:64 () in
+  let now = 1.5 in
+  Flight.set_clock f (fun () -> now);
+  let site = Flight.intern f "secondary-0" in
+  let words = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Flight.note_stage f ~site ~txn:i Flight.Refresh_committed ~record:(-1) i;
+    Flight.note_read f ~site ~hid:i ~session:"c0" ~snapshot:i ~fence:(-1)
+  done;
+  Alcotest.(check (float 0.)) "noting allocates nothing" 0.
+    (Gc.minor_words () -. words);
+  check_int "every note counted" 20_000 (Flight.events_noted f)
 
 let parse_ok j =
   match Flight.parse_bundle j with
@@ -76,20 +93,22 @@ let test_bundle_json_roundtrip () =
   let clock = ref 0. in
   Flight.set_clock f (fun () -> !clock);
   clock := 1.;
+  let sec0 = Flight.intern f "sec-0" in
   Flight.note_commit f ~txn:1 ~hid:10 ~commit_ts:1 ~updates:2;
-  Flight.note_stage f ~txn:1 Flight.Batched;
-  Flight.note_stage f ~txn:1 (Flight.Shipped { updates = 2 });
+  Flight.note_stage f ~site:(-1) ~txn:1 Flight.Batched ~record:(-1) (-1);
+  Flight.note_stage f ~site:(-1) ~txn:1 Flight.Shipped ~record:(-1) 2;
   clock := 2.;
-  Flight.note_stage f ~site:"sec-0" ~txn:1
-    (Flight.Channel_delayed { record = "commit"; ticks = 3 });
-  Flight.note_stage f ~site:"sec-0" ~txn:1 Flight.Enqueued;
-  Flight.note_stage f ~site:"sec-0" ~txn:1 Flight.Refresh_started;
-  Flight.note_stage f ~site:"sec-0" ~txn:1
-    (Flight.Refresh_committed { commit_ts = 1 });
+  Flight.note_stage f ~site:sec0 ~txn:1 Flight.Channel_delayed
+    ~record:(Flight.intern f "commit") 3;
+  Flight.note_stage f ~site:sec0 ~txn:1 Flight.Enqueued ~record:(-1) (-1);
+  Flight.note_stage f ~site:sec0 ~txn:1 Flight.Refresh_started ~record:(-1)
+    (-1);
+  Flight.note_stage f ~site:sec0 ~txn:1 Flight.Refresh_committed ~record:(-1)
+    1;
   clock := 3.;
-  Flight.note_read f ~site:"sec-0" ~hid:11 ~session:"c0" ~snapshot:1 ~fence:1;
-  Flight.note_crash f ~site:"sec-0";
-  Flight.note_recovery f ~site:"sec-0" ~seq:1;
+  Flight.note_read f ~site:sec0 ~hid:11 ~session:"c0" ~snapshot:1 ~fence:1;
+  Flight.note_crash f ~site:sec0;
+  Flight.note_recovery f ~site:sec0 ~seq:1;
   let j = Flight.bundle_json f ~config:(Json.Obj [ ("seed", Json.Num 5.) ]) in
   (* The canonical text re-parses to the identical bundle. *)
   let text = Json.to_string j in
@@ -130,11 +149,12 @@ let test_journey_evicted_vs_unknown () =
   let f = Flight.create ~capacity:16 () in
   let unknown txn = Flight.journey f ~txn = Error Flight.Unknown in
   check_bool "nothing recorded yet" true (unknown 0);
+  let sec0 = Flight.intern f "sec-0" in
   for txn = 0 to 9 do
     Flight.note_commit f ~txn ~hid:(-1) ~commit_ts:(2 * txn) ~updates:1;
-    Flight.note_stage f ~txn Flight.Batched;
-    Flight.note_stage f ~site:"sec-0" ~txn
-      (Flight.Refresh_committed { commit_ts = 2 * txn })
+    Flight.note_stage f ~site:(-1) ~txn Flight.Batched ~record:(-1) (-1);
+    Flight.note_stage f ~site:sec0 ~txn Flight.Refresh_committed ~record:(-1)
+      (2 * txn)
   done;
   check_bool "the oldest journey was evicted" true
     (Flight.journey f ~txn:0 = Error (Flight.Evicted { dropped = 14 }));
@@ -477,6 +497,8 @@ let () =
       ( "ring",
         [
           Alcotest.test_case "null is inert" `Quick test_null_inert;
+          Alcotest.test_case "noting allocates nothing" `Quick
+            test_notes_allocate_nothing;
           Alcotest.test_case "overwrite + first trigger wins" `Quick
             test_ring_overwrites_and_first_trigger_wins;
           Alcotest.test_case "journey evicted vs unknown" `Quick

@@ -244,7 +244,8 @@ let sinks flight = { Sinks.obs = Obs.null; flight }
 
 let test_journey_null_inert () =
   let s = Sinks.null in
-  Sinks.stage s ~txn:1 Flight.Batched;
+  Sinks.stage s ~site:(Flight.intern s.Sinks.flight "sec-0") ~txn:1 Flight.Batched
+    ~record:(-1) (-1);
   Flight.note_commit s.Sinks.flight ~txn:1 ~hid:1 ~commit_ts:5 ~updates:1;
   check_bool "not tracing" false (Sinks.tracing s);
   check_int "no events" 0 (Flight.events_noted s.Sinks.flight);
@@ -259,12 +260,12 @@ let test_journey () =
   check_bool "tracing" true (Sinks.tracing s);
   Flight.note_commit f ~txn:7 ~hid:(-1) ~commit_ts:3 ~updates:2;
   Flight.note_commit f ~txn:8 ~hid:(-1) ~commit_ts:4 ~updates:1;
-  Sinks.stage s ~txn:7 Flight.Batched;
-  Sinks.stage s ~txn:7 (Flight.Shipped { updates = 2 });
-  Sinks.stage s ~site:"sec-0" ~txn:7 Flight.Enqueued;
-  Sinks.stage s ~site:"sec-0" ~txn:7 Flight.Refresh_started;
-  Sinks.stage s ~site:"sec-0" ~txn:7
-    (Flight.Refresh_committed { commit_ts = 3 });
+  let sec0 = Flight.intern f "sec-0" in
+  Sinks.stage s ~site:(-1) ~txn:7 Flight.Batched ~record:(-1) (-1);
+  Sinks.stage s ~site:(-1) ~txn:7 Flight.Shipped ~record:(-1) 2;
+  Sinks.stage s ~site:sec0 ~txn:7 Flight.Enqueued ~record:(-1) (-1);
+  Sinks.stage s ~site:sec0 ~txn:7 Flight.Refresh_started ~record:(-1) (-1);
+  Sinks.stage s ~site:sec0 ~txn:7 Flight.Refresh_committed ~record:(-1) 3;
   let j =
     match Flight.journey f ~txn:7 with
     | Ok j -> j
@@ -291,10 +292,11 @@ let test_journey_json_deterministic () =
     let f = Flight.create () in
     let s = sinks f in
     Flight.note_commit f ~txn:1 ~hid:(-1) ~commit_ts:2 ~updates:1;
-    Sinks.stage s ~site:"b" ~txn:1 Flight.Enqueued;
-    Sinks.stage s ~site:"a" ~txn:1 Flight.Enqueued;
-    Sinks.stage s ~site:"b" ~txn:1 (Flight.Refresh_committed { commit_ts = 2 });
-    Sinks.stage s ~site:"a" ~txn:1 (Flight.Refresh_committed { commit_ts = 2 });
+    let a = Flight.intern f "a" and b = Flight.intern f "b" in
+    Sinks.stage s ~site:b ~txn:1 Flight.Enqueued ~record:(-1) (-1);
+    Sinks.stage s ~site:a ~txn:1 Flight.Enqueued ~record:(-1) (-1);
+    Sinks.stage s ~site:b ~txn:1 Flight.Refresh_committed ~record:(-1) 2;
+    Sinks.stage s ~site:a ~txn:1 Flight.Refresh_committed ~record:(-1) 2;
     Json.to_string (Flight.bundle_json f ~config:(Json.Obj []))
   in
   let s1 = build () and s2 = build () in

@@ -32,9 +32,11 @@ let replay guarantee history =
     match (t.History.kind, first) with
     | History.Read_only, true ->
       Hashtbl.replace tokens id
-        (Watchdog.begin_read w ~session ~snapshot:t.History.snapshot)
+        (Watchdog.begin_read w ~tick:t.History.first_op ~session
+           ~snapshot:t.History.snapshot)
     | History.Update, true ->
-      Hashtbl.replace tokens id (Watchdog.begin_update w ~session)
+      Hashtbl.replace tokens id
+        (Watchdog.begin_update w ~tick:t.History.first_op ~session)
     | History.Read_only, false ->
       Watchdog.end_read w (Hashtbl.find tokens id) ~id ~site:t.History.site
         ~now ~reads:t.History.reads
@@ -512,7 +514,7 @@ let test_retired_chain_reads_base () =
   let next_id = ref 0 in
   let fresh_id () = incr next_id; !next_id in
   let commit ts writes =
-    let tok = Watchdog.begin_update w ~session:"writer" in
+    let tok = Watchdog.begin_update w ~tick:0 ~session:"writer" in
     let id = fresh_id () in
     Watchdog.end_update w tok ~id ~now:(float_of_int id)
       ~commit:
@@ -524,7 +526,7 @@ let test_retired_chain_reads_base () =
      mismatch alerts that observing a sentinel value raises. *)
   let expected ~snapshot keys =
     let id = fresh_id () in
-    let tok = Watchdog.begin_read w ~session:"reader" ~snapshot in
+    let tok = Watchdog.begin_read w ~tick:0 ~session:"reader" ~snapshot in
     Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
       ~reads:(List.map (fun k -> (k, Some "<probe>")) keys);
     List.filter_map
@@ -556,6 +558,47 @@ let test_retired_chain_reads_base () =
   check_expected "the rewrite folds into the base" [ ("x", Some "c"); ("y", None) ]
     (expected ~snapshot:3 [ "x"; "y" ])
 
+(* The horizon sweeps a session's floors while one of that session's reads
+   is in flight: the session's record must survive the sweep, so the floor
+   the read raises at its end is there for the session's next read. Another
+   session's read at snapshot 1 keeps the horizon at 1, where the session's
+   only floors (its update at ts 1) are swept; the in-flight read at
+   snapshot 5 then raises the session floor to 5, and the session's next
+   read, at snapshot 3 (above the horizon), is an in-session inversion. *)
+let test_sweep_keeps_held_session () =
+  let w =
+    Watchdog.create ~guarantee:Session.Strong_session ~sites:1 ()
+  in
+  let commit ~session ts =
+    let tok = Watchdog.begin_update w ~tick:0 ~session in
+    Watchdog.end_update w tok ~id:ts ~now:(float_of_int ts)
+      ~commit:(Some (ts, [ { Lsr_storage.Wal.key = session; value = Some "v" } ]))
+      ~snapshot:(ts - 1) ~reads:[]
+  in
+  commit ~session:"s" 1;
+  let pin = Watchdog.begin_read w ~tick:0 ~session:"q" ~snapshot:1 in
+  (* 64 other sessions' floors, so the next retirement sweeps. *)
+  for ts = 2 to 65 do
+    commit ~session:(Printf.sprintf "o%d" ts) ts
+  done;
+  let held = Watchdog.begin_read w ~tick:0 ~session:"s" ~snapshot:5 in
+  let size = Watchdog.state_size w in
+  Watchdog.note_refresh w ~site:0 ~seq:65;
+  check_int "the horizon stops at the pinned snapshot" 1 (Watchdog.horizon w);
+  check_int "its update retired (version and commit), its three floors swept"
+    (size - 5) (Watchdog.state_size w);
+  Watchdog.end_read w held ~id:100 ~site:"secondary-0" ~now:100. ~reads:[];
+  let next = Watchdog.begin_read w ~tick:0 ~session:"s" ~snapshot:3 in
+  Watchdog.end_read w next ~id:101 ~site:"secondary-0" ~now:101. ~reads:[];
+  Watchdog.end_read w pin ~id:102 ~site:"secondary-0" ~now:102. ~reads:[];
+  match Watchdog.alerts w with
+  | [ { Watchdog.txn = 101;
+        kind = Watchdog.Inversion { level = Watchdog.In_session; earlier = 100; floor = 5 };
+        _ } ] -> ()
+  | alerts ->
+    Alcotest.failf "want one in-session inversion of txn 101 behind txn 100, got %d alerts"
+      (List.length alerts)
+
 (* Only a violation triggers the flight recorder the watchdog was created
    with: under strong session SI, another session's inversion is counted
    and passes; the session's own inversion is the first alert, and the
@@ -565,12 +608,12 @@ let test_first_violation_triggers () =
   let w =
     Watchdog.create ~flight ~guarantee:Session.Strong_session ~sites:1 ()
   in
-  let tok = Watchdog.begin_update w ~session:"a" in
+  let tok = Watchdog.begin_update w ~tick:0 ~session:"a" in
   Watchdog.end_update w tok ~id:1 ~now:1.
     ~commit:(Some (1, [ { Lsr_storage.Wal.key = "k"; value = Some "v" } ]))
     ~snapshot:0 ~reads:[];
   let read ~session ~id =
-    let tok = Watchdog.begin_read w ~session ~snapshot:0 in
+    let tok = Watchdog.begin_read w ~tick:0 ~session ~snapshot:0 in
     Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
       ~reads:[]
   in
@@ -635,6 +678,8 @@ let () =
             test_embedded_inversion_alert;
           Alcotest.test_case "aborted reads not judged" `Quick
             test_embedded_aborted_reads_not_judged;
+          Alcotest.test_case "a sweep keeps a held session" `Quick
+            test_sweep_keeps_held_session;
           Alcotest.test_case "retired chain reads the base" `Quick
             test_retired_chain_reads_base;
           Alcotest.test_case "continuous retirement" `Quick
