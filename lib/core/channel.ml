@@ -137,11 +137,12 @@ type t = {
   mutable next_expected : int;
   ooo : (int, Lsr_storage.Wal.entry) Hashtbl.t;
   s : stats;
-  sinks : Lsr_obs.Sinks.t;
+  recorder : Lsr_obs.Flight.t;
   site : int; (* recorder id of the site this channel feeds; -1 = none *)
 }
 
-let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
+let create ?(config = default) ?(recorder = Lsr_obs.Flight.null) ?(site = -1)
+    ~rng () =
   validate config;
   {
     cfg = config;
@@ -154,20 +155,16 @@ let create ?(config = default) ?(sinks = Lsr_obs.Sinks.null) ?name ~rng () =
     next_expected = 0;
     ooo = Hashtbl.create 32;
     s = zero ();
-    sinks;
-    site =
-      (match name with
-      | Some n -> Lsr_obs.Flight.intern sinks.Lsr_obs.Sinks.flight n
-      | None -> -1);
+    recorder;
+    site;
   }
 
 let emit_stage t record stage ticks =
-  if Lsr_obs.Sinks.tracing t.sinks then
-    Lsr_obs.Sinks.stage t.sinks ~site:t.site
+  if Lsr_obs.Flight.enabled t.recorder then
+    Lsr_obs.Flight.note_stage t.recorder ~site:t.site
       ~txn:(Lsr_storage.Wal.txn record) stage
       ~record:
-        (Lsr_obs.Flight.intern t.sinks.Lsr_obs.Sinks.flight
-           (Lsr_storage.Wal.kind_name record))
+        (Lsr_obs.Flight.intern t.recorder (Lsr_storage.Wal.kind_name record))
       ticks
 
 let stats t = t.s

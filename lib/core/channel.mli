@@ -73,17 +73,18 @@ type t
 (** [create ~rng ()] is a fresh channel. Mutates [rng] on every send/tick.
     Its counts live only in its {!stats} record. A [Channel_dropped] /
     [Channel_delayed] / [Channel_duplicated] / [Channel_retransmitted]
-    stage is tapped into [sinks] per injected fault, tagged with [name]
-    (the site this channel feeds) and the affected record's transaction
-    id — so faults show up in that transaction's journey and in the flight
+    stage is noted in [recorder] per injected fault, tagged with [site] (the
+    recorder id of the site this channel feeds, from
+    {!Lsr_obs.Flight.intern}) and the affected record's transaction id — so
+    faults show up in that transaction's journey and in the flight
     recorder.
     @raise Invalid_argument on an ill-formed config (probabilities outside
     [0, 1], [loss >= 1.], [ack_loss >= 1.], [rto < 1], [backoff < 1.],
     negative windows). *)
 val create :
   ?config:config ->
-  ?sinks:Lsr_obs.Sinks.t ->
-  ?name:string ->
+  ?recorder:Lsr_obs.Flight.t ->
+  ?site:int ->
   rng:Lsr_sim.Rng.t ->
   unit ->
   t

@@ -18,17 +18,13 @@ type t
     keeps the write count of aborted transactions on their abort records —
     the "simple method" of §3.2 whose wasted secondary work the ablation
     benchmarks quantify; without it an abort record ships [writes = 0].
-    [sinks.obs] receives the counters [propagation.polls] /
-    [propagation.records_shipped] and the [propagation.in_flight] gauge; a
-    [Batched] stage is tapped when a transaction's start record is picked
-    up and a [Shipped] stage when its commit record leaves the propagator.
 
     A commit record's update list is the one the primary's commit built
     (one {!Wal.squash} of its writes) and installed. It is broadcast as it
     is: every secondary's refresh installs that list and keeps it in its
     commit list, so a writeset costs its records and its list once, however
     many secondaries there are. *)
-val create : ?ship_aborted:bool -> ?sinks:Lsr_obs.Sinks.t -> Wal.t -> t
+val create : ?ship_aborted:bool -> Wal.t -> t
 
 (** [poll t] consumes the log entries appended since the last poll and
     returns the records to broadcast, in order. *)

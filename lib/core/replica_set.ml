@@ -15,19 +15,23 @@ type freshness = {
    FIFO channel, batch by batch, or a fault channel. *)
 type link = Plain of Wal.entry list Queue.t | Faulty of Channel.t
 
-(* One secondary site. [hook] is the replica's whole refresh-commit hook,
-   kept so a recovered replica gets the same one. [freshness] is forced on
-   the site's first sample into an attached registry. *)
+(* One secondary site: its replica, its link, and the instruments its moves
+   feed, interned once, so a recovered replica counts into them too.
+   [freshness] is forced on the site's first sample into an attached
+   registry. *)
 type site = {
   name : string;
   fid : int;  (* its flight recorder id *)
   mutable replica : Secondary.t;
-  hook : Timestamp.t -> unit;
   link : link;
   mutable crashed : bool;
   (* False once the site has crashed: its state sequence is no longer a
      prefix of the primary's, so only final-state equality can be checked. *)
   mutable clean : bool;
+  c_started : Obs.counter;
+  c_aborted : Obs.counter;
+  g_update_queue : Obs.gauge;
+  g_pending : Obs.gauge;
   freshness : freshness Lazy.t;
 }
 
@@ -43,6 +47,10 @@ type t = {
   sinks : Sinks.t;
   now : unit -> float;
   on_read : int -> age:float -> missed:int -> unit;
+  on_refresh_commit : int -> Timestamp.t -> float option -> unit;
+  c_polls : Obs.counter;
+  c_shipped : Obs.counter;
+  g_in_flight : Obs.gauge;
   sites : site array;
 }
 
@@ -78,9 +86,8 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
       Some (Watchdog.create ~flight:sinks.flight ~clock ~guarantee ~sites ())
     else None
   in
-  let propagator =
-    Propagation.create ~ship_aborted ~sinks (Primary.wal primary)
-  in
+  let propagator = Propagation.create ~ship_aborted (Primary.wal primary) in
+  let obs = sinks.obs in
   (* Every channel draws its own stream, split from the fault seed in site
      order, so a whole fault schedule replays from one seed. *)
   let link =
@@ -88,35 +95,23 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
     | None -> fun _ -> Plain (Queue.create ())
     | Some (config, seed) ->
       let rng = Lsr_sim.Rng.create seed in
-      fun name ->
-        Faulty (Channel.create ~config ~sinks ~name ~rng:(Lsr_sim.Rng.split rng) ())
+      fun site ->
+        Faulty
+          (Channel.create ~config ~recorder:sinks.flight ~site
+             ~rng:(Lsr_sim.Rng.split rng) ())
   in
   let make_site i =
     let name = Printf.sprintf "secondary-%d" i in
-    let on_refresh_commit = on_refresh_commit i in
-    let freshness = lazy (freshness sinks.obs name) in
-    (* Each refresh commit measures its lag once (none for a commit that is
-       not on the clock), hands it to the driver's hook and to an attached
-       registry, then advances the watchdog's horizon. *)
-    let hook ts =
-      let lag =
-        match Session.clock_time_of clock ts with
-        | Some committed_at -> Some (now () -. committed_at)
-        | None -> None
-      in
-      on_refresh_commit ts lag;
-      (match lag with
-      | Some lag when Obs.enabled sinks.obs ->
-        Obs.observe (Lazy.force freshness).refresh_lag lag
-      | Some _ | None -> ());
-      note_refresh watchdog i ts
-    in
-    let replica =
-      Secondary.create ~name ~sinks ~on_refresh_commit:hook
-        ~db:(Mvcc.create ~commit_log:record_history ()) ()
-    in
-    { name; fid = Flight.intern sinks.flight name; replica; hook;
-      link = link name; crashed = false; clean = true; freshness }
+    let fid = Flight.intern sinks.flight name in
+    { name; fid;
+      replica =
+        Secondary.create ~db:(Mvcc.create ~commit_log:record_history ()) ();
+      link = link fid; crashed = false; clean = true;
+      c_started = Obs.counter obs (name ^ ".refresh_started");
+      c_aborted = Obs.counter obs (name ^ ".refresh_aborted");
+      g_update_queue = Obs.gauge obs (name ^ ".update_queue_depth");
+      g_pending = Obs.gauge obs (name ^ ".pending_depth");
+      freshness = lazy (freshness obs name) }
   in
   let sites = Array.init sites make_site in
   {
@@ -131,6 +126,10 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
     sinks;
     now;
     on_read;
+    on_refresh_commit;
+    c_polls = Obs.counter obs "propagation.polls";
+    c_shipped = Obs.counter obs "propagation.records_shipped";
+    g_in_flight = Obs.gauge obs "propagation.in_flight";
     sites;
   }
 
@@ -146,6 +145,7 @@ let tracking t = t.tracking
 (* --- Secondaries ------------------------------------------------------------- *)
 
 let sites t = Array.length t.sites
+let site_name t i = t.sites.(i).name
 let secondary t i = t.sites.(i).replica
 let is_crashed t i = t.sites.(i).crashed
 
@@ -204,9 +204,54 @@ let enabled t =
   done;
   if poll_ready t then Poll :: !moves else !moves
 
+let note_update_queue s =
+  Obs.set_gauge s.g_update_queue
+    (float_of_int (Secondary.update_queue_length s.replica))
+
+let note_pending s =
+  Obs.set_gauge s.g_pending
+    (float_of_int (Secondary.pending_queue_length s.replica))
+
+(* A poll's records in the recorder: [Batched] when a transaction's start
+   record is picked up, [Shipped] when its commit record leaves. *)
+let note_shipped flight records =
+  List.iter
+    (function
+      | Wal.Start { txn; _ } ->
+        Flight.note_stage flight ~site:(-1) ~txn Flight.Batched ~record:(-1)
+          (-1)
+      | Wal.Commit { txn; updates; _ } ->
+        Flight.note_stage flight ~site:(-1) ~txn Flight.Shipped ~record:(-1)
+          (List.length updates)
+      | Wal.Abort _ -> ())
+    records
+
+(* A refresh commit of [ts] at site [i] measures its lag once (none for a
+   commit that is not on the clock), hands it to the driver's hook and to an
+   attached registry, then advances the watchdog's horizon. *)
+let refresh_committed t i s ts =
+  let lag =
+    match Session.clock_time_of t.clock ts with
+    | Some committed_at -> Some (t.now () -. committed_at)
+    | None -> None
+  in
+  t.on_refresh_commit i ts lag;
+  (match lag with
+  | Some lag when Obs.enabled t.sinks.obs ->
+    Obs.observe (Lazy.force s.freshness).refresh_lag lag
+  | Some _ | None -> ());
+  note_refresh t.watchdog i ts
+
 let rec fire t = function
   | Poll -> (
-    match Propagation.poll t.propagator with
+    let records = Propagation.poll t.propagator in
+    let n = List.length records in
+    if Flight.enabled t.sinks.flight then note_shipped t.sinks.flight records;
+    Obs.incr t.c_polls;
+    Obs.incr t.c_shipped ~by:n;
+    Obs.set_gauge t.g_in_flight
+      (float_of_int (Propagation.in_flight t.propagator));
+    match records with
     | [] -> Nothing
     | records ->
       Array.iter
@@ -216,7 +261,7 @@ let rec fire t = function
             | Plain q -> Queue.add records q
             | Faulty ch -> Channel.send ch records)
         t.sites;
-      Shipped (List.length records))
+      Shipped n)
   | Deliver i -> (
     let s = t.sites.(i) in
     let records =
@@ -229,20 +274,48 @@ let rec fire t = function
     match records with
     | [] -> Nothing
     | records ->
-      List.iter (Secondary.enqueue s.replica) records;
+      List.iter
+        (fun record ->
+          Secondary.enqueue s.replica record;
+          (match record with
+          | Wal.Commit { txn; _ } ->
+            Flight.note_stage t.sinks.flight ~site:s.fid ~txn Flight.Enqueued
+              ~record:(-1) (-1)
+          | Wal.Start _ | Wal.Abort _ -> ());
+          note_update_queue s)
+        records;
       Shipped (List.length records))
   | Refresh i when t.sites.(i).crashed -> Nothing
   | Refresh i -> (
-    match Secondary.refresher_step t.sites.(i).replica with
-    | Secondary.Started _ -> Started
-    | Secondary.Dispatched ops -> Dispatched ops
-    | Secondary.Aborted writes -> Aborted writes
+    let s = t.sites.(i) in
+    match Secondary.refresher_step s.replica with
+    | Secondary.Started txn ->
+      note_update_queue s;
+      Flight.note_stage t.sinks.flight ~site:s.fid ~txn Flight.Refresh_started
+        ~record:(-1) (-1);
+      Obs.incr s.c_started;
+      Started
+    | Secondary.Dispatched ops ->
+      note_update_queue s;
+      note_pending s;
+      Dispatched ops
+    | Secondary.Aborted writes ->
+      note_update_queue s;
+      Obs.incr s.c_aborted;
+      Aborted writes
     | Secondary.Blocked_on_pending | Secondary.Idle -> Nothing)
   | Commit i ->
     let s = t.sites.(i) in
-    if (not s.crashed) && Secondary.commit_head s.replica then
-      Committed (Secondary.seq_dbsec s.replica)
-    else Nothing
+    let txn = if s.crashed then -1 else Secondary.commit_head s.replica in
+    if txn < 0 then Nothing
+    else begin
+      let ts = Secondary.seq_dbsec s.replica in
+      note_pending s;
+      Flight.note_stage t.sinks.flight ~site:s.fid ~txn
+        Flight.Refresh_committed ~record:(-1) ts;
+      refresh_committed t i s ts;
+      Committed ts
+    end
   | Crash i ->
     let s = t.sites.(i) in
     if not s.crashed then begin
@@ -265,8 +338,7 @@ let rec fire t = function
       let db = Primary.db t.primary in
       let seq = Mvcc.latest_commit_ts db in
       let fresh =
-        Secondary.create ~name:s.name ~sinks:t.sinks ~on_refresh_commit:s.hook
-          ~db:(Mvcc.restore (Mvcc.serialize db)) ~seq
+        Secondary.create ~db:(Mvcc.restore (Mvcc.serialize db)) ~seq
           ~resumed_at:(Mvcc.next_txn_id db) ()
       in
       Flight.note_recovery t.sinks.flight ~site:s.fid ~seq;
@@ -313,6 +385,9 @@ let end_update t u ~id ~finished ~now ~session ~commit ~snapshot ~reads =
         writes = (match commit with Some (_, writes) -> writes | None -> []);
         fence = None;
       }
+
+let abandon t txn =
+  match t.watchdog with Some w -> Watchdog.release w txn | None -> ()
 
 (* One id and finish tick per transaction, shared by the history record and
    the watchdog, so inversion witnesses are comparable across both; the id

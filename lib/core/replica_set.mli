@@ -31,7 +31,19 @@
     registry as four instruments per secondary, interned together on the
     site's first sample: histograms [<site>.read_age], [<site>.read_missed] and
     [<site>.refresh_lag], and the gauge [<site>.missed_commits], whose peak
-    is the exact maximum of [read_missed] ([Lag_report] reads them). *)
+    is the exact maximum of [read_missed] ([Lag_report] reads them).
+
+    Every protocol move is observed where {!fire} fires it, and only
+    there: [Poll] notes [Batched]/[Shipped] per start/commit record and
+    updates [propagation.polls], [propagation.records_shipped] and
+    [propagation.in_flight]; [Deliver i] notes [Enqueued] per commit
+    record and sets [<site>.update_queue_depth]; [Refresh i] notes
+    [Refresh_started], counts [<site>.refresh_started] /
+    [<site>.refresh_aborted] and sets the depth gauges it moved;
+    [Commit i] sets [<site>.pending_depth], notes [Refresh_committed] and
+    runs the refresh-commit chain of {!create}. These instruments are
+    interned when the site is created, so a recovered replica counts into
+    the same ones. *)
 
 open Lsr_storage
 
@@ -48,11 +60,11 @@ type t
     [watchdog] attaches an online checker of the guarantee, created with
     [sinks], so its first alert — the first violation — triggers the
     flight recorder's capture. Each refresh commit of [ts] at secondary [i]
-    calls [on_refresh_commit i ts lag] (applied once per site and kept for
-    recovery), where [lag] is the time since [ts] committed at the primary
-    ([None] when [ts] is not on the commit clock: it was committed straight
-    on the primary's store); then a [Some] lag goes to
-    [<site>.refresh_lag] and the watchdog's horizon for the site advances.
+    calls [on_refresh_commit i ts lag], where [lag] is the time since [ts]
+    committed at the primary ([None] when [ts] is not on the commit clock:
+    it was committed straight on the primary's store); then a [Some] lag
+    goes to [<site>.refresh_lag] and the watchdog's horizon for the site
+    advances.
     Each read at secondary [i] calls [on_read i ~age ~missed] with its
     snapshot's freshness (see {!begin_read}). [faults = Some (config, seed)]
     makes every secondary's link a fault {!Channel}, each drawing its own
@@ -88,6 +100,10 @@ val tracking : t -> bool
 (** {2 Secondaries} *)
 
 val sites : t -> int
+
+(** Secondary [i]'s name, ["secondary-<i>"]: it prefixes the site's
+    instruments and tags its flight events. *)
+val site_name : t -> int -> string
 
 (** The current replica at secondary [i] (a fresh one after recovery). *)
 val secondary : t -> int -> Secondary.t
@@ -153,6 +169,10 @@ val begin_update : t -> session:string -> txn
 val finish_update :
   t -> txn -> session:string -> reads:(string * string option) list ->
   _ Primary.outcome -> unit
+
+(** The transaction's body raised: it ends unrecorded, and the watchdog
+    drops its pin and its hold on the session's floors. *)
+val abandon : t -> txn -> unit
 
 (** A read-only transaction of [session] starts at secondary [site] (its
     index) with [snapshot], its seq(DBsec); the session's read floor rises

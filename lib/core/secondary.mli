@@ -28,7 +28,8 @@
 
     The module is a pure state machine with two transitions, a refresher
     step and a head commit, fired only as {!Replica_set}'s [Refresh i] and
-    [Commit i] moves. *)
+    [Commit i] moves. It observes nothing: [Replica_set.fire] notes each
+    move's stages and instruments where it fires it. *)
 
 open Lsr_storage
 
@@ -44,36 +45,17 @@ exception Commit_without_start of { txn : int }
     transaction, unless it predates [resumed_at]: only a channel that lost
     a start record gets here. *)
 
-(** [create ~name ()] is a fresh secondary whose local copy is [db]
-    (default: an empty store with no log and no commit list) and whose
-    [seq(DBsec)] is [seq] (default zero); the §3.4 recovery path passes a
+(** [create ()] is a fresh secondary whose local copy is [db] (default: an
+    empty store with no log and no commit list) and whose [seq(DBsec)] is
+    [seq] (default zero); the §3.4 recovery path passes a
     {!Lsr_storage.Mvcc.restore}d copy and the primary timestamp it reflects
     (§4's dummy-transaction rule) and the primary's next txn id
-    [resumed_at]: a lower id's commit record opens its own refresh.
-    [on_refresh_commit] fires after each refresh transaction commits, with
-    the primary commit timestamp just installed (used to wake blocked
-    read-only transactions). [sinks.obs] receives per-site counters and
-    queue-depth gauges named [<name>.refresh_started/aborted],
-    [<name>.update_queue_depth] and [<name>.pending_depth] (a commit is
-    counted once, by {!Replica_set}'s [<name>.refresh_lag]); the [Enqueued]
-    (commit record entered the update queue), [Refresh_started] and
-    [Refresh_committed] stages are tapped tagged with this site's [name].
-    The default {!Lsr_obs.Sinks.null} makes all of it a no-op. *)
+    [resumed_at]: a lower id's commit record opens its own refresh. *)
 val create :
-  ?name:string ->
-  ?sinks:Lsr_obs.Sinks.t ->
-  ?on_refresh_commit:(Timestamp.t -> unit) ->
-  ?db:Mvcc.t ->
-  ?seq:Timestamp.t ->
-  ?resumed_at:int ->
-  unit ->
-  t
+  ?db:Mvcc.t -> ?seq:Timestamp.t -> ?resumed_at:int -> unit -> t
 
 (** The local database copy. *)
 val db : t -> Mvcc.t
-
-(** The site name given at creation (tags this site's flight events). *)
-val name : t -> string
 
 (** [enqueue t record] appends a propagated record to the update queue
     (records must arrive in primary log order; the channel is FIFO). *)
@@ -106,9 +88,10 @@ val refresher_step : t -> refresher_outcome
 (** {2 Commit (Algorithm 3.3)} *)
 
 (** [commit_head t] commits the refresh transaction at the head of the
-    pending queue, pops it and advances [seq(DBsec)] to its primary commit
-    ts; [false] when the pending queue is empty. *)
-val commit_head : t -> bool
+    pending queue, pops it, advances [seq(DBsec)] to its primary commit ts
+    and returns its primary txn id; [-1] when the pending queue is empty.
+    Allocates nothing beyond the commit itself. *)
+val commit_head : t -> int
 
 (** The pending tail's primary commit ts ([seq(DBsec)] when empty): a
     refresh dispatched next heads the queue once [seq(DBsec)] reaches it. *)

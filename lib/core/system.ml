@@ -160,6 +160,13 @@ let compact t =
 
 (* --- Transactions ---------------------------------------------------------- *)
 
+(* A body raised (a failing SQL script does on purpose): the transaction is
+   not recorded, its watchdog token is released, and [exn] goes on up. *)
+let abandon t txn exn =
+  let bt = Printexc.get_raw_backtrace () in
+  Replica_set.abandon t.core txn;
+  Printexc.raise_with_backtrace exn bt
+
 let update t client ?force_abort body =
   let session = client.label in
   let txn = Replica_set.begin_update t.core ~session in
@@ -169,7 +176,10 @@ let update t client ?force_abort body =
     handle_ref := Some h;
     body h
   in
-  let outcome = Primary.execute (primary t) ?force_abort wrapped in
+  let outcome =
+    try Primary.execute (primary t) ?force_abort wrapped
+    with exn -> abandon t txn exn
+  in
   let reads = match !handle_ref with Some h -> Handle.reads h | None -> [] in
   Replica_set.finish_update t.core txn ~session ~reads outcome;
   match outcome with
@@ -187,7 +197,7 @@ let run_read ?fence t client sec ~required body =
   let txn = Replica_set.begin_read ?fence t.core ~session ~site ~snapshot in
   let mvcc_txn = Mvcc.begin_txn db in
   let h = Handle.make ~schema:t.schema db mvcc_txn in
-  let value = body h in
+  let value = try body h with exn -> abandon t txn exn in
   Mvcc.end_read db mvcc_txn;
   let fence_seq = match fence with None -> -1 | Some _ -> required in
   Replica_set.finish_read ?fence t.core txn ~session ~site ~snapshot ~read_at
@@ -256,13 +266,6 @@ let crash_secondary t i =
 let recover_secondary t i =
   if not (is_crashed t i) then
     invalid_arg "System.recover_secondary: not crashed";
-  (* Quiesce propagation first: any primary commit not yet polled would be
-     included in the copy AND shipped later, and re-executing it at the
-     recovered site would briefly move seq(DBsec) backwards — a read in
-     that window would observe a state newer than its recorded snapshot.
-     Consuming the log up to the copy point makes the copy and the
-     propagation cursor agree ("quiesced copy", §3.4). *)
-  ignore (propagate t);
   ignore (Replica_set.fire t.core (Replica_set.Recover i))
 
 (* --- Verification ----------------------------------------------------------- *)

@@ -118,7 +118,9 @@ val migrate : t -> client -> int -> client
     body runs against the primary copy via a recording {!Handle}. On commit,
     the session's [seq(c)] advances to the new primary commit timestamp.
     [force_abort] makes the transaction abort at commit (the simulator's
-    [abort_prob]); the caller sees [Error Forced]. *)
+    [abort_prob]); the caller sees [Error Forced]. A body that raises
+    aborts the transaction, which is not recorded; the exception goes on
+    up. The same holds for a raising {!read} body. *)
 val update :
   t -> client -> ?force_abort:bool -> (Handle.t -> 'a) ->
   ('a, Mvcc.abort_reason) result
@@ -199,11 +201,11 @@ val compact : t -> int
     {!Secondary_down} until recovery. *)
 val crash_secondary : t -> int -> unit
 
-(** [recover_secondary t i] quiesces propagation ({!propagate}: nothing
-    already in the copy is propagated again), then fires [Recover i]: a
-    quiesced copy of the primary database, with [seq(DBsec)] at the
-    primary's latest commit (what §4's dummy transaction would read; none
-    is run), after which the site resumes receiving propagated updates.
+(** [recover_secondary t i] fires [Recover i], which polls first so that
+    nothing already in the copy is propagated again: a quiesced copy of the
+    primary database, with [seq(DBsec)] at the primary's latest commit
+    (what §4's dummy transaction would read; none is run), after which the
+    site resumes receiving propagated updates.
     @raise Invalid_argument when site [i] is not crashed. *)
 val recover_secondary : t -> int -> unit
 

@@ -186,9 +186,14 @@ val end_update :
   reads:(string * string option) list ->
   unit
 
+(** [release t token] — the transaction ended without finishing (its body
+    raised): its horizon pin and its hold on its session's floors go,
+    nothing is checked and no floor is raised. *)
+val release : t -> token -> unit
+
 (** [note_refresh t ~site ~seq] — secondary [site] committed a refresh
-    transaction, advancing its seq(DBsec) to [seq] (wire to
-    {!Secondary.create}'s [on_refresh_commit]). Advances the retirement
+    transaction, advancing its seq(DBsec) to [seq] ([Replica_set]'s
+    [Commit i] move calls it). Advances the retirement
     horizon and retires versions and session floors below it. *)
 val note_refresh : t -> site:int -> seq:Timestamp.t -> unit
 

@@ -152,7 +152,7 @@ type state = {
    site, so it stays the same for the whole run. *)
 let make_site eng rs session_conds index =
   let sec = Replica_set.secondary rs index in
-  let site_name = Secondary.name sec in
+  let site_name = Replica_set.site_name rs index in
   let commit_order = Seqcond.create eng in
   Seqcond.advance commit_order (Secondary.seq_dbsec sec);
   { index; site_name; sec;

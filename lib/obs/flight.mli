@@ -87,8 +87,10 @@ type stage =
   | Refresh_committed
 
 (** [note_stage t ~site ~txn stage ~record n] records one pipeline stage of
-    update transaction [txn] (the primary MVCC id) at site id [site];
-    layers reach it through {!Sinks.stage}. [record] is a channel stage's
+    update transaction [txn] (the primary MVCC id) at site id [site]
+    ([-1] for the primary); the replica-set core calls it where it fires
+    each protocol move, and a fault channel per injected fault. Allocates
+    nothing. [record] is a channel stage's
     {!intern}ed record kind, [n] a [Shipped]'s update count, a
     [Channel_delayed]'s ticks or a [Refresh_committed]'s commit ts; [-1]
     where a stage has none. *)

@@ -1,8 +1,12 @@
-(* Single-path lint: every transaction's bookkeeping goes through
-   [Lsr_core.Replica_set], and every pipeline stage through
-   [Lsr_obs.Sinks.stage]. Fails when any other library module records into
-   the history, drives watchdog tokens, or notes commits, reads, stages,
-   crashes or recoveries in the flight recorder directly; and when any
+(* Single-path lint: every transaction's bookkeeping and every observation
+   of a protocol move goes through [Lsr_core.Replica_set]. Fails when any
+   other library module records into the history, drives watchdog tokens,
+   or notes commits, reads, crashes or recoveries in the flight recorder;
+   when any module but [Replica_set] and [Channel] (whose injected faults
+   are no move of their own) notes a pipeline stage; when any module but
+   [Replica_set], [Metrics] (the clients' counters) and [Lag_report] (which
+   looks gauges up by name) interns a counter or a gauge, so Secondary and
+   Propagation stay pure protocol; and when any
    module but [Replica_set] runs the end-of-run verdict's checks, builds
    a fault channel, which the replica set owns per secondary, or reads
    freshness or lag off the commit clock, which it measures once per read
@@ -33,11 +37,17 @@
 (* (modules allowed to make the calls, how to name them, the calls) *)
 let rules =
   [
-    ( [ "replica_set.ml"; "sinks.ml" ],
-      "Replica_set / Lsr_obs.Sinks",
+    ( [ "replica_set.ml" ],
+      "Replica_set",
       [ "History.add"; "Watchdog.begin_"; "Watchdog.end_";
-        "Flight.note_commit"; "Flight.note_read"; "Flight.note_stage";
+        "Watchdog.release"; "Flight.note_commit"; "Flight.note_read";
         "Flight.note_crash"; "Flight.note_recovery" ] );
+    ( [ "replica_set.ml"; "channel.ml" ],
+      "Replica_set / Channel",
+      [ "Flight.note_stage" ] );
+    ( [ "replica_set.ml"; "metrics.ml"; "lag_report.ml" ],
+      "Replica_set / Metrics / Lag_report",
+      [ "Obs.counter"; "Obs.gauge" ] );
     ( [ "replica_set.ml" ],
       "Replica_set",
       [ "Checker.analyze"; "Checker.check_completeness";

@@ -220,7 +220,7 @@ let drain sec =
   let rec go committed =
     match Secondary.refresher_step sec with
     | Secondary.Blocked_on_pending | Secondary.Idle ->
-      if Secondary.commit_head sec then go (committed + 1) else committed
+      if Secondary.commit_head sec >= 0 then go (committed + 1) else committed
     | Secondary.Started _ | Secondary.Dispatched _ | Secondary.Aborted _ ->
       go committed
   in
@@ -281,7 +281,7 @@ let test_refresher_blocks_start_on_pending () =
   | _ -> Alcotest.fail "expected Blocked_on_pending for T2's start");
   check_int "pending holds R1" 1 (Secondary.pending_queue_length sec);
   (* Commit R1; then T2 can start. *)
-  check_bool "R1 commits" true (Secondary.commit_head sec);
+  check_bool "R1 commits" true (Secondary.commit_head sec >= 0);
   match Secondary.refresher_step sec with
   | Secondary.Started _ -> ()
   | _ -> Alcotest.fail "T2's refresh should start after R1 commits"
@@ -314,11 +314,11 @@ let test_applicators_commit_in_primary_order () =
   check_int "R2 waits behind R1" 2 (Secondary.pending_queue_length sec);
   (* R2's updates are already handed over, but only the head commits. *)
   check_int "pending tail is R2" ts2 (Secondary.pending_tail sec);
-  check_bool "R1 commits" true (Secondary.commit_head sec);
+  check_int "R1 commits" (Mvcc.txn_id t1) (Secondary.commit_head sec);
   Alcotest.(check int) "R1 commits first" ts1 (Secondary.seq_dbsec sec);
-  check_bool "R2 commits" true (Secondary.commit_head sec);
+  check_int "R2 commits" (Mvcc.txn_id t2) (Secondary.commit_head sec);
   Alcotest.(check int) "R2 commits second" ts2 (Secondary.seq_dbsec sec);
-  check_bool "nothing left to commit" false (Secondary.commit_head sec);
+  check_int "nothing left to commit" (-1) (Secondary.commit_head sec);
   check_int "empty pending tail is seq(DBsec)" ts2 (Secondary.pending_tail sec)
 
 let test_refresh_commit_order_matches_primary_random () =
@@ -350,14 +350,22 @@ let test_reseed_seq () =
   Alcotest.(check int) "reseeded" 42 (Secondary.seq_dbsec sec);
   check_int "empty pending tail is the seed" 42 (Secondary.pending_tail sec)
 
-let test_on_refresh_commit_callback () =
+let test_commit_head_names_primary_txn () =
   let primary = Primary.create () in
   let ts = update_at primary [ ("x", Some "1") ] in
-  let seen = ref [] in
-  let sec = Secondary.create ~on_refresh_commit:(fun t -> seen := t :: !seen) () in
+  let txn =
+    match records_of primary with
+    | Wal.Start { txn; _ } :: _ -> txn
+    | _ -> Alcotest.fail "log does not open with a start record"
+  in
+  let sec = Secondary.create () in
   List.iter (Secondary.enqueue sec) (records_of primary);
-  ignore (drain sec);
-  Alcotest.(check (list int)) "callback fired with primary ts" [ ts ] !seen
+  ignore (Secondary.refresher_step sec);
+  ignore (Secondary.refresher_step sec);
+  check_int "returns the primary txn id" txn (Secondary.commit_head sec);
+  check_int "seq(DBsec) is its primary commit ts" ts (Secondary.seq_dbsec sec);
+  check_int "nothing left" (-1) (Secondary.commit_head sec);
+  check_int "seq(DBsec) unchanged" ts (Secondary.seq_dbsec sec)
 
 let test_applicator_dispatch_scales () =
   (* Regression for the O(n^2) applicator bookkeeping (list append on every
@@ -2468,7 +2476,7 @@ let () =
             test_commit_without_start_rejected;
           Alcotest.test_case "reseed seq" `Quick test_reseed_seq;
           Alcotest.test_case "refresh commit callback" `Quick
-            test_on_refresh_commit_callback;
+            test_commit_head_names_primary_txn;
           Alcotest.test_case "applicator dispatch scales" `Slow
             test_applicator_dispatch_scales;
           Alcotest.test_case "exhaustive interleavings" `Quick

@@ -407,7 +407,7 @@ let settle sec =
   let rec go () =
     match Secondary.refresher_step sec with
     | Secondary.Blocked_on_pending | Secondary.Idle ->
-      if Secondary.commit_head sec then go ()
+      if Secondary.commit_head sec >= 0 then go ()
     | Secondary.Started _ | Secondary.Dispatched _ | Secondary.Aborted _ -> go ()
   in
   go ()
@@ -415,8 +415,8 @@ let settle sec =
 (* Raises [Invalid_argument] inside [Wal.read_from] when the log has been
    truncated: replay would skip records, so a backup older than the
    truncation point cannot be recovered from. *)
-let restore ?(name = "recovered") ~primary b =
-  let fresh = Secondary.create ~name ~db:(Mvcc.restore b.state) ~seq:b.ts () in
+let restore ~primary b =
+  let fresh = Secondary.create ~db:(Mvcc.restore b.state) ~seq:b.ts () in
   let records = Propagation.poll (Propagation.create (Primary.wal primary)) in
   List.iter (Secondary.enqueue fresh) (replay_filter ~after:b.ts records);
   settle fresh;
@@ -432,7 +432,7 @@ let update_primary primary writes =
 
 let test_recovery_stale_backup_converges () =
   let primary = Primary.create () in
-  let live = Secondary.create ~name:"live" () in
+  let live = Secondary.create () in
   let prop = Propagation.create (Primary.wal primary) in
   let feed () =
     List.iter (Secondary.enqueue live) (Propagation.poll prop);
@@ -458,7 +458,7 @@ let test_recovery_stale_backup_converges () =
   Mvcc.abort pdb doomed;
   feed ();
   (* The crashed replica rebuilds from the stale backup + full log replay. *)
-  let recovered = restore ~name:"recovered" ~primary b in
+  let recovered = restore ~primary b in
   check_bool "state converged to the uncrashed replica" true
     (Mvcc.committed_state (Secondary.db recovered)
     = Mvcc.committed_state (Secondary.db live));

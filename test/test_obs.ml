@@ -240,32 +240,29 @@ let test_observe_allocates_nothing () =
 
 (* --- Per-transaction journeys (the flight ring) ------------------------------ *)
 
-let sinks flight = { Sinks.obs = Obs.null; flight }
-
 let test_journey_null_inert () =
-  let s = Sinks.null in
-  Sinks.stage s ~site:(Flight.intern s.Sinks.flight "sec-0") ~txn:1 Flight.Batched
+  let f = Flight.null in
+  Flight.note_stage f ~site:(Flight.intern f "sec-0") ~txn:1 Flight.Batched
     ~record:(-1) (-1);
-  Flight.note_commit s.Sinks.flight ~txn:1 ~hid:1 ~commit_ts:5 ~updates:1;
-  check_bool "not tracing" false (Sinks.tracing s);
-  check_int "no events" 0 (Flight.events_noted s.Sinks.flight);
-  check_bool "no journey" true
-    (Flight.journey s.Sinks.flight ~txn:1 = Error Flight.Unknown);
-  check_bool "no txns" true (Flight.txns s.Sinks.flight = []);
-  check_bool "no instruments" true (Obs.names s.Sinks.obs = [])
+  Flight.note_commit f ~txn:1 ~hid:1 ~commit_ts:5 ~updates:1;
+  check_bool "not tracing" false (Flight.enabled f);
+  check_int "no events" 0 (Flight.events_noted f);
+  check_bool "no journey" true (Flight.journey f ~txn:1 = Error Flight.Unknown);
+  check_bool "no txns" true (Flight.txns f = []);
+  check_bool "no instruments" true (Obs.names Obs.null = [])
 
 let test_journey () =
   let f = Flight.create () in
-  let s = sinks f in
-  check_bool "tracing" true (Sinks.tracing s);
+  check_bool "tracing" true (Flight.enabled f);
   Flight.note_commit f ~txn:7 ~hid:(-1) ~commit_ts:3 ~updates:2;
   Flight.note_commit f ~txn:8 ~hid:(-1) ~commit_ts:4 ~updates:1;
   let sec0 = Flight.intern f "sec-0" in
-  Sinks.stage s ~site:(-1) ~txn:7 Flight.Batched ~record:(-1) (-1);
-  Sinks.stage s ~site:(-1) ~txn:7 Flight.Shipped ~record:(-1) 2;
-  Sinks.stage s ~site:sec0 ~txn:7 Flight.Enqueued ~record:(-1) (-1);
-  Sinks.stage s ~site:sec0 ~txn:7 Flight.Refresh_started ~record:(-1) (-1);
-  Sinks.stage s ~site:sec0 ~txn:7 Flight.Refresh_committed ~record:(-1) 3;
+  Flight.note_stage f ~site:(-1) ~txn:7 Flight.Batched ~record:(-1) (-1);
+  Flight.note_stage f ~site:(-1) ~txn:7 Flight.Shipped ~record:(-1) 2;
+  Flight.note_stage f ~site:sec0 ~txn:7 Flight.Enqueued ~record:(-1) (-1);
+  Flight.note_stage f ~site:sec0 ~txn:7 Flight.Refresh_started ~record:(-1)
+    (-1);
+  Flight.note_stage f ~site:sec0 ~txn:7 Flight.Refresh_committed ~record:(-1) 3;
   let j =
     match Flight.journey f ~txn:7 with
     | Ok j -> j
@@ -290,13 +287,12 @@ let test_journey () =
 let test_journey_json_deterministic () =
   let build () =
     let f = Flight.create () in
-    let s = sinks f in
     Flight.note_commit f ~txn:1 ~hid:(-1) ~commit_ts:2 ~updates:1;
     let a = Flight.intern f "a" and b = Flight.intern f "b" in
-    Sinks.stage s ~site:b ~txn:1 Flight.Enqueued ~record:(-1) (-1);
-    Sinks.stage s ~site:a ~txn:1 Flight.Enqueued ~record:(-1) (-1);
-    Sinks.stage s ~site:b ~txn:1 Flight.Refresh_committed ~record:(-1) 2;
-    Sinks.stage s ~site:a ~txn:1 Flight.Refresh_committed ~record:(-1) 2;
+    Flight.note_stage f ~site:b ~txn:1 Flight.Enqueued ~record:(-1) (-1);
+    Flight.note_stage f ~site:a ~txn:1 Flight.Enqueued ~record:(-1) (-1);
+    Flight.note_stage f ~site:b ~txn:1 Flight.Refresh_committed ~record:(-1) 2;
+    Flight.note_stage f ~site:a ~txn:1 Flight.Refresh_committed ~record:(-1) 2;
     Json.to_string (Flight.bundle_json f ~config:(Json.Obj []))
   in
   let s1 = build () and s2 = build () in
@@ -308,6 +304,61 @@ let test_journey_json_deterministic () =
     (* Sites are sorted by name for deterministic output. *)
     check_string "sites sorted" "a" first
   | _ -> Alcotest.fail "horizons not a non-empty object")
+
+(* A site's instruments outlive its replica: a crash and recovery keeps
+   counting into the same counters, and the depth gauges keep the values the
+   crashed replica last set until the recovered one moves them. *)
+let test_recovery_keeps_instruments () =
+  let module System = Lsr_core.System in
+  let module Handle = Lsr_core.Handle in
+  let obs = Obs.create () in
+  let sys =
+    System.create ~secondaries:2 ~obs ~guarantee:Lsr_core.Session.Weak ()
+  in
+  let c = System.connect sys ~secondary:0 "writer" in
+  let put v =
+    match System.update sys c (fun h -> Handle.put h "k" v) with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update aborted"
+  in
+  let count name = Obs.count (Obs.counter obs name) in
+  let gauge name =
+    let g = Obs.gauge obs name in
+    (Obs.gauge_value g, Obs.gauge_peak g)
+  in
+  let check_gauge tag name expected =
+    Alcotest.(check (pair (float 0.) (float 0.))) tag expected (gauge name)
+  in
+  put "1";
+  System.pump sys;
+  put "2";
+  put "3";
+  ignore (System.propagate sys);
+  check_int "started before the crash" 1 (count "secondary-1.refresh_started");
+  check_gauge "queued before the crash" "secondary-1.update_queue_depth"
+    (4., 4.);
+  System.crash_secondary sys 1;
+  System.recover_secondary sys 1;
+  check_gauge "queue gauge after recovery" "secondary-1.update_queue_depth"
+    (4., 4.);
+  check_gauge "pending gauge after recovery" "secondary-1.pending_depth"
+    (0., 1.);
+  put "4";
+  System.pump sys;
+  check_int "started across the recovery" 2
+    (count "secondary-1.refresh_started");
+  check_int "the live site started all" 4 (count "secondary-0.refresh_started");
+  check_gauge "queue gauge after the pump" "secondary-1.update_queue_depth"
+    (0., 4.);
+  check_gauge "pending gauge after the pump" "secondary-1.pending_depth"
+    (0., 1.);
+  (* Three pumps: the recovery's own poll found the log already shipped. *)
+  check_int "polls" 3 (count "propagation.polls");
+  check_int "records shipped" 8 (count "propagation.records_shipped");
+  check_gauge "in flight" "propagation.in_flight" (0., 0.);
+  match System.check sys with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "check failed: %s" (String.concat "; " es)
 
 (* An export into a directory that does not exist yet must create it, not
    fail after the run: the file writer creates missing parents. *)
@@ -347,6 +398,8 @@ let () =
           Alcotest.test_case "gauge last/peak" `Quick test_gauge_last_and_peak;
           Alcotest.test_case "histogram" `Quick test_histogram_observations;
           Alcotest.test_case "null is inert" `Quick test_null_is_inert;
+          Alcotest.test_case "recovery keeps a site's instruments" `Quick
+            test_recovery_keeps_instruments;
         ] );
       ( "export",
         [

@@ -506,6 +506,51 @@ let test_embedded_check_reports_watchdog () =
             v.Watchdog.alerts_total)
          es)
 
+exception Body_failed
+
+let test_embedded_raising_body () =
+  (* A read or update body that raises (as [Sql.run_script] does on a
+     semantic error) must give its token back: a leaked pin holds the
+     horizon where it was, and every later version stays unretired. The
+     failed transaction is not recorded. *)
+  let sys =
+    System.create ~secondaries:1 ~guarantee:Session.Strong_session
+      ~watchdog:true ()
+  in
+  let c = System.connect sys "c" in
+  let put i =
+    match System.update sys c (fun h -> Handle.put h "k" (string_of_int i)) with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update aborted"
+  in
+  put 0;
+  System.pump sys;
+  Alcotest.check_raises "update body re-raised" Body_failed (fun () ->
+      ignore
+        (System.update sys c (fun h ->
+             Handle.put h "k" "lost";
+             raise Body_failed)));
+  Alcotest.check_raises "read body re-raised" Body_failed (fun () ->
+      ignore (System.read sys c (fun _ -> raise Body_failed)));
+  check_int "nothing recorded for the failed bodies" 1
+    (History.length (System.history sys));
+  for i = 1 to 2_000 do
+    put i;
+    if i mod 10 = 0 then System.pump sys
+  done;
+  let w = Option.get (System.watchdog sys) in
+  check_bool
+    (Printf.sprintf "horizon advanced (%d)" (Watchdog.horizon w))
+    true
+    (Watchdog.horizon w > 4_000);
+  check_bool
+    (Printf.sprintf "state retired (%d)" (Watchdog.state_size w))
+    true
+    (Watchdog.state_size w < 10);
+  match System.check sys with
+  | Ok () -> ()
+  | Error es -> Alcotest.failf "check failed: %s" (String.concat "; " es)
+
 let test_retired_chain_reads_base () =
   (* A key whose only live version retires keeps its record: reads then
      expect the folded base value, and a later write starts a new chain
@@ -685,6 +730,8 @@ let () =
           Alcotest.test_case "continuous retirement" `Quick
             test_embedded_retirement;
           Alcotest.test_case "crash and recovery" `Quick test_embedded_recovery;
+          Alcotest.test_case "a raising body releases its token" `Quick
+            test_embedded_raising_body;
           Alcotest.test_case "unknown site is a typed error" `Quick
             test_unknown_site;
           Alcotest.test_case "System.check reports the watchdog" `Quick
