@@ -9,7 +9,7 @@
    the one it admits — the reason SI is weaker than serializability. *)
 
 open Lsr_storage
-open Lsr_core
+open Lsr_serializability
 
 let verdict name detected expected =
   Printf.printf "%-28s %-12s %s\n" name

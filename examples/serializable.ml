@@ -11,6 +11,7 @@
 
 open Lsr_storage
 open Lsr_core
+open Lsr_serializability
 
 (* Record a hand-run transaction into a history for the checker. *)
 let record h ~session ~first_op ~snapshot ~reads ~writes ~commit_ts =
@@ -79,7 +80,7 @@ let without_tickets () =
   Printf.printf "both sign-offs committed: %b\n" (c1 <> None && c2 <> None);
   Printf.printf "doctors still on call: %d (invariant wanted >= 1)\n"
     (roster_invariant db);
-  (match Checker.serialization_cycle h with
+  (match Mvsg.serialization_cycle h with
   | Some cycle ->
     Printf.printf
       "serialization-graph checker: NOT serializable (cycle through %d \

@@ -5,9 +5,9 @@
 
     The report is an over-approximation with a soundness contract, checked
     against the dynamic layer by the tests:
-    - every serialization cycle {!Lsr_core.Checker.serialization_cycle} can
-      find on instances of the templates is {!covers}-ed by a statically
-      reported dangerous structure;
+    - every serialization cycle the dynamic test [Mvsg.serialization_cycle]
+      (examples/serializability) can find on instances of the templates is
+      {!covers}-ed by a statically reported dangerous structure;
     - every data-dependent session inversion observable under weak SI
       corresponds to a session flag whose [needs] guarantee prevents it. *)
 

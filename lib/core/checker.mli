@@ -14,27 +14,16 @@
     transactions, so no routine may enumerate candidate orders or walk a
     version chain per read. [analyze] sorts the committed transactions once
     by first operation and once by finish, and one wall-order sweep yields
-    the inversions at every level and the fence audit ([inversions] is a
-    projection of it); [check_weak_si] is one more
-    sorted sweep. All of it is O(n log n) plus O(R) over recorded reads, in
-    O(n + K) extra words for K written keys. [check_completeness] compares
-    states key by key and materializes none. [serialization_cycle] builds
-    the MVSG black-box style (see below) in O(E + R log V) and detects
-    cycles with one iterative DFS. *)
+    the inversions at every level and the fence audit; [check_weak_si] is
+    one more sorted sweep. All of it is O(n log n) plus O(R) over recorded
+    reads, in O(n + K) extra words for K written keys. [check_completeness]
+    compares states key by key and materializes none. *)
 
 open Lsr_storage
 
 type inversion = { earlier : History.txn; later : History.txn }
 
 val pp_inversion : Format.formatter -> inversion -> unit
-
-(** All inversions in wall order. [same_session_only] restricts to pairs
-    with equal session labels; [earlier_updates_only] restricts the earlier
-    transaction to committed updates — the PCSI requirement, which does not
-    order read-only transactions against each other. *)
-val inversions :
-  ?same_session_only:bool -> ?earlier_updates_only:bool -> History.t ->
-  inversion list
 
 (** [check_weak_si h] verifies that the history is (global) weak SI: every
     committed transaction observed a transaction-consistent snapshot
@@ -46,29 +35,6 @@ val inversions :
     either the snapshot's value or the pending write. Returns the list of
     violations (empty = weak SI holds). *)
 val check_weak_si : History.t -> string list
-
-(** {2 Serializability (§7, Fekete et al)}
-
-    SI is weaker than serializability: write skew produces histories that
-    are SI yet have a cycle in the multi-version serialization graph. The
-    graph is built from recorded reads/writes and snapshots:
-    - ww: consecutive writers of a key, in commit order;
-    - wr: the writer of the version a transaction read, to the reader;
-    - rw (anti-dependency): a reader of a version to the writer of the
-      {e next} version of that key.
-
-    Reads of keys the transaction itself wrote are ignored
-    (read-your-writes).
-
-    Because SI pins every read to the version visible at the reader's
-    snapshot, all three edge kinds are determined directly from the per-key
-    committed-writer chains (binary search per read) — the polynomial-time
-    black-box SI-checking construction of Huang et al., with none of the
-    exponential search a general serializability check needs. *)
-
-(** [serialization_cycle h] is a dependency cycle (as history transaction
-    ids, in order) when one exists. *)
-val serialization_cycle : History.t -> int list option
 
 (** [check_completeness ~primary ~secondary] verifies Theorem 3.1 on actual
     database instances: the sequence of committed states of [secondary] is a

@@ -362,7 +362,7 @@ let record_alert t ~at ~txn ~session ~site ~snapshot kind =
 (* --- Floors ----------------------------------------------------------------- *)
 
 (* Raise a floor, keeping the earlier witness on equal timestamps — the same
-   tie rule as [Checker.inversions]'s [note]. *)
+   tie rule as the [note] of [Checker.analyze]'s sweep. *)
 let bump_global t ts id =
   if ts > t.global_ts then begin
     t.global_ts <- ts;

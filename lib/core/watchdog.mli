@@ -9,8 +9,8 @@
     - {e weak-SI read validation}: every recorded read is checked against the
       primary state sequence at the reader's snapshot, answered from per-key
       committed-writer chains by binary search (the same pinned-version rule
-      the checker's MVSG construction uses);
-    - {e inversion floors}: the sorted sweep of {!Checker.inversions} becomes
+      the serialization-graph test [Mvsg] uses);
+    - {e inversion floors}: the sorted sweep of {!Checker.analyze} becomes
       an O(1)-amortized floor update per commit — the maximal state pinned by
       any finished committed transaction is maintained globally, per session,
       and per session restricted to updates (the PCSI floor), and every
@@ -46,7 +46,7 @@
     fire adjacent to the same wall-order ticks [History] uses ([finished <
     first_op] iff the earlier transaction's end hook ran before the later
     one's begin hook) and ties keep the earlier witness, like
-    {!Checker.inversions}. The differential suite in [test/test_watchdog.ml]
+    {!Checker.analyze}. The differential suite in [test/test_watchdog.ml]
     checks the verdict against {!Checker.analyze} across fuzzed runs, and
     replays each run's history into watchdogs promising each level to match
     their alerts witness for witness. Aborted transactions pin nothing and

@@ -18,6 +18,7 @@ type t = {
   read_age : Stat.t;
   read_age_hist : Histogram.t;
   read_missed : Stat.t;
+  mutable fenced_reads : int;
   (* The registry's instruments: every sample, warm-up included. *)
   c_fcw_aborts : Obs.counter;
   c_forced_aborts : Obs.counter;
@@ -43,6 +44,7 @@ let create ~obs ~warmup ~cap =
     read_age = Stat.create ();
     read_age_hist = Histogram.create ();
     read_missed = Stat.create ();
+    fenced_reads = 0;
     c_fcw_aborts = Obs.counter obs "client.fcw_aborts";
     c_forced_aborts = Obs.counter obs "client.forced_aborts";
     h_read_rt = Obs.histogram obs "client.read_rt";
@@ -89,6 +91,7 @@ let note_read_freshness t ~now ~age ~missed =
     Stat.record t.read_missed (float_of_int missed)
   end
 
+let note_fenced_read t = t.fenced_reads <- t.fenced_reads + 1
 let fast_completions t = t.fast
 let read_rt t = t.read_rt
 let update_rt t = t.update_rt
@@ -104,3 +107,4 @@ let wasted_ops t = t.wasted
 let read_age t = t.read_age
 let read_age_hist t = t.read_age_hist
 let read_missed t = t.read_missed
+let fenced_reads t = t.fenced_reads

@@ -47,6 +47,10 @@ val note_wasted_ops : t -> now:float -> int -> unit
     moment (the freshness definition of docs/TRACING.md). *)
 val note_read_freshness : t -> now:float -> age:float -> missed:int -> unit
 
+(** [note_fenced_read t] — a read carrying a freshness fence was
+    submitted. Unlike the other tallies it counts warm-up reads too. *)
+val note_fenced_read : t -> unit
+
 (** {2 Reduction} *)
 
 (** Transactions finishing within the cap, post warm-up. *)
@@ -75,3 +79,6 @@ val read_age : t -> Stat.t
 val read_age_hist : t -> Lsr_obs.Histogram.t
 
 val read_missed : t -> Stat.t
+
+(** Fenced reads submitted, warm-up included. *)
+val fenced_reads : t -> int

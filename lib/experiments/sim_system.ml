@@ -117,9 +117,7 @@ type outcome = {
 }
 
 type sec_site = {
-  index : int;
-  site_name : string;
-  sec : Secondary.t;
+  index : int;  (* the site's secondary in [rs] *)
   res : Resource.t;
   session_cond : Seqcond.t;  (* advanced to seq(DBsec) after each refresh
                                 commit; blocked readers wait on their
@@ -143,22 +141,21 @@ type state = {
   primary_res : Resource.t;
   sites : sec_site array;
   metrics : Metrics.t;
-  mutable fenced_reads : int;
   jitter_rng : Rng.t;
   mutable label_counter : int;
 }
 
-(* [sec] is the site's replica in [rs]; the simulator never recovers a
-   site, so it stays the same for the whole run. *)
 let make_site eng rs session_conds index =
-  let sec = Replica_set.secondary rs index in
-  let site_name = Replica_set.site_name rs index in
   let commit_order = Seqcond.create eng in
-  Seqcond.advance commit_order (Secondary.seq_dbsec sec);
-  { index; site_name; sec;
-    res = Resource.create ~name:site_name eng;
+  Seqcond.advance commit_order
+    (Secondary.seq_dbsec (Replica_set.secondary rs index));
+  { index;
+    res = Resource.create ~name:(Replica_set.site_name rs index) eng;
     session_cond = session_conds.(index); commit_order;
     refresher_idle = false; last_delivery = 0. }
+
+(* The site's current replica, read through [rs] at each use. *)
+let secondary st site = Replica_set.secondary st.rs site.index
 
 (* --- Refresher and applicator (Algorithms 3.2 / 3.3) ----------------------- *)
 
@@ -175,7 +172,7 @@ let serve st res n k =
    joined: it then heads the queue. [k] runs after its commit. *)
 let run_applicator st site ~ops ~after k =
   let rec commit () =
-    if Secondary.seq_dbsec site.sec < after then
+    if Secondary.seq_dbsec (secondary st site) < after then
       Seqcond.park site.commit_order ~threshold:(fun () -> after) commit
     else
       match Replica_set.fire st.rs (Replica_set.Commit site.index) with
@@ -192,7 +189,7 @@ let run_applicator st site ~ops ~after k =
 let refresher st site () =
   let refresh = Replica_set.Refresh site.index in
   let rec loop () =
-    let after = Secondary.pending_tail site.sec in
+    let after = Secondary.pending_tail (secondary st site) in
     match Replica_set.fire st.rs refresh with
     | Replica_set.Started -> loop ()
     | Replica_set.Aborted ops ->
@@ -208,13 +205,13 @@ let refresher st site () =
             run_applicator st site ~ops ~after ignore);
         loop ()
       end
-    | _ when Secondary.update_queue_length site.sec = 0 ->
+    | _ when Secondary.update_queue_length (secondary st site) = 0 ->
       site.refresher_idle <- true
     | _ ->
       (* Blocked on a start record: parked until the pending queue's tail
          has committed. *)
       Seqcond.park site.commit_order
-        ~threshold:(fun () -> Secondary.pending_tail site.sec)
+        ~threshold:(fun () -> Secondary.pending_tail (secondary st site))
         loop
   in
   loop ()
@@ -328,8 +325,9 @@ let execute_update st rng label spec ~t0 k =
 (* A read from its snapshot to its completion, then [k ()]; run once the
    site's seq(DBsec) has reached [required ()]. *)
 let run_read ?fence st site label spec ~read_at ~required ~t0 k =
-  let sdb = Secondary.db site.sec in
-  let snapshot = Secondary.seq_dbsec site.sec in
+  let sec = secondary st site in
+  let sdb = Secondary.db sec in
+  let snapshot = Secondary.seq_dbsec sec in
   (* The seq floor this read is held to (-1 = unfenced), recorded so replay
      can show the claim the fence audit later judges. Taken with the
      snapshot: a pooled session's floor can rise while the operations run. *)
@@ -355,12 +353,13 @@ let run_read ?fence st site label spec ~read_at ~required ~t0 k =
 (* A read submitted at [t0], then [k ()]. *)
 let execute_read ?fence st site label spec ~t0 k =
   let read_at = Engine.now st.eng in
-  if Option.is_some fence then st.fenced_reads <- st.fenced_reads + 1;
+  if Option.is_some fence then Metrics.note_fenced_read st.metrics;
   let required =
     Session.read_threshold ?fence (Replica_set.sessions st.rs)
       ~clock:(Replica_set.clock st.rs) ~now:read_at ~label
   in
-  if Timestamp.compare (required ()) (Secondary.seq_dbsec site.sec) <= 0 then
+  let seq_dbsec = Secondary.seq_dbsec (secondary st site) in
+  if Timestamp.compare (required ()) seq_dbsec <= 0 then
     run_read ?fence st site label spec ~read_at ~required ~t0 k
   else
     (* A read that must wait parks in the site's threshold queue; the
@@ -578,15 +577,17 @@ let monitor_probe st () =
   let per_site =
     Array.fold_left
       (fun acc site ->
+        let name = Replica_set.site_name st.rs site.index in
+        let sec = secondary st site in
         acc
         @ resource site.res
         @ [
-            ( site.site_name ^ ".update_queue",
-              float_of_int (Secondary.update_queue_length site.sec) );
-            ( site.site_name ^ ".pending",
-              float_of_int (Secondary.pending_queue_length site.sec) );
-            ( site.site_name ^ ".versions",
-              float_of_int (Mvcc.version_count (Secondary.db site.sec)) );
+            ( name ^ ".update_queue",
+              float_of_int (Secondary.update_queue_length sec) );
+            ( name ^ ".pending",
+              float_of_int (Secondary.pending_queue_length sec) );
+            ( name ^ ".versions",
+              float_of_int (Mvcc.version_count (Secondary.db sec)) );
           ])
       primary st.sites
   in
@@ -765,7 +766,6 @@ let run ?history cfg =
       sites =
         Array.init p.Params.num_secondaries (make_site eng rs session_conds);
       metrics;
-      fenced_reads = 0;
       jitter_rng = Rng.create (cfg.seed lxor 0x5EED);
       label_counter = 0;
     }
@@ -847,7 +847,7 @@ let run ?history cfg =
     aborts = Metrics.aborts m;
     fcw_aborts = Metrics.fcw_aborts m;
     blocked_reads = Metrics.blocked_reads m;
-    fenced_reads = st.fenced_reads;
+    fenced_reads = Metrics.fenced_reads m;
     block_wait_mean = Stat.mean (Metrics.block_wait m);
     refresh_staleness_mean = Stat.mean (Metrics.refresh_staleness m);
     refresh_commits = Metrics.refresh_commits m;

@@ -61,10 +61,6 @@ let pop h =
   if h.size > 0 then sift_down h 0;
   top
 
-let clear h =
-  h.data <- [||];
-  h.size <- 0
-
 let fold h ~init ~f =
   let acc = ref init in
   for i = 0 to h.size - 1 do

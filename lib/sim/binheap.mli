@@ -24,8 +24,6 @@ val peek : 'a t -> 'a option
     @raise Invalid_argument when [h] is empty. *)
 val pop : 'a t -> 'a
 
-val clear : 'a t -> unit
-
 (** [fold h ~init ~f] folds over every element in unspecified order. O(n);
     for sampling aggregate state without disturbing the heap. *)
 val fold : 'a t -> init:'acc -> f:('acc -> 'a -> 'acc) -> 'acc

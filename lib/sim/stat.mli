@@ -13,15 +13,3 @@ val mean : t -> float
 
 (** Unbiased sample standard deviation; 0 for fewer than two samples. *)
 val stddev : t -> float
-
-(** Smallest / largest recorded sample; [None] while the tally is empty
-    (never the [infinity] / [neg_infinity] sentinels, which would otherwise
-    leak into reports from series that saw no samples). *)
-val min : t -> float option
-
-val max : t -> float option
-
-val clear : t -> unit
-
-(** [merge a b] is a fresh tally equivalent to recording both sample sets. *)
-val merge : t -> t -> t

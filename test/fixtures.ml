@@ -1,7 +1,7 @@
-(* Hand-built histories shared by the checker unit tests (test_core) and the
-   static analyzer's cross-validation suite (test_analysis): the same
-   execution patterns are judged by the dynamic checker and matched against
-   the static verdict on the corresponding templates. *)
+(* Hand-built histories shared by the serialization-graph tests
+   (serializability_cases, test_checker_diff): the write-skew and serial
+   executions of the sign-off templates whose static verdict test_analysis
+   checks. *)
 
 open Lsr_storage
 open Lsr_core

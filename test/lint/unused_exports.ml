@@ -1,5 +1,6 @@
 (* Unused-exports lint: every [val] a library interface exports has a
-   caller outside its own module in lib/, bin/, bench/ or examples/. A
+   caller outside its own module in lib/, bin/, bench/ or examples/ (the
+   serializability library under examples/ included). A
    [val] that only tests call, or nothing calls, is deleted, made private,
    moved into the test that uses it, or listed in the allowlist with a
    one-line reason.
@@ -15,7 +16,8 @@
 
    Usage: unused_exports.exe FILE... where the files are the allowlist
    (.allow), the library interfaces (.mli), and the .cmti/.cmt files of
-   the library, executable and test object directories. A caller whose
+   the library, executable and test object directories; every .cmti given
+   is a library interface whose vals are checked. A caller whose
    source is under test/ only classifies a finding ("only tests call it"
    or "nothing calls it"). Exits 1 listing:
    - each exported [val] with no caller outside its module and no
@@ -169,7 +171,7 @@ let () =
         let modname = info.cmt_modname in
         let source = Option.value ~default:"" info.cmt_sourcefile in
         match info.cmt_annots with
-        | Interface sg when String.starts_with ~prefix:"lib/" source ->
+        | Interface sg ->
           Hashtbl.replace covered source ();
           List.iter
             (fun (item : Typedtree.signature_item) ->

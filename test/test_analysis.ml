@@ -19,6 +19,7 @@
 open Lsr_storage
 open Lsr_core
 open Lsr_analysis
+open Lsr_serializability
 module Ast = Lsr_sql.Ast
 
 let check_bool = Alcotest.(check bool)
@@ -376,7 +377,7 @@ let cross_validate ~workload ~init ~templates ~seeds =
   let cycles = ref 0 in
   for seed = 1 to seeds do
     let h, mapping = run_schedule ~seed ~init ~templates ~bind:default_bind in
-    match Checker.serialization_cycle h with
+    match Mvsg.serialization_cycle h with
     | None -> ()
     | Some cycle ->
       incr cycles;

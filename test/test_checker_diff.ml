@@ -1,6 +1,7 @@
 (* Differential battery for the polynomial checker (PR 6): fuzzed seeded MVCC
-   histories are judged by both the rewritten Lsr_core.Checker (per-key
-   sorted writer arrays + binary search + iterative DFS) and the verbatim
+   histories are judged by both the rewritten checkers, Lsr_core.Checker and
+   Lsr_serializability.Mvsg (per-key sorted writer arrays + binary search +
+   iterative DFS), and the verbatim
    pre-rewrite oracle in Legacy_checker (list walks, recursive DFS). Every
    verdict must agree exactly; serialization-cycle witnesses may differ
    textually (DFS visit order is not part of the contract) but each must be
@@ -8,6 +9,7 @@
 
 open Lsr_storage
 open Lsr_core
+open Lsr_serializability
 module Rng = Lsr_sim.Rng
 
 let check_bool = Alcotest.(check bool)
@@ -275,7 +277,7 @@ let assert_equivalent name h =
         (Legacy_checker.satisfies g legacy)
         (Checker.satisfies g fresh))
     guarantees;
-  let c_new = Checker.serialization_cycle h in
+  let c_new = Mvsg.serialization_cycle h in
   let c_old = Legacy_checker.serialization_cycle h in
   check_bool
     (name ^ ": serializability verdict identical")
@@ -287,19 +289,19 @@ let test_fixture_write_skew () =
   let h, _ = Fixtures.write_skew_history () in
   assert_equivalent "write skew" h;
   check_bool "write skew has a cycle" true
-    (Checker.serialization_cycle h <> None)
+    (Mvsg.serialization_cycle h <> None)
 
 let test_fixture_serial () =
   let h, _ = Fixtures.serial_history () in
   assert_equivalent "serial" h;
-  check_bool "serial is serializable" true (Checker.serialization_cycle h = None)
+  check_bool "serial is serializable" true (Mvsg.serialization_cycle h = None)
 
 let test_fuzz () =
   let cyclic = ref 0 and acyclic = ref 0 and weak_violations = ref 0 in
   for seed = 0 to 299 do
     let h = gen_history seed in
     assert_equivalent (Printf.sprintf "seed %d" seed) h;
-    (if Checker.serialization_cycle h = None then incr acyclic else incr cyclic);
+    (if Mvsg.serialization_cycle h = None then incr acyclic else incr cyclic);
     if Checker.check_weak_si h <> [] then incr weak_violations
   done;
   (* The generator must actually exercise both branches of every verdict,
@@ -314,9 +316,9 @@ let test_fuzz_verdict_spread () =
   let session_ok = ref 0 and session_bad = ref 0 in
   for seed = 0 to 299 do
     let h = gen_history seed in
-    if Checker.inversions h = [] then incr strong_ok else incr strong_bad;
-    if Checker.inversions ~same_session_only:true h = [] then incr session_ok
-    else incr session_bad
+    let r = Checker.analyze h in
+    if r.Checker.inversions_all = [] then incr strong_ok else incr strong_bad;
+    if r.inversions_in_session = [] then incr session_ok else incr session_bad
   done;
   check_bool "some histories are strong SI" true (!strong_ok > 0);
   check_bool "some histories are not strong SI" true (!strong_bad > 0);

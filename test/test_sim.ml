@@ -25,14 +25,6 @@ let test_binheap_pop_empty () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Binheap.pop: empty heap")
     (fun () -> ignore (Binheap.pop h))
 
-let test_binheap_clear () =
-  let h = Binheap.create ~cmp:Int.compare ~dummy:0 in
-  List.iter (Binheap.push h) [ 3; 2; 1 ];
-  Binheap.clear h;
-  check_bool "cleared" true (Binheap.is_empty h);
-  Binheap.push h 9;
-  check_int "usable after clear" 9 (Binheap.pop h)
-
 let prop_binheap_sorts =
   QCheck.Test.make ~name:"binheap drains in sorted order" ~count:200
     QCheck.(list int)
@@ -1028,49 +1020,12 @@ let test_stat_basic () =
   check_int "count" 4 (Stat.count s);
   check_float "mean" 2.5 (Stat.mean s);
   Alcotest.(check (float 1e-9)) "variance" (5. /. 3.) (Stat.stddev s ** 2.);
-  Alcotest.(check (option (float 0.))) "min" (Some 1.) (Stat.min s);
-  Alcotest.(check (option (float 0.))) "max" (Some 4.) (Stat.max s);
   check_float "total" 10. (Stat.total s)
 
 let test_stat_empty () =
   let s = Stat.create () in
   check_float "empty mean" 0. (Stat.mean s);
-  check_float "empty variance" 0. (Stat.stddev s ** 2.);
-  Alcotest.(check (option (float 0.))) "empty min" None (Stat.min s);
-  Alcotest.(check (option (float 0.))) "empty max" None (Stat.max s)
-
-let test_stat_merge () =
-  let a = Stat.create () and b = Stat.create () and all = Stat.create () in
-  List.iter
-    (fun x ->
-      Stat.record all x;
-      if x < 3. then Stat.record a x else Stat.record b x)
-    [ 1.; 2.; 3.; 4.; 5. ];
-  let merged = Stat.merge a b in
-  check_int "merged count" (Stat.count all) (Stat.count merged);
-  Alcotest.(check (float 1e-9)) "merged mean" (Stat.mean all) (Stat.mean merged);
-  Alcotest.(check (float 1e-9)) "merged variance" (Stat.stddev all ** 2.)
-    (Stat.stddev merged ** 2.)
-
-let test_stat_merge_empty () =
-  let a = Stat.create () and b = Stat.create () in
-  Stat.record b 5.;
-  let m = Stat.merge a b in
-  check_int "merge with empty" 1 (Stat.count m);
-  check_float "mean preserved" 5. (Stat.mean m);
-  Alcotest.(check (option (float 0.))) "min not polluted" (Some 5.) (Stat.min m);
-  Alcotest.(check (option (float 0.))) "max not polluted" (Some 5.) (Stat.max m);
-  let both_empty = Stat.merge (Stat.create ()) (Stat.create ()) in
-  Alcotest.(check (option (float 0.)))
-    "empty merge min" None (Stat.min both_empty);
-  Alcotest.(check (option (float 0.)))
-    "empty merge max" None (Stat.max both_empty)
-
-let test_stat_clear () =
-  let s = Stat.create () in
-  Stat.record s 9.;
-  Stat.clear s;
-  check_int "cleared" 0 (Stat.count s)
+  check_float "empty variance" 0. (Stat.stddev s ** 2.)
 
 let prop_stat_mean_matches_naive =
   QCheck.Test.make ~name:"Welford mean matches naive mean" ~count:200
@@ -1158,7 +1113,6 @@ let () =
         [
           Alcotest.test_case "push/pop sorted" `Quick test_binheap_basic;
           Alcotest.test_case "pop empty raises" `Quick test_binheap_pop_empty;
-          Alcotest.test_case "clear" `Quick test_binheap_clear;
           Alcotest.test_case "pop releases elements" `Quick
             test_binheap_pop_releases;
         ]
@@ -1238,9 +1192,6 @@ let () =
         [
           Alcotest.test_case "basic moments" `Quick test_stat_basic;
           Alcotest.test_case "empty" `Quick test_stat_empty;
-          Alcotest.test_case "merge" `Quick test_stat_merge;
-          Alcotest.test_case "merge with empty" `Quick test_stat_merge_empty;
-          Alcotest.test_case "clear" `Quick test_stat_clear;
         ]
         @ qsuite [ prop_stat_mean_matches_naive ] );
     ]
