@@ -81,16 +81,14 @@ let serialization_cycle history =
     (fun (t : History.txn) ->
       Hashtbl.reset own_keys;
       List.iter (fun { Wal.key; _ } -> Hashtbl.replace own_keys key ()) t.writes;
-      List.iter
-        (fun (key, _) ->
+      History.fold_reads t ~init:() ~f:(fun () key _ ->
           if not (Hashtbl.mem own_keys key) then
             match Hashtbl.find_opt chains key with
             | None -> ()
             | Some chain ->
               let pos = partition chain t.snapshot in
               if pos > 0 then add_edge (snd chain.(pos - 1)) t.id;
-              if pos < Array.length chain then add_edge t.id (snd chain.(pos)))
-        t.reads)
+              if pos < Array.length chain then add_edge t.id (snd chain.(pos))))
     txns;
   (* Iterative DFS cycle detection with path reconstruction: the gray path
      is exactly the frame stack, so on hitting an active node the witness

@@ -15,6 +15,7 @@ open Lsr_serializability
 
 (* Record a hand-run transaction into a history for the checker. *)
 let record h ~session ~first_op ~snapshot ~reads ~writes ~commit_ts =
+  let read_keys, read_values = History.reads_of_list reads in
   History.add h
     {
       History.id = History.fresh_id h;
@@ -25,7 +26,8 @@ let record h ~session ~first_op ~snapshot ~reads ~writes ~commit_ts =
       finished = History.tick h;
       snapshot;
       commit_ts;
-      reads;
+      read_keys;
+      read_values;
       writes;
       fence = None;
     }

@@ -67,21 +67,20 @@ let weak_si_violations txns =
         incr applied
       done;
       List.iter (fun { Wal.key; _ } -> (slot key).writer <- i) t.writes;
-      List.iter
-        (fun (key, observed) ->
-          match Keys.find_opt state key with
-          | Some s when s.writer = i -> ()
-          | found ->
-            let expected = match found with Some s -> s.value | None -> None in
-            if not (Option.equal String.equal expected observed) then
-              violations :=
+      violations :=
+        History.fold_reads t ~init:!violations ~f:(fun violations key observed ->
+            match Keys.find_opt state key with
+            | Some s when s.writer = i -> violations
+            | found ->
+              let expected = match found with Some s -> s.value | None -> None in
+              if Option.equal String.equal expected observed then violations
+              else
                 Format.asprintf "%a read %s = %s but state S@%a has %s"
                   History.pp_txn t key
                   (match observed with Some v -> v | None -> "<none>")
                   Timestamp.pp t.snapshot
                   (match expected with Some v -> v | None -> "<none>")
-                :: !violations)
-        t.reads)
+                :: violations))
     readers;
   List.rev !violations
 

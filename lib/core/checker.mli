@@ -32,8 +32,11 @@ val pp_inversion : Format.formatter -> inversion -> unit
     sequence at the transaction's snapshot timestamp. Reads of a key the
     transaction itself wrote are skipped: {!History} does not order a
     transaction's reads against its own writes, so such a read may return
-    either the snapshot's value or the pending write. Returns the list of
-    violations (empty = weak SI holds). *)
+    either the snapshot's value or the pending write. A recorded key is the
+    store's own copy of the key read ({!Mvcc.stored_key}), [String.equal]
+    to the caller's, so the verdict is the one the caller's keys would
+    give; the sweep reads each record's reads with {!History.fold_reads}.
+    Returns the list of violations (empty = weak SI holds). *)
 val check_weak_si : History.t -> string list
 
 (** [check_completeness ~primary ~secondary] verifies Theorem 3.1 on actual

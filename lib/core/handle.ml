@@ -22,9 +22,9 @@ let table t name =
   Table.define ~indexes t.db ~name
 
 let row_get t ~table:name ~pk =
-  let tbl = table t name in
-  let encoded = Mvcc.read t.db t.txn (Table.storage_key tbl ~pk) in
-  t.reads <- (Table.storage_key tbl ~pk, encoded) :: t.reads;
+  let key = Table.storage_key (table t name) ~pk in
+  let encoded = Mvcc.read t.db t.txn key in
+  t.reads <- (key, encoded) :: t.reads;
   Option.map Row.decode encoded
 
 let row_put t ~table:name ~pk row = Table.insert (table t name) t.txn ~pk row

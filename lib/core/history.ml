@@ -18,7 +18,8 @@ type txn = {
   finished : int;
   snapshot : Timestamp.t;
   commit_ts : Timestamp.t option;
-  reads : (string * string option) list;
+  read_keys : string array;
+  read_values : string option array;
   writes : Wal.update list;
   fence : fence_claim option;
 }
@@ -42,6 +43,30 @@ let fresh_id t =
   t.ids
 
 let add t txn = t.txns <- txn :: t.txns
+
+let reads_of_list ?(key = Fun.id) = function
+  | [] -> ([||], [||])
+  | reads ->
+    let n = List.length reads in
+    let keys = Array.make n "" and values = Array.make n None in
+    List.iteri
+      (fun i (k, v) ->
+        keys.(i) <- key k;
+        values.(i) <- v)
+      reads;
+    (keys, values)
+
+let fold_reads txn ~init ~f =
+  let rec from i acc =
+    if i = Array.length txn.read_keys then acc
+    else from (i + 1) (f acc txn.read_keys.(i) txn.read_values.(i))
+  in
+  from 0 init
+
+let read_list txn =
+  List.init (Array.length txn.read_keys) (fun i ->
+      (txn.read_keys.(i), txn.read_values.(i)))
+
 let transactions t = List.rev t.txns
 let length t = List.length t.txns
 

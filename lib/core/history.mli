@@ -11,7 +11,22 @@
       across all sites — the "executes after" of the definitions;
     - {e snapshot order} ([snapshot], [commit_ts]): primary commit
       timestamps, i.e. positions in the sequence of database states
-      [S^0, S^1, ...]. *)
+      [S^0, S^1, ...].
+
+    A record keeps its reads flat, in two arrays of the same length: the
+    keys read and the values observed, oldest first. The history is the
+    largest owner of memory in a long embedded run, so a read costs one
+    slot in each array (2 words), and a transaction two array headers when
+    it read anything (a read-less one shares the empty arrays). The strings
+    are shared, not copied: {!Replica_set} records each key as the store's
+    own copy of it ({!Lsr_storage.Mvcc.stored_key} of the store the read
+    ran against: a secondary's for a read-only transaction, the primary's
+    for an update), and each value as the very option the store returned.
+    Read the reads with {!fold_reads} or {!read_list}; build them with
+    {!reads_of_list}. On an embedded run of the Table 1 mix
+    ([test/cli/history_memory]) the history owns 37.8 words per
+    transaction beyond what the stores hold; with each read a list cell
+    and a pair holding the caller's key string it owned 100.6. *)
 
 open Lsr_storage
 
@@ -39,8 +54,9 @@ type txn = {
       (** primary commit timestamp of the database state the transaction saw *)
   commit_ts : Timestamp.t option;
       (** primary commit timestamp, for committed update transactions *)
-  reads : (string * string option) list;
-      (** recorded reads (key, observed value), oldest first *)
+  read_keys : string array;  (** the keys read, oldest first *)
+  read_values : string option array;
+      (** [read_values.(i)] is the value the read of [read_keys.(i)] observed *)
   writes : Wal.update list;  (** effective writes, for committed updates *)
   fence : fence_claim option;
       (** the freshness fence the read ran under, if any *)
@@ -61,6 +77,21 @@ val now : t -> int
 val fresh_id : t -> int
 
 val add : t -> txn -> unit
+
+(** [reads_of_list ?key reads] is the [(read_keys, read_values)] pair of a
+    record that read [reads], (key, observed value) pairs oldest first,
+    each key replaced by [key] of it (by default, itself). *)
+val reads_of_list :
+  ?key:(string -> string) -> (string * string option) list ->
+  string array * string option array
+
+(** [fold_reads txn ~init ~f] folds [f] over [txn]'s reads, oldest first. *)
+val fold_reads :
+  txn -> init:'acc -> f:('acc -> string -> string option -> 'acc) -> 'acc
+
+(** [read_list txn] is [txn]'s reads as (key, observed value) pairs,
+    oldest first. *)
+val read_list : txn -> (string * string option) list
 
 (** Transactions in completion order. *)
 val transactions : t -> txn list

@@ -365,12 +365,18 @@ let begin_update t ~session =
     | Some w -> Watchdog.begin_update w ~tick ~session
     | None -> Watchdog.unwatched ~tick
 
+(* A record's reads, each key the copy [db] holds (the driver's string only
+   for a key [db] never installed), so the history keeps no key alive. *)
+let recorded_reads db reads =
+  History.reads_of_list ~key:(Mvcc.stored_key db) reads
+
 (* Judge and record a finished update; [commit] is [None] for an abort. *)
 let end_update t u ~id ~finished ~now ~session ~commit ~snapshot ~reads =
   (match t.watchdog with
   | Some w -> Watchdog.end_update w u ~id ~now ~commit ~snapshot ~reads
   | None -> ());
   if t.record_history then
+    let read_keys, read_values = recorded_reads (Primary.db t.primary) reads in
     History.add t.history
       {
         History.id;
@@ -381,7 +387,8 @@ let end_update t u ~id ~finished ~now ~session ~commit ~snapshot ~reads =
         finished;
         snapshot;
         commit_ts = Option.map fst commit;
-        reads;
+        read_keys;
+        read_values;
         writes = (match commit with Some (_, writes) -> writes | None -> []);
         fence = None;
       }
@@ -451,6 +458,9 @@ let finish_read ?fence t r ~session ~site ~snapshot ~read_at ~fence_seq ~reads
     | Some w -> Watchdog.end_read ?fence w r ~id ~site ~now:(t.now ()) ~reads
     | None -> ());
     if t.record_history then
+      let read_keys, read_values =
+        recorded_reads (Secondary.db s.replica) reads
+      in
       History.add t.history
         {
           History.id;
@@ -461,7 +471,8 @@ let finish_read ?fence t r ~session ~site ~snapshot ~read_at ~fence_seq ~reads
           finished;
           snapshot;
           commit_ts = None;
-          reads;
+          read_keys;
+          read_values;
           writes = [];
           fence;
         }

@@ -48,6 +48,3 @@ let of_samples = function
       half_width = t_critical ~df:(n - 1) *. sem;
       n;
     }
-
-let pp ppf i = Format.fprintf ppf "%.3f ± %.3f" i.mean i.half_width
-let to_string i = Format.asprintf "%a" pp i

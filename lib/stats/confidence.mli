@@ -21,6 +21,3 @@ val t_critical : df:int -> float
     A single sample yields a zero-width interval. @raise Invalid_argument on
     an empty list. *)
 val of_samples : float list -> interval
-
-(** [to_string i] like ["12.34 ± 0.56"]. *)
-val to_string : interval -> string

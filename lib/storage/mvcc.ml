@@ -127,6 +127,10 @@ let find t key =
   let h = String.hash key in
   find_in t.buckets.(bucket t h) h key
 
+let stored_key t key =
+  let c = find t key in
+  if c == sentinel then key else c.key
+
 let resize t =
   let old = t.buckets in
   let buckets = Array.make (2 * Array.length old) sentinel in

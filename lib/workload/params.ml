@@ -46,8 +46,6 @@ let browsing p = { p with update_tran_prob = 0.05 }
 let quick p =
   { p with warmup = 2. *. 60.; duration = 10. *. 60.; replications = 3 }
 
-let num_clients p = p.num_secondaries * p.clients_per_secondary
-
 let table1_rows p =
   [
     ("num_sec", "number of secondary sites", string_of_int p.num_secondaries);

@@ -44,8 +44,5 @@ val browsing : t -> t
     replications); the curve shapes are preserved. *)
 val quick : t -> t
 
-(** Number of clients in the whole system. *)
-val num_clients : t -> int
-
 (** Rows for reprinting Table 1. *)
 val table1_rows : t -> (string * string * string) list

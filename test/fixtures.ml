@@ -21,6 +21,7 @@ let record_serial h db ~session ~template ~reads ~writes =
   let pending = Mvcc.pending_writes txn in
   let cts = commit_exn db txn in
   let id = History.fresh_id h in
+  let read_keys, read_values = History.reads_of_list observed in
   History.add h
     {
       History.id = id;
@@ -31,7 +32,8 @@ let record_serial h db ~session ~template ~reads ~writes =
       finished = History.tick h;
       snapshot;
       commit_ts = Some cts;
-      reads = observed;
+      read_keys;
+      read_values;
       writes = pending;
       fence = None;
     };
@@ -63,6 +65,7 @@ let write_skew_history () =
   let c2 = commit_exn db t2 in
   let add ~session ~first_op ~cts ~reads ~writes =
     let id = History.fresh_id h in
+    let read_keys, read_values = History.reads_of_list reads in
     History.add h
       {
         History.id = id;
@@ -73,7 +76,8 @@ let write_skew_history () =
         finished = History.tick h;
         snapshot;
         commit_ts = Some cts;
-        reads;
+        read_keys;
+        read_values;
         writes;
         fence = None;
       };

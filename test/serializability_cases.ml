@@ -36,6 +36,7 @@ let record_update h ~session ~reads ~writes db body =
   let pending = Mvcc.pending_writes txn in
   match Mvcc.commit db txn with
   | Mvcc.Committed cts ->
+    let read_keys, read_values = History.reads_of_list observed in
     History.add h
       {
         History.id = History.fresh_id h;
@@ -46,7 +47,8 @@ let record_update h ~session ~reads ~writes db body =
         finished = History.tick h;
         snapshot;
         commit_ts = Some cts;
-        reads = observed;
+        read_keys;
+        read_values;
         writes = pending;
         fence = None;
       }
@@ -82,6 +84,8 @@ let test_write_skew_not_serializable () =
   let c1 = match Mvcc.commit db t1 with Mvcc.Committed c -> c | _ -> assert false in
   let first_op2 = History.tick h in
   let c2 = match Mvcc.commit db t2 with Mvcc.Committed c -> c | _ -> assert false in
+  let keys1, values1 = History.reads_of_list r1 in
+  let keys2, values2 = History.reads_of_list r2 in
   History.add h
     {
       History.id = History.fresh_id h;
@@ -92,7 +96,8 @@ let test_write_skew_not_serializable () =
       finished = History.tick h;
       snapshot = snap;
       commit_ts = Some c1;
-      reads = r1;
+      read_keys = keys1;
+      read_values = values1;
       writes = w1;
       fence = None;
     };
@@ -106,7 +111,8 @@ let test_write_skew_not_serializable () =
       finished = History.tick h;
       snapshot = snap;
       commit_ts = Some c2;
-      reads = r2;
+      read_keys = keys2;
+      read_values = values2;
       writes = w2;
       fence = None;
     };
@@ -249,6 +255,7 @@ let prop_one_sr_serializable =
                 (observed, Mvcc.pending_writes txn))
           with
           | Ok ((observed, pending), cts) ->
+            let read_keys, read_values = History.reads_of_list observed in
             History.add h
               {
                 History.id = History.fresh_id h;
@@ -259,7 +266,8 @@ let prop_one_sr_serializable =
                 finished = History.tick h;
                 snapshot;
                 commit_ts = Some cts;
-                reads = observed;
+                read_keys;
+                read_values;
                 writes = pending;
                 fence = None;
               }

@@ -231,7 +231,7 @@ let exec_all handle stmts =
     stmts
 
 let finish db h mapping (l : live) =
-  let reads = Handle.reads l.handle in
+  let read_keys, read_values = History.reads_of_list (Handle.reads l.handle) in
   if l.template.Template.read_only then begin
     Mvcc.end_read db l.txn;
     let id = History.fresh_id h in
@@ -245,7 +245,8 @@ let finish db h mapping (l : live) =
         finished = History.tick h;
         snapshot = l.snapshot;
         commit_ts = None;
-        reads;
+        read_keys;
+        read_values;
         writes = [];
         fence = None;
       };
@@ -267,7 +268,8 @@ let finish db h mapping (l : live) =
           finished = History.tick h;
           snapshot = l.snapshot;
           commit_ts = Some cts;
-          reads;
+          read_keys;
+          read_values;
           writes;
           fence = None;
         };
@@ -491,12 +493,12 @@ let test_session_cross_validation () =
     List.filter
       (fun { Checker.earlier; later } ->
         earlier.History.kind = History.Update
-        && List.exists
-             (fun (k, _) ->
+        && Array.exists
+             (fun k ->
                List.exists
                  (fun { Lsr_storage.Wal.key; _ } -> key = k)
                  earlier.History.writes)
-             later.History.reads)
+             later.History.read_keys)
       inversions
   in
   check_bool "the stale session actually observed an inversion" true

@@ -93,6 +93,7 @@ let gen_history seed =
           end
         in
         let writes = if commit_ts = None then [] else writes in
+        let read_keys, read_values = History.reads_of_list reads in
         History.add h
           {
             History.id = History.fresh_id h;
@@ -103,7 +104,8 @@ let gen_history seed =
             finished = History.tick h;
             snapshot;
             commit_ts;
-            reads;
+            read_keys;
+            read_values;
             writes;
             fence = None;
           })
@@ -113,7 +115,7 @@ let gen_history seed =
      something to find — both checkers must report it identically. *)
   if Rng.bernoulli rng ~p:0.15 then begin
     let txns = History.transactions h in
-    let with_reads = List.filter (fun t -> t.History.reads <> []) txns in
+    let with_reads = List.filter (fun t -> t.History.read_keys <> [||]) txns in
     match with_reads with
     | [] -> h
     | _ ->
@@ -125,14 +127,11 @@ let gen_history seed =
       List.iter
         (fun (t : History.txn) ->
           let t =
-            if t.id = victim.id then
-              {
-                t with
-                History.reads =
-                  (match t.reads with
-                  | (k, _) :: rest -> (k, Some "corrupted") :: rest
-                  | [] -> assert false);
-              }
+            if t.id = victim.id then begin
+              let read_values = Array.copy t.read_values in
+              read_values.(0) <- Some "corrupted";
+              { t with History.read_values }
+            end
             else t
           in
           History.add corrupted t)
@@ -173,7 +172,7 @@ let edge_set h =
     List.concat_map
       (fun (t : History.txn) ->
         List.map (fun { Wal.key; _ } -> key) t.writes
-        @ List.map fst t.reads)
+        @ Array.to_list t.read_keys)
       txns
     |> List.sort_uniq String.compare
   in
@@ -190,7 +189,7 @@ let edge_set h =
       List.iter
         (fun (t : History.txn) ->
           let own = List.exists (fun { Wal.key = k; _ } -> k = key) t.writes in
-          if (not own) && List.mem_assoc key t.reads then begin
+          if (not own) && Array.mem key t.read_keys then begin
             let visible =
               List.fold_left
                 (fun acc (cts, id) ->

@@ -572,7 +572,8 @@ let test_pretty_printers () =
       finished = 6;
       snapshot = 9;
       commit_ts = None;
-      reads = [];
+      read_keys = [||];
+      read_values = [||];
       writes = [];
       fence = None;
     }
@@ -787,6 +788,7 @@ let test_fence_max_age_threshold () =
 
 let mk_txn ~id ~session ~kind ~first_op ~finished ~snapshot ?commit_ts
     ?(reads = []) ?(writes = []) ?fence () =
+  let read_keys, read_values = History.reads_of_list reads in
   {
     History.id;
     session;
@@ -796,7 +798,8 @@ let mk_txn ~id ~session ~kind ~first_op ~finished ~snapshot ?commit_ts
     finished;
     snapshot;
     commit_ts;
-    reads;
+    read_keys;
+    read_values;
     writes;
     fence;
   }
@@ -993,7 +996,7 @@ let test_checker_fence_edge_cases () =
           Watchdog.end_read ?fence:t.History.fence w tok ~id:t.History.id
             ~site:t.History.site
             ~now:(float_of_int t.History.finished)
-            ~reads:t.History.reads
+            ~reads:(History.read_list t)
         | History.Update ->
           let tok =
             Watchdog.begin_update w ~tick:t.History.first_op
@@ -1003,7 +1006,7 @@ let test_checker_fence_edge_cases () =
             ~now:(float_of_int t.History.finished)
             ~commit:
               (Option.map (fun ts -> (ts, t.History.writes)) t.History.commit_ts)
-            ~snapshot:t.History.snapshot ~reads:t.History.reads)
+            ~snapshot:t.History.snapshot ~reads:(History.read_list t))
       txns;
     (Watchdog.verdict w).Watchdog.fence_failures
   in
@@ -1355,7 +1358,8 @@ let prop_inversions_match_bruteforce =
             finished = finished + 1;
             snapshot = snap;
             commit_ts;
-            reads = [];
+            read_keys = [||];
+            read_values = [||];
             writes = [];
             fence;
           })
@@ -1798,6 +1802,44 @@ let test_handle_schema_and_reads () =
   | [ ("missing", None); ("k", Some "v") ] -> ()
   | reads -> Alcotest.failf "unexpected recorded reads (%d)" (List.length reads)
 
+(* The history keeps the store's own copy of each key read, not the
+   caller's: the update's read shares the primary's key, the read-only
+   transaction's the secondary's (both the string the preload installed);
+   a key never written stays the caller's string. *)
+let test_history_keeps_store_key () =
+  let sys = System.create ~secondaries:1 ~guarantee:Session.Strong_session () in
+  let c = System.connect sys "c" in
+  let installed = "item:000001" in
+  let fresh () = Bytes.to_string (Bytes.of_string installed) in
+  (match System.update sys c (fun h -> Handle.put h installed "v0") with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "preload failed");
+  System.pump sys;
+  let probe = fresh () in
+  (match
+     System.update sys c (fun h ->
+         ignore (Handle.get h probe);
+         Handle.put h "other" "v1")
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "update failed");
+  let probe = fresh () and absent = fresh () ^ "-absent" in
+  System.read sys c (fun h ->
+      ignore (Handle.get h probe);
+      ignore (Handle.get h absent));
+  match History.transactions (System.history sys) with
+  | [ _; update; read ] ->
+    check_bool "the update's read shares the primary's key" true
+      (update.History.read_keys.(0) == installed);
+    check_bool "the read shares the secondary's key" true
+      (read.History.read_keys.(0) == installed);
+    check_bool "a key never written stays the caller's" true
+      (read.History.read_keys.(1) == absent);
+    Alcotest.(check (list (pair string (option string))))
+      "the values observed" [ (installed, Some "v0"); (absent, None) ]
+      (History.read_list read)
+  | txns -> Alcotest.failf "%d transactions recorded" (List.length txns)
+
 let test_system_crash_recovery () =
   let sys = System.create ~secondaries:2 ~guarantee:Session.Strong_session () in
   let c = System.connect sys ~secondary:0 "c" in
@@ -2135,6 +2177,8 @@ let () =
           Alcotest.test_case "row api" `Quick test_system_row_api;
           Alcotest.test_case "handle schema/reads" `Quick
             test_handle_schema_and_reads;
+          Alcotest.test_case "the history keeps the store's key" `Quick
+            test_history_keeps_store_key;
           Alcotest.test_case "crash recovery" `Quick test_system_crash_recovery;
           Alcotest.test_case "recovery closes every start" `Quick
             test_system_recovery_closes_every_start;

@@ -61,15 +61,6 @@ let test_interval_constant_samples () =
   let i = Confidence.of_samples [ 2.; 2.; 2. ] in
   Alcotest.(check (float 0.)) "zero width for constant" 0. i.Confidence.half_width
 
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
-  n = 0 || scan 0
-
-let test_interval_to_string () =
-  let s = Confidence.to_string (Confidence.of_samples [ 1.; 2.; 3. ]) in
-  check_bool "contains plus-minus" true (contains ~needle:"\xc2\xb1" s)
-
 let test_table_render_alignment () =
   let rendered =
     Table_fmt.render ~header:[ "x"; "value" ]
@@ -237,7 +228,6 @@ let () =
           Alcotest.test_case "empty raises" `Quick test_interval_empty;
           Alcotest.test_case "constant samples" `Quick
             test_interval_constant_samples;
-          Alcotest.test_case "to_string" `Quick test_interval_to_string;
         ] );
       ( "histogram",
         [

@@ -39,12 +39,12 @@ let replay guarantee history =
         (Watchdog.begin_update w ~tick:t.History.first_op ~session)
     | History.Read_only, false ->
       Watchdog.end_read w (Hashtbl.find tokens id) ~id ~site:t.History.site
-        ~now ~reads:t.History.reads
+        ~now ~reads:(History.read_list t)
     | History.Update, false ->
       Watchdog.end_update w (Hashtbl.find tokens id) ~id ~now
         ~commit:
           (Option.map (fun ts -> (ts, t.History.writes)) t.History.commit_ts)
-        ~snapshot:t.History.snapshot ~reads:t.History.reads
+        ~snapshot:t.History.snapshot ~reads:(History.read_list t)
   in
   History.transactions history
   |> List.concat_map (fun (t : History.txn) ->

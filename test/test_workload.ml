@@ -36,10 +36,6 @@ let test_quick_shrinks_runs () =
   check_bool "fewer reps" true
     (p.Params.replications < Params.default.Params.replications)
 
-let test_num_clients () =
-  let p = { Params.default with Params.num_secondaries = 7 } in
-  check_int "7 * 20" 140 (Params.num_clients p)
-
 let test_table1_rows_complete () =
   check_int "ten parameters" 10 (List.length (Params.table1_rows Params.default))
 
@@ -197,7 +193,6 @@ let () =
             test_defaults_match_table1;
           Alcotest.test_case "browsing mix" `Quick test_browsing_mix;
           Alcotest.test_case "quick mode" `Quick test_quick_shrinks_runs;
-          Alcotest.test_case "num_clients" `Quick test_num_clients;
           Alcotest.test_case "table1 rows" `Quick test_table1_rows_complete;
         ] );
       ( "txn_gen",
