@@ -15,7 +15,6 @@ open Lsr_serializability
 
 (* Record a hand-run transaction into a history for the checker. *)
 let record h ~session ~first_op ~snapshot ~reads ~writes ~commit_ts =
-  let read_keys, read_values = History.reads_of_list reads in
   History.add h
     {
       History.id = History.fresh_id h;
@@ -26,8 +25,8 @@ let record h ~session ~first_op ~snapshot ~reads ~writes ~commit_ts =
       finished = History.tick h;
       snapshot;
       commit_ts;
-      read_keys;
-      read_values;
+      read_keys = Array.of_list (List.map fst reads);
+      read_values = Array.of_list (List.map snd reads);
       writes;
       fence = None;
     }

@@ -4,14 +4,14 @@ type t = {
   db : Mvcc.t;
   txn : Mvcc.txn;
   schema : (string * string list) list;
-  mutable reads : (string * string option) list;  (* newest first *)
+  on_read : string -> string option -> unit;
 }
 
-let make ?(schema = []) db txn = { db; txn; schema; reads = [] }
+let make ?(schema = []) ~on_read db txn = { db; txn; schema; on_read }
 
 let get t key =
   let value = Mvcc.read t.db t.txn key in
-  t.reads <- (key, value) :: t.reads;
+  t.on_read key value;
   value
 
 let put t key value = Mvcc.write t.db t.txn key (Some value)
@@ -24,7 +24,7 @@ let table t name =
 let row_get t ~table:name ~pk =
   let key = Table.storage_key (table t name) ~pk in
   let encoded = Mvcc.read t.db t.txn key in
-  t.reads <- (key, encoded) :: t.reads;
+  t.on_read key encoded;
   Option.map Row.decode encoded
 
 let row_put t ~table:name ~pk row = Table.insert (table t name) t.txn ~pk row
@@ -37,36 +37,25 @@ let row_update t ~table ~pk f =
     row_put t ~table ~pk (f row);
     true
 
-let row_scan t ~table:name ~where =
-  let tbl = table t name in
-  let rows = Table.scan tbl t.txn ~where in
-  (* Record each visible row as a read so the checker can validate scans. *)
+(* Each visible row counts as a read, so the checker can validate scans. *)
+let served_rows t tbl rows =
   List.iter
     (fun (pk, row) ->
-      t.reads <-
-        (Table.storage_key tbl ~pk, Some (Row.encode row)) :: t.reads)
+      t.on_read (Table.storage_key tbl ~pk) (Some (Row.encode row)))
     rows;
   rows
+
+let row_scan t ~table:name ~where =
+  let tbl = table t name in
+  served_rows t tbl (Table.scan tbl t.txn ~where)
 
 let row_lookup t ~table:name ~field ~value =
   let tbl = table t name in
-  let rows = Table.lookup tbl t.txn ~field ~value in
-  List.iter
-    (fun (pk, row) ->
-      t.reads <- (Table.storage_key tbl ~pk, Some (Row.encode row)) :: t.reads)
-    rows;
-  rows
+  served_rows t tbl (Table.lookup tbl t.txn ~field ~value)
 
 let row_range t ~table:name ~field ~lo ~hi =
   let tbl = table t name in
-  let rows = Table.range_lookup tbl t.txn ~field ~lo ~hi in
-  List.iter
-    (fun (pk, row) ->
-      t.reads <- (Table.storage_key tbl ~pk, Some (Row.encode row)) :: t.reads)
-    rows;
-  rows
+  served_rows t tbl (Table.range_lookup tbl t.txn ~field ~lo ~hi)
 
 let indexed_fields t ~table:name =
   Option.value ~default:[] (List.assoc_opt name t.schema)
-
-let reads t = List.rev t.reads

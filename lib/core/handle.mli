@@ -1,9 +1,11 @@
 (** Transaction handle given to client code by {!System}.
 
-    Wraps one open {!Lsr_storage.Mvcc} transaction and records every read and
-    write into the run's {!History}, so finished executions can be checked
-    against the SI definitions. Both raw key-value and relational
-    ({!Lsr_storage.Row}) access are provided. *)
+    Wraps one open {!Lsr_storage.Mvcc} transaction and hands every value it
+    reads, as it reads it, to the callback it was made with: {!System}'s
+    reports the read to the replica-set core ({!Replica_set.read_served}),
+    which judges and records it, so finished executions can be checked
+    against the SI definitions. The handle keeps no reads of its own. Both
+    raw key-value and relational ({!Lsr_storage.Row}) access are provided. *)
 
 open Lsr_storage
 
@@ -11,16 +13,23 @@ type t
 
 (** Used by {!System}; client code receives handles ready-made. [schema]
     maps table names to their indexed fields (see {!Lsr_storage.Table});
-    tables not listed have no indexes. *)
-val make : ?schema:(string * string list) list -> Mvcc.t -> Mvcc.txn -> t
+    tables not listed have no indexes. Each read calls [on_read key value],
+    in operation order: once per {!get} or {!row_get}, once per row a row
+    reader returns. *)
+val make :
+  ?schema:(string * string list) list ->
+  on_read:(string -> string option -> unit) ->
+  Mvcc.t ->
+  Mvcc.txn ->
+  t
 
-(** {2 Key-value access (recorded)} *)
+(** {2 Key-value access (reads reported)} *)
 
 val get : t -> string -> string option
 val put : t -> string -> string -> unit
 val del : t -> string -> unit
 
-(** {2 Relational access (recorded)} *)
+(** {2 Relational access (reads reported)} *)
 
 val row_get : t -> table:string -> pk:string -> Row.t option
 val row_put : t -> table:string -> pk:string -> Row.t -> unit
@@ -39,7 +48,7 @@ val row_lookup :
 
 (** [row_range t ~table ~field ~lo ~hi] seeks the secondary index for rows
     whose [field] lies in the interval (see {!Table.range_lookup}); matched
-    rows are recorded as reads, like {!row_lookup}.
+    rows are reported as reads, like {!row_lookup}.
     @raise Invalid_argument when the field is not indexed. *)
 val row_range :
   t ->
@@ -51,8 +60,3 @@ val row_range :
 
 (** Indexed fields declared for a table in the system schema. *)
 val indexed_fields : t -> table:string -> string list
-
-(** {2 Recorded operations} *)
-
-(** Reads observed so far (oldest first). *)
-val reads : t -> (string * string option) list

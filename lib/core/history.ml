@@ -44,17 +44,30 @@ let fresh_id t =
 
 let add t txn = t.txns <- txn :: t.txns
 
-let reads_of_list ?(key = Fun.id) = function
-  | [] -> ([||], [||])
-  | reads ->
-    let n = List.length reads in
-    let keys = Array.make n "" and values = Array.make n None in
-    List.iteri
-      (fun i (k, v) ->
-        keys.(i) <- key k;
-        values.(i) <- v)
-      reads;
-    (keys, values)
+type reads = {
+  mutable count : int;
+  mutable keys : string array;
+  mutable values : string option array;
+}
+
+let reads () = { count = 0; keys = [||]; values = [||] }
+
+let serve r key value =
+  let n = r.count in
+  if n = Array.length r.keys then begin
+    let capacity = max 4 (2 * n) in
+    let keys = Array.make capacity "" and values = Array.make capacity None in
+    Array.blit r.keys 0 keys 0 n;
+    Array.blit r.values 0 values 0 n;
+    r.keys <- keys;
+    r.values <- values
+  end;
+  r.keys.(n) <- key;
+  r.values.(n) <- value;
+  r.count <- n + 1
+
+let recorded ~key r =
+  (Array.init r.count (fun i -> key r.keys.(i)), Array.sub r.values 0 r.count)
 
 let fold_reads txn ~init ~f =
   let rec from i acc =
@@ -62,10 +75,6 @@ let fold_reads txn ~init ~f =
     else from (i + 1) (f acc txn.read_keys.(i) txn.read_values.(i))
   in
   from 0 init
-
-let read_list txn =
-  List.init (Array.length txn.read_keys) (fun i ->
-      (txn.read_keys.(i), txn.read_values.(i)))
 
 let transactions t = List.rev t.txns
 let length t = List.length t.txns

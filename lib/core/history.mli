@@ -22,8 +22,11 @@
     own copy of it ({!Lsr_storage.Mvcc.stored_key} of the store the read
     ran against: a secondary's for a read-only transaction, the primary's
     for an update), and each value as the very option the store returned.
-    Read the reads with {!fold_reads} or {!read_list}; build them with
-    {!reads_of_list}. On an embedded run of the Table 1 mix
+    A running transaction's reads accumulate in a {!reads} buffer, the one
+    place a read exists before its record does: {!Replica_set} keeps one
+    per transaction, hands it to the watchdog's end hooks, and builds the
+    record's arrays from it ({!recorded}). Read a record's reads with
+    {!fold_reads}. On an embedded run of the Table 1 mix
     ([test/cli/history_memory]) the history owns 37.8 words per
     transaction beyond what the stores hold; with each read a list cell
     and a pair holding the caller's key string it owned 100.6. *)
@@ -78,20 +81,29 @@ val fresh_id : t -> int
 
 val add : t -> txn -> unit
 
-(** [reads_of_list ?key reads] is the [(read_keys, read_values)] pair of a
-    record that read [reads], (key, observed value) pairs oldest first,
-    each key replaced by [key] of it (by default, itself). *)
-val reads_of_list :
-  ?key:(string -> string) -> (string * string option) list ->
-  string array * string option array
+(** The reads a running transaction has been served so far, oldest first:
+    the first [count] slots of [keys] and [values]. *)
+type reads = {
+  mutable count : int;
+  mutable keys : string array;
+  mutable values : string option array;
+}
+
+(** An empty buffer; it allocates its arrays at the first {!serve}. *)
+val reads : unit -> reads
+
+(** [serve r key value] appends a read of [key] that observed [value]. *)
+val serve : reads -> string -> string option -> unit
+
+(** [recorded ~key r] is the [(read_keys, read_values)] pair of a record
+    that read [r], each key replaced by [key] of it: arrays of exactly
+    [r.count] slots, or the shared empty arrays. *)
+val recorded :
+  key:(string -> string) -> reads -> string array * string option array
 
 (** [fold_reads txn ~init ~f] folds [f] over [txn]'s reads, oldest first. *)
 val fold_reads :
   txn -> init:'acc -> f:('acc -> string -> string option -> 'acc) -> 'acc
-
-(** [read_list txn] is [txn]'s reads as (key, observed value) pairs,
-    oldest first. *)
-val read_list : txn -> (string * string option) list
 
 (** Transactions in completion order. *)
 val transactions : t -> txn list

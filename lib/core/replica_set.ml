@@ -43,7 +43,8 @@ type t = {
   history : History.t;
   record_history : bool;
   watchdog : Watchdog.t option;
-  tracking : bool;
+  tracking : bool;  (* a history is recorded or a watchdog attached *)
+  no_reads : History.reads;
   sinks : Sinks.t;
   now : unit -> float;
   on_read : int -> age:float -> missed:int -> unit;
@@ -123,6 +124,7 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
     record_history;
     watchdog;
     tracking = record_history || watchdog <> None;
+    no_reads = History.reads ();
     sinks;
     now;
     on_read;
@@ -139,8 +141,6 @@ let sessions t = t.sessions
 let clock t = t.clock
 let history t = t.history
 let watchdog t = t.watchdog
-let now t = t.now ()
-let tracking t = t.tracking
 
 (* --- Secondaries ------------------------------------------------------------- *)
 
@@ -351,50 +351,56 @@ let rec fire t = function
 
 (* --- Transactions -------------------------------------------------------------- *)
 
-(* The watchdog's token, which also carries the first-operation tick the
-   history records. *)
-type txn = Watchdog.token
+(* An update runs at the primary ([site] -1) and takes its snapshot from
+   its outcome. [reads] holds the reads served so far when [tracked]; the
+   untracked share the core's [no_reads], which is never written. *)
+type txn = {
+  token : Watchdog.token;
+  first_op : int;
+  session : string;
+  site : int;
+  snapshot : Timestamp.t;
+  fence : History.fence_claim option;
+  fence_seq : int;
+  tracked : bool;
+  reads : History.reads;
+}
 
-let untracked = Watchdog.unwatched ~tick:0
+let begin_txn t ~session ~site ~snapshot ~fence ~fence_seq =
+  let first_op = if t.tracking then History.tick t.history else 0 in
+  let token =
+    match t.watchdog with
+    | Some w when site >= 0 -> Watchdog.begin_read w ~session ~snapshot
+    | Some w -> Watchdog.begin_update w ~session
+    | None -> Watchdog.unwatched
+  in
+  { token; first_op; session; site; snapshot; fence; fence_seq;
+    tracked = t.tracking;
+    reads = (if t.tracking then History.reads () else t.no_reads) }
 
 let begin_update t ~session =
-  if not t.tracking then untracked
-  else
-    let tick = History.tick t.history in
-    match t.watchdog with
-    | Some w -> Watchdog.begin_update w ~tick ~session
-    | None -> Watchdog.unwatched ~tick
+  begin_txn t ~session ~site:(-1) ~snapshot:Timestamp.zero ~fence:None
+    ~fence_seq:(-1)
 
-(* A record's reads, each key the copy [db] holds (the driver's string only
-   for a key [db] never installed), so the history keeps no key alive. *)
-let recorded_reads db reads =
-  History.reads_of_list ~key:(Mvcc.stored_key db) reads
+let read_served txn key value =
+  if txn.tracked then History.serve txn.reads key value
 
-(* Judge and record a finished update; [commit] is [None] for an abort. *)
-let end_update t u ~id ~finished ~now ~session ~commit ~snapshot ~reads =
-  (match t.watchdog with
-  | Some w -> Watchdog.end_update w u ~id ~now ~commit ~snapshot ~reads
-  | None -> ());
-  if t.record_history then
-    let read_keys, read_values = recorded_reads (Primary.db t.primary) reads in
-    History.add t.history
-      {
-        History.id;
-        session;
-        kind = History.Update;
-        site = "primary";
-        first_op = Watchdog.tick u;
-        finished;
-        snapshot;
-        commit_ts = Option.map fst commit;
-        read_keys;
-        read_values;
-        writes = (match commit with Some (_, writes) -> writes | None -> []);
-        fence = None;
-      }
+let retry txn = txn.reads.count <- 0
+
+(* Append [u]'s record. Each key read is the copy [db] holds (the driver's
+   string only for a key [db] never installed), so the history keeps no key
+   alive. *)
+let record t u ~db ~id ~finished ~kind ~site ~snapshot ~commit_ts ~writes =
+  let read_keys, read_values =
+    History.recorded ~key:(Mvcc.stored_key db) u.reads
+  in
+  History.add t.history
+    { History.id; session = u.session; kind; site;
+      first_op = u.first_op; finished; snapshot; commit_ts;
+      read_keys; read_values; writes; fence = u.fence }
 
 let abandon t txn =
-  match t.watchdog with Some w -> Watchdog.release w txn | None -> ()
+  match t.watchdog with Some w -> Watchdog.release w txn.token | None -> ()
 
 (* One id and finish tick per transaction, shared by the history record and
    the watchdog, so inversion witnesses are comparable across both; the id
@@ -402,30 +408,43 @@ let abandon t txn =
 let finish_id t = if t.tracking then History.fresh_id t.history else -1
 let finish_tick t = if t.tracking then History.tick t.history else 0
 
-let finish_update t u ~session ~reads (outcome : _ Primary.outcome) =
-  match outcome with
-  | Primary.Committed { txn; commit_ts; snapshot; writes; _ } ->
-    Session.note_update_commit t.sessions ~label:session ~commit_ts;
-    let id = finish_id t in
-    let finished = finish_tick t in
-    let now = t.now () in
+let finish_update t u (outcome : _ Primary.outcome) =
+  let id = finish_id t in
+  let finished = finish_tick t in
+  let now = t.now () in
+  (match outcome with
+  | Primary.Committed { txn; commit_ts; writes; _ } ->
+    Session.note_update_commit t.sessions ~label:u.session ~commit_ts;
     Session.clock_note t.clock ~commit_ts ~at:now;
     if Flight.enabled t.sinks.flight then
       Flight.note_commit t.sinks.flight ~txn ~hid:id ~commit_ts
-        ~updates:(List.length writes);
-    if t.tracking then
-      end_update t u ~id ~finished ~now ~session
-        ~commit:(Some (commit_ts, writes))
-        ~snapshot ~reads
-  | Primary.Aborted _ ->
-    if t.tracking then begin
-      let id = finish_id t in
-      let finished = finish_tick t in
-      end_update t u ~id ~finished ~now:(t.now ()) ~session ~commit:None
-        ~snapshot:Timestamp.zero ~reads
-    end
+        ~updates:(List.length writes)
+  | Primary.Aborted _ -> ());
+  if t.tracking then begin
+    (* An abort is judged and recorded at snapshot zero, and pins nothing. *)
+    let commit, snapshot, writes =
+      match outcome with
+      | Primary.Committed { commit_ts; snapshot; writes; _ } ->
+        (Some (commit_ts, writes), snapshot, writes)
+      | Primary.Aborted _ -> (None, Timestamp.zero, [])
+    in
+    (match t.watchdog with
+    | Some w ->
+      Watchdog.end_update w u.token ~id ~now ~commit ~snapshot ~reads:u.reads
+    | None -> ());
+    if t.record_history then
+      record t u ~db:(Primary.db t.primary) ~id ~finished ~kind:History.Update
+        ~site:"primary" ~snapshot ~commit_ts:(Option.map fst commit) ~writes
+  end
 
-let begin_read ?fence t ~session ~site ~snapshot =
+let read_threshold ?fence t ~session =
+  Session.read_threshold ?fence t.sessions ~clock:t.clock ~now:(t.now ())
+    ~label:session
+
+let begin_read ?fence ?read_at t ~session ~site ~required =
+  (* Taken before the read raises its session's floor. *)
+  let fence_seq = match fence with None -> -1 | Some _ -> required () in
+  let snapshot = Secondary.seq_dbsec t.sites.(site).replica in
   let age, missed = Session.clock_freshness t.clock ~snapshot ~now:(t.now ()) in
   t.on_read site ~age ~missed;
   if Obs.enabled t.sinks.obs then begin
@@ -435,47 +454,31 @@ let begin_read ?fence t ~session ~site ~snapshot =
     Obs.set_gauge f.missed_commits (float_of_int missed)
   end;
   Session.note_read ?fence t.sessions ~label:session ~snapshot;
-  if not t.tracking then untracked
-  else
-    let tick = History.tick t.history in
-    match t.watchdog with
-    | Some w -> Watchdog.begin_read w ~tick ~session ~snapshot
-    | None -> Watchdog.unwatched ~tick
+  let fence =
+    match fence with
+    | Some claim ->
+      let read_at = Option.value read_at ~default:(t.now ()) in
+      Some { History.claim; read_at }
+    | None -> None
+  in
+  begin_txn t ~session ~site ~snapshot ~fence ~fence_seq
 
-let finish_read ?fence t r ~session ~site ~snapshot ~read_at ~fence_seq ~reads
-    =
-  let s = t.sites.(site) in
-  let site = s.name in
+let finish_read t r =
+  let s = t.sites.(r.site) in
   let id = finish_id t in
   let finished = finish_tick t in
-  Flight.note_read t.sinks.flight ~site:s.fid ~hid:id ~session ~snapshot
-    ~fence:fence_seq;
+  Flight.note_read t.sinks.flight ~site:s.fid ~hid:id ~session:r.session
+    ~snapshot:r.snapshot ~fence:r.fence_seq;
   if t.tracking then begin
-    let fence =
-      match fence with Some claim -> Some { History.claim; read_at } | None -> None
-    in
     (match t.watchdog with
-    | Some w -> Watchdog.end_read ?fence w r ~id ~site ~now:(t.now ()) ~reads
+    | Some w ->
+      Watchdog.end_read ?fence:r.fence w r.token ~id ~site:s.name
+        ~now:(t.now ()) ~reads:r.reads
     | None -> ());
     if t.record_history then
-      let read_keys, read_values =
-        recorded_reads (Secondary.db s.replica) reads
-      in
-      History.add t.history
-        {
-          History.id;
-          session;
-          kind = History.Read_only;
-          site;
-          first_op = Watchdog.tick r;
-          finished;
-          snapshot;
-          commit_ts = None;
-          read_keys;
-          read_values;
-          writes = [];
-          fence;
-        }
+      record t r ~db:(Secondary.db s.replica) ~id ~finished
+        ~kind:History.Read_only ~site:s.name ~snapshot:r.snapshot
+        ~commit_ts:None ~writes:[]
   end
 
 (* --- Verdict --------------------------------------------------------------------- *)

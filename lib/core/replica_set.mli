@@ -5,12 +5,13 @@
     {!Lsr_obs.Sinks}, and the site table — per secondary its current
     replica, its link from the propagator (a plain FIFO queue or a fault
     {!Channel}) and whether it is crashed or was ever recovered. Drivers
-    keep how transactions execute and wait, and pass each transaction
-    through the hooks below, which do its bookkeeping once: history ticks
-    and ids, [seq(c)] and read floors, the commit clock, read freshness and
-    refresh lag, per-site freshness instruments, flight events, watchdog
-    tokens and the history record. {!check} is the one
-    end-of-run verdict both drivers report. The protocol's moves are
+    keep how transactions execute and wait; the core keeps each
+    transaction's record from its begin hook to its finish hook, takes
+    each read the driver serves, and does the bookkeeping once: history
+    ticks and ids, read thresholds, [seq(c)] and read floors, the commit
+    clock, read freshness and refresh lag, per-site freshness instruments,
+    flight events, watchdog tokens and the history record. {!check} is the
+    one end-of-run verdict both drivers report. The protocol's moves are
     performed here ({!fire}) and nowhere else.
 
     Ordering rules the hooks encode:
@@ -90,13 +91,6 @@ val clock : t -> Session.clock
 val history : t -> History.t
 val watchdog : t -> Watchdog.t option
 
-(** The current instant on the core's time axis. *)
-val now : t -> float
-
-(** A history is recorded or a watchdog attached: drivers must collect the
-    values their transactions read. *)
-val tracking : t -> bool
-
 (** {2 Secondaries} *)
 
 val sites : t -> int
@@ -157,41 +151,53 @@ val fire : t -> action -> fired
 
 (** {2 Transactions} *)
 
-(** A transaction between its begin and finish hooks. *)
+(** A transaction between its begin and finish hooks: its watchdog token,
+    session, site, snapshot, fence claim and floor, and the reads it has
+    been served ({!read_served}). *)
 type txn
 
-(** An update of [session] starts; one token serves every retried attempt. *)
+(** An update of [session] starts; one record serves every retried attempt. *)
 val begin_update : t -> session:string -> txn
+
+(** [read_served txn key value]: the transaction read [key] and observed
+    [value]; kept only when a history is recorded or a watchdog attached. *)
+val read_served : txn -> string -> string option -> unit
+
+(** The update's attempt aborted and it runs again under the same record:
+    the reads served so far are dropped. *)
+val retry : txn -> unit
 
 (** The update finished with [outcome]. A commit advances [seq(c)] and the
     commit clock; an abort is recorded at snapshot zero and pins nothing.
-    [reads] are ignored unless {!tracking}. *)
-val finish_update :
-  t -> txn -> session:string -> reads:(string * string option) list ->
-  _ Primary.outcome -> unit
+    The watchdog judges, and the history records, the reads served since
+    the begin hook or the last {!retry}. *)
+val finish_update : t -> txn -> _ Primary.outcome -> unit
 
 (** The transaction's body raised: it ends unrecorded, and the watchdog
     drops its pin and its hold on the session's floors. *)
 val abandon : t -> txn -> unit
 
-(** A read-only transaction of [session] starts at secondary [site] (its
-    index) with [snapshot], its seq(DBsec); the session's read floor rises
-    as the guarantee and fence require. The snapshot's freshness on the
-    commit clock — [age], how old its newest reflected primary commit is (0
-    when caught up), and [missed], the primary commits it does not reflect
-    — goes to the driver's [on_read] hook and, with a registry attached, to
-    the site's instruments. *)
-val begin_read :
-  ?fence:Session.fence -> t -> session:string -> site:int ->
-  snapshot:Timestamp.t -> txn
+(** The live seq(DBsec) threshold of a read-only transaction of [session]
+    submitted now ({!Session.read_threshold}). *)
+val read_threshold :
+  ?fence:Session.fence -> t -> session:string -> unit -> Timestamp.t
 
-(** The read at secondary [site] (its index) finished. [read_at] is when
-    its fence resolved its horizon; [fence_seq] is the seq floor it was held
-    to ([-1] when unfenced). *)
-val finish_read :
-  ?fence:Session.fence -> t -> txn -> session:string -> site:int ->
-  snapshot:Timestamp.t -> read_at:float -> fence_seq:int ->
-  reads:(string * string option) list -> unit
+(** A read-only transaction of [session] submitted at [read_at] (by
+    default now) with threshold [required] starts at secondary [site] (its
+    index). Its snapshot is the site's seq(DBsec) now; its fence floor is
+    [required ()] when fenced ([-1] otherwise), taken before the session's
+    read floor rises as the guarantee and fence require. The snapshot's freshness on
+    the commit clock — [age], how old its newest reflected primary commit
+    is (0 when caught up), and [missed], the primary commits it does not
+    reflect — goes to the driver's [on_read] hook and, with a registry
+    attached, to the site's instruments. *)
+val begin_read :
+  ?fence:Session.fence -> ?read_at:float -> t -> session:string -> site:int ->
+  required:(unit -> Timestamp.t) -> txn
+
+(** The read finished: the flight recorder notes it with its fence floor,
+    the watchdog judges it and the history records it. *)
+val finish_read : t -> txn -> unit
 
 (** {2 Verdict} *)
 

@@ -168,47 +168,37 @@ let abandon t txn exn =
   Printexc.raise_with_backtrace exn bt
 
 let update t client ?force_abort body =
-  let session = client.label in
-  let txn = Replica_set.begin_update t.core ~session in
-  let handle_ref = ref None in
-  let wrapped db mvcc_txn =
-    let h = Handle.make ~schema:t.schema db mvcc_txn in
-    handle_ref := Some h;
-    body h
-  in
+  let txn = Replica_set.begin_update t.core ~session:client.label in
+  let on_read = Replica_set.read_served txn in
   let outcome =
-    try Primary.execute (primary t) ?force_abort wrapped
+    try
+      Primary.execute (primary t) ?force_abort (fun db mvcc_txn ->
+          body (Handle.make ~schema:t.schema ~on_read db mvcc_txn))
     with exn -> abandon t txn exn
   in
-  let reads = match !handle_ref with Some h -> Handle.reads h | None -> [] in
-  Replica_set.finish_update t.core txn ~session ~reads outcome;
+  Replica_set.finish_update t.core txn outcome;
   match outcome with
   | Primary.Committed { value; _ } -> Ok value
   | Primary.Aborted reason -> Error reason
 
-(* [required] is the seq floor the read was held to; the flight recorder
-   notes it as the read's fence claim (-1 when unfenced). *)
 let run_read ?fence t client sec ~required body =
   let db = Secondary.db sec in
-  let site = client.secondary in
-  let session = client.label in
-  let read_at = Replica_set.now t.core in
-  let snapshot = Secondary.seq_dbsec sec in
-  let txn = Replica_set.begin_read ?fence t.core ~session ~site ~snapshot in
+  let txn =
+    Replica_set.begin_read ?fence t.core ~session:client.label
+      ~site:client.secondary ~required
+  in
   let mvcc_txn = Mvcc.begin_txn db in
-  let h = Handle.make ~schema:t.schema db mvcc_txn in
+  let h =
+    Handle.make ~schema:t.schema ~on_read:(Replica_set.read_served txn) db
+      mvcc_txn
+  in
   let value = try body h with exn -> abandon t txn exn in
   Mvcc.end_read db mvcc_txn;
-  let fence_seq = match fence with None -> -1 | Some _ -> required in
-  Replica_set.finish_read ?fence t.core txn ~session ~site ~snapshot ~read_at
-    ~fence_seq ~reads:(Handle.reads h);
+  Replica_set.finish_read t.core txn;
   value
 
-(* The seq(DBsec) threshold this read needs, evaluated once: nothing moves
-   seq(c) while a blocked read pumps, so retrying keeps the same target. *)
-let required_for ?fence t client =
-  Session.read_threshold ?fence (sessions t) ~clock:(commit_clock t)
-    ~now:(Replica_set.now t.core) ~label:client.label ()
+let threshold ?fence t client =
+  Replica_set.read_threshold ?fence t.core ~session:client.label
 
 (* Bound on pump rounds in a blocked read. Each pump drives the fault
    channels to quiescence, so commits already in the primary log arrive in
@@ -219,10 +209,12 @@ let max_read_pumps = 4
 let read ?fence t client body =
   if is_crashed t client.secondary then
     raise (Secondary_down { secondary = client.secondary });
-  let required = required_for ?fence t client in
+  let required = threshold ?fence t client in
+  (* Nothing moves seq(c) while a blocked read pumps: the target stays. *)
+  let target = required () in
   (* A pump never replaces a live site's replica. *)
   let sec = secondary t client.secondary in
-  let satisfied () = Timestamp.compare required (Secondary.seq_dbsec sec) <= 0 in
+  let satisfied () = Timestamp.compare target (Secondary.seq_dbsec sec) <= 0 in
   if not (satisfied ()) then begin
     t.blocked_reads <- t.blocked_reads + 1;
     (* Waiting for lazy replication to catch up: in the embedded system this
@@ -240,7 +232,7 @@ let read ?fence t client body =
         (Unsatisfiable_read
            {
              secondary = client.secondary;
-             required;
+             required = target;
              available = Secondary.seq_dbsec sec;
              pumps = !pumps;
            })
@@ -252,9 +244,9 @@ let read_nowait ?fence t client body =
      the contract, not an exception. *)
   if is_crashed t client.secondary then None
   else
-    let required = required_for ?fence t client in
+    let required = threshold ?fence t client in
     let sec = secondary t client.secondary in
-    if Timestamp.compare required (Secondary.seq_dbsec sec) <= 0 then
+    if Timestamp.compare (required ()) (Secondary.seq_dbsec sec) <= 0 then
       Some (run_read ?fence t client sec ~required body)
     else None
 

@@ -129,7 +129,6 @@ let new_session name =
 (* The floors captured at the transaction's first operation, and the
    session record its end raises. *)
 type token = {
-  tk_tick : int;
   tk_session : session;
   tk_snapshot : Timestamp.t;
       (* its horizon pin; the snapshot of a read only, as updates
@@ -145,12 +144,10 @@ type token = {
 
 let no_session = new_session ""
 
-let unwatched ~tick =
-  { tk_tick = tick; tk_session = no_session; tk_snapshot = Timestamp.zero;
+let unwatched =
+  { tk_session = no_session; tk_snapshot = Timestamp.zero;
     tk_global = -1; tk_global_id = -1; tk_sess = -1; tk_sess_id = -1;
     tk_upd = -1; tk_upd_id = -1; tk_fence = -1 }
-
-let tick tok = tok.tk_tick
 
 (* Alerts the log retains; the per-kind counters stay exact past it. *)
 let alert_cap = 256
@@ -442,7 +439,7 @@ let note_refresh t ~site ~seq =
 
 (* --- Event stream ----------------------------------------------------------- *)
 
-let capture t ~tick ~session ~pin_at =
+let capture t ~session ~pin_at =
   let s =
     match Sessions.find t.sessions session with
     | s -> s
@@ -454,7 +451,6 @@ let capture t ~tick ~session ~pin_at =
   s.holders <- s.holders + 1;
   pin t pin_at;
   {
-    tk_tick = tick;
     tk_session = s;
     tk_snapshot = pin_at;
     tk_global = t.global_ts;
@@ -466,13 +462,12 @@ let capture t ~tick ~session ~pin_at =
     tk_fence = s.fence_ts;
   }
 
-let begin_read t ~tick ~session ~snapshot =
-  capture t ~tick ~session ~pin_at:snapshot
+let begin_read t ~session ~snapshot = capture t ~session ~pin_at:snapshot
 
-let begin_update t ~tick ~session =
+let begin_update t ~session =
   (* Any attempt of this transaction reads the primary's newest commit at
      attempt start, which is at least the newest commit seen so far. *)
-  capture t ~tick ~session ~pin_at:t.last_commit_ts
+  capture t ~session ~pin_at:t.last_commit_ts
 
 (* Expected value of [key] in primary state S@[snapshot]: newest live chain
    version at or below the snapshot, else the folded base (everything
@@ -488,17 +483,17 @@ let rec wrote key = function
   | [] -> false
   | { Wal.key = k; _ } :: ws -> String.equal k key || wrote key ws
 
-let rec validate_reads t ~at ~txn ~session ~site ~snapshot ~own_writes =
-  function
-  | [] -> ()
-  | (key, observed) :: reads ->
+let validate_reads t ~at ~txn ~session ~site ~snapshot ~own_writes
+    (reads : History.reads) =
+  for i = 0 to reads.count - 1 do
+    let key = reads.keys.(i) and observed = reads.values.(i) in
     if not (wrote key own_writes) then begin
       let expected = expected_value t key snapshot in
       if not (Option.equal String.equal expected observed) then
         record_alert t ~at ~txn ~session ~site ~snapshot
           (Read_mismatch { key; observed; expected })
-    end;
-    validate_reads t ~at ~txn ~session ~site ~snapshot ~own_writes reads
+    end
+  done
 
 (* An inversion at every level bumps that level's count; only one at the
    forbidden level is an alert. A floor of -1 is none. *)

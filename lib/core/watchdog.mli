@@ -135,29 +135,25 @@ val create :
 
 type token
 
-(** [begin_read t ~tick ~session ~snapshot] — a read-only transaction
-    starts with [snapshot] (its secondary's seq(DBsec)); [tick] is the
-    caller's tick of its first operation, which {!tick} hands back. Pins
-    the horizon at [snapshot]. *)
-val begin_read :
-  t -> tick:int -> session:string -> snapshot:Timestamp.t -> token
+(** [begin_read t ~session ~snapshot] — a read-only transaction starts
+    with [snapshot] (its secondary's seq(DBsec)). Pins the horizon at
+    [snapshot]. *)
+val begin_read : t -> session:string -> snapshot:Timestamp.t -> token
 
-(** [begin_update t ~tick ~session] — an update transaction starts at the
+(** [begin_update t ~session] — an update transaction starts at the
     primary. Pins the horizon at the newest commit seen so far (a lower
     bound for any snapshot a retrying attempt can observe). *)
-val begin_update : t -> tick:int -> session:string -> token
+val begin_update : t -> session:string -> token
 
-(** The [tick] the token was begun with. *)
-val tick : token -> int
-
-(** [unwatched ~tick] carries only [tick], for a transaction no watchdog
-    sees; it must not reach {!end_read} or {!end_update}. *)
-val unwatched : tick:int -> token
+(** The token of a transaction no watchdog sees; it must not reach
+    {!end_read} or {!end_update}. *)
+val unwatched : token
 
 (** [end_read t token ~id ~site ~now ?fence ~reads] — the read-only
-    transaction finished: validate its reads, check the captured inversion
-    floors, audit the fence claim, then raise the floors it pins (its
-    snapshot; also the session fence floor for a [Session_seq] claim). *)
+    transaction finished: validate [reads], the reads it was served, check
+    the captured inversion floors, audit the fence claim, then raise the
+    floors it pins (its snapshot; also the session fence floor for a
+    [Session_seq] claim). *)
 val end_read :
   ?fence:History.fence_claim ->
   t ->
@@ -165,7 +161,7 @@ val end_read :
   id:int ->
   site:string ->
   now:float ->
-  reads:(string * string option) list ->
+  reads:History.reads ->
   unit
 
 (** [end_update t token ~id ~now ~commit ~snapshot ~reads] — the
@@ -183,7 +179,7 @@ val end_update :
   now:float ->
   commit:(Timestamp.t * Wal.update list) option ->
   snapshot:Timestamp.t ->
-  reads:(string * string option) list ->
+  reads:History.reads ->
   unit
 
 (** [release t token] — the transaction ended without finishing (its body

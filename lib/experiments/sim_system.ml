@@ -274,26 +274,22 @@ let note_completion st ~t0 ~is_update =
   let now = Engine.now st.eng in
   Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
 
-(* Runs [ops] in [txn]; the values read, in operation order, when [track]. *)
-let run_ops db txn ~track ops =
-  let run reads = function
-    | Txn_gen.Read_op key ->
-      let v = Mvcc.read db txn key in
-      if track then (key, v) :: reads else reads
-    | Txn_gen.Write_op (key, value) ->
-      Mvcc.write db txn key (Some value);
-      reads
-  in
-  List.rev (List.fold_left run [] ops)
+(* Runs [ops] in [mtxn], serving each value read to the core's [txn]. *)
+let run_ops db mtxn txn ops =
+  List.iter
+    (function
+      | Txn_gen.Read_op key ->
+        Replica_set.read_served txn key (Mvcc.read db mtxn key)
+      | Txn_gen.Write_op (key, value) -> Mvcc.write db mtxn key (Some value))
+    ops
 
 (* An update submitted at [t0], retried until it commits, then [k ()]. *)
 let execute_update st rng label spec ~t0 k =
   let p = st.cfg.params in
   let primary = Replica_set.primary st.rs in
   let db = Primary.db primary in
-  let track = Replica_set.tracking st.rs in
   let ops = spec.Txn_gen.ops in
-  (* One token for the whole retry loop: only the committed attempt becomes
+  (* One record for the whole retry loop: only the committed attempt becomes
      a transaction. *)
   let txn = Replica_set.begin_update st.rs ~session:label in
   let rec attempt () =
@@ -303,21 +299,23 @@ let execute_update st rng label spec ~t0 k =
     let force_abort = Rng.bernoulli rng ~p:p.Params.abort_prob in
     let ptxn = Primary.start primary in
     serve st st.primary_res (List.length ops) (fun () ->
-        let reads = run_ops db ptxn.Primary.mvcc ~track ops in
+        run_ops db ptxn.Primary.mvcc txn ops;
         match Primary.finish primary ~force_abort ptxn () with
         | Primary.Committed _ as outcome ->
           (* Nothing runs between the primary commit and here, so the core
              sees commits in commit-timestamp order. *)
-          Replica_set.finish_update st.rs txn ~session:label ~reads outcome;
+          Replica_set.finish_update st.rs txn outcome;
           note_completion st ~t0 ~is_update:true;
           k ()
         | Primary.Aborted (Mvcc.Write_conflict _) ->
           (* A real conflict under the first-committer-wins rule (key skew);
              restart like any other abort to maintain the offered load. *)
           Metrics.note_fcw_abort st.metrics ~now:(Engine.now st.eng);
+          Replica_set.retry txn;
           attempt ()
         | Primary.Aborted Mvcc.Forced ->
           Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
+          Replica_set.retry txn;
           attempt ())
   in
   attempt ()
@@ -325,28 +323,22 @@ let execute_update st rng label spec ~t0 k =
 (* A read from its snapshot to its completion, then [k ()]; run once the
    site's seq(DBsec) has reached [required ()]. *)
 let run_read ?fence st site label spec ~read_at ~required ~t0 k =
-  let sec = secondary st site in
-  let sdb = Secondary.db sec in
-  let snapshot = Secondary.seq_dbsec sec in
-  (* The seq floor this read is held to (-1 = unfenced), recorded so replay
-     can show the claim the fence audit later judges. Taken with the
-     snapshot: a pooled session's floor can rise while the operations run. *)
-  let fence_seq = match fence with None -> -1 | Some _ -> required () in
-  (* Taken in the event that found [required ()] reached: the watchdog's
+  let sdb = Secondary.db (secondary st site) in
+  (* Begun in the event that found [required ()] reached: the watchdog's
      captured floors equal the post-hoc sweep's floors at the first
-     operation. The snapshot's freshness reaches [metrics] through the
-     [on_read] hook. *)
+     operation, and the fence floor is taken with the snapshot, as a pooled
+     session's floor can rise while the operations run. The snapshot's
+     freshness reaches [metrics] through the [on_read] hook. *)
   let txn =
     Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
-      ~snapshot
+      ~read_at ~required
   in
   let mtxn = Mvcc.begin_txn sdb in
   let ops = spec.Txn_gen.ops in
   serve st site.res (List.length ops) (fun () ->
-      let reads = run_ops sdb mtxn ~track:(Replica_set.tracking st.rs) ops in
+      run_ops sdb mtxn txn ops;
       Mvcc.end_read sdb mtxn;
-      Replica_set.finish_read ?fence st.rs txn ~session:label ~site:site.index
-        ~snapshot ~read_at ~fence_seq ~reads;
+      Replica_set.finish_read st.rs txn;
       note_completion st ~t0 ~is_update:false;
       k ())
 
@@ -354,10 +346,7 @@ let run_read ?fence st site label spec ~read_at ~required ~t0 k =
 let execute_read ?fence st site label spec ~t0 k =
   let read_at = Engine.now st.eng in
   if Option.is_some fence then Metrics.note_fenced_read st.metrics;
-  let required =
-    Session.read_threshold ?fence (Replica_set.sessions st.rs)
-      ~clock:(Replica_set.clock st.rs) ~now:read_at ~label
-  in
+  let required = Replica_set.read_threshold ?fence st.rs ~session:label in
   let seq_dbsec = Secondary.seq_dbsec (secondary st site) in
   if Timestamp.compare (required ()) seq_dbsec <= 0 then
     run_read ?fence st site label spec ~read_at ~required ~t0 k

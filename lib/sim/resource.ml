@@ -35,9 +35,8 @@ type t = {
   mutable ps_seq : int;
   mutable completion : Engine.handle option;
   on_completion : unit -> unit;
-  (* Queueing telemetry: per-job tallies recorded at completion. *)
-  mutable arrivals : int;
-  mutable completions : int;
+  (* Queueing telemetry: per-job tallies recorded at completion; their
+     count is the number of completions. *)
   wait : Stat.t;  (* sojourn minus service demand, per completed job *)
   service : Stat.t;  (* service demand per completed job *)
 }
@@ -60,16 +59,11 @@ let advance_area t =
     c.queue_area <- c.queue_area +. (float_of_int (raw_jobs t) *. elapsed);
   c.last_area_update <- now
 
-let note_arrival t =
-  advance_area t;
-  t.arrivals <- t.arrivals + 1
-
 (* Per-job tallies, recorded once at completion. Waiting time is the sojourn
    beyond the job's own service demand: the slowdown from sharing the
    server. *)
 let note_completion_values t ~amount ~arrived =
   advance_area t;
-  t.completions <- t.completions + 1;
   let sojourn = Engine.now t.eng -. arrived in
   Stat.record t.service amount;
   Stat.record t.wait (Float.max 0. (sojourn -. amount))
@@ -132,7 +126,7 @@ let ps_complete t =
   ps_reschedule t
 
 let ps_use t amount k =
-  note_arrival t;
+  advance_area t;
   ps_advance t;
   let job =
     {
@@ -172,8 +166,6 @@ let create ?(name = "resource") eng =
       ps_seq = 0;
       completion = None;
       on_completion = (fun () -> ps_complete t);
-      arrivals = 0;
-      completions = 0;
       wait = Stat.create ();
       service = Stat.create ();
     }
@@ -215,8 +207,11 @@ let busy_time t =
 (* --- Telemetry ------------------------------------------------------------- *)
 
 let name t = t.name
-let arrivals t = t.arrivals
-let completions t = t.completions
+let completions t = Stat.count t.service
+
+(* Every arrival has completed or is still in the heap. *)
+let arrivals t = completions t + raw_jobs t
+
 let wait_stat t = t.wait
 let service_stat t = t.service
 
@@ -236,14 +231,15 @@ let mean_queue_length t =
 
 let throughput t =
   let now = Engine.now t.eng in
-  if now <= 0. then 0. else float_of_int t.completions /. now
+  if now <= 0. then 0. else float_of_int (completions t) /. now
 
 let littles_law_gap t =
-  if t.completions = 0 || Engine.now t.eng <= 0. then None
+  let completions = completions t in
+  if completions = 0 || Engine.now t.eng <= 0. then None
   else begin
     let l = mean_queue_length t in
     let lam = throughput t in
-    let w = (Stat.total t.wait +. Stat.total t.service) /. float_of_int t.completions in
+    let w = (Stat.total t.wait +. Stat.total t.service) /. float_of_int completions in
     let lw = lam *. w in
     let scale = Float.max l lw in
     if scale <= 0. then Some 0. else Some (Float.abs (l -. lw) /. scale)

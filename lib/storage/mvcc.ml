@@ -245,9 +245,12 @@ let read t txn key =
   let own = own_write txn key in
   if own == no_write then snapshot_read t ~at:txn.start_ts key else own.value
 
-let write _t txn key value =
+(* The update keeps the store's own key string when the store holds the key,
+   so the logs, the commit lists and a run's history share it instead of
+   keeping the writer's copy alive. *)
+let write t txn key value =
   require_active txn "write";
-  let update = { Wal.key; value } in
+  let update = { Wal.key = stored_key t key; value } in
   (match (txn.writes, txn.effective) with
   | [], Some whole -> txn.writes <- List.rev whole (* written whole so far *)
   | _ -> ());

@@ -85,11 +85,14 @@ val read : t -> txn -> string -> string option
 (** [stored_key t key] is the store's own copy of [key]: the string its
     installed cell holds, which is [String.equal] to [key], or [key] itself
     when [key] was never installed. A record that keeps it, as a run's
-    history does for every read, shares the store's string instead of
-    keeping the caller's copy alive. Allocates nothing. *)
+    history does for every read and {!write} for every update, shares the
+    store's string instead of keeping the caller's copy alive. Allocates
+    nothing. *)
 val stored_key : t -> string -> string
 
-(** [write t txn key value] buffers an update ([None] deletes). Never
+(** [write t txn key value] buffers an update ([None] deletes). The update
+    holds {!stored_key} [t key], so what the commit installs, logs and
+    keeps shares the store's string for a key it already holds. Never
     blocks. @raise Invalid_argument if [txn] is no longer active. *)
 val write : t -> txn -> string -> string option -> unit
 

@@ -6,6 +6,28 @@
 open Lsr_storage
 open Lsr_core
 
+(* A record's [(read_keys, read_values)] from (key, observed value) pairs,
+   oldest first. *)
+let reads_of_list reads =
+  (Array.of_list (List.map fst reads), Array.of_list (List.map snd reads))
+
+(* A record's reads as (key, observed value) pairs, oldest first. *)
+let read_list (t : History.txn) =
+  List.combine (Array.to_list t.read_keys) (Array.to_list t.read_values)
+
+(* (key, observed value) pairs, oldest first, as the buffer the watchdog's
+   end hooks judge. *)
+let served_of_list reads =
+  let r = History.reads () in
+  List.iter (fun (key, value) -> History.serve r key value) reads;
+  r
+
+(* A record's reads as that buffer, for replaying a history into a
+   watchdog. *)
+let served (t : History.txn) =
+  { History.count = Array.length t.read_keys; keys = t.read_keys;
+    values = t.read_values }
+
 let commit_exn db txn =
   match Mvcc.commit db txn with
   | Mvcc.Committed cts -> cts
@@ -21,7 +43,7 @@ let record_serial h db ~session ~template ~reads ~writes =
   let pending = Mvcc.pending_writes txn in
   let cts = commit_exn db txn in
   let id = History.fresh_id h in
-  let read_keys, read_values = History.reads_of_list observed in
+  let read_keys, read_values = reads_of_list observed in
   History.add h
     {
       History.id = id;
@@ -65,7 +87,7 @@ let write_skew_history () =
   let c2 = commit_exn db t2 in
   let add ~session ~first_op ~cts ~reads ~writes =
     let id = History.fresh_id h in
-    let read_keys, read_values = History.reads_of_list reads in
+    let read_keys, read_values = reads_of_list reads in
     History.add h
       {
         History.id = id;

@@ -114,7 +114,7 @@ let check_weak_si history =
                 (match expected with Some v -> v | None -> "<none>")
               :: !violations
         end)
-      (History.read_list t)
+      (Fixtures.read_list t)
   in
   let rec sweep pending_updates = function
     | [] -> ()
@@ -195,7 +195,7 @@ let serialization_cycle history =
               (match next with
               | Some (_, overwriter) -> add_edge t.id overwriter
               | None -> ()))
-        (History.read_list t))
+        (Fixtures.read_list t))
     txns;
   let color = Hashtbl.create 64 in
   let cycle = ref None in

@@ -10,7 +10,11 @@
    module but [Replica_set] runs the end-of-run verdict's checks, builds
    a fault channel, which the replica set owns per secondary, or reads
    freshness or lag off the commit clock, which it measures once per read
-   and per refresh commit and hands to the driver's hooks. The protocol's
+   and per refresh commit and hands to the driver's hooks; and when any
+   module but [Replica_set] resolves a read's threshold or moves a
+   session's seq(c), read floor or the commit clock, so a driver asks the
+   core for a threshold and each transaction's session bookkeeping happens
+   once, in its begin and finish hooks. The protocol's
    moves change replication state in one place, [Replica_set.fire]: no
    other module polls the log, drives a link, builds a replica,
    enqueues a record, steps a refresher or commits a pending queue's head,
@@ -53,6 +57,10 @@ let rules =
       [ "Checker.analyze"; "Checker.check_completeness";
         "Checker.same_state"; "Channel.create"; "Session.clock_freshness";
         "Session.clock_time_of" ] );
+    ( [ "replica_set.ml" ],
+      "Replica_set",
+      [ "Session.read_threshold"; "Session.note_read";
+        "Session.note_update_commit"; "Session.clock_note" ] );
     ( [ "replica_set.ml" ],
       "Replica_set.fire",
       [ "Propagation.create"; "Propagation.poll"; "Channel.send";

@@ -36,7 +36,7 @@ let record_update h ~session ~reads ~writes db body =
   let pending = Mvcc.pending_writes txn in
   match Mvcc.commit db txn with
   | Mvcc.Committed cts ->
-    let read_keys, read_values = History.reads_of_list observed in
+    let read_keys, read_values = Fixtures.reads_of_list observed in
     History.add h
       {
         History.id = History.fresh_id h;
@@ -84,8 +84,8 @@ let test_write_skew_not_serializable () =
   let c1 = match Mvcc.commit db t1 with Mvcc.Committed c -> c | _ -> assert false in
   let first_op2 = History.tick h in
   let c2 = match Mvcc.commit db t2 with Mvcc.Committed c -> c | _ -> assert false in
-  let keys1, values1 = History.reads_of_list r1 in
-  let keys2, values2 = History.reads_of_list r2 in
+  let keys1, values1 = Fixtures.reads_of_list r1 in
+  let keys2, values2 = Fixtures.reads_of_list r2 in
   History.add h
     {
       History.id = History.fresh_id h;
@@ -255,7 +255,7 @@ let prop_one_sr_serializable =
                 (observed, Mvcc.pending_writes txn))
           with
           | Ok ((observed, pending), cts) ->
-            let read_keys, read_values = History.reads_of_list observed in
+            let read_keys, read_values = Fixtures.reads_of_list observed in
             History.add h
               {
                 History.id = History.fresh_id h;

@@ -213,17 +213,22 @@ let test_report_json_roundtrip () =
 
 (* Randomly interleaved executions over raw MVCC: a scheduler begins up to
    three concurrent transactions (each executing one instantiated template
-   through the SQL executor, reads recorded by the handle) and commits them
+   through the SQL executor, reads reported by the handle) and commits them
    in random order. First-committer-wins aborts are dropped, matching the
    committed-transactions-only serialization graph. *)
 
 type live = {
   txn : Mvcc.txn;
-  handle : Handle.t;
+  reads : (string * string option) list ref;  (* newest first *)
   template : Template.t;
   first_op : int;
   snapshot : Timestamp.t;
 }
+
+(* A handle on [txn] whose reads go to the returned list, newest first. *)
+let recording_handle db txn =
+  let reads = ref [] in
+  (Handle.make ~on_read:(fun k v -> reads := (k, v) :: !reads) db txn, reads)
 
 let exec_all handle stmts =
   List.iter
@@ -231,7 +236,7 @@ let exec_all handle stmts =
     stmts
 
 let finish db h mapping (l : live) =
-  let read_keys, read_values = History.reads_of_list (Handle.reads l.handle) in
+  let read_keys, read_values = Fixtures.reads_of_list (List.rev !(l.reads)) in
   if l.template.Template.read_only then begin
     Mvcc.end_read db l.txn;
     let id = History.fresh_id h in
@@ -286,12 +291,12 @@ let run_schedule ~seed ~init ~templates ~bind =
   let first_op = History.tick h in
   let snapshot = Mvcc.latest_commit_ts db in
   let txn = Mvcc.begin_txn db in
-  let handle = Handle.make db txn in
+  let handle, reads = recording_handle db txn in
   exec_all handle init;
   finish db h mapping
     {
       txn;
-      handle;
+      reads;
       template =
         { Template.name = "init"; statements = []; read_only = false;
           footprint = Symbolic.empty };
@@ -315,9 +320,9 @@ let run_schedule ~seed ~init ~templates ~bind =
       let first_op = History.tick h in
       let snapshot = Mvcc.latest_commit_ts db in
       let txn = Mvcc.begin_txn db in
-      let handle = Handle.make db txn in
+      let handle, reads = recording_handle db txn in
       exec_all handle (Template.instantiate t binding);
-      live := { txn; handle; template = t; first_op; snapshot } :: !live
+      live := { txn; reads; template = t; first_op; snapshot } :: !live
     end
     else begin
       let i = Lsr_sim.Rng.uniform rng ~lo:0 ~hi:(List.length !live - 1) in

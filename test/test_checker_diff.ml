@@ -93,7 +93,7 @@ let gen_history seed =
           end
         in
         let writes = if commit_ts = None then [] else writes in
-        let read_keys, read_values = History.reads_of_list reads in
+        let read_keys, read_values = Fixtures.reads_of_list reads in
         History.add h
           {
             History.id = History.fresh_id h;

@@ -788,7 +788,7 @@ let test_fence_max_age_threshold () =
 
 let mk_txn ~id ~session ~kind ~first_op ~finished ~snapshot ?commit_ts
     ?(reads = []) ?(writes = []) ?fence () =
-  let read_keys, read_values = History.reads_of_list reads in
+  let read_keys, read_values = Fixtures.reads_of_list reads in
   {
     History.id;
     session;
@@ -990,23 +990,21 @@ let test_checker_fence_edge_cases () =
         match t.History.kind with
         | History.Read_only ->
           let tok =
-            Watchdog.begin_read w ~tick:t.History.first_op
-              ~session:t.History.session ~snapshot:t.History.snapshot
+            Watchdog.begin_read w ~session:t.History.session ~snapshot:t.History.snapshot
           in
           Watchdog.end_read ?fence:t.History.fence w tok ~id:t.History.id
             ~site:t.History.site
             ~now:(float_of_int t.History.finished)
-            ~reads:(History.read_list t)
+            ~reads:(Fixtures.served t)
         | History.Update ->
           let tok =
-            Watchdog.begin_update w ~tick:t.History.first_op
-              ~session:t.History.session
+            Watchdog.begin_update w ~session:t.History.session
           in
           Watchdog.end_update w tok ~id:t.History.id
             ~now:(float_of_int t.History.finished)
             ~commit:
               (Option.map (fun ts -> (ts, t.History.writes)) t.History.commit_ts)
-            ~snapshot:t.History.snapshot ~reads:(History.read_list t))
+            ~snapshot:t.History.snapshot ~reads:(Fixtures.served t))
       txns;
     (Watchdog.verdict w).Watchdog.fence_failures
   in
@@ -1789,7 +1787,9 @@ let test_system_row_api () =
 let test_handle_schema_and_reads () =
   let db = Mvcc.create () in
   let txn = Mvcc.begin_txn db in
-  let h = Handle.make ~schema:[ ("books", [ "genre" ]) ] db txn in
+  let reads = ref [] in
+  let on_read key value = reads := (key, value) :: !reads in
+  let h = Handle.make ~schema:[ ("books", [ "genre" ]) ] ~on_read db txn in
   Alcotest.(check (list string)) "indexed fields" [ "genre" ]
     (Handle.indexed_fields h ~table:"books");
   Alcotest.(check (list string)) "unknown table has none" []
@@ -1797,10 +1797,10 @@ let test_handle_schema_and_reads () =
   ignore (Handle.get h "missing");
   Handle.put h "k" "v";
   ignore (Handle.get h "k");
-  (* Reads are recorded in order, including read-your-writes. *)
-  match Handle.reads h with
+  (* Each read reaches the callback in order, read-your-writes included. *)
+  match List.rev !reads with
   | [ ("missing", None); ("k", Some "v") ] -> ()
-  | reads -> Alcotest.failf "unexpected recorded reads (%d)" (List.length reads)
+  | reads -> Alcotest.failf "unexpected reported reads (%d)" (List.length reads)
 
 (* The history keeps the store's own copy of each key read, not the
    caller's: the update's read shares the primary's key, the read-only
@@ -1827,8 +1827,15 @@ let test_history_keeps_store_key () =
   System.read sys c (fun h ->
       ignore (Handle.get h probe);
       ignore (Handle.get h absent));
+  (match System.update sys c (fun h -> Handle.put h (fresh ()) "v2") with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "rewrite failed");
   match History.transactions (System.history sys) with
-  | [ _; update; read ] ->
+  | [ _; update; read; rewrite ] ->
+    check_bool "a rewrite's write shares the primary's key" true
+      (match rewrite.History.writes with
+      | [ { Wal.key; _ } ] -> key == installed
+      | _ -> false);
     check_bool "the update's read shares the primary's key" true
       (update.History.read_keys.(0) == installed);
     check_bool "the read shares the secondary's key" true
@@ -1837,8 +1844,41 @@ let test_history_keeps_store_key () =
       (read.History.read_keys.(1) == absent);
     Alcotest.(check (list (pair string (option string))))
       "the values observed" [ (installed, Some "v0"); (absent, None) ]
-      (History.read_list read)
+      (Fixtures.read_list read)
   | txns -> Alcotest.failf "%d transactions recorded" (List.length txns)
+
+(* A retried update is one transaction: the core drops an aborted
+   attempt's reads, so the record holds only the committed attempt's. *)
+let test_retry_keeps_committed_reads () =
+  let rs =
+    Replica_set.create
+      ~on_refresh_commit:(fun _ _ _ -> ())
+      ~on_read:(fun _ ~age:_ ~missed:_ -> ())
+      ~faults:None ~ship_aborted:false
+      ~sinks:{ Lsr_obs.Sinks.obs = Lsr_obs.Obs.null; flight = Lsr_obs.Flight.null }
+      ~record_history:true ~watchdog:true ~sites:1 Session.Strong_session
+  in
+  let primary = Replica_set.primary rs in
+  let db = Primary.db primary in
+  let txn = Replica_set.begin_update rs ~session:"c" in
+  let attempt ~force_abort key =
+    let ptxn = Primary.start primary in
+    Replica_set.read_served txn key (Mvcc.read db ptxn.Primary.mvcc key);
+    Mvcc.write db ptxn.Primary.mvcc "w" (Some key);
+    Primary.finish primary ~force_abort ptxn ()
+  in
+  (match attempt ~force_abort:true "k1" with
+  | Primary.Aborted _ -> Replica_set.retry txn
+  | Primary.Committed _ -> Alcotest.fail "forced abort committed");
+  Replica_set.finish_update rs txn (attempt ~force_abort:false "k2");
+  (match History.transactions (Replica_set.history rs) with
+  | [ t ] ->
+    Alcotest.(check (list (pair string (option string))))
+      "the committed attempt's reads" [ ("k2", None) ] (Fixtures.read_list t)
+  | txns -> Alcotest.failf "%d transactions recorded" (List.length txns));
+  match Replica_set.check rs with
+  | [], _ -> ()
+  | errors, _ -> Alcotest.fail (String.concat "; " errors)
 
 let test_system_crash_recovery () =
   let sys = System.create ~secondaries:2 ~guarantee:Session.Strong_session () in
@@ -2179,6 +2219,8 @@ let () =
             test_handle_schema_and_reads;
           Alcotest.test_case "the history keeps the store's key" `Quick
             test_history_keeps_store_key;
+          Alcotest.test_case "retry keeps committed reads"
+            `Quick test_retry_keeps_committed_reads;
           Alcotest.test_case "crash recovery" `Quick test_system_crash_recovery;
           Alcotest.test_case "recovery closes every start" `Quick
             test_system_recovery_closes_every_start;

@@ -32,19 +32,19 @@ let replay guarantee history =
     match (t.History.kind, first) with
     | History.Read_only, true ->
       Hashtbl.replace tokens id
-        (Watchdog.begin_read w ~tick:t.History.first_op ~session
+        (Watchdog.begin_read w ~session
            ~snapshot:t.History.snapshot)
     | History.Update, true ->
       Hashtbl.replace tokens id
-        (Watchdog.begin_update w ~tick:t.History.first_op ~session)
+        (Watchdog.begin_update w ~session)
     | History.Read_only, false ->
       Watchdog.end_read w (Hashtbl.find tokens id) ~id ~site:t.History.site
-        ~now ~reads:(History.read_list t)
+        ~now ~reads:(Fixtures.served t)
     | History.Update, false ->
       Watchdog.end_update w (Hashtbl.find tokens id) ~id ~now
         ~commit:
           (Option.map (fun ts -> (ts, t.History.writes)) t.History.commit_ts)
-        ~snapshot:t.History.snapshot ~reads:(History.read_list t)
+        ~snapshot:t.History.snapshot ~reads:(Fixtures.served t)
   in
   History.transactions history
   |> List.concat_map (fun (t : History.txn) ->
@@ -559,21 +559,21 @@ let test_retired_chain_reads_base () =
   let next_id = ref 0 in
   let fresh_id () = incr next_id; !next_id in
   let commit ts writes =
-    let tok = Watchdog.begin_update w ~tick:0 ~session:"writer" in
+    let tok = Watchdog.begin_update w ~session:"writer" in
     let id = fresh_id () in
     Watchdog.end_update w tok ~id ~now:(float_of_int id)
       ~commit:
         (Some
            (ts, List.map (fun (key, value) -> { Lsr_storage.Wal.key; value }) writes))
-      ~snapshot:(ts - 1) ~reads:[]
+      ~snapshot:(ts - 1) ~reads:(History.reads ())
   in
   (* The expected value of each key at [snapshot], read back from the
      mismatch alerts that observing a sentinel value raises. *)
   let expected ~snapshot keys =
     let id = fresh_id () in
-    let tok = Watchdog.begin_read w ~tick:0 ~session:"reader" ~snapshot in
+    let tok = Watchdog.begin_read w ~session:"reader" ~snapshot in
     Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
-      ~reads:(List.map (fun k -> (k, Some "<probe>")) keys);
+      ~reads:(Fixtures.served_of_list (List.map (fun k -> (k, Some "<probe>")) keys));
     List.filter_map
       (fun (a : Watchdog.alert) ->
         match a.Watchdog.kind with
@@ -615,27 +615,27 @@ let test_sweep_keeps_held_session () =
     Watchdog.create ~guarantee:Session.Strong_session ~sites:1 ()
   in
   let commit ~session ts =
-    let tok = Watchdog.begin_update w ~tick:0 ~session in
+    let tok = Watchdog.begin_update w ~session in
     Watchdog.end_update w tok ~id:ts ~now:(float_of_int ts)
       ~commit:(Some (ts, [ { Lsr_storage.Wal.key = session; value = Some "v" } ]))
-      ~snapshot:(ts - 1) ~reads:[]
+      ~snapshot:(ts - 1) ~reads:(History.reads ())
   in
   commit ~session:"s" 1;
-  let pin = Watchdog.begin_read w ~tick:0 ~session:"q" ~snapshot:1 in
+  let pin = Watchdog.begin_read w ~session:"q" ~snapshot:1 in
   (* 64 other sessions' floors, so the next retirement sweeps. *)
   for ts = 2 to 65 do
     commit ~session:(Printf.sprintf "o%d" ts) ts
   done;
-  let held = Watchdog.begin_read w ~tick:0 ~session:"s" ~snapshot:5 in
+  let held = Watchdog.begin_read w ~session:"s" ~snapshot:5 in
   let size = Watchdog.state_size w in
   Watchdog.note_refresh w ~site:0 ~seq:65;
   check_int "the horizon stops at the pinned snapshot" 1 (Watchdog.horizon w);
   check_int "its update retired (version and commit), its three floors swept"
     (size - 5) (Watchdog.state_size w);
-  Watchdog.end_read w held ~id:100 ~site:"secondary-0" ~now:100. ~reads:[];
-  let next = Watchdog.begin_read w ~tick:0 ~session:"s" ~snapshot:3 in
-  Watchdog.end_read w next ~id:101 ~site:"secondary-0" ~now:101. ~reads:[];
-  Watchdog.end_read w pin ~id:102 ~site:"secondary-0" ~now:102. ~reads:[];
+  Watchdog.end_read w held ~id:100 ~site:"secondary-0" ~now:100. ~reads:(History.reads ());
+  let next = Watchdog.begin_read w ~session:"s" ~snapshot:3 in
+  Watchdog.end_read w next ~id:101 ~site:"secondary-0" ~now:101. ~reads:(History.reads ());
+  Watchdog.end_read w pin ~id:102 ~site:"secondary-0" ~now:102. ~reads:(History.reads ());
   match Watchdog.alerts w with
   | [ { Watchdog.txn = 101;
         kind = Watchdog.Inversion { level = Watchdog.In_session; earlier = 100; floor = 5 };
@@ -653,14 +653,14 @@ let test_first_violation_triggers () =
   let w =
     Watchdog.create ~flight ~guarantee:Session.Strong_session ~sites:1 ()
   in
-  let tok = Watchdog.begin_update w ~tick:0 ~session:"a" in
+  let tok = Watchdog.begin_update w ~session:"a" in
   Watchdog.end_update w tok ~id:1 ~now:1.
     ~commit:(Some (1, [ { Lsr_storage.Wal.key = "k"; value = Some "v" } ]))
-    ~snapshot:0 ~reads:[];
+    ~snapshot:0 ~reads:(History.reads ());
   let read ~session ~id =
-    let tok = Watchdog.begin_read w ~tick:0 ~session ~snapshot:0 in
+    let tok = Watchdog.begin_read w ~session ~snapshot:0 in
     Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
-      ~reads:[]
+      ~reads:(History.reads ())
   in
   read ~session:"b" ~id:2;
   check_int "the other session's inversion is counted" 1
