@@ -4,14 +4,18 @@ type t = {
   db : Mvcc.t;
   txn : Mvcc.txn;
   schema : (string * string list) list;
-  on_read : string -> string option -> unit;
+  tracked : bool;
+  reads : History.reads;
 }
 
-let make ?(schema = []) ~on_read db txn = { db; txn; schema; on_read }
+let make ~schema ~tracked reads db txn = { db; txn; schema; tracked; reads }
+let txn t = t.txn
+let reads t = t.reads
+let served t key value = if t.tracked then History.serve t.reads key value
 
 let get t key =
   let value = Mvcc.read t.db t.txn key in
-  t.on_read key value;
+  served t key value;
   value
 
 let put t key value = Mvcc.write t.db t.txn key (Some value)
@@ -24,7 +28,7 @@ let table t name =
 let row_get t ~table:name ~pk =
   let key = Table.storage_key (table t name) ~pk in
   let encoded = Mvcc.read t.db t.txn key in
-  t.on_read key encoded;
+  served t key encoded;
   Option.map Row.decode encoded
 
 let row_put t ~table:name ~pk row = Table.insert (table t name) t.txn ~pk row
@@ -39,10 +43,11 @@ let row_update t ~table ~pk f =
 
 (* Each visible row counts as a read, so the checker can validate scans. *)
 let served_rows t tbl rows =
-  List.iter
-    (fun (pk, row) ->
-      t.on_read (Table.storage_key tbl ~pk) (Some (Row.encode row)))
-    rows;
+  if t.tracked then
+    List.iter
+      (fun (pk, row) ->
+        History.serve t.reads (Table.storage_key tbl ~pk) (Some (Row.encode row)))
+      rows;
   rows
 
 let row_scan t ~table:name ~where =

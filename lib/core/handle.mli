@@ -1,35 +1,43 @@
 (** Transaction handle given to client code by {!System}.
 
-    Wraps one open {!Lsr_storage.Mvcc} transaction and hands every value it
-    reads, as it reads it, to the callback it was made with: {!System}'s
-    reports the read to the replica-set core ({!Replica_set.read_served}),
-    which judges and records it, so finished executions can be checked
-    against the SI definitions. The handle keeps no reads of its own. Both
+    Wraps one open {!Lsr_storage.Mvcc} transaction, which the replica-set
+    core opened ({!Replica_set.begin_update}, {!Replica_set.begin_read}),
+    and appends every value it reads, as it reads it, to the transaction's
+    read buffer ({!History.reads}), which the core judges and records, so
+    finished executions can be checked against the SI definitions. Both
     raw key-value and relational ({!Lsr_storage.Row}) access are provided. *)
 
 open Lsr_storage
 
 type t
 
-(** Used by {!System}; client code receives handles ready-made. [schema]
-    maps table names to their indexed fields (see {!Lsr_storage.Table});
-    tables not listed have no indexes. Each read calls [on_read key value],
-    in operation order: once per {!get} or {!row_get}, once per row a row
-    reader returns. *)
+(** [make ~schema ~tracked reads db txn] serves [txn] on [db]. Made by
+    {!Replica_set}; client code receives handles ready-made. [schema] maps
+    table names to their indexed fields (see {!Lsr_storage.Table}); tables
+    not listed have no indexes. With [tracked], each read is appended to
+    [reads], in operation order: once per {!get} or {!row_get}, once per
+    row a row reader returns. Without it, [reads] is never written. *)
 val make :
-  ?schema:(string * string list) list ->
-  on_read:(string -> string option -> unit) ->
+  schema:(string * string list) list ->
+  tracked:bool ->
+  History.reads ->
   Mvcc.t ->
   Mvcc.txn ->
   t
 
-(** {2 Key-value access (reads reported)} *)
+(** The MVCC transaction the handle serves. *)
+val txn : t -> Mvcc.txn
+
+(** The buffer the handle's reads land in. *)
+val reads : t -> History.reads
+
+(** {2 Key-value access (reads served)} *)
 
 val get : t -> string -> string option
 val put : t -> string -> string -> unit
 val del : t -> string -> unit
 
-(** {2 Relational access (reads reported)} *)
+(** {2 Relational access (reads served)} *)
 
 val row_get : t -> table:string -> pk:string -> Row.t option
 val row_put : t -> table:string -> pk:string -> Row.t -> unit

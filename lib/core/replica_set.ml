@@ -45,6 +45,7 @@ type t = {
   watchdog : Watchdog.t option;
   tracking : bool;  (* a history is recorded or a watchdog attached *)
   no_reads : History.reads;
+  schema : (string * string list) list;
   sinks : Sinks.t;
   now : unit -> float;
   on_read : int -> age:float -> missed:int -> unit;
@@ -68,7 +69,7 @@ let note_refresh watchdog i seq =
   | Some w -> Watchdog.note_refresh w ~site:i ~seq
   | None -> ()
 
-let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
+let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
     ~record_history ~watchdog ?(history = History.create ()) ~sites guarantee =
   let now =
     match now with
@@ -125,6 +126,7 @@ let create ?now ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
     watchdog;
     tracking = record_history || watchdog <> None;
     no_reads = History.reads ();
+    schema;
     sinks;
     now;
     on_read;
@@ -351,22 +353,24 @@ let rec fire t = function
 
 (* --- Transactions -------------------------------------------------------------- *)
 
-(* An update runs at the primary ([site] -1) and takes its snapshot from
-   its outcome. [reads] holds the reads served so far when [tracked]; the
+(* An update runs at the primary ([site] -1); its snapshot is the state its
+   current attempt started from. Its handle serves the MVCC transaction it
+   opened, and its reads land in the handle's buffer when [tracking]; the
    untracked share the core's [no_reads], which is never written. *)
 type txn = {
   token : Watchdog.token;
   first_op : int;
   session : string;
   site : int;
-  snapshot : Timestamp.t;
+  mutable snapshot : Timestamp.t;
   fence : History.fence_claim option;
   fence_seq : int;
-  tracked : bool;
-  reads : History.reads;
+  mutable handle : Handle.t;
 }
 
-let begin_txn t ~session ~site ~snapshot ~fence ~fence_seq =
+let handle txn = txn.handle
+
+let begin_txn t ~session ~site ~snapshot ~fence ~fence_seq db mvcc =
   let first_op = if t.tracking then History.tick t.history else 0 in
   let token =
     match t.watchdog with
@@ -375,32 +379,47 @@ let begin_txn t ~session ~site ~snapshot ~fence ~fence_seq =
     | None -> Watchdog.unwatched
   in
   { token; first_op; session; site; snapshot; fence; fence_seq;
-    tracked = t.tracking;
-    reads = (if t.tracking then History.reads () else t.no_reads) }
+    handle =
+      Handle.make ~schema:t.schema ~tracked:t.tracking
+        (if t.tracking then History.reads () else t.no_reads)
+        db mvcc }
 
+(* An attempt's snapshot is the primary's latest commit when it starts. *)
 let begin_update t ~session =
-  begin_txn t ~session ~site:(-1) ~snapshot:Timestamp.zero ~fence:None
-    ~fence_seq:(-1)
+  let db = Primary.db t.primary in
+  let snapshot = Mvcc.latest_commit_ts db in
+  begin_txn t ~session ~site:(-1) ~snapshot ~fence:None ~fence_seq:(-1) db
+    (Primary.start t.primary)
 
-let read_served txn key value =
-  if txn.tracked then History.serve txn.reads key value
-
-let retry txn = txn.reads.count <- 0
+let retry t u =
+  let db = Primary.db t.primary in
+  let reads = Handle.reads u.handle in
+  if t.tracking then reads.count <- 0;
+  u.snapshot <- Mvcc.latest_commit_ts db;
+  u.handle <-
+    Handle.make ~schema:t.schema ~tracked:t.tracking reads db
+      (Primary.start t.primary)
 
 (* Append [u]'s record. Each key read is the copy [db] holds (the driver's
    string only for a key [db] never installed), so the history keeps no key
    alive. *)
 let record t u ~db ~id ~finished ~kind ~site ~snapshot ~commit_ts ~writes =
   let read_keys, read_values =
-    History.recorded ~key:(Mvcc.stored_key db) u.reads
+    History.recorded ~key:(Mvcc.stored_key db) (Handle.reads u.handle)
   in
   History.add t.history
     { History.id; session = u.session; kind; site;
       first_op = u.first_op; finished; snapshot; commit_ts;
       read_keys; read_values; writes; fence = u.fence }
 
-let abandon t txn =
-  match t.watchdog with Some w -> Watchdog.release w txn.token | None -> ()
+let abandon t u =
+  (* A read-only transaction's abort only ends it. *)
+  let db =
+    if u.site < 0 then Primary.db t.primary
+    else Secondary.db t.sites.(u.site).replica
+  in
+  Mvcc.abort db (Handle.txn u.handle);
+  match t.watchdog with Some w -> Watchdog.release w u.token | None -> ()
 
 (* One id and finish tick per transaction, shared by the history record and
    the watchdog, so inversion witnesses are comparable across both; the id
@@ -408,34 +427,45 @@ let abandon t txn =
 let finish_id t = if t.tracking then History.fresh_id t.history else -1
 let finish_tick t = if t.tracking then History.tick t.history else 0
 
-let finish_update t u (outcome : _ Primary.outcome) =
-  let id = finish_id t in
-  let finished = finish_tick t in
-  let now = t.now () in
-  (match outcome with
-  | Primary.Committed { txn; commit_ts; writes; _ } ->
+(* The watchdog judges, and the history records, an update that committed
+   [writes] at [commit] ([None] for an abort). *)
+let finish_update t u ~id ~finished ~now ~snapshot ~commit ~writes =
+  (match t.watchdog with
+  | Some w ->
+    Watchdog.end_update w u.token ~id ~now ~commit ~snapshot
+      ~reads:(Handle.reads u.handle)
+  | None -> ());
+  if t.record_history then
+    record t u ~db:(Primary.db t.primary) ~id ~finished ~kind:History.Update
+      ~site:"primary" ~snapshot ~commit_ts:(Option.map fst commit) ~writes
+
+let commit ?(force_abort = false) t u =
+  let mvcc = Handle.txn u.handle in
+  match Primary.finish t.primary ~force_abort mvcc with
+  | Mvcc.Aborted reason -> Error reason
+  | Mvcc.Committed commit_ts ->
+    (* The updates the commit just installed, not computed again. *)
+    let writes = Mvcc.pending_writes mvcc in
+    let id = finish_id t in
+    let finished = finish_tick t in
+    let now = t.now () in
     Session.note_update_commit t.sessions ~label:u.session ~commit_ts;
     Session.clock_note t.clock ~commit_ts ~at:now;
     if Flight.enabled t.sinks.flight then
-      Flight.note_commit t.sinks.flight ~txn ~hid:id ~commit_ts
-        ~updates:(List.length writes)
-  | Primary.Aborted _ -> ());
-  if t.tracking then begin
-    (* An abort is judged and recorded at snapshot zero, and pins nothing. *)
-    let commit, snapshot, writes =
-      match outcome with
-      | Primary.Committed { commit_ts; snapshot; writes; _ } ->
-        (Some (commit_ts, writes), snapshot, writes)
-      | Primary.Aborted _ -> (None, Timestamp.zero, [])
-    in
-    (match t.watchdog with
-    | Some w ->
-      Watchdog.end_update w u.token ~id ~now ~commit ~snapshot ~reads:u.reads
-    | None -> ());
-    if t.record_history then
-      record t u ~db:(Primary.db t.primary) ~id ~finished ~kind:History.Update
-        ~site:"primary" ~snapshot ~commit_ts:(Option.map fst commit) ~writes
-  end
+      Flight.note_commit t.sinks.flight ~txn:(Mvcc.txn_id mvcc) ~hid:id
+        ~commit_ts ~updates:(List.length writes);
+    if t.tracking then
+      finish_update t u ~id ~finished ~now ~snapshot:u.snapshot
+        ~commit:(Some (commit_ts, writes)) ~writes;
+    Ok ()
+
+(* An abort is judged and recorded at snapshot zero, and pins nothing. *)
+let finish_aborted t u =
+  let id = finish_id t in
+  let finished = finish_tick t in
+  if t.tracking then
+    finish_update t u ~id ~finished ~now:(t.now ()) ~snapshot:Timestamp.zero
+      ~commit:None ~writes:[]
 
 let read_threshold ?fence t ~session =
   Session.read_threshold ?fence t.sessions ~clock:t.clock ~now:(t.now ())
@@ -444,7 +474,8 @@ let read_threshold ?fence t ~session =
 let begin_read ?fence ?read_at t ~session ~site ~required =
   (* Taken before the read raises its session's floor. *)
   let fence_seq = match fence with None -> -1 | Some _ -> required () in
-  let snapshot = Secondary.seq_dbsec t.sites.(site).replica in
+  let replica = t.sites.(site).replica in
+  let snapshot = Secondary.seq_dbsec replica in
   let age, missed = Session.clock_freshness t.clock ~snapshot ~now:(t.now ()) in
   t.on_read site ~age ~missed;
   if Obs.enabled t.sinks.obs then begin
@@ -461,10 +492,12 @@ let begin_read ?fence ?read_at t ~session ~site ~required =
       Some { History.claim; read_at }
     | None -> None
   in
-  begin_txn t ~session ~site ~snapshot ~fence ~fence_seq
+  let db = Secondary.db replica in
+  begin_txn t ~session ~site ~snapshot ~fence ~fence_seq db (Mvcc.begin_txn db)
 
 let finish_read t r =
   let s = t.sites.(r.site) in
+  Mvcc.end_read (Secondary.db s.replica) (Handle.txn r.handle);
   let id = finish_id t in
   let finished = finish_tick t in
   Flight.note_read t.sinks.flight ~site:s.fid ~hid:id ~session:r.session
@@ -473,7 +506,7 @@ let finish_read t r =
     (match t.watchdog with
     | Some w ->
       Watchdog.end_read ?fence:r.fence w r.token ~id ~site:s.name
-        ~now:(t.now ()) ~reads:r.reads
+        ~now:(t.now ()) ~reads:(Handle.reads r.handle)
     | None -> ());
     if t.record_history then
       record t r ~db:(Secondary.db s.replica) ~id ~finished

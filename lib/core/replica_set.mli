@@ -5,26 +5,28 @@
     {!Lsr_obs.Sinks}, and the site table — per secondary its current
     replica, its link from the propagator (a plain FIFO queue or a fault
     {!Channel}) and whether it is crashed or was ever recovered. Drivers
-    keep how transactions execute and wait; the core keeps each
-    transaction's record from its begin hook to its finish hook, takes
-    each read the driver serves, and does the bookkeeping once: history
-    ticks and ids, read thresholds, [seq(c)] and read floors, the commit
-    clock, read freshness and refresh lag, per-site freshness instruments,
-    flight events, watchdog tokens and the history record. {!check} is the
-    one end-of-run verdict both drivers report. The protocol's moves are
-    performed here ({!fire}) and nowhere else.
+    keep when transactions run and how they wait; the core opens, serves
+    and ends every client transaction: it opens the MVCC transaction (an
+    update's at the primary, a read's at its site's replica), hands the
+    driver a {!Handle.t} whose reads land in the transaction's record,
+    commits an update under first-committer-wins, and does the bookkeeping
+    once: history ticks and ids, read thresholds, [seq(c)] and read
+    floors, the commit clock, read freshness and refresh lag, per-site
+    freshness instruments, flight events, watchdog tokens and the history
+    record. {!check} is the one end-of-run verdict both drivers report.
+    The protocol's moves are performed here ({!fire}) and nowhere else.
 
     Ordering rules the hooks encode:
     - a history tick and its watchdog hook happen in one hook call, so no
       scheduler yield separates them;
     - the flight recorder notes a commit before the watchdog judges it, so a
       capture that commit triggers contains its witness;
-    - commits reach the watchdog in commit-timestamp order, provided the
-      driver calls {!finish_update} with no yield after the primary commit.
+    - commits reach the watchdog in commit-timestamp order: {!commit}
+      commits at the primary and judges the commit in one call.
 
     With no watchdog, history, registry or flight recorder attached, the
-    hooks allocate only the freshness and lag values they hand to the
-    driver.
+    hooks allocate only the transaction's record and handle and the
+    freshness and lag values they hand to the driver.
 
     Read freshness and refresh lag are computed here once per event, on the
     commit clock, and handed to the driver's [on_read] and
@@ -51,7 +53,9 @@ open Lsr_storage
 type t
 
 (** [create ~sinks ~record_history ~watchdog ~sites guarantee] is the core
-    of a system with [sites] secondaries ["secondary-<i>"]. [now] is the
+    of a system with [sites] secondaries ["secondary-<i>"]. [schema] maps
+    table names to their indexed fields for every {!Handle.t} it hands out
+    (none by default). [now] is the
     simulator's virtual clock: the flight recorder is bound to it and
     starts a new epoch. Without it the time axis is the history event
     counter, so [Max_age] fences, freshness samples and refresh lags count
@@ -72,6 +76,7 @@ type t
     stream split from [seed] in site order. *)
 val create :
   ?now:(unit -> float) ->
+  ?schema:(string * string list) list ->
   on_refresh_commit:(int -> Timestamp.t -> float option -> unit) ->
   on_read:(int -> age:float -> missed:int -> unit) ->
   faults:(Channel.config * int) option ->
@@ -151,30 +156,42 @@ val fire : t -> action -> fired
 
 (** {2 Transactions} *)
 
-(** A transaction between its begin and finish hooks: its watchdog token,
-    session, site, snapshot, fence claim and floor, and the reads it has
-    been served ({!read_served}). *)
+(** A client transaction from its begin to its end: its MVCC transaction
+    and the {!Handle.t} serving it, its watchdog token, session, site,
+    snapshot, fence claim and floor, and the reads it has been served. *)
 type txn
 
-(** An update of [session] starts; one record serves every retried attempt. *)
+(** An update of [session] starts, and with it the MVCC transaction of its
+    first attempt at the primary's latest committed state. One record
+    serves every retried attempt. *)
 val begin_update : t -> session:string -> txn
 
-(** [read_served txn key value]: the transaction read [key] and observed
-    [value]; kept only when a history is recorded or a watchdog attached. *)
-val read_served : txn -> string -> string option -> unit
+(** The handle serving the transaction's current attempt. Every read made
+    through it is kept in the record when a history is recorded or a
+    watchdog attached. *)
+val handle : txn -> Handle.t
+
+(** [commit t txn] commits the update's attempt under first-committer-wins;
+    [force_abort] aborts it instead (the paper's [abort_prob]). A commit
+    advances [seq(c)] and the commit clock, and the watchdog judges, and
+    the history records, the reads served since {!begin_update} or the last
+    {!retry}: the update is finished. An abort leaves it open, for {!retry}
+    or {!finish_aborted}. *)
+val commit :
+  ?force_abort:bool -> t -> txn -> (unit, Mvcc.abort_reason) result
 
 (** The update's attempt aborted and it runs again under the same record:
-    the reads served so far are dropped. *)
-val retry : txn -> unit
+    the reads served so far are dropped and the next attempt's MVCC
+    transaction starts; {!handle} serves it. *)
+val retry : t -> txn -> unit
 
-(** The update finished with [outcome]. A commit advances [seq(c)] and the
-    commit clock; an abort is recorded at snapshot zero and pins nothing.
-    The watchdog judges, and the history records, the reads served since
-    the begin hook or the last {!retry}. *)
-val finish_update : t -> txn -> _ Primary.outcome -> unit
+(** The update's attempt aborted and it runs no more: it is judged and
+    recorded at snapshot zero, and pins nothing. *)
+val finish_aborted : t -> txn -> unit
 
-(** The transaction's body raised: it ends unrecorded, and the watchdog
-    drops its pin and its hold on the session's floors. *)
+(** The transaction's body raised: its MVCC transaction aborts (a read's
+    just ends), it ends unrecorded, and the watchdog drops its pin and its
+    hold on the session's floors. *)
 val abandon : t -> txn -> unit
 
 (** The live seq(DBsec) threshold of a read-only transaction of [session]
@@ -190,13 +207,15 @@ val read_threshold :
     the commit clock — [age], how old its newest reflected primary commit
     is (0 when caught up), and [missed], the primary commits it does not
     reflect — goes to the driver's [on_read] hook and, with a registry
-    attached, to the site's instruments. *)
+    attached, to the site's instruments. Its MVCC transaction opens on the
+    site's replica; {!handle} serves it. *)
 val begin_read :
   ?fence:Session.fence -> ?read_at:float -> t -> session:string -> site:int ->
   required:(unit -> Timestamp.t) -> txn
 
-(** The read finished: the flight recorder notes it with its fence floor,
-    the watchdog judges it and the history records it. *)
+(** The read finished: its MVCC transaction ends, the flight recorder notes
+    it with its fence floor, the watchdog judges it and the history records
+    it. *)
 val finish_read : t -> txn -> unit
 
 (** {2 Verdict} *)

@@ -28,31 +28,25 @@ let () =
 
 type t = {
   core : Replica_set.t;
-  schema : (string * string list) list;
   mutable next_client : int;
   mutable blocked_reads : int;
 }
 
 type client = { label : string; secondary : int }
 
-let create ?(secondaries = 1) ?(schema = []) ?faults
+let create ?(secondaries = 1) ?schema ?faults
     ?(obs = Lsr_obs.Obs.null) ?(flight = Lsr_obs.Flight.null)
     ?(watchdog = false) ~guarantee () =
   if secondaries < 1 then invalid_arg "System.create: need at least 1 secondary";
   let core =
-    Replica_set.create
+    Replica_set.create ?schema
       ~on_refresh_commit:(fun _ _ _ -> ())
       ~on_read:(fun _ ~age:_ ~missed:_ -> ())
       ~faults ~ship_aborted:false
       ~sinks:{ Lsr_obs.Sinks.obs; flight }
       ~record_history:true ~watchdog ~sites:secondaries guarantee
   in
-  {
-    core;
-    schema;
-    next_client = 0;
-    blocked_reads = 0;
-  }
+  { core; next_client = 0; blocked_reads = 0 }
 
 let replica_set t = t.core
 let sessions t = Replica_set.sessions t.core
@@ -160,8 +154,8 @@ let compact t =
 
 (* --- Transactions ---------------------------------------------------------- *)
 
-(* A body raised (a failing SQL script does on purpose): the transaction is
-   not recorded, its watchdog token is released, and [exn] goes on up. *)
+(* A body raised (a failing SQL script does on purpose): the transaction
+   aborts unrecorded, its watchdog token is released, and [exn] goes on up. *)
 let abandon t txn exn =
   let bt = Printexc.get_raw_backtrace () in
   Replica_set.abandon t.core txn;
@@ -169,31 +163,19 @@ let abandon t txn exn =
 
 let update t client ?force_abort body =
   let txn = Replica_set.begin_update t.core ~session:client.label in
-  let on_read = Replica_set.read_served txn in
-  let outcome =
-    try
-      Primary.execute (primary t) ?force_abort (fun db mvcc_txn ->
-          body (Handle.make ~schema:t.schema ~on_read db mvcc_txn))
-    with exn -> abandon t txn exn
-  in
-  Replica_set.finish_update t.core txn outcome;
-  match outcome with
-  | Primary.Committed { value; _ } -> Ok value
-  | Primary.Aborted reason -> Error reason
+  let value = try body (Replica_set.handle txn) with exn -> abandon t txn exn in
+  match Replica_set.commit ?force_abort t.core txn with
+  | Ok () -> Ok value
+  | Error reason ->
+    Replica_set.finish_aborted t.core txn;
+    Error reason
 
-let run_read ?fence t client sec ~required body =
-  let db = Secondary.db sec in
+let run_read ?fence t client ~required body =
   let txn =
     Replica_set.begin_read ?fence t.core ~session:client.label
       ~site:client.secondary ~required
   in
-  let mvcc_txn = Mvcc.begin_txn db in
-  let h =
-    Handle.make ~schema:t.schema ~on_read:(Replica_set.read_served txn) db
-      mvcc_txn
-  in
-  let value = try body h with exn -> abandon t txn exn in
-  Mvcc.end_read db mvcc_txn;
+  let value = try body (Replica_set.handle txn) with exn -> abandon t txn exn in
   Replica_set.finish_read t.core txn;
   value
 
@@ -237,7 +219,7 @@ let read ?fence t client body =
              pumps = !pumps;
            })
   end;
-  run_read ?fence t client sec ~required body
+  run_read ?fence t client ~required body
 
 let read_nowait ?fence t client body =
   (* A crashed target is "cannot serve this read now" — the [None] case of
@@ -247,7 +229,7 @@ let read_nowait ?fence t client body =
     let required = threshold ?fence t client in
     let sec = secondary t client.secondary in
     if Timestamp.compare (required ()) (Secondary.seq_dbsec sec) <= 0 then
-      Some (run_read ?fence t client sec ~required body)
+      Some (run_read ?fence t client ~required body)
     else None
 
 (* --- Failures -------------------------------------------------------------- *)

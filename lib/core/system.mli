@@ -114,13 +114,17 @@ val migrate : t -> client -> int -> client
 
 (** {2 Transactions} *)
 
-(** [update t c body] forwards an update transaction to the primary. The
-    body runs against the primary copy via a recording {!Handle}. On commit,
-    the session's [seq(c)] advances to the new primary commit timestamp.
-    [force_abort] makes the transaction abort at commit (the simulator's
-    [abort_prob]); the caller sees [Error Forced]. A body that raises
-    aborts the transaction, which is not recorded; the exception goes on
-    up. The same holds for a raising {!read} body. *)
+(** [update t c body] forwards an update transaction to the primary: the
+    replica-set core opens it ({!Replica_set.begin_update}), [body] runs
+    against the primary copy through the core's recording {!Handle}, and
+    the core commits it ({!Replica_set.commit}); [Ok] carries the body's
+    value. On commit, the session's [seq(c)] advances to the new primary
+    commit timestamp. [force_abort] makes the transaction abort at commit
+    (the simulator's [abort_prob]); the caller sees [Error Forced], and the
+    abort is recorded. A body that raises aborts the transaction (the abort
+    record reaches the primary log), which is not recorded in the history;
+    the exception goes on up. The same holds for a raising {!read} body,
+    whose transaction ends. *)
 val update :
   t -> client -> ?force_abort:bool -> (Handle.t -> 'a) ->
   ('a, Mvcc.abort_reason) result

@@ -274,20 +274,18 @@ let note_completion st ~t0 ~is_update =
   let now = Engine.now st.eng in
   Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
 
-(* Runs [ops] in [mtxn], serving each value read to the core's [txn]. *)
-let run_ops db mtxn txn ops =
+(* Runs [ops] through the core's handle on [txn]. *)
+let run_ops txn ops =
+  let h = Replica_set.handle txn in
   List.iter
     (function
-      | Txn_gen.Read_op key ->
-        Replica_set.read_served txn key (Mvcc.read db mtxn key)
-      | Txn_gen.Write_op (key, value) -> Mvcc.write db mtxn key (Some value))
+      | Txn_gen.Read_op key -> ignore (Handle.get h key)
+      | Txn_gen.Write_op (key, value) -> Handle.put h key value)
     ops
 
 (* An update submitted at [t0], retried until it commits, then [k ()]. *)
 let execute_update st rng label spec ~t0 k =
   let p = st.cfg.params in
-  let primary = Replica_set.primary st.rs in
-  let db = Primary.db primary in
   let ops = spec.Txn_gen.ops in
   (* One record for the whole retry loop: only the committed attempt becomes
      a transaction. *)
@@ -297,25 +295,21 @@ let execute_update st rng label spec ~t0 k =
        the abort before the operations gives the same stream as drawing it
        after them. *)
     let force_abort = Rng.bernoulli rng ~p:p.Params.abort_prob in
-    let ptxn = Primary.start primary in
     serve st st.primary_res (List.length ops) (fun () ->
-        run_ops db ptxn.Primary.mvcc txn ops;
-        match Primary.finish primary ~force_abort ptxn () with
-        | Primary.Committed _ as outcome ->
-          (* Nothing runs between the primary commit and here, so the core
-             sees commits in commit-timestamp order. *)
-          Replica_set.finish_update st.rs txn outcome;
+        run_ops txn ops;
+        match Replica_set.commit ~force_abort st.rs txn with
+        | Ok () ->
           note_completion st ~t0 ~is_update:true;
           k ()
-        | Primary.Aborted (Mvcc.Write_conflict _) ->
+        | Error (Mvcc.Write_conflict _) ->
           (* A real conflict under the first-committer-wins rule (key skew);
              restart like any other abort to maintain the offered load. *)
           Metrics.note_fcw_abort st.metrics ~now:(Engine.now st.eng);
-          Replica_set.retry txn;
+          Replica_set.retry st.rs txn;
           attempt ()
-        | Primary.Aborted Mvcc.Forced ->
+        | Error Mvcc.Forced ->
           Metrics.note_abort st.metrics ~now:(Engine.now st.eng);
-          Replica_set.retry txn;
+          Replica_set.retry st.rs txn;
           attempt ())
   in
   attempt ()
@@ -323,7 +317,6 @@ let execute_update st rng label spec ~t0 k =
 (* A read from its snapshot to its completion, then [k ()]; run once the
    site's seq(DBsec) has reached [required ()]. *)
 let run_read ?fence st site label spec ~read_at ~required ~t0 k =
-  let sdb = Secondary.db (secondary st site) in
   (* Begun in the event that found [required ()] reached: the watchdog's
      captured floors equal the post-hoc sweep's floors at the first
      operation, and the fence floor is taken with the snapshot, as a pooled
@@ -333,11 +326,9 @@ let run_read ?fence st site label spec ~read_at ~required ~t0 k =
     Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
       ~read_at ~required
   in
-  let mtxn = Mvcc.begin_txn sdb in
   let ops = spec.Txn_gen.ops in
   serve st site.res (List.length ops) (fun () ->
-      run_ops sdb mtxn txn ops;
-      Mvcc.end_read sdb mtxn;
+      run_ops txn ops;
       Replica_set.finish_read st.rs txn;
       note_completion st ~t0 ~is_update:false;
       k ())

@@ -1,7 +1,9 @@
-(* Hand-built histories shared by the serialization-graph tests
-   (serializability_cases, test_checker_diff): the write-skew and serial
-   executions of the sign-off templates whose static verdict test_analysis
-   checks. *)
+(* Helpers shared by the test executables: read-buffer conversions, a
+   handle that keeps its reads, one update run straight at a primary, the
+   open-start scan of a primary log, and the hand-built histories of the
+   serialization-graph tests (serializability_cases, test_checker_diff):
+   the write-skew and serial executions of the sign-off templates whose
+   static verdict test_analysis checks. *)
 
 open Lsr_storage
 open Lsr_core
@@ -27,6 +29,36 @@ let served_of_list reads =
 let served (t : History.txn) =
   { History.count = Array.length t.read_keys; keys = t.read_keys;
     values = t.read_values }
+
+(* The first [count] reads of a buffer as (key, observed value) pairs,
+   oldest first. *)
+let served_list (r : History.reads) =
+  List.init r.count (fun i -> (r.keys.(i), r.values.(i)))
+
+(* A handle on [txn] that keeps every read it serves in its buffer
+   ([Handle.reads]). *)
+let handle ?(schema = []) db txn =
+  Handle.make ~schema ~tracked:true (History.reads ()) db txn
+
+(* Run [body db txn] as one update at [primary] ([Primary.start], then
+   [Primary.finish]) and return its commit timestamp. *)
+let primary_update primary body =
+  let txn = Primary.start primary in
+  body (Primary.db primary) txn;
+  match Primary.finish primary ~force_abort:false txn with
+  | Mvcc.Committed commit_ts -> commit_ts
+  | Mvcc.Aborted _ -> Alcotest.fail "unexpected primary abort"
+
+(* The transactions whose start record [wal] holds with no commit or abort
+   record after it. *)
+let open_starts wal =
+  let starts = Hashtbl.create 8 in
+  for i = 0 to Wal.length wal - 1 do
+    match Wal.entry wal i with
+    | Wal.Start { txn; _ } -> Hashtbl.replace starts txn ()
+    | Wal.Commit { txn; _ } | Wal.Abort { txn; _ } -> Hashtbl.remove starts txn
+  done;
+  List.sort compare (List.of_seq (Hashtbl.to_seq_keys starts))
 
 let commit_exn db txn =
   match Mvcc.commit db txn with

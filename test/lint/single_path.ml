@@ -18,7 +18,12 @@
    moves change replication state in one place, [Replica_set.fire]: no
    other module polls the log, drives a link, builds a replica,
    enqueues a record, steps a refresher or commits a pending queue's head,
-   so System and Sim_system fire the same transition relation. Every log
+   so System and Sim_system fire the same transition relation. A client
+   transaction has one path too: only [Replica_set] starts or finishes a
+   primary transaction, only it, [Primary] and [Secondary] (its refresh
+   transactions) open an MVCC transaction or end a read, and only
+   [Handle] and [Table] read or write through one, so neither driver
+   opens, serves, commits or ends a transaction itself. Every log
    record has a reader: only [Primary] creates a log, and only the two
    drivers, which know when no reader is left behind the propagation
    cursor, truncate it. The log has one writer and one reader: only
@@ -67,6 +72,11 @@ let rules =
         "Channel.tick"; "Channel.reset"; "Secondary.create";
         "Secondary.enqueue"; "Secondary.refresher_step";
         "Secondary.commit_head" ] );
+    ([ "replica_set.ml" ], "Replica_set", [ "Primary.start"; "Primary.finish" ]);
+    ( [ "replica_set.ml"; "primary.ml"; "secondary.ml" ],
+      "Replica_set / Primary / Secondary",
+      [ "Mvcc.begin_txn"; "Mvcc.end_read" ] );
+    ([ "handle.ml"; "table.ml" ], "Handle / Table", [ "Mvcc.read"; "Mvcc.write" ]);
     ([ "primary.ml" ], "Primary", [ "Wal.create" ]);
     ([ "mvcc.ml" ], "Mvcc", [ "Wal.append"; "Wal.squash" ]);
     ([ "propagation.ml" ], "Propagation", [ "Wal.read_from" ]);

@@ -219,16 +219,16 @@ let test_report_json_roundtrip () =
 
 type live = {
   txn : Mvcc.txn;
-  reads : (string * string option) list ref;  (* newest first *)
+  reads : History.reads;
   template : Template.t;
   first_op : int;
   snapshot : Timestamp.t;
 }
 
-(* A handle on [txn] whose reads go to the returned list, newest first. *)
+(* A handle on [txn] and the buffer its reads land in. *)
 let recording_handle db txn =
-  let reads = ref [] in
-  (Handle.make ~on_read:(fun k v -> reads := (k, v) :: !reads) db txn, reads)
+  let h = Fixtures.handle db txn in
+  (h, Handle.reads h)
 
 let exec_all handle stmts =
   List.iter
@@ -236,7 +236,7 @@ let exec_all handle stmts =
     stmts
 
 let finish db h mapping (l : live) =
-  let read_keys, read_values = Fixtures.reads_of_list (List.rev !(l.reads)) in
+  let read_keys, read_values = History.recorded ~key:Fun.id l.reads in
   if l.template.Template.read_only then begin
     Mvcc.end_read db l.txn;
     let id = History.fresh_id h in

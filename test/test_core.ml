@@ -25,12 +25,8 @@ let commit_exn db txn =
 
 (* Run an update transaction at a primary, returning its commit ts. *)
 let update_at primary writes =
-  match
-    Primary.execute primary (fun db txn ->
-        List.iter (fun (k, v) -> Mvcc.write db txn k v) writes)
-  with
-  | Primary.Committed { commit_ts; _ } -> commit_ts
-  | Primary.Aborted _ -> Alcotest.fail "unexpected primary abort"
+  Fixtures.primary_update primary (fun db txn ->
+      List.iter (fun (k, v) -> Mvcc.write db txn k v) writes)
 
 (* --- Propagation (Algorithm 3.1) ------------------------------------------------ *)
 
@@ -105,13 +101,10 @@ let test_propagation_ship_aborted () =
 let test_propagation_squashes_rewrites () =
   let primary = Primary.create () in
   let prop = Propagation.create (Primary.wal primary) in
-  (match
-     Primary.execute primary (fun db txn ->
+  ignore
+    (Fixtures.primary_update primary (fun db txn ->
          Mvcc.write db txn "x" (Some "first");
-         Mvcc.write db txn "x" (Some "second"))
-   with
-  | Primary.Committed _ -> ()
-  | Primary.Aborted _ -> Alcotest.fail "abort");
+         Mvcc.write db txn "x" (Some "second")));
   match Propagation.poll prop with
   | [ Wal.Start _; Wal.Commit { updates; _ } ] -> (
     match updates with
@@ -125,14 +118,11 @@ let test_propagation_squash_keeps_first_write_position () =
      transaction replays the list verbatim, so both halves matter. *)
   let primary = Primary.create () in
   let prop = Propagation.create (Primary.wal primary) in
-  (match
-     Primary.execute primary (fun db txn ->
+  ignore
+    (Fixtures.primary_update primary (fun db txn ->
          Mvcc.write db txn "x" (Some "first");
          Mvcc.write db txn "y" (Some "only");
-         Mvcc.write db txn "x" (Some "last"))
-   with
-  | Primary.Committed _ -> ()
-  | Primary.Aborted _ -> Alcotest.fail "abort");
+         Mvcc.write db txn "x" (Some "last")));
   match Propagation.poll prop with
   | [ Wal.Start _; Wal.Commit { updates; _ } ] ->
     let pairs = List.map (fun { Wal.key; value } -> (key, value)) updates in
@@ -1787,9 +1777,7 @@ let test_system_row_api () =
 let test_handle_schema_and_reads () =
   let db = Mvcc.create () in
   let txn = Mvcc.begin_txn db in
-  let reads = ref [] in
-  let on_read key value = reads := (key, value) :: !reads in
-  let h = Handle.make ~schema:[ ("books", [ "genre" ]) ] ~on_read db txn in
+  let h = Fixtures.handle ~schema:[ ("books", [ "genre" ]) ] db txn in
   Alcotest.(check (list string)) "indexed fields" [ "genre" ]
     (Handle.indexed_fields h ~table:"books");
   Alcotest.(check (list string)) "unknown table has none" []
@@ -1797,10 +1785,10 @@ let test_handle_schema_and_reads () =
   ignore (Handle.get h "missing");
   Handle.put h "k" "v";
   ignore (Handle.get h "k");
-  (* Each read reaches the callback in order, read-your-writes included. *)
-  match List.rev !reads with
+  (* Each read lands in the buffer in order, read-your-writes included. *)
+  match Fixtures.served_list (Handle.reads h) with
   | [ ("missing", None); ("k", Some "v") ] -> ()
-  | reads -> Alcotest.failf "unexpected reported reads (%d)" (List.length reads)
+  | reads -> Alcotest.failf "unexpected served reads (%d)" (List.length reads)
 
 (* The history keeps the store's own copy of each key read, not the
    caller's: the update's read shares the primary's key, the read-only
@@ -1858,23 +1846,28 @@ let test_retry_keeps_committed_reads () =
       ~sinks:{ Lsr_obs.Sinks.obs = Lsr_obs.Obs.null; flight = Lsr_obs.Flight.null }
       ~record_history:true ~watchdog:true ~sites:1 Session.Strong_session
   in
-  let primary = Replica_set.primary rs in
-  let db = Primary.db primary in
   let txn = Replica_set.begin_update rs ~session:"c" in
+  (* Each attempt reads [key] and writes it to "w" through the core's
+     handle, which serves the attempt's own MVCC transaction. *)
   let attempt ~force_abort key =
-    let ptxn = Primary.start primary in
-    Replica_set.read_served txn key (Mvcc.read db ptxn.Primary.mvcc key);
-    Mvcc.write db ptxn.Primary.mvcc "w" (Some key);
-    Primary.finish primary ~force_abort ptxn ()
+    let h = Replica_set.handle txn in
+    ignore (Handle.get h key);
+    Handle.put h "w" key;
+    Replica_set.commit ~force_abort rs txn
   in
   (match attempt ~force_abort:true "k1" with
-  | Primary.Aborted _ -> Replica_set.retry txn
-  | Primary.Committed _ -> Alcotest.fail "forced abort committed");
-  Replica_set.finish_update rs txn (attempt ~force_abort:false "k2");
+  | Error Mvcc.Forced -> Replica_set.retry rs txn
+  | Error _ | Ok () -> Alcotest.fail "forced abort did not abort");
+  (match attempt ~force_abort:false "k2" with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "retried attempt aborted");
   (match History.transactions (Replica_set.history rs) with
   | [ t ] ->
     Alcotest.(check (list (pair string (option string))))
-      "the committed attempt's reads" [ ("k2", None) ] (Fixtures.read_list t)
+      "the committed attempt's reads" [ ("k2", None) ] (Fixtures.read_list t);
+    Alcotest.(check (list (pair string (option string))))
+      "the committed attempt's writes" [ ("w", Some "k2") ]
+      (List.map (fun { Wal.key; value } -> (key, value)) t.History.writes)
   | txns -> Alcotest.failf "%d transactions recorded" (List.length txns));
   match Replica_set.check rs with
   | [], _ -> ()
@@ -1933,16 +1926,9 @@ let test_system_recovery_closes_every_start () =
   System.recover_secondary sys 0;
   update "c";
   System.pump sys;
-  let open_starts = Hashtbl.create 8 in
-  let wal = Mvcc.wal (System.primary_db sys) in
-  for i = 0 to Wal.length wal - 1 do
-    match Wal.entry wal i with
-    | Wal.Start { txn; _ } -> Hashtbl.replace open_starts txn ()
-    | Wal.Commit { txn; _ } | Wal.Abort { txn; _ } -> Hashtbl.remove open_starts txn
-  done;
   Alcotest.(check (list int))
     "every start closed" []
-    (List.of_seq (Hashtbl.to_seq_keys open_starts))
+    (Fixtures.open_starts (Mvcc.wal (System.primary_db sys)))
 
 let migration_scenario guarantee =
   (* A session updates, reads at an up-to-date secondary, then migrates to

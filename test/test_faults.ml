@@ -423,12 +423,8 @@ let restore ~primary b =
   fresh
 
 let update_primary primary writes =
-  match
-    Primary.execute primary (fun db txn ->
-        List.iter (fun (k, v) -> Mvcc.write db txn k v) writes)
-  with
-  | Primary.Committed { commit_ts; _ } -> commit_ts
-  | Primary.Aborted _ -> Alcotest.fail "unexpected primary abort"
+  Fixtures.primary_update primary (fun db txn ->
+      List.iter (fun (k, v) -> Mvcc.write db txn k v) writes)
 
 let test_recovery_stale_backup_converges () =
   let primary = Primary.create () in

@@ -346,7 +346,7 @@ let test_sql_soak_with_crash () =
   List.iter
     (fun db ->
       let txn = Mvcc.begin_txn db in
-      let h = Handle.make ~schema ~on_read:(fun _ _ -> ()) db txn in
+      let h = Fixtures.handle ~schema db txn in
       for grp = 0 to 3 do
         let by_index =
           Handle.row_lookup h ~table:"items" ~field:"grp" ~value:(Row.Int grp)

@@ -9,9 +9,6 @@ open Lsr_storage
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Handles made outside a system report their reads nowhere. *)
-let ignore_read _ _ = ()
-
 let parse_exn input =
   match Parser.parse input with
   | Ok stmt -> stmt
@@ -255,7 +252,7 @@ let prop_print_parse_roundtrip =
 let with_books f =
   let db = Mvcc.create () in
   let txn = Mvcc.begin_txn db in
-  let h = Lsr_core.Handle.make ~schema:[ ("books", [ "genre" ]) ] ~on_read:ignore_read db txn in
+  let h = Fixtures.handle ~schema:[ ("books", [ "genre" ]) ] db txn in
   let insert sql =
     match Sql.exec h sql with
     | Ok (Executor.Affected 1) -> ()
@@ -346,7 +343,7 @@ let test_exec_insert_replaces () =
 let test_exec_int_pk () =
   let db = Mvcc.create () in
   let txn = Mvcc.begin_txn db in
-  let h = Lsr_core.Handle.make ~on_read:ignore_read db txn in
+  let h = Fixtures.handle db txn in
   (match Sql.exec h "INSERT INTO nums (pk, v) VALUES (7, 'seven')" with
   | Ok (Executor.Affected 1) -> ()
   | Ok _ | Error _ -> Alcotest.fail "insert failed");
@@ -377,7 +374,7 @@ let test_exec_index_agrees_with_scan () =
 let test_exec_index_cross_type_equality () =
   let db = Mvcc.create () in
   let txn = Mvcc.begin_txn db in
-  let h = Lsr_core.Handle.make ~schema:[ ("t", [ "v" ]) ] ~on_read:ignore_read db txn in
+  let h = Fixtures.handle ~schema:[ ("t", [ "v" ]) ] db txn in
   let exec sql =
     match Sql.exec h sql with
     | Ok _ -> ()
@@ -422,9 +419,9 @@ let test_exec_index_randomized_identity () =
     let mk indexed =
       let db = Mvcc.create () in
       let txn = Mvcc.begin_txn db in
-      Lsr_core.Handle.make
+      Fixtures.handle
         ~schema:[ ("t", if indexed then [ "v" ] else [] ) ]
-        ~on_read:ignore_read db txn
+        db txn
     in
     let hi = mk true and hs = mk false in
     let stmts =
@@ -623,7 +620,7 @@ let prop_executor_index_plan_sound =
     (QCheck.make gen) (fun (rows, where) ->
       let db = Mvcc.create () in
       let txn = Mvcc.begin_txn db in
-      let h = Lsr_core.Handle.make ~schema:[ ("t", [ "grp" ]) ] ~on_read:ignore_read db txn in
+      let h = Fixtures.handle ~schema:[ ("t", [ "grp" ]) ] db txn in
       List.iter
         (fun (pk, (grp, has_v)) ->
           Lsr_core.Handle.row_put h ~table:"t" ~pk:(string_of_int pk)
@@ -656,7 +653,7 @@ let prop_executor_index_plan_sound =
         let matches row =
           let db2 = Mvcc.create () in
           let txn2 = Mvcc.begin_txn db2 in
-          let h2 = Lsr_core.Handle.make ~on_read:ignore_read db2 txn2 in
+          let h2 = Fixtures.handle db2 txn2 in
           Lsr_core.Handle.row_put h2 ~table:"one" ~pk:"x" row;
           match
             Executor.execute h2
@@ -679,7 +676,7 @@ let prop_group_by_partitions =
     (QCheck.make gen) (fun rows ->
       let db = Mvcc.create () in
       let txn = Mvcc.begin_txn db in
-      let h = Lsr_core.Handle.make ~on_read:ignore_read db txn in
+      let h = Fixtures.handle db txn in
       List.iter
         (fun (pk, grp) ->
           Lsr_core.Handle.row_put h ~table:"t" ~pk:(string_of_int pk)

@@ -512,7 +512,8 @@ let test_embedded_raising_body () =
   (* A read or update body that raises (as [Sql.run_script] does on a
      semantic error) must give its token back: a leaked pin holds the
      horizon where it was, and every later version stays unretired. The
-     failed transaction is not recorded. *)
+     failed transaction is not recorded, and the update's abort reaches the
+     primary log, so no start record is left open. *)
   let sys =
     System.create ~secondaries:1 ~guarantee:Session.Strong_session
       ~watchdog:true ()
@@ -547,6 +548,9 @@ let test_embedded_raising_body () =
     (Printf.sprintf "state retired (%d)" (Watchdog.state_size w))
     true
     (Watchdog.state_size w < 10);
+  Alcotest.(check (list int))
+    "every start closed" []
+    (Fixtures.open_starts (Lsr_storage.Mvcc.wal (System.primary_db sys)));
   match System.check sys with
   | Ok () -> ()
   | Error es -> Alcotest.failf "check failed: %s" (String.concat "; " es)
