@@ -497,7 +497,12 @@ let begin_read ?fence ?read_at t ~session ~site ~required =
 
 let finish_read t r =
   let s = t.sites.(r.site) in
-  Mvcc.end_read (Secondary.db s.replica) (Handle.txn r.handle);
+  (match Mvcc.end_read (Secondary.db s.replica) (Handle.txn r.handle) with
+  | () -> ()
+  | exception (Invalid_argument _ as exn) ->
+    (* A body wrote through its handle: free its token, or the horizon stops. *)
+    abandon t r;
+    raise exn);
   let id = finish_id t in
   let finished = finish_tick t in
   Flight.note_read t.sinks.flight ~site:s.fid ~hid:id ~session:r.session

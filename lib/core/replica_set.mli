@@ -215,7 +215,7 @@ val begin_read :
 
 (** The read finished: its MVCC transaction ends, the flight recorder notes
     it with its fence floor, the watchdog judges it and the history records
-    it. *)
+    it. A read that wrote is abandoned and raises [Invalid_argument]. *)
 val finish_read : t -> txn -> unit
 
 (** {2 Verdict} *)

@@ -266,9 +266,11 @@ let fault_tick = 1.0
 
 (* --- Clients ----------------------------------------------------------------- *)
 
-let fresh_label st =
+let fresh_session st =
   st.label_counter <- st.label_counter + 1;
-  "s" ^ string_of_int st.label_counter
+  st.label_counter
+
+let session_label session = "s" ^ string_of_int session
 
 let note_completion st ~t0 ~is_update =
   let now = Engine.now st.eng in
@@ -391,7 +393,9 @@ let run_txn st site rng ~label spec k =
 
 (* A closed-loop client that thinks is one pending timer whose action is
    [wake], the one closure the client keeps: [wake] runs [client_turn],
-   and the turn's last continuation arms the next think timer.
+   and the turn's last continuation arms the next think timer. [run]
+   starts each client in place, with no start event, and a client keeps
+   its session's number: a turn builds the label only to run a transaction.
 
    A session end is a time at or after 0 and is only compared, so it is
    kept as the bits of its float in an int field, which OCaml does not box
@@ -400,9 +404,8 @@ let run_txn st site rng ~label spec k =
 type client = {
   client_site : sec_site;
   client_rng : Rng.t;
-  mutable client_label : string;
+  mutable session : int;
   mutable session_end : int;
-  wake : unit -> unit;
 }
 
 let[@inline] session_bits time = Int64.to_int (Int64.bits_of_float time)
@@ -412,39 +415,32 @@ let[@inline] session_over c now =
   > Int64.float_of_bits
       (Int64.logand (Int64.of_int c.session_end) Int64.max_int)
 
-let client_think st c =
+let client_think st c wake =
   Engine.after st.eng
     ~delay:(Rng.exponential c.client_rng ~mean:st.cfg.params.Params.think_time)
-    c.wake
+    wake
 
-let client_turn st c =
+let client_turn st c wake =
   let p = st.cfg.params in
   let now = Engine.now st.eng in
   if session_over c now then begin
-    c.client_label <- fresh_label st;
+    c.session <- fresh_session st;
     c.session_end <-
       session_bits
         (now +. Rng.exponential c.client_rng ~mean:p.Params.session_time)
   end;
   let spec = Txn_gen.generate p c.client_rng in
-  run_txn st c.client_site c.client_rng ~label:c.client_label spec (fun () ->
-      client_think st c)
+  run_txn st c.client_site c.client_rng ~label:(session_label c.session) spec
+    (fun () -> client_think st c wake)
 
-let client_start st site rng () =
-  let label = fresh_label st in
+let client_start st site rng =
+  let session = fresh_session st in
   let session_end =
     session_bits (Rng.exponential rng ~mean:st.cfg.params.Params.session_time)
   in
-  let rec c =
-    {
-      client_site = site;
-      client_rng = rng;
-      client_label = label;
-      session_end;
-      wake = (fun () -> client_turn st c);
-    }
-  in
-  client_think st c
+  let c = { client_site = site; client_rng = rng; session; session_end } in
+  let rec wake () = client_turn st c wake in
+  client_think st c wake
 
 (* --- Open-loop aggregated clients -------------------------------------------
 
@@ -470,14 +466,14 @@ let open_loop st site ~clients ~arrival ~session_pool rng () =
   let pool =
     Array.init (max 1 pool_size) (fun _ ->
         {
-          slot_label = fresh_label st;
+          slot_label = session_label (fresh_session st);
           slot_end = Rng.exponential rng ~mean:p.Params.session_time;
         })
   in
   let pick_label now =
     let slot = pool.(Rng.uniform rng ~lo:0 ~hi:(Array.length pool - 1)) in
     if now > slot.slot_end then begin
-      slot.slot_label <- fresh_label st;
+      slot.slot_label <- session_label (fresh_session st);
       slot.slot_end <- now +. Rng.exponential rng ~mean:p.Params.session_time
     end;
     slot.slot_label
@@ -765,8 +761,7 @@ let run ?history cfg =
     Array.iter
       (fun site ->
         for _ = 1 to p.Params.clients_per_secondary do
-          let rng = Rng.split root in
-          Engine.after eng ~delay:0. (client_start st site rng)
+          client_start st site (Rng.split root)
         done)
       st.sites
   | Open_loop { clients; arrival; session_pool } ->

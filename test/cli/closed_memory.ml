@@ -5,15 +5,18 @@
    still thinking at the end) and fails when the growth of the resident-set
    high-water mark across the run, per client, reaches [bound_bytes]. A
    client parked in a long-lived process costs about 1.2 kB here; one that
-   waits on a timer whose action is its own reused closure about 0.31 kB.
+   waits on a timer whose action is its own reused closure, started in
+   place and keeping only its session's number, about 0.19 kB (0.31 kB
+   while each start was a zero-delay event and each client kept a label).
 
-   Prints a skip line and exits 0 where /proc/self/status is unreadable. *)
+   [-v] prints the measurement. Prints a skip line and exits 0 where
+   /proc/self/status is unreadable. *)
 
 open Lsr_core
 open Lsr_workload
 module Sim = Lsr_experiments.Sim_system
 
-let bound_bytes = 450.
+let bound_bytes = 250.
 let sites = 2
 let clients_per_site = 50_000
 
@@ -51,9 +54,10 @@ let () =
     ignore (Sim.run cfg);
     let after = Option.get (vm_hwm_bytes ()) in
     let per_client = (after -. before) /. float_of_int (sites * clients_per_site) in
-    if per_client >= bound_bytes then begin
+    let fail = per_client >= bound_bytes in
+    if fail || Array.exists (String.equal "-v") Sys.argv then
       Printf.printf
-        "closed_memory: FAIL, peak RSS grew %.0f B per closed-loop client (bound %.0f)\n"
+        "closed_memory: %speak RSS grew %.0f B per closed-loop client (bound %.0f)\n"
+        (if fail then "FAIL, " else "")
         per_client bound_bytes;
-      exit 1
-    end
+    if fail then exit 1

@@ -180,14 +180,16 @@ let fingerprint (o : Sim_system.outcome) =
    mantissa bits of the exact nearest-rank sample, then a set bit.
    The event counts and the utilization's last bits last moved when a
    transaction became one processor-sharing job (one sum of k·d instead of
-   k sums of d); the counts and quantiles did not. *)
+   k sums of d); the counts and quantiles did not. The closed-loop counts
+   fell by the 10,000 clients when each client began to start in place,
+   without a start event; nothing else moved. *)
 let expected_fingerprints =
   [
     ( "open-weak",
       "events=11323 reads=1849 updates=421 refresh=0 rt95=0x1.f6p-17 \
        age95=0x1.eap-2 util=0x1.6798958d9b49dp-7" );
     ( "closed-session",
-      "events=12028 reads=434 updates=98 refresh=0 rt95=0x1.f6p-17 \
+      "events=2028 reads=434 updates=98 refresh=0 rt95=0x1.f6p-17 \
        age95=0x1.eap-2 util=0x1.48ba83f4ec77cp-9" );
     ( "verified-session",
       "events=11166 reads=1774 updates=421 refresh=0 rt95=0x1.92p-18 \
@@ -196,7 +198,7 @@ let expected_fingerprints =
       "events=54905 reads=8745 updates=2134 refresh=2278 rt95=0x1.f6p-17 \
        age95=0x1.eap-1 util=0x1.737110e453a27p-7" );
     ( "closed-session@2s",
-      "events=20862 reads=2167 updates=546 refresh=562 rt95=0x1.f6p-17 \
+      "events=10862 reads=2167 updates=546 refresh=562 rt95=0x1.f6p-17 \
        age95=0x1.eap-1 util=0x1.7c2ca148ba4dfp-9" );
     ( "verified-session@2s",
       "events=59101 reads=8677 updates=2134 refresh=3344 rt95=0x1.92p-18 \
@@ -212,6 +214,25 @@ let test_sim_outcome_pinned () =
            (fun (name, cfg) -> (name ^ suffix, fingerprint (Sim_system.run cfg)))
            (bench_shapes ~duration))
        [ ("", 0.5); ("@2s", 2.0) ])
+
+let test_sim_closed_setup_fires_nothing () =
+  (* A closed-loop client starts in place: its first think timer goes
+     straight into the queue, so set-up fires no event per client and a
+     run that ends at time 0 fires as many events at 10 clients per site as
+     at 1,000. *)
+  let events clients =
+    let params =
+      {
+        tiny_params with
+        Params.clients_per_secondary = clients;
+        warmup = 0.;
+        duration = 0.;
+      }
+    in
+    (Sim_system.run (Sim_system.config params Session.Strong_session ~seed:11))
+      .Sim_system.sim_events
+  in
+  check_int "events fired at time 0" (events 10) (events 1_000)
 
 let test_sim_serial_refresh_staler () =
   (* Serial refresh cannot be fresher than concurrent applicators. *)
@@ -1192,6 +1213,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sim_deterministic;
           Alcotest.test_case "bench shapes outcome pinned" `Quick
             test_sim_outcome_pinned;
+          Alcotest.test_case "closed set-up fires no event per client" `Quick
+            test_sim_closed_setup_fires_nothing;
           Alcotest.test_case "serial refresh staler" `Slow
             test_sim_serial_refresh_staler;
           Alcotest.test_case "refresh pipeline order" `Quick

@@ -555,6 +555,39 @@ let test_embedded_raising_body () =
   | Ok () -> ()
   | Error es -> Alcotest.failf "check failed: %s" (String.concat "; " es)
 
+let test_embedded_writing_read () =
+  (* A read-only body that writes through its handle is rejected when the
+     read ends. Its transaction must still give its token back: a leaked
+     pin stops the horizon, and every later version stays unretired. *)
+  let sys =
+    System.create ~secondaries:1 ~guarantee:Session.Strong_session
+      ~watchdog:true ()
+  in
+  let c = System.connect sys "c" in
+  let put i =
+    match System.update sys c (fun h -> Handle.put h "k" (string_of_int i)) with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update aborted"
+  in
+  put 0;
+  System.pump sys;
+  (match System.read sys c (fun h -> Handle.put h "k" "read-only") with
+  | () -> Alcotest.fail "a writing read ended"
+  | exception Invalid_argument _ -> ());
+  for i = 1 to 200 do
+    put i
+  done;
+  System.pump sys;
+  let w = Option.get (System.watchdog sys) in
+  check_bool
+    (Printf.sprintf "horizon advanced (%d)" (Watchdog.horizon w))
+    true
+    (Watchdog.horizon w > 200);
+  check_bool
+    (Printf.sprintf "state retired (%d)" (Watchdog.state_size w))
+    true
+    (Watchdog.state_size w < 10)
+
 let test_retired_chain_reads_base () =
   (* A key whose only live version retires keeps its record: reads then
      expect the folded base value, and a later write starts a new chain
@@ -736,6 +769,8 @@ let () =
           Alcotest.test_case "crash and recovery" `Quick test_embedded_recovery;
           Alcotest.test_case "a raising body releases its token" `Quick
             test_embedded_raising_body;
+          Alcotest.test_case "a writing read releases its token" `Quick
+            test_embedded_writing_read;
           Alcotest.test_case "unknown site is a typed error" `Quick
             test_unknown_site;
           Alcotest.test_case "System.check reports the watchdog" `Quick
