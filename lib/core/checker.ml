@@ -212,7 +212,7 @@ let wall_sweep ?clock txns =
     fence_violations = List.rev !fences;
   }
 
-(* --- Completeness ----------------------------------------------------------
+(* --- States ----------------------------------------------------------------
 
    States are compared key by key, never materialized: two states are equal
    exactly when they hold the same number of visible bindings and every
@@ -229,44 +229,6 @@ let same_state expected ~at actual =
            match Mvcc.read_at expected at key with
            | Some v' when String.equal v v' -> matched + 1
            | Some _ | None -> matched)
-
-let check_completeness ~primary ~secondary =
-  let prim = Mvcc.commits_with_updates primary in
-  let sec = Mvcc.commits_with_updates secondary in
-  let np = List.length prim and ns = List.length sec in
-  if ns > np then
-    Error
-      (Printf.sprintf "secondary installed %d states but primary only has %d" ns
-         np)
-  else begin
-    let update_eq (a : Wal.update) (b : Wal.update) =
-      String.equal a.key b.key && Option.equal String.equal a.value b.value
-    in
-    (* On success, the primary's timestamp of the last state both share. *)
-    let rec compare_prefix i at prim sec =
-      match (prim, sec) with
-      | _, [] -> Ok at
-      | [], _ :: _ -> Error "impossible: secondary longer than primary"
-      | (ts, pw) :: prest, (_, sw) :: srest ->
-        if List.length pw = List.length sw && List.for_all2 update_eq pw sw then
-          compare_prefix (i + 1) ts prest srest
-        else
-          Error
-            (Printf.sprintf
-               "state S^%d diverges: refresh installed a different writeset"
-               (i + 1))
-    in
-    match compare_prefix 0 Timestamp.zero prim sec with
-    | Error e -> Error e
-    | Ok at ->
-      if same_state primary ~at secondary then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "final secondary state differs from primary S^%d (%d vs %d keys)"
-             ns (visible_count primary ~at)
-             (visible_count secondary ~at:(Mvcc.latest_commit_ts secondary)))
-  end
 
 let analyze ?clock history =
   let txns = committed_txns history in

@@ -1,6 +1,7 @@
 (** Mechanical verification of the paper's correctness criteria over a
-    recorded {!History}, plus the completeness property of Theorem 3.1 over
-    a pair of database instances.
+    recorded {!History}, plus a state comparison for recovered secondaries
+    (each refresh commit checks completeness, Theorem 3.1:
+    {!Secondary.diverged}).
 
     An {e inversion} witnesses a violation of Definition 2.1/2.2: a committed
     transaction [t1] whose commit precedes the first operation of [t2] (in
@@ -16,7 +17,7 @@
     by first operation and once by finish, and one wall-order sweep yields
     the inversions at every level and the fence audit; [check_weak_si] is
     one more sorted sweep. All of it is O(n log n) plus O(R) over recorded
-    reads, in O(n + K) extra words for K written keys. [check_completeness]
+    reads, in O(n + K) extra words for K written keys. [same_state]
     compares states key by key and materializes none. *)
 
 open Lsr_storage
@@ -38,14 +39,6 @@ val pp_inversion : Format.formatter -> inversion -> unit
     give; the sweep reads each record's reads with {!History.fold_reads}.
     Returns the list of violations (empty = weak SI holds). *)
 val check_weak_si : History.t -> string list
-
-(** [check_completeness ~primary ~secondary] verifies Theorem 3.1 on actual
-    database instances: the sequence of committed states of [secondary] is a
-    prefix of the primary's — same writesets installed in the same order —
-    and the final secondary state equals the corresponding primary state
-    [S^i_p] (see {!same_state}). Returns [Error message] on the first
-    divergence. *)
-val check_completeness : primary:Mvcc.t -> secondary:Mvcc.t -> (unit, string) result
 
 (** [same_state expected ~at actual] — [expected]'s state as of [at] equals
     [actual]'s latest committed state. Compares key by key with

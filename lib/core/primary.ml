@@ -2,8 +2,7 @@ open Lsr_storage
 
 type t = { db : Mvcc.t }
 
-let create ?commit_log () =
-  { db = Mvcc.create ~log:(Wal.create ()) ?commit_log () }
+let create () = { db = Mvcc.create ~log:(Wal.create ()) () }
 
 let db t = t.db
 let wal t = Mvcc.wal t.db

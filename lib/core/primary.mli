@@ -11,8 +11,7 @@ open Lsr_storage
 
 type t
 
-(** [commit_log]: see {!Mvcc.create}. *)
-val create : ?commit_log:bool -> unit -> t
+val create : unit -> t
 
 val db : t -> Mvcc.t
 val wal : t -> Wal.t

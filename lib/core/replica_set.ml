@@ -25,8 +25,8 @@ type site = {
   mutable replica : Secondary.t;
   link : link;
   mutable crashed : bool;
-  (* False once the site has crashed: its state sequence is no longer a
-     prefix of the primary's, so only final-state equality can be checked. *)
+  (* False once the site has crashed: a recovered copy's restored state is
+     audited against the primary's at the end of the run. *)
   mutable clean : bool;
   c_started : Obs.counter;
   c_aborted : Obs.counter;
@@ -81,7 +81,7 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
     | None -> fun () -> float_of_int (History.now history)
   in
   Flight.set_clock sinks.flight now;
-  let primary = Primary.create ~commit_log:record_history () in
+  let primary = Primary.create () in
   let clock = Session.clock_create () in
   let watchdog =
     if watchdog then
@@ -105,10 +105,8 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
   let make_site i =
     let name = Printf.sprintf "secondary-%d" i in
     let fid = Flight.intern sinks.flight name in
-    { name; fid;
-      replica =
-        Secondary.create ~db:(Mvcc.create ~commit_log:record_history ()) ();
-      link = link fid; crashed = false; clean = true;
+    { name; fid; replica = Secondary.create (); link = link fid;
+      crashed = false; clean = true;
       c_started = Obs.counter obs (name ^ ".refresh_started");
       c_aborted = Obs.counter obs (name ^ ".refresh_aborted");
       g_update_queue = Obs.gauge obs (name ^ ".update_queue_depth");
@@ -244,6 +242,10 @@ let refresh_committed t i s ts =
   | Some _ | None -> ());
   note_refresh t.watchdog i ts
 
+let diverged_detail i txn =
+  Printf.sprintf "secondary %d: state after primary txn %d differs from the \
+    primary's" i txn
+
 let rec fire t = function
   | Poll -> (
     let records = Propagation.poll t.propagator in
@@ -315,6 +317,9 @@ let rec fire t = function
       note_pending s;
       Flight.note_stage t.sinks.flight ~site:s.fid ~txn
         Flight.Refresh_committed ~record:(-1) ts;
+      if Secondary.diverged s.replica = txn then
+        Flight.trigger t.sinks.flight ~reason:"completeness" ~txns:[ txn ]
+          ~detail:(diverged_detail i txn) ();
       refresh_committed t i s ts;
       Committed ts
     end
@@ -525,26 +530,23 @@ let check t =
   let errors = ref [] in
   let add_error fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let guarantee = Session.guarantee t.sessions in
+  (* Theorem 3.1, checked at every refresh commit, recorded run or not. No
+     digest checks a recovered copy's restored state: once fully refreshed,
+     it must match the primary's current state. *)
+  let primary = Primary.db t.primary in
+  let at = Mvcc.latest_commit_ts primary in
+  Array.iteri
+    (fun i s ->
+      let txn = Secondary.diverged s.replica in
+      if txn >= 0 then add_error "%s" (diverged_detail i txn);
+      if (not (s.crashed || s.clean))
+         && Secondary.update_queue_length s.replica = 0
+         && not (Checker.same_state primary ~at (Secondary.db s.replica))
+      then add_error "recovered secondary %d diverges from primary" i)
+    t.sites;
   let report =
     if not t.record_history then None
     else begin
-      let primary = Primary.db t.primary in
-      (* A live site that never crashed must be complete (Theorem 3.1). A
-         recovered one's history is not a prefix, but once fully refreshed
-         its state must match the primary's current state. *)
-      Array.iteri
-        (fun i s ->
-          let db = Secondary.db s.replica in
-          if s.crashed then ()
-          else if s.clean then (
-            match Checker.check_completeness ~primary ~secondary:db with
-            | Ok () -> ()
-            | Error e -> add_error "secondary %d: %s" i e)
-          else if Secondary.update_queue_length s.replica = 0 then
-            let at = Mvcc.latest_commit_ts primary in
-            if not (Checker.same_state primary ~at db) then
-              add_error "recovered secondary %d diverges from primary" i)
-        t.sites;
       let report = Checker.analyze ~clock:t.clock t.history in
       List.iter (add_error "weak SI violation: %s") report.weak_si_violations;
       List.iter (add_error "%s") report.fence_violations;

@@ -60,8 +60,7 @@ type t
     starts a new epoch. Without it the time axis is the history event
     counter, so [Max_age] fences, freshness samples and refresh lags count
     history events. [record_history] keeps every finished transaction, in
-    [history] (a fresh one by default), and every store's commit list (for
-    {!check}'s completeness audit);
+    [history] (a fresh one by default);
     [watchdog] attaches an online checker of the guarantee, created with
     [sinks], so its first alert — the first violation — triggers the
     flight recorder's capture. Each refresh commit of [ts] at secondary [i]
@@ -220,13 +219,14 @@ val finish_read : t -> txn -> unit
 
 (** {2 Verdict} *)
 
-(** The end-of-run checker battery. With a history recorded: completeness
-    of every live never-crashed secondary against the primary (Theorem 3.1)
-    or, for a recovered one with an empty update queue, final-state
-    equality; weak SI of the history (Theorem 3.2); the fence audit; and
-    the guarantee, one line naming it with the number of offending
-    inversions and the first. Then the attached watchdog's verdict: one
-    line with its alert count when it raised any. Returns
+(** The end-of-run checker battery. In every run: completeness (Theorem
+    3.1), one line per secondary naming its {!Secondary.diverged} txn,
+    where [Commit i] triggered the flight capture, and final-state equality
+    for a recovered secondary with an empty update queue. With a history
+    recorded: weak SI (Theorem 3.2); the fence audit; and the guarantee, one
+    line naming it with the number of offending inversions and the first.
+    Then the attached watchdog's verdict: one line with its alert count
+    when it raised any. Returns
     the violations (empty when the run passed) and the report behind them
     ([None] without a history). *)
 val check : t -> string list * Checker.report option

@@ -7,6 +7,7 @@ exception Commit_without_start of { txn : int }
 type applicator = {
   primary_txn : int;
   commit_ts : Timestamp.t;
+  digest : int;  (* the primary's digest after this commit *)
   refresh : Mvcc.txn;  (* holds the shipped updates, buffered since dispatch *)
 }
 
@@ -25,6 +26,9 @@ type t = {
      while it is not empty. *)
   mutable tail : Timestamp.t;
   mutable seq_dbsec : Timestamp.t;
+  (* The first primary txn whose refresh left a digest other than its
+     record's, or -1. *)
+  mutable diverged : int;
   (* Primary txns below this id started before this site was recovered. *)
   resumed_at : int;
 }
@@ -45,12 +49,14 @@ let create ?(db = Mvcc.create ()) ?(seq = Timestamp.zero) ?(resumed_at = 0)
     applicators = Queue.create ();
     tail = Timestamp.zero;
     seq_dbsec = seq;
+    diverged = -1;
     resumed_at;
   }
 
 let db t = t.db
 let enqueue t record = Queue.add record t.update_queue
 let seq_dbsec t = t.seq_dbsec
+let diverged t = t.diverged
 let pop_update t = ignore (Queue.pop t.update_queue)
 
 let refresher_ready t =
@@ -70,7 +76,7 @@ let refresher_step t =
       Txns.replace t.refresh_txns txn refresh;
       Started txn
     end
-  | Some (Wal.Commit { txn; ts = commit_ts; updates }) ->
+  | Some (Wal.Commit { txn; ts = commit_ts; updates; digest }) ->
     pop_update t;
     let refresh =
       match Txns.find_opt t.refresh_txns txn with
@@ -85,9 +91,9 @@ let refresher_step t =
       | None -> raise (Commit_without_start { txn })
     in
     (* Handed over whole to the uncommitted refresh txn, so nobody sees them
-       before the commit, which installs and keeps this very list. *)
+       before the commit, which installs this very list. *)
     Mvcc.write_all t.db refresh updates;
-    Queue.add { primary_txn = txn; commit_ts; refresh } t.applicators;
+    Queue.add { primary_txn = txn; commit_ts; digest; refresh } t.applicators;
     t.tail <- commit_ts;
     Dispatched (List.length updates)
   | Some (Wal.Abort { txn; writes }) ->
@@ -107,6 +113,8 @@ let commit_head t =
     | Mvcc.Committed _local_ts ->
       ignore (Queue.pop t.applicators);
       t.seq_dbsec <- app.commit_ts;
+      if t.diverged < 0 && Mvcc.digest t.db <> app.digest then
+        t.diverged <- app.primary_txn;
       app.primary_txn
     | Mvcc.Aborted (Mvcc.Write_conflict key) ->
       raise (Refresh_conflict { txn = app.primary_txn; key })
@@ -116,7 +124,7 @@ let commit_head t =
 let pending_tail t =
   if Queue.is_empty t.applicators then t.seq_dbsec else t.tail
 
-let applicator_local_start app = Mvcc.start_ts app.refresh
+let applicator_txn app = app.refresh
 let active_applicators t = List.of_seq (Queue.to_seq t.applicators)
 
 let update_queue_length t = Queue.length t.update_queue

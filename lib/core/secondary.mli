@@ -16,15 +16,16 @@
       buffered and unseen until its commit, and hands the transaction to an
       applicator at the tail of the pending queue. No update is written one
       by one and no record is copied: the commit checks first-committer-wins
-      by walking the list and installs it, and a commit list keeps the
-      shipped list itself, so the secondaries of one primary share every
-      propagated writeset with the primary's commit that logged it;
+      by walking the list and installs it, so the secondaries of one
+      primary share every propagated writeset with the primary's commit
+      that logged it;
     - an {e abort} record discards the refresh transaction.
 
     The head of the pending queue commits ({!commit_head}) — enforcing
     relationship 3 (local commits in primary commit order). Committing pops
     it and advances [seq(DBsec)], the sequence number used by
-    ALG-STRONG-SESSION-SI.
+    ALG-STRONG-SESSION-SI, then compares the copy's digest with its commit
+    record's, the primary's after that commit (Theorem 3.1, {!diverged}).
 
     The module is a pure state machine with two transitions, a refresher
     step and a head commit, fired only as {!Replica_set}'s [Refresh i] and
@@ -46,7 +47,7 @@ exception Commit_without_start of { txn : int }
     a start record gets here. *)
 
 (** [create ()] is a fresh secondary whose local copy is [db] (default: an
-    empty store with no log and no commit list) and whose [seq(DBsec)] is
+    empty store with no log) and whose [seq(DBsec)] is
     [seq] (default zero); the §3.4 recovery path passes a
     {!Lsr_storage.Mvcc.restore}d copy and the primary timestamp it reflects
     (§4's dummy-transaction rule) and the primary's next txn id
@@ -65,6 +66,11 @@ val enqueue : t -> Wal.entry -> unit
     transaction committed here — the state of this copy "in terms of the
     primary database" (§4). *)
 val seq_dbsec : t -> Timestamp.t
+
+(** The primary txn id of the first refresh after whose commit this copy's
+    {!Lsr_storage.Mvcc.digest} differed from its commit record's; [-1]
+    while none has. *)
+val diverged : t -> int
 
 (** {2 Refresher (Algorithm 3.2)} *)
 
@@ -102,10 +108,10 @@ val pending_tail : t -> Timestamp.t
 (** A dispatched refresh transaction waiting in the pending queue. *)
 type applicator
 
-(** Local start timestamp of the refresh transaction (issued by this
-    secondary's own concurrency control when the start record was
-    processed). Lets tests verify relationships 1 and 2 of §3.1 directly. *)
-val applicator_local_start : applicator -> Timestamp.t
+(** The refresh transaction. Its start timestamp, issued locally when the
+    start record was processed, lets tests verify relationships 1 and 2 of
+    §3.1 directly; its pending writes are the shipped list itself. *)
+val applicator_txn : applicator -> Mvcc.txn
 
 (** The pending queue, head (the one that commits next) first. *)
 val active_applicators : t -> applicator list

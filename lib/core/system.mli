@@ -222,7 +222,7 @@ val channel_stats : t -> Channel.stats
 (** {2 Verification} *)
 
 (** Run the end-of-run verdict ({!Replica_set.check}): completeness of
-    every never-crashed secondary against the primary (Theorem 3.1),
+    every secondary (Theorem 3.1), checked at each of its refresh commits,
     final-state equality for recovered ones, weak SI of the recorded history
     (Theorem 3.2), the fence audit, the advertised session guarantee, and
     the attached watchdog's verdict. [Error] carries human-readable

@@ -63,8 +63,8 @@ type config = {
   guarantee : Session.guarantee;
   seed : int;
   record_history : bool;
-      (** record every transaction and commit list, run the checker battery
-          at the end (memory-heavy; for validation, not performance sweeps) *)
+      (** record every transaction, run the history checks at the end
+          (memory-heavy; for validation, not performance sweeps) *)
   watchdog : bool;
       (** attach an online {!Lsr_core.Watchdog} judging the run against
           [guarantee]: the weak-SI read validation, the inversion floors
@@ -127,10 +127,10 @@ type config = {
           ids when a tracking consumer is on, hid = -1 otherwise), every
           propagation/refresh pipeline stage, fault-channel misbehaviour,
           per-read snapshot/fence claims and crash/recovery marks. The first
-          watchdog alert (with [watchdog]), a violation of [guarantee],
-          triggers its postmortem capture mid-run; a failed checker battery
-          (with [record_history]) triggers it at the end; otherwise the
-          bundle holds the end-of-run window.
+          watchdog alert (with [watchdog]) or diverging refresh commit
+          (Theorem 3.1) triggers its postmortem capture mid-run; a failed
+          checker battery (with [record_history]) triggers it at the end;
+          otherwise the bundle holds the end-of-run window.
           The bundle lands in [flight_report]. Same rules as [obs]:
           {!Lsr_obs.Flight.null} (the default) costs nothing, and an enabled
           recorder never changes outcomes (virtual-time stamps, no

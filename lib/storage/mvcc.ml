@@ -82,15 +82,12 @@ type t = {
   mutable multi : cell list;
   log : Wal.t option;  (* only the primary's store has a log *)
   mutable next_txn_id : int;
-  (* Commit timestamps with the writes installed, newest first; the basis of
-     the S^i state sequence. Kept only when [commit_log]. *)
-  commit_log : bool;
-  mutable commits : (Timestamp.t * Wal.update list) list;
+  mutable digest : int;  (* every writeset installed, folded in order *)
   mutable commit_count : int;
   mutable latest_commit : Timestamp.t;
 }
 
-let create ?log ?(commit_log = false) () =
+let create ?log () =
   {
     clock = Timestamp.source ();
     buckets = Array.make 1024 sentinel;
@@ -102,8 +99,7 @@ let create ?log ?(commit_log = false) () =
     multi = [];
     log;
     next_txn_id = 0;
-    commit_log;
-    commits = [];
+    digest = 0;
     commit_count = 0;
     latest_commit = Timestamp.zero;
   }
@@ -246,8 +242,8 @@ let read t txn key =
   if own == no_write then snapshot_read t ~at:txn.start_ts key else own.value
 
 (* The update keeps the store's own key string when the store holds the key,
-   so the logs, the commit lists and a run's history share it instead of
-   keeping the writer's copy alive. *)
+   so the log and a run's history share it instead of keeping the writer's
+   copy alive. *)
 let write t txn key value =
   require_active txn "write";
   let update = { Wal.key = stored_key t key; value } in
@@ -273,9 +269,15 @@ let rec first_committer_conflict t ~start_ts = function
     if (find t key).ts > start_ts then Some key
     else first_committer_conflict t ~start_ts rest
 
+(* Xor, then an odd multiplier: no later step cancels a differing input. *)
+let mix d x = (d lxor x) * 0x100000001b3
+
 let install t ~commit_ts updates =
   let apply { Wal.key; value } =
     let hash = String.hash key in
+    t.digest <-
+      mix (mix t.digest hash)
+        (match value with Some v -> String.hash v | None -> -1);
     let c = find_in t.buckets.(bucket t hash) hash key in
     if c == sentinel then add_cell t key ~hash ~ts:commit_ts value
     else begin
@@ -287,7 +289,7 @@ let install t ~commit_ts updates =
     t.versions <- t.versions + 1
   in
   List.iter apply updates;
-  if t.commit_log then t.commits <- (commit_ts, updates) :: t.commits;
+  t.digest <- mix t.digest (-2);
   t.commit_count <- t.commit_count + 1;
   t.latest_commit <- commit_ts
 
@@ -320,7 +322,9 @@ let commit t txn =
     install t ~commit_ts updates;
     txn.state <- Committed_;
     (match t.log with
-    | Some wal -> Wal.append wal (Wal.Commit { txn = txn.id; ts = commit_ts; updates })
+    | Some wal ->
+      Wal.append wal
+        (Wal.Commit { txn = txn.id; ts = commit_ts; updates; digest = t.digest })
     | None -> ());
     Committed commit_ts
 
@@ -339,6 +343,7 @@ let written_keys txn = List.map (fun { Wal.key; _ } -> key) (effective_updates t
 
 let latest_commit_ts t = t.latest_commit
 let commit_count t = t.commit_count
+let digest t = t.digest
 
 let read_at t ts key = snapshot_read t ~at:ts key
 
@@ -390,14 +395,6 @@ let fold_keys t ~prefix ~init ~f =
   in
   consume init (keys_from t prefix)
 
-let commits t op =
-  if t.commit_log then t.commits
-  else
-    invalid_arg ("Mvcc." ^ op ^ ": this store was created without a commit list")
-
-let commit_history t = List.rev_map fst (commits t "commit_history")
-let commits_with_updates t = List.rev (commits t "commits_with_updates")
-
 (* --- Maintenance ----------------------------------------------------------- *)
 
 let rec chain_length v n = if v == bottom then n else chain_length v.below (n + 1)
@@ -438,9 +435,13 @@ let encode_string buf s =
   Buffer.add_char buf ':';
   Buffer.add_string buf s
 
+exception Malformed_backup of string
+
 let serialize t =
   let bindings = committed_state t in
   let buf = Buffer.create 4096 in
+  Buffer.add_string buf (string_of_int t.digest);
+  Buffer.add_char buf ';';
   Buffer.add_string buf (string_of_int (List.length bindings));
   Buffer.add_char buf ';';
   List.iter
@@ -452,7 +453,7 @@ let serialize t =
 
 let restore data =
   let pos = ref 0 in
-  let fail msg = failwith ("Mvcc.restore: " ^ msg) in
+  let fail msg = raise (Malformed_backup msg) in
   let read_until ch =
     match String.index_from_opt data !pos ch with
     | None -> fail "missing delimiter"
@@ -464,7 +465,7 @@ let restore data =
   let read_int_until ch =
     match int_of_string_opt (read_until ch) with
     | Some i -> i
-    | None -> fail "bad length"
+    | None -> fail "bad number"
   in
   let read_string () =
     let len = read_int_until ':' in
@@ -473,6 +474,7 @@ let restore data =
     pos := !pos + len;
     sub
   in
+  let digest = read_int_until ';' in
   let count = read_int_until ';' in
   if count < 0 then fail "negative count";
   let t = create () in
@@ -483,7 +485,7 @@ let restore data =
     write t txn key (Some value)
   done;
   if !pos <> String.length data then fail "trailing bytes";
-  (match commit t txn with
-  | Committed _ -> ()
-  | Aborted _ -> fail "initial commit aborted");
+  ignore (commit t txn);
+  (* The copy goes on from the chain of the store it copies. *)
+  t.digest <- digest;
   t

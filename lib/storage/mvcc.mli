@@ -13,11 +13,13 @@
     - a transaction reads its own uncommitted writes;
     - a store given a logical {!Wal} (only the primary's is) logs each
       transaction's start, then its commit record carrying the very list
-      the commit installed, or its abort record; a write logs nothing.
+      the commit installed and the store's {!digest} after it, or its abort
+      record; a write logs nothing.
 
     The engine also exposes snapshot reconstruction ([state_at],
-    [fold_visible]) and the commit list, used to check the paper's
-    completeness property (Theorem 3.1, [S^i_p = S^i_s]).
+    [fold_visible]) and a running {!digest} of the writesets installed,
+    which checks the paper's completeness property (Theorem 3.1,
+    [S^i_p = S^i_s]) at each refresh commit.
 
     Each key is one cell that is also its hash-bucket node and holds the
     newest version inline, with older versions behind it in a chain of one
@@ -45,12 +47,8 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
-(** An empty store that logs to [log] (without it, nowhere). Only with
-    [commit_log] (default false) does it keep the commit list, which grows
-    by one entry per commit; without it {!commit_history} and
-    {!commits_with_updates} raise [Invalid_argument] rather than answer
-    [[]], which would pass any comparison. *)
-val create : ?log:Wal.t -> ?commit_log:bool -> unit -> t
+(** An empty store, digest [0], that logs to [log] (without it, nowhere). *)
+val create : ?log:Wal.t -> unit -> t
 
 (** The log given at {!create}. @raise Invalid_argument without one. *)
 val wal : t -> Wal.t
@@ -99,8 +97,8 @@ val write : t -> txn -> string -> string option -> unit
 (** [write_all t txn updates] buffers a whole writeset at once: [updates]
     must hold one update per key, as {!Wal.squash} returns it. The list is
     kept as it is, with no per-update work and no new record: {!commit}
-    checks first-committer-wins by walking it, installs it and, with a
-    commit list, keeps that very list in it; {!pending_writes} returns it.
+    checks first-committer-wins by walking it and installs it;
+    {!pending_writes} returns it.
     This is how a refresh transaction takes a propagated commit's updates.
     Reads still see these writes, and a later {!write} may follow.
     @raise Invalid_argument if [txn] is no longer active or has written. *)
@@ -111,8 +109,8 @@ val write_all : t -> txn -> Wal.update list -> unit
     started, [txn] aborts with [Write_conflict], naming the first such key
     in first-write order; otherwise its writes are installed atomically
     under a fresh commit timestamp. With a log, the commit record carries
-    the installed list itself, the one {!pending_writes} and the commit
-    list return. *)
+    the installed list itself, the one {!pending_writes} returns, and the
+    {!digest} after the install. *)
 val commit : t -> txn -> commit_result
 
 (** [abort t txn] discards the transaction's buffered writes. With a log,
@@ -143,6 +141,12 @@ val latest_commit_ts : t -> Timestamp.t
 
 (** Number of committed update transactions. *)
 val commit_count : t -> int
+
+(** Every writeset installed, in order, folded into one int without
+    allocating: each update's key and value hashes (a constant for a
+    delete), then a commit boundary. Equal on two stores that installed
+    the same writesets in the same order. *)
+val digest : t -> int
 
 (** [read_at t ts key] reads [key] in the snapshot as of timestamp [ts]. *)
 val read_at : t -> Timestamp.t -> string -> string option
@@ -197,18 +201,14 @@ val vacuum : t -> before:Timestamp.t -> int
 val version_count : t -> int
 
 (** [serialize t] encodes the latest committed state — not the version
-    history — as an opaque string: the "copy of the primary database" of
-    §3.4 used to reseed failed secondaries. *)
+    history — and the {!digest} as an opaque string: the "copy of the
+    primary database" of §3.4 used to reseed failed secondaries. *)
 val serialize : t -> string
 
+(** Raised by {!restore} on malformed input, naming the fault. *)
+exception Malformed_backup of string
+
 (** [restore data] is a fresh database whose single initial commit
-    installs a serialized state. It keeps no log and no commit list.
-    @raise Failure on malformed input. *)
+    installs a serialized state and whose digest is the serialized one. It
+    keeps no log. @raise Malformed_backup on malformed input. *)
 val restore : string -> t
-
-(** Commit timestamps in commit order, oldest first (for checkers). *)
-val commit_history : t -> Timestamp.t list
-
-(** Commit timestamps with the update lists installed, oldest first. The
-    completeness checker compares these sequences across sites. *)
-val commits_with_updates : t -> (Timestamp.t * Wal.update list) list

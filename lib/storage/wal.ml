@@ -2,7 +2,7 @@ type update = { key : string; value : string option }
 
 type entry =
   | Start of { txn : int; ts : Timestamp.t }
-  | Commit of { txn : int; ts : Timestamp.t; updates : update list }
+  | Commit of { txn : int; ts : Timestamp.t; updates : update list; digest : int }
   | Abort of { txn : int; writes : int }
 
 let txn = function Start { txn; _ } | Commit { txn; _ } | Abort { txn; _ } -> txn
@@ -102,7 +102,7 @@ let squash updates =
 
 let pp_entry ppf = function
   | Start { txn; ts } -> Format.fprintf ppf "start(T%d)@%a" txn Timestamp.pp ts
-  | Commit { txn; ts; updates } ->
+  | Commit { txn; ts; updates; _ } ->
     Format.fprintf ppf "commit(T%d)@%a[%d updates]" txn Timestamp.pp ts
       (List.length updates)
   | Abort { txn; writes } -> Format.fprintf ppf "abort(T%d)[%d writes]" txn writes

@@ -23,10 +23,11 @@ val squash : update list -> update list
 
 type entry =
   | Start of { txn : int; ts : Timestamp.t }
-  | Commit of { txn : int; ts : Timestamp.t; updates : update list }
+  | Commit of { txn : int; ts : Timestamp.t; updates : update list; digest : int }
       (** [updates] is the list the commit installed, one per key in
-          first-write order ({!squash} of the writes), shared with the
-          committing store's commit list and every refresh of it. *)
+          first-write order ({!squash} of the writes), shared with every
+          refresh of it; [digest] is the store's {!Mvcc.digest} after it,
+          which every refresh of it must reach (Theorem 3.1). *)
   | Abort of { txn : int; writes : int }
       (** [writes] counts the writes the transaction had buffered: the work
           the eager-propagation ablation ships and secondaries discard. *)

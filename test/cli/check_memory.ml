@@ -9,7 +9,8 @@
    comparing states key by key and sweeping the history once, by about
    0.6 MB.
 
-   Prints a skip line and exits 0 where /proc/self/status is unreadable. *)
+   Prints a skip line and exits 0 where /proc/self/status is unreadable;
+   prints the rise on failure or with [-v]. *)
 
 open Lsr_sim
 open Lsr_core
@@ -91,9 +92,9 @@ let () =
       Printf.printf "check_memory: FAIL, System.check reported %s\n"
         (String.concat "; " es);
       exit 1);
-    if growth >= bound_bytes then begin
-      Printf.printf
-        "check_memory: FAIL, System.check grew peak RSS by %.1f MB (bound %.1f MB)\n"
+    let fail = growth >= bound_bytes in
+    if fail || Array.exists (String.equal "-v") Sys.argv then
+      Printf.printf "check_memory: %sSystem.check grew peak RSS by %.2f MB (bound %.1f MB)\n"
+        (if fail then "FAIL, " else "")
         (growth /. 1048576.) (bound_bytes /. 1048576.);
-      exit 1
-    end
+    if fail then exit 1

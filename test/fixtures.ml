@@ -60,6 +60,16 @@ let open_starts wal =
   done;
   List.sort compare (List.of_seq (Hashtbl.to_seq_keys starts))
 
+(* [wal]'s commit records, oldest first, read off the untruncated log: each
+   one's timestamp, the list the commit installed and the digest after
+   it. *)
+let logged_commits wal =
+  List.filter_map
+    (function
+      | Wal.Commit { ts; updates; digest; _ } -> Some (ts, updates, digest)
+      | Wal.Start _ | Wal.Abort _ -> None)
+    (fst (Wal.read_from wal 0))
+
 let commit_exn db txn =
   match Mvcc.commit db txn with
   | Mvcc.Committed cts -> cts

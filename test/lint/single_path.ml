@@ -32,8 +32,11 @@
    it. No simulated process is a fiber: every wait passes
    a continuation to [Resource.use], a [Seqcond] threshold queue or a
    timer, so no library module but [Process] itself names [Process] or
-   [Effect]. A postmortem capture has two triggers: the watchdog's first
-   alert and the simulator's failed checker battery. Only the two
+   [Effect]. A postmortem capture has three triggers: the watchdog's first
+   alert, the first refresh commit whose digest differs from its record's
+   ([Replica_set.fire]) and the simulator's failed checker battery.
+   Completeness has one judge: only [Secondary], at each refresh commit,
+   compares a store's digest with a commit record's. Only the two
    verdicts, [Checker] and [Watchdog], map a guarantee to the inversion
    level it forbids; everyone else reads their verdicts. A sample reaches
    a registry histogram from one place: the clients' samples from
@@ -59,9 +62,8 @@ let rules =
       [ "Obs.counter"; "Obs.gauge" ] );
     ( [ "replica_set.ml" ],
       "Replica_set",
-      [ "Checker.analyze"; "Checker.check_completeness";
-        "Checker.same_state"; "Channel.create"; "Session.clock_freshness";
-        "Session.clock_time_of" ] );
+      [ "Checker.analyze"; "Checker.same_state"; "Channel.create";
+        "Session.clock_freshness"; "Session.clock_time_of" ] );
     ( [ "replica_set.ml" ],
       "Replica_set",
       [ "Session.read_threshold"; "Session.note_read";
@@ -84,9 +86,10 @@ let rules =
       "System / Sim_system",
       [ "Wal.truncate_before" ] );
     ([ "process.ml" ], "Process", [ "Process"; "Effect" ]);
-    ( [ "watchdog.ml"; "sim_system.ml" ],
-      "Watchdog / Sim_system",
+    ( [ "watchdog.ml"; "replica_set.ml"; "sim_system.ml" ],
+      "Watchdog / Replica_set / Sim_system",
       [ "Flight.trigger" ] );
+    ([ "mvcc.ml"; "secondary.ml" ], "Mvcc / Secondary", [ "Mvcc.digest" ]);
     ( [ "checker.ml"; "watchdog.ml" ],
       "Checker / Watchdog",
       [ "Session.forbidden_level" ] );

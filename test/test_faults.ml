@@ -35,6 +35,7 @@ let commit_rec i =
       txn = i;
       ts = i;
       updates = [ { Wal.key = Printf.sprintf "k%d" i; value = Some "v" } ];
+      digest = i;
     }
 
 (* The canonical record stream for n transactions, in primary log order. *)
@@ -465,7 +466,9 @@ let test_recovery_stale_backup_converges () =
     (Secondary.seq_dbsec live)
     (Secondary.seq_dbsec recovered);
   check_int "no replay residue queued" 0
-    (Secondary.update_queue_length recovered)
+    (Secondary.update_queue_length recovered);
+  check_int "the replay reached every commit record's digest" (-1)
+    (Secondary.diverged recovered)
 
 let test_recovery_without_new_commits_keeps_seq () =
   let primary = Primary.create () in

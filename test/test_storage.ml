@@ -20,6 +20,17 @@ let commit_exn db txn =
 
 let put db txn k v = Mvcc.write db txn k (Some v)
 
+(* A store that logs, so its commits can be read back off its log. *)
+let logged () = Mvcc.create ~log:(Wal.create ()) ()
+
+(* A logged store's commits, oldest first: each one's timestamp and the
+   very list the commit installed. *)
+let commits db =
+  List.map (fun (ts, updates, _) -> (ts, updates))
+    (Fixtures.logged_commits (Mvcc.wal db))
+
+let commit_history db = List.map fst (commits db)
+
 (* One committed transaction writing the given bindings. *)
 let seed db bindings =
   let txn = Mvcc.begin_txn db in
@@ -42,7 +53,8 @@ let test_wal_append_read () =
   Wal.append wal (Wal.Start { txn = 1; ts = 1 });
   Wal.append wal (Wal.Start { txn = 2; ts = 2 });
   Wal.append wal
-    (Wal.Commit { txn = 1; ts = 3; updates = [ { Wal.key = "x"; value = Some "1" } ] });
+    (Wal.Commit
+       { txn = 1; ts = 3; updates = [ { Wal.key = "x"; value = Some "1" } ]; digest = 0 });
   check_int "length" 3 (Wal.length wal);
   let entries, next = Wal.read_from wal 0 in
   check_int "cursor" 3 next;
@@ -325,7 +337,7 @@ let as_pairs = List.map (fun { Wal.key; value } -> (key, value))
 (* Without a repeated key the buffered writes are the updates, in write
    order; asking for them mid-transaction must not freeze them. *)
 let test_pending_writes_distinct_keys () =
-  let db = Mvcc.create ~commit_log:true () in
+  let db = logged () in
   seed db [ ("z", "old") ];
   let txn = Mvcc.begin_txn db in
   check_str_opt "no writes yet: snapshot" (Some "old") (Mvcc.read db txn "z");
@@ -345,16 +357,16 @@ let test_pending_writes_distinct_keys () =
     (Mvcc.written_keys txn);
   ignore (commit_exn db txn);
   Alcotest.check updates "installed as pending" expected
-    (as_pairs (snd (List.nth (Mvcc.commits_with_updates db) 1)));
+    (as_pairs (snd (List.nth (commits db) 1)));
   Alcotest.check updates "pending after commit" expected
     (as_pairs (Mvcc.pending_writes txn))
 
 (* A writeset handed over whole, short (scanned by reads) or long (read
    through a table): reads see it, commit checks first-committer-wins on it
-   and installs it, and the pending writes and the commit list are that very
-   list. *)
+   and installs it, and the pending writes and the commit record carry that
+   very list. *)
 let test_write_all_reads_own_writes () =
-  let db = Mvcc.create ~commit_log:true () in
+  let db = logged () in
   seed db [ ("old", "0"); ("gone", "0") ];
   let update key value = { Wal.key; value } in
   let short = [ update "a" (Some "1"); update "gone" None ] in
@@ -374,8 +386,8 @@ let test_write_all_reads_own_writes () =
         (Invalid_argument "Mvcc.end_read: transaction has writes; commit or abort it")
         (fun () -> Mvcc.end_read db txn);
       ignore (commit_exn db txn);
-      let installed = snd (List.hd (List.rev (Mvcc.commits_with_updates db))) in
-      check_bool "the commit list keeps the list" true (installed == whole))
+      let installed = snd (List.hd (List.rev (commits db))) in
+      check_bool "the commit record carries the list" true (installed == whole))
     [ short; long ];
   check_str_opt "installed delete" None
     (Mvcc.read_at db (Mvcc.latest_commit_ts db) "gone");
@@ -413,7 +425,7 @@ let test_write_all_reads_own_writes () =
 
 (* With repeats: one update per key, first-write position, last value. *)
 let test_pending_writes_repeated_keys () =
-  let db = Mvcc.create ~commit_log:true () in
+  let db = logged () in
   let txn = Mvcc.begin_txn db in
   put db txn "a" "1";
   put db txn "b" "2";
@@ -431,7 +443,7 @@ let test_pending_writes_repeated_keys () =
     (Mvcc.written_keys txn);
   ignore (commit_exn db txn);
   Alcotest.check updates "installed squashed" expected
-    (as_pairs (snd (List.hd (Mvcc.commits_with_updates db))));
+    (as_pairs (snd (List.hd (commits db))));
   Alcotest.(check (list (pair string string)))
     "committed" [ ("a", "3"); ("c", "4") ] (Mvcc.committed_state db)
 
@@ -497,11 +509,11 @@ let prop_key_index_lazy =
 (* --- Mvcc: state reconstruction --------------------------------------------------- *)
 
 let test_state_sequence () =
-  let db = Mvcc.create ~commit_log:true () in
+  let db = logged () in
   let state i =
     (* S^i: the state as of the i-th commit's timestamp (S^0 is empty). *)
     Mvcc.state_at db
-      (if i = 0 then Timestamp.zero else List.nth (Mvcc.commit_history db) (i - 1))
+      (if i = 0 then Timestamp.zero else List.nth (commit_history db) (i - 1))
   in
   Alcotest.(check (list (pair string string))) "S^0 empty" [] (state 0);
   seed db [ ("a", "1") ];
@@ -531,12 +543,44 @@ let test_read_at () =
     (Mvcc.read_at db (Mvcc.latest_commit_ts db) "x")
 
 let test_commit_history_ordered () =
-  let db = Mvcc.create ~commit_log:true () in
+  let db = logged () in
   seed db [ ("a", "1") ];
   seed db [ ("b", "2") ];
-  let history = Mvcc.commit_history db in
+  let history = commit_history db in
   check_int "two commits" 2 (List.length history);
   check_bool "ascending" true (List.sort Timestamp.compare history = history)
+
+(* The digest follows the writesets installed and their order, deletes and
+   empty commits included, and each commit record carries it. *)
+let test_digest_follows_installs () =
+  let build writesets =
+    let db = logged () in
+    List.iter
+      (fun writes ->
+        let txn = Mvcc.begin_txn db in
+        List.iter (fun (k, v) -> Mvcc.write db txn k v) writes;
+        ignore (commit_exn db txn))
+      writesets;
+    db
+  in
+  let a = [ ("a", Some "1") ] and b = [ ("b", Some "2"); ("a", None) ] in
+  let digest ws = Mvcc.digest (build ws) in
+  check_int "empty store" 0 (Mvcc.digest (Mvcc.create ()));
+  check_int "same writesets, same order" (digest [ a; b ]) (digest [ a; b ]);
+  let differs name ws =
+    check_bool name true (digest ws <> digest [ a; b ])
+  in
+  differs "other order" [ b; a ];
+  differs "one writeset twice" [ a; a; b ];
+  differs "one missing" [ b ];
+  differs "a value for a delete" [ a; [ ("b", Some "2"); ("a", Some "") ] ];
+  differs "updates reordered" [ a; List.rev b ];
+  differs "an empty commit" [ a; []; b ];
+  differs "two commits for one" [ a; [ ("b", Some "2") ]; [ ("a", None) ] ];
+  let db = build [ a; b ] in
+  let after = List.map (fun ws -> Mvcc.digest (build ws)) [ [ a ]; [ a; b ] ] in
+  Alcotest.(check (list int)) "each commit record carries the digest after it" after
+    (List.map (fun (_, _, digest) -> digest) (Fixtures.logged_commits (Mvcc.wal db)))
 
 let test_fold_keys_prefix () =
   let db = Mvcc.create () in
@@ -620,24 +664,6 @@ let test_unlogged_store () =
     (Invalid_argument "Mvcc.wal: this store was created without a log")
     (fun () -> ignore (Mvcc.wal (Mvcc.restore (Mvcc.serialize db))))
 
-(* The commit list exists only when asked for: a store without one raises
-   rather than answer [], which any completeness comparison would pass. *)
-let test_commit_list_only_when_kept () =
-  let db = Mvcc.create () in
-  seed db [ ("x", "1") ];
-  check_int "commits still counted" 1 (Mvcc.commit_count db);
-  Alcotest.check_raises "commits_with_updates"
-    (Invalid_argument
-       "Mvcc.commits_with_updates: this store was created without a commit list")
-    (fun () -> ignore (Mvcc.commits_with_updates db));
-  Alcotest.check_raises "commit_history"
-    (Invalid_argument
-       "Mvcc.commit_history: this store was created without a commit list")
-    (fun () -> ignore (Mvcc.commit_history db));
-  let kept = Mvcc.create ~commit_log:true () in
-  seed kept [ ("x", "1") ];
-  check_int "kept" 1 (List.length (Mvcc.commits_with_updates kept))
-
 (* --- Mvcc: qcheck properties -------------------------------------------------------- *)
 
 let small_key = QCheck.Gen.(map (Printf.sprintf "k%d") (int_range 0 5))
@@ -692,12 +718,12 @@ let prop_snapshot_stability =
       before = probe ())
 
 let prop_state_replay =
-  (* committed_state equals replaying commits_with_updates in order. *)
+  (* committed_state equals replaying the logged commit lists in order. *)
   QCheck.Test.make ~name:"committed state = replay of commit writesets"
     ~count:300
     QCheck.(make Gen.(list_size (int_range 0 8) gen_txn_writes))
     (fun txns ->
-      let db = Mvcc.create ~commit_log:true () in
+      let db = logged () in
       List.iter
         (fun writes ->
           let t = Mvcc.begin_txn db in
@@ -713,7 +739,7 @@ let prop_state_replay =
               | Some v -> Hashtbl.replace replayed key v
               | None -> Hashtbl.remove replayed key)
             updates)
-        (Mvcc.commits_with_updates db);
+        (commits db);
       let expected =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) replayed []
         |> List.sort compare
@@ -724,7 +750,7 @@ let prop_fold_visible_matches_state_at =
   QCheck.Test.make ~name:"fold_visible = state_at at every commit" ~count:100
     QCheck.(make Gen.(list_size (int_range 0 6) gen_txn_writes))
     (fun txns ->
-      let db = Mvcc.create ~commit_log:true () in
+      let db = logged () in
       List.iter
         (fun writes ->
           let t = Mvcc.begin_txn db in
@@ -737,7 +763,7 @@ let prop_fold_visible_matches_state_at =
             Mvcc.fold_visible db ~at ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
           in
           List.sort compare folded = Mvcc.state_at db at)
-        (Timestamp.zero :: Mvcc.commit_history db)
+        (Timestamp.zero :: commit_history db)
       && Mvcc.state_at db (Mvcc.latest_commit_ts db) = Mvcc.committed_state db)
 
 (* --- Time travel (weak-SI start-timestamp assignment, §2.1) ----------------------------- *)
@@ -1126,9 +1152,10 @@ let test_restore_garbage () =
   List.iter
     (fun garbage ->
       match Mvcc.restore garbage with
-      | exception Failure _ -> ()
+      | exception Mvcc.Malformed_backup _ -> ()
       | _ -> Alcotest.fail ("restored garbage: " ^ garbage))
-    [ "zzz"; "2;1:a"; "-1;"; "1;1:a999:x"; "0;extra" ]
+    [ "zzz"; "2;1:a"; "-1;"; "1;1:a999:x"; "0;extra"; "x;0;"; "0;-1;";
+      "0;2;1:a1:b"; "0;0;extra"; "7;1;1:a999:x" ]
 
 let prop_serialize_roundtrip =
   QCheck.Test.make ~name:"serialize/restore roundtrips committed state"
@@ -1142,8 +1169,9 @@ let prop_serialize_roundtrip =
           List.iter (fun (k, v) -> Mvcc.write db t k v) writes;
           ignore (Mvcc.commit db t))
         txns;
-      Mvcc.committed_state (Mvcc.restore (Mvcc.serialize db))
-      = Mvcc.committed_state db)
+      let restored = Mvcc.restore (Mvcc.serialize db) in
+      Mvcc.committed_state restored = Mvcc.committed_state db
+      && Mvcc.digest restored = Mvcc.digest db)
 
 let test_wal_pp_entries () =
   let render e = Format.asprintf "%a" Wal.pp_entry e in
@@ -1155,9 +1183,10 @@ let test_wal_pp_entries () =
             txn = 1;
             ts = 9;
             updates = [ { Wal.key = "x"; value = Some "1" }; { Wal.key = "y"; value = None } ];
+            digest = 42;
           }));
   Alcotest.(check string) "empty commit" "commit(T2)@10[0 updates]"
-    (render (Wal.Commit { txn = 2; ts = 10; updates = [] }));
+    (render (Wal.Commit { txn = 2; ts = 10; updates = []; digest = 0 }));
   Alcotest.(check string) "abort" "abort(T1)[3 writes]"
     (render (Wal.Abort { txn = 1; writes = 3 }))
 
@@ -1635,13 +1664,13 @@ let () =
           Alcotest.test_case "read_at" `Quick test_read_at;
           Alcotest.test_case "commit history ordered" `Quick
             test_commit_history_ordered;
+          Alcotest.test_case "digest follows installs" `Quick
+            test_digest_follows_installs;
           Alcotest.test_case "fold_keys prefix" `Quick test_fold_keys_prefix;
           Alcotest.test_case "wal records txn" `Quick test_wal_records_transaction;
           Alcotest.test_case "wal records abort" `Quick test_wal_records_abort;
           Alcotest.test_case "unlogged store appends nothing" `Quick
             test_unlogged_store;
-          Alcotest.test_case "commit list only when kept" `Quick
-            test_commit_list_only_when_kept;
         ]
         @ qsuite
             [
