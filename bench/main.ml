@@ -168,7 +168,7 @@ let run_analysis ~csv =
     rows;
   (* The planner's summary over the same workloads: what the mixed
      per-template assignment costs vs pricing everything at the uniform
-     weakest-safe guarantee, and how the 2-shard partition routes updates. *)
+     weakest-safe guarantee. *)
   let plans =
     List.map
       (fun (name, templates) ->
@@ -192,17 +192,15 @@ let run_analysis ~csv =
           string_of_int (Plan.mixed_cost p);
           string_of_int fenced;
           string_of_int (List.length p.Plan.residual);
-          string_of_int (Partition.shard_count p.Plan.partition);
-          string_of_int (List.length p.Plan.partition.Partition.cross_shard_updates);
         ])
       plans
   in
   Lsr_stats.Table_fmt.print
-    ~title:"Workload plans (mixed per-template assignment, 2-shard partition)"
+    ~title:"Workload plans (mixed per-template assignment)"
     ~header:
       [
         "workload"; "uniform needs"; "uniform cost"; "mixed cost";
-        "fenced templates"; "residual"; "shards"; "cross-shard updates";
+        "fenced templates"; "residual";
       ]
     plan_rows;
   match csv with

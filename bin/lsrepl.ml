@@ -538,7 +538,7 @@ let sql_cmd =
 
 (* --- analyze --------------------------------------------------------------------- *)
 
-let analyze guarantee workload_names json_file allowlist_file plan shards =
+let analyze guarantee workload_names json_file allowlist_file plan =
   let all = Lsr_analysis.Builtin.workloads () in
   let selected =
     match workload_names with
@@ -565,7 +565,7 @@ let analyze guarantee workload_names json_file allowlist_file plan shards =
     else
       List.map
         (fun (name, templates) ->
-          Lsr_analysis.Plan.infer ~shards ~workload:name templates)
+          Lsr_analysis.Plan.infer ~workload:name templates)
         selected
   in
   if plan then
@@ -650,20 +650,15 @@ let analyze_cmd =
   let plan =
     let doc =
       "Emit the workload plan instead of the raw analysis: minimal \
-       per-template guarantee/fence assignment and the shard routing plan."
+       per-template guarantee/fence assignment."
     in
     Arg.(value & flag & info [ "plan" ] ~doc)
-  in
-  let shards =
-    let doc = "Shard budget for the partition analysis (with --plan)." in
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Statically analyze template workloads for SI anomalies")
     Term.(
-      const analyze $ guarantee $ workloads $ json_file $ allowlist_file $ plan
-      $ shards)
+      const analyze $ guarantee $ workloads $ json_file $ allowlist_file $ plan)
 
 (* --- trace ----------------------------------------------------------------------- *)
 

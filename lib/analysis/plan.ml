@@ -14,8 +14,6 @@ type t = {
   uniform : Session.guarantee;
   assignments : assignment list;
   residual : Sdg.dangerous list;
-  partition : Partition.t;
-  shard_levels : (int * Session.guarantee) list;
 }
 
 let cost = function
@@ -48,7 +46,7 @@ let why_of_flags = function
              f.Session_pass.witness)
          flags)
 
-let infer ?shards ~workload templates =
+let infer ~workload templates =
   let report = Analyzer.run ~guarantee:Session.Weak ~workload templates in
   let all_flags = report.Analyzer.session_flags in
   let uniform = Session_pass.needed_guarantee all_flags in
@@ -88,27 +86,11 @@ let infer ?shards ~workload templates =
       templates
     |> List.sort (fun a b -> String.compare a.template b.template)
   in
-  let partition = Partition.analyze ?shards templates in
-  let shard_levels =
-    List.init (Partition.shard_count partition) (fun sid ->
-        let level =
-          List.fold_left
-            (fun acc a ->
-              match Partition.route partition a.template with
-              | Some r when List.mem sid r.Partition.read_shards ->
-                if cost a.level > cost acc then a.level else acc
-              | _ -> acc)
-            Session.Weak assignments
-        in
-        (sid, level))
-  in
   {
     workload;
     uniform;
     assignments;
     residual = report.Analyzer.dangerous;
-    partition;
-    shard_levels;
   }
 
 let readers t = List.filter (fun a -> a.read_only) t.assignments
@@ -157,45 +139,6 @@ let render t =
        read-modify-write"
       (List.length ds);
     List.iter (fun d -> line "  %s" (Sdg.dangerous_id d)) ds);
-  line "partition: %d shard(s) requested, %d produced"
-    t.partition.Partition.requested
-    (Partition.shard_count t.partition);
-  List.iteri
-    (fun i atoms ->
-      line "  shard %d: %s" i
-        (String.concat ", " (List.map Partition.atom_name atoms)))
-    t.partition.Partition.shards;
-  line "routing:";
-  let ids l = String.concat "," (List.map string_of_int l) in
-  Buffer.add_string b
-    (Lsr_stats.Table_fmt.render
-       ~header:[ "template"; "span"; "reads"; "writes" ]
-       (List.map
-          (fun (r : Partition.route) ->
-            [
-              r.Partition.template;
-              (if r.Partition.cross_shard then "cross-shard" else "single-shard");
-              ids r.Partition.read_shards;
-              ids r.Partition.write_shards;
-            ])
-          t.partition.Partition.routes));
-  Buffer.add_char b '\n';
-  line "cross-shard updates: %s"
-    (match t.partition.Partition.cross_shard_updates with
-    | [] -> "none"
-    | l -> String.concat ", " l);
-  line "cross-shard reads: %s"
-    (match t.partition.Partition.cross_shard_reads with
-    | [] -> "none"
-    | l -> String.concat ", " l);
-  line "per-shard seq-vector requirements:";
-  List.iter
-    (fun (sid, level) ->
-      line "  shard %d: %s%s" sid
-        (Session.guarantee_name level)
-        (if cost level > 0 then " (maintain per-session sequence entries)"
-         else " (no session bookkeeping needed)"))
-    t.shard_levels;
   Buffer.contents b
 
 let to_json t =
@@ -214,19 +157,6 @@ let to_json t =
         ("why", Str a.why);
       ]
   in
-  let route_json (r : Partition.route) =
-    Obj
-      [
-        ("template", Str r.Partition.template);
-        ("read_only", Bool r.Partition.read_only);
-        ( "read_shards",
-          Arr (List.map (fun i -> Num (float_of_int i)) r.Partition.read_shards) );
-        ( "write_shards",
-          Arr (List.map (fun i -> Num (float_of_int i)) r.Partition.write_shards)
-        );
-        ("cross_shard", Bool r.Partition.cross_shard);
-      ]
-  in
   sort_keys
     (Obj
        [
@@ -237,39 +167,4 @@ let to_json t =
          ("assignments", Arr (List.map assignment_json t.assignments));
          ( "residual_dangerous",
            Arr (List.map (fun d -> Str (Sdg.dangerous_id d)) t.residual) );
-         ( "partition",
-           Obj
-             [
-               ("requested", Num (float_of_int t.partition.Partition.requested));
-               ( "shards",
-                 Arr
-                   (List.map
-                      (fun atoms ->
-                        Arr
-                          (List.map
-                             (fun a -> Str (Partition.atom_name a))
-                             atoms))
-                      t.partition.Partition.shards) );
-               ("routes", Arr (List.map route_json t.partition.Partition.routes));
-               ( "cross_shard_updates",
-                 Arr
-                   (List.map
-                      (fun s -> Str s)
-                      t.partition.Partition.cross_shard_updates) );
-               ( "cross_shard_reads",
-                 Arr
-                   (List.map
-                      (fun s -> Str s)
-                      t.partition.Partition.cross_shard_reads) );
-             ] );
-         ( "shard_levels",
-           Arr
-             (List.map
-                (fun (sid, level) ->
-                  Obj
-                    [
-                      ("shard", Num (float_of_int sid));
-                      ("level", Str (Session.guarantee_name level));
-                    ])
-                t.shard_levels) );
        ])

@@ -1,5 +1,5 @@
-(** Static workload planner: per-template guarantee/fence assignment plus
-    the shard routing plan, derived entirely from the static analysis.
+(** Static workload planner: per-template guarantee/fence assignment,
+    derived entirely from the static analysis.
 
     The session-guarantee ladder prices a whole workload at its weakest
     safe level; the planner prices each template separately. A
@@ -37,16 +37,12 @@ type t = {
   assignments : assignment list;  (** sorted by template name *)
   residual : Sdg.dangerous list;
       (** dangerous structures no session assignment can prevent *)
-  partition : Partition.t;
-  shard_levels : (int * Lsr_core.Session.guarantee) list;
-      (** per shard, the strongest level any read routed to it needs — the
-          shard's session seq-vector obligation *)
 }
 
-(** [infer ?shards ~workload templates] runs the full pipeline (SDG,
-    session pass, partition). [shards] defaults to {!Partition.analyze}'s.
+(** [infer ~workload templates] runs the full pipeline (SDG, session
+    pass).
     @raise Template.Duplicate_template as {!Sdg.build}. *)
-val infer : ?shards:int -> workload:string -> Template.t list -> t
+val infer : workload:string -> Template.t list -> t
 
 (** Sum of the guarantee prices over read-only templates under the mixed
     plan. The price ladder is [Weak]=0, [Prefix_consistent]=1,

@@ -28,6 +28,10 @@ type site = {
   (* False once the site has crashed: a recovered copy's restored state is
      audited against the primary's at the end of the run. *)
   mutable clean : bool;
+  (* The first primary txn after whose refresh commit one of the site's
+     copies diverged ({!Secondary.diverged}); -1 while none has. Kept here,
+     not on the copy, so a [Recover] that replaces the copy keeps it. *)
+  mutable diverged : int;
   c_started : Obs.counter;
   c_aborted : Obs.counter;
   g_update_queue : Obs.gauge;
@@ -106,7 +110,7 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
     let name = Printf.sprintf "secondary-%d" i in
     let fid = Flight.intern sinks.flight name in
     { name; fid; replica = Secondary.create (); link = link fid;
-      crashed = false; clean = true;
+      crashed = false; clean = true; diverged = -1;
       c_started = Obs.counter obs (name ^ ".refresh_started");
       c_aborted = Obs.counter obs (name ^ ".refresh_aborted");
       g_update_queue = Obs.gauge obs (name ^ ".update_queue_depth");
@@ -317,9 +321,11 @@ let rec fire t = function
       note_pending s;
       Flight.note_stage t.sinks.flight ~site:s.fid ~txn
         Flight.Refresh_committed ~record:(-1) ts;
-      if Secondary.diverged s.replica = txn then
+      if Secondary.diverged s.replica = txn then begin
+        if s.diverged < 0 then s.diverged <- txn;
         Flight.trigger t.sinks.flight ~reason:"completeness" ~txns:[ txn ]
-          ~detail:(diverged_detail i txn) ();
+          ~detail:(diverged_detail i txn) ()
+      end;
       refresh_committed t i s ts;
       Committed ts
     end
@@ -537,8 +543,7 @@ let check t =
   let at = Mvcc.latest_commit_ts primary in
   Array.iteri
     (fun i s ->
-      let txn = Secondary.diverged s.replica in
-      if txn >= 0 then add_error "%s" (diverged_detail i txn);
+      if s.diverged >= 0 then add_error "%s" (diverged_detail i s.diverged);
       if (not (s.crashed || s.clean))
          && Secondary.update_queue_length s.replica = 0
          && not (Checker.same_state primary ~at (Secondary.db s.replica))

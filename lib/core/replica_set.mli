@@ -220,8 +220,9 @@ val finish_read : t -> txn -> unit
 (** {2 Verdict} *)
 
 (** The end-of-run checker battery. In every run: completeness (Theorem
-    3.1), one line per secondary naming its {!Secondary.diverged} txn,
-    where [Commit i] triggered the flight capture, and final-state equality
+    3.1), one line per secondary naming the first {!Secondary.diverged}
+    txn of any of its copies (a [Recover] does not clear it), where
+    [Commit i] triggered the flight capture, and final-state equality
     for a recovered secondary with an empty update queue. With a history
     recorded: weak SI (Theorem 3.2); the fence audit; and the guarantee, one
     line naming it with the number of offending inversions and the first.

@@ -10,7 +10,7 @@
    3. the session cross-validation: a replicated-system run under weak SI
       whose data-dependent in-session inversions must all be predicted by
       the session pass;
-   4. the planner (Plan + Partition) and its bidirectional cross-validation:
+   4. the planner (Plan) and its bidirectional cross-validation:
       the inferred minimal per-template assignment must replay clean through
       the simulator's full checker battery (fence audit included), and any
       strictly weaker assignment at a flagged template must reproduce the
@@ -614,7 +614,7 @@ let test_sdg_overlap_edges () =
   check_bool "tpcw edges sorted by (src, dst, dep)" true
     (keys = List.sort compare keys)
 
-(* --- Planner: minimal assignments and shard partition -------------------------- *)
+(* --- Planner: minimal assignments ---------------------------------------------- *)
 
 let guarantee_eq = Session.guarantee_name
 
@@ -642,65 +642,16 @@ let test_plan_fence_mix () =
     [ "read_dashboard"; "read_archive"; "post_message" ];
   check_int "mixed plan cost" 2 (Plan.mixed_cost plan);
   check_int "uniform cost is three fenced readers" 6 (Plan.uniform_cost plan);
-  check_int "no residual write skew" 0 (List.length plan.Plan.residual);
-  (* Only the inversion-prone reader's shard owes session bookkeeping. *)
-  let route name =
-    match Partition.route plan.Plan.partition name with
-    | Some r -> r
-    | None -> Alcotest.failf "no route for %s" name
-  in
-  let shard_level sid = List.assoc sid plan.Plan.shard_levels in
-  let inbox_shard = List.hd (route "read_inbox").Partition.read_shards in
-  check_string "the inbox shard needs strong session"
-    (guarantee_eq Session.Strong_session)
-    (guarantee_eq (shard_level inbox_shard));
-  let dash_shard = List.hd (route "read_dashboard").Partition.read_shards in
-  check_string "the dashboard/archive shard needs nothing"
-    (guarantee_eq Session.Weak)
-    (guarantee_eq (shard_level dash_shard));
-  check_int "fence_mix partitions with no cross-shard template" 0
-    (List.length plan.Plan.partition.Partition.cross_shard_updates
-    + List.length plan.Plan.partition.Partition.cross_shard_reads)
+  check_int "no residual write skew" 0 (List.length plan.Plan.residual)
 
-let test_plan_tpcw_partition () =
+let test_plan_tpcw () =
   let plan = Plan.infer ~workload:"tpcw" (builtin "tpcw") in
-  let p = plan.Plan.partition in
-  check_int "two shards (books, orders)" 2 (Partition.shard_count p);
-  Alcotest.(check (list string))
-    "buy_confirm is the only cross-shard update (the commit-protocol cost)"
-    [ "buy_confirm" ] p.Partition.cross_shard_updates;
-  (match Partition.route p "order_status" with
-  | Some r ->
-    check_bool "order_status stays single-shard" false r.Partition.cross_shard
-  | None -> Alcotest.fail "order_status must be routed");
   (* Every tpcw reader is inversion-prone, so the mixed plan degenerates to
      the uniform one — the planner only wins when some reader is clean. *)
   check_int "tpcw mixed cost = uniform cost" (Plan.uniform_cost plan)
     (Plan.mixed_cost plan);
   check_int "write skew stays residual (cannot be fenced away)" 12
     (List.length plan.Plan.residual)
-
-let test_partition_budget_and_determinism () =
-  let templates = builtin "write_skew" in
-  let one = Partition.analyze ~shards:1 templates in
-  check_int "budget 1 collapses to one shard" 1 (Partition.shard_count one);
-  check_bool "single shard: nothing is cross-shard" true
-    (one.Partition.cross_shard_updates = []
-    && one.Partition.cross_shard_reads = []);
-  let sixteen = Partition.analyze ~shards:16 templates in
-  check_int "budget beyond the atom count: one shard per atom" 2
-    (Partition.shard_count sixteen);
-  (* duty[x] and duty[y] cannot be separated without splitting both
-     check-then-sign-off templates: at 2 shards everything goes cross. *)
-  let two = Partition.analyze ~shards:2 templates in
-  List.iter
-    (fun (r : Partition.route) ->
-      check_bool (r.Partition.template ^ " is cross-shard") true
-        r.Partition.cross_shard)
-    two.Partition.routes;
-  let a = Partition.analyze ~shards:2 (builtin "tpcw") in
-  let b = Partition.analyze ~shards:2 (builtin "tpcw") in
-  check_bool "same templates, structurally identical partition" true (a = b)
 
 let test_plan_json_deterministic () =
   let plan = Plan.infer ~workload:"fence_mix" (Builtin.fence_mix ()) in
@@ -915,10 +866,8 @@ let () =
         [
           Alcotest.test_case "fence_mix minimal assignment" `Quick
             test_plan_fence_mix;
-          Alcotest.test_case "tpcw shard partition" `Quick
-            test_plan_tpcw_partition;
-          Alcotest.test_case "partition budget and determinism" `Quick
-            test_partition_budget_and_determinism;
+          Alcotest.test_case "tpcw mixed cost and residual" `Quick
+            test_plan_tpcw;
           Alcotest.test_case "plan JSON canonical" `Quick
             test_plan_json_deterministic;
           Alcotest.test_case "plan vs simulator (both directions)" `Quick

@@ -1900,7 +1900,17 @@ let test_double_install_caught_without_history () =
     (fst (Replica_set.check rs));
   check_bool "the recorder captured it" true (Lsr_obs.Flight.triggered flight);
   Alcotest.(check (option string)) "as a completeness failure" (Some "completeness")
-    (Lsr_obs.Flight.trigger_reason flight)
+    (Lsr_obs.Flight.trigger_reason flight);
+  (* Recovery replaces the copy, not the verdict on the one it replaced. *)
+  ignore (Replica_set.fire rs (Replica_set.Crash 0));
+  ignore (Replica_set.fire rs (Replica_set.Recover 0));
+  update "c";
+  settle ();
+  Alcotest.(check (list string)) "the divergence survives recovery"
+    [ Printf.sprintf
+        "secondary 0: state after primary txn %d differs from the primary's"
+        first ]
+    (fst (Replica_set.check rs))
 
 (* A retried update is one transaction: the core drops an aborted
    attempt's reads, so the record holds only the committed attempt's. *)
