@@ -713,18 +713,21 @@ let trace guarantee seed steps txn_id =
     List.iter
       (fun txn -> Format.printf "  %a@." History.pp_txn txn)
       (History.transactions (System.history sys));
-    let report = Checker.analyze (System.history sys) in
+    let audit =
+      Watchdog.replay ~clock:(System.commit_clock sys) ~guarantee
+        (System.history sys)
+    in
+    let v = Watchdog.verdict audit in
     Printf.printf
       "\nweak-SI violations: %d\ninversions (all): %d\ninversions (in-session): %d\n"
-      (List.length report.Checker.weak_si_violations)
-      (List.length report.Checker.inversions_all)
-      (List.length report.Checker.inversions_in_session);
+      v.Watchdog.read_mismatches v.Watchdog.v_inversions_all
+      v.Watchdog.v_inversions_in_session;
     List.iter
-      (fun inv -> Format.printf "  %a@." Checker.pp_inversion inv)
-      report.Checker.inversions_in_session;
+      (fun a -> Format.printf "  %a@." Watchdog.pp_alert a)
+      (Watchdog.alerts audit);
     Printf.printf "guarantee %s satisfied: %b\n"
       (Session.guarantee_name guarantee)
-      (Checker.satisfies guarantee report);
+      (v.Watchdog.alerts_total = 0);
     Printf.printf
       "\ntraced update transactions: %s\n\
        (rerun as `lsrepl trace <id>` with the same seed to print one \

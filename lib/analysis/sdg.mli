@@ -20,8 +20,9 @@
     [T3] back to [T1]. Fekete's theorem: an SI history can only be
     non-serializable if its static graph has one, so a workload whose SDG is
     free of dangerous structures runs serializably under SI — and every
-    cycle the dynamic {!Lsr_core.Checker} finds must be covered by one
-    (asserted by the cross-validation tests). *)
+    serialization cycle the dynamic graph test [Mvsg]
+    ([examples/serializability]) finds must be covered by one (asserted by
+    the cross-validation tests). *)
 
 type dep =
   | Ww

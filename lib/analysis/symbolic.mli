@@ -11,8 +11,8 @@
     Overlap ([may_overlap]) is deliberately conservative: it must
     over-approximate the conflicts any {e instance} of the templates can
     exhibit at run time, because the static dependency graph built from it
-    ({!Sdg}) is required to cover every cycle the dynamic
-    {!Lsr_core.Checker} can find. Two accesses are known disjoint only when
+    ({!Sdg}) is required to cover every serialization cycle the dynamic
+    graph test [Mvsg] ([examples/serializability]) can find. Two accesses are known disjoint only when
     they touch different tables or two distinct constant keys. *)
 
 (** A symbolic primary key: a constant from the template text, or a named

@@ -1,9 +1,10 @@
 (** Recorded global execution histories.
 
     The embedded system and the simulator both append one record per finished
-    transaction; {!Checker} then decides mechanically whether the history is
-    weak SI, strong session SI, or strong SI (Definitions 2.1 and 2.2), and
-    exhibits the witnessing transaction inversions when it is not.
+    transaction; {!Watchdog.replay} then decides mechanically whether the
+    history is weak SI, strong session SI, or strong SI (Definitions 2.1
+    and 2.2), and names the witnessing transaction inversions when it is
+    not.
 
     Two orders coexist in a record:
     - {e wall order} ([first_op], [finished]): a global, monotonically
@@ -38,8 +39,8 @@ type kind =
   | Update
 
 (** The freshness fence a read-only transaction ran under, as recorded in
-    the history so {!Checker} can audit that the snapshot actually honoured
-    it. [read_at] is the virtual time at which the fence was resolved
+    the history so {!Watchdog.replay} can audit that the snapshot actually
+    honoured it. [read_at] is the virtual time at which the fence was resolved
     (relevant to [Max_age], whose horizon is a function of that instant). *)
 type fence_claim = {
   claim : Session.fence;

@@ -537,38 +537,40 @@ let check t =
   let add_error fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let guarantee = Session.guarantee t.sessions in
   (* Theorem 3.1, checked at every refresh commit, recorded run or not. No
-     digest checks a recovered copy's restored state: once fully refreshed,
-     it must match the primary's current state. *)
+     digest checks a recovered copy's restored state: once refreshed up to
+     the primary's latest commit, it must match the primary's state. *)
   let primary = Primary.db t.primary in
   let at = Mvcc.latest_commit_ts primary in
   Array.iteri
     (fun i s ->
       if s.diverged >= 0 then add_error "%s" (diverged_detail i s.diverged);
       if (not (s.crashed || s.clean))
-         && Secondary.update_queue_length s.replica = 0
-         && not (Checker.same_state primary ~at (Secondary.db s.replica))
+         && Secondary.seq_dbsec s.replica >= at
+         && not (Mvcc.same_state primary ~at (Secondary.db s.replica))
       then add_error "recovered secondary %d diverges from primary" i)
     t.sites;
-  let report =
-    if not t.record_history then None
-    else begin
-      let report = Checker.analyze ~clock:t.clock t.history in
-      List.iter (add_error "weak SI violation: %s") report.weak_si_violations;
-      List.iter (add_error "%s") report.fence_violations;
-      (match Checker.forbidden_inversions guarantee report with
-      | [] -> ()
-      | first :: _ as all ->
-        add_error "guarantee %s violated: %d inversions, first %s"
-          (Session.guarantee_name guarantee)
-          (List.length all)
-          (Format.asprintf "%a" Checker.pp_inversion first));
-      Some report
-    end
+  (* A recorded run is replayed into a fresh watchdog after the fact. *)
+  let audit =
+    if t.record_history then
+      Some (Watchdog.replay ~clock:t.clock ~guarantee t.history)
+    else None
   in
+  (match audit with
+  | Some w when (Watchdog.verdict w).Watchdog.alerts_total > 0 ->
+    let v = Watchdog.verdict w in
+    add_error
+      "audit: guarantee %s violated: %d read mismatches, %d fence failures, \
+       %d inversions; first %s"
+      (Session.guarantee_name guarantee)
+      v.Watchdog.read_mismatches v.Watchdog.fence_failures
+      (v.Watchdog.alerts_total - v.Watchdog.read_mismatches
+     - v.Watchdog.fence_failures)
+      (Format.asprintf "%a" Watchdog.pp_alert (List.hd (Watchdog.alerts w)))
+  | Some _ | None -> ());
   (match Option.map Watchdog.verdict t.watchdog with
   | Some v when v.Watchdog.alerts_total > 0 ->
     add_error "watchdog: guarantee %s violated (%d alerts)"
       (Session.guarantee_name guarantee)
       v.Watchdog.alerts_total
   | Some _ | None -> ());
-  (List.rev !errors, report)
+  (List.rev !errors, Option.map Watchdog.verdict audit)

@@ -219,15 +219,15 @@ val finish_read : t -> txn -> unit
 
 (** {2 Verdict} *)
 
-(** The end-of-run checker battery. In every run: completeness (Theorem
-    3.1), one line per secondary naming the first {!Secondary.diverged}
-    txn of any of its copies (a [Recover] does not clear it), where
-    [Commit i] triggered the flight capture, and final-state equality
-    for a recovered secondary with an empty update queue. With a history
-    recorded: weak SI (Theorem 3.2); the fence audit; and the guarantee, one
-    line naming it with the number of offending inversions and the first.
-    Then the attached watchdog's verdict: one line with its alert count
-    when it raised any. Returns
-    the violations (empty when the run passed) and the report behind them
-    ([None] without a history). *)
-val check : t -> string list * Checker.report option
+(** The end-of-run verdict. In every run: completeness (Theorem 3.1), one
+    line per secondary naming the first {!Secondary.diverged} txn of any of
+    its copies (a [Recover] does not clear it), where [Commit i] triggered
+    the flight capture, and, for a recovered secondary refreshed up to the
+    primary's latest commit, final-state equality ({!Lsr_storage.Mvcc.same_state}).
+    With a history recorded: {!Watchdog.replay} of it against the
+    guarantee, one line with its read mismatches (weak SI, Theorem 3.2),
+    fence failures and forbidden inversions and its first alert when it
+    raised any. Then the attached watchdog's verdict: one line with its
+    alert count when it raised any. Returns the violations (empty when the
+    run passed) and the replay's verdict ([None] without a history). *)
+val check : t -> string list * Watchdog.verdict option

@@ -75,7 +75,7 @@ val pp_fence : Format.formatter -> fence -> unit
 
 (** The primary's commit clock: an append-only monotone map from commit
     timestamp to virtual commit time. [Max_age] fences are resolved against
-    it; the checker replays it to audit committed fenced reads. *)
+    it; {!Watchdog.replay} reads it to audit committed fenced reads. *)
 type clock
 
 val clock_create : unit -> clock

@@ -140,7 +140,7 @@ val update :
     {!Session.fence}: the effective threshold is the [max] of the guarantee's
     and the fence's. A [Max_age] fence resolves its visibility horizon once,
     when the read is submitted. The fence is recorded in the history so
-    the fence audit of {!Checker.analyze} can check it after the run.
+    {!check}'s replay of it audits the claim after the run.
     @raise Secondary_down when the client's secondary is crashed.
     @raise Unsatisfiable_read when the threshold is still unreachable after
     a bounded number of pump rounds. *)

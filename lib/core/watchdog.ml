@@ -84,8 +84,8 @@ let chain_append c ts v =
   c.c_v.(c.c_hi) <- v;
   c.c_hi <- c.c_hi + 1
 
-(* Index one past the last version with ts <= [s] (cf. the checker's
-   [partition]); the visible version is at the returned index - 1. *)
+(* Index one past the last version with ts <= [s]; the visible version is
+   at the returned index - 1. *)
 let chain_partition c s =
   let lo = ref c.c_lo and hi = ref c.c_hi in
   while !lo < !hi do
@@ -358,8 +358,8 @@ let record_alert t ~at ~txn ~session ~site ~snapshot kind =
 
 (* --- Floors ----------------------------------------------------------------- *)
 
-(* Raise a floor, keeping the earlier witness on equal timestamps — the same
-   tie rule as the [note] of [Checker.analyze]'s sweep. *)
+(* Raise a floor, keeping the earlier witness on equal timestamps: among the
+   transactions that pinned the highest state, the first to finish. *)
 let bump_global t ts id =
   if ts > t.global_ts then begin
     t.global_ts <- ts;
@@ -590,8 +590,7 @@ let end_update t tok ~id ~now ~commit ~snapshot ~reads =
   match commit with
   | None ->
     (* Aborted: pins nothing, checks nothing (the definitions quantify over
-       committed transactions; the post-hoc checker never sees this
-       transaction in the simulator either). *)
+       committed transactions; [replay] skips it). *)
     note_state t
   | Some (commit_ts, writes) ->
     if Timestamp.compare commit_ts t.last_commit_ts <= 0 then
@@ -610,6 +609,64 @@ let end_update t tok ~id ~now ~commit ~snapshot ~reads =
       Queue.push no_cell t.unretired
     end;
     note_state t
+
+(* --- Replaying a recorded history -------------------------------------------- *)
+
+(* The definitions quantify over committed transactions only. *)
+let committed (t : History.txn) =
+  t.kind = History.Read_only || Option.is_some t.commit_ts
+
+(* Indices into [txns] in [key] order, ties in completion order. *)
+let sorted_by key txns =
+  let a = Array.init (Array.length txns) Fun.id in
+  Array.stable_sort (fun i j -> Int.compare (key txns.(i)) (key txns.(j))) a;
+  a
+
+let replay ?clock ~guarantee history =
+  let t = create ?clock ~guarantee ~sites:1 () in
+  let txns = Array.of_list (List.filter committed (History.transactions history)) in
+  let n = Array.length txns in
+  let starts = sorted_by (fun (x : History.txn) -> x.first_op) txns in
+  let ends = sorted_by (fun (x : History.txn) -> x.finished) txns in
+  (* [floor.(i)]: the smallest snapshot among the [i]th begin and every later
+     one, which no later transaction reads below. *)
+  let floor = Array.make (n + 1) max_int in
+  for i = n - 1 downto 0 do
+    floor.(i) <- Int.min txns.(starts.(i)).snapshot floor.(i + 1)
+  done;
+  let tokens = Pins.create 64 in
+  let finish k =
+    let x = txns.(k) and tok = Pins.find tokens k in
+    Pins.remove tokens k;
+    let reads =
+      { History.count = Array.length x.read_keys; keys = x.read_keys;
+        values = x.read_values }
+    and now = float_of_int x.finished in
+    (* A committed transaction without a commit timestamp is read-only. *)
+    match x.commit_ts with
+    | None -> end_read ?fence:x.fence t tok ~id:x.id ~site:x.site ~now ~reads
+    | Some ts ->
+      end_update t tok ~id:x.id ~now ~commit:(Some (ts, x.writes))
+        ~snapshot:x.snapshot ~reads
+  in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let k = starts.(i) in
+    let x = txns.(k) in
+    (* An end ticked before this begin ran before it; on a tie, after. *)
+    while txns.(ends.(!j)).finished < x.first_op do
+      finish ends.(!j);
+      incr j
+    done;
+    note_refresh t ~site:0 ~seq:floor.(i);
+    (* An update pins its recorded snapshot too, which may lag the newest
+       commit [begin_update] would pin. *)
+    Pins.replace tokens k (capture t ~session:x.session ~pin_at:x.snapshot)
+  done;
+  for e = !j to n - 1 do
+    finish ends.(e)
+  done;
+  t
 
 (* --- Results ---------------------------------------------------------------- *)
 

@@ -1,23 +1,24 @@
-(** Online consistency watchdog: streaming SI-anomaly detection with bounded
-    memory.
+(** Consistency watchdog: streaming SI-anomaly detection with bounded
+    memory, the one judge of the paper's Definitions 2.1/2.2 and of
+    Theorem 3.2's weak-SI reads.
 
-    {!Checker} audits a fully recorded {!History} after the run; this module
-    performs the same three audits {e while the run executes}, subscribing to
-    the live event stream at exactly the points where [History] records
-    transactions today:
+    It subscribes to the live event stream at exactly the points where
+    [History] records transactions, and {!replay} feeds it a recorded
+    history after the run the same way. It performs three audits:
 
     - {e weak-SI read validation}: every recorded read is checked against the
       primary state sequence at the reader's snapshot, answered from per-key
       committed-writer chains by binary search (the same pinned-version rule
       the serialization-graph test [Mvsg] uses);
-    - {e inversion floors}: the sorted sweep of {!Checker.analyze} becomes
-      an O(1)-amortized floor update per commit — the maximal state pinned by
-      any finished committed transaction is maintained globally, per session,
-      and per session restricted to updates (the PCSI floor), and every
-      transaction captures the three floors at its first operation;
-    - {e fence audit}: the {!Checker.analyze} wall-order session floor
-      is maintained the same way, and [Exact]/[Max_age]/[Session_seq] claims
-      are checked the moment the fenced read finishes.
+    - {e inversion floors}: an O(1)-amortized floor update per commit — the
+      maximal state pinned by any finished committed transaction is
+      maintained globally, per session, and per session restricted to
+      updates (the PCSI floor), and every transaction captures the three
+      floors at its first operation;
+    - {e fence audit}: each session's fence floor (its updates' commits and
+      its [Session_seq]-fenced reads' snapshots) is maintained the same way,
+      and [Exact]/[Max_age]/[Session_seq] claims are checked the moment the
+      fenced read finishes.
 
     The watchdog judges the run against the guarantee it promises. An
     {e alert} is a violation of it: a read mismatch, a fence failure, or an
@@ -41,17 +42,19 @@
     key ever written, are bounded by the key space instead, and
     {!state_size} does not count them.
 
-    {b Equivalence.} For every committed transaction the captured floors
-    equal the post-hoc sweep's floors exactly, because the begin/end hooks
-    fire adjacent to the same wall-order ticks [History] uses ([finished <
-    first_op] iff the earlier transaction's end hook ran before the later
-    one's begin hook) and ties keep the earlier witness, like
-    {!Checker.analyze}. The differential suite in [test/test_watchdog.ml]
-    checks the verdict against {!Checker.analyze} across fuzzed runs, and
-    replays each run's history into watchdogs promising each level to match
-    their alerts witness for witness. Aborted transactions pin nothing and
-    are never validated (the definitions quantify over committed
-    transactions only). *)
+    {b Equivalence.} A transaction's floors are those of the definitions:
+    the begin/end hooks fire adjacent to the wall-order ticks [History]
+    records ([finished < first_op] iff the earlier transaction's end hook
+    ran before the later one's begin hook), and ties keep the earlier
+    witness. {!replay} calls the hooks in that tick order, so it gives the
+    online verdict and alerts on the run's history. Both are checked
+    against independent references in [test/]: the differential suite in
+    [test/test_watchdog.ml] compares the online verdict with the quadratic
+    [Legacy_checker] and a separate fence sweep across fuzzed runs, and
+    [replay] with the online watchdog; test_core and test_checker_diff
+    judge {!replay} against brute-force transcriptions of the definitions.
+    Aborted transactions pin nothing and are never validated (the
+    definitions quantify over committed transactions only). *)
 
 open Lsr_storage
 
@@ -60,12 +63,11 @@ type t
 exception Unknown_site of { site : int; sites : int }
 (** Raised by {!note_refresh} for a site outside [0 .. sites - 1]. *)
 
-(** Which inversion floor a violation was detected against — mirroring the
-    three lists of {!Checker.report}. *)
+(** Which inversion floor a violation was detected against. *)
 type level = Session.level =
-  | All_sessions  (** {!Checker.report.inversions_all} (strong SI) *)
-  | In_session  (** [inversions_in_session] (strong session SI) *)
-  | After_update  (** [inversions_after_update] (PCSI) *)
+  | All_sessions  (** any earlier transaction (strong SI) *)
+  | In_session  (** one of the same session (strong session SI) *)
+  | After_update  (** an update of the same session (PCSI) *)
 
 type alert_kind =
   | Read_mismatch of {
@@ -96,7 +98,7 @@ val pp_alert : Format.formatter -> alert -> unit
 (** The run's counts. [alerts_total] counts every alert, including any
     dropped beyond the bounded log; a run kept its guarantee exactly when
     it is 0. The three inversion counts cover every level, forbidden or
-    not — the online mirror of {!Checker.report}'s three lists. *)
+    not. *)
 type verdict = {
   read_mismatches : int;
   v_inversions_all : int;
@@ -110,9 +112,9 @@ type verdict = {
 (** [create ~guarantee ~sites ()] is a fresh watchdog judging a system with
     [sites] secondaries against [guarantee]. The retained alert log keeps
     the first 256 alerts (counters keep exact totals past the cap).
-    [clock] is the primary commit clock used to audit [Max_age] claims —
-    as in {!Checker.analyze}'s fence audit, a [Max_age] claim without a
-    clock is itself a violation. The watchdog keeps its own counts (its
+    [clock] is the primary commit clock used to audit [Max_age] claims; a
+    [Max_age] claim without a clock is itself a violation (recording fenced
+    reads without the clock is a harness bug). The watchdog keeps its own counts (its
     {!verdict}, {!peak_state} and {!state_size}); the first alert triggers
     [flight] (reason ["watchdog"], implicating the offending transaction
     and, for an inversion, its witness). *)
@@ -170,8 +172,8 @@ val end_read :
     raise all floors to [commit_ts], and append the writes to the per-key
     version chains (commits must arrive in commit-timestamp order).
     [commit = None]: the transaction aborted — it pins nothing, nothing is
-    checked (matching the checker, which quantifies over committed
-    transactions), the token only releases its horizon pin. *)
+    checked (the definitions quantify over committed transactions), the
+    token only releases its horizon pin. *)
 val end_update :
   t ->
   token ->
@@ -192,6 +194,29 @@ val release : t -> token -> unit
     [Commit i] move calls it). Advances the retirement
     horizon and retires versions and session floors below it. *)
 val note_refresh : t -> site:int -> seq:Timestamp.t -> unit
+
+(** {2 Replay} *)
+
+(** [replay ?clock ~guarantee history] is a fresh one-site watchdog with no
+    flight recorder, fed every committed transaction of [history]: its
+    begin at the transaction's [first_op] tick, pinning its recorded
+    snapshot, and its end hook at its [finished] tick (an end ticked before
+    a begin runs first; on a tie, the begin does), each alert stamped with
+    the [finished] tick as its time. Before each begin it notes a refresh
+    at the smallest snapshot among the transactions not yet begun, so it
+    retires versions and floors as the online watchdog does, and soundly
+    for the same reason: no later snapshot is older. [clock] audits
+    [Max_age] claims, as in {!create}.
+    [Replica_set.check] runs it on a recorded run. The history must meet
+    the end hooks' contract: each transaction's [first_op <= finished], and
+    committed updates' timestamps increasing in [finished] order, as a
+    primary commits them.
+
+    It runs in O(n log n) time plus O(R) over recorded reads, and O(n)
+    extra words for n committed transactions beyond the watchdog's own
+    state. *)
+val replay :
+  ?clock:Session.clock -> guarantee:Session.guarantee -> History.t -> t
 
 (** {2 Results} *)
 

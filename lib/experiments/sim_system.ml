@@ -101,7 +101,7 @@ type outcome = {
   primary_utilization : float;
   secondary_utilization : float;
   check_errors : string list;
-  check_report : Checker.report option;
+  check_report : Watchdog.verdict option;
   channels : Channel.stats;
   sim_events : int;
   checker_cpu_s : float;

@@ -18,8 +18,8 @@
     timer chains.
 
     Because the data operations really execute, a run both measures
-    performance and (optionally) records a {!Lsr_core.History} that the
-    checker validates afterwards — the simulator cannot quietly violate the
+    performance and (optionally) records a {!Lsr_core.History} that
+    {!Lsr_core.Watchdog.replay} validates afterwards — the simulator cannot quietly violate the
     guarantees it is measuring. *)
 
 open Lsr_core
@@ -104,7 +104,7 @@ type config = {
           session floor can rise under a shared open-loop label), so it
           reduces exactly to the strong-session requirement. With
           [record_history] the fence is recorded per read and audited by
-          {!Lsr_core.Checker.analyze} at the end. *)
+          {!Lsr_core.Watchdog.replay} at the end. *)
   faults : Channel.config option;
       (** when set, each secondary receives propagated records through a
           fault-injection {!Lsr_core.Channel} (loss / duplication / delay /
@@ -218,12 +218,12 @@ type outcome = {
   check_errors : string list;
       (** the end-of-run verdict ({!Lsr_core.Replica_set.check}): empty
           when the run satisfied its guarantee *)
-  check_report : Lsr_core.Checker.report option;
-      (** the full checker battery report behind [check_errors] ([None]
-          when [record_history = false]) — lets callers ask finer questions
+  check_report : Lsr_core.Watchdog.verdict option;
+      (** the verdict of {!Lsr_core.Watchdog.replay} of the recorded history
+          behind [check_errors] ([None] when [record_history = false]): its
+          inversion counts at every level let callers ask finer questions
           than pass/fail, e.g. which guarantees the history would also have
-          satisfied, or which session inversions actually occurred (the
-          planner cross-validation tests do both) *)
+          satisfied (the planner cross-validation tests do) *)
   channels : Lsr_core.Channel.stats;
       (** the fault channels' counters summed over every secondary
           ({!Lsr_core.Replica_set.channel_stats}; all 0 without [faults]) *)

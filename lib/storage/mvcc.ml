@@ -360,6 +360,21 @@ let state_at t ts =
 
 let committed_state t = state_at t t.latest_commit
 
+(* States are compared key by key, never materialized: two states are equal
+   exactly when they hold the same number of visible bindings and every
+   binding of one reads the same value from the other. *)
+let visible_count db ~at = fold_visible db ~at ~init:0 ~f:(fun n _ _ -> n + 1)
+
+let same_state expected ~at actual =
+  let actual_at = actual.latest_commit in
+  let n = visible_count actual ~at:actual_at in
+  n = visible_count expected ~at
+  && n
+     = fold_visible actual ~at:actual_at ~init:0 ~f:(fun matched key v ->
+           match read_at expected at key with
+           | Some v' when String.equal v v' -> matched + 1
+           | Some _ | None -> matched)
+
 (* Build the ordered index from the cells at the first scan; after that, fold
    in the keys installed since the last scan. *)
 let sync_keys t =

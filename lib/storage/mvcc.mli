@@ -158,6 +158,11 @@ val state_at : t -> Timestamp.t -> (string * string) list
 (** Latest committed state (= [state_at t (latest_commit_ts t)]). *)
 val committed_state : t -> (string * string) list
 
+(** [same_state expected ~at actual] — [expected]'s state as of [at] equals
+    [actual]'s latest committed state. Compares key by key with
+    {!fold_visible} and {!read_at}; allocates nothing per key. *)
+val same_state : t -> at:Timestamp.t -> t -> bool
+
 (** [fold_visible t ~at ~init ~f] folds [f] over the bindings visible as of
     [at] (deleted keys omitted), in no particular order, allocating nothing
     per binding: with [read_at], states compare key by key. *)

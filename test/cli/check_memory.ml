@@ -1,13 +1,16 @@
 (* Memory guard for the end-of-run verifier: [System.check] must verify a
-   run in sorted sweeps over the history and key-by-key state comparisons,
-   not by materializing database states or re-sorting the history once per
-   check. Runs the embedded system (no simulator) with 3 secondaries, 20k
-   preloaded keys and 4,000 transactions of the Table 1 mix, then fails when
-   [System.check] raises the resident-set high-water mark (VmHWM) by
-   [bound_bytes] or more. Materializing two sorted 20k-binding states per
-   secondary and sorting the history ten times raised it by about 11.5 MB;
-   comparing states key by key and sweeping the history once, by about
-   0.6 MB.
+   run by replaying the history once into a retiring watchdog and comparing
+   states key by key, not by materializing database states or re-sorting
+   the history once per check. Runs the embedded system (no simulator) with
+   3 secondaries, 20k preloaded keys and 4,000 transactions of the Table 1
+   mix, then fails when [System.check] raises the resident-set high-water
+   mark (VmHWM) by [bound_bytes] or more. Materializing two sorted
+   20k-binding states per secondary and sorting the history ten times
+   raised it by about 11.5 MB; a separate checker's sorted sweep of the
+   history, by about 1.7 MB (0.6 MB when this guard was written); the
+   replay, by about 3.1 MB, most of it the
+   watchdog's cell and chain for each of the 20k preloaded keys, live
+   until the preload's version retires.
 
    Prints a skip line and exits 0 where /proc/self/status is unreadable;
    prints the rise on failure or with [-v]. *)

@@ -1,6 +1,7 @@
 (* Helpers shared by the test executables: read-buffer conversions, a
    handle that keeps its reads, one update run straight at a primary, the
-   open-start scan of a primary log, and the hand-built histories of the
+   open-start scan of a primary log, a watchdog verdict read against a
+   guarantee and its alerts' witness pairs, and the hand-built histories of the
    serialization-graph tests (serializability_cases, test_checker_diff):
    the write-skew and serial executions of the sign-off templates whose
    static verdict test_analysis checks. *)
@@ -23,12 +24,6 @@ let served_of_list reads =
   let r = History.reads () in
   List.iter (fun (key, value) -> History.serve r key value) reads;
   r
-
-(* A record's reads as that buffer, for replaying a history into a
-   watchdog. *)
-let served (t : History.txn) =
-  { History.count = Array.length t.read_keys; keys = t.read_keys;
-    values = t.read_values }
 
 (* The first [count] reads of a buffer as (key, observed value) pairs,
    oldest first. *)
@@ -69,6 +64,42 @@ let logged_commits wal =
       | Wal.Commit { ts; updates; digest; _ } -> Some (ts, updates, digest)
       | Wal.Start _ | Wal.Abort _ -> None)
     (fst (Wal.read_from wal 0))
+
+(* Whether a watchdog verdict meets [guarantee]: no read mismatch, no fence
+   failure, and no inversion at the level the guarantee forbids. *)
+let satisfies guarantee (v : Watchdog.verdict) =
+  v.read_mismatches = 0 && v.fence_failures = 0
+  &&
+  match Session.forbidden_level guarantee with
+  | None -> true
+  | Some Session.All_sessions -> v.v_inversions_all = 0
+  | Some Session.In_session -> v.v_inversions_in_session = 0
+  | Some Session.After_update -> v.v_inversions_after_update = 0
+
+(* The verdict of [h] replayed into a watchdog promising [guarantee]. *)
+let audit ?clock ?(guarantee = Session.Weak) h =
+  Watchdog.verdict (Watchdog.replay ?clock ~guarantee h)
+
+(* The (txn id, detail) of retained fence alerts, sorted. *)
+let fence_alerts alerts =
+  List.filter_map
+    (fun (a : Watchdog.alert) ->
+      match a.kind with
+      | Watchdog.Fence_violation { detail } -> Some (a.txn, detail)
+      | Watchdog.Read_mismatch _ | Watchdog.Inversion _ -> None)
+    alerts
+  |> List.sort compare
+
+(* The inversion witness pairs (earlier id, later id) of retained alerts,
+   sorted. *)
+let alert_pairs (alerts : Watchdog.alert list) =
+  List.filter_map
+    (fun (a : Watchdog.alert) ->
+      match a.kind with
+      | Watchdog.Inversion { earlier; _ } -> Some (earlier, a.txn)
+      | Watchdog.Read_mismatch _ | Watchdog.Fence_violation _ -> None)
+    alerts
+  |> List.sort compare
 
 let commit_exn db txn =
   match Mvcc.commit db txn with

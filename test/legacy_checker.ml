@@ -1,10 +1,12 @@
-(* The pre-PR-6 dynamic checker, kept verbatim as a test-only oracle: the
-   differential suite in test_checker_diff fuzzes histories and asserts the
-   rewritten polynomial checker in Lsr_core.Checker agrees with this
-   implementation on every verdict and produces equivalent witnesses. The
-   algorithms here are the quadratic originals (list-based version-chain
-   walks, List.mem edge dedup, recursive DFS) — correct on small histories,
-   which is all the oracle needs. *)
+(* The original quadratic dynamic checker, kept as a test-only oracle
+   independent of the library's one timestamp judge, Lsr_core.Watchdog: the
+   differential suites (test_checker_diff, test_watchdog) assert that the
+   watchdog, online or replaying a history, agrees with this implementation
+   on every verdict and blames the same witnesses. The algorithms here are
+   list-based version-chain walks, List.mem edge dedup and recursive DFS —
+   correct on small histories, which is all the oracle needs. [fences] is
+   the fence audit as its own wall-order sweep, as it was before the audit
+   was folded into the inversion sweep. *)
 
 open Lsr_storage
 open Lsr_core
@@ -249,3 +251,74 @@ let satisfies guarantee report =
   | Session.Prefix_consistent -> report.inversions_after_update = []
   | Session.Strong_session -> report.inversions_in_session = []
   | Session.Strong -> report.inversions_all = []
+
+(* The fence audit: each committed fenced read, by first operation, against
+   its claim. A session's fence floor is raised by its committed updates'
+   commits and its [Session_seq]-fenced reads' snapshots, once they finished
+   before the read's first operation. A [Max_age] claim without [clock] is
+   itself a violation. Returns (txn id, detail) in first-operation order. *)
+let fences ?clock history =
+  let txns = List.filter committed (History.transactions history) in
+  let by key l = List.stable_sort (fun a b -> Int.compare (key a) (key b)) l in
+  let by_start = by (fun t -> t.History.first_op) txns in
+  let by_finish = by (fun t -> t.History.finished) txns in
+  let floors : (string, Timestamp.t) Hashtbl.t = Hashtbl.create 64 in
+  let note (t : History.txn) =
+    let bump ts =
+      match Hashtbl.find_opt floors t.session with
+      | Some best when Timestamp.compare best ts >= 0 -> ()
+      | Some _ | None -> Hashtbl.replace floors t.session ts
+    in
+    (match (t.kind, t.commit_ts) with
+    | History.Update, Some cts -> bump cts
+    | History.Update, None | History.Read_only, _ -> ());
+    match (t.kind, t.fence) with
+    | History.Read_only, Some { History.claim = Session.Session_seq; _ } ->
+      bump t.snapshot
+    | _, _ -> ()
+  in
+  let violations = ref [] in
+  let violation (t2 : History.txn) fmt =
+    Format.kasprintf (fun msg -> violations := (t2.id, msg) :: !violations) fmt
+  in
+  let check (t2 : History.txn) =
+    match (t2.kind, t2.fence) with
+    | History.Update, _ | _, None -> ()
+    | History.Read_only, Some { History.claim; read_at } -> (
+      match claim with
+      | Session.Exact ts ->
+        if Timestamp.compare t2.snapshot ts < 0 then
+          violation t2 "snapshot %a < exact fence %a" Timestamp.pp t2.snapshot
+            Timestamp.pp ts
+      | Session.Session_seq -> (
+        match Hashtbl.find_opt floors t2.session with
+        | Some floor when Timestamp.compare t2.snapshot floor < 0 ->
+          violation t2 "snapshot %a < session fence floor %a" Timestamp.pp
+            t2.snapshot Timestamp.pp floor
+        | Some _ | None -> ())
+      | Session.Max_age d -> (
+        match clock with
+        | None ->
+          violation t2 "Max_age %g claim but no commit clock to audit it" d
+        | Some c ->
+          let horizon = Session.clock_horizon c ~cutoff:(read_at -. d) in
+          if Timestamp.compare t2.snapshot horizon < 0 then
+            violation t2
+              "snapshot %a < visibility horizon %a (age %g at read time %g)"
+              Timestamp.pp t2.snapshot Timestamp.pp horizon d read_at))
+  in
+  let rec sweep pending = function
+    | [] -> ()
+    | (t2 : History.txn) :: rest ->
+      let rec absorb = function
+        | (t1 : History.txn) :: more when t1.finished < t2.first_op ->
+          note t1;
+          absorb more
+        | remaining -> remaining
+      in
+      let pending = absorb pending in
+      check t2;
+      sweep pending rest
+  in
+  sweep by_finish by_start;
+  List.rev !violations

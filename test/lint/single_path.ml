@@ -36,9 +36,11 @@
    alert, the first refresh commit whose digest differs from its record's
    ([Replica_set.fire]) and the simulator's failed checker battery.
    Completeness has one judge: only [Secondary], at each refresh commit,
-   compares a store's digest with a commit record's. Only the two
-   verdicts, [Checker] and [Watchdog], map a guarantee to the inversion
-   level it forbids; everyone else reads their verdicts. A sample reaches
+   compares a store's digest with a commit record's. The timestamp
+   criteria have one judge too: only [Watchdog] maps a guarantee to the
+   inversion level it forbids, and only [Replica_set]'s end-of-run verdict
+   replays a recorded history into it or compares a recovered copy's
+   state; everyone else reads its verdicts. A sample reaches
    a registry histogram from one place: the clients' samples from
    [Metrics], freshness and lag from [Replica_set], so no third module
    records the same sample again.
@@ -62,7 +64,7 @@ let rules =
       [ "Obs.counter"; "Obs.gauge" ] );
     ( [ "replica_set.ml" ],
       "Replica_set",
-      [ "Checker.analyze"; "Checker.same_state"; "Channel.create";
+      [ "Watchdog.replay"; "Mvcc.same_state"; "Channel.create";
         "Session.clock_freshness"; "Session.clock_time_of" ] );
     ( [ "replica_set.ml" ],
       "Replica_set",
@@ -90,9 +92,7 @@ let rules =
       "Watchdog / Replica_set / Sim_system",
       [ "Flight.trigger" ] );
     ([ "mvcc.ml"; "secondary.ml" ], "Mvcc / Secondary", [ "Mvcc.digest" ]);
-    ( [ "checker.ml"; "watchdog.ml" ],
-      "Checker / Watchdog",
-      [ "Session.forbidden_level" ] );
+    ([ "watchdog.ml" ], "Watchdog", [ "Session.forbidden_level" ]);
     ( [ "metrics.ml"; "replica_set.ml" ],
       "Metrics / Replica_set",
       [ "Obs.observe" ] );

@@ -492,11 +492,19 @@ let test_session_cross_validation () =
   let name_of =
     List.map2 (fun name (t : History.txn) -> (t.History.id, name)) order txns
   in
-  let analysis = Checker.analyze (System.history sys) in
-  let inversions = analysis.Checker.inversions_in_session in
+  (* Replayed as a strong-session-SI run, every in-session inversion is an
+     alert naming its witness. *)
+  let inversions =
+    Watchdog.replay ~clock:(System.commit_clock sys)
+      ~guarantee:Session.Strong_session (System.history sys)
+    |> Watchdog.alerts |> Fixtures.alert_pairs
+    |> List.map (fun (earlier, later) ->
+           let txn id = List.find (fun (t : History.txn) -> t.id = id) txns in
+           (txn earlier, txn later))
+  in
   let data_dependent =
     List.filter
-      (fun { Checker.earlier; later } ->
+      (fun ((earlier : History.txn), (later : History.txn)) ->
         earlier.History.kind = History.Update
         && Array.exists
              (fun k ->
@@ -509,7 +517,7 @@ let test_session_cross_validation () =
   check_bool "the stale session actually observed an inversion" true
     (data_dependent <> []);
   List.iter
-    (fun { Checker.earlier; later } ->
+    (fun ((earlier : History.txn), (later : History.txn)) ->
       let earlier_name = List.assoc earlier.History.id name_of in
       let later_name = List.assoc later.History.id name_of in
       check_bool
@@ -718,9 +726,8 @@ let test_plan_cross_validation_sim () =
   check_bool "fences were actually exercised" true (minimal.Sim.fenced_reads > 0);
   let report = Option.get minimal.Sim.check_report in
   check_bool "the fenced-Weak run satisfies the uniform target level" true
-    (Checker.satisfies plan.Plan.uniform report);
-  check_int "every fence claim honoured" 0
-    (List.length report.Checker.fence_violations);
+    (Fixtures.satisfies plan.Plan.uniform report);
+  check_int "every fence claim honoured" 0 report.Watchdog.fence_failures;
   (* Reverse, rung 0: dropping the fence (Weak assignment at the flagged
      template) must reproduce the update-then-read inversion the
      Session_pass predicted. *)
@@ -730,9 +737,9 @@ let test_plan_cross_validation_sim () =
     weak.Sim.check_errors;
   let wreport = Option.get weak.Sim.check_report in
   check_bool "unfenced run violates the reader's needed level" false
-    (Checker.satisfies Session.Strong_session wreport);
+    (Fixtures.satisfies Session.Strong_session wreport);
   check_bool "the predicted update-then-read inversion manifests" true
-    (wreport.Checker.inversions_after_update <> []);
+    (wreport.Watchdog.v_inversions_after_update > 0);
   (* Reverse, rung 1: PCSI (one step below the needed Strong_session)
      prevents update-then-read but the read-then-read flag — which is what
      made the plan pick Strong_session — still manifests under migration. *)
@@ -743,9 +750,9 @@ let test_plan_cross_validation_sim () =
     "the PCSI run satisfies PCSI" [] pcsi.Sim.check_errors;
   let preport = Option.get pcsi.Sim.check_report in
   check_bool "PCSI still shows the read-then-read inversion" false
-    (Checker.satisfies Session.Strong_session preport);
+    (Fixtures.satisfies Session.Strong_session preport);
   check_int "and no update-then-read inversions remain" 0
-    (List.length preport.Checker.inversions_after_update)
+    preport.Watchdog.v_inversions_after_update
 
 (* The fence_mix plan on the embedded system: per-template fences exactly
    as inferred. The mixed assignment must be clean end to end; weakening
@@ -801,18 +808,17 @@ let test_plan_cross_validation_embedded () =
       ];
     exec "read_inbox" [ ("user", Ast.Text "alice") ];
     System.pump sys;
-    Checker.analyze ~clock:(System.commit_clock sys) (System.history sys)
+    Fixtures.audit ~clock:(System.commit_clock sys) (System.history sys)
   in
   let clean = run_mix ~drop_inbox_fence:false in
   check_bool "the mixed plan satisfies strong session SI" true
-    (Checker.satisfies Session.Strong_session clean);
-  check_int "all fence claims honoured" 0
-    (List.length clean.Checker.fence_violations);
+    (Fixtures.satisfies Session.Strong_session clean);
+  check_int "all fence claims honoured" 0 clean.Watchdog.fence_failures;
   let broken = run_mix ~drop_inbox_fence:true in
   check_bool "dropping only read_inbox's fence loses strong session SI" false
-    (Checker.satisfies Session.Strong_session broken);
+    (Fixtures.satisfies Session.Strong_session broken);
   check_bool "the inversion is the predicted update-then-read kind" true
-    (broken.Checker.inversions_after_update <> []);
+    (broken.Watchdog.v_inversions_after_update > 0);
   check_bool "and the plan's witness named exactly this race" true
     (List.exists
        (fun (f : Session_pass.flag) ->

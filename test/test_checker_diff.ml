@@ -1,9 +1,10 @@
-(* Differential battery for the polynomial checker (PR 6): fuzzed seeded MVCC
-   histories are judged by both the rewritten checkers, Lsr_core.Checker and
+(* Differential battery for the polynomial judges: fuzzed seeded MVCC
+   histories are judged by Lsr_core.Watchdog.replay (per-key writer chains +
+   binary search, floors captured at each first operation) and
    Lsr_serializability.Mvsg (per-key sorted writer arrays + binary search +
-   iterative DFS), and the verbatim
-   pre-rewrite oracle in Legacy_checker (list walks, recursive DFS). Every
-   verdict must agree exactly; serialization-cycle witnesses may differ
+   iterative DFS), and by the quadratic oracle in Legacy_checker (list
+   walks, recursive DFS). Every verdict must agree exactly, inversion
+   witnesses pair for pair; serialization-cycle witnesses may differ
    textually (DFS visit order is not part of the contract) but each must be
    a genuine cycle under an independently-built edge relation. *)
 
@@ -26,7 +27,8 @@ let commit db txn =
    dependencies; overlapping write sets produce first-committer-wins aborts;
    a rare post-hoc corruption of one recorded read produces weak-SI
    violations. Reads and writes really execute, so apart from the injected
-   corruption every history is genuinely weak SI. *)
+   corruption every history is genuinely weak SI, and commits are recorded
+   in commit-timestamp order, as a primary commits them. *)
 
 let keys = [| "a"; "b"; "c"; "d"; "e"; "f" |]
 
@@ -232,16 +234,12 @@ let certify_cycle h name = function
 
 (* --- The differential assertion --------------------------------------------- *)
 
-let inversion_ids l =
-  List.map
-    (fun { Checker.earlier; later } -> (earlier.History.id, later.History.id))
-    l
-
 let legacy_inversion_ids l =
   List.map
     (fun { Legacy_checker.earlier; later } ->
       (earlier.History.id, later.History.id))
     l
+  |> List.sort compare
 
 let guarantees =
   [
@@ -250,31 +248,39 @@ let guarantees =
   ]
 
 let assert_equivalent name h =
-  let fresh = Checker.analyze h in
   let legacy = Legacy_checker.analyze h in
-  Alcotest.(check (list string))
+  let v = Fixtures.audit h in
+  Alcotest.(check int)
     (name ^ ": weak-SI violations identical")
-    legacy.Legacy_checker.weak_si_violations fresh.Checker.weak_si_violations;
-  let pair = Alcotest.(list (pair int int)) in
-  Alcotest.check pair
-    (name ^ ": strong-SI inversions identical")
-    (legacy_inversion_ids legacy.Legacy_checker.inversions_all)
-    (inversion_ids fresh.Checker.inversions_all);
-  Alcotest.check pair
-    (name ^ ": in-session inversions identical")
-    (legacy_inversion_ids legacy.Legacy_checker.inversions_in_session)
-    (inversion_ids fresh.Checker.inversions_in_session);
-  Alcotest.check pair
-    (name ^ ": PCSI inversions identical")
-    (legacy_inversion_ids legacy.Legacy_checker.inversions_after_update)
-    (inversion_ids fresh.Checker.inversions_after_update);
+    (List.length legacy.Legacy_checker.weak_si_violations)
+    v.Watchdog.read_mismatches;
+  List.iter
+    (fun (level, guarantee, expected, count) ->
+      let pair = Alcotest.(list (pair int int)) in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s inversions counted" name level)
+        (List.length expected) count;
+      Alcotest.check pair
+        (Printf.sprintf "%s: %s inversions identical" name level)
+        (legacy_inversion_ids expected)
+        (Fixtures.alert_pairs (Watchdog.alerts (Watchdog.replay ~guarantee h))))
+    [
+      ("strong-SI", Session.Strong, legacy.Legacy_checker.inversions_all,
+       v.Watchdog.v_inversions_all);
+      ("in-session", Session.Strong_session,
+       legacy.Legacy_checker.inversions_in_session,
+       v.Watchdog.v_inversions_in_session);
+      ("PCSI", Session.Prefix_consistent,
+       legacy.Legacy_checker.inversions_after_update,
+       v.Watchdog.v_inversions_after_update);
+    ];
   List.iter
     (fun g ->
       check_bool
         (Printf.sprintf "%s: %s verdict identical" name
            (Session.guarantee_name g))
         (Legacy_checker.satisfies g legacy)
-        (Checker.satisfies g fresh))
+        ((Fixtures.audit ~guarantee:g h).Watchdog.alerts_total = 0))
     guarantees;
   let c_new = Mvsg.serialization_cycle h in
   let c_old = Legacy_checker.serialization_cycle h in
@@ -301,7 +307,8 @@ let test_fuzz () =
     let h = gen_history seed in
     assert_equivalent (Printf.sprintf "seed %d" seed) h;
     (if Mvsg.serialization_cycle h = None then incr acyclic else incr cyclic);
-    if Checker.check_weak_si h <> [] then incr weak_violations
+    if (Fixtures.audit h).Watchdog.read_mismatches > 0 then
+      incr weak_violations
   done;
   (* The generator must actually exercise both branches of every verdict,
      else the differential proves nothing. *)
@@ -315,9 +322,9 @@ let test_fuzz_verdict_spread () =
   let session_ok = ref 0 and session_bad = ref 0 in
   for seed = 0 to 299 do
     let h = gen_history seed in
-    let r = Checker.analyze h in
-    if r.Checker.inversions_all = [] then incr strong_ok else incr strong_bad;
-    if r.inversions_in_session = [] then incr session_ok else incr session_bad
+    let v = Fixtures.audit h in
+    if v.Watchdog.v_inversions_all = 0 then incr strong_ok else incr strong_bad;
+    if v.v_inversions_in_session = 0 then incr session_ok else incr session_bad
   done;
   check_bool "some histories are strong SI" true (!strong_ok > 0);
   check_bool "some histories are not strong SI" true (!strong_bad > 0);

@@ -316,7 +316,7 @@ let test_refresh_commit_order_matches_primary_random () =
   check_int "every commit refreshed" 20 (drain sec);
   check_int "every commit record's digest reached" (-1) (Secondary.diverged sec);
   check_bool "same state" true
-    (Checker.same_state (Primary.db primary)
+    (Mvcc.same_state (Primary.db primary)
        ~at:(Mvcc.latest_commit_ts (Primary.db primary))
        (Secondary.db sec))
 
@@ -565,11 +565,14 @@ let test_pretty_printers () =
   in
   let txn_text = Format.asprintf "%a" History.pp_txn txn in
   check_bool "history txn pp" true (contains "T3" txn_text && contains "c1" txn_text);
-  let inv_text =
-    Format.asprintf "%a" Checker.pp_inversion
-      { Checker.earlier = txn; later = txn }
+  let alert_text =
+    Format.asprintf "%a" Watchdog.pp_alert
+      { Watchdog.at = 6.; txn = 3; session = "c1"; site = "secondary-0";
+        snapshot = 9;
+        kind = Watchdog.Inversion { level = Watchdog.In_session; earlier = 1; floor = 12 } }
   in
-  check_bool "inversion pp" true (contains "inverted" inv_text)
+  check_bool "inversion alert pp" true
+    (contains "txn 3" alert_text && contains "inversion (in-session)" alert_text)
 
 (* --- Session guarantees ------------------------------------------------------------ *)
 
@@ -769,7 +772,7 @@ let test_fence_max_age_threshold () =
   Session.note_update_commit mgr ~label:"c" ~commit_ts:9;
   check_int "the guarantee's part read at each call" 9 (threshold ())
 
-(* --- Checker ------------------------------------------------------------------------ *)
+(* --- The post-hoc verdict: a recorded history replayed into a watchdog ---------- *)
 
 let mk_txn ~id ~session ~kind ~first_op ~finished ~snapshot ?commit_ts
     ?(reads = []) ?(writes = []) ?fence () =
@@ -793,7 +796,6 @@ let history_of txns =
   let h = History.create () in
   List.iter (History.add h) txns;
   h
-
 let test_checker_detects_inversion_update_then_read () =
   (* Case 3 of Theorem 4.1: update commits (state 5), then a read in the
      same session sees state 3: inversion. *)
@@ -806,11 +808,12 @@ let test_checker_detects_inversion_update_then_read () =
           ~snapshot:3 ();
       ]
   in
-  let r = Checker.analyze h in
-  check_int "one inversion" 1 (List.length r.Checker.inversions_all);
-  check_int "also in-session" 1 (List.length r.inversions_in_session);
-  check_bool "not strong SI" false (r.inversions_all = []);
-  check_bool "not strong session SI" false (r.inversions_in_session = [])
+  let v = Fixtures.audit h in
+  check_int "one inversion" 1 v.Watchdog.v_inversions_all;
+  check_int "also in-session" 1 v.v_inversions_in_session;
+  check_bool "not strong SI" false (Fixtures.satisfies Session.Strong v);
+  check_bool "not strong session SI" false
+    (Fixtures.satisfies Session.Strong_session v)
 
 let test_checker_cross_session_inversion_allowed_in_session_mode () =
   let h =
@@ -822,10 +825,11 @@ let test_checker_cross_session_inversion_allowed_in_session_mode () =
           ~snapshot:3 ();
       ]
   in
-  let r = Checker.analyze h in
-  check_int "global inversion exists" 1 (List.length r.Checker.inversions_all);
-  check_int "no in-session inversion" 0 (List.length r.inversions_in_session);
-  check_bool "strong session SI holds" true (r.inversions_in_session = [])
+  let v = Fixtures.audit h in
+  check_int "global inversion exists" 1 v.Watchdog.v_inversions_all;
+  check_int "no in-session inversion" 0 v.v_inversions_in_session;
+  check_bool "strong session SI holds" true
+    (Fixtures.satisfies Session.Strong_session v)
 
 let test_checker_read_read_inversion () =
   (* Case 4: snapshots must not move backwards within a session. *)
@@ -839,7 +843,7 @@ let test_checker_read_read_inversion () =
       ]
   in
   check_int "backward snapshot is an inversion" 1
-    (List.length (Checker.analyze h).inversions_in_session)
+    (Fixtures.audit h).Watchdog.v_inversions_in_session
 
 let test_checker_fence_audit () =
   (* A mis-woken fenced reader — snapshot below what its fence promised —
@@ -862,13 +866,11 @@ let test_checker_fence_audit () =
           ~fence:(fenced Session.Session_seq 5.) ();
       ]
   in
-  let violations = (Checker.analyze violating).fence_violations in
-  check_int "both mis-woken readers caught" 2 (List.length violations);
-  let report = Checker.analyze violating in
-  check_int "report carries the fence violations" 2
-    (List.length report.Checker.fence_violations);
-  check_bool "weak SI alone would have accepted the history" false
-    (Checker.satisfies Session.Weak report);
+  let v = Fixtures.audit violating in
+  check_int "both mis-woken readers caught" 2 v.Watchdog.fence_failures;
+  check_int "each is an alert" 2 v.alerts_total;
+  check_int "and no read mismatch: weak SI alone would have accepted it" 0
+    v.read_mismatches;
   (* The same history with honest snapshots passes. *)
   let clean =
     history_of
@@ -884,7 +886,7 @@ let test_checker_fence_audit () =
       ]
   in
   check_int "honest fenced reads pass the audit" 0
-    (List.length (Checker.analyze clean).fence_violations);
+    (Fixtures.audit clean).Watchdog.fence_failures;
   (* A Max_age claim is auditable only with the commit clock; without one it
      is reported, never silently skipped. *)
   let aged =
@@ -898,19 +900,17 @@ let test_checker_fence_audit () =
       ]
   in
   check_int "Max_age without a clock is itself a violation" 1
-    (List.length (Checker.analyze aged).fence_violations);
+    (Fixtures.audit aged).Watchdog.fence_failures;
   let clock = Session.clock_create () in
   Session.clock_note clock ~commit_ts:5 ~at:2.;
   check_int "with the clock, the stale Max_age read is caught" 1
-    (List.length (Checker.analyze ~clock aged).fence_violations)
+    (Fixtures.audit ~clock aged).Watchdog.fence_failures
 
 let test_checker_fence_edge_cases () =
   let fenced claim read_at = { History.claim; read_at } in
   (* A Max_age claim audited against a clock with no commits yet: the
      visibility horizon of an empty clock is state zero, which any snapshot
-     satisfies — present-but-empty is not the same as absent (a violation).
-     The watchdog inherits exactly this behaviour from the checker's fence
-     audit. *)
+     satisfies — present-but-empty is not the same as absent (a violation). *)
   let aged =
     history_of
       [
@@ -920,10 +920,9 @@ let test_checker_fence_edge_cases () =
       ]
   in
   check_int "Max_age vs empty clock: horizon 0, trivially satisfied" 0
-    (List.length
-       (Checker.analyze ~clock:(Session.clock_create ()) aged).fence_violations);
+    (Fixtures.audit ~clock:(Session.clock_create ()) aged).Watchdog.fence_failures;
   check_int "the same claim with no clock at all is a violation" 1
-    (List.length (Checker.analyze aged).fence_violations);
+    (Fixtures.audit aged).Watchdog.fence_failures;
   (* Fence claims on transactions that later abort are never audited: the
      audit quantifies over committed transactions, and an aborted update
      must not raise the session fence floor either. *)
@@ -948,7 +947,7 @@ let test_checker_fence_edge_cases () =
       ]
   in
   check_int "aborted claims ignored, aborted commits don't raise the floor" 0
-    (List.length (Checker.analyze aborted_fenced).fence_violations);
+    (Fixtures.audit aborted_fenced).Watchdog.fence_failures;
   (* Multiple Session_seq claims in one session ratchet: the first fenced
      read's snapshot becomes part of the floor the second is audited
      against, so a later read regressing below it is a violation even
@@ -965,43 +964,7 @@ let test_checker_fence_edge_cases () =
       ]
   in
   check_int "second Session_seq claim audited against the first's snapshot" 1
-    (List.length (Checker.analyze ratchet).fence_violations);
-  (* The online watchdog agrees on all three edge cases, fed the same
-     streams through its hooks. *)
-  let wd_case ~clock txns =
-    let w = Watchdog.create ?clock ~guarantee:Session.Weak ~sites:1 () in
-    List.iter
-      (fun (t : History.txn) ->
-        match t.History.kind with
-        | History.Read_only ->
-          let tok =
-            Watchdog.begin_read w ~session:t.History.session ~snapshot:t.History.snapshot
-          in
-          Watchdog.end_read ?fence:t.History.fence w tok ~id:t.History.id
-            ~site:t.History.site
-            ~now:(float_of_int t.History.finished)
-            ~reads:(Fixtures.served t)
-        | History.Update ->
-          let tok =
-            Watchdog.begin_update w ~session:t.History.session
-          in
-          Watchdog.end_update w tok ~id:t.History.id
-            ~now:(float_of_int t.History.finished)
-            ~commit:
-              (Option.map (fun ts -> (ts, t.History.writes)) t.History.commit_ts)
-            ~snapshot:t.History.snapshot ~reads:(Fixtures.served t))
-      txns;
-    (Watchdog.verdict w).Watchdog.fence_failures
-  in
-  check_int "watchdog: Max_age vs empty clock trivially satisfied" 0
-    (wd_case ~clock:(Some (Session.clock_create ()))
-       (History.transactions aged));
-  check_int "watchdog: Max_age with no clock is a violation" 1
-    (wd_case ~clock:None (History.transactions aged));
-  check_int "watchdog: aborted claims ignored, floors unmoved" 0
-    (wd_case ~clock:None (History.transactions aborted_fenced));
-  check_int "watchdog: Session_seq claims ratchet" 1
-    (wd_case ~clock:None (History.transactions ratchet))
+    (Fixtures.audit ratchet).Watchdog.fence_failures
 
 let test_checker_concurrent_txns_not_inverted () =
   (* Overlapping transactions impose no ordering constraint. *)
@@ -1015,7 +978,7 @@ let test_checker_concurrent_txns_not_inverted () =
       ]
   in
   check_int "no inversion between concurrent txns" 0
-    (List.length (Checker.analyze h).inversions_all)
+    (Fixtures.audit h).Watchdog.v_inversions_all
 
 let test_checker_aborted_txns_ignored () =
   let h =
@@ -1028,7 +991,7 @@ let test_checker_aborted_txns_ignored () =
       ]
   in
   check_int "aborted updates pin nothing" 0
-    (List.length (Checker.analyze h).inversions_all)
+    (Fixtures.audit h).Watchdog.v_inversions_all
 
 let test_checker_weak_si_read_validation () =
   (* A read of x at snapshot 2 must observe the writer at ts<=2, not later. *)
@@ -1057,9 +1020,9 @@ let test_checker_weak_si_read_validation () =
       ()
   in
   check_int "consistent history passes" 0
-    (List.length (Checker.check_weak_si (history_of [ w1; w2; good_read ])));
+    (Fixtures.audit (history_of [ w1; w2; good_read ])).Watchdog.read_mismatches;
   check_int "inconsistent read flagged" 1
-    (List.length (Checker.check_weak_si (history_of [ w1; w2; bad_read ])))
+    (Fixtures.audit (history_of [ w1; w2; bad_read ])).Watchdog.read_mismatches
 
 (* --- Completeness: the digest each commit record carries --------------------- *)
 
@@ -1208,7 +1171,7 @@ let prop_completeness_matches_oracle =
       let c = build_completeness_case case in
       let primary = Primary.db c.primary and secondary = Secondary.db c.secondary in
       Secondary.diverged c.secondary = prefix_oracle ~installed:c.installed c.replay
-      && Checker.same_state primary ~at:(Mvcc.latest_commit_ts primary) secondary
+      && Mvcc.same_state primary ~at:(Mvcc.latest_commit_ts primary) secondary
          = (Mvcc.committed_state primary = Mvcc.committed_state secondary))
 
 (* The generator must reach every verdict, on a vacuumed primary too, else
@@ -1249,7 +1212,7 @@ let test_completeness_allocation_bound () =
         [ primary; secondary ]
     done;
     let check () =
-      if not (Checker.same_state primary ~at:(Mvcc.latest_commit_ts primary) secondary)
+      if not (Mvcc.same_state primary ~at:(Mvcc.latest_commit_ts primary) secondary)
       then Alcotest.fail "equal states compared unequal"
     in
     check ();
@@ -1270,39 +1233,12 @@ let test_completeness_allocation_bound () =
           keys words bound)
     [ 5_000; 20_000 ]
 
-let test_checker_satisfies () =
-  let clean =
-    {
-      Checker.weak_si_violations = [];
-      inversions_all = [];
-      inversions_in_session = [];
-      inversions_after_update = [];
-      fence_violations = [];
-    }
-  in
-  let dummy =
-    mk_txn ~id:0 ~session:"c" ~kind:History.Read_only ~first_op:0 ~finished:0
-      ~snapshot:0 ()
-  in
-  let inv = { Checker.earlier = dummy; later = dummy } in
-  check_bool "clean satisfies strong" true (Checker.satisfies Session.Strong clean);
-  let cross = { clean with Checker.inversions_all = [ inv ] } in
-  check_bool "cross-session inversion ok for session SI" true
-    (Checker.satisfies Session.Strong_session cross);
-  check_bool "but not for strong SI" false (Checker.satisfies Session.Strong cross);
-  let in_session = { cross with Checker.inversions_in_session = [ inv ] } in
-  check_bool "in-session inversion violates session SI" false
-    (Checker.satisfies Session.Strong_session in_session);
-  check_bool "weak allows all inversions" true
-    (Checker.satisfies Session.Weak in_session);
-  let broken = { clean with Checker.weak_si_violations = [ "x" ] } in
-  check_bool "weak SI violation breaks everything" false
-    (Checker.satisfies Session.Weak broken)
-
-(* The single wall-order sweep must agree with direct O(n^2) transcriptions
-   of Definitions 2.1/2.2 at all three strictness levels, witness for
-   witness and in order, and with the separate fence sweep it replaced, on
-   histories with fences, sessions migrating between sites and aborts. *)
+(* The replay must agree with direct O(n^2) transcriptions of Definitions
+   2.1/2.2 at all three strictness levels, witness for witness, and with
+   the separate fence sweep of [Legacy_checker.fences], on histories with
+   fences, sessions migrating between sites and aborts. Committed updates'
+   timestamps are drawn the way a primary commits them, increasing in
+   finish order (the watchdog's input contract), each above its snapshot. *)
 let prop_inversions_match_bruteforce =
   let fence_gen =
     QCheck.Gen.(
@@ -1318,19 +1254,21 @@ let prop_inversions_match_bruteforce =
         (int_range 0 2)
         (pair (int_range 0 12) (int_range 0 6)))
   in
+  (* A committed update's [commit_ts] is a placeholder until
+     [as_committed]. *)
   let txn_gen =
     QCheck.Gen.(
       map
-        (fun ((id, sess, site), (kind, a, b), (snap, fence)) ->
+        (fun ((sess, site), (kind, a, b), (snap, fence)) ->
           let first_op = min a b and finished = max a b in
           let kind = if kind then History.Update else History.Read_only in
           let commit_ts =
             match kind with
-            | History.Update -> if snap mod 3 = 0 then None else Some (snap + 1)
+            | History.Update -> if snap mod 3 = 0 then None else Some 0
             | History.Read_only -> None
           in
           {
-            History.id;
+            History.id = 0;
             session = Printf.sprintf "s%d" sess;
             kind;
             site = Printf.sprintf "site%d" site;
@@ -1344,9 +1282,26 @@ let prop_inversions_match_bruteforce =
             fence;
           })
         (triple
-           (triple (int_range 0 1000) (int_range 0 2) (int_range 0 1))
+           (pair (int_range 0 2) (int_range 0 1))
            (triple bool (int_range 0 30) (int_range 0 30))
            (pair (int_range 0 10) (opt ~ratio:0.6 fence_gen))))
+  in
+  let by key l = List.stable_sort (fun a b -> Int.compare (key a) (key b)) l in
+  (* Ids by position; commit timestamps in finish order. *)
+  let as_committed txns =
+    let txns = List.mapi (fun id (t : History.txn) -> { t with History.id }) txns in
+    let commits = Hashtbl.create 16 and last = ref 0 in
+    List.iter
+      (fun (t : History.txn) ->
+        if t.commit_ts <> None then begin
+          last := max (!last + 1) (t.snapshot + 1);
+          Hashtbl.replace commits t.id !last
+        end)
+      (by (fun t -> t.History.finished) txns);
+    List.map
+      (fun (t : History.txn) ->
+        { t with commit_ts = Hashtbl.find_opt commits t.id })
+      txns
   in
   let committed (t : History.txn) =
     match (t.kind, t.commit_ts) with
@@ -1359,11 +1314,10 @@ let prop_inversions_match_bruteforce =
     | History.Update -> Option.get t.commit_ts
     | History.Read_only -> t.snapshot
   in
-  let by key l = List.stable_sort (fun a b -> Int.compare (key a) (key b)) l in
-  (* For each committed [t2] by first operation: among the committed [t1]
-     that finished before it (same session, updates only, as asked), the
-     first in finish order with the highest state; an inversion when [t2]'s
-     snapshot is older. *)
+  (* For each committed [t2]: among the committed [t1] that finished before
+     its first operation (same session, updates only, as asked), the first
+     in finish order with the highest state; an inversion when [t2]'s
+     snapshot is older. The (t1, t2) id pairs, sorted. *)
   let bruteforce ~same_session ~updates_only txns =
     let committed_txns = List.filter committed txns in
     let by_finish = by (fun t -> t.History.finished) committed_txns in
@@ -1384,106 +1338,44 @@ let prop_inversions_match_bruteforce =
             None by_finish
         in
         match floor with
-        | Some t1 when t2.snapshot < state t1 -> Some (t1, t2)
+        | Some t1 when t2.snapshot < state t1 -> Some (t1.History.id, t2.History.id)
         | Some _ | None -> None)
-      (by (fun t -> t.History.first_op) committed_txns)
+      committed_txns
+    |> List.sort compare
   in
-  (* The fence audit as a separate sweep, before it was folded into the
-     wall-order sweep: the oracle for [fence_violations]. *)
-  let fences_oracle ?clock txns =
-    let committed_txns = List.filter committed txns in
-    let by_start = by (fun t -> t.History.first_op) committed_txns in
-    let by_finish = by (fun t -> t.History.finished) committed_txns in
-    let floors : (string, Timestamp.t) Hashtbl.t = Hashtbl.create 64 in
-    let note (t : History.txn) =
-      let bump ts =
-        match Hashtbl.find_opt floors t.session with
-        | Some best when Timestamp.compare best ts >= 0 -> ()
-        | Some _ | None -> Hashtbl.replace floors t.session ts
-      in
-      (match (t.kind, t.commit_ts) with
-      | History.Update, Some cts -> bump cts
-      | History.Update, None | History.Read_only, _ -> ());
-      match (t.kind, t.fence) with
-      | History.Read_only, Some { History.claim = Session.Session_seq; _ } ->
-        bump t.snapshot
-      | _, _ -> ()
-    in
-    let violations = ref [] in
-    let violation t2 fmt =
-      Format.kasprintf
-        (fun msg ->
-          violations :=
-            Format.asprintf "%a: fence violated: %s" History.pp_txn t2 msg
-            :: !violations)
-        fmt
-    in
-    let check (t2 : History.txn) =
-      match (t2.kind, t2.fence) with
-      | History.Update, _ | _, None -> ()
-      | History.Read_only, Some { History.claim; read_at } -> (
-        match claim with
-        | Session.Exact ts ->
-          if Timestamp.compare t2.snapshot ts < 0 then
-            violation t2 "snapshot %a < exact fence %a" Timestamp.pp
-              t2.snapshot Timestamp.pp ts
-        | Session.Session_seq -> (
-          match Hashtbl.find_opt floors t2.session with
-          | Some floor when Timestamp.compare t2.snapshot floor < 0 ->
-            violation t2 "snapshot %a < session fence floor %a" Timestamp.pp
-              t2.snapshot Timestamp.pp floor
-          | Some _ | None -> ())
-        | Session.Max_age d -> (
-          match clock with
-          | None ->
-            violation t2 "Max_age %g claim but no commit clock to audit it" d
-          | Some c ->
-            let horizon = Session.clock_horizon c ~cutoff:(read_at -. d) in
-            if Timestamp.compare t2.snapshot horizon < 0 then
-              violation t2
-                "snapshot %a < visibility horizon %a (age %g at read time %g)"
-                Timestamp.pp t2.snapshot Timestamp.pp horizon d read_at))
-    in
-    let rec sweep pending = function
-      | [] -> ()
-      | (t2 : History.txn) :: rest ->
-        let rec absorb = function
-          | (t1 : History.txn) :: more when t1.finished < t2.first_op ->
-            note t1;
-            absorb more
-          | remaining -> remaining
-        in
-        let pending = absorb pending in
-        check t2;
-        sweep pending rest
-    in
-    sweep by_finish by_start;
-    List.rev !violations
-  in
-  let same invs expected =
-    List.length invs = List.length expected
-    && List.for_all2
-         (fun { Checker.earlier; later } (t1, t2) -> earlier == t1 && later == t2)
-         invs expected
-  in
+  let fence_alerts w = Fixtures.fence_alerts (Watchdog.alerts w) in
   let clock = Session.clock_create () in
   for ts = 1 to 12 do
     Session.clock_note clock ~commit_ts:ts ~at:(float_of_int ts)
   done;
   QCheck.Test.make ~name:"inversion sweep = brute force" ~count:300
-    QCheck.(make Gen.(list_size (int_range 0 20) txn_gen))
+    QCheck.(make Gen.(map as_committed (list_size (int_range 0 20) txn_gen)))
     (fun txns ->
-      let h = History.create () in
-      List.iter (History.add h) txns;
-      let report = Checker.analyze ~clock h in
-      let expect same_session updates_only =
-        bruteforce ~same_session ~updates_only txns
+      let h = history_of txns in
+      let levels =
+        [
+          (Session.Strong, false, false);
+          (Session.Strong_session, true, false);
+          (Session.Prefix_consistent, true, true);
+        ]
       in
-      same report.Checker.inversions_all (expect false false)
-      && same report.inversions_in_session (expect true false)
-      && same report.inversions_after_update (expect true true)
-      && report.fence_violations = fences_oracle ~clock txns
-      && (Checker.analyze h).fence_violations = fences_oracle txns)
+      let v = Fixtures.audit ~clock h in
+      List.map
+        (fun (_, same_session, updates_only) ->
+          List.length (bruteforce ~same_session ~updates_only txns))
+        levels
+      = [ v.Watchdog.v_inversions_all; v.v_inversions_in_session;
+          v.v_inversions_after_update ]
+      && List.for_all
+           (fun (guarantee, same_session, updates_only) ->
+             Fixtures.alert_pairs
+               (Watchdog.alerts (Watchdog.replay ~clock ~guarantee h))
+             = bruteforce ~same_session ~updates_only txns)
+           levels
+      && fence_alerts (Watchdog.replay ~clock ~guarantee:Session.Weak h)
+         = List.sort compare (Legacy_checker.fences ~clock h)
+      && fence_alerts (Watchdog.replay ~guarantee:Session.Weak h)
+         = List.sort compare (Legacy_checker.fences h))
 
 (* --- Embedded System ------------------------------------------------------------------ *)
 
@@ -1496,9 +1388,9 @@ let test_system_weak_shows_inversion () =
   (* No pump: the copy is stale, so the session sees old data. *)
   let v = System.read sys c (fun h -> Handle.get h "order") in
   check_str_opt "stale read under weak SI" None v;
-  let report = Checker.analyze (System.history sys) in
-  check_int "inversion recorded" 1 (List.length report.Checker.inversions_in_session);
-  check_int "still weak SI" 0 (List.length report.Checker.weak_si_violations)
+  let v = Fixtures.audit ~clock:(System.commit_clock sys) (System.history sys) in
+  check_int "inversion recorded" 1 v.Watchdog.v_inversions_in_session;
+  check_int "still weak SI" 0 v.read_mismatches
 
 let test_system_strong_session_reads_own_writes () =
   let sys = System.create ~secondaries:2 ~guarantee:Session.Strong_session () in
@@ -2246,7 +2138,6 @@ let () =
             test_completeness_oracle_coverage;
           Alcotest.test_case "completeness allocation bound" `Quick
             test_completeness_allocation_bound;
-          Alcotest.test_case "satisfies matrix" `Quick test_checker_satisfies;
           Alcotest.test_case "fence audit" `Quick test_checker_fence_audit;
           Alcotest.test_case "fence audit edge cases" `Quick
             test_checker_fence_edge_cases;

@@ -277,12 +277,13 @@ let test_clean_runs_capture_nothing () =
   (* Runs that keep their guarantee raise no alert, so nothing triggers the
      recorder — even a weak run whose cross-site load balancing inverts
      transactions in session, which weak SI does not forbid. The watchdog
-     still counts every inversion, level by level, as the checker finds
-     them. *)
+     still counts every inversion, level by level, as the reference checker
+     finds them. *)
   let clean tag cfg =
-    let o = Sim_system.run cfg in
+    let history = History.create () in
+    let o = Sim_system.run ~history cfg in
     let v = Option.get o.Sim_system.watchdog_verdict in
-    let report = Option.get o.Sim_system.check_report in
+    let report = Legacy_checker.analyze history in
     Alcotest.(check (list string)) (tag ^ ": clean run") [] o.Sim_system.check_errors;
     check_int (tag ^ ": no alert") 0 v.Watchdog.alerts_total;
     check_bool (tag ^ ": no capture") true (o.Sim_system.flight_trigger = None);
@@ -292,13 +293,13 @@ let test_clean_runs_capture_nothing () =
           (Printf.sprintf "%s: %s inversions counted" tag level)
           (List.length invs) count)
       [
-        ("all-sessions", v.Watchdog.v_inversions_all, report.Checker.inversions_all);
+        ("all-sessions", v.Watchdog.v_inversions_all, report.inversions_all);
         ( "in-session",
           v.Watchdog.v_inversions_in_session,
-          report.Checker.inversions_in_session );
+          report.inversions_in_session );
         ( "after-update",
           v.Watchdog.v_inversions_after_update,
-          report.Checker.inversions_after_update );
+          report.inversions_after_update );
       ];
     v
   in
@@ -377,14 +378,13 @@ let test_postmortem_end_to_end () =
   check_string "trigger reason" "watchdog" b.Flight.reason;
   check_bool "trigger detail names the alert" true
     (String.length b.Flight.detail > 0);
-  (* The checker's one weak-SI violation names its reader first. *)
-  let report =
-    Checker.analyze ~clock:(System.commit_clock sys) (System.history sys)
-  in
-  (match (b.Flight.implicated, report.Checker.weak_si_violations) with
+  (* The reference's one weak-SI violation names its reader first. *)
+  (match
+     (b.Flight.implicated, Legacy_checker.check_weak_si (System.history sys))
+   with
   | [ id ], [ violation ] ->
     check_bool
-      (Printf.sprintf "implicated txn %d is the checker's witness: %s" id
+      (Printf.sprintf "implicated txn %d is the reference's witness: %s" id
          violation)
       true
       (String.starts_with ~prefix:(Printf.sprintf "T%d[" id) violation)

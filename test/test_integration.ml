@@ -44,10 +44,10 @@ let bookstore_scenario guarantee =
 let test_bookstore_weak_inversion () =
   let sys, status = bookstore_scenario Session.Weak in
   check_bool "weak SI: T_check misses the purchase" true (status = None);
-  let report = Checker.analyze (System.history sys) in
+  let v = Fixtures.audit ~clock:(System.commit_clock sys) (System.history sys) in
   check_bool "transaction inversion witnessed" true
-    (report.Checker.inversions_in_session <> []);
-  check_int "yet globally weak SI" 0 (List.length report.Checker.weak_si_violations)
+    (v.Watchdog.v_inversions_in_session > 0);
+  check_int "yet globally weak SI" 0 v.Watchdog.read_mismatches
 
 let test_bookstore_session_si () =
   let sys, status = bookstore_scenario Session.Strong_session in

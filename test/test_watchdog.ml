@@ -1,9 +1,10 @@
-(* The online watchdog's differential suite (PR 9): on every fuzzed run the
-   streaming verdict must equal the post-hoc checker battery's — the same
-   weak-SI read mismatches, the same inversion counts at all three
-   strictness levels, the same fence-audit failures — and the run's
-   history, replayed into watchdogs promising each level, must blame the
-   same inversion witness pairs. Plus the watchdog's own contracts:
+(* The watchdog's differential suite: on every fuzzed run the online
+   verdict must equal the independent references' — the quadratic
+   Legacy_checker's weak-SI read mismatches and inversions at all three
+   strictness levels, witness pair for witness pair, and its separate fence
+   sweep's failures — and [Watchdog.replay] of the run's history must give
+   the online verdict and alerts, and, promising each level, blame the same
+   inversion witnesses as the reference. Plus the watchdog's own contracts:
    deterministic alert ordering, zero effect on simulation outcomes, and
    bounded state through continuous retirement (embedded system and
    simulator). *)
@@ -12,85 +13,69 @@ open Lsr_core
 open Lsr_experiments
 module Params = Lsr_workload.Params
 module Json = Lsr_obs.Json
+module Flight = Lsr_obs.Flight
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* --- replaying a recorded history ------------------------------------------- *)
+(* --- the references ---------------------------------------------------------- *)
 
-(* A fresh watchdog promising [guarantee], fed [history] in tick order: each
-   transaction's begin hook at its first operation's tick and its end hook
-   at its finish tick, as the live run called them. No refresh is replayed,
-   so nothing retires; fence claims are left out, because the history does
-   not keep the commit clock their audit needs. *)
-let replay guarantee history =
-  let w = Watchdog.create ~guarantee ~sites:1 () in
-  let tokens = Hashtbl.create 64 in
-  let hook (_, (t : History.txn), first) =
-    let session = t.History.session and id = t.History.id in
-    let now = float_of_int t.History.finished in
-    match (t.History.kind, first) with
-    | History.Read_only, true ->
-      Hashtbl.replace tokens id
-        (Watchdog.begin_read w ~session
-           ~snapshot:t.History.snapshot)
-    | History.Update, true ->
-      Hashtbl.replace tokens id
-        (Watchdog.begin_update w ~session)
-    | History.Read_only, false ->
-      Watchdog.end_read w (Hashtbl.find tokens id) ~id ~site:t.History.site
-        ~now ~reads:(Fixtures.served t)
-    | History.Update, false ->
-      Watchdog.end_update w (Hashtbl.find tokens id) ~id ~now
-        ~commit:
-          (Option.map (fun ts -> (ts, t.History.writes)) t.History.commit_ts)
-        ~snapshot:t.History.snapshot ~reads:(Fixtures.served t)
-  in
-  History.transactions history
-  |> List.concat_map (fun (t : History.txn) ->
-         [ (t.History.first_op, t, true); (t.History.finished, t, false) ])
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-  |> List.iter hook;
-  w
-
-(* The inversion witness pairs (earlier id, later id) of retained alerts. *)
-let alert_pairs (alerts : Watchdog.alert list) =
-  List.filter_map
-    (fun (a : Watchdog.alert) ->
-      match a.Watchdog.kind with
-      | Watchdog.Inversion { earlier; _ } -> Some (earlier, a.Watchdog.txn)
-      | _ -> None)
-    alerts
+(* The reference's inversions at the level [guarantee] forbids, as sorted
+   (earlier id, later id) pairs. *)
+let forbidden_pairs guarantee (r : Legacy_checker.report) =
+  (match guarantee with
+  | Session.Weak -> []
+  | Session.Prefix_consistent -> r.inversions_after_update
+  | Session.Strong_session -> r.inversions_in_session
+  | Session.Strong -> r.inversions_all)
+  |> List.map (fun { Legacy_checker.earlier; later } ->
+         (earlier.History.id, later.History.id))
   |> List.sort compare
 
-let report_pairs (invs : Checker.inversion list) =
-  List.map
-    (fun (i : Checker.inversion) ->
-      (i.Checker.earlier.History.id, i.Checker.later.History.id))
-    invs
-  |> List.sort compare
-
-(* Replays [history] into watchdogs promising each of the three levels: each
-   raises one alert per inversion the checker finds at that level, and,
-   whenever its bounded log kept everything, blames the same (earlier,
-   later) pairs, not merely as many. *)
-let assert_witnesses ~tag history report =
+(* Replays [history] into watchdogs promising each of the three levels:
+   each raises one alert per inversion the reference finds at that level
+   (plus its read mismatches and fence failures), and, whenever its bounded
+   log kept everything, blames the same (earlier, later) pairs, not merely
+   as many. *)
+let assert_witnesses ~tag ?clock ~fences history (legacy : Legacy_checker.report) =
   List.iter
     (fun g ->
       let tag = Printf.sprintf "%s, replayed as %s" tag (Session.guarantee_name g) in
-      let expected = Checker.forbidden_inversions g report in
-      let w = replay g history in
+      let expected = forbidden_pairs g legacy in
+      let w = Watchdog.replay ?clock ~guarantee:g history in
       let v = Watchdog.verdict w in
-      check_int (tag ^ ": one alert per inversion")
-        (List.length report.Checker.weak_si_violations + List.length expected)
+      check_int (tag ^ ": one alert per violation")
+        (List.length legacy.weak_si_violations + fences + List.length expected)
         v.Watchdog.alerts_total;
       if v.Watchdog.alerts_dropped = 0 then
         Alcotest.(check (list (pair int int)))
-          (tag ^ ": witness pairs") (report_pairs expected)
-          (alert_pairs (Watchdog.alerts w)))
+          (tag ^ ": witness pairs") expected
+          (Fixtures.alert_pairs (Watchdog.alerts w)))
     [ Session.Strong; Session.Strong_session; Session.Prefix_consistent ]
 
-(* --- differential: watchdog verdict == Checker.analyze ---------------------- *)
+(* The run's commit clock, rebuilt from a flight recorder that kept every
+   event: each primary commit's timestamp at its virtual time. *)
+let commit_clock flight =
+  check_bool "the recorder kept every event" true
+    (Flight.events_noted flight <= Flight.capacity flight);
+  let clock = Session.clock_create () in
+  List.concat_map
+    (fun txn ->
+      match Flight.journey flight ~txn with
+      | Ok events ->
+        List.filter_map
+          (fun (e : Flight.event) ->
+            match e.ev with
+            | Flight.Commit { commit_ts; _ } -> Some (commit_ts, e.time)
+            | _ -> None)
+          events
+      | Error _ -> [])
+    (Flight.txns flight)
+  |> List.sort compare
+  |> List.iter (fun (commit_ts, at) -> Session.clock_note clock ~commit_ts ~at);
+  clock
+
+(* --- differential: online watchdog == references == replay -------------------- *)
 
 let base_params =
   {
@@ -110,44 +95,64 @@ let both_cfg ?(params = base_params) guarantee ~seed =
 
 let assert_equivalent ~tag (cfg : Sim_system.config) =
   let history = History.create () in
-  let o = Sim_system.run ~history cfg in
-  let report =
-    match o.Sim_system.check_report with
-    | Some r -> r
-    | None -> Alcotest.failf "%s: no checker report" tag
-  in
+  let flight = Flight.create ~capacity:(1 lsl 16) () in
+  let o = Sim_system.run ~history { cfg with Sim_system.flight } in
+  let clock = commit_clock flight in
   let v =
     match o.Sim_system.watchdog_verdict with
     | Some v -> v
     | None -> Alcotest.failf "%s: no watchdog verdict" tag
   in
+  let legacy = Legacy_checker.analyze history in
+  let fences = Legacy_checker.fences ~clock history in
+  Alcotest.(check (list string))
+    (tag ^ ": the run kept its guarantee") [] o.Sim_system.check_errors;
   check_int
     (tag ^ ": weak-SI read mismatches")
-    (List.length report.Checker.weak_si_violations)
+    (List.length legacy.weak_si_violations)
     v.Watchdog.read_mismatches;
   check_int
     (tag ^ ": inversions (all)")
-    (List.length report.Checker.inversions_all)
+    (List.length legacy.inversions_all)
     v.Watchdog.v_inversions_all;
   check_int
     (tag ^ ": inversions (in session)")
-    (List.length report.Checker.inversions_in_session)
+    (List.length legacy.inversions_in_session)
     v.Watchdog.v_inversions_in_session;
   check_int
     (tag ^ ": inversions (after update)")
-    (List.length report.Checker.inversions_after_update)
+    (List.length legacy.inversions_after_update)
     v.Watchdog.v_inversions_after_update;
-  check_int
-    (tag ^ ": fence failures")
-    (List.length report.Checker.fence_violations)
-    v.Watchdog.fence_failures;
+  check_int (tag ^ ": fence failures") (List.length fences) v.Watchdog.fence_failures;
   (* The live watchdog raises alerts exactly when the run broke the
-     guarantee it promised. *)
+     guarantee it promised, and blames what the references blame. *)
+  let guarantee = cfg.Sim_system.guarantee in
   check_bool
-    (tag ^ ": no alert iff the checker finds the guarantee kept")
-    (Checker.satisfies cfg.Sim_system.guarantee report)
+    (tag ^ ": no alert iff the references find the guarantee kept")
+    (Legacy_checker.satisfies guarantee legacy && fences = [])
     (v.Watchdog.alerts_total = 0);
-  assert_witnesses ~tag history report
+  if v.Watchdog.alerts_dropped = 0 then begin
+    Alcotest.(check (list (pair int int)))
+      (tag ^ ": online witness pairs") (forbidden_pairs guarantee legacy)
+      (Fixtures.alert_pairs o.Sim_system.watchdog_alerts);
+    Alcotest.(check (list (pair int string)))
+      (tag ^ ": online fence failures") (List.sort compare fences)
+      (Fixtures.fence_alerts o.Sim_system.watchdog_alerts)
+  end;
+  (* The replay of the recorded run agrees with the online watchdog: the
+     end-of-run verdict and a replay with the rebuilt clock alike. *)
+  let replay = Watchdog.replay ~clock ~guarantee history in
+  check_bool (tag ^ ": end-of-run replay verdict = online verdict") true
+    (o.Sim_system.check_report = Some v);
+  check_bool (tag ^ ": replay verdict = online verdict") true
+    (Watchdog.verdict replay = v);
+  let kinds alerts =
+    List.map (fun (a : Watchdog.alert) -> (a.txn, a.kind)) alerts
+    |> List.sort compare
+  in
+  check_bool (tag ^ ": replay alerts = online alerts") true
+    (kinds (Watchdog.alerts replay) = kinds o.Sim_system.watchdog_alerts);
+  assert_witnesses ~tag ~clock ~fences:(List.length fences) history legacy
 
 let guarantees =
   [
@@ -226,6 +231,26 @@ let test_differential_faults () =
       assert_equivalent ~tag cfg)
     [ 41; 42 ]
 
+let test_differential_contended () =
+  (* Fifty keys make reads meet versions written during the run, so the
+     weak-SI read validation has values to judge; jittered propagation
+     makes migrating sessions meet sites at different seq(DBsec). *)
+  let params =
+    {
+      base_params with
+      Params.clients_per_secondary = 8;
+      key_space = 50;
+      propagation_jitter = 20.;
+      warmup = 20.;
+      duration = 170.;
+    }
+  in
+  List.iter
+    (fun (gname, g) ->
+      let cfg = { (both_cfg ~params g ~seed:42) with Sim_system.migrate_prob = 0.3 } in
+      assert_equivalent ~tag:(Printf.sprintf "contended %s" gname) cfg)
+    guarantees
+
 let test_differential_abortive () =
   (* A high abort rate exercises the aborted-update path: aborted attempts
      pin nothing, validate nothing, and must not shift any floor. *)
@@ -274,7 +299,7 @@ let test_alerts_sorted_and_bounded () =
   ignore
     (Sim_system.run ~history
        { (both_cfg Session.Weak ~seed:7) with Sim_system.migrate_prob = 0.4 });
-  let w = replay Session.Strong history in
+  let w = Watchdog.replay ~guarantee:Session.Strong history in
   let v = Watchdog.verdict w in
   let alerts = Watchdog.alerts w in
   check_bool "run produced alerts" true (v.Watchdog.alerts_total > 0);
@@ -341,7 +366,7 @@ let test_embedded_inversion_alert () =
      primary, read the not-yet-refreshed secondary. Under Weak that is
      legal, so the watchdog counts the strong-SI-level inversion without
      raising an alert; replayed as a strong-SI run, the same history alerts
-     on it — and the post-hoc checker agrees at every level. *)
+     on it — and the reference checker agrees at every level. *)
   let sys = System.create ~secondaries:1 ~guarantee:Session.Weak ~watchdog:true () in
   let alice = System.connect sys "alice" in
   let bob = System.connect sys "bob" in
@@ -363,22 +388,22 @@ let test_embedded_inversion_alert () =
   check_int "no weak-SI mismatch (the stale snapshot was consistent)" 0
     v.Watchdog.read_mismatches;
   check_int "no alert: weak SI forbids no inversion" 0 v.Watchdog.alerts_total;
+  let clock = System.commit_clock sys and history = System.history sys in
   check_bool "as a strong-SI run it would alert" true
-    ((Watchdog.verdict (replay Session.Strong (System.history sys)))
+    ((Watchdog.verdict (Watchdog.replay ~clock ~guarantee:Session.Strong history))
        .Watchdog.alerts_total > 0);
-  (* Post-hoc agreement on the same run. *)
-  let report =
-    Checker.analyze ~clock:(System.commit_clock sys) (System.history sys)
-  in
-  check_int "post-hoc count agrees"
-    (List.length report.Checker.inversions_all)
+  (* Agreement with the reference on the same run. *)
+  let legacy = Legacy_checker.analyze history in
+  check_int "the reference's count agrees"
+    (List.length legacy.inversions_all)
     v.Watchdog.v_inversions_all;
-  assert_witnesses ~tag:"embedded" (System.history sys) report
+  assert_witnesses ~tag:"embedded" ~clock ~fences:0 history legacy
 
 let test_embedded_aborted_reads_not_judged () =
   (* The embedded system records an aborted update at snapshot zero. Its
      reads of keys that exist by then are not a weak-SI violation: only
-     committed transactions are judged, online and post hoc alike. *)
+     committed transactions are judged, online, replayed and by the
+     reference alike. *)
   let sys =
     System.create ~secondaries:1 ~guarantee:Session.Strong_session
       ~watchdog:true ()
@@ -400,11 +425,8 @@ let test_embedded_aborted_reads_not_judged () =
   | Ok () -> ()
   | Error es -> Alcotest.failf "post-hoc check failed: %s" (String.concat "; " es));
   let w = Option.get (System.watchdog sys) in
-  let report =
-    Checker.analyze ~clock:(System.commit_clock sys) (System.history sys)
-  in
-  check_int "watchdog and checker agree on read mismatches"
-    (List.length report.Checker.weak_si_violations)
+  check_int "watchdog and reference agree on read mismatches"
+    (List.length (Legacy_checker.check_weak_si (System.history sys)))
     (Watchdog.verdict w).Watchdog.read_mismatches;
   check_int "no read mismatch" 0 (Watchdog.verdict w).Watchdog.read_mismatches
 
@@ -504,6 +526,15 @@ let test_embedded_check_reports_watchdog () =
          (Printf.sprintf "watchdog: guarantee %s violated (%d alerts)"
             (Session.guarantee_name Session.Strong_session)
             v.Watchdog.alerts_total)
+         es);
+    Alcotest.(check bool)
+      (Printf.sprintf "the replay's line in: %s" (String.concat "; " es))
+      true
+      (List.exists
+         (String.starts_with
+            ~prefix:
+              "audit: guarantee ALG-STRONG-SESSION-SI violated: 1 read \
+               mismatches, 0 fence failures, 0 inversions; first ")
          es)
 
 exception Body_failed
@@ -742,6 +773,8 @@ let () =
           Alcotest.test_case "fence mixes" `Slow test_differential_fences;
           Alcotest.test_case "chaos faults" `Slow test_differential_faults;
           Alcotest.test_case "high abort rate" `Slow test_differential_abortive;
+          Alcotest.test_case "contended keys, jittered refresh" `Slow
+            test_differential_contended;
         ] );
       ( "contracts",
         [
