@@ -723,7 +723,7 @@ let trace guarantee seed steps txn_id =
       v.Watchdog.read_mismatches v.Watchdog.v_inversions_all
       v.Watchdog.v_inversions_in_session;
     List.iter
-      (fun a -> Format.printf "  %a@." Watchdog.pp_alert a)
+      (fun a -> Format.printf "  %a@." Watchdog.pp_replayed a)
       (Watchdog.alerts audit);
     Printf.printf "guarantee %s satisfied: %b\n"
       (Session.guarantee_name guarantee)

@@ -15,15 +15,49 @@ type freshness = {
    FIFO channel, batch by batch, or a fault channel. *)
 type link = Plain of Wal.entry list Queue.t | Faulty of Channel.t
 
-(* One secondary site: its replica, its link, and the instruments its moves
-   feed, interned once, so a recovered replica counts into them too.
-   [freshness] is forced on the site's first sample into an attached
-   registry. *)
+(* A client transaction from its begin to its end. An update runs at the
+   primary ([site] -1); its snapshot is the state its current attempt
+   started from, and [pinned] the one its first attempt started from. It is
+   [open_] until it ends. Its handle serves the MVCC transaction it opened,
+   and its reads land in the handle's buffer when [tracking]; the untracked
+   share the core's [no_reads], which is never written. *)
+type txn = {
+  token : Watchdog.token;
+  first_op : int;
+  session : string;
+  site : int;
+  pinned : Timestamp.t;
+  mutable open_ : bool;
+  mutable snapshot : Timestamp.t;
+  fence : History.fence_claim option;
+  fence_seq : int;
+  mutable handle : Handle.t;
+}
+
+(* The transactions begun at one site, in begin order. One leaves once it
+   and every older one ended ([close]), so the front is the oldest open
+   one, and snapshots grow in begin order, across a recovery too. *)
+let oldest_pinned q =
+  match Queue.peek_opt q with Some u -> u.pinned | None -> max_int
+
+(* The oldest start among the open MVCC transactions: those a [Recover]
+   left on a lost copy only lower it. *)
+let oldest_start q =
+  Queue.fold
+    (fun m u ->
+      if u.open_ then Int.min m (Mvcc.start_ts (Handle.txn u.handle)) else m)
+    max_int q
+
+(* One secondary site: its replica, its link, its open transactions, and
+   the instruments its moves feed, interned once, so a recovered replica
+   counts into them too. [freshness] is forced on the site's first sample
+   into an attached registry. *)
 type site = {
   name : string;
   fid : int;  (* its flight recorder id *)
   mutable replica : Secondary.t;
   link : link;
+  opened : txn Queue.t;  (* its open transactions, see [oldest_pinned] *)
   mutable crashed : bool;
   (* False once the site has crashed: a recovered copy's restored state is
      audited against the primary's at the end of the run. *)
@@ -47,6 +81,7 @@ type t = {
   history : History.t;
   record_history : bool;
   watchdog : Watchdog.t option;
+  updates : txn Queue.t;  (* the primary's *)
   tracking : bool;  (* a history is recorded or a watchdog attached *)
   no_reads : History.reads;
   schema : (string * string list) list;
@@ -68,11 +103,6 @@ let freshness obs site =
     refresh_lag = Obs.histogram obs (site ^ ".refresh_lag");
   }
 
-let note_refresh watchdog i seq =
-  match watchdog with
-  | Some w -> Watchdog.note_refresh w ~site:i ~seq
-  | None -> ()
-
 let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted ~sinks
     ~record_history ~watchdog ?(history = History.create ()) ~sites guarantee =
   let now =
@@ -89,7 +119,7 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
   let clock = Session.clock_create () in
   let watchdog =
     if watchdog then
-      Some (Watchdog.create ~flight:sinks.flight ~clock ~guarantee ~sites ())
+      Some (Watchdog.create ~flight:sinks.flight ~clock ~guarantee ())
     else None
   in
   let propagator = Propagation.create ~ship_aborted (Primary.wal primary) in
@@ -110,7 +140,7 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
     let name = Printf.sprintf "secondary-%d" i in
     let fid = Flight.intern sinks.flight name in
     { name; fid; replica = Secondary.create (); link = link fid;
-      crashed = false; clean = true; diverged = -1;
+      opened = Queue.create (); crashed = false; clean = true; diverged = -1;
       c_started = Obs.counter obs (name ^ ".refresh_started");
       c_aborted = Obs.counter obs (name ^ ".refresh_aborted");
       g_update_queue = Obs.gauge obs (name ^ ".update_queue_depth");
@@ -126,6 +156,7 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
     history;
     record_history;
     watchdog;
+    updates = Queue.create ();
     tracking = record_history || watchdog <> None;
     no_reads = History.reads ();
     schema;
@@ -140,7 +171,6 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
   }
 
 let primary t = t.primary
-let propagator t = t.propagator
 let sessions t = t.sessions
 let clock t = t.clock
 let history t = t.history
@@ -165,6 +195,35 @@ let channel_stats t =
       | Faulty ch -> Channel.add_stats acc (Channel.stats ch)
       | Plain _ -> acc)
     Channel.zero_stats t.sites
+
+(* --- Retirement ------------------------------------------------------------------ *)
+
+let horizon t =
+  Array.fold_left
+    (fun m s ->
+      Int.min m
+        (Int.min (Secondary.seq_dbsec s.replica) (oldest_pinned s.opened)))
+    (oldest_pinned t.updates) t.sites
+
+let retire_watched t =
+  match t.watchdog with
+  | Some w -> Watchdog.retire_below w (horizon t)
+  | None -> ()
+
+(* A store keeps the versions its oldest open transaction reads, or else
+   only its latest ones. *)
+let vacuum db q =
+  Mvcc.vacuum db ~before:(Int.min (oldest_start q) (Mvcc.latest_commit_ts db))
+
+let retire t =
+  Wal.truncate_before (Primary.wal t.primary)
+    (Propagation.position t.propagator);
+  Array.fold_left
+    (fun n s ->
+      if s.crashed then n
+      else n + vacuum (Secondary.db s.replica) s.opened)
+    (vacuum (Primary.db t.primary) t.updates)
+    t.sites
 
 (* --- Moves ------------------------------------------------------------------------ *)
 
@@ -232,7 +291,8 @@ let note_shipped flight records =
 
 (* A refresh commit of [ts] at site [i] measures its lag once (none for a
    commit that is not on the clock), hands it to the driver's hook and to an
-   attached registry, then advances the watchdog's horizon. *)
+   attached registry, then retires the watchdog's state below the new
+   horizon. *)
 let refresh_committed t i s ts =
   let lag =
     match Session.clock_time_of t.clock ts with
@@ -244,7 +304,7 @@ let refresh_committed t i s ts =
   | Some lag when Obs.enabled t.sinks.obs ->
     Obs.observe (Lazy.force s.freshness).refresh_lag lag
   | Some _ | None -> ());
-  note_refresh t.watchdog i ts
+  retire_watched t
 
 let diverged_detail i txn =
   Printf.sprintf "secondary %d: state after primary txn %d differs from the \
@@ -345,8 +405,8 @@ let rec fire t = function
          and a txn in flight at the primary, whose start record the site
          missed, opens its refresh at its commit record. No §4 dummy
          transaction is run: its start record would open a refresh at every
-         live site that nothing closes. The watchdog's horizon for the site
-         jumps forward with its seq. *)
+         live site that nothing closes. The site's seq jumps forward, and
+         the transactions still open on the lost copy stay pinned. *)
       if poll_ready t then ignore (fire t Poll);
       let db = Primary.db t.primary in
       let seq = Mvcc.latest_commit_ts db in
@@ -355,45 +415,43 @@ let rec fire t = function
           ~resumed_at:(Mvcc.next_txn_id db) ()
       in
       Flight.note_recovery t.sinks.flight ~site:s.fid ~seq;
-      note_refresh t.watchdog i seq;
       reset_link s.link;
       s.replica <- fresh;
-      s.crashed <- false
+      s.crashed <- false;
+      retire_watched t
     end;
     Nothing
 
 (* --- Transactions -------------------------------------------------------------- *)
 
-(* An update runs at the primary ([site] -1); its snapshot is the state its
-   current attempt started from. Its handle serves the MVCC transaction it
-   opened, and its reads land in the handle's buffer when [tracking]; the
-   untracked share the core's [no_reads], which is never written. *)
-type txn = {
-  token : Watchdog.token;
-  first_op : int;
-  session : string;
-  site : int;
-  mutable snapshot : Timestamp.t;
-  fence : History.fence_claim option;
-  fence_seq : int;
-  mutable handle : Handle.t;
-}
-
 let handle txn = txn.handle
+
+let opened t site = if site < 0 then t.updates else t.sites.(site).opened
+
+let close t u =
+  let q = opened t u.site in
+  u.open_ <- false;
+  while (not (Queue.is_empty q)) && not (Queue.peek q).open_ do
+    ignore (Queue.pop q)
+  done
 
 let begin_txn t ~session ~site ~snapshot ~fence ~fence_seq db mvcc =
   let first_op = if t.tracking then History.tick t.history else 0 in
   let token =
     match t.watchdog with
-    | Some w when site >= 0 -> Watchdog.begin_read w ~session ~snapshot
-    | Some w -> Watchdog.begin_update w ~session
+    | Some w -> Watchdog.begin_txn w ~session
     | None -> Watchdog.unwatched
   in
-  { token; first_op; session; site; snapshot; fence; fence_seq;
-    handle =
-      Handle.make ~schema:t.schema ~tracked:t.tracking
-        (if t.tracking then History.reads () else t.no_reads)
-        db mvcc }
+  let u =
+    { token; first_op; session; site; pinned = snapshot; open_ = true;
+      snapshot; fence; fence_seq;
+      handle =
+        Handle.make ~schema:t.schema ~tracked:t.tracking
+          (if t.tracking then History.reads () else t.no_reads)
+          db mvcc }
+  in
+  Queue.push u (opened t site);
+  u
 
 (* An attempt's snapshot is the primary's latest commit when it starts. *)
 let begin_update t ~session =
@@ -430,6 +488,7 @@ let abandon t u =
     else Secondary.db t.sites.(u.site).replica
   in
   Mvcc.abort db (Handle.txn u.handle);
+  close t u;
   match t.watchdog with Some w -> Watchdog.release w u.token | None -> ()
 
 (* One id and finish tick per transaction, shared by the history record and
@@ -438,17 +497,12 @@ let abandon t u =
 let finish_id t = if t.tracking then History.fresh_id t.history else -1
 let finish_tick t = if t.tracking then History.tick t.history else 0
 
-(* The watchdog judges, and the history records, an update that committed
-   [writes] at [commit] ([None] for an abort). *)
-let finish_update t u ~id ~finished ~now ~snapshot ~commit ~writes =
-  (match t.watchdog with
-  | Some w ->
-    Watchdog.end_update w u.token ~id ~now ~commit ~snapshot
-      ~reads:(Handle.reads u.handle)
-  | None -> ());
+(* The history records an update that committed [writes] at [commit_ts]
+   ([None] for an abort). *)
+let record_update t u ~id ~finished ~snapshot ~commit_ts ~writes =
   if t.record_history then
     record t u ~db:(Primary.db t.primary) ~id ~finished ~kind:History.Update
-      ~site:"primary" ~snapshot ~commit_ts:(Option.map fst commit) ~writes
+      ~site:"primary" ~snapshot ~commit_ts ~writes
 
 let commit ?(force_abort = false) t u =
   let mvcc = Handle.txn u.handle in
@@ -457,6 +511,7 @@ let commit ?(force_abort = false) t u =
   | Mvcc.Committed commit_ts ->
     (* The updates the commit just installed, not computed again. *)
     let writes = Mvcc.pending_writes mvcc in
+    close t u;
     let id = finish_id t in
     let finished = finish_tick t in
     let now = t.now () in
@@ -465,18 +520,24 @@ let commit ?(force_abort = false) t u =
     if Flight.enabled t.sinks.flight then
       Flight.note_commit t.sinks.flight ~txn:(Mvcc.txn_id mvcc) ~hid:id
         ~commit_ts ~updates:(List.length writes);
-    if t.tracking then
-      finish_update t u ~id ~finished ~now ~snapshot:u.snapshot
-        ~commit:(Some (commit_ts, writes)) ~writes;
+    (match t.watchdog with
+    | Some w ->
+      Watchdog.end_update w u.token ~id ~now ~commit_ts ~writes
+        ~snapshot:u.snapshot ~reads:(Handle.reads u.handle)
+    | None -> ());
+    record_update t u ~id ~finished ~snapshot:u.snapshot
+      ~commit_ts:(Some commit_ts) ~writes;
     Ok ()
 
-(* An abort is judged and recorded at snapshot zero, and pins nothing. *)
+(* An abort is recorded at snapshot zero; the watchdog judges nothing of
+   it, as the definitions quantify over committed transactions. *)
 let finish_aborted t u =
+  close t u;
   let id = finish_id t in
   let finished = finish_tick t in
-  if t.tracking then
-    finish_update t u ~id ~finished ~now:(t.now ()) ~snapshot:Timestamp.zero
-      ~commit:None ~writes:[]
+  (match t.watchdog with Some w -> Watchdog.release w u.token | None -> ());
+  record_update t u ~id ~finished ~snapshot:Timestamp.zero ~commit_ts:None
+    ~writes:[]
 
 let read_threshold ?fence t ~session =
   Session.read_threshold ?fence t.sessions ~clock:t.clock ~now:(t.now ())
@@ -511,9 +572,11 @@ let finish_read t r =
   (match Mvcc.end_read (Secondary.db s.replica) (Handle.txn r.handle) with
   | () -> ()
   | exception (Invalid_argument _ as exn) ->
-    (* A body wrote through its handle: free its token, or the horizon stops. *)
+    (* A body wrote through its handle: free its pin and token, or the
+       horizon stops. *)
     abandon t r;
     raise exn);
+  close t r;
   let id = finish_id t in
   let finished = finish_tick t in
   Flight.note_read t.sinks.flight ~site:s.fid ~hid:id ~session:r.session
@@ -522,7 +585,7 @@ let finish_read t r =
     (match t.watchdog with
     | Some w ->
       Watchdog.end_read ?fence:r.fence w r.token ~id ~site:s.name
-        ~now:(t.now ()) ~reads:(Handle.reads r.handle)
+        ~now:(t.now ()) ~snapshot:r.snapshot ~reads:(Handle.reads r.handle)
     | None -> ());
     if t.record_history then
       record t r ~db:(Secondary.db s.replica) ~id ~finished
@@ -565,7 +628,8 @@ let check t =
       v.Watchdog.read_mismatches v.Watchdog.fence_failures
       (v.Watchdog.alerts_total - v.Watchdog.read_mismatches
      - v.Watchdog.fence_failures)
-      (Format.asprintf "%a" Watchdog.pp_alert (List.hd (Watchdog.alerts w)))
+      (Format.asprintf "%a" Watchdog.pp_replayed
+         (List.hd (Watchdog.alerts w)))
   | Some _ | None -> ());
   (match Option.map Watchdog.verdict t.watchdog with
   | Some v when v.Watchdog.alerts_total > 0 ->

@@ -16,6 +16,15 @@
     record. {!check} is the one end-of-run verdict both drivers report.
     The protocol's moves are performed here ({!fire}) and nowhere else.
 
+    The core is also the one owner of retirement. It keeps every client
+    transaction from its begin to its end in a per-site queue in begin
+    order, and two horizons follow, one per timestamp domain. A store's
+    vacuum point, in that store's own timestamps, is the oldest start
+    among the MVCC transactions open on it, or else its latest commit;
+    {!retire} vacuums there. The watchdog's horizon, in primary
+    timestamps, is {!horizon}, which the [Commit i] and [Recover i] moves
+    hand to {!Watchdog.retire_below}.
+
     Ordering rules the hooks encode:
     - a history tick and its watchdog hook happen in one hook call, so no
       scheduler yield separates them;
@@ -67,8 +76,8 @@ type t
     calls [on_refresh_commit i ts lag], where [lag] is the time since [ts]
     committed at the primary ([None] when [ts] is not on the commit clock:
     it was committed straight on the primary's store); then a [Some] lag
-    goes to [<site>.refresh_lag] and the watchdog's horizon for the site
-    advances.
+    goes to [<site>.refresh_lag] and the watchdog retires below the new
+    {!horizon}.
     Each read at secondary [i] calls [on_read i ~age ~missed] with its
     snapshot's freshness (see {!begin_read}). [faults = Some (config, seed)]
     makes every secondary's link a fault {!Channel}, each drawing its own
@@ -89,7 +98,6 @@ val create :
   t
 
 val primary : t -> Primary.t
-val propagator : t -> Propagation.t
 val sessions : t -> Session.t
 val clock : t -> Session.clock
 val history : t -> History.t
@@ -153,6 +161,22 @@ val enabled : t -> action list
     [Crash] or a live one's [Recover] does nothing. *)
 val fire : t -> action -> fired
 
+(** {2 Retirement} *)
+
+(** The oldest primary state anything may still read: the minimum of every
+    site's seq(DBsec), a crashed site's at its last value, and every open
+    client transaction's snapshot, an update's at its first attempt. *)
+val horizon : t -> Timestamp.t
+
+(** [retire t] drops the state no reader needs and returns the number of
+    versions it reclaimed. It truncates the primary log below the
+    propagation cursor, where nothing reads it: the propagator reads from
+    its cursor, a fault channel keeps its own copy of what is in flight
+    and [Recover] installs a copy of the primary's store. It vacuums the
+    primary and every live secondary below its vacuum point, so no open
+    transaction loses a version it reads. *)
+val retire : t -> int
+
 (** {2 Transactions} *)
 
 (** A client transaction from its begin to its end: its MVCC transaction
@@ -174,23 +198,24 @@ val handle : txn -> Handle.t
     [force_abort] aborts it instead (the paper's [abort_prob]). A commit
     advances [seq(c)] and the commit clock, and the watchdog judges, and
     the history records, the reads served since {!begin_update} or the last
-    {!retry}: the update is finished. An abort leaves it open, for {!retry}
-    or {!finish_aborted}. *)
+    {!retry}: the update is finished and leaves the per-site queue. An
+    abort leaves it open, for {!retry} or {!finish_aborted}. *)
 val commit :
   ?force_abort:bool -> t -> txn -> (unit, Mvcc.abort_reason) result
 
 (** The update's attempt aborted and it runs again under the same record:
     the reads served so far are dropped and the next attempt's MVCC
-    transaction starts; {!handle} serves it. *)
+    transaction starts; {!handle} serves it. The snapshot the update holds
+    the {!horizon} at stays its first attempt's. *)
 val retry : t -> txn -> unit
 
 (** The update's attempt aborted and it runs no more: it is judged and
-    recorded at snapshot zero, and pins nothing. *)
+    recorded at snapshot zero, and leaves the per-site queue. *)
 val finish_aborted : t -> txn -> unit
 
 (** The transaction's body raised: its MVCC transaction aborts (a read's
-    just ends), it ends unrecorded, and the watchdog drops its pin and its
-    hold on the session's floors. *)
+    just ends), it ends unrecorded and leaves the per-site queue, and the
+    watchdog drops its hold on the session's floors. *)
 val abandon : t -> txn -> unit
 
 (** The live seq(DBsec) threshold of a read-only transaction of [session]

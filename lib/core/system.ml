@@ -142,15 +142,7 @@ let pump t =
 
 let blocked_reads t = t.blocked_reads
 
-let compact t =
-  Wal.truncate_before
-    (Primary.wal (primary t))
-    (Propagation.position (Replica_set.propagator t.core));
-  let vacuum db = Mvcc.vacuum db ~before:(Mvcc.latest_commit_ts db) in
-  List.fold_left
-    (fun n i -> if is_crashed t i then n else n + vacuum (secondary_db t i))
-    (vacuum (primary_db t))
-    (List.init (secondaries t) Fun.id)
+let compact t = Replica_set.retire t.core
 
 (* --- Transactions ---------------------------------------------------------- *)
 

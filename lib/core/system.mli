@@ -185,13 +185,15 @@ val pump : t -> unit
 (** Reads that had to wait for the session condition so far. *)
 val blocked_reads : t -> int
 
-(** [compact t] reclaims storage across the system: the primary log (the
-    only one) is truncated below the propagator cursor (nothing reads it
-    there: {!recover_secondary} installs a copy); and version chains at the
-    primary and at every live secondary are vacuumed down to their latest
-    committed version. Returns the number of versions reclaimed.
-    Call it after {!pump}: snapshot reconstruction below the current state
-    becomes unavailable, so lagging secondaries must have caught up first.
+(** [compact t] reclaims storage across the system ({!Replica_set.retire}):
+    the primary log (the only one) is truncated below the propagator cursor
+    (nothing reads it there: {!recover_secondary} installs a copy); and
+    version chains at the primary and at every live secondary are vacuumed
+    down to the versions the store's oldest open transaction reads, or to
+    its latest committed versions when none is open. Returns the number of
+    versions reclaimed. It may run at any point, inside a transaction body
+    too: snapshot reconstruction below a store's vacuum point becomes
+    unavailable, but no open transaction reads there.
 
     Its vacuum costs each database the keys written more than once since
     the last compact, not the whole store (see {!Mvcc.vacuum}). *)

@@ -1,8 +1,6 @@
 open Lsr_storage
 module Json = Lsr_obs.Json
 
-exception Unknown_site of { site : int; sites : int }
-
 type level = Session.level = All_sessions | In_session | After_update
 
 type alert_kind =
@@ -34,7 +32,6 @@ type verdict = {
 }
 
 module Sessions = Hashtbl.Make (String)
-module Pins = Hashtbl.Make (Int)
 
 (* One key, as in [Mvcc]'s key cells: its hash, the next cell of its hash
    bucket, the folded base value of every retired write, and the
@@ -70,7 +67,7 @@ let chain_append c ts v =
       Array.blit c.c_v c.c_lo c.c_v 0 live
     end
     else begin
-      let cap' = max 2 (2 * cap) in
+      let cap' = max 1 (2 * cap) in
       let ts' = Array.make cap' Timestamp.zero and v' = Array.make cap' None in
       Array.blit c.c_ts c.c_lo ts' 0 live;
       Array.blit c.c_v c.c_lo v' 0 live;
@@ -130,9 +127,6 @@ let new_session name =
    session record its end raises. *)
 type token = {
   tk_session : session;
-  tk_snapshot : Timestamp.t;
-      (* its horizon pin; the snapshot of a read only, as updates
-         re-declare theirs at end *)
   tk_global : int;
   tk_global_id : int;
   tk_sess : int;
@@ -145,9 +139,8 @@ type token = {
 let no_session = new_session ""
 
 let unwatched =
-  { tk_session = no_session; tk_snapshot = Timestamp.zero;
-    tk_global = -1; tk_global_id = -1; tk_sess = -1; tk_sess_id = -1;
-    tk_upd = -1; tk_upd_id = -1; tk_fence = -1 }
+  { tk_session = no_session; tk_global = -1; tk_global_id = -1; tk_sess = -1;
+    tk_sess_id = -1; tk_upd = -1; tk_upd_id = -1; tk_fence = -1 }
 
 (* Alerts the log retains; the per-kind counters stay exact past it. *)
 let alert_cap = 256
@@ -162,8 +155,11 @@ type t = {
   mutable buckets : cell array;
   mutable keys : int;
   (* The unretired versions' cells in commit order, each commit's ended by
-     [no_cell]: a cell's chain head is the version to retire. *)
-  unretired : cell Queue.t;
+     [no_cell]: a cell's chain head is the version to retire. A ring of
+     [unretired] slots from [first], doubled when full. *)
+  mutable ring : cell array;
+  mutable first : int;
+  mutable unretired : int;
   mutable last_commit_ts : Timestamp.t;
   mutable live_versions : int;
   mutable retired_versions : int;
@@ -174,13 +170,7 @@ type t = {
   sessions : session Sessions.t;
   mutable floors : int;
   mutable floors_swept_at : int;
-  (* Retirement horizon inputs: per-site seq(DBsec), and the in-flight
-     transactions' pins, counted per pinned timestamp. *)
-  site_seq : Timestamp.t array;
-  pins : int Pins.t;
-  mutable n_pins : int;
-  mutable min_pin : Timestamp.t;  (* valid unless [min_pin_dirty] *)
-  mutable min_pin_dirty : bool;
+  mutable tokens : int;  (* obtained and not yet consumed *)
   mutable horizon : Timestamp.t;
   (* Alerts: newest-first bounded log plus exact counters, the inversion
      counters at every level. *)
@@ -195,15 +185,16 @@ type t = {
   mutable peak : int;
 }
 
-let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee ~sites () =
-  if sites < 1 then invalid_arg "Watchdog.create: need at least 1 site";
+let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee () =
   {
     forbidden = Session.forbidden_level guarantee;
     flight;
     clock;
     buckets = Array.make 1024 no_cell;
     keys = 0;
-    unretired = Queue.create ();
+    ring = Array.make 64 no_cell;
+    first = 0;
+    unretired = 0;
     last_commit_ts = Timestamp.zero;
     live_versions = 0;
     retired_versions = 0;
@@ -212,11 +203,7 @@ let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee ~sites () =
     sessions = Sessions.create 64;
     floors = 0;
     floors_swept_at = 0;
-    site_seq = Array.make sites Timestamp.zero;
-    pins = Pins.create 64;
-    n_pins = 0;
-    min_pin = max_int;
-    min_pin_dirty = false;
+    tokens = 0;
     horizon = Timestamp.zero;
     alert_log = [];
     alert_log_len = 0;
@@ -229,8 +216,8 @@ let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee ~sites () =
     peak = 0;
   }
 
-(* The queue holds one entry per live version and one per unretired commit. *)
-let state_size t = Queue.length t.unretired + t.floors + t.n_pins
+(* The ring holds one entry per live version and one per unretired commit. *)
+let state_size t = t.unretired + t.floors + t.tokens
 
 let peak_state t = t.peak
 let retired_versions t = t.retired_versions
@@ -276,38 +263,34 @@ let find_or_add t key =
     c
   end
 
-(* Whether the queue's front retires at horizon [h]: the oldest unretired
+(* --- Unretired ring ----------------------------------------------------------- *)
+
+let push t c =
+  let cap = Array.length t.ring in
+  if t.unretired = cap then begin
+    let ring = Array.make (2 * cap) no_cell in
+    for i = 0 to cap - 1 do
+      ring.(i) <- t.ring.((t.first + i) land (cap - 1))
+    done;
+    t.ring <- ring;
+    t.first <- 0
+  end;
+  t.ring.((t.first + t.unretired) land (Array.length t.ring - 1)) <- c;
+  t.unretired <- t.unretired + 1
+
+(* Whether the ring's front retires at horizon [h]: the oldest unretired
    version, if at or below [h], or the end of a commit it retired. *)
 let retirable t h =
-  (not (Queue.is_empty t.unretired))
+  t.unretired > 0
   &&
-  let c = Queue.peek t.unretired in
+  let c = t.ring.(t.first) in
   c == no_cell || c.c_ts.(c.c_lo) <= h
 
-(* --- Horizon pins ----------------------------------------------------------- *)
-
-let pin t ts =
-  (match Pins.find t.pins ts with
-  | n -> Pins.replace t.pins ts (n + 1)
-  | exception Not_found -> Pins.add t.pins ts 1);
-  t.n_pins <- t.n_pins + 1;
-  if ts < t.min_pin then t.min_pin <- ts
-
-let unpin t ts =
-  let n = Pins.find t.pins ts in
-  t.n_pins <- t.n_pins - 1;
-  if n > 1 then Pins.replace t.pins ts (n - 1)
-  else begin
-    Pins.remove t.pins ts;
-    if ts = t.min_pin then t.min_pin_dirty <- true
-  end
-
-let min_pin t =
-  if t.min_pin_dirty then begin
-    t.min_pin <- Pins.fold (fun ts _ acc -> Int.min ts acc) t.pins max_int;
-    t.min_pin_dirty <- false
-  end;
-  t.min_pin
+let pop t =
+  let c = t.ring.(t.first) in
+  t.first <- (t.first + 1) land (Array.length t.ring - 1);
+  t.unretired <- t.unretired - 1;
+  c
 
 (* --- Rendering -------------------------------------------------------------- *)
 
@@ -327,9 +310,12 @@ let pp_kind ppf = function
       (level_name level) earlier Timestamp.pp floor
   | Fence_violation { detail } -> Format.fprintf ppf "fence violated: %s" detail
 
-let pp_alert ppf a =
-  Format.fprintf ppf "[%.3f] txn %d (session %s at %s, snapshot %a): %a" a.at
-    a.txn a.session a.site Timestamp.pp a.snapshot pp_kind a.kind
+let pp_body ppf a =
+  Format.fprintf ppf "txn %d (session %s at %s, snapshot %a): %a" a.txn
+    a.session a.site Timestamp.pp a.snapshot pp_kind a.kind
+
+let pp_alert ppf a = Format.fprintf ppf "[%.3f] %a" a.at pp_body a
+let pp_replayed ppf a = Format.fprintf ppf "[tick %.0f] %a" a.at pp_body a
 
 (* --- Alerts ----------------------------------------------------------------- *)
 
@@ -410,36 +396,23 @@ let sweep_floors t =
 
 (* --- Retirement ------------------------------------------------------------- *)
 
-(* Folds every version at or below the new horizon into its key's base,
-   oldest first; a commit's versions share its timestamp. *)
-let retire t =
-  let site_min = Array.fold_left Int.min max_int t.site_seq in
-  if retirable t site_min then begin
-    let h = Int.min site_min (min_pin t) in
-    if h > t.horizon then t.horizon <- h;
-    while retirable t h do
-      let c = Queue.pop t.unretired in
-      if c != no_cell then begin
-        chain_retire_head c;
-        t.live_versions <- t.live_versions - 1;
-        t.retired_versions <- t.retired_versions + 1
-      end
-    done;
-    sweep_floors t
-  end
-
-let note_refresh t ~site ~seq =
-  let sites = Array.length t.site_seq in
-  if site < 0 || site >= sites then raise (Unknown_site { site; sites });
-  if Timestamp.compare seq t.site_seq.(site) > 0 then begin
-    t.site_seq.(site) <- seq;
-    retire t;
-    note_state t
-  end
+(* Folds every version at or below [h] into its key's base, oldest first; a
+   commit's versions share its timestamp. *)
+let retire_below t h =
+  if h > t.horizon then t.horizon <- h;
+  while retirable t h do
+    let c = pop t in
+    if c != no_cell then begin
+      chain_retire_head c;
+      t.live_versions <- t.live_versions - 1;
+      t.retired_versions <- t.retired_versions + 1
+    end
+  done;
+  sweep_floors t
 
 (* --- Event stream ----------------------------------------------------------- *)
 
-let capture t ~session ~pin_at =
+let begin_txn t ~session =
   let s =
     match Sessions.find t.sessions session with
     | s -> s
@@ -449,10 +422,9 @@ let capture t ~session ~pin_at =
       s
   in
   s.holders <- s.holders + 1;
-  pin t pin_at;
+  t.tokens <- t.tokens + 1;
   {
     tk_session = s;
-    tk_snapshot = pin_at;
     tk_global = t.global_ts;
     tk_global_id = t.global_id;
     tk_sess = s.sess_ts;
@@ -462,18 +434,13 @@ let capture t ~session ~pin_at =
     tk_fence = s.fence_ts;
   }
 
-let begin_read t ~session ~snapshot = capture t ~session ~pin_at:snapshot
-
-let begin_update t ~session =
-  (* Any attempt of this transaction reads the primary's newest commit at
-     attempt start, which is at least the newest commit seen so far. *)
-  capture t ~session ~pin_at:t.last_commit_ts
 
 (* Expected value of [key] in primary state S@[snapshot]: newest live chain
    version at or below the snapshot, else the folded base (everything
    retired is at or below the horizon, hence visible), else absent. Only
    called with [snapshot >= horizon at the reader's first operation], which
-   the token's pin guarantees. *)
+   the caller's horizon guarantees: it never passes an open transaction's
+   snapshot. *)
 let expected_value t key snapshot =
   let c = find t key in
   let pos = chain_partition c snapshot in
@@ -557,19 +524,19 @@ let rec add_versions t ts = function
   | { Wal.key; value } :: writes ->
     let c = find_or_add t key in
     chain_append c ts value;
-    Queue.push c t.unretired;
+    push t c;
     t.live_versions <- t.live_versions + 1;
     add_versions t ts writes
 
-(* The token's end: its pin goes, and its session record may be swept once
-   no other token holds it. *)
+(* The token's end: its session record may be swept once no other token
+   holds it. *)
 let release t tok =
-  unpin t tok.tk_snapshot;
+  t.tokens <- t.tokens - 1;
   tok.tk_session.holders <- tok.tk_session.holders - 1
 
-let end_read ?fence t tok ~id ~site ~now ~reads =
+let end_read ?fence t tok ~id ~site ~now ~snapshot ~reads =
   release t tok;
-  let snapshot = tok.tk_snapshot and s = tok.tk_session in
+  let s = tok.tk_session in
   validate_reads t ~at:now ~txn:id ~session:s.name ~site ~snapshot
     ~own_writes:[] reads;
   check_inversions t tok ~at:now ~txn:id ~site ~snapshot;
@@ -585,30 +552,24 @@ let end_read ?fence t tok ~id ~site ~now ~reads =
   | Some _ | None -> ());
   note_state t
 
-let end_update t tok ~id ~now ~commit ~snapshot ~reads =
+let end_update t tok ~id ~now ~commit_ts ~writes ~snapshot ~reads =
   release t tok;
-  match commit with
-  | None ->
-    (* Aborted: pins nothing, checks nothing (the definitions quantify over
-       committed transactions; [replay] skips it). *)
-    note_state t
-  | Some (commit_ts, writes) ->
-    if Timestamp.compare commit_ts t.last_commit_ts <= 0 then
-      invalid_arg "Watchdog.end_update: commits must arrive in commit order";
-    let s = tok.tk_session in
-    validate_reads t ~at:now ~txn:id ~session:s.name ~site:"primary"
-      ~snapshot ~own_writes:writes reads;
-    check_inversions t tok ~at:now ~txn:id ~site:"primary" ~snapshot;
-    bump_global t commit_ts id;
-    bump_session t s commit_ts id;
-    bump_update t s commit_ts id;
-    bump_fence t s commit_ts;
-    t.last_commit_ts <- commit_ts;
-    if writes <> [] then begin
-      add_versions t commit_ts writes;
-      Queue.push no_cell t.unretired
-    end;
-    note_state t
+  if Timestamp.compare commit_ts t.last_commit_ts <= 0 then
+    invalid_arg "Watchdog.end_update: commits must arrive in commit order";
+  let s = tok.tk_session in
+  validate_reads t ~at:now ~txn:id ~session:s.name ~site:"primary" ~snapshot
+    ~own_writes:writes reads;
+  check_inversions t tok ~at:now ~txn:id ~site:"primary" ~snapshot;
+  bump_global t commit_ts id;
+  bump_session t s commit_ts id;
+  bump_update t s commit_ts id;
+  bump_fence t s commit_ts;
+  t.last_commit_ts <- commit_ts;
+  if writes <> [] then begin
+    add_versions t commit_ts writes;
+    push t no_cell
+  end;
+  note_state t
 
 (* --- Replaying a recorded history -------------------------------------------- *)
 
@@ -623,30 +584,33 @@ let sorted_by key txns =
   a
 
 let replay ?clock ~guarantee history =
-  let t = create ?clock ~guarantee ~sites:1 () in
+  let t = create ?clock ~guarantee () in
   let txns = Array.of_list (List.filter committed (History.transactions history)) in
   let n = Array.length txns in
   let starts = sorted_by (fun (x : History.txn) -> x.first_op) txns in
   let ends = sorted_by (fun (x : History.txn) -> x.finished) txns in
-  (* [floor.(i)]: the smallest snapshot among the [i]th begin and every later
-     one, which no later transaction reads below. *)
-  let floor = Array.make (n + 1) max_int in
-  for i = n - 1 downto 0 do
-    floor.(i) <- Int.min txns.(starts.(i)).snapshot floor.(i + 1)
+  (* [below.(e)]: the smallest snapshot among the [e]th end and every later
+     one. A begin finds unfinished exactly the transactions from some end
+     on: every one that begins at or after it also ends after it. *)
+  let below = Array.make (n + 1) max_int in
+  for e = n - 1 downto 0 do
+    below.(e) <- Int.min txns.(ends.(e)).snapshot below.(e + 1)
   done;
-  let tokens = Pins.create 64 in
+  let tokens = Array.make n unwatched in
   let finish k =
-    let x = txns.(k) and tok = Pins.find tokens k in
-    Pins.remove tokens k;
+    let x = txns.(k) and tok = tokens.(k) in
+    tokens.(k) <- unwatched;
     let reads =
       { History.count = Array.length x.read_keys; keys = x.read_keys;
         values = x.read_values }
     and now = float_of_int x.finished in
     (* A committed transaction without a commit timestamp is read-only. *)
     match x.commit_ts with
-    | None -> end_read ?fence:x.fence t tok ~id:x.id ~site:x.site ~now ~reads
+    | None ->
+      end_read ?fence:x.fence t tok ~id:x.id ~site:x.site ~now
+        ~snapshot:x.snapshot ~reads
     | Some ts ->
-      end_update t tok ~id:x.id ~now ~commit:(Some (ts, x.writes))
+      end_update t tok ~id:x.id ~now ~commit_ts:ts ~writes:x.writes
         ~snapshot:x.snapshot ~reads
   in
   let j = ref 0 in
@@ -658,10 +622,8 @@ let replay ?clock ~guarantee history =
       finish ends.(!j);
       incr j
     done;
-    note_refresh t ~site:0 ~seq:floor.(i);
-    (* An update pins its recorded snapshot too, which may lag the newest
-       commit [begin_update] would pin. *)
-    Pins.replace tokens k (capture t ~session:x.session ~pin_at:x.snapshot)
+    retire_below t below.(!j);
+    tokens.(k) <- begin_txn t ~session:x.session
   done;
   for e = !j to n - 1 do
     finish ends.(e)

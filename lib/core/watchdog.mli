@@ -30,17 +30,20 @@
     flight recorder's capture holds each implicated update's pipeline
     events.
 
-    {b Bounded memory.} State below the global minimum secondary visibility
-    horizon is retired continuously: once every secondary has refreshed past
-    a committed version — and no in-flight transaction's snapshot pins it —
-    the version folds into a per-key base value and its chain entry is
-    dropped; session floors below the horizon are swept out, because no
-    future snapshot can be older than the horizon at its own first operation.
-    A run with the watchdog on and history recording {e off} verifies the
-    same guarantees with versions, floors and pins in O(active visibility
-    window) memory instead of O(run length); only the base values, one per
-    key ever written, are bounded by the key space instead, and
-    {!state_size} does not count them.
+    {b Bounded memory.} State below a retirement horizon is retired
+    continuously. The watchdog keeps no horizon inputs of its own: its
+    caller owns the horizon and hands it over ({!retire_below}).
+    [Replica_set] passes the minimum over every secondary's seq(DBsec) and
+    every open client transaction's snapshot; {!replay} derives its own
+    from the history. A committed version at or below the horizon folds
+    into a per-key base value and its chain entry is dropped. Session
+    floors below it are swept out, because no future snapshot can be older
+    than the horizon at its own first operation. A run with the watchdog on
+    and history recording {e off} verifies the same guarantees with
+    versions, floors and tokens in O(active visibility window) memory
+    instead of O(run length). Only the base values, one per key ever
+    written, are bounded by the key space instead, and {!state_size} does
+    not count them.
 
     {b Equivalence.} A transaction's floors are those of the definitions:
     the begin/end hooks fire adjacent to the wall-order ticks [History]
@@ -59,9 +62,6 @@
 open Lsr_storage
 
 type t
-
-exception Unknown_site of { site : int; sites : int }
-(** Raised by {!note_refresh} for a site outside [0 .. sites - 1]. *)
 
 (** Which inversion floor a violation was detected against. *)
 type level = Session.level =
@@ -95,6 +95,9 @@ type alert = {
 
 val pp_alert : Format.formatter -> alert -> unit
 
+(** An alert of {!replay}, its [at] printed as the history tick it is. *)
+val pp_replayed : Format.formatter -> alert -> unit
+
 (** The run's counts. [alerts_total] counts every alert, including any
     dropped beyond the bounded log; a run kept its guarantee exactly when
     it is 0. The three inversion counts cover every level, forbidden or
@@ -109,8 +112,8 @@ type verdict = {
   alerts_dropped : int;  (** alerts beyond the bounded log's capacity *)
 }
 
-(** [create ~guarantee ~sites ()] is a fresh watchdog judging a system with
-    [sites] secondaries against [guarantee]. The retained alert log keeps
+(** [create ~guarantee ()] is a fresh watchdog judging a system against
+    [guarantee]. The retained alert log keeps
     the first 256 alerts (counters keep exact totals past the cap).
     [clock] is the primary commit clock used to audit [Max_age] claims; a
     [Max_age] claim without a clock is itself a violation (recording fenced
@@ -122,7 +125,6 @@ val create :
   ?flight:Lsr_obs.Flight.t ->
   ?clock:Session.clock ->
   guarantee:Session.guarantee ->
-  sites:int ->
   unit ->
   t
 
@@ -130,29 +132,26 @@ val create :
 
     One token per transaction: obtained at the transaction's first operation
     (where [History] takes its [first_op] tick — the token captures the
-    inversion and fence floors at that instant and pins the retirement
-    horizon), consumed exactly once at its finish. Hooks must be called with
-    no scheduler yield between the corresponding [History] tick and the
-    hook. *)
+    inversion and fence floors at that instant), consumed exactly once at
+    its finish. While a token is out, the horizon passed to
+    {!retire_below} must stay at or below the transaction's snapshot.
+    Hooks must be called with no scheduler yield between the corresponding
+    [History] tick and the hook. *)
 
 type token
 
-(** [begin_read t ~session ~snapshot] — a read-only transaction starts
-    with [snapshot] (its secondary's seq(DBsec)). Pins the horizon at
-    [snapshot]. *)
-val begin_read : t -> session:string -> snapshot:Timestamp.t -> token
-
-(** [begin_update t ~session] — an update transaction starts at the
-    primary. Pins the horizon at the newest commit seen so far (a lower
-    bound for any snapshot a retrying attempt can observe). *)
-val begin_update : t -> session:string -> token
+(** [begin_txn t ~session] — a transaction of [session] takes its first
+    operation: a read-only one at its secondary, an update at the primary.
+    Each declares its snapshot at its end. *)
+val begin_txn : t -> session:string -> token
 
 (** The token of a transaction no watchdog sees; it must not reach
     {!end_read} or {!end_update}. *)
 val unwatched : token
 
-(** [end_read t token ~id ~site ~now ?fence ~reads] — the read-only
-    transaction finished: validate [reads], the reads it was served, check
+(** [end_read t token ~id ~site ~now ?fence ~snapshot ~reads] — the
+    read-only transaction finished at [snapshot] (its secondary's
+    seq(DBsec) at its begin): validate [reads], the reads it was served, check
     the captured inversion floors, audit the fence claim, then raise the
     floors it pins (its snapshot; also the session fence floor for a
     [Session_seq] claim). *)
@@ -163,50 +162,52 @@ val end_read :
   id:int ->
   site:string ->
   now:float ->
+  snapshot:Timestamp.t ->
   reads:History.reads ->
   unit
 
-(** [end_update t token ~id ~now ~commit ~snapshot ~reads] — the
-    update transaction finished. [commit = Some (commit_ts, writes)]:
-    validate reads (own-written keys excluded), check the captured floors,
-    raise all floors to [commit_ts], and append the writes to the per-key
-    version chains (commits must arrive in commit-timestamp order).
-    [commit = None]: the transaction aborted — it pins nothing, nothing is
-    checked (the definitions quantify over committed transactions), the
-    token only releases its horizon pin. *)
+(** [end_update t token ~id ~now ~commit_ts ~writes ~snapshot ~reads] —
+    the update transaction committed [writes] at [commit_ts]: validate
+    reads (own-written keys excluded), check the captured floors, raise
+    all floors to [commit_ts], and append the writes to the per-key version
+    chains (commits must arrive in commit-timestamp order). *)
 val end_update :
   t ->
   token ->
   id:int ->
   now:float ->
-  commit:(Timestamp.t * Wal.update list) option ->
+  commit_ts:Timestamp.t ->
+  writes:Wal.update list ->
   snapshot:Timestamp.t ->
   reads:History.reads ->
   unit
 
-(** [release t token] — the transaction ended without finishing (its body
-    raised): its horizon pin and its hold on its session's floors go,
-    nothing is checked and no floor is raised. *)
+(** [release t token] — the transaction ended without committing (it
+    aborted, or its body raised): its hold on its session's floors goes,
+    nothing is checked (the definitions quantify over committed
+    transactions) and no floor is raised. *)
 val release : t -> token -> unit
 
-(** [note_refresh t ~site ~seq] — secondary [site] committed a refresh
-    transaction, advancing its seq(DBsec) to [seq] ([Replica_set]'s
-    [Commit i] move calls it). Advances the retirement
-    horizon and retires versions and session floors below it. *)
-val note_refresh : t -> site:int -> seq:Timestamp.t -> unit
+(** [retire_below t h] raises the retirement horizon to [h] (a lower [h]
+    leaves it), folds every committed version at or below [h] into its
+    key's base, and sweeps session floors at or below the horizon. [h] must
+    be at most every snapshot an outstanding or future token will read at:
+    [Replica_set] passes the minimum of every site's seq(DBsec) and every
+    open transaction's snapshot at its [Commit i] and [Recover i] moves. *)
+val retire_below : t -> Timestamp.t -> unit
 
 (** {2 Replay} *)
 
-(** [replay ?clock ~guarantee history] is a fresh one-site watchdog with no
-    flight recorder, fed every committed transaction of [history]: its
-    begin at the transaction's [first_op] tick, pinning its recorded
-    snapshot, and its end hook at its [finished] tick (an end ticked before
-    a begin runs first; on a tie, the begin does), each alert stamped with
-    the [finished] tick as its time. Before each begin it notes a refresh
-    at the smallest snapshot among the transactions not yet begun, so it
-    retires versions and floors as the online watchdog does, and soundly
-    for the same reason: no later snapshot is older. [clock] audits
-    [Max_age] claims, as in {!create}.
+(** [replay ?clock ~guarantee history] is a fresh watchdog with no flight
+    recorder, fed every committed transaction of [history]: its begin at
+    the transaction's [first_op] tick and its end hook at its [finished]
+    tick (an end ticked before a begin runs first; on a tie, the begin
+    does), each alert stamped with the [finished] tick as its time (print
+    it with {!pp_replayed}). Before each begin it retires below the
+    smallest recorded snapshot among the transactions not finished by then,
+    a horizon it derives from the history alone: no transaction still open
+    or begun later reads below it. [clock] audits [Max_age] claims, as in
+    {!create}.
     [Replica_set.check] runs it on a recorded run. The history must meet
     the end hooks' contract: each transaction's [first_op <= finished], and
     committed updates' timestamps increasing in [finished] order, as a
@@ -229,7 +230,7 @@ val verdict : t -> verdict
 (** {2 Introspection} *)
 
 (** Current tracked state: live chain versions + unretired commits + session
-    floors + active transaction pins (the quantity bounded by the active
+    floors + outstanding tokens (the quantity bounded by the active
     visibility window); not the per-key base values. *)
 val state_size : t -> int
 
@@ -240,8 +241,8 @@ val retired_versions : t -> int
 
 val live_versions : t -> int
 
-(** The current retirement horizon (newest commit timestamp with every
-    version at or below it retired-or-retirable). *)
+(** The current retirement horizon: the highest [h] passed to
+    {!retire_below}; every version at or below it is retired. *)
 val horizon : t -> Timestamp.t
 
 (** Deterministic JSON report: verdict counts, state/peak/retired sizes and

@@ -233,11 +233,7 @@ let deliver st site () =
 let propagate st () =
   let p = st.cfg.params in
   let shipped = Replica_set.fire st.rs Replica_set.Poll in
-  (* No reader is left behind the cursor: the simulator never recovers a
-     site, and a fault channel keeps its own copy of what is in flight. *)
-  Wal.truncate_before
-    (Primary.wal (Replica_set.primary st.rs))
-    (Propagation.position (Replica_set.propagator st.rs));
+  ignore (Replica_set.retire st.rs);
   (* A fault channel surfaces the batch, in order, from its own ticks
      (loss, duplication, delay and reordering happen inside); a plain link
      delivers it now or after a jitter. *)

@@ -245,7 +245,7 @@ type outcome = {
           deterministic for a fixed seed *)
   watchdog_peak_state : int;
       (** peak watchdog state size (live versions + unretired commits +
-          session floors + in-flight pins): the memory the online check
+          session floors + outstanding tokens): the memory the online check
           needed, bounded by the active visibility window rather than the
           run length *)
   watchdog_report : Lsr_obs.Json.t option;

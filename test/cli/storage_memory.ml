@@ -1,27 +1,31 @@
 (* Memory guard for the records a simulated run keeps per transaction: only
-   the primary writes a log, the simulator truncates it behind the
-   propagation cursor every cycle, and a run that records no history keeps
-   no commit lists. Runs 2 sites x 200k open-loop clients under weak SI,
-   with no history, watchdog or recorder attached, and fails when the
-   growth of the resident-set high-water mark across the run, per completed
+   the primary writes a log, and once per propagation cycle the simulator
+   truncates it behind the propagation cursor and vacuums every store below
+   its oldest open transaction. A run that records no history keeps no
+   commit lists. Runs 2 sites x 200k open-loop clients under weak SI, with
+   no history, watchdog or recorder attached, and fails when the growth of
+   the resident-set high-water mark across the run, per completed
    transaction, reaches [bound_bytes]. What is left per transaction is the
-   version each update installs at every site, which nothing reclaims yet.
+   version each update installs at every site for a key it is the first to
+   write; the vacuum reclaims the older versions of keys written again.
 
    Measured on a 2-vCPU x86-64 Linux guest: about 471 B per transaction
    when every site logged every transaction, never truncated, and kept a
    commit list; about 292 B once only the primary logs, its log is
    truncated every cycle and no commit list is kept; about 244 B once an
    unscanned store keeps no list of new keys and an older version is one
-   block instead of a record and a list cell. The bound sits between the
-   last two.
+   block instead of a record and a list cell. On another such guest that
+   code read 217 B, and about 212 B once every store is vacuumed each
+   cycle. The bound leaves the spread between the two guests.
 
-   Prints a skip line and exits 0 where /proc/self/status is unreadable. *)
+   [-v] prints the measurement. Prints a skip line and exits 0 where
+   /proc/self/status is unreadable. *)
 
 open Lsr_core
 open Lsr_workload
 module Sim = Lsr_experiments.Sim_system
 
-let bound_bytes = 270.
+let bound_bytes = 250.
 
 (* Resident-set high-water mark (VmHWM) in bytes, or [None] when
    /proc/self/status cannot be read. *)
@@ -66,10 +70,10 @@ let () =
     let after = Option.get (vm_hwm_bytes ()) in
     let txns = o.Sim.reads_completed + o.Sim.updates_completed in
     let per_txn = (after -. before) /. float_of_int txns in
-    if per_txn >= bound_bytes then begin
+    let fail = per_txn >= bound_bytes in
+    if fail || Array.exists (String.equal "-v") Sys.argv then
       Printf.printf
-        "storage_memory: FAIL, peak RSS grew %.0f B per completed transaction \
-         (bound %.0f)\n"
-        per_txn bound_bytes;
-      exit 1
-    end
+        "storage_memory: %speak RSS grew %.0f B per completed transaction \
+         over %d (bound %.0f)\n"
+        (if fail then "FAIL, " else "") per_txn txns bound_bytes;
+    if fail then exit 1

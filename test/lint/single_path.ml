@@ -24,9 +24,9 @@
    transactions) open an MVCC transaction or end a read, and only
    [Handle] and [Table] read or write through one, so neither driver
    opens, serves, commits or ends a transaction itself. Every log
-   record has a reader: only [Primary] creates a log, and only the two
-   drivers, which know when no reader is left behind the propagation
-   cursor, truncate it. The log has one writer and one reader: only
+   record has a reader: only [Primary] creates a log. Retirement has one
+   owner: only [Replica_set], which knows the propagation cursor and every
+   open transaction, truncates the log or vacuums a store. The log has one writer and one reader: only
    [Mvcc] appends to it, and squashes a writeset, once per commit, into
    the commit record that is shipped as it is; only [Propagation] reads
    it. No simulated process is a fiber: every wait passes
@@ -84,9 +84,7 @@ let rules =
     ([ "primary.ml" ], "Primary", [ "Wal.create" ]);
     ([ "mvcc.ml" ], "Mvcc", [ "Wal.append"; "Wal.squash" ]);
     ([ "propagation.ml" ], "Propagation", [ "Wal.read_from" ]);
-    ( [ "system.ml"; "sim_system.ml" ],
-      "System / Sim_system",
-      [ "Wal.truncate_before" ] );
+    ([ "replica_set.ml" ], "Replica_set", [ "Wal.truncate_before"; "Mvcc.vacuum" ]);
     ([ "process.ml" ], "Process", [ "Process"; "Effect" ]);
     ( [ "watchdog.ml"; "replica_set.ml"; "sim_system.ml" ],
       "Watchdog / Replica_set / Sim_system",

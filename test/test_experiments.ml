@@ -988,6 +988,51 @@ let test_sim_monitor_timeseries_deterministic () =
   Alcotest.(check string) "timeseries JSON bytes identical" (json a) (json b);
   check_bool "different seed, different samples" true (json a <> json c)
 
+(* The simulator vacuums every store once per propagation cycle, so its
+   versions stay bounded by the keys written and one cycle's new versions:
+   over a small key space that every run covers early, the total at 2T is
+   within 10% of the total at T. Sampled one tick past a cycle, so both
+   samples follow a vacuum. *)
+let test_sim_versions_bounded () =
+  let versions_at ~duration =
+    let monitor = Monitor.create ~interval:duration () in
+    let clients = 2_000 in
+    let params =
+      {
+        Params.default with
+        Params.num_secondaries = 2;
+        clients_per_secondary = clients;
+        key_space = 500;
+        op_service_time = 1e-4;
+        propagation_delay = 1.;
+        warmup = 0.;
+        duration;
+      }
+    in
+    ignore
+      (Sim_system.run
+         {
+           (Sim_system.config params Session.Weak ~seed:11) with
+           Sim_system.client_mode =
+             Sim_system.Open_loop
+               { clients; arrival = Sim_system.Poisson; session_pool = 0 };
+           monitor;
+         });
+    match List.rev (Lsr_obs.Timeseries.samples (Monitor.series monitor)) with
+    | last :: _ ->
+      List.fold_left
+        (fun n (name, v) ->
+          if String.ends_with ~suffix:".versions" name then n +. v else n)
+        0. last.Lsr_obs.Timeseries.values
+    | [] -> Alcotest.fail "no sample"
+  in
+  let at_t = versions_at ~duration:10.5 and at_2t = versions_at ~duration:20.5 in
+  check_bool
+    (Printf.sprintf "versions at 2T (%.0f) within 10%% of those at T (%.0f)"
+       at_2t at_t)
+    true
+    (Float.abs (at_2t -. at_t) <= 0.1 *. at_t)
+
 let test_monitor_create_validates () =
   Alcotest.check_raises "zero interval"
     (Invalid_argument "Monitor.create: interval must be positive and finite")
@@ -1264,6 +1309,8 @@ let () =
             test_sim_monitor_does_not_perturb;
           Alcotest.test_case "monitor timeseries byte-deterministic" `Quick
             test_sim_monitor_timeseries_deterministic;
+          Alcotest.test_case "versions stay bounded" `Quick
+            test_sim_versions_bounded;
           Alcotest.test_case "monitor create validates" `Quick
             test_monitor_create_validates;
           Alcotest.test_case "outcome resource reports" `Quick

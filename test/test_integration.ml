@@ -293,6 +293,27 @@ let test_compact_reclaims_log_and_versions () =
     (Mvcc.committed_state (System.primary_db sys))
     (Mvcc.committed_state (System.secondary_db sys 0))
 
+(* [compact] inside a read body, after a pump whose refresh overwrote the
+   key the read then reads: the vacuum keeps the version the read's
+   snapshot sees, and reclaims it once the read has ended. *)
+let test_compact_inside_read () =
+  let sys = System.create ~secondaries:1 ~guarantee:Session.Weak () in
+  let reader = System.connect sys "reader" in
+  let writer = System.connect sys "writer" in
+  update_exn sys writer (fun h -> Handle.put h "k" "old");
+  System.pump sys;
+  let seen =
+    System.read sys reader (fun h ->
+        update_exn sys writer (fun w -> Handle.put w "k" "new");
+        System.pump sys;
+        ignore (System.compact sys);
+        Handle.get h "k")
+  in
+  Alcotest.(check (option string)) "the read sees its snapshot" (Some "old") seen;
+  check_int "a compact with nothing open reclaims it" 1 (System.compact sys);
+  Alcotest.(check (option string)) "a new read sees the latest" (Some "new")
+    (System.read sys reader (fun h -> Handle.get h "k"))
+
 (* SQL traffic, lazy pumps, a crash and a recovery, all at once: the full
    stack must stay convergent and checkable, and index lookups must agree
    with scans at every replica afterwards. *)
@@ -463,6 +484,8 @@ let () =
             test_indexed_tables_replicate;
           Alcotest.test_case "compact reclaims" `Quick
             test_compact_reclaims_log_and_versions;
+          Alcotest.test_case "compact inside a read" `Quick
+            test_compact_inside_read;
           Alcotest.test_case "sql soak with crash" `Slow test_sql_soak_with_crash;
         ] );
       ( "lineage",

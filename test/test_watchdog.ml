@@ -492,13 +492,11 @@ let test_embedded_recovery () =
     (Watchdog.verdict w).Watchdog.alerts_total;
   check_bool "recovery advanced the horizon" true (Watchdog.horizon w > 0)
 
-let test_embedded_check_reports_watchdog () =
-  (* [System.check] carries the watchdog's verdict: a write made at a
-     secondary behind the protocol's back makes the next read there
-     disagree with the primary's state at its snapshot. *)
+(* A system whose one read disagrees with the primary's state at its
+   snapshot: a write made at the secondary behind the protocol's back. *)
+let diverged_read ~watchdog =
   let sys =
-    System.create ~secondaries:1 ~guarantee:Session.Strong_session
-      ~watchdog:true ()
+    System.create ~secondaries:1 ~guarantee:Session.Strong_session ~watchdog ()
   in
   let c = System.connect sys "c" in
   (match System.update sys c (fun h -> Handle.put h "k" "v") with
@@ -514,6 +512,11 @@ let test_embedded_check_reports_watchdog () =
   Alcotest.(check (option string))
     "the read sees the diverged copy" (Some "diverged")
     (System.read sys c (fun h -> Handle.get h "k"));
+  sys
+
+let test_embedded_check_reports_watchdog () =
+  (* [System.check] carries the watchdog's verdict. *)
+  let sys = diverged_read ~watchdog:true in
   let v = Watchdog.verdict (Option.get (System.watchdog sys)) in
   check_int "one read mismatch" 1 v.Watchdog.read_mismatches;
   match System.check sys with
@@ -537,7 +540,34 @@ let test_embedded_check_reports_watchdog () =
                mismatches, 0 fence failures, 0 inversions; first ")
          es)
 
+(* The replay stamps an alert with the history tick of the transaction's
+   end, and the audit line prints it as a tick, not as virtual seconds. *)
+let test_replayed_alert_prints_tick () =
+  let sys = diverged_read ~watchdog:false in
+  match System.check sys with
+  | Ok () -> Alcotest.fail "check passed a diverged secondary"
+  | Error es ->
+    Alcotest.(check (list string))
+      "the audit line"
+      [ "audit: guarantee ALG-STRONG-SESSION-SI violated: 1 read mismatches, \
+         0 fence failures, 0 inversions; first [tick 4] txn 2 (session c at \
+         secondary-0, snapshot 2): read k = diverged but primary state has v" ]
+      es
+
 exception Body_failed
+
+(* Every pin the core took is released: its horizon is the site's seq, and
+   a compact keeps one version of the one key at every store. *)
+let check_core_unpinned sys =
+  check_int "the core's horizon is the site's seq"
+    (Secondary.seq_dbsec (System.secondary sys 0))
+    (Replica_set.horizon (System.replica_set sys));
+  ignore (System.compact sys);
+  List.iter
+    (fun (name, db) ->
+      check_int (name ^ " keeps one version") 1
+        (Lsr_storage.Mvcc.version_count db))
+    [ ("primary", System.primary_db sys); ("secondary", System.secondary_db sys 0) ]
 
 let test_embedded_raising_body () =
   (* A read or update body that raises (as [Sql.run_script] does on a
@@ -582,6 +612,7 @@ let test_embedded_raising_body () =
   Alcotest.(check (list int))
     "every start closed" []
     (Fixtures.open_starts (Lsr_storage.Mvcc.wal (System.primary_db sys)));
+  check_core_unpinned sys;
   match System.check sys with
   | Ok () -> ()
   | Error es -> Alcotest.failf "check failed: %s" (String.concat "; " es)
@@ -617,31 +648,31 @@ let test_embedded_writing_read () =
   check_bool
     (Printf.sprintf "state retired (%d)" (Watchdog.state_size w))
     true
-    (Watchdog.state_size w < 10)
+    (Watchdog.state_size w < 10);
+  check_core_unpinned sys
 
 let test_retired_chain_reads_base () =
   (* A key whose only live version retires keeps its record: reads then
      expect the folded base value, and a later write starts a new chain
      above it. A retired delete reads as absent. *)
-  let w = Watchdog.create ~guarantee:Session.Weak ~sites:1 () in
+  let w = Watchdog.create ~guarantee:Session.Weak () in
   let next_id = ref 0 in
   let fresh_id () = incr next_id; !next_id in
   let commit ts writes =
-    let tok = Watchdog.begin_update w ~session:"writer" in
+    let tok = Watchdog.begin_txn w ~session:"writer" in
     let id = fresh_id () in
     Watchdog.end_update w tok ~id ~now:(float_of_int id)
-      ~commit:
-        (Some
-           (ts, List.map (fun (key, value) -> { Lsr_storage.Wal.key; value }) writes))
+      ~commit_ts:ts
+      ~writes:(List.map (fun (key, value) -> { Lsr_storage.Wal.key; value }) writes)
       ~snapshot:(ts - 1) ~reads:(History.reads ())
   in
   (* The expected value of each key at [snapshot], read back from the
      mismatch alerts that observing a sentinel value raises. *)
   let expected ~snapshot keys =
     let id = fresh_id () in
-    let tok = Watchdog.begin_read w ~session:"reader" ~snapshot in
+    let tok = Watchdog.begin_txn w ~session:"reader" in
     Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
-      ~reads:(Fixtures.served_of_list (List.map (fun k -> (k, Some "<probe>")) keys));
+      ~snapshot ~reads:(Fixtures.served_of_list (List.map (fun k -> (k, Some "<probe>")) keys));
     List.filter_map
       (fun (a : Watchdog.alert) ->
         match a.Watchdog.kind with
@@ -656,7 +687,7 @@ let test_retired_chain_reads_base () =
   in
   commit 1 [ ("x", Some "a"); ("y", Some "b") ];
   commit 2 [ ("y", None) ];
-  Watchdog.note_refresh w ~site:0 ~seq:2;
+  Watchdog.retire_below w 2;
   check_int "every version retired" 0 (Watchdog.live_versions w);
   check_int "three versions folded into the base" 3 (Watchdog.retired_versions w);
   check_expected "retired chain reads the base; retired delete is absent"
@@ -667,43 +698,45 @@ let test_retired_chain_reads_base () =
     (expected ~snapshot:2 [ "x" ]);
   check_expected "new snapshot reads the new chain" [ ("x", Some "c") ]
     (expected ~snapshot:3 [ "x" ]);
-  Watchdog.note_refresh w ~site:0 ~seq:3;
+  Watchdog.retire_below w 3;
   check_expected "the rewrite folds into the base" [ ("x", Some "c"); ("y", None) ]
     (expected ~snapshot:3 [ "x"; "y" ])
 
 (* The horizon sweeps a session's floors while one of that session's reads
    is in flight: the session's record must survive the sweep, so the floor
    the read raises at its end is there for the session's next read. Another
-   session's read at snapshot 1 keeps the horizon at 1, where the session's
-   only floors (its update at ts 1) are swept; the in-flight read at
-   snapshot 5 then raises the session floor to 5, and the session's next
-   read, at snapshot 3 (above the horizon), is an in-session inversion. *)
+   session's open read at snapshot 1 holds the horizon its caller passes at
+   1, where the session's only floors (its update at ts 1) are swept; the
+   in-flight read at snapshot 5 then raises the session floor to 5, and the
+   session's next read, at snapshot 3 (above the horizon), is an in-session
+   inversion. *)
 let test_sweep_keeps_held_session () =
-  let w =
-    Watchdog.create ~guarantee:Session.Strong_session ~sites:1 ()
-  in
+  let w = Watchdog.create ~guarantee:Session.Strong_session () in
   let commit ~session ts =
-    let tok = Watchdog.begin_update w ~session in
+    let tok = Watchdog.begin_txn w ~session in
     Watchdog.end_update w tok ~id:ts ~now:(float_of_int ts)
-      ~commit:(Some (ts, [ { Lsr_storage.Wal.key = session; value = Some "v" } ]))
+      ~commit_ts:ts ~writes:[ { Lsr_storage.Wal.key = session; value = Some "v" } ]
       ~snapshot:(ts - 1) ~reads:(History.reads ())
   in
   commit ~session:"s" 1;
-  let pin = Watchdog.begin_read w ~session:"q" ~snapshot:1 in
+  let pin = Watchdog.begin_txn w ~session:"q" in
   (* 64 other sessions' floors, so the next retirement sweeps. *)
   for ts = 2 to 65 do
     commit ~session:(Printf.sprintf "o%d" ts) ts
   done;
-  let held = Watchdog.begin_read w ~session:"s" ~snapshot:5 in
+  let held = Watchdog.begin_txn w ~session:"s" in
   let size = Watchdog.state_size w in
-  Watchdog.note_refresh w ~site:0 ~seq:65;
-  check_int "the horizon stops at the pinned snapshot" 1 (Watchdog.horizon w);
+  Watchdog.retire_below w 1;
+  check_int "the horizon is the one passed" 1 (Watchdog.horizon w);
   check_int "its update retired (version and commit), its three floors swept"
     (size - 5) (Watchdog.state_size w);
-  Watchdog.end_read w held ~id:100 ~site:"secondary-0" ~now:100. ~reads:(History.reads ());
-  let next = Watchdog.begin_read w ~session:"s" ~snapshot:3 in
-  Watchdog.end_read w next ~id:101 ~site:"secondary-0" ~now:101. ~reads:(History.reads ());
-  Watchdog.end_read w pin ~id:102 ~site:"secondary-0" ~now:102. ~reads:(History.reads ());
+  let end_read tok ~id ~snapshot =
+    Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
+      ~snapshot ~reads:(History.reads ())
+  in
+  end_read held ~id:100 ~snapshot:5;
+  end_read (Watchdog.begin_txn w ~session:"s") ~id:101 ~snapshot:3;
+  end_read pin ~id:102 ~snapshot:1;
   match Watchdog.alerts w with
   | [ { Watchdog.txn = 101;
         kind = Watchdog.Inversion { level = Watchdog.In_session; earlier = 100; floor = 5 };
@@ -712,6 +745,37 @@ let test_sweep_keeps_held_session () =
     Alcotest.failf "want one in-session inversion of txn 101 behind txn 100, got %d alerts"
       (List.length alerts)
 
+(* The core owns the horizon: a read open at site 0 holds it, and the
+   watchdog's with it, at the read's snapshot while a later update commits
+   and refreshes past it. Once the read has ended, the next refresh commit
+   lifts both. *)
+let test_open_read_holds_horizon () =
+  let sys =
+    System.create ~secondaries:1 ~guarantee:Session.Weak ~watchdog:true ()
+  in
+  let c = System.connect sys "c" in
+  let put v =
+    match System.update sys c (fun h -> Handle.put h "k" v) with
+    | Ok () -> System.pump sys
+    | Error _ -> Alcotest.fail "update aborted"
+  in
+  let rs = System.replica_set sys and w = Option.get (System.watchdog sys) in
+  let seq () = Secondary.seq_dbsec (System.secondary sys 0) in
+  put "a";
+  let snapshot = seq () in
+  System.read sys c (fun h ->
+      put "b";
+      check_bool "the refresh committed past the read" true (seq () > snapshot);
+      check_int "the core's horizon stays at the read's snapshot" snapshot
+        (Replica_set.horizon rs);
+      check_int "and the watchdog's" snapshot (Watchdog.horizon w);
+      Alcotest.(check (option string)) "the read sees its snapshot" (Some "a")
+        (Handle.get h "k"));
+  put "c";
+  check_int "the core's horizon rises to the site's seq" (seq ())
+    (Replica_set.horizon rs);
+  check_int "and the watchdog's with it" (seq ()) (Watchdog.horizon w)
+
 (* Only a violation triggers the flight recorder the watchdog was created
    with: under strong session SI, another session's inversion is counted
    and passes; the session's own inversion is the first alert, and the
@@ -719,16 +783,16 @@ let test_sweep_keeps_held_session () =
 let test_first_violation_triggers () =
   let flight = Lsr_obs.Flight.create () in
   let w =
-    Watchdog.create ~flight ~guarantee:Session.Strong_session ~sites:1 ()
+    Watchdog.create ~flight ~guarantee:Session.Strong_session ()
   in
-  let tok = Watchdog.begin_update w ~session:"a" in
+  let tok = Watchdog.begin_txn w ~session:"a" in
   Watchdog.end_update w tok ~id:1 ~now:1.
-    ~commit:(Some (1, [ { Lsr_storage.Wal.key = "k"; value = Some "v" } ]))
+    ~commit_ts:1 ~writes:[ { Lsr_storage.Wal.key = "k"; value = Some "v" } ]
     ~snapshot:0 ~reads:(History.reads ());
   let read ~session ~id =
-    let tok = Watchdog.begin_read w ~session ~snapshot:0 in
+    let tok = Watchdog.begin_txn w ~session in
     Watchdog.end_read w tok ~id ~site:"secondary-0" ~now:(float_of_int id)
-      ~reads:(History.reads ())
+      ~snapshot:0 ~reads:(History.reads ())
   in
   read ~session:"b" ~id:2;
   check_int "the other session's inversion is counted" 1
@@ -748,19 +812,6 @@ let test_first_violation_triggers () =
     Alcotest.(check (list int))
       "implicates the reader and its witness" [ 3; 1 ]
       b.Lsr_obs.Flight.implicated
-
-(* A refresh from a site the watchdog was not created with is a wiring
-   fault, reported as a typed error that names the site. *)
-let test_unknown_site () =
-  let w = Watchdog.create ~guarantee:Session.Weak ~sites:2 () in
-  Watchdog.note_refresh w ~site:1 ~seq:1;
-  List.iter
-    (fun site ->
-      Alcotest.check_raises
-        (Printf.sprintf "site %d" site)
-        (Watchdog.Unknown_site { site; sites = 2 })
-        (fun () -> Watchdog.note_refresh w ~site ~seq:2))
-    [ 2; -1 ]
 
 let () =
   Alcotest.run "lsr_watchdog"
@@ -795,6 +846,8 @@ let () =
             test_embedded_aborted_reads_not_judged;
           Alcotest.test_case "a sweep keeps a held session" `Quick
             test_sweep_keeps_held_session;
+          Alcotest.test_case "an open read holds the horizon" `Quick
+            test_open_read_holds_horizon;
           Alcotest.test_case "retired chain reads the base" `Quick
             test_retired_chain_reads_base;
           Alcotest.test_case "continuous retirement" `Quick
@@ -804,9 +857,9 @@ let () =
             test_embedded_raising_body;
           Alcotest.test_case "a writing read releases its token" `Quick
             test_embedded_writing_read;
-          Alcotest.test_case "unknown site is a typed error" `Quick
-            test_unknown_site;
           Alcotest.test_case "System.check reports the watchdog" `Quick
             test_embedded_check_reports_watchdog;
+          Alcotest.test_case "a replayed alert prints its tick" `Quick
+            test_replayed_alert_prints_tick;
         ] );
     ]
