@@ -15,21 +15,11 @@ open Lsr_serializability
 
 (* Record a hand-run transaction into a history for the checkers. *)
 let record h ~session ~first_op ~snapshot ~reads ~writes ~commit_ts =
-  History.add h
-    {
-      History.id = History.fresh_id h;
-      session;
-      kind = History.Update;
-      site = "primary";
-      first_op;
-      finished = History.tick h;
-      snapshot;
-      commit_ts;
-      read_keys = Array.of_list (List.map fst reads);
-      read_values = Array.of_list (List.map snd reads);
-      writes;
-      fence = None;
-    }
+  let served = History.reads () in
+  List.iter (fun (key, value) -> History.serve served key value) reads;
+  History.add h ~key:Fun.id ~id:(History.fresh_id h) ~session ~site:"primary"
+    ~first_op ~finished:(History.tick h) ~snapshot
+    ~commit:(Option.value commit_ts ~default:History.aborted) ~writes ~fence:None served
 
 let roster_invariant db =
   let on k = Mvcc.read_at db (Mvcc.latest_commit_ts db) k = Some "on" in

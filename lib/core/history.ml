@@ -9,6 +9,45 @@ type fence_claim = {
   read_at : float;  (* virtual time the fenced read resolved its horizon *)
 }
 
+(* A column of fixed-size chunks: an append never copies a slot, and only
+   the last chunk is partly full. *)
+let chunk_bits = 10
+let chunk_mask = (1 lsl chunk_bits) - 1
+
+type 'a column = { mutable chunks : 'a array array }
+
+let column () = { chunks = [||] }
+let get c i = c.chunks.(i lsr chunk_bits).(i land chunk_mask)
+
+(* [push c i v] sets slot [i], the column's length. A new chunk is filled
+   with [v], so its free slots keep nothing the history does not. *)
+let push c i v =
+  let k = i lsr chunk_bits in
+  if k = Array.length c.chunks then
+    c.chunks <- Array.append c.chunks (Array.make (max 8 k) [||]);
+  if i land chunk_mask = 0 then c.chunks.(k) <- Array.make (chunk_mask + 1) v
+  else c.chunks.(k).(i land chunk_mask) <- v
+
+(* One slot per transaction in each column but [keys] and [values], which
+   hold one per read; [read_stop] ends a transaction's reads. *)
+type t = {
+  mutable events : int;
+  mutable ids : int;
+  mutable length : int;
+  id : int column;
+  first_op : int column;
+  finished : int column;
+  snapshot : Timestamp.t column;
+  commit : int column;  (* a timestamp, [aborted] or [read_only] *)
+  read_stop : int column;
+  session : string column;
+  site : string column;
+  fence : fence_claim option column;
+  writes : Wal.update list column;
+  keys : string column;
+  values : string option column;
+}
+
 type txn = {
   id : int;
   session : string;
@@ -24,13 +63,12 @@ type txn = {
   fence : fence_claim option;
 }
 
-type t = {
-  mutable events : int;
-  mutable ids : int;
-  mutable txns : txn list;  (* newest first *)
-}
-
-let create () = { events = 0; ids = 0; txns = [] }
+let create () =
+  { events = 0; ids = 0; length = 0; id = column (); first_op = column ();
+    finished = column (); snapshot = column (); commit = column ();
+    read_stop = column (); session = column (); site = column ();
+    fence = column (); writes = column (); keys = column ();
+    values = column () }
 
 let tick t =
   t.events <- t.events + 1;
@@ -41,8 +79,6 @@ let now t = t.events
 let fresh_id t =
   t.ids <- t.ids + 1;
   t.ids
-
-let add t txn = t.txns <- txn :: t.txns
 
 type reads = {
   mutable count : int;
@@ -66,8 +102,36 @@ let serve r key value =
   r.values.(n) <- value;
   r.count <- n + 1
 
-let recorded ~key r =
-  (Array.init r.count (fun i -> key r.keys.(i)), Array.sub r.values 0 r.count)
+let aborted = -1
+let read_only = -2
+let read_start t i = if i = 0 then 0 else get t.read_stop (i - 1)
+
+let add t ~key ~id ~session ~site ~first_op ~finished ~snapshot ~commit
+    ~writes ~fence (r : reads) =
+  if commit < read_only then invalid_arg "History.add: commit";
+  let i = t.length in
+  let n = read_start t i in
+  push t.commit i commit;
+  push t.id i id;
+  push t.first_op i first_op;
+  push t.finished i finished;
+  push t.snapshot i snapshot;
+  push t.session i session;
+  push t.site i site;
+  push t.fence i fence;
+  push t.writes i writes;
+  for j = 0 to r.count - 1 do
+    push t.keys (n + j) (key r.keys.(j));
+    push t.values (n + j) r.values.(j)
+  done;
+  push t.read_stop i (n + r.count);
+  t.length <- i + 1
+
+let load_reads (t : t) i r =
+  r.count <- 0;
+  for j = read_start t i to get t.read_stop i - 1 do
+    serve r (get t.keys j) (get t.values j)
+  done
 
 let fold_reads txn ~init ~f =
   let rec from i acc =
@@ -76,8 +140,21 @@ let fold_reads txn ~init ~f =
   in
   from 0 init
 
-let transactions t = List.rev t.txns
-let length t = List.length t.txns
+let transactions t =
+  let r = reads () in
+  List.init t.length (fun i ->
+      let c = get t.commit i in
+      load_reads t i r;
+      { id = get t.id i; session = get t.session i;
+        kind = (if c = read_only then Read_only else Update);
+        site = get t.site i; first_op = get t.first_op i;
+        finished = get t.finished i; snapshot = get t.snapshot i;
+        commit_ts = (if c >= 0 then Some c else None);
+        read_keys = Array.sub r.keys 0 r.count;
+        read_values = Array.sub r.values 0 r.count;
+        writes = get t.writes i; fence = get t.fence i })
+
+let length t = t.length
 
 let pp_txn ppf txn =
   Format.fprintf ppf "T%d[%s;%s;%s;ops %d..%d;snap %a%a%a]" txn.id txn.session

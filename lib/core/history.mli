@@ -14,23 +14,18 @@
       timestamps, i.e. positions in the sequence of database states
       [S^0, S^1, ...].
 
-    A record keeps its reads flat, in two arrays of the same length: the
-    keys read and the values observed, oldest first. The history is the
-    largest owner of memory in a long embedded run, so a read costs one
-    slot in each array (2 words), and a transaction two array headers when
-    it read anything (a read-less one shares the empty arrays). The strings
-    are shared, not copied: {!Replica_set} records each key as the store's
-    own copy of it ({!Lsr_storage.Mvcc.stored_key} of the store the read
-    ran against: a secondary's for a read-only transaction, the primary's
-    for an update), and each value as the very option the store returned.
-    A running transaction's reads accumulate in a {!reads} buffer, the one
-    place a read exists before its record does: {!Replica_set} keeps one
-    per transaction, hands it to the watchdog's end hooks, and builds the
-    record's arrays from it ({!recorded}). Read a record's reads with
-    {!fold_reads}. On an embedded run of the Table 1 mix
-    ([test/cli/history_memory]) the history owns 37.8 words per
-    transaction beyond what the stores hold; with each read a list cell
-    and a pair holding the caller's key string it owned 100.6. *)
+    The history is the largest owner of memory in a long embedded run, so
+    it is kept as flat columns of fixed-size chunks ({!t}), never copied
+    on append, and shares what its pointers reach: each key read is the
+    store's own copy ({!Lsr_storage.Mvcc.stored_key}), each value the very
+    option the store returned, and [writes] the list the commit installed.
+    A running transaction's reads accumulate in a {!reads} buffer, which
+    {!Replica_set} hands to the watchdog's end hooks and then {!add}s.
+    {!transactions} builds records, for tests and tools. On an embedded
+    run of the Table 1 mix ([test/cli/history_memory]) the history owns
+    29.7 words per transaction beyond what the stores hold: 37.8 as a list
+    of records with two read arrays each, 100.6 with each read a list cell
+    and a pair holding the caller's key string. *)
 
 open Lsr_storage
 
@@ -46,6 +41,38 @@ type fence_claim = {
   claim : Session.fence;
   read_at : float;
 }
+
+(** A column of fixed-size chunks; {!get} reads a slot. *)
+type 'a column
+
+val get : 'a column -> int -> 'a
+
+(** The history itself, as columns. Transaction [i < length], the [i]th
+    added, is slot [i] of every column but [keys] and [values], and its
+    reads are their slots [read_stop (i - 1)] (0 for the first) to
+    [read_stop i - 1]. [commit] holds a committed update's timestamp,
+    {!aborted} or {!read_only}. *)
+type t = private {
+  mutable events : int;
+  mutable ids : int;
+  mutable length : int;
+  id : int column;
+  first_op : int column;
+  finished : int column;
+  snapshot : Timestamp.t column;
+  commit : int column;
+  read_stop : int column;
+  session : string column;
+  site : string column;
+  fence : fence_claim option column;
+  writes : Wal.update list column;
+  keys : string column;
+  values : string option column;
+}
+
+(** The [commit] slots of an aborted update and of a read-only one. *)
+val aborted : int
+val read_only : int
 
 type txn = {
   id : int;  (** unique within the history *)
@@ -66,8 +93,6 @@ type txn = {
       (** the freshness fence the read ran under, if any *)
 }
 
-type t
-
 val create : unit -> t
 
 (** [tick t] advances and returns the global event counter. *)
@@ -79,8 +104,6 @@ val now : t -> int
 
 (** [fresh_id t] allocates a history-unique transaction id. *)
 val fresh_id : t -> int
-
-val add : t -> txn -> unit
 
 (** The reads a running transaction has been served so far, oldest first:
     the first [count] slots of [keys] and [values]. *)
@@ -96,17 +119,23 @@ val reads : unit -> reads
 (** [serve r key value] appends a read of [key] that observed [value]. *)
 val serve : reads -> string -> string option -> unit
 
-(** [recorded ~key r] is the [(read_keys, read_values)] pair of a record
-    that read [r], each key replaced by [key] of it: arrays of exactly
-    [r.count] slots, or the shared empty arrays. *)
-val recorded :
-  key:(string -> string) -> reads -> string array * string option array
+(** [add t ~key ... ~commit ... r] appends a finished transaction whose
+    reads are the buffer's, each key replaced by [key] of it. [commit] is
+    its commit timestamp, {!aborted} or {!read_only}. *)
+val add :
+  t -> key:(string -> string) -> id:int -> session:string -> site:string ->
+  first_op:int -> finished:int -> snapshot:Timestamp.t -> commit:int ->
+  writes:Wal.update list -> fence:fence_claim option -> reads -> unit
+
+(** [load_reads t i r] empties [r] and serves it transaction [i]'s reads. *)
+val load_reads : t -> int -> reads -> unit
 
 (** [fold_reads txn ~init ~f] folds [f] over [txn]'s reads, oldest first. *)
 val fold_reads :
   txn -> init:'acc -> f:('acc -> string -> string option -> 'acc) -> 'acc
 
-(** Transactions in completion order. *)
+(** The transactions as records, in the order added (the core adds in
+    completion order). *)
 val transactions : t -> txn list
 
 val length : t -> int

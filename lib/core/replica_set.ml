@@ -469,17 +469,13 @@ let retry t u =
     Handle.make ~schema:t.schema ~tracked:t.tracking reads db
       (Primary.start t.primary)
 
-(* Append [u]'s record. Each key read is the copy [db] holds (the driver's
-   string only for a key [db] never installed), so the history keeps no key
-   alive. *)
-let record t u ~db ~id ~finished ~kind ~site ~snapshot ~commit_ts ~writes =
-  let read_keys, read_values =
-    History.recorded ~key:(Mvcc.stored_key db) (Handle.reads u.handle)
-  in
-  History.add t.history
-    { History.id; session = u.session; kind; site;
-      first_op = u.first_op; finished; snapshot; commit_ts;
-      read_keys; read_values; writes; fence = u.fence }
+(* Append [u]'s record, [commit] as {!History.add} takes it. Each key
+   read is the copy [db] holds (the driver's string only for a key [db]
+   never installed), so the history keeps no key alive. *)
+let record t u ~db ~id ~finished ~site ~snapshot ~commit ~writes =
+  History.add t.history ~key:(Mvcc.stored_key db) ~id ~session:u.session
+    ~site ~first_op:u.first_op ~finished ~snapshot ~commit ~writes
+    ~fence:u.fence (Handle.reads u.handle)
 
 let abandon t u =
   (* A read-only transaction's abort only ends it. *)
@@ -497,12 +493,12 @@ let abandon t u =
 let finish_id t = if t.tracking then History.fresh_id t.history else -1
 let finish_tick t = if t.tracking then History.tick t.history else 0
 
-(* The history records an update that committed [writes] at [commit_ts]
-   ([None] for an abort). *)
-let record_update t u ~id ~finished ~snapshot ~commit_ts ~writes =
+(* The history records an update that committed [writes] at [commit]
+   ({!History.aborted} for an abort). *)
+let record_update t u ~id ~finished ~snapshot ~commit ~writes =
   if t.record_history then
-    record t u ~db:(Primary.db t.primary) ~id ~finished ~kind:History.Update
-      ~site:"primary" ~snapshot ~commit_ts ~writes
+    record t u ~db:(Primary.db t.primary) ~id ~finished ~site:"primary"
+      ~snapshot ~commit ~writes
 
 let commit ?(force_abort = false) t u =
   let mvcc = Handle.txn u.handle in
@@ -525,8 +521,8 @@ let commit ?(force_abort = false) t u =
       Watchdog.end_update w u.token ~id ~now ~commit_ts ~writes
         ~snapshot:u.snapshot ~reads:(Handle.reads u.handle)
     | None -> ());
-    record_update t u ~id ~finished ~snapshot:u.snapshot
-      ~commit_ts:(Some commit_ts) ~writes;
+    record_update t u ~id ~finished ~snapshot:u.snapshot ~commit:commit_ts
+      ~writes;
     Ok ()
 
 (* An abort is recorded at snapshot zero; the watchdog judges nothing of
@@ -536,8 +532,8 @@ let finish_aborted t u =
   let id = finish_id t in
   let finished = finish_tick t in
   (match t.watchdog with Some w -> Watchdog.release w u.token | None -> ());
-  record_update t u ~id ~finished ~snapshot:Timestamp.zero ~commit_ts:None
-    ~writes:[]
+  record_update t u ~id ~finished ~snapshot:Timestamp.zero
+    ~commit:History.aborted ~writes:[]
 
 let read_threshold ?fence t ~session =
   Session.read_threshold ?fence t.sessions ~clock:t.clock ~now:(t.now ())
@@ -588,9 +584,8 @@ let finish_read t r =
         ~now:(t.now ()) ~snapshot:r.snapshot ~reads:(Handle.reads r.handle)
     | None -> ());
     if t.record_history then
-      record t r ~db:(Secondary.db s.replica) ~id ~finished
-        ~kind:History.Read_only ~site:s.name ~snapshot:r.snapshot
-        ~commit_ts:None ~writes:[]
+      record t r ~db:(Secondary.db s.replica) ~id ~finished ~site:s.name
+        ~snapshot:r.snapshot ~commit:History.read_only ~writes:[]
   end
 
 (* --- Verdict --------------------------------------------------------------------- *)

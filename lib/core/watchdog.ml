@@ -573,57 +573,58 @@ let end_update t tok ~id ~now ~commit_ts ~writes ~snapshot ~reads =
 
 (* --- Replaying a recorded history -------------------------------------------- *)
 
-(* The definitions quantify over committed transactions only. *)
-let committed (t : History.txn) =
-  t.kind = History.Read_only || Option.is_some t.commit_ts
-
-(* Indices into [txns] in [key] order, ties in completion order. *)
-let sorted_by key txns =
-  let a = Array.init (Array.length txns) Fun.id in
-  Array.stable_sort (fun i j -> Int.compare (key txns.(i)) (key txns.(j))) a;
-  a
-
-let replay ?clock ~guarantee history =
+let replay ?clock ~guarantee (h : History.t) =
   let t = create ?clock ~guarantee () in
-  let txns = Array.of_list (List.filter committed (History.transactions history)) in
-  let n = Array.length txns in
-  let starts = sorted_by (fun (x : History.txn) -> x.first_op) txns in
-  let ends = sorted_by (fun (x : History.txn) -> x.finished) txns in
+  let get = History.get and n = h.length in
+  (* The definitions quantify over committed transactions only: an aborted
+     update neither begins, ends nor holds the horizon. *)
+  let aborted k = get h.commit k = History.aborted in
+  (* Positions in [c]'s order, ties in recorded order. *)
+  let by c =
+    let a = Array.init n Fun.id in
+    Array.stable_sort (fun i j -> Int.compare (get c i) (get c j)) a;
+    a
+  in
+  let starts = by h.first_op and ends = by h.finished in
   (* [below.(e)]: the smallest snapshot among the [e]th end and every later
      one. A begin finds unfinished exactly the transactions from some end
      on: every one that begins at or after it also ends after it. *)
   let below = Array.make (n + 1) max_int in
   for e = n - 1 downto 0 do
-    below.(e) <- Int.min txns.(ends.(e)).snapshot below.(e + 1)
+    let k = ends.(e) in
+    below.(e) <-
+      (if aborted k then below.(e + 1)
+       else Int.min (get h.snapshot k) below.(e + 1))
   done;
-  let tokens = Array.make n unwatched in
+  (* One read buffer serves every end in turn. *)
+  let tokens = Array.make n unwatched and reads = History.reads () in
   let finish k =
-    let x = txns.(k) and tok = tokens.(k) in
+    let tok = tokens.(k) and commit = get h.commit k in
     tokens.(k) <- unwatched;
-    let reads =
-      { History.count = Array.length x.read_keys; keys = x.read_keys;
-        values = x.read_values }
-    and now = float_of_int x.finished in
-    (* A committed transaction without a commit timestamp is read-only. *)
-    match x.commit_ts with
-    | None ->
-      end_read ?fence:x.fence t tok ~id:x.id ~site:x.site ~now
-        ~snapshot:x.snapshot ~reads
-    | Some ts ->
-      end_update t tok ~id:x.id ~now ~commit_ts:ts ~writes:x.writes
-        ~snapshot:x.snapshot ~reads
+    if commit <> History.aborted then begin
+      History.load_reads h k reads;
+      let id = get h.id k and now = float_of_int (get h.finished k)
+      and snapshot = get h.snapshot k in
+      if commit = History.read_only then
+        end_read ?fence:(get h.fence k) t tok ~id ~site:(get h.site k) ~now
+          ~snapshot ~reads
+      else
+        end_update t tok ~id ~now ~commit_ts:commit ~writes:(get h.writes k)
+          ~snapshot ~reads
+    end
   in
   let j = ref 0 in
   for i = 0 to n - 1 do
     let k = starts.(i) in
-    let x = txns.(k) in
-    (* An end ticked before this begin ran before it; on a tie, after. *)
-    while txns.(ends.(!j)).finished < x.first_op do
-      finish ends.(!j);
-      incr j
-    done;
-    retire_below t below.(!j);
-    tokens.(k) <- begin_txn t ~session:x.session
+    if not (aborted k) then begin
+      (* An end ticked before this begin ran before it; on a tie, after. *)
+      while get h.finished ends.(!j) < get h.first_op k do
+        finish ends.(!j);
+        incr j
+      done;
+      retire_below t below.(!j);
+      tokens.(k) <- begin_txn t ~session:(get h.session k)
+    end
   done;
   for e = !j to n - 1 do
     finish ends.(e)

@@ -213,9 +213,11 @@ val retire_below : t -> Timestamp.t -> unit
     committed updates' timestamps increasing in [finished] order, as a
     primary commits them.
 
-    It runs in O(n log n) time plus O(R) over recorded reads, and O(n)
-    extra words for n committed transactions beyond the watchdog's own
-    state. *)
+    It reads the history's columns in place, one read buffer serving
+    every end, and keeps four int arrays of n words for n recorded
+    transactions (begin and end order, the horizon per end, the tokens)
+    beyond the watchdog's own state. It runs in O(n log n) time plus O(R)
+    over recorded reads. *)
 val replay :
   ?clock:Session.clock -> guarantee:Session.guarantee -> History.t -> t
 

@@ -8,7 +8,8 @@
    20k-binding states per secondary and sorting the history ten times
    raised it by about 11.5 MB; a separate checker's sorted sweep of the
    history, by about 1.7 MB (0.6 MB when this guard was written); the
-   replay, by about 2.9 MB (3.1 MB while a key's first chain held room
+   replay, by about 2.84 MB (2.88 MB while it built the history's records
+   into a list and an array, 3.1 MB while a key's first chain held room
    for two versions and the unretired versions sat in a linked queue),
    most of it the watchdog's cell and chain for each of the 20k preloaded
    keys, live until the preload's version retires.

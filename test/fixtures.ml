@@ -1,10 +1,11 @@
 (* Helpers shared by the test executables: read-buffer conversions, a
-   handle that keeps its reads, one update run straight at a primary, the
-   open-start scan of a primary log, a watchdog verdict read against a
-   guarantee and its alerts' witness pairs, and the hand-built histories of the
-   serialization-graph tests (serializability_cases, test_checker_diff):
-   the write-skew and serial executions of the sign-off templates whose
-   static verdict test_analysis checks. *)
+   hand-built record appended to a history, a handle that keeps its reads,
+   one update run straight at a primary, the open-start scan of a primary
+   log, a watchdog verdict read against a guarantee and its alerts' witness
+   pairs, and the hand-built histories of the serialization-graph tests
+   (serializability_cases, test_checker_diff): the write-skew and serial
+   executions of the sign-off templates whose static verdict test_analysis
+   checks. *)
 
 open Lsr_storage
 open Lsr_core
@@ -29,6 +30,20 @@ let served_of_list reads =
    oldest first. *)
 let served_list (r : History.reads) =
   List.init r.count (fun i -> (r.keys.(i), r.values.(i)))
+
+(* Appends a hand-built record to [h], its reads through a buffer over the
+   record's own arrays. *)
+let add h (x : History.txn) =
+  let commit =
+    match (x.kind, x.commit_ts) with
+    | History.Read_only, _ -> History.read_only
+    | History.Update, ts -> Option.value ts ~default:History.aborted
+  in
+  History.add h ~key:Fun.id ~id:x.id ~session:x.session ~site:x.site
+    ~first_op:x.first_op ~finished:x.finished ~snapshot:x.snapshot ~commit
+    ~writes:x.writes ~fence:x.fence
+    { History.count = Array.length x.read_keys; keys = x.read_keys;
+      values = x.read_values }
 
 (* A handle on [txn] that keeps every read it serves in its buffer
    ([Handle.reads]). *)
@@ -117,7 +132,7 @@ let record_serial h db ~session ~template ~reads ~writes =
   let cts = commit_exn db txn in
   let id = History.fresh_id h in
   let read_keys, read_values = reads_of_list observed in
-  History.add h
+  add h
     {
       History.id = id;
       session;
@@ -161,7 +176,7 @@ let write_skew_history () =
   let add ~session ~first_op ~cts ~reads ~writes =
     let id = History.fresh_id h in
     let read_keys, read_values = reads_of_list reads in
-    History.add h
+    add h
       {
         History.id = id;
         session;

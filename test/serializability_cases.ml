@@ -37,7 +37,7 @@ let record_update h ~session ~reads ~writes db body =
   match Mvcc.commit db txn with
   | Mvcc.Committed cts ->
     let read_keys, read_values = Fixtures.reads_of_list observed in
-    History.add h
+    Fixtures.add h
       {
         History.id = History.fresh_id h;
         session;
@@ -86,7 +86,7 @@ let test_write_skew_not_serializable () =
   let c2 = match Mvcc.commit db t2 with Mvcc.Committed c -> c | _ -> assert false in
   let keys1, values1 = Fixtures.reads_of_list r1 in
   let keys2, values2 = Fixtures.reads_of_list r2 in
-  History.add h
+  Fixtures.add h
     {
       History.id = History.fresh_id h;
       session = "s1";
@@ -101,7 +101,7 @@ let test_write_skew_not_serializable () =
       writes = w1;
       fence = None;
     };
-  History.add h
+  Fixtures.add h
     {
       History.id = History.fresh_id h;
       session = "s2";
@@ -256,7 +256,7 @@ let prop_one_sr_serializable =
           with
           | Ok ((observed, pending), cts) ->
             let read_keys, read_values = Fixtures.reads_of_list observed in
-            History.add h
+            Fixtures.add h
               {
                 History.id = History.fresh_id h;
                 session = Printf.sprintf "s%d" (i mod 3);

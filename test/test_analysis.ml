@@ -236,49 +236,23 @@ let exec_all handle stmts =
     stmts
 
 let finish db h mapping (l : live) =
-  let read_keys, read_values = History.recorded ~key:Fun.id l.reads in
+  (* Appends [l] straight from its read buffer, as the core does. *)
+  let record ~commit ~writes =
+    let id = History.fresh_id h in
+    History.add h ~key:Fun.id ~id ~session:"harness" ~site:"primary"
+      ~first_op:l.first_op ~finished:(History.tick h) ~snapshot:l.snapshot
+      ~commit ~writes ~fence:None l.reads;
+    mapping := (id, l.template.Template.name) :: !mapping
+  in
   if l.template.Template.read_only then begin
     Mvcc.end_read db l.txn;
-    let id = History.fresh_id h in
-    History.add h
-      {
-        History.id = id;
-        session = "harness";
-        kind = History.Read_only;
-        site = "primary";
-        first_op = l.first_op;
-        finished = History.tick h;
-        snapshot = l.snapshot;
-        commit_ts = None;
-        read_keys;
-        read_values;
-        writes = [];
-        fence = None;
-      };
-    mapping := (id, l.template.Template.name) :: !mapping
+    record ~commit:History.read_only ~writes:[]
   end
   else
     let writes = Mvcc.pending_writes l.txn in
     match Mvcc.commit db l.txn with
     | Mvcc.Aborted _ -> ()
-    | Mvcc.Committed cts ->
-      let id = History.fresh_id h in
-      History.add h
-        {
-          History.id = id;
-          session = "harness";
-          kind = History.Update;
-          site = "primary";
-          first_op = l.first_op;
-          finished = History.tick h;
-          snapshot = l.snapshot;
-          commit_ts = Some cts;
-          read_keys;
-          read_values;
-          writes;
-          fence = None;
-        };
-      mapping := (id, l.template.Template.name) :: !mapping
+    | Mvcc.Committed cts -> record ~commit:cts ~writes
 
 (* One seeded run; returns the history and the id -> template-name map. *)
 let run_schedule ~seed ~init ~templates ~bind =

@@ -96,7 +96,7 @@ let gen_history seed =
         in
         let writes = if commit_ts = None then [] else writes in
         let read_keys, read_values = Fixtures.reads_of_list reads in
-        History.add h
+        Fixtures.add h
           {
             History.id = History.fresh_id h;
             session;
@@ -136,7 +136,7 @@ let gen_history seed =
             end
             else t
           in
-          History.add corrupted t)
+          Fixtures.add corrupted t)
         txns;
       corrupted
   end

@@ -794,7 +794,7 @@ let mk_txn ~id ~session ~kind ~first_op ~finished ~snapshot ?commit_ts
 
 let history_of txns =
   let h = History.create () in
-  List.iter (History.add h) txns;
+  List.iter (Fixtures.add h) txns;
   h
 let test_checker_detects_inversion_update_then_read () =
   (* Case 3 of Theorem 4.1: update commits (state 5), then a read in the
@@ -1683,6 +1683,61 @@ let test_handle_schema_and_reads () =
   | [ ("missing", None); ("k", Some "v") ] -> ()
   | reads -> Alcotest.failf "unexpected served reads (%d)" (List.length reads)
 
+(* A history is stored as chunked columns: any sequence of records added
+   ([Fixtures.add], one [History.add] each) reads back as those records,
+   field by field, with each key, value, session, site and update list the
+   very one added, across more than three chunks of transactions and of
+   reads. *)
+let prop_history_round_trip =
+  let open QCheck.Gen in
+  let fresh = map (fun s -> Bytes.to_string (Bytes.of_string s)) small_string in
+  let reads =
+    frequency
+      [ (4, return []); (5, list_size (int_range 1 6) (pair fresh (opt fresh)));
+        (1, list_size (int_range 100 400) (pair fresh (opt fresh))) ]
+  in
+  let claim =
+    oneof
+      [ return Session.Session_seq; map (fun ts -> Session.Exact ts) nat;
+        map (fun d -> Session.Max_age d) (float_range 0. 10.) ]
+  in
+  let fence =
+    opt (map2 (fun claim read_at -> { History.claim; read_at }) claim
+           (float_range 0. 100.))
+  in
+  let update = map2 (fun key value -> { Wal.key; value }) fresh (opt fresh) in
+  let txn =
+    int_range 0 2 >>= fun shape ->
+    map3
+      (fun (id, first_op, finished, snapshot) (session, site, reads)
+           (fence, writes, commit) ->
+        let read_keys, read_values = Fixtures.reads_of_list reads in
+        let kind, commit_ts, writes, fence =
+          match shape with
+          | 0 -> (History.Read_only, None, [], fence)
+          | 1 -> (History.Update, Some commit, writes, None)
+          | _ -> (History.Update, None, [], None)
+        in
+        { History.id; session; kind; site; first_op; finished; snapshot;
+          commit_ts; read_keys; read_values; writes; fence })
+      (quad nat nat nat nat) (triple fresh fresh reads)
+      (triple fence (list_size (int_range 0 4) update) nat)
+  in
+  QCheck.Test.make ~name:"history columns round-trip" ~count:8
+    (QCheck.make (list_size (int_range 3100 4200) txn))
+    (fun txns ->
+      let h = History.create () in
+      List.iter (Fixtures.add h) txns;
+      let got = History.transactions h in
+      let shared (a : History.txn) (b : History.txn) =
+        a.session == b.session && a.site == b.site && a.writes == b.writes
+        && Array.for_all2 ( == ) a.read_keys b.read_keys
+        && Array.for_all2 ( == ) a.read_values b.read_values
+      in
+      History.length h = List.length txns
+      && List.length got = List.length txns
+      && List.for_all2 (fun a b -> a = b && shared a b) txns got)
+
 (* The history keeps the store's own copy of each key read, not the
    caller's: the update's read shares the primary's key, the read-only
    transaction's the secondary's (both the string the preload installed);
@@ -2173,6 +2228,7 @@ let () =
             test_handle_schema_and_reads;
           Alcotest.test_case "the history keeps the store's key" `Quick
             test_history_keeps_store_key;
+          QCheck_alcotest.to_alcotest prop_history_round_trip;
           Alcotest.test_case "retry keeps committed reads"
             `Quick test_retry_keeps_committed_reads;
           Alcotest.test_case "check after compact" `Quick
