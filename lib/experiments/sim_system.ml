@@ -272,19 +272,9 @@ let note_completion st ~t0 ~is_update =
   let now = Engine.now st.eng in
   Metrics.note_completion st.metrics ~now ~response_time:(now -. t0) ~is_update
 
-(* Runs [ops] through the core's handle on [txn]. *)
-let run_ops txn ops =
-  let h = Replica_set.handle txn in
-  List.iter
-    (function
-      | Txn_gen.Read_op key -> ignore (Handle.get h key)
-      | Txn_gen.Write_op (key, value) -> Handle.put h key value)
-    ops
-
 (* An update submitted at [t0], retried until it commits, then [k ()]. *)
-let execute_update st rng label spec ~t0 k =
+let execute_update st rng label ops ~t0 k =
   let p = st.cfg.params in
-  let ops = spec.Txn_gen.ops in
   (* One record for the whole retry loop: only the committed attempt becomes
      a transaction. *)
   let txn = Replica_set.begin_update st.rs ~session:label in
@@ -294,7 +284,12 @@ let execute_update st rng label spec ~t0 k =
        after them. *)
     let force_abort = Rng.bernoulli rng ~p:p.Params.abort_prob in
     serve st st.primary_res (List.length ops) (fun () ->
-        run_ops txn ops;
+        let h = Replica_set.handle txn in
+        List.iter
+          (function
+            | Txn_gen.Read_op key -> ignore (Handle.get h key)
+            | Txn_gen.Write_op (key, value) -> Handle.put h key value)
+          ops;
         match Replica_set.commit ~force_abort st.rs txn with
         | Ok () ->
           note_completion st ~t0 ~is_update:true;
@@ -312,9 +307,10 @@ let execute_update st rng label spec ~t0 k =
   in
   attempt ()
 
-(* A read from its snapshot to its completion, then [k ()]; run once the
-   site's seq(DBsec) has reached [required ()]. *)
-let run_read ?fence st site label spec ~read_at ~required ~t0 k =
+(* A read submitted at [t0], from its snapshot to its completion, then
+   [k ()]; run once the site's seq(DBsec) has reached [required ()]. Its
+   [size] keys are drawn from [keys] as its operations run. *)
+let run_read ?fence st site label ~size ~keys ~required ~t0 k =
   (* Begun in the event that found [required ()] reached: the watchdog's
      captured floors equal the post-hoc sweep's floors at the first
      operation, and the fence floor is taken with the snapshot, as a pooled
@@ -322,30 +318,31 @@ let run_read ?fence st site label spec ~read_at ~required ~t0 k =
      freshness reaches [metrics] through the [on_read] hook. *)
   let txn =
     Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
-      ~read_at ~required
+      ~read_at:t0 ~required
   in
-  let ops = spec.Txn_gen.ops in
-  serve st site.res (List.length ops) (fun () ->
-      run_ops txn ops;
+  serve st site.res size (fun () ->
+      let h = Replica_set.handle txn in
+      for _ = 1 to size do
+        ignore (Handle.get h (Txn_gen.key st.cfg.params keys))
+      done;
       Replica_set.finish_read st.rs txn;
       note_completion st ~t0 ~is_update:false;
       k ())
 
-(* A read submitted at [t0], then [k ()]. *)
-let execute_read ?fence st site label spec ~t0 k =
-  let read_at = Engine.now st.eng in
+(* A read submitted at [t0], the current instant, then [k ()]. *)
+let execute_read ?fence st site label ~size ~keys ~t0 k =
   if Option.is_some fence then Metrics.note_fenced_read st.metrics;
   let required = Replica_set.read_threshold ?fence st.rs ~session:label in
   let seq_dbsec = Secondary.seq_dbsec (secondary st site) in
   if Timestamp.compare (required ()) seq_dbsec <= 0 then
-    run_read ?fence st site label spec ~read_at ~required ~t0 k
+    run_read ?fence st site label ~size ~keys ~required ~t0 k
   else
     (* A read that must wait parks in the site's threshold queue; the
        commit that satisfies it runs the rest of the read. *)
     Seqcond.park site.session_cond ~threshold:required (fun () ->
         let now = Engine.now st.eng in
-        Metrics.note_block st.metrics ~now ~wait:(now -. read_at);
-        run_read ?fence st site label spec ~read_at ~required ~t0 k)
+        Metrics.note_block st.metrics ~now ~wait:(now -. t0);
+        run_read ?fence st site label ~size ~keys ~required ~t0 k)
 
 (* The fence for one read, drawn from the run's fence policy. [All_reads]
    draws nothing from the rng, so a run with [All_reads Session_seq] under
@@ -370,13 +367,13 @@ let draw_fence st rng =
       pick 0. weighted
     end
 
-(* Execute one generated transaction against the system, record its
-   telemetry, then [k ()] — the body shared by both client models. *)
-let run_txn st site rng ~label spec k =
+(* Draw one transaction from [rng], execute it against the system, record
+   its telemetry, then [k ()] — the body shared by both client models. *)
+let run_txn st site rng ~label k =
   let t0 = Engine.now st.eng in
-  match spec.Txn_gen.kind with
-  | Txn_gen.Update -> execute_update st rng label spec ~t0 k
-  | Txn_gen.Read_only ->
+  match Txn_gen.draw st.cfg.params rng with
+  | Txn_gen.Updates ops -> execute_update st rng label ops ~t0 k
+  | Txn_gen.Reads { size; keys } ->
     (* Optional load-balancing migration: serve this read from a random
        secondary instead of the home site. *)
     let site =
@@ -385,7 +382,7 @@ let run_txn st site rng ~label spec k =
       else site
     in
     let fence = draw_fence st rng in
-    execute_read ?fence st site label spec ~t0 k
+    execute_read ?fence st site label ~size ~keys ~t0 k
 
 (* A closed-loop client that thinks is one pending timer whose action is
    [wake], the one closure the client keeps: [wake] runs [client_turn],
@@ -425,8 +422,7 @@ let client_turn st c wake =
       session_bits
         (now +. Rng.exponential c.client_rng ~mean:p.Params.session_time)
   end;
-  let spec = Txn_gen.generate p c.client_rng in
-  run_txn st c.client_site c.client_rng ~label:(session_label c.session) spec
+  run_txn st c.client_site c.client_rng ~label:(session_label c.session)
     (fun () -> client_think st c wake)
 
 let client_start st site rng =
@@ -477,9 +473,7 @@ let open_loop st site ~clients ~arrival ~session_pool rng () =
   let emit () =
     let label = pick_label (Engine.now st.eng) in
     let txn_rng = Rng.split rng in
-    Engine.after st.eng ~delay:0. (fun () ->
-        let spec = Txn_gen.generate p txn_rng in
-        run_txn st site txn_rng ~label spec ignore)
+    Engine.after st.eng ~delay:0. (fun () -> run_txn st site txn_rng ~label ignore)
   in
   match arrival with
   | Poisson ->

@@ -15,7 +15,9 @@
     operations (as exact under processor sharing as one per operation), a
     blocked read or refresh commit parks one in a {!Lsr_sim.Seqcond}
     threshold queue, and the periodic parts are {!Lsr_sim.Engine.after}
-    timer chains.
+    timer chains. A parked read holds its position in its random stream,
+    not its operations: it draws its keys when it runs
+    ({!Lsr_workload.Txn_gen.draw}).
 
     Because the data operations really execute, a run both measures
     performance and (optionally) records a {!Lsr_core.History} that

@@ -25,6 +25,13 @@ let[@inline] bits64 t =
   mix state
 
 let split t = of_state (bits64 t)
+let copy = Bytes.copy
+
+(* Each draw adds [golden_gamma] to the state, and [Int64.mul] wraps like
+   [n] additions would. *)
+let skip t n =
+  Bytes.set_int64_ne t 0
+    (Int64.add (Bytes.get_int64_ne t 0) (Int64.mul (Int64.of_int n) golden_gamma))
 
 let[@inline] float t =
   (* Use the top 53 bits for a uniform double in [0, 1). *)

@@ -13,6 +13,13 @@ val create : int -> t
 (** [split t] derives an independent stream, advancing [t]. *)
 val split : t -> t
 
+(** [copy t] is an independent stream that draws what [t] draws next. *)
+val copy : t -> t
+
+(** [skip t n], for [n >= 0], moves [t] in O(1) to where [n] calls to
+    {!bits64} would. Each draw below consumes exactly one {!bits64}. *)
+val skip : t -> int -> unit
+
 (** [bits64 t] is the next raw 64-bit output. *)
 val bits64 : t -> int64
 

@@ -82,31 +82,42 @@ let fresh_value rng =
   done;
   Bytes.unsafe_to_string b
 
-let generate params rng =
-  let size =
-    Rng.uniform rng ~lo:params.Params.tran_size_min ~hi:params.Params.tran_size_max
+let update_ops params rng size =
+  let ops =
+    List.init size (fun _ ->
+        if Rng.bernoulli rng ~p:params.Params.update_op_prob then
+          Write_op (key params rng, fresh_value rng)
+        else Read_op (key params rng))
   in
-  let is_update = Rng.bernoulli rng ~p:params.Params.update_tran_prob in
-  if not is_update then
-    { kind = Read_only; ops = List.init size (fun _ -> Read_op (key params rng)) }
+  (* Guarantee at least one write, else this is a read-only transaction in
+     disguise and would skew the routed mix. *)
+  if List.exists (function Write_op _ -> true | Read_op _ -> false) ops then ops
+  else
+    match ops with
+    | Read_op k :: rest -> Write_op (k, fresh_value rng) :: rest
+    | (Write_op _ :: _ | []) -> ops
+
+let size params rng =
+  Rng.uniform rng ~lo:params.Params.tran_size_min ~hi:params.Params.tran_size_max
+
+let generate params rng =
+  let size = size params rng in
+  if Rng.bernoulli rng ~p:params.Params.update_tran_prob then
+    { kind = Update; ops = update_ops params rng size }
+  else { kind = Read_only; ops = List.init size (fun _ -> Read_op (key params rng)) }
+
+type draw =
+  | Reads of { size : int; keys : Rng.t }
+  | Updates of op list
+
+let draw params rng =
+  let size = size params rng in
+  if Rng.bernoulli rng ~p:params.Params.update_tran_prob then
+    Updates (update_ops params rng size)
   else begin
-    let ops =
-      List.init size (fun _ ->
-          if Rng.bernoulli rng ~p:params.Params.update_op_prob then
-            Write_op (key params rng, fresh_value rng)
-          else Read_op (key params rng))
-    in
-    (* Guarantee at least one write, else this is a read-only transaction in
-       disguise and would skew the routed mix. *)
-    let ops =
-      if List.exists (function Write_op _ -> true | Read_op _ -> false) ops then
-        ops
-      else
-        match ops with
-        | Read_op k :: rest -> Write_op (k, fresh_value rng) :: rest
-        | (Write_op _ :: _ | []) -> ops
-    in
-    { kind = Update; ops }
+    let keys = Rng.copy rng in
+    Rng.skip rng size;
+    Reads { size; keys }
   end
 
 let is_update spec = match spec.kind with Update -> true | Read_only -> false

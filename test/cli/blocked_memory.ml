@@ -12,16 +12,20 @@
    Measured on a 2-vCPU x86-64 Linux guest, 3 runs each: about 5,200 B
    per blocked read (27.0 MB in all) when each blocked read held its
    process, about 3,550 B (18.4 MB) once it parks as a continuation, and
-   about 3,340 B (17.3 MB) once no transaction runs as a fiber. The bound
-   sits between the first two.
+   about 3,340 B (17.3 MB) once no transaction runs as a fiber. On a
+   later 2-vCPU guest, 3 runs each: about 3,200 B (16.6 MB) while a
+   parked read held its generated operations, about 2,250 B (11.7 MB)
+   once it holds a copy of its random stream and draws its keys when it
+   runs. The bound sits between those two.
 
-   Prints a skip line and exits 0 where /proc/self/status is unreadable. *)
+   Prints a skip line and exits 0 where /proc/self/status is unreadable;
+   [-v] prints the figure on success too. *)
 
 open Lsr_core
 open Lsr_workload
 module Sim = Lsr_experiments.Sim_system
 
-let bound_bytes = 4400.
+let bound_bytes = 2800.
 
 (* Resident-set high-water mark (VmHWM) in bytes, or [None] when
    /proc/self/status cannot be read. *)
@@ -65,9 +69,10 @@ let () =
     let o = Sim.run cfg in
     let after = Option.get (vm_hwm_bytes ()) in
     let per_read = (after -. before) /. float_of_int o.Sim.blocked_reads in
-    if per_read >= bound_bytes then begin
+    let fail = per_read >= bound_bytes in
+    if fail || Array.exists (String.equal "-v") Sys.argv then
       Printf.printf
-        "blocked_memory: FAIL, peak RSS grew %.0f B per blocked read (bound %.0f)\n"
+        "blocked_memory: %speak RSS grew %.0f B per blocked read (bound %.0f)\n"
+        (if fail then "FAIL, " else "")
         per_read bound_bytes;
-      exit 1
-    end
+    if fail then exit 1

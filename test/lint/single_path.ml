@@ -45,7 +45,10 @@
    [Metrics], freshness and lag from [Replica_set], so no third module
    records the same sample again. No library module builds the
    history's records ([History.transactions]): the replay reads its
-   columns in place, and only tests and tools read records.
+   columns in place, and only tests and tools read records. Only
+   [Txn_gen] skips a random stream ([Rng.skip]): a skip is exact only
+   where the number of draws per value is known, and [Txn_gen] states it
+   for its keys.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -97,6 +100,7 @@ let rules =
       "Metrics / Replica_set",
       [ "Obs.observe" ] );
     ([], "tests and tools", [ "History.transactions" ]);
+    ([ "txn_gen.ml" ], "Txn_gen", [ "Rng.skip" ]);
   ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines

@@ -801,9 +801,10 @@ let test_resource_telemetry_counts () =
   | None -> Alcotest.fail "expected a Little's-law gap"
   | Some gap -> check_float "littles gap exact" 0. gap
 
-(* Little's law L = λ·W as a pathwise invariant: over a long run the
-   time-average population, the completion rate and the mean sojourn agree
-   up to edge effects (jobs in flight at the horizon). *)
+(* Little's law L = λ·W as a pathwise invariant: arrivals stop at the
+   horizon and the server drains, so the run starts and ends empty and the
+   queue-length integral equals the summed sojourns on every sample path,
+   up to float rounding. *)
 let prop_resource_littles_law =
   QCheck.Test.make ~name:"Little's law holds under Poisson arrivals" ~count:20
     QCheck.(int_range 0 1_000_000)
@@ -812,14 +813,18 @@ let prop_resource_littles_law =
       let res = Resource.create eng in
       let rng = Rng.create seed in
       let rec arrive () =
-        Resource.use res (Rng.exponential rng ~mean:0.4) ignore;
-        Engine.after eng ~delay:(Rng.exponential rng ~mean:1.0) arrive
+        if Engine.now eng <= 1000. then begin
+          Resource.use res (Rng.exponential rng ~mean:0.4) ignore;
+          Engine.after eng ~delay:(Rng.exponential rng ~mean:1.0) arrive
+        end
       in
       Engine.after eng ~delay:(Rng.exponential rng ~mean:1.0) arrive;
-      Engine.run ~until:1000. eng;
+      Engine.run eng;
+      Resource.load res = 0
+      &&
       match Resource.littles_law_gap res with
       | None -> false
-      | Some gap -> gap < 0.1)
+      | Some gap -> gap < 1e-9)
 
 (* Work conservation: whatever the arrival pattern, every job completes,
    total delivered service equals total demand, and no job finishes before
@@ -933,6 +938,20 @@ let test_rng_pinned_stream () =
       exact (name "split child float") child_f (Rng.float child);
       Alcotest.(check int64) (name "parent after split") next_bits (Rng.bits64 r))
     rng_pins
+
+(* [skip t n] lands where [n] [bits64] calls land, [n = 0] included, and a
+   [copy] taken first draws the skipped outputs while [t] moves on. *)
+let prop_rng_skip =
+  QCheck.Test.make ~name:"skip n is n bits64 draws" ~count:500
+    QCheck.(pair int (oneof [ always 0; int_range 0 2000 ]))
+    (fun (seed, n) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let drawn = List.init n (fun _ -> Rng.bits64 a) in
+      let c = Rng.copy b in
+      Rng.skip b n;
+      let next = Rng.bits64 b in
+      next = Rng.bits64 a && List.for_all (fun x -> x = Rng.bits64 c) drawn
+      && Rng.bits64 c = next)
 
 let test_rng_split_independent () =
   let a = Rng.create 42 in
@@ -1187,7 +1206,8 @@ let () =
           Alcotest.test_case "zipf range/skew" `Quick test_rng_zipf_range_and_skew;
           Alcotest.test_case "zipf invalid" `Quick test_rng_zipf_invalid;
           Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
-        ] );
+        ]
+        @ qsuite [ prop_rng_skip ] );
       ( "stat",
         [
           Alcotest.test_case "basic moments" `Quick test_stat_basic;

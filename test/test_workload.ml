@@ -151,6 +151,46 @@ let prop_generate_wellformed =
       if Txn_gen.is_update spec then write_count spec >= 1
       else write_count spec = 0)
 
+(* [Txn_gen.draw] is [generate] with each read's keys left in the stream:
+   over random parameters (uniform and Zipf keys), a run of draws leaves the
+   stream where [generate] leaves it, and the keys drawn afterwards from
+   each read's copy are [generate]'s. *)
+let prop_draw_matches_generate =
+  let params =
+    QCheck.Gen.(
+      map
+        (fun ((lo, span, update), (skew, keys)) ->
+          {
+            Params.default with
+            Params.tran_size_min = lo;
+            tran_size_max = lo + span;
+            update_tran_prob = update;
+            key_skew = skew;
+            key_space = keys;
+          })
+        (pair
+           (triple (int_range 1 10) (int_range 0 10) (float_bound_inclusive 1.))
+           (pair
+              (oneof [ return 0.; float_range 0.01 2. ])
+              (int_range 1 100_000))))
+  in
+  QCheck.Test.make ~name:"draw with late keys is generate" ~count:300
+    (QCheck.make QCheck.Gen.(pair int params))
+    (fun (seed, p) ->
+      let live = Rng.create seed and split = Rng.create seed in
+      let specs = List.init 8 (fun _ -> Txn_gen.generate p live) in
+      let draws = List.init 8 (fun _ -> Txn_gen.draw p split) in
+      Rng.bits64 live = Rng.bits64 split
+      && List.for_all2
+           (fun (spec : Txn_gen.spec) draw ->
+             match (spec.kind, draw) with
+             | Txn_gen.Update, Txn_gen.Updates ops -> ops = spec.ops
+             | Txn_gen.Read_only, Txn_gen.Reads { size; keys } ->
+               List.init size (fun _ -> Txn_gen.Read_op (Txn_gen.key p keys))
+               = spec.ops
+             | (Txn_gen.Update | Txn_gen.Read_only), _ -> false)
+           specs draws)
+
 (* Key names are the bytes [Printf.sprintf "item:%06d"] gives, for every
    int: padding boundaries, signs and both extremes, then random ints. *)
 let key_name_matches i = Txn_gen.key_name i = Printf.sprintf "item:%06d" i
@@ -211,6 +251,7 @@ let () =
             test_key_skew_concentrates;
           Alcotest.test_case "deterministic" `Quick test_determinism;
           QCheck_alcotest.to_alcotest prop_generate_wellformed;
+          QCheck_alcotest.to_alcotest prop_draw_matches_generate;
           Alcotest.test_case "key names at the edges" `Quick test_key_name_edges;
           QCheck_alcotest.to_alcotest prop_key_name_printf;
           Alcotest.test_case "key names exhaustively" `Quick
