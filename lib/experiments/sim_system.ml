@@ -384,55 +384,39 @@ let run_txn st site rng ~label k =
     let fence = draw_fence st rng in
     execute_read ?fence st site label ~size ~keys ~t0 k
 
-(* A closed-loop client that thinks is one pending timer whose action is
-   [wake], the one closure the client keeps: [wake] runs [client_turn],
-   and the turn's last continuation arms the next think timer. [run]
-   starts each client in place, with no start event, and a client keeps
-   its session's number: a turn builds the label only to run a transaction.
-
-   A session end is a time at or after 0 and is only compared, so it is
-   kept as the bits of its float in an int field, which OCaml does not box
-   as it would a float field of this record. Only the sign bit does not
-   fit, and it is 0 (or marks -0., which compares like 0.). *)
-type client = {
-  client_site : sec_site;
-  client_rng : Rng.t;
-  mutable session : int;
-  mutable session_end : int;
-}
-
-let[@inline] session_bits time = Int64.to_int (Int64.bits_of_float time)
-
-let[@inline] session_over c now =
-  now
-  > Int64.float_of_bits
-      (Int64.logand (Int64.of_int c.session_end) Int64.max_int)
-
-let client_think st c wake =
-  Engine.after st.eng
-    ~delay:(Rng.exponential c.client_rng ~mean:st.cfg.params.Params.think_time)
-    wake
-
-let client_turn st c wake =
+(* A site's closed-loop clients are rows: client [i] keeps its session's
+   number in [sessions.(i)], its end in the flat [session_ends.(i)] and
+   its stream in slot [i] of the bank [streams]. A thinking client is one
+   [after_arg] timer carrying [i] to the site's one [wake]. A turn loads
+   the stream and runs a transaction; its completion draws the think
+   time, saves the stream and arms the timer. Clients start in place,
+   with no start event. *)
+let closed_loop st site root =
   let p = st.cfg.params in
-  let now = Engine.now st.eng in
-  if session_over c now then begin
-    c.session <- fresh_session st;
-    c.session_end <-
-      session_bits
-        (now +. Rng.exponential c.client_rng ~mean:p.Params.session_time)
-  end;
-  run_txn st c.client_site c.client_rng ~label:(session_label c.session)
-    (fun () -> client_think st c wake)
-
-let client_start st site rng =
-  let session = fresh_session st in
-  let session_end =
-    session_bits (Rng.exponential rng ~mean:st.cfg.params.Params.session_time)
+  let n = p.Params.clients_per_secondary in
+  let sessions = Array.make n 0 and session_ends = Array.make n 0. in
+  let streams = Bytes.create (8 * n) in
+  let rec think rng i =
+    let delay = Rng.exponential rng ~mean:p.Params.think_time in
+    Rng.save rng streams i;
+    Engine.after_arg st.eng ~delay ~arg:i wake
+  and wake () =
+    let i = Engine.arg st.eng in
+    let rng = Rng.load streams i in
+    let now = Engine.now st.eng in
+    if now > session_ends.(i) then begin
+      sessions.(i) <- fresh_session st;
+      session_ends.(i) <- now +. Rng.exponential rng ~mean:p.Params.session_time
+    end;
+    run_txn st site rng ~label:(session_label sessions.(i)) (fun () ->
+        think rng i)
   in
-  let c = { client_site = site; client_rng = rng; session; session_end } in
-  let rec wake () = client_turn st c wake in
-  client_think st c wake
+  for i = 0 to n - 1 do
+    let rng = Rng.split root in
+    sessions.(i) <- fresh_session st;
+    session_ends.(i) <- Rng.exponential rng ~mean:p.Params.session_time;
+    think rng i
+  done
 
 (* --- Open-loop aggregated clients -------------------------------------------
 
@@ -693,6 +677,9 @@ let config_json cfg =
 
 let run ?history cfg =
   let p = cfg.params in
+  let period = p.Params.propagation_delay in
+  if not (Float.is_finite period) || period <= 0. then
+    invalid_arg "Sim_system.run: propagation_delay must be positive and finite";
   let eng = Engine.create () in
   (* The refresher wakes fenced/session-blocked readers as it commits: each
      refresh commit advances the site's threshold queue to the new
@@ -748,12 +735,7 @@ let run ?history cfg =
     st.sites;
   (match cfg.client_mode with
   | Closed_loop ->
-    Array.iter
-      (fun site ->
-        for _ = 1 to p.Params.clients_per_secondary do
-          client_start st site (Rng.split root)
-        done)
-      st.sites
+    Array.iter (fun site -> closed_loop st site root) st.sites
   | Open_loop { clients; arrival; session_pool } ->
     Array.iter
       (fun site ->

@@ -9,14 +9,16 @@ type handle = { at : float; id : int; mutable cancelled : bool }
    half of all events in a typical run) go
    into the ring, a FIFO: each is stamped with the current time and the next
    seq, and the clock never runs backwards, so the ring is already sorted by
-   (time, seq). Every other event goes into the heap, a monomorphic 4-ary
-   min-heap inlined here rather than an instance of the generic {!Binheap}.
+   (time, seq). Every other event, and every [after_arg] event, goes into
+   the heap, a monomorphic 4-ary min-heap inlined here rather than an
+   instance of the generic {!Binheap}.
    The next event to fire is the earlier of the two heads, so the order is
    exactly that of a single heap.
 
    Both queues are structures of arrays, and a pending event is nothing but
    its slot: slot [i] holds its key in [times.(i)] (a flat float array) and
-   [seqs.(i)], and its action in [actions.(i)]. There is no per-event
+   [seqs.(i)], its action in [actions.(i)] and, in the heap, its argument
+   in [args.(i)]. There is no per-event
    record and no boxed time; the clock is boxed once, when an event fires.
    A sift compares keys only, so one level of a 4-ary sift reads the four
    sibling keys from one or two cache lines and touches no action; with a
@@ -42,6 +44,8 @@ type t = {
   mutable times : float array;
   mutable seqs : int array;
   mutable actions : (unit -> unit) array;
+  (* [[||]] until the first [after_arg]: closures alone pay 3 words a slot. *)
+  mutable args : int array;
   mutable size : int;
   (* The ring: capacity a power of two, [queued] slots from [head] on. *)
   mutable ring_times : float array;
@@ -53,6 +57,7 @@ type t = {
      (-1 when there is none). *)
   doomed : handle Binheap.t;
   mutable next_doomed : int;
+  mutable arg : int;  (* of the heap event popped last *)
 }
 
 let ring_capacity = 64
@@ -72,6 +77,7 @@ let create () =
     times = [||];
     seqs = [||];
     actions = [||];
+    args = [||];
     size = 0;
     ring_times = Array.make ring_capacity 0.;
     ring_seqs = Array.make ring_capacity 0;
@@ -83,17 +89,26 @@ let create () =
         ~cmp:(fun a b -> if before a.at a.id b.at b.id then -1 else 1)
         ~dummy:{ at = nan; id = -1; cancelled = true };
     next_doomed = -1;
+    arg = 0;
   }
 
 let now t = t.now
 let events_processed t = t.fired
+let arg t = t.arg
 let pending t = t.size + t.queued - Binheap.length t.doomed
 
-(* Move the key and action of slot [src] into slot [dst]. *)
+let[@inline] get_arg t i =
+  if Array.length t.args > 0 then Array.unsafe_get t.args i else 0
+
+let[@inline] set_arg t i arg =
+  if Array.length t.args > 0 then Array.unsafe_set t.args i arg
+
+(* Move the key, action and argument of slot [src] into slot [dst]. *)
 let[@inline] move t ~src ~dst =
   Array.unsafe_set t.times dst (Array.unsafe_get t.times src);
   Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
-  Array.unsafe_set t.actions dst (Array.unsafe_get t.actions src)
+  Array.unsafe_set t.actions dst (Array.unsafe_get t.actions src);
+  set_arg t dst (get_arg t src)
 
 (* The entry in slot [i] rises past every parent that fires after it. The
    sifts read their entry's key from its slot, since a float argument
@@ -102,7 +117,8 @@ let[@inline] move t ~src ~dst =
 let sift_up t i =
   let time = Array.unsafe_get t.times i
   and seq = Array.unsafe_get t.seqs i
-  and action = Array.unsafe_get t.actions i in
+  and action = Array.unsafe_get t.actions i
+  and arg = get_arg t i in
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
@@ -117,7 +133,8 @@ let sift_up t i =
   done;
   Array.unsafe_set t.times !i time;
   Array.unsafe_set t.seqs !i seq;
-  Array.unsafe_set t.actions !i action
+  Array.unsafe_set t.actions !i action;
+  set_arg t !i arg
 
 (* The entry in slot [t.size], just past the heap, fills the hole at the
    root and sinks below every child that fires before it. *)
@@ -125,7 +142,8 @@ let sift_down t =
   let size = t.size in
   let time = Array.unsafe_get t.times size
   and seq = Array.unsafe_get t.seqs size
-  and action = Array.unsafe_get t.actions size in
+  and action = Array.unsafe_get t.actions size
+  and arg = get_arg t size in
   Array.unsafe_set t.actions size ignore;
   let i = ref 0 in
   let continue = ref true in
@@ -155,9 +173,10 @@ let sift_down t =
   done;
   Array.unsafe_set t.times !i time;
   Array.unsafe_set t.seqs !i seq;
-  Array.unsafe_set t.actions !i action
+  Array.unsafe_set t.actions !i action;
+  set_arg t !i arg
 
-let push t seq ~delay action =
+let push t seq ~delay action arg =
   let capacity = Array.length t.actions in
   if t.size = capacity then begin
     let fresh = max 64 (2 * capacity) in
@@ -168,16 +187,19 @@ let push t seq ~delay action =
     in
     t.times <- grow t.times 0.;
     t.seqs <- grow t.seqs 0;
-    t.actions <- grow t.actions ignore
+    t.actions <- grow t.actions ignore;
+    if Array.length t.args > 0 then t.args <- grow t.args 0
   end;
   let i = t.size in
   Array.unsafe_set t.times i (t.now +. delay);
   Array.unsafe_set t.seqs i seq;
   Array.unsafe_set t.actions i action;
+  set_arg t i arg;
   t.size <- i + 1;
   sift_up t i
 
 let pop t =
+  t.arg <- get_arg t 0;
   let last = t.size - 1 in
   t.size <- last;
   if last > 0 then sift_down t else t.actions.(0) <- ignore
@@ -216,14 +238,26 @@ let check_delay caller delay =
 let insert t ~delay action =
   let seq = t.seq in
   t.seq <- seq + 1;
-  if delay = 0. then enqueue t seq action else push t seq ~delay action
+  if delay = 0. then enqueue t seq action else push t seq ~delay action 0
 
 let after t ~delay action =
   check_delay "Engine.after" delay;
   insert t ~delay action
 
+(* An argument event goes to the heap even at delay 0: the heap's (time,
+   seq) merge with the ring keeps the firing order, and the ring stays
+   closure-only. *)
+let after_arg t ~delay ~arg action =
+  check_delay "Engine.after_arg" delay;
+  if Array.length t.args = 0 then
+    t.args <- Array.make (max 64 (Array.length t.actions)) 0;
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  push t seq ~delay action arg
+
 let every t period tick =
-  check_delay "Engine.every" period;
+  if not (Float.is_finite period) || period <= 0. then
+    invalid_arg "Engine.every: period must be positive and finite";
   let rec fire () =
     tick ();
     insert t ~delay:period fire

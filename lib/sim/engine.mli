@@ -16,11 +16,15 @@
     exactly that of a single (time, seq) priority queue.
 
     A pending event costs its queue slot and nothing else: three words
-    (unboxed time, seq, action) besides the action's own closure. Only
-    {!schedule} allocates more, a handle of six words, so schedule with
-    {!after} any event that will never be cancelled. A cancelled event
-    keeps its slot until it reaches the front of its queue, where it is
-    dropped without firing. *)
+    (unboxed time, seq, action) besides the action's own closure, and a
+    fourth, its argument, in the heap of an engine that has scheduled with
+    {!after_arg}; that column is allocated by the first {!after_arg}, so an
+    engine of closures never pays it. Many {!after_arg} events can share
+    one action, which tells them apart by {!arg}. Only {!schedule}
+    allocates more, a handle of six words, so schedule with {!after} any
+    event that will never be cancelled. A cancelled event keeps its slot
+    until it reaches the front of its queue, where it is dropped without
+    firing. *)
 
 type t
 
@@ -39,11 +43,22 @@ val now : t -> float
     @raise Invalid_argument if [delay] is negative or not finite. *)
 val after : t -> delay:float -> (unit -> unit) -> unit
 
+(** [after_arg t ~delay ~arg f] is [after t ~delay f], and [f] reads [arg]
+    with {!arg} when it fires. The event waits in the heap even at
+    [delay = 0.], where it still fires in (time, seq) order.
+    @raise Invalid_argument if [delay] is negative or not finite. *)
+val after_arg : t -> delay:float -> arg:int -> (unit -> unit) -> unit
+
+(** [arg t] is the [arg] of the {!after_arg} event now firing. Inside any
+    other event's action its value is unspecified. *)
+val arg : t -> int
+
 (** [every t period f] runs [f ()] every [period] seconds, forever: the
     first time [period] after a zero-delay event that this call schedules,
     and each later time [period] after the previous one returns. Each tick
     costs one queue slot; the chain allocates its closures once.
-    @raise Invalid_argument if [period] is negative or not finite. *)
+    @raise Invalid_argument if [period] is not positive and finite: a
+    period of 0 would re-fire at one instant forever. *)
 val every : t -> float -> (unit -> unit) -> unit
 
 (** [schedule t ~delay f] is [after t ~delay f], and returns a handle that

@@ -26,6 +26,8 @@ let[@inline] bits64 t =
 
 let split t = of_state (bits64 t)
 let copy = Bytes.copy
+let save t bank i = Bytes.blit t 0 bank (8 * i) 8
+let load bank i = Bytes.sub bank (8 * i) 8
 
 (* Each draw adds [golden_gamma] to the state, and [Int64.mul] wraps like
    [n] additions would. *)

@@ -20,6 +20,13 @@ val copy : t -> t
     {!bits64} would. Each draw below consumes exactly one {!bits64}. *)
 val skip : t -> int -> unit
 
+(** [save t bank i] stores [t]'s state in slot [i] of a bank, a [Bytes.t]
+    of 8 bytes per slot, so a banked stream costs one word. [load bank i]
+    is a fresh stream that draws exactly what the stream last saved in
+    slot [i] would have drawn next had it never been banked. *)
+val save : t -> Bytes.t -> int -> unit
+val load : Bytes.t -> int -> t
+
 (** [bits64 t] is the next raw 64-bit output. *)
 val bits64 : t -> int64
 

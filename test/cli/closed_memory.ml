@@ -1,13 +1,15 @@
 (* Memory guard for the closed-loop client model: a thinking client must
    cost one pending timer event, not a parked process, and that timer must
-   be a queue slot whose action is the client's own closure. Runs 2 sites x
-   50k closed-loop clients for 0.05 virtual seconds (nearly every client is
-   still thinking at the end) and fails when the growth of the resident-set
-   high-water mark across the run, per client, reaches [bound_bytes]. A
-   client parked in a long-lived process costs about 1.2 kB here; one that
-   waits on a timer whose action is its own reused closure, started in
-   place and keeping only its session's number, about 0.19 kB (0.31 kB
-   while each start was a zero-delay event and each client kept a label).
+   be a queue slot carrying the client's index to its site's one shared
+   action. Runs 2 sites x 50k closed-loop clients for 0.05 virtual seconds
+   (nearly every client is still thinking at the end) and fails when the
+   growth of the resident-set high-water mark across the run, per client,
+   reaches [bound_bytes]. A client parked in a long-lived process costs
+   about 1.2 kB here; one that is a row of its site's columns (session
+   number, session end, random stream) and an argument timer, about
+   0.12 kB (0.19 kB while each client was a record with a closure and a
+   stream of its own, 0.31 kB while each start was a zero-delay event and
+   each client kept a label).
 
    [-v] prints the measurement. Prints a skip line and exits 0 where
    /proc/self/status is unreadable. *)
@@ -16,7 +18,7 @@ open Lsr_core
 open Lsr_workload
 module Sim = Lsr_experiments.Sim_system
 
-let bound_bytes = 250.
+let bound_bytes = 160.
 let sites = 2
 let clients_per_site = 50_000
 

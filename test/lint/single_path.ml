@@ -48,7 +48,10 @@
    columns in place, and only tests and tools read records. Only
    [Txn_gen] skips a random stream ([Rng.skip]): a skip is exact only
    where the number of draws per value is known, and [Txn_gen] states it
-   for its keys.
+   for its keys. Only [Sim_system] banks a stream ([Rng.save],
+   [Rng.load]): a banked stream is one closed-loop client's, saved at the
+   end of its turn and loaded at the start of the next, so no second
+   holder can draw from a slot in between.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -101,6 +104,7 @@ let rules =
       [ "Obs.observe" ] );
     ([], "tests and tools", [ "History.transactions" ]);
     ([ "txn_gen.ml" ], "Txn_gen", [ "Rng.skip" ]);
+    ([ "sim_system.ml" ], "Sim_system", [ "Rng.save"; "Rng.load" ]);
   ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines

@@ -234,6 +234,33 @@ let test_sim_closed_setup_fires_nothing () =
   in
   check_int "events fired at time 0" (events 10) (events 1_000)
 
+(* A zero propagation period would re-fire the propagator at time 0
+   forever. The non-finite and negative periods come first: without the
+   check in [run], [Engine.every] rejects them without naming the
+   parameter, so the test fails on them before the zero period can hang
+   it. *)
+let test_sim_rejects_propagation_delay () =
+  List.iter
+    (fun delay ->
+      let params =
+        {
+          tiny_params with
+          Params.num_secondaries = 1;
+          clients_per_secondary = 2;
+          warmup = 0.;
+          duration = 1.;
+          propagation_delay = delay;
+        }
+      in
+      Alcotest.check_raises (Printf.sprintf "propagation_delay = %g" delay)
+        (Invalid_argument
+           "Sim_system.run: propagation_delay must be positive and finite")
+        (fun () ->
+          ignore
+            (Sim_system.run
+               (Sim_system.config params Session.Strong_session ~seed:11))))
+    [ Float.nan; Float.infinity; -1.; 0. ]
+
 let test_sim_serial_refresh_staler () =
   (* Serial refresh cannot be fresher than concurrent applicators. *)
   let conc = run ~seed:5 Session.Strong_session in
@@ -1260,6 +1287,8 @@ let () =
             test_sim_outcome_pinned;
           Alcotest.test_case "closed set-up fires no event per client" `Quick
             test_sim_closed_setup_fires_nothing;
+          Alcotest.test_case "rejects a non-positive propagation delay" `Quick
+            test_sim_rejects_propagation_delay;
           Alcotest.test_case "serial refresh staler" `Slow
             test_sim_serial_refresh_staler;
           Alcotest.test_case "refresh pipeline order" `Quick

@@ -122,6 +122,17 @@ let test_engine_negative_delay () =
     (Invalid_argument "Engine.schedule: delay must be finite and non-negative")
     (fun () -> ignore (Engine.schedule eng ~delay:(-1.) (fun () -> ())))
 
+(* A zero period would re-fire the chain at one instant forever. *)
+let test_engine_every_rejects_zero_period () =
+  let eng = Engine.create () in
+  List.iter
+    (fun period ->
+      Alcotest.check_raises (Printf.sprintf "period %g" period)
+        (Invalid_argument "Engine.every: period must be positive and finite")
+        (fun () -> Engine.every eng period ignore))
+    [ 0.; -0.; -1.; Float.nan; Float.infinity ];
+  check_int "nothing scheduled" 0 (Engine.pending eng)
+
 (* engine.mli documents that cancelling an event that already fired is a
    no-op; make the promise executable. *)
 let test_engine_cancel_after_fire () =
@@ -201,11 +212,16 @@ let test_engine_fifo_ties_with_cancel_and_until () =
    ~until] chunks the test cancels the newest event that already fired
    and schedules more events from outside any action.
 
-   Every third event ([handle_free]) is scheduled with [Engine.after],
-   which gives no handle, so the same run mixes handle-free and
-   cancellable events in both queues; a cancel aimed at a handle-free
-   event is skipped in the model and the engine alike. *)
+   Every third event ([handle_free]) is scheduled with [Engine.after] or,
+   for half of them ([with_arg]), with [Engine.after_arg] and the random
+   argument drawn beside its delay; neither gives a handle, so the same
+   run mixes handle-free and cancellable events in both queues, and a
+   cancel aimed at a handle-free event is skipped in the model and the
+   engine alike. An argument event waits in the heap even at delay 0, and
+   its action logs what [Engine.arg] reads, which must be its own
+   argument. *)
 let handle_free id = id mod 3 = 1
+let with_arg id = id mod 6 = 4
 
 let delay_gen =
   QCheck.Gen.(
@@ -216,26 +232,35 @@ let delay_gen =
         (3, map (fun k -> float_of_int k *. 0.5) (int_range 1 4));
       ])
 
+(* A delay, and the argument the event carries if it is [with_arg]. *)
+let event_gen = QCheck.Gen.pair delay_gen QCheck.Gen.int
+
 let schedule_arb =
   let open QCheck.Gen in
-  let behaviour = pair (list_size (int_bound 2) delay_gen) (opt (int_bound 3)) in
-  let chunk = pair (float_bound_inclusive 4.) (list_size (int_bound 3) delay_gen) in
+  let behaviour = pair (list_size (int_bound 2) event_gen) (opt (int_bound 3)) in
+  let chunk = pair (float_bound_inclusive 4.) (list_size (int_bound 3) event_gen) in
   QCheck.make
     (triple
-       (list_size (int_range 1 6) delay_gen)
+       (list_size (int_range 1 6) event_gen)
        (array_size (int_bound 40) behaviour)
        (list_size (int_bound 3) chunk))
 
-(* What one [run ?until] chunk left behind: fired ids in order, the clock,
-   pending events, events fired in total. *)
-type engine_view = { order : int list; clock : float; pending : int; fired : int }
+(* What one [run ?until] chunk left behind: fired ids in order, each with
+   the argument its action read (0 unless [with_arg]), the clock, pending
+   events, events fired in total. *)
+type engine_view = {
+  order : (int * int) list;
+  clock : float;
+  pending : int;
+  fired : int;
+}
 
 let behaviour_of behaviours id =
   if id < Array.length behaviours then behaviours.(id) else ([], None)
 
 (* The model keeps its pending events as a list sorted by (time, id), each
-   tagged with whether the engine holds it in the heap (a nonzero delay) or
-   in the zero-delay lane. A cancelled event is marked dead and skipped when
+   tagged with whether the engine holds it in the heap (a nonzero delay or
+   an argument) or in the zero-delay lane. A cancelled event is marked dead and skipped when
    it reaches the front, so a cancel does not rewrite the list: at depth
    that is what keeps the model fast. With [~cancel_top] each chunk
    boundary cancels the earliest live heap-resident event, so a cancelled
@@ -243,6 +268,7 @@ let behaviour_of behaviours id =
 let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
   let now = ref 0. and next = ref 0 and pending = ref [] and log = ref [] in
   let live = Hashtbl.create 64 and live_count = ref 0 in
+  let args = Hashtbl.create 64 in
   let rec insert ((time, id, _) as ev) = function
     | ((time', id', _) as ev') :: rest when time' < time || (time' = time && id' < id)
       ->
@@ -254,11 +280,13 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
     decr live_count
   in
   let cancel id = if Hashtbl.mem live id && not (handle_free id) then retire id in
-  let add d =
-    Hashtbl.replace live !next ();
+  let add (d, arg) =
+    let id = !next in
+    Hashtbl.replace live id ();
+    if with_arg id then Hashtbl.replace args id arg;
     incr live_count;
     incr next;
-    (!now +. d, !next - 1, d <> 0.)
+    (!now +. d, id, d <> 0. || with_arg id)
   in
   let schedule d = pending := insert (add d) !pending in
   let rec run ?(until = infinity) () =
@@ -270,7 +298,7 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
       pending := rest;
       retire id;
       now := time;
-      log := id :: !log;
+      log := (id, Option.value (Hashtbl.find_opt args id) ~default:0) :: !log;
       let children, back = behaviour_of behaviours id in
       List.iter schedule children;
       Option.iter (fun b -> cancel (!next - 1 - b)) back;
@@ -301,7 +329,8 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
            with
            | Some (_, id, _) -> cancel id
            | None -> ());
-        Option.iter cancel (List.find_opt (fun id -> not (handle_free id)) !log);
+        Option.iter cancel
+          (List.find_opt (fun id -> not (handle_free id)) (List.map fst !log));
         List.iter schedule outside;
         v)
       chunks
@@ -320,17 +349,18 @@ let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
     Option.iter (Engine.cancel eng) (Hashtbl.find_opt handles id);
     Hashtbl.remove heap id
   in
-  let rec schedule d =
+  let rec schedule (d, arg) =
     let id = !next in
     incr next;
     let action () =
       Hashtbl.remove heap id;
-      log := id :: !log;
+      log := (id, if with_arg id then Engine.arg eng else 0) :: !log;
       let children, back = behaviour_of behaviours id in
       List.iter schedule children;
       Option.iter (fun b -> cancel (!next - 1 - b)) back
     in
-    if handle_free id then Engine.after eng ~delay:d action
+    if with_arg id then Engine.after_arg eng ~delay:d ~arg action
+    else if handle_free id then Engine.after eng ~delay:d action
     else begin
       if d <> 0. then Hashtbl.replace heap id (Engine.now eng +. d);
       Hashtbl.replace handles id (Engine.schedule eng ~delay:d action)
@@ -353,7 +383,8 @@ let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
              | Some _ | None -> Some (id, time)
            in
            Option.iter (fun (id, _) -> cancel id) (Hashtbl.fold least heap None));
-        Option.iter cancel (List.find_opt (fun id -> not (handle_free id)) !log);
+        Option.iter cancel
+          (List.find_opt (fun id -> not (handle_free id)) (List.map fst !log));
         List.iter schedule outside;
         v)
       chunks
@@ -377,16 +408,16 @@ let deep_schedule_arb =
   let open QCheck.Gen in
   let behaviour =
     pair
-      (frequency [ (1, return []); (2, map (fun d -> [ d ]) delay_gen) ])
+      (frequency [ (1, return []); (2, map (fun e -> [ e ]) event_gen) ])
       (frequency [ (3, return None); (1, map Option.some (int_bound 50)) ])
   in
   let gen =
     int_range 1_000 10_000 >>= fun depth ->
     triple
-      (list_repeat depth delay_gen)
+      (list_repeat depth event_gen)
       (array_repeat (2 * depth) behaviour)
       (list_size (int_range 2 5)
-         (pair (float_bound_inclusive 4.) (list_size (int_bound 200) delay_gen)))
+         (pair (float_bound_inclusive 4.) (list_size (int_bound 200) event_gen)))
   in
   QCheck.make
     ~print:(fun (initial, _, chunks) ->
@@ -953,6 +984,46 @@ let prop_rng_skip =
       next = Rng.bits64 a && List.for_all (fun x -> x = Rng.bits64 c) drawn
       && Rng.bits64 c = next)
 
+(* A bank parks streams, not their draws: [k] streams saved into one bank
+   and loaded back in a random interleaving draw exactly what [k] unbanked
+   streams draw. Step [(j, d)] loads stream [j] if it is parked (several
+   can be out at once) or else draws [d] outputs from it and saves it
+   back; at the end every stream is saved and loaded once more. *)
+let prop_rng_bank =
+  QCheck.Test.make ~name:"banked streams draw what unbanked ones draw"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair int
+           ( int_range 1 8 >>= fun k ->
+             pair (return k) (small_list (pair (int_bound (k - 1)) (int_bound 5)))
+           )))
+    (fun (seed, (k, steps)) ->
+      let root = Rng.create seed in
+      let plain = Array.init k (fun _ -> Rng.split root) in
+      let bank = Bytes.create (8 * k) in
+      Array.iteri (fun j r -> Rng.save (Rng.copy r) bank j) plain;
+      let out = Array.make k None in
+      let draw j r d =
+        List.for_all (fun _ -> Rng.bits64 r = Rng.bits64 plain.(j)) (List.init d Fun.id)
+      in
+      let ok =
+        List.for_all
+          (fun (j, d) ->
+            match out.(j) with
+            | None ->
+              out.(j) <- Some (Rng.load bank j);
+              true
+            | Some r ->
+              out.(j) <- None;
+              let same = draw j r d in
+              Rng.save r bank j;
+              same)
+          steps
+      in
+      Array.iteri (fun j r -> Option.iter (fun r -> Rng.save r bank j) r) out;
+      ok && List.for_all (fun j -> draw j (Rng.load bank j) 3) (List.init k Fun.id))
+
 let test_rng_split_independent () =
   let a = Rng.create 42 in
   let b = Rng.split a in
@@ -1121,6 +1192,29 @@ let test_engine_timer_footprint () =
   Engine.run eng;
   check_int "every timer fired" (timers * (timers + 1) / 2) !fired
 
+(* Footprint guard for argument timers: 100k pending [after_arg] events
+   that share one action cost their slot alone, four words (time, seq,
+   action, argument) and the arrays' doubling slack, about 5.2 words each.
+   This is what a thinking closed-loop client costs the engine. *)
+let test_engine_arg_timer_footprint () =
+  let eng = Engine.create () in
+  let sum = ref 0 in
+  let action () = sum := !sum + Engine.arg eng in
+  let timers = 100_000 in
+  let before = Obj.reachable_words (Obj.repr eng) in
+  for i = 1 to timers do
+    Engine.after_arg eng ~delay:(float_of_int i) ~arg:i action
+  done;
+  let per_timer =
+    float_of_int (Obj.reachable_words (Obj.repr eng) - before)
+    /. float_of_int timers
+  in
+  check_bool
+    (Printf.sprintf "%.2f words per pending argument timer (bound 6)" per_timer)
+    true (per_timer < 6.);
+  Engine.run eng;
+  check_int "each action read its own argument" (timers * (timers + 1) / 2) !sum
+
 (* --- Suite ----------------------------------------------------------------------- *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -1152,8 +1246,12 @@ let () =
             test_engine_until_exact_boundary;
           Alcotest.test_case "fifo ties with cancel and until" `Quick
             test_engine_fifo_ties_with_cancel_and_until;
+          Alcotest.test_case "every rejects a zero period" `Quick
+            test_engine_every_rejects_zero_period;
           Alcotest.test_case "pending timer footprint" `Quick
             test_engine_timer_footprint;
+          Alcotest.test_case "argument timer footprint" `Quick
+            test_engine_arg_timer_footprint;
           Alcotest.test_case "200k-event heap budget" `Slow
             test_engine_heap_budget;
         ]
@@ -1207,7 +1305,7 @@ let () =
           Alcotest.test_case "zipf invalid" `Quick test_rng_zipf_invalid;
           Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
         ]
-        @ qsuite [ prop_rng_skip ] );
+        @ qsuite [ prop_rng_skip; prop_rng_bank ] );
       ( "stat",
         [
           Alcotest.test_case "basic moments" `Quick test_stat_basic;
