@@ -1,14 +1,18 @@
 open Lsr_storage
 
+exception Read_only of { key : string }
+
 type t = {
   db : Mvcc.t;
   txn : Mvcc.txn;
   schema : (string * string list) list;
   tracked : bool;
+  read_only : bool;
   reads : History.reads;
 }
 
-let make ~schema ~tracked reads db txn = { db; txn; schema; tracked; reads }
+let make ~schema ~tracked ~read_only reads db txn =
+  { db; txn; schema; tracked; read_only; reads }
 let txn t = t.txn
 let reads t = t.reads
 let served t key value = if t.tracked then History.serve t.reads key value
@@ -18,8 +22,9 @@ let get t key =
   served t key value;
   value
 
-let put t key value = Mvcc.write t.db t.txn key (Some value)
-let del t key = Mvcc.write t.db t.txn key None
+let refuse t key = if t.read_only then raise (Read_only { key })
+let put t key value = refuse t key; Mvcc.write t.db t.txn key (Some value)
+let del t key = refuse t key; Mvcc.write t.db t.txn key None
 
 let table t name =
   let indexes = Option.value ~default:[] (List.assoc_opt name t.schema) in
@@ -31,8 +36,14 @@ let row_get t ~table:name ~pk =
   served t key encoded;
   Option.map Row.decode encoded
 
-let row_put t ~table:name ~pk row = Table.insert (table t name) t.txn ~pk row
-let row_del t ~table:name ~pk = Table.delete (table t name) t.txn ~pk
+(* The table to write row [pk] of, once the handle may write it. *)
+let writable t name ~pk =
+  let tbl = table t name in
+  refuse t (Table.storage_key tbl ~pk);
+  tbl
+
+let row_put t ~table:name ~pk row = Table.insert (writable t name ~pk) t.txn ~pk row
+let row_del t ~table:name ~pk = Table.delete (writable t name ~pk) t.txn ~pk
 
 let row_update t ~table ~pk f =
   match row_get t ~table ~pk with

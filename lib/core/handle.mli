@@ -11,15 +11,22 @@ open Lsr_storage
 
 type t
 
-(** [make ~schema ~tracked reads db txn] serves [txn] on [db]. Made by
-    {!Replica_set}; client code receives handles ready-made. [schema] maps
-    table names to their indexed fields (see {!Lsr_storage.Table}); tables
-    not listed have no indexes. With [tracked], each read is appended to
-    [reads], in operation order: once per {!get} or {!row_get}, once per
-    row a row reader returns. Without it, [reads] is never written. *)
+(** Raised at a write through a read-only transaction's handle, naming the
+    storage key; nothing is buffered, and the body's caller abandons it. *)
+exception Read_only of { key : string }
+
+(** [make ~schema ~tracked ~read_only reads db txn] serves [txn] on [db].
+    Made by {!Replica_set}; client code receives handles ready-made.
+    [schema] maps table names to their indexed fields (see
+    {!Lsr_storage.Table}); tables not listed have no indexes. With
+    [tracked], each read is appended to [reads], in operation order: once
+    per {!get} or {!row_get}, once per row a row reader returns. Without
+    it, [reads] is never written. With [read_only], every write raises
+    {!Read_only}. *)
 val make :
   schema:(string * string list) list ->
   tracked:bool ->
+  read_only:bool ->
   History.reads ->
   Mvcc.t ->
   Mvcc.txn ->

@@ -9,43 +9,24 @@ type fence_claim = {
   read_at : float;  (* virtual time the fenced read resolved its horizon *)
 }
 
-(* A column of fixed-size chunks: an append never copies a slot, and only
-   the last chunk is partly full. *)
-let chunk_bits = 10
-let chunk_mask = (1 lsl chunk_bits) - 1
-
-type 'a column = { mutable chunks : 'a array array }
-
-let column () = { chunks = [||] }
-let get c i = c.chunks.(i lsr chunk_bits).(i land chunk_mask)
-
-(* [push c i v] sets slot [i], the column's length. A new chunk is filled
-   with [v], so its free slots keep nothing the history does not. *)
-let push c i v =
-  let k = i lsr chunk_bits in
-  if k = Array.length c.chunks then
-    c.chunks <- Array.append c.chunks (Array.make (max 8 k) [||]);
-  if i land chunk_mask = 0 then c.chunks.(k) <- Array.make (chunk_mask + 1) v
-  else c.chunks.(k).(i land chunk_mask) <- v
-
 (* One slot per transaction in each column but [keys] and [values], which
    hold one per read; [read_stop] ends a transaction's reads. *)
 type t = {
   mutable events : int;
   mutable ids : int;
   mutable length : int;
-  id : int column;
-  first_op : int column;
-  finished : int column;
-  snapshot : Timestamp.t column;
-  commit : int column;  (* a timestamp, [aborted] or [read_only] *)
-  read_stop : int column;
-  session : string column;
-  site : string column;
-  fence : fence_claim option column;
-  writes : Wal.update list column;
-  keys : string column;
-  values : string option column;
+  id : int Column.t;
+  first_op : int Column.t;
+  finished : int Column.t;
+  snapshot : Timestamp.t Column.t;
+  commit : int Column.t;  (* a timestamp, [aborted] or [read_only] *)
+  read_stop : int Column.t;
+  session : string Column.t;
+  site : string Column.t;
+  fence : fence_claim option Column.t;
+  writes : Wal.update list Column.t;
+  keys : string Column.t;
+  values : string option Column.t;
 }
 
 type txn = {
@@ -64,11 +45,12 @@ type txn = {
 }
 
 let create () =
-  { events = 0; ids = 0; length = 0; id = column (); first_op = column ();
-    finished = column (); snapshot = column (); commit = column ();
-    read_stop = column (); session = column (); site = column ();
-    fence = column (); writes = column (); keys = column ();
-    values = column () }
+  let ints () = Column.make 0 in
+  { events = 0; ids = 0; length = 0; id = ints (); first_op = ints ();
+    finished = ints (); snapshot = ints (); commit = ints ();
+    read_stop = ints (); session = Column.make ""; site = Column.make "";
+    fence = Column.make None; writes = Column.make []; keys = Column.make "";
+    values = Column.make None }
 
 let tick t =
   t.events <- t.events + 1;
@@ -104,6 +86,7 @@ let serve r key value =
 
 let aborted = -1
 let read_only = -2
+let get = Column.get
 let read_start t i = if i = 0 then 0 else get t.read_stop (i - 1)
 
 let add t ~key ~id ~session ~site ~first_op ~finished ~snapshot ~commit
@@ -111,20 +94,20 @@ let add t ~key ~id ~session ~site ~first_op ~finished ~snapshot ~commit
   if commit < read_only then invalid_arg "History.add: commit";
   let i = t.length in
   let n = read_start t i in
-  push t.commit i commit;
-  push t.id i id;
-  push t.first_op i first_op;
-  push t.finished i finished;
-  push t.snapshot i snapshot;
-  push t.session i session;
-  push t.site i site;
-  push t.fence i fence;
-  push t.writes i writes;
+  Column.set t.commit i commit;
+  Column.set t.id i id;
+  Column.set t.first_op i first_op;
+  Column.set t.finished i finished;
+  Column.set t.snapshot i snapshot;
+  Column.set t.session i session;
+  Column.set t.site i site;
+  Column.set t.fence i fence;
+  Column.set t.writes i writes;
   for j = 0 to r.count - 1 do
-    push t.keys (n + j) (key r.keys.(j));
-    push t.values (n + j) r.values.(j)
+    Column.set t.keys (n + j) (key r.keys.(j));
+    Column.set t.values (n + j) r.values.(j)
   done;
-  push t.read_stop i (n + r.count);
+  Column.set t.read_stop i (n + r.count);
   t.length <- i + 1
 
 let load_reads (t : t) i r =

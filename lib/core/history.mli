@@ -15,15 +15,16 @@
       [S^0, S^1, ...].
 
     The history is the largest owner of memory in a long embedded run, so
-    it is kept as flat columns of fixed-size chunks ({!t}), never copied
-    on append, and shares what its pointers reach: each key read is the
-    store's own copy ({!Lsr_storage.Mvcc.stored_key}), each value the very
+    it is kept as {!Lsr_storage.Column}s ({!t}), never copied on append,
+    and shares what its pointers reach: each key read is the key
+    dictionary's copy ({!Lsr_storage.Mvcc.stored_key}), each value the very
     option the store returned, and [writes] the list the commit installed.
     A running transaction's reads accumulate in a {!reads} buffer, which
     {!Replica_set} hands to the watchdog's end hooks and then {!add}s.
     {!transactions} builds records, for tests and tools. On an embedded
     run of the Table 1 mix ([test/cli/history_memory]) the history owns
-    29.7 words per transaction beyond what the stores hold: 37.8 as a list
+    29.3 words per transaction beyond what the stores hold (29.7 while a
+    read of a key its site had not installed yet kept the caller's string): 37.8 as a list
     of records with two read arrays each, 100.6 with each read a list cell
     and a pair holding the caller's key string. *)
 
@@ -42,11 +43,6 @@ type fence_claim = {
   read_at : float;
 }
 
-(** A column of fixed-size chunks; {!get} reads a slot. *)
-type 'a column
-
-val get : 'a column -> int -> 'a
-
 (** The history itself, as columns. Transaction [i < length], the [i]th
     added, is slot [i] of every column but [keys] and [values], and its
     reads are their slots [read_stop (i - 1)] (0 for the first) to
@@ -56,18 +52,18 @@ type t = private {
   mutable events : int;
   mutable ids : int;
   mutable length : int;
-  id : int column;
-  first_op : int column;
-  finished : int column;
-  snapshot : Timestamp.t column;
-  commit : int column;
-  read_stop : int column;
-  session : string column;
-  site : string column;
-  fence : fence_claim option column;
-  writes : Wal.update list column;
-  keys : string column;
-  values : string option column;
+  id : int Column.t;
+  first_op : int Column.t;
+  finished : int Column.t;
+  snapshot : Timestamp.t Column.t;
+  commit : int Column.t;
+  read_stop : int Column.t;
+  session : string Column.t;
+  site : string Column.t;
+  fence : fence_claim option Column.t;
+  writes : Wal.update list Column.t;
+  keys : string Column.t;
+  values : string option Column.t;
 }
 
 (** The [commit] slots of an aborted update and of a read-only one. *)

@@ -2,7 +2,7 @@ open Lsr_storage
 
 type t = { db : Mvcc.t }
 
-let create () = { db = Mvcc.create ~log:(Wal.create ()) () }
+let create ?keys () = { db = Mvcc.create ~log:(Wal.create ()) ?keys () }
 
 let db t = t.db
 let wal t = Mvcc.wal t.db

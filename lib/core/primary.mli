@@ -11,7 +11,8 @@ open Lsr_storage
 
 type t
 
-val create : unit -> t
+(** A primary whose store interns its keys in [keys] ({!Mvcc.create}). *)
+val create : ?keys:Mvcc.keys -> unit -> t
 
 val db : t -> Mvcc.t
 val wal : t -> Wal.t

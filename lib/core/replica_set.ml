@@ -74,6 +74,7 @@ type site = {
 }
 
 type t = {
+  keys : Mvcc.keys;  (* every store's, the recovered copies' too *)
   primary : Primary.t;
   propagator : Propagation.t;
   sessions : Session.t;
@@ -115,7 +116,8 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
     | None -> fun () -> float_of_int (History.now history)
   in
   Flight.set_clock sinks.flight now;
-  let primary = Primary.create () in
+  let keys = Mvcc.keys () in
+  let primary = Primary.create ~keys () in
   let clock = Session.clock_create () in
   let watchdog =
     if watchdog then
@@ -139,7 +141,8 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
   let make_site i =
     let name = Printf.sprintf "secondary-%d" i in
     let fid = Flight.intern sinks.flight name in
-    { name; fid; replica = Secondary.create (); link = link fid;
+    { name; fid; replica = Secondary.create ~db:(Mvcc.create ~keys ()) ();
+      link = link fid;
       opened = Queue.create (); crashed = false; clean = true; diverged = -1;
       c_started = Obs.counter obs (name ^ ".refresh_started");
       c_aborted = Obs.counter obs (name ^ ".refresh_aborted");
@@ -149,6 +152,7 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
   in
   let sites = Array.init sites make_site in
   {
+    keys;
     primary;
     propagator;
     sessions = Session.create guarantee;
@@ -411,7 +415,7 @@ let rec fire t = function
       let db = Primary.db t.primary in
       let seq = Mvcc.latest_commit_ts db in
       let fresh =
-        Secondary.create ~db:(Mvcc.restore (Mvcc.serialize db)) ~seq
+        Secondary.create ~db:(Mvcc.restore ~keys:t.keys (Mvcc.serialize db)) ~seq
           ~resumed_at:(Mvcc.next_txn_id db) ()
       in
       Flight.note_recovery t.sinks.flight ~site:s.fid ~seq;
@@ -446,7 +450,7 @@ let begin_txn t ~session ~site ~snapshot ~fence ~fence_seq db mvcc =
     { token; first_op; session; site; pinned = snapshot; open_ = true;
       snapshot; fence; fence_seq;
       handle =
-        Handle.make ~schema:t.schema ~tracked:t.tracking
+        Handle.make ~schema:t.schema ~tracked:t.tracking ~read_only:(site >= 0)
           (if t.tracking then History.reads () else t.no_reads)
           db mvcc }
   in
@@ -466,12 +470,13 @@ let retry t u =
   if t.tracking then reads.count <- 0;
   u.snapshot <- Mvcc.latest_commit_ts db;
   u.handle <-
-    Handle.make ~schema:t.schema ~tracked:t.tracking reads db
+    Handle.make ~schema:t.schema ~tracked:t.tracking ~read_only:false reads db
       (Primary.start t.primary)
 
 (* Append [u]'s record, [commit] as {!History.add} takes it. Each key
-   read is the copy [db] holds (the driver's string only for a key [db]
-   never installed), so the history keeps no key alive. *)
+   read is the replica set's one copy in its key dictionary (the caller's
+   string only for a key no store installed), so the history keeps no key
+   alive. *)
 let record t u ~db ~id ~finished ~site ~snapshot ~commit ~writes =
   History.add t.history ~key:(Mvcc.stored_key db) ~id ~session:u.session
     ~site ~first_op:u.first_op ~finished ~snapshot ~commit ~writes
@@ -565,13 +570,7 @@ let begin_read ?fence ?read_at t ~session ~site ~required =
 
 let finish_read t r =
   let s = t.sites.(r.site) in
-  (match Mvcc.end_read (Secondary.db s.replica) (Handle.txn r.handle) with
-  | () -> ()
-  | exception (Invalid_argument _ as exn) ->
-    (* A body wrote through its handle: free its pin and token, or the
-       horizon stops. *)
-    abandon t r;
-    raise exn);
+  Mvcc.end_read (Secondary.db s.replica) (Handle.txn r.handle);
   close t r;
   let id = finish_id t in
   let finished = finish_tick t in

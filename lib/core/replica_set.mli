@@ -239,7 +239,8 @@ val begin_read :
 
 (** The read finished: its MVCC transaction ends, the flight recorder notes
     it with its fence floor, the watchdog judges it and the history records
-    it. A read that wrote is abandoned and raises [Invalid_argument]. *)
+    it. A read's handle refuses every write ({!Handle.Read_only}), so the
+    read buffered none. *)
 val finish_read : t -> txn -> unit
 
 (** {2 Verdict} *)

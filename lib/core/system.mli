@@ -143,7 +143,8 @@ val update :
     {!check}'s replay of it audits the claim after the run.
     @raise Secondary_down when the client's secondary is crashed.
     @raise Unsatisfiable_read when the threshold is still unreachable after
-    a bounded number of pump rounds. *)
+    a bounded number of pump rounds.
+    @raise Handle.Read_only when [body] writes; the read is abandoned. *)
 val read : ?fence:Session.fence -> t -> client -> (Handle.t -> 'a) -> 'a
 
 (** [read_nowait t c body] is [read] but returns [None] instead of waiting

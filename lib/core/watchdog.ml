@@ -575,7 +575,7 @@ let end_update t tok ~id ~now ~commit_ts ~writes ~snapshot ~reads =
 
 let replay ?clock ~guarantee (h : History.t) =
   let t = create ?clock ~guarantee () in
-  let get = History.get and n = h.length in
+  let get = Column.get and n = h.length in
   (* The definitions quantify over committed transactions only: an aborted
      update neither begins, ends nor holds the horizon. *)
   let aborted k = get h.commit k = History.aborted in

@@ -36,50 +36,74 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
-(* One key: its newest version inline, the chain of older ones newest first,
-   and the next cell of its hash bucket. A read touches the bucket slot, the
-   cell and the key bytes, and allocates nothing. *)
-type cell = {
-  key : string;
-  hash : int;
-  mutable ts : Timestamp.t;
-  mutable value : string option;
-  mutable older : version;
-  mutable next : cell;
+(* Every key a store sharing the dictionary installed, once: its name at a
+   dense id, found through an open-addressed table whose entries pack the
+   key's [String.hash] above its id ([empty] when free). Probing is linear,
+   and the table doubles once it is half full. *)
+type keys = {
+  mutable slots : int array;
+  names : string Column.t;
+  mutable count : int;
 }
 
-(* Ends every bucket chain and stands for a missing key: its hash matches no
-   [String.hash], and it reads as absent at every timestamp. *)
-let rec sentinel =
-  {
-    key = "";
-    hash = -1;
-    ts = Timestamp.zero;
-    value = None;
-    older = bottom;
-    next = sentinel;
-  }
+let id_bits = 31
+let id_mask = (1 lsl id_bits) - 1
+let empty = -1
+let keys () = { slots = Array.make 1024 empty; names = Column.make ""; count = 0 }
+
+(* The key's id, or [-1 - i] for the free slot [i] that ends its probe. *)
+let rec probe d key h i =
+  let e = d.slots.(i) in
+  if e = empty then -1 - i
+  else if e lsr id_bits = h && String.equal (Column.get d.names (e land id_mask)) key
+  then e land id_mask
+  else probe d key h ((i + 1) land (Array.length d.slots - 1))
+
+let lookup d key h = probe d key h (h land (Array.length d.slots - 1))
+
+let grow d =
+  let slots = Array.make (2 * Array.length d.slots) empty in
+  let mask = Array.length slots - 1 in
+  let rec place e i =
+    if slots.(i) = empty then slots.(i) <- e else place e ((i + 1) land mask)
+  in
+  Array.iter (fun e -> if e <> empty then place e ((e lsr id_bits) land mask)) d.slots;
+  d.slots <- slots
+
+let intern d key h =
+  let r = lookup d key h in
+  if r >= 0 then r
+  else begin
+    let id = d.count in
+    d.slots.(-1 - r) <- (h lsl id_bits) lor id;
+    Column.set d.names id key;
+    d.count <- id + 1;
+    if 2 * d.count > Array.length d.slots then grow d;
+    id
+  end
 
 type t = {
   clock : Timestamp.source;
-  (* A chained hash table keyed on [String.hash] whose bucket nodes are the
-     cells themselves; it doubles once [size > 2 * buckets], as
-     [Stdlib.Hashtbl] does. *)
-  mutable buckets : cell array;
-  mutable size : int;
+  keys : keys;
+  (* Per key id, the newest version installed here ([ts] 0 when the key
+     never was) and the chain of older ones, newest first. *)
+  ts : Timestamp.t Column.t;
+  value : string option Column.t;
+  older : version Column.t;
   (* Committed keys in lexicographic order: prefix and range scans seek in
-     O(log n) instead of folding over the whole store. Built from the cells
-     by the first scan; after it, keys first installed since the last scan
-     wait in [new_keys]. A store that is never scanned keeps neither. *)
+     O(log n) instead of folding over the whole store. Built from the
+     installed ids by the first scan; after it, keys first installed since
+     the last scan wait in [new_keys]. A store that is never scanned keeps
+     neither. *)
   mutable indexed : bool;
   mutable key_set : Sset.t;
   mutable new_keys : string list;
   (* Stored versions across all keys, maintained incrementally so the
      monitor can sample it every virtual second at zero marginal cost. *)
   mutable versions : int;
-  (* The cells whose chains hold two or more versions, each once: the only
+  (* The ids whose chains hold two or more versions, each once: the only
      ones [vacuum] can trim. *)
-  mutable multi : cell list;
+  mutable multi : int list;
   log : Wal.t option;  (* only the primary's store has a log *)
   mutable next_txn_id : int;
   mutable digest : int;  (* every writeset installed, folded in order *)
@@ -87,11 +111,13 @@ type t = {
   mutable latest_commit : Timestamp.t;
 }
 
-let create ?log () =
+let create ?log ?(keys = keys ()) () =
   {
     clock = Timestamp.source ();
-    buckets = Array.make 1024 sentinel;
-    size = 0;
+    keys;
+    ts = Column.make Timestamp.zero;
+    value = Column.make None;
+    older = Column.make bottom;
     indexed = false;
     key_set = Sset.empty;
     new_keys = [];
@@ -109,51 +135,15 @@ let wal t =
   | Some wal -> wal
   | None -> invalid_arg "Mvcc.wal: this store was created without a log"
 
+let key_count t = t.keys.count
 
-(* --- Key cells ---------------------------------------------------------------- *)
-
-let rec find_in c h key =
-  if c == sentinel || (c.hash = h && String.equal c.key key) then c
-  else find_in c.next h key
-
-let bucket t h = h land (Array.length t.buckets - 1)
-
-(* The key's cell, or [sentinel] when the key was never installed. *)
-let find t key =
-  let h = String.hash key in
-  find_in t.buckets.(bucket t h) h key
+(* The key's id, or -1 when no store sharing the dictionary installed it:
+   every column reads its fill there. *)
+let find t key = Int.max (-1) (lookup t.keys key (String.hash key))
 
 let stored_key t key =
-  let c = find t key in
-  if c == sentinel then key else c.key
-
-let resize t =
-  let old = t.buckets in
-  let buckets = Array.make (2 * Array.length old) sentinel in
-  let mask = Array.length buckets - 1 in
-  let rec move c =
-    if c != sentinel then begin
-      let next = c.next in
-      let i = c.hash land mask in
-      c.next <- buckets.(i);
-      buckets.(i) <- c;
-      move next
-    end
-  in
-  Array.iter move old;
-  t.buckets <- buckets
-
-(* A new cell for a key not in the store, holding one version. *)
-let add_cell t key ~hash ~ts value =
-  let i = bucket t hash in
-  t.buckets.(i) <- { key; hash; ts; value; older = bottom; next = t.buckets.(i) };
-  t.size <- t.size + 1;
-  if t.size > 2 * Array.length t.buckets then resize t;
-  if t.indexed then t.new_keys <- key :: t.new_keys
-
-let fold_cells f t init =
-  let rec chain c acc = if c == sentinel then acc else chain c.next (f c acc) in
-  Array.fold_left (fun acc c -> chain c acc) init t.buckets
+  let id = find t key in
+  if id < 0 then key else Column.get t.keys.names id
 
 let make_txn t start_ts =
   let id = t.next_txn_id in
@@ -197,9 +187,12 @@ let rec visible_older v ~at =
   else if v.committed_at <= at then v.value
   else visible_older v.below ~at
 
-let visible_value c ~at = if c.ts <= at then c.value else visible_older c.older ~at
+(* Key [id]'s value at [at]: [None] also for a key never installed here. *)
+let visible t id ~at =
+  if Column.get t.ts id <= at then Column.get t.value id
+  else visible_older (Column.get t.older id) ~at
 
-let snapshot_read t ~at key = visible_value (find t key) ~at
+let snapshot_read t ~at key = visible t (find t key) ~at
 
 (* Everything buffered, each key's latest write ahead of its older ones:
    [writes], or a writeset handed over whole (one update per key). *)
@@ -241,9 +234,9 @@ let read t txn key =
   let own = own_write txn key in
   if own == no_write then snapshot_read t ~at:txn.start_ts key else own.value
 
-(* The update keeps the store's own key string when the store holds the key,
-   so the log and a run's history share it instead of keeping the writer's
-   copy alive. *)
+(* The update keeps the dictionary's key string when some store holds the
+   key, so the log and a run's history share it instead of keeping the
+   writer's copy alive. *)
 let write t txn key value =
   require_active txn "write";
   let update = { Wal.key = stored_key t key; value } in
@@ -266,7 +259,7 @@ let write_all _t txn updates =
 let rec first_committer_conflict t ~start_ts = function
   | [] -> None
   | { Wal.key; _ } :: rest ->
-    if (find t key).ts > start_ts then Some key
+    if Column.get t.ts (find t key) > start_ts then Some key
     else first_committer_conflict t ~start_ts rest
 
 (* Xor, then an odd multiplier: no later step cancels a differing input. *)
@@ -278,14 +271,19 @@ let install t ~commit_ts updates =
     t.digest <-
       mix (mix t.digest hash)
         (match value with Some v -> String.hash v | None -> -1);
-    let c = find_in t.buckets.(bucket t hash) hash key in
-    if c == sentinel then add_cell t key ~hash ~ts:commit_ts value
+    let id = intern t.keys key hash in
+    let ts = Column.get t.ts id in
+    if ts = Timestamp.zero then begin
+      if t.indexed then t.new_keys <- Column.get t.keys.names id :: t.new_keys
+    end
     else begin
-      if c.older == bottom then t.multi <- c :: t.multi;
-      c.older <- { committed_at = c.ts; value = c.value; below = c.older };
-      c.ts <- commit_ts;
-      c.value <- value
+      let older = Column.get t.older id in
+      if older == bottom then t.multi <- id :: t.multi;
+      Column.set t.older id
+        { committed_at = ts; value = Column.get t.value id; below = older }
     end;
+    Column.set t.ts id commit_ts;
+    Column.set t.value id value;
     t.versions <- t.versions + 1
   in
   List.iter apply updates;
@@ -348,10 +346,13 @@ let digest t = t.digest
 let read_at t ts key = snapshot_read t ~at:ts key
 
 let fold_visible t ~at ~init ~f =
-  fold_cells
-    (fun c acc ->
-      match visible_value c ~at with Some v -> f acc c.key v | None -> acc)
-    t init
+  let acc = ref init in
+  for id = 0 to t.keys.count - 1 do
+    match visible t id ~at with
+    | Some v -> acc := f !acc (Column.get t.keys.names id) v
+    | None -> ()
+  done;
+  !acc
 
 let state_at t ts =
   List.sort
@@ -375,11 +376,14 @@ let same_state expected ~at actual =
            | Some v' when String.equal v v' -> matched + 1
            | Some _ | None -> matched)
 
-(* Build the ordered index from the cells at the first scan; after that, fold
-   in the keys installed since the last scan. *)
+(* Build the ordered index from the installed ids at the first scan; after
+   that, fold in the keys installed since the last scan. *)
 let sync_keys t =
   if not t.indexed then begin
-    t.key_set <- Sset.of_list (fold_cells (fun c keys -> c.key :: keys) t []);
+    for id = 0 to t.keys.count - 1 do
+      if Column.get t.ts id <> Timestamp.zero then
+        t.key_set <- Sset.add (Column.get t.keys.names id) t.key_set
+    done;
     t.indexed <- true
   end
   else if t.new_keys <> [] then begin
@@ -428,18 +432,19 @@ let rec cut_below v ~before =
 
 let vacuum t ~before =
   (* Keep every version newer than [before] plus the single version visible
-     at [before]. Only multi-version cells can lose anything, and a cut
-     writes one field, so only the filtered [multi] allocates. *)
-  let trim reclaimed c =
-    if Timestamp.compare c.ts before <= 0 then begin
-      let n = chain_length c.older 0 in
-      c.older <- bottom;
-      reclaimed + n
+     at [before]. Only multi-version keys can lose anything, and a cut
+     writes one slot or field, so only the filtered [multi] allocates. *)
+  let trim reclaimed id =
+    let older = Column.get t.older id in
+    if Timestamp.compare (Column.get t.ts id) before <= 0 then begin
+      Column.set t.older id bottom;
+      reclaimed + chain_length older 0
     end
-    else reclaimed + cut_below c.older ~before
+    else reclaimed + cut_below older ~before
   in
   let reclaimed = List.fold_left trim 0 t.multi in
-  if reclaimed > 0 then t.multi <- List.filter (fun c -> c.older != bottom) t.multi;
+  if reclaimed > 0 then
+    t.multi <- List.filter (fun id -> Column.get t.older id != bottom) t.multi;
   t.versions <- t.versions - reclaimed;
   reclaimed
 
@@ -466,7 +471,7 @@ let serialize t =
     bindings;
   Buffer.contents buf
 
-let restore data =
+let restore ?keys data =
   let pos = ref 0 in
   let fail msg = raise (Malformed_backup msg) in
   let read_until ch =
@@ -492,7 +497,7 @@ let restore data =
   let digest = read_int_until ';' in
   let count = read_int_until ';' in
   if count < 0 then fail "negative count";
-  let t = create () in
+  let t = create ?keys () in
   let txn = begin_txn t in
   for _ = 1 to count do
     let key = read_string () in

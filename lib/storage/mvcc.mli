@@ -21,21 +21,26 @@
     which checks the paper's completeness property (Theorem 3.1,
     [S^i_p = S^i_s]) at each refresh commit.
 
-    Each key is one cell that is also its hash-bucket node and holds the
-    newest version inline, with older versions behind it in a chain of one
-    block each. A store keeps no ordered key index until its first scan
-    ({!fold_keys}, {!keys_from}), so a store that is never scanned costs
-    only its cells, their versions and the bucket array. A read
-    at or above a key's newest commit touches the bucket slot, the cell and
-    the key bytes, and a read of a key the transaction did not write
-    allocates nothing ([read], [read_at]). A refresh installs every
-    primary update at every secondary, so every per-key install here is
-    paid once per database; a refresh transaction takes its writeset whole
+    A key is a number: the stores of one replica set share one key
+    dictionary ({!keys}), which holds each key's string once, at a dense
+    id, behind an open-addressed table of ints. A key enters it when some
+    store first installs it. Each store is three {!Column}s over the ids:
+    newest commit timestamp (0 for a key never installed here), newest
+    value, and the chain of older versions, one block each. A store keeps
+    no ordered key index until its first scan ({!fold_keys},
+    {!keys_from}); the scans and {!fold_visible} see only the keys it
+    installed. A read of a key the transaction did not write allocates
+    nothing ([read], [read_at]). A refresh installs every primary update
+    at every secondary, so every per-key install here is paid once per
+    database; a refresh transaction takes its writeset whole
     ({!write_all}), so buffering and checking it cost one walk of the
     shipped list, with no per-update allocation. *)
 
 type t
 type txn
+
+(** A key dictionary, shared by the stores holding copies of one database. *)
+type keys
 
 type abort_reason =
   | Write_conflict of string
@@ -47,8 +52,15 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
-(** An empty store, digest [0], that logs to [log] (without it, nowhere). *)
-val create : ?log:Wal.t -> unit -> t
+(** An empty key dictionary. *)
+val keys : unit -> keys
+
+(** An empty store, digest [0], that logs to [log] (without it, nowhere)
+    and interns its keys in [keys] (without it, in a private one). *)
+val create : ?log:Wal.t -> ?keys:keys -> unit -> t
+
+(** The keys in [t]'s dictionary: each key any store sharing it installed. *)
+val key_count : t -> int
 
 (** The log given at {!create}. @raise Invalid_argument without one. *)
 val wal : t -> Wal.t
@@ -80,17 +92,17 @@ val start_ts : txn -> Timestamp.t
     one builds a table of its writes at its first read. *)
 val read : t -> txn -> string -> string option
 
-(** [stored_key t key] is the store's own copy of [key]: the string its
-    installed cell holds, which is [String.equal] to [key], or [key] itself
-    when [key] was never installed. A record that keeps it, as a run's
-    history does for every read and {!write} for every update, shares the
-    store's string instead of keeping the caller's copy alive. Allocates
-    nothing. *)
+(** [stored_key t key] is the dictionary's copy of [key]: the string the
+    first store sharing [t]'s dictionary to install [key] held, which is
+    [String.equal] to [key], or [key] itself when no such store installed
+    it. A record that keeps it, as a run's history does for every read and
+    {!write} for every update, shares the dictionary's string instead of
+    keeping the caller's copy alive. Allocates nothing. *)
 val stored_key : t -> string -> string
 
 (** [write t txn key value] buffers an update ([None] deletes). The update
     holds {!stored_key} [t key], so what the commit installs, logs and
-    keeps shares the store's string for a key it already holds. Never
+    keeps shares the dictionary's string for a key it already holds. Never
     blocks. @raise Invalid_argument if [txn] is no longer active. *)
 val write : t -> txn -> string -> string option -> unit
 
@@ -164,25 +176,27 @@ val committed_state : t -> (string * string) list
 val same_state : t -> at:Timestamp.t -> t -> bool
 
 (** [fold_visible t ~at ~init ~f] folds [f] over the bindings visible as of
-    [at] (deleted keys omitted), in no particular order, allocating nothing
-    per binding: with [read_at], states compare key by key. *)
+    [at] (deleted keys and keys never installed in [t] omitted), in no
+    particular order, allocating nothing per binding: with [read_at],
+    states compare key by key. *)
 val fold_visible :
   t -> at:Timestamp.t -> init:'acc -> f:('acc -> string -> string -> 'acc) -> 'acc
 
-(** [fold_keys t ~prefix ~init ~f] folds over every key ever written with the
-    given prefix, in ascending lexicographic order (visibility is up to the
-    caller via [read]). Costs O(log n + k) for k matching keys, not O(n),
-    and matching a key against the prefix allocates nothing. The ordered
+(** [fold_keys t ~prefix ~init ~f] folds over every key ever installed in
+    [t] with the given prefix, in ascending lexicographic order (visibility
+    is up to the caller via [read]). Costs O(log n + k) for k matching
+    keys, not O(n), and matching a key against the prefix allocates
+    nothing. The ordered
     index is built lazily, so installs never pay for it: the store's first
-    scan builds it from the cells in O(n log n), and every later scan after
+    scan builds it from the installed ids in O(n log n), and every later scan after
     m keys were first installed pays O(m log n) to fold them in. *)
 val fold_keys : t -> prefix:string -> init:'acc -> f:('acc -> string -> 'acc) -> 'acc
 
-(** [keys_from t start] is the ascending sequence of every key ever written
-    that is [>= start]. Backs index range seeks: O(log n) to position, O(1)
-    per element, plus the lazy index's first build or catch-up described
-    at {!fold_keys}. The sequence is a persistent snapshot of the keys present
-    when it was created (safe to re-force). *)
+(** [keys_from t start] is the ascending sequence of every key ever
+    installed in [t] that is [>= start]. Backs index range seeks: O(log n)
+    to position, O(1) per element, plus the lazy index's first build or
+    catch-up described at {!fold_keys}. The sequence is a persistent
+    snapshot of the keys present when it was created (safe to re-force). *)
 val keys_from : t -> string -> string Seq.t
 
 (** {2 Maintenance} *)
@@ -213,7 +227,9 @@ val serialize : t -> string
 (** Raised by {!restore} on malformed input, naming the fault. *)
 exception Malformed_backup of string
 
-(** [restore data] is a fresh database whose single initial commit
-    installs a serialized state and whose digest is the serialized one. It
-    keeps no log. @raise Malformed_backup on malformed input. *)
-val restore : string -> t
+(** [restore ?keys data] is a fresh database ({!create} without a log)
+    whose single initial commit installs a serialized state and whose
+    digest is the serialized one. Restored into the dictionary of the store
+    it copies, it adds no key and holds that store's key strings.
+    @raise Malformed_backup on malformed input. *)
+val restore : ?keys:keys -> string -> t

@@ -11,7 +11,9 @@
      transactions. Fails when that reaches [bound_words]. The history cost
      100.6 words per transaction here while it kept each read as a list
      cell and a pair holding the generator's fresh key string, 37.8 as a
-     list of records with two flat read arrays each, and 29.7 as columns;
+     list of records with two flat read arrays each, 29.7 as columns, and
+     29.3 since a read of a key its site has not installed yet keeps the
+     replica set's key dictionary's string, not the generator's;
    - measures the minor words [Watchdog.replay] allocates per committed
      transaction when it judges that history ([Gc.minor_words], exact).
      Most of it is the watchdog's cell and chain for each of the 20k
@@ -105,7 +107,7 @@ let () =
   let per_txn = float_of_int own /. float_of_int n in
   let committed = ref 0 in
   for i = 0 to n - 1 do
-    if History.get history.commit i <> History.aborted then incr committed
+    if Lsr_storage.Column.get history.commit i <> History.aborted then incr committed
   done;
   let minor = Gc.minor_words () and major = major_direct () in
   ignore

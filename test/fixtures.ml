@@ -48,7 +48,7 @@ let add h (x : History.txn) =
 (* A handle on [txn] that keeps every read it serves in its buffer
    ([Handle.reads]). *)
 let handle ?(schema = []) db txn =
-  Handle.make ~schema ~tracked:true (History.reads ()) db txn
+  Handle.make ~schema ~tracked:true ~read_only:false (History.reads ()) db txn
 
 (* Run [body db txn] as one update at [primary] ([Primary.start], then
    [Primary.finish]) and return its commit timestamp. *)

@@ -51,7 +51,10 @@
    for its keys. Only [Sim_system] banks a stream ([Rng.save],
    [Rng.load]): a banked stream is one closed-loop client's, saved at the
    end of its turn and loaded at the start of the next, so no second
-   holder can draw from a slot in between.
+   holder can draw from a slot in between. Only [Replica_set] makes a key
+   dictionary ([Mvcc.keys]): one per replica set, handed to its primary,
+   its secondaries and every recovered copy, so the copies of one database
+   share one and no two replica sets do.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -105,6 +108,7 @@ let rules =
     ([], "tests and tools", [ "History.transactions" ]);
     ([ "txn_gen.ml" ], "Txn_gen", [ "Rng.skip" ]);
     ([ "sim_system.ml" ], "Sim_system", [ "Rng.save"; "Rng.load" ]);
+    ([ "replica_set.ml" ], "Replica_set", [ "Mvcc.keys" ]);
   ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines

@@ -1859,6 +1859,48 @@ let test_double_install_caught_without_history () =
         first ]
     (fst (Replica_set.check rs))
 
+(* A recovered copy is restored into the replica set's one key dictionary:
+   crashing and recovering a site adds no key to it, and the copy's keys
+   are physically the primary's strings, not the backup's parsed copies. *)
+let test_recovery_shares_keys () =
+  let rs =
+    Replica_set.create
+      ~on_refresh_commit:(fun _ _ _ -> ())
+      ~on_read:(fun _ ~age:_ ~missed:_ -> ())
+      ~faults:None ~ship_aborted:false
+      ~sinks:{ Lsr_obs.Sinks.obs = Lsr_obs.Obs.null; flight = Lsr_obs.Flight.null }
+      ~record_history:false ~watchdog:false ~sites:2 Session.Weak
+  in
+  let update k =
+    let u = Replica_set.begin_update rs ~session:"w" in
+    Handle.put (Replica_set.handle u) (String.concat "" [ "key:"; k ]) "v";
+    match Replica_set.commit rs u with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "update failed"
+  in
+  let rec settle () =
+    match Replica_set.enabled rs with
+    | [] -> ()
+    | move :: _ ->
+      ignore (Replica_set.fire rs move);
+      settle ()
+  in
+  List.iter update [ "a"; "b"; "c" ];
+  settle ();
+  let primary = Primary.db (Replica_set.primary rs) in
+  let keys = Mvcc.key_count primary in
+  check_int "three keys" 3 keys;
+  ignore (Replica_set.fire rs (Replica_set.Crash 1));
+  ignore (Replica_set.fire rs (Replica_set.Recover 1));
+  settle ();
+  let copy = Secondary.db (Replica_set.secondary rs 1) in
+  check_int "recovery added no key" keys (Mvcc.key_count primary);
+  check_int "the copy shares the dictionary" keys (Mvcc.key_count copy);
+  let scan db = List.of_seq (Mvcc.keys_from db "") in
+  check_bool "the copy holds the primary's key strings" true
+    (List.for_all2 ( == ) (scan primary) (scan copy));
+  Alcotest.(check (list string)) "clean" [] (fst (Replica_set.check rs))
+
 (* A retried update is one transaction: the core drops an aborted
    attempt's reads, so the record holds only the committed attempt's. *)
 let test_retry_keeps_committed_reads () =
@@ -2236,6 +2278,8 @@ let () =
           Alcotest.test_case "double install caught without a history" `Quick
             test_double_install_caught_without_history;
           Alcotest.test_case "crash recovery" `Quick test_system_crash_recovery;
+          Alcotest.test_case "recovery adds no key" `Quick
+            test_recovery_shares_keys;
           Alcotest.test_case "recovery closes every start" `Quick
             test_system_recovery_closes_every_start;
           Alcotest.test_case "migration: strong session blocks" `Quick

@@ -881,15 +881,33 @@ let test_present_key_reads_allocate_nothing () =
   if words >= 64. then
     Alcotest.failf "20k reads of present keys allocated %.0f words" words
 
+(* What a column whose slots [0, ids) were set adds to an empty one: chunks
+   of 1,024 slots, one header each, behind an array of at least 8 chunk
+   pointers, all allocated at the first set. *)
+let chunk_slots = 1_024
+
+let column_words ids =
+  let chunks = (ids + chunk_slots - 1) / chunk_slots in
+  if chunks = 0 then 0 else 1 + Int.max 8 chunks + (chunks * (1 + chunk_slots))
+
+(* The dictionary's table starts at 1,024 slots and doubles once more than
+   half of them are taken. *)
+let rec table_slots ?(slots = 1_024) keys =
+  if 2 * keys > slots then table_slots ~slots:(2 * slots) keys else slots
+
+let option_words = 2 (* header, the value string *)
+
 (* The exact heap footprint of a store that has never been scanned: per key
-   one cell and its value's option box, per older version one chain block
-   and its option box, per multi-version key one cons of the vacuum list,
-   and the bucket array. There is no key index and no list of new keys
-   until the first scan; after it, the index is one [Set] node per key. *)
+   a slot in its newest-ts and newest-value columns and its value's option
+   box; per multi-version key a slot in its older-versions column (only the
+   chunks holding one exist) and one cons of the vacuum list; per older
+   version one chain block and its option box; per key of its private
+   dictionary a name slot and two table entries (the table stays at most
+   half full).
+   There is no key index and no list of new keys until the first scan;
+   after it, the index is one [Set] node per key. *)
 let test_unscanned_store_footprint () =
-  let cell_words = 7 (* header, key, hash, ts, value, older, next *)
-  and version_words = 4 (* header, committed_at, value, below *)
-  and option_words = 2 (* header, the value string *)
+  let version_words = 4 (* header, committed_at, value, below *)
   and multi_words = 3 (* header, head, tail *)
   and set_node_words = 5 (* header, l, v, r, h *) in
   let keys = 3_000 and rewritten = 500 and rounds = 2 in
@@ -898,7 +916,7 @@ let test_unscanned_store_footprint () =
   let db = Mvcc.create () in
   let reachable () = Obj.reachable_words (Obj.repr db) in
   (* The store's fixed part: everything an empty store reaches but its
-     1,024-slot bucket array. *)
+     dictionary's empty 1,024-slot table. *)
   let fixed = reachable () - (1 + 1_024) in
   let words_of s = Obj.reachable_words (Obj.repr s) in
   let string_words = ref (Array.fold_left (fun acc k -> acc + words_of k) 0 key) in
@@ -916,17 +934,171 @@ let test_unscanned_store_footprint () =
     install rewritten
   done;
   check_int "versions" (keys + overwrites) (Mvcc.version_count db);
-  (* The buckets double whenever the keys exceed twice their number. *)
-  let rec buckets b = if keys > 2 * b then buckets (2 * b) else b in
+  check_int "dictionary keys" keys (Mvcc.key_count db);
+  let dictionary = 1 + table_slots keys + column_words keys in
   let unscanned =
-    fixed + 1 + buckets 1_024
-    + (keys * (cell_words + option_words))
+    fixed + dictionary
+    + (2 * column_words keys) + column_words rewritten
+    + (keys * option_words)
     + (overwrites * (version_words + option_words))
     + (rewritten * multi_words) + !string_words
   in
   check_int "words of an unscanned store" unscanned (reachable ());
   let (_ : string Seq.t) = Mvcc.keys_from db "" in
   check_int "words once scanned" (unscanned + (keys * set_node_words)) (reachable ())
+
+(* Stores holding copies of one database share its key dictionary: each
+   pays its newest-ts and newest-value columns (it holds no older version),
+   and the table, the names and the key strings exist once. *)
+let test_shared_dictionary_footprint () =
+  let keys = 3_000 and stores = 4 in
+  let key = Array.init keys (Printf.sprintf "k%06d") in
+  let value = Array.init keys (fun i -> Some (Printf.sprintf "v%d" i)) in
+  let dict = Mvcc.keys () in
+  let dbs = List.init stores (fun _ -> Mvcc.create ~keys:dict ()) in
+  let reachable () = Obj.reachable_words (Obj.repr dbs) in
+  let empty = reachable () in
+  let words_of s = Obj.reachable_words (Obj.repr s) in
+  let shared =
+    Array.fold_left (fun acc k -> acc + words_of k) 0 key
+    + Array.fold_left (fun acc v -> acc + words_of v) 0 value
+  in
+  List.iter
+    (fun db ->
+      let txn = Mvcc.begin_txn db in
+      Array.iteri (fun i k -> Mvcc.write db txn k value.(i)) key;
+      ignore (commit_exn db txn))
+    dbs;
+  List.iter (fun db -> check_int "one dictionary" keys (Mvcc.key_count db)) dbs;
+  let dictionary = table_slots keys - 1_024 + column_words keys in
+  check_int "words of four stores"
+    (empty + dictionary + (stores * 2 * column_words keys) + shared)
+    (reachable ())
+
+type shared_step =
+  | Txn of {
+      store : int;
+      lag : int;
+      writes : (string * string option) list;
+      commit : bool;
+    }
+  | Vacuum of { store : int; lag : int }
+  | Restore of int
+
+(* Three stores sharing one dictionary behave as three stores with
+   private ones under the same steps: every read, scan, state, version
+   count, digest, commit outcome and vacuum count agrees, and the shared
+   dictionary holds exactly the keys some committed transaction
+   installed, never one only an aborted transaction wrote. *)
+let shared_key i = Printf.sprintf (if i < 6 then "k%d" else "j%d") i
+
+let prop_shared_dictionary_agrees =
+  let open QCheck.Gen in
+  let write = pair (map shared_key (int_range 0 7)) (opt (string_size (return 2))) in
+  let store = int_range 0 2 in
+  let txn =
+    map3
+      (fun store lag (writes, commit) -> Txn { store; lag; writes; commit })
+      store
+      (frequency [ (3, return 0); (1, int_range 1 6) ])
+      (pair
+         (list_size (int_range 0 4) write)
+         (frequency [ (4, return true); (1, return false) ]))
+  in
+  let step =
+    frequency
+      [
+        (6, txn);
+        (2, map2 (fun store lag -> Vacuum { store; lag }) store (int_range 0 8));
+        (1, map (fun i -> Restore i) store);
+      ]
+  in
+  let print_step = function
+    | Txn { store; lag; writes; commit } ->
+      Printf.sprintf "Txn(%d,-%d,%s,%b)" store lag
+        (String.concat ";"
+           (List.map (fun (k, v) -> k ^ "=" ^ Option.value v ~default:"-") writes))
+        commit
+    | Vacuum { store; lag } -> Printf.sprintf "Vacuum(%d,-%d)" store lag
+    | Restore i -> Printf.sprintf "Restore %d" i
+  in
+  QCheck.Test.make ~name:"stores sharing a dictionary agree with private ones"
+    ~count:200
+    (QCheck.make ~print:QCheck.Print.(list print_step)
+       (list_size (int_range 1 30) step))
+    (fun steps ->
+      let dict = Mvcc.keys () in
+      let shared = Array.init 3 (fun _ -> Mvcc.create ~keys:dict ()) in
+      let own = Array.init 3 (fun _ -> Mvcc.create ()) in
+      let installed = Hashtbl.create 8 in
+      let universe = List.init 8 shared_key in
+      let agree a b =
+        let latest = Mvcc.latest_commit_ts a in
+        let times =
+          [ 0; 1; latest / 3; latest / 2; latest - 1; latest; latest + 1 ]
+        in
+        let scan db start = List.of_seq (Mvcc.keys_from db start) in
+        let prefixed db prefix =
+          Mvcc.fold_keys db ~prefix ~init:[] ~f:(fun acc k -> k :: acc)
+        in
+        let reads db =
+          let txn = Mvcc.begin_txn db in
+          let values = List.map (Mvcc.read db txn) universe in
+          Mvcc.end_read db txn;
+          values
+        in
+        latest = Mvcc.latest_commit_ts b
+        && Mvcc.commit_count a = Mvcc.commit_count b
+        && Mvcc.digest a = Mvcc.digest b
+        && Mvcc.version_count a = Mvcc.version_count b
+        && List.for_all
+             (fun at ->
+               Mvcc.state_at a at = Mvcc.state_at b at
+               && List.for_all
+                    (fun k -> Mvcc.read_at a at k = Mvcc.read_at b at k)
+                    universe)
+             times
+        && reads a = reads b
+        && scan a "" = scan b "" && scan a "k3" = scan b "k3"
+        && prefixed a "k" = prefixed b "k" && prefixed a "j" = prefixed b "j"
+        && Mvcc.key_count a = Hashtbl.length installed
+      in
+      let run = function
+        | Txn { store; lag; writes; commit } ->
+          let attempt db =
+            let txn =
+              if lag = 0 then Mvcc.begin_txn db
+              else
+                Mvcc.begin_txn_at db
+                  ~snapshot:(Int.max 0 (Mvcc.latest_commit_ts db - lag))
+            in
+            List.iter (fun (k, v) -> Mvcc.write db txn k v) writes;
+            if commit then Some (Mvcc.commit db txn)
+            else begin
+              Mvcc.abort db txn;
+              None
+            end
+          in
+          let a = attempt shared.(store) in
+          (match a with
+          | Some (Mvcc.Committed _) ->
+            List.iter (fun (k, _) -> Hashtbl.replace installed k ()) writes
+          | Some (Mvcc.Aborted _) | None -> ());
+          a = attempt own.(store)
+        | Vacuum { store; lag } ->
+          let vacuum db =
+            Mvcc.vacuum db ~before:(Int.max 0 (Mvcc.latest_commit_ts db - lag))
+          in
+          vacuum shared.(store) = vacuum own.(store)
+        | Restore i ->
+          shared.(i) <- Mvcc.restore ~keys:dict (Mvcc.serialize shared.(i));
+          own.(i) <- Mvcc.restore (Mvcc.serialize own.(i));
+          true
+      in
+      List.for_all
+        (fun step ->
+          run step && List.for_all (fun i -> agree shared.(i) own.(i)) [ 0; 1; 2 ])
+        steps)
 
 type vacuum_step = Commit of (string * string option) list | Vacuum of int
 
@@ -1702,6 +1874,8 @@ let () =
             test_present_key_reads_allocate_nothing;
           Alcotest.test_case "unscanned store footprint" `Quick
             test_unscanned_store_footprint;
+          Alcotest.test_case "stores sharing a dictionary pay it once" `Quick
+            test_shared_dictionary_footprint;
           Alcotest.test_case "serialize/restore roundtrip" `Quick
             test_serialize_restore_roundtrip;
           Alcotest.test_case "serialize empty" `Quick test_serialize_empty;
@@ -1712,6 +1886,7 @@ let () =
               prop_serialize_roundtrip;
               prop_vacuum_matches_full_scan;
               prop_index_matches_map_model;
+              prop_shared_dictionary_agrees;
             ] );
       ( "row",
         [

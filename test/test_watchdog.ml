@@ -618,9 +618,10 @@ let test_embedded_raising_body () =
   | Error es -> Alcotest.failf "check failed: %s" (String.concat "; " es)
 
 let test_embedded_writing_read () =
-  (* A read-only body that writes through its handle is rejected when the
-     read ends. Its transaction must still give its token back: a leaked
-     pin stops the horizon, and every later version stays unretired. *)
+  (* A read-only body that writes through its handle is rejected at the
+     write, with a typed error. Its transaction must still give its token
+     back: a leaked pin stops the horizon, and every later version stays
+     unretired. *)
   let sys =
     System.create ~secondaries:1 ~guarantee:Session.Strong_session
       ~watchdog:true ()
@@ -635,7 +636,8 @@ let test_embedded_writing_read () =
   System.pump sys;
   (match System.read sys c (fun h -> Handle.put h "k" "read-only") with
   | () -> Alcotest.fail "a writing read ended"
-  | exception Invalid_argument _ -> ());
+  | exception Handle.Read_only { key } ->
+    Alcotest.(check string) "the key written" "k" key);
   for i = 1 to 200 do
     put i
   done;
