@@ -75,7 +75,7 @@ type site = {
 
 type t = {
   keys : Mvcc.keys;  (* every store's, the recovered copies' too *)
-  primary : Primary.t;
+  primary : Mvcc.t;  (* the only store with a log *)
   propagator : Propagation.t;
   sessions : Session.t;
   clock : Session.clock;
@@ -117,14 +117,14 @@ let create ?now ?(schema = []) ~on_refresh_commit ~on_read ~faults ~ship_aborted
   in
   Flight.set_clock sinks.flight now;
   let keys = Mvcc.keys () in
-  let primary = Primary.create ~keys () in
+  let primary = Mvcc.create ~log:(Wal.create ()) ~keys () in
   let clock = Session.clock_create () in
   let watchdog =
     if watchdog then
       Some (Watchdog.create ~flight:sinks.flight ~clock ~guarantee ())
     else None
   in
-  let propagator = Propagation.create ~ship_aborted (Primary.wal primary) in
+  let propagator = Propagation.create ~ship_aborted (Mvcc.wal primary) in
   let obs = sinks.obs in
   (* Every channel draws its own stream, split from the fault seed in site
      order, so a whole fault schedule replays from one seed. *)
@@ -220,13 +220,13 @@ let vacuum db q =
   Mvcc.vacuum db ~before:(Int.min (oldest_start q) (Mvcc.latest_commit_ts db))
 
 let retire t =
-  Wal.truncate_before (Primary.wal t.primary)
+  Wal.truncate_before (Mvcc.wal t.primary)
     (Propagation.position t.propagator);
   Array.fold_left
     (fun n s ->
       if s.crashed then n
       else n + vacuum (Secondary.db s.replica) s.opened)
-    (vacuum (Primary.db t.primary) t.updates)
+    (vacuum t.primary t.updates)
     t.sites
 
 (* --- Moves ------------------------------------------------------------------------ *)
@@ -248,7 +248,7 @@ type fired =
   | Nothing
 
 let poll_ready t =
-  Wal.length (Primary.wal t.primary) > Propagation.position t.propagator
+  Wal.length (Mvcc.wal t.primary) > Propagation.position t.propagator
 
 let link_busy = function
   | Plain q -> not (Queue.is_empty q)
@@ -412,7 +412,7 @@ let rec fire t = function
          live site that nothing closes. The site's seq jumps forward, and
          the transactions still open on the lost copy stay pinned. *)
       if poll_ready t then ignore (fire t Poll);
-      let db = Primary.db t.primary in
+      let db = t.primary in
       let seq = Mvcc.latest_commit_ts db in
       let fresh =
         Secondary.create ~db:(Mvcc.restore ~keys:t.keys (Mvcc.serialize db)) ~seq
@@ -459,19 +459,19 @@ let begin_txn t ~session ~site ~snapshot ~fence ~fence_seq db mvcc =
 
 (* An attempt's snapshot is the primary's latest commit when it starts. *)
 let begin_update t ~session =
-  let db = Primary.db t.primary in
+  let db = t.primary in
   let snapshot = Mvcc.latest_commit_ts db in
   begin_txn t ~session ~site:(-1) ~snapshot ~fence:None ~fence_seq:(-1) db
-    (Primary.start t.primary)
+    (Mvcc.begin_txn db)
 
 let retry t u =
-  let db = Primary.db t.primary in
+  let db = t.primary in
   let reads = Handle.reads u.handle in
   if t.tracking then reads.count <- 0;
   u.snapshot <- Mvcc.latest_commit_ts db;
   u.handle <-
     Handle.make ~schema:t.schema ~tracked:t.tracking ~read_only:false reads db
-      (Primary.start t.primary)
+      (Mvcc.begin_txn db)
 
 (* Append [u]'s record, [commit] as {!History.add} takes it. Each key
    read is the replica set's one copy in its key dictionary (the caller's
@@ -485,7 +485,7 @@ let record t u ~db ~id ~finished ~site ~snapshot ~commit ~writes =
 let abandon t u =
   (* A read-only transaction's abort only ends it. *)
   let db =
-    if u.site < 0 then Primary.db t.primary
+    if u.site < 0 then t.primary
     else Secondary.db t.sites.(u.site).replica
   in
   Mvcc.abort db (Handle.txn u.handle);
@@ -502,33 +502,39 @@ let finish_tick t = if t.tracking then History.tick t.history else 0
    ({!History.aborted} for an abort). *)
 let record_update t u ~id ~finished ~snapshot ~commit ~writes =
   if t.record_history then
-    record t u ~db:(Primary.db t.primary) ~id ~finished ~site:"primary"
+    record t u ~db:t.primary ~id ~finished ~site:"primary"
       ~snapshot ~commit ~writes
 
+(* A forced abort (the paper's [abort_prob]) still logs its abort record. *)
 let commit ?(force_abort = false) t u =
   let mvcc = Handle.txn u.handle in
-  match Primary.finish t.primary ~force_abort mvcc with
-  | Mvcc.Aborted reason -> Error reason
-  | Mvcc.Committed commit_ts ->
-    (* The updates the commit just installed, not computed again. *)
-    let writes = Mvcc.pending_writes mvcc in
-    close t u;
-    let id = finish_id t in
-    let finished = finish_tick t in
-    let now = t.now () in
-    Session.note_update_commit t.sessions ~label:u.session ~commit_ts;
-    Session.clock_note t.clock ~commit_ts ~at:now;
-    if Flight.enabled t.sinks.flight then
-      Flight.note_commit t.sinks.flight ~txn:(Mvcc.txn_id mvcc) ~hid:id
-        ~commit_ts ~updates:(List.length writes);
-    (match t.watchdog with
-    | Some w ->
-      Watchdog.end_update w u.token ~id ~now ~commit_ts ~writes
-        ~snapshot:u.snapshot ~reads:(Handle.reads u.handle)
-    | None -> ());
-    record_update t u ~id ~finished ~snapshot:u.snapshot ~commit:commit_ts
-      ~writes;
-    Ok ()
+  if force_abort then begin
+    Mvcc.abort t.primary mvcc;
+    Error Mvcc.Forced
+  end
+  else
+    match Mvcc.commit t.primary mvcc with
+    | Mvcc.Aborted reason -> Error reason
+    | Mvcc.Committed commit_ts ->
+      (* The updates the commit just installed, not computed again. *)
+      let writes = Mvcc.pending_writes mvcc in
+      close t u;
+      let id = finish_id t in
+      let finished = finish_tick t in
+      let now = t.now () in
+      Session.note_update_commit t.sessions ~label:u.session ~commit_ts;
+      Session.clock_note t.clock ~commit_ts ~at:now;
+      if Flight.enabled t.sinks.flight then
+        Flight.note_commit t.sinks.flight ~txn:(Mvcc.txn_id mvcc) ~hid:id
+          ~commit_ts ~updates:(List.length writes);
+      (match t.watchdog with
+      | Some w ->
+        Watchdog.end_update w u.token ~id ~now ~commit_ts ~writes
+          ~snapshot:u.snapshot ~reads:(Handle.reads u.handle)
+      | None -> ());
+      record_update t u ~id ~finished ~snapshot:u.snapshot ~commit:commit_ts
+        ~writes;
+      Ok ()
 
 (* An abort is recorded at snapshot zero; the watchdog judges nothing of
    it, as the definitions quantify over committed transactions. *)
@@ -596,14 +602,13 @@ let check t =
   (* Theorem 3.1, checked at every refresh commit, recorded run or not. No
      digest checks a recovered copy's restored state: once refreshed up to
      the primary's latest commit, it must match the primary's state. *)
-  let primary = Primary.db t.primary in
-  let at = Mvcc.latest_commit_ts primary in
+  let at = Mvcc.latest_commit_ts t.primary in
   Array.iteri
     (fun i s ->
       if s.diverged >= 0 then add_error "%s" (diverged_detail i s.diverged);
       if (not (s.crashed || s.clean))
          && Secondary.seq_dbsec s.replica >= at
-         && not (Mvcc.same_state primary ~at (Secondary.db s.replica))
+         && not (Mvcc.same_state t.primary ~at (Secondary.db s.replica))
       then add_error "recovered secondary %d diverges from primary" i)
     t.sites;
   (* A recorded run is replayed into a fresh watchdog after the fact. *)

@@ -97,7 +97,10 @@ val create :
   Session.guarantee ->
   t
 
-val primary : t -> Primary.t
+(** The primary site: a store under local strong SI whose logical log
+    ({!Lsr_storage.Mvcc.wal}) is the only log any site keeps. Update
+    transactions run here only; reads go to the secondaries. *)
+val primary : t -> Mvcc.t
 val sessions : t -> Session.t
 val clock : t -> Session.clock
 val history : t -> History.t

@@ -50,8 +50,7 @@ let create ?(secondaries = 1) ?schema ?faults
 
 let replica_set t = t.core
 let sessions t = Replica_set.sessions t.core
-let primary t = Replica_set.primary t.core
-let primary_db t = Primary.db (primary t)
+let primary_db t = Replica_set.primary t.core
 let secondaries t = Replica_set.sites t.core
 
 let site t i =

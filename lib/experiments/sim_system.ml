@@ -520,8 +520,8 @@ let monitor_probe st () =
   let primary =
     resource st.primary_res
     @ [
-        ("primary.wal", float_of_int (Wal.length (Primary.wal pr)));
-        ("primary.versions", float_of_int (Mvcc.version_count (Primary.db pr)));
+        ("primary.wal", float_of_int (Wal.length (Mvcc.wal pr)));
+        ("primary.versions", float_of_int (Mvcc.version_count pr));
       ]
   in
   let per_site =

@@ -1,5 +1,7 @@
-(** A growable column of fixed-size chunks, indexed by a dense int: setting
-    a slot copies no other, and only the chunks holding a set slot exist.
+(** A growable column of 1,024-slot chunks, indexed by a dense int: only
+    the chunks holding a set slot exist, and setting a slot copies no
+    other but while chunk 0 grows: it starts at 8 slots and doubles up to
+    full size, so a small column stays small.
     [History] keeps a run's transactions as columns, and each {!Mvcc} store
     its versions, over its key dictionary's ids. *)
 
@@ -12,5 +14,5 @@ val make : 'a -> 'a t
     Allocates nothing. *)
 val get : 'a t -> int -> 'a
 
-(** [set c i v] sets slot [i >= 0], allocating its chunk at its first set. *)
+(** [set c i v] sets slot [i >= 0], allocating or growing its chunk. *)
 val set : 'a t -> int -> 'a -> unit

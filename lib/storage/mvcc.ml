@@ -39,7 +39,7 @@ type commit_result =
 (* Every key a store sharing the dictionary installed, once: its name at a
    dense id, found through an open-addressed table whose entries pack the
    key's [String.hash] above its id ([empty] when free). Probing is linear,
-   and the table doubles once it is half full. *)
+   and the table starts at 8 slots and doubles once it is half full. *)
 type keys = {
   mutable slots : int array;
   names : string Column.t;
@@ -49,7 +49,7 @@ type keys = {
 let id_bits = 31
 let id_mask = (1 lsl id_bits) - 1
 let empty = -1
-let keys () = { slots = Array.make 1024 empty; names = Column.make ""; count = 0 }
+let keys () = { slots = Array.make 8 empty; names = Column.make ""; count = 0 }
 
 (* The key's id, or [-1 - i] for the free slot [i] that ends its probe. *)
 let rec probe d key h i =

@@ -27,22 +27,6 @@ module Sim = Lsr_experiments.Sim_system
 
 let bound_bytes = 2800.
 
-(* Resident-set high-water mark (VmHWM) in bytes, or [None] when
-   /proc/self/status cannot be read. *)
-let vm_hwm_bytes () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> None
-  | ic ->
-    let rec scan () =
-      match input_line ic with
-      | exception End_of_file -> None
-      | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
-        Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d"
-          (fun kb -> Some (1024. *. float_of_int kb))
-      | _ -> scan ()
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) scan
-
 let () =
   let clients = 100_000 in
   let cfg =
@@ -63,11 +47,11 @@ let () =
         Sim.Open_loop { clients; arrival = Sim.Poisson; session_pool = 1024 };
     }
   in
-  match vm_hwm_bytes () with
+  match Memory_probe.vm_hwm_bytes () with
   | None -> print_endline "blocked_memory: skipped, /proc/self/status unreadable"
   | Some before ->
     let o = Sim.run cfg in
-    let after = Option.get (vm_hwm_bytes ()) in
+    let after = Option.get (Memory_probe.vm_hwm_bytes ()) in
     let per_read = (after -. before) /. float_of_int o.Sim.blocked_reads in
     let fail = per_read >= bound_bytes in
     if fail || Array.exists (String.equal "-v") Sys.argv then

@@ -22,22 +22,6 @@ let bound_bytes = 160.
 let sites = 2
 let clients_per_site = 50_000
 
-(* Resident-set high-water mark (VmHWM) in bytes, or [None] when
-   /proc/self/status cannot be read. *)
-let vm_hwm_bytes () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> None
-  | ic ->
-    let rec scan () =
-      match input_line ic with
-      | exception End_of_file -> None
-      | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
-        Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d"
-          (fun kb -> Some (1024. *. float_of_int kb))
-      | _ -> scan ()
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) scan
-
 let () =
   let cfg =
     Sim.config
@@ -50,11 +34,11 @@ let () =
       }
       Session.Strong_session ~seed:3
   in
-  match vm_hwm_bytes () with
+  match Memory_probe.vm_hwm_bytes () with
   | None -> print_endline "closed_memory: skipped, /proc/self/status unreadable"
   | Some before ->
     ignore (Sim.run cfg);
-    let after = Option.get (vm_hwm_bytes ()) in
+    let after = Option.get (Memory_probe.vm_hwm_bytes ()) in
     let per_client = (after -. before) /. float_of_int (sites * clients_per_site) in
     let fail = per_client >= bound_bytes in
     if fail || Array.exists (String.equal "-v") Sys.argv then

@@ -3,9 +3,8 @@
    4,000 transactions of the Table 1 mix (the configuration of
    check_memory), then:
 
-   - measures the words the history owns per transaction:
-     [Obj.reachable_words (stores, history)] minus
-     [Obj.reachable_words stores] over the four stores, so a block the
+   - measures the words the history owns per transaction: its words in a
+     census after the four stores ([Memory_probe.census]), so a block the
      history shares with a store (a commit's installed list, a stored key
      or value) is not counted, divided by the number of recorded
      transactions. Fails when that reaches [bound_words]. The history cost
@@ -101,8 +100,7 @@ let () =
   let history = System.history sys in
   let n = History.length history in
   let own =
-    Obj.reachable_words (Obj.repr (stores, history))
-    - Obj.reachable_words (Obj.repr stores)
+    List.nth (Memory_probe.census [ Obj.repr stores; Obj.repr history ]) 1
   in
   let per_txn = float_of_int own /. float_of_int n in
   let committed = ref 0 in

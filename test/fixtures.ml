@@ -50,12 +50,15 @@ let add h (x : History.txn) =
 let handle ?(schema = []) db txn =
   Handle.make ~schema ~tracked:true ~read_only:false (History.reads ()) db txn
 
-(* Run [body db txn] as one update at [primary] ([Primary.start], then
-   [Primary.finish]) and return its commit timestamp. *)
+(* A primary's store: the one kind made with a log. *)
+let primary () = Mvcc.create ~log:(Wal.create ()) ()
+
+(* Run [body primary txn] as one update at [primary] and return its commit
+   timestamp. *)
 let primary_update primary body =
-  let txn = Primary.start primary in
-  body (Primary.db primary) txn;
-  match Primary.finish primary ~force_abort:false txn with
+  let txn = Mvcc.begin_txn primary in
+  body primary txn;
+  match Mvcc.commit primary txn with
   | Mvcc.Committed commit_ts -> commit_ts
   | Mvcc.Aborted _ -> Alcotest.fail "unexpected primary abort"
 

@@ -19,12 +19,13 @@
    other module polls the log, drives a link, builds a replica,
    enqueues a record, steps a refresher or commits a pending queue's head,
    so System and Sim_system fire the same transition relation. A client
-   transaction has one path too: only [Replica_set] starts or finishes a
-   primary transaction, only it, [Primary] and [Secondary] (its refresh
-   transactions) open an MVCC transaction or end a read, and only
-   [Handle] and [Table] read or write through one, so neither driver
-   opens, serves, commits or ends a transaction itself. Every log
-   record has a reader: only [Primary] creates a log. Retirement has one
+   transaction has one path too: only [Replica_set] (the primary's and
+   the replicas' client transactions) and [Secondary] (its refresh
+   transactions) open, commit or abort an MVCC transaction or end a read,
+   and only [Handle] and [Table] read or write through one, so neither
+   driver opens, serves, commits or ends a transaction itself, although
+   [Handle.txn] hands it the MVCC transaction. Every log record has a
+   reader: only [Replica_set] creates a log, the primary's. Retirement has one
    owner: only [Replica_set], which knows the propagation cursor and every
    open transaction, truncates the log or vacuums a store. The log has one writer and one reader: only
    [Mvcc] appends to it, and squashes a writeset, once per commit, into
@@ -87,12 +88,11 @@ let rules =
         "Channel.tick"; "Channel.reset"; "Secondary.create";
         "Secondary.enqueue"; "Secondary.refresher_step";
         "Secondary.commit_head" ] );
-    ([ "replica_set.ml" ], "Replica_set", [ "Primary.start"; "Primary.finish" ]);
-    ( [ "replica_set.ml"; "primary.ml"; "secondary.ml" ],
-      "Replica_set / Primary / Secondary",
-      [ "Mvcc.begin_txn"; "Mvcc.end_read" ] );
+    ( [ "replica_set.ml"; "secondary.ml" ],
+      "Replica_set / Secondary",
+      [ "Mvcc.begin_txn"; "Mvcc.commit"; "Mvcc.abort"; "Mvcc.end_read" ] );
     ([ "handle.ml"; "table.ml" ], "Handle / Table", [ "Mvcc.read"; "Mvcc.write" ]);
-    ([ "primary.ml" ], "Primary", [ "Wal.create" ]);
+    ([ "replica_set.ml" ], "Replica_set", [ "Wal.create" ]);
     ([ "mvcc.ml" ], "Mvcc", [ "Wal.append"; "Wal.squash" ]);
     ([ "propagation.ml" ], "Propagation", [ "Wal.read_from" ]);
     ([ "replica_set.ml" ], "Replica_set", [ "Wal.truncate_before"; "Mvcc.vacuum" ]);

@@ -31,8 +31,8 @@ let update_at primary writes =
 (* --- Propagation (Algorithm 3.1) ------------------------------------------------ *)
 
 let test_propagation_commit_carries_updates () =
-  let primary = Primary.create () in
-  let prop = Propagation.create (Primary.wal primary) in
+  let primary = Fixtures.primary () in
+  let prop = Propagation.create (Mvcc.wal primary) in
   ignore (update_at primary [ ("x", Some "1"); ("y", Some "2") ]);
   match Propagation.poll prop with
   | [ Wal.Start _; Wal.Commit { updates; _ } ] ->
@@ -41,9 +41,8 @@ let test_propagation_commit_carries_updates () =
     Alcotest.failf "unexpected records: %d" (List.length records)
 
 let test_propagation_start_before_commit () =
-  let primary = Primary.create () in
-  let prop = Propagation.create (Primary.wal primary) in
-  let db = Primary.db primary in
+  let db = Fixtures.primary () in
+  let prop = Propagation.create (Mvcc.wal db) in
   (* Begin a transaction but do not commit yet: its start record must
      propagate immediately (liveness, §3.2). *)
   let txn = Mvcc.begin_txn db in
@@ -60,9 +59,8 @@ let test_propagation_start_before_commit () =
   check_int "none in flight" 0 (Propagation.in_flight prop)
 
 let test_propagation_abort_discards_updates () =
-  let primary = Primary.create () in
-  let prop = Propagation.create (Primary.wal primary) in
-  let db = Primary.db primary in
+  let db = Fixtures.primary () in
+  let prop = Propagation.create (Mvcc.wal db) in
   let txn = Mvcc.begin_txn db in
   Mvcc.write db txn "x" (Some "1");
   Mvcc.abort db txn;
@@ -74,21 +72,20 @@ let test_propagation_abort_discards_updates () =
 (* A propagator whose cursor lies below the log's truncation point has lost
    records; polling must raise instead of silently resuming at the cut. *)
 let test_propagation_truncated_log_fails_loudly () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   ignore (update_at primary [ ("x", Some "1") ]);
   ignore (update_at primary [ ("y", Some "2") ]);
-  let late = Propagation.create (Primary.wal primary) in
-  Wal.truncate_before (Primary.wal primary) (Wal.length (Primary.wal primary));
+  let late = Propagation.create (Mvcc.wal primary) in
+  Wal.truncate_before (Mvcc.wal primary) (Wal.length (Mvcc.wal primary));
   Alcotest.check_raises "poll below the cut"
     (Invalid_argument
        (Printf.sprintf "Wal.read_from: offset 0 below truncation point %d"
-          (Wal.length (Primary.wal primary))))
+          (Wal.length (Mvcc.wal primary))))
     (fun () -> ignore (Propagation.poll late))
 
 let test_propagation_ship_aborted () =
-  let primary = Primary.create () in
-  let prop = Propagation.create ~ship_aborted:true (Primary.wal primary) in
-  let db = Primary.db primary in
+  let db = Fixtures.primary () in
+  let prop = Propagation.create ~ship_aborted:true (Mvcc.wal db) in
   let txn = Mvcc.begin_txn db in
   Mvcc.write db txn "x" (Some "1");
   Mvcc.write db txn "y" (Some "2");
@@ -99,8 +96,8 @@ let test_propagation_ship_aborted () =
   | _ -> Alcotest.fail "expected start + abort"
 
 let test_propagation_squashes_rewrites () =
-  let primary = Primary.create () in
-  let prop = Propagation.create (Primary.wal primary) in
+  let primary = Fixtures.primary () in
+  let prop = Propagation.create (Mvcc.wal primary) in
   ignore
     (Fixtures.primary_update primary (fun db txn ->
          Mvcc.write db txn "x" (Some "first");
@@ -116,8 +113,8 @@ let test_propagation_squash_keeps_first_write_position () =
   (* Squashing rewrites of a key keeps the key at its first-write position in
      the update list while carrying the last-written value — the refresh
      transaction replays the list verbatim, so both halves matter. *)
-  let primary = Primary.create () in
-  let prop = Propagation.create (Primary.wal primary) in
+  let primary = Fixtures.primary () in
+  let prop = Propagation.create (Mvcc.wal primary) in
   ignore
     (Fixtures.primary_update primary (fun db txn ->
          Mvcc.write db txn "x" (Some "first");
@@ -136,9 +133,8 @@ let test_propagation_interleaved_txns_isolated () =
   (* Two transactions interleaved at the primary (their writes alternate
      and the later start commits first): each commit record carries exactly
      its own transaction's updates, squashed. *)
-  let primary = Primary.create () in
-  let db = Primary.db primary in
-  let prop = Propagation.create (Primary.wal primary) in
+  let db = Fixtures.primary () in
+  let prop = Propagation.create (Mvcc.wal db) in
   let t1 = Mvcc.begin_txn db in
   let t2 = Mvcc.begin_txn db in
   Mvcc.write db t1 "k" (Some "from-1");
@@ -164,8 +160,8 @@ let test_propagation_interleaved_txns_isolated () =
     commits
 
 let test_propagation_order_is_log_order () =
-  let primary = Primary.create () in
-  let prop = Propagation.create (Primary.wal primary) in
+  let primary = Fixtures.primary () in
+  let prop = Propagation.create (Mvcc.wal primary) in
   let ts1 = update_at primary [ ("a", Some "1") ] in
   let ts2 = update_at primary [ ("b", Some "2") ] in
   check_bool "ts1 < ts2" true (Timestamp.compare ts1 ts2 < 0);
@@ -179,11 +175,11 @@ let test_propagation_order_is_log_order () =
   Alcotest.(check (list int)) "commit records in ts order" [ ts1; ts2 ] commits
 
 let test_propagation_cursor_position () =
-  let primary = Primary.create () in
-  let prop = Propagation.create (Primary.wal primary) in
+  let primary = Fixtures.primary () in
+  let prop = Propagation.create (Mvcc.wal primary) in
   ignore (update_at primary [ ("a", Some "1") ]);
   ignore (Propagation.poll prop);
-  check_int "cursor at log end" (Wal.length (Primary.wal primary))
+  check_int "cursor at log end" (Wal.length (Mvcc.wal primary))
     (Propagation.position prop)
 
 (* --- Secondary refresh (Algorithms 3.2/3.3) -------------------------------------- *)
@@ -195,7 +191,7 @@ let replicate_to_secondary records =
   sec
 
 let records_of primary =
-  Propagation.poll (Propagation.create (Primary.wal primary))
+  Propagation.poll (Propagation.create (Mvcc.wal primary))
 
 (* Refresher steps and head commits, the refresher first, until neither
    moves (the order [System.refresh_one] fires them in). Returns the
@@ -211,7 +207,7 @@ let drain sec =
   go 0
 
 let test_refresh_applies_updates () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   ignore (update_at primary [ ("x", Some "1") ]);
   ignore (update_at primary [ ("y", Some "2") ]);
   let sec = replicate_to_secondary (records_of primary) in
@@ -219,11 +215,11 @@ let test_refresh_applies_updates () =
   let db = Secondary.db sec in
   Alcotest.(check (list (pair string string)))
     "secondary state equals primary"
-    (Mvcc.committed_state (Primary.db primary))
+    (Mvcc.committed_state primary)
     (Mvcc.committed_state db)
 
 let test_refresh_sets_seq_dbsec () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   let ts = update_at primary [ ("x", Some "1") ] in
   let sec = replicate_to_secondary (records_of primary) in
   Alcotest.(check int) "initially zero" Timestamp.zero (Secondary.seq_dbsec sec);
@@ -232,13 +228,12 @@ let test_refresh_sets_seq_dbsec () =
     (Secondary.seq_dbsec sec)
 
 let test_refresh_abort_record () =
-  let primary = Primary.create () in
-  let db = Primary.db primary in
+  let db = Fixtures.primary () in
   let txn = Mvcc.begin_txn db in
   Mvcc.write db txn "x" (Some "junk");
   Mvcc.abort db txn;
-  ignore (update_at primary [ ("y", Some "ok") ]);
-  let sec = replicate_to_secondary (records_of primary) in
+  ignore (update_at db [ ("y", Some "ok") ]);
+  let sec = replicate_to_secondary (records_of db) in
   check_int "only the committed txn refreshes" 1 (drain sec);
   check_str_opt "aborted write never applied" None
     (Mvcc.read_at (Secondary.db sec)
@@ -248,7 +243,7 @@ let test_refresh_abort_record () =
 let test_refresher_blocks_start_on_pending () =
   (* Sequential primary txns: T1 commits before T2 starts. The refresher
      must not start R2 while R1's commit is pending (relationship 2). *)
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   ignore (update_at primary [ ("x", Some "1") ]);
   ignore (update_at primary [ ("y", Some "2") ]);
   let sec = replicate_to_secondary (records_of primary) in
@@ -274,8 +269,7 @@ let test_applicators_commit_in_primary_order () =
   (* Two concurrent primary txns with disjoint writesets: their refresh
      transactions run concurrently but must commit in primary commit order
      (relationship 3), even if the later one finishes its work first. *)
-  let primary = Primary.create () in
-  let db = Primary.db primary in
+  let db = Fixtures.primary () in
   let t1 = Mvcc.begin_txn db in
   let t2 = Mvcc.begin_txn db in
   Mvcc.write db t1 "x" (Some "t1");
@@ -283,7 +277,7 @@ let test_applicators_commit_in_primary_order () =
   Mvcc.write db t2 "y" (Some "t2");
   let ts1 = commit_exn db t1 in
   let ts2 = commit_exn db t2 in
-  let sec = replicate_to_secondary (records_of primary) in
+  let sec = replicate_to_secondary (records_of db) in
   (* Both starts arrive before both commits (concurrent txns), so the
      refresher dispatches two refresh transactions. *)
   let rec dispatch_all n =
@@ -308,7 +302,7 @@ let test_applicators_commit_in_primary_order () =
 let test_refresh_commit_order_matches_primary_random () =
   (* Randomized version of Lemma 3.3: whatever the interleaving of disjoint
      primary transactions, refresh commits occur in primary commit order. *)
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   for i = 1 to 20 do
     ignore (update_at primary [ (Printf.sprintf "k%d" i, Some (string_of_int i)) ])
   done;
@@ -316,8 +310,8 @@ let test_refresh_commit_order_matches_primary_random () =
   check_int "every commit refreshed" 20 (drain sec);
   check_int "every commit record's digest reached" (-1) (Secondary.diverged sec);
   check_bool "same state" true
-    (Mvcc.same_state (Primary.db primary)
-       ~at:(Mvcc.latest_commit_ts (Primary.db primary))
+    (Mvcc.same_state primary
+       ~at:(Mvcc.latest_commit_ts primary)
        (Secondary.db sec))
 
 let test_commit_without_start_rejected () =
@@ -334,7 +328,7 @@ let test_reseed_seq () =
   check_int "empty pending tail is the seed" 42 (Secondary.pending_tail sec)
 
 let test_commit_head_names_primary_txn () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   let ts = update_at primary [ ("x", Some "1") ] in
   let txn =
     match records_of primary with
@@ -394,8 +388,7 @@ let prop_refresh_ordering_relationships =
   in
   QCheck.Test.make ~name:"relationships 1-3 hold at refresh (Lemmas 3.1-3.3)"
     ~count:200 (QCheck.make gen) (fun overlaps ->
-      let primary = Primary.create () in
-      let db = Primary.db primary in
+      let db = Fixtures.primary () in
       (* Build a schedule: each transaction either commits before the next
          starts (sequential) or overlaps it (concurrent, disjoint keys). *)
       let stamps = ref [] in
@@ -427,7 +420,7 @@ let prop_refresh_ordering_relationships =
       let local = Hashtbl.create 16 in
       (* primary commit ts -> (local start, local commit) *)
       let sec = Secondary.create () in
-      List.iter (Secondary.enqueue sec) (records_of primary);
+      List.iter (Secondary.enqueue sec) (records_of db);
       (* Each dispatched refresh commits at once, the head of the pending
          queue; its local start is read off the queue just before. *)
       let rec drive () =
@@ -477,19 +470,16 @@ let test_exhaustive_interleavings () =
      dispatches and four commits interleave (14), then T5's. *)
   let build () =
     let sys = System.create ~guarantee:Session.Weak () in
-    let primary = Replica_set.primary (System.replica_set sys) in
-    let db = Primary.db primary in
+    let db = Replica_set.primary (System.replica_set sys) in
     let txns = List.map (fun _ -> Mvcc.begin_txn db) [ 1; 2; 3; 4 ] in
     List.iteri
       (fun i txn -> Mvcc.write db txn (Printf.sprintf "k%d" i) (Some "t"))
       txns;
     List.iter (fun txn -> ignore (commit_exn db txn)) txns;
-    ignore (update_at primary [ ("k0", Some "t5"); ("z", Some "t5") ]);
+    ignore (update_at db [ ("k0", Some "t5"); ("z", Some "t5") ]);
     System.replica_set sys
   in
-  let reference =
-    Mvcc.committed_state (Primary.db (Replica_set.primary (build ())))
-  in
+  let reference = Mvcc.committed_state (Replica_set.primary (build ())) in
   (* Run one path guided by [choices]; returns [`Done (commits, state)] when
      no move is enabled, or [`Need_choice n] when the guidance ran out at a
      point with [n] enabled moves. *)
@@ -1026,7 +1016,7 @@ let test_checker_weak_si_read_validation () =
 
 (* --- Completeness: the digest each commit record carries --------------------- *)
 
-let primary_commits primary = Fixtures.logged_commits (Primary.wal primary)
+let primary_commits primary = Fixtures.logged_commits (Mvcc.wal primary)
 
 (* A fresh secondary that refreshed [writesets] in order, as start and
    commit records of primary txns 0, 1, ..., the [i]th commit record
@@ -1045,7 +1035,7 @@ let refresh_forged ~digest writesets =
 let put_update key value = { Wal.key; value = Some value }
 
 let test_checker_completeness_positive_negative () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   ignore (update_at primary [ ("a", Some "1") ]);
   ignore (update_at primary [ ("b", Some "2") ]);
   let digests = Array.of_list (List.map (fun (_, _, d) -> d) (primary_commits primary)) in
@@ -1064,7 +1054,7 @@ let test_checker_completeness_positive_negative () =
   check_int "a forged digest" 1 (verdict ~digest:(fun i -> digest i + i) [ a; b ])
 
 let test_checker_completeness_secondary_ahead () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   ignore (update_at primary [ ("a", Some "1") ]);
   (* A writeset the primary never committed, shipped as if it left the
      primary's state as it is. *)
@@ -1115,7 +1105,7 @@ let completeness_case_gen =
     (triple mutation (int_range 0 6) (opt (int_range 0 8)))
 
 type completeness_case = {
-  primary : Primary.t;
+  primary : Mvcc.t;
   installed : Wal.update list list;
   replay : Wal.update list list;
   secondary : Secondary.t;
@@ -1123,7 +1113,7 @@ type completeness_case = {
 }
 
 let build_completeness_case ((commits, prefix), (mutation, at, vacuum)) =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   List.iter (fun ws -> ignore (update_at primary ws)) commits;
   let recorded = primary_commits primary in
   let installed = List.map (fun (_, updates, _) -> updates) recorded in
@@ -1155,10 +1145,10 @@ let build_completeness_case ((commits, prefix), (mutation, at, vacuum)) =
   in
   let vacuumed =
     match Option.bind vacuum (List.nth_opt recorded) with
-    | Some (before, _, _) -> Mvcc.vacuum (Primary.db primary) ~before
+    | Some (before, _, _) -> Mvcc.vacuum primary ~before
     | None -> 0
   in
-  let final = Mvcc.digest (Primary.db primary) in
+  let final = Mvcc.digest primary in
   let digest i =
     match List.nth_opt recorded i with Some (_, _, d) -> d | None -> final
   in
@@ -1169,7 +1159,7 @@ let prop_completeness_matches_oracle =
     (QCheck.make completeness_case_gen)
     (fun case ->
       let c = build_completeness_case case in
-      let primary = Primary.db c.primary and secondary = Secondary.db c.secondary in
+      let primary = c.primary and secondary = Secondary.db c.secondary in
       Secondary.diverged c.secondary = prefix_oracle ~installed:c.installed c.replay
       && Mvcc.same_state primary ~at:(Mvcc.latest_commit_ts primary) secondary
          = (Mvcc.committed_state primary = Mvcc.committed_state secondary))
@@ -1835,7 +1825,7 @@ let test_double_install_caught_without_history () =
   update "b";
   settle ();
   Alcotest.(check (list string)) "clean before" [] (fst (Replica_set.check rs));
-  let wal = Primary.wal (Replica_set.primary rs) in
+  let wal = Mvcc.wal (Replica_set.primary rs) in
   let first = Wal.txn (Wal.entry wal 0) in
   Secondary.enqueue (Replica_set.secondary rs 0) (Wal.entry wal 0);
   Secondary.enqueue (Replica_set.secondary rs 0) (Wal.entry wal 1);
@@ -1887,7 +1877,7 @@ let test_recovery_shares_keys () =
   in
   List.iter update [ "a"; "b"; "c" ];
   settle ();
-  let primary = Primary.db (Replica_set.primary rs) in
+  let primary = Replica_set.primary rs in
   let keys = Mvcc.key_count primary in
   check_int "three keys" 3 keys;
   ignore (Replica_set.fire rs (Replica_set.Crash 1));

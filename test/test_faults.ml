@@ -381,8 +381,8 @@ type backup = { state : string; ts : Timestamp.t }
 
 let backup primary =
   {
-    state = Mvcc.serialize (Primary.db primary);
-    ts = Mvcc.latest_commit_ts (Primary.db primary);
+    state = Mvcc.serialize primary;
+    ts = Mvcc.latest_commit_ts primary;
   }
 
 (* Start/commit pairs of the transactions whose commit lies beyond the
@@ -418,7 +418,7 @@ let settle sec =
    truncation point cannot be recovered from. *)
 let restore ~primary b =
   let fresh = Secondary.create ~db:(Mvcc.restore b.state) ~seq:b.ts () in
-  let records = Propagation.poll (Propagation.create (Primary.wal primary)) in
+  let records = Propagation.poll (Propagation.create (Mvcc.wal primary)) in
   List.iter (Secondary.enqueue fresh) (replay_filter ~after:b.ts records);
   settle fresh;
   fresh
@@ -428,9 +428,9 @@ let update_primary primary writes =
       List.iter (fun (k, v) -> Mvcc.write db txn k v) writes)
 
 let test_recovery_stale_backup_converges () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   let live = Secondary.create () in
-  let prop = Propagation.create (Primary.wal primary) in
+  let prop = Propagation.create (Mvcc.wal primary) in
   let feed () =
     List.iter (Secondary.enqueue live) (Propagation.poll prop);
     settle live
@@ -440,19 +440,18 @@ let test_recovery_stale_backup_converges () =
   feed ();
   (* Checkpoint mid-stream, with one transaction still in flight: its start
      record precedes the backup point, its commit follows it. *)
-  let pdb = Primary.db primary in
-  let inflight = Mvcc.begin_txn pdb in
-  Mvcc.write pdb inflight "z" (Some "9");
+  let inflight = Mvcc.begin_txn primary in
+  Mvcc.write primary inflight "z" (Some "9");
   let b = backup primary in
-  (match Mvcc.commit pdb inflight with
+  (match Mvcc.commit primary inflight with
   | Mvcc.Committed _ -> ()
   | Mvcc.Aborted _ -> Alcotest.fail "in-flight commit failed");
   (* Post-backup traffic: overwrites, a delete, and an abort. *)
   ignore (update_primary primary [ ("y", Some "3"); ("w", Some "4") ]);
   ignore (update_primary primary [ ("x", None) ]);
-  let doomed = Mvcc.begin_txn pdb in
-  Mvcc.write pdb doomed "x" (Some "ghost");
-  Mvcc.abort pdb doomed;
+  let doomed = Mvcc.begin_txn primary in
+  Mvcc.write primary doomed "x" (Some "ghost");
+  Mvcc.abort primary doomed;
   feed ();
   (* The crashed replica rebuilds from the stale backup + full log replay. *)
   let recovered = restore ~primary b in
@@ -461,7 +460,7 @@ let test_recovery_stale_backup_converges () =
     = Mvcc.committed_state (Secondary.db live));
   check_bool "state equals the primary state" true
     (Mvcc.committed_state (Secondary.db recovered)
-    = Mvcc.committed_state pdb);
+    = Mvcc.committed_state primary);
   check_int "seq(DBsec) equals the uncrashed replica's"
     (Secondary.seq_dbsec live)
     (Secondary.seq_dbsec recovered);
@@ -471,7 +470,7 @@ let test_recovery_stale_backup_converges () =
     (Secondary.diverged recovered)
 
 let test_recovery_without_new_commits_keeps_seq () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   ignore (update_primary primary [ ("x", Some "1") ]);
   let b = backup primary in
   let recovered = restore ~primary b in
@@ -479,7 +478,7 @@ let test_recovery_without_new_commits_keeps_seq () =
     (Secondary.seq_dbsec recovered);
   check_bool "state is the backup state" true
     (Mvcc.committed_state (Secondary.db recovered)
-    = Mvcc.committed_state (Primary.db primary))
+    = Mvcc.committed_state primary)
 
 (* A recovered copy that lags behind an update nobody pumped yet is no
    divergence: it is audited against the primary only once refreshed up
@@ -509,11 +508,11 @@ let test_recovered_site_may_lag () =
   check "caught-up recovered site"
 
 let test_recovery_truncated_log_fails_loudly () =
-  let primary = Primary.create () in
+  let primary = Fixtures.primary () in
   ignore (update_primary primary [ ("x", Some "1") ]);
   let b = backup primary in
   ignore (update_primary primary [ ("x", Some "2") ]);
-  Wal.truncate_before (Primary.wal primary) (Wal.length (Primary.wal primary));
+  Wal.truncate_before (Mvcc.wal primary) (Wal.length (Mvcc.wal primary));
   check_bool "replay over a truncated log raises" true
     (try
        ignore (restore ~primary b);

@@ -881,18 +881,28 @@ let test_present_key_reads_allocate_nothing () =
   if words >= 64. then
     Alcotest.failf "20k reads of present keys allocated %.0f words" words
 
-(* What a column whose slots [0, ids) were set adds to an empty one: chunks
-   of 1,024 slots, one header each, behind an array of at least 8 chunk
-   pointers, all allocated at the first set. *)
+(* What a column whose slots [0, ids) were set adds to an empty one:
+   chunks of 1,024 slots, one header each, behind an array of at least 8
+   chunk pointers. Chunk 0 alone starts at 8 slots and doubles until it
+   holds slot [ids - 1] or reaches full size. *)
 let chunk_slots = 1_024
+
+let rec first_chunk_slots ?(slots = 8) ids =
+  if slots >= ids then slots else first_chunk_slots ~slots:(2 * slots) ids
 
 let column_words ids =
   let chunks = (ids + chunk_slots - 1) / chunk_slots in
-  if chunks = 0 then 0 else 1 + Int.max 8 chunks + (chunks * (1 + chunk_slots))
+  if chunks = 0 then 0
+  else
+    1 + Int.max 8 chunks
+    + (1 + first_chunk_slots (Int.min ids chunk_slots))
+    + ((chunks - 1) * (1 + chunk_slots))
 
-(* The dictionary's table starts at 1,024 slots and doubles once more than
+(* The dictionary's table starts at 8 slots and doubles once more than
    half of them are taken. *)
-let rec table_slots ?(slots = 1_024) keys =
+let initial_table_slots = 8
+
+let rec table_slots ?(slots = initial_table_slots) keys =
   if 2 * keys > slots then table_slots ~slots:(2 * slots) keys else slots
 
 let option_words = 2 (* header, the value string *)
@@ -916,8 +926,8 @@ let test_unscanned_store_footprint () =
   let db = Mvcc.create () in
   let reachable () = Obj.reachable_words (Obj.repr db) in
   (* The store's fixed part: everything an empty store reaches but its
-     dictionary's empty 1,024-slot table. *)
-  let fixed = reachable () - (1 + 1_024) in
+     dictionary's empty table. *)
+  let fixed = reachable () - (1 + initial_table_slots) in
   let words_of s = Obj.reachable_words (Obj.repr s) in
   let string_words = ref (Array.fold_left (fun acc k -> acc + words_of k) 0 key) in
   let install count =
@@ -947,6 +957,18 @@ let test_unscanned_store_footprint () =
   let (_ : string Seq.t) = Mvcc.keys_from db "" in
   check_int "words once scanned" (unscanned + (keys * set_node_words)) (reachable ())
 
+(* A store holding one key is small: each of its columns and its private
+   dictionary's names hold an 8-slot chunk behind an 8-slot directory, and
+   the dictionary's table has 8 slots. It reached 4,174 words while a
+   column's first set allocated a whole 1,024-slot chunk and the table
+   started at 1,024 slots. *)
+let test_one_key_store_footprint () =
+  let db = Mvcc.create () in
+  let txn = Mvcc.begin_txn db in
+  Mvcc.write db txn "k" (Some "v");
+  ignore (commit_exn db txn);
+  check_int "words of a one-key store" 110 (Obj.reachable_words (Obj.repr db))
+
 (* Stores holding copies of one database share its key dictionary: each
    pays its newest-ts and newest-value columns (it holds no older version),
    and the table, the names and the key strings exist once. *)
@@ -970,7 +992,7 @@ let test_shared_dictionary_footprint () =
       ignore (commit_exn db txn))
     dbs;
   List.iter (fun db -> check_int "one dictionary" keys (Mvcc.key_count db)) dbs;
-  let dictionary = table_slots keys - 1_024 + column_words keys in
+  let dictionary = table_slots keys - initial_table_slots + column_words keys in
   check_int "words of four stores"
     (empty + dictionary + (stores * 2 * column_words keys) + shared)
     (reachable ())
@@ -1874,6 +1896,8 @@ let () =
             test_present_key_reads_allocate_nothing;
           Alcotest.test_case "unscanned store footprint" `Quick
             test_unscanned_store_footprint;
+          Alcotest.test_case "one-key store footprint" `Quick
+            test_one_key_store_footprint;
           Alcotest.test_case "stores sharing a dictionary pay it once" `Quick
             test_shared_dictionary_footprint;
           Alcotest.test_case "serialize/restore roundtrip" `Quick
