@@ -546,13 +546,14 @@ let finish_aborted t u =
   record_update t u ~id ~finished ~snapshot:Timestamp.zero
     ~commit:History.aborted ~writes:[]
 
-let read_threshold ?fence t ~session =
-  Session.read_threshold ?fence t.sessions ~clock:t.clock ~now:(t.now ())
-    ~label:session
+let fence_floor ?fence t = Session.fence_floor ?fence t.clock ~now:(t.now ())
+
+let read_threshold ?fence t ~session ~floor =
+  Session.read_threshold ?fence t.sessions ~label:session ~floor
 
 let begin_read ?fence ?read_at t ~session ~site ~required =
   (* Taken before the read raises its session's floor. *)
-  let fence_seq = match fence with None -> -1 | Some _ -> required () in
+  let fence_seq = match fence with None -> -1 | Some _ -> required in
   let replica = t.sites.(site).replica in
   let snapshot = Secondary.seq_dbsec replica in
   let age, missed = Session.clock_freshness t.clock ~snapshot ~now:(t.now ()) in

@@ -221,16 +221,22 @@ val finish_aborted : t -> txn -> unit
     watchdog drops its hold on the session's floors. *)
 val abandon : t -> txn -> unit
 
+(** The part of a read's fence resolved when it is submitted now, on the
+    commit clock ({!Session.fence_floor}). *)
+val fence_floor : ?fence:Session.fence -> t -> Timestamp.t
+
 (** The live seq(DBsec) threshold of a read-only transaction of [session]
-    submitted now ({!Session.read_threshold}). *)
+    whose fence resolved to [floor] ({!Session.read_threshold}). *)
 val read_threshold :
-  ?fence:Session.fence -> t -> session:string -> unit -> Timestamp.t
+  ?fence:Session.fence -> t -> session:string -> floor:Timestamp.t ->
+  Timestamp.t
 
 (** A read-only transaction of [session] submitted at [read_at] (by
-    default now) with threshold [required] starts at secondary [site] (its
-    index). Its snapshot is the site's seq(DBsec) now; its fence floor is
-    [required ()] when fenced ([-1] otherwise), taken before the session's
-    read floor rises as the guarantee and fence require. The snapshot's freshness on
+    default now), whose threshold [required] the site has reached, starts
+    at secondary [site] (its index). Its snapshot is the site's seq(DBsec)
+    now; its fence floor is [required] when fenced ([-1] otherwise), taken
+    before the session's read floor rises as the guarantee and fence
+    require. The snapshot's freshness on
     the commit clock — [age], how old its newest reflected primary commit
     is (0 when caught up), and [missed], the primary commits it does not
     reflect — goes to the driver's [on_read] hook and, with a registry
@@ -238,7 +244,7 @@ val read_threshold :
     site's replica; {!handle} serves it. *)
 val begin_read :
   ?fence:Session.fence -> ?read_at:float -> t -> session:string -> site:int ->
-  required:(unit -> Timestamp.t) -> txn
+  required:Timestamp.t -> txn
 
 (** The read finished: its MVCC transaction ends, the flight recorder notes
     it with its fence floor, the watchdog judges it and the history records

@@ -173,12 +173,17 @@ let guarantee_required_seq t ~label =
   | Prefix_consistent -> seq t label
   | Strong_session | Strong -> Timestamp.max (seq t label) (read_floor t label)
 
-let read_threshold ?fence t ~clock ~now ~label =
-  let fenced b () = Timestamp.max (guarantee_required_seq t ~label) b in
+let fence_floor ?fence clock ~now =
   match fence with
-  | None -> fun () -> guarantee_required_seq t ~label
+  | Some (Exact b) -> b
+  | Some (Max_age d) -> clock_horizon clock ~cutoff:(now -. d)
+  | None | Some Session_seq -> Timestamp.zero
+
+let read_threshold ?fence t ~label ~floor =
+  match fence with
+  | None -> guarantee_required_seq t ~label
   | Some Session_seq ->
     (* Never below the guarantee's part, whatever the guarantee. *)
-    fun () -> Timestamp.max (seq t label) (read_floor t label)
-  | Some (Exact b) -> fenced b
-  | Some (Max_age d) -> fenced (clock_horizon clock ~cutoff:(now -. d))
+    Timestamp.max (seq t label) (read_floor t label)
+  | Some (Exact _ | Max_age _) ->
+    Timestamp.max (guarantee_required_seq t ~label) floor

@@ -127,27 +127,25 @@ val note_update_commit : t -> label:string -> commit_ts:Timestamp.t -> unit
     [Session_seq] fence (no-op otherwise). *)
 val note_read : ?fence:fence -> t -> label:string -> snapshot:Timestamp.t -> unit
 
-(** [read_threshold ?fence t ~clock ~now ~label] is the live threshold of
-    a read-only transaction from session [label] submitted at [now]: each
-    call returns the smallest [seq(DBsec)] at which it may start, the [max]
-    of the guarantee's part
+(** [fence_floor ?fence clock ~now] is the part of a fence resolved once,
+    when its read is submitted at [now], so blocking does not move it:
+    [Exact ts] is [ts], [Max_age d] the horizon of [clock] at [now - d]
+    (the Minnal per-statement visibility horizon [B]), and no fence or
+    [Session_seq] is [Timestamp.zero]. *)
+val fence_floor : ?fence:fence -> clock -> now:float -> Timestamp.t
+
+(** [read_threshold ?fence t ~label ~floor] is the live threshold of a
+    read-only transaction from session [label] whose fence resolved to
+    [floor] ({!fence_floor}): the smallest [seq(DBsec)] at which it may
+    start, the [max] of the guarantee's part
     - [Weak]: [Timestamp.zero] (never waits);
     - [Prefix_consistent]: [seq(c)];
     - [Strong_session] / [Strong]: [max (seq c) (read_floor c)];
 
-    and the fence's part. An [Exact] or [Max_age] fence is resolved here,
-    once: [Max_age d] against [clock] at [now - d], the Minnal
-    per-statement visibility horizon [B], so blocking does not move the
-    target. The guarantee's part and a [Session_seq] fence's part
-    ([max (seq c) (read_floor c)]) are read at each call: under a shared
-    session label they can rise while the read waits. Monotone in time,
-    which lets blocked readers wait on a threshold queue instead of
-    re-polling. *)
+    and the fence's part: [floor] for [Exact] and [Max_age], and
+    [max (seq c) (read_floor c)] for [Session_seq]. The session's parts
+    are read at each call: under a shared session label they can rise
+    while the read waits. Monotone in time, which lets blocked readers
+    wait on a threshold queue instead of re-polling. *)
 val read_threshold :
-  ?fence:fence ->
-  t ->
-  clock:clock ->
-  now:float ->
-  label:string ->
-  unit ->
-  Timestamp.t
+  ?fence:fence -> t -> label:string -> floor:Timestamp.t -> Timestamp.t

@@ -172,6 +172,7 @@ let run_read ?fence t client ~required body =
 
 let threshold ?fence t client =
   Replica_set.read_threshold ?fence t.core ~session:client.label
+    ~floor:(Replica_set.fence_floor ?fence t.core)
 
 (* Bound on pump rounds in a blocked read. Each pump drives the fault
    channels to quiescence, so commits already in the primary log arrive in
@@ -182,9 +183,8 @@ let max_read_pumps = 4
 let read ?fence t client body =
   if is_crashed t client.secondary then
     raise (Secondary_down { secondary = client.secondary });
-  let required = threshold ?fence t client in
   (* Nothing moves seq(c) while a blocked read pumps: the target stays. *)
-  let target = required () in
+  let target = threshold ?fence t client in
   (* A pump never replaces a live site's replica. *)
   let sec = secondary t client.secondary in
   let satisfied () = Timestamp.compare target (Secondary.seq_dbsec sec) <= 0 in
@@ -210,7 +210,7 @@ let read ?fence t client body =
              pumps = !pumps;
            })
   end;
-  run_read ?fence t client ~required body
+  run_read ?fence t client ~required:target body
 
 let read_nowait ?fence t client body =
   (* A crashed target is "cannot serve this read now" — the [None] case of
@@ -219,7 +219,7 @@ let read_nowait ?fence t client body =
   else
     let required = threshold ?fence t client in
     let sec = secondary t client.secondary in
-    if Timestamp.compare (required ()) (Secondary.seq_dbsec sec) <= 0 then
+    if Timestamp.compare required (Secondary.seq_dbsec sec) <= 0 then
       Some (run_read ?fence t client ~required body)
     else None
 

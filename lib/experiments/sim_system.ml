@@ -123,6 +123,20 @@ type sec_site = {
                                 commit; blocked readers wait on their
                                 session's required seq, so a commit pays
                                 only for the readers it actually unblocks *)
+  (* A parked read is a row of these columns, reused through a free list
+     threaded through [sizes]: its session's label, its fence and the
+     floor that resolved to at arrival, its size, key stream (8 bytes in
+     the bank [streams]), arrival time and continuation. *)
+  labels : string Column.t;
+  fences : Session.fence option Column.t;
+  floors : Timestamp.t Column.t;
+  sizes : int Column.t;
+  mutable streams : Bytes.t;
+  t0s : float Column.t;
+  ks : (unit -> unit) Column.t;
+  mutable rows : int;  (* rows ever used *)
+  mutable free : int;  (* the first free row, -1 when none is *)
+  mutable wake_read : unit -> unit;  (* runs or re-parks row [Engine.arg] *)
   commit_order : Seqcond.t;  (* seq(DBsec) again, advanced after the commit
                                 hook advanced [session_cond], so the readers
                                 a commit releases run first; applicators
@@ -152,7 +166,11 @@ let make_site eng rs session_conds index =
   { index;
     res = Resource.create ~name:(Replica_set.site_name rs index) eng;
     session_cond = session_conds.(index); commit_order;
-    refresher_idle = false; last_delivery = 0. }
+    labels = Column.make ""; fences = Column.make None;
+    floors = Column.make Timestamp.zero; sizes = Column.make 0;
+    streams = Bytes.empty; t0s = Column.make 0.; ks = Column.make ignore;
+    rows = 0; free = -1;
+    wake_read = ignore; refresher_idle = false; last_delivery = 0. }
 
 (* The site's current replica, read through [rs] at each use. *)
 let secondary st site = Replica_set.secondary st.rs site.index
@@ -308,10 +326,10 @@ let execute_update st rng label ops ~t0 k =
   attempt ()
 
 (* A read submitted at [t0], from its snapshot to its completion, then
-   [k ()]; run once the site's seq(DBsec) has reached [required ()]. Its
+   [k ()]; run once the site's seq(DBsec) has reached [required]. Its
    [size] keys are drawn from [keys] as its operations run. *)
 let run_read ?fence st site label ~size ~keys ~required ~t0 k =
-  (* Begun in the event that found [required ()] reached: the watchdog's
+  (* Begun in the event that found [required] reached: the watchdog's
      captured floors equal the post-hoc sweep's floors at the first
      operation, and the fence floor is taken with the snapshot, as a pooled
      session's floor can rise while the operations run. The snapshot's
@@ -329,20 +347,63 @@ let run_read ?fence st site label ~size ~keys ~required ~t0 k =
       note_completion st ~t0 ~is_update:false;
       k ())
 
-(* A read submitted at [t0], the current instant, then [k ()]. *)
+(* A free row of the site's parked reads, or a new one. *)
+let parked_row site =
+  let i = site.free in
+  if i >= 0 then begin
+    site.free <- Column.get site.sizes i;
+    i
+  end
+  else begin
+    let i = site.rows in
+    site.rows <- i + 1;
+    let bytes = Bytes.length site.streams in
+    if 8 * site.rows > bytes then
+      site.streams <- Bytes.extend site.streams 0 (max 64 bytes);
+    i
+  end
+
+(* The release of the site's parked read in row [Engine.arg]: its
+   threshold may have risen since it parked, so it parks again under a new
+   registration or frees its row and runs the rest of the read. *)
+let wake_read st site () =
+  let i = Engine.arg st.eng in
+  let fence = Column.get site.fences i and label = Column.get site.labels i in
+  let floor = Column.get site.floors i in
+  let need = Replica_set.read_threshold ?fence st.rs ~session:label ~floor in
+  if need > Seqcond.level site.session_cond then
+    Seqcond.wait site.session_cond ~need ~arg:i site.wake_read
+  else begin
+    let size = Column.get site.sizes i and keys = Rng.load site.streams i in
+    let t0 = Column.get site.t0s i and k = Column.get site.ks i in
+    Column.set site.ks i ignore;
+    Column.set site.sizes i site.free;
+    site.free <- i;
+    let now = Engine.now st.eng in
+    Metrics.note_block st.metrics ~now ~wait:(now -. t0);
+    run_read ?fence st site label ~size ~keys ~required:need ~t0 k
+  end
+
+(* A read submitted at [t0], the current instant, then [k ()]. Its
+   threshold is read once here; a read that must wait parks as a row of
+   the site's columns, and the commit that satisfies it runs the rest. *)
 let execute_read ?fence st site label ~size ~keys ~t0 k =
   if Option.is_some fence then Metrics.note_fenced_read st.metrics;
-  let required = Replica_set.read_threshold ?fence st.rs ~session:label in
-  let seq_dbsec = Secondary.seq_dbsec (secondary st site) in
-  if Timestamp.compare (required ()) seq_dbsec <= 0 then
-    run_read ?fence st site label ~size ~keys ~required ~t0 k
-  else
-    (* A read that must wait parks in the site's threshold queue; the
-       commit that satisfies it runs the rest of the read. *)
-    Seqcond.park site.session_cond ~threshold:required (fun () ->
-        let now = Engine.now st.eng in
-        Metrics.note_block st.metrics ~now ~wait:(now -. t0);
-        run_read ?fence st site label ~size ~keys ~required ~t0 k)
+  let floor = Replica_set.fence_floor ?fence st.rs in
+  let need = Replica_set.read_threshold ?fence st.rs ~session:label ~floor in
+  if need <= Secondary.seq_dbsec (secondary st site) then
+    run_read ?fence st site label ~size ~keys ~required:need ~t0 k
+  else begin
+    let i = parked_row site in
+    Column.set site.labels i label;
+    Column.set site.fences i fence;
+    Column.set site.floors i floor;
+    Column.set site.sizes i size;
+    Rng.save keys site.streams i;
+    Column.set site.t0s i t0;
+    Column.set site.ks i k;
+    Seqcond.wait site.session_cond ~need ~arg:i site.wake_read
+  end
 
 (* The fence for one read, drawn from the run's fence policy. [All_reads]
    draws nothing from the rng, so a run with [All_reads Session_seq] under
@@ -723,6 +784,7 @@ let run ?history cfg =
       label_counter = 0;
     }
   in
+  Array.iter (fun site -> site.wake_read <- wake_read st site) st.sites;
   let root = Rng.create cfg.seed in
   Monitor.attach cfg.monitor eng ~probe:(monitor_probe st);
   Engine.every eng p.Params.propagation_delay (propagate st);

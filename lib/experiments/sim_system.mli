@@ -13,9 +13,13 @@
     [Refresh], [Commit]), timed by the service, delay or tick it models. Every wait is a continuation: a
     transaction's goes to {!Lsr_sim.Resource.use} as one job for all its
     operations (as exact under processor sharing as one per operation), a
-    blocked read or refresh commit parks one in a {!Lsr_sim.Seqcond}
-    threshold queue, and the periodic parts are {!Lsr_sim.Engine.after}
-    timer chains. A parked read holds its position in its random stream,
+    refresh commit parks one in a {!Lsr_sim.Seqcond} threshold queue, and
+    the periodic parts are {!Lsr_sim.Engine.after} timer chains. A blocked
+    read is a row of its site's columns (its session's label, its fence
+    and the floor that resolved to at arrival, its size, its key stream's
+    8 bytes in a bank, its arrival time and its continuation) and waits in
+    the site's queue under its row's index, which the release hands to the
+    site's one wake action. It holds its position in its random stream,
     not its operations: it draws its keys when it runs
     ({!Lsr_workload.Txn_gen.draw}).
 

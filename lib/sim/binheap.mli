@@ -1,7 +1,7 @@
 (** Array-backed binary min-heap, ordered by a user-supplied comparison.
 
-    Used by {!Resource} for processor-sharing jobs and by {!Seqcond} for
-    threshold waiters. The heap is a mutable
+    Used by {!Resource} for processor-sharing jobs and by {!Engine} for
+    cancelled events. The heap is a mutable
     structure; all operations are amortized O(log n) except [peek] which is
     O(1). *)
 

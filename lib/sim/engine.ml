@@ -5,11 +5,10 @@
 type handle = { at : float; id : int; mutable cancelled : bool }
 
 (* Pending events live in two queues. Events scheduled with [delay = 0.]
-   (finished jobs' continuations, released waiters and chain starts, about
-   half of all events in a typical run) go
-   into the ring, a FIFO: each is stamped with the current time and the next
-   seq, and the clock never runs backwards, so the ring is already sorted by
-   (time, seq). Every other event, and every [after_arg] event, goes into
+   (finished jobs' continuations and chain starts; a released {!Seqcond}
+   waiter is an [after_arg] event) go into the ring, a FIFO: each is
+   stamped with the current time and the next seq, and the clock never
+   runs backwards, so the ring is already sorted by (time, seq). Every other event, and every [after_arg] event, goes into
    the heap, a monomorphic 4-ary min-heap inlined here rather than an
    instance of the generic {!Binheap}.
    The next event to fire is the earlier of the two heads, so the order is

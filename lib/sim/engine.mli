@@ -9,10 +9,9 @@
     Pending events with a positive delay wait in a 4-ary min-heap whose
     (time, seq) keys are stored unboxed beside the events, so ordering them
     reads no event record. Events scheduled with [delay = 0.] (a finished
-    job's continuation, a released waiter, the start of an {!every} chain)
-    skip the heap: they wait in a FIFO lane that is already in (time, seq)
-    order, and each step fires the earlier of the lane's head and the
-    heap's top. Neither structure changes the order: the firing sequence is
+    job's continuation, the start of an {!every} chain) skip the heap: they
+    wait in a FIFO lane that is already in (time, seq) order, and each
+    step fires the earlier of the lane's head and the heap's top. Neither structure changes the order: the firing sequence is
     exactly that of a single (time, seq) priority queue.
 
     A pending event costs its queue slot and nothing else: three words

@@ -3,7 +3,7 @@
     which {!delay} advances virtual time.
 
     The simulator itself runs no process: every wait in it is a
-    continuation passed to {!Resource.use}, {!Seqcond.park} or
+    continuation or action passed to {!Resource.use}, {!Seqcond} or
     {!Engine.after}. This module is kept only for the benchmark's client
     replay, which parks each modeled client as a fiber in {!delay}. *)
 

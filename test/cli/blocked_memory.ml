@@ -1,7 +1,8 @@
 (* Memory guard for reads blocked on seq(c) under strong session SI: a
-   read that must wait for its site to catch up must park as a
-   continuation in the site's threshold queue, not hold a suspended
-   process (an OCaml 5 fiber and its stack) while it waits. Runs 2 sites
+   read that must wait for its site to catch up must park as a row of its
+   site's columns and a four-slot waiter in the site's threshold queue,
+   not hold a closure, let alone a suspended process (an OCaml 5 fiber
+   and its stack), while it waits. Runs 2 sites
    x 100k open-loop clients for 1 virtual second over a pool of 1,024
    sessions per site, with a 0.5 s propagation cycle, so that thousands
    of reads are parked at once (a pooled session's seq(c) keeps rising,
@@ -16,7 +17,10 @@
    later 2-vCPU guest, 3 runs each: about 3,200 B (16.6 MB) while a
    parked read held its generated operations, about 2,250 B (11.7 MB)
    once it holds a copy of its random stream and draws its keys when it
-   runs. The bound sits between those two.
+   runs. On a later 2-vCPU guest, 3 runs each: about 2,020 B while a
+   parked read was a waiter record with a threshold closure and a
+   continuation closure, about 1,795 B once it is a row of its site's
+   columns. The bound is that reading plus about 10%.
 
    Prints a skip line and exits 0 where /proc/self/status is unreadable;
    [-v] prints the figure on success too. *)
@@ -25,7 +29,7 @@ open Lsr_core
 open Lsr_workload
 module Sim = Lsr_experiments.Sim_system
 
-let bound_bytes = 2800.
+let bound_bytes = 1950.
 
 let () =
   let clients = 100_000 in

@@ -30,9 +30,9 @@
    open transaction, truncates the log or vacuums a store. The log has one writer and one reader: only
    [Mvcc] appends to it, and squashes a writeset, once per commit, into
    the commit record that is shipped as it is; only [Propagation] reads
-   it. No simulated process is a fiber: every wait passes
-   a continuation to [Resource.use], a [Seqcond] threshold queue or a
-   timer, so no library module but [Process] itself names [Process] or
+   it. No simulated process is a fiber: every wait passes a continuation
+   to [Resource.use] or a timer, or an action to a [Seqcond] threshold
+   queue, so no library module but [Process] itself names [Process] or
    [Effect]. A postmortem capture has three triggers: the watchdog's first
    alert, the first refresh commit whose digest differs from its record's
    ([Replica_set.fire]) and the simulator's failed checker battery.
@@ -80,7 +80,7 @@ let rules =
         "Session.clock_freshness"; "Session.clock_time_of" ] );
     ( [ "replica_set.ml" ],
       "Replica_set",
-      [ "Session.read_threshold"; "Session.note_read";
+      [ "Session.fence_floor"; "Session.read_threshold"; "Session.note_read";
         "Session.note_update_commit"; "Session.clock_note" ] );
     ( [ "replica_set.ml" ],
       "Replica_set.fire",

@@ -11,7 +11,8 @@ let check_bool = Alcotest.(check bool)
 
 (* The read's threshold as a driver evaluates it at submission. *)
 let required ?fence ?(clock = Session.clock_create ()) ?(now = 0.) mgr ~label =
-  Session.read_threshold ?fence mgr ~clock ~now ~label ()
+  Session.read_threshold ?fence mgr ~label
+    ~floor:(Session.fence_floor ?fence clock ~now)
 
 let may_read ?fence mgr ~label ~seq_dbsec =
   Timestamp.compare (required ?fence mgr ~label) seq_dbsec <= 0
@@ -754,10 +755,9 @@ let test_fence_max_age_threshold () =
   (* The horizon is resolved at submission; the guarantee's part stays
      live. *)
   let mgr = Session.create Session.Prefix_consistent in
-  let threshold =
-    Session.read_threshold ~fence:(Session.Max_age 5.) mgr ~clock ~now:40.
-      ~label:"c"
-  in
+  let fence = Session.Max_age 5. in
+  let floor = Session.fence_floor ~fence clock ~now:40. in
+  let threshold () = Session.read_threshold ~fence mgr ~label:"c" ~floor in
   check_int "the horizon alone" 3 (threshold ());
   Session.note_update_commit mgr ~label:"c" ~commit_ts:9;
   check_int "the guarantee's part read at each call" 9 (threshold ())

@@ -556,13 +556,15 @@ let test_seqcond_immediate () =
 (* One seeded run of a pooled-session workload. Every virtual second [k]
    one control event raises some sessions' seq(c), advances the level and
    registers new waiters on random sessions, each waiting for its
-   session's current seq(c). [register eng sc id threshold k]
-   registers waiter [id], which must call [k] once released. Returns each
-   waiter's release instant and the run's release log, in run order. *)
-let seqcond_pool_run ~seed register =
+   session's current seq(c). [registrar eng sc] is the run's [register id
+   threshold k], which registers waiter [id]; the waiter must call [k] once
+   released. Returns each waiter's release instant and the run's release
+   log, in run order. *)
+let seqcond_pool_run ~seed registrar =
   let rng = Random.State.make [| seed |] in
   let eng = Engine.create () in
   let sc = Seqcond.create eng in
+  let register = registrar eng sc in
   let sessions = Array.make 4 0 in
   let released = Hashtbl.create 64 in
   let log = ref [] in
@@ -583,7 +585,7 @@ let seqcond_pool_run ~seed register =
       for _ = 1 to Random.State.int rng 4 do
         let id = !next_id and s = Random.State.int rng 4 in
         incr next_id;
-        register eng sc id (fun () -> sessions.(s)) (fun () ->
+        register id (fun () -> sessions.(s)) (fun () ->
             Hashtbl.replace released id (Engine.now eng);
             log := id :: !log)
       done;
@@ -595,33 +597,59 @@ let seqcond_pool_run ~seed register =
   check_int "every waiter released" !next_id (Hashtbl.length released);
   (released, List.rev !log)
 
+(* Row waiters carry [row_arg id], which falls as [id] rises, so a queue
+   that broke ties by argument instead of registration would run them in
+   the wrong order. It is its own inverse. *)
+let row_arg id = 1_000_000 - id
+
 let test_seqcond_matches_polling () =
   for seed = 1 to 20 do
-    (* Reference: a process per waiter that polls the level each second,
-       after that second's control event. *)
+    (* Reference: each waiter polls the level each second, after that
+       second's control event, in a chain of timers started by a zero-delay
+       event. *)
     let polled, _ =
       seqcond_pool_run ~seed (fun eng sc _ threshold k ->
-          Process.spawn eng (fun () ->
-              while threshold () > Seqcond.level sc do
-                Process.delay 1.
-              done;
-              k ()))
+          let rec poll () =
+            if threshold () > Seqcond.level sc then
+              Engine.after eng ~delay:1. poll
+            else k ()
+          in
+          Engine.after eng ~delay:0. poll)
     in
-    (* Parked: the threshold the queue saw at each waiter's latest
-       registration, and that registration's rank. *)
+    (* Parked: even waiters as rows sharing one action, odd ones as
+       closures. [keys] holds the need the queue saw at each waiter's
+       latest registration, and that registration's rank among both
+       kinds. *)
     let keys = Hashtbl.create 64 in
     let registrations = ref 0 in
+    let note id need =
+      Hashtbl.replace keys id (need, !registrations);
+      incr registrations
+    in
     let parked, log =
-      seqcond_pool_run ~seed (fun _ sc id threshold k ->
-          let threshold () =
+      seqcond_pool_run ~seed (fun eng sc ->
+          let rows = Hashtbl.create 64 in
+          let rec run id =
+            let threshold, k = Hashtbl.find rows id in
             let need = threshold () in
-            if need > Seqcond.level sc then begin
-              Hashtbl.replace keys id (need, !registrations);
-              incr registrations
-            end;
-            need
-          in
-          Seqcond.park sc ~threshold k)
+            if need <= Seqcond.level sc then k ()
+            else begin
+              note id need;
+              Seqcond.wait sc ~need ~arg:(row_arg id) wake
+            end
+          and wake () = run (row_arg (Engine.arg eng)) in
+          fun id threshold k ->
+            if id mod 2 = 0 then begin
+              Hashtbl.replace rows id (threshold, k);
+              run id
+            end
+            else
+              let threshold () =
+                let need = threshold () in
+                if need > Seqcond.level sc then note id need;
+                need
+              in
+              Seqcond.park sc ~threshold k)
     in
     Hashtbl.iter
       (fun id at ->
@@ -629,8 +657,9 @@ let test_seqcond_matches_polling () =
           (Printf.sprintf "seed %d: waiter %d released when polling sees it" seed id)
           (Hashtbl.find polled id) at)
       parked;
-    (* Waiters woken in the same instant run in threshold order, then
-       registration order; one released inline never registered. *)
+    (* Waiters woken in the same instant run in need order, then
+       registration order, whatever their kind; one released inline never
+       registered. *)
     let rec ordered = function
       | a :: (b :: _ as rest) ->
         (match (Hashtbl.find_opt keys a, Hashtbl.find_opt keys b) with
@@ -1215,6 +1244,59 @@ let test_engine_arg_timer_footprint () =
   Engine.run eng;
   check_int "each action read its own argument" (timers * (timers + 1) / 2) !sum
 
+(* Footprint guard for parked rows: a waiter of [Seqcond.wait] is four
+   flat slots (need, order, argument, action) and nothing else, when its
+   waiters share one action. [n] rows fill the queue's doubled columns
+   exactly, so its reachable words grow by 4 per row plus a header per
+   column, less the one-word empty array the four columns of an empty
+   queue share; the marginal words from [n] to [2n] rows are exactly 4 per
+   row.
+   At a filled capacity registering and releasing allocate nothing: firing
+   the released waiters costs what firing as many plain argument events
+   does. *)
+let test_seqcond_row_footprint () =
+  let eng = Engine.create () in
+  let sum = ref 0 in
+  let action () = sum := !sum + Engine.arg eng in
+  let filled n =
+    let sc = Seqcond.create eng in
+    let empty = Obj.reachable_words (Obj.repr (sc, action)) in
+    for i = 1 to n do
+      Seqcond.wait sc ~need:(i mod 7) ~arg:i action
+    done;
+    (sc, Obj.reachable_words (Obj.repr (sc, action)) - empty)
+  in
+  let n = 1024 in
+  let sc, words = filled n in
+  let _, words2 = filled (2 * n) in
+  check_int "4 words a row and a header a column" ((4 * n) + 4 - 1) words;
+  check_int "marginal words per row" 4 ((words2 - words) / n);
+  check_int "exact marginal" 0 ((words2 - words) mod n);
+  (* Release the filled queue once, so the engine's columns reach [n] as
+     well, then refill and release it measured. *)
+  Seqcond.advance sc 7;
+  Engine.run eng;
+  let fire_words () =
+    let before = Gc.minor_words () in
+    Engine.run eng;
+    Gc.minor_words () -. before
+  in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Seqcond.wait sc ~need:(8 + (i mod 7)) ~arg:i action
+  done;
+  Seqcond.advance sc 15;
+  Alcotest.(check (float 0.)) "wait and advance allocate nothing" 0.
+    (Gc.minor_words () -. before);
+  check_int "every row released" n (Engine.pending eng);
+  let released = fire_words () in
+  for i = 1 to n do
+    Engine.after_arg eng ~delay:0. ~arg:i action
+  done;
+  Alcotest.(check (float 0.)) "firing costs the engine's own events"
+    (fire_words ()) released;
+  check_int "each action read its own argument" (3 * n * (n + 1) / 2) !sum
+
 (* --- Suite ----------------------------------------------------------------------- *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -1252,6 +1334,8 @@ let () =
             test_engine_timer_footprint;
           Alcotest.test_case "argument timer footprint" `Quick
             test_engine_arg_timer_footprint;
+          Alcotest.test_case "parked row footprint" `Quick
+            test_seqcond_row_footprint;
           Alcotest.test_case "200k-event heap budget" `Slow
             test_engine_heap_budget;
         ]
