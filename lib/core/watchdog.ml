@@ -33,76 +33,23 @@ type verdict = {
 
 module Sessions = Hashtbl.Make (String)
 
-(* One key, as in [Mvcc]'s key cells: its hash, the next cell of its hash
-   bucket, the folded base value of every retired write, and the
-   committed-writer chain of the live ones, in commit-timestamp order, as a
-   window [lo, hi) over growable arrays. Retirement only ever drops the
-   oldest version, so the window slides forward and the dead prefix is
-   reclaimed by compaction once it dominates the array. A chain that
-   retirement empties gives its arrays back and keeps its base. *)
-type cell = {
-  key : string;
-  hash : int;
-  mutable next : cell;
-  mutable c_base : string option;
-  mutable c_ts : Timestamp.t array;
-  mutable c_v : string option array;
-  mutable c_lo : int;
-  mutable c_hi : int;
-}
+(* Versions live in a ring of chunks of [chunk_slots] slots, numbered in
+   commit order. Slot [j] of a chunk holds its version's commit timestamp,
+   the number of its key's previous version (-1 for none) and its key id
+   at [meta.(3 * j)], [+ 1] and [+ 2], and its value at [values.(j)]. *)
+let chunk_bits = 10
+let chunk_slots = 1 lsl chunk_bits
+let chunk_mask = chunk_slots - 1
 
-(* Ends every bucket and stands for a key never written: an empty chain
-   with an absent base. *)
-let rec no_cell =
-  { key = ""; hash = -1; next = no_cell; c_base = None; c_ts = [||];
-    c_v = [||]; c_lo = 0; c_hi = 0 }
+type chunk = { meta : int array; values : string option array }
 
-let chain_append c ts v =
-  let cap = Array.length c.c_ts in
-  if c.c_hi = cap then begin
-    let live = c.c_hi - c.c_lo in
-    if c.c_lo >= live && c.c_lo > 0 then begin
-      (* Dead prefix at least half the array: slide the window back. *)
-      Array.blit c.c_ts c.c_lo c.c_ts 0 live;
-      Array.blit c.c_v c.c_lo c.c_v 0 live
-    end
-    else begin
-      let cap' = max 1 (2 * cap) in
-      let ts' = Array.make cap' Timestamp.zero and v' = Array.make cap' None in
-      Array.blit c.c_ts c.c_lo ts' 0 live;
-      Array.blit c.c_v c.c_lo v' 0 live;
-      c.c_ts <- ts';
-      c.c_v <- v'
-    end;
-    c.c_lo <- 0;
-    c.c_hi <- live
-  end;
-  c.c_ts.(c.c_hi) <- ts;
-  c.c_v.(c.c_hi) <- v;
-  c.c_hi <- c.c_hi + 1
+(* Stands in the ring for a chunk not installed, and for no spare. *)
+let no_chunk = { meta = [||]; values = [||] }
 
-(* Index one past the last version with ts <= [s]; the visible version is
-   at the returned index - 1. *)
-let chain_partition c s =
-  let lo = ref c.c_lo and hi = ref c.c_hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if c.c_ts.(mid) <= s then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* Folds the oldest live version into the base. *)
-let chain_retire_head c =
-  c.c_base <- c.c_v.(c.c_lo);
-  c.c_v.(c.c_lo) <- None;
-  (* release the value for the GC *)
-  c.c_lo <- c.c_lo + 1;
-  if c.c_lo = c.c_hi then begin
-    c.c_ts <- [||];
-    c.c_v <- [||];
-    c.c_lo <- 0;
-    c.c_hi <- 0
-  end
+(* A key table entry packs the key's hash above its id. *)
+let id_bits = 31
+let id_mask = (1 lsl id_bits) - 1
+let free = -1
 
 (* One session's floors, each a timestamp with -1 for none: the maximal
    state pinned by its finished committed transactions and by its updates
@@ -149,20 +96,28 @@ type t = {
   forbidden : level option;  (* the guarantee's forbidden inversion level *)
   flight : Lsr_obs.Flight.t;
   clock : Session.clock option;
-  (* Weak-SI state, per key: primary writes newer than the horizon plus the
-     folded base value of everything retired, in a chained hash table whose
-     bucket nodes are the cells; it doubles once [keys > 2 * buckets]. *)
-  mutable buckets : cell array;
+  (* Weak-SI state. Every key ever written has a dense id of the
+     watchdog's own, found through [slots], an open-addressed table whose
+     entries pack the key's [String.hash] above its id ([free] when free),
+     probed linearly and doubled once half full. Per id: its name, the
+     folded base value of its retired versions, and the number of its
+     newest live version (-1 when none). *)
+  mutable slots : int array;
+  names : string Column.t;
+  base : string option Column.t;
+  newest : int Column.t;
   mutable keys : int;
-  (* The unretired versions' cells in commit order, each commit's ended by
-     [no_cell]: a cell's chain head is the version to retire. A ring of
-     [unretired] slots from [first], doubled when full. *)
-  mutable ring : cell array;
+  (* Live versions are the numbers [first, next), in [ring]'s chunks: the
+     chunk of version [v] is at [(v lsr chunk_bits) land (length - 1)].
+     Every number below [first] is retired. [commits] counts the commits
+     that still hold a live version; a chunk that retirement empties is
+     kept as the [spare] for the next chunk needed. *)
+  mutable ring : chunk array;
+  mutable spare : chunk;
   mutable first : int;
-  mutable unretired : int;
+  mutable next : int;
+  mutable commits : int;
   mutable last_commit_ts : Timestamp.t;
-  mutable live_versions : int;
-  mutable retired_versions : int;
   (* Inversion floors: maximal pinned state with its witness, globally and
      per session, and how many session floors are set. *)
   mutable global_ts : int;
@@ -190,14 +145,17 @@ let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee () =
     forbidden = Session.forbidden_level guarantee;
     flight;
     clock;
-    buckets = Array.make 1024 no_cell;
+    slots = Array.make 8 free;
+    names = Column.make "";
+    base = Column.make None;
+    newest = Column.make (-1);
     keys = 0;
-    ring = Array.make 64 no_cell;
+    ring = [| no_chunk |];
+    spare = no_chunk;
     first = 0;
-    unretired = 0;
+    next = 0;
+    commits = 0;
     last_commit_ts = Timestamp.zero;
-    live_versions = 0;
-    retired_versions = 0;
     global_ts = -1;
     global_id = -1;
     sessions = Sessions.create 64;
@@ -216,81 +174,112 @@ let create ?(flight = Lsr_obs.Flight.null) ?clock ~guarantee () =
     peak = 0;
   }
 
-(* The ring holds one entry per live version and one per unretired commit. *)
-let state_size t = t.unretired + t.floors + t.tokens
-
+let live_versions t = t.next - t.first
+let retired_versions t = t.first
+let state_size t = live_versions t + t.commits + t.floors + t.tokens
 let peak_state t = t.peak
-let retired_versions t = t.retired_versions
-let live_versions t = t.live_versions
 let horizon t = t.horizon
 
 let note_state t =
   let s = state_size t in
   if s > t.peak then t.peak <- s
 
-(* --- Key cells -------------------------------------------------------------- *)
+(* --- Key table ---------------------------------------------------------------- *)
 
-let rec find_in c h key =
-  if c == no_cell || (c.hash = h && String.equal c.key key) then c
-  else find_in c.next h key
+(* The key's id, or [-1 - i] for the free slot [i] that ends its probe.
+   A read usually passes the very string its key was written with, the
+   store's own, so physical equality settles most compares. *)
+let rec probe t key h i =
+  let e = t.slots.(i) in
+  if e = free then -1 - i
+  else if
+    e lsr id_bits = h
+    &&
+    let name = Column.get t.names (e land id_mask) in
+    name == key || String.equal name key
+  then e land id_mask
+  else probe t key h ((i + 1) land (Array.length t.slots - 1))
 
-(* The key's cell, or [no_cell] when the key was never written. *)
-let find t key =
+let lookup t key h = probe t key h (h land (Array.length t.slots - 1))
+
+let grow_slots t =
+  let slots = Array.make (2 * Array.length t.slots) free in
+  let mask = Array.length slots - 1 in
+  let rec place e i =
+    if slots.(i) = free then slots.(i) <- e else place e ((i + 1) land mask)
+  in
+  Array.iter (fun e -> if e <> free then place e ((e lsr id_bits) land mask)) t.slots;
+  t.slots <- slots
+
+(* The key's id, numbered next when the key is new. *)
+let intern t key =
   let h = String.hash key in
-  find_in t.buckets.(h land (Array.length t.buckets - 1)) h key
-
-let rec insert buckets c =
-  if c != no_cell then begin
-    let next = c.next and i = c.hash land (Array.length buckets - 1) in
-    c.next <- buckets.(i);
-    buckets.(i) <- c;
-    insert buckets next
-  end
-
-(* The key's cell, made empty when the key is new. *)
-let find_or_add t key =
-  let c = find t key in
-  if c != no_cell then c
+  let r = lookup t key h in
+  if r >= 0 then r
   else begin
-    let c = { no_cell with key; hash = String.hash key; next = no_cell } in
-    insert t.buckets c;
-    t.keys <- t.keys + 1;
-    if t.keys > 2 * Array.length t.buckets then begin
-      let buckets = Array.make (2 * Array.length t.buckets) no_cell in
-      Array.iter (insert buckets) t.buckets;
-      t.buckets <- buckets
-    end;
-    c
+    let id = t.keys in
+    t.slots.(-1 - r) <- (h lsl id_bits) lor id;
+    Column.set t.names id key;
+    t.keys <- id + 1;
+    if 2 * t.keys > Array.length t.slots then grow_slots t;
+    id
   end
 
-(* --- Unretired ring ----------------------------------------------------------- *)
+(* --- Version ring -------------------------------------------------------------- *)
 
-let push t c =
-  let cap = Array.length t.ring in
-  if t.unretired = cap then begin
-    let ring = Array.make (2 * cap) no_cell in
-    for i = 0 to cap - 1 do
-      ring.(i) <- t.ring.((t.first + i) land (cap - 1))
+let chunk_of t v = t.ring.((v lsr chunk_bits) land (Array.length t.ring - 1))
+let ts_at t v = (chunk_of t v).meta.(3 * (v land chunk_mask))
+
+(* Installs the chunk of version [v], the first of its chunk: the spare if
+   there is one, after doubling the ring when the live chunks fill it. *)
+let install_chunk t v =
+  let k = v lsr chunk_bits and len = Array.length t.ring in
+  let lo = t.first lsr chunk_bits in
+  if k - lo >= len then begin
+    let ring = Array.make (2 * len) no_chunk in
+    for c = lo to k - 1 do
+      ring.(c land ((2 * len) - 1)) <- t.ring.(c land (len - 1))
     done;
-    t.ring <- ring;
-    t.first <- 0
+    t.ring <- ring
   end;
-  t.ring.((t.first + t.unretired) land (Array.length t.ring - 1)) <- c;
-  t.unretired <- t.unretired + 1
+  let c =
+    if t.spare != no_chunk then t.spare
+    else
+      { meta = Array.make (3 * chunk_slots) 0;
+        values = Array.make chunk_slots None }
+  in
+  t.spare <- no_chunk;
+  t.ring.(k land (Array.length t.ring - 1)) <- c
 
-(* Whether the ring's front retires at horizon [h]: the oldest unretired
-   version, if at or below [h], or the end of a commit it retired. *)
-let retirable t h =
-  t.unretired > 0
-  &&
-  let c = t.ring.(t.first) in
-  c == no_cell || c.c_ts.(c.c_lo) <= h
+(* Appends [key]'s version at [ts] as the newest live one. *)
+let add_version t ts key value =
+  let id = intern t key and v = t.next in
+  if v land chunk_mask = 0 then install_chunk t v;
+  let c = chunk_of t v and j = v land chunk_mask in
+  c.meta.(3 * j) <- ts;
+  c.meta.((3 * j) + 1) <- Column.get t.newest id;
+  c.meta.((3 * j) + 2) <- id;
+  c.values.(j) <- value;
+  Column.set t.newest id v;
+  t.next <- v + 1
 
-let pop t =
-  let c = t.ring.(t.first) in
-  t.first <- (t.first + 1) land (Array.length t.ring - 1);
-  t.unretired <- t.unretired - 1;
-  c
+(* Folds the oldest live version into its key's base; the last version of
+   its commit ends the commit, and the last of its chunk makes the chunk
+   the spare. *)
+let retire_first t =
+  let v = t.first in
+  let c = chunk_of t v and j = v land chunk_mask in
+  let ts = c.meta.(3 * j) and id = c.meta.((3 * j) + 2) in
+  Column.set t.base id c.values.(j);
+  c.values.(j) <- None;
+  (* release the value for the GC *)
+  if Column.get t.newest id = v then Column.set t.newest id (-1);
+  t.first <- v + 1;
+  if t.first = t.next || ts_at t t.first <> ts then t.commits <- t.commits - 1;
+  if t.first land chunk_mask = 0 then begin
+    t.ring.((v lsr chunk_bits) land (Array.length t.ring - 1)) <- no_chunk;
+    t.spare <- c
+  end
 
 (* --- Rendering -------------------------------------------------------------- *)
 
@@ -400,13 +389,8 @@ let sweep_floors t =
    commit's versions share its timestamp. *)
 let retire_below t h =
   if h > t.horizon then t.horizon <- h;
-  while retirable t h do
-    let c = pop t in
-    if c != no_cell then begin
-      chain_retire_head c;
-      t.live_versions <- t.live_versions - 1;
-      t.retired_versions <- t.retired_versions + 1
-    end
+  while t.first < t.next && ts_at t t.first <= h do
+    retire_first t
   done;
   sweep_floors t
 
@@ -435,16 +419,23 @@ let begin_txn t ~session =
   }
 
 
-(* Expected value of [key] in primary state S@[snapshot]: newest live chain
-   version at or below the snapshot, else the folded base (everything
-   retired is at or below the horizon, hence visible), else absent. Only
-   called with [snapshot >= horizon at the reader's first operation], which
-   the caller's horizon guarantees: it never passes an open transaction's
-   snapshot. *)
+(* The value of key [id]'s newest live version at or below [snapshot],
+   walking down from its version [v], else the key's folded base
+   (everything retired is at or below the horizon, hence visible). *)
+let rec visible_value t id v snapshot =
+  if v < t.first then Column.get t.base id
+  else
+    let c = chunk_of t v and j = v land chunk_mask in
+    if c.meta.(3 * j) <= snapshot then c.values.(j)
+    else visible_value t id c.meta.((3 * j) + 1) snapshot
+
+(* Expected value of [key] in primary state S@[snapshot], absent for a key
+   never written. Only called with [snapshot >= horizon at the reader's
+   first operation], which the caller's horizon guarantees: it never passes
+   an open transaction's snapshot. *)
 let expected_value t key snapshot =
-  let c = find t key in
-  let pos = chain_partition c snapshot in
-  if pos > c.c_lo then c.c_v.(pos - 1) else c.c_base
+  let id = lookup t key (String.hash key) in
+  if id < 0 then None else visible_value t id (Column.get t.newest id) snapshot
 
 let rec wrote key = function
   | [] -> false
@@ -522,10 +513,7 @@ let check_fence t tok ~at ~txn ~site ~snapshot fence =
 let rec add_versions t ts = function
   | [] -> ()
   | { Wal.key; value } :: writes ->
-    let c = find_or_add t key in
-    chain_append c ts value;
-    push t c;
-    t.live_versions <- t.live_versions + 1;
+    add_version t ts key value;
     add_versions t ts writes
 
 (* The token's end: its session record may be swept once no other token
@@ -567,7 +555,7 @@ let end_update t tok ~id ~now ~commit_ts ~writes ~snapshot ~reads =
   t.last_commit_ts <- commit_ts;
   if writes <> [] then begin
     add_versions t commit_ts writes;
-    push t no_cell
+    t.commits <- t.commits + 1
   end;
   note_state t
 
@@ -703,8 +691,8 @@ let report_json t =
              ] );
          ("state_size", Json.Num (float_of_int (state_size t)));
          ("peak_state", Json.Num (float_of_int t.peak));
-         ("live_versions", Json.Num (float_of_int t.live_versions));
-         ("retired_versions", Json.Num (float_of_int t.retired_versions));
+         ("live_versions", Json.Num (float_of_int (live_versions t)));
+         ("retired_versions", Json.Num (float_of_int (retired_versions t)));
          ("horizon", Json.Num (float_of_int t.horizon));
          ("alerts", Json.Arr (List.map alert_json (alerts t)));
        ])

@@ -7,9 +7,12 @@
     history after the run the same way. It performs three audits:
 
     - {e weak-SI read validation}: every recorded read is checked against the
-      primary state sequence at the reader's snapshot, answered from per-key
-      committed-writer chains by binary search (the same pinned-version rule
-      the serialization-graph test [Mvsg] uses);
+      primary state sequence at the reader's snapshot, answered by walking
+      the key's live committed versions from its newest down to the first
+      at or below the snapshot (the same pinned-version rule the
+      serialization-graph test [Mvsg] uses). Keys are numbered by the
+      watchdog's own table, never by the stores' key dictionary, so the
+      judge does not trust what it audits;
     - {e inversion floors}: an O(1)-amortized floor update per commit — the
       maximal state pinned by any finished committed transaction is
       maintained globally, per session, and per session restricted to
@@ -36,7 +39,7 @@
     [Replica_set] passes the minimum over every secondary's seq(DBsec) and
     every open client transaction's snapshot; {!replay} derives its own
     from the history. A committed version at or below the horizon folds
-    into a per-key base value and its chain entry is dropped. Session
+    into a per-key base value and leaves the ring of live versions. Session
     floors below it are swept out, because no future snapshot can be older
     than the horizon at its own first operation. A run with the watchdog on
     and history recording {e off} verifies the same guarantees with
@@ -169,8 +172,8 @@ val end_read :
 (** [end_update t token ~id ~now ~commit_ts ~writes ~snapshot ~reads] —
     the update transaction committed [writes] at [commit_ts]: validate
     reads (own-written keys excluded), check the captured floors, raise
-    all floors to [commit_ts], and append the writes to the per-key version
-    chains (commits must arrive in commit-timestamp order). *)
+    all floors to [commit_ts], and append the writes as each key's newest
+    live versions (commits must arrive in commit-timestamp order). *)
 val end_update :
   t ->
   token ->
@@ -216,8 +219,12 @@ val retire_below : t -> Timestamp.t -> unit
     It reads the history's columns in place, one read buffer serving
     every end, and keeps four int arrays of n words for n recorded
     transactions (begin and end order, the horizon per end, the tokens)
-    beyond the watchdog's own state. It runs in O(n log n) time plus O(R)
-    over recorded reads. *)
+    beyond the watchdog's own state: for each key written, at least two
+    key-table slots and one slot in each of three columns (name, folded
+    base, newest live version), and four words of a 1,024-version chunk
+    per live version. It runs in O(n log n) time plus, for each of the R
+    recorded reads, a step per live version of its key newer than its
+    snapshot. *)
 val replay :
   ?clock:Session.clock -> guarantee:Session.guarantee -> History.t -> t
 
@@ -231,14 +238,14 @@ val verdict : t -> verdict
 
 (** {2 Introspection} *)
 
-(** Current tracked state: live chain versions + unretired commits + session
+(** Current tracked state: live versions + commits holding one + session
     floors + outstanding tokens (the quantity bounded by the active
     visibility window); not the per-key base values. *)
 val state_size : t -> int
 
 val peak_state : t -> int
 
-(** Committed versions folded into the base map so far. *)
+(** Committed versions folded into the per-key base values so far. *)
 val retired_versions : t -> int
 
 val live_versions : t -> int

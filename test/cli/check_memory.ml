@@ -8,19 +8,22 @@
    20k-binding states per secondary and sorting the history ten times
    raised it by about 11.5 MB; a separate checker's sorted sweep of the
    history, by about 1.7 MB (0.6 MB when this guard was written); the
-   replay, by about 2.84 MB (2.88 MB while it built the history's records
-   into a list and an array, 3.1 MB while a key's first chain held room
-   for two versions and the unretired versions sat in a linked queue),
-   most of it the watchdog's cell and chain for each of the 20k preloaded
-   keys, live until the preload's version retires.
+   replay, by about 2.81 MB (3.40 MB while the watchdog kept a 9-word cell
+   and a chain per preloaded key, 2.84 MB on an earlier guest, 2.88 MB
+   while the replay built the history's records into a list and an array,
+   3.1 MB while a key's first chain held room for two versions and the
+   unretired versions sat in a linked queue). For each preloaded key the
+   replay's watchdog now keeps at least two key-table slots and one slot
+   in each of three columns, plus four words of a version chunk until the
+   preload retires.
 
    The rise in RSS depends on the allocator and on what the run left
    free, so the guard also prices the replay in words: the heap words
    the watchdog that [Watchdog.replay] returns for this history reaches
    beyond the history and the commit clock ([Memory_probe.census]), which
-   must stay below [bound_words]. That read 229,432 words (1.75 MB) when
-   the bound was set at it plus 10%; it is exact, so it reads the same
-   on every run.
+   must stay below [bound_words]. That read 135,615 words (1.03 MB) when
+   the bound was set at it plus 10% (229,432 while each key had a cell,
+   its bound 252,375); it is exact, so it reads the same on every run.
 
    Prints a skip line and exits 0 where /proc/self/status is unreadable;
    prints both readings on failure or with [-v]. *)
@@ -30,7 +33,7 @@ open Lsr_core
 open Lsr_workload
 
 let bound_bytes = 4. *. 1048576.
-let bound_words = 252_375
+let bound_words = 149_177
 let keys = 20_000
 let txns = 4_000
 let sessions = 64

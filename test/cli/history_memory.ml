@@ -15,19 +15,25 @@
      replica set's key dictionary's string, not the generator's;
    - measures the minor words [Watchdog.replay] allocates per committed
      transaction when it judges that history ([Gc.minor_words], exact).
-     Most of it is the watchdog's cell and chain for each of the 20k
-     preloaded keys and one token per transaction. Fails when that
-     reaches [replay_bound_words]. A replay that built the history's
-     records and filtered them into a list and an array allocated 105.6;
-     one that reads the columns in place, 95.6. Only the minor heap is
-     priced: blocks over 256 words go straight to the major heap, so the
-     replay's n-word int arrays and the sort's buffers are not counted
-     (printed under [-v]: 29.2 words per committed transaction here,
-     about 6 of them the replay's arrays and sort buffer, the rest the
-     watchdog's own tables; 30.2 for the replay that built records). The 10% margin (9.6 words) catches a record per
-     transaction: the records replay, run on these columns through
-     [History.transactions], allocates 139.9. A lone list cell (3 words)
-     or one more n-word array would not show.
+     Fails when that reaches [replay_bound_words]. It read 28.8 when the
+     bound was set at it plus 10%: a 9-word token per transaction, about
+     11 words of session records that the floor sweep drops and the next
+     begin makes again, about 5 of sorting the begin and end orders and
+     2 to 4 at each end. The watchdog's own state costs the minor heap
+     almost nothing: its key table, per-key columns and version chunks
+     are blocks over 256 words. While the watchdog kept a 9-word cell
+     and a chain per preloaded key the replay allocated 95.6, and 105.6
+     while it also built the history's records. Only the minor heap is
+     priced: blocks over 256 words go straight to the major heap, so
+     those tables, the replay's n-word int arrays and the sort's buffers
+     are not counted (printed under [-v]: 73.9 words per committed
+     transaction here, about 33 of them the key table's doublings up to
+     65,536 slots, 20 the 20 version chunks the preload fills, 16 the
+     three columns and 5 the replay's arrays; 29.2 while each key had a
+     cell, whose chains stayed in the minor heap). The 10% margin (2.9
+     words) catches a record per transaction, and a lone list cell
+     (3 words) per transaction too; one more n-word array would not
+     show.
 
    Deterministic: it reads no /proc. Prints nothing on success;
    [history_memory.exe -v] prints both numbers. *)
@@ -37,7 +43,7 @@ open Lsr_core
 open Lsr_workload
 
 let bound_words = 32.7
-let replay_bound_words = 105.2
+let replay_bound_words = 31.7
 let keys = 20_000
 let txns = 4_000
 let sessions = 64

@@ -55,7 +55,9 @@
    holder can draw from a slot in between. Only [Replica_set] makes a key
    dictionary ([Mvcc.keys]): one per replica set, handed to its primary,
    its secondaries and every recovered copy, so the copies of one database
-   share one and no two replica sets do.
+   share one and no two replica sets do. The judge trusts no store: [Watchdog]
+   names no [Mvcc] value, so its key numbers come from its own table, never
+   from the dictionary whose stores it audits.
 
    Usage: single_path.exe FILE.ml... (the library sources). Comments and
    string literals are skipped. Exits 1 listing each offending call. *)
@@ -110,6 +112,9 @@ let rules =
     ([ "sim_system.ml" ], "Sim_system", [ "Rng.save"; "Rng.load" ]);
     ([ "replica_set.ml" ], "Replica_set", [ "Mvcc.keys" ]);
   ]
+
+(* (modules that may not name them, which module that is, the names) *)
+let bans = [ ([ "watchdog.ml" ], "Watchdog", [ "Mvcc" ]) ]
 
 (* [src] with comments (nested) and string literals blanked out, newlines
    kept so line numbers survive. *)
@@ -195,6 +200,20 @@ let () =
   List.iter
     (fun file ->
       let lines = String.split_on_char '\n' (code_only (read_file file)) in
+      List.iter
+        (fun (banned, owner, names) ->
+          if List.mem (Filename.basename file) banned then
+            List.iteri
+              (fun i line ->
+                List.iter
+                  (fun pat ->
+                    if mentions line pat then begin
+                      incr offences;
+                      Printf.printf "%s:%d: %s named inside %s\n" file (i + 1) pat owner
+                    end)
+                  names)
+              lines)
+        bans;
       List.iter
         (fun (allowed, owner, forbidden) ->
           if not (List.mem (Filename.basename file) allowed) then

@@ -1,6 +1,6 @@
 (* Differential battery for the polynomial judges: fuzzed seeded MVCC
-   histories are judged by Lsr_core.Watchdog.replay (per-key writer chains +
-   binary search, floors captured at each first operation) and
+   histories are judged by Lsr_core.Watchdog.replay (per-key version links
+   walked down from the newest, floors captured at each first operation) and
    Lsr_serializability.Mvsg (per-key sorted writer arrays + binary search +
    iterative DFS), and by the quadratic oracle in Legacy_checker (list
    walks, recursive DFS). Every verdict must agree exactly, inversion

@@ -815,6 +815,165 @@ let test_first_violation_triggers () =
       "implicates the reader and its witness" [ 3; 1 ]
       b.Lsr_obs.Flight.implicated
 
+(* The price of a key: written once and retired, a key costs its two
+   key-table slots (the table doubles at half full), one slot in each of
+   its three columns (name, base, newest version) and its name, an 8-byte
+   string of 3 words; every 1,024 keys the columns add a chunk header
+   each. Its one version has retired, so the ring holds only its spare
+   chunk, the same at any key count, and the keys share one value. At a
+   filled capacity, committing and retiring a version allocates nothing
+   beyond the token: the key has its slots and the spare chunk is
+   reused. *)
+let test_key_footprint () =
+  let n = 1024 in
+  let names = Array.init (2 * n) (Printf.sprintf "k%07d") in
+  let value = Some "v" and reads = History.reads () in
+  let commit w tok ts key =
+    Watchdog.end_update w tok ~id:ts ~now:1. ~commit_ts:ts
+      ~writes:[ { Lsr_storage.Wal.key; value } ] ~snapshot:(ts - 1) ~reads;
+    Watchdog.retire_below w ts
+  in
+  let filled n =
+    let w = Watchdog.create ~guarantee:Session.Weak () in
+    let empty = Obj.reachable_words (Obj.repr w) in
+    for ts = 1 to n do
+      commit w (Watchdog.begin_txn w ~session:"writer") ts names.(ts - 1)
+    done;
+    (w, Obj.reachable_words (Obj.repr w) - empty)
+  in
+  let _, words = filled n in
+  let w, words2 = filled (2 * n) in
+  check_int "8 words a key and a header a column per 1,024 keys" ((8 * n) + 3)
+    (words2 - words);
+  check_int "every version retired" 0 (Watchdog.live_versions w);
+  (* Three chunks' worth of versions, so the spare is taken and given back
+     three times; the tokens and the write lists are made beforehand. *)
+  let m = 3 * n in
+  let tokens = Array.init m (fun _ -> Watchdog.begin_txn w ~session:"writer") in
+  let writes =
+    Array.init m (fun i -> [ { Lsr_storage.Wal.key = names.(i mod (2 * n)); value } ])
+  in
+  let before = Gc.minor_words () in
+  for i = 0 to m - 1 do
+    let ts = (2 * n) + 1 + i in
+    Watchdog.end_update w tokens.(i) ~id:ts ~now:1. ~commit_ts:ts
+      ~writes:writes.(i) ~snapshot:(ts - 1) ~reads;
+    Watchdog.retire_below w ts
+  done;
+  Alcotest.(check (float 0.)) "end_update and retire_below allocate nothing" 0.
+    (Gc.minor_words () -. before);
+  check_int "every version retired again" (2 * n + m) (Watchdog.retired_versions w)
+
+(* A synthetic history whose live window spans more than three of the
+   watchdog's 1,024-version chunks: a read open from early on pins the
+   horizon while 3,300 to 4,100 versions accumulate over 1 to 12 keys, so
+   the chunk ring doubles to hold them. Once it ends, retirement empties
+   chunks and the ring wraps: over 9,000 versions pass through a ring of
+   at most 8 chunks. Reads of every key at random snapshots up to 2,500
+   commits old, each finishing at once, walk key chains across chunk
+   boundaries and hold the horizon that far back; 1 read in 16 observes a
+   planted wrong value. Returns the history and the versions written. *)
+let chunk_history seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let nkeys = 1 + int 12 in
+  let h = History.create () in
+  let versions = Array.make nkeys [] (* (ts, value), newest first *) in
+  let value_at k s =
+    match List.find_opt (fun (ts, _) -> ts <= s) versions.(k) with
+    | Some (_, v) -> v
+    | None -> None
+  in
+  let clock = ref 0 and cur = ref 0 and written = ref 0 and ids = ref 0 in
+  let tick () = incr clock; !clock in
+  let fresh () = incr ids; !ids in
+  let read_all s =
+    Fixtures.reads_of_list
+      (List.init nkeys (fun k ->
+           ( Printf.sprintf "k%d" k,
+             if int 16 = 0 then Some "planted" else value_at k s )))
+  in
+  let add ~first_op ~finished ~snapshot ?commit_ts ?(writes = []) reads =
+    let read_keys, read_values = reads in
+    Fixtures.add h
+      { History.id = fresh (); session = "s"; site = "secondary-0";
+        kind = (if commit_ts = None then History.Read_only else History.Update);
+        first_op; finished; snapshot; commit_ts; read_keys; read_values;
+        writes; fence = None }
+  in
+  let update () =
+    let k0 = int nkeys in
+    let ks = if nkeys > 1 && int 2 = 0 then [ k0; (k0 + 1) mod nkeys ] else [ k0 ] in
+    let ts = !cur + 1 in
+    let writes =
+      List.map
+        (fun k ->
+          let value = if int 10 = 0 then None else Some (Printf.sprintf "v%d" ts) in
+          versions.(k) <- (ts, value) :: versions.(k);
+          { Lsr_storage.Wal.key = Printf.sprintf "k%d" k; value })
+        ks
+    in
+    let first_op = tick () in
+    add ~first_op ~finished:(tick ()) ~snapshot:!cur ~commit_ts:ts ~writes
+      ([||], [||]);
+    cur := ts;
+    written := !written + List.length ks;
+    if int 8 = 0 then begin
+      let s = Int.max 0 (!cur - int 2500) in
+      let first_op = tick () in
+      add ~first_op ~finished:(tick ()) ~snapshot:s (read_all s)
+    end
+  in
+  for _ = 1 to 50 do update () done;
+  let pin_first = tick () and pin_snapshot = !cur in
+  let pinned = !written + 3300 + int 800 in
+  while !written < pinned do update () done;
+  add ~first_op:pin_first ~finished:(tick ()) ~snapshot:pin_snapshot
+    (read_all pin_snapshot);
+  let total = !written + 6000 + int 1000 in
+  while !written < total do update () done;
+  (h, !written)
+
+(* The read mismatches of [h] counted straight off the definition: a read
+   at snapshot [s] should observe its key's newest committed write at or
+   below [s], absent if there is none. *)
+let brute_mismatches h =
+  let txns = History.transactions h in
+  let writes = Hashtbl.create 16 in
+  List.iter
+    (fun (x : History.txn) ->
+      match x.commit_ts with
+      | Some ts ->
+        List.iter
+          (fun { Lsr_storage.Wal.key; value } -> Hashtbl.add writes key (ts, value))
+          x.writes
+      | None -> ())
+    txns;
+  let expected key s =
+    snd
+      (List.fold_left
+         (fun (bts, bv) (ts, v) -> if ts <= s && ts > bts then (ts, v) else (bts, bv))
+         (-1, None) (Hashtbl.find_all writes key))
+  in
+  List.fold_left
+    (fun n (x : History.txn) ->
+      if x.kind <> History.Read_only then n
+      else
+        Fixtures.read_list x
+        |> List.filter (fun (key, observed) -> observed <> expected key x.snapshot)
+        |> List.length
+        |> ( + ) n)
+    0 txns
+
+let prop_chunk_window =
+  QCheck.Test.make ~name:"reads across chunks match a brute-force count" ~count:12
+    QCheck.small_nat (fun seed ->
+      let h, written = chunk_history seed in
+      let w = Watchdog.replay ~guarantee:Session.Weak h in
+      Watchdog.live_versions w + Watchdog.retired_versions w = written
+      && written > 9 * 1024
+      && (Watchdog.verdict w).Watchdog.read_mismatches = brute_mismatches h)
+
 let () =
   Alcotest.run "lsr_watchdog"
     [
@@ -839,7 +998,9 @@ let () =
             test_first_violation_triggers;
           Alcotest.test_case "bounded memory vs run length" `Slow
             test_bounded_memory;
-        ] );
+          Alcotest.test_case "key footprint" `Quick test_key_footprint;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_chunk_window ] );
       ( "embedded",
         [
           Alcotest.test_case "inversion alert + post-hoc agreement" `Quick
