@@ -22,6 +22,11 @@ let get t key =
   served t key value;
   value
 
+let get_number t n =
+  let value = Mvcc.read_number t.db t.txn n in
+  if t.tracked then History.serve t.reads (Mvcc.number_key t.db n) value;
+  value
+
 let refuse t key = if t.read_only then raise (Read_only { key })
 let put t key value = refuse t key; Mvcc.write t.db t.txn key (Some value)
 let del t key = refuse t key; Mvcc.write t.db t.txn key None

@@ -41,6 +41,11 @@ val reads : t -> History.reads
 (** {2 Key-value access (reads served)} *)
 
 val get : t -> string -> string option
+
+(** [get_number t n] is [get t (Mvcc.key_name n)], for [n >= 0], read
+    through the number ({!Lsr_storage.Mvcc.read_number}); the read served
+    holds the dictionary's copy of the name. *)
+val get_number : t -> int -> string option
 val put : t -> string -> string -> unit
 val del : t -> string -> unit
 

@@ -341,7 +341,7 @@ let run_read ?fence st site label ~size ~keys ~required ~t0 k =
   serve st site.res size (fun () ->
       let h = Replica_set.handle txn in
       for _ = 1 to size do
-        ignore (Handle.get h (Txn_gen.key st.cfg.params keys))
+        ignore (Handle.get_number h (Txn_gen.index st.cfg.params keys))
       done;
       Replica_set.finish_read st.rs txn;
       note_completion st ~t0 ~is_update:false;

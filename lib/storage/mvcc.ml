@@ -36,12 +36,58 @@ type commit_result =
   | Committed of Timestamp.t
   | Aborted of abort_reason
 
+(* [String.starts_with] without its per-call closure. *)
+let rec same_from prefix key i =
+  i = String.length prefix || (prefix.[i] = key.[i] && same_from prefix key (i + 1))
+
+let has_prefix ~prefix key =
+  String.length key >= String.length prefix && same_from prefix key 0
+
+(* [Printf.sprintf "item:%06d" n], byte for byte: a number in [0, 10^6)
+   writes its six digits into a copy of ["item:000000"], its only
+   allocation. *)
+let key_name n =
+  if n < 0 || n >= 1_000_000 then Printf.sprintf "item:%06d" n
+  else begin
+    let b = Bytes.of_string "item:000000" and r = ref n in
+    for i = 10 downto 5 do
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!r mod 10)));
+      r := !r / 10
+    done;
+    Bytes.unsafe_to_string b
+  end
+
+(* Names [key_name n] for [0 <= n < numbered] are numbered: the dictionary
+   finds them through their number. The bound keeps a stray long name from
+   sizing the number column. *)
+let numbered = 1 lsl 20
+
+(* The decimal [name] holds from [i] on, or -1 once it reaches [numbered]
+   or meets a non-digit. *)
+let rec decimal name i n =
+  if n >= numbered then -1
+  else if i = String.length name then n
+  else
+    match name.[i] with
+    | '0' .. '9' as c -> decimal name (i + 1) ((10 * n) + Char.code c - 48)
+    | _ -> -1
+
+let key_number name =
+  let len = String.length name in
+  if len < 11 || (len > 11 && name.[5] = '0') || not (has_prefix ~prefix:"item:" name)
+  then -1
+  else decimal name 5 0
+
 (* Every key a store sharing the dictionary installed, once: its name at a
-   dense id, found through an open-addressed table whose entries pack the
-   key's [String.hash] above its id ([empty] when free). Probing is linear,
-   and the table starts at 8 slots and doubles once it is half full. *)
+   dense id. A numbered name finds its id in [numbers] (-1 when absent);
+   any other through an open-addressed table whose entries pack the key's
+   [String.hash] above its id ([empty] when free). Probing is linear, and
+   the table starts at 8 slots and doubles once more than half of them
+   hold the [hashed] names. *)
 type keys = {
   mutable slots : int array;
+  mutable hashed : int;
+  numbers : int Column.t;
   names : string Column.t;
   mutable count : int;
 }
@@ -49,7 +95,10 @@ type keys = {
 let id_bits = 31
 let id_mask = (1 lsl id_bits) - 1
 let empty = -1
-let keys () = { slots = Array.make 8 empty; names = Column.make ""; count = 0 }
+
+let keys () =
+  { slots = Array.make 8 empty; hashed = 0; numbers = Column.make (-1);
+    names = Column.make ""; count = 0 }
 
 (* The key's id, or [-1 - i] for the free slot [i] that ends its probe. *)
 let rec probe d key h i =
@@ -71,14 +120,19 @@ let grow d =
   d.slots <- slots
 
 let intern d key h =
-  let r = lookup d key h in
+  let n = key_number key in
+  let r = if n >= 0 then Column.get d.numbers n else lookup d key h in
   if r >= 0 then r
   else begin
     let id = d.count in
-    d.slots.(-1 - r) <- (h lsl id_bits) lor id;
     Column.set d.names id key;
     d.count <- id + 1;
-    if 2 * d.count > Array.length d.slots then grow d;
+    if n >= 0 then Column.set d.numbers n id
+    else begin
+      d.slots.(-1 - r) <- (h lsl id_bits) lor id;
+      d.hashed <- d.hashed + 1;
+      if 2 * d.hashed > Array.length d.slots then grow d
+    end;
     id
   end
 
@@ -139,7 +193,17 @@ let key_count t = t.keys.count
 
 (* The key's id, or -1 when no store sharing the dictionary installed it:
    every column reads its fill there. *)
-let find t key = Int.max (-1) (lookup t.keys key (String.hash key))
+let find t key =
+  let n = key_number key in
+  if n >= 0 then Column.get t.keys.numbers n
+  else Int.max (-1) (lookup t.keys key (String.hash key))
+
+let find_number t n =
+  if n < numbered then Column.get t.keys.numbers n else find t (key_name n)
+
+let number_key t n =
+  let id = find_number t n in
+  if id < 0 then key_name n else Column.get t.keys.names id
 
 let stored_key t key =
   let id = find t key in
@@ -233,6 +297,14 @@ let read t txn key =
   require_active txn "read";
   let own = own_write txn key in
   if own == no_write then snapshot_read t ~at:txn.start_ts key else own.value
+
+(* A transaction that wrote nothing reads the columns straight through the
+   number; one that wrote may have written this key. *)
+let read_number t txn n =
+  require_active txn "read";
+  match buffered txn with
+  | [] -> visible t (find_number t n) ~at:txn.start_ts
+  | _ :: _ -> read t txn (number_key t n)
 
 (* The update keeps the dictionary's key string when some store holds the
    key, so the log and a run's history share it instead of keeping the
@@ -394,13 +466,6 @@ let sync_keys t =
 let keys_from t start =
   sync_keys t;
   Sset.to_seq_from start t.key_set
-
-(* [String.starts_with] without its per-call closure. *)
-let rec same_from prefix key i =
-  i = String.length prefix || (prefix.[i] = key.[i] && same_from prefix key (i + 1))
-
-let has_prefix ~prefix key =
-  String.length key >= String.length prefix && same_from prefix key 0
 
 let fold_keys t ~prefix ~init ~f =
   (* Keys are sorted, so every key with [prefix] sits in one contiguous run

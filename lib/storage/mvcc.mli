@@ -23,16 +23,17 @@
 
     A key is a number: the stores of one replica set share one key
     dictionary ({!keys}), which holds each key's string once, at a dense
-    id, behind an open-addressed table of ints. A key enters it when some
-    store first installs it. Each store is three {!Column}s over the ids:
-    newest commit timestamp (0 for a key never installed here), newest
-    value, and the chain of older versions, one block each. A store keeps
-    no ordered key index until its first scan ({!fold_keys},
-    {!keys_from}); the scans and {!fold_visible} see only the keys it
-    installed. A read of a key the transaction did not write allocates
-    nothing ([read], [read_at]). A refresh installs every primary update
-    at every secondary, so every per-key install here is paid once per
-    database; a refresh transaction takes its writeset whole
+    id. A numbered name ({!key_number}) finds its id in a column indexed
+    by its number, any other behind an open-addressed table of ints. A key
+    enters it when some store first installs it. Each store is three
+    {!Column}s over the ids: newest commit timestamp (0 for a key never
+    installed here), newest value, and the chain of older versions, one
+    block each. A store keeps no ordered key index until its first scan
+    ({!fold_keys}, {!keys_from}); the scans and {!fold_visible} see only
+    the keys it installed. A read of a key the transaction did not write
+    allocates nothing ([read], [read_at]). A refresh installs every
+    primary update at every secondary, so every per-key install here is
+    paid once per database; a refresh transaction takes its writeset whole
     ({!write_all}), so buffering and checking it cost one walk of the
     shipped list, with no per-update allocation. *)
 
@@ -54,6 +55,16 @@ type commit_result =
 
 (** An empty key dictionary. *)
 val keys : unit -> keys
+
+(** [key_name n] is the name of key number [n], the same string as
+    [Printf.sprintf "item:%06d" n]. For [0 <= n < 1_000_000] it allocates
+    only the eleven-byte string. *)
+val key_name : int -> string
+
+(** [key_number name] is [n] when [name] is [key_name n] with
+    [0 <= n < 2^20], a numbered name, and [-1] for any other name.
+    Allocates nothing. *)
+val key_number : string -> int
 
 (** An empty store, digest [0], that logs to [log] (without it, nowhere)
     and interns its keys in [keys] (without it, in a private one). *)
@@ -91,6 +102,16 @@ val start_ts : txn -> Timestamp.t
     with up to 16 buffered writes scans them, allocating nothing; a longer
     one builds a table of its writes at its first read. *)
 val read : t -> txn -> string -> string option
+
+(** [read_number t txn n] is [read t txn (key_name n)], for [n >= 0].
+    When [txn] has written nothing, a numbered name is found through its
+    number, with no hash, and a number no store installed reads [None];
+    neither allocates. *)
+val read_number : t -> txn -> int -> string option
+
+(** [number_key t n] is [stored_key t (key_name n)], building the name
+    only when no store installed it. *)
+val number_key : t -> int -> string
 
 (** [stored_key t key] is the dictionary's copy of [key]: the string the
     first store sharing [t]'s dictionary to install [key] held, which is

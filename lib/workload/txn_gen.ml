@@ -19,46 +19,12 @@ let rec digits n acc = if n = 0 then acc else digits (n / 10) (acc + 1)
    [i]. *)
 let set_digit b i n = Bytes.unsafe_set b i (Char.unsafe_chr (48 - (n mod 10)))
 
-(* [Printf.sprintf "item:%06d" idx], byte for byte, without the format
-   interpreter: at least six digits, zero-padded after any sign. Digits are
-   taken from the negative side so [min_int] needs no special case. An index
-   in [0, 10^6) writes its six digits straight into the 11-byte string, its
-   only allocation. *)
-let key_name idx =
-  if idx >= 0 && idx < 1_000_000 then begin
-    let b = Bytes.create 11 in
-    Bytes.blit_string "item:" 0 b 0 5;
-    let n = -idx in
-    set_digit b 5 (n / 100_000);
-    set_digit b 6 (n / 10_000);
-    set_digit b 7 (n / 1_000);
-    set_digit b 8 (n / 100);
-    set_digit b 9 (n / 10);
-    set_digit b 10 n;
-    Bytes.unsafe_to_string b
-  end
-  else begin
-    let sign = if idx < 0 then 1 else 0 in
-    let width = max 6 (sign + max 1 (digits idx 0)) in
-    let b = Bytes.make (5 + width) '0' in
-    Bytes.blit_string "item:" 0 b 0 5;
-    if sign = 1 then Bytes.set b 5 '-';
-    let n = ref (if idx > 0 then -idx else idx) in
-    for i = 4 + width downto 5 + sign do
-      set_digit b i !n;
-      n := !n / 10
-    done;
-    Bytes.unsafe_to_string b
-  end
-
-let key params rng =
+let index params rng =
   let n = params.Params.key_space in
-  let idx =
-    if params.Params.key_skew > 0. then
-      Rng.zipf rng ~n ~s:params.Params.key_skew - 1
-    else Rng.uniform rng ~lo:0 ~hi:(n - 1)
-  in
-  key_name idx
+  if params.Params.key_skew > 0. then Rng.zipf rng ~n ~s:params.Params.key_skew - 1
+  else Rng.uniform rng ~lo:0 ~hi:(n - 1)
+
+let key params rng = Lsr_storage.Mvcc.key_name (index params rng)
 
 (* ["v" ^ Int64.to_string x] as one string. [x] splits into two ints
    around 10^10 that keep its sign, and digits are taken from the negative
@@ -100,12 +66,6 @@ let update_ops params rng size =
 let size params rng =
   Rng.uniform rng ~lo:params.Params.tran_size_min ~hi:params.Params.tran_size_max
 
-let generate params rng =
-  let size = size params rng in
-  if Rng.bernoulli rng ~p:params.Params.update_tran_prob then
-    { kind = Update; ops = update_ops params rng size }
-  else { kind = Read_only; ops = List.init size (fun _ -> Read_op (key params rng)) }
-
 type draw =
   | Reads of { size : int; keys : Rng.t }
   | Updates of op list
@@ -119,5 +79,11 @@ let draw params rng =
     Rng.skip rng size;
     Reads { size; keys }
   end
+
+let generate params rng =
+  match draw params rng with
+  | Updates ops -> { kind = Update; ops }
+  | Reads { size; keys } ->
+    { kind = Read_only; ops = List.init size (fun _ -> Read_op (key params keys)) }
 
 let is_update spec = match spec.kind with Update -> true | Read_only -> false

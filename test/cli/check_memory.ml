@@ -54,7 +54,7 @@ let run () =
   (match
      System.update sys loader (fun h ->
          for k = 0 to keys - 1 do
-           Handle.put h (Txn_gen.key_name k) "v0"
+           Handle.put h (Lsr_storage.Mvcc.key_name k) "v0"
          done)
    with
   | Ok () -> ()

@@ -112,7 +112,7 @@ let () =
   (match
      System.update sys loader (fun h ->
          for k = 0 to keys - 1 do
-           Handle.put h (Txn_gen.key_name k) "v0"
+           Handle.put h (Mvcc.key_name k) "v0"
          done)
    with
   | Ok () -> ()

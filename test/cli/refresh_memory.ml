@@ -12,7 +12,6 @@
    Exact and deterministic: it reads no /proc and prints only on failure. *)
 
 open Lsr_core
-open Lsr_workload
 
 let keys = 20_000
 let chunk = 1_000
@@ -25,7 +24,7 @@ let () =
     match
       System.update sys loader (fun h ->
           for k = c * chunk to ((c + 1) * chunk) - 1 do
-            Handle.put h (Txn_gen.key_name k) "v0"
+            Handle.put h (Lsr_storage.Mvcc.key_name k) "v0"
           done)
     with
     | Ok () -> ()

@@ -22,7 +22,8 @@
    transaction has one path too: only [Replica_set] (the primary's and
    the replicas' client transactions) and [Secondary] (its refresh
    transactions) open, commit or abort an MVCC transaction or end a read,
-   and only [Handle] and [Table] read or write through one, so neither
+   and only [Handle] and [Table] read or write through one (by name or,
+   [Mvcc.read_number], by number), so neither
    driver opens, serves, commits or ends a transaction itself, although
    [Handle.txn] hands it the MVCC transaction. Every log record has a
    reader: only [Replica_set] creates a log, the primary's. Retirement has one
@@ -57,10 +58,14 @@
    its secondaries and every recovered copy, so the copies of one database
    share one and no two replica sets do. The judge trusts no store: [Watchdog]
    names no [Mvcc] value, so its key numbers come from its own table, never
-   from the dictionary whose stores it audits.
+   from the dictionary whose stores it audits. A key's name and its
+   number map to each other in one place: no library module outside
+   [lib/storage] holds a string literal that starts with [item:], so the
+   generator cannot name a key the dictionary does not number.
 
-   Usage: single_path.exe FILE.ml... (the library sources). Comments and
-   string literals are skipped. Exits 1 listing each offending call. *)
+   Usage: single_path.exe FILE.ml... (the library sources). Comments are
+   skipped, and so are string literals except by that last rule. Exits 1
+   listing each offending call. *)
 
 (* (modules allowed to make the calls, how to name them, the calls) *)
 let rules =
@@ -93,7 +98,9 @@ let rules =
     ( [ "replica_set.ml"; "secondary.ml" ],
       "Replica_set / Secondary",
       [ "Mvcc.begin_txn"; "Mvcc.commit"; "Mvcc.abort"; "Mvcc.end_read" ] );
-    ([ "handle.ml"; "table.ml" ], "Handle / Table", [ "Mvcc.read"; "Mvcc.write" ]);
+    ( [ "handle.ml"; "table.ml" ],
+      "Handle / Table",
+      [ "Mvcc.read"; "Mvcc.read_number"; "Mvcc.write" ] );
     ([ "replica_set.ml" ], "Replica_set", [ "Wal.create" ]);
     ([ "mvcc.ml" ], "Mvcc", [ "Wal.append"; "Wal.squash" ]);
     ([ "propagation.ml" ], "Propagation", [ "Wal.read_from" ]);
@@ -116,9 +123,13 @@ let rules =
 (* (modules that may not name them, which module that is, the names) *)
 let bans = [ ([ "watchdog.ml" ], "Watchdog", [ "Mvcc" ]) ]
 
-(* [src] with comments (nested) and string literals blanked out, newlines
-   kept so line numbers survive. *)
-let code_only src =
+(* (the directory whose modules may hold it, which modules those are, the
+   text a string literal may not start with elsewhere) *)
+let literals = [ ("lib/storage/", "Lsr_storage", "\"item:") ]
+
+(* [src] with comments (nested) and, unless [strings], string literals
+   blanked out, newlines kept so line numbers survive. *)
+let code_only ?(strings = false) src =
   let n = String.length src in
   let out = Bytes.of_string src in
   let blank i = if src.[i] <> '\n' then Bytes.set out i ' ' in
@@ -140,13 +151,15 @@ let code_only src =
   and string i =
     if i < n then
       if src.[i] = '\\' && i + 1 < n then begin
-        blank i;
-        blank (i + 1);
+        if not strings then begin
+          blank i;
+          blank (i + 1)
+        end;
         string (i + 2)
       end
       else if src.[i] = '"' then code (i + 1)
       else begin
-        blank i;
+        if not strings then blank i;
         string (i + 1)
       end
   and comment depth i =
@@ -188,6 +201,11 @@ let mentions line pat =
   in
   at 0
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
 let read_file file =
   let ic = open_in_bin file in
   Fun.protect
@@ -199,7 +217,20 @@ let () =
   let offences = ref 0 in
   List.iter
     (fun file ->
-      let lines = String.split_on_char '\n' (code_only (read_file file)) in
+      let src = read_file file in
+      List.iter
+        (fun (dir, owner, text) ->
+          if not (contains file dir) then
+            List.iteri
+              (fun i line ->
+                if contains line text then begin
+                  incr offences;
+                  Printf.printf "%s:%d: a string literal %s... outside %s\n" file (i + 1)
+                    text owner
+                end)
+              (String.split_on_char '\n' (code_only ~strings:true src)))
+        literals;
+      let lines = String.split_on_char '\n' (code_only src) in
       List.iter
         (fun (banned, owner, names) ->
           if List.mem (Filename.basename file) banned then

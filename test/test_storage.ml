@@ -958,16 +958,99 @@ let test_unscanned_store_footprint () =
   check_int "words once scanned" (unscanned + (keys * set_node_words)) (reachable ())
 
 (* A store holding one key is small: each of its columns and its private
-   dictionary's names hold an 8-slot chunk behind an 8-slot directory, and
-   the dictionary's table has 8 slots. It reached 4,174 words while a
-   column's first set allocated a whole 1,024-slot chunk and the table
-   started at 1,024 slots. *)
+   dictionary's names hold an 8-slot chunk behind an 8-slot directory, the
+   dictionary's table has 8 slots, and its number column, which no
+   numbered name has set, is an empty column record. It reached 4,174
+   words while a column's first set allocated a whole 1,024-slot chunk and
+   the table started at 1,024 slots, and 110 before the number column. *)
 let test_one_key_store_footprint () =
   let db = Mvcc.create () in
   let txn = Mvcc.begin_txn db in
   Mvcc.write db txn "k" (Some "v");
   ignore (commit_exn db txn);
-  check_int "words of a one-key store" 110 (Obj.reachable_words (Obj.repr db))
+  check_int "words of a one-key store" 115 (Obj.reachable_words (Obj.repr db))
+
+(* A dictionary of numbered names [0, n) is its names column, its number
+   column over the same [0, n) and the names themselves: no numbered name
+   enters the hashed table, which stays at its first 8 slots. *)
+let test_numbered_dictionary_footprint () =
+  let n = 3_000 in
+  let dict = Mvcc.keys () in
+  let reachable () = Obj.reachable_words (Obj.repr dict) in
+  (* The record's five fields, the 8-slot table, two empty column records,
+     the names column's fill (the empty string) and the empty directory
+     both columns start with. *)
+  check_int "words of an empty dictionary" 24 (reachable ());
+  let db = Mvcc.create ~keys:dict () in
+  seed db (List.init n (fun i -> (Mvcc.key_name i, "v")));
+  check_int "keys" n (Mvcc.key_count db);
+  let name_words = 3 (* header, eleven bytes and their padding *) in
+  check_int "words of 3,000 numbered names" (24 + (2 * column_words n) + (n * name_words))
+    (reachable ());
+  check_int "exactly" 15_192 (reachable ())
+
+(* Reading by number is reading by name: the committed value, a missing
+   number's [None], the transaction's own write of a number no store
+   installed, a number past the numbered bound (hashed by its name), and a
+   name of the "item:" form outside the numbering, which is another key. *)
+let test_read_number_is_read () =
+  let far = 1 lsl 20 in
+  let db = Mvcc.create () in
+  seed db [ (Mvcc.key_name 7, "seven"); ("item:0000008", "other"); (Mvcc.key_name far, "far") ];
+  let txn = Mvcc.begin_txn db in
+  check_str_opt "installed" (Some "seven") (Mvcc.read_number db txn 7);
+  check_str_opt "never installed" None (Mvcc.read_number db txn 8);
+  check_str_opt "past the bound" (Some "far") (Mvcc.read_number db txn far);
+  check_bool "the dictionary's name" true
+    (Mvcc.number_key db 7 == Mvcc.stored_key db "item:000007");
+  Alcotest.(check string) "a built name" "item:000008" (Mvcc.number_key db 8);
+  Mvcc.write db txn (Mvcc.key_name 8) (Some "own");
+  check_str_opt "own write" (Some "own") (Mvcc.read_number db txn 8);
+  check_str_opt "unwritten, in a writer" (Some "seven") (Mvcc.read_number db txn 7);
+  check_str_opt "by name" (Some "other") (Mvcc.read db txn "item:0000008")
+
+(* 10,000 reads by number, half of numbers installed and half of numbers no
+   store installed, allocate nothing at all. *)
+let test_number_reads_allocate_nothing () =
+  let db = Mvcc.create () in
+  seed db (List.init 5_000 (fun i -> (Mvcc.key_name (2 * i), "v0")));
+  let txn = Mvcc.begin_txn db in
+  let w0 = Gc.minor_words () in
+  for n = 0 to 9_999 do
+    ignore (Sys.opaque_identity (Mvcc.read_number db txn n))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_str_opt "installed" (Some "v0") (Mvcc.read_number db txn 42);
+  check_str_opt "never installed" None (Mvcc.read_number db txn 43);
+  check_int "minor words of 10,000 reads" 0 (int_of_float words)
+
+(* The name/number mapping is [Printf.sprintf "item:%06d"] both ways below
+   the bound, across the six/seven-digit boundary and up to the bound; a
+   name past it is -1. *)
+let numbered_bound = 1 lsl 20
+
+let prop_key_number_round_trips =
+  QCheck.Test.make ~name:"key names and numbers round-trip" ~count:2_000
+    QCheck.(
+      oneof
+        [ int_range 0 1_100_000; int_range 999_900 1_000_100;
+          int_range (numbered_bound - 100) (numbered_bound + 100); int_range 0 max_int ])
+    (fun n ->
+      let name = Printf.sprintf "item:%06d" n in
+      String.equal (Mvcc.key_name n) name
+      && Mvcc.key_number name = if n < numbered_bound then n else -1)
+
+let test_key_number_rejects () =
+  for n = 0 to numbered_bound - 1 do
+    if Mvcc.key_number (Mvcc.key_name n) <> n then
+      Alcotest.failf "key_number %S <> %d" (Mvcc.key_name n) n
+  done;
+  List.iter
+    (fun name -> check_int name (-1) (Mvcc.key_number name))
+    [ "item:0000123"; "item:0123456"; "item:-00001"; "item:+00001"; "item:-1";
+      "item:00012a"; "item:0001 2"; "item:12345"; "item:"; ""; "Item:000001";
+      "item;000001"; "k000001"; "item:000001 "; "item:1048576";
+      "item:4611686018427387904"; "item:99999999999999999999999" ]
 
 (* Stores holding copies of one database share its key dictionary: each
    pays its newest-ts and newest-value columns (it holds no older version),
@@ -1222,11 +1305,19 @@ type index_step =
       (** a concurrent commit writes the key first; ours must then abort *)
   | Vacuum_at of int
 
-let index_keys = 6_000
+let index_keys = 8_000
 
-(* Keys [0, index_keys) are "item:%06d"; the two colliding keys follow. *)
+(* Keys [0, index_keys) take three forms: one in four is numbered
+   ("item:%06d"), one in four is an "item:" name outside the numbering
+   (seven digits, the first a zero) and the rest are "k%06d". The two
+   colliding keys follow. Only the numbered ones stay out of the hashed
+   table. *)
 let index_key i =
-  if i < index_keys then Printf.sprintf "item:%06d" i
+  if i < index_keys then
+    match i mod 4 with
+    | 0 -> Printf.sprintf "item:%06d" i
+    | 1 -> Printf.sprintf "item:%07d" i
+    | _ -> Printf.sprintf "k%06d" i
   else List.nth (Lazy.force colliding_keys) (i - index_keys)
 
 let prop_index_matches_map_model =
@@ -1250,11 +1341,14 @@ let prop_index_matches_map_model =
         (2, map (fun r -> Vacuum_at r) (int_range 0 100));
       ]
   in
-  (* The store doubles its 1,024 buckets at 2,049 keys and again at 4,097.
-     A bulk load of 2,000-4,000 keys, then batches over 6,000, cross one or
-     both doublings with repeats, deletes, aborts, conflicts and vacuums in
-     between. *)
-  let gen = pair (int_range 2_000 4_000) (list_size (int_range 10 30) step) in
+  (* The dictionary's table starts at 8 slots and doubles once more than
+     half of them hold names outside the numbering: it holds 4,096 slots
+     until the 2,049th such name and 8,192 until the 4,097th. Three keys
+     in four are such names, so a bulk load of 2,800-5,600 keys crosses the
+     first doubling (and from 5,463 keys the second), and batches over
+     8,000 keys cross the second with repeats, deletes, aborts, conflicts
+     and vacuums in between. *)
+  let gen = pair (int_range 2_800 5_600) (list_size (int_range 10 30) step) in
   QCheck.Test.make ~name:"key index matches a Map model across resizes" ~count:12
     (QCheck.make gen) (fun (load, steps) ->
       let db = Mvcc.create () in
@@ -1316,8 +1410,13 @@ let prop_index_matches_map_model =
         |> List.rev
       in
       let absent = List.init 100 (fun i -> Printf.sprintf "absent:%d" i) in
+      let reader = Mvcc.begin_txn db in
+      let by_number n =
+        Mvcc.read_number db reader n = model_read ~at:latest (chain (Mvcc.key_name n))
+      in
       Smap.for_all reads_agree !model
       && List.for_all (fun k -> Mvcc.read_at db latest k = None) absent
+      && List.for_all by_number (List.init (index_keys / 4 + 100) (fun i -> 4 * i))
       && Mvcc.version_count db = Smap.fold (fun _ c acc -> acc + List.length c) !model 0
       && Mvcc.committed_state db = present
       && Mvcc.committed_state (Mvcc.restore (Mvcc.serialize db)) = present)
@@ -1898,6 +1997,14 @@ let () =
             test_unscanned_store_footprint;
           Alcotest.test_case "one-key store footprint" `Quick
             test_one_key_store_footprint;
+          Alcotest.test_case "numbered dictionary footprint" `Quick
+            test_numbered_dictionary_footprint;
+          Alcotest.test_case "read by number is read by name" `Quick
+            test_read_number_is_read;
+          Alcotest.test_case "reads by number allocate nothing" `Quick
+            test_number_reads_allocate_nothing;
+          Alcotest.test_case "names outside the numbering" `Quick
+            test_key_number_rejects;
           Alcotest.test_case "stores sharing a dictionary pay it once" `Quick
             test_shared_dictionary_footprint;
           Alcotest.test_case "serialize/restore roundtrip" `Quick
@@ -1910,6 +2017,7 @@ let () =
               prop_serialize_roundtrip;
               prop_vacuum_matches_full_scan;
               prop_index_matches_map_model;
+              prop_key_number_round_trips;
               prop_shared_dictionary_agrees;
             ] );
       ( "row",

@@ -2,6 +2,7 @@
 
 open Lsr_workload
 open Lsr_sim
+open Lsr_storage
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -151,10 +152,41 @@ let prop_generate_wellformed =
       if Txn_gen.is_update spec then write_count spec >= 1
       else write_count spec = 0)
 
-(* [Txn_gen.draw] is [generate] with each read's keys left in the stream:
-   over random parameters (uniform and Zipf keys), a run of draws leaves the
-   stream where [generate] leaves it, and the keys drawn afterwards from
-   each read's copy are [generate]'s. *)
+(* The generator as it drew inline before [generate] became [draw] plus
+   the keys: the size, the kind, then each operation in order. *)
+let inline_generate p rng : Txn_gen.spec =
+  let key () =
+    let n = p.Params.key_space in
+    Printf.sprintf "item:%06d"
+      (if p.Params.key_skew > 0. then Rng.zipf rng ~n ~s:p.Params.key_skew - 1
+       else Rng.uniform rng ~lo:0 ~hi:(n - 1))
+  in
+  let size = Rng.uniform rng ~lo:p.Params.tran_size_min ~hi:p.Params.tran_size_max in
+  if Rng.bernoulli rng ~p:p.Params.update_tran_prob then begin
+    let ops =
+      List.init size (fun _ ->
+          if Rng.bernoulli rng ~p:p.Params.update_op_prob then
+            Txn_gen.Write_op (key (), Txn_gen.fresh_value rng)
+          else Txn_gen.Read_op (key ()))
+    in
+    let ops =
+      if List.exists (function Txn_gen.Write_op _ -> true | Read_op _ -> false) ops
+      then ops
+      else
+        match ops with
+        | Txn_gen.Read_op k :: rest -> Txn_gen.Write_op (k, Txn_gen.fresh_value rng) :: rest
+        | (Txn_gen.Write_op _ :: _ | []) -> ops
+    in
+    { kind = Update; ops }
+  end
+  else { kind = Read_only; ops = List.init size (fun _ -> Txn_gen.Read_op (key ())) }
+
+(* [Txn_gen.draw] leaves each read's keys in the stream: over random
+   parameters (uniform and Zipf keys), a run of draws leaves the stream
+   where the inline generator leaves it, and the keys drawn afterwards from
+   each read's copy are its keys. [generate], which is [draw] with the keys
+   drawn at once, makes the inline generator's transactions and leaves the
+   stream at the same place. *)
 let prop_draw_matches_generate =
   let params =
     QCheck.Gen.(
@@ -177,23 +209,30 @@ let prop_draw_matches_generate =
   QCheck.Test.make ~name:"draw with late keys is generate" ~count:300
     (QCheck.make QCheck.Gen.(pair int params))
     (fun (seed, p) ->
-      let live = Rng.create seed and split = Rng.create seed in
-      let specs = List.init 8 (fun _ -> Txn_gen.generate p live) in
+      let inline = Rng.create seed
+      and live = Rng.create seed
+      and split = Rng.create seed in
+      let specs = List.init 8 (fun _ -> inline_generate p inline) in
+      let generated = List.init 8 (fun _ -> Txn_gen.generate p live) in
       let draws = List.init 8 (fun _ -> Txn_gen.draw p split) in
-      Rng.bits64 live = Rng.bits64 split
+      let next = Rng.bits64 inline in
+      next = Rng.bits64 live
+      && next = Rng.bits64 split
+      && generated = specs
       && List.for_all2
            (fun (spec : Txn_gen.spec) draw ->
              match (spec.kind, draw) with
              | Txn_gen.Update, Txn_gen.Updates ops -> ops = spec.ops
              | Txn_gen.Read_only, Txn_gen.Reads { size; keys } ->
-               List.init size (fun _ -> Txn_gen.Read_op (Txn_gen.key p keys))
+               List.init size (fun _ ->
+                   Txn_gen.Read_op (Mvcc.key_name (Txn_gen.index p keys)))
                = spec.ops
              | (Txn_gen.Update | Txn_gen.Read_only), _ -> false)
            specs draws)
 
 (* Key names are the bytes [Printf.sprintf "item:%06d"] gives, for every
    int: padding boundaries, signs and both extremes, then random ints. *)
-let key_name_matches i = Txn_gen.key_name i = Printf.sprintf "item:%06d" i
+let key_name_matches i = Mvcc.key_name i = Printf.sprintf "item:%06d" i
 
 let test_key_name_edges () =
   List.iter
@@ -210,7 +249,7 @@ let prop_key_name_printf =
 let test_key_name_exhaustive () =
   for i = -1_200_000 to 1_200_000 do
     if not (key_name_matches i) then
-      Alcotest.failf "key_name %d = %S" i (Txn_gen.key_name i)
+      Alcotest.failf "key_name %d = %S" i (Mvcc.key_name i)
   done;
   check_bool "min_int" true (key_name_matches min_int);
   check_bool "max_int" true (key_name_matches max_int)
