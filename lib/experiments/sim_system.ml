@@ -191,7 +191,7 @@ let serve st res n k =
 let run_applicator st site ~ops ~after k =
   let rec commit () =
     if Secondary.seq_dbsec (secondary st site) < after then
-      Seqcond.park site.commit_order ~threshold:(fun () -> after) commit
+      Seqcond.park site.commit_order ~need:after commit
     else
       match Replica_set.fire st.rs (Replica_set.Commit site.index) with
       | Replica_set.Committed ts ->
@@ -227,9 +227,10 @@ let refresher st site () =
       site.refresher_idle <- true
     | _ ->
       (* Blocked on a start record: parked until the pending queue's tail
-         has committed. *)
+         has committed. Only this refresher dispatches, so the tail holds
+         while it is parked. *)
       Seqcond.park site.commit_order
-        ~threshold:(fun () -> Secondary.pending_tail (secondary st site))
+        ~need:(Secondary.pending_tail (secondary st site))
         loop
   in
   loop ()

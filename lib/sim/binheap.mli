@@ -1,9 +1,8 @@
 (** Array-backed binary min-heap, ordered by a user-supplied comparison.
 
-    Used by {!Resource} for processor-sharing jobs and by {!Engine} for
-    cancelled events. The heap is a mutable
-    structure; all operations are amortized O(log n) except [peek] which is
-    O(1). *)
+    Used by {!Resource} for its processor-sharing jobs. The heap is a
+    mutable structure; all operations are amortized O(log n) except [peek]
+    which is O(1). *)
 
 type 'a t
 

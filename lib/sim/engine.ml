@@ -1,9 +1,3 @@
-(* A handle remembers its event's (time, seq) key: events fire in key
-   order, so the event is still pending exactly when it has not been
-   cancelled and its key comes after that of the last event fired. The
-   engine itself never reads a handle while the event is pending. *)
-type handle = { at : float; id : int; mutable cancelled : bool }
-
 (* Pending events live in two queues. Events scheduled with [delay = 0.]
    (finished jobs' continuations and chain starts; a released {!Seqcond}
    waiter is an [after_arg] event) go into the ring, a FIFO: each is
@@ -27,16 +21,13 @@ type handle = { at : float; id : int; mutable cancelled : bool }
    the closures they capture) are collectable. At millions of events per
    run this is the hottest loop in the simulator.
 
-   A cancelled event stays in its queue until it reaches the front, where
-   it is dropped without firing. Cancelled events come to the front in key
-   order, so the engine keeps their handles in a small heap of their own
-   and compares each popped seq with the earliest one's: one int test per
-   event, and no mark in the queues. *)
+   No event is ever cancelled, so firing tests nothing but the two heads'
+   keys. An owner that moves its event arms a new one and lets the old
+   fire as a no-op: {!Resource} stamps its completion's argument with a
+   generation. *)
 type t = {
   mutable now : float;
   mutable seq : int;
-  (* The seq of the last event fired; -1 before the first. *)
-  mutable last : int;
   mutable fired : int;
   (* The heap: slot 0 is the minimum, the children of [i] are
      [4i + 1 .. 4i + 4]. *)
@@ -52,10 +43,6 @@ type t = {
   mutable ring : (unit -> unit) array;
   mutable head : int;
   mutable queued : int;
-  (* Cancelled events still queued, and the seq of the earliest of them
-     (-1 when there is none). *)
-  doomed : handle Binheap.t;
-  mutable next_doomed : int;
   mutable arg : int;  (* of the heap event popped last *)
 }
 
@@ -71,7 +58,6 @@ let create () =
   {
     now = 0.;
     seq = 0;
-    last = -1;
     fired = 0;
     times = [||];
     seqs = [||];
@@ -83,18 +69,12 @@ let create () =
     ring = Array.make ring_capacity ignore;
     head = 0;
     queued = 0;
-    doomed =
-      Binheap.create
-        ~cmp:(fun a b -> if before a.at a.id b.at b.id then -1 else 1)
-        ~dummy:{ at = nan; id = -1; cancelled = true };
-    next_doomed = -1;
     arg = 0;
   }
 
 let now t = t.now
 let events_processed t = t.fired
 let arg t = t.arg
-let pending t = t.size + t.queued - Binheap.length t.doomed
 
 let[@inline] get_arg t i =
   if Array.length t.args > 0 then Array.unsafe_get t.args i else 0
@@ -263,20 +243,7 @@ let every t period tick =
   in
   insert t ~delay:0. (fun () -> insert t ~delay:period fire)
 
-let schedule t ~delay action =
-  check_delay "Engine.schedule" delay;
-  let h = { at = t.now +. delay; id = t.seq; cancelled = false } in
-  insert t ~delay action;
-  h
-
-let cancel t h =
-  if (not h.cancelled) && before t.now t.last h.at h.id then begin
-    h.cancelled <- true;
-    Binheap.push t.doomed h;
-    match Binheap.peek t.doomed with
-    | Some first -> t.next_doomed <- first.id
-    | None -> ()
-  end
+let schedule = after
 
 (* Whether the next event to fire is the ring's head rather than the heap's
    top. Call only when some event is queued. *)
@@ -290,42 +257,20 @@ let ring_first t =
 
 let is_empty t = t.size = 0 && t.queued = 0
 
-(* The seq of the next event, in the queue [ring_first] chose. *)
-let next_seq t ~from_ring =
-  if from_ring then Array.unsafe_get t.ring_seqs t.head
-  else Array.unsafe_get t.seqs 0
-
-(* Remove the next event, the earliest cancelled one, from its queue
-   without firing it. *)
-let drop t ~from_ring =
-  if from_ring then dequeue t else pop t;
-  ignore (Binheap.pop t.doomed);
-  t.next_doomed <-
-    (match Binheap.peek t.doomed with Some h -> h.id | None -> -1)
-
-(* Remove the next event, [seq], from its queue and fire it. *)
-let fire t ~from_ring seq =
+(* Remove the next event from its queue and fire it. *)
+let fire t ~from_ring =
   let time = if from_ring then t.ring_times.(t.head) else t.times.(0) in
   let action = if from_ring then t.ring.(t.head) else t.actions.(0) in
   if from_ring then dequeue t else pop t;
   t.now <- time;
-  t.last <- seq;
   t.fired <- t.fired + 1;
   action ()
 
-let rec step t =
+let step t =
   if is_empty t then false
   else begin
-    let from_ring = ring_first t in
-    let seq = next_seq t ~from_ring in
-    if seq = t.next_doomed then begin
-      drop t ~from_ring;
-      step t
-    end
-    else begin
-      fire t ~from_ring seq;
-      true
-    end
+    fire t ~from_ring:(ring_first t);
+    true
   end
 
 let run ?until t =
@@ -333,15 +278,9 @@ let run ?until t =
   let rec loop () =
     if not (is_empty t) then begin
       let from_ring = ring_first t in
-      let seq = next_seq t ~from_ring in
-      if seq = t.next_doomed then begin
-        drop t ~from_ring;
-        loop ()
-      end
-      else if
-        (if from_ring then t.ring_times.(t.head) else t.times.(0)) <= limit
+      if (if from_ring then t.ring_times.(t.head) else t.times.(0)) <= limit
       then begin
-        fire t ~from_ring seq;
+        fire t ~from_ring;
         loop ()
       end
     end

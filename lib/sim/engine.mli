@@ -19,16 +19,14 @@
     fourth, its argument, in the heap of an engine that has scheduled with
     {!after_arg}; that column is allocated by the first {!after_arg}, so an
     engine of closures never pays it. Many {!after_arg} events can share
-    one action, which tells them apart by {!arg}. Only {!schedule}
-    allocates more, a handle of six words, so schedule with {!after} any
-    event that will never be cancelled. A cancelled event keeps its slot
-    until it reaches the front of its queue, where it is dropped without
-    firing. *)
+    one action, which tells them apart by {!arg}.
+
+    An event cannot be cancelled. An owner that moves its event arms a new
+    one and makes the old one a no-op: {!Resource} passes its completion a
+    generation as the {!arg}, and the action returns at once when that
+    generation is no longer the current one. *)
 
 type t
-
-(** Cancellable reference to an event scheduled with {!schedule}. *)
-type handle
 
 val create : unit -> t
 
@@ -36,9 +34,8 @@ val create : unit -> t
     clock is boxed once per fired event. *)
 val now : t -> float
 
-(** [after t ~delay f] arranges for [f] to run at time [now t +. delay],
-    like {!schedule} but without a handle, so the event costs its queue
-    slot only.
+(** [after t ~delay f] arranges for [f] to run at time [now t +. delay].
+    The event costs its queue slot only.
     @raise Invalid_argument if [delay] is negative or not finite. *)
 val after : t -> delay:float -> (unit -> unit) -> unit
 
@@ -60,14 +57,11 @@ val arg : t -> int
     period of 0 would re-fire at one instant forever. *)
 val every : t -> float -> (unit -> unit) -> unit
 
-(** [schedule t ~delay f] is [after t ~delay f], and returns a handle that
-    can cancel the event.
-    @raise Invalid_argument if [delay] is negative or not finite. *)
-val schedule : t -> delay:float -> (unit -> unit) -> handle
-
-(** [cancel t h] prevents a pending event from firing. Cancelling an event
-    that already fired (or was already cancelled) is a no-op. *)
-val cancel : t -> handle -> unit
+(** [schedule] is {!after} under its old name. Only the benchmark's two
+    timers in [bench/suite] call it, until the benchmark's next change
+    renames them (ROADMAP item 1b) and it goes; no library module may (the
+    [single_path] lint). *)
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [step t] fires the earliest pending event, advancing the clock to its
     time. Returns [false] when no events remain. *)
@@ -78,9 +72,7 @@ val step : t -> bool
     [until] and remaining events stay queued. *)
 val run : ?until:float -> t -> unit
 
-(** Number of pending (non-cancelled) events. *)
-val pending : t -> int
-
 (** Total events fired since [create] — the simulator's work measure, used
-    by the perf bench to report events/second. *)
+    by the perf bench to report events/second. A superseded event that
+    fires as a no-op counts like any other. *)
 val events_processed : t -> int

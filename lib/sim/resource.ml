@@ -29,11 +29,12 @@ type t = {
   name : string;
   clock : clock;
   (* Processor sharing: jobs in simultaneous service, ordered by finish
-     virtual time, and the completion event pending for the first of them.
-     [on_completion] is that event's action, allocated once. *)
+     virtual time. [on_completion], allocated once, is the action of every
+     completion event; each carries the [generation] current when it was
+     armed, and only the latest one completes jobs. *)
   ps_heap : ps_job Binheap.t;
   mutable ps_seq : int;
-  mutable completion : Engine.handle option;
+  mutable generation : int;
   on_completion : unit -> unit;
   (* Queueing telemetry: per-job tallies recorded at completion; their
      count is the number of completions. *)
@@ -89,22 +90,20 @@ let ps_advance t =
   end;
   c.last_update <- now
 
+(* Every arrival and completion moves the next completion instant. The
+   event armed for the old instant is not cancelled: bumping [generation]
+   supersedes it, and it fires as a no-op. *)
 let ps_reschedule t =
-  (match t.completion with
-  | Some h ->
-    Engine.cancel t.eng h;
-    t.completion <- None
-  | None -> ());
+  t.generation <- t.generation + 1;
   match Binheap.peek t.ps_heap with
   | None -> ()
   | Some next ->
     let n = float_of_int (Binheap.length t.ps_heap) in
     let delay = (next.vfinish -. t.clock.vtime) *. n in
     let delay = if 0. >= delay then 0. else delay in
-    t.completion <- Some (Engine.schedule t.eng ~delay t.on_completion)
+    Engine.after_arg t.eng ~delay ~arg:t.generation t.on_completion
 
 let ps_complete t =
-  t.completion <- None;
   ps_advance t;
   (* Pop every job whose demand is met at the advanced virtual time and
      schedule its continuation; ties complete in arrival order (heap order
@@ -164,8 +163,9 @@ let create ?(name = "resource") eng =
             { vfinish = infinity; seq = -1; ps_amount = 0.; ps_arrived = 0.;
               ps_k = ignore };
       ps_seq = 0;
-      completion = None;
-      on_completion = (fun () -> ps_complete t);
+      generation = 0;
+      on_completion =
+        (fun () -> if Engine.arg eng = t.generation then ps_complete t);
       wait = Stat.create ();
       service = Stat.create ();
     }

@@ -30,6 +30,9 @@ val create : ?name:string -> Engine.t -> t
     the same instant as other events runs after those already queued. A
     zero [amount] completes at its arrival instant, after the events
     already queued for that instant, and moves no other job's finish time.
+    Each arrival and each completion that leaves jobs in service arms one
+    completion event; the one it supersedes still fires, as a no-op that
+    {!Engine.events_processed} counts.
     @raise Invalid_argument if [amount] is negative or not finite. *)
 val use : t -> float -> (unit -> unit) -> unit
 

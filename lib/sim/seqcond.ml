@@ -73,12 +73,7 @@ let wait t ~need ~arg action =
   t.size <- i + 1;
   sift_up t i
 
-(* The closure form: the release event re-runs [park], which re-reads the
-   threshold and registers again if it rose. *)
-let rec park t ~threshold k =
-  let need = threshold () in
-  if need <= t.level then k ()
-  else wait t ~need ~arg:0 (fun () -> park t ~threshold k)
+let park t ~need k = if need <= t.level then k () else wait t ~need ~arg:0 k
 
 let advance t v =
   if v > t.level then begin

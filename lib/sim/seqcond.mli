@@ -12,8 +12,8 @@
     flat slots (need, order, an int argument and an action, which many
     waiters may share), with no record, closure or fiber of its own. A
     need can rise while its waiter is parked (a pooled session's [seq(c)]
-    does), so a released waiter re-reads it and waits again under a new
-    registration while it is still above the level. *)
+    does); such a waiter's action re-reads it when released and waits
+    again under a new registration while it is still above the level. *)
 
 type t
 
@@ -31,12 +31,12 @@ val level : t -> int
     order. *)
 val wait : t -> need:int -> arg:int -> (unit -> unit) -> unit
 
-(** [park t ~threshold k] runs [k ()] once [threshold () <= level t]: now,
-    in the caller, if that holds already; otherwise it {!wait}s with need
-    [threshold ()] and an action that parks again. It allocates that
-    closure at each registration; the simulator's blocked reads {!wait}
-    with one action per site instead. *)
-val park : t -> threshold:(unit -> int) -> (unit -> unit) -> unit
+(** [park t ~need k] runs [k ()] once [need <= level t]: now, in the
+    caller, if that holds already; otherwise it is [wait t ~need ~arg:0 k].
+    The need is read once, so park only a waiter whose need cannot rise
+    while it waits; a waiter whose need can rise {!wait}s with an action
+    that re-reads it and registers again. *)
+val park : t -> need:int -> (unit -> unit) -> unit
 
 (** [advance t v] raises the level to [v] (no-op if [v <= level t]) and
     releases every waiter whose need is now reached. *)

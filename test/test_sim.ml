@@ -66,52 +66,54 @@ let test_engine_ordering () =
   let eng = Engine.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
-  ignore (Engine.schedule eng ~delay:3. (note "c"));
-  ignore (Engine.schedule eng ~delay:1. (note "a"));
-  ignore (Engine.schedule eng ~delay:2. (note "b"));
+  Engine.after eng ~delay:3. (note "c");
+  Engine.after eng ~delay:1. (note "a");
+  Engine.after eng ~delay:2. (note "b");
   Engine.run eng;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
   check_float "clock at last event" 3. (Engine.now eng)
 
+(* Same-instant events fire in scheduling order, and pausing before the
+   instant does not perturb that order. *)
 let test_engine_fifo_ties () =
   let eng = Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Engine.schedule eng ~delay:1. (fun () -> log := i :: !log))
+    Engine.after eng ~delay:1. (fun () -> log := i :: !log)
   done;
   Engine.run eng;
   Alcotest.(check (list int)) "fifo at equal time" [ 1; 2; 3; 4; 5 ]
-    (List.rev !log)
-
-let test_engine_cancel () =
-  let eng = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule eng ~delay:1. (fun () -> fired := true) in
-  Engine.cancel eng h;
-  Engine.cancel eng h (* double cancel is a no-op *);
+    (List.rev !log);
+  log := [];
+  for i = 1 to 5 do
+    Engine.after eng ~delay:2. (fun () -> log := i :: !log)
+  done;
+  (* The batch is due at 3. *)
+  Engine.run ~until:2. eng;
+  check_int "only the first batch fired" 5 (Engine.events_processed eng);
   Engine.run eng;
-  check_bool "cancelled event did not fire" false !fired;
-  check_int "no pending" 0 (Engine.pending eng)
+  Alcotest.(check (list int)) "fifo across an until pause" [ 1; 2; 3; 4; 5 ]
+    (List.rev !log)
 
 let test_engine_until () =
   let eng = Engine.create () in
   let fired = ref [] in
-  ignore (Engine.schedule eng ~delay:1. (fun () -> fired := 1 :: !fired));
-  ignore (Engine.schedule eng ~delay:5. (fun () -> fired := 5 :: !fired));
+  Engine.after eng ~delay:1. (fun () -> fired := 1 :: !fired);
+  Engine.after eng ~delay:5. (fun () -> fired := 5 :: !fired);
   Engine.run ~until:2. eng;
   Alcotest.(check (list int)) "only early event" [ 1 ] !fired;
   check_float "clock parked at until" 2. (Engine.now eng);
-  check_int "late event still pending" 1 (Engine.pending eng);
+  check_int "one event fired" 1 (Engine.events_processed eng);
   Engine.run eng;
-  Alcotest.(check (list int)) "late event fires on resume" [ 5; 1 ] !fired
+  Alcotest.(check (list int)) "late event fires on resume" [ 5; 1 ] !fired;
+  check_float "clock at the late event" 5. (Engine.now eng)
 
 let test_engine_nested_schedule () =
   let eng = Engine.create () in
   let log = ref [] in
-  ignore
-    (Engine.schedule eng ~delay:1. (fun () ->
-         log := "outer" :: !log;
-         ignore (Engine.schedule eng ~delay:1. (fun () -> log := "inner" :: !log))));
+  Engine.after eng ~delay:1. (fun () ->
+      log := "outer" :: !log;
+      Engine.after eng ~delay:1. (fun () -> log := "inner" :: !log));
   Engine.run eng;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   check_float "final time" 2. (Engine.now eng)
@@ -119,8 +121,11 @@ let test_engine_nested_schedule () =
 let test_engine_negative_delay () =
   let eng = Engine.create () in
   Alcotest.check_raises "negative delay"
-    (Invalid_argument "Engine.schedule: delay must be finite and non-negative")
-    (fun () -> ignore (Engine.schedule eng ~delay:(-1.) (fun () -> ())))
+    (Invalid_argument "Engine.after: delay must be finite and non-negative")
+    (fun () -> Engine.after eng ~delay:(-1.) ignore);
+  Alcotest.check_raises "negative argument delay"
+    (Invalid_argument "Engine.after_arg: delay must be finite and non-negative")
+    (fun () -> Engine.after_arg eng ~delay:(-1.) ~arg:0 ignore)
 
 (* A zero period would re-fire the chain at one instant forever. *)
 let test_engine_every_rejects_zero_period () =
@@ -131,97 +136,33 @@ let test_engine_every_rejects_zero_period () =
         (Invalid_argument "Engine.every: period must be positive and finite")
         (fun () -> Engine.every eng period ignore))
     [ 0.; -0.; -1.; Float.nan; Float.infinity ];
-  check_int "nothing scheduled" 0 (Engine.pending eng)
+  check_bool "nothing scheduled" false (Engine.step eng)
 
-(* engine.mli documents that cancelling an event that already fired is a
-   no-op; make the promise executable. *)
-let test_engine_cancel_after_fire () =
-  let eng = Engine.create () in
-  let fired = ref 0 in
-  let h = Engine.schedule eng ~delay:1. (fun () -> incr fired) in
-  Engine.run eng;
-  check_int "fired once" 1 !fired;
-  Engine.cancel eng h;
-  Engine.cancel eng h;
-  check_int "still exactly once" 1 !fired;
-  check_int "no pending after late cancel" 0 (Engine.pending eng);
-  (* The engine remains fully usable: the stale handle poisoned nothing. *)
-  ignore (Engine.schedule eng ~delay:1. (fun () -> incr fired));
-  Engine.run eng;
-  check_int "subsequent events fire" 2 !fired
-
-(* Cancelling an event parked beyond [until] must keep it from ever firing,
-   and resuming the run must not disturb the clock or the queue. *)
-let test_engine_until_cancel_interaction () =
-  let eng = Engine.create () in
-  let log = ref [] in
-  let note tag () = log := tag :: !log in
-  ignore (Engine.schedule eng ~delay:1. (note "early"));
-  let late = Engine.schedule eng ~delay:5. (note "late") in
-  ignore (Engine.schedule eng ~delay:6. (note "later"));
-  Engine.run ~until:2. eng;
-  check_float "parked at until" 2. (Engine.now eng);
-  check_int "two still pending" 2 (Engine.pending eng);
-  Engine.cancel eng late;
-  check_int "cancel drops the pending count" 1 (Engine.pending eng);
-  Engine.run eng;
-  Alcotest.(check (list string))
-    "cancelled event never fires" [ "early"; "later" ] (List.rev !log);
-  check_float "clock at the surviving event" 6. (Engine.now eng)
-
-(* [run ~until] with nothing left but cancelled events must not advance the
-   clock past [until], and an event at exactly [until] fires. *)
+(* An event at exactly [until] fires, the clock stops at exactly [until],
+   and running an empty engine leaves the clock where it is. *)
 let test_engine_until_exact_boundary () =
   let eng = Engine.create () in
   let fired = ref false in
-  ignore (Engine.schedule eng ~delay:3. (fun () -> fired := true));
-  let ghost = Engine.schedule eng ~delay:4. (fun () -> assert false) in
-  Engine.cancel eng ghost;
+  Engine.after eng ~delay:3. (fun () -> fired := true);
   Engine.run ~until:3. eng;
   check_bool "event at exactly until fires" true !fired;
   check_float "clock is exactly until" 3. (Engine.now eng);
   Engine.run eng;
-  check_float "cancelled remnants do not advance the clock" 3. (Engine.now eng)
-
-(* FIFO tie-breaking survives interleaved cancellation and an until-pause:
-   same-instant events fire in scheduling order, with cancelled ones
-   excised. *)
-let test_engine_fifo_ties_with_cancel_and_until () =
-  let eng = Engine.create () in
-  let log = ref [] in
-  let handles =
-    List.map
-      (fun i -> (i, Engine.schedule eng ~delay:2. (fun () -> log := i :: !log)))
-      [ 0; 1; 2; 3; 4 ]
-  in
-  Engine.cancel eng (List.assoc 1 handles);
-  Engine.cancel eng (List.assoc 3 handles);
-  (* Pausing before the instant must not perturb the tie order. *)
-  Engine.run ~until:1. eng;
-  check_int "all survivors still pending" 3 (Engine.pending eng);
-  Engine.run eng;
-  Alcotest.(check (list int))
-    "survivors fire in scheduling order" [ 0; 2; 4 ] (List.rev !log)
+  check_float "an empty run does not advance the clock" 3. (Engine.now eng)
 
 (* The engine against a reference model, a sorted list of (time, seq)
    pairs. A schedule mixes zero delays (the FIFO lane), positive delays that
    tie, and tiny delays with [now +. d = now] (heap events at the current
-   instant, competing with the lane). Event [i]'s action schedules
-   [children] and may cancel the event [back] ids before the newest one:
-   its own child, a pending sibling or one already fired. Between [run
-   ~until] chunks the test cancels the newest event that already fired
-   and schedules more events from outside any action.
+   instant, competing with the lane). Event [i]'s action schedules its
+   [children]; between [run ~until] chunks the test schedules more events
+   from outside any action.
 
-   Every third event ([handle_free]) is scheduled with [Engine.after] or,
-   for half of them ([with_arg]), with [Engine.after_arg] and the random
-   argument drawn beside its delay; neither gives a handle, so the same
-   run mixes handle-free and cancellable events in both queues, and a
-   cancel aimed at a handle-free event is skipped in the model and the
-   engine alike. An argument event waits in the heap even at delay 0, and
-   its action logs what [Engine.arg] reads, which must be its own
-   argument. *)
-let handle_free id = id mod 3 = 1
-let with_arg id = id mod 6 = 4
+   Every third event ([with_arg]) is scheduled with [Engine.after_arg] and
+   the random argument drawn beside its delay, the others with
+   [Engine.after], so the same run mixes both kinds in the heap. An
+   argument event waits in the heap even at delay 0, and its action logs
+   what [Engine.arg] reads, which must be its own argument. *)
+let with_arg id = id mod 3 = 1
 
 let delay_gen =
   QCheck.Gen.(
@@ -237,78 +178,47 @@ let event_gen = QCheck.Gen.pair delay_gen QCheck.Gen.int
 
 let schedule_arb =
   let open QCheck.Gen in
-  let behaviour = pair (list_size (int_bound 2) event_gen) (opt (int_bound 3)) in
   let chunk = pair (float_bound_inclusive 4.) (list_size (int_bound 3) event_gen) in
   QCheck.make
     (triple
        (list_size (int_range 1 6) event_gen)
-       (array_size (int_bound 40) behaviour)
+       (array_size (int_bound 40) (list_size (int_bound 2) event_gen))
        (list_size (int_bound 3) chunk))
 
 (* What one [run ?until] chunk left behind: fired ids in order, each with
-   the argument its action read (0 unless [with_arg]), the clock, pending
-   events, events fired in total. *)
-type engine_view = {
-  order : (int * int) list;
-  clock : float;
-  pending : int;
-  fired : int;
-}
+   the argument its action read (0 unless [with_arg]), the clock and the
+   events fired in total. *)
+type engine_view = { order : (int * int) list; clock : float; fired : int }
 
-let behaviour_of behaviours id =
-  if id < Array.length behaviours then behaviours.(id) else ([], None)
+let children_of children id =
+  if id < Array.length children then children.(id) else []
 
-(* The model keeps its pending events as a list sorted by (time, id), each
-   tagged with whether the engine holds it in the heap (a nonzero delay or
-   an argument) or in the zero-delay lane. A cancelled event is marked dead and skipped when
-   it reaches the front, so a cancel does not rewrite the list: at depth
-   that is what keeps the model fast. With [~cancel_top] each chunk
-   boundary cancels the earliest live heap-resident event, so a cancelled
-   heap top sits under the lane's head. *)
-let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
+(* The model keeps its pending events as a list sorted by (time, id). *)
+let model_run (initial, children, chunks) =
   let now = ref 0. and next = ref 0 and pending = ref [] and log = ref [] in
-  let live = Hashtbl.create 64 and live_count = ref 0 in
-  let args = Hashtbl.create 64 in
   let rec insert ((time, id, _) as ev) = function
     | ((time', id', _) as ev') :: rest when time' < time || (time' = time && id' < id)
       ->
       ev' :: insert ev rest
     | rest -> ev :: rest
   in
-  let retire id =
-    Hashtbl.remove live id;
-    decr live_count
-  in
-  let cancel id = if Hashtbl.mem live id && not (handle_free id) then retire id in
   let add (d, arg) =
     let id = !next in
-    Hashtbl.replace live id ();
-    if with_arg id then Hashtbl.replace args id arg;
-    incr live_count;
     incr next;
-    (!now +. d, id, d <> 0. || with_arg id)
+    (!now +. d, id, if with_arg id then arg else 0)
   in
-  let schedule d = pending := insert (add d) !pending in
+  let schedule e = pending := insert (add e) !pending in
   let rec run ?(until = infinity) () =
     match !pending with
-    | (_, id, _) :: rest when not (Hashtbl.mem live id) ->
+    | (time, id, arg) :: rest when time <= until ->
       pending := rest;
-      run ~until ()
-    | (time, id, _) :: rest when time <= until ->
-      pending := rest;
-      retire id;
       now := time;
-      log := (id, Option.value (Hashtbl.find_opt args id) ~default:0) :: !log;
-      let children, back = behaviour_of behaviours id in
-      List.iter schedule children;
-      Option.iter (fun b -> cancel (!next - 1 - b)) back;
+      log := (id, arg) :: !log;
+      List.iter schedule (children_of children id);
       run ~until ()
     | _ -> if until < infinity then now := Float.max !now until
   in
-  let view () =
-    { order = List.rev !log; clock = !now; pending = !live_count;
-      fired = List.length !log }
-  in
+  let view () = { order = List.rev !log; clock = !now; fired = List.length !log } in
   (* The initial batch has increasing ids, so a stable sort by time puts it
      in (time, id) order. *)
   pending :=
@@ -320,17 +230,6 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
       (fun (until, outside) ->
         run ~until ();
         let v = view () in
-        (if cancel_top then
-           match
-             List.find_opt
-               (fun (_, id, heap) ->
-                 heap && Hashtbl.mem live id && not (handle_free id))
-               !pending
-           with
-           | Some (_, id, _) -> cancel id
-           | None -> ());
-        Option.iter cancel
-          (List.find_opt (fun id -> not (handle_free id)) (List.map fst !log));
         List.iter schedule outside;
         v)
       chunks
@@ -338,36 +237,22 @@ let model_run ?(cancel_top = false) (initial, behaviours, chunks) =
   run ();
   views @ [ view () ]
 
-(* The same schedule on the engine. For [~cancel_top] the harness tracks the
-   heap-resident cancellable events itself ([heap]: id -> time) and cancels
-   the least (time, id) among them. *)
-let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
-  let eng = Engine.create () and handles = Hashtbl.create 64 in
-  let heap = Hashtbl.create 64 in
+(* The same schedule on the engine. *)
+let engine_run (initial, children, chunks) =
+  let eng = Engine.create () in
   let next = ref 0 and log = ref [] in
-  let cancel id =
-    Option.iter (Engine.cancel eng) (Hashtbl.find_opt handles id);
-    Hashtbl.remove heap id
-  in
   let rec schedule (d, arg) =
     let id = !next in
     incr next;
     let action () =
-      Hashtbl.remove heap id;
       log := (id, if with_arg id then Engine.arg eng else 0) :: !log;
-      let children, back = behaviour_of behaviours id in
-      List.iter schedule children;
-      Option.iter (fun b -> cancel (!next - 1 - b)) back
+      List.iter schedule (children_of children id)
     in
     if with_arg id then Engine.after_arg eng ~delay:d ~arg action
-    else if handle_free id then Engine.after eng ~delay:d action
-    else begin
-      if d <> 0. then Hashtbl.replace heap id (Engine.now eng +. d);
-      Hashtbl.replace handles id (Engine.schedule eng ~delay:d action)
-    end
+    else Engine.after eng ~delay:d action
   in
   let view () =
-    { order = List.rev !log; clock = Engine.now eng; pending = Engine.pending eng;
+    { order = List.rev !log; clock = Engine.now eng;
       fired = Engine.events_processed eng }
   in
   List.iter schedule initial;
@@ -376,15 +261,6 @@ let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
       (fun (until, outside) ->
         Engine.run ~until eng;
         let v = view () in
-        (if cancel_top then
-           let least id time acc =
-             match acc with
-             | Some (id', time') when time' < time || (time' = time && id' < id) -> acc
-             | Some _ | None -> Some (id, time)
-           in
-           Option.iter (fun (id, _) -> cancel id) (Hashtbl.fold least heap None));
-        Option.iter cancel
-          (List.find_opt (fun id -> not (handle_free id)) (List.map fst !log));
         List.iter schedule outside;
         v)
       chunks
@@ -395,27 +271,22 @@ let engine_run ?(cancel_top = false) (initial, behaviours, chunks) =
 
 let prop_engine_matches_model =
   QCheck.Test.make ~name:"engine fires in (time, seq) order" ~count:500
-    schedule_arb (fun (initial, behaviours, chunks) ->
+    schedule_arb (fun (initial, children, chunks) ->
       let chunks = List.sort (fun (a, _) (b, _) -> Float.compare a b) chunks in
-      model_run (initial, behaviours, chunks) = engine_run (initial, behaviours, chunks))
+      model_run (initial, children, chunks) = engine_run (initial, children, chunks))
 
 (* The same differential at depth: 10^3 to 10^4 pending events fill six
    to eight levels of the 4-ary heap, where [prop_engine_matches_model]
    never fills three. Delays come from the same small set, so same-time
-   ties between the lane and the heap are common; a quarter of the events
-   cancel another one, and every chunk boundary cancels the heap top. *)
+   ties between the lane and the heap are common. *)
 let deep_schedule_arb =
   let open QCheck.Gen in
-  let behaviour =
-    pair
-      (frequency [ (1, return []); (2, map (fun e -> [ e ]) event_gen) ])
-      (frequency [ (3, return None); (1, map Option.some (int_bound 50)) ])
-  in
+  let children = frequency [ (1, return []); (2, map (fun e -> [ e ]) event_gen) ] in
   let gen =
     int_range 1_000 10_000 >>= fun depth ->
     triple
       (list_repeat depth event_gen)
-      (array_repeat (2 * depth) behaviour)
+      (array_repeat (2 * depth) children)
       (list_size (int_range 2 5)
          (pair (float_bound_inclusive 4.) (list_size (int_bound 200) event_gen)))
   in
@@ -427,10 +298,9 @@ let deep_schedule_arb =
 
 let prop_engine_matches_model_deep =
   QCheck.Test.make ~name:"engine matches the model at depth" ~count:4
-    deep_schedule_arb (fun (initial, behaviours, chunks) ->
+    deep_schedule_arb (fun (initial, children, chunks) ->
       let chunks = List.sort (fun (a, _) (b, _) -> Float.compare a b) chunks in
-      model_run ~cancel_top:true (initial, behaviours, chunks)
-      = engine_run ~cancel_top:true (initial, behaviours, chunks))
+      model_run (initial, children, chunks) = engine_run (initial, children, chunks))
 
 (* --- Process ------------------------------------------------------------------ *)
 
@@ -485,16 +355,6 @@ let test_process_spawn_within_process () =
     [ "parent"; "child"; "parent-done" ]
     (List.rev !log)
 
-let test_engine_pending_counter () =
-  let eng = Engine.create () in
-  let a = Engine.schedule eng ~delay:1. (fun () -> ()) in
-  ignore (Engine.schedule eng ~delay:2. (fun () -> ()));
-  check_int "two pending" 2 (Engine.pending eng);
-  Engine.cancel eng a;
-  check_int "one after cancel" 1 (Engine.pending eng);
-  Engine.run eng;
-  check_int "none after run" 0 (Engine.pending eng)
-
 (* --- Seqcond ------------------------------------------------------------------- *)
 
 let test_seqcond_threshold_order () =
@@ -504,8 +364,7 @@ let test_seqcond_threshold_order () =
   (* Parked from outside any process: a waiter holds no process. *)
   List.iter
     (fun (name, threshold) ->
-      Seqcond.park sc ~threshold:(fun () -> threshold) (fun () ->
-          woken := name :: !woken))
+      Seqcond.park sc ~need:threshold (fun () -> woken := name :: !woken))
     [ ("a", 3); ("b", 1); ("c", 2); ("d", 1) ];
   check_int "all parked, none ran" 4 (Seqcond.waiting sc);
   Engine.after eng ~delay:1. (fun () ->
@@ -522,17 +381,22 @@ let test_seqcond_threshold_order () =
 
 let test_seqcond_rising_threshold () =
   (* A pooled session's required seq can rise while one of its reads is
-     already parked: the waiter must re-check after waking and park again
-     until the new threshold is reached. *)
+     already parked: the waiter's action re-checks after waking and waits
+     again until the new threshold is reached, as a blocked read's does. *)
   let eng = Engine.create () in
   let sc = Seqcond.create eng in
   let need = ref 2 in
   let resumed_at = ref 0. in
   let finished_at = ref 0. in
-  Seqcond.park sc ~threshold:(fun () -> !need) (fun () ->
-      (* The continuation runs in an event of its own: it may wait on. *)
+  let rec wake () =
+    if !need > Seqcond.level sc then Seqcond.wait sc ~need:!need ~arg:0 wake
+    else begin
+      (* The action runs in an event of its own: it may wait on. *)
       resumed_at := Engine.now eng;
-      Engine.after eng ~delay:1. (fun () -> finished_at := Engine.now eng));
+      Engine.after eng ~delay:1. (fun () -> finished_at := Engine.now eng)
+    end
+  in
+  Seqcond.wait sc ~need:!need ~arg:0 wake;
   Engine.after eng ~delay:1. (fun () ->
       need := 5 (* rises before the old threshold is reached *);
       Seqcond.advance sc 2;
@@ -548,10 +412,10 @@ let test_seqcond_immediate () =
   let sc = Seqcond.create eng in
   Seqcond.advance sc 7;
   let ran = ref false in
-  Seqcond.park sc ~threshold:(fun () -> 7) (fun () -> ran := true);
+  Seqcond.park sc ~need:7 (fun () -> ran := true);
   check_bool "threshold already reached runs the continuation now" true !ran;
   check_int "nothing parked" 0 (Seqcond.waiting sc);
-  check_int "no event scheduled" 0 (Engine.pending eng)
+  check_bool "no event scheduled" false (Engine.step eng)
 
 (* One seeded run of a pooled-session workload. Every virtual second [k]
    one control event raises some sessions' seq(c), advances the level and
@@ -616,8 +480,9 @@ let test_seqcond_matches_polling () =
           in
           Engine.after eng ~delay:0. poll)
     in
-    (* Parked: even waiters as rows sharing one action, odd ones as
-       closures. [keys] holds the need the queue saw at each waiter's
+    (* Parked: even waiters as rows sharing one action, odd ones parked
+       with a closure of their own that re-reads the threshold when
+       released and parks again if it rose. [keys] holds the need the queue saw at each waiter's
        latest registration, and that registration's rank among both
        kinds. *)
     let keys = Hashtbl.create 64 in
@@ -644,12 +509,13 @@ let test_seqcond_matches_polling () =
               run id
             end
             else
-              let threshold () =
+              let rec go () =
                 let need = threshold () in
                 if need > Seqcond.level sc then note id need;
-                need
+                Seqcond.park sc ~need (fun () ->
+                    if threshold () > Seqcond.level sc then go () else k ())
               in
-              Seqcond.park sc ~threshold k)
+              go ())
     in
     Hashtbl.iter
       (fun id at ->
@@ -798,9 +664,59 @@ let test_resource_zero_amount () =
   Alcotest.(check (list string))
     "a continuation never runs inside the completion event"
     [ "queued"; "free"; "slow" ] (List.rev !log);
-  (* One completion event and one continuation event per job, plus the
-     queued one. *)
-  check_int "events" 5 (Engine.events_processed eng)
+  (* One completion event and one continuation event per job, the queued
+     one, and the completion armed at 2 s by the slow job's arrival: the
+     free job's arrival superseded it, and it fires there as a no-op. *)
+  check_int "events" 6 (Engine.events_processed eng)
+
+(* Every arrival moves the next completion instant and arms a completion
+   event of its own; the one it supersedes is not cancelled but fires as a
+   no-op. [k] equal jobs arriving at one instant arm [k] completions, at
+   1, 2, ..., [k] seconds, and only the last completes them, all at once:
+   [k - 1] no-ops, one completion and [k] continuation events. *)
+let test_resource_superseded_completions () =
+  List.iter
+    (fun k ->
+      let eng = Engine.create () in
+      let res = Resource.create eng in
+      let finished = ref [] in
+      for _ = 1 to k do
+        Resource.use res 1. (fun () -> finished := Engine.now eng :: !finished)
+      done;
+      Engine.run eng;
+      Alcotest.(check (list (float 0.)))
+        (Printf.sprintf "%d jobs finish together" k)
+        (List.init k (fun _ -> float_of_int k))
+        !finished;
+      check_int
+        (Printf.sprintf "%d arrivals: events" k)
+        ((k - 1) + 1 + k)
+        (Engine.events_processed eng))
+    [ 1; 2; 3; 10; 100 ]
+
+(* Price guard: at a filled capacity (the resource's job heap and the
+   engine's queue already grown past what the measured arrivals need), an
+   arrival allocates exactly 12 minor words, all of them the job's: its
+   6-word record with a boxed finish virtual time, the [Some] of the heap
+   peek that finds the next completion, and the boxed delay of the
+   completion it arms, which costs the engine no record, handle or option
+   of its own. The arrival's float state is updated in place. *)
+let test_resource_use_price () =
+  let eng = Engine.create () in
+  let res = Resource.create eng in
+  let jobs = 1_000 in
+  for _ = 1 to 2 * jobs do
+    Resource.use res 1. ignore
+  done;
+  Engine.run eng;
+  let before = Gc.minor_words () in
+  for _ = 1 to jobs do
+    Resource.use res 1. ignore
+  done;
+  Alcotest.(check (float 0.)) "minor words per arrival" 12.
+    ((Gc.minor_words () -. before) /. float_of_int jobs);
+  Engine.run eng;
+  check_int "drained" 0 (Resource.load res)
 
 let test_resource_load () =
   let eng = Engine.create () in
@@ -1155,36 +1071,22 @@ let prop_stat_mean_matches_naive =
       let naive = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs) in
       Float.abs (Stat.mean s -. naive) < 1e-6 *. (1. +. Float.abs naive))
 
-(* Budgeted-ops guard (PR 6): the event heap must stay O(log n) per
-   operation under a large randomized load, including interleaved
-   cancellations. 200k events is bench-scale; the 10s budget is generous
-   enough to never flake while catching any O(n) sift or compaction
+(* Budgeted-ops guard: the event heap must stay O(log n) per operation
+   under a large randomized load. 200k events is bench-scale; the 10s
+   budget is generous enough to never flake while catching any O(n) sift
    regression. *)
 let test_engine_heap_budget () =
   let eng = Engine.create () in
   let rng = Rng.create 0xBEEF in
   let fired = ref 0 in
-  let handles =
-    Array.init 200_000 (fun _ ->
-        Engine.schedule eng
-          ~delay:(1000. *. Rng.float rng)
-          (fun () -> incr fired))
-  in
-  (* Cancel a scattered 10% so removal paths are exercised too. *)
-  let cancelled = ref 0 in
-  Array.iteri
-    (fun i h ->
-      if i mod 10 = 3 then begin
-        Engine.cancel eng h;
-        incr cancelled
-      end)
-    handles;
+  for _ = 1 to 200_000 do
+    Engine.after eng ~delay:(1000. *. Rng.float rng) (fun () -> incr fired)
+  done;
   let t0 = Sys.time () in
   Engine.run eng;
   let elapsed = Sys.time () -. t0 in
-  check_int "every surviving event fired" (200_000 - !cancelled) !fired;
-  check_int "events_processed counts firings"
-    (200_000 - !cancelled)
+  check_int "every event fired" 200_000 !fired;
+  check_int "events_processed counts firings" 200_000
     (Engine.events_processed eng);
   check_bool
     (Printf.sprintf "200k-event heap drained in %.2fs cpu (budget 10s)" elapsed)
@@ -1288,8 +1190,9 @@ let test_seqcond_row_footprint () =
   Seqcond.advance sc 15;
   Alcotest.(check (float 0.)) "wait and advance allocate nothing" 0.
     (Gc.minor_words () -. before);
-  check_int "every row released" n (Engine.pending eng);
+  let fired = Engine.events_processed eng in
   let released = fire_words () in
+  check_int "every row released" n (Engine.events_processed eng - fired);
   for i = 1 to n do
     Engine.after_arg eng ~delay:0. ~arg:i action
   done;
@@ -1316,18 +1219,11 @@ let () =
         [
           Alcotest.test_case "time ordering" `Quick test_engine_ordering;
           Alcotest.test_case "fifo tie-break" `Quick test_engine_fifo_ties;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
-          Alcotest.test_case "cancel after fire is a no-op" `Quick
-            test_engine_cancel_after_fire;
-          Alcotest.test_case "until + cancel interaction" `Quick
-            test_engine_until_cancel_interaction;
           Alcotest.test_case "until exact boundary" `Quick
             test_engine_until_exact_boundary;
-          Alcotest.test_case "fifo ties with cancel and until" `Quick
-            test_engine_fifo_ties_with_cancel_and_until;
           Alcotest.test_case "every rejects a zero period" `Quick
             test_engine_every_rejects_zero_period;
           Alcotest.test_case "pending timer footprint" `Quick
@@ -1345,7 +1241,6 @@ let () =
           Alcotest.test_case "delay" `Quick test_process_delay;
           Alcotest.test_case "spawn within process" `Quick
             test_process_spawn_within_process;
-          Alcotest.test_case "pending counter" `Quick test_engine_pending_counter;
         ] );
       ( "seqcond",
         [
@@ -1364,6 +1259,9 @@ let () =
           Alcotest.test_case "rr approximates ps" `Quick
             test_resource_rr_approximates_ps;
           Alcotest.test_case "zero amount" `Quick test_resource_zero_amount;
+          Alcotest.test_case "superseded completions" `Quick
+            test_resource_superseded_completions;
+          Alcotest.test_case "use price" `Quick test_resource_use_price;
           Alcotest.test_case "load" `Quick test_resource_load;
           Alcotest.test_case "busy time mid-service" `Quick
             test_resource_busy_midservice;
