@@ -73,8 +73,6 @@ let test_engine_ordering () =
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
   check_float "clock at last event" 3. (Engine.now eng)
 
-(* Same-instant events fire in scheduling order, and pausing before the
-   instant does not perturb that order. *)
 let test_engine_fifo_ties () =
   let eng = Engine.create () in
   let log = ref [] in
@@ -83,16 +81,6 @@ let test_engine_fifo_ties () =
   done;
   Engine.run eng;
   Alcotest.(check (list int)) "fifo at equal time" [ 1; 2; 3; 4; 5 ]
-    (List.rev !log);
-  log := [];
-  for i = 1 to 5 do
-    Engine.after eng ~delay:2. (fun () -> log := i :: !log)
-  done;
-  (* The batch is due at 3. *)
-  Engine.run ~until:2. eng;
-  check_int "only the first batch fired" 5 (Engine.events_processed eng);
-  Engine.run eng;
-  Alcotest.(check (list int)) "fifo across an until pause" [ 1; 2; 3; 4; 5 ]
     (List.rev !log)
 
 let test_engine_until () =
@@ -137,6 +125,58 @@ let test_engine_every_rejects_zero_period () =
         (fun () -> Engine.every eng period ignore))
     [ 0.; -0.; -1.; Float.nan; Float.infinity ];
   check_bool "nothing scheduled" false (Engine.step eng)
+
+(* An event cannot be cancelled; its owner supersedes it instead, as
+   {!Resource} does: the events share one action that reads its generation
+   through [Engine.arg] and returns at once when that generation is stale.
+   Superseding an event parked beyond [until] must keep its work from ever
+   running, and resuming the run must not disturb the clock or the
+   queue. *)
+let test_engine_until_cancel_interaction () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let current = [| 0; 1; 2 |] in
+  let tags = [| "early"; "late"; "later" |] in
+  (* Event [i] carries generation [i] in slot [i]. *)
+  let act () =
+    let g = Engine.arg eng in
+    if current.(g) = g then log := tags.(g) :: !log
+  in
+  Engine.after_arg eng ~delay:1. ~arg:0 act;
+  Engine.after_arg eng ~delay:5. ~arg:1 act;
+  Engine.after_arg eng ~delay:6. ~arg:2 act;
+  Engine.run ~until:2. eng;
+  check_float "parked at until" 2. (Engine.now eng);
+  check_int "one event fired" 1 (Engine.events_processed eng);
+  current.(1) <- -1;
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "superseded event does no work" [ "early"; "later" ] (List.rev !log);
+  check_int "the superseded event fired as a no-op" 3
+    (Engine.events_processed eng);
+  check_float "clock at the surviving event" 6. (Engine.now eng)
+
+(* FIFO tie-breaking survives superseded events and an until-pause:
+   same-instant events fire in scheduling order, superseded ones doing no
+   work. *)
+let test_engine_fifo_ties_with_cancel_and_until () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let live = Array.make 5 true in
+  let act () =
+    let i = Engine.arg eng in
+    if live.(i) then log := i :: !log
+  in
+  List.iter (fun i -> Engine.after_arg eng ~delay:2. ~arg:i act) [ 0; 1; 2; 3; 4 ];
+  live.(1) <- false;
+  live.(3) <- false;
+  (* Pausing before the instant must not perturb the tie order. *)
+  Engine.run ~until:1. eng;
+  check_int "nothing fired before the instant" 0 (Engine.events_processed eng);
+  Engine.run eng;
+  Alcotest.(check (list int))
+    "survivors work in scheduling order" [ 0; 2; 4 ] (List.rev !log);
+  check_int "every event fired" 5 (Engine.events_processed eng)
 
 (* An event at exactly [until] fires, the clock stops at exactly [until],
    and running an empty engine leaves the clock where it is. *)
@@ -1224,6 +1264,10 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
           Alcotest.test_case "until exact boundary" `Quick
             test_engine_until_exact_boundary;
+          Alcotest.test_case "until + cancel interaction" `Quick
+            test_engine_until_cancel_interaction;
+          Alcotest.test_case "fifo ties with cancel and until" `Quick
+            test_engine_fifo_ties_with_cancel_and_until;
           Alcotest.test_case "every rejects a zero period" `Quick
             test_engine_every_rejects_zero_period;
           Alcotest.test_case "pending timer footprint" `Quick
