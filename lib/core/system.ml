@@ -28,6 +28,10 @@ let () =
 
 type t = {
   core : Replica_set.t;
+  (* The replication scheduler, on an engine whose clock never moves: a
+     site serves every job at once, and each call drains the engine. *)
+  eng : Lsr_sim.Engine.t;
+  sched : Scheduler.t;
   mutable next_client : int;
   mutable blocked_reads : int;
 }
@@ -46,7 +50,12 @@ let create ?(secondaries = 1) ?schema ?faults
       ~sinks:{ Lsr_obs.Sinks.obs; flight }
       ~record_history:true ~watchdog ~sites:secondaries guarantee
   in
-  { core; next_client = 0; blocked_reads = 0 }
+  let eng = Lsr_sim.Engine.create () in
+  let sched =
+    Scheduler.create ~serial_refresh:false ~serve:(fun _ ~ops:_ k -> k ()) eng
+      core
+  in
+  { core; eng; sched; next_client = 0; blocked_reads = 0 }
 
 let replica_set t = t.core
 let sessions t = Replica_set.sessions t.core
@@ -92,33 +101,18 @@ let migrate t client secondary = { client with secondary = site t secondary }
 
 (* The paper's reliable channel is instant here: a poll's batch is
    delivered along every plain link at once; a fault channel ticks once per
-   refresh. *)
-let propagate t =
-  match Replica_set.fire t.core Replica_set.Poll with
-  | Replica_set.Shipped n ->
-    if not (Replica_set.faulty t.core) then
-      for i = 0 to secondaries t - 1 do
-        ignore (Replica_set.fire t.core (Replica_set.Deliver i))
-      done;
-    n
-  | _ -> 0
+   refresh. Nothing wakes, so there is nothing to drain. *)
+let propagate t = Scheduler.propagate t.sched
 
-(* Blocked on a start record, the refresher waits while the pending queue
-   commits whole. *)
 let refresh_one t i =
   if is_crashed t i then 0
   else begin
-    ignore (Replica_set.fire t.core (Replica_set.Deliver i));
-    let refresh = Replica_set.Refresh i and commit = Replica_set.Commit i in
-    let rec settle committed =
-      match Replica_set.fire t.core refresh with
-      | Replica_set.Nothing -> (
-        match Replica_set.fire t.core commit with
-        | Replica_set.Committed _ -> settle (committed + 1)
-        | _ -> committed)
-      | _ -> settle committed
-    in
-    settle 0
+    (* Refresh transactions are the only ones a replica commits. *)
+    let commits () = Mvcc.commit_count (secondary_db t i) in
+    let before = commits () in
+    Scheduler.refresh t.sched i;
+    Lsr_sim.Engine.run t.eng;
+    commits () - before
   end
 
 let refresh_all t =

@@ -156,19 +156,22 @@ val read_nowait :
 
 (** {2 Replication control (lazy!)}
 
-    Each call fires {!Replica_set} moves in {!Replica_set.enabled}'s order. *)
+    {!Scheduler} fires the moves on an engine whose clock never moves,
+    serving every job at once; {!refresh_one} drains it before it returns. *)
 
 (** The core, whose moves a caller may fire one by one. *)
 val replica_set : t -> Replica_set.t
 
-(** Fire [Poll] and, without fault channels, every [Deliver], so the
-    records are in the update queues on return. Returns the number of
-    records shipped. *)
+(** {!Scheduler.propagate}: [Poll] and, without fault channels, every
+    [Deliver], so the records wait in the update queues. Returns the
+    number of records shipped. *)
 val propagate : t -> int
 
-(** [refresh_one t i] fires [Deliver i] once (one fault-channel tick), then
-    [Refresh i] before [Commit i] until neither is enabled. Returns refresh
-    transactions committed. *)
+(** [refresh_one t i] is {!Scheduler.refresh} of site [i], drained: one
+    [Deliver i] (one fault-channel tick), then site [i]'s refresher and
+    applicators until neither [Refresh i] nor [Commit i] is enabled.
+    Returns refresh transactions committed, those dispatched from outside
+    included. *)
 val refresh_one : t -> int -> int
 
 val refresh_all : t -> int
@@ -177,8 +180,9 @@ val refresh_all : t -> int
     quiesce. *)
 val pump_tick_cap : int
 
-(** [pump t] = [propagate] then [refresh_all], repeated until no move is
-    enabled: bring every secondary up to date with the primary.
+(** [pump t] = [propagate] then [refresh_all], both through {!Scheduler},
+    repeated until no move is enabled: bring every secondary up to date
+    with the primary.
     @raise Pump_stalled if a channel fails to quiesce within
     {!pump_tick_cap} ticks (saturated loss rate). *)
 val pump : t -> unit

@@ -137,11 +137,6 @@ type sec_site = {
   mutable rows : int;  (* rows ever used *)
   mutable free : int;  (* the first free row, -1 when none is *)
   mutable wake_read : unit -> unit;  (* runs or re-parks row [Engine.arg] *)
-  commit_order : Seqcond.t;  (* seq(DBsec) again, advanced after the commit
-                                hook advanced [session_cond], so the readers
-                                a commit releases run first; applicators
-                                and a blocked refresher park here *)
-  mutable refresher_idle : bool;  (* ended on an empty update queue *)
   mutable last_delivery : float;  (* keeps jittered deliveries FIFO *)
 }
 
@@ -152,6 +147,9 @@ type state = {
      hooks hand each read's freshness and each refresh's staleness to
      [metrics]. *)
   rs : Replica_set.t;
+  (* The propagator, refreshers and applicators of [rs], serving on each
+     site's [res]. *)
+  sched : Scheduler.t;
   primary_res : Resource.t;
   sites : sec_site array;
   metrics : Metrics.t;
@@ -160,120 +158,48 @@ type state = {
 }
 
 let make_site eng rs session_conds index =
-  let commit_order = Seqcond.create eng in
-  Seqcond.advance commit_order
-    (Secondary.seq_dbsec (Replica_set.secondary rs index));
   { index;
     res = Resource.create ~name:(Replica_set.site_name rs index) eng;
-    session_cond = session_conds.(index); commit_order;
+    session_cond = session_conds.(index);
     labels = Column.make ""; fences = Column.make None;
     floors = Column.make Timestamp.zero; sizes = Column.make 0;
     streams = Bytes.empty; t0s = Column.make 0.; ks = Column.make ignore;
     rows = 0; free = -1;
-    wake_read = ignore; refresher_idle = false; last_delivery = 0. }
+    wake_read = ignore; last_delivery = 0. }
 
 (* The site's current replica, read through [rs] at each use. *)
 let secondary st site = Replica_set.secondary st.rs site.index
-
-(* --- Refresher and applicator (Algorithms 3.2 / 3.3) ----------------------- *)
 
 (* One processor-sharing job of [n] operations, then [k ()]; none when
    [n = 0]. A transaction present without a break from its first operation
    to its last gets the same share as a chain of per-operation jobs, so the
    one job finishes at the instant the chain would. *)
-let serve st res n k =
+let serve p res n k =
   if n = 0 then k ()
-  else Resource.use res (float_of_int n *. st.cfg.params.Params.op_service_time) k
-
-(* The refresh just dispatched at [site] commits after its [ops] have been
-   served, once seq(DBsec) reaches [after], the pending queue's tail it
-   joined: it then heads the queue. [k] runs after its commit. *)
-let run_applicator st site ~ops ~after k =
-  let rec commit () =
-    if Secondary.seq_dbsec (secondary st site) < after then
-      Seqcond.park site.commit_order ~need:after commit
-    else
-      match Replica_set.fire st.rs (Replica_set.Commit site.index) with
-      | Replica_set.Committed ts ->
-        (* The commit hook already released the readers it satisfies. *)
-        Seqcond.advance site.commit_order ts;
-        k ()
-      | _ -> assert false (* the head of a non-empty pending queue commits *)
-  in
-  serve st site.res ops commit
-
-(* The refresher ends on an empty update queue; whatever enqueues records
-   next starts it again ({!wake_refresher}). *)
-let refresher st site () =
-  let refresh = Replica_set.Refresh site.index in
-  let rec loop () =
-    let after = Secondary.pending_tail (secondary st site) in
-    match Replica_set.fire st.rs refresh with
-    | Replica_set.Started -> loop ()
-    | Replica_set.Aborted ops ->
-      (* The aborted work the eager-propagation ablation ships and pays
-         for. *)
-      serve st site.res ops (fun () ->
-          Metrics.note_wasted_ops st.metrics ~now:(Engine.now st.eng) ops;
-          loop ())
-    | Replica_set.Dispatched ops ->
-      if st.cfg.serial_refresh then run_applicator st site ~ops ~after loop
-      else begin
-        Engine.after st.eng ~delay:0. (fun () ->
-            run_applicator st site ~ops ~after ignore);
-        loop ()
-      end
-    | _ when Secondary.update_queue_length (secondary st site) = 0 ->
-      site.refresher_idle <- true
-    | _ ->
-      (* Blocked on a start record: parked until the pending queue's tail
-         has committed. Only this refresher dispatches, so the tail holds
-         while it is parked. *)
-      Seqcond.park site.commit_order
-        ~need:(Secondary.pending_tail (secondary st site))
-        loop
-  in
-  loop ()
-
-let wake_refresher st site =
-  if site.refresher_idle then begin
-    site.refresher_idle <- false;
-    Engine.after st.eng ~delay:0. (refresher st site)
-  end
-
-(* A plain link's oldest batch, or one tick of a fault channel. *)
-let deliver st site () =
-  match Replica_set.fire st.rs (Replica_set.Deliver site.index) with
-  | Replica_set.Shipped _ -> wake_refresher st site
-  | _ -> ()
+  else Resource.use res (float_of_int n *. p.Params.op_service_time) k
 
 (* --- Propagator (Algorithm 3.1 under a 10 s cycle) ------------------------- *)
 
+(* A fault channel surfaces the batch, in order, from its own ticks (loss,
+   duplication, delay and reordering happen inside); a plain link delivers
+   it now or after a jitter. *)
 let propagate st () =
-  let p = st.cfg.params in
-  let shipped = Replica_set.fire st.rs Replica_set.Poll in
-  ignore (Replica_set.retire st.rs);
-  (* A fault channel surfaces the batch, in order, from its own ticks
-     (loss, duplication, delay and reordering happen inside); a plain link
-     delivers it now or after a jitter. *)
-  match shipped with
-  | Replica_set.Shipped _ when st.cfg.faults = None ->
-    Array.iter
-      (fun site ->
-        if p.Params.propagation_jitter <= 0. then deliver st site ()
-        else begin
-          (* Per-destination scheduling variance; delivery times to one
-             site never reorder (the link stays FIFO). *)
-          let now = Engine.now st.eng in
-          let at =
-            Float.max site.last_delivery
-              (now +. (Rng.float st.jitter_rng *. p.Params.propagation_jitter))
-          in
-          site.last_delivery <- at;
-          Engine.after st.eng ~delay:(at -. now) (deliver st site)
-        end)
-      st.sites
-  | _ -> ()
+  let jitter = st.cfg.params.Params.propagation_jitter in
+  let deliver i =
+    let site = st.sites.(i) in
+    if jitter <= 0. then Scheduler.deliver st.sched i ()
+    else begin
+      (* Per-destination scheduling variance; delivery times to one site
+         never reorder (the link stays FIFO). *)
+      let now = Engine.now st.eng in
+      let at = now +. (Rng.float st.jitter_rng *. jitter) in
+      let at = Float.max site.last_delivery at in
+      site.last_delivery <- at;
+      Engine.after st.eng ~delay:(at -. now) (Scheduler.deliver st.sched i)
+    end
+  in
+  ignore (Scheduler.propagate st.sched ~deliver);
+  ignore (Replica_set.retire st.rs)
 
 (* Virtual seconds per channel tick: the base one-hop latency and the
    granularity of retransmission timeouts. *)
@@ -302,7 +228,7 @@ let execute_update st rng label ops ~t0 k =
        the abort before the operations gives the same stream as drawing it
        after them. *)
     let force_abort = Rng.bernoulli rng ~p:p.Params.abort_prob in
-    serve st st.primary_res (List.length ops) (fun () ->
+    serve p st.primary_res (List.length ops) (fun () ->
         let h = Replica_set.handle txn in
         List.iter
           (function
@@ -339,7 +265,7 @@ let run_read ?fence st site label ~size ~keys ~required ~t0 k =
     Replica_set.begin_read ?fence st.rs ~session:label ~site:site.index
       ~read_at:t0 ~required
   in
-  serve st site.res size (fun () ->
+  serve st.cfg.params site.res size (fun () ->
       let h = Replica_set.handle txn in
       for _ = 1 to size do
         ignore (Handle.get_number h (Txn_gen.index st.cfg.params keys))
@@ -772,14 +698,24 @@ let run ?history cfg =
       ~record_history:cfg.record_history ~watchdog:cfg.watchdog
       ?history ~sites:p.Params.num_secondaries cfg.guarantee
   in
+  let sites =
+    Array.init p.Params.num_secondaries (make_site eng rs session_conds)
+  in
+  let sched =
+    Scheduler.create ~serial_refresh:cfg.serial_refresh
+      ~serve:(fun i ~ops k -> serve p sites.(i).res ops k)
+      ~wasted:(fun ops ->
+        Metrics.note_wasted_ops metrics ~now:(Engine.now eng) ops)
+      eng rs
+  in
   let st =
     {
       cfg;
       eng;
       rs;
+      sched;
       primary_res = Resource.create ~name:"primary" eng;
-      sites =
-        Array.init p.Params.num_secondaries (make_site eng rs session_conds);
+      sites;
       metrics;
       jitter_rng = Rng.create (cfg.seed lxor 0x5EED);
       label_counter = 0;
@@ -791,11 +727,10 @@ let run ?history cfg =
   Engine.every eng p.Params.propagation_delay (propagate st);
   if cfg.faults <> None then
     Array.iter
-      (fun site -> Engine.every eng fault_tick (deliver st site))
+      (fun site ->
+        Engine.every eng fault_tick (Scheduler.deliver sched site.index))
       st.sites;
-  Array.iter
-    (fun site -> Engine.after eng ~delay:0. (refresher st site))
-    st.sites;
+  Scheduler.start sched;
   (match cfg.client_mode with
   | Closed_loop ->
     Array.iter (fun site -> closed_loop st site root) st.sites

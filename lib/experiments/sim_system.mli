@@ -7,14 +7,14 @@
     processor sharing), clients think, start sessions and submit
     transactions per {!Lsr_workload.Params}, the propagator is a
     10-second-cycle log sniffer, and each secondary runs one refresher plus
-    concurrent applicators. In the paper's CSIM model each of these is a
-    process; here none is a fiber, and each fires the same
-    {!Lsr_core.Replica_set} moves as the embedded system ([Poll], [Deliver],
-    [Refresh], [Commit]), timed by the service, delay or tick it models. Every wait is a continuation: a
-    transaction's goes to {!Lsr_sim.Resource.use} as one job for all its
-    operations (as exact under processor sharing as one per operation), a
-    refresh commit parks one in a {!Lsr_sim.Seqcond} threshold queue, and
-    the periodic parts are {!Lsr_sim.Engine.after} timer chains. A blocked
+    concurrent applicators: the embedded system's {!Lsr_core.Scheduler},
+    timed by the service, delay or tick it models. In the paper's CSIM
+    model each of these is a process; here none is a fiber. Every wait is
+    a continuation: a transaction's goes to {!Lsr_sim.Resource.use} as one
+    job for all its operations (as exact under processor sharing as one per
+    operation), a refresh commit parks one in a {!Lsr_sim.Seqcond}
+    threshold queue, and the periodic parts are {!Lsr_sim.Engine.after}
+    timer chains. A blocked
     read is a row of its site's columns (its session's label, its fence
     and the floor that resolved to at arrival, its size, its key stream's
     8 bytes in a bank, its arrival time and its continuation) and waits in
@@ -25,8 +25,8 @@
 
     Because the data operations really execute, a run both measures
     performance and (optionally) records a {!Lsr_core.History} that
-    {!Lsr_core.Watchdog.replay} validates afterwards — the simulator cannot quietly violate the
-    guarantees it is measuring. *)
+    {!Lsr_core.Watchdog.replay} validates afterwards — the simulator cannot
+    quietly violate the guarantees it is measuring. *)
 
 open Lsr_core
 open Lsr_workload

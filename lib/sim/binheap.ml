@@ -50,7 +50,7 @@ let push h x =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let top h = if h.size = 0 then h.dummy else h.data.(0)
 
 let pop h =
   if h.size = 0 then invalid_arg "Binheap.pop: empty heap";

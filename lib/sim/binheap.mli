@@ -1,7 +1,7 @@
 (** Array-backed binary min-heap, ordered by a user-supplied comparison.
 
     Used by {!Resource} for its processor-sharing jobs. The heap is a
-    mutable structure; all operations are amortized O(log n) except [peek]
+    mutable structure; all operations are amortized O(log n) except [top]
     which is O(1). *)
 
 type 'a t
@@ -16,8 +16,9 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 
-(** [peek h] is the minimum element, or [None] when [h] is empty. *)
-val peek : 'a t -> 'a option
+(** [top h] is the minimum element, or the heap's [dummy] when [h] is
+    empty. It allocates nothing. *)
+val top : 'a t -> 'a
 
 (** [pop h] removes and returns the minimum element.
     @raise Invalid_argument when [h] is empty. *)

@@ -95,23 +95,24 @@ let ps_advance t =
    supersedes it, and it fires as a no-op. *)
 let ps_reschedule t =
   t.generation <- t.generation + 1;
-  match Binheap.peek t.ps_heap with
-  | None -> ()
-  | Some next ->
-    let n = float_of_int (Binheap.length t.ps_heap) in
-    let delay = (next.vfinish -. t.clock.vtime) *. n in
+  let n = Binheap.length t.ps_heap in
+  if n > 0 then begin
+    let next = Binheap.top t.ps_heap in
+    let delay = (next.vfinish -. t.clock.vtime) *. float_of_int n in
     let delay = if 0. >= delay then 0. else delay in
     Engine.after_arg t.eng ~delay ~arg:t.generation t.on_completion
+  end
 
 let ps_complete t =
   ps_advance t;
   (* Pop every job whose demand is met at the advanced virtual time and
      schedule its continuation; ties complete in arrival order (heap order
-     includes [seq]). Scheduling inside the loop fires in the same order as
-     scheduling after it. *)
+     includes [seq]; the empty heap's top, its dummy, never finishes).
+     Scheduling inside the loop fires in the same order as scheduling after
+     it. *)
   let rec drain () =
-    match Binheap.peek t.ps_heap with
-    | Some j when j.vfinish -. t.clock.vtime <= epsilon ->
+    let j = Binheap.top t.ps_heap in
+    if j.vfinish -. t.clock.vtime <= epsilon then begin
       (* Telemetry first: the pending interval in the queue-length integral
          must be charged at the population that held during it, i.e. with
          this job still counted. *)
@@ -119,7 +120,7 @@ let ps_complete t =
       ignore (Binheap.pop t.ps_heap);
       Engine.after t.eng ~delay:0. j.ps_k;
       drain ()
-    | Some _ | None -> ()
+    end
   in
   drain ();
   ps_reschedule t

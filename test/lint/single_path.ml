@@ -18,7 +18,11 @@
    moves change replication state in one place, [Replica_set.fire]: no
    other module polls the log, drives a link, builds a replica,
    enqueues a record, steps a refresher or commits a pending queue's head,
-   so System and Sim_system fire the same transition relation. A client
+   so System and Sim_system fire the same transition relation. And one
+   module decides when those moves fire: no library module but
+   [Replica_set] and [Scheduler] names the [Poll], [Deliver], [Refresh] or
+   [Commit] move, so both drivers run the one propagator, refresher and
+   applicators, and a driver fires only [Crash] and [Recover] itself. A client
    transaction has one path too: only [Replica_set] (the primary's and
    the replicas' client transactions) and [Secondary] (its refresh
    transactions) open, commit or abort an MVCC transaction or end a read,
@@ -98,6 +102,10 @@ let rules =
         "Channel.tick"; "Channel.reset"; "Secondary.create";
         "Secondary.enqueue"; "Secondary.refresher_step";
         "Secondary.commit_head" ] );
+    ( [ "replica_set.ml"; "scheduler.ml" ],
+      "Replica_set / Scheduler",
+      [ "Replica_set.Poll"; "Replica_set.Deliver"; "Replica_set.Refresh";
+        "Replica_set.Commit" ] );
     ( [ "replica_set.ml"; "secondary.ml" ],
       "Replica_set / Secondary",
       [ "Mvcc.begin_txn"; "Mvcc.commit"; "Mvcc.abort"; "Mvcc.end_read" ] );

@@ -2104,6 +2104,161 @@ let prop_system_pcsi_guarantee =
   prop_system_random_guarantee Session.Prefix_consistent
     "random runs satisfy PCSI"
 
+(* --- Replication scheduler ----------------------------------------------------------- *)
+
+let check_clean sys =
+  match System.check sys with
+  | Ok () -> ()
+  | Error es -> Alcotest.fail (String.concat "; " es)
+
+(* Three committed updates propagated to both sites; site 1's refresher is
+   then fired from outside until it dispatches the first, which nobody
+   commits. *)
+let outside_dispatch () =
+  let sys = System.create ~secondaries:2 ~guarantee:Session.Strong_session () in
+  let c = System.connect sys ~secondary:0 "c" in
+  List.iter
+    (fun k ->
+      match System.update sys c (fun h -> Handle.put h k "v") with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "update failed")
+    [ "a"; "b"; "c" ];
+  check_int "shipped" 6 (System.propagate sys);
+  let rs = System.replica_set sys in
+  let rec dispatch () =
+    match Replica_set.fire rs (Replica_set.Refresh 1) with
+    | Replica_set.Started -> dispatch ()
+    | Replica_set.Dispatched _ -> ()
+    | _ -> Alcotest.fail "expected a dispatch"
+  in
+  dispatch ();
+  check_int "one pending" 1
+    (Secondary.pending_queue_length (System.secondary sys 1));
+  sys
+
+let test_scheduler_commits_outside_dispatch () =
+  let sys = outside_dispatch () in
+  check_int "the outside dispatch and the rest" 3 (System.refresh_one sys 1);
+  check_int "caught up"
+    (Mvcc.latest_commit_ts (System.primary_db sys))
+    (Secondary.seq_dbsec (System.secondary sys 1));
+  System.pump sys;
+  check_clean sys
+
+(* The site crashes and recovers between the outside dispatch and the
+   pump: the recovery moves seq(DBsec) past the lost dispatch, and the
+   refresher still follows the primary afterwards. *)
+let test_scheduler_outside_dispatch_across_recovery () =
+  let sys = outside_dispatch () in
+  System.crash_secondary sys 1;
+  System.recover_secondary sys 1;
+  System.pump sys;
+  let c = System.connect sys ~secondary:1 "d" in
+  (match System.update sys c (fun h -> Handle.put h "d" "v") with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "update failed");
+  System.pump sys;
+  check_int "caught up"
+    (Mvcc.latest_commit_ts (System.primary_db sys))
+    (Secondary.seq_dbsec (System.secondary sys 1));
+  check_clean sys
+
+(* One fixed input of primary commits, some forced to abort, through the
+   scheduler under both clocks: at once on an engine whose clock never
+   moves, as [System] serves, and on per-site processor-sharing
+   [Resource]s with a periodic propagator, as the simulator serves. Each
+   site ends with the same seq(DBsec), the same digest and the same
+   sequence of refresh commits. *)
+let clocks_agree faults =
+  let input =
+    List.init 24 (fun j -> (Printf.sprintf "k%d" (j mod 5), j mod 7 = 3))
+  in
+  let run ~timed =
+    let commits = Array.make 2 [] in
+    let rs =
+      Replica_set.create
+        ~on_refresh_commit:(fun i ts _ -> commits.(i) <- ts :: commits.(i))
+        ~on_read:(fun _ ~age:_ ~missed:_ -> ())
+        ~faults:(Option.map (fun fc -> (fc, 7)) faults)
+        ~ship_aborted:false
+        ~sinks:
+          { Lsr_obs.Sinks.obs = Lsr_obs.Obs.null; flight = Lsr_obs.Flight.null }
+        ~record_history:false ~watchdog:false ~sites:2 Session.Weak
+    in
+    let eng = Lsr_sim.Engine.create () in
+    let update (key, force_abort) =
+      let txn = Replica_set.begin_update rs ~session:"c" in
+      Handle.put (Replica_set.handle txn) key "v";
+      match Replica_set.commit ~force_abort rs txn with
+      | Ok () -> ()
+      | Error _ -> Replica_set.finish_aborted rs txn
+    in
+    if timed then begin
+      let res = Array.init 2 (fun _ -> Lsr_sim.Resource.create eng) in
+      let serve i ~ops k =
+        if ops = 0 then k ()
+        else Lsr_sim.Resource.use res.(i) (0.02 *. float_of_int ops) k
+      in
+      let sched = Scheduler.create ~serial_refresh:false ~serve eng rs in
+      Scheduler.start sched;
+      List.iteri
+        (fun j u ->
+          Lsr_sim.Engine.after eng ~delay:(0.3 *. float_of_int j) (fun () ->
+              update u))
+        input;
+      Lsr_sim.Engine.every eng 1. (fun () ->
+          ignore
+            (Scheduler.propagate sched ~deliver:(fun i ->
+                 Scheduler.deliver sched i ())));
+      if faults <> None then
+        for i = 0 to 1 do
+          Lsr_sim.Engine.every eng 0.5 (Scheduler.deliver sched i)
+        done;
+      Lsr_sim.Engine.run ~until:1_000. eng
+    end
+    else begin
+      let sched =
+        Scheduler.create ~serial_refresh:false
+          ~serve:(fun _ ~ops:_ k -> k ())
+          eng rs
+      in
+      let round () =
+        ignore (Scheduler.propagate sched);
+        for i = 0 to 1 do
+          Scheduler.refresh sched i;
+          Lsr_sim.Engine.run eng
+        done
+      in
+      List.iteri
+        (fun j u ->
+          update u;
+          if j mod 4 = 3 then round ())
+        input;
+      let rounds = ref 0 in
+      while Replica_set.enabled rs <> [] && !rounds < 10_000 do
+        incr rounds;
+        round ()
+      done;
+      Alcotest.(check (float 0.)) "the clock never moves" 0.
+        (Lsr_sim.Engine.now eng)
+    end;
+    check_bool "quiescent" true (Replica_set.enabled rs = []);
+    List.init 2 (fun i ->
+        let sec = Replica_set.secondary rs i in
+        check_int "caught up" (Mvcc.latest_commit_ts (Replica_set.primary rs))
+          (Secondary.seq_dbsec sec);
+        ( Secondary.seq_dbsec sec,
+          Mvcc.digest (Secondary.db sec),
+          List.rev commits.(i) ))
+  in
+  let at_once = run ~timed:false and timed = run ~timed:true in
+  Alcotest.(check (list (triple int int (list int))))
+    "seq(DBsec), digest and refresh commits per site" at_once timed
+
+let test_scheduler_clocks_agree () =
+  clocks_agree None;
+  clocks_agree (Some Channel.default)
+
 (* --- Hash layout ------------------------------------------------------------------------ *)
 
 (* [Session], [Secondary], [Propagation] and [Watchdog] key their tables on
@@ -2230,6 +2385,15 @@ let () =
             test_checker_fence_edge_cases;
         ]
         @ qsuite [ prop_inversions_match_bruteforce; prop_completeness_matches_oracle ] );
+      ( "scheduler",
+        [
+          Alcotest.test_case "an outside dispatch is committed" `Quick
+            test_scheduler_commits_outside_dispatch;
+          Alcotest.test_case "an outside dispatch across a recovery" `Quick
+            test_scheduler_outside_dispatch_across_recovery;
+          Alcotest.test_case "both clocks agree" `Quick
+            test_scheduler_clocks_agree;
+        ] );
       ( "system",
         [
           Alcotest.test_case "weak shows inversion" `Quick

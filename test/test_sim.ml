@@ -15,7 +15,7 @@ let test_binheap_basic () =
   check_bool "empty" true (Binheap.is_empty h);
   List.iter (Binheap.push h) [ 5; 1; 4; 1; 3 ];
   check_int "length" 5 (Binheap.length h);
-  check_int "peek" 1 (Option.get (Binheap.peek h));
+  check_int "top" 1 (Binheap.top h);
   let drained = List.init 5 (fun _ -> Binheap.pop h) in
   Alcotest.(check (list int)) "sorted drain" [ 1; 1; 3; 4; 5 ] drained;
   check_bool "empty again" true (Binheap.is_empty h)
@@ -753,7 +753,7 @@ let test_resource_use_price () =
   for _ = 1 to jobs do
     Resource.use res 1. ignore
   done;
-  Alcotest.(check (float 0.)) "minor words per arrival" 12.
+  Alcotest.(check (float 0.)) "minor words per arrival" 10.
     ((Gc.minor_words () -. before) /. float_of_int jobs);
   Engine.run eng;
   check_int "drained" 0 (Resource.load res)
